@@ -47,4 +47,8 @@ cargo run -q --release -p labstor-bench --bin crash_fuzz -- --smoke
 test -s BENCH_crash_fuzz.json
 test -s results/crash_fuzz_failures.json
 
+echo "== labstor-benchmark smoke (every workload end to end; a wrong byte, a failed op or cross-trial drift fails)"
+benchmark/run.sh --smoke > /dev/null
+test -s "${CARGO_TARGET_DIR:-target/benchmark}/results/smoke-seed1.json"
+
 echo "ci: all gates passed"

@@ -39,7 +39,7 @@ use labstor_ipc::{
     default_pool, Credentials, Envelope, LaneKind, QueueFlags, QueuePair, QueueRole,
 };
 use labstor_kernel::page_cache::{PageCache, PAGE_SIZE};
-use labstor_sim::Ctx;
+use labstor_sim::{Ctx, SECTOR_SIZE};
 
 const RUNTIME_DOMAIN: u32 = 0;
 const CLIENT_DOMAIN: u32 = 1;
@@ -112,15 +112,18 @@ fn warm_cache(size: usize) -> (ModuleManager, LabStack) {
     };
     let cache = mm.get("cache").expect("cache registered");
     let mut ctx = Ctx::new();
-    for lba in 0..NBLOCKS {
+    for extent in 0..NBLOCKS {
         let mut buf = default_pool().alloc(size).expect("pool has a slot");
-        assert!(buf.write_with(|b| b.fill(lba as u8)), "fresh handle");
+        assert!(buf.write_with(|b| b.fill(extent as u8)), "fresh handle");
         let resp = cache.process(
             &mut ctx,
             Request::new(
-                lba,
+                extent,
                 stack.id,
-                Payload::Block(BlockOp::WriteBuf { lba, buf }),
+                Payload::Block(BlockOp::WriteBuf {
+                    lba: extent * (size / SECTOR_SIZE) as u64,
+                    buf,
+                }),
                 Credentials::ROOT,
             ),
             &env,
@@ -171,7 +174,8 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
         inbox.clear();
         qp.consume_batch(&mut worker, RUNTIME_DOMAIN, &mut inbox, BATCH);
         for env_msg in inbox.drain(..) {
-            let lba = env_msg.payload.0;
+            let extent = env_msg.payload.0;
+            let lba = extent * (size / SECTOR_SIZE) as u64;
             let op = if zero_copy {
                 BlockOp::ReadBuf { lba, len: size }
             } else {
@@ -179,10 +183,10 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
             };
             let resp = cache.process(
                 &mut worker,
-                Request::new(lba, stack.id, Payload::Block(op), Credentials::ROOT),
+                Request::new(extent, stack.id, Payload::Block(op), Credentials::ROOT),
                 &env,
             );
-            done.push(((lba, Some(resp)), worker.now()));
+            done.push(((extent, Some(resp)), worker.now()));
         }
         while !done.is_empty() {
             qp.complete_batch(&mut done, RUNTIME_DOMAIN);
@@ -190,7 +194,7 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
         outbox.clear();
         qp.reap_batch(&mut client, CLIENT_DOMAIN, &mut outbox, BATCH);
         for env_msg in outbox.drain(..) {
-            let (lba, resp) = env_msg.payload;
+            let (extent, resp) = env_msg.payload;
             let resp = resp.expect("worker filled the response");
             if zero_copy {
                 assert!(
@@ -200,7 +204,7 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
             }
             let bytes = resp.data_bytes().expect("hit carries data");
             assert_eq!(bytes.len(), size);
-            assert_eq!(bytes[0], lba as u8, "payload integrity");
+            assert_eq!(bytes[0], extent as u8, "payload integrity");
             reaped += 1;
         }
     }

@@ -17,9 +17,10 @@
 //! Ownership rules (DESIGN.md §10):
 //! * whoever calls [`BufferPool::alloc`] owns a unique handle and may fill
 //!   it in place ([`BufHandle::fill`] / [`BufHandle::write_with`]);
-//! * cloning (or [`BufHandle::slice`]) shares the bytes read-only — all
-//!   mutation is gated on `refs == 1` *and* `&mut self`, so a shared
-//!   buffer can never be written;
+//! * cloning (or [`BufHandle::slice`], or [`BufHandle::join`] of two
+//!   adjacent views) shares the bytes read-only — all mutation is gated
+//!   on `refs == 1` *and* `&mut self`, so a shared buffer can never be
+//!   written;
 //! * the last `Drop` frees; freeing is idempotence-checked by the debug
 //!   tracker (a slot may return to the free list exactly once).
 //!
@@ -617,6 +618,23 @@ impl BufHandle {
         Some(h)
     }
 
+    /// One view over `self` followed by `next`, when `next` starts in the
+    /// same slot exactly where `self` ends (refcount bump, no copy) —
+    /// the inverse of cutting one buffer into adjacent [`slice`]s.
+    /// Returns `None` for another slot or pool, a gap, an overlap, or the
+    /// reverse order, so the result never covers a byte the two views do
+    /// not already cover.
+    ///
+    /// [`slice`]: BufHandle::slice
+    pub fn join(&self, next: &BufHandle) -> Option<BufHandle> {
+        if !self.same_slot(next) || self.off + self.len != next.off {
+            return None;
+        }
+        let mut h = self.clone();
+        h.len += next.len;
+        Some(h)
+    }
+
     /// Shrink the view to its first `new_len` bytes (no-op if larger).
     pub fn truncate(&mut self, new_len: usize) {
         self.len = self.len.min(new_len);
@@ -771,6 +789,34 @@ mod tests {
         assert_eq!(pool.live(), 1); // slice keeps the slot alive
         drop(s);
         assert_eq!(pool.live(), 0);
+    }
+
+    #[test]
+    fn join_reunites_adjacent_views_only() {
+        let pool = small_pool();
+        let h = pool.alloc_from(b"abcdefgh").unwrap();
+        let (a, b, c) = (
+            h.slice(0, 3).unwrap(),
+            h.slice(3, 2).unwrap(),
+            h.slice(5, 3).unwrap(),
+        );
+        let ab = a.join(&b).unwrap();
+        assert_eq!(ab.as_slice(), b"abcde");
+        assert!(ab.same_slot(&h));
+        assert_eq!(ab.join(&c).unwrap().as_slice(), h.as_slice());
+        assert!(a.join(&c).is_none(), "gap");
+        assert!(ab.join(&b).is_none(), "overlap");
+        assert!(b.join(&a).is_none(), "reversed order");
+        let other = pool.alloc_from(b"abcdefgh").unwrap();
+        assert!(a.join(&other.slice(3, 2).unwrap()).is_none(), "other slot");
+        let other_pool = small_pool();
+        let foreign = other_pool.alloc_from(b"abcdefgh").unwrap();
+        assert!(
+            a.join(&foreign.slice(3, 2).unwrap()).is_none(),
+            "same class and slot index, other pool"
+        );
+        drop((h, a, b, c, ab, other));
+        assert_eq!(pool.live(), 0, "a joined view is one more reference");
     }
 
     #[test]

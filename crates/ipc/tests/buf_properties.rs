@@ -138,6 +138,54 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Cut a view of one allocation at random points and join the pieces
+    /// back left to right: every join of neighbours succeeds and equals the
+    /// concatenation, no intermediate view holds a byte outside the view
+    /// that was cut, and joining any piece to a non-neighbour is refused.
+    #[test]
+    fn join_chain_never_leaves_the_original_view(
+        view in (0usize..200, 1usize..56),
+        cuts in proptest::collection::vec(0usize..56, 0..8),
+    ) {
+        let pool = pool();
+        let mut whole = pool.alloc(256).unwrap();
+        let filled = whole.write_with(|b| {
+            for (i, x) in b.iter_mut().enumerate() {
+                *x = i as u8;
+            }
+        });
+        prop_assert!(filled);
+        let (start, len) = view;
+        let original = whole.slice(start, len).unwrap();
+        let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
+        bounds.extend([0, len]);
+        bounds.sort_unstable();
+        let pieces: Vec<BufHandle> = bounds
+            .windows(2)
+            .map(|w| original.slice(w[0], w[1] - w[0]).unwrap())
+            .collect();
+
+        let mut acc = pieces[0].clone();
+        for (i, piece) in pieces.iter().enumerate().skip(1) {
+            acc = acc.join(piece).expect("neighbouring slices join");
+            prop_assert_eq!(acc.as_slice(), &original.as_slice()[..bounds[i + 1]]);
+            prop_assert_eq!(acc.offset(), original.offset());
+        }
+        prop_assert_eq!(acc.as_slice(), original.as_slice());
+        for (i, a) in pieces.iter().enumerate() {
+            for (j, b) in pieces.iter().enumerate() {
+                let neighbours = bounds[i + 1] == bounds[j];
+                prop_assert!(a.join(b).is_some() == neighbours, "pieces {} and {}", i, j);
+            }
+        }
+        drop((whole, original, pieces, acc));
+        prop_assert_eq!(pool.live(), 0);
+    }
+}
+
 /// Offset of the view inside its slot (so two views of one slot map to the
 /// same slot key). Derived from the public API: a full-slot view of class
 /// c starts at a multiple of the class buffer size.

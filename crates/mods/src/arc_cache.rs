@@ -5,46 +5,26 @@
 //! hot-swapping one cache policy for another is its running example of
 //! `modify.mods`. This module is that story made concrete: an ARC-like
 //! policy (two real LRU lists + two ghost lists with an adaptive target)
-//! that speaks the same block-cache interface as [`crate::lru`], so the
+//! plugged into the same [`BlockCache`] engine as [`crate::lru`], so the
 //! Module Manager can swap the two live — `state_update` migrates the
 //! warm blocks across.
 //!
 //! The policy keeps recency (T1) and frequency (T2) lists; ghost lists
 //! (B1/B2) remember recently evicted keys and steer the adaptive target
 //! `p` toward whichever list would have hit — which is what makes it
-//! resist one-shot scans that flush a plain LRU.
-//!
-//! Like [`crate::lru`], the mod shards its state (`shards` factory param,
-//! default 1 — each shard runs an independent ARC instance over its slice
-//! of the capacity), guards misses with an in-flight claim so racing
-//! misses fetch downstream exactly once, and serves `WriteBuf`/`ReadBuf`
-//! zero-copy by storing pool handles and answering hits with a refcount
-//! bump.
+//! resist one-shot scans that flush a plain LRU. With `shards` > 1 each
+//! shard runs an independent ARC instance over its slice of the capacity.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use labstor_core::{
-    BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
-};
+use labstor_core::{LabMod, ModuleManager};
 use labstor_kernel::page_cache::LruMap;
-use labstor_sim::Ctx;
-use labstor_telemetry::PerfCounters;
 
-use crate::cache_common::{shard_of, CacheData, InflightSet};
+use crate::cache_common::{BlockCache, CacheData, Policy};
 
-/// Per-block lookup cost (two-list bookkeeping is slightly heavier than a
-/// plain LRU's).
-const LOOKUP_NS: u64 = 190;
-const COPY_NS_PER_KB: u64 = 300;
-
-fn copy_cost(bytes: usize) -> u64 {
-    (bytes as u64 * COPY_NS_PER_KB) / 1024
-}
-
-struct ArcState {
+/// ARC replacement state for one shard.
+#[derive(Default)]
+pub struct ArcPolicy {
     /// Recency list: blocks seen exactly once.
     t1: LruMap<u64, CacheData>,
     /// Frequency list: blocks seen more than once.
@@ -57,32 +37,107 @@ struct ArcState {
     p: usize,
 }
 
-impl ArcState {
-    fn new() -> Self {
-        ArcState {
-            t1: LruMap::new(),
-            t2: LruMap::new(),
-            b1: LruMap::new(),
-            b2: LruMap::new(),
-            p: 0,
+impl ArcPolicy {
+    /// ARC REPLACE: evict from T1 or T2 according to the target `p`,
+    /// recording a ghost.
+    fn replace(&mut self, in_b2: bool, evict: &mut dyn FnMut(u64, CacheData)) {
+        let t1_len = self.t1.len();
+        let from_t1 = t1_len > 0 && (t1_len > self.p || (in_b2 && t1_len == self.p));
+        if let Some((k, v)) = from_t1.then(|| self.t1.pop_lru()).flatten() {
+            self.b1.insert(k, ());
+            evict(k, v);
+        } else if let Some((k, v)) = self.t2.pop_lru() {
+            self.b2.insert(k, ());
+            evict(k, v);
+        } else if let Some((k, v)) = self.t1.pop_lru() {
+            self.b1.insert(k, ());
+            evict(k, v);
         }
     }
 }
 
-/// The adaptive cache LabMod (write-through, like the default LRU mod).
-pub struct ArcCacheMod {
-    shards: Box<[Mutex<ArcState>]>,
-    inflight: InflightSet,
-    /// ARC capacity `c` per shard (in blocks).
-    per_shard_blocks: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    perf: PerfCounters,
-    downstream_ns: AtomicU64,
+impl Policy for ArcPolicy {
+    const TYPE_NAME: &'static str = "arc_cache";
+    /// Two-list bookkeeping is slightly heavier than a plain LRU's.
+    const LOOKUP_NS: u64 = 190;
+    const MIN_BLOCKS: usize = 2;
+
+    /// A T2 hit refreshes recency; a T1 hit promotes to T2.
+    fn touch(&mut self, lba: u64) -> Option<&CacheData> {
+        if let Some(d) = self.t1.remove(&lba) {
+            self.t2.insert(lba, d);
+        }
+        self.t2.get(&lba).map(|d| &*d)
+    }
+
+    fn peek(&self, lba: u64) -> Option<&CacheData> {
+        self.t1.peek(&lba).or_else(|| self.t2.peek(&lba))
+    }
+
+    /// Insert or touch a block with its data: the full ARC state machine.
+    fn admit(
+        &mut self,
+        lba: u64,
+        data: CacheData,
+        cap: usize,
+        evict: &mut dyn FnMut(u64, CacheData),
+    ) {
+        // Case 1: hit in T1 or T2 → promote to T2 MRU.
+        if self.t1.remove(&lba).is_some() || self.t2.peek(&lba).is_some() {
+            self.t2.insert(lba, data);
+            return;
+        }
+        // Case 2: ghost hit in B1 → grow p, bring into T2.
+        if self.b1.remove(&lba).is_some() {
+            let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
+            self.p = (self.p + delta).min(cap);
+            self.replace(false, evict);
+            self.t2.insert(lba, data);
+            return;
+        }
+        // Case 3: ghost hit in B2 → shrink p, bring into T2.
+        if self.b2.remove(&lba).is_some() {
+            let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
+            self.p = self.p.saturating_sub(delta);
+            self.replace(true, evict);
+            self.t2.insert(lba, data);
+            return;
+        }
+        // Case 4 (canonical ARC): brand-new block → T1 MRU, with
+        // directory maintenance keeping |T1|+|B1| ≤ c and the whole
+        // directory ≤ 2c.
+        let directory = self.t1.len() + self.t2.len() + self.b1.len() + self.b2.len();
+        if self.t1.len() + self.b1.len() >= cap {
+            if self.t1.len() < cap {
+                self.b1.pop_lru();
+                self.replace(false, evict);
+            } else if let Some((k, v)) = self.t1.pop_lru() {
+                // B1 is empty and T1 full: discard T1's LRU outright.
+                evict(k, v);
+            }
+        } else if directory >= cap {
+            if directory >= 2 * cap {
+                self.b2.pop_lru();
+            }
+            self.replace(false, evict);
+        }
+        self.t1.insert(lba, data);
+    }
+
+    fn pop_coldest(&mut self) -> Option<(u64, CacheData)> {
+        self.t1.pop_lru().or_else(|| self.t2.pop_lru())
+    }
+
+    fn resident(&self) -> usize {
+        self.t1.len() + self.t2.len()
+    }
 }
 
+/// The adaptive cache LabMod (write-through, like the default LRU mod).
+pub type ArcCacheMod = BlockCache<ArcPolicy>;
+
 impl ArcCacheMod {
-    /// Cache of `capacity_bytes` (4 KB block granularity), single shard.
+    /// Cache of `capacity_bytes`, single shard.
     pub fn new(capacity_bytes: usize) -> Self {
         Self::with_shards(capacity_bytes, 1)
     }
@@ -90,260 +145,7 @@ impl ArcCacheMod {
     /// Cache of `capacity_bytes` split over `shards` independent ARC
     /// instances (capacity divides evenly; each shard adapts its own `p`).
     pub fn with_shards(capacity_bytes: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity_blocks = (capacity_bytes / 4096).max(2);
-        ArcCacheMod {
-            shards: (0..shards).map(|_| Mutex::new(ArcState::new())).collect(),
-            inflight: InflightSet::new(),
-            per_shard_blocks: capacity_blocks.div_ceil(shards).max(2),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            perf: PerfCounters::new(),
-            downstream_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shards (independent ARC instances).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, lba: u64) -> &Mutex<ArcState> {
-        &self.shards[shard_of(lba, self.shards.len())]
-    }
-
-    /// (hits, misses) so far.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        // relaxed-ok: stat counter; readers tolerate lag
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    fn fwd(&self, ctx: &mut Ctx, env: &StackEnv<'_>, req: Request) -> RespPayload {
-        let before = ctx.busy();
-        let r = env.forward(ctx, req);
-        self.downstream_ns
-            .fetch_add(ctx.busy() - before, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        r
-    }
-
-    /// ARC REPLACE: evict from T1 or T2 according to the target `p`,
-    /// recording a ghost.
-    fn replace(state: &mut ArcState, in_b2: bool) {
-        let t1_len = state.t1.len();
-        if t1_len > 0 && (t1_len > state.p || (in_b2 && t1_len == state.p)) {
-            if let Some((k, _)) = state.t1.pop_lru() {
-                state.b1.insert(k, ());
-            }
-        } else if let Some((k, _)) = state.t2.pop_lru() {
-            state.b2.insert(k, ());
-        } else if let Some((k, _)) = state.t1.pop_lru() {
-            state.b1.insert(k, ());
-        }
-    }
-
-    /// Insert or touch a block with its data; runs the full ARC state
-    /// machine on the block's shard.
-    fn admit(&self, lba: u64, data: CacheData) {
-        let cap = self.per_shard_blocks;
-        let mut s = self.shard(lba).lock();
-        // Case 1: hit in T1 or T2 → promote to T2 MRU.
-        if s.t1.remove(&lba).is_some() || s.t2.peek(&lba).is_some() {
-            s.t2.insert(lba, data);
-            return;
-        }
-        // Case 2: ghost hit in B1 → grow p, bring into T2.
-        if s.b1.remove(&lba).is_some() {
-            let delta = (s.b2.len() / s.b1.len().max(1)).max(1);
-            s.p = (s.p + delta).min(cap);
-            Self::replace(&mut s, false);
-            s.t2.insert(lba, data);
-            return;
-        }
-        // Case 3: ghost hit in B2 → shrink p, bring into T2.
-        if s.b2.remove(&lba).is_some() {
-            let delta = (s.b1.len() / s.b2.len().max(1)).max(1);
-            s.p = s.p.saturating_sub(delta);
-            Self::replace(&mut s, true);
-            s.t2.insert(lba, data);
-            return;
-        }
-        // Case 4 (canonical ARC): brand-new block → T1 MRU, with
-        // directory maintenance keeping |T1|+|B1| ≤ c and the whole
-        // directory ≤ 2c.
-        if s.t1.len() + s.b1.len() >= cap {
-            if s.t1.len() < cap {
-                s.b1.pop_lru();
-                Self::replace(&mut s, false);
-            } else {
-                // B1 is empty and T1 full: discard T1's LRU outright.
-                s.t1.pop_lru();
-            }
-        } else if s.t1.len() + s.t2.len() + s.b1.len() + s.b2.len() >= cap {
-            if s.t1.len() + s.t2.len() + s.b1.len() + s.b2.len() >= 2 * cap {
-                s.b2.pop_lru();
-            }
-            Self::replace(&mut s, false);
-        }
-        s.t1.insert(lba, data);
-    }
-
-    /// Build the hit response: a `ReadBuf` hit on a handle-backed block
-    /// is a refcount bump (no memcpy, no charge); everything else copies
-    /// (counted) and is charged the virtual memcpy.
-    fn answer(ctx: &mut Ctx, data: &CacheData, len: usize, zero_copy: bool) -> Option<RespPayload> {
-        if zero_copy {
-            if let CacheData::Buf(h) = data {
-                return Some(RespPayload::DataBuf(h.slice(0, len)?));
-            }
-        }
-        let out = match data {
-            CacheData::Vec(v) => {
-                labstor_ipc::note_payload_copy(len);
-                v[..len].to_vec() // copy-ok: legacy copying hit; counted above and charged below
-            }
-            CacheData::Buf(h) => h.slice(0, len)?.to_vec(), // copy-ok: legacy Read of a handle-backed block; to_vec self-counts
-        };
-        ctx.advance(copy_cost(len));
-        Some(RespPayload::Data(out))
-    }
-
-    /// Answer from the cache if resident. A T2 hit refreshes recency; a
-    /// T1 hit promotes to T2.
-    fn try_hit(&self, ctx: &mut Ctx, lba: u64, len: usize, zero_copy: bool) -> Option<RespPayload> {
-        let mut s = self.shard(lba).lock();
-        if let Some(d) = s.t2.get(&lba) {
-            if d.len() >= len {
-                return Self::answer(ctx, d, len, zero_copy);
-            }
-        }
-        if let Some(d) = s.t1.remove(&lba) {
-            if d.len() >= len {
-                let resp = Self::answer(ctx, &d, len, zero_copy);
-                s.t2.insert(lba, d);
-                return resp;
-            }
-            s.t1.insert(lba, d);
-        }
-        None
-    }
-
-    /// The shared read path with the in-flight miss guard (see
-    /// [`crate::lru::LruCacheMod`] — same double-fetch fix).
-    fn do_read(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: Request,
-        lba: u64,
-        len: usize,
-        zero_copy: bool,
-    ) -> RespPayload {
-        ctx.advance(LOOKUP_NS);
-        if let Some(resp) = self.try_hit(ctx, lba, len, zero_copy) {
-            self.hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            return resp;
-        }
-        let guard = self.inflight.claim(lba);
-        if let Some(resp) = self.try_hit(ctx, lba, len, zero_copy) {
-            self.hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            return resp;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        let resp = self.fwd(ctx, env, req);
-        match &resp {
-            RespPayload::DataBuf(h) => self.admit(lba, CacheData::Buf(h.clone())),
-            RespPayload::Data(data) => {
-                ctx.advance(copy_cost(data.len()));
-                labstor_ipc::note_payload_copy(data.len());
-                self.admit(lba, CacheData::Vec(data.clone())); // copy-ok: legacy miss fill copies the fetched block into the cache; counted above
-            }
-            _ => {}
-        }
-        drop(guard);
-        resp
-    }
-}
-
-// labmod-default-ok: write-through cache: contents are clean and re-warm from misses after a crash; state_update migrates them across upgrades
-impl LabMod for ArcCacheMod {
-    fn type_name(&self) -> &'static str {
-        "arc_cache"
-    }
-
-    fn mod_type(&self) -> ModType {
-        ModType::Cache
-    }
-
-    fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
-        let before = ctx.busy();
-        let resp = match &req.payload {
-            Payload::Block(BlockOp::Write { lba, data }) => {
-                ctx.advance(LOOKUP_NS + 2 * copy_cost(data.len()));
-                labstor_ipc::note_payload_copy(data.len());
-                self.admit(*lba, CacheData::Vec(data.clone())); // copy-ok: legacy write path copies into the cache; counted above
-                self.fwd(ctx, env, req)
-            }
-            Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
-                // Zero-copy write admission: refcount bump, lookup only.
-                ctx.advance(LOOKUP_NS);
-                self.admit(*lba, CacheData::Buf(buf.clone()));
-                self.fwd(ctx, env, req)
-            }
-            Payload::Block(BlockOp::Read { lba, len }) => {
-                let (lba, len) = (*lba, *len);
-                self.do_read(ctx, env, req, lba, len, false)
-            }
-            Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-                let (lba, len) = (*lba, *len);
-                self.do_read(ctx, env, req, lba, len, true)
-            }
-            _ => self.fwd(ctx, env, req),
-        };
-        let downstream = self.downstream_ns.swap(0, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.perf
-            .observe((ctx.busy() - before).saturating_sub(downstream));
-        resp
-    }
-
-    fn est_processing_time(&self, req: &Request) -> u64 {
-        self.perf
-            .est_ns(LOOKUP_NS + 2 * copy_cost(req.payload_bytes()))
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
-    }
-
-    fn state_update(&self, old: &dyn LabMod) {
-        // Swap-in from either cache flavor: warm blocks migrate (handles
-        // by refcount, vectors by move — no byte copies either way).
-        if let Some(prev) = old.as_any().downcast_ref::<ArcCacheMod>() {
-            self.perf.absorb(&prev.perf);
-            let mut drained: Vec<(u64, CacheData)> = Vec::new();
-            for shard in prev.shards.iter() {
-                let mut theirs = shard.lock();
-                while let Some(e) = theirs.t1.pop_lru() {
-                    drained.push(e);
-                }
-                while let Some(e) = theirs.t2.pop_lru() {
-                    drained.push(e);
-                }
-            }
-            for (k, v) in drained {
-                self.admit(k, v);
-            }
-        } else if let Some(prev) = old.as_any().downcast_ref::<crate::lru::LruCacheMod>() {
-            for (k, v) in prev.drain_blocks() {
-                self.admit(k, v);
-            }
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        Self::build(capacity_bytes, false, shards)
     }
 }
 
@@ -366,274 +168,124 @@ pub fn install(mm: &ModuleManager) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use labstor_core::stack::{ExecMode, LabStack, Vertex};
-    use labstor_ipc::Credentials;
-    use std::collections::HashMap;
+    use crate::cache_common::testing::{MemDev, Rig};
+    use crate::cache_common::BLOCK;
+    use labstor_core::RespPayload;
+    use labstor_sim::Ctx;
 
-    struct MemDev {
-        blocks: Mutex<HashMap<u64, Vec<u8>>>,
-        reads: AtomicU64,
-    }
-    impl LabMod for MemDev {
-        fn type_name(&self) -> &'static str {
-            "memdev"
-        }
-        fn mod_type(&self) -> ModType {
-            ModType::Driver
-        }
-        fn process(&self, _ctx: &mut Ctx, req: Request, _env: &StackEnv<'_>) -> RespPayload {
-            match req.payload {
-                Payload::Block(BlockOp::Write { lba, data }) => {
-                    let n = data.len();
-                    self.blocks.lock().insert(lba, data);
-                    RespPayload::Len(n)
-                }
-                Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
-                    let n = buf.len();
-                    self.blocks.lock().insert(lba, buf.to_vec());
-                    RespPayload::Len(n)
-                }
-                Payload::Block(BlockOp::Read { lba, len })
-                | Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-                    self.reads.fetch_add(1, Ordering::Relaxed);
-                    match self.blocks.lock().get(&lba) {
-                        Some(d) => RespPayload::Data(d[..len.min(d.len())].to_vec()),
-                        None => RespPayload::Data(vec![0u8; len]),
-                    }
-                }
-                _ => RespPayload::Ok,
-            }
-        }
-        fn est_processing_time(&self, _req: &Request) -> u64 {
-            1
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
+    fn setup(cap_blocks: usize) -> Rig {
+        let params = serde_json::json!({"capacity_bytes": cap_blocks * BLOCK});
+        Rig::mount("arc_cache", params, MemDev::new())
     }
 
-    fn setup(cap_blocks: usize) -> (ModuleManager, LabStack, Arc<MemDev>) {
-        let mm = ModuleManager::new();
-        install(&mm);
-        mm.instantiate(
-            "arc",
-            "arc_cache",
-            &serde_json::json!({"capacity_bytes": cap_blocks * 4096}),
-        )
-        .unwrap();
-        let dev = Arc::new(MemDev {
-            blocks: Mutex::new(HashMap::new()),
-            reads: AtomicU64::new(0),
-        });
-        mm.insert_instance("dev", dev.clone());
-        let stack = LabStack {
-            id: 1,
-            mount: "x".into(),
-            exec: ExecMode::Sync,
-            vertices: vec![
-                Vertex {
-                    uuid: "arc".into(),
-                    outputs: vec![1],
-                },
-                Vertex {
-                    uuid: "dev".into(),
-                    outputs: vec![],
-                },
-            ],
-            authorized_uids: vec![],
-        };
-        (mm, stack, dev)
+    fn read(rig: &Rig, ctx: &mut Ctx, block: u64) -> RespPayload {
+        rig.read(ctx, block, BLOCK)
     }
 
-    fn read(mm: &ModuleManager, stack: &LabStack, ctx: &mut Ctx, lba: u64) -> RespPayload {
-        let env = StackEnv {
-            stack,
-            vertex: 0,
-            registry: mm,
-            domain: 0,
-        };
-        mm.get("arc").unwrap().process(
-            ctx,
-            Request::new(
-                1,
-                1,
-                Payload::Block(BlockOp::Read { lba, len: 4096 }),
-                Credentials::ROOT,
-            ),
-            &env,
-        )
+    fn write(rig: &Rig, ctx: &mut Ctx, block: u64, fill: u8) {
+        assert!(rig.write(ctx, block, vec![fill; BLOCK]).is_ok());
     }
 
-    fn write(mm: &ModuleManager, stack: &LabStack, ctx: &mut Ctx, lba: u64, fill: u8) {
-        let env = StackEnv {
-            stack,
-            vertex: 0,
-            registry: mm,
-            domain: 0,
-        };
-        let r = mm.get("arc").unwrap().process(
-            ctx,
-            Request::new(
-                1,
-                1,
-                Payload::Block(BlockOp::Write {
-                    lba,
-                    data: vec![fill; 4096],
-                }),
-                Credentials::ROOT,
-            ),
-            &env,
-        );
-        assert!(r.is_ok());
-    }
-
-    #[test]
-    fn write_then_read_hits() {
-        let (mm, stack, dev) = setup(16);
-        let mut ctx = Ctx::new();
-        write(&mm, &stack, &mut ctx, 8, 7);
-        let r = read(&mm, &stack, &mut ctx, 8);
-        assert!(matches!(r, RespPayload::Data(d) if d == vec![7u8; 4096]));
-        assert_eq!(dev.reads.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn scan_resistance_beats_plain_lru() {
-        // Working set of 4 hot blocks + a long one-shot scan. ARC must
-        // keep serving the hot set from cache after the scan; an LRU of
-        // the same size gets flushed.
-        let cap = 8usize;
-        let (mm, stack, dev) = setup(cap);
+    /// 4 hot blocks re-read three times, a one-shot scan over 64 cold
+    /// blocks, then the hot set again: how many of those 4 reads miss.
+    fn hot_misses_after_scan(rig: &Rig) -> usize {
         let mut ctx = Ctx::new();
         let hot: Vec<u64> = (0..4).collect();
         for &h in &hot {
-            write(&mm, &stack, &mut ctx, h, h as u8);
+            write(rig, &mut ctx, h, h as u8);
         }
         // Touch the hot set repeatedly so it reaches the frequency list.
         for _ in 0..3 {
             for &h in &hot {
-                read(&mm, &stack, &mut ctx, h);
+                read(rig, &mut ctx, h);
             }
         }
-        // One-shot scan over 64 cold blocks (each read once).
         for cold in 100..164 {
-            read(&mm, &stack, &mut ctx, cold);
+            read(rig, &mut ctx, cold);
         }
-        let before = dev.reads.load(Ordering::Relaxed);
+        let before = rig.dev.read_count();
         for &h in &hot {
-            read(&mm, &stack, &mut ctx, h);
+            read(rig, &mut ctx, h);
         }
-        let hot_misses = dev.reads.load(Ordering::Relaxed) - before;
+        rig.dev.read_count() - before
+    }
+
+    #[test]
+    fn write_then_read_hits() {
+        let rig = setup(16);
+        let mut ctx = Ctx::new();
+        write(&rig, &mut ctx, 1, 7);
+        let r = read(&rig, &mut ctx, 1);
+        assert!(matches!(r, RespPayload::Data(d) if d == vec![7u8; BLOCK]));
+        assert_eq!(rig.dev.read_count(), 0);
+    }
+
+    #[test]
+    fn scan_resistance_beats_plain_lru() {
+        // ARC must keep serving the hot set from cache after the scan; an
+        // LRU of the same size gets flushed.
+        let cap = 8usize;
+        let hot_misses = hot_misses_after_scan(&setup(cap));
         assert!(
             hot_misses <= 1,
             "ARC must keep the hot set through a scan (missed {hot_misses}/4)"
         );
-
-        // The same experiment against the plain LRU mod: it misses.
-        let lru = crate::lru::LruCacheMod::new(cap * 4096, false);
-        let mm2 = ModuleManager::new();
-        mm2.insert_instance("arc", Arc::new(lru)); // same uuid slot
-        let dev2 = Arc::new(MemDev {
-            blocks: Mutex::new(HashMap::new()),
-            reads: AtomicU64::new(0),
-        });
-        mm2.insert_instance("dev", dev2.clone());
-        let mut ctx2 = Ctx::new();
-        for &h in &hot {
-            write(&mm2, &stack, &mut ctx2, h, h as u8);
-        }
-        for _ in 0..3 {
-            for &h in &hot {
-                read(&mm2, &stack, &mut ctx2, h);
-            }
-        }
-        for cold in 100..164 {
-            read(&mm2, &stack, &mut ctx2, cold);
-        }
-        let before = dev2.reads.load(Ordering::Relaxed);
-        for &h in &hot {
-            read(&mm2, &stack, &mut ctx2, h);
-        }
-        let lru_misses = dev2.reads.load(Ordering::Relaxed) - before;
+        let lru = crate::lru::LruCacheMod::new(cap * BLOCK, false);
+        let lru_misses = hot_misses_after_scan(&Rig::around(Arc::new(lru), MemDev::new()));
         assert_eq!(lru_misses, 4, "a scan flushes plain LRU entirely");
     }
 
     #[test]
     fn capacity_is_respected() {
-        let (mm, stack, _dev) = setup(8);
+        let rig = setup(8);
         let mut ctx = Ctx::new();
-        for lba in 0..100 {
-            write(&mm, &stack, &mut ctx, lba, lba as u8);
+        for block in 0..100 {
+            write(&rig, &mut ctx, block, block as u8);
         }
-        let m = mm.get("arc").unwrap();
+        // One extent larger than the whole cache.
+        assert!(rig.write(&mut ctx, 200, vec![1u8; 20 * BLOCK]).is_ok());
+        let m = rig.cache();
         let arc = m.as_any().downcast_ref::<ArcCacheMod>().unwrap();
-        let s = arc.shards[0].lock();
-        assert!(
-            s.t1.len() + s.t2.len() <= 8,
-            "resident {} > capacity",
-            s.t1.len() + s.t2.len()
-        );
-        assert!(s.b1.len() + s.b2.len() <= 2 * 8 + 2, "ghost lists bounded");
+        assert!(arc.resident_blocks() <= 8, "resident > capacity");
+        let ghosts = arc.with_policy(0, |s| s.b1.len() + s.b2.len());
+        assert!(ghosts <= 2 * 8 + 2, "ghost lists bounded");
     }
 
     #[test]
     fn sharded_capacity_is_respected_per_shard() {
-        let arc = ArcCacheMod::with_shards(16 * 4096, 4);
-        for lba in 0..400u64 {
-            arc.admit(lba, CacheData::Vec(vec![lba as u8; 4096]));
+        let arc = ArcCacheMod::with_shards(16 * BLOCK, 4);
+        let rig = Rig::around(Arc::new(arc), MemDev::new());
+        let mut ctx = Ctx::new();
+        for block in 0..400u64 {
+            write(&rig, &mut ctx, block, block as u8);
         }
-        for shard in arc.shards.iter() {
-            let s = shard.lock();
+        let m = rig.cache();
+        let arc = m.as_any().downcast_ref::<ArcCacheMod>().unwrap();
+        for shard in 0..arc.shard_count() {
+            let resident = arc.with_policy(shard, Policy::resident);
             assert!(
-                s.t1.len() + s.t2.len() <= arc.per_shard_blocks,
-                "shard resident {} > per-shard capacity {}",
-                s.t1.len() + s.t2.len(),
-                arc.per_shard_blocks
+                resident <= 4,
+                "shard resident {resident} > per-shard capacity 4"
             );
         }
     }
 
     #[test]
     fn state_migrates_from_lru_on_hot_swap() {
-        let lru = crate::lru::LruCacheMod::new(64 * 4096, false);
-        // Warm the LRU directly through its own stack processing path.
-        let mm = ModuleManager::new();
-        mm.insert_instance("arc", Arc::new(lru));
-        let dev = Arc::new(MemDev {
-            blocks: Mutex::new(HashMap::new()),
-            reads: AtomicU64::new(0),
-        });
-        mm.insert_instance("dev", dev.clone());
-        let stack = LabStack {
-            id: 1,
-            mount: "x".into(),
-            exec: ExecMode::Sync,
-            vertices: vec![
-                Vertex {
-                    uuid: "arc".into(),
-                    outputs: vec![1],
-                },
-                Vertex {
-                    uuid: "dev".into(),
-                    outputs: vec![],
-                },
-            ],
-            authorized_uids: vec![],
-        };
+        // Warm an LRU through its own processing path, multi-block too.
+        let lru = crate::lru::LruCacheMod::new(64 * BLOCK, false);
+        let rig = Rig::around(Arc::new(lru), MemDev::new());
         let mut ctx = Ctx::new();
-        write(&mm, &stack, &mut ctx, 1, 11);
-        write(&mm, &stack, &mut ctx, 2, 22);
+        write(&rig, &mut ctx, 1, 11);
+        assert!(rig.write(&mut ctx, 2, vec![22u8; 3 * BLOCK]).is_ok());
         // Hot swap LRU → ARC.
-        let newer = ArcCacheMod::new(64 * 4096);
-        newer.state_update(mm.get("arc").unwrap().as_ref());
-        mm.insert_instance("arc", Arc::new(newer));
-        let before = dev.reads.load(Ordering::Relaxed);
-        let r = read(&mm, &stack, &mut ctx, 1);
-        assert!(matches!(r, RespPayload::Data(d) if d == vec![11u8; 4096]));
-        assert_eq!(
-            dev.reads.load(Ordering::Relaxed),
-            before,
-            "served from migrated state"
-        );
+        let newer = ArcCacheMod::new(64 * BLOCK);
+        newer.state_update(rig.cache().as_ref());
+        rig.mm.insert_instance("cache", Arc::new(newer));
+        let r = read(&rig, &mut ctx, 1);
+        assert!(matches!(r, RespPayload::Data(d) if d == vec![11u8; BLOCK]));
+        let r = rig.read(&mut ctx, 2, 3 * BLOCK);
+        assert!(matches!(r, RespPayload::Data(d) if d == vec![22u8; 3 * BLOCK]));
+        assert_eq!(rig.dev.read_count(), 0, "served from migrated state");
     }
 }

@@ -812,7 +812,7 @@ impl LabFs {
         req: &Request,
         ino: u64,
         offset: u64,
-        data: &[u8],
+        data: Vec<u8>,
     ) -> RespPayload {
         // Map every touched page to a block, allocating as needed.
         ctx.advance(META_CPU_NS); // inode + mapping lookup
@@ -820,49 +820,35 @@ impl LabFs {
             Ok(v) => v,
             Err(e) => return e,
         };
+        let len = data.len();
+        let end = offset + len as u64;
+        let whole_pages = offset.is_multiple_of(FS_BLOCK as u64) && len.is_multiple_of(FS_BLOCK);
+        if whole_pages && extents.windows(2).all(|w| w[1].1 == w[0].1 + 1) {
+            // Whole pages on one contiguous run: the caller's allocation
+            // goes downstream as it is, neither zero-filled nor copied.
+            let Some(&(_, block)) = extents.first() else {
+                return RespPayload::Len(0);
+            };
+            let lba = block * BLOCK_SECTORS;
+            let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data });
+            return if r.is_ok() { RespPayload::Len(len) } else { r };
+        }
         // Emit block writes downstream. Partially-covered pages that were
         // already mapped (and not freshly allocated) need read-modify-write
         // so neighbouring bytes survive; full pages and fresh pages are
         // written directly, coalescing contiguous full blocks.
-        let block_write = |this: &Self,
-                           ctx: &mut Ctx,
-                           env: &StackEnv<'_>,
-                           lba: u64,
-                           payload: Vec<u8>|
-         -> RespPayload {
-            let mut fwd = Request::new(
-                req.id,
-                req.stack,
-                Payload::Block(BlockOp::Write { lba, data: payload }),
-                req.creds,
-            );
-            fwd.vertex = env.vertex;
-            fwd.core = req.core;
-            fwd.qid_hint = req.qid_hint;
-            this.fwd(ctx, env, fwd)
-        };
         let mut i = 0usize;
         while i < extents.len() {
             let (page, block) = extents[i];
             let pg_start = page * FS_BLOCK as u64;
             let cover_from = pg_start.max(offset);
-            let cover_to = (pg_start + FS_BLOCK as u64).min(offset + data.len() as u64);
+            let cover_to = (pg_start + FS_BLOCK as u64).min(end);
             let full = cover_from == pg_start && cover_to == pg_start + FS_BLOCK as u64;
             if !full && !fresh_pages.contains(&page) {
                 // Partial overwrite of an existing block: read-modify-write.
-                let mut rd = Request::new(
-                    req.id,
-                    req.stack,
-                    Payload::Block(BlockOp::Read {
-                        lba: block * BLOCK_SECTORS,
-                        len: FS_BLOCK,
-                    }),
-                    req.creds,
-                );
-                rd.vertex = env.vertex;
-                rd.core = req.core;
-                rd.qid_hint = req.qid_hint;
-                let mut payload = match self.fwd(ctx, env, rd) {
+                let lba = block * BLOCK_SECTORS;
+                let read = BlockOp::Read { lba, len: FS_BLOCK };
+                let mut payload = match self.fwd_block(ctx, env, req, read) {
                     RespPayload::Data(d) => d,
                     other => return other,
                 };
@@ -871,7 +857,7 @@ impl LabFs {
                 let src = (cover_from - offset) as usize;
                 let n = (cover_to - cover_from) as usize;
                 payload[dst..dst + n].copy_from_slice(&data[src..src + n]);
-                let r = block_write(self, ctx, env, block * BLOCK_SECTORS, payload);
+                let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
                 if !r.is_ok() {
                     return r;
                 }
@@ -883,31 +869,43 @@ impl LabFs {
             while j + 1 < extents.len() && extents[j + 1].1 == extents[j].1 + 1 {
                 let (npage, _) = extents[j + 1];
                 let n_start = npage * FS_BLOCK as u64;
-                let n_end = n_start + FS_BLOCK as u64;
-                let n_full = offset <= n_start && n_end <= offset + data.len() as u64;
+                let n_full = offset <= n_start && n_start + FS_BLOCK as u64 <= end;
                 if !n_full && !fresh_pages.contains(&npage) {
                     break;
                 }
                 j += 1;
             }
-            let run_pages = (j - i + 1) as u64;
-            let run_start = (page * FS_BLOCK as u64).max(offset);
-            let run_end = ((page + run_pages) * FS_BLOCK as u64).min(offset + data.len() as u64);
-            let mut payload = vec![0u8; (run_pages as usize) * FS_BLOCK];
-            let src_from = (run_start - offset) as usize;
-            let src_to = (run_end - offset) as usize;
-            let dst_from = (run_start - pg_start) as usize;
-            payload[dst_from..dst_from + (src_to - src_from)]
-                .copy_from_slice(&data[src_from..src_to]);
-            let r = block_write(self, ctx, env, block * BLOCK_SECTORS, payload);
+            let run_bytes = (j - i + 1) * FS_BLOCK;
+            let run_start = pg_start.max(offset);
+            let run_end = (pg_start + run_bytes as u64).min(end);
+            let src = &data[(run_start - offset) as usize..(run_end - offset) as usize];
+            // Zero only what the caller's bytes do not cover: the head of
+            // a fresh first page, the tail of a fresh last one.
+            let mut payload = Vec::with_capacity(run_bytes);
+            payload.resize((run_start - pg_start) as usize, 0);
+            payload.extend_from_slice(src);
+            payload.resize(run_bytes, 0);
+            let lba = block * BLOCK_SECTORS;
+            let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
             if !r.is_ok() {
                 return r;
             }
             i = j + 1;
         }
-        RespPayload::Len(data.len())
+        RespPayload::Len(len)
     }
 
+    /// Read `[offset, offset + len)`, one block request per run of pages
+    /// that are contiguous on the device — the mirror image of the write
+    /// paths' coalescing. `zero_copy` (the `ReadBuf` op) asks downstream
+    /// for pool handles and may answer with one or with inline bytes; the
+    /// legacy `Read` op always answers `Data`.
+    ///
+    /// A read that is a single run hands back a window of whatever came
+    /// up — `h.slice(..)` of a handle, the `Vec` itself when it starts at
+    /// the window — with no assembly buffer. Holes and scattered files
+    /// assemble into one `Vec`, each mapped byte copied (and counted) once.
+    #[allow(clippy::too_many_arguments)]
     fn op_read(
         &self,
         ctx: &mut Ctx,
@@ -916,9 +914,11 @@ impl LabFs {
         ino: u64,
         offset: u64,
         len: usize,
+        zero_copy: bool,
     ) -> RespPayload {
         ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (size, mappings): (u64, Vec<Option<u64>>) = {
+        let first_pg = offset / FS_BLOCK as u64;
+        let (size, mut mappings): (u64, Vec<Option<u64>>) = {
             let shard = self.node_shard(ino).read();
             let Some(node) = shard.get(&ino) else {
                 return RespPayload::Err(format!("no inode {ino}"));
@@ -926,7 +926,6 @@ impl LabFs {
             if node.is_dir {
                 return RespPayload::Err("is a directory".into());
             }
-            let first_pg = offset / FS_BLOCK as u64;
             let last_pg = (offset + len as u64).div_ceil(FS_BLOCK as u64);
             (
                 node.size,
@@ -939,42 +938,104 @@ impl LabFs {
             return RespPayload::Data(Vec::new());
         }
         let n = len.min((size - offset) as usize);
-        let first_pg = offset / FS_BLOCK as u64;
-        let mut out = vec![0u8; n];
-        for (idx, mapping) in mappings.iter().enumerate() {
-            let pg = first_pg + idx as u64;
-            let pg_start = pg * FS_BLOCK as u64;
-            let copy_from = pg_start.max(offset);
-            let copy_to = (pg_start + FS_BLOCK as u64).min(offset + n as u64);
-            if copy_from >= copy_to {
-                continue;
+        let src = (offset - first_pg * FS_BLOCK as u64) as usize;
+        mappings.truncate((src + n).div_ceil(FS_BLOCK));
+        let read = |block: u64, pages: usize| {
+            let (lba, len) = (block * BLOCK_SECTORS, pages * FS_BLOCK);
+            if zero_copy {
+                BlockOp::ReadBuf { lba, len }
+            } else {
+                BlockOp::Read { lba, len }
             }
-            if let Some(block) = mapping {
-                let mut fwd = Request::new(
-                    req.id,
-                    req.stack,
-                    Payload::Block(BlockOp::Read {
-                        lba: block * BLOCK_SECTORS,
-                        len: FS_BLOCK,
+        };
+        let run_from = |i: usize, block: u64| {
+            (i..mappings.len())
+                .take_while(|&j| mappings[j] == Some(block + (j - i) as u64))
+                .count()
+        };
+        let inline = |win: &[u8]| {
+            // Small results skip the handle round trip and ride by value
+            // in the envelope.
+            zero_copy
+                .then(|| labstor_ipc::InlineData::from_slice(win))
+                .flatten()
+                .map(RespPayload::Inline)
+        };
+        if mappings.iter().all(Option::is_none) {
+            // Hole: hand back zeroes without touching the stack.
+            let zeroes = vec![0u8; n];
+            return inline(&zeroes).unwrap_or(RespPayload::Data(zeroes));
+        }
+        if let Some(block) = mappings[0].filter(|&b| run_from(0, b) == mappings.len()) {
+            // One run: no assembly, the answer is a window of the response.
+            return match self.fwd_block(ctx, env, req, read(block, mappings.len())) {
+                RespPayload::DataBuf(h) => match h.slice(src, n) {
+                    None => RespPayload::Err("short block read".into()),
+                    Some(win) => inline(win.as_slice()).unwrap_or_else(|| {
+                        if zero_copy {
+                            // The zero-copy path: a view of the cached/DMA'd run.
+                            RespPayload::DataBuf(win)
+                        } else {
+                            // copy-ok: legacy Read answers with owned bytes; to_vec self-counts
+                            RespPayload::Data(win.to_vec())
+                        }
                     }),
-                    req.creds,
-                );
-                fwd.vertex = env.vertex;
-                fwd.core = req.core;
-                fwd.qid_hint = req.qid_hint;
-                match self.fwd(ctx, env, fwd) {
-                    RespPayload::Data(block_data) => {
-                        let src = (copy_from - pg_start) as usize;
-                        let dst = (copy_from - offset) as usize;
-                        let cnt = (copy_to - copy_from) as usize;
-                        out[dst..dst + cnt].copy_from_slice(&block_data[src..src + cnt]);
+                },
+                RespPayload::Data(mut d) => {
+                    let Some(win) = d.get(src..src + n) else {
+                        return RespPayload::Err("short block read".into());
+                    };
+                    if let Some(small) = inline(win) {
+                        small
+                    } else if src == 0 {
+                        d.truncate(n);
+                        RespPayload::Data(d)
+                    } else {
+                        labstor_ipc::note_payload_copy(n);
+                        RespPayload::Data(win.to_vec()) // copy-ok: the window starts inside the owned response; counted above
                     }
-                    other => return other,
                 }
-            }
-            // Unmapped pages are holes: already zero.
+                other => other,
+            };
+        }
+        // Holes or scattered runs: assemble. Holes stay zero.
+        let mut out = vec![0u8; n];
+        let mut i = 0usize;
+        while i < mappings.len() {
+            let Some(block) = mappings[i] else {
+                i += 1;
+                continue;
+            };
+            let pages = run_from(i, block);
+            let resp = self.fwd_block(ctx, env, req, read(block, pages));
+            let Some(bytes) = resp.data_bytes() else {
+                return resp;
+            };
+            // This run's bytes within the request and within the response.
+            let run_start = (first_pg + i as u64) * FS_BLOCK as u64;
+            let copy_from = run_start.max(offset);
+            let copy_to = (run_start + (pages * FS_BLOCK) as u64).min(offset + n as u64);
+            let cnt = (copy_to - copy_from) as usize;
+            let Some(win) = bytes
+                .get((copy_from - run_start) as usize..)
+                .and_then(|b| b.get(..cnt))
+            else {
+                return RespPayload::Err("short block read".into());
+            };
+            let dst = (copy_from - offset) as usize;
+            labstor_ipc::note_payload_copy(cnt);
+            out[dst..dst + cnt].copy_from_slice(win); // copy-ok: assembly of a scattered read; counted above
+            i += pages;
         }
         RespPayload::Data(out)
+    }
+
+    /// Record this request's own busy time (downstream's subtracted).
+    fn observed(&self, ctx: &Ctx, before: u64, resp: RespPayload) -> RespPayload {
+        let downstream = self.downstream_ns.swap(0, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+        self.perf
+            .observe((ctx.busy() - before).saturating_sub(downstream));
+        resp
     }
 
     /// Forward one block op downstream with the request's routing intact.
@@ -1091,142 +1152,6 @@ impl LabFs {
             i += 1;
         }
         RespPayload::Len(data_len)
-    }
-
-    /// Zero-copy read: a read confined to one page forwards `ReadBuf` and
-    /// answers with a slice of the returned handle — a cache hit
-    /// downstream is refcount bumps end to end. Multi-page reads assemble
-    /// into one pool buffer (each block lands with one counted copy),
-    /// falling back to the legacy copying path when the pool is dry.
-    fn op_read_buf(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        len: usize,
-    ) -> RespPayload {
-        ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (size, mappings): (u64, Vec<Option<u64>>) = {
-            let shard = self.node_shard(ino).read();
-            let Some(node) = shard.get(&ino) else {
-                return RespPayload::Err(format!("no inode {ino}"));
-            };
-            if node.is_dir {
-                return RespPayload::Err("is a directory".into());
-            }
-            let first_pg = offset / FS_BLOCK as u64;
-            let last_pg = (offset + len as u64).div_ceil(FS_BLOCK as u64);
-            (
-                node.size,
-                (first_pg..last_pg)
-                    .map(|pg| node.blocks.get(&pg).copied())
-                    .collect(),
-            )
-        };
-        if offset >= size {
-            return RespPayload::Data(Vec::new());
-        }
-        let n = len.min((size - offset) as usize);
-        let first_pg = offset / FS_BLOCK as u64;
-        let single_page = (offset + n as u64 - 1) / FS_BLOCK as u64 == first_pg;
-        if single_page {
-            let pg_start = first_pg * FS_BLOCK as u64;
-            let Some(Some(block)) = mappings.first() else {
-                // Hole: hand back zeroes without touching the stack.
-                // Small holes ride inline in the envelope.
-                if n <= labstor_ipc::INLINE_MAX {
-                    if let Some(d) = labstor_ipc::InlineData::from_slice(&vec![0u8; n]) {
-                        return RespPayload::Inline(d);
-                    }
-                }
-                return match labstor_ipc::default_pool().alloc(n) {
-                    Some(mut h) => {
-                        h.write_with(|b| b.fill(0));
-                        RespPayload::DataBuf(h)
-                    }
-                    None => RespPayload::Data(vec![0u8; n]),
-                };
-            };
-            let resp = self.fwd_block(
-                ctx,
-                env,
-                req,
-                BlockOp::ReadBuf {
-                    lba: block * BLOCK_SECTORS,
-                    len: FS_BLOCK,
-                },
-            );
-            let src = (offset - pg_start) as usize;
-            return match resp {
-                RespPayload::DataBuf(h) => {
-                    // Small results skip the handle round trip and ride
-                    // by value in the envelope — the client-side copy-out
-                    // this replaces is the counted legacy copy.
-                    if let Some(win) = h.as_slice().get(src..src + n) {
-                        if let Some(d) = labstor_ipc::InlineData::from_slice(win) {
-                            return RespPayload::Inline(d);
-                        }
-                    }
-                    // The zero-copy path: slice the cached/DMA'd block.
-                    match h.slice(src, n) {
-                        Some(s) => RespPayload::DataBuf(s),
-                        None => RespPayload::Err("short block read".into()),
-                    }
-                }
-                RespPayload::Data(d) if d.len() >= src + n => {
-                    if let Some(inl) = labstor_ipc::InlineData::from_slice(&d[src..src + n]) {
-                        return RespPayload::Inline(inl);
-                    }
-                    labstor_ipc::note_payload_copy(n);
-                    RespPayload::Data(d[src..src + n].to_vec()) // copy-ok: legacy downstream answered with owned bytes; counted above
-                }
-                RespPayload::Data(_) => RespPayload::Err("short block read".into()),
-                other => other,
-            };
-        }
-        // Multi-page: assemble into one pool buffer.
-        let Some(mut out) = labstor_ipc::default_pool().alloc(n) else {
-            return self.op_read(ctx, env, req, ino, offset, len);
-        };
-        out.write_with(|b| b.fill(0));
-        for (idx, mapping) in mappings.iter().enumerate() {
-            let pg = first_pg + idx as u64;
-            let pg_start = pg * FS_BLOCK as u64;
-            let copy_from = pg_start.max(offset);
-            let copy_to = (pg_start + FS_BLOCK as u64).min(offset + n as u64);
-            if copy_from >= copy_to {
-                continue;
-            }
-            let Some(block) = mapping else {
-                continue; // hole: already zero
-            };
-            let resp = self.fwd_block(
-                ctx,
-                env,
-                req,
-                BlockOp::ReadBuf {
-                    lba: block * BLOCK_SECTORS,
-                    len: FS_BLOCK,
-                },
-            );
-            let src = (copy_from - pg_start) as usize;
-            let dst = (copy_from - offset) as usize;
-            let cnt = (copy_to - copy_from) as usize;
-            let block_bytes = match &resp {
-                RespPayload::DataBuf(h) => h.as_slice(),
-                RespPayload::Data(d) => d.as_slice(),
-                _ => return resp,
-            };
-            if block_bytes.len() < src + cnt {
-                return RespPayload::Err("short block read".into());
-            }
-            labstor_ipc::note_payload_copy(cnt);
-            // copy-ok: multi-page assembly into the result buffer; counted above
-            out.write_with(|b| b[dst..dst + cnt].copy_from_slice(&block_bytes[src..src + cnt]));
-        }
-        RespPayload::DataBuf(out)
     }
 
     /// Pushdown read: run a verified program over the file range
@@ -1385,8 +1310,15 @@ impl LabMod for LabFs {
         ModType::Filesystem
     }
 
-    fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
+    fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
         let before = ctx.busy();
+        if let Payload::Fs(FsOp::Write { ino, offset, data }) = &mut req.payload {
+            // A write's bytes move out of the request: a whole-page run
+            // goes downstream as the allocation the caller made.
+            let (ino, offset, data) = (*ino, *offset, std::mem::take(data));
+            let resp = self.op_write(ctx, env, &req, ino, offset, data);
+            return self.observed(ctx, before, resp);
+        }
         let resp = match &req.payload {
             Payload::Fs(FsOp::Create { path, mode }) => {
                 self.op_create(ctx, &req, path, *mode, false)
@@ -1415,17 +1347,14 @@ impl LabMod for LabFs {
                     None => RespPayload::Err(format!("{path}: not found")),
                 }
             }
-            Payload::Fs(FsOp::Write { ino, offset, data }) => {
-                self.op_write(ctx, env, &req, *ino, *offset, data)
-            }
             Payload::Fs(FsOp::WriteBuf { ino, offset, buf }) => {
                 self.op_write_buf(ctx, env, &req, *ino, *offset, buf)
             }
             Payload::Fs(FsOp::Read { ino, offset, len }) => {
-                self.op_read(ctx, env, &req, *ino, *offset, *len)
+                self.op_read(ctx, env, &req, *ino, *offset, *len, false)
             }
             Payload::Fs(FsOp::ReadBuf { ino, offset, len }) => {
-                self.op_read_buf(ctx, env, &req, *ino, *offset, *len)
+                self.op_read(ctx, env, &req, *ino, *offset, *len, true)
             }
             Payload::Fs(FsOp::ReadFiltered {
                 ino,
@@ -1536,10 +1465,7 @@ impl LabMod for LabFs {
             // stack).
             _ => self.fwd(ctx, env, req),
         };
-        let downstream = self.downstream_ns.swap(0, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.perf
-            .observe((ctx.busy() - before).saturating_sub(downstream));
-        resp
+        self.observed(ctx, before, resp)
     }
 
     fn est_processing_time(&self, req: &Request) -> u64 {
@@ -1927,6 +1853,91 @@ mod tests {
             &mut ctx,
         );
         assert!(matches!(r, RespPayload::Data(d) if d.len() == 500 && d.iter().all(|&b| b == 1)));
+    }
+
+    /// Terminal stage that notes where each legacy write's bytes live.
+    struct WriteSpy {
+        store: crate::cache_common::testing::MemDev,
+        /// `(address, length)` of every `BlockOp::Write` buffer.
+        writes: parking_lot::Mutex<Vec<(usize, usize)>>,
+    }
+
+    impl LabMod for WriteSpy {
+        fn type_name(&self) -> &'static str {
+            "write_spy"
+        }
+        fn mod_type(&self) -> labstor_core::ModType {
+            labstor_core::ModType::Driver
+        }
+        fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
+            if let Payload::Block(BlockOp::Write { data, .. }) = &req.payload {
+                self.writes
+                    .lock()
+                    .push((data.as_ptr() as usize, data.len()));
+            }
+            self.store.process(ctx, req, env)
+        }
+        fn est_processing_time(&self, _req: &Request) -> u64 {
+            1
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn aligned_write_moves_the_callers_allocation_downstream() {
+        let (h, _) = Harness::new();
+        let spy = Arc::new(WriteSpy {
+            store: crate::cache_common::testing::MemDev::new(),
+            writes: parking_lot::Mutex::new(Vec::new()),
+        });
+        h.mm.insert_instance("drv", spy.clone());
+        let mut ctx = Ctx::new();
+        let ino = ino_of(h.exec(
+            Payload::Fs(FsOp::Create {
+                path: "/m".into(),
+                mode: 0o644,
+            }),
+            &mut ctx,
+        ));
+        let write = |ctx: &mut Ctx, offset: u64, data: Vec<u8>| {
+            let n = data.len();
+            let r = h.exec(Payload::Fs(FsOp::Write { ino, offset, data }), ctx);
+            assert!(matches!(r, RespPayload::Len(got) if got == n), "{r:?}");
+        };
+        // 64 KiB of whole pages on fresh, contiguous blocks: one block
+        // write, and its buffer is the Vec the caller allocated.
+        let mut model: Vec<u8> = (0..16 * FS_BLOCK).map(|i| (i % 241) as u8).collect();
+        let data = model.clone();
+        let allocation = (data.as_ptr() as usize, data.len());
+        write(&mut ctx, 0, data);
+        assert_eq!(*spy.writes.lock(), vec![allocation]);
+
+        // A patch inside mapped pages reads, modifies and writes each
+        // page it touches; the neighbouring bytes survive.
+        let at = 2 * FS_BLOCK - 100;
+        write(&mut ctx, at as u64, vec![0xEE; 300]);
+        model[at..at + 300].fill(0xEE);
+        // An unaligned append: the tail of the mapped last page is patched,
+        // the fresh pages go out as one run, zero-padded to the block.
+        let at = model.len() - 10;
+        write(&mut ctx, at as u64, vec![0xDD; 2 * FS_BLOCK]);
+        model.resize(at + 2 * FS_BLOCK, 0);
+        model[at..].fill(0xDD);
+        let lens: Vec<usize> = spy.writes.lock()[1..].iter().map(|w| w.1).collect();
+        assert_eq!(lens, vec![FS_BLOCK, FS_BLOCK, FS_BLOCK, 2 * FS_BLOCK]);
+
+        let len = model.len();
+        let r = h.exec(
+            Payload::Fs(FsOp::Read {
+                ino,
+                offset: 0,
+                len,
+            }),
+            &mut ctx,
+        );
+        assert!(matches!(r, RespPayload::Data(d) if d == model));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The RAM-backed simulated block device.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -15,6 +15,9 @@ use crate::SECTOR_SIZE;
 /// Sectors per lazily-allocated backing chunk (128 KB chunks).
 const CHUNK_SECTORS: u64 = 256;
 const CHUNK_BYTES: usize = CHUNK_SECTORS as usize * SECTOR_SIZE;
+/// Chunk slots per lazily-created group (32 MB of device).
+const GROUP_CHUNKS: usize = 256;
+type ChunkSlot = RwLock<Option<Box<[u8]>>>;
 
 /// Object-safe interface to a block device, implemented by [`SimDevice`].
 ///
@@ -64,8 +67,10 @@ pub struct SimDevice {
     model: DeviceModel,
     stats: DeviceStats,
     faults: FaultConfig,
-    /// Sparse backing store, one slot per 128 KB chunk.
-    chunks: Vec<RwLock<Option<Box<[u8]>>>>,
+    /// Sparse backing store, one slot per 128 KB chunk; the slots
+    /// themselves come into being a group at a time, on first touch, so
+    /// creating a device costs the same whatever its capacity.
+    chunks: Vec<OnceLock<Box<[ChunkSlot]>>>,
     /// Internal channel pool (virtual-time reservations).
     channels: ChannelPool,
     /// Hardware submission/completion queue pairs.
@@ -79,7 +84,9 @@ impl SimDevice {
     pub fn new(model: DeviceModel) -> Arc<Self> {
         let n_chunks = model.capacity_sectors().div_ceil(CHUNK_SECTORS) as usize;
         Arc::new(SimDevice {
-            chunks: (0..n_chunks).map(|_| RwLock::new(None)).collect(),
+            chunks: (0..n_chunks.div_ceil(GROUP_CHUNKS))
+                .map(|_| OnceLock::new())
+                .collect(),
             channels: ChannelPool::new(model.channels),
             queues: (0..model.hw_queues.max(1))
                 .map(|_| HwQueue::default())
@@ -178,6 +185,12 @@ impl SimDevice {
         });
     }
 
+    fn slot(&self, chunk_idx: usize) -> &ChunkSlot {
+        let group = self.chunks[chunk_idx / GROUP_CHUNKS]
+            .get_or_init(|| (0..GROUP_CHUNKS).map(|_| RwLock::new(None)).collect());
+        &group[chunk_idx % GROUP_CHUNKS]
+    }
+
     /// Copy data to/from the sparse backing store. Unwritten chunks read
     /// as zeroes.
     fn transfer(&self, write: bool, lba: u64, buf_w: Option<&[u8]>, buf_r: Option<&mut [u8]>) {
@@ -194,12 +207,12 @@ impl SimDevice {
             let n = (CHUNK_BYTES - chunk_off).min(bytes - done);
             if write {
                 let src = &buf_w.expect("write buffer")[done..done + n];
-                let mut slot = self.chunks[chunk_idx].write(); // lock-class: sim.chunk
+                let mut slot = self.slot(chunk_idx).write(); // lock-class: sim.chunk
                 let chunk = slot.get_or_insert_with(|| vec![0u8; CHUNK_BYTES].into_boxed_slice());
                 chunk[chunk_off..chunk_off + n].copy_from_slice(src);
             } else {
                 let dst = &mut rbuf.as_mut().expect("read buffer")[done..done + n];
-                let slot = self.chunks[chunk_idx].read(); // lock-class: sim.chunk
+                let slot = self.slot(chunk_idx).read(); // lock-class: sim.chunk
                 match slot.as_ref() {
                     Some(chunk) => dst.copy_from_slice(&chunk[chunk_off..chunk_off + n]),
                     None => dst.fill(0),
