@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: formatting, clippy (workspace lint table), labcheck static
-# analysis + SPSC model check, then the test suite. Each step must pass.
+# analysis + the six-model checking gate, then every workspace test.
+# Each step must pass.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -14,11 +15,10 @@ echo "== labcheck (lints incl. lock discipline + interleaving model checks)"
 cargo run -q -p labstor-labcheck -- --report lockcheck-report.json
 test -s lockcheck-report.json
 
-echo "== cargo test"
-cargo test -q
+echo "== cargo test --workspace"
+cargo test --workspace -q
 
-echo "== labtelem tests + sample Chrome trace"
-cargo test -q -p labstor-telemetry
+echo "== sample Chrome trace"
 cargo run -q --release --example telemetry
 test -s results/telemetry_trace.json
 

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use labstor_bench::percentile;
 use labstor_ipc::{Envelope, LaneKind, QueueFlags, QueuePair, QueueRole};
 use labstor_sim::Ctx;
 
@@ -51,14 +52,6 @@ struct ConfigResult {
     ops_per_sec: f64,
     p50_vns: u64,
     p99_vns: u64,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Single-thread mode: client and worker halves interleaved in one

@@ -36,6 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::utils::Backoff;
+use labstor_bench::percentile;
 use labstor_ipc::{Doorbell, LaneKind, QueueFlags, QueuePair, QueueRole};
 use labstor_sim::Ctx;
 
@@ -86,14 +87,6 @@ fn thread_cpu_ticks(prefix: &str) -> u64 {
         total += utime + stime;
     }
     total
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 struct PhaseResult {

@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use labstor_bench::runtime_with_mods;
+use labstor_bench::{percentile, runtime_with_mods};
 use labstor_core::client::ClientError;
 use labstor_core::{BlockOp, Payload, StackSpec, VertexSpec};
 use labstor_ipc::Credentials;
@@ -99,14 +99,6 @@ struct RunResult {
     hostile: HostileStats,
     /// Per-tenant accounting snapshot from the runtime's `TenantTable`.
     tenants_json: serde_json::Value,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn block_stack_spec() -> StackSpec {

@@ -7,17 +7,21 @@
 //!    over every workspace `.rs` file: justified `Ordering::Relaxed`,
 //!    panic-freedom in the IPC hot paths, `SAFETY:` comments on `unsafe`,
 //!    and explicit opt-out from the LabMod platform contract defaults.
-//! 2. [`mc`] — a deterministic interleaving model checker that decomposes
-//!    the SPSC ring's push/pop into atomic steps and exhaustively explores
-//!    every reachable schedule, checking FIFO order, no lost elements, and
-//!    no uninitialized reads. [`mc_rc`] applies the same technique to the
-//!    buffer pool's refcount-release protocol (no leak, no double free,
-//!    no use after free).
+//! 2. [`explore`] — the one exhaustive breadth-first search, over any
+//!    [`Model`]; six models re-express real protocols as atomic steps
+//!    with planted-bug variants: [`mc`] (SPSC ring push/pop), [`mc_rc`]
+//!    (buffer-pool refcount release), [`mc_lock`] (lock-witness
+//!    discipline), [`mc_doorbell`] (park/wake liveness), [`mc_journal`]
+//!    (commit protocol under crashes and tears) and [`mc_fuel`]
+//!    (pushdown termination and fuel accounting). [`gate`] is the table
+//!    of explorations, with pinned outcomes, that every caller runs.
 //!
 //! Run as `cargo run -p labstor-labcheck` (add `--json` for machine
 //! output); `cargo test -p labstor-labcheck` plus the root-level
 //! `tests/labcheck_gate.rs` wire both halves into tier-1.
 
+pub mod explore;
+pub mod gate;
 pub mod lint;
 pub mod lockcheck;
 pub mod mc;
@@ -28,21 +32,16 @@ pub mod mc_lock;
 pub mod mc_rc;
 pub mod scan;
 
+pub use explore::{explore, Failure, Model, Report};
+pub use gate::{gate, GateRow};
 pub use lint::{lint_source, lint_workspace, render_json, render_text, Config, Diagnostic, Lint};
 pub use lockcheck::LockClassSpec;
-pub use mc::{explore, McConfig, McFailure, Report, Variant, Violation};
-pub use mc_doorbell::{
-    explore_doorbell, DoorbellConfig, DoorbellFailure, DoorbellReport, DoorbellVariant,
-    DoorbellViolation,
-};
-pub use mc_fuel::{
-    explore_fuel, FuelConfig, FuelFailure, FuelInsn, FuelReport, FuelVariant, FuelViolation,
-};
-pub use mc_journal::{
-    explore_journal, JournalConfig, JournalFailure, JournalReport, JournalVariant, JournalViolation,
-};
-pub use mc_lock::{explore_lock, LockConfig, LockFailure, LockReport, LockVariant, LockViolation};
-pub use mc_rc::{explore_rc, RcConfig, RcFailure, RcReport, RcVariant, RcViolation};
+pub use mc::{McConfig, Variant, Violation};
+pub use mc_doorbell::{DoorbellConfig, DoorbellVariant, DoorbellViolation};
+pub use mc_fuel::{FuelConfig, FuelInsn, FuelVariant, FuelViolation};
+pub use mc_journal::{JournalConfig, JournalVariant, JournalViolation};
+pub use mc_lock::{LockModel, LockVariant, LockViolation};
+pub use mc_rc::{RcConfig, RcVariant, RcViolation};
 
 use std::path::PathBuf;
 
@@ -67,294 +66,4 @@ pub fn workspace_root() -> PathBuf {
             return start;
         }
     }
-}
-
-/// The model-checker configurations the binary and the tier-1 gate run:
-/// depth 6 per side at cap 2 and 4, a wraparound run, a partial-drain run
-/// (Drop contract), depth 7 to exceed the acceptance floor, and the
-/// batched-publication protocol (`push_batch`/`pop_batch`: one doorbell
-/// store per burst) at batch 2 and 3, including across the counter wrap.
-pub fn gate_mc_configs() -> Vec<McConfig> {
-    vec![
-        McConfig::correct(2, 6),
-        McConfig::correct(4, 6),
-        McConfig {
-            cap: 4,
-            pushes: 7,
-            pops: 7,
-            start: 253,
-            stale_reads: true,
-            batch: 1,
-            variant: Variant::Correct,
-        },
-        McConfig {
-            cap: 4,
-            pushes: 6,
-            pops: 4,
-            start: 254,
-            stale_reads: true,
-            batch: 1,
-            variant: Variant::Correct,
-        },
-        McConfig {
-            cap: 2,
-            pushes: 7,
-            pops: 7,
-            start: 0,
-            stale_reads: true,
-            batch: 1,
-            variant: Variant::Correct,
-        },
-        McConfig::correct_batched(2, 6, 2),
-        McConfig::correct_batched(4, 6, 3),
-        McConfig {
-            cap: 4,
-            pushes: 7,
-            pops: 7,
-            start: 253,
-            stale_reads: true,
-            batch: 3,
-            variant: Variant::Correct,
-        },
-        McConfig {
-            cap: 4,
-            pushes: 6,
-            pops: 4,
-            start: 254,
-            stale_reads: true,
-            batch: 2,
-            variant: Variant::Correct,
-        },
-    ]
-}
-
-/// The refcount-release configurations the binary and the tier-1 gate
-/// run: the shipped fetch_sub protocol at increasing clone depth (0 =
-/// the bare two-thread drop race, 3 = twelve interleaved clone/use/drop
-/// steps per side).
-pub fn gate_rc_configs() -> Vec<RcConfig> {
-    vec![
-        RcConfig::correct(0),
-        RcConfig::correct(1),
-        RcConfig::correct(3),
-    ]
-}
-
-/// Planted-bug release protocols the gate must catch: the two wrong ways
-/// to split the free decision across separate atomic steps.
-pub fn gate_rc_bug_configs() -> Vec<RcConfig> {
-    vec![
-        RcConfig {
-            clones: 0,
-            variant: RcVariant::LoadThenSub,
-        },
-        RcConfig {
-            clones: 0,
-            variant: RcVariant::SubThenLoad,
-        },
-        RcConfig {
-            clones: 2,
-            variant: RcVariant::SubThenLoad,
-        },
-    ]
-}
-
-/// The lock-discipline configurations the binary and the tier-1 gate
-/// run: the fixed PR 5 protocols (pool-dry write, ascending chunk sweep)
-/// and the labtenant charge path (table released before pool locks) must
-/// pass every interleaving.
-pub fn gate_lock_configs() -> Vec<LockConfig> {
-    vec![
-        LockConfig {
-            variant: LockVariant::CorrectWrite,
-        },
-        LockConfig {
-            variant: LockVariant::CorrectChunks,
-        },
-        LockConfig {
-            variant: LockVariant::CorrectTenantCharge,
-        },
-    ]
-}
-
-/// Planted lock bugs the gate must catch: the PR 5 re-entrant shard, the
-/// pre-PR 5 descending chunk sweep, shedding while holding a shard, and
-/// acquiring the tenant table under a page-cache shard.
-pub fn gate_lock_bug_configs() -> Vec<LockConfig> {
-    vec![
-        LockConfig {
-            variant: LockVariant::ReentrantShard,
-        },
-        LockConfig {
-            variant: LockVariant::DescendingChunks,
-        },
-        LockConfig {
-            variant: LockVariant::HoldAcrossAlloc,
-        },
-        LockConfig {
-            variant: LockVariant::TenantTableAfterShard,
-        },
-    ]
-}
-
-/// The doorbell park/wake configurations the binary and the tier-1 gate
-/// run: the shipped capture/recheck protocol (PR 9) must be lost-wakeup
-/// free on every interleaving, at single pushes and at one-ring-per-burst
-/// batch shapes.
-pub fn gate_doorbell_configs() -> Vec<DoorbellConfig> {
-    vec![
-        DoorbellConfig::correct(3, 1),
-        DoorbellConfig::correct(2, 2),
-        DoorbellConfig::correct(2, 3),
-    ]
-}
-
-/// Planted doorbell bugs the gate must catch: parking without the
-/// under-mutex epoch re-check (ring between "check empty" and "park" is
-/// lost) and ringing only on a stale empty->non-empty belief.
-pub fn gate_doorbell_bug_configs() -> Vec<DoorbellConfig> {
-    vec![
-        DoorbellConfig {
-            bursts: 2,
-            batch: 1,
-            variant: DoorbellVariant::ParkWithoutRecheck,
-        },
-        DoorbellConfig {
-            bursts: 3,
-            batch: 2,
-            variant: DoorbellVariant::ParkWithoutRecheck,
-        },
-        DoorbellConfig {
-            bursts: 2,
-            batch: 1,
-            variant: DoorbellVariant::EdgeOnlyRing,
-        },
-        DoorbellConfig {
-            bursts: 3,
-            batch: 2,
-            variant: DoorbellVariant::EdgeOnlyRing,
-        },
-    ]
-}
-
-/// The pushdown fuel/termination configurations the binary and the
-/// tier-1 gate run: the shipped verify-then-execute pipeline (PR 10)
-/// must terminate within budget with every retired instruction charged,
-/// over straight-line code, forward-branch chains, the `count_where`
-/// skeleton shape, tight budgets that run out mid-flight, and a
-/// backward-jump program the verifier must reject outright.
-pub fn gate_fuel_configs() -> Vec<FuelConfig> {
-    use FuelInsn::{Br, Fall, Halt};
-    vec![
-        FuelConfig::correct(vec![Fall, Fall, Fall, Halt], 8),
-        // The count_where_u32_eq skeleton: load, branch, two exits.
-        FuelConfig::correct(vec![Fall, Br(1), Halt, Fall, Halt], 8),
-        // Forward branch chain, including a zero-offset branch.
-        FuelConfig::correct(vec![Br(2), Fall, Fall, Br(0), Halt], 16),
-        // Tight fuel: the meter stops the program mid-flight, gracefully.
-        FuelConfig::correct(vec![Fall, Fall, Fall, Fall, Halt], 2),
-        // Backward jump under the correct pipeline: the verifier rejects
-        // it before execution — that *is* the safe outcome.
-        FuelConfig::correct(vec![Fall, Br(-2), Halt], 16),
-    ]
-}
-
-/// Planted pushdown bugs the gate must catch: a verifier that lets a
-/// backward jump through (forward progress lost) and an interpreter that
-/// skips the fuel charge on taken branches (tenant under-billed, budget
-/// no longer bounds work).
-pub fn gate_fuel_bug_configs() -> Vec<FuelConfig> {
-    use FuelInsn::{Br, Halt};
-    vec![
-        FuelConfig {
-            program: vec![Br(-1), Halt],
-            fuel: 16,
-            variant: FuelVariant::BackwardJumpAccepted,
-        },
-        FuelConfig {
-            program: vec![Br(1), Halt, Halt],
-            fuel: 8,
-            variant: FuelVariant::FuelNotChargedOnTakenBranch,
-        },
-    ]
-}
-
-/// The journal-protocol configurations the binary and the tier-1 gate
-/// run: the shipped two-write commit protocol at 1–3 transactions, with
-/// and without the silent-tear device fault, must survive every crash
-/// point with a prefix-consistent, exactly-once, corruption-free
-/// recovery.
-pub fn gate_journal_configs() -> Vec<JournalConfig> {
-    vec![
-        JournalConfig::correct(1, false),
-        JournalConfig::correct(2, true),
-        JournalConfig::correct(3, true),
-    ]
-}
-
-/// Planted journal bugs the gate must catch: acking before the commit
-/// record lands, a replay loop without idempotence bookkeeping, and a
-/// recovery that skips the payload CRC on torn records.
-pub fn gate_journal_bug_configs() -> Vec<JournalConfig> {
-    vec![
-        JournalConfig {
-            txns: 2,
-            allow_silent_tear: false,
-            variant: JournalVariant::LostCommit,
-        },
-        JournalConfig {
-            txns: 2,
-            allow_silent_tear: false,
-            variant: JournalVariant::ReplayTwice,
-        },
-        JournalConfig {
-            txns: 2,
-            allow_silent_tear: true,
-            variant: JournalVariant::TornCrcAccept,
-        },
-    ]
-}
-
-/// The buggy-variant configurations the gate uses to prove the checker
-/// still detects each bug class (a checker that stops failing on known
-/// bugs is itself broken).
-pub fn gate_mc_bug_configs() -> Vec<McConfig> {
-    vec![
-        McConfig {
-            cap: 2,
-            pushes: 4,
-            pops: 4,
-            start: 0,
-            stale_reads: false,
-            batch: 1,
-            variant: Variant::FullCheckOffByOne,
-        },
-        McConfig {
-            cap: 2,
-            pushes: 3,
-            pops: 3,
-            start: 0,
-            stale_reads: false,
-            batch: 1,
-            variant: Variant::AdvanceHeadBeforeRead,
-        },
-        McConfig {
-            cap: 2,
-            pushes: 1,
-            pops: 1,
-            start: 0,
-            stale_reads: false,
-            batch: 1,
-            variant: Variant::MissingPublish,
-        },
-        McConfig {
-            cap: 4,
-            pushes: 3,
-            pops: 3,
-            start: 0,
-            stale_reads: false,
-            batch: 3,
-            variant: Variant::BatchPublishEarly,
-        },
-    ]
 }

@@ -1,11 +1,14 @@
-//! `labcheck` binary: lint the workspace, then model-check the SPSC ring,
-//! the refcount-release protocol, and the lock-acquisition discipline.
+//! `labcheck` binary: lint the workspace, then run the model-checking
+//! gate (`labstor_labcheck::gate`: the SPSC ring, refcount release, lock
+//! discipline, doorbell park/wake, journal commit and pushdown fuel
+//! models, correct variants and planted bugs).
 //!
 //! Usage: `cargo run -p labstor-labcheck [--json] [--report <path>]
 //! [--lints-only | --mc-only]`
 //!
 //! Exit status 0 means the workspace is clean and every model-checker run
-//! behaved (correct variants pass exhaustively, planted bugs are caught);
+//! behaved (correct variants pass exhaustively with the pinned state
+//! space, planted bugs are caught as the pinned violation);
 //! anything else exits 1 with `file:line` diagnostics (or a JSON array
 //! with `--json`) and/or a counterexample schedule. `--report` writes the
 //! lint diagnostics as JSON to a file regardless of the console format —
@@ -13,13 +16,7 @@
 
 use std::process::ExitCode;
 
-use labstor_labcheck::{
-    explore, explore_doorbell, explore_fuel, explore_journal, explore_lock, explore_rc,
-    gate_doorbell_bug_configs, gate_doorbell_configs, gate_fuel_bug_configs, gate_fuel_configs,
-    gate_journal_bug_configs, gate_journal_configs, gate_lock_bug_configs, gate_lock_configs,
-    gate_mc_bug_configs, gate_mc_configs, gate_rc_bug_configs, gate_rc_configs, lint_workspace,
-    render_json, render_text, workspace_root, Config,
-};
+use labstor_labcheck::{gate, lint_workspace, render_json, render_text, workspace_root, Config};
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -83,182 +80,14 @@ fn main() -> ExitCode {
     }
 
     if !lints_only {
-        for cfg in gate_mc_configs() {
-            match explore(&cfg) {
-                Ok(report) => {
-                    if !json {
-                        println!(
-                            "labcheck: mc ok  cap={} ops={}/{} start={} stale={} \
-                             ({} states, {} transitions, {} terminals)",
-                            cfg.cap,
-                            cfg.pushes,
-                            cfg.pops,
-                            cfg.start,
-                            cfg.stale_reads,
-                            report.states,
-                            report.transitions,
-                            report.terminals
-                        );
-                    }
-                }
-                Err(failure) => {
-                    eprintln!("labcheck: mc FAILED on {cfg:?}\n{failure}");
+        for row in gate() {
+            match row.check() {
+                Ok(_) if json => {}
+                Ok(line) => println!("labcheck: {line}"),
+                Err(diagnostic) => {
+                    eprintln!("labcheck: {diagnostic}");
                     failed = true;
                 }
-            }
-        }
-        // The planted-bug variants must *fail*: they prove the checker
-        // still has teeth.
-        for cfg in gate_mc_bug_configs() {
-            if explore(&cfg).is_ok() {
-                eprintln!("labcheck: mc MISSED planted bug {:?}", cfg.variant);
-                failed = true;
-            } else if !json {
-                println!("labcheck: mc caught planted bug {:?}", cfg.variant);
-            }
-        }
-        // Same for the buffer pool's refcount-release protocol.
-        for cfg in gate_rc_configs() {
-            match explore_rc(&cfg) {
-                Ok(report) => {
-                    if !json {
-                        println!(
-                            "labcheck: rc ok  clones={} ({} states, {} transitions, {} terminals)",
-                            cfg.clones, report.states, report.transitions, report.terminals
-                        );
-                    }
-                }
-                Err(failure) => {
-                    eprintln!("labcheck: rc FAILED on {cfg:?}\n{failure}");
-                    failed = true;
-                }
-            }
-        }
-        for cfg in gate_rc_bug_configs() {
-            if explore_rc(&cfg).is_ok() {
-                eprintln!("labcheck: rc MISSED planted bug {:?}", cfg.variant);
-                failed = true;
-            } else if !json {
-                println!("labcheck: rc caught planted bug {:?}", cfg.variant);
-            }
-        }
-        // And for the lock-acquisition discipline (the PR 5 deadlock shape).
-        for cfg in gate_lock_configs() {
-            match explore_lock(&cfg) {
-                Ok(report) => {
-                    if !json {
-                        println!(
-                            "labcheck: lock ok  {:?} ({} states, {} transitions, {} terminals)",
-                            cfg.variant, report.states, report.transitions, report.terminals
-                        );
-                    }
-                }
-                Err(failure) => {
-                    eprintln!("labcheck: lock FAILED on {cfg:?}\n{failure}");
-                    failed = true;
-                }
-            }
-        }
-        for cfg in gate_lock_bug_configs() {
-            if explore_lock(&cfg).is_ok() {
-                eprintln!("labcheck: lock MISSED planted bug {:?}", cfg.variant);
-                failed = true;
-            } else if !json {
-                println!("labcheck: lock caught planted bug {:?}", cfg.variant);
-            }
-        }
-        // And for the doorbell park/wake protocol (the PR 9 reactor's
-        // liveness spine).
-        for cfg in gate_doorbell_configs() {
-            match explore_doorbell(&cfg) {
-                Ok(report) => {
-                    if !json {
-                        println!(
-                            "labcheck: doorbell ok  bursts={} batch={} \
-                             ({} states, {} transitions, {} terminals)",
-                            cfg.bursts,
-                            cfg.batch,
-                            report.states,
-                            report.transitions,
-                            report.terminals
-                        );
-                    }
-                }
-                Err(failure) => {
-                    eprintln!("labcheck: doorbell FAILED on {cfg:?}\n{failure}");
-                    failed = true;
-                }
-            }
-        }
-        for cfg in gate_doorbell_bug_configs() {
-            if explore_doorbell(&cfg).is_ok() {
-                eprintln!("labcheck: doorbell MISSED planted bug {:?}", cfg.variant);
-                failed = true;
-            } else if !json {
-                println!("labcheck: doorbell caught planted bug {:?}", cfg.variant);
-            }
-        }
-        // And for the journal commit protocol (the PR 8 crash-consistency
-        // shape).
-        for cfg in gate_journal_configs() {
-            match explore_journal(&cfg) {
-                Ok(report) => {
-                    if !json {
-                        println!(
-                            "labcheck: journal ok  txns={} tear={} \
-                             ({} states, {} transitions, {} recoveries)",
-                            cfg.txns,
-                            cfg.allow_silent_tear,
-                            report.states,
-                            report.transitions,
-                            report.recoveries_checked
-                        );
-                    }
-                }
-                Err(failure) => {
-                    eprintln!("labcheck: journal FAILED on {cfg:?}\n{failure}");
-                    failed = true;
-                }
-            }
-        }
-        for cfg in gate_journal_bug_configs() {
-            if explore_journal(&cfg).is_ok() {
-                eprintln!("labcheck: journal MISSED planted bug {:?}", cfg.variant);
-                failed = true;
-            } else if !json {
-                println!("labcheck: journal caught planted bug {:?}", cfg.variant);
-            }
-        }
-        // And for the pushdown fuel/termination model (the PR 10
-        // in-stack bytecode interpreter's safety spine).
-        for cfg in gate_fuel_configs() {
-            match explore_fuel(&cfg) {
-                Ok(report) => {
-                    if !json {
-                        println!(
-                            "labcheck: fuel ok  insns={} fuel={} rejected={} \
-                             ({} states, {} transitions, {} terminals)",
-                            cfg.program.len(),
-                            cfg.fuel,
-                            report.rejected,
-                            report.states,
-                            report.transitions,
-                            report.terminals
-                        );
-                    }
-                }
-                Err(failure) => {
-                    eprintln!("labcheck: fuel FAILED on {cfg:?}\n{failure}");
-                    failed = true;
-                }
-            }
-        }
-        for cfg in gate_fuel_bug_configs() {
-            if explore_fuel(&cfg).is_ok() {
-                eprintln!("labcheck: fuel MISSED planted bug {:?}", cfg.variant);
-                failed = true;
-            } else if !json {
-                println!("labcheck: fuel caught planted bug {:?}", cfg.variant);
             }
         }
     }

@@ -4,12 +4,10 @@
 //! (crates/ipc/src/ring.rs) are
 //! decomposed into their atomic steps — counter loads, the occupancy
 //! check, the slot access, the publishing store — and a scheduler explores
-//! *every* reachable interleaving of the two threads by exhaustive search
-//! over the joint state space with a visited set. This is equivalent to
-//! enumerating all schedules up to the configured operation bound (two
-//! schedules that reach the same joint state have identical futures) while
-//! staying tractable: depth 6/6 is a few thousand states, not C(48,24)
-//! sequences.
+//! *every* reachable interleaving of the two threads ([`crate::explore`]).
+//! This is equivalent to enumerating all schedules up to the configured
+//! operation bound while staying tractable: depth 6/6 is a few thousand
+//! states, not C(48,24) sequences.
 //!
 //! Modeled faithfully from the implementation:
 //! - counters are fixed-width and wrap (modeled as `u8` so wraparound is
@@ -41,7 +39,7 @@
 //!   exactly what `Drop` will drain;
 //! - completion is reachable (a livelocked algorithm fails the run).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::explore::{Model, Step, Violating};
 
 /// Maximum modeled capacity (slots array is fixed-size to keep the state
 /// hashable and cheap to clone).
@@ -129,41 +127,11 @@ pub enum Violation {
     NoCompletion,
 }
 
-/// A violation plus the schedule that reaches it.
-#[derive(Debug, Clone)]
-pub struct McFailure {
-    /// What went wrong.
-    pub violation: Violation,
-    /// Step labels from the initial state to the violating step.
-    pub trace: Vec<String>,
-}
-
-impl std::fmt::Display for McFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "violation: {:?}", self.violation)?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:>3}. {step}", i + 1)?;
-        }
-        Ok(())
-    }
-}
-
-/// Statistics from a completed exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct Report {
-    /// Distinct joint states reached.
-    pub states: usize,
-    /// Scheduler transitions taken.
-    pub transitions: usize,
-    /// Number of distinct terminal (both-sides-done) states.
-    pub terminals: usize,
-}
-
 /// Joint state of the two-thread system. Program counters encode where
 /// inside push/pop each side is; locals mirror the implementation's stack
 /// variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct State {
+pub struct State {
     // Shared memory.
     head: u8,
     tail: u8,
@@ -192,97 +160,106 @@ struct State {
     popped: u8,
 }
 
-/// Exhaustively explore all interleavings. `Ok` carries statistics; `Err`
-/// carries the first violation found plus its schedule.
-pub fn explore(cfg: &McConfig) -> Result<Report, McFailure> {
-    assert!(
-        cfg.cap.is_power_of_two() && (cfg.cap as usize) <= MAX_CAP,
-        "cap must be 2/4/8"
-    );
-    assert!(cfg.pops <= cfg.pushes, "cannot pop more than is pushed");
-    assert!(cfg.batch >= 1, "batch must be at least 1");
-
-    let init = State {
-        head: cfg.start,
-        tail: cfg.start,
-        slots: [None; MAX_CAP],
-        p_pc: 0,
-        p_tail: 0,
-        p_head: 0,
-        p_seen_head: cfg.start,
-        p_todo: 0,
-        p_written: 0,
-        pushed: 0,
-        c_pc: 0,
-        c_head: 0,
-        c_tail: 0,
-        c_seen_tail: cfg.start,
-        c_todo: 0,
-        c_read: 0,
-        popped: 0,
-    };
-
-    let mut visited: HashSet<State> = HashSet::new();
-    let mut parent: HashMap<State, (State, String)> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    visited.insert(init);
-    queue.push_back(init);
-    let mut transitions = 0usize;
-    let mut terminals = 0usize;
-
-    while let Some(state) = queue.pop_front() {
-        let p_done = state.p_pc == 0 && state.pushed == cfg.pushes;
-        let c_done = state.c_pc == 0 && state.popped == cfg.pops;
-        if p_done && c_done {
-            terminals += 1;
-            if let Err(violation) = check_terminal(cfg, &state) {
-                return Err(fail(violation, &state, None, &parent));
-            }
-            continue;
-        }
-        let mut successors: Vec<(State, String)> = Vec::new();
-        if !p_done {
-            match producer_step(cfg, &state) {
-                Ok(mut next) => successors.append(&mut next),
-                Err((violation, label)) => {
-                    return Err(fail(violation, &state, Some(label), &parent));
-                }
-            }
-        }
-        if !c_done {
-            match consumer_step(cfg, &state) {
-                Ok(mut next) => successors.append(&mut next),
-                Err((violation, label)) => {
-                    return Err(fail(violation, &state, Some(label), &parent));
-                }
-            }
-        }
-        for (next, label) in successors {
-            transitions += 1;
-            if visited.insert(next) {
-                parent.insert(next, (state, label));
-                queue.push_back(next);
-            }
-        }
+impl McConfig {
+    fn producer_done(&self, s: &State) -> bool {
+        s.p_pc == 0 && s.pushed == self.pushes
     }
 
-    if terminals == 0 {
-        return Err(McFailure {
-            violation: Violation::NoCompletion,
-            trace: Vec::new(),
-        });
+    fn consumer_done(&self, s: &State) -> bool {
+        s.c_pc == 0 && s.popped == self.pops
     }
-    Ok(Report {
-        states: visited.len(),
-        transitions,
-        terminals,
-    })
 }
 
-/// All successor states of one producer step, or a violation.
-#[allow(clippy::type_complexity)]
-fn producer_step(cfg: &McConfig, s: &State) -> Result<Vec<(State, String)>, (Violation, String)> {
-    let mut out = Vec::new();
+impl Model for McConfig {
+    type State = State;
+    type Violation = Violation;
+
+    fn init(&self) -> State {
+        assert!(
+            self.cap.is_power_of_two() && (self.cap as usize) <= MAX_CAP,
+            "cap must be 2/4/8"
+        );
+        assert!(self.pops <= self.pushes, "cannot pop more than is pushed");
+        assert!(self.batch >= 1, "batch must be at least 1");
+        State {
+            head: self.start,
+            tail: self.start,
+            slots: [None; MAX_CAP],
+            p_pc: 0,
+            p_tail: 0,
+            p_head: 0,
+            p_seen_head: self.start,
+            p_todo: 0,
+            p_written: 0,
+            pushed: 0,
+            c_pc: 0,
+            c_head: 0,
+            c_tail: 0,
+            c_seen_tail: self.start,
+            c_todo: 0,
+            c_read: 0,
+            popped: 0,
+        }
+    }
+
+    fn is_terminal(&self, s: &State) -> bool {
+        self.producer_done(s) && self.consumer_done(s)
+    }
+
+    /// Invariants of a both-sides-done state: counters account for exactly
+    /// the unconsumed elements, residual slots hold exactly the FIFO suffix
+    /// (this is what `SpscRing::drop` walks), and nothing else survives.
+    fn check_terminal(&self, s: &State) -> Result<(), Violation> {
+        let remaining = s.tail.wrapping_sub(s.head);
+        if remaining != self.pushes - self.pops {
+            return Err(Violation::Terminal(format!(
+                "occupancy {} != expected {}",
+                remaining,
+                self.pushes - self.pops
+            )));
+        }
+        let mut expected_slots = [None; MAX_CAP];
+        for k in 0..remaining {
+            let idx = (s.head.wrapping_add(k) % self.cap) as usize;
+            expected_slots[idx] = Some(self.pops + k);
+        }
+        if s.slots != expected_slots {
+            return Err(Violation::Terminal(format!(
+                "residual slots {:?} != expected {:?}",
+                s.slots, expected_slots
+            )));
+        }
+        Ok(())
+    }
+
+    /// Scheduler order: the producer's step, then the consumer's.
+    fn successors(
+        &self,
+        s: &State,
+        out: &mut Vec<Step<State>>,
+    ) -> Result<(), Violating<Violation>> {
+        if !self.producer_done(s) {
+            producer_step(self, s, out)?;
+        }
+        if !self.consumer_done(s) {
+            consumer_step(self, s, out)?;
+        }
+        Ok(())
+    }
+
+    /// Both sides spin rather than block, so an algorithm that cannot
+    /// finish shows up as a state space with no both-sides-done state.
+    fn never_terminated(&self) -> Option<Violation> {
+        Some(Violation::NoCompletion)
+    }
+}
+
+/// Push all successor states of one producer step, or report a violation.
+fn producer_step(
+    cfg: &McConfig,
+    s: &State,
+    out: &mut Vec<Step<State>>,
+) -> Result<(), Violating<Violation>> {
     match s.p_pc {
         // load own tail (exact: only this thread stores it)
         0 => {
@@ -372,13 +349,15 @@ fn producer_step(cfg: &McConfig, s: &State) -> Result<Vec<(State, String)>, (Vio
             out.push((n, format!("producer: publish tail={}", n.tail)));
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-/// All successor states of one consumer step, or a violation.
-#[allow(clippy::type_complexity)]
-fn consumer_step(cfg: &McConfig, s: &State) -> Result<Vec<(State, String)>, (Violation, String)> {
-    let mut out = Vec::new();
+/// Push all successor states of one consumer step, or report a violation.
+fn consumer_step(
+    cfg: &McConfig,
+    s: &State,
+    out: &mut Vec<Step<State>>,
+) -> Result<(), Violating<Violation>> {
     match s.c_pc {
         // load own head (exact)
         0 => {
@@ -421,16 +400,14 @@ fn consumer_step(cfg: &McConfig, s: &State) -> Result<Vec<(State, String)>, (Vio
                 n.c_pc = 4;
                 out.push((n, format!("consumer: publish head={} (EARLY)", n.head)));
             } else {
-                let (n, label) = read_slot(cfg, s)?;
-                out.push((n, label));
+                out.push(read_slot(cfg, s)?);
             }
         }
         // publish head: one Release store for the whole burst (or, in
         // the buggy variant, the late slot reads)
         _ => {
             if cfg.variant == Variant::AdvanceHeadBeforeRead {
-                let (n, label) = read_slot(cfg, s)?;
-                out.push((n, label));
+                out.push(read_slot(cfg, s)?);
             } else {
                 let mut n = *s;
                 n.head = s.c_head.wrapping_add(s.c_todo);
@@ -439,11 +416,11 @@ fn consumer_step(cfg: &McConfig, s: &State) -> Result<Vec<(State, String)>, (Vio
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The consumer's slot read + FIFO assertion, shared by both orderings.
-fn read_slot(cfg: &McConfig, s: &State) -> Result<(State, String), (Violation, String)> {
+fn read_slot(cfg: &McConfig, s: &State) -> Result<Step<State>, Violating<Violation>> {
     let slot = (s.c_head.wrapping_add(s.c_read) % cfg.cap) as usize;
     let label = format!("consumer: read slot[{slot}]");
     let Some(value) = s.slots[slot] else {
@@ -486,55 +463,14 @@ fn observable(cfg: &McConfig, last_seen: u8, current: u8) -> Vec<u8> {
     (0..=span).map(|d| last_seen.wrapping_add(d)).collect()
 }
 
-/// Invariants of a both-sides-done state: counters account for exactly
-/// the unconsumed elements, residual slots hold exactly the FIFO suffix
-/// (this is what `SpscRing::drop` walks), and nothing else survives.
-fn check_terminal(cfg: &McConfig, s: &State) -> Result<(), Violation> {
-    let remaining = s.tail.wrapping_sub(s.head);
-    if remaining != cfg.pushes - cfg.pops {
-        return Err(Violation::Terminal(format!(
-            "occupancy {} != expected {}",
-            remaining,
-            cfg.pushes - cfg.pops
-        )));
-    }
-    let mut expected_slots = [None; MAX_CAP];
-    for k in 0..remaining {
-        let idx = (s.head.wrapping_add(k) % cfg.cap) as usize;
-        expected_slots[idx] = Some(cfg.pops + k);
-    }
-    if s.slots != expected_slots {
-        return Err(Violation::Terminal(format!(
-            "residual slots {:?} != expected {:?}",
-            s.slots, expected_slots
-        )));
-    }
-    Ok(())
-}
-
-/// Reconstruct the schedule from the parent map and build a failure.
-fn fail(
-    violation: Violation,
-    at: &State,
-    last_label: Option<String>,
-    parent: &HashMap<State, (State, String)>,
-) -> McFailure {
-    let mut trace = Vec::new();
-    if let Some(label) = last_label {
-        trace.push(label);
-    }
-    let mut cur = *at;
-    while let Some((prev, label)) = parent.get(&cur) {
-        trace.push(label.clone());
-        cur = *prev;
-    }
-    trace.reverse();
-    McFailure { violation, trace }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::explore;
+
+    // The gate table (`crate::gate`) runs and pins the depth-6/7, wrap,
+    // partial-drain and batched shapes and all four planted bugs; the
+    // tests here cover what no gate row does.
 
     #[test]
     fn correct_algorithm_depth_6_no_staleness() {
@@ -543,136 +479,6 @@ mod tests {
         let report = explore(&cfg).expect("no violations");
         assert!(report.terminals >= 1);
         assert!(report.states > 100, "exploration should be nontrivial");
-    }
-
-    #[test]
-    fn correct_algorithm_depth_6_with_staleness() {
-        let report = explore(&McConfig::correct(2, 6)).expect("no violations");
-        assert!(report.terminals >= 1);
-    }
-
-    #[test]
-    fn correct_algorithm_across_counter_wrap() {
-        // Counters start at 253 and wrap past 255 mid-run: the masked
-        // indexing and wrapping occupancy math must hold throughout.
-        let cfg = McConfig {
-            cap: 4,
-            pushes: 7,
-            pops: 7,
-            start: 253,
-            stale_reads: true,
-            batch: 1,
-            variant: Variant::Correct,
-        };
-        explore(&cfg).expect("wraparound is safe");
-    }
-
-    #[test]
-    fn leftover_elements_match_drop_contract() {
-        // Push 6, pop 4: the terminal invariant proves the [head, tail)
-        // residue is exactly what Drop drains.
-        let cfg = McConfig {
-            cap: 4,
-            pushes: 6,
-            pops: 4,
-            start: 254,
-            stale_reads: true,
-            batch: 1,
-            variant: Variant::Correct,
-        };
-        explore(&cfg).expect("residue consistent");
-    }
-
-    #[test]
-    fn detects_off_by_one_full_check() {
-        let cfg = McConfig {
-            cap: 2,
-            pushes: 4,
-            pops: 4,
-            start: 0,
-            stale_reads: false,
-            batch: 1,
-            variant: Variant::FullCheckOffByOne,
-        };
-        let failure = explore(&cfg).expect_err("must catch the overwrite");
-        assert!(matches!(failure.violation, Violation::Overwrite { .. }));
-        assert!(!failure.trace.is_empty(), "counterexample has a schedule");
-    }
-
-    #[test]
-    fn detects_early_head_publish() {
-        let cfg = McConfig {
-            cap: 2,
-            pushes: 3,
-            pops: 3,
-            start: 0,
-            stale_reads: false,
-            batch: 1,
-            variant: Variant::AdvanceHeadBeforeRead,
-        };
-        let failure = explore(&cfg).expect_err("must catch the race");
-        assert!(matches!(
-            failure.violation,
-            Violation::Overwrite { .. } | Violation::ReadUninit { .. }
-        ));
-    }
-
-    #[test]
-    fn detects_missing_publish_as_livelock() {
-        // One push: the element is written but never published, so the
-        // consumer spins on empty forever. (With more pushes the stale
-        // tail makes the producer clobber slot 0 first, which the
-        // overwrite check reports instead.)
-        let cfg = McConfig {
-            cap: 2,
-            pushes: 1,
-            pops: 1,
-            start: 0,
-            stale_reads: false,
-            batch: 1,
-            variant: Variant::MissingPublish,
-        };
-        let failure = explore(&cfg).expect_err("must detect no completion");
-        assert_eq!(failure.violation, Violation::NoCompletion);
-    }
-
-    #[test]
-    fn batched_publication_is_safe() {
-        // The push_batch/pop_batch protocol: up to 3 slots per counter
-        // observation, one doorbell store per burst, stale reads on.
-        let report = explore(&McConfig::correct_batched(4, 6, 3)).expect("no violations");
-        assert!(report.terminals >= 1);
-        assert!(report.states > 100, "exploration should be nontrivial");
-    }
-
-    #[test]
-    fn batched_publication_across_counter_wrap() {
-        let cfg = McConfig {
-            cap: 4,
-            pushes: 7,
-            pops: 7,
-            start: 253,
-            stale_reads: true,
-            batch: 3,
-            variant: Variant::Correct,
-        };
-        explore(&cfg).expect("batched wraparound is safe");
-    }
-
-    #[test]
-    fn batched_partial_drain_matches_drop_contract() {
-        // Push 6 in bursts of 2, pop 4 in bursts of 2: residue must be
-        // exactly the FIFO suffix Drop drains.
-        let cfg = McConfig {
-            cap: 4,
-            pushes: 6,
-            pops: 4,
-            start: 254,
-            stale_reads: true,
-            batch: 2,
-            variant: Variant::Correct,
-        };
-        explore(&cfg).expect("batched residue consistent");
     }
 
     #[test]
@@ -686,40 +492,12 @@ mod tests {
     }
 
     #[test]
-    fn detects_early_batch_publish() {
-        // The doorbell rings for the whole burst after only the first
-        // slot write: a consumer claiming the burst reads an unwritten
-        // slot.
-        let cfg = McConfig {
-            cap: 4,
-            pushes: 3,
-            pops: 3,
-            start: 0,
-            stale_reads: false,
-            batch: 3,
-            variant: Variant::BatchPublishEarly,
-        };
-        let failure = explore(&cfg).expect_err("must catch the early doorbell");
-        assert!(
-            matches!(failure.violation, Violation::ReadUninit { .. }),
-            "expected ReadUninit, got {:?}",
-            failure.violation
-        );
-        assert!(!failure.trace.is_empty(), "counterexample has a schedule");
-    }
-
-    #[test]
     fn early_batch_publish_is_harmless_at_batch_one() {
         // With batch=1 the "early" doorbell covers exactly the one slot
         // already written — the planted bug needs a real burst to bite.
         let cfg = McConfig {
-            cap: 2,
-            pushes: 4,
-            pops: 4,
-            start: 0,
-            stale_reads: true,
-            batch: 1,
             variant: Variant::BatchPublishEarly,
+            ..McConfig::correct(2, 4)
         };
         explore(&cfg).expect("degenerate batch cannot misfire");
     }

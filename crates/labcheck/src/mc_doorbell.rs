@@ -16,9 +16,8 @@
 //!   re-check sees it, and the consumer retries instead of sleeping.
 //!
 //! This checker exhaustively explores producer/consumer interleavings
-//! (visited-set BFS, same technique as [`crate::mc`] / [`crate::mc_lock`])
-//! of that protocol and two planted bugs, with **no timeout in the
-//! model**: the real `wait_past` carries a safety-net timeout, but the
+//! ([`crate::explore`]) of that protocol and two planted bugs, with **no
+//! timeout in the model**: the real `wait_past` carries a safety-net timeout, but the
 //! protocol must not need it.
 //!
 //! - [`DoorbellVariant::Correct`] — the shipped protocol. Every schedule
@@ -37,7 +36,7 @@
 //!   consumer parks forever. (This is why the real producers ring
 //!   unconditionally per successful burst.)
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::explore::{Model, Step, Violating};
 
 /// Park/wake protocol under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,36 +87,6 @@ pub enum DoorbellViolation {
     Stuck,
 }
 
-/// A violation plus the schedule that reaches it.
-#[derive(Debug, Clone)]
-pub struct DoorbellFailure {
-    /// What went wrong.
-    pub violation: DoorbellViolation,
-    /// Step labels from the initial state to the stuck state.
-    pub trace: Vec<String>,
-}
-
-impl std::fmt::Display for DoorbellFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "violation: {:?}", self.violation)?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:>3}. {step}", i + 1)?;
-        }
-        Ok(())
-    }
-}
-
-/// Statistics from a completed exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct DoorbellReport {
-    /// Distinct joint states reached.
-    pub states: usize,
-    /// Scheduler transitions taken.
-    pub transitions: usize,
-    /// Number of distinct finished states (all bursts pushed and popped).
-    pub terminals: usize,
-}
-
 /// Producer position within the current burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum PPhase {
@@ -154,7 +123,7 @@ enum CPhase {
 
 /// Joint state of the two-thread model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct State {
+pub struct State {
     /// Queue depth.
     q: u8,
     /// Doorbell epoch (bounded by the burst count).
@@ -173,247 +142,176 @@ struct State {
     popped: u8,
 }
 
-/// Exhaustively explore all interleavings. `Ok` carries statistics;
-/// `Err` carries the first stuck state found plus its schedule.
-pub fn explore_doorbell(cfg: &DoorbellConfig) -> Result<DoorbellReport, DoorbellFailure> {
-    let total = cfg.bursts * cfg.batch;
-    let first_p = if cfg.variant == DoorbellVariant::EdgeOnlyRing {
-        PPhase::ReadDepth
-    } else {
-        PPhase::Push(0)
-    };
-    let init = State {
-        q: 0,
-        epoch: 0,
-        capture: 0,
-        saw: 0,
-        waiters: false,
-        pphase: first_p,
-        burst: 0,
-        cphase: CPhase::Capture,
-        popped: 0,
-    };
-
-    let mut visited: HashSet<State> = HashSet::new();
-    let mut parent: HashMap<State, (State, String)> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    visited.insert(init);
-    queue.push_back(init);
-    let mut transitions = 0usize;
-    let mut terminals = 0usize;
-
-    let visit = |n: State,
-                 from: State,
-                 label: String,
-                 visited: &mut HashSet<State>,
-                 parent: &mut HashMap<State, (State, String)>,
-                 queue: &mut VecDeque<State>| {
-        if visited.insert(n) {
-            parent.insert(n, (from, label));
-            queue.push_back(n);
+impl DoorbellConfig {
+    /// Where the producer starts each burst.
+    fn burst_start(&self) -> PPhase {
+        if self.variant == DoorbellVariant::EdgeOnlyRing {
+            PPhase::ReadDepth
+        } else {
+            PPhase::Push(0)
         }
-    };
+    }
 
-    while let Some(s) = queue.pop_front() {
-        let p_done = s.burst >= cfg.bursts;
-        let c_done = s.cphase == CPhase::Done;
-        if p_done && c_done {
-            terminals += 1;
-            continue;
-        }
-        let mut any_step = false;
-
-        // ---- producer ------------------------------------------------
-        if !p_done {
-            any_step = true;
-            transitions += 1;
-            let mut n = s;
-            let label = match s.pphase {
-                PPhase::ReadDepth => {
-                    n.saw = s.q;
-                    n.pphase = PPhase::Push(0);
-                    format!("prod: read depth = {}", s.q)
-                }
-                PPhase::Push(i) => {
-                    n.q += 1;
-                    n.pphase = if i + 1 < cfg.batch {
-                        PPhase::Push(i + 1)
-                    } else {
-                        PPhase::RingEpoch
-                    };
-                    format!("prod: push (q -> {})", n.q)
-                }
-                PPhase::RingEpoch => {
-                    if cfg.variant == DoorbellVariant::EdgeOnlyRing && s.saw != 0 {
-                        // Stale belief "already non-empty": skip the ring.
-                        n.burst += 1;
-                        n.pphase = if n.burst < cfg.bursts {
-                            PPhase::ReadDepth
-                        } else {
-                            s.pphase
-                        };
-                        "prod: skip ring (believed non-empty)".to_string()
-                    } else {
-                        n.epoch += 1;
-                        n.pphase = PPhase::RingNotify;
-                        format!("prod: ring epoch -> {}", n.epoch)
-                    }
-                }
-                PPhase::RingNotify => {
-                    if s.waiters && s.cphase == CPhase::Parked {
-                        n.cphase = CPhase::Deregister;
-                    }
+    fn producer_step(&self, s: &State) -> Step<State> {
+        let mut n = *s;
+        let label = match s.pphase {
+            PPhase::ReadDepth => {
+                n.saw = s.q;
+                n.pphase = PPhase::Push(0);
+                format!("prod: read depth = {}", s.q)
+            }
+            PPhase::Push(i) => {
+                n.q += 1;
+                n.pphase = if i + 1 < self.batch {
+                    PPhase::Push(i + 1)
+                } else {
+                    PPhase::RingEpoch
+                };
+                format!("prod: push (q -> {})", n.q)
+            }
+            PPhase::RingEpoch => {
+                if self.variant == DoorbellVariant::EdgeOnlyRing && s.saw != 0 {
+                    // Stale belief "already non-empty": skip the ring.
                     n.burst += 1;
-                    n.pphase = if cfg.variant == DoorbellVariant::EdgeOnlyRing {
+                    n.pphase = if n.burst < self.bursts {
                         PPhase::ReadDepth
                     } else {
-                        PPhase::Push(0)
+                        s.pphase
                     };
-                    "prod: notify".to_string()
+                    "prod: skip ring (believed non-empty)".to_string()
+                } else {
+                    n.epoch += 1;
+                    n.pphase = PPhase::RingNotify;
+                    format!("prod: ring epoch -> {}", n.epoch)
                 }
-            };
-            visit(n, s, label, &mut visited, &mut parent, &mut queue);
-        }
-
-        // ---- consumer ------------------------------------------------
-        if !c_done && s.cphase != CPhase::Parked {
-            any_step = true;
-            transitions += 1;
-            let mut n = s;
-            let label = match s.cphase {
-                CPhase::Capture => {
-                    n.capture = s.epoch;
-                    n.cphase = CPhase::Scan;
-                    format!("cons: capture epoch {}", s.epoch)
+            }
+            PPhase::RingNotify => {
+                if s.waiters && s.cphase == CPhase::Parked {
+                    n.cphase = CPhase::Deregister;
                 }
-                CPhase::Scan => {
-                    if s.q > 0 {
-                        n.q -= 1;
-                        n.popped += 1;
-                        n.cphase = if n.popped == total {
-                            CPhase::Done
-                        } else {
-                            CPhase::Capture
-                        };
-                        format!("cons: pop (q -> {})", n.q)
-                    } else {
-                        n.cphase = CPhase::Register;
-                        "cons: scan idle".to_string()
-                    }
-                }
-                CPhase::Register => {
-                    n.waiters = true;
-                    n.cphase = CPhase::ParkDecide;
-                    "cons: register waiter".to_string()
-                }
-                CPhase::ParkDecide => {
-                    let recheck = cfg.variant != DoorbellVariant::ParkWithoutRecheck;
-                    if recheck && s.epoch != s.capture {
-                        n.cphase = CPhase::Deregister;
-                        "cons: recheck sees ring, retreat".to_string()
-                    } else {
-                        // Re-check and sleep are one atomic step: both
-                        // sides hold the bell mutex, and the condvar
-                        // releases it atomically with sleeping.
-                        n.cphase = CPhase::Parked;
-                        "cons: park".to_string()
-                    }
-                }
-                CPhase::Deregister => {
-                    n.waiters = false;
-                    n.cphase = CPhase::Capture;
-                    "cons: deregister".to_string()
-                }
-                CPhase::Parked | CPhase::Done => unreachable!(),
-            };
-            visit(n, s, label, &mut visited, &mut parent, &mut queue);
-        }
-
-        if !any_step {
-            let violation = if s.cphase == CPhase::Parked && s.q > 0 {
-                DoorbellViolation::LostWakeup { queued: s.q }
-            } else {
-                DoorbellViolation::Stuck
-            };
-            return Err(fail(violation, &s, &parent));
-        }
+                n.burst += 1;
+                n.pphase = self.burst_start();
+                "prod: notify".to_string()
+            }
+        };
+        (n, label)
     }
 
-    Ok(DoorbellReport {
-        states: visited.len(),
-        transitions,
-        terminals,
-    })
+    fn consumer_step(&self, s: &State) -> Step<State> {
+        let mut n = *s;
+        let label = match s.cphase {
+            CPhase::Capture => {
+                n.capture = s.epoch;
+                n.cphase = CPhase::Scan;
+                format!("cons: capture epoch {}", s.epoch)
+            }
+            CPhase::Scan => {
+                if s.q > 0 {
+                    n.q -= 1;
+                    n.popped += 1;
+                    n.cphase = if n.popped == self.bursts * self.batch {
+                        CPhase::Done
+                    } else {
+                        CPhase::Capture
+                    };
+                    format!("cons: pop (q -> {})", n.q)
+                } else {
+                    n.cphase = CPhase::Register;
+                    "cons: scan idle".to_string()
+                }
+            }
+            CPhase::Register => {
+                n.waiters = true;
+                n.cphase = CPhase::ParkDecide;
+                "cons: register waiter".to_string()
+            }
+            CPhase::ParkDecide => {
+                let recheck = self.variant != DoorbellVariant::ParkWithoutRecheck;
+                if recheck && s.epoch != s.capture {
+                    n.cphase = CPhase::Deregister;
+                    "cons: recheck sees ring, retreat".to_string()
+                } else {
+                    // Re-check and sleep are one atomic step: both
+                    // sides hold the bell mutex, and the condvar
+                    // releases it atomically with sleeping.
+                    n.cphase = CPhase::Parked;
+                    "cons: park".to_string()
+                }
+            }
+            CPhase::Deregister => {
+                n.waiters = false;
+                n.cphase = CPhase::Capture;
+                "cons: deregister".to_string()
+            }
+            CPhase::Parked | CPhase::Done => unreachable!(),
+        };
+        (n, label)
+    }
 }
 
-/// Reconstruct the schedule from the parent map and build a failure.
-fn fail(
-    violation: DoorbellViolation,
-    at: &State,
-    parent: &HashMap<State, (State, String)>,
-) -> DoorbellFailure {
-    let mut trace = Vec::new();
-    let mut cur = *at;
-    while let Some((prev, label)) = parent.get(&cur) {
-        trace.push(label.clone());
-        cur = *prev;
+impl Model for DoorbellConfig {
+    type State = State;
+    type Violation = DoorbellViolation;
+
+    fn init(&self) -> State {
+        State {
+            q: 0,
+            epoch: 0,
+            capture: 0,
+            saw: 0,
+            waiters: false,
+            pphase: self.burst_start(),
+            burst: 0,
+            cphase: CPhase::Capture,
+            popped: 0,
+        }
     }
-    trace.reverse();
-    DoorbellFailure { violation, trace }
+
+    fn is_terminal(&self, s: &State) -> bool {
+        s.burst >= self.bursts && s.cphase == CPhase::Done
+    }
+
+    /// Scheduler order: the producer's step, then the consumer's. A
+    /// parked consumer contributes no step.
+    fn successors(
+        &self,
+        s: &State,
+        out: &mut Vec<Step<State>>,
+    ) -> Result<(), Violating<DoorbellViolation>> {
+        if s.burst < self.bursts {
+            out.push(self.producer_step(s));
+        }
+        if !matches!(s.cphase, CPhase::Done | CPhase::Parked) {
+            out.push(self.consumer_step(s));
+        }
+        Ok(())
+    }
+
+    /// The producer is done and the consumer cannot move.
+    fn stuck(&self, s: &State) -> DoorbellViolation {
+        if s.cphase == CPhase::Parked && s.q > 0 {
+            DoorbellViolation::LostWakeup { queued: s.q }
+        } else {
+            DoorbellViolation::Stuck
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::explore;
+
+    // The gate table (`crate::gate`) runs and pins the 3x1, 2x2 and 2x3
+    // shapes of the shipped protocol and both planted bugs at 2x1 and 3x2.
 
     #[test]
     fn correct_protocol_never_strands_a_parked_consumer() {
         for (bursts, batch) in [(1, 1), (3, 1), (2, 2), (2, 3)] {
-            let report = explore_doorbell(&DoorbellConfig::correct(bursts, batch))
+            let report = explore(&DoorbellConfig::correct(bursts, batch))
                 .expect("capture/recheck protocol is lost-wakeup free");
             assert!(report.terminals >= 1);
             assert!(report.states > 10, "got {} states", report.states);
         }
-    }
-
-    #[test]
-    fn park_without_recheck_loses_the_wakeup() {
-        let failure = explore_doorbell(&DoorbellConfig {
-            bursts: 2,
-            batch: 1,
-            variant: DoorbellVariant::ParkWithoutRecheck,
-        })
-        .expect_err("must catch the planted ring-between-check-and-park bug");
-        assert!(
-            matches!(failure.violation, DoorbellViolation::LostWakeup { queued } if queued > 0),
-            "expected LostWakeup, got {:?}",
-            failure.violation
-        );
-        assert!(!failure.trace.is_empty());
-    }
-
-    #[test]
-    fn edge_only_ring_loses_the_wakeup() {
-        let failure = explore_doorbell(&DoorbellConfig {
-            bursts: 2,
-            batch: 1,
-            variant: DoorbellVariant::EdgeOnlyRing,
-        })
-        .expect_err("must catch the stale empty->non-empty edge belief");
-        assert!(
-            matches!(failure.violation, DoorbellViolation::LostWakeup { queued } if queued > 0),
-            "got {:?}",
-            failure.violation
-        );
-    }
-
-    #[test]
-    fn batched_bursts_ring_once_and_still_wake() {
-        // One ring per 3-push burst: the PR 3 contract carried to the
-        // doorbell. The single trailing ring must still cover a consumer
-        // that went idle mid-burst.
-        let report =
-            explore_doorbell(&DoorbellConfig::correct(2, 3)).expect("one ring per burst suffices");
-        assert!(report.terminals >= 1);
     }
 }

@@ -13,11 +13,11 @@
 //!
 //! This checker abstracts the ISA to the three shapes that matter for
 //! control flow — fall-through, halt, and a *nondeterministic*
-//! conditional branch — and BFS-explores both outcomes of every branch.
-//! The model mirrors the shipped pipeline: a verifier step first (reject
-//! backward offsets), then exhaustive execution with two invariants
-//! checked on every transition. Two planted bugs prove the checker has
-//! teeth:
+//! conditional branch — and explores both outcomes of every branch
+//! ([`crate::explore`]). The model mirrors the shipped pipeline: a
+//! verifier step first ([`run`] rejects backward offsets), then
+//! exhaustive execution with two invariants checked on every
+//! transition. Two planted bugs prove the checker has teeth:
 //!
 //! - [`FuelVariant::BackwardJumpAccepted`] — the verifier lets a
 //!   negative offset through. A taken backward branch loops, `steps`
@@ -29,7 +29,7 @@
 //!   bottom" slip). The first taken branch desynchronizes `steps` from
 //!   `budget − fuel` and [`FuelViolation::FuelLeak`] fires.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::explore::{explore, Failure, Model, Report, Step, Violating};
 
 /// Execution-model variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +77,52 @@ impl FuelConfig {
             variant: FuelVariant::Correct,
         }
     }
+
+    /// The verifier step: the shipped verifier rejects negative offsets
+    /// before execution (a correct outcome for programs with backward
+    /// jumps); the planted BackwardJumpAccepted bug waves them through.
+    pub fn rejected(&self) -> bool {
+        self.variant != FuelVariant::BackwardJumpAccepted
+            && self
+                .program
+                .iter()
+                .any(|insn| matches!(insn, FuelInsn::Br(off) if *off < 0))
+    }
+
+    fn len(&self) -> u8 {
+        self.program.len() as u8
+    }
+
+    /// Retire one instruction from `s`: charge one fuel unit (unless
+    /// `charge` is off — the planted bug), move to `pc`, and check both
+    /// invariants on the resulting state.
+    fn retire(
+        &self,
+        s: &State,
+        pc: u8,
+        charge: bool,
+        what: &str,
+    ) -> Result<Step<State>, Violating<FuelViolation>> {
+        let n = State {
+            pc,
+            fuel: s.fuel - u8::from(charge),
+            steps: s.steps.saturating_add(1),
+        };
+        let label = format!("pc {}: {what} (fuel -> {})", s.pc, n.fuel);
+        if n.steps > self.len() {
+            // Forward-only jumps bound retirement by program length.
+            return Err((FuelViolation::Runaway { steps: n.steps }, label));
+        }
+        let charged = self.fuel - n.fuel;
+        if charged != n.steps {
+            let leak = FuelViolation::FuelLeak {
+                steps: n.steps,
+                charged,
+            };
+            return Err((leak, label));
+        }
+        Ok((n, label))
+    }
 }
 
 /// Invariant violation detected on a transition.
@@ -98,44 +144,10 @@ pub enum FuelViolation {
     },
 }
 
-/// A violation plus the execution path that reaches it.
-#[derive(Debug, Clone)]
-pub struct FuelFailure {
-    /// What went wrong.
-    pub violation: FuelViolation,
-    /// Step labels from the initial state to the violating state.
-    pub trace: Vec<String>,
-}
-
-impl std::fmt::Display for FuelFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "violation: {:?}", self.violation)?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:>3}. {step}", i + 1)?;
-        }
-        Ok(())
-    }
-}
-
-/// Statistics from a completed exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct FuelReport {
-    /// Distinct execution states reached.
-    pub states: usize,
-    /// Transitions taken.
-    pub transitions: usize,
-    /// Distinct terminal states (program done or out of fuel — both
-    /// graceful).
-    pub terminals: usize,
-    /// The model verifier rejected the program before execution (a
-    /// correct outcome for programs with backward jumps).
-    pub rejected: bool,
-}
-
 /// One execution state. `charged` is tracked separately from `steps`
 /// precisely so the two can disagree under the planted charging bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct State {
+pub struct State {
     /// Program counter.
     pc: u8,
     /// Fuel remaining.
@@ -145,167 +157,63 @@ struct State {
 }
 
 /// Run the model verifier, then exhaustively explore every execution
-/// (both outcomes of each branch). `Ok` carries statistics; `Err`
-/// carries the first invariant violation plus the path to it.
-pub fn explore_fuel(cfg: &FuelConfig) -> Result<FuelReport, FuelFailure> {
-    let len = cfg.program.len() as u8;
-
-    // ---- verifier step ---------------------------------------------------
-    // The shipped verifier rejects negative offsets; the planted
-    // BackwardJumpAccepted bug waves them through.
-    if cfg.variant != FuelVariant::BackwardJumpAccepted {
-        let backward = cfg
-            .program
-            .iter()
-            .any(|insn| matches!(insn, FuelInsn::Br(off) if *off < 0));
-        if backward {
-            return Ok(FuelReport {
-                states: 0,
-                transitions: 0,
-                terminals: 0,
-                rejected: true,
-            });
-        }
+/// (both outcomes of each branch). A rejected program executes nothing,
+/// which the all-zero report says.
+pub fn run(cfg: &FuelConfig) -> Result<Report, Failure<FuelViolation>> {
+    if cfg.rejected() {
+        return Ok(Report::default());
     }
-
-    let init = State {
-        pc: 0,
-        fuel: cfg.fuel,
-        steps: 0,
-    };
-    let mut visited: HashSet<State> = HashSet::new();
-    let mut parent: HashMap<State, (State, String)> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    visited.insert(init);
-    queue.push_back(init);
-    let mut transitions = 0usize;
-    let mut terminals = 0usize;
-
-    let visit = |n: State,
-                 from: State,
-                 label: String,
-                 visited: &mut HashSet<State>,
-                 parent: &mut HashMap<State, (State, String)>,
-                 queue: &mut VecDeque<State>| {
-        if visited.insert(n) {
-            parent.insert(n, (from, label));
-            queue.push_back(n);
-        }
-    };
-
-    // Check both invariants on a candidate successor state.
-    let check = |n: &State| -> Option<FuelViolation> {
-        if n.steps > len {
-            // Forward-only jumps bound retirement by program length.
-            return Some(FuelViolation::Runaway { steps: n.steps });
-        }
-        let charged = cfg.fuel - n.fuel;
-        if charged != n.steps {
-            return Some(FuelViolation::FuelLeak {
-                steps: n.steps,
-                charged,
-            });
-        }
-        None
-    };
-
-    while let Some(s) = queue.pop_front() {
-        // Graceful terminals: fell off the end / explicit halt parked at
-        // pc == len, or the fuel meter stopped the program mid-flight.
-        if s.pc >= len || s.fuel == 0 {
-            terminals += 1;
-            continue;
-        }
-        let insn = cfg.program[s.pc as usize];
-        match insn {
-            FuelInsn::Fall | FuelInsn::Halt => {
-                transitions += 1;
-                let mut n = s;
-                n.fuel -= 1;
-                n.steps = n.steps.saturating_add(1);
-                n.pc = if insn == FuelInsn::Halt {
-                    len
-                } else {
-                    s.pc + 1
-                };
-                let label = format!(
-                    "pc {}: {} (fuel -> {})",
-                    s.pc,
-                    if insn == FuelInsn::Halt {
-                        "halt"
-                    } else {
-                        "fall"
-                    },
-                    n.fuel
-                );
-                if let Some(v) = check(&n) {
-                    return Err(fail(v, &n, s, label, &parent));
-                }
-                visit(n, s, label, &mut visited, &mut parent, &mut queue);
-            }
-            FuelInsn::Br(off) => {
-                // Untaken: ordinary retire.
-                transitions += 1;
-                let mut u = s;
-                u.fuel -= 1;
-                u.steps = u.steps.saturating_add(1);
-                u.pc = s.pc + 1;
-                let label = format!("pc {}: branch untaken (fuel -> {})", s.pc, u.fuel);
-                if let Some(v) = check(&u) {
-                    return Err(fail(v, &u, s, label, &parent));
-                }
-                visit(u, s, label, &mut visited, &mut parent, &mut queue);
-
-                // Taken: retire to the target. The planted charging bug
-                // skips the fuel debit on exactly this edge.
-                transitions += 1;
-                let mut t = s;
-                if cfg.variant != FuelVariant::FuelNotChargedOnTakenBranch {
-                    t.fuel -= 1;
-                }
-                t.steps = t.steps.saturating_add(1);
-                let target = i16::from(s.pc) + 1 + i16::from(off);
-                t.pc = target.clamp(0, i16::from(len)) as u8;
-                let label = format!("pc {}: branch taken -> {} (fuel -> {})", s.pc, t.pc, t.fuel);
-                if let Some(v) = check(&t) {
-                    return Err(fail(v, &t, s, label, &parent));
-                }
-                visit(t, s, label, &mut visited, &mut parent, &mut queue);
-            }
-        }
-    }
-
-    Ok(FuelReport {
-        states: visited.len(),
-        transitions,
-        terminals,
-        rejected: false,
-    })
+    explore(cfg)
 }
 
-/// Build a failure: the violating step plus the path reconstructed from
-/// the parent map.
-fn fail(
-    violation: FuelViolation,
-    _at: &State,
-    from: State,
-    last_label: String,
-    parent: &HashMap<State, (State, String)>,
-) -> FuelFailure {
-    let mut trace = vec![last_label];
-    let mut cur = from;
-    while let Some((prev, label)) = parent.get(&cur) {
-        trace.push(label.clone());
-        cur = *prev;
+impl Model for FuelConfig {
+    type State = State;
+    type Violation = FuelViolation;
+
+    fn init(&self) -> State {
+        State {
+            pc: 0,
+            fuel: self.fuel,
+            steps: 0,
+        }
     }
-    trace.reverse();
-    FuelFailure { violation, trace }
+
+    /// Graceful terminals: fell off the end / explicit halt parked at
+    /// `pc == len`, or the fuel meter stopped the program mid-flight.
+    fn is_terminal(&self, s: &State) -> bool {
+        s.pc >= self.len() || s.fuel == 0
+    }
+
+    /// Scheduler order for a branch: untaken, then taken.
+    fn successors(
+        &self,
+        s: &State,
+        out: &mut Vec<Step<State>>,
+    ) -> Result<(), Violating<FuelViolation>> {
+        match self.program[s.pc as usize] {
+            FuelInsn::Fall => out.push(self.retire(s, s.pc + 1, true, "fall")?),
+            FuelInsn::Halt => out.push(self.retire(s, self.len(), true, "halt")?),
+            FuelInsn::Br(off) => {
+                out.push(self.retire(s, s.pc + 1, true, "branch untaken")?);
+                // Taken: retire to the target. The planted charging bug
+                // skips the fuel debit on exactly this edge.
+                let target = i16::from(s.pc) + 1 + i16::from(off);
+                let target = target.clamp(0, i16::from(self.len())) as u8;
+                let charge = self.variant != FuelVariant::FuelNotChargedOnTakenBranch;
+                out.push(self.retire(s, target, charge, &format!("branch taken -> {target}"))?);
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use FuelInsn::{Br, Fall, Halt};
+
+    // The gate table (`crate::gate`) runs and pins four correct shapes,
+    // the verifier-rejected backward jump and both planted bugs.
 
     #[test]
     fn correct_programs_terminate_fully_charged() {
@@ -319,9 +227,10 @@ mod tests {
             (vec![Fall, Fall, Fall, Fall, Halt], 2),
         ];
         for (program, fuel) in shapes {
-            let report = explore_fuel(&FuelConfig::correct(program.clone(), fuel))
-                .unwrap_or_else(|f| panic!("{program:?} must verify-and-terminate: {f}"));
-            assert!(!report.rejected);
+            let cfg = FuelConfig::correct(program, fuel);
+            let report = run(&cfg)
+                .unwrap_or_else(|f| panic!("{:?} must verify-and-terminate: {f}", cfg.program));
+            assert!(!cfg.rejected());
             assert!(report.terminals >= 1);
             assert!(report.states > 1);
         }
@@ -329,51 +238,16 @@ mod tests {
 
     #[test]
     fn backward_jump_is_rejected_by_the_verifier() {
-        let report = explore_fuel(&FuelConfig::correct(vec![Fall, Br(-2), Halt], 16))
-            .expect("rejection is the safe outcome");
-        assert!(report.rejected, "verifier must reject the negative offset");
-        assert_eq!(report.states, 0);
-    }
-
-    #[test]
-    fn accepted_backward_jump_breaks_forward_progress() {
-        let failure = explore_fuel(&FuelConfig {
-            program: vec![Br(-1), Halt],
-            fuel: 16,
-            variant: FuelVariant::BackwardJumpAccepted,
-        })
-        .expect_err("the loop must trip the retirement bound");
-        assert!(
-            matches!(failure.violation, FuelViolation::Runaway { steps } if steps > 2),
-            "expected Runaway, got {:?}",
-            failure.violation
-        );
-        assert!(!failure.trace.is_empty());
-    }
-
-    #[test]
-    fn uncharged_taken_branch_leaks_fuel() {
-        let failure = explore_fuel(&FuelConfig {
-            program: vec![Br(1), Halt, Halt],
-            fuel: 8,
-            variant: FuelVariant::FuelNotChargedOnTakenBranch,
-        })
-        .expect_err("the first taken branch must desynchronize the meter");
-        assert!(
-            matches!(
-                failure.violation,
-                FuelViolation::FuelLeak { steps, charged } if charged < steps
-            ),
-            "expected FuelLeak, got {:?}",
-            failure.violation
-        );
+        let cfg = FuelConfig::correct(vec![Fall, Br(-2), Halt], 16);
+        assert!(cfg.rejected(), "verifier must reject the negative offset");
+        assert_eq!(run(&cfg).expect("rejection is the safe outcome").states, 0);
     }
 
     #[test]
     fn fuel_bug_still_caught_when_loop_also_possible() {
         // Both bugs planted at once: whichever invariant trips first
         // must still be caught (the checker is not order-sensitive).
-        let failure = explore_fuel(&FuelConfig {
+        let failure = run(&FuelConfig {
             program: vec![Br(1), Fall, Halt],
             fuel: 4,
             variant: FuelVariant::FuelNotChargedOnTakenBranch,

@@ -4,9 +4,9 @@
 //! device writes — header+payload first, then a separate commit record —
 //! and recovery replays the longest prefix of transactions whose payload
 //! CRC and commit record both validate. This checker explores every
-//! crash point and device-tear choice of that protocol (visited-set BFS,
-//! same technique as [`crate::mc`] / [`crate::mc_rc`]) and verifies, at
-//! every crash and at clean shutdown:
+//! crash point and device-tear choice of that protocol
+//! ([`crate::explore`]) and verifies, at every crash and at clean
+//! shutdown:
 //!
 //! 1. **Prefix + exactly-once**: recovery applies transactions
 //!    `1..=k` in order, each exactly once — no holes, no duplicates.
@@ -36,7 +36,7 @@
 //!   and accepts any transaction whose header and commit record are
 //!   present, replaying torn data.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::explore::{Model, Step, Violating};
 
 /// Maximum transactions the model supports (state arrays are fixed-size).
 pub const MAX_TXNS: usize = 3;
@@ -117,36 +117,6 @@ pub enum JournalViolation {
     },
 }
 
-/// A violation plus the schedule that reaches it.
-#[derive(Debug, Clone)]
-pub struct JournalFailure {
-    /// What went wrong.
-    pub violation: JournalViolation,
-    /// Step labels from the initial state to the violating crash point.
-    pub trace: Vec<String>,
-}
-
-impl std::fmt::Display for JournalFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "violation: {:?}", self.violation)?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:>3}. {step}", i + 1)?;
-        }
-        Ok(())
-    }
-}
-
-/// Statistics from a completed exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct JournalReport {
-    /// Distinct states reached.
-    pub states: usize,
-    /// Scheduler transitions taken.
-    pub transitions: usize,
-    /// Crash points + clean shutdowns whose recovery was verified.
-    pub recoveries_checked: usize,
-}
-
 /// Writer program counter within the current transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Pc {
@@ -163,7 +133,7 @@ enum Pc {
 /// Joint state: per-transaction media + ack flags, writer position, and
 /// whether a silent tear happened in this run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct State {
+pub struct State {
     body: [Body; MAX_TXNS],
     commit: [bool; MAX_TXNS],
     acked: [bool; MAX_TXNS],
@@ -234,160 +204,116 @@ fn check_recovery(cfg: &JournalConfig, s: &State) -> Result<(), JournalViolation
     Ok(())
 }
 
-/// Exhaustively explore all crash points and device-tear choices. `Ok`
-/// carries statistics; `Err` carries the first violation plus its
-/// schedule.
-pub fn explore_journal(cfg: &JournalConfig) -> Result<JournalReport, JournalFailure> {
-    assert!(
-        cfg.txns >= 1 && cfg.txns as usize <= MAX_TXNS,
-        "txns must be 1..={MAX_TXNS}"
-    );
-    let init = State {
-        body: [Body::None; MAX_TXNS],
-        commit: [false; MAX_TXNS],
-        acked: [false; MAX_TXNS],
-        cur: 0,
-        pc: Pc::Start,
-        faulted: false,
-    };
-    let mut visited: HashSet<State> = HashSet::new();
-    let mut parent: HashMap<State, (State, String)> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    visited.insert(init);
-    queue.push_back(init);
-    let mut transitions = 0usize;
-    let mut recoveries = 0usize;
+impl Model for JournalConfig {
+    type State = State;
+    type Violation = JournalViolation;
 
-    while let Some(state) = queue.pop_front() {
-        // Every state is a potential crash point: whatever is on media
-        // right now must recover consistently. (This also covers clean
-        // shutdown, where `cur == txns`.)
-        recoveries += 1;
-        if let Err(violation) = check_recovery(cfg, &state) {
-            return Err(fail(
-                violation,
-                &state,
-                Some("crash + recover".to_string()),
-                &parent,
-            ));
-        }
-        if state.cur as usize >= cfg.txns as usize {
-            continue; // workload complete
-        }
-        for (next, label) in writer_steps(cfg, &state) {
-            transitions += 1;
-            if visited.insert(next) {
-                parent.insert(next, (state, label));
-                queue.push_back(next);
-            }
+    fn init(&self) -> State {
+        assert!(
+            self.txns >= 1 && self.txns as usize <= MAX_TXNS,
+            "txns must be 1..={MAX_TXNS}"
+        );
+        State {
+            body: [Body::None; MAX_TXNS],
+            commit: [false; MAX_TXNS],
+            acked: [false; MAX_TXNS],
+            cur: 0,
+            pc: Pc::Start,
+            faulted: false,
         }
     }
 
-    Ok(JournalReport {
-        states: visited.len(),
-        transitions,
-        recoveries_checked: recoveries,
-    })
-}
+    /// Every state is a potential crash point: whatever is on media right
+    /// now must recover consistently. (This also covers clean shutdown,
+    /// where `cur == txns`.) So the states a report counts are exactly
+    /// the recoveries verified.
+    fn invariant(&self, s: &State) -> Result<(), Violating<JournalViolation>> {
+        check_recovery(self, s).map_err(|violation| (violation, "crash + recover".to_string()))
+    }
 
-/// Successor states of the writer/device from `s`.
-fn writer_steps(cfg: &JournalConfig, s: &State) -> Vec<(State, String)> {
-    let i = s.cur as usize;
-    let t = s.cur + 1; // 1-based label
-    let mut out = Vec::new();
-    match s.pc {
-        Pc::Start => {
-            // The body write starts landing sectors.
-            let mut n = *s;
-            n.body[i] = Body::Torn;
-            n.pc = Pc::BodyPartial;
-            out.push((n, format!("txn {t}: body write lands a prefix")));
-        }
-        Pc::BodyPartial => {
-            // Normal completion: the rest of the sectors land.
-            let mut n = *s;
-            n.body[i] = Body::Full;
-            n.pc = Pc::BodyDone;
-            out.push((n, format!("txn {t}: body write completes")));
-            if cfg.allow_silent_tear {
-                // Device fault: the write is acked as complete while only
-                // the prefix landed.
+    fn is_terminal(&self, s: &State) -> bool {
+        s.cur >= self.txns // workload complete
+    }
+
+    /// The writer/device steps from `s` (a crash is not a step: the
+    /// invariant above already treats every state as one).
+    fn successors(
+        &self,
+        s: &State,
+        out: &mut Vec<Step<State>>,
+    ) -> Result<(), Violating<JournalViolation>> {
+        let i = s.cur as usize;
+        let t = s.cur + 1; // 1-based label
+        match s.pc {
+            Pc::Start => {
+                // The body write starts landing sectors.
                 let mut n = *s;
+                n.body[i] = Body::Torn;
+                n.pc = Pc::BodyPartial;
+                out.push((n, format!("txn {t}: body write lands a prefix")));
+            }
+            Pc::BodyPartial => {
+                // Normal completion: the rest of the sectors land.
+                let mut n = *s;
+                n.body[i] = Body::Full;
                 n.pc = Pc::BodyDone;
-                n.faulted = true;
-                out.push((n, format!("txn {t}: device silently tears the body")));
+                out.push((n, format!("txn {t}: body write completes")));
+                if self.allow_silent_tear {
+                    // Device fault: the write is acked as complete while only
+                    // the prefix landed.
+                    let mut n = *s;
+                    n.pc = Pc::BodyDone;
+                    n.faulted = true;
+                    out.push((n, format!("txn {t}: device silently tears the body")));
+                }
             }
-        }
-        Pc::BodyDone => match cfg.variant {
-            JournalVariant::LostCommit => {
-                // Bug: ack the client before the commit record exists.
-                let mut n = *s;
-                n.acked[i] = true;
-                n.pc = Pc::AckedEarly;
-                out.push((n, format!("txn {t}: ack BEFORE commit record")));
-            }
-            _ => {
-                // Commit record: one sector, atomic; then ack.
+            Pc::BodyDone => match self.variant {
+                JournalVariant::LostCommit => {
+                    // Bug: ack the client before the commit record exists.
+                    let mut n = *s;
+                    n.acked[i] = true;
+                    n.pc = Pc::AckedEarly;
+                    out.push((n, format!("txn {t}: ack BEFORE commit record")));
+                }
+                _ => {
+                    // Commit record: one sector, atomic; then ack.
+                    let mut n = *s;
+                    n.commit[i] = true;
+                    n.acked[i] = true;
+                    n.cur += 1;
+                    n.pc = Pc::Start;
+                    out.push((n, format!("txn {t}: commit record + ack")));
+                }
+            },
+            Pc::AckedEarly => {
+                // LostCommit's late commit record finally lands.
                 let mut n = *s;
                 n.commit[i] = true;
-                n.acked[i] = true;
                 n.cur += 1;
                 n.pc = Pc::Start;
-                out.push((n, format!("txn {t}: commit record + ack")));
+                out.push((n, format!("txn {t}: late commit record")));
             }
-        },
-        Pc::AckedEarly => {
-            // LostCommit's late commit record finally lands.
-            let mut n = *s;
-            n.commit[i] = true;
-            n.cur += 1;
-            n.pc = Pc::Start;
-            out.push((n, format!("txn {t}: late commit record")));
         }
+        Ok(())
     }
-    out
-}
-
-/// Reconstruct the schedule from the parent map and build a failure.
-fn fail(
-    violation: JournalViolation,
-    at: &State,
-    last_label: Option<String>,
-    parent: &HashMap<State, (State, String)>,
-) -> JournalFailure {
-    let mut trace = Vec::new();
-    if let Some(label) = last_label {
-        trace.push(label);
-    }
-    let mut cur = *at;
-    while let Some((prev, label)) = parent.get(&cur) {
-        trace.push(label.clone());
-        cur = *prev;
-    }
-    trace.reverse();
-    JournalFailure { violation, trace }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::explore;
+
+    // The gate table (`crate::gate`) runs and pins txns=1 without tears,
+    // txns=2/3 with tears, and each planted bug at txns=2.
 
     #[test]
     fn correct_protocol_survives_all_crash_points() {
         for txns in 1..=3 {
             for tear in [false, true] {
-                let report =
-                    explore_journal(&JournalConfig::correct(txns, tear)).expect("no violations");
-                assert!(report.recoveries_checked > 0);
+                let report = explore(&JournalConfig::correct(txns, tear)).expect("no violations");
+                assert!(report.states > 0 && report.terminals > 0);
             }
         }
-    }
-
-    #[test]
-    fn exploration_is_nontrivial() {
-        let report = explore_journal(&JournalConfig::correct(3, true)).expect("ok");
-        assert!(report.states > 10, "got {} states", report.states);
-        assert!(report.recoveries_checked >= report.states);
     }
 
     #[test]
@@ -397,7 +323,7 @@ mod tests {
             allow_silent_tear: false,
             variant: JournalVariant::LostCommit,
         };
-        let failure = explore_journal(&cfg).expect_err("must catch the lost ack");
+        let failure = explore(&cfg).expect_err("must catch the lost ack");
         assert!(
             matches!(failure.violation, JournalViolation::AckedLost { txn: 1 }),
             "expected AckedLost, got {:?}",
@@ -407,27 +333,13 @@ mod tests {
     }
 
     #[test]
-    fn replay_twice_is_caught() {
-        let cfg = JournalConfig {
-            txns: 2,
-            allow_silent_tear: false,
-            variant: JournalVariant::ReplayTwice,
-        };
-        let failure = explore_journal(&cfg).expect_err("must catch the double replay");
-        assert!(matches!(
-            failure.violation,
-            JournalViolation::AppliedTwice { .. }
-        ));
-    }
-
-    #[test]
     fn torn_crc_accept_is_caught() {
         let cfg = JournalConfig {
             txns: 1,
             allow_silent_tear: true,
             variant: JournalVariant::TornCrcAccept,
         };
-        let failure = explore_journal(&cfg).expect_err("must catch the accepted tear");
+        let failure = explore(&cfg).expect_err("must catch the accepted tear");
         assert!(matches!(
             failure.violation,
             JournalViolation::CorruptionAccepted { txn: 1 }
@@ -444,6 +356,6 @@ mod tests {
             allow_silent_tear: false,
             variant: JournalVariant::TornCrcAccept,
         };
-        assert!(explore_journal(&cfg).is_ok());
+        assert!(explore(&cfg).is_ok());
     }
 }

@@ -7,9 +7,8 @@
 //! while held (not even a different instance), and a `nest_within` class
 //! (the ShMem chunk sweep) may stack only in ascending instance order.
 //! This checker exercises those rules against exhaustive two-thread
-//! interleavings (visited-set BFS, same technique as [`crate::mc`] /
-//! [`crate::mc_rc`]) of small lock programs modeled on the real PR 5
-//! protocols:
+//! interleavings ([`crate::explore`]) of small lock programs modeled on
+//! the real PR 5 protocols:
 //!
 //! - [`LockVariant::CorrectWrite`] — the *fixed* `PageCache::write` on a
 //!   pool-dry cache: lock shard / unlock / shed own shard / shed the
@@ -38,8 +37,12 @@
 //! A deadlocked schedule (every unfinished thread blocked) is kept as a
 //! backstop violation, so the checker stays sound even for bugs the
 //! witness rules would miss.
+//!
+//! All seven variants are rows of the gate table ([`crate::gate`]), which
+//! pins each correct protocol's state count and each planted bug's exact
+//! violation and counterexample length.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::explore::{Model, Step as Succ, Violating};
 
 /// One lock instance in the model: registry class plus instance index.
 #[derive(Debug, Clone, Copy)]
@@ -81,13 +84,6 @@ pub enum LockVariant {
     TenantTableAfterShard,
 }
 
-/// Model-checker configuration (the variant fixes both threads' programs).
-#[derive(Debug, Clone, Copy)]
-pub struct LockConfig {
-    /// Protocol under test.
-    pub variant: LockVariant,
-}
-
 /// Discipline violation detected mid-exploration or at quiescence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LockViolation {
@@ -119,42 +115,12 @@ pub enum LockViolation {
     },
 }
 
-/// A violation plus the schedule that reaches it.
-#[derive(Debug, Clone)]
-pub struct LockFailure {
-    /// What went wrong.
-    pub violation: LockViolation,
-    /// Step labels from the initial state to the violating step.
-    pub trace: Vec<String>,
-}
-
-impl std::fmt::Display for LockFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "violation: {:?}", self.violation)?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:>3}. {step}", i + 1)?;
-        }
-        Ok(())
-    }
-}
-
-/// Statistics from a completed exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct LockReport {
-    /// Distinct joint states reached.
-    pub states: usize,
-    /// Scheduler transitions taken.
-    pub transitions: usize,
-    /// Number of distinct quiescent states.
-    pub terminals: usize,
-}
-
 const FREE: u8 = u8::MAX;
 const MAX_LOCKS: usize = 3;
 
 /// Joint state: lock owners (thread id or [`FREE`]) and per-thread pc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct State {
+pub struct State {
     owners: [u8; MAX_LOCKS],
     pcs: [u8; 2],
 }
@@ -285,67 +251,82 @@ fn programs(variant: LockVariant) -> (Vec<LockSpec>, [Vec<Step>; 2]) {
     }
 }
 
-/// Exhaustively explore all interleavings. `Ok` carries statistics;
-/// `Err` carries the first violation found plus its schedule.
-pub fn explore_lock(cfg: &LockConfig) -> Result<LockReport, LockFailure> {
-    let (locks, progs) = programs(cfg.variant);
-    assert!(locks.len() <= MAX_LOCKS);
-    let init = State {
-        owners: [FREE; MAX_LOCKS],
-        pcs: [0; 2],
-    };
+/// The model of one protocol: its lock set and the two thread programs.
+#[derive(Debug, Clone)]
+pub struct LockModel {
+    locks: Vec<LockSpec>,
+    progs: [Vec<Step>; 2],
+}
 
-    let mut visited: HashSet<State> = HashSet::new();
-    let mut parent: HashMap<State, (State, String)> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    visited.insert(init);
-    queue.push_back(init);
-    let mut transitions = 0usize;
-    let mut terminals = 0usize;
+impl LockModel {
+    /// The model of `variant` (the variant fixes both threads' programs).
+    pub fn new(variant: LockVariant) -> LockModel {
+        let (locks, progs) = programs(variant);
+        assert!(locks.len() <= MAX_LOCKS);
+        LockModel { locks, progs }
+    }
 
-    while let Some(state) = queue.pop_front() {
-        let done = |tid: usize| state.pcs[tid] as usize >= progs[tid].len();
-        if (0..2).all(done) {
-            terminals += 1;
-            for (li, &owner) in state.owners.iter().enumerate() {
-                if owner != FREE {
-                    return Err(fail(
-                        LockViolation::HeldAtExit {
-                            thread: owner as usize,
-                            lock: locks[li].name,
-                        },
-                        &state,
-                        None,
-                        &parent,
-                    ));
-                }
-            }
-            continue;
+    /// Thread `tid`'s next step, or `None` once its program has finished.
+    fn next_step(&self, s: &State, tid: usize) -> Option<Step> {
+        self.progs[tid].get(s.pcs[tid] as usize).copied()
+    }
+}
+
+impl Model for LockModel {
+    type State = State;
+    type Violation = LockViolation;
+
+    fn init(&self) -> State {
+        State {
+            owners: [FREE; MAX_LOCKS],
+            pcs: [0; 2],
         }
-        let mut any_step = false;
+    }
+
+    fn is_terminal(&self, s: &State) -> bool {
+        (0..2).all(|tid| self.next_step(s, tid).is_none())
+    }
+
+    fn check_terminal(&self, s: &State) -> Result<(), LockViolation> {
+        match s.owners.iter().position(|&owner| owner != FREE) {
+            Some(li) => Err(LockViolation::HeldAtExit {
+                thread: s.owners[li] as usize,
+                lock: self.locks[li].name,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Scheduler order: thread 0's step, then thread 1's. A thread
+    /// blocked on a held lock contributes no step.
+    fn successors(
+        &self,
+        s: &State,
+        out: &mut Vec<Succ<State>>,
+    ) -> Result<(), Violating<LockViolation>> {
         for tid in 0..2 {
-            if done(tid) {
+            let Some(step) = self.next_step(s, tid) else {
                 continue;
-            }
-            match progs[tid][state.pcs[tid] as usize] {
+            };
+            let mut n = *s;
+            n.pcs[tid] += 1;
+            match step {
                 Step::Acq(li) => {
-                    let lock = locks[li];
+                    let lock = self.locks[li];
                     // Witness checks run BEFORE blocking (the runtime
                     // witness panics instead of deadlocking).
-                    for (hi, &owner) in state.owners.iter().enumerate() {
+                    for (hi, &owner) in s.owners.iter().enumerate() {
                         if owner != tid as u8 {
                             continue;
                         }
-                        let held = locks[hi];
+                        let held = self.locks[hi];
                         if hi == li {
-                            return Err(fail(
+                            return Err((
                                 LockViolation::SelfDeadlock {
                                     thread: tid,
                                     lock: lock.name,
                                 },
-                                &state,
-                                Some(format!("t{tid}: acquire {} (held)", lock.name)),
-                                &parent,
+                                format!("t{tid}: acquire {} (held)", lock.name),
                             ));
                         }
                         let ok = if held.rank == lock.rank {
@@ -354,167 +335,37 @@ pub fn explore_lock(cfg: &LockConfig) -> Result<LockReport, LockFailure> {
                             lock.rank > held.rank
                         };
                         if !ok {
-                            return Err(fail(
+                            return Err((
                                 LockViolation::OrderViolation {
                                     thread: tid,
                                     held: held.name,
                                     acquiring: lock.name,
                                 },
-                                &state,
-                                Some(format!(
+                                format!(
                                     "t{tid}: acquire {} while holding {}",
                                     lock.name, held.name
-                                )),
-                                &parent,
+                                ),
                             ));
                         }
                     }
-                    if state.owners[li] != FREE {
+                    if s.owners[li] != FREE {
                         continue; // blocked on the other thread
                     }
-                    let mut n = state;
                     n.owners[li] = tid as u8;
-                    n.pcs[tid] += 1;
-                    any_step = true;
-                    transitions += 1;
-                    if visited.insert(n) {
-                        parent.insert(n, (state, format!("t{tid}: acquire {}", lock.name)));
-                        queue.push_back(n);
-                    }
+                    out.push((n, format!("t{tid}: acquire {}", lock.name)));
                 }
                 Step::Rel(li) => {
-                    debug_assert_eq!(state.owners[li], tid as u8, "release of unheld lock");
-                    let mut n = state;
+                    debug_assert_eq!(s.owners[li], tid as u8, "release of unheld lock");
                     n.owners[li] = FREE;
-                    n.pcs[tid] += 1;
-                    any_step = true;
-                    transitions += 1;
-                    if visited.insert(n) {
-                        parent.insert(n, (state, format!("t{tid}: release {}", locks[li].name)));
-                        queue.push_back(n);
-                    }
+                    out.push((n, format!("t{tid}: release {}", self.locks[li].name)));
                 }
             }
         }
-        if !any_step {
-            return Err(fail(LockViolation::Deadlock, &state, None, &parent));
-        }
+        Ok(())
     }
 
-    Ok(LockReport {
-        states: visited.len(),
-        transitions,
-        terminals,
-    })
-}
-
-/// Reconstruct the schedule from the parent map and build a failure.
-fn fail(
-    violation: LockViolation,
-    at: &State,
-    last_label: Option<String>,
-    parent: &HashMap<State, (State, String)>,
-) -> LockFailure {
-    let mut trace = Vec::new();
-    if let Some(label) = last_label {
-        trace.push(label);
-    }
-    let mut cur = *at;
-    while let Some((prev, label)) = parent.get(&cur) {
-        trace.push(label.clone());
-        cur = *prev;
-    }
-    trace.reverse();
-    LockFailure { violation, trace }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn correct_write_protocol_passes() {
-        let report = explore_lock(&LockConfig {
-            variant: LockVariant::CorrectWrite,
-        })
-        .expect("the fixed write protocol holds at most one shard");
-        assert!(report.terminals >= 1);
-        assert!(report.states > 50, "got {} states", report.states);
-    }
-
-    #[test]
-    fn correct_chunk_sweep_passes() {
-        explore_lock(&LockConfig {
-            variant: LockVariant::CorrectChunks,
-        })
-        .expect("ascending chunk sweeps cannot deadlock");
-    }
-
-    #[test]
-    fn reentrant_shard_is_caught_as_self_deadlock() {
-        let failure = explore_lock(&LockConfig {
-            variant: LockVariant::ReentrantShard,
-        })
-        .expect_err("must catch the PR 5 re-entry");
-        assert!(
-            matches!(
-                failure.violation,
-                LockViolation::SelfDeadlock { thread: 0, .. }
-            ),
-            "expected SelfDeadlock, got {:?}",
-            failure.violation
-        );
-        assert!(!failure.trace.is_empty());
-    }
-
-    #[test]
-    fn descending_chunks_are_caught() {
-        let failure = explore_lock(&LockConfig {
-            variant: LockVariant::DescendingChunks,
-        })
-        .expect_err("must catch the inverted sweep");
-        assert!(
-            matches!(
-                failure.violation,
-                LockViolation::OrderViolation { .. } | LockViolation::Deadlock
-            ),
-            "got {:?}",
-            failure.violation
-        );
-    }
-
-    #[test]
-    fn correct_tenant_charge_passes() {
-        let report = explore_lock(&LockConfig {
-            variant: LockVariant::CorrectTenantCharge,
-        })
-        .expect("table released before pool locks cannot invert");
-        assert!(report.terminals >= 1);
-    }
-
-    #[test]
-    fn tenant_table_after_shard_is_caught() {
-        let failure = explore_lock(&LockConfig {
-            variant: LockVariant::TenantTableAfterShard,
-        })
-        .expect_err("must catch the table-under-shard inversion");
-        assert!(
-            matches!(failure.violation, LockViolation::OrderViolation { .. }),
-            "got {:?}",
-            failure.violation
-        );
-    }
-
-    #[test]
-    fn hold_across_alloc_is_caught() {
-        let failure = explore_lock(&LockConfig {
-            variant: LockVariant::HoldAcrossAlloc,
-        })
-        .expect_err("must catch the shard ABBA");
-        assert!(
-            matches!(failure.violation, LockViolation::OrderViolation { .. }),
-            "got {:?}",
-            failure.violation
-        );
+    /// Every unfinished thread is blocked on a held lock.
+    fn stuck(&self, _s: &State) -> LockViolation {
+        LockViolation::Deadlock
     }
 }

@@ -13,8 +13,8 @@
 //! differ. A chain of joins over a run of slices is `clones` below.
 //!
 //! This checker decomposes two threads' clone/use/release sequences into
-//! atomic steps and explores every interleaving exhaustively (visited-set
-//! BFS over the joint state space, same technique as [`crate::mc`]).
+//! atomic steps and explores every interleaving exhaustively
+//! ([`crate::explore`]).
 //! Planted-bug variants split the release decision the two possible wrong
 //! ways and must be caught:
 //!
@@ -28,7 +28,7 @@
 //! Invariants: no use of a freed slot, no double free, and at quiescence
 //! the slot is freed exactly once with a zero refcount.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::explore::{Model, Step, Violating};
 
 /// Release-protocol variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,36 +78,6 @@ pub enum RcViolation {
     Residue { refs: u8 },
 }
 
-/// A violation plus the schedule that reaches it.
-#[derive(Debug, Clone)]
-pub struct RcFailure {
-    /// What went wrong.
-    pub violation: RcViolation,
-    /// Step labels from the initial state to the violating step.
-    pub trace: Vec<String>,
-}
-
-impl std::fmt::Display for RcFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "violation: {:?}", self.violation)?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:>3}. {step}", i + 1)?;
-        }
-        Ok(())
-    }
-}
-
-/// Statistics from a completed exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct RcReport {
-    /// Distinct joint states reached.
-    pub states: usize,
-    /// Scheduler transitions taken.
-    pub transitions: usize,
-    /// Number of distinct quiescent states.
-    pub terminals: usize,
-}
-
 /// Per-thread model state. `pc` encodes where in the clone/use/release
 /// cycle the thread is: 0 = choose next action, 1 = release step A done
 /// (split variants only, `observed` holds the stale view).
@@ -126,7 +96,7 @@ struct Thread {
 
 /// Joint state of the two-thread system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct State {
+pub struct State {
     /// The shared atomic refcount.
     refs: u8,
     /// True once the slot has been returned to the free list.
@@ -134,82 +104,66 @@ struct State {
     threads: [Thread; 2],
 }
 
-/// Exhaustively explore all interleavings. `Ok` carries statistics;
-/// `Err` carries the first violation found plus its schedule.
-pub fn explore_rc(cfg: &RcConfig) -> Result<RcReport, RcFailure> {
-    let init = State {
-        refs: 2,
-        freed: false,
-        threads: [Thread {
-            owned: 1,
-            cloned: 0,
-            pc: 0,
-            observed: 0,
-        }; 2],
-    };
+impl RcConfig {
+    fn thread_done(&self, t: &Thread) -> bool {
+        t.pc == 0 && t.owned == 0 && t.cloned == self.clones
+    }
+}
 
-    let mut visited: HashSet<State> = HashSet::new();
-    let mut parent: HashMap<State, (State, String)> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    visited.insert(init);
-    queue.push_back(init);
-    let mut transitions = 0usize;
-    let mut terminals = 0usize;
+impl Model for RcConfig {
+    type State = State;
+    type Violation = RcViolation;
 
-    while let Some(state) = queue.pop_front() {
-        let done = |t: &Thread| t.pc == 0 && t.owned == 0 && t.cloned == cfg.clones;
-        if state.threads.iter().all(done) {
-            terminals += 1;
-            if !state.freed {
-                return Err(fail(RcViolation::Leak, &state, None, &parent));
-            }
-            if state.refs != 0 {
-                return Err(fail(
-                    RcViolation::Residue { refs: state.refs },
-                    &state,
-                    None,
-                    &parent,
-                ));
-            }
-            continue;
-        }
-        for tid in 0..2 {
-            if done(&state.threads[tid]) {
-                continue;
-            }
-            match thread_step(cfg, &state, tid) {
-                Ok(successors) => {
-                    for (next, label) in successors {
-                        transitions += 1;
-                        if visited.insert(next) {
-                            parent.insert(next, (state, label));
-                            queue.push_back(next);
-                        }
-                    }
-                }
-                Err((violation, label)) => {
-                    return Err(fail(violation, &state, Some(label), &parent));
-                }
-            }
+    fn init(&self) -> State {
+        State {
+            refs: 2,
+            freed: false,
+            threads: [Thread {
+                owned: 1,
+                cloned: 0,
+                pc: 0,
+                observed: 0,
+            }; 2],
         }
     }
 
-    Ok(RcReport {
-        states: visited.len(),
-        transitions,
-        terminals,
-    })
+    fn is_terminal(&self, s: &State) -> bool {
+        s.threads.iter().all(|t| self.thread_done(t))
+    }
+
+    fn check_terminal(&self, s: &State) -> Result<(), RcViolation> {
+        if !s.freed {
+            return Err(RcViolation::Leak);
+        }
+        if s.refs != 0 {
+            return Err(RcViolation::Residue { refs: s.refs });
+        }
+        Ok(())
+    }
+
+    /// Scheduler order: thread 0's step, then thread 1's.
+    fn successors(
+        &self,
+        s: &State,
+        out: &mut Vec<Step<State>>,
+    ) -> Result<(), Violating<RcViolation>> {
+        for tid in 0..2 {
+            if !self.thread_done(&s.threads[tid]) {
+                thread_step(self, s, tid, out)?;
+            }
+        }
+        Ok(())
+    }
 }
 
-/// All successor states of one atomic step by thread `tid`.
-#[allow(clippy::type_complexity)]
+/// Push the successor states of one atomic step by thread `tid`.
 fn thread_step(
     cfg: &RcConfig,
     s: &State,
     tid: usize,
-) -> Result<Vec<(State, String)>, (RcViolation, String)> {
+    out: &mut Vec<Step<State>>,
+) -> Result<(), Violating<RcViolation>> {
     let t = s.threads[tid];
-    let mut out = Vec::new();
     if t.pc == 0 {
         if t.cloned < cfg.clones {
             // clone: one atomic fetch_add. Cloning requires a live handle
@@ -302,80 +256,22 @@ fn thread_step(
             RcVariant::Correct => unreachable!("correct release is a single step"),
         }
     }
-    Ok(out)
-}
-
-/// Reconstruct the schedule from the parent map and build a failure.
-fn fail(
-    violation: RcViolation,
-    at: &State,
-    last_label: Option<String>,
-    parent: &HashMap<State, (State, String)>,
-) -> RcFailure {
-    let mut trace = Vec::new();
-    if let Some(label) = last_label {
-        trace.push(label);
-    }
-    let mut cur = *at;
-    while let Some((prev, label)) = parent.get(&cur) {
-        trace.push(label.clone());
-        cur = *prev;
-    }
-    trace.reverse();
-    RcFailure { violation, trace }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::explore;
+
+    // The gate table (`crate::gate`) runs and pins clones 0/1/3 of the
+    // shipped protocol and all three planted-bug rows.
 
     #[test]
     fn correct_protocol_frees_exactly_once() {
         for clones in 0..=3 {
-            let report = explore_rc(&RcConfig::correct(clones)).expect("no violations");
+            let report = explore(&RcConfig::correct(clones)).expect("no violations");
             assert!(report.terminals >= 1, "clones={clones} must quiesce");
         }
-    }
-
-    #[test]
-    fn correct_protocol_exploration_is_nontrivial() {
-        // The atomic fetch_sub release keeps the space small (that is the
-        // point of the protocol); clones still interleave combinatorially.
-        let report = explore_rc(&RcConfig::correct(3)).expect("ok");
-        assert!(report.states > 30, "got {} states", report.states);
-    }
-
-    #[test]
-    fn load_then_sub_leaks() {
-        let cfg = RcConfig {
-            clones: 0,
-            variant: RcVariant::LoadThenSub,
-        };
-        let failure = explore_rc(&cfg).expect_err("must catch the leak");
-        assert_eq!(failure.violation, RcViolation::Leak);
-    }
-
-    #[test]
-    fn sub_then_load_double_frees() {
-        let cfg = RcConfig {
-            clones: 0,
-            variant: RcVariant::SubThenLoad,
-        };
-        let failure = explore_rc(&cfg).expect_err("must catch the double free");
-        assert!(
-            matches!(failure.violation, RcViolation::DoubleFree { .. }),
-            "expected DoubleFree, got {:?}",
-            failure.violation
-        );
-        assert!(!failure.trace.is_empty(), "counterexample has a schedule");
-    }
-
-    #[test]
-    fn sub_then_load_still_fails_with_clones() {
-        let cfg = RcConfig {
-            clones: 2,
-            variant: RcVariant::SubThenLoad,
-        };
-        explore_rc(&cfg).expect_err("clones only widen the race window");
     }
 }

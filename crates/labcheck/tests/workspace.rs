@@ -1,11 +1,9 @@
-//! The real gate: lint the actual workspace tree and exhaustively run the
-//! model checker. `cargo test -p labstor-labcheck` therefore fails on any
-//! unannotated violation anywhere in the workspace.
+//! The real gate: lint the actual workspace tree and run every row of the
+//! model-checking table. `cargo test -p labstor-labcheck` therefore fails
+//! on any unannotated violation anywhere in the workspace and on any
+//! model whose outcome drifts from its pin.
 
-use labstor_labcheck::{
-    explore, gate_mc_bug_configs, gate_mc_configs, lint_workspace, render_text, workspace_root,
-    Config,
-};
+use labstor_labcheck::{gate, lint_workspace, render_text, workspace_root, Config};
 
 #[test]
 fn workspace_tree_is_lint_clean() {
@@ -24,20 +22,8 @@ fn workspace_tree_is_lint_clean() {
 }
 
 #[test]
-fn spsc_ring_model_checks_exhaustively() {
-    for cfg in gate_mc_configs() {
-        let report = explore(&cfg).unwrap_or_else(|f| panic!("mc failed on {cfg:?}:\n{f}"));
-        assert!(report.terminals > 0, "no terminal state for {cfg:?}");
-    }
-}
-
-#[test]
-fn model_checker_catches_planted_bugs() {
-    for cfg in gate_mc_bug_configs() {
-        assert!(
-            explore(&cfg).is_err(),
-            "planted bug {:?} went undetected",
-            cfg.variant
-        );
+fn every_gate_row_matches_its_pinned_outcome() {
+    for row in gate() {
+        row.check().unwrap_or_else(|mismatch| panic!("{mismatch}"));
     }
 }

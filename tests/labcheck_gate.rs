@@ -1,19 +1,12 @@
 //! Tier-1 wiring for labcheck (ROADMAP: `cargo test -q` at the root is
 //! the tier-1 gate, and root-package tests are what it runs): the
-//! static-analysis pass must be clean on the whole tree and the SPSC ring
-//! must survive exhaustive interleaving exploration.
+//! static-analysis pass must be clean on the whole tree and every row of
+//! the model-checking gate must produce its pinned outcome.
 //!
 //! The full fixture suite lives in `crates/labcheck/tests/`; this file is
 //! only the gate.
 
-use labstor_labcheck::{
-    explore, explore_doorbell, explore_fuel, explore_journal, explore_lock, explore_rc,
-    gate_doorbell_bug_configs, gate_doorbell_configs, gate_fuel_bug_configs, gate_fuel_configs,
-    gate_journal_bug_configs, gate_journal_configs, gate_lock_bug_configs, gate_lock_configs,
-    gate_mc_bug_configs, gate_mc_configs, gate_rc_bug_configs, gate_rc_configs, lint_workspace,
-    render_text, workspace_root, Config, DoorbellViolation, FuelVariant, FuelViolation,
-    JournalVariant, JournalViolation, LockViolation,
-};
+use labstor_labcheck::{gate, lint_workspace, render_text, workspace_root, Config};
 
 #[test]
 fn workspace_passes_labcheck_lints() {
@@ -26,146 +19,44 @@ fn workspace_passes_labcheck_lints() {
     );
 }
 
+/// Every gate row of `family` matches its pinned outcome: correct
+/// protocols survive every interleaving with exactly the pinned state
+/// space, and each planted bug is caught as the violation it plants, by
+/// a counterexample of the pinned length. One test per family so a
+/// failure names the protocol that broke.
+fn check_family(family: &str) {
+    let rows: Vec<_> = gate().into_iter().filter(|r| r.family == family).collect();
+    assert!(!rows.is_empty(), "the gate has no `{family}` rows");
+    let mismatches: Vec<String> = rows.iter().filter_map(|r| r.check().err()).collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
 #[test]
 fn spsc_ring_passes_interleaving_model_check() {
-    for cfg in gate_mc_configs() {
-        explore(&cfg).unwrap_or_else(|f| panic!("mc failed on {cfg:?}:\n{f}"));
-    }
-    for cfg in gate_mc_bug_configs() {
-        assert!(
-            explore(&cfg).is_err(),
-            "planted bug {:?} went undetected",
-            cfg.variant
-        );
-    }
-}
-
-#[test]
-fn lock_discipline_passes_model_check() {
-    // The fixed PR 5 protocols survive every interleaving…
-    for cfg in gate_lock_configs() {
-        explore_lock(&cfg).unwrap_or_else(|f| panic!("lock mc failed on {cfg:?}:\n{f}"));
-    }
-    // …and each planted bug is caught, with the violation kind the bug
-    // plants (a checker that flags the wrong thing is also broken).
-    for cfg in gate_lock_bug_configs() {
-        let failure = explore_lock(&cfg).expect_err(&format!(
-            "planted lock bug {:?} went undetected",
-            cfg.variant
-        ));
-        let ok = matches!(
-            failure.violation,
-            LockViolation::SelfDeadlock { .. }
-                | LockViolation::OrderViolation { .. }
-                | LockViolation::Deadlock
-        );
-        assert!(ok, "{:?} produced {:?}", cfg.variant, failure.violation);
-    }
-}
-
-#[test]
-fn journal_commit_protocol_passes_model_check() {
-    // The shipped two-write commit protocol survives every crash point
-    // and device-tear choice…
-    for cfg in gate_journal_configs() {
-        explore_journal(&cfg).unwrap_or_else(|f| panic!("journal mc failed on {cfg:?}:\n{f}"));
-    }
-    // …and each planted bug is caught with the violation kind it plants.
-    for cfg in gate_journal_bug_configs() {
-        let failure = explore_journal(&cfg).expect_err(&format!(
-            "planted journal bug {:?} went undetected",
-            cfg.variant
-        ));
-        let ok = match cfg.variant {
-            JournalVariant::LostCommit => {
-                matches!(failure.violation, JournalViolation::AckedLost { .. })
-            }
-            JournalVariant::ReplayTwice => {
-                matches!(failure.violation, JournalViolation::AppliedTwice { .. })
-            }
-            JournalVariant::TornCrcAccept => {
-                matches!(
-                    failure.violation,
-                    JournalViolation::CorruptionAccepted { .. }
-                )
-            }
-            JournalVariant::Correct => false,
-        };
-        assert!(ok, "{:?} produced {:?}", cfg.variant, failure.violation);
-    }
-}
-
-#[test]
-fn doorbell_protocol_passes_model_check() {
-    // The reactor's capture/recheck park protocol is lost-wakeup free on
-    // every interleaving, including one-ring-per-burst batch shapes…
-    for cfg in gate_doorbell_configs() {
-        explore_doorbell(&cfg).unwrap_or_else(|f| panic!("doorbell mc failed on {cfg:?}:\n{f}"));
-    }
-    // …and both planted bugs — parking without the under-mutex epoch
-    // re-check, and ringing only on a stale empty→non-empty belief —
-    // are caught as the lost wakeup they cause.
-    for cfg in gate_doorbell_bug_configs() {
-        let failure = explore_doorbell(&cfg).expect_err(&format!(
-            "planted doorbell bug {:?} went undetected",
-            cfg.variant
-        ));
-        assert!(
-            matches!(failure.violation, DoorbellViolation::LostWakeup { queued } if queued > 0),
-            "{:?} produced {:?}",
-            cfg.variant,
-            failure.violation
-        );
-    }
-}
-
-#[test]
-fn pushdown_fuel_model_passes_model_check() {
-    // The verify-then-execute pipeline terminates within budget with
-    // every retired instruction charged, over every branch outcome —
-    // and the backward-jump program in the correct set is rejected by
-    // the model verifier before execution (that *is* the safe outcome).
-    for cfg in gate_fuel_configs() {
-        let report =
-            explore_fuel(&cfg).unwrap_or_else(|f| panic!("fuel mc failed on {cfg:?}:\n{f}"));
-        if !report.rejected {
-            assert!(report.terminals >= 1, "no terminal state for {cfg:?}");
-        }
-    }
-    // Each planted bug is caught with the violation kind it plants: an
-    // accepted backward jump breaks forward progress (Runaway), an
-    // uncharged taken branch desynchronizes the meter (FuelLeak).
-    for cfg in gate_fuel_bug_configs() {
-        let failure = explore_fuel(&cfg).expect_err(&format!(
-            "planted fuel bug {:?} went undetected",
-            cfg.variant
-        ));
-        let ok = match cfg.variant {
-            FuelVariant::BackwardJumpAccepted => {
-                matches!(failure.violation, FuelViolation::Runaway { .. })
-            }
-            FuelVariant::FuelNotChargedOnTakenBranch => {
-                matches!(
-                    failure.violation,
-                    FuelViolation::FuelLeak { steps, charged } if charged < steps
-                )
-            }
-            FuelVariant::Correct => false,
-        };
-        assert!(ok, "{:?} produced {:?}", cfg.variant, failure.violation);
-    }
+    check_family("mc");
 }
 
 #[test]
 fn buffer_pool_release_protocol_passes_model_check() {
-    for cfg in gate_rc_configs() {
-        explore_rc(&cfg).unwrap_or_else(|f| panic!("rc mc failed on {cfg:?}:\n{f}"));
-    }
-    for cfg in gate_rc_bug_configs() {
-        assert!(
-            explore_rc(&cfg).is_err(),
-            "planted refcount bug {:?} went undetected",
-            cfg.variant
-        );
-    }
+    check_family("rc");
+}
+
+#[test]
+fn lock_discipline_passes_model_check() {
+    check_family("lock");
+}
+
+#[test]
+fn doorbell_protocol_passes_model_check() {
+    check_family("doorbell");
+}
+
+#[test]
+fn journal_commit_protocol_passes_model_check() {
+    check_family("journal");
+}
+
+#[test]
+fn pushdown_fuel_model_passes_model_check() {
+    check_family("fuel");
 }
