@@ -17,10 +17,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use labstor_bench::percentile;
-use labstor_ipc::{Envelope, LaneKind, QueueFlags, QueuePair, QueueRole};
+use labstor_ipc::{Doorbell, Envelope, LaneKind, QueueFlags, QueuePair, QueueRole};
 use labstor_sim::Ctx;
 
 /// Request payload: `(request id, client submit virtual time)` — the
@@ -30,6 +30,9 @@ type Req = (u64, u64);
 
 const RUNTIME_DOMAIN: u32 = 0;
 const QUEUE_DEPTH: usize = 1024;
+/// Cap on each park of the multi-thread arm (the worker's also bounds how
+/// long it takes to notice `stop`).
+const PARK: Duration = Duration::from_millis(5);
 
 fn queue(lane: LaneKind, id: u64) -> Arc<QueuePair<Req>> {
     Arc::new(QueuePair::with_lane(
@@ -109,18 +112,28 @@ fn run_single(lane: LaneKind, batch: usize, ops: usize) -> ConfigResult {
 
 /// Multi-thread mode: `clients` client threads (one queue pair each, so
 /// the SPSC per-direction contract holds) against one worker thread
-/// draining all queues with the batched verbs.
+/// draining all queues with the batched verbs. Every thread waits the way
+/// the runtime's do: the worker on one bell registered on every SQ, each
+/// client on a bell registered on its CQ. (Five threads that waited with
+/// a bare `spin_loop` on two vCPUs measured the scheduler's timeslice,
+/// not the queue: EXPERIMENTS.md.)
 fn run_multi(lane: LaneKind, batch: usize, clients: usize, ops_per_client: usize) -> ConfigResult {
     let qps: Vec<Arc<QueuePair<Req>>> = (0..clients).map(|i| queue(lane, i as u64)).collect();
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {
         let qps = qps.clone();
         let stop = stop.clone();
+        let bell = Arc::new(Doorbell::new());
+        for q in &qps {
+            q.register_sq_bell(&bell);
+        }
         std::thread::spawn(move || {
             let mut ctx = Ctx::new();
             let mut inbox: Vec<Envelope<Req>> = Vec::with_capacity(batch);
             let mut done: Vec<(Req, u64)> = Vec::with_capacity(batch);
             while !stop.load(Ordering::Acquire) {
+                // Capture before the scan (doorbell protocol).
+                let epoch = bell.epoch();
                 let mut idle = true;
                 for q in &qps {
                     inbox.clear();
@@ -133,13 +146,14 @@ fn run_multi(lane: LaneKind, batch: usize, clients: usize, ops_per_client: usize
                     }
                     while !done.is_empty() && !stop.load(Ordering::Acquire) {
                         if q.complete_batch(&mut done, RUNTIME_DOMAIN) == 0 {
-                            std::hint::spin_loop();
+                            // CQ full: the client is draining it.
+                            std::thread::yield_now();
                         }
                     }
                     done.clear();
                 }
                 if idle {
-                    std::hint::spin_loop();
+                    bell.wait_past(epoch, PARK);
                 }
             }
         })
@@ -150,6 +164,8 @@ fn run_multi(lane: LaneKind, batch: usize, clients: usize, ops_per_client: usize
         .enumerate()
         .map(|(i, qp)| {
             let qp = qp.clone();
+            let bell = Arc::new(Doorbell::new());
+            qp.register_cq_bell(&bell);
             std::thread::spawn(move || {
                 let domain = i as u32 + 1;
                 let mut ctx = Ctx::new();
@@ -158,6 +174,8 @@ fn run_multi(lane: LaneKind, batch: usize, clients: usize, ops_per_client: usize
                 let mut outbox: Vec<Envelope<Req>> = Vec::with_capacity(batch);
                 let mut next: u64 = 0;
                 while lat.len() < ops_per_client {
+                    // Capture before the reap (doorbell protocol).
+                    let epoch = bell.epoch();
                     if pend.is_empty() && (next as usize) < ops_per_client {
                         let n = batch.min(ops_per_client - next as usize);
                         let now = ctx.now();
@@ -166,12 +184,13 @@ fn run_multi(lane: LaneKind, batch: usize, clients: usize, ops_per_client: usize
                             next += 1;
                         }
                     }
-                    if !pend.is_empty() {
-                        qp.submit_batch(&mut pend, ctx.now(), domain);
-                    }
+                    let submitted = qp.submit_batch(&mut pend, ctx.now(), domain);
                     outbox.clear();
-                    if qp.reap_batch(&mut ctx, domain, &mut outbox, batch) == 0 {
-                        std::hint::spin_loop();
+                    if qp.reap_batch(&mut ctx, domain, &mut outbox, batch) == 0 && submitted == 0 {
+                        // Nothing to reap and nothing accepted (all
+                        // submitted, or the SQ is full): only a
+                        // completion can change either.
+                        bell.wait_past(epoch, PARK);
                     }
                     for env in outbox.drain(..) {
                         lat.push(env.dequeue_vt.saturating_sub(env.payload.1));

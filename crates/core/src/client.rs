@@ -90,6 +90,14 @@ pub struct Client {
 /// loops re-check liveness after each wakeup instead of spin-checking it.
 const WAIT_PARK: Duration = Duration::from_millis(5);
 
+/// Has a refused submission been retried for longer than `timeout`? The
+/// first refusal starts the clock, so a submission the queue accepts at
+/// once (every one, short of backpressure) never reads it.
+fn backpressure_expired(deadline: &mut Option<Instant>, timeout: Duration) -> bool {
+    let now = Instant::now();
+    now > *deadline.get_or_insert(now + timeout)
+}
+
 impl Client {
     pub(crate) fn new(conn: ClientConnection<Message>, runtime: Arc<Runtime>) -> Client {
         let tenant = runtime.tenants.resolve(conn.creds.tenant);
@@ -217,21 +225,21 @@ impl Client {
     fn roundtrip(&mut self, req: Request) -> Result<RespPayload, ClientError> {
         let id = req.id;
         let stack_id = req.stack;
-        let rec = self.runtime.mm.telemetry().clone();
         let est = self.estimate(&req);
         self.rr = (self.rr + 1) % self.conn.queues.len();
-        let qp = self.conn.queues[self.rr].clone();
+        let rec = self.runtime.mm.telemetry();
+        let qp = &self.conn.queues[self.rr];
         qp.note_item_est(est);
         qp.add_load(est as i64);
         // Submit with backpressure retry.
         let mut msg = Message::Req(req);
-        let deadline = Instant::now() + self.offline_timeout;
+        let mut deadline = None;
         loop {
             match qp.submit(msg, self.ctx.now(), self.conn.domain) {
                 Ok(()) => break,
                 Err(back) => {
                     msg = back;
-                    if Instant::now() > deadline {
+                    if backpressure_expired(&mut deadline, self.offline_timeout) {
                         return Err(ClientError::Backpressure);
                     }
                     std::thread::yield_now();
@@ -332,12 +340,12 @@ impl Client {
             ExecMode::Async => {
                 let est = self.estimate(&req);
                 self.rr = (self.rr + 1) % self.conn.queues.len();
-                let qp = self.conn.queues[self.rr].clone();
+                let qp = &self.conn.queues[self.rr];
                 qp.note_item_est(est);
                 qp.add_load(est as i64);
                 self.pending.insert(id, (self.ctx.now(), self.rr, stack.id));
                 let mut msg = Message::Req(req);
-                let deadline = Instant::now() + self.offline_timeout;
+                let mut deadline = None;
                 loop {
                     match qp.submit(msg, self.ctx.now(), self.conn.domain) {
                         Ok(()) => {
@@ -350,7 +358,7 @@ impl Client {
                         }
                         Err(back) => {
                             msg = back;
-                            if Instant::now() > deadline {
+                            if backpressure_expired(&mut deadline, self.offline_timeout) {
                                 self.pending.remove(&id);
                                 return Err(ClientError::Backpressure);
                             }
@@ -392,7 +400,7 @@ impl Client {
         }
         self.rr = (self.rr + 1) % self.conn.queues.len();
         let qi = self.rr;
-        let qp = self.conn.queues[qi].clone();
+        let qp = &self.conn.queues[qi];
         // Admission charges the whole burst atomically (one bucket
         // operation per batch, matching the batched submit): either every
         // request is admitted or none is queued.
@@ -415,10 +423,10 @@ impl Client {
             ids.push(req.id);
             msgs.push(Message::Req(req));
         }
-        let deadline = Instant::now() + self.offline_timeout;
+        let mut deadline = None;
         while !msgs.is_empty() {
             if qp.submit_batch(&mut msgs, self.ctx.now(), self.conn.domain) == 0
-                && Instant::now() > deadline
+                && backpressure_expired(&mut deadline, self.offline_timeout)
             {
                 // Unregister the unsubmitted tail; keep ids that made it.
                 for m in &msgs {
@@ -457,12 +465,11 @@ impl Client {
     /// per queue instead of one per completion. Per-envelope `dequeue_vt`
     /// keeps each completion's reap time exact inside the burst.
     fn drain_completions(&mut self) {
-        let rec = self.runtime.mm.telemetry().clone();
+        let rec = self.runtime.mm.telemetry();
         let recording = rec.enabled();
         let mut burst: Vec<Envelope<Message>> = Vec::with_capacity(Self::REAP_BATCH);
         let mut spans: Vec<SpanEvent> = Vec::new();
-        for qi in 0..self.conn.queues.len() {
-            let qp = self.conn.queues[qi].clone();
+        for qp in &self.conn.queues {
             if qp.reap_batch(
                 &mut self.ctx,
                 self.conn.domain,

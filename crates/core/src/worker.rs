@@ -182,7 +182,9 @@ pub struct Worker {
     pub processed: Arc<AtomicU64>,
     /// Reactor passes completed (scan-everything rounds). A parked worker
     /// does not accumulate passes — tests and the idle-fleet bench use
-    /// this to prove idleness costs no CPU.
+    /// this to prove idleness costs no CPU. How its waits ended is on
+    /// the bell: `assigned.bell().parks()` (slept) and `.phase_hits()`
+    /// (rung during the pre-park run).
     pub passes: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     join: Option<JoinHandle<()>>,

@@ -21,10 +21,46 @@
 //! breaks without it. The waiter-count fast path is the store-buffering
 //! litmus test: both sides use `SeqCst` so "ringer misses the waiter while
 //! the waiter misses the bump" is an impossible cycle.
+//!
+//! # Pre-park phase
+//!
+//! A futex round trip (wake, wait, two cold context switches) costs more
+//! than the whole of a small request, so `wait_past` first re-reads the
+//! epoch across a short run of `yield_now` calls, *before* registering as
+//! a waiter. A peer inside that run is not a waiter: the ringer stays on
+//! its two-atomic path and a closed request/response loop makes no futex
+//! call at all. The run only ever returns `true` on a moved epoch — what
+//! the entry check does — and otherwise falls through to the register →
+//! re-check → sleep sequence above, so it is the caller calling
+//! `wait_past` a little later and the protocol argument is untouched.
+//! The run yields rather than spins: with both ends on one CPU a `pause`
+//! loop burns the timeslice the peer needs to ring. Its length sizes
+//! itself per bell (`next_run`), so an idle bell pays one yield per
+//! park while a busy one never sleeps.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// Longest pre-park run. A lone `sched_yield` is ~0.2 us, so the cap is
+/// worth about one futex round trip (10-20 us): past that, sleeping is
+/// the cheaper way to wait.
+const MAX_RUN: u32 = 64;
+
+/// A park that a ring ends this soon would have been caught by a longer
+/// run: it counts as a hit when sizing the next one.
+const NEAR_MISS: Duration = Duration::from_micros(50);
+
+/// The sizing rule of the pre-park run: double (up to [`MAX_RUN`]) after
+/// a wait that a ring ended inside the run or just past it, halve (down
+/// to one yield) after a wait that had to sleep.
+fn next_run(run: u32, hit: bool) -> u32 {
+    if hit {
+        (run * 2).min(MAX_RUN)
+    } else {
+        (run / 2).max(1)
+    }
+}
 
 /// An epoch-counting park/wake word (condvar-backed futex stand-in).
 ///
@@ -39,6 +75,13 @@ pub struct Doorbell {
     /// and the notify, never across a scan.
     mu: Mutex<()>,
     cv: Condvar,
+    /// Yields the next `wait_past` makes before registering (a hint:
+    /// concurrent waiters may overwrite each other's update).
+    run: AtomicU32,
+    /// Waits that got as far as registering as a waiter.
+    parks: AtomicU64,
+    /// Waits that a ring ended inside the pre-park run.
+    phase_hits: AtomicU64,
 }
 
 impl Doorbell {
@@ -49,6 +92,29 @@ impl Doorbell {
             waiters: AtomicU32::new(0),
             mu: Mutex::new(()),
             cv: Condvar::new(),
+            run: AtomicU32::new(1),
+            parks: AtomicU64::new(0),
+            phase_hits: AtomicU64::new(0),
+        }
+    }
+
+    /// How many `wait_past` calls registered as a waiter (the slow path:
+    /// a futex wait, and a futex wake for the ringer).
+    pub fn parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+    }
+
+    /// How many `wait_past` calls a ring ended inside the pre-park run,
+    /// with no futex call on either side.
+    pub fn phase_hits(&self) -> u64 {
+        self.phase_hits.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+    }
+
+    /// Record how a wait ended and size the next pre-park run from it.
+    fn resize_run(&self, run: u32, hit: bool) {
+        let next = next_run(run, hit);
+        if next != run {
+            self.run.store(next, Ordering::Relaxed); // relaxed-ok: sizing hint; publishes nothing
         }
     }
 
@@ -78,13 +144,25 @@ impl Doorbell {
     ///
     /// Returns `true` if the epoch moved (a ring happened since the
     /// caller captured `observed`), `false` on timeout. Spurious wakeups
-    /// never return early: the epoch is the sole wake condition.
+    /// never return early: the epoch is the sole wake condition. The
+    /// pre-park run (module docs) counts against `timeout`.
     pub fn wait_past(&self, observed: u64, timeout: Duration) -> bool {
         if self.epoch.load(Ordering::SeqCst) != observed {
             return true;
         }
-        self.waiters.fetch_add(1, Ordering::SeqCst);
         let deadline = Instant::now() + timeout;
+        let run = self.run.load(Ordering::Relaxed); // relaxed-ok: sizing hint; publishes nothing
+        for _ in 0..run {
+            std::thread::yield_now();
+            if self.epoch.load(Ordering::SeqCst) != observed {
+                self.phase_hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+                self.resize_run(run, true);
+                return true;
+            }
+        }
+        self.parks.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let parked = Instant::now();
         {
             let mut guard = self.mu.lock(); // lock-class: ipc.bell
                                             // Re-check under the mutex: a ring between the caller's queue
@@ -99,7 +177,9 @@ impl Doorbell {
             }
         }
         self.waiters.fetch_sub(1, Ordering::SeqCst);
-        self.epoch.load(Ordering::SeqCst) != observed
+        let rung = self.epoch.load(Ordering::SeqCst) != observed;
+        self.resize_run(run, rung && parked.elapsed() < NEAR_MISS);
+        rung
     }
 }
 
@@ -124,21 +204,51 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn ring_before_wait_returns_immediately() {
+    fn ring_before_wait_never_parks() {
         let bell = Doorbell::new();
         let e = bell.epoch();
         bell.ring();
         let t0 = Instant::now();
         assert!(bell.wait_past(e, Duration::from_secs(10)));
         assert!(t0.elapsed() < Duration::from_secs(1));
+        assert_eq!((bell.parks(), bell.phase_hits()), (0, 0));
+    }
+
+    /// The pre-park run is part of the wait, not in front of it: even at
+    /// its longest, a wait nobody rings still ends at the deadline.
+    #[test]
+    fn pre_park_run_counts_against_the_timeout() {
+        let bell = Doorbell::new();
+        bell.run.store(MAX_RUN, Ordering::Relaxed); // relaxed-ok: test set-up on one thread
+        let e = bell.epoch();
+        let t0 = Instant::now();
+        assert!(!bell.wait_past(e, Duration::from_millis(10)));
+        let took = t0.elapsed();
+        assert!(
+            took >= Duration::from_millis(10),
+            "returned early: {took:?}"
+        );
+        assert!(took < Duration::from_millis(500), "overslept: {took:?}");
+        assert_eq!(bell.epoch(), e);
+        assert_eq!((bell.parks(), bell.phase_hits()), (1, 0));
     }
 
     #[test]
-    fn wait_times_out_without_ring() {
+    fn run_length_doubles_on_a_hit_and_halves_on_a_miss() {
+        assert_eq!(next_run(1, true), 2);
+        assert_eq!(next_run(8, true), 16);
+        assert_eq!(next_run(MAX_RUN, true), MAX_RUN);
+        assert_eq!(next_run(MAX_RUN / 2 + 1, true), MAX_RUN);
+        assert_eq!(next_run(16, false), 8);
+        assert_eq!(next_run(3, false), 1);
+        assert_eq!(next_run(1, false), 1);
+        // A bell nobody rings settles at one yield per park.
         let bell = Doorbell::new();
-        let e = bell.epoch();
-        assert!(!bell.wait_past(e, Duration::from_millis(10)));
-        assert_eq!(bell.epoch(), e);
+        bell.run.store(MAX_RUN, Ordering::Relaxed); // relaxed-ok: test set-up on one thread
+        for _ in 0..7 {
+            assert!(!bell.wait_past(bell.epoch(), Duration::ZERO));
+        }
+        assert_eq!(bell.run.load(Ordering::Relaxed), 1); // relaxed-ok: test read on one thread
     }
 
     #[test]

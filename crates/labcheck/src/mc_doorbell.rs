@@ -10,19 +10,23 @@
 //!   notify (under the bell mutex) if a waiter is registered. One ring
 //!   per burst (the PR 3 one-doorbell-per-burst contract).
 //! * Consumer: capture the epoch **before** scanning; scan; if idle,
+//!   re-read the epoch a few times without registering (the pre-park
+//!   phase: a moved epoch sends it straight back to the scan), then
 //!   register as a waiter and — *under the bell mutex* — re-check that
 //!   the epoch still equals the capture before sleeping. A ring that
 //!   landed anywhere between capture and park moves the epoch, the
 //!   re-check sees it, and the consumer retries instead of sleeping.
 //!
 //! This checker exhaustively explores producer/consumer interleavings
-//! ([`crate::explore`]) of that protocol and two planted bugs, with **no
+//! ([`crate::explore`]) of that protocol and three planted bugs, with **no
 //! timeout in the model**: the real `wait_past` carries a safety-net timeout, but the
 //! protocol must not need it.
 //!
 //! - [`DoorbellVariant::Correct`] — the shipped protocol. Every schedule
 //!   drains every burst; no reachable state has the consumer parked with
-//!   work queued and no ring in flight.
+//!   work queued and no ring in flight. The pre-park phase's length is a
+//!   run-time heuristic, so every idle scan branches over 0, 1 and 2
+//!   epoch re-reads before registration.
 //! - [`DoorbellVariant::ParkWithoutRecheck`] — the classic lost wakeup:
 //!   the consumer parks after its idle scan *without* re-checking the
 //!   epoch under the mutex. A ring between "check empty" and "park"
@@ -35,6 +39,12 @@
 //!   on a queue the consumer just drained — no edge observed, no ring,
 //!   consumer parks forever. (This is why the real producers ring
 //!   unconditionally per successful burst.)
+//! - [`DoorbellVariant::PhaseReadAsRecheck`] — the tempting shortcut the
+//!   pre-park phase invites: the consumer just read the epoch, so it
+//!   registers and sleeps without reading it again under the mutex. The
+//!   phase's read is taken *before* registration, so a ring between that
+//!   read and the registration finds no waiter to notify — the same lost
+//!   wakeup as `ParkWithoutRecheck`, one step later.
 
 use crate::explore::{Model, Step, Violating};
 
@@ -50,6 +60,9 @@ pub enum DoorbellVariant {
     /// Planted bug: ring only when the producer's pre-push depth read
     /// was zero — a stale emptiness belief skips the wake.
     EdgeOnlyRing,
+    /// Planted bug: the pre-park phase's last epoch read stands in for
+    /// the under-mutex re-check.
+    PhaseReadAsRecheck,
 }
 
 /// Model-checker configuration.
@@ -108,10 +121,14 @@ enum CPhase {
     Capture,
     /// Scan: pop if non-empty, else fall through to the park sequence.
     Scan,
+    /// Pre-park phase with this many epoch re-reads left; the consumer
+    /// is not a waiter yet, so a ring here notifies nobody.
+    Phase(u8),
     /// Register as a waiter on the bell.
     Register,
     /// Decide to sleep. `Correct` re-checks the epoch against the
-    /// capture under the mutex; `ParkWithoutRecheck` does not.
+    /// capture under the mutex; `ParkWithoutRecheck` and
+    /// `PhaseReadAsRecheck` do not.
     ParkDecide,
     /// Asleep on the condvar.
     Parked,
@@ -119,6 +136,17 @@ enum CPhase {
     Deregister,
     /// All envelopes popped.
     Done,
+}
+
+impl CPhase {
+    /// Where an idle consumer with `reads` pre-park re-reads still to
+    /// make stands: in the phase, or at registration once none are left.
+    fn pre_park(reads: u8) -> CPhase {
+        match reads {
+            0 => CPhase::Register,
+            _ => CPhase::Phase(reads),
+        }
+    }
 }
 
 /// Joint state of the two-thread model.
@@ -149,6 +177,17 @@ impl DoorbellConfig {
             PPhase::ReadDepth
         } else {
             PPhase::Push(0)
+        }
+    }
+
+    /// How many pre-park epoch re-reads an idle scan may be followed by.
+    /// The two PR 9 planted bugs keep the PR 9 consumer (none); the
+    /// shortcut needs at least one read to take.
+    fn phase_reads(&self) -> std::ops::RangeInclusive<u8> {
+        match self.variant {
+            DoorbellVariant::Correct => 0..=2,
+            DoorbellVariant::PhaseReadAsRecheck => 1..=2,
+            DoorbellVariant::ParkWithoutRecheck | DoorbellVariant::EdgeOnlyRing => 0..=0,
         }
     }
 
@@ -197,7 +236,9 @@ impl DoorbellConfig {
         (n, label)
     }
 
-    fn consumer_step(&self, s: &State) -> Step<State> {
+    /// The consumer's steps from `s`: one, except after an idle scan,
+    /// which branches over the length of the pre-park phase.
+    fn consumer_steps(&self, s: &State, out: &mut Vec<Step<State>>) {
         let mut n = *s;
         let label = match s.cphase {
             CPhase::Capture => {
@@ -216,8 +257,20 @@ impl DoorbellConfig {
                     };
                     format!("cons: pop (q -> {})", n.q)
                 } else {
-                    n.cphase = CPhase::Register;
-                    "cons: scan idle".to_string()
+                    for reads in self.phase_reads() {
+                        n.cphase = CPhase::pre_park(reads);
+                        out.push((n, format!("cons: scan idle, {reads} pre-park reads")));
+                    }
+                    return;
+                }
+            }
+            CPhase::Phase(left) => {
+                if s.epoch != s.capture {
+                    n.cphase = CPhase::Capture;
+                    "cons: pre-park read sees ring, rescan".to_string()
+                } else {
+                    n.cphase = CPhase::pre_park(left - 1);
+                    "cons: pre-park read, epoch unchanged".to_string()
                 }
             }
             CPhase::Register => {
@@ -226,7 +279,10 @@ impl DoorbellConfig {
                 "cons: register waiter".to_string()
             }
             CPhase::ParkDecide => {
-                let recheck = self.variant != DoorbellVariant::ParkWithoutRecheck;
+                let recheck = !matches!(
+                    self.variant,
+                    DoorbellVariant::ParkWithoutRecheck | DoorbellVariant::PhaseReadAsRecheck
+                );
                 if recheck && s.epoch != s.capture {
                     n.cphase = CPhase::Deregister;
                     "cons: recheck sees ring, retreat".to_string()
@@ -245,7 +301,7 @@ impl DoorbellConfig {
             }
             CPhase::Parked | CPhase::Done => unreachable!(),
         };
-        (n, label)
+        out.push((n, label));
     }
 }
 
@@ -282,7 +338,7 @@ impl Model for DoorbellConfig {
             out.push(self.producer_step(s));
         }
         if !matches!(s.cphase, CPhase::Done | CPhase::Parked) {
-            out.push(self.consumer_step(s));
+            self.consumer_steps(s, out);
         }
         Ok(())
     }
@@ -303,7 +359,7 @@ mod tests {
     use crate::explore::explore;
 
     // The gate table (`crate::gate`) runs and pins the 3x1, 2x2 and 2x3
-    // shapes of the shipped protocol and both planted bugs at 2x1 and 3x2.
+    // shapes of the shipped protocol and the planted bugs at 2x1 and 3x2.
 
     #[test]
     fn correct_protocol_never_strands_a_parked_consumer() {
