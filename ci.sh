@@ -44,7 +44,7 @@ test -s BENCH_pushdown.json
 
 echo "== crash_fuzz smoke (crash-recovery prefix-consistency campaign)"
 cargo run -q --release -p labstor-bench --bin crash_fuzz -- --smoke
-test -s BENCH_crash_fuzz.json
+test -s target/bench/BENCH_crash_fuzz.json
 test -s results/crash_fuzz_failures.json
 
 echo "== labstor-benchmark smoke (every workload end to end; a wrong byte, a failed op or cross-trial drift fails)"

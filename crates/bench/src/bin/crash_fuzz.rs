@@ -1,5 +1,7 @@
-//! Crash-recovery fuzz campaign, emitting `BENCH_crash_fuzz.json` and a
-//! failure-reproduction seed file under `results/`.
+//! Crash-recovery fuzz campaign, emitting `BENCH_crash_fuzz.json` (the
+//! full run; `--smoke` writes `target/bench/BENCH_crash_fuzz.json` and
+//! leaves the committed artifact alone) and a failure-reproduction seed
+//! file under `results/`.
 //!
 //! Runs the `labstor_workloads::crash` campaign: seeded fio-like and
 //! filebench-like mixes over LabFS plus a LabKVS mix, each killed at a
@@ -73,12 +75,20 @@ fn main() {
         "smoke": smoke,
         "trials": report.trials.len() as u64,
         "crash_points": report.crashes() as u64,
+        // The version digit of the frame magic, "LBJ2".
+        "journal_format": u64::from(labstor_mods::journal::FRAME_MAGIC as u8 - b'0'),
         "torn_tails_discarded": report.torn_tails() as u64,
+        "mid_frame_tears": report.mid_frame_tears() as u64,
         "violations": violations.len() as u64,
         "per_workload": Value::Object(per_workload),
     });
-    std::fs::write("BENCH_crash_fuzz.json", format!("{out}\n"))
-        .expect("write BENCH_crash_fuzz.json");
+    let artifact = if smoke {
+        std::fs::create_dir_all("target/bench").expect("create target/bench");
+        "target/bench/BENCH_crash_fuzz.json"
+    } else {
+        "BENCH_crash_fuzz.json"
+    };
+    std::fs::write(artifact, format!("{out}\n")).expect("write the campaign artifact");
 
     println!(
         "crash_fuzz ({}): {}",

@@ -205,7 +205,7 @@ fn fuel(program: Vec<FuelInsn>, fuel: u8, variant: FuelVariant, expect: Expect) 
     GateRow::new("fuel", params, expect, move || mc_fuel::run(&cfg))
 }
 
-/// The gate: 26 correct rows and 21 planted bugs over the six models.
+/// The gate: 26 correct rows and 22 planted bugs over the six models.
 pub fn gate() -> Vec<GateRow> {
     use FuelInsn::{Br, Fall, Halt};
     let exact = |cfg: McConfig, variant| McConfig {
@@ -374,30 +374,38 @@ pub fn gate() -> Vec<GateRow> {
             DoorbellVariant::PhaseReadAsRecheck,
             caught("LostWakeup { queued: 2 }", 11),
         ),
-        // Journal commit protocol (PR 8): every crash point and device
-        // tear recovers to an exactly-once, corruption-free prefix;
-        // acking before the commit record, a replay loop without
-        // idempotence and a recovery that skips the payload CRC do not.
-        journal(1, false, JournalVariant::Correct, pass(4, 3, 1)),
-        journal(2, true, JournalVariant::Correct, pass(16, 15, 4)),
-        journal(3, true, JournalVariant::Correct, pass(36, 35, 8)),
+        // Journal commit protocol (one sealed frame write per
+        // transaction): every crash point and device tear recovers to an
+        // exactly-once, corruption-free prefix; acking before the write
+        // returned, a replay loop without idempotence and a recovery
+        // that skips the payload CRC do not — the last with or without
+        // device faults, since nothing but that CRC commits a frame.
+        journal(1, false, JournalVariant::Correct, pass(6, 7, 1)),
+        journal(2, true, JournalVariant::Correct, pass(56, 65, 16)),
+        journal(3, true, JournalVariant::Correct, pass(232, 273, 64)),
         journal(
             2,
             false,
-            JournalVariant::LostCommit,
-            caught("AckedLost { txn: 1 }", 4),
+            JournalVariant::AckBeforeWrite,
+            caught("AckedLost { txn: 1 }", 2),
         ),
         journal(
             2,
             false,
             JournalVariant::ReplayTwice,
-            caught("AppliedTwice { txn: 1 }", 4),
+            caught("AppliedTwice { txn: 1 }", 3),
+        ),
+        journal(
+            2,
+            false,
+            JournalVariant::TornCrcAccept,
+            caught("CorruptionAccepted { txn: 1 }", 2),
         ),
         journal(
             2,
             true,
             JournalVariant::TornCrcAccept,
-            caught("CorruptionAccepted { txn: 1 }", 4),
+            caught("CorruptionAccepted { txn: 1 }", 2),
         ),
         // Pushdown fuel/termination (PR 10): straight-line code, the
         // count_where_u32_eq skeleton (load, branch, two exits), a
@@ -454,11 +462,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_covers_six_families_with_47_rows() {
+    fn table_covers_six_families_with_48_rows() {
         let rows = gate();
         let planted = |r: &&GateRow| matches!(r.expect, Expect::Caught { .. });
-        assert_eq!(rows.len(), 47);
-        assert_eq!(rows.iter().filter(planted).count(), 21);
+        assert_eq!(rows.len(), 48);
+        assert_eq!(rows.iter().filter(planted).count(), 22);
         for family in ["mc", "rc", "lock", "doorbell", "journal", "fuel"] {
             assert!(rows.iter().any(|r| r.family == family && planted(&r)));
             assert!(rows.iter().any(|r| r.family == family && !planted(&r)));

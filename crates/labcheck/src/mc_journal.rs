@@ -1,40 +1,46 @@
 //! Deterministic model checker for the journal commit protocol.
 //!
-//! `crates/mods/src/journal.rs` makes a flush durable with two ordered
-//! device writes — header+payload first, then a separate commit record —
-//! and recovery replays the longest prefix of transactions whose payload
-//! CRC and commit record both validate. This checker explores every
-//! crash point and device-tear choice of that protocol
-//! ([`crate::explore`]) and verifies, at every crash and at clean
-//! shutdown:
+//! `crates/mods/src/journal.rs` makes a flush durable with ONE device
+//! write — a sealed frame: header sector first, payload behind it — and
+//! acks only after that write returned. Recovery replays the longest
+//! prefix of frames whose header CRC, sequence chain and payload CRC all
+//! validate. There is no commit record: the payload CRC is the commit
+//! point. This checker explores every crash point and device-tear choice
+//! of that protocol ([`crate::explore`]) and verifies, at every crash and
+//! at clean shutdown:
 //!
 //! 1. **Prefix + exactly-once**: recovery applies transactions
 //!    `1..=k` in order, each exactly once — no holes, no duplicates.
-//! 2. **No corruption accepted**: a transaction whose payload tore never
+//! 2. **No corruption accepted**: a transaction whose frame tore never
 //!    reaches the recovered state.
 //! 3. **Durability**: if the device performed every acknowledged write
 //!    faithfully (no silent tear in the run), every acked transaction is
 //!    recovered.
 //!
-//! The model: the writer appends `txns` transactions. A body write is two
-//! atomic sub-steps (partial landing, then full landing) so a crash
-//! between them leaves a torn payload; with
-//! [`JournalConfig::allow_silent_tear`] the scheduler may also have the
-//! device *ack* the partial landing (the silent-tear fault the sim
-//! injects), after which the writer proceeds believing the payload is
-//! durable. The commit record occupies a single sector and is modeled
-//! atomic. A crash transition is available from every state.
+//! The model: the writer appends `txns` transactions, one frame each. The
+//! device tears at sector granularity and in no particular order, so a
+//! frame is modelled as two parts — its header sector and the rest of
+//! its payload — and its write as two atomic sub-steps: an arbitrary
+//! *strict subset* of the parts lands (nothing, header only, payload
+//! only), then all of them. A crash between the two leaves a torn frame;
+//! with [`JournalConfig::allow_silent_tear`] the scheduler may also have
+//! the device *ack* the partial landing (the silent-tear fault the sim
+//! injects), after which the writer proceeds believing the frame is
+//! durable. (A one-sector frame lands whole or not at all, which is the
+//! nothing/all path of the same model.) A crash transition is available
+//! from every state.
 //!
 //! Planted-bug variants, each of which must be caught:
 //!
-//! - [`JournalVariant::LostCommit`] — the writer acks the client after
-//!   the payload write but *before* the commit record (the jbd2 ordering
-//!   inverted). A crash in between loses an acked transaction.
+//! - [`JournalVariant::AckBeforeWrite`] — the writer acks the client when
+//!   it has *submitted* the frame, before the write returned. A crash in
+//!   between loses an acked transaction.
 //! - [`JournalVariant::ReplayTwice`] — recovery applies each committed
 //!   transaction twice (a replay loop without idempotence bookkeeping).
 //! - [`JournalVariant::TornCrcAccept`] — recovery skips the payload CRC
-//!   and accepts any transaction whose header and commit record are
-//!   present, replaying torn data.
+//!   and accepts any frame whose header is present, replaying torn data.
+//!   With one write per transaction nothing else stands between a plain
+//!   power cut and that bug, so it is caught without any device fault.
 
 use crate::explore::{Model, Step, Violating};
 
@@ -44,16 +50,16 @@ pub const MAX_TXNS: usize = 3;
 /// Journal protocol variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalVariant {
-    /// The shipped protocol: payload write, commit write, then ack;
-    /// recovery validates payload CRC + commit and stops at the first
-    /// invalid frame.
+    /// The shipped protocol: one frame write, then ack; recovery
+    /// validates header and payload CRC and stops at the first invalid
+    /// frame.
     Correct,
-    /// Bug: ack after the payload write, before the commit record.
-    LostCommit,
+    /// Bug: ack when the frame is submitted, before its write returned.
+    AckBeforeWrite,
     /// Bug: recovery applies each committed transaction twice.
     ReplayTwice,
-    /// Bug: recovery accepts a transaction with a torn payload (no CRC
-    /// check) as long as header and commit record are present.
+    /// Bug: recovery accepts a frame with a torn payload (no CRC check)
+    /// as long as its header is present.
     TornCrcAccept,
 }
 
@@ -62,7 +68,7 @@ pub enum JournalVariant {
 pub struct JournalConfig {
     /// Transactions the writer appends (1..=[`MAX_TXNS`]).
     pub txns: u8,
-    /// Whether the scheduler may silently tear a payload write (device
+    /// Whether the scheduler may silently tear a frame write (device
     /// acks a partial landing).
     pub allow_silent_tear: bool,
     /// Protocol variant under test.
@@ -80,13 +86,15 @@ impl JournalConfig {
     }
 }
 
-/// Media state of one transaction's payload.
+/// Which parts of one transaction's frame are on media.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Body {
+enum Frame {
     /// Nothing landed.
     None,
-    /// A strict prefix landed (torn).
-    Torn,
+    /// Only the header sector landed (torn).
+    Header,
+    /// Only payload sectors landed (torn).
+    Payload,
     /// Every sector landed.
     Full,
 }
@@ -104,7 +112,7 @@ pub enum JournalViolation {
         /// The duplicated transaction (1-based).
         txn: u8,
     },
-    /// Recovery applied a transaction whose payload tore.
+    /// Recovery applied a transaction whose frame tore.
     CorruptionAccepted {
         /// The torn transaction (1-based).
         txn: u8,
@@ -120,22 +128,19 @@ pub enum JournalViolation {
 /// Writer program counter within the current transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Pc {
-    /// About to start the body write.
+    /// About to issue the frame write.
     Start,
-    /// Body partially landed; the write is still in flight.
-    BodyPartial,
-    /// Body fully landed (or silently acked); commit not yet written.
-    BodyDone,
-    /// LostCommit only: acked, commit record still unwritten.
-    AckedEarly,
+    /// A strict subset of the frame landed; the write is still in flight.
+    InFlight,
+    /// The write returned (every sector landed, or the device said so).
+    Written,
 }
 
 /// Joint state: per-transaction media + ack flags, writer position, and
 /// whether a silent tear happened in this run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct State {
-    body: [Body; MAX_TXNS],
-    commit: [bool; MAX_TXNS],
+    frame: [Frame; MAX_TXNS],
     acked: [bool; MAX_TXNS],
     /// Index of the transaction the writer is working on (== txns when
     /// the workload is complete).
@@ -150,19 +155,18 @@ pub struct State {
 fn recover(cfg: &JournalConfig, s: &State) -> Vec<u8> {
     let mut applied = Vec::new();
     for i in 0..cfg.txns as usize {
-        let body_ok = match cfg.variant {
-            // Bug: header + commit present is "good enough" — no CRC.
-            JournalVariant::TornCrcAccept => s.body[i] != Body::None,
-            _ => s.body[i] == Body::Full,
+        let committed = match cfg.variant {
+            // Bug: a valid header is "good enough" — no payload CRC.
+            JournalVariant::TornCrcAccept => matches!(s.frame[i], Frame::Header | Frame::Full),
+            _ => s.frame[i] == Frame::Full,
         };
-        if body_ok && s.commit[i] {
-            applied.push(i as u8 + 1);
-            if cfg.variant == JournalVariant::ReplayTwice {
-                applied.push(i as u8 + 1);
-            }
-        } else {
+        if !committed {
             // Prefix-consistent stop: nothing past the first bad frame.
             break;
+        }
+        applied.push(i as u8 + 1);
+        if cfg.variant == JournalVariant::ReplayTwice {
+            applied.push(i as u8 + 1);
         }
     }
     applied
@@ -187,9 +191,9 @@ fn check_recovery(cfg: &JournalConfig, s: &State) -> Result<(), JournalViolation
             return Err(JournalViolation::NotAPrefix { applied });
         }
     }
-    // No torn payload in the recovered state.
+    // No torn frame in the recovered state.
     for &t in &applied {
-        if s.body[t as usize - 1] != Body::Full {
+        if s.frame[t as usize - 1] != Frame::Full {
             return Err(JournalViolation::CorruptionAccepted { txn: t });
         }
     }
@@ -214,8 +218,7 @@ impl Model for JournalConfig {
             "txns must be 1..={MAX_TXNS}"
         );
         State {
-            body: [Body::None; MAX_TXNS],
-            commit: [false; MAX_TXNS],
+            frame: [Frame::None; MAX_TXNS],
             acked: [false; MAX_TXNS],
             cur: 0,
             pc: Pc::Start,
@@ -246,52 +249,43 @@ impl Model for JournalConfig {
         let t = s.cur + 1; // 1-based label
         match s.pc {
             Pc::Start => {
-                // The body write starts landing sectors.
-                let mut n = *s;
-                n.body[i] = Body::Torn;
-                n.pc = Pc::BodyPartial;
-                out.push((n, format!("txn {t}: body write lands a prefix")));
+                // The one write starts landing sectors, in any order: any
+                // strict subset of the frame may be what is on media.
+                for (landed, what) in [
+                    (Frame::None, "nothing yet"),
+                    (Frame::Header, "its header sector"),
+                    (Frame::Payload, "payload sectors only"),
+                ] {
+                    let mut n = *s;
+                    n.frame[i] = landed;
+                    n.pc = Pc::InFlight;
+                    // Bug: the client hears "durable" at submission.
+                    n.acked[i] = self.variant == JournalVariant::AckBeforeWrite;
+                    out.push((n, format!("txn {t}: frame write lands {what}")));
+                }
             }
-            Pc::BodyPartial => {
+            Pc::InFlight => {
                 // Normal completion: the rest of the sectors land.
                 let mut n = *s;
-                n.body[i] = Body::Full;
-                n.pc = Pc::BodyDone;
-                out.push((n, format!("txn {t}: body write completes")));
+                n.frame[i] = Frame::Full;
+                n.pc = Pc::Written;
+                out.push((n, format!("txn {t}: frame write completes")));
                 if self.allow_silent_tear {
-                    // Device fault: the write is acked as complete while only
-                    // the prefix landed.
+                    // Device fault: the write is acked as complete while
+                    // only the subset landed.
                     let mut n = *s;
-                    n.pc = Pc::BodyDone;
+                    n.pc = Pc::Written;
                     n.faulted = true;
-                    out.push((n, format!("txn {t}: device silently tears the body")));
+                    out.push((n, format!("txn {t}: device silently tears the frame")));
                 }
             }
-            Pc::BodyDone => match self.variant {
-                JournalVariant::LostCommit => {
-                    // Bug: ack the client before the commit record exists.
-                    let mut n = *s;
-                    n.acked[i] = true;
-                    n.pc = Pc::AckedEarly;
-                    out.push((n, format!("txn {t}: ack BEFORE commit record")));
-                }
-                _ => {
-                    // Commit record: one sector, atomic; then ack.
-                    let mut n = *s;
-                    n.commit[i] = true;
-                    n.acked[i] = true;
-                    n.cur += 1;
-                    n.pc = Pc::Start;
-                    out.push((n, format!("txn {t}: commit record + ack")));
-                }
-            },
-            Pc::AckedEarly => {
-                // LostCommit's late commit record finally lands.
+            Pc::Written => {
+                // The write returned: ack, next transaction.
                 let mut n = *s;
-                n.commit[i] = true;
+                n.acked[i] = true;
                 n.cur += 1;
                 n.pc = Pc::Start;
-                out.push((n, format!("txn {t}: late commit record")));
+                out.push((n, format!("txn {t}: ack")));
             }
         }
         Ok(())
@@ -306,6 +300,14 @@ mod tests {
     // The gate table (`crate::gate`) runs and pins txns=1 without tears,
     // txns=2/3 with tears, and each planted bug at txns=2.
 
+    fn planted(variant: JournalVariant, allow_silent_tear: bool) -> JournalConfig {
+        JournalConfig {
+            txns: 1,
+            allow_silent_tear,
+            variant,
+        }
+    }
+
     #[test]
     fn correct_protocol_survives_all_crash_points() {
         for txns in 1..=3 {
@@ -317,13 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn lost_commit_record_is_caught() {
-        let cfg = JournalConfig {
-            txns: 1,
-            allow_silent_tear: false,
-            variant: JournalVariant::LostCommit,
-        };
-        let failure = explore(&cfg).expect_err("must catch the lost ack");
+    fn ack_before_the_write_returned_is_caught() {
+        let failure = explore(&planted(JournalVariant::AckBeforeWrite, false))
+            .expect_err("must catch the lost ack");
         assert!(
             matches!(failure.violation, JournalViolation::AckedLost { txn: 1 }),
             "expected AckedLost, got {:?}",
@@ -333,29 +331,16 @@ mod tests {
     }
 
     #[test]
-    fn torn_crc_accept_is_caught() {
-        let cfg = JournalConfig {
-            txns: 1,
-            allow_silent_tear: true,
-            variant: JournalVariant::TornCrcAccept,
-        };
-        let failure = explore(&cfg).expect_err("must catch the accepted tear");
-        assert!(matches!(
-            failure.violation,
-            JournalViolation::CorruptionAccepted { txn: 1 }
-        ));
-    }
-
-    #[test]
-    fn torn_crc_accept_passes_without_tears() {
-        // Without the device fault the buggy recovery never sees a torn
-        // payload behind a commit record: the checker needs the tear
-        // choice enabled to expose it.
-        let cfg = JournalConfig {
-            txns: 2,
-            allow_silent_tear: false,
-            variant: JournalVariant::TornCrcAccept,
-        };
-        assert!(explore(&cfg).is_ok());
+    fn torn_crc_accept_is_caught_by_a_plain_power_cut() {
+        // The header sector landed, the payload did not, the power went:
+        // no device fault is needed, the payload CRC is load-bearing.
+        for tear in [false, true] {
+            let failure = explore(&planted(JournalVariant::TornCrcAccept, tear))
+                .expect_err("must catch the accepted tear");
+            assert!(matches!(
+                failure.violation,
+                JournalViolation::CorruptionAccepted { txn: 1 }
+            ));
+        }
     }
 }

@@ -2,22 +2,19 @@
 //! background flush daemon.
 //!
 //! LabFS and LabKVS both append metadata records to per-worker in-memory
-//! log buffers and persist them as journal transactions (see
-//! [`crate::journal`]). Before this module the persist step wrote the
-//! device synchronously on the caller's clock, so an fsync stalled its
-//! worker for the full media time of every buffered transaction. The
-//! daemon splits that into two halves:
+//! logs and persist them as journal frames (see [`crate::journal`]).
+//! Before this module the persist step wrote the device synchronously on
+//! the caller's clock, so an fsync stalled its worker for the full media
+//! time of every buffered frame. The daemon splits that into two halves:
 //!
 //! * **Kick (foreground)** — the caller, holding its log's mutex, swaps
-//!   the buffer out, reserves the transaction's journal blocks and
-//!   sequence number, and hands the payload to the daemon. Appends can
-//!   keep filling the fresh buffer while the old one flushes.
-//! * **Flush (background)** — a single daemon thread encodes and writes
-//!   each transaction on its own virtual-time line: header+payload
-//!   first, the commit record only after that write was accepted, so the
-//!   write-ahead ordering a crash depends on is preserved per
-//!   transaction. Jobs run FIFO, which keeps each log's sequence chain
-//!   in submission order.
+//!   the pending records out, reserves the frame's sectors, sequence
+//!   number and chain value, seals it, and hands the bytes to the daemon.
+//!   Appends can keep filling a fresh frame while the old one flushes.
+//! * **Flush (background)** — a single daemon thread writes each frame on
+//!   its own virtual-time line, one device write per frame. Jobs run
+//!   FIFO, which keeps each log's sequence chain in submission order on
+//!   media; a frame counts as durable only once its write returned.
 //!
 //! # Virtual-time accounting
 //!
@@ -38,9 +35,9 @@
 //! cursors already advanced, so they are *sticky*: the first one is
 //! latched and every subsequent [`FlushDaemon::sync`] reports it until
 //! crash recovery calls [`FlushDaemon::reset`]. That latch is what makes
-//! background kicks safe — a transaction that silently died in the
-//! background leaves a hole in the journal chain, and the latch
-//! guarantees no later durability point can report `Ok` past that hole.
+//! background kicks safe — a frame that silently died in the background
+//! leaves a hole in the journal chain, and the latch guarantees no later
+//! durability point can report `Ok` past that hole.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,27 +45,19 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use labstor_sim::{BlockDevice, Ctx, SimDevice, SECTOR_SIZE};
+use labstor_sim::{BlockDevice, Ctx, DeviceError, SimDevice};
 
-use crate::journal;
-
-/// Buffer size at which [`LabFs`](crate::labfs::LabFs) / LabKVS kick a
-/// background flush from the append path, so a durability point usually
-/// finds most of the work already on (or past) the wire.
-pub(crate) const FLUSH_KICK_BYTES: usize = 32 * 1024;
-
-/// One reserved-but-unwritten journal transaction.
+/// One sealed-but-unwritten journal frame.
 struct FlushJob {
-    seq: u64,
-    payload: Vec<u8>,
-    start_block: u64,
+    frame: Vec<u8>,
+    /// Device sector the frame starts at.
+    sector: u64,
     /// Caller's virtual time at the kick; the flush cannot start earlier.
     submit_vt: u64,
 }
 
 struct Shared {
     device: Arc<SimDevice>,
-    block_size: usize,
     state: Mutex<State>,
     cv: Condvar,
 }
@@ -76,12 +65,12 @@ struct Shared {
 #[derive(Default)]
 struct State {
     queue: VecDeque<FlushJob>,
-    /// A job has been popped but its device writes are still running.
+    /// A job has been popped but its device write is still running.
     in_flight: bool,
     /// Virtual time at which everything flushed so far is durable.
     durable_vt: u64,
     /// First device error, latched until [`FlushDaemon::reset`].
-    first_err: Option<String>,
+    first_err: Option<DeviceError>,
     stop: bool,
 }
 
@@ -92,12 +81,10 @@ pub struct FlushDaemon {
 }
 
 impl FlushDaemon {
-    /// Spawn the daemon for `device`, writing `block_size`-aligned
-    /// journal transactions.
-    pub fn new(device: Arc<SimDevice>, block_size: usize) -> Self {
+    /// Spawn the daemon for `device`.
+    pub fn new(device: Arc<SimDevice>) -> Self {
         let shared = Arc::new(Shared {
             device,
-            block_size,
             state: Mutex::new(State::default()),
             cv: Condvar::new(),
         });
@@ -112,24 +99,23 @@ impl FlushDaemon {
         }
     }
 
-    /// Foreground half: enqueue one reserved transaction. The caller has
-    /// already swapped `payload` out of its log buffer and advanced the
-    /// log's block/sequence cursors — the daemon only does device work.
-    pub fn submit(&self, seq: u64, payload: Vec<u8>, start_block: u64, submit_vt: u64) {
+    /// Foreground half: enqueue one sealed frame for device `sector`.
+    /// The caller has already swapped the records out of its log and
+    /// advanced the log's cursors — the daemon only does device work.
+    pub fn submit(&self, frame: Vec<u8>, sector: u64, submit_vt: u64) {
         let mut st = self.shared.state.lock();
         st.queue.push_back(FlushJob {
-            seq,
-            payload,
-            start_block,
+            frame,
+            sector,
             submit_vt,
         });
         self.shared.cv.notify_all();
     }
 
-    /// Durability point: wait until every submitted transaction is on the
+    /// Durability point: wait until every submitted frame is on the
     /// device, charge the waiter's clock up to the durable instant, and
     /// surface any latched flush error.
-    pub fn sync(&self, ctx: &mut Ctx) -> Result<(), String> {
+    pub fn sync(&self, ctx: &mut Ctx) -> Result<(), DeviceError> {
         let mut st = self.shared.state.lock();
         while st.in_flight || !st.queue.is_empty() {
             self.shared.cv.wait(&mut st);
@@ -185,7 +171,6 @@ impl FlushDaemon {
     }
 
     fn run(shared: &Shared) {
-        let block_sectors = (shared.block_size / SECTOR_SIZE) as u64;
         loop {
             let (job, durable_vt) = {
                 let mut st = shared.state.lock();
@@ -201,28 +186,14 @@ impl FlushDaemon {
                 }
             };
             // Device work runs on the daemon's own timeline, outside the
-            // state lock so kicks never wait on media.
+            // state lock so kicks never wait on media. One write per
+            // frame: the frame seals itself, so nothing has to follow it.
             let mut ctx = Ctx::at(durable_vt.max(job.submit_vt));
-            let (body, commit) = journal::encode_txn(job.seq, &job.payload, shared.block_size);
-            let res = shared
-                .device
-                .write(&mut ctx, job.start_block * block_sectors, &body)
-                .map_err(|e| e.to_string())
-                .and_then(|_| {
-                    // Write-ahead ordering: the commit record goes out
-                    // only after the body write was accepted.
-                    let commit_block = job.start_block + (body.len() / shared.block_size) as u64;
-                    shared
-                        .device
-                        .write(&mut ctx, commit_block * block_sectors, &commit)
-                        .map_err(|e| e.to_string())
-                });
+            let res = shared.device.write(&mut ctx, job.sector, &job.frame);
             let mut st = shared.state.lock();
             st.durable_vt = st.durable_vt.max(ctx.now());
             if let Err(e) = res {
-                if st.first_err.is_none() {
-                    st.first_err = Some(e);
-                }
+                st.first_err.get_or_insert(e);
             }
             st.in_flight = false;
             shared.cv.notify_all();
@@ -246,38 +217,37 @@ impl Drop for FlushDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::replay_scan;
-    use labstor_sim::DeviceKind;
+    use crate::journal::{replay_scan, LogRegion};
+    use labstor_sim::{DeviceKind, SECTOR_SIZE};
 
-    const BLK: usize = 4096;
-    const SECTORS: u64 = (BLK / SECTOR_SIZE) as u64;
-
-    fn read_blocks(dev: &Arc<SimDevice>) -> impl Fn(u64, u64) -> Option<Vec<u8>> + '_ {
-        move |block, n| {
+    fn read_sectors(dev: &Arc<SimDevice>) -> impl Fn(u64, u64) -> Option<Vec<u8>> + '_ {
+        move |sector, n| {
             let mut ctx = Ctx::new();
-            let mut buf = vec![0u8; n as usize * BLK];
-            dev.read(&mut ctx, block * SECTORS, &mut buf)
-                .ok()
-                .map(|_| buf)
+            let mut buf = vec![0u8; n as usize * SECTOR_SIZE];
+            dev.read(&mut ctx, sector, &mut buf).ok().map(|_| buf)
         }
     }
 
     #[test]
     fn flushes_are_replayable_and_sync_reports_durable_time() {
         let dev = SimDevice::preset(DeviceKind::Nvme);
-        let daemon = FlushDaemon::new(dev.clone(), BLK);
-        let mut next_block = 0u64;
-        for seq in 1..=3u64 {
-            let payload = vec![seq as u8; 100];
-            daemon.submit(seq, payload, next_block, 0);
-            next_block += journal::txn_blocks(100, BLK);
+        let daemon = FlushDaemon::new(dev.clone());
+        let mut log = LogRegion::new(0, 64);
+        for seq in 1..=3u8 {
+            log.append(&daemon, 0, |b| b.extend_from_slice(&[seq; 100]));
+            log.kick(&daemon, 0).unwrap();
         }
         let mut ctx = Ctx::new();
         daemon.sync(&mut ctx).unwrap();
         // The waiter's clock moved to the durable instant, as idle time.
         assert!(ctx.now() > 0);
         assert_eq!(ctx.busy(), 0);
-        let outcome = replay_scan(64, BLK, read_blocks(&dev));
+        assert_eq!(
+            dev.stats().snapshot().writes,
+            3,
+            "one device write per frame"
+        );
+        let outcome = replay_scan(64, read_sectors(&dev));
         assert_eq!(outcome.txns.len(), 3);
         assert_eq!(outcome.txns[2].0, 3);
         assert!(!outcome.torn_tail);
@@ -286,24 +256,27 @@ mod tests {
     #[test]
     fn device_error_is_sticky_until_reset() {
         let dev = SimDevice::preset(DeviceKind::Nvme);
-        let daemon = FlushDaemon::new(dev.clone(), BLK);
-        // Out-of-range start block: the body write fails on the device.
-        let far = dev.model().capacity_sectors() / SECTORS + 10;
-        daemon.submit(1, vec![1u8; 10], far, 0);
+        let daemon = FlushDaemon::new(dev.clone());
+        // Out-of-range start sector: the write fails on the device.
+        let far = dev.model().capacity_sectors() + 10;
+        daemon.submit(vec![1u8; SECTOR_SIZE], far, 0);
         let mut ctx = Ctx::new();
-        assert!(daemon.sync(&mut ctx).is_err());
+        assert!(matches!(
+            daemon.sync(&mut ctx),
+            Err(DeviceError::OutOfRange { .. })
+        ));
         // Still latched on a later, healthy flush.
-        daemon.submit(2, vec![2u8; 10], 0, 0);
+        daemon.submit(vec![2u8; SECTOR_SIZE], 0, 0);
         assert!(daemon.sync(&mut ctx).is_err());
         daemon.reset();
-        daemon.submit(3, vec![3u8; 10], 0, 0);
+        daemon.submit(vec![3u8; SECTOR_SIZE], 0, 0);
         assert!(daemon.sync(&mut ctx).is_ok());
     }
 
     #[test]
     fn sync_with_nothing_queued_is_cheap_and_ok() {
         let dev = SimDevice::preset(DeviceKind::Nvme);
-        let daemon = FlushDaemon::new(dev, BLK);
+        let daemon = FlushDaemon::new(dev);
         let mut ctx = Ctx::new();
         assert!(daemon.sync(&mut ctx).is_ok());
         assert_eq!(ctx.now(), 0);

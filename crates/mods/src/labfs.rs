@@ -10,7 +10,7 @@
 //!   tracking metadata operations. As opposed to storing inodes and
 //!   bitmaps on-disk as traditional FSes do, LabFS only stores the log
 //!   and reconstructs inodes in-memory by traversing the log."
-//!   ([`MetaLog`], [`LogRecord`])
+//!   ([`LogRecord`], over a [`Journal`])
 //! * **Flat inode hashmap** — "LabFS stores all files in a single hashmap,
 //!   which supports insert, rename, and delete operations with minimal
 //!   contention" — here sharded for the same minimal-contention goal.
@@ -37,8 +37,7 @@ use labstor_sim::{BlockDevice, Ctx, SimDevice};
 use labstor_telemetry::PerfCounters;
 
 use crate::devices::{device_param, DeviceRegistry};
-use crate::flush::{FlushDaemon, FLUSH_KICK_BYTES};
-use crate::journal::{self, RepairReport};
+use crate::journal::{Journal, RepairReport};
 
 /// Filesystem block size.
 pub const FS_BLOCK: usize = 4096;
@@ -217,29 +216,6 @@ impl LogRecord {
     }
 }
 
-/// One worker's metadata log: an in-memory buffer of encoded records plus
-/// a cursor into its reserved device region. Each flush becomes one
-/// journal transaction (see [`crate::journal`]): a header+payload write
-/// followed by a separate commit-record write.
-struct MetaLog {
-    /// Encoded-but-unflushed records.
-    buffer: Vec<u8>,
-    /// First block of this log's device region.
-    region_start: u64,
-    /// Next block to write within the region.
-    next_block: u64,
-    /// Region size in blocks.
-    region_blocks: u64,
-    /// Sequence number of the next transaction (starts at 1).
-    next_seq: u64,
-}
-
-impl MetaLog {
-    fn append(&mut self, rec: &LogRecord) {
-        rec.encode(&mut self.buffer);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Block allocator
 // ---------------------------------------------------------------------
@@ -394,19 +370,14 @@ pub struct LabFs {
     /// Sharded ino → node.
     nodes: Vec<RwLock<HashMap<u64, FsNode>>>,
     allocator: BlockAllocator,
-    logs: Vec<Mutex<MetaLog>>,
-    /// Direct handle for log persistence and replay.
-    log_device: Arc<SimDevice>,
-    /// Background half of the double-buffered log flush (see
-    /// [`crate::flush`]).
-    flush: FlushDaemon,
+    /// The per-worker metadata logs, written to a reserved device region
+    /// through a direct handle.
+    journal: Journal,
     next_ino: AtomicU64,
     perf: PerfCounters,
     /// Busy time spent in downstream stages (subtracted so
     /// `est_total_time` reports LabFS-exclusive work).
     downstream_ns: AtomicU64,
-    /// What the most recent `state_repair` found (see [`RepairReport`]).
-    last_repair: Mutex<Option<RepairReport>>,
 }
 
 impl LabFs {
@@ -420,23 +391,10 @@ impl LabFs {
             names: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             nodes: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             allocator: BlockAllocator::new(log_blocks, total_blocks, workers, 4096),
-            logs: (0..workers as u64)
-                .map(|w| {
-                    Mutex::new(MetaLog {
-                        buffer: Vec::new(),
-                        region_start: w * LOG_BLOCKS_PER_WORKER,
-                        next_block: w * LOG_BLOCKS_PER_WORKER,
-                        region_blocks: LOG_BLOCKS_PER_WORKER,
-                        next_seq: 1,
-                    })
-                })
-                .collect(),
-            flush: FlushDaemon::new(device.clone(), FS_BLOCK),
-            log_device: device,
+            journal: Journal::new(device, workers, LOG_BLOCKS_PER_WORKER * BLOCK_SECTORS),
             next_ino: AtomicU64::new(1),
             perf: PerfCounters::new(),
             downstream_ns: AtomicU64::new(0),
-            last_repair: Mutex::new(None),
         }
     }
 
@@ -465,51 +423,10 @@ impl LabFs {
         &self.nodes[(ino as usize) % self.nodes.len()]
     }
 
-    /// Append a record to the originating worker's log. Once the buffer
-    /// crosses the kick threshold it is streamed to the flush daemon in
-    /// the background, so the append path never blocks on the device.
+    /// Append a record to the originating worker's log.
     fn log(&self, ctx: &mut Ctx, core: usize, rec: &LogRecord) {
         ctx.advance(LOG_APPEND_NS);
-        let mut log = self.logs[core % self.logs.len()].lock();
-        log.append(rec);
-        if log.buffer.len() >= FLUSH_KICK_BYTES {
-            // Region-full is not actionable here; the next fsync's kick
-            // surfaces it (the buffer just keeps accumulating).
-            let _ = self.kick_log(ctx.now(), &mut log);
-        }
-    }
-
-    /// Foreground half of the double-buffered flush: reserve this log's
-    /// next transaction (blocks + sequence number), swap the buffer out,
-    /// and hand it to the daemon. Cursors advance here, so appends keep
-    /// filling the fresh buffer while the old one flushes; a region-full
-    /// error leaves the log untouched.
-    fn kick_log(&self, now: u64, log: &mut MetaLog) -> Result<(), String> {
-        if log.buffer.is_empty() {
-            return Ok(());
-        }
-        let blocks = journal::txn_blocks(log.buffer.len(), FS_BLOCK);
-        if log.next_block + blocks > log.region_start + log.region_blocks {
-            return Err("metadata log region full".to_string());
-        }
-        let payload = std::mem::take(&mut log.buffer);
-        self.flush
-            .submit(log.next_seq, payload, log.next_block, now);
-        log.next_block += blocks;
-        log.next_seq += 1;
-        Ok(())
-    }
-
-    /// Flush every log's buffered records to its device region as one
-    /// journal transaction each, then wait for durability. The daemon
-    /// writes header+payload first and the commit record only after that
-    /// write was accepted (write-ahead ordering): a crash between the two
-    /// leaves an uncommitted transaction that recovery discards.
-    fn flush_logs(&self, ctx: &mut Ctx) -> Result<(), String> {
-        for log in &self.logs {
-            self.kick_log(ctx.now(), &mut log.lock())?;
-        }
-        self.flush.sync(ctx)
+        self.journal.append(core, ctx.now(), |buf| rec.encode(buf));
     }
 
     /// Apply one log record to the in-memory maps (used by replay).
@@ -599,78 +516,22 @@ impl LabFs {
 
     /// Drop all in-memory state and rebuild it by scanning the on-device
     /// journal regions — the crash-recovery path behind `state_repair`.
-    ///
-    /// The scan trusts media, not in-memory cursors: it walks each region
-    /// from its start, replays the longest prefix of committed
-    /// transactions, and discards any torn or uncommitted tail (see
-    /// [`crate::journal::replay_scan`]). Cursors are then reset so new
-    /// appends resume right after the last committed transaction.
+    /// Each region replays the longest prefix of committed frames and
+    /// discards any torn or stale tail (see [`Journal::replay`]).
     pub fn replay_from_device(&self) -> RepairReport {
-        // Quiesce the flush daemon and clear its error latch: queued
-        // buffers predate the crash and the scan below trusts media.
-        self.flush.reset();
         for shard in &self.names {
             shard.write().clear();
         }
         for shard in &self.nodes {
             shard.write().clear();
         }
-        let mut report = RepairReport::default();
-        let mut ctx = Ctx::new(); // recovery timeline; not client-visible
-        for log in &self.logs {
-            let mut log = log.lock();
-            let region_start = log.region_start;
-            let device = &self.log_device;
-            let outcome = journal::replay_scan(log.region_blocks, FS_BLOCK, |block, n| {
-                let mut buf = vec![0u8; n as usize * FS_BLOCK];
-                device
-                    .read(&mut ctx, (region_start + block) * BLOCK_SECTORS, &mut buf)
-                    .ok()
-                    .map(|_| buf)
-            });
-            for (_seq, payload) in &outcome.txns {
-                let mut pos = 0usize;
-                while pos < payload.len() {
-                    match LogRecord::decode(payload, &mut pos) {
-                        Some(rec) => {
-                            self.apply(rec);
-                            report.records_replayed += 1;
-                        }
-                        None => {
-                            // A committed payload should decode cleanly;
-                            // a malformed entry is surfaced, not
-                            // swallowed.
-                            report.records_discarded += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            for payload in &outcome.discarded_payloads {
-                let mut pos = 0usize;
-                while pos < payload.len() {
-                    match LogRecord::decode(payload, &mut pos) {
-                        Some(_) => report.records_discarded += 1,
-                        None => break,
-                    }
-                }
-            }
-            report.txns_replayed += outcome.txns.len() as u64;
-            report.txns_discarded += outcome.txns_discarded;
-            report.torn_tail |= outcome.torn_tail;
-            // Resume appends after the last committed transaction, and
-            // drop any unflushed buffer — it predates the crash.
-            log.next_block = region_start + outcome.next_block;
-            log.next_seq = outcome.txns.last().map(|(s, _)| s + 1).unwrap_or(1);
-            log.buffer.clear();
-        }
-        *self.last_repair.lock() = Some(report);
-        report
+        self.journal
+            .replay(|buf, pos| LogRecord::decode(buf, pos).map(|rec| self.apply(rec)))
     }
 
     /// What the most recent repair found, if one has run.
     pub fn last_repair(&self) -> Option<RepairReport> {
-        *self.last_repair.lock()
+        self.journal.last_repair()
     }
 
     /// Number of live files/directories.
@@ -1452,8 +1313,8 @@ impl LabMod for LabFs {
             }
             Payload::Fs(FsOp::Fsync { .. }) => {
                 // Persist the metadata log, then barrier the data path.
-                if let Err(e) = self.flush_logs(ctx) {
-                    return RespPayload::Err(e);
+                if let Err(e) = self.journal.sync(ctx) {
+                    return RespPayload::Err(e.to_string());
                 }
                 let mut fwd =
                     Request::new(req.id, req.stack, Payload::Block(BlockOp::Flush), req.creds);
@@ -1511,20 +1372,7 @@ impl LabMod for LabFs {
                     );
                 }
             }
-            // Carry the journal cursors over so the new instance appends
-            // after the old one's transactions instead of overwriting the
-            // log from the start (which would orphan pre-upgrade metadata
-            // on the next crash). Absorb first: it drains the old
-            // instance's flush daemon, so the cursors copied below are
-            // final and its durability clock / error latch carry over.
-            self.flush.absorb(&prev.flush);
-            for (mine, theirs) in self.logs.iter().zip(prev.logs.iter()) {
-                let mut m = mine.lock();
-                let t = theirs.lock();
-                m.buffer = t.buffer.clone();
-                m.next_block = t.next_block;
-                m.next_seq = t.next_seq;
-            }
+            self.journal.absorb(&prev.journal);
             // relaxed-ok: fresh-id allocation; atomicity alone suffices
             self.next_ino
                 .store(prev.next_ino.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -1622,6 +1470,18 @@ mod tests {
 
         fn labfs(&self) -> Arc<dyn LabMod> {
             self.mm.get("fs").unwrap()
+        }
+
+        /// One acked journal transaction: create `path`, then fsync it.
+        fn create_and_fsync(&self, ctx: &mut Ctx, path: &str) {
+            let ino = ino_of(self.exec(
+                Payload::Fs(FsOp::Create {
+                    path: path.into(),
+                    mode: 0o644,
+                }),
+                ctx,
+            ));
+            assert!(self.exec(Payload::Fs(FsOp::Fsync { ino }), ctx).is_ok());
         }
     }
 
@@ -2065,7 +1925,7 @@ mod tests {
     }
 
     #[test]
-    fn uncommitted_tail_txn_is_discarded_and_reported() {
+    fn header_landed_payload_torn_txn_is_discarded_and_reported() {
         let (h, dev) = Harness::new();
         let mut ctx = Ctx::new();
         let ino = ino_of(h.exec(
@@ -2078,31 +1938,32 @@ mod tests {
         assert!(h.exec(Payload::Fs(FsOp::Fsync { ino }), &mut ctx).is_ok());
         let labfs = h.labfs();
         let fs = labfs.as_any().downcast_ref::<LabFs>().unwrap();
-        // Simulate a crash between the payload write and the commit
-        // write: hand-write a valid seq-2 body frame with no commit
-        // record after transaction 1.
-        let mut payload = Vec::new();
-        LogRecord::Create {
-            path: "/lost".into(),
-            ino: 99,
-            mode: 0o644,
-            uid: 0,
-            gid: 0,
-            is_dir: false,
+        // A crash inside the one write of a second, two-sector frame: its
+        // header sector landed, the rest of its payload did not.
+        for i in 0..12 {
+            let rec = LogRecord::Create {
+                path: format!("/lost-with-a-name-long-enough-to-spill-{i}"),
+                ino: 100 + i,
+                mode: 0o644,
+                uid: 0,
+                gid: 0,
+                is_dir: false,
+            };
+            fs.log(&mut ctx, 0, &rec);
         }
-        .encode(&mut payload);
-        let (body, _commit_never_written) = crate::journal::encode_txn(2, &payload, FS_BLOCK);
-        let next = fs.logs[0].lock().next_block;
-        dev.write(&mut ctx, next * BLOCK_SECTORS, &body).unwrap();
+        let (sector, frame) = fs.journal.seal_next(0).unwrap();
+        assert_eq!(frame.len(), 2 * labstor_sim::SECTOR_SIZE);
+        dev.write(&mut ctx, sector, &frame[..labstor_sim::SECTOR_SIZE])
+            .unwrap();
         let rep = fs.replay_from_device();
         assert_eq!(rep.txns_replayed, 1);
         assert_eq!(rep.txns_discarded, 1);
-        assert_eq!(rep.records_discarded, 1);
+        assert_eq!(rep.mid_frame_tears, 1);
         assert!(rep.torn_tail);
         assert_eq!(
             fs.file_count(),
             1,
-            "/lost was never acked, so it must not appear"
+            "the torn frame was never acked, so none of it may appear"
         );
         // Appends resume after the committed prefix: the next fsync
         // overwrites the torn tail.
@@ -2118,6 +1979,41 @@ mod tests {
             .is_ok());
         assert!(fs.replay_from_device().is_clean());
         assert_eq!(fs.file_count(), 2);
+    }
+
+    #[test]
+    fn stale_era_frame_does_not_extend_a_repaired_log() {
+        let (h, dev) = Harness::new();
+        let mut ctx = Ctx::new();
+        for i in 1..=4 {
+            h.create_and_fsync(&mut ctx, &format!("/a{i}"));
+        }
+        // Txn 5 is acked, but the device silently lands none of it.
+        dev.faults().set_torn(1, true);
+        h.create_and_fsync(&mut ctx, "/a5");
+        dev.faults().set_torn(0, false);
+        h.create_and_fsync(&mut ctx, "/a6");
+
+        let labfs = h.labfs();
+        let fs = labfs.as_any().downcast_ref::<LabFs>().unwrap();
+        assert_eq!(fs.replay_from_device().txns_replayed, 4);
+        assert_eq!(fs.file_count(), 4);
+        // A new txn 5 of the same length lands right in front of old 6.
+        h.create_and_fsync(&mut ctx, "/b5");
+        let rep = fs.replay_from_device();
+        assert_eq!(
+            rep.txns_replayed, 5,
+            "old txn 6 follows a txn 5 it never saw"
+        );
+        assert_eq!(fs.file_count(), 5);
+        let a6 = h.exec(Payload::Fs(FsOp::Stat { path: "/a6".into() }), &mut ctx);
+        assert!(
+            !a6.is_ok(),
+            "/a6 belongs to no prefix of the repaired history"
+        );
+        assert!(h
+            .exec(Payload::Fs(FsOp::Stat { path: "/b5".into() }), &mut ctx)
+            .is_ok());
     }
 
     #[test]
@@ -2184,20 +2080,23 @@ mod tests {
     }
 
     #[test]
-    fn state_update_preserves_files() {
+    fn state_update_preserves_files_and_the_journal_chain() {
         let (h, dev) = Harness::new();
         let mut ctx = Ctx::new();
-        h.exec(
-            Payload::Fs(FsOp::Create {
-                path: "/keep".into(),
-                mode: 0o644,
-            }),
-            &mut ctx,
-        );
+        h.create_and_fsync(&mut ctx, "/keep");
         let old = h.labfs();
-        let newer = LabFs::new(dev, 4);
+        let newer = Arc::new(LabFs::new(dev, 4));
         newer.state_update(old.as_ref());
         assert_eq!(newer.file_count(), 1);
+        // The upgraded instance appends after the old one's frame, with
+        // its sector cursor, sequence number and chain value: a crash
+        // after the upgrade replays both eras as one log.
+        h.mm.insert_instance("fs", newer.clone());
+        h.create_and_fsync(&mut ctx, "/after");
+        let rep = newer.replay_from_device();
+        assert_eq!(rep.txns_replayed, 2);
+        assert!(rep.is_clean());
+        assert_eq!(newer.file_count(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use labstor_core::{
     BlockOp, KvsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
@@ -18,8 +18,7 @@ use labstor_sim::{BlockDevice, Ctx, SimDevice};
 use labstor_telemetry::PerfCounters;
 
 use crate::devices::{device_param, DeviceRegistry};
-use crate::flush::{FlushDaemon, FLUSH_KICK_BYTES};
-use crate::journal::{self, RepairReport};
+use crate::journal::{Journal, JournalError, RepairReport};
 use crate::labfs::BlockAllocator;
 
 const KV_BLOCK: usize = 4096;
@@ -102,28 +101,13 @@ impl KvRecord {
     }
 }
 
-/// One worker's op log. Like LabFS's `MetaLog`, each flush becomes a
-/// journal transaction (see [`crate::journal`]).
-struct KvLog {
-    buffer: Vec<u8>,
-    region_start: u64,
-    next_block: u64,
-    region_blocks: u64,
-    next_seq: u64,
-}
-
 /// The LabKVS LabMod.
 pub struct LabKvs {
     shards: Vec<RwLock<HashMap<String, ValueLoc>>>,
     allocator: BlockAllocator,
-    logs: Vec<Mutex<KvLog>>,
-    log_device: Arc<SimDevice>,
-    /// Background half of the double-buffered log flush (see
-    /// [`crate::flush`]).
-    flush: FlushDaemon,
+    /// The per-worker op logs (see [`crate::journal`]).
+    journal: Journal,
     perf: PerfCounters,
-    /// What the most recent `state_repair` found (see [`RepairReport`]).
-    last_repair: Mutex<Option<RepairReport>>,
     /// Table levels the `GetWhere` resubmission hook walks on a miss
     /// (LSM-style: level 0 is the primary namespace, deeper levels are
     /// probed in-stack instead of bouncing back to the client).
@@ -157,21 +141,8 @@ impl LabKvs {
         LabKvs {
             shards: (0..n_shards).map(|_| RwLock::new(HashMap::new())).collect(),
             allocator: BlockAllocator::new(log_blocks, total_blocks, workers, 4096),
-            logs: (0..workers as u64)
-                .map(|w| {
-                    Mutex::new(KvLog {
-                        buffer: Vec::new(),
-                        region_start: w * LOG_BLOCKS_PER_WORKER,
-                        next_block: w * LOG_BLOCKS_PER_WORKER,
-                        region_blocks: LOG_BLOCKS_PER_WORKER,
-                        next_seq: 1,
-                    })
-                })
-                .collect(),
-            flush: FlushDaemon::new(device.clone(), KV_BLOCK),
-            log_device: device,
+            journal: Journal::new(device, workers, LOG_BLOCKS_PER_WORKER * BLOCK_SECTORS),
             perf: PerfCounters::new(),
-            last_repair: Mutex::new(None),
             resub_levels: levels.max(1),
         }
     }
@@ -184,50 +155,16 @@ impl LabKvs {
         &self.shards[(h as usize) % self.shards.len()]
     }
 
-    /// Append a record to the originating worker's log. Once the buffer
-    /// crosses the kick threshold it is streamed to the flush daemon in
-    /// the background, so the append path never blocks on the device.
+    /// Append a record to the originating worker's log.
     fn log(&self, ctx: &mut Ctx, core: usize, rec: &KvRecord) {
         ctx.advance(80);
-        let mut log = self.logs[core % self.logs.len()].lock();
-        rec.encode(&mut log.buffer);
-        if log.buffer.len() >= FLUSH_KICK_BYTES {
-            // Region-full is not actionable here; the next flush's kick
-            // surfaces it (the buffer just keeps accumulating).
-            let _ = self.kick_log(ctx.now(), &mut log);
-        }
+        self.journal.append(core, ctx.now(), |buf| rec.encode(buf));
     }
 
-    /// Foreground half of the double-buffered flush: reserve this log's
-    /// next transaction (blocks + sequence number), swap the buffer out,
-    /// and hand it to the daemon. Cursors advance here, so appends keep
-    /// filling the fresh buffer while the old one flushes; a region-full
-    /// error leaves the log untouched.
-    fn kick_log(&self, now: u64, log: &mut KvLog) -> Result<(), String> {
-        if log.buffer.is_empty() {
-            return Ok(());
-        }
-        let blocks = journal::txn_blocks(log.buffer.len(), KV_BLOCK);
-        if log.next_block + blocks > log.region_start + log.region_blocks {
-            return Err("kvs log region full".into());
-        }
-        let payload = std::mem::take(&mut log.buffer);
-        self.flush
-            .submit(log.next_seq, payload, log.next_block, now);
-        log.next_block += blocks;
-        log.next_seq += 1;
-        Ok(())
-    }
-
-    /// Persist buffered log records as one journal transaction per log,
-    /// then wait for durability. The daemon writes header+payload first
-    /// and the commit record only after that write was accepted
-    /// (write-ahead ordering).
-    pub fn flush_logs(&self, ctx: &mut Ctx) -> Result<(), String> {
-        for log in &self.logs {
-            self.kick_log(ctx.now(), &mut log.lock())?;
-        }
-        self.flush.sync(ctx)
+    /// LabKVS's durability point: persist every log's pending records as
+    /// one journal frame each, then wait until they are on the device.
+    pub fn flush_logs(&self, ctx: &mut Ctx) -> Result<(), JournalError> {
+        self.journal.sync(ctx)
     }
 
     /// Apply one replayed record to the key map.
@@ -249,68 +186,19 @@ impl LabKvs {
     }
 
     /// Rebuild the key map by scanning the on-device journal regions,
-    /// replaying the longest prefix of committed transactions and
-    /// discarding any torn or uncommitted tail (see
-    /// [`crate::journal::replay_scan`]). The scan trusts media, not
-    /// in-memory cursors.
+    /// replaying the longest prefix of committed frames and discarding
+    /// any torn or stale tail (see [`Journal::replay`]).
     pub fn replay_from_device(&self) -> RepairReport {
-        // Quiesce the flush daemon and clear its error latch: queued
-        // buffers predate the crash and the scan below trusts media.
-        self.flush.reset();
         for shard in &self.shards {
             shard.write().clear();
         }
-        let mut report = RepairReport::default();
-        let mut ctx = Ctx::new();
-        for log in &self.logs {
-            let mut log = log.lock();
-            let region_start = log.region_start;
-            let device = &self.log_device;
-            let outcome = journal::replay_scan(log.region_blocks, KV_BLOCK, |block, n| {
-                let mut buf = vec![0u8; n as usize * KV_BLOCK];
-                device
-                    .read(&mut ctx, (region_start + block) * BLOCK_SECTORS, &mut buf)
-                    .ok()
-                    .map(|_| buf)
-            });
-            for (_seq, payload) in &outcome.txns {
-                let mut pos = 0usize;
-                while pos < payload.len() {
-                    match KvRecord::decode(payload, &mut pos) {
-                        Some(rec) => {
-                            self.apply(rec);
-                            report.records_replayed += 1;
-                        }
-                        None => {
-                            report.records_discarded += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            for payload in &outcome.discarded_payloads {
-                let mut pos = 0usize;
-                while pos < payload.len() {
-                    match KvRecord::decode(payload, &mut pos) {
-                        Some(_) => report.records_discarded += 1,
-                        None => break,
-                    }
-                }
-            }
-            report.txns_replayed += outcome.txns.len() as u64;
-            report.txns_discarded += outcome.txns_discarded;
-            report.torn_tail |= outcome.torn_tail;
-            log.next_block = region_start + outcome.next_block;
-            log.next_seq = outcome.txns.last().map(|(s, _)| s + 1).unwrap_or(1);
-            log.buffer.clear();
-        }
-        *self.last_repair.lock() = Some(report);
-        report
+        self.journal
+            .replay(|buf, pos| KvRecord::decode(buf, pos).map(|rec| self.apply(rec)))
     }
 
     /// What the most recent repair found, if one has run.
     pub fn last_repair(&self) -> Option<RepairReport> {
-        *self.last_repair.lock()
+        self.journal.last_repair()
     }
 
     /// Number of live keys.
@@ -704,20 +592,7 @@ impl LabMod for LabKvs {
             for (mine, theirs) in self.shards.iter().zip(prev.shards.iter()) {
                 *mine.write() = theirs.read().clone();
             }
-            // Carry journal cursors so post-upgrade flushes append after
-            // the old instance's transactions instead of restarting the
-            // log (which would orphan pre-upgrade entries on a crash).
-            // Absorb first: it drains the old instance's flush daemon, so
-            // the cursors copied below are final and its durability clock
-            // / error latch carry over.
-            self.flush.absorb(&prev.flush);
-            for (mine, theirs) in self.logs.iter().zip(prev.logs.iter()) {
-                let mut m = mine.lock();
-                let t = theirs.lock();
-                m.buffer = t.buffer.clone();
-                m.next_block = t.next_block;
-                m.next_seq = t.next_seq;
-            }
+            self.journal.absorb(&prev.journal);
         }
     }
 
@@ -756,8 +631,13 @@ mod tests {
     use labstor_sim::DeviceKind;
 
     fn setup() -> (ModuleManager, LabStack) {
+        let (mm, stack, _dev) = setup_with_device();
+        (mm, stack)
+    }
+
+    fn setup_with_device() -> (ModuleManager, LabStack, Arc<SimDevice>) {
         let devices = DeviceRegistry::new();
-        devices.add_preset("nvme0", DeviceKind::Nvme);
+        let dev = devices.add_preset("nvme0", DeviceKind::Nvme);
         let mm = ModuleManager::new();
         install(&mm, &devices);
         crate::drivers::install(&mm, &devices);
@@ -785,7 +665,7 @@ mod tests {
             ],
             authorized_uids: vec![],
         };
-        (mm, stack)
+        (mm, stack, dev)
     }
 
     fn exec(mm: &ModuleManager, stack: &LabStack, payload: Payload, ctx: &mut Ctx) -> RespPayload {
@@ -1020,8 +900,8 @@ mod tests {
     }
 
     #[test]
-    fn uncommitted_kv_txn_is_discarded_and_reported() {
-        let (mm, stack) = setup();
+    fn header_landed_payload_torn_kv_txn_is_discarded_and_reported() {
+        let (mm, stack, dev) = setup_with_device();
         let mut ctx = Ctx::new();
         exec(
             &mm,
@@ -1035,24 +915,22 @@ mod tests {
         let kv_mod = mm.get("kv").unwrap();
         let kv = kv_mod.as_any().downcast_ref::<LabKvs>().unwrap();
         kv.flush_logs(&mut ctx).unwrap();
-        // Crash between the payload and commit writes of a second
-        // transaction: a valid seq-2 body frame with no commit record.
-        let mut payload = Vec::new();
-        KvRecord::Put {
+        // A crash inside the one write of a second, three-sector frame:
+        // its first two sectors landed, its last did not.
+        let ghost = KvRecord::Put {
             key: "ghost".into(),
             len: 8,
-            blocks: vec![4242],
-        }
-        .encode(&mut payload);
-        let (body, _commit_never_written) = journal::encode_txn(2, &payload, KV_BLOCK);
-        let next = kv.logs[0].lock().next_block;
-        kv.log_device
-            .write(&mut ctx, next * BLOCK_SECTORS, &body)
+            blocks: (0..140).collect(),
+        };
+        kv.log(&mut ctx, 0, &ghost);
+        let (sector, frame) = kv.journal.seal_next(0).unwrap();
+        assert_eq!(frame.len(), 3 * labstor_sim::SECTOR_SIZE);
+        dev.write(&mut ctx, sector, &frame[..2 * labstor_sim::SECTOR_SIZE])
             .unwrap();
         let rep = kv.replay_from_device();
         assert_eq!(rep.txns_replayed, 1);
         assert_eq!(rep.txns_discarded, 1);
-        assert_eq!(rep.records_discarded, 1);
+        assert_eq!(rep.mid_frame_tears, 1);
         assert!(rep.torn_tail);
         assert_eq!(kv.key_count(), 1, "ghost was never acked");
         assert_eq!(kv.last_repair(), Some(rep));

@@ -15,7 +15,12 @@
 //! trial runs the mix twice: once uncrashed to measure the run's
 //! virtual-time span (and to prove the mix itself is error-free), then
 //! again on a fresh device with the crash armed at a per-trial fraction
-//! of that span. Operation mixes are overwrite-free (appends, truncates,
+//! of that span — and, for every second trial, moved from there into the
+//! next durability point's journal write, because that write is the only
+//! place a crash can tear a frame: a one-sector frame lands whole or not
+//! at all, so the tears recovery has to discard are the ones inside the
+//! multi-sector frames the fio and fileserver mixes fsync.
+//! Operation mixes are overwrite-free (appends, truncates,
 //! unlink + recreate): LabFS journals metadata, not file data, so an
 //! in-place data overwrite before the metadata commit is the documented
 //! ext4-ordered-mode gap, not a bug this campaign hunts.
@@ -30,7 +35,7 @@ use labstor_mods::journal::crc32;
 use labstor_mods::labfs::LabFs;
 use labstor_mods::labkvs::LabKvs;
 use labstor_mods::{DeviceRegistry, RepairReport};
-use labstor_sim::{Ctx, DeviceKind, SimDevice};
+use labstor_sim::{BlockDevice, Ctx, DeviceKind, SimDevice};
 
 use crate::fio::XorShift;
 
@@ -131,8 +136,8 @@ impl CampaignReport {
         self.trials.iter().filter(|t| t.crash_at.is_some()).count()
     }
 
-    /// Trials whose recovery discarded a torn or uncommitted tail — the
-    /// interesting crash points.
+    /// Trials whose recovery discarded a torn tail — the interesting
+    /// crash points.
     pub fn torn_tails(&self) -> usize {
         self.trials
             .iter()
@@ -140,13 +145,23 @@ impl CampaignReport {
             .count()
     }
 
+    /// Trials whose crash landed *inside* a journal frame's one write:
+    /// recovery found the header sector on media and the payload torn.
+    pub fn mid_frame_tears(&self) -> usize {
+        self.trials
+            .iter()
+            .filter(|t| t.repair.mid_frame_tears > 0)
+            .count()
+    }
+
     /// One-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} trials, {} crash points, {} torn/uncommitted tails discarded, {} violations",
+            "{} trials, {} crash points, {} torn tails discarded ({} mid-frame), {} violations",
             self.trials.len(),
             self.crashes(),
             self.torn_tails(),
+            self.mid_frame_tears(),
             self.violations().len()
         )
     }
@@ -194,7 +209,7 @@ pub fn run_trial(
         report.violation = Some(format!("baseline run failed: {v}"));
         return report;
     }
-    let crash_at = (base.end_vt * crash_permille as u64 / 1000).max(1);
+    let crash_at = base.crash_point(seed, crash_permille);
     report.crash_at = Some(crash_at);
 
     let run = run_once(workload, seed, flows, Some(crash_at));
@@ -252,7 +267,7 @@ pub fn check_repair_idempotence(
     if let Some(v) = base.violation {
         return Err(format!("baseline run failed: {v}"));
     }
-    let crash_at = (base.end_vt * crash_permille as u64 / 1000).max(1);
+    let crash_at = base.crash_point(seed, crash_permille);
     let run = run_once(workload, seed, flows, Some(crash_at));
     if let Some(v) = run.violation {
         return Err(v);
@@ -387,6 +402,7 @@ impl Boot {
             .downcast_ref::<LabKvs>()
             .expect("labkvs")
             .flush_logs(ctx)
+            .map_err(|e| e.to_string())
     }
 
     /// Digest of the live (post-recovery) state over the candidate
@@ -474,6 +490,8 @@ impl Model {
 struct RunOutcome {
     dev: Arc<SimDevice>,
     end_vt: u64,
+    /// Virtual time each durability point (fsync / log flush) began.
+    sync_starts: Vec<u64>,
     /// `digests[k]` = model digest after the first `k` acked operations.
     digests: Vec<u64>,
     /// Index of the last acked durability point in `digests`.
@@ -481,6 +499,25 @@ struct RunOutcome {
     /// Every name the mix ever touched (the verification namespace).
     candidates: BTreeSet<String>,
     violation: Option<String>,
+}
+
+impl RunOutcome {
+    /// Where to cut power in the crashed pass of this (baseline) run:
+    /// `permille` of the way through, and for odd seeds moved on from
+    /// there into the journal write of the next durability point.
+    fn crash_point(&self, seed: u64, permille: u32) -> u64 {
+        let uniform = (self.end_vt * permille as u64 / 1000).max(1);
+        if seed & 1 == 0 {
+            return uniform;
+        }
+        // The frame write starts when its durability point does and lasts
+        // at least the device's fixed write latency.
+        let write_ns = self.dev.model().write_latency_ns;
+        match self.sync_starts.iter().find(|&&start| start >= uniform) {
+            Some(start) => start + 1 + seed.wrapping_mul(2654435761) % write_ns,
+            None => uniform,
+        }
+    }
 }
 
 /// Drives one pass of a mix, maintaining the model and the acked-history
@@ -492,6 +529,7 @@ struct Driver<'a> {
     model: Model,
     digests: Vec<u64>,
     durable_floor: usize,
+    sync_starts: Vec<u64>,
     inos: HashMap<String, u64>,
     dir_ino: u64,
     candidates: BTreeSet<String>,
@@ -625,6 +663,7 @@ impl Driver<'_> {
         if !self.live() {
             return;
         }
+        self.sync_starts.push(self.ctx.now());
         match self.boot.exec(
             &mut self.ctx,
             Payload::Fs(FsOp::Fsync { ino: self.dir_ino }),
@@ -720,6 +759,7 @@ impl Driver<'_> {
         if !self.live() {
             return;
         }
+        self.sync_starts.push(self.ctx.now());
         match self.boot.kv_flush(&mut self.ctx) {
             Ok(()) => {
                 self.ack();
@@ -737,6 +777,9 @@ fn payload_bytes(rng: &mut XorShift, len: usize) -> Vec<u8> {
 
 fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u64>) -> RunOutcome {
     let dev = SimDevice::preset(DeviceKind::Nvme);
+    // How many sectors of a write the cut straddles still land is seeded:
+    // per trial, so the same frame tears differently across trials.
+    dev.faults().set_seed(seed);
     if let Some(t) = crash_at {
         dev.faults().set_crash_at(t);
     }
@@ -747,6 +790,7 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
         model: Model::default(),
         digests: Vec::new(),
         durable_floor: 0,
+        sync_starts: Vec::new(),
         inos: HashMap::new(),
         dir_ino: 0,
         candidates: BTreeSet::new(),
@@ -828,17 +872,20 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
                 }
             }
             CrashWorkload::KvsMix => {
+                // Object-store keys and a flush every fourth flow: a dozen
+                // puts make an op-log frame of more than one sector, the
+                // only kind a crash can tear.
                 for _ in 0..3 {
-                    let key = format!("k{}", rng.next() % 12);
+                    let key = format!("bucket-7/object-{:04}", rng.next() % 12);
                     let len = 200 + (rng.next() % 6000) as usize;
                     let value = payload_bytes(&mut rng, len);
                     d.put(&key, value);
                 }
                 if rng.next().is_multiple_of(5) {
-                    let key = format!("k{}", rng.next() % 12);
+                    let key = format!("bucket-7/object-{:04}", rng.next() % 12);
                     d.remove(&key);
                 }
-                if flow % 2 == 1 {
+                if flow % 4 == 3 {
                     d.kv_flush();
                 }
             }
@@ -857,6 +904,7 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
     RunOutcome {
         dev,
         end_vt,
+        sync_starts: d.sync_starts,
         digests: d.digests,
         durable_floor: d.durable_floor,
         candidates: d.candidates,

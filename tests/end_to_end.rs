@@ -355,3 +355,27 @@ fn fs_and_kvs_payload_costs_show_in_virtual_time() {
     assert!(resp.is_ok());
     rt.shutdown();
 }
+
+#[test]
+fn varmail_2000_flows_fit_the_metadata_log() {
+    // Two fsyncs per flow, ~200 bytes of log records each: sealed in one
+    // 512-byte frame apiece they take about a quarter of the 8 MiB
+    // region. (Padded to a 4 KiB block plus a 4 KiB commit block the
+    // region filled between 500 and 600 flows.)
+    use labstor::workloads::filebench::{run_filebench, FilebenchJob, Personality};
+    use labstor::workloads::targets::LabStorFsTarget;
+
+    let (rt, _d) = platform(1);
+    rt.mount_stack_json(FS_SPEC).unwrap();
+    let client = rt.connect(Credentials::new(1, 0, 0), 1);
+    let mut target = LabStorFsTarget::new(client, "fs::/b", "labfs-all");
+    let job = FilebenchJob {
+        personality: Personality::Varmail,
+        iterations: 2000,
+        thread: 0,
+        seed: 7,
+    };
+    let rec = run_filebench(&job, &mut target).expect("no flow fails, so no RegionFull");
+    assert_eq!(rec.ops(), 2000);
+    rt.shutdown();
+}
