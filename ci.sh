@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: formatting, clippy (workspace lint table), labcheck static
 # analysis + the six-model checking gate, then every workspace test.
-# Each step must pass.
+# Each step must pass. The smoke benches write target/bench/BENCH_*.json;
+# the committed BENCH_*.json are full runs and are not touched here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -24,23 +25,23 @@ test -s results/telemetry_trace.json
 
 echo "== bench_ipc smoke (SPSC fast-path regression gate)"
 cargo run -q --release -p labstor-bench --bin bench_ipc -- --smoke
-test -s BENCH_ipc.json
+test -s target/bench/BENCH_ipc.json
 
 echo "== bench_datapath smoke (zero-copy + shard-scaling regression gate)"
 cargo run -q --release -p labstor-bench --bin bench_datapath -- --smoke
-test -s BENCH_datapath.json
+test -s target/bench/BENCH_datapath.json
 
 echo "== bench_tenants smoke (noisy-neighbor tenant isolation gate)"
 cargo run -q --release -p labstor-bench --bin bench_tenants -- --smoke
-test -s BENCH_tenants.json
+test -s target/bench/BENCH_tenants.json
 
 echo "== bench_reactor smoke (idle-fleet doorbell vs polling gate)"
 cargo run -q --release -p labstor-bench --bin bench_reactor -- --smoke
-test -s BENCH_reactor.json
+test -s target/bench/BENCH_reactor.json
 
 echo "== bench_pushdown smoke (bytes-over-IPC + modeled-speedup + zero-copy gate)"
 cargo run -q --release -p labstor-bench --bin bench_pushdown -- --smoke
-test -s BENCH_pushdown.json
+test -s target/bench/BENCH_pushdown.json
 
 echo "== crash_fuzz smoke (crash-recovery prefix-consistency campaign)"
 cargo run -q --release -p labstor-bench --bin crash_fuzz -- --smoke

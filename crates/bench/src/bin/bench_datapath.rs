@@ -28,7 +28,8 @@
 //! - page-cache virtual hit throughput must scale ≥3× from 1 to 8
 //!   shards at 8 streams.
 //!
-//! Usage: `bench_datapath [--smoke]` — `--smoke` shrinks op counts for CI.
+//! Usage: `bench_datapath [--smoke]` — `--smoke` shrinks op counts for CI
+//! and writes `target/bench/BENCH_datapath.json` instead.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -382,7 +383,8 @@ fn main() {
         }),
     });
     let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    std::fs::write("BENCH_datapath.json", format!("{out}\n")).expect("write BENCH_datapath.json");
+    let artifact = labstor_bench::artifact_path("BENCH_datapath.json", smoke);
+    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_datapath.json");
 
     println!("== datapath ({}) ==", if smoke { "smoke" } else { "full" });
     println!(

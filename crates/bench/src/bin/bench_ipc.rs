@@ -13,7 +13,8 @@
 //! if SPSC at batch 32 does not at least match the seed configuration
 //! (MPMC, batch 1) on single-thread ops/s. Target is ≥2×.
 //!
-//! Usage: `bench_ipc [--smoke]` — `--smoke` shrinks the op counts for CI.
+//! Usage: `bench_ipc [--smoke]` — `--smoke` shrinks the op counts for CI
+//! and writes `target/bench/BENCH_ipc.json` instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -290,7 +291,8 @@ fn main() {
         "gate": gate,
     });
     let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    std::fs::write("BENCH_ipc.json", format!("{out}\n")).expect("write BENCH_ipc.json");
+    let artifact = labstor_bench::artifact_path("BENCH_ipc.json", smoke);
+    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_ipc.json");
 
     println!(
         "== ipc_hotpath ({}) ==",

@@ -20,7 +20,8 @@
 //! sides must agree with the host-side reference count exactly.
 //!
 //! Usage: `bench_pushdown [--smoke]` — `--smoke` shrinks the repetition
-//! count for CI (the dataset stays at the paper-shaped 256 KiB).
+//! count for CI (the dataset stays at the paper-shaped 256 KiB) and
+//! writes `target/bench/BENCH_pushdown.json` instead.
 
 use std::sync::Arc;
 
@@ -205,7 +206,8 @@ fn main() {
         "gate": gate,
     });
     let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    std::fs::write("BENCH_pushdown.json", format!("{out}\n")).expect("write BENCH_pushdown.json");
+    let artifact = labstor_bench::artifact_path("BENCH_pushdown.json", smoke);
+    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_pushdown.json");
 
     println!(
         "== pushdown_filtered_scan ({}) ==",
@@ -226,7 +228,7 @@ fn main() {
         pushdown.copies
     );
     if !pass {
-        eprintln!("FAIL: pushdown gate (see BENCH_pushdown.json)");
+        eprintln!("FAIL: pushdown gate (see {})", artifact.display());
         std::process::exit(1);
     }
 }

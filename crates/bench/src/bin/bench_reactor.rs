@@ -33,7 +33,7 @@
 //! artifact records every repetition.
 //!
 //! Usage: `bench_reactor [--smoke]` — `--smoke` shortens the window for
-//! CI.
+//! CI and writes `target/bench/BENCH_reactor.json` instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -311,7 +311,8 @@ fn main() {
         "gate": gate,
     });
     let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    std::fs::write("BENCH_reactor.json", format!("{out}\n")).expect("write BENCH_reactor.json");
+    let artifact = labstor_bench::artifact_path("BENCH_reactor.json", smoke);
+    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_reactor.json");
 
     println!(
         "== reactor_idle_fleet ({}) ==",

@@ -20,7 +20,7 @@
 //! so host scheduling noise cannot flake CI.
 //!
 //! Usage: `bench_tenants [--smoke]` — `--smoke` shrinks the fleet and op
-//! counts for CI.
+//! counts for CI and writes `target/bench/BENCH_tenants.json` instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -329,7 +329,8 @@ fn main() {
         "gate": gate,
     });
     let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    std::fs::write("BENCH_tenants.json", format!("{out}\n")).expect("write BENCH_tenants.json");
+    let artifact = labstor_bench::artifact_path("BENCH_tenants.json", smoke);
+    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_tenants.json");
 
     println!(
         "== tenant_isolation ({}) ==",
@@ -358,7 +359,7 @@ fn main() {
         hostile_rate
     );
     if !pass {
-        eprintln!("FAIL: tenant isolation gate (see BENCH_tenants.json)");
+        eprintln!("FAIL: tenant isolation gate (see {})", artifact.display());
         std::process::exit(1);
     }
 }

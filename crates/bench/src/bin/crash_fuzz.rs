@@ -82,12 +82,7 @@ fn main() {
         "violations": violations.len() as u64,
         "per_workload": Value::Object(per_workload),
     });
-    let artifact = if smoke {
-        std::fs::create_dir_all("target/bench").expect("create target/bench");
-        "target/bench/BENCH_crash_fuzz.json"
-    } else {
-        "BENCH_crash_fuzz.json"
-    };
+    let artifact = labstor_bench::artifact_path("BENCH_crash_fuzz.json", smoke);
     std::fs::write(artifact, format!("{out}\n")).expect("write the campaign artifact");
 
     println!(

@@ -238,6 +238,19 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Where a bench binary writes its `BENCH_*.json` artifact, relative to
+/// the repository root it runs from: a full run rewrites the committed
+/// file `name`; a `--smoke` run writes `target/bench/<name>` (created on
+/// demand) and leaves the committed one alone.
+pub fn artifact_path(name: &str, smoke: bool) -> std::path::PathBuf {
+    if !smoke {
+        return name.into();
+    }
+    let dir = std::path::Path::new("target/bench");
+    std::fs::create_dir_all(dir).expect("create target/bench");
+    dir.join(name)
+}
+
 /// Nearest-rank percentile (`p` in `0.0..=1.0`) of an ascending slice;
 /// 0 for an empty slice.
 pub fn percentile(sorted: &[u64], p: f64) -> u64 {

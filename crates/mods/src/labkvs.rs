@@ -4,7 +4,10 @@
 //! put/get/remove API, which creates keys and stores data using a single
 //! syscall, as opposed to the three (open-modify-close) required by
 //! POSIX." It shares LabFS's architecture: sharded key map, per-worker
-//! block allocation, per-worker operation log, replay-based recovery.
+//! allocation, per-worker operation log, replay-based recovery. A value
+//! is one device-contiguous run of sectors (DESIGN.md §12, "LabKVS
+//! on-device layout"): a put is one write, a get one read, of exactly
+//! the covering sectors.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,45 +24,47 @@ use crate::devices::{device_param, DeviceRegistry};
 use crate::journal::{Journal, JournalError, RepairReport};
 use crate::labfs::BlockAllocator;
 
-const KV_BLOCK: usize = 4096;
-const BLOCK_SECTORS: u64 = (KV_BLOCK / labstor_sim::SECTOR_SIZE) as u64;
-const LOG_BLOCKS_PER_WORKER: u64 = 1024;
+const SECTOR: usize = labstor_sim::SECTOR_SIZE;
+/// Sectors reserved per worker log region (4 MiB).
+const LOG_SECTORS_PER_WORKER: u64 = 8192;
+/// Sectors a dry allocator shard takes from the richest one (16 MiB).
+const STEAL_SECTORS: u64 = 32 * 1024;
 
 /// CPU cost of one key-map operation.
 const KV_CPU_NS: u64 = 250;
+/// CPU cost of carving one extent (bump pointer).
+const ALLOC_NS: u64 = 40;
 
-/// A stored value's location: its length and the device blocks holding it.
-#[derive(Debug, Clone)]
+/// A stored value's location: one device-contiguous extent of
+/// `len.div_ceil(SECTOR)` sectors starting at `lba` (DESIGN.md §12,
+/// "LabKVS on-device layout"). A zero-length value owns no sectors.
+#[derive(Debug, Clone, Copy)]
 struct ValueLoc {
     len: usize,
-    blocks: Vec<u64>,
+    lba: u64,
+}
+
+/// Sectors covering a `len`-byte value.
+fn sectors_for(len: usize) -> u64 {
+    len.div_ceil(SECTOR) as u64
 }
 
 /// KVS log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum KvRecord {
-    Put {
-        key: String,
-        len: u64,
-        blocks: Vec<u64>,
-    },
-    Remove {
-        key: String,
-    },
+    Put { key: String, len: u64, lba: u64 },
+    Remove { key: String },
 }
 
 impl KvRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            KvRecord::Put { key, len, blocks } => {
+            KvRecord::Put { key, len, lba } => {
                 out.push(1);
                 out.extend_from_slice(&(key.len() as u32).to_le_bytes());
                 out.extend_from_slice(key.as_bytes());
                 out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-                for b in blocks {
-                    out.extend_from_slice(&b.to_le_bytes());
-                }
+                out.extend_from_slice(&lba.to_le_bytes());
             }
             KvRecord::Remove { key } => {
                 out.push(2);
@@ -83,12 +88,8 @@ impl KvRecord {
                 // copy-ok: log-record decode of a key string — metadata, not payload bytes
                 let key = String::from_utf8(take(buf, pos, klen)?.to_vec()).ok()?;
                 let len = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
-                let n = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                let mut blocks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    blocks.push(u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?));
-                }
-                Some(KvRecord::Put { key, len, blocks })
+                let lba = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
+                Some(KvRecord::Put { key, len, lba })
             }
             2 => {
                 let klen = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
@@ -135,13 +136,13 @@ impl LabKvs {
     /// Build LabKVS with an explicit number of `GetWhere` table levels.
     pub fn with_levels(device: Arc<SimDevice>, workers: usize, levels: u32) -> Self {
         let workers = workers.max(1);
-        let total_blocks = device.model().capacity_sectors() / BLOCK_SECTORS;
-        let log_blocks = LOG_BLOCKS_PER_WORKER * workers as u64;
+        let total_sectors = device.model().capacity_sectors();
+        let log_sectors = LOG_SECTORS_PER_WORKER * workers as u64;
         let n_shards = workers.next_power_of_two().max(16);
         LabKvs {
             shards: (0..n_shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            allocator: BlockAllocator::new(log_blocks, total_blocks, workers, 4096),
-            journal: Journal::new(device, workers, LOG_BLOCKS_PER_WORKER * BLOCK_SECTORS),
+            allocator: BlockAllocator::new(log_sectors, total_sectors, workers, STEAL_SECTORS),
+            journal: Journal::new(device, workers, LOG_SECTORS_PER_WORKER),
             perf: PerfCounters::new(),
             resub_levels: levels.max(1),
         }
@@ -170,14 +171,11 @@ impl LabKvs {
     /// Apply one replayed record to the key map.
     fn apply(&self, rec: KvRecord) {
         match rec {
-            KvRecord::Put { key, len, blocks } => {
-                self.shard(&key).write().insert(
-                    key,
-                    ValueLoc {
-                        len: len as usize,
-                        blocks,
-                    },
-                );
+            KvRecord::Put { key, len, lba } => {
+                let len = len as usize;
+                self.allocator
+                    .reserve(lba, lba.saturating_add(sectors_for(len)));
+                self.shard(&key).write().insert(key, ValueLoc { len, lba });
             }
             KvRecord::Remove { key } => {
                 self.shard(&key).write().remove(&key);
@@ -206,172 +204,94 @@ impl LabKvs {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Allocate blocks for a `len`-byte value on `core`.
-    fn alloc_blocks(&self, ctx: &mut Ctx, core: usize, len: usize) -> Option<Vec<u64>> {
-        let n_blocks = len.div_ceil(KV_BLOCK);
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            ctx.advance(40);
-            blocks.push(self.allocator.alloc(core)?);
-        }
-        Some(blocks)
+    /// Send one block op to the next vertex on behalf of `req`.
+    fn fwd_block(
+        &self,
+        ctx: &mut Ctx,
+        env: &StackEnv<'_>,
+        req: &Request,
+        op: BlockOp,
+    ) -> RespPayload {
+        let mut fwd = Request::new(req.id, req.stack, Payload::Block(op), req.creds);
+        fwd.vertex = env.vertex;
+        fwd.core = req.core;
+        env.forward(ctx, fwd)
     }
 
-    /// Record a completed put in the log and key map.
-    fn commit_put(&self, ctx: &mut Ctx, core: usize, key: &str, len: usize, blocks: Vec<u64>) {
-        self.log(
-            ctx,
-            core,
-            &KvRecord::Put {
-                key: key.to_string(),
-                len: len as u64,
-                blocks: blocks.clone(),
-            },
-        );
-        self.shard(key)
-            .write()
-            .insert(key.to_string(), ValueLoc { len, blocks });
-    }
-
-    /// Zero-copy put: full blocks of the caller's pool buffer travel
-    /// downstream as refcounted [`labstor_ipc::BufHandle`] slices; only
-    /// the zero-padded tail block is materialized as a `Vec`.
-    fn do_put_buf(
+    /// Store a `len`-byte value: carve its extent from the originating
+    /// worker's allocator shard, forward the write(s) `writes` builds for
+    /// that extent, then record the put in the log and key map. A
+    /// zero-length value allocates nothing and touches no device.
+    fn put_extent(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
         req: &Request,
         key: &str,
-        buf: &labstor_ipc::BufHandle,
+        len: usize,
+        writes: impl FnOnce(u64) -> [Option<BlockOp>; 2],
     ) -> RespPayload {
         ctx.advance(KV_CPU_NS);
-        let Some(blocks) = self.alloc_blocks(ctx, req.core, buf.len()) else {
-            return RespPayload::Err("no space".into());
-        };
-        let full_bytes = (buf.len() / KV_BLOCK) * KV_BLOCK;
-        let mut ops = Vec::new();
-        let mut i = 0usize;
-        while i < blocks.len() {
-            let mut j = i;
-            while j + 1 < blocks.len() && blocks[j + 1] == blocks[j] + 1 {
-                j += 1;
-            }
-            let byte_from = i * KV_BLOCK;
-            let byte_to = ((j + 1) * KV_BLOCK).min(buf.len().next_multiple_of(KV_BLOCK));
-            let zc_to = byte_to.min(full_bytes);
-            let mut copy_from = byte_from;
-            if byte_from < zc_to {
-                if let Some(s) = buf.slice(byte_from, zc_to - byte_from) {
-                    ops.push(BlockOp::WriteBuf {
-                        lba: blocks[i] * BLOCK_SECTORS,
-                        buf: s,
-                    });
-                    copy_from = zc_to;
+        let mut lba = 0;
+        if len > 0 {
+            ctx.advance(ALLOC_NS);
+            let Some(first) = self.allocator.alloc_run(req.core, sectors_for(len)) else {
+                return RespPayload::Err("no space".into());
+            };
+            lba = first;
+            for op in writes(lba).into_iter().flatten() {
+                let r = self.fwd_block(ctx, env, req, op);
+                if !r.is_ok() {
+                    return r;
                 }
             }
-            if copy_from < byte_to {
-                let mut payload = vec![0u8; byte_to - copy_from];
-                let n = buf.len().saturating_sub(copy_from).min(payload.len());
-                labstor_ipc::note_payload_copy(n);
-                // copy-ok: the zero-padded tail block cannot alias the pool buffer; counted via note_payload_copy
-                payload[..n].copy_from_slice(&buf.as_slice()[copy_from..copy_from + n]);
-                let block = blocks[i] + ((copy_from - byte_from) / KV_BLOCK) as u64;
-                ops.push(BlockOp::Write {
-                    lba: block * BLOCK_SECTORS,
-                    data: payload,
-                });
-            }
-            i = j + 1;
         }
-        for op in ops {
-            let mut fwd = Request::new(req.id, req.stack, Payload::Block(op), req.creds);
-            fwd.vertex = env.vertex;
-            fwd.core = req.core;
-            let r = env.forward(ctx, fwd);
-            if !r.is_ok() {
-                return r;
-            }
-        }
-        self.commit_put(ctx, req.core, key, buf.len(), blocks);
-        RespPayload::Len(buf.len())
+        let rec = KvRecord::Put {
+            key: key.to_string(),
+            len: len as u64,
+            lba,
+        };
+        self.log(ctx, req.core, &rec);
+        self.shard(key)
+            .write()
+            .insert(key.to_string(), ValueLoc { len, lba });
+        RespPayload::Len(len)
     }
 
-    /// Fetch a stored value. Single-block values ride the zero-copy path
-    /// end to end: the driver lands the DMA in a pool buffer and we hand
-    /// back a refcounted slice of it as [`RespPayload::DataBuf`].
+    /// Fetch a stored value: one device read of the covering sectors,
+    /// answered as a slice of the driver's DMA buffer (inline when small).
     fn read_value(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
         req: &Request,
-        loc: &ValueLoc,
+        loc: ValueLoc,
     ) -> RespPayload {
-        if loc.blocks.len() == 1 && loc.len > 0 {
-            let mut fwd = Request::new(
-                req.id,
-                req.stack,
-                Payload::Block(BlockOp::ReadBuf {
-                    lba: loc.blocks[0] * BLOCK_SECTORS,
-                    len: KV_BLOCK,
-                }),
-                req.creds,
-            );
-            fwd.vertex = env.vertex;
-            fwd.core = req.core;
-            return match env.forward(ctx, fwd) {
-                RespPayload::DataBuf(h) => {
-                    let want = loc.len.min(h.len());
-                    // Small values skip the BufferPool round trip and
-                    // ride by value in the envelope — the client-side
-                    // copy-out this saves is a counted one.
-                    if let Some(d) =
-                        labstor_ipc::InlineData::from_slice(h.as_slice().get(..want).unwrap_or(&[]))
-                    {
-                        return RespPayload::Inline(d);
-                    }
-                    match h.slice(0, want) {
-                        Some(s) => RespPayload::DataBuf(s),
-                        None => RespPayload::Data(h.to_vec()), // copy-ok: unreachable slice failure; to_vec self-counts
-                    }
-                }
-                // copy-ok: legacy Vec from a pool-dry driver; truncation copy counted below
-                RespPayload::Data(d) => {
-                    let want = loc.len.min(d.len());
-                    labstor_ipc::note_payload_copy(want);
-                    RespPayload::Data(d[..want].to_vec()) // copy-ok: counted just above
-                }
-                other => other,
-            };
+        if loc.len == 0 {
+            return RespPayload::Data(Vec::new());
         }
-        let mut out = Vec::with_capacity(loc.len);
-        for (idx, b) in loc.blocks.iter().enumerate() {
-            let want = (loc.len - idx * KV_BLOCK).min(KV_BLOCK);
-            let mut fwd = Request::new(
-                req.id,
-                req.stack,
-                Payload::Block(BlockOp::Read {
-                    lba: b * BLOCK_SECTORS,
-                    len: KV_BLOCK,
-                }),
-                req.creds,
-            );
-            fwd.vertex = env.vertex;
-            fwd.core = req.core;
-            match env.forward(ctx, fwd) {
-                RespPayload::Data(d) => {
-                    labstor_ipc::note_payload_copy(want);
-                    // copy-ok: multi-block reassembly into one contiguous value; counted just above
-                    out.extend_from_slice(&d[..want]);
+        let read = BlockOp::ReadBuf {
+            lba: loc.lba,
+            len: loc.len.next_multiple_of(SECTOR),
+        };
+        match self.fwd_block(ctx, env, req, read) {
+            RespPayload::DataBuf(mut h) => {
+                h.truncate(loc.len);
+                // Small values skip the BufferPool round trip and ride
+                // by value in the envelope — the client-side copy-out
+                // this saves is a counted one.
+                match labstor_ipc::InlineData::from_slice(h.as_slice()) {
+                    Some(d) => RespPayload::Inline(d),
+                    None => RespPayload::DataBuf(h),
                 }
-                RespPayload::DataBuf(h) => {
-                    labstor_ipc::note_payload_copy(want);
-                    // copy-ok: multi-block reassembly into one contiguous value; counted just above
-                    out.extend_from_slice(&h.as_slice()[..want]);
-                }
-                other => return other,
             }
+            // A pool-dry driver answers with an owned Vec.
+            RespPayload::Data(mut d) => {
+                d.truncate(loc.len);
+                RespPayload::Data(d)
+            }
+            other => other,
         }
-        RespPayload::Data(out)
     }
 
     /// Pushdown point-query with the in-stack resubmission hook: probe
@@ -391,11 +311,11 @@ impl LabKvs {
         for level in 0..self.resub_levels {
             ctx.advance(KV_CPU_NS); // one key-map probe per level walked
             let lkey = level_key(level, key);
-            let loc = self.shard(&lkey).read().get(&lkey).cloned();
+            let loc = self.shard(&lkey).read().get(&lkey).copied();
             let Some(loc) = loc else {
                 continue; // resubmission hook: try the next level in-stack
             };
-            let resp = self.read_value(ctx, env, req, &loc);
+            let resp = self.read_value(ctx, env, req, loc);
             let mut fuel = prog.fuel_budget();
             let mut out = labstor_pushdown::ScanOut::default();
             let scanned = match resp.data_bytes() {
@@ -440,7 +360,7 @@ impl LabKvs {
             let m = shard.read();
             for (k, loc) in m.iter() {
                 if k.starts_with(prefix) {
-                    entries.push((k.clone(), loc.clone()));
+                    entries.push((k.clone(), *loc));
                 }
             }
         }
@@ -450,7 +370,7 @@ impl LabKvs {
         let mut matched_keys: Vec<String> = Vec::new();
         for (k, loc) in &entries {
             ctx.advance(KV_CPU_NS); // per-entry key-map touch
-            let resp = self.read_value(ctx, env, req, loc);
+            let resp = self.read_value(ctx, env, req, *loc);
             let Some(bytes) = resp.data_bytes() else {
                 return resp; // downstream error; propagate as-is
             };
@@ -493,6 +413,41 @@ impl LabKvs {
     }
 }
 
+/// One write of `value` padded with zeroes to the sector: the caller's
+/// allocation as it is when the length is a sector multiple.
+fn padded_write(lba: u64, mut value: Vec<u8>) -> BlockOp {
+    let padded = value.len().next_multiple_of(SECTOR);
+    if padded > value.capacity() {
+        // Growing the allocation for the tail sector's padding moves the bytes.
+        labstor_ipc::note_payload_copy(value.len());
+    }
+    value.resize(padded, 0);
+    BlockOp::Write { lba, data: value }
+}
+
+/// The writes of a pool buffer: its sector-multiple prefix as a
+/// refcounted slice, then the zero-padded tail sector, if any.
+fn pooled_writes(lba: u64, buf: &labstor_ipc::BufHandle) -> [Option<BlockOp>; 2] {
+    let prefix = buf.len() / SECTOR * SECTOR;
+    let head = (prefix > 0).then(|| {
+        let mut h = buf.clone();
+        h.truncate(prefix);
+        BlockOp::WriteBuf { lba, buf: h }
+    });
+    let tail = (prefix < buf.len()).then(|| {
+        let mut data = vec![0u8; SECTOR];
+        let rest = &buf.as_slice()[prefix..];
+        labstor_ipc::note_payload_copy(rest.len());
+        // copy-ok: the zero-padded tail sector cannot alias the pool buffer; counted via note_payload_copy
+        data[..rest.len()].copy_from_slice(rest);
+        BlockOp::Write {
+            lba: lba + (prefix / SECTOR) as u64,
+            data,
+        }
+    });
+    [head, tail]
+}
+
 impl LabMod for LabKvs {
     fn type_name(&self) -> &'static str {
         "labkvs"
@@ -502,56 +457,29 @@ impl LabMod for LabKvs {
         ModType::Kvs
     }
 
-    fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
+    fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
         let before = ctx.busy();
+        if let Payload::Kvs(KvsOp::Put { key, value }) = &mut req.payload {
+            // A put's bytes move out of the request: the caller's own
+            // allocation goes downstream, padded to the sector in place.
+            let (key, value) = (std::mem::take(key), std::mem::take(value));
+            let resp = self.put_extent(ctx, env, &req, &key, value.len(), |lba| {
+                [Some(padded_write(lba, value)), None]
+            });
+            self.perf.observe(ctx.busy() - before);
+            return resp;
+        }
         let resp = match &req.payload {
-            Payload::Kvs(KvsOp::Put { key, value }) => {
-                ctx.advance(KV_CPU_NS);
-                let Some(blocks) = self.alloc_blocks(ctx, req.core, value.len()) else {
-                    return RespPayload::Err("no space".into());
-                };
-                // One downstream write per contiguous block run.
-                let mut i = 0usize;
-                while i < blocks.len() {
-                    let mut j = i;
-                    while j + 1 < blocks.len() && blocks[j + 1] == blocks[j] + 1 {
-                        j += 1;
-                    }
-                    let byte_from = i * KV_BLOCK;
-                    let byte_to = ((j + 1) * KV_BLOCK).min(value.len().next_multiple_of(KV_BLOCK));
-                    let mut payload = vec![0u8; byte_to - byte_from];
-                    let copy_to = value.len().min(byte_to) - byte_from.min(value.len());
-                    if byte_from < value.len() {
-                        labstor_ipc::note_payload_copy(copy_to);
-                        // copy-ok: legacy Vec put path; counted just above (PutBuf avoids this)
-                        payload[..copy_to].copy_from_slice(&value[byte_from..byte_from + copy_to]);
-                    }
-                    let mut fwd = Request::new(
-                        req.id,
-                        req.stack,
-                        Payload::Block(BlockOp::Write {
-                            lba: blocks[i] * BLOCK_SECTORS,
-                            data: payload,
-                        }),
-                        req.creds,
-                    );
-                    fwd.vertex = env.vertex;
-                    fwd.core = req.core;
-                    let r = env.forward(ctx, fwd);
-                    if !r.is_ok() {
-                        return r;
-                    }
-                    i = j + 1;
-                }
-                self.commit_put(ctx, req.core, key, value.len(), blocks);
-                RespPayload::Len(value.len())
+            Payload::Kvs(KvsOp::PutBuf { key, buf }) => {
+                self.put_extent(ctx, env, &req, key, buf.len(), |lba| {
+                    pooled_writes(lba, buf)
+                })
             }
-            Payload::Kvs(KvsOp::PutBuf { key, buf }) => self.do_put_buf(ctx, env, &req, key, buf),
             Payload::Kvs(KvsOp::Get { key }) => {
                 ctx.advance(KV_CPU_NS);
-                let loc = self.shard(key).read().get(key).cloned();
+                let loc = self.shard(key).read().get(key).copied();
                 match loc {
-                    Some(loc) => self.read_value(ctx, env, &req, &loc),
+                    Some(loc) => self.read_value(ctx, env, &req, loc),
                     None => RespPayload::Err(format!("no key '{key}'")),
                 }
             }
@@ -593,6 +521,7 @@ impl LabMod for LabKvs {
                 *mine.write() = theirs.read().clone();
             }
             self.journal.absorb(&prev.journal);
+            self.allocator.absorb(&prev.allocator);
         }
     }
 
@@ -701,7 +630,7 @@ mod tests {
             Payload::Kvs(KvsOp::Get { key: "a".into() }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == value));
+        assert_eq!(r.data_bytes(), Some(&value[..]));
     }
 
     #[test]
@@ -736,12 +665,12 @@ mod tests {
     }
 
     #[test]
-    fn put_buf_roundtrips_with_zero_copy_full_blocks() {
+    fn put_buf_roundtrips_with_a_zero_copy_prefix() {
         let (mm, stack) = setup();
         let mut ctx = Ctx::new();
-        // Not a block multiple: two full blocks ride as refcounted
-        // slices, the 777-byte tail is zero-padded and copied.
-        let n = KV_BLOCK * 2 + 777;
+        // Not a sector multiple: the 17-sector prefix rides as one
+        // refcounted slice, the 73-byte tail is zero-padded and copied.
+        let n = SECTOR * 17 + 73;
         let mut h = labstor_ipc::default_pool()
             .alloc(n)
             .expect("pool has a big-enough class");
@@ -771,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn single_block_get_answers_with_pool_buffer() {
+    fn get_answers_with_a_view_of_the_dma_buffer() {
         let (mm, stack) = setup();
         let mut ctx = Ctx::new();
         let value = vec![0x5au8; 500];
@@ -896,7 +825,63 @@ mod tests {
             Payload::Kvs(KvsOp::Get { key: "keep".into() }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == value));
+        assert_eq!(r.data_bytes(), Some(&value[..]));
+    }
+
+    fn put(mm: &ModuleManager, stack: &LabStack, ctx: &mut Ctx, key: &str, value: &[u8]) {
+        let put = KvsOp::Put {
+            key: key.into(),
+            value: value.to_vec(),
+        };
+        let w = exec(mm, stack, Payload::Kvs(put), ctx);
+        assert!(
+            matches!(w, RespPayload::Len(n) if n == value.len()),
+            "{w:?}"
+        );
+    }
+
+    fn assert_value(mm: &ModuleManager, stack: &LabStack, ctx: &mut Ctx, key: &str, want: &[u8]) {
+        let r = exec(mm, stack, Payload::Kvs(KvsOp::Get { key: key.into() }), ctx);
+        assert!(r.data_bytes() == Some(want), "'{key}' no longer reads back");
+    }
+
+    /// Put `old`, swap in the instance `successor` builds from the live
+    /// one, put `new`: both must read back (the successor must not carve
+    /// `new` out of the sectors `old` lives in).
+    fn old_value_survives(successor: impl FnOnce(&LabKvs, Arc<SimDevice>, &mut Ctx) -> LabKvs) {
+        let (mm, stack, dev) = setup_with_device();
+        let mut ctx = Ctx::new();
+        let (old, new) = (vec![0xA1u8; 1500], vec![0xB2u8; 1500]);
+        put(&mm, &stack, &mut ctx, "old", &old);
+        let prev = mm.get("kv").unwrap();
+        let next = successor(
+            prev.as_any().downcast_ref::<LabKvs>().unwrap(),
+            dev,
+            &mut ctx,
+        );
+        mm.insert_instance("kv", Arc::new(next));
+        put(&mm, &stack, &mut ctx, "new", &new);
+        assert_value(&mm, &stack, &mut ctx, "old", &old);
+        assert_value(&mm, &stack, &mut ctx, "new", &new);
+    }
+
+    #[test]
+    fn upgrade_does_not_hand_out_live_extents_again() {
+        old_value_survives(|prev, dev, _| {
+            let next = LabKvs::new(dev, 4);
+            next.state_update(prev);
+            next
+        });
+    }
+
+    #[test]
+    fn restart_does_not_hand_out_live_extents_again() {
+        old_value_survives(|prev, dev, ctx| {
+            prev.flush_logs(ctx).unwrap();
+            let next = LabKvs::new(dev, 4);
+            assert!(next.replay_from_device().is_clean());
+            next
+        });
     }
 
     #[test]
@@ -918,9 +903,9 @@ mod tests {
         // A crash inside the one write of a second, three-sector frame:
         // its first two sectors landed, its last did not.
         let ghost = KvRecord::Put {
-            key: "ghost".into(),
+            key: "ghost".repeat(220),
             len: 8,
-            blocks: (0..140).collect(),
+            lba: 1 << 20,
         };
         kv.log(&mut ctx, 0, &ghost);
         let (sector, frame) = kv.journal.seal_next(0).unwrap();
@@ -942,7 +927,7 @@ mod tests {
             KvRecord::Put {
                 key: "alpha".into(),
                 len: 777,
-                blocks: vec![5, 6, 7],
+                lba: 81_920,
             },
             KvRecord::Remove {
                 key: "alpha".into(),

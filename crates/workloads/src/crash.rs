@@ -20,10 +20,18 @@
 //! place a crash can tear a frame: a one-sector frame lands whole or not
 //! at all, so the tears recovery has to discard are the ones inside the
 //! multi-sector frames the fio and fileserver mixes fsync.
-//! Operation mixes are overwrite-free (appends, truncates,
+//! The LabFS mixes are overwrite-free (appends, truncates,
 //! unlink + recreate): LabFS journals metadata, not file data, so an
 //! in-place data overwrite before the metadata commit is the documented
-//! ext4-ordered-mode gap, not a bug this campaign hunts.
+//! ext4-ordered-mode gap, not a bug this campaign hunts. The LabKVS mix
+//! does overwrite live keys, at a different length each time: a put
+//! always lands in a fresh extent and the old one stays reachable until
+//! the new record is durable, so either value is a legal prefix state.
+//!
+//! After the prefix check every trial keeps going on the recovered
+//! instance: it writes a few new values (or files) and re-checks that
+//! what recovery rebuilt still reads back unchanged — a recovered
+//! allocator that handed out a live extent again would fail here.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -249,6 +257,20 @@ pub fn run_trial(
             crash_at,
             report.repair,
         ));
+        return report;
+    }
+
+    // Life goes on after recovery: new writes on the recovered instance
+    // must land outside everything it recovered.
+    let after = boot
+        .write_after_recovery(&mut ctx)
+        .and_then(|()| boot.observed_digest(&mut ctx, &run.candidates));
+    match after {
+        Ok(d) if d == recovered => {}
+        Ok(_) => {
+            report.violation = Some("writes after recovery changed a recovered value".to_string());
+        }
+        Err(e) => report.violation = Some(format!("post-recovery writes failed: {e}")),
     }
     report
 }
@@ -405,20 +427,62 @@ impl Boot {
             .map_err(|e| e.to_string())
     }
 
+    /// A short write phase on the recovered instance, outside the
+    /// candidate namespace: a few values (or files) of assorted sizes,
+    /// each read back.
+    fn write_after_recovery(&self, ctx: &mut Ctx) -> Result<(), String> {
+        for (i, len) in [700usize, 4096, 5000, 1].into_iter().enumerate() {
+            let name = format!("post-recovery/object-{i}");
+            let data = vec![0xC0 | i as u8; len];
+            let read_back = if self.kvs {
+                let put = KvsOp::Put {
+                    key: name.clone(),
+                    value: data.clone(),
+                };
+                match self.exec(ctx, Payload::Kvs(put)) {
+                    RespPayload::Len(_) => {}
+                    other => return Err(format!("put {name}: {other:?}")),
+                }
+                self.exec(ctx, Payload::Kvs(KvsOp::Get { key: name.clone() }))
+            } else {
+                let create = FsOp::Create {
+                    path: name.clone(),
+                    mode: 0o644,
+                };
+                let ino = match self.exec(ctx, Payload::Fs(create)) {
+                    RespPayload::Ino(ino) => ino,
+                    other => return Err(format!("create {name}: {other:?}")),
+                };
+                let write = FsOp::Write {
+                    ino,
+                    offset: 0,
+                    data: data.clone(),
+                };
+                match self.exec(ctx, Payload::Fs(write)) {
+                    RespPayload::Len(_) => {}
+                    other => return Err(format!("write {name}: {other:?}")),
+                }
+                let (offset, len) = (0, data.len());
+                self.exec(ctx, Payload::Fs(FsOp::Read { ino, offset, len }))
+            };
+            if read_back.data_bytes() != Some(&data[..]) {
+                return Err(format!("{name} does not read back"));
+            }
+        }
+        Ok(())
+    }
+
     /// Digest of the live (post-recovery) state over the candidate
     /// namespace, computed the same way as the model's snapshots.
     fn observed_digest(&self, ctx: &mut Ctx, candidates: &BTreeSet<String>) -> Result<u64, String> {
         let mut entries: Vec<(String, usize, u32)> = Vec::new();
         for name in candidates {
             if self.kvs {
-                match self.exec(ctx, Payload::Kvs(KvsOp::Get { key: name.clone() })) {
-                    RespPayload::Data(d) => entries.push((name.clone(), d.len(), crc32(&d))),
-                    RespPayload::DataBuf(h) => {
-                        let d = h.to_vec();
-                        entries.push((name.clone(), d.len(), crc32(&d)));
-                    }
-                    RespPayload::Err(_) => {} // absent
-                    other => return Err(format!("get {name}: {other:?}")),
+                let resp = self.exec(ctx, Payload::Kvs(KvsOp::Get { key: name.clone() }));
+                match resp.data_bytes() {
+                    Some(d) => entries.push((name.clone(), d.len(), crc32(d))),
+                    None if matches!(resp, RespPayload::Err(_)) => {} // absent
+                    None => return Err(format!("get {name}: {resp:?}")),
                 }
             } else {
                 let st = match self.exec(ctx, Payload::Fs(FsOp::Stat { path: name.clone() })) {
@@ -878,6 +942,17 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
                 for _ in 0..3 {
                     let key = format!("bucket-7/object-{:04}", rng.next() % 12);
                     let len = 200 + (rng.next() % 6000) as usize;
+                    let value = payload_bytes(&mut rng, len);
+                    d.put(&key, value);
+                }
+                // One in-place overwrite of a live key, at another length
+                // (down to zero, up to a dozen sectors).
+                let mut live: Vec<&String> = d.model.files.keys().collect();
+                live.sort_unstable();
+                if !live.is_empty() {
+                    let key = live[rng.next() as usize % live.len()].clone();
+                    let old_len = d.model.files[&key].0.len();
+                    let len = (old_len + 300 + (rng.next() % 3000) as usize) % 6200;
                     let value = payload_bytes(&mut rng, len);
                     d.put(&key, value);
                 }

@@ -151,6 +151,31 @@ proptest! {
         }
         prop_assert_eq!(a.free_blocks(), total - allocated);
     }
+
+    #[test]
+    fn alloc_runs_never_overlap_across_workers(
+        workers in 1usize..6,
+        total in 64u64..4096,
+        batch in 1u64..64,
+        picks in proptest::collection::vec((0usize..6, 1u64..40), 1..400),
+    ) {
+        let a = BlockAllocator::new(0, total, workers, batch);
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for (w, n) in picks {
+            // `None` means no shard holds `n` contiguous units any more;
+            // a later, shorter run may still fit.
+            if let Some(first) = a.alloc_run(w, n) {
+                prop_assert!(first + n <= total, "run past the end");
+                runs.push((first, first + n));
+            }
+        }
+        runs.sort_unstable();
+        for pair in runs.windows(2) {
+            prop_assert!(pair[0].1 <= pair[1].0, "runs overlap: {:?}", pair);
+        }
+        let handed_out: u64 = runs.iter().map(|r| r.1 - r.0).sum();
+        prop_assert!(handed_out + a.free_blocks() <= total);
+    }
 }
 
 // ---------------------------------------------------------------------

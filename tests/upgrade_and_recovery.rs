@@ -407,3 +407,125 @@ fn repair_all_is_idempotent() {
     assert!(resp.is_ok());
     rt.shutdown();
 }
+
+#[test]
+fn storage_mod_upgrade_mid_workload_keeps_every_pre_upgrade_byte() {
+    use labstor::core::KvsOp;
+
+    let (rt, d) = platform();
+    rt.mount_stack_json(
+        r#"{
+        "mount": "kv::/u",
+        "exec": "async",
+        "authorized_uids": [0],
+        "labmods": [
+            { "uuid": "up_kv", "type": "labkvs", "params": {"device": "nvme0", "workers": 2}, "outputs": ["up_kvd"] },
+            { "uuid": "up_kvd", "type": "kernel_driver", "params": {"device": "nvme0"} }
+        ]
+    }"#,
+    )
+    .unwrap();
+    // Its own device: LabFS and LabKVS each lay out a whole device.
+    d.add_preset("nvme1", DeviceKind::Nvme);
+    rt.mount_stack_json(
+        r#"{
+        "mount": "fs::/u",
+        "exec": "async",
+        "authorized_uids": [0],
+        "labmods": [
+            { "uuid": "up_fs", "type": "labfs", "params": {"device": "nvme1", "workers": 2}, "outputs": ["up_fsd"] },
+            { "uuid": "up_fsd", "type": "kernel_driver", "params": {"device": "nvme1"} }
+        ]
+    }"#,
+    )
+    .unwrap();
+    let kv = rt.ns.get("kv::/u").unwrap();
+    let fs = rt.ns.get("fs::/u").unwrap();
+    let mut client = rt.connect(Credentials::new(1, 0, 0), 1);
+
+    // Value i and file i hold `len(i)` bytes of one fill byte each.
+    let len = |i: usize| 700 + 913 * (i % 11);
+    let kv_fill = |i: usize| vec![(i % 251) as u8 + 1; len(i)];
+    let fs_fill = |i: usize| vec![(i % 241) as u8 + 7; len(i)];
+    let (first_kv, first_fs) = (rt.mm.get("up_kv").unwrap(), rt.mm.get("up_fs").unwrap());
+    let mut inos = Vec::new();
+    const N: usize = 60;
+    for i in 0..N {
+        if i == N / 2 {
+            for (uuid, type_name, device) in
+                [("up_kv", "labkvs", "nvme0"), ("up_fs", "labfs", "nvme1")]
+            {
+                rt.request_upgrade(UpgradeRequest {
+                    uuid: uuid.into(),
+                    type_name: type_name.into(),
+                    params: serde_json::json!({"device": device, "workers": 2}),
+                    kind: UpgradeKind::Centralized,
+                    code_bytes: 1 << 16,
+                    code_device: None,
+                });
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while rt.mm.pending_upgrades() > 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "admin never processed the upgrades"
+                );
+                std::thread::yield_now();
+            }
+        }
+        let put = KvsOp::Put {
+            key: format!("k{i}"),
+            value: kv_fill(i),
+        };
+        let (resp, _) = client.execute(&kv, Payload::Kvs(put)).unwrap();
+        assert!(
+            matches!(resp, RespPayload::Len(n) if n == len(i)),
+            "{resp:?}"
+        );
+        let create = FsOp::Create {
+            path: format!("/f{i}"),
+            mode: 0o644,
+        };
+        let ino = match client.execute(&fs, Payload::Fs(create)).unwrap().0 {
+            RespPayload::Ino(ino) => ino,
+            other => panic!("create /f{i}: {other:?}"),
+        };
+        inos.push(ino);
+        let write = FsOp::Write {
+            ino,
+            offset: 0,
+            data: fs_fill(i),
+        };
+        let (resp, _) = client.execute(&fs, Payload::Fs(write)).unwrap();
+        assert!(
+            matches!(resp, RespPayload::Len(n) if n == len(i)),
+            "{resp:?}"
+        );
+    }
+    for (uuid, before) in [("up_kv", &first_kv), ("up_fs", &first_fs)] {
+        let now = rt.mm.get(uuid).unwrap();
+        assert!(!Arc::ptr_eq(before, &now), "{uuid} was never swapped");
+    }
+
+    for (i, &ino) in inos.iter().enumerate() {
+        let get = KvsOp::Get {
+            key: format!("k{i}"),
+        };
+        let (resp, _) = client.execute(&kv, Payload::Kvs(get)).unwrap();
+        assert!(
+            resp.data_bytes() == Some(&kv_fill(i)[..]),
+            "value k{i} changed across the upgrade"
+        );
+        let read = FsOp::Read {
+            ino,
+            offset: 0,
+            len: len(i),
+        };
+        let (resp, _) = client.execute(&fs, Payload::Fs(read)).unwrap();
+        assert!(
+            resp.data_bytes() == Some(&fs_fill(i)[..]),
+            "file /f{i} changed across the upgrade"
+        );
+    }
+    rt.shutdown();
+}
