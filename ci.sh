@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: formatting, clippy (workspace lint table), labcheck static
-# analysis + the six-model checking gate, then every workspace test.
-# Each step must pass. The smoke benches write target/bench/BENCH_*.json;
-# the committed BENCH_*.json are full runs and are not touched here.
+# analysis + the six-model checking gate, every workspace test, then the
+# figure-identity gate. Each step must pass. The smoke benches write
+# target/bench/BENCH_*.json; the committed BENCH_*.json are full runs and
+# are not touched here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -18,6 +19,16 @@ test -s lockcheck-report.json
 
 echo "== cargo test --workspace"
 cargo test --workspace -q
+
+echo "== figure identity (the deterministic harnesses must reproduce results/*.txt byte for byte)"
+# Virtual time is a pure function of the code: a refactor that moves one
+# ctx.advance shows up here. The other six harnesses run real threads
+# and differ between two runs on a small guest, so they stay out.
+mkdir -p target/bench/figures
+for fig in fig4a_anatomy table1_upgrade fig6_storage_api fig9b_labios; do
+    cargo run -q --release -p labstor-bench --bin "$fig" > "target/bench/figures/$fig.txt"
+    cmp "target/bench/figures/$fig.txt" "results/$fig.txt"
+done
 
 echo "== sample Chrome trace"
 cargo run -q --release --example telemetry

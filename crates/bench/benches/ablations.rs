@@ -19,7 +19,7 @@ use labstor_core::stack::{ExecMode, LabStack, Vertex};
 use labstor_core::StackEnv;
 use labstor_core::{ModuleManager, Payload, Request, RespPayload};
 use labstor_ipc::Credentials;
-use labstor_mods::labfs::BlockAllocator;
+use labstor_mods::alloc::BlockAllocator;
 use labstor_mods::DeviceRegistry;
 use labstor_sim::{Ctx, DeviceKind};
 

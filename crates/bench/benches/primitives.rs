@@ -9,8 +9,9 @@ use labstor_core::{ModuleManager, Payload, Request, RespPayload};
 use labstor_ipc::ring::spsc;
 use labstor_ipc::{Credentials, QueueFlags, QueuePair};
 use labstor_kernel::page_cache::LruMap;
+use labstor_mods::alloc::BlockAllocator;
 use labstor_mods::compress_algo::{compress, decompress};
-use labstor_mods::labfs::{BlockAllocator, LogRecord};
+use labstor_mods::labfs::LogRecord;
 use labstor_sim::Ctx;
 use labstor_telemetry::{FlightRecorder, LogHistogram, Stage};
 

@@ -15,7 +15,8 @@
 //! * **The LabStor Runtime** ([`runtime`]) — the execution engine:
 //!   IPC-connected clients ([`client`]), a Module Manager with
 //!   centralized/decentralized live-upgrade protocols ([`registry`]),
-//!   polling Workers ([`worker`]), a modular Work Orchestrator
+//!   doorbell-driven reactor Workers ([`worker`]: parked until a
+//!   producer rings, not polling), a modular Work Orchestrator
 //!   ([`orchestrator`]) with the paper's round-robin and dynamic
 //!   (latency/compute partitioning) policies, and crash recovery.
 //!

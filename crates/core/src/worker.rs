@@ -75,14 +75,14 @@ pub fn process_request(
 
 /// A worker's queue assignment, published under a generation counter.
 ///
-/// The poll loop keeps a **local snapshot** of its queue list and refreshes
-/// it only when the generation moved — instead of cloning the
-/// `Vec<Arc<QueuePair>>` (and bumping every Arc refcount) on every poll
-/// pass. After copying a new snapshot the worker publishes the generation
-/// it now runs on through `seen`; `Runtime::rebalance` waits for
-/// `seen == generation` before un-pausing moved queues, which closes the
-/// window where a worker still holding a stale snapshot could consume a
-/// queue that was handed to another worker (the SPSC lane's
+/// The reactor loop keeps a **local snapshot** of its queue list and
+/// refreshes it only when the generation moved — instead of cloning the
+/// `Vec<Arc<QueuePair>>` (and bumping every Arc refcount) on every
+/// doorbell wake. After copying a new snapshot the worker publishes the
+/// generation it now runs on through `seen`; `Runtime::rebalance` waits
+/// for `seen == generation` before un-pausing moved queues, which closes
+/// the window where a worker still holding a stale snapshot could consume
+/// a queue that was handed to another worker (the SPSC lane's
 /// single-consumer contract).
 pub struct AssignmentCell {
     queues: RwLock<Vec<Arc<QueuePair<Message>>>>,
@@ -173,7 +173,7 @@ pub struct Worker {
     /// Worker index.
     pub id: usize,
     /// Queues this worker drains (swapped by the orchestrator), published
-    /// under a generation counter so the poll loop snapshots lazily.
+    /// under a generation counter so the reactor loop snapshots lazily.
     pub assigned: Arc<AssignmentCell>,
     /// Published `(now, busy)` snapshot of the worker's virtual clock —
     /// the single publication path for worker-visible time.

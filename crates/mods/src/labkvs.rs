@@ -20,9 +20,9 @@ use labstor_core::{
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
 use labstor_telemetry::PerfCounters;
 
+use crate::alloc::BlockAllocator;
 use crate::devices::{device_param, DeviceRegistry};
 use crate::journal::{Journal, JournalError, RepairReport};
-use crate::labfs::BlockAllocator;
 
 const SECTOR: usize = labstor_sim::SECTOR_SIZE;
 /// Sectors reserved per worker log region (4 MiB).

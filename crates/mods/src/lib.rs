@@ -5,13 +5,15 @@
 //! The LabMods the paper ships with LabStor (§III-E, §III-F):
 //!
 //! * **LabFS** ([`labfs`]) — a log-structured, crash-consistent POSIX
-//!   filesystem: per-worker block allocators with stealing, per-worker
-//!   metadata logs, in-memory inode hashmap rebuilt by log replay.
+//!   filesystem: per-worker block allocators with stealing ([`alloc`],
+//!   shared with LabKVS), per-worker metadata logs, in-memory inode
+//!   hashmap rebuilt by log replay.
 //! * **LabKVS** ([`labkvs`]) — a put/get/remove store: one operation where
 //!   POSIX needs open-modify-close.
-//! * **Driver LabMods** ([`drivers`]) — Kernel MQ Driver
-//!   (`submit_io_to_hctx` / `poll_completions` through the Kernel Ops
-//!   Manager), SPDK (userspace NVMe queue pairs), DAX (PMEM load/store).
+//! * **Driver LabMods** ([`drivers`]) — one driver mod over four
+//!   backends: Kernel MQ Driver (`submit_io_to_hctx` through the Kernel
+//!   Ops Manager), SPDK (userspace NVMe queue pairs), DAX (PMEM
+//!   load/store), io_uring (the kernel's own block layer, §III-G).
 //! * **I/O scheduler LabMods** ([`sched`]) — NoOp and blk-switch
 //!   re-implemented in userspace (Fig. 8's Lab-NoOp / Lab-Blk).
 //! * **LRU page cache** ([`lru`]) and an adaptive scan-resistant
@@ -28,6 +30,7 @@
 //! [`install_all`] registers every factory with a Module Manager (the
 //! "LabMod repo" of §III-D).
 
+pub mod alloc;
 pub mod arc_cache;
 pub mod cache_common;
 pub mod compress;

@@ -126,17 +126,9 @@ impl LabMod for BlkSwitchSchedMod {
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
         ctx.advance(LAB_SCHED_NS);
         self.perf.observe(LAB_SCHED_NS);
-        let is_latency = matches!(
-            &req.payload,
-            Payload::Block(BlockOp::Read { len, .. } | BlockOp::ReadBuf { len, .. })
-                if *len <= LATENCY_SIZE_BYTES
-        ) || matches!(
-            &req.payload,
-            Payload::Block(BlockOp::Write { data, .. }) if data.len() <= LATENCY_SIZE_BYTES
-        ) || matches!(
-            &req.payload,
-            Payload::Block(BlockOp::WriteBuf { buf, .. }) if buf.len() <= LATENCY_SIZE_BYTES
-        );
+        // A small block data op; the barrier carries no data to hurry.
+        let is_latency = matches!(&req.payload, Payload::Block(op) if !matches!(op, BlockOp::Flush))
+            && req.payload_bytes() <= LATENCY_SIZE_BYTES;
         let n = self.dev.num_queues();
         let qid = if is_latency {
             // Steer latency requests to the least-loaded channel group.

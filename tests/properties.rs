@@ -9,8 +9,9 @@ use labstor::core::{FsOp, Payload, RespPayload};
 use labstor::core::{ModuleManager, Request};
 use labstor::ipc::Credentials;
 use labstor::kernel::page_cache::LruMap;
+use labstor::mods::alloc::BlockAllocator;
 use labstor::mods::compress_algo::{compress, decompress};
-use labstor::mods::labfs::{BlockAllocator, LabFs, LogRecord};
+use labstor::mods::labfs::{LabFs, LogRecord};
 use labstor::sim::{Ctx, DeviceKind, SimDevice};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
