@@ -169,6 +169,8 @@ impl Config {
                 "crates/mods/src/arc_cache.rs",
                 "crates/mods/src/cache_common.rs",
                 "crates/mods/src/labfs.rs",
+                "crates/mods/src/labfs/data.rs",
+                "crates/mods/src/labfs/pushdown.rs",
                 "crates/mods/src/labkvs.rs",
                 "crates/mods/src/compress.rs",
                 "crates/mods/src/drivers.rs",

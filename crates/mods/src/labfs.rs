@@ -22,16 +22,20 @@
 //! driver). The log itself is written to a reserved device region via a
 //! direct handle — exactly the paper's decentralized-metadata option where
 //! latency-critical log state bypasses the stack.
+//!
+//! The file is split where those two halves meet. `meta` owns the
+//! records, the maps and the one `apply` that changes them; `data` is the
+//! read/write/truncate path and `pushdown` the filtered read, both of
+//! which only ask `meta` where a file's pages are. What is left here is
+//! the struct, the [`LabMod`] dispatch — each metadata arm validates,
+//! builds a [`LogRecord`] and hands it to `LabFs::commit` — and
+//! [`install`].
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use labstor_core::{
-    BlockOp, FileStat, FsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload,
-    StackEnv,
+    BlockOp, FsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
 use labstor_telemetry::PerfCounters;
@@ -39,6 +43,12 @@ use labstor_telemetry::PerfCounters;
 use crate::alloc::BlockAllocator;
 use crate::devices::{device_param, DeviceRegistry};
 use crate::journal::{Journal, RepairReport};
+
+mod data;
+mod meta;
+mod pushdown;
+
+pub use meta::{LogRecord, NameSnapshot};
 
 /// Filesystem block size.
 pub const FS_BLOCK: usize = 4096;
@@ -57,196 +67,14 @@ const LOG_APPEND_NS: u64 = 80;
 /// CPU cost of one block allocation (bump pointer).
 const ALLOC_NS: u64 = 40;
 
-// ---------------------------------------------------------------------
-// Log records
-// ---------------------------------------------------------------------
-
-/// A metadata log record. The log is the *only* persistent metadata:
-/// replaying it reconstructs every inode (crash consistency).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
-    /// File or directory creation.
-    Create {
-        /// Full path key.
-        path: String,
-        /// Assigned inode.
-        ino: u64,
-        /// Permission bits.
-        mode: u16,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-        /// Directory flag.
-        is_dir: bool,
-    },
-    /// Removal.
-    Unlink {
-        /// Full path key.
-        path: String,
-    },
-    /// File size change (extend or truncate).
-    SetSize {
-        /// Inode.
-        ino: u64,
-        /// New size in bytes.
-        size: u64,
-    },
-    /// Data block mapping.
-    MapBlock {
-        /// Inode.
-        ino: u64,
-        /// File page index.
-        page: u64,
-        /// Device block number.
-        block: u64,
-    },
-    /// Rename (the flat hashmap's key move).
-    Rename {
-        /// Existing path key.
-        from: String,
-        /// New path key.
-        to: String,
-    },
-}
-
-impl LogRecord {
-    /// Serialize into `out` (length-prefixed strings, little endian).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LogRecord::Create {
-                path,
-                ino,
-                mode,
-                uid,
-                gid,
-                is_dir,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-                out.extend_from_slice(path.as_bytes());
-                out.extend_from_slice(&ino.to_le_bytes());
-                out.extend_from_slice(&mode.to_le_bytes());
-                out.extend_from_slice(&uid.to_le_bytes());
-                out.extend_from_slice(&gid.to_le_bytes());
-                out.push(u8::from(*is_dir));
-            }
-            LogRecord::Unlink { path } => {
-                out.push(2);
-                out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-                out.extend_from_slice(path.as_bytes());
-            }
-            LogRecord::SetSize { ino, size } => {
-                out.push(3);
-                out.extend_from_slice(&ino.to_le_bytes());
-                out.extend_from_slice(&size.to_le_bytes());
-            }
-            LogRecord::MapBlock { ino, page, block } => {
-                out.push(4);
-                out.extend_from_slice(&ino.to_le_bytes());
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&block.to_le_bytes());
-            }
-            LogRecord::Rename { from, to } => {
-                out.push(5);
-                out.extend_from_slice(&(from.len() as u32).to_le_bytes());
-                out.extend_from_slice(from.as_bytes());
-                out.extend_from_slice(&(to.len() as u32).to_le_bytes());
-                out.extend_from_slice(to.as_bytes());
-            }
-        }
-    }
-
-    /// Decode one record from `buf[*pos..]`, advancing `pos`. Returns
-    /// `None` at a zero tag (end-of-log padding) or on truncation.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Option<LogRecord> {
-        fn take<'b>(buf: &'b [u8], pos: &mut usize, n: usize) -> Option<&'b [u8]> {
-            let s = &buf.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
-        }
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        match tag {
-            1 => {
-                let len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a path string — metadata, not payload bytes
-                let path = String::from_utf8(take(buf, pos, len)?.to_vec()).ok()?;
-                let ino = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
-                let mode = u16::from_le_bytes(take(buf, pos, 2)?.try_into().ok()?);
-                let uid = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?);
-                let gid = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?);
-                let is_dir = *take(buf, pos, 1)?.first()? != 0;
-                Some(LogRecord::Create {
-                    path,
-                    ino,
-                    mode,
-                    uid,
-                    gid,
-                    is_dir,
-                })
-            }
-            2 => {
-                let len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a path string — metadata, not payload bytes
-                let path = String::from_utf8(take(buf, pos, len)?.to_vec()).ok()?;
-                Some(LogRecord::Unlink { path })
-            }
-            3 => {
-                let ino = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
-                let size = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
-                Some(LogRecord::SetSize { ino, size })
-            }
-            4 => {
-                let ino = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
-                let page = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
-                let block = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
-                Some(LogRecord::MapBlock { ino, page, block })
-            }
-            5 => {
-                let flen = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a path string — metadata, not payload bytes
-                let from = String::from_utf8(take(buf, pos, flen)?.to_vec()).ok()?;
-                let tlen = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a path string — metadata, not payload bytes
-                let to = String::from_utf8(take(buf, pos, tlen)?.to_vec()).ok()?;
-                Some(LogRecord::Rename { from, to })
-            }
-            _ => None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// LabFS
-// ---------------------------------------------------------------------
-
-struct FsNode {
-    ino: u64,
-    size: u64,
-    uid: u32,
-    gid: u32,
-    mode: u16,
-    is_dir: bool,
-    /// page index → device block.
-    blocks: HashMap<u64, u64>,
-    /// Provenance: operations applied to this inode.
-    ops: u64,
-    /// Provenance: uid of the last writer.
-    last_writer: u32,
-}
-
 /// The LabFS LabMod.
 pub struct LabFs {
-    /// Sharded path → ino ("a single hashmap" with minimal contention).
-    names: Vec<RwLock<HashMap<String, u64>>>,
-    /// Sharded ino → node.
-    nodes: Vec<RwLock<HashMap<u64, FsNode>>>,
+    /// The name and inode maps; changed only by `meta::Meta::apply`.
+    meta: meta::Meta,
     allocator: BlockAllocator,
     /// The per-worker metadata logs, written to a reserved device region
     /// through a direct handle.
     journal: Journal,
-    next_ino: AtomicU64,
     perf: PerfCounters,
     /// Busy time spent in downstream stages (subtracted so
     /// `est_total_time` reports LabFS-exclusive work).
@@ -259,13 +87,10 @@ impl LabFs {
         let workers = workers.max(1);
         let total_blocks = device.model().capacity_sectors() / BLOCK_SECTORS;
         let log_blocks = LOG_BLOCKS_PER_WORKER * workers as u64;
-        let shards = workers.next_power_of_two().max(16);
         LabFs {
-            names: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            nodes: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            meta: meta::Meta::new(workers.next_power_of_two().max(16)),
             allocator: BlockAllocator::new(log_blocks, total_blocks, workers, 4096),
             journal: Journal::new(device, workers, LOG_BLOCKS_PER_WORKER * BLOCK_SECTORS),
-            next_ino: AtomicU64::new(1),
             perf: PerfCounters::new(),
             downstream_ns: AtomicU64::new(0),
         }
@@ -280,112 +105,22 @@ impl LabFs {
         r
     }
 
-    fn name_shard_idx(&self, path: &str) -> usize {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in path.as_bytes() {
-            h = (h ^ *b as u64).wrapping_mul(0x100000001b3);
-        }
-        (h as usize) % self.names.len()
-    }
-
-    fn name_shard(&self, path: &str) -> &RwLock<HashMap<String, u64>> {
-        &self.names[self.name_shard_idx(path)]
-    }
-
-    fn node_shard(&self, ino: u64) -> &RwLock<HashMap<u64, FsNode>> {
-        &self.nodes[(ino as usize) % self.nodes.len()]
-    }
-
     /// Append a record to the originating worker's log.
     fn log(&self, ctx: &mut Ctx, core: usize, rec: &LogRecord) {
         ctx.advance(LOG_APPEND_NS);
         self.journal.append(core, ctx.now(), |buf| rec.encode(buf));
     }
 
-    /// Apply one log record to the in-memory maps (used by replay).
-    fn apply(&self, rec: LogRecord) {
-        match rec {
-            LogRecord::Create {
-                path,
-                ino,
-                mode,
-                uid,
-                gid,
-                is_dir,
-            } => {
-                self.name_shard(&path).write().insert(path, ino);
-                self.node_shard(ino).write().insert(
-                    ino,
-                    FsNode {
-                        ino,
-                        size: 0,
-                        uid,
-                        gid,
-                        mode,
-                        is_dir,
-                        blocks: HashMap::new(),
-                        ops: 1,
-                        last_writer: uid,
-                    },
-                );
-                // Keep ino allocation ahead of everything replayed.
-                self.next_ino.fetch_max(ino + 1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
-            }
-            LogRecord::Unlink { path } => {
-                if let Some(ino) = self.name_shard(&path).write().remove(&path) {
-                    self.node_shard(ino).write().remove(&ino);
-                }
-            }
-            LogRecord::SetSize { ino, size } => {
-                if let Some(n) = self.node_shard(ino).write().get_mut(&ino) {
-                    n.size = size;
-                }
-            }
-            LogRecord::MapBlock { ino, page, block } => {
-                self.allocator.reserve(block, block + 1);
-                if let Some(n) = self.node_shard(ino).write().get_mut(&ino) {
-                    n.blocks.insert(page, block);
-                }
-            }
-            LogRecord::Rename { from, to } => {
-                self.rename_in_maps(&from, &to);
-            }
+    /// The one way a live operation changes metadata: apply `rec`, then
+    /// log it, so replay folds the same `apply` over the same records.
+    /// `false` (nothing changed, nothing logged) is the operation's
+    /// "exists" / "not found".
+    fn commit(&self, ctx: &mut Ctx, core: usize, rec: &LogRecord) -> bool {
+        let applied = self.meta.apply(rec);
+        if applied {
+            self.log(ctx, core, rec);
         }
-    }
-
-    /// Move a key between name shards, replacing any existing target
-    /// (POSIX rename semantics). Returns false if `from` does not exist.
-    fn rename_in_maps(&self, from: &str, to: &str) -> bool {
-        // Lock discipline: a rename may span two shards; take the lower
-        // shard index first.
-        let fi = self.name_shard_idx(from);
-        let ti = self.name_shard_idx(to);
-        if fi == ti {
-            let mut shard = self.names[fi].write();
-            let Some(ino) = shard.remove(from) else {
-                return false;
-            };
-            if let Some(old) = shard.insert(to.to_string(), ino) {
-                self.node_shard(old).write().remove(&old);
-            }
-            true
-        } else {
-            let (lo, hi) = (fi.min(ti), fi.max(ti));
-            let mut lo_guard = self.names[lo].write();
-            let mut hi_guard = self.names[hi].write();
-            let (from_shard, to_shard) = if fi == lo {
-                (&mut lo_guard, &mut hi_guard)
-            } else {
-                (&mut hi_guard, &mut lo_guard)
-            };
-            let Some(ino) = from_shard.remove(from) else {
-                return false;
-            };
-            if let Some(old) = to_shard.insert(to.to_string(), ino) {
-                self.node_shard(old).write().remove(&old);
-            }
-            true
-        }
+        applied
     }
 
     /// Drop all in-memory state and rebuild it by scanning the on-device
@@ -393,14 +128,7 @@ impl LabFs {
     /// Each region replays the longest prefix of committed frames and
     /// discards any torn or stale tail (see [`Journal::replay`]).
     pub fn replay_from_device(&self) -> RepairReport {
-        for shard in &self.names {
-            shard.write().clear();
-        }
-        for shard in &self.nodes {
-            shard.write().clear();
-        }
-        self.journal
-            .replay(|buf, pos| LogRecord::decode(buf, pos).map(|rec| self.apply(rec)))
+        self.meta.replay(&self.journal, &self.allocator)
     }
 
     /// What the most recent repair found, if one has run.
@@ -410,15 +138,19 @@ impl LabFs {
 
     /// Number of live files/directories.
     pub fn file_count(&self) -> usize {
-        self.names.iter().map(|s| s.read().len()).sum()
+        self.meta.file_count()
     }
 
     /// Provenance query: (ops, last_writer) for an inode.
     pub fn provenance(&self, ino: u64) -> Option<(u64, u32)> {
-        self.node_shard(ino)
-            .read()
-            .get(&ino)
-            .map(|n| (n.ops, n.last_writer))
+        self.meta.provenance(ino)
+    }
+
+    /// Every name, sorted, with its inode's journaled state — what a
+    /// replay of the log must reproduce. Provenance is not journaled and
+    /// therefore not in it.
+    pub fn snapshot(&self) -> Vec<NameSnapshot> {
+        self.meta.snapshot()
     }
 
     // ---- operations ----------------------------------------------------
@@ -432,337 +164,24 @@ impl LabFs {
         is_dir: bool,
     ) -> RespPayload {
         ctx.advance(CREATE_CPU_NS);
-        let ino = {
-            let mut names = self.name_shard(path).write();
-            if names.contains_key(path) {
-                return RespPayload::Err(format!("{path}: file exists"));
-            }
-            let ino = self.next_ino.fetch_add(1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
-            names.insert(path.to_string(), ino);
-            ino
-        };
-        self.node_shard(ino).write().insert(
+        if self.meta.lookup(path).is_some() {
+            return RespPayload::Err(format!("{path}: file exists"));
+        }
+        let ino = self.meta.fresh_ino();
+        let rec = LogRecord::Create {
+            path: path.to_string(),
             ino,
-            FsNode {
-                ino,
-                size: 0,
-                uid: req.creds.uid,
-                gid: req.creds.gid,
-                mode,
-                is_dir,
-                blocks: HashMap::new(),
-                ops: 1,
-                last_writer: req.creds.uid,
-            },
-        );
-        self.log(
-            ctx,
-            req.core,
-            &LogRecord::Create {
-                path: path.to_string(),
-                ino,
-                mode,
-                uid: req.creds.uid,
-                gid: req.creds.gid,
-                is_dir,
-            },
-        );
-        RespPayload::Ino(ino)
-    }
-
-    /// Map `[offset, offset+len)` of `ino` to device blocks, allocating
-    /// and logging as needed (the metadata half shared by the copying and
-    /// zero-copy write paths). Returns the (page, block) extents and the
-    /// set of freshly mapped pages.
-    #[allow(clippy::type_complexity)]
-    fn map_range(
-        &self,
-        ctx: &mut Ctx,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        len: usize,
-    ) -> Result<(Vec<(u64, u64)>, std::collections::HashSet<u64>), RespPayload> {
-        let first_pg = offset / FS_BLOCK as u64;
-        let last_pg = (offset + len as u64).div_ceil(FS_BLOCK as u64);
-        let mut extents: Vec<(u64, u64)> = Vec::new(); // (page, block)
-        let mut fresh: Vec<(u64, u64)> = Vec::new(); // newly mapped
-        let grew;
-        {
-            let mut shard = self.node_shard(ino).write();
-            let Some(node) = shard.get_mut(&ino) else {
-                return Err(RespPayload::Err(format!("no inode {ino}")));
-            };
-            if node.is_dir {
-                return Err(RespPayload::Err("is a directory".into()));
-            }
-            for pg in first_pg..last_pg {
-                match node.blocks.get(&pg) {
-                    Some(&b) => extents.push((pg, b)),
-                    None => {
-                        ctx.advance(ALLOC_NS);
-                        let Some(b) = self.allocator.alloc(req.core) else {
-                            return Err(RespPayload::Err("no space".into()));
-                        };
-                        node.blocks.insert(pg, b);
-                        extents.push((pg, b));
-                        fresh.push((pg, b));
-                    }
-                }
-            }
-            grew = offset + len as u64 > node.size;
-            node.size = node.size.max(offset + len as u64);
-            node.ops += 1;
-            node.last_writer = req.creds.uid;
-        }
-        // Log only what changed: new mappings and growth.
-        for &(pg, b) in &fresh {
-            self.log(
-                ctx,
-                req.core,
-                &LogRecord::MapBlock {
-                    ino,
-                    page: pg,
-                    block: b,
-                },
-            );
-        }
-        if grew {
-            self.log(
-                ctx,
-                req.core,
-                &LogRecord::SetSize {
-                    ino,
-                    size: offset + len as u64,
-                },
-            );
-        }
-        Ok((extents, fresh.iter().map(|&(pg, _)| pg).collect()))
-    }
-
-    fn op_write(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        data: Vec<u8>,
-    ) -> RespPayload {
-        // Map every touched page to a block, allocating as needed.
-        ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (extents, fresh_pages) = match self.map_range(ctx, req, ino, offset, data.len()) {
-            Ok(v) => v,
-            Err(e) => return e,
+            mode,
+            uid: req.creds.uid,
+            gid: req.creds.gid,
+            is_dir,
         };
-        let len = data.len();
-        let end = offset + len as u64;
-        let whole_pages = offset.is_multiple_of(FS_BLOCK as u64) && len.is_multiple_of(FS_BLOCK);
-        if whole_pages && extents.windows(2).all(|w| w[1].1 == w[0].1 + 1) {
-            // Whole pages on one contiguous run: the caller's allocation
-            // goes downstream as it is, neither zero-filled nor copied.
-            let Some(&(_, block)) = extents.first() else {
-                return RespPayload::Len(0);
-            };
-            let lba = block * BLOCK_SECTORS;
-            let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data });
-            return if r.is_ok() { RespPayload::Len(len) } else { r };
+        if self.commit(ctx, req.core, &rec) {
+            RespPayload::Ino(ino)
+        } else {
+            // Lost a race for the name between the lookup and the apply.
+            RespPayload::Err(format!("{path}: file exists"))
         }
-        // Emit block writes downstream. Partially-covered pages that were
-        // already mapped (and not freshly allocated) need read-modify-write
-        // so neighbouring bytes survive; full pages and fresh pages are
-        // written directly, coalescing contiguous full blocks.
-        let mut i = 0usize;
-        while i < extents.len() {
-            let (page, block) = extents[i];
-            let pg_start = page * FS_BLOCK as u64;
-            let cover_from = pg_start.max(offset);
-            let cover_to = (pg_start + FS_BLOCK as u64).min(end);
-            let full = cover_from == pg_start && cover_to == pg_start + FS_BLOCK as u64;
-            if !full && !fresh_pages.contains(&page) {
-                // Partial overwrite of an existing block: read-modify-write.
-                let lba = block * BLOCK_SECTORS;
-                let read = BlockOp::Read { lba, len: FS_BLOCK };
-                let mut payload = match self.fwd_block(ctx, env, req, read) {
-                    RespPayload::Data(d) => d,
-                    other => return other,
-                };
-                payload.resize(FS_BLOCK, 0);
-                let dst = (cover_from - pg_start) as usize;
-                let src = (cover_from - offset) as usize;
-                let n = (cover_to - cover_from) as usize;
-                payload[dst..dst + n].copy_from_slice(&data[src..src + n]);
-                let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
-                if !r.is_ok() {
-                    return r;
-                }
-                i += 1;
-                continue;
-            }
-            // Coalesce a run of contiguous blocks that are full or fresh.
-            let mut j = i;
-            while j + 1 < extents.len() && extents[j + 1].1 == extents[j].1 + 1 {
-                let (npage, _) = extents[j + 1];
-                let n_start = npage * FS_BLOCK as u64;
-                let n_full = offset <= n_start && n_start + FS_BLOCK as u64 <= end;
-                if !n_full && !fresh_pages.contains(&npage) {
-                    break;
-                }
-                j += 1;
-            }
-            let run_bytes = (j - i + 1) * FS_BLOCK;
-            let run_start = pg_start.max(offset);
-            let run_end = (pg_start + run_bytes as u64).min(end);
-            let src = &data[(run_start - offset) as usize..(run_end - offset) as usize];
-            // Zero only what the caller's bytes do not cover: the head of
-            // a fresh first page, the tail of a fresh last one.
-            let mut payload = Vec::with_capacity(run_bytes);
-            payload.resize((run_start - pg_start) as usize, 0);
-            payload.extend_from_slice(src);
-            payload.resize(run_bytes, 0);
-            let lba = block * BLOCK_SECTORS;
-            let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
-            if !r.is_ok() {
-                return r;
-            }
-            i = j + 1;
-        }
-        RespPayload::Len(len)
-    }
-
-    /// Read `[offset, offset + len)`, one block request per run of pages
-    /// that are contiguous on the device — the mirror image of the write
-    /// paths' coalescing. `zero_copy` (the `ReadBuf` op) asks downstream
-    /// for pool handles and may answer with one or with inline bytes; the
-    /// legacy `Read` op always answers `Data`.
-    ///
-    /// A read that is a single run hands back a window of whatever came
-    /// up — `h.slice(..)` of a handle, the `Vec` itself when it starts at
-    /// the window — with no assembly buffer. Holes and scattered files
-    /// assemble into one `Vec`, each mapped byte copied (and counted) once.
-    #[allow(clippy::too_many_arguments)]
-    fn op_read(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        len: usize,
-        zero_copy: bool,
-    ) -> RespPayload {
-        ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let first_pg = offset / FS_BLOCK as u64;
-        let (size, mut mappings): (u64, Vec<Option<u64>>) = {
-            let shard = self.node_shard(ino).read();
-            let Some(node) = shard.get(&ino) else {
-                return RespPayload::Err(format!("no inode {ino}"));
-            };
-            if node.is_dir {
-                return RespPayload::Err("is a directory".into());
-            }
-            let last_pg = (offset + len as u64).div_ceil(FS_BLOCK as u64);
-            (
-                node.size,
-                (first_pg..last_pg)
-                    .map(|pg| node.blocks.get(&pg).copied())
-                    .collect(),
-            )
-        };
-        if offset >= size {
-            return RespPayload::Data(Vec::new());
-        }
-        let n = len.min((size - offset) as usize);
-        let src = (offset - first_pg * FS_BLOCK as u64) as usize;
-        mappings.truncate((src + n).div_ceil(FS_BLOCK));
-        let read = |block: u64, pages: usize| {
-            let (lba, len) = (block * BLOCK_SECTORS, pages * FS_BLOCK);
-            if zero_copy {
-                BlockOp::ReadBuf { lba, len }
-            } else {
-                BlockOp::Read { lba, len }
-            }
-        };
-        let run_from = |i: usize, block: u64| {
-            (i..mappings.len())
-                .take_while(|&j| mappings[j] == Some(block + (j - i) as u64))
-                .count()
-        };
-        let inline = |win: &[u8]| {
-            // Small results skip the handle round trip and ride by value
-            // in the envelope.
-            zero_copy
-                .then(|| labstor_ipc::InlineData::from_slice(win))
-                .flatten()
-                .map(RespPayload::Inline)
-        };
-        if mappings.iter().all(Option::is_none) {
-            // Hole: hand back zeroes without touching the stack.
-            let zeroes = vec![0u8; n];
-            return inline(&zeroes).unwrap_or(RespPayload::Data(zeroes));
-        }
-        if let Some(block) = mappings[0].filter(|&b| run_from(0, b) == mappings.len()) {
-            // One run: no assembly, the answer is a window of the response.
-            return match self.fwd_block(ctx, env, req, read(block, mappings.len())) {
-                RespPayload::DataBuf(h) => match h.slice(src, n) {
-                    None => RespPayload::Err("short block read".into()),
-                    Some(win) => inline(win.as_slice()).unwrap_or_else(|| {
-                        if zero_copy {
-                            // The zero-copy path: a view of the cached/DMA'd run.
-                            RespPayload::DataBuf(win)
-                        } else {
-                            // copy-ok: legacy Read answers with owned bytes; to_vec self-counts
-                            RespPayload::Data(win.to_vec())
-                        }
-                    }),
-                },
-                RespPayload::Data(mut d) => {
-                    let Some(win) = d.get(src..src + n) else {
-                        return RespPayload::Err("short block read".into());
-                    };
-                    if let Some(small) = inline(win) {
-                        small
-                    } else if src == 0 {
-                        d.truncate(n);
-                        RespPayload::Data(d)
-                    } else {
-                        labstor_ipc::note_payload_copy(n);
-                        RespPayload::Data(win.to_vec()) // copy-ok: the window starts inside the owned response; counted above
-                    }
-                }
-                other => other,
-            };
-        }
-        // Holes or scattered runs: assemble. Holes stay zero.
-        let mut out = vec![0u8; n];
-        let mut i = 0usize;
-        while i < mappings.len() {
-            let Some(block) = mappings[i] else {
-                i += 1;
-                continue;
-            };
-            let pages = run_from(i, block);
-            let resp = self.fwd_block(ctx, env, req, read(block, pages));
-            let Some(bytes) = resp.data_bytes() else {
-                return resp;
-            };
-            // This run's bytes within the request and within the response.
-            let run_start = (first_pg + i as u64) * FS_BLOCK as u64;
-            let copy_from = run_start.max(offset);
-            let copy_to = (run_start + (pages * FS_BLOCK) as u64).min(offset + n as u64);
-            let cnt = (copy_to - copy_from) as usize;
-            let Some(win) = bytes
-                .get((copy_from - run_start) as usize..)
-                .and_then(|b| b.get(..cnt))
-            else {
-                return RespPayload::Err("short block read".into());
-            };
-            let dst = (copy_from - offset) as usize;
-            labstor_ipc::note_payload_copy(cnt);
-            out[dst..dst + cnt].copy_from_slice(win); // copy-ok: assembly of a scattered read; counted above
-            i += pages;
-        }
-        RespPayload::Data(out)
     }
 
     /// Record this request's own busy time (downstream's subtracted).
@@ -771,268 +190,6 @@ impl LabFs {
         self.perf
             .observe((ctx.busy() - before).saturating_sub(downstream));
         resp
-    }
-
-    /// Forward one block op downstream with the request's routing intact.
-    fn fwd_block(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        op: BlockOp,
-    ) -> RespPayload {
-        let mut fwd = Request::new(req.id, req.stack, Payload::Block(op), req.creds);
-        fwd.vertex = env.vertex;
-        fwd.core = req.core;
-        fwd.qid_hint = req.qid_hint;
-        self.fwd(ctx, env, fwd)
-    }
-
-    /// Zero-copy write: fully covered pages are forwarded as `WriteBuf`
-    /// slices of the caller's pool buffer (refcount bumps — no memcpy all
-    /// the way to the driver, which DMAs from the shared buffer). Partial
-    /// pages fall back to the copying path: fresh ones are zero-padded,
-    /// existing ones read-modify-write; both copies are counted.
-    fn op_write_buf(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        buf: &labstor_ipc::BufHandle,
-    ) -> RespPayload {
-        ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let data_len = buf.len();
-        let (extents, fresh_pages) = match self.map_range(ctx, req, ino, offset, data_len) {
-            Ok(v) => v,
-            Err(e) => return e,
-        };
-        let end = offset + data_len as u64;
-        let mut i = 0usize;
-        while i < extents.len() {
-            let (page, block) = extents[i];
-            let pg_start = page * FS_BLOCK as u64;
-            let cover_from = pg_start.max(offset);
-            let cover_to = (pg_start + FS_BLOCK as u64).min(end);
-            let full = cover_from == pg_start && cover_to == pg_start + FS_BLOCK as u64;
-            if full {
-                // Coalesce contiguous fully covered blocks into one slice.
-                let mut j = i;
-                while j + 1 < extents.len() && extents[j + 1].1 == extents[j].1 + 1 {
-                    let n_start = extents[j + 1].0 * FS_BLOCK as u64;
-                    if !(offset <= n_start && n_start + FS_BLOCK as u64 <= end) {
-                        break;
-                    }
-                    j += 1;
-                }
-                let run_pages = j - i + 1;
-                let Some(slice) = buf.slice((pg_start - offset) as usize, run_pages * FS_BLOCK)
-                else {
-                    return RespPayload::Err("write buffer shorter than its extent".into());
-                };
-                let r = self.fwd_block(
-                    ctx,
-                    env,
-                    req,
-                    BlockOp::WriteBuf {
-                        lba: block * BLOCK_SECTORS,
-                        buf: slice,
-                    },
-                );
-                if !r.is_ok() {
-                    return r;
-                }
-                i = j + 1;
-                continue;
-            }
-            // Partial page: copying fallback.
-            let dst = (cover_from - pg_start) as usize;
-            let src = (cover_from - offset) as usize;
-            let cnt = (cover_to - cover_from) as usize;
-            let mut payload = if fresh_pages.contains(&page) {
-                vec![0u8; FS_BLOCK] // fresh block: pad with zeroes
-            } else {
-                // Read-modify-write so neighbouring bytes survive.
-                let mut p = match self.fwd_block(
-                    ctx,
-                    env,
-                    req,
-                    BlockOp::Read {
-                        lba: block * BLOCK_SECTORS,
-                        len: FS_BLOCK,
-                    },
-                ) {
-                    RespPayload::Data(d) => d,
-                    RespPayload::DataBuf(h) => h.to_vec(), // copy-ok: RMW needs owned bytes; to_vec self-counts
-                    other => return other,
-                };
-                p.resize(FS_BLOCK, 0);
-                p
-            };
-            labstor_ipc::note_payload_copy(cnt);
-            payload[dst..dst + cnt].copy_from_slice(&buf.as_slice()[src..src + cnt]); // copy-ok: partial-page patch; counted above
-            let r = self.fwd_block(
-                ctx,
-                env,
-                req,
-                BlockOp::Write {
-                    lba: block * BLOCK_SECTORS,
-                    data: payload,
-                },
-            );
-            if !r.is_ok() {
-                return r;
-            }
-            i += 1;
-        }
-        RespPayload::Len(data_len)
-    }
-
-    /// Pushdown read: run a verified program over the file range
-    /// in-stack and ship back only the result. Every page is scanned in
-    /// place — cache hits stay refcounted handle slices, legacy `Data`
-    /// answers are scanned where they sit — so the hit path counts
-    /// **zero** payload copies. Fuel is metered per instruction across
-    /// the whole range and billed to the requesting tenant afterwards.
-    #[allow(clippy::too_many_arguments)]
-    fn op_read_filtered(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        len: usize,
-        prog: &labstor_pushdown::VerifiedProgram,
-    ) -> RespPayload {
-        use labstor_pushdown::{scan, Action, ScanOut};
-
-        let rlen = prog.record_len();
-        // Records must pack pages exactly: no record straddles a block
-        // boundary, so each page scans independently over one slice.
-        if rlen > FS_BLOCK || !FS_BLOCK.is_multiple_of(rlen) {
-            return RespPayload::Err(format!(
-                "pushdown: record length {rlen} does not pack {FS_BLOCK}-byte pages"
-            ));
-        }
-        if !offset.is_multiple_of(rlen as u64) {
-            return RespPayload::Err(format!(
-                "pushdown: offset {offset} not aligned to {rlen}-byte records"
-            ));
-        }
-        ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (size, mappings): (u64, Vec<Option<u64>>) = {
-            let shard = self.node_shard(ino).read();
-            let Some(node) = shard.get(&ino) else {
-                return RespPayload::Err(format!("no inode {ino}"));
-            };
-            if node.is_dir {
-                return RespPayload::Err("is a directory".into());
-            }
-            let first_pg = offset / FS_BLOCK as u64;
-            let last_pg = (offset + len as u64).div_ceil(FS_BLOCK as u64);
-            (
-                node.size,
-                (first_pg..last_pg)
-                    .map(|pg| node.blocks.get(&pg).copied())
-                    .collect(),
-            )
-        };
-        let avail = size.saturating_sub(offset) as usize;
-        let n = (len.min(avail) / rlen) * rlen; // whole records only
-        let mut fuel = prog.fuel_budget();
-        let mut out = ScanOut::default();
-        let mut matched: Vec<u8> = Vec::new();
-        let first_pg = offset / FS_BLOCK as u64;
-        static ZERO_PAGE: [u8; FS_BLOCK] = [0u8; FS_BLOCK];
-        for (idx, mapping) in mappings.iter().enumerate() {
-            let pg = first_pg + idx as u64;
-            let pg_start = pg * FS_BLOCK as u64;
-            let win_from = pg_start.max(offset);
-            let win_to = (pg_start + FS_BLOCK as u64).min(offset + n as u64);
-            if win_from >= win_to {
-                continue;
-            }
-            let src = (win_from - pg_start) as usize;
-            let cnt = (win_to - win_from) as usize;
-            let base_index = (win_from - offset) / rlen as u64;
-            // Holes read as zeroes; scan the shared zero page so hole
-            // semantics match a plain read without materializing pages.
-            let hole_resp;
-            let window: &[u8] = match mapping {
-                None => &ZERO_PAGE[src..src + cnt],
-                Some(block) => {
-                    hole_resp = self.fwd_block(
-                        ctx,
-                        env,
-                        req,
-                        BlockOp::ReadBuf {
-                            lba: block * BLOCK_SECTORS,
-                            len: FS_BLOCK,
-                        },
-                    );
-                    match &hole_resp {
-                        // The pushdown payoff: scan the cached/DMA'd
-                        // block in place through the handle — no copy.
-                        RespPayload::DataBuf(h) if h.len() >= src + cnt => {
-                            &h.as_slice()[src..src + cnt]
-                        }
-                        RespPayload::Data(d) if d.len() >= src + cnt => &d[src..src + cnt],
-                        RespPayload::DataBuf(_) | RespPayload::Data(_) => {
-                            return RespPayload::Err("short block read".into())
-                        }
-                        _ => return hole_resp.clone(),
-                    }
-                }
-            };
-            let before_hits = out.hits.len();
-            let scan_result = scan(prog, window, base_index, &mut fuel, &mut out);
-            if prog.action() == Action::Select {
-                for &hit in &out.hits[before_hits..] {
-                    // copy-ok: materializing the (rare) matching records is
-                    // the result, not a payload move; the pool boundary
-                    // below self-counts if it leaves inline range.
-                    matched.extend_from_slice(&window[hit..hit + rlen]);
-                }
-            }
-            if scan_result.is_err() {
-                let used = prog.fuel_budget() - fuel;
-                let _ = env.charge_fuel(ctx, &req.creds, used);
-                return RespPayload::Err(format!(
-                    "pushdown: out of fuel after {} records",
-                    out.records
-                ));
-            }
-        }
-        let used = prog.fuel_budget() - fuel;
-        if let Err(retry_vns) = env.charge_fuel(ctx, &req.creds, used) {
-            return RespPayload::Err(format!(
-                "pushdown: tenant {} over fuel budget, retry in {retry_vns} vns",
-                req.creds.tenant.as_u32()
-            ));
-        }
-        match prog.action() {
-            Action::Count | Action::Sum => {
-                let reply = labstor_pushdown::AggReply {
-                    records: out.records,
-                    matches: out.matches,
-                    agg: out.agg,
-                    fuel_used: used,
-                };
-                match labstor_ipc::InlineData::from_slice(&reply.encode()) {
-                    Some(d) => RespPayload::Inline(d),
-                    None => RespPayload::Err("pushdown: aggregate too large".into()),
-                }
-            }
-            Action::Select => match labstor_ipc::InlineData::from_slice(&matched) {
-                Some(d) => RespPayload::Inline(d),
-                None => match labstor_ipc::default_pool().alloc_from(&matched) {
-                    Some(h) => RespPayload::DataBuf(h),
-                    None => RespPayload::Data(matched),
-                },
-            },
-        }
     }
 }
 
@@ -1065,16 +222,10 @@ impl LabMod for LabFs {
                 truncate,
             }) => {
                 ctx.advance(META_CPU_NS);
-                let existing = self.name_shard(path).read().get(path).copied();
-                match existing {
+                match self.meta.lookup(path) {
                     Some(ino) => {
                         if *truncate {
-                            if let Some(n) = self.node_shard(ino).write().get_mut(&ino) {
-                                n.size = 0;
-                                n.blocks.clear();
-                                n.ops += 1;
-                            }
-                            self.log(ctx, req.core, &LogRecord::SetSize { ino, size: 0 });
+                            self.op_truncate(ctx, env, &req, ino, 0);
                         }
                         RespPayload::Ino(ino)
                     }
@@ -1099,15 +250,11 @@ impl LabMod for LabFs {
             }) => self.op_read_filtered(ctx, env, &req, *ino, *offset, *len, prog),
             Payload::Fs(FsOp::Rename { from, to }) => {
                 ctx.advance(META_CPU_NS);
-                if self.rename_in_maps(from, to) {
-                    self.log(
-                        ctx,
-                        req.core,
-                        &LogRecord::Rename {
-                            from: from.clone(),
-                            to: to.clone(),
-                        },
-                    );
+                let rec = LogRecord::Rename {
+                    from: from.clone(),
+                    to: to.clone(),
+                };
+                if self.commit(ctx, req.core, &rec) {
                     RespPayload::Ok
                 } else {
                     RespPayload::Err(format!("{from}: not found"))
@@ -1115,29 +262,15 @@ impl LabMod for LabFs {
             }
             Payload::Fs(FsOp::Unlink { path }) => {
                 ctx.advance(META_CPU_NS);
-                let removed = self.name_shard(path).write().remove(path);
-                match removed {
-                    Some(ino) => {
-                        self.node_shard(ino).write().remove(&ino);
-                        self.log(ctx, req.core, &LogRecord::Unlink { path: path.clone() });
-                        RespPayload::Ok
-                    }
-                    None => RespPayload::Err(format!("{path}: not found")),
+                if self.commit(ctx, req.core, &LogRecord::Unlink { path: path.clone() }) {
+                    RespPayload::Ok
+                } else {
+                    RespPayload::Err(format!("{path}: not found"))
                 }
             }
             Payload::Fs(FsOp::Stat { path }) => {
                 ctx.advance(META_CPU_NS);
-                let ino = self.name_shard(path).read().get(path).copied();
-                match ino.and_then(|i| {
-                    self.node_shard(i).read().get(&i).map(|n| FileStat {
-                        ino: n.ino,
-                        size: n.size,
-                        is_dir: n.is_dir,
-                        uid: n.uid,
-                        gid: n.gid,
-                        mode: n.mode,
-                    })
-                }) {
+                match self.meta.stat(path) {
                     Some(st) => RespPayload::Stat(st),
                     None => RespPayload::Err(format!("{path}: not found")),
                 }
@@ -1148,42 +281,14 @@ impl LabMod for LabFs {
                 } else {
                     format!("{path}/")
                 };
-                let mut names: Vec<String> = Vec::new();
-                for shard in &self.names {
-                    for key in shard.read().keys() {
-                        if let Some(rest) = key.strip_prefix(&prefix) {
-                            if !rest.is_empty() && !rest.contains('/') {
-                                names.push(rest.to_string());
-                            }
-                        }
-                    }
-                }
+                let mut names = self.meta.children(&prefix);
                 ctx.advance(100 * names.len().max(1) as u64);
                 names.sort();
                 RespPayload::Names(names)
             }
             Payload::Fs(FsOp::Truncate { ino, size }) => {
                 ctx.advance(META_CPU_NS);
-                let mut shard = self.node_shard(*ino).write();
-                match shard.get_mut(ino) {
-                    Some(n) => {
-                        n.size = *size;
-                        let keep = size.div_ceil(FS_BLOCK as u64);
-                        n.blocks.retain(|&pg, _| pg < keep);
-                        n.ops += 1;
-                        drop(shard);
-                        self.log(
-                            ctx,
-                            req.core,
-                            &LogRecord::SetSize {
-                                ino: *ino,
-                                size: *size,
-                            },
-                        );
-                        RespPayload::Ok
-                    }
-                    None => RespPayload::Err(format!("no inode {ino}")),
-                }
+                self.op_truncate(ctx, env, &req, *ino, *size)
             }
             Payload::Fs(FsOp::Fsync { .. }) => {
                 // Persist the metadata log, then barrier the data path.
@@ -1222,35 +327,9 @@ impl LabMod for LabFs {
         // Upgrades move the whole in-memory state across instances.
         if let Some(prev) = old.as_any().downcast_ref::<LabFs>() {
             self.perf.absorb(&prev.perf);
-            for (mine, theirs) in self.names.iter().zip(prev.names.iter()) {
-                *mine.write() = theirs.read().clone();
-            }
-            for (mine, theirs) in self.nodes.iter().zip(prev.nodes.iter()) {
-                let mut m = mine.write();
-                let t = theirs.read();
-                m.clear();
-                for (k, v) in t.iter() {
-                    m.insert(
-                        *k,
-                        FsNode {
-                            ino: v.ino,
-                            size: v.size,
-                            uid: v.uid,
-                            gid: v.gid,
-                            mode: v.mode,
-                            is_dir: v.is_dir,
-                            blocks: v.blocks.clone(),
-                            ops: v.ops,
-                            last_writer: v.last_writer,
-                        },
-                    );
-                }
-            }
+            self.meta.absorb(&prev.meta);
             self.journal.absorb(&prev.journal);
             self.allocator.absorb(&prev.allocator);
-            // relaxed-ok: fresh-id allocation; atomicity alone suffices
-            self.next_ino
-                .store(prev.next_ino.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 
@@ -2037,6 +1116,137 @@ mod tests {
         let new = write_file(&h, &mut ctx, "/new", 0xB2, 3 * FS_BLOCK);
         assert_file(&h, &mut ctx, old, 0xA1, 3 * FS_BLOCK);
         assert_file(&h, &mut ctx, new, 0xB2, 3 * FS_BLOCK);
+    }
+
+    /// `2 × FS_BLOCK` of 0xAA, `cut` (some way of truncating to 0),
+    /// fsync, optionally crash + repair, then 10 bytes at offset 100:
+    /// what the first 110 bytes read back as.
+    fn reads_after_cut(cut: impl Fn(&Harness, &mut Ctx, u64), recover: bool) -> Vec<u8> {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        let ino = write_file(&h, &mut ctx, "/t", 0xAA, 2 * FS_BLOCK);
+        cut(&h, &mut ctx, ino);
+        assert!(h.exec(Payload::Fs(FsOp::Fsync { ino }), &mut ctx).is_ok());
+        if recover {
+            h.labfs().state_repair();
+        }
+        let data = vec![0x55u8; 10];
+        let offset = 100;
+        let w = h.exec(Payload::Fs(FsOp::Write { ino, offset, data }), &mut ctx);
+        assert!(matches!(w, RespPayload::Len(10)), "{w:?}");
+        let (offset, len) = (0, 110);
+        let r = h.exec(Payload::Fs(FsOp::Read { ino, offset, len }), &mut ctx);
+        r.data_bytes().expect("read after cut").to_vec()
+    }
+
+    /// A truncate must mean the same thing replayed as it did live: the
+    /// recovered instance and the un-crashed one agree byte for byte.
+    fn cut_replays_as_it_ran(cut: impl Fn(&Harness, &mut Ctx, u64)) {
+        let live = reads_after_cut(&cut, false);
+        let mut want = vec![0u8; 110];
+        want[100..].fill(0x55);
+        assert_eq!(live, want, "un-crashed instance");
+        assert_eq!(reads_after_cut(&cut, true), live, "recovered instance");
+    }
+
+    #[test]
+    fn truncate_replays_as_it_ran() {
+        cut_replays_as_it_ran(|h, ctx, ino| {
+            let r = h.exec(Payload::Fs(FsOp::Truncate { ino, size: 0 }), ctx);
+            assert!(r.is_ok(), "{r:?}");
+        });
+    }
+
+    #[test]
+    fn open_truncate_replays_as_it_ran() {
+        cut_replays_as_it_ran(|h, ctx, ino| {
+            let open = FsOp::Open {
+                path: "/t".into(),
+                create: false,
+                truncate: true,
+            };
+            assert_eq!(ino_of(h.exec(Payload::Fs(open), ctx)), ino);
+        });
+    }
+
+    #[test]
+    fn shrinking_truncate_zeroes_the_rest_of_its_page() {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        let ino = write_file(&h, &mut ctx, "/t", 0xAA, FS_BLOCK);
+        let r = h.exec(Payload::Fs(FsOp::Truncate { ino, size: 100 }), &mut ctx);
+        assert!(r.is_ok(), "{r:?}");
+        let data = vec![0x55u8; 10];
+        let offset = 200;
+        h.exec(Payload::Fs(FsOp::Write { ino, offset, data }), &mut ctx);
+        let mut want = vec![0xAAu8; 100];
+        want.resize(200, 0);
+        want.resize(210, 0x55);
+        let (offset, len) = (0, 210);
+        let r = h.exec(Payload::Fs(FsOp::Read { ino, offset, len }), &mut ctx);
+        assert!(
+            r.data_bytes() == Some(&want[..]),
+            "the gap after a shrink reads as zeroes, not the old bytes"
+        );
+        // Growing by truncate exposes the same zeroes, and the whole
+        // history means the same replayed.
+        let r = h.exec(Payload::Fs(FsOp::Truncate { ino, size: 150 }), &mut ctx);
+        assert!(r.is_ok(), "{r:?}");
+        let size = 2 * FS_BLOCK as u64;
+        let r = h.exec(Payload::Fs(FsOp::Truncate { ino, size }), &mut ctx);
+        assert!(r.is_ok(), "{r:?}");
+        want.truncate(150);
+        want.resize(size as usize, 0);
+        for recovered in [false, true] {
+            let (offset, len) = (0, want.len());
+            let r = h.exec(Payload::Fs(FsOp::Read { ino, offset, len }), &mut ctx);
+            assert!(r.data_bytes() == Some(&want[..]), "recovered: {recovered}");
+            assert!(h.exec(Payload::Fs(FsOp::Fsync { ino }), &mut ctx).is_ok());
+            h.labfs().state_repair();
+        }
+    }
+
+    /// The on-device format is pinned: a fixed op list leaves these exact
+    /// bytes in worker 0's log region (crc32 recorded at 314d2b2, before
+    /// live operations went through `apply`).
+    #[test]
+    fn log_region_bytes_are_the_recorded_ones() {
+        let (h, dev) = Harness::new();
+        let mut ctx = Ctx::new();
+        let create = |ctx: &mut Ctx, path: &str| {
+            let (path, mode) = (path.to_string(), 0o640);
+            h.exec(Payload::Fs(FsOp::Create { path, mode }), ctx)
+        };
+        let a = ino_of(create(&mut ctx, "/a"));
+        assert!(!create(&mut ctx, "/a").is_ok(), "takes no inode number");
+        let (path, mode) = ("/d".to_string(), 0o755);
+        h.exec(Payload::Fs(FsOp::Mkdir { path, mode }), &mut ctx);
+        let b = ino_of(create(&mut ctx, "/d/b"));
+        for (ino, offset, len) in [(a, 0, 10_000), (b, 5_000, 300), (a, 9_000, 8_192)] {
+            let data = vec![7u8; len];
+            h.exec(Payload::Fs(FsOp::Write { ino, offset, data }), &mut ctx);
+        }
+        assert!(h
+            .exec(Payload::Fs(FsOp::Fsync { ino: a }), &mut ctx)
+            .is_ok());
+        let (from, to) = ("/a".to_string(), "/d/c".to_string());
+        h.exec(Payload::Fs(FsOp::Rename { from, to }), &mut ctx);
+        let size = FS_BLOCK as u64;
+        h.exec(Payload::Fs(FsOp::Truncate { ino: a, size }), &mut ctx);
+        let open = FsOp::Open {
+            path: "/d/b".into(),
+            create: false,
+            truncate: true,
+        };
+        h.exec(Payload::Fs(open), &mut ctx);
+        let path = "/d/b".to_string();
+        h.exec(Payload::Fs(FsOp::Unlink { path }), &mut ctx);
+        assert!(h
+            .exec(Payload::Fs(FsOp::Fsync { ino: a }), &mut ctx)
+            .is_ok());
+        let mut region = vec![0u8; 8 * labstor_sim::SECTOR_SIZE];
+        dev.read(&mut ctx, 0, &mut region).unwrap();
+        assert_eq!(crate::journal::crc32(&region), 3_603_469_264);
     }
 
     #[test]

@@ -168,30 +168,39 @@ impl LabKvs {
         self.journal.sync(ctx)
     }
 
-    /// Apply one replayed record to the key map.
-    fn apply(&self, rec: KvRecord) {
+    /// Apply one record to the key map — the only way it changes, live
+    /// and on replay (DESIGN.md §12, "Metadata state machine"). `false`
+    /// means it changed nothing: there was no such key to remove.
+    fn apply(&self, rec: &KvRecord) -> bool {
         match rec {
             KvRecord::Put { key, len, lba } => {
-                let len = len as usize;
-                self.allocator
-                    .reserve(lba, lba.saturating_add(sectors_for(len)));
-                self.shard(&key).write().insert(key, ValueLoc { len, lba });
+                let (len, lba) = (*len as usize, *lba);
+                let loc = ValueLoc { len, lba };
+                self.shard(key).write().insert(key.clone(), loc);
+                true
             }
-            KvRecord::Remove { key } => {
-                self.shard(&key).write().remove(&key);
-            }
+            KvRecord::Remove { key } => self.shard(key).write().remove(key).is_some(),
         }
     }
 
-    /// Rebuild the key map by scanning the on-device journal regions,
-    /// replaying the longest prefix of committed frames and discarding
-    /// any torn or stale tail (see [`Journal::replay`]).
+    /// Rebuild the key map by scanning the on-device journal regions:
+    /// clear it, then fold `LabKvs::apply` over the longest prefix of
+    /// committed frames, discarding any torn or stale tail (see
+    /// [`Journal::replay`]). The extents the records name leave the
+    /// allocator here, not in `apply`: live, `alloc_run` took them.
     pub fn replay_from_device(&self) -> RepairReport {
         for shard in &self.shards {
             shard.write().clear();
         }
-        self.journal
-            .replay(|buf, pos| KvRecord::decode(buf, pos).map(|rec| self.apply(rec)))
+        self.journal.replay(|buf, pos| {
+            let rec = KvRecord::decode(buf, pos)?;
+            if let KvRecord::Put { len, lba, .. } = rec {
+                let end = lba.saturating_add(sectors_for(len as usize));
+                self.allocator.reserve(lba, end);
+            }
+            self.apply(&rec);
+            Some(())
+        })
     }
 
     /// What the most recent repair found, if one has run.
@@ -202,6 +211,18 @@ impl LabKvs {
     /// Number of live keys.
     pub fn key_count(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
+    }
+
+    /// Every key with its value's `(length, first sector)`: what a
+    /// replay of the op log must reproduce.
+    pub fn snapshot(&self) -> std::collections::BTreeMap<String, (usize, u64)> {
+        let mut snap = std::collections::BTreeMap::new();
+        for shard in &self.shards {
+            for (key, loc) in shard.read().iter() {
+                snap.insert(key.clone(), (loc.len, loc.lba));
+            }
+        }
+        snap
     }
 
     /// Send one block op to the next vertex on behalf of `req`.
@@ -251,10 +272,8 @@ impl LabKvs {
             len: len as u64,
             lba,
         };
+        self.apply(&rec);
         self.log(ctx, req.core, &rec);
-        self.shard(key)
-            .write()
-            .insert(key.to_string(), ValueLoc { len, lba });
         RespPayload::Len(len)
     }
 
@@ -491,13 +510,12 @@ impl LabMod for LabKvs {
             }
             Payload::Kvs(KvsOp::Remove { key }) => {
                 ctx.advance(KV_CPU_NS);
-                let removed = self.shard(key).write().remove(key);
-                match removed {
-                    Some(_) => {
-                        self.log(ctx, req.core, &KvRecord::Remove { key: key.clone() });
-                        RespPayload::Ok
-                    }
-                    None => RespPayload::Err(format!("no key '{key}'")),
+                let rec = KvRecord::Remove { key: key.clone() };
+                if self.apply(&rec) {
+                    self.log(ctx, req.core, &rec);
+                    RespPayload::Ok
+                } else {
+                    RespPayload::Err(format!("no key '{key}'"))
                 }
             }
             _ => env.forward(ctx, req),

@@ -20,18 +20,27 @@
 //! place a crash can tear a frame: a one-sector frame lands whole or not
 //! at all, so the tears recovery has to discard are the ones inside the
 //! multi-sector frames the fio and fileserver mixes fsync.
-//! The LabFS mixes are overwrite-free (appends, truncates,
-//! unlink + recreate): LabFS journals metadata, not file data, so an
-//! in-place data overwrite before the metadata commit is the documented
-//! ext4-ordered-mode gap, not a bug this campaign hunts. The LabKVS mix
-//! does overwrite live keys, at a different length each time: a put
-//! always lands in a fresh extent and the old one stays reachable until
-//! the new record is durable, so either value is a legal prefix state.
+//! The LabFS mixes overwrite no byte a durable state still shows
+//! (appends, truncates, unlink + recreate): LabFS journals metadata, not
+//! file data, so an in-place data overwrite before the metadata commit is
+//! the documented ext4-ordered-mode gap, not a bug this campaign hunts.
+//! The fio mix truncates to a random size — mid-page more often than not,
+//! sometimes a short extension — and keeps appending to the cut file
+//! before the next fsync: LabFS must not let those appends, or the cut
+//! itself, touch the block the last durable size still covers. The
+//! LabKVS mix does overwrite live keys, at a different length each time:
+//! a put always lands in a fresh extent and the old one stays reachable
+//! until the new record is durable, so either value is a legal prefix
+//! state.
 //!
 //! After the prefix check every trial keeps going on the recovered
 //! instance: it writes a few new values (or files) and re-checks that
 //! what recovery rebuilt still reads back unchanged — a recovered
-//! allocator that handed out a live extent again would fail here.
+//! allocator that handed out a live extent again would fail here. A
+//! LabFS trial then extends every surviving file by an unaligned write
+//! past a gap and checks it against a flat model: the gap must read as
+//! zeroes even where the blocks behind it hold what a truncate cut off or
+//! an append whose size record the crash lost.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -51,7 +60,8 @@ use crate::fio::XorShift;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashWorkload {
     /// fio-like write-heavy mix over a fixed file set: random-size
-    /// appends, periodic fsync, occasional truncate-and-rewrite.
+    /// appends, periodic fsync, occasional truncate (to a random size)
+    /// and rewrite.
     FioWrite,
     /// Filebench varmail: unlink → create → append → fsync → append →
     /// fsync → read, over a small mail set.
@@ -272,6 +282,9 @@ pub fn run_trial(
         }
         Err(e) => report.violation = Some(format!("post-recovery writes failed: {e}")),
     }
+    if report.violation.is_none() && !workload.is_kvs() {
+        report.violation = boot.extend_survivors(&mut ctx, &run.candidates).err();
+    }
     report
 }
 
@@ -472,6 +485,54 @@ impl Boot {
         Ok(())
     }
 
+    /// The first `len` bytes of file `ino`.
+    fn read_file(
+        &self,
+        ctx: &mut Ctx,
+        name: &str,
+        ino: u64,
+        len: usize,
+    ) -> Result<Vec<u8>, String> {
+        let offset = 0;
+        match self.exec(ctx, Payload::Fs(FsOp::Read { ino, offset, len })) {
+            RespPayload::Data(d) => Ok(d),
+            RespPayload::DataBuf(h) => Ok(h.to_vec()),
+            other => Err(format!("read {name}: {other:?}")),
+        }
+    }
+
+    /// LabFS only: extend every surviving file by an unaligned write past
+    /// a gap — inside the page its recovered end falls in, or beyond it —
+    /// and check the whole file against a flat model. The gap must read
+    /// as zeroes whatever the blocks behind it held before the crash: the
+    /// tail a truncate cut off, or an append whose size record was lost.
+    fn extend_survivors(&self, ctx: &mut Ctx, candidates: &BTreeSet<String>) -> Result<(), String> {
+        for (i, name) in candidates.iter().enumerate() {
+            let st = match self.exec(ctx, Payload::Fs(FsOp::Stat { path: name.clone() })) {
+                RespPayload::Stat(st) if !st.is_dir => st,
+                _ => continue, // absent
+            };
+            let mut model = self.read_file(ctx, name, st.ino, st.size as usize)?;
+            let data = vec![0xE0 | (i % 16) as u8; 300 + 7 * i];
+            model.resize(model.len() + 1 + (i * 1237) % 6000, 0);
+            let write = FsOp::Write {
+                ino: st.ino,
+                offset: model.len() as u64,
+                data: data.clone(),
+            };
+            match self.exec(ctx, Payload::Fs(write)) {
+                RespPayload::Len(_) => model.extend_from_slice(&data),
+                other => return Err(format!("extend {name}: {other:?}")),
+            }
+            if self.read_file(ctx, name, st.ino, model.len())? != model {
+                return Err(format!(
+                    "{name}: extended past a gap, it no longer reads back as recovered + zeroes + new bytes"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Digest of the live (post-recovery) state over the candidate
     /// namespace, computed the same way as the model's snapshots.
     fn observed_digest(&self, ctx: &mut Ctx, candidates: &BTreeSet<String>) -> Result<u64, String> {
@@ -493,18 +554,7 @@ impl Boot {
                 if st.is_dir {
                     continue;
                 }
-                let data = match self.exec(
-                    ctx,
-                    Payload::Fs(FsOp::Read {
-                        ino: st.ino,
-                        offset: 0,
-                        len: st.size as usize,
-                    }),
-                ) {
-                    RespPayload::Data(d) => d,
-                    RespPayload::DataBuf(h) => h.to_vec(),
-                    other => return Err(format!("read {name}: {other:?}")),
-                };
+                let data = self.read_file(ctx, name, st.ino, st.size as usize)?;
                 entries.push((name.clone(), data.len(), crc32(&data)));
             }
         }
@@ -679,21 +729,24 @@ impl Driver<'_> {
         }
     }
 
-    fn truncate0(&mut self, path: &str) {
+    /// Set the file's size: a shrink to anywhere inside it (mid-page
+    /// more often than not) or a short zero-filled extension.
+    fn truncate(&mut self, path: &str, size: usize) {
         if !self.live() {
             return;
         }
         let Some(&ino) = self.inos.get(path) else {
             return;
         };
-        match self
-            .boot
-            .exec(&mut self.ctx, Payload::Fs(FsOp::Truncate { ino, size: 0 }))
-        {
+        let op = FsOp::Truncate {
+            ino,
+            size: size as u64,
+        };
+        match self.boot.exec(&mut self.ctx, Payload::Fs(op)) {
             RespPayload::Ok => {
                 let entry = self.model.files.get_mut(path).expect("modeled file");
-                entry.0.clear();
-                entry.1 = crc32(&[]);
+                entry.0.resize(size, 0);
+                entry.1 = crc32(&entry.0);
                 self.ack();
             }
             RespPayload::Err(e) => self.error("truncate", e),
@@ -901,7 +954,8 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
                 }
                 if flow % 5 == 4 {
                     let path = format!("/cf/f{}", rng.next() % 8);
-                    d.truncate0(&path);
+                    let len = d.model.files.get(&path).map_or(0, |(v, _)| v.len());
+                    d.truncate(&path, rng.next() as usize % (len + 1024));
                 }
                 if flow % 2 == 1 {
                     d.fsync();

@@ -5,13 +5,14 @@ use proptest::prelude::*;
 
 use labstor::core::labmod::{LabMod, StackEnv};
 use labstor::core::stack::{ExecMode, LabStack, Vertex};
-use labstor::core::{FsOp, Payload, RespPayload};
+use labstor::core::{FsOp, KvsOp, Payload, RespPayload};
 use labstor::core::{ModuleManager, Request};
 use labstor::ipc::Credentials;
 use labstor::kernel::page_cache::LruMap;
 use labstor::mods::alloc::BlockAllocator;
 use labstor::mods::compress_algo::{compress, decompress};
 use labstor::mods::labfs::{LabFs, LogRecord};
+use labstor::mods::labkvs::LabKvs;
 use labstor::sim::{Ctx, DeviceKind, SimDevice};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -434,5 +435,249 @@ proptest! {
             }
         }
         let _ = synced;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Live state = replayed state (LabFS and LabKVS)
+// ---------------------------------------------------------------------
+
+const PAGE: u32 = labstor::mods::labfs::FS_BLOCK as u32;
+
+#[derive(Debug, Clone)]
+enum MetaAction {
+    Create(u8),
+    Mkdir(u8),
+    Write {
+        file: u8,
+        offset: u32,
+        len: u32,
+        fill: u8,
+    },
+    Truncate {
+        file: u8,
+        size: u32,
+    },
+    OpenTruncate(u8),
+    Rename {
+        from: u8,
+        to: u8,
+    },
+    Unlink(u8),
+    Fsync,
+}
+
+fn meta_action() -> impl Strategy<Value = MetaAction> {
+    // Offsets, lengths and sizes on page boundaries and off them, inside
+    // what earlier writes mapped (overwrites) and past it (gaps).
+    let aligned = || (0u32..5).prop_map(|p| p * PAGE);
+    let anywhere = || 0u32..5 * PAGE;
+    prop_oneof![
+        3 => any::<u8>().prop_map(|f| MetaAction::Create(f % 5)),
+        1 => any::<u8>().prop_map(|d| MetaAction::Mkdir(d % 2)),
+        3 => (any::<u8>(), aligned(), 1u32..3, any::<u8>()).prop_map(|(f, offset, pages, fill)| {
+            MetaAction::Write { file: f % 5, offset, len: pages * PAGE, fill }
+        }),
+        4 => (any::<u8>(), anywhere(), 1u32..6000, any::<u8>()).prop_map(|(f, offset, len, fill)| {
+            MetaAction::Write { file: f % 5, offset, len, fill }
+        }),
+        1 => any::<u8>().prop_map(|f| MetaAction::Truncate { file: f % 5, size: 0 }),
+        1 => (any::<u8>(), aligned()).prop_map(|(f, size)| MetaAction::Truncate { file: f % 5, size }),
+        3 => (any::<u8>(), anywhere()).prop_map(|(f, size)| MetaAction::Truncate { file: f % 5, size }),
+        1 => any::<u8>().prop_map(|f| MetaAction::OpenTruncate(f % 5)),
+        2 => (any::<u8>(), any::<u8>()).prop_map(|(f, t)| MetaAction::Rename { from: f % 5, to: t % 5 }),
+        1 => any::<u8>().prop_map(|f| MetaAction::Unlink(f % 5)),
+        1 => Just(MetaAction::Fsync),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum KvAction {
+    /// Put (a fresh key or an overwrite at another length; zero allowed).
+    Put {
+        key: u8,
+        len: u16,
+        fill: u8,
+    },
+    Remove(u8),
+    Flush,
+}
+
+fn kv_action() -> impl Strategy<Value = KvAction> {
+    prop_oneof![
+        5 => (any::<u8>(), 0u16..3000, any::<u8>())
+            .prop_map(|(k, len, fill)| KvAction::Put { key: k % 6, len, fill }),
+        1 => (any::<u8>(), any::<u8>())
+            .prop_map(|(k, fill)| KvAction::Put { key: k % 6, len: 0, fill }),
+        2 => any::<u8>().prop_map(|k| KvAction::Remove(k % 6)),
+        1 => Just(KvAction::Flush),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// LabFS keeps nothing on the device but its log, so the state a live
+    /// instance reached must be the state a fresh instance folds out of
+    /// that log: same names, and per inode the same size, mode, owner,
+    /// kind and block map (`LabFs::snapshot`). Provenance (`ops`,
+    /// `last_writer`) is not journaled and is not compared. Every file
+    /// must also read back, from the live and from the replayed
+    /// instance, as a flat byte model in which gaps are zeroes.
+    #[test]
+    fn live_state_equals_replayed_state(actions in proptest::collection::vec(meta_action(), 0..40)) {
+        let (mm, stack, dev) = labfs_harness();
+        let env = StackEnv { stack: &stack, vertex: 0, registry: &mm, domain: 0 };
+        let mut ctx = Ctx::new();
+        let exec = |payload: Payload, ctx: &mut Ctx| {
+            let fs = mm.get("prop_fs").unwrap();
+            fs.process(ctx, Request::new(1, 1, payload, Credentials::ROOT), &env)
+        };
+        let fsync = |ctx: &mut Ctx| exec(Payload::Fs(FsOp::Fsync { ino: 0 }), ctx).is_ok();
+        // name → (ino, bytes); directories are not modeled beyond existing.
+        let mut model: HashMap<String, (u64, Vec<u8>)> = HashMap::new();
+        for action in actions {
+            match action {
+                MetaAction::Create(f) => {
+                    let path = format!("/f{f}");
+                    let resp = exec(Payload::Fs(FsOp::Create { path: path.clone(), mode: 0o640 }), &mut ctx);
+                    match resp {
+                        RespPayload::Ino(ino) => prop_assert!(model.insert(path, (ino, Vec::new())).is_none()),
+                        other => prop_assert!(model.contains_key(&path), "create: {:?}", other),
+                    }
+                }
+                MetaAction::Mkdir(d) => {
+                    exec(Payload::Fs(FsOp::Mkdir { path: format!("/d{d}"), mode: 0o755 }), &mut ctx);
+                }
+                MetaAction::Write { file, offset, len, fill } => {
+                    let Some((ino, content)) = model.get_mut(&format!("/f{file}")) else { continue };
+                    let (offset, len) = (offset as usize, len as usize);
+                    let write = FsOp::Write { ino: *ino, offset: offset as u64, data: vec![fill; len] };
+                    let resp = exec(Payload::Fs(write), &mut ctx);
+                    prop_assert!(matches!(resp, RespPayload::Len(n) if n == len), "write: {:?}", resp);
+                    content.resize(content.len().max(offset + len), 0);
+                    content[offset..offset + len].fill(fill);
+                }
+                MetaAction::Truncate { file, size } => {
+                    let Some((ino, content)) = model.get_mut(&format!("/f{file}")) else { continue };
+                    let resp = exec(Payload::Fs(FsOp::Truncate { ino: *ino, size: size as u64 }), &mut ctx);
+                    prop_assert!(resp.is_ok(), "truncate: {:?}", resp);
+                    content.resize(size as usize, 0);
+                }
+                MetaAction::OpenTruncate(f) => {
+                    let path = format!("/f{f}");
+                    let open = FsOp::Open { path: path.clone(), create: false, truncate: true };
+                    let resp = exec(Payload::Fs(open), &mut ctx);
+                    match model.get_mut(&path) {
+                        Some((ino, content)) => {
+                            prop_assert!(matches!(resp, RespPayload::Ino(i) if i == *ino), "open: {:?}", resp);
+                            content.clear();
+                        }
+                        None => prop_assert!(!resp.is_ok()),
+                    }
+                }
+                MetaAction::Rename { from, to } => {
+                    if from == to {
+                        continue; // same-path rename: model ambiguity, skip
+                    }
+                    let (fp, tp) = (format!("/f{from}"), format!("/f{to}"));
+                    let resp = exec(Payload::Fs(FsOp::Rename { from: fp.clone(), to: tp.clone() }), &mut ctx);
+                    prop_assert_eq!(resp.is_ok(), model.contains_key(&fp));
+                    if let Some(entry) = model.remove(&fp) {
+                        model.insert(tp, entry); // onto a live name: it is replaced
+                    }
+                }
+                MetaAction::Unlink(f) => {
+                    let path = format!("/f{f}");
+                    let resp = exec(Payload::Fs(FsOp::Unlink { path: path.clone() }), &mut ctx);
+                    prop_assert_eq!(resp.is_ok(), model.remove(&path).is_some());
+                }
+                MetaAction::Fsync => {
+                    prop_assert!(fsync(&mut ctx), "fsync");
+                }
+            }
+        }
+        prop_assert!(fsync(&mut ctx), "final fsync");
+
+        let live_mod = mm.get("prop_fs").unwrap();
+        let live = live_mod.as_any().downcast_ref::<LabFs>().unwrap().snapshot();
+        let replayed = Arc::new(LabFs::new(dev, 4));
+        prop_assert!(replayed.replay_from_device().is_clean());
+        prop_assert_eq!(&replayed.snapshot(), &live);
+        let mut files: Vec<(&String, u64)> = model.iter().map(|(path, (ino, _))| (path, *ino)).collect();
+        files.sort();
+        let named: Vec<(&String, u64)> =
+            live.iter().filter(|(_, st, _)| !st.is_dir).map(|(path, st, _)| (path, st.ino)).collect();
+        prop_assert_eq!(named, files);
+
+        for instance in ["live", "replayed"] {
+            for (path, (ino, content)) in &model {
+                // Ask for a page more than there is: the size must clip it.
+                let read = FsOp::Read { ino: *ino, offset: 0, len: content.len() + PAGE as usize };
+                let resp = exec(Payload::Fs(read), &mut ctx);
+                prop_assert!(resp.data_bytes() == Some(&content[..]), "{} {} does not read back", instance, path);
+            }
+            mm.insert_instance("prop_fs", replayed.clone());
+        }
+    }
+
+    /// The LabKVS twin: the key map a live instance reached is the one a
+    /// fresh instance folds out of the op log, and every value reads back.
+    #[test]
+    fn live_kvs_index_equals_replayed_index(actions in proptest::collection::vec(kv_action(), 0..40)) {
+        let devices = labstor::mods::DeviceRegistry::new();
+        let dev = devices.add_preset("nvme0", DeviceKind::Nvme);
+        let mm = ModuleManager::new();
+        labstor::mods::install_all(&mm, &devices);
+        let params = serde_json::json!({"device": "nvme0", "workers": 4});
+        mm.instantiate("prop_kv", "labkvs", &params).unwrap();
+        mm.instantiate("prop_drv", "kernel_driver", &params).unwrap();
+        let vertex = |uuid: &str, outputs| Vertex { uuid: uuid.into(), outputs };
+        let stack = LabStack {
+            id: 1,
+            mount: "kv::/prop".into(),
+            exec: ExecMode::Sync,
+            vertices: vec![vertex("prop_kv", vec![1]), vertex("prop_drv", vec![])],
+            authorized_uids: vec![0],
+        };
+        let env = StackEnv { stack: &stack, vertex: 0, registry: &mm, domain: 0 };
+        let mut ctx = Ctx::new();
+        let exec = |op: KvsOp, ctx: &mut Ctx| {
+            let kv = mm.get("prop_kv").unwrap();
+            kv.process(ctx, Request::new(1, 1, Payload::Kvs(op), Credentials::ROOT), &env)
+        };
+        let live_mod = mm.get("prop_kv").unwrap();
+        let live = live_mod.as_any().downcast_ref::<LabKvs>().unwrap();
+        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+        for action in actions {
+            match action {
+                KvAction::Put { key, len, fill } => {
+                    let (key, value) = (format!("k{key}"), vec![fill; len as usize]);
+                    let resp = exec(KvsOp::Put { key: key.clone(), value: value.clone() }, &mut ctx);
+                    prop_assert!(matches!(resp, RespPayload::Len(n) if n == value.len()), "put: {:?}", resp);
+                    model.insert(key, value);
+                }
+                KvAction::Remove(key) => {
+                    let key = format!("k{key}");
+                    let resp = exec(KvsOp::Remove { key: key.clone() }, &mut ctx);
+                    prop_assert_eq!(resp.is_ok(), model.remove(&key).is_some());
+                }
+                KvAction::Flush => prop_assert!(live.flush_logs(&mut ctx).is_ok()),
+            }
+        }
+        prop_assert!(live.flush_logs(&mut ctx).is_ok());
+
+        let replayed = Arc::new(LabKvs::new(dev, 4));
+        prop_assert!(replayed.replay_from_device().is_clean());
+        prop_assert_eq!(replayed.snapshot(), live.snapshot());
+        let lens: HashMap<String, usize> = model.iter().map(|(k, v)| (k.clone(), v.len())).collect();
+        prop_assert_eq!(live.snapshot().into_iter().map(|(k, (len, _))| (k, len)).collect::<HashMap<_, _>>(), lens);
+        for instance in ["live", "replayed"] {
+            for (key, value) in &model {
+                let resp = exec(KvsOp::Get { key: key.clone() }, &mut ctx);
+                prop_assert!(resp.data_bytes() == Some(&value[..]), "{} {} does not read back", instance, key);
+            }
+            mm.insert_instance("prop_kv", replayed.clone());
+        }
     }
 }
