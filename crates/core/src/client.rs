@@ -215,8 +215,7 @@ impl Client {
         self.runtime
             .ns
             .get_id(req.stack)
-            .and_then(|s| s.vertices.first().cloned())
-            .and_then(|v| self.runtime.mm.get(&v.uuid))
+            .and_then(|s| self.runtime.mm.get(&s.vertices.first()?.uuid))
             .map(|m| m.est_processing_time(req))
             .unwrap_or(1_000)
     }

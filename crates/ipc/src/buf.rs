@@ -578,31 +578,37 @@ impl BufHandle {
         &data[self.off..self.off + self.len]
     }
 
+    /// The mutable bytes of a unique handle (e.g. to lend as a device DMA
+    /// target); `None` if the slot is shared.
+    pub fn as_mut_slice(&mut self) -> Option<&mut [u8]> {
+        if !self.is_unique() {
+            return None;
+        }
+        // SAFETY: refs == 1 and we hold `&mut self` for as long as the
+        // slice lives, so no other handle — and no other borrow of this
+        // handle, hence no clone of it — can observe the bytes mid-write.
+        // A concurrent drop of a peer would contradict refs == 1 (a true
+        // `is_unique` is stable).
+        let data = unsafe { &mut *self.slot_ref().data.get() };
+        Some(&mut data[self.off..self.off + self.len])
+    }
+
     /// Copy `src` into the front of the view. Fails (returns false)
     /// unless the handle is unique and `src` fits.
     pub fn fill(&mut self, src: &[u8]) -> bool {
-        if !self.is_unique() || src.len() > self.len {
-            return false;
+        match self.as_mut_slice() {
+            Some(dst) if src.len() <= dst.len() => {
+                dst[..src.len()].copy_from_slice(src);
+                true
+            }
+            _ => false,
         }
-        // SAFETY: refs == 1 and we hold `&mut self`, so no other handle —
-        // and no other borrow of this handle — can observe the bytes
-        // mid-write. A concurrent drop of a peer would contradict
-        // refs == 1 (a true `is_unique` is stable).
-        let data = unsafe { &mut *self.slot_ref().data.get() };
-        data[self.off..self.off + src.len()].copy_from_slice(src);
-        true
     }
 
-    /// Run `f` over the mutable bytes of a unique handle (in-place fill,
-    /// e.g. a device DMA target). Fails (returns false) if shared.
+    /// Run `f` over the mutable bytes of a unique handle (in-place fill).
+    /// Fails (returns false) if shared.
     pub fn write_with<F: FnOnce(&mut [u8])>(&mut self, f: F) -> bool {
-        if !self.is_unique() {
-            return false;
-        }
-        // SAFETY: same uniqueness argument as `fill`.
-        let data = unsafe { &mut *self.slot_ref().data.get() };
-        f(&mut data[self.off..self.off + self.len]);
-        true
+        self.as_mut_slice().map(f).is_some()
     }
 
     /// A narrowed read-only view of the same bytes (refcount bump, no

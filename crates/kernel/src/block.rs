@@ -96,7 +96,7 @@ impl BlockLayer {
         ctx: &mut Ctx,
         core: usize,
         class: IoClass,
-        req: IoRequest,
+        req: IoRequest<'_>,
     ) -> Result<usize, DeviceError> {
         ctx.advance(cost::BIO_ALLOC_NS + cost::BLOCK_LAYER_NS + cost::SCHED_DECIDE_NS);
         let qid = self
@@ -115,7 +115,7 @@ impl BlockLayer {
         &self,
         ctx: &mut Ctx,
         qid: usize,
-        req: IoRequest,
+        req: IoRequest<'_>,
     ) -> Result<(), DeviceError> {
         ctx.advance(cost::DRIVER_SUBMIT_NS);
         self.dev.submit_at(qid, req, ctx.now())

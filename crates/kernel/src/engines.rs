@@ -74,12 +74,15 @@ pub struct Token {
     qid: usize,
 }
 
+/// One io_uring submission: the command, its class and submitting core.
+type Sqe<'a> = (IoRequest<'a>, IoClass, usize);
+
 /// A raw-device I/O engine of a given kind.
 pub struct RawEngine {
     kind: IoEngineKind,
     block: Arc<BlockLayer>,
     /// SQEs staged in the ring but not yet submitted (io_uring only).
-    staged: parking_lot::Mutex<Vec<(IoRequest, IoClass, usize)>>,
+    staged: parking_lot::Mutex<Vec<Sqe<'static>>>,
 }
 
 impl RawEngine {
@@ -113,7 +116,7 @@ impl RawEngine {
         ctx: &mut Ctx,
         core: usize,
         class: IoClass,
-        mut req: IoRequest,
+        mut req: IoRequest<'_>,
     ) -> Result<Token, DeviceError> {
         req.tag = self.block.alloc_tag();
         let tag = req.tag;
@@ -143,9 +146,12 @@ impl RawEngine {
             }
             IoEngineKind::IoUring => {
                 ctx.advance(SQE_WRITE_NS);
-                self.staged.lock().push((req, class, core)); // lock-class: engines.staged
-                                                             // qid resolved at kick time; report the scheduler's static
-                                                             // choice so wait() knows where to look.
+                // copy-ok: a staged SQE outlives this call, so on the host it owns its bytes (a `Vec` payload is moved; the modeled SQE points at user pages either way); `rw_sync` never stages
+                let sqe = (req.into_owned(), class, core);
+                self.staged.lock().push(sqe); // lock-class: engines.staged
+
+                // The queue is only chosen at kick time, and so is the
+                // token to wait on.
                 Ok(Token {
                     tag,
                     qid: usize::MAX,
@@ -164,9 +170,18 @@ impl RawEngine {
         if staged.is_empty() {
             return Ok(Vec::new());
         }
+        self.enter(ctx, staged)
+    }
+
+    /// One `io_uring_enter` for `sqes`, in order.
+    fn enter<'a>(
+        &self,
+        ctx: &mut Ctx,
+        sqes: impl IntoIterator<Item = Sqe<'a>>,
+    ) -> Result<Vec<Token>, DeviceError> {
         cost::syscall(ctx); // one enter for the whole batch
-        let mut tokens = Vec::with_capacity(staged.len());
-        for (mut req, class, core) in staged {
+        let mut tokens = Vec::new();
+        for (mut req, class, core) in sqes {
             req.tag = self.block.alloc_tag();
             let tag = req.tag;
             let qid = self.block.submit_io_to_blk(ctx, core, class, req)?;
@@ -215,12 +230,19 @@ impl RawEngine {
         ctx: &mut Ctx,
         core: usize,
         class: IoClass,
-        req: IoRequest,
+        req: IoRequest<'_>,
     ) -> Result<Completion, DeviceError> {
-        let token = self.submit(ctx, core, class, req)?;
         let token = match self.kind {
-            IoEngineKind::IoUring => self.kick(ctx)?.pop().expect("one staged SQE"),
-            _ => token,
+            // The caller waits right here, so the SQE keeps its borrowed
+            // buffers: written and entered in one go, behind whatever is
+            // already staged, at the charges of `submit` + `kick`.
+            IoEngineKind::IoUring => {
+                ctx.advance(SQE_WRITE_NS);
+                let staged = std::mem::take(&mut *self.staged.lock()); // lock-class: engines.staged
+                let sqes = staged.into_iter().chain([(req, class, core)]);
+                self.enter(ctx, sqes)?.pop().expect("one SQE entered")
+            }
+            _ => self.submit(ctx, core, class, req)?,
         };
         Ok(self.wait(ctx, token))
     }
@@ -267,7 +289,53 @@ mod tests {
                 .rw_sync(&mut ctx, 0, IoClass::Latency, IoRequest::read(64, 4096, 2))
                 .unwrap();
             assert_eq!(c.result.unwrap(), data, "engine {}", kind.label());
+            // Lent buffers: a synchronous op borrows them on every engine.
+            let lent: Vec<u8> = data.iter().map(|b| !b).collect();
+            let w = IoRequest::write(64, &lent[..], 3);
+            assert!(e.rw_sync(&mut ctx, 0, IoClass::Latency, w).unwrap().is_ok());
+            let mut dest = vec![0xEEu8; 4096];
+            let r = IoRequest::read_into(64, &mut dest, 4);
+            let c = e.rw_sync(&mut ctx, 0, IoClass::Latency, r).unwrap();
+            assert!(c.result.unwrap().is_empty(), "engine {}", kind.label());
+            assert_eq!(dest, lent, "engine {}", kind.label());
         }
+    }
+
+    #[test]
+    fn uring_rw_sync_borrows_at_the_price_of_submit_kick_wait() {
+        let data = vec![5u8; 4096];
+        let e = engine(IoEngineKind::IoUring);
+        let mut sync = Ctx::new();
+        let w = IoRequest::write(64, &data[..], 1);
+        assert!(e
+            .rw_sync(&mut sync, 0, IoClass::Latency, w)
+            .unwrap()
+            .is_ok());
+
+        let e = engine(IoEngineKind::IoUring);
+        let mut staged = Ctx::new();
+        let w = IoRequest::write(64, &data[..], 1);
+        e.submit(&mut staged, 0, IoClass::Latency, w).unwrap();
+        let token = e.kick(&mut staged).unwrap().pop().unwrap();
+        assert!(e.wait(&mut staged, token).is_ok());
+        assert_eq!((sync.now(), sync.busy()), (staged.now(), staged.busy()));
+
+        // A staged SQE outlives the call that lent it a destination, so
+        // its bytes come back in the completion instead.
+        let mut dest = vec![0xEEu8; 4096];
+        let r = IoRequest::read_into(64, &mut dest, 2);
+        e.submit(&mut staged, 0, IoClass::Latency, r).unwrap();
+        let token = e.kick(&mut staged).unwrap().pop().unwrap();
+        assert_eq!(e.wait(&mut staged, token).result.unwrap(), data);
+        assert!(dest.iter().all(|&b| b == 0xEE));
+
+        // `rw_sync` enters what was staged before it, ahead of its own.
+        let first = IoRequest::write(128, vec![1u8; 512], 3);
+        e.submit(&mut staged, 0, IoClass::Latency, first).unwrap();
+        let r = IoRequest::read(128, 512, 4);
+        let c = e.rw_sync(&mut staged, 0, IoClass::Latency, r).unwrap();
+        assert_eq!(c.result.unwrap(), vec![1u8; 512]);
+        assert!(e.kick(&mut staged).unwrap().is_empty());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! - `// labmod-default-ok: <reason>` — permits an `impl LabMod` to keep
 //!   the default no-op `state_update`/`state_repair`
 //! - `// copy-ok: <reason>`           — permits a payload materialization
-//!   (`.to_vec()` / buffer `.clone()`) in a zero-copy data-path module
+//!   (`.to_vec()` / `.into_owned()` / `.to_owned()` / buffer `.clone()`)
+//!   in a zero-copy data-path module
 //! - `// lock-class: <name>`          — names the registry class of a lock
 //!   acquisition (required on every acquisition in the governed crates;
 //!   see [`crate::lockcheck`])
@@ -174,6 +175,10 @@ impl Config {
                 "crates/mods/src/labkvs.rs",
                 "crates/mods/src/compress.rs",
                 "crates/mods/src/drivers.rs",
+                "crates/kernel/src/block.rs",
+                "crates/kernel/src/engines.rs",
+                "crates/sim/src/queue.rs",
+                "crates/sim/src/device.rs",
                 "crates/pushdown/src/interp.rs",
                 "crates/ipc/src/inline.rs",
             ],
@@ -435,8 +440,13 @@ fn lint_labmod_contract(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
 /// are named `buf`/`h` and clone by refcount bump).
 const PAYLOAD_RECEIVERS: [&str; 5] = ["data", "value", "bytes", "stored", "payload"];
 
+/// Calls that materialize an owned copy of whatever they are called on:
+/// of a slice, and of a `Cow` (the way a borrowed device command would
+/// quietly go back to owning its bytes).
+const COPY_CALLS: [&str; 3] = [".to_vec()", ".into_owned()", ".to_owned()"];
+
 /// Lint 5: in the zero-copy data-path modules, every payload
-/// materialization — `.to_vec()`, or `.clone()` on a payload-named
+/// materialization — a [`COPY_CALLS`] call, or `.clone()` on a payload-named
 /// receiver — must carry a `copy-ok` justification. This is what keeps
 /// the read-hit path copy-free as the modules evolve: a new `Vec`
 /// round-trip cannot land without either a counted, annotated copy or a
@@ -449,10 +459,11 @@ fn lint_payload_copy(cfg: &Config, file: &SourceFile, diags: &mut Vec<Diagnostic
         if line.in_test {
             continue;
         }
-        let mut hits: Vec<String> = Vec::new();
-        if line.code.contains(".to_vec()") {
-            hits.push(".to_vec()".to_string());
-        }
+        let mut hits: Vec<String> = COPY_CALLS
+            .iter()
+            .filter(|call| line.code.contains(*call))
+            .map(|call| call.to_string())
+            .collect();
         for recv in clone_receivers(&line.code) {
             if PAYLOAD_RECEIVERS.contains(&recv.as_str()) {
                 hits.push(format!("{recv}.clone()"));

@@ -297,6 +297,30 @@ fn hit(&self) -> RespPayload {
     assert!(diags[0].message.contains("note_payload_copy"));
 }
 
+/// The `Cow` escape hatch: a borrowed device command made to own its
+/// bytes again is a copy, wherever between the driver and the device
+/// model it happens.
+#[test]
+fn cow_materialization_is_flagged_down_to_the_device_model() {
+    let src = "\
+fn stage(&self, req: IoRequest<'_>) {
+    let a = req.into_owned();
+    let b = req.data.to_owned();
+    let c = req.data.as_ref();
+}
+";
+    for file in [
+        "crates/mods/src/drivers.rs",
+        "crates/kernel/src/block.rs",
+        "crates/kernel/src/engines.rs",
+        "crates/sim/src/queue.rs",
+        "crates/sim/src/device.rs",
+    ] {
+        let diags = lint_source(&cfg(), file, src);
+        assert_eq!(lines_with(&diags, Lint::PayloadCopy), vec![2, 3], "{file}");
+    }
+}
+
 #[test]
 fn payload_clone_is_flagged_but_handle_clone_is_not() {
     let src = "\

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
+use labstor_ipc::BufHandle;
 use labstor_kernel::block::CompletionMode::DriverPoll;
 use labstor_kernel::engines::{IoEngineKind, RawEngine};
 use labstor_kernel::sched::IoClass;
@@ -76,30 +77,21 @@ trait Backend: Send + Sync + 'static {
     /// Charge the packaging cost, reach the media and wait: one blocking
     /// command. `Err` is a refused submission; a command the device
     /// accepted and then failed comes back as a completion whose
-    /// `result` is the error. `io.tag` is the backend's to assign.
-    fn issue(&self, ctx: &mut Ctx, route: Route, io: IoRequest) -> Result<Completion, DeviceError>;
-}
-
-/// Land device-returned read bytes in a pool buffer — the modeled DMA
-/// target — and answer zero-copy. Falls back to the legacy owned `Vec`
-/// when the pool is dry (upstream stages treat `Data` and `DataBuf`
-/// uniformly).
-fn dma_response(data: Vec<u8>) -> RespPayload {
-    match labstor_ipc::default_pool().alloc(data.len()) {
-        Some(mut h) => {
-            // DMA into the shared buffer: not a CPU payload copy.
-            h.write_with(|b| b.copy_from_slice(&data));
-            RespPayload::DataBuf(h)
-        }
-        None => RespPayload::Data(data),
-    }
+    /// `result` is the error. `io.tag` is the backend's to assign. The
+    /// command's buffers are the caller's, lent for this call: a read
+    /// with an `io.dest` lands there and completes with an empty `Vec`.
+    fn issue(
+        &self,
+        ctx: &mut Ctx,
+        route: Route,
+        io: IoRequest<'_>,
+    ) -> Result<Completion, DeviceError>;
 }
 
 /// How a successful command is answered.
 enum Answer {
     Len(usize),
     Data,
-    DataBuf,
     Ok,
 }
 
@@ -126,20 +118,35 @@ impl<B: Backend> LabMod for DriverMod<B> {
             qid: req.qid_hint.unwrap_or(req.core) % self.backend.model().hw_queues.max(1),
             prekeyed: req.qid_hint.is_some(),
         };
+        // A `ReadBuf`'s pool buffer — the modeled DMA target — while it
+        // is lent to the command as its destination.
+        let mut slot = None;
         let (io, answer) = match req.payload {
             Payload::Block(BlockOp::Write { lba, data }) => {
                 let len = data.len();
                 (IoRequest::write(lba, data, 0), Answer::Len(len))
             }
-            Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
-                let data = buf.as_slice().to_vec(); // copy-ok: modeled device DMA from the shared buffer, not a CPU copy
-                (IoRequest::write(lba, data, 0), Answer::Len(buf.len()))
-            }
+            // The device DMAs straight out of the shared buffer.
+            Payload::Block(BlockOp::WriteBuf { lba, ref buf }) => (
+                IoRequest::write(lba, buf.as_slice(), 0),
+                Answer::Len(buf.len()),
+            ),
             Payload::Block(BlockOp::Read { lba, len }) => {
                 (IoRequest::read(lba, len, 0), Answer::Data)
             }
             Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-                (IoRequest::read(lba, len, 0), Answer::DataBuf)
+                slot = labstor_ipc::default_pool().alloc(len);
+                let io = match slot.as_mut().and_then(BufHandle::as_mut_slice) {
+                    Some(dst) => IoRequest::read_into(lba, dst, 0),
+                    // Pool dry (`slot` stays `Some` only while lent): the
+                    // legacy owned `Vec`; upstream stages treat `Data`
+                    // and `DataBuf` uniformly.
+                    None => {
+                        slot = None;
+                        IoRequest::read(lba, len, 0)
+                    }
+                };
+                (io, Answer::Data)
             }
             Payload::Block(BlockOp::Flush) => (IoRequest::flush(0), Answer::Ok),
             _ => return RespPayload::Err(format!("{} handles block ops only", B::TYPE_NAME)),
@@ -152,8 +159,13 @@ impl<B: Backend> LabMod for DriverMod<B> {
         });
         let resp = match (done, answer) {
             (Ok(_), Answer::Len(len)) => RespPayload::Len(len),
-            (Ok(data), Answer::Data) => RespPayload::Data(data),
-            (Ok(data), Answer::DataBuf) => dma_response(data),
+            (Ok(data), Answer::Data) => match slot {
+                // The command overwrote all of the buffer it was lent. A
+                // failed one answers `Err` below and the buffer, whatever
+                // it holds, goes back to the pool unseen.
+                Some(buf) => RespPayload::DataBuf(buf),
+                None => RespPayload::Data(data),
+            },
             (Ok(_), Answer::Ok) => RespPayload::Ok,
             // A failed barrier is as much an error as a failed write:
             // `Ok` would acknowledge durability that never happened.
@@ -223,7 +235,7 @@ impl Backend for KernelHctx {
         &self,
         ctx: &mut Ctx,
         route: Route,
-        mut io: IoRequest,
+        mut io: IoRequest<'_>,
     ) -> Result<Completion, DeviceError> {
         // A barrier carries no data to build request structures for.
         if io.op != IoOp::Flush {
@@ -306,7 +318,7 @@ impl Backend for SpdkQueuePair {
         &self,
         ctx: &mut Ctx,
         route: Route,
-        mut io: IoRequest,
+        mut io: IoRequest<'_>,
     ) -> Result<Completion, DeviceError> {
         if io.op != IoOp::Flush {
             ctx.advance(SPDK_SUBMIT_NS);
@@ -339,7 +351,7 @@ impl Backend for DaxMap {
         &self,
         ctx: &mut Ctx,
         _route: Route,
-        io: IoRequest,
+        io: IoRequest<'_>,
     ) -> Result<Completion, DeviceError> {
         let t0 = ctx.now();
         // LBAs keep block-op sector units for stackability; DAX's
@@ -348,10 +360,13 @@ impl Backend for DaxMap {
         let offset = io.lba * SECTOR_SIZE as u64;
         let result = match io.op {
             IoOp::Write => self.0.store(ctx, offset, &io.data).map(|_| Vec::new()),
-            IoOp::Read => {
-                let mut buf = vec![0u8; io.len];
-                self.0.load(ctx, offset, &mut buf).map(|_| buf)
-            }
+            IoOp::Read => match io.dest {
+                Some(dst) => self.0.load(ctx, offset, dst).map(|_| Vec::new()),
+                None => {
+                    let mut buf = vec![0u8; io.len];
+                    self.0.load(ctx, offset, &mut buf).map(|_| buf)
+                }
+            },
             IoOp::Flush => {
                 self.0.drain(ctx);
                 Ok(Vec::new())
@@ -390,7 +405,12 @@ impl Backend for IoUring {
         busy_ns
     }
 
-    fn issue(&self, ctx: &mut Ctx, route: Route, io: IoRequest) -> Result<Completion, DeviceError> {
+    fn issue(
+        &self,
+        ctx: &mut Ctx,
+        route: Route,
+        io: IoRequest<'_>,
+    ) -> Result<Completion, DeviceError> {
         let class = if io.len <= 16 * 1024 {
             IoClass::Latency
         } else {
@@ -495,13 +515,30 @@ mod tests {
     }
 
     fn write_buf(lba: u64, len: usize, fill: u8) -> Payload {
-        let mut buf = labstor_ipc::default_pool().alloc(len).unwrap();
-        assert!(buf.write_with(|b| b.fill(fill)));
+        write_buf_from(lba, &vec![fill; len])
+    }
+
+    fn write_buf_from(lba: u64, data: &[u8]) -> Payload {
+        let mut buf = labstor_ipc::default_pool().alloc(data.len()).unwrap();
+        assert!(buf.fill(data));
         Payload::Block(BlockOp::WriteBuf { lba, buf })
     }
 
     fn read_buf(lba: u64, len: usize) -> Payload {
         Payload::Block(BlockOp::ReadBuf { lba, len })
+    }
+
+    /// Leave `0x5A` in every free 4 KiB pool slot, so that the next
+    /// `ReadBuf` is handed a destination that holds neither its answer
+    /// (the slot a `WriteBuf` of the same bytes just freed) nor zeroes.
+    fn poison_free_slots() {
+        let pool = labstor_ipc::default_pool();
+        let mut held: Vec<_> = (0..pool.free_slots_for(4096))
+            .filter_map(|_| pool.alloc(4096))
+            .collect();
+        for h in &mut held {
+            assert!(h.write_with(|b| b.fill(0x5a)));
+        }
     }
 
     /// Every driver answers the same script the same way.
@@ -521,13 +558,19 @@ mod tests {
                 other => panic!("{ty}: expected Data, got {other:?}"),
             }
 
-            let w = run(&mm, write_buf(16, 4096, 0xab), None, &mut ctx);
+            // The destination a `ReadBuf` is lent holds 0x5A, never the
+            // answer: a backend that does not fill all of it is caught.
+            let w = run(&mm, write_buf_from(16, &data), None, &mut ctx);
             assert!(matches!(w, RespPayload::Len(4096)), "{ty}: {w:?}");
+            poison_free_slots();
             match run(&mm, read_buf(16, 4096), None, &mut ctx) {
-                RespPayload::DataBuf(h) => {
-                    assert_eq!(h.len(), 4096, "{ty}");
-                    assert!(h.as_slice().iter().all(|&b| b == 0xab), "{ty}");
-                }
+                RespPayload::DataBuf(h) => assert_eq!(h.as_slice(), data, "{ty}"),
+                other => panic!("{ty}: expected DataBuf, got {other:?}"),
+            }
+            // Never written: all zero.
+            poison_free_slots();
+            match run(&mm, read_buf(1 << 20, 4096), None, &mut ctx) {
+                RespPayload::DataBuf(h) => assert_eq!(h.as_slice(), [0u8; 4096], "{ty}"),
                 other => panic!("{ty}: expected DataBuf, got {other:?}"),
             }
 

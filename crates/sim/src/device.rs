@@ -1,5 +1,6 @@
 //! The RAM-backed simulated block device.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -30,7 +31,7 @@ pub trait BlockDevice: Send + Sync {
     fn stats(&self) -> &DeviceStats;
     /// Submit a command to hardware queue `qid` at virtual time `at`,
     /// without waiting for it.
-    fn submit_at(&self, qid: usize, req: IoRequest, at: u64) -> Result<(), DeviceError>;
+    fn submit_at(&self, qid: usize, req: IoRequest<'_>, at: u64) -> Result<(), DeviceError>;
     /// Reap up to `max` completions from queue `qid` that are due at or
     /// before virtual time `now`.
     fn poll(&self, qid: usize, now: u64, max: usize) -> Vec<Completion>;
@@ -191,37 +192,59 @@ impl SimDevice {
         &group[chunk_idx % GROUP_CHUNKS]
     }
 
-    /// Copy data to/from the sparse backing store. Unwritten chunks read
-    /// as zeroes.
-    fn transfer(&self, write: bool, lba: u64, buf_w: Option<&[u8]>, buf_r: Option<&mut [u8]>) {
-        let bytes = buf_w
-            .map(|b| b.len())
-            .or(buf_r.as_ref().map(|b| b.len()))
-            .unwrap_or(0);
-        let mut off = lba as usize * SECTOR_SIZE;
-        let mut done = 0usize;
-        let mut rbuf = buf_r;
-        while done < bytes {
-            let chunk_idx = off / CHUNK_BYTES;
-            let chunk_off = off % CHUNK_BYTES;
-            let n = (CHUNK_BYTES - chunk_off).min(bytes - done);
-            if write {
-                let src = &buf_w.expect("write buffer")[done..done + n];
-                let mut slot = self.slot(chunk_idx).write(); // lock-class: sim.chunk
-                let chunk = slot.get_or_insert_with(|| vec![0u8; CHUNK_BYTES].into_boxed_slice());
-                chunk[chunk_off..chunk_off + n].copy_from_slice(src);
-            } else {
-                let dst = &mut rbuf.as_mut().expect("read buffer")[done..done + n];
-                let slot = self.slot(chunk_idx).read(); // lock-class: sim.chunk
-                match slot.as_ref() {
-                    Some(chunk) => dst.copy_from_slice(&chunk[chunk_off..chunk_off + n]),
-                    None => dst.fill(0),
-                }
-            }
-            off += n;
-            done += n;
+    /// Copy `src` into the sparse backing store at `lba`.
+    fn store(&self, lba: u64, src: &[u8]) {
+        for (chunk_idx, chunk_off, span) in chunk_spans(lba, src.len()) {
+            let mut slot = self.slot(chunk_idx).write(); // lock-class: sim.chunk
+            let chunk = slot.get_or_insert_with(|| vec![0u8; CHUNK_BYTES].into_boxed_slice());
+            chunk[chunk_off..chunk_off + span.len()].copy_from_slice(&src[span]);
         }
     }
+
+    /// Walk the stored bytes of `[lba, lba + bytes)` in order: `sink`
+    /// gets each span of the transfer with the chunk bytes under it, or
+    /// `None` where nothing was ever written (a hole reads as zeroes).
+    fn load(&self, lba: u64, bytes: usize, mut sink: impl FnMut(Range<usize>, Option<&[u8]>)) {
+        for (chunk_idx, chunk_off, span) in chunk_spans(lba, bytes) {
+            let slot = self.slot(chunk_idx).read(); // lock-class: sim.chunk
+            let stored = slot
+                .as_deref()
+                .map(|c| &c[chunk_off..chunk_off + span.len()]);
+            sink(span, stored);
+        }
+    }
+
+    /// Read the range at `lba` into all of `dst`.
+    fn load_into(&self, lba: u64, dst: &mut [u8]) {
+        self.load(lba, dst.len(), |span, stored| match stored {
+            Some(src) => dst[span].copy_from_slice(src),
+            None => dst[span].fill(0),
+        });
+    }
+
+    /// Read `len` bytes at `lba` into a fresh `Vec`, each byte written once.
+    fn load_vec(&self, lba: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        self.load(lba, len, |span, stored| match stored {
+            Some(src) => out.extend_from_slice(src),
+            None => out.resize(span.end, 0),
+        });
+        out
+    }
+}
+
+/// Cut the transfer `[lba, lba + bytes)` at backing-chunk boundaries:
+/// `(chunk index, offset in the chunk, span of the transfer)` per piece.
+fn chunk_spans(lba: u64, bytes: usize) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let start = lba as usize * SECTOR_SIZE;
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        let off = start + done;
+        let n = (CHUNK_BYTES - off % CHUNK_BYTES).min(bytes - done);
+        let span = done..done + n;
+        done += n;
+        (n > 0).then_some((off / CHUNK_BYTES, off % CHUNK_BYTES, span))
+    })
 }
 
 impl BlockDevice for SimDevice {
@@ -233,7 +256,7 @@ impl BlockDevice for SimDevice {
         &self.stats
     }
 
-    fn submit_at(&self, qid: usize, req: IoRequest, at: u64) -> Result<(), DeviceError> {
+    fn submit_at(&self, qid: usize, req: IoRequest<'_>, at: u64) -> Result<(), DeviceError> {
         let queue = self.queues.get(qid).ok_or(DeviceError::NoSuchQueue {
             qid,
             hw_queues: self.queues.len(),
@@ -316,14 +339,7 @@ impl BlockDevice for SimDevice {
                         // prefix of sectors lands, the rest is lost, and
                         // the host sees the typed error at the cut.
                         let landed = self.faults.crash_torn_sectors(req.lba, sectors);
-                        if landed > 0 {
-                            self.transfer(
-                                true,
-                                req.lba,
-                                Some(&req.data[..landed as usize * SECTOR_SIZE]),
-                                None,
-                            );
-                        }
+                        self.store(req.lba, &req.data[..landed as usize * SECTOR_SIZE]);
                         self.stats.record_error();
                         self.deliver(
                             queue,
@@ -336,14 +352,7 @@ impl BlockDevice for SimDevice {
                     }
                 }
                 if let Some(landed) = self.faults.torn_sectors(sectors) {
-                    if landed > 0 {
-                        self.transfer(
-                            true,
-                            req.lba,
-                            Some(&req.data[..landed as usize * SECTOR_SIZE]),
-                            None,
-                        );
-                    }
+                    self.store(req.lba, &req.data[..landed as usize * SECTOR_SIZE]);
                     if self.faults.torn_silent() {
                         // Silent tear: acked as a full success — only a
                         // checksum on replay can tell the difference.
@@ -365,17 +374,19 @@ impl BlockDevice for SimDevice {
                     }
                     return Ok(());
                 }
-                self.transfer(true, req.lba, Some(&req.data), None);
+                self.store(req.lba, &req.data);
                 self.stats.record(true, req.data.len(), ns, seeked);
                 self.deliver(queue, req.tag, Ok(Vec::new()), ns, due);
             }
             IoOp::Read => {
-                if let Err(e) = self.validate(req.lba, req.len) {
+                // Like a write's payload, a lent destination is the length.
+                let len = req.dest.as_ref().map_or(req.len, |dst| dst.len());
+                if let Err(e) = self.validate(req.lba, len) {
                     self.stats.record_error();
                     self.deliver(queue, req.tag, Err(e), 0, at);
                     return Ok(());
                 }
-                let (ns, seeked) = self.service_ns(false, req.lba, req.len);
+                let (ns, seeked) = self.service_ns(false, req.lba, len);
                 let due = self.channels.acquire_affine(qid, at, ns).1;
                 if let Some(cut) = self.faults.crash_at() {
                     if due > cut {
@@ -391,10 +402,15 @@ impl BlockDevice for SimDevice {
                         return Ok(());
                     }
                 }
-                let mut buf = vec![0u8; req.len];
-                self.transfer(false, req.lba, None, Some(&mut buf));
-                self.stats.record(false, req.len, ns, seeked);
-                self.deliver(queue, req.tag, Ok(buf), ns, due);
+                let data = match req.dest {
+                    Some(dst) => {
+                        self.load_into(req.lba, dst);
+                        Vec::new()
+                    }
+                    None => self.load_vec(req.lba, len),
+                };
+                self.stats.record(false, len, ns, seeked);
+                self.deliver(queue, req.tag, Ok(data), ns, due);
             }
         }
         Ok(())
@@ -437,7 +453,7 @@ impl BlockDevice for SimDevice {
                 return Err(DeviceError::PoweredOff { crash_at: cut });
             }
         }
-        self.transfer(false, lba, None, Some(buf));
+        self.load_into(lba, buf);
         self.stats.record(false, buf.len(), ns, seeked);
         ctx.idle_until(end);
         Ok(ns)
@@ -467,18 +483,14 @@ impl BlockDevice for SimDevice {
                 // Power loss mid-write: a seeded prefix of sectors lands,
                 // the rest is lost, and the caller never gets an ack.
                 let landed = self.faults.crash_torn_sectors(lba, sectors);
-                if landed > 0 {
-                    self.transfer(true, lba, Some(&buf[..landed as usize * SECTOR_SIZE]), None);
-                }
+                self.store(lba, &buf[..landed as usize * SECTOR_SIZE]);
                 self.stats.record_error();
                 ctx.idle_until(cut);
                 return Err(DeviceError::PoweredOff { crash_at: cut });
             }
         }
         if let Some(landed) = self.faults.torn_sectors(sectors) {
-            if landed > 0 {
-                self.transfer(true, lba, Some(&buf[..landed as usize * SECTOR_SIZE]), None);
-            }
+            self.store(lba, &buf[..landed as usize * SECTOR_SIZE]);
             ctx.idle_until(end);
             if self.faults.torn_silent() {
                 // Silent tear: acked as a full success.
@@ -492,7 +504,7 @@ impl BlockDevice for SimDevice {
                 sectors_requested: sectors,
             });
         }
-        self.transfer(true, lba, Some(buf), None);
+        self.store(lba, buf);
         self.stats.record(true, buf.len(), ns, seeked);
         ctx.idle_until(end);
         Ok(ns)

@@ -8,6 +8,7 @@
 //! submitting actor's clock does not advance while the command is in
 //! flight.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use parking_lot::Mutex;
@@ -27,41 +28,63 @@ pub enum IoOp {
 }
 
 /// A block I/O command addressed to a device hardware queue.
-#[derive(Debug, Clone)]
-pub struct IoRequest {
+///
+/// The command borrows its buffers for `'a`: the device moves the bytes
+/// at submission ([`crate::BlockDevice::submit_at`]) and keeps nothing of
+/// the request afterwards, so a caller that waits for the completion can
+/// lend a slice it owns instead of giving up a `Vec`.
+#[derive(Debug)]
+pub struct IoRequest<'a> {
     /// Command kind.
     pub op: IoOp,
     /// Starting logical block address (in 512-byte sectors).
     pub lba: u64,
     /// Transfer length in bytes (sector multiple). For writes this must
-    /// equal `data.len()`.
+    /// equal `data.len()`, for [`IoRequest::read_into`] `dest.len()`.
     pub len: usize,
-    /// Payload for writes; empty for reads and flushes.
-    pub data: Vec<u8>,
+    /// Payload for writes, lent or owned; empty for reads and flushes.
+    pub data: Cow<'a, [u8]>,
+    /// Where a read lands. `Some`: the device fills all of it at
+    /// submission — or, if the command fails, none of it — and the
+    /// completion carries an empty `Vec`. `None`: the completion carries
+    /// the bytes.
+    pub dest: Option<&'a mut [u8]>,
     /// Caller-chosen tag returned in the matching [`Completion`].
     pub tag: u64,
 }
 
-impl IoRequest {
-    /// Build a read request.
+impl<'a> IoRequest<'a> {
+    /// Build a read request whose bytes come back in the completion.
     pub fn read(lba: u64, len: usize, tag: u64) -> Self {
         IoRequest {
             op: IoOp::Read,
             lba,
             len,
-            data: Vec::new(),
+            data: Cow::Borrowed(&[]),
+            dest: None,
             tag,
         }
     }
 
-    /// Build a write request.
-    pub fn write(lba: u64, data: Vec<u8>, tag: u64) -> Self {
-        let len = data.len();
+    /// Build a read request that lands in `dest`.
+    pub fn read_into(lba: u64, dest: &'a mut [u8], tag: u64) -> Self {
+        IoRequest {
+            len: dest.len(),
+            dest: Some(dest),
+            ..IoRequest::read(lba, 0, tag)
+        }
+    }
+
+    /// Build a write request. A `Vec<u8>` is moved in, a `&'a [u8]` lent;
+    /// neither is copied.
+    pub fn write(lba: u64, data: impl Into<Cow<'a, [u8]>>, tag: u64) -> Self {
+        let data = data.into();
         IoRequest {
             op: IoOp::Write,
             lba,
-            len,
+            len: data.len(),
             data,
+            dest: None,
             tag,
         }
     }
@@ -70,10 +93,23 @@ impl IoRequest {
     pub fn flush(tag: u64) -> Self {
         IoRequest {
             op: IoOp::Flush,
-            lba: 0,
-            len: 0,
-            data: Vec::new(),
-            tag,
+            ..IoRequest::read(0, 0, tag)
+        }
+    }
+
+    /// Detach the command from its caller's buffers, for a queue that
+    /// holds it past the call that built it. A lent write payload is
+    /// copied (an owned one is moved); a `read_into` becomes a `read` of
+    /// the same range, its bytes arriving in the completion instead.
+    pub fn into_owned(self) -> IoRequest<'static> {
+        IoRequest {
+            op: self.op,
+            lba: self.lba,
+            len: self.len,
+            // copy-ok: this is the copy `into_owned` names; the lint sees its call sites
+            data: Cow::Owned(self.data.into_owned()),
+            dest: None,
+            tag: self.tag,
         }
     }
 }
@@ -210,9 +246,29 @@ mod tests {
         let r = IoRequest::write(8, vec![0u8; 1024], 7);
         assert_eq!(r.len, 1024);
         assert_eq!(r.op, IoOp::Write);
+        assert!(matches!(r.data, Cow::Owned(_)), "a Vec is moved in");
+        let lent = [1u8; 512];
+        let r = IoRequest::write(8, &lent[..], 7);
+        assert_eq!(r.len, 512);
+        assert!(matches!(r.data, Cow::Borrowed(_)), "a slice is lent");
         let r = IoRequest::read(8, 512, 9);
         assert_eq!(r.op, IoOp::Read);
-        assert!(r.data.is_empty());
+        assert!(r.data.is_empty() && r.dest.is_none());
+        let mut dest = [0u8; 1024];
+        let r = IoRequest::read_into(8, &mut dest, 9);
+        assert_eq!((r.op, r.len), (IoOp::Read, 1024));
+        assert!(r.dest.is_some());
         assert_eq!(IoRequest::flush(1).op, IoOp::Flush);
+    }
+
+    #[test]
+    fn into_owned_detaches_from_the_callers_buffers() {
+        let lent = [3u8; 512];
+        let r = IoRequest::write(8, &lent[..], 7).into_owned();
+        assert!(matches!(&r.data, Cow::Owned(v) if v[..] == lent));
+        let mut dest = [0u8; 512];
+        let r = IoRequest::read_into(16, &mut dest, 9).into_owned();
+        assert_eq!((r.op, r.lba, r.len, r.tag), (IoOp::Read, 16, 512, 9));
+        assert!(r.dest.is_none(), "the bytes come back in the completion");
     }
 }

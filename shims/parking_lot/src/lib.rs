@@ -6,6 +6,7 @@
 //! deliberate way: these locks do not poison — a panic while holding the
 //! lock simply releases it (`parking_lot` behaves the same way).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{
     Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock,
     RwLockReadGuard as StdRwLockReadGuard, RwLockWriteGuard as StdRwLockWriteGuard,
@@ -195,8 +196,39 @@ impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
 }
 
 /// Condition variable paired with [`Mutex`] (std-backed shim).
+///
+/// Like the real `parking_lot` — and unlike `std`, whose `notify_*` is a
+/// futex syscall every time — a notify that finds nobody waiting is one
+/// load and a branch. `waiters` counts the threads inside `wait` /
+/// `wait_for`: a waiter adds itself while it still holds the paired mutex
+/// (before the std wait releases it) and subtracts itself once the std
+/// wait has handed the mutex back.
+///
+/// # No lost wakeup
+///
+/// Contract (every notifier in the workspace meets it): between changing
+/// the predicate and calling `notify_*`, the notifier acquires the paired
+/// mutex — it changes the predicate while holding it (`InflightSet::claimed`
+/// in `InflightGuard::drop`; `flush::State` in `FlushDaemon::{submit, run,
+/// drop}`), or it takes the mutex after the change and notifies under it
+/// (`Doorbell::ring`: the epoch is an atomic, the waiter re-checks it under
+/// `mu`). Call that critical section `N`, and let `W` be the critical
+/// section in which a waiter last found the predicate false. The mutex
+/// orders the two:
+///
+/// * `W` before `N`: the waiter's add is inside `W`, so it happens-before
+///   the notifier's acquire in `N` and the notify's load reads >= 1 and
+///   forwards to std — unless the waiter has already woken and subtracted,
+///   which it does holding the mutex again, where it re-checks the
+///   predicate: that re-check is the new `W` and the argument restarts.
+/// * `N` before `W`: the change is visible to the waiter's check, which
+///   therefore does not find the predicate false.
+///
+/// A predicate changed with no critical section before the notify loses
+/// wakeups on `std`'s condvar too; counting adds no new obligation.
 pub struct Condvar {
     inner: StdCondvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -204,11 +236,13 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: StdCondvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Block until notified, atomically releasing the guard's lock.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         // The std API consumes and returns the guard; replace it in place.
         take_mut(guard, |g| match self.inner.wait(g.inner) {
             Ok(inner) => MutexGuard { inner },
@@ -216,6 +250,7 @@ impl Condvar {
                 inner: p.into_inner(),
             },
         });
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Block until notified or `timeout` elapses, atomically releasing the
@@ -223,6 +258,7 @@ impl Condvar {
     /// notification (matching `parking_lot`'s `WaitTimeoutResult::timed_out`).
     pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) -> bool {
         let mut timed_out = false;
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         take_mut(guard, |g| {
             let (inner, res) = match self.inner.wait_timeout(g.inner, timeout) {
                 Ok(pair) => pair,
@@ -231,17 +267,22 @@ impl Condvar {
             timed_out = res.timed_out();
             MutexGuard { inner }
         });
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         timed_out
     }
 
     /// Wake one waiter.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
     /// Wake all waiters.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -348,5 +389,64 @@ mod tests {
             cv.notify_one();
         }
         t.join().unwrap();
+    }
+
+    /// A waiter that has registered is woken by the next notify, and a
+    /// wait that ends — by notify or by timeout — deregisters.
+    #[test]
+    fn condvar_counts_waiters_and_wakes_the_registered() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        {
+            let (lock, cv) = &*pair;
+            cv.notify_all(); // nobody waits: no effect, no count
+            assert!(cv.wait_for(&mut lock.lock(), std::time::Duration::from_millis(1)));
+            assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        }
+        let pair2 = pair.clone();
+        let t = std::thread::spawn(move || {
+            let (lock, cv) = &*pair2;
+            let mut ready = lock.lock();
+            while !*ready {
+                cv.wait(&mut ready);
+            }
+        });
+        let (lock, cv) = &*pair;
+        // The count only reaches 1 with the waiter past its predicate
+        // check, so from here on a skipped notify would strand it.
+        while cv.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        *lock.lock() = true;
+        cv.notify_one();
+        t.join().unwrap();
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    /// Two threads hand a turn back and forth, each notifying after its
+    /// flip while the other is anywhere between "about to check" and
+    /// "parked": a notify wrongly skipped shows as a timed-out wait.
+    #[test]
+    fn condvar_ping_pong_loses_no_wakeup() {
+        const ROUNDS: u32 = 20_000;
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let play = |me: u32, pair: Arc<(Mutex<u32>, Condvar)>| {
+            let (turn, cv) = &*pair;
+            for _ in 0..ROUNDS {
+                let mut t = turn.lock();
+                while *t % 2 != me {
+                    let timed_out = cv.wait_for(&mut t, std::time::Duration::from_secs(30));
+                    assert!(!timed_out || *t % 2 == me, "lost wakeup at turn {}", *t);
+                }
+                *t += 1;
+                drop(t);
+                cv.notify_one();
+            }
+        };
+        let other = pair.clone();
+        let t = std::thread::spawn(move || play(1, other));
+        play(0, pair.clone());
+        t.join().unwrap();
+        assert_eq!(*pair.0.lock(), 2 * ROUNDS);
+        assert_eq!(pair.1.waiters.load(Ordering::SeqCst), 0);
     }
 }
