@@ -2,8 +2,9 @@
 # CI gate: formatting, clippy (workspace lint table), labcheck static
 # analysis + the six-model checking gate, every workspace test, then the
 # figure-identity gate. Each step must pass. The smoke benches write
-# target/bench/BENCH_*.json; the committed BENCH_*.json are full runs and
-# are not touched here.
+# target/bench/BENCH_*.json and the telemetry example writes its trace
+# beside them; the committed BENCH_*.json and results/ are full runs and
+# samples and are not touched here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,9 +31,9 @@ for fig in fig4a_anatomy table1_upgrade fig6_storage_api fig9b_labios; do
     cmp "target/bench/figures/$fig.txt" "results/$fig.txt"
 done
 
-echo "== sample Chrome trace"
-cargo run -q --release --example telemetry
-test -s results/telemetry_trace.json
+echo "== sample Chrome trace (and: per-LabMod counters == span anatomy, to the ns)"
+cargo run -q --release --example telemetry -- target/bench/telemetry_trace.json
+test -s target/bench/telemetry_trace.json
 
 echo "== bench_ipc smoke (SPSC fast-path regression gate)"
 cargo run -q --release -p labstor-bench --bin bench_ipc -- --smoke

@@ -50,12 +50,7 @@ fn stack_of(mm: &ModuleManager, mods: &[(&str, &str, serde_json::Value)]) -> Lab
 }
 
 fn run_op(mm: &ModuleManager, stack: &LabStack, ctx: &mut Ctx, payload: Payload) -> RespPayload {
-    let env = StackEnv {
-        stack,
-        vertex: 0,
-        registry: mm,
-        domain: 0,
-    };
+    let env = StackEnv::new(stack, 0, mm, 0);
     let m = mm.get(&stack.vertices[0].uuid).unwrap();
     m.process(ctx, Request::new(1, 1, payload, Credentials::ROOT), &env)
 }

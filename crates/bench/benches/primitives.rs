@@ -195,12 +195,7 @@ fn bench_request_dispatch(c: &mut Criterion) {
         authorized_uids: vec![0],
     };
     let m = mm.get("b_fs").unwrap();
-    let env = labstor_core::StackEnv {
-        stack: &stack,
-        vertex: 0,
-        registry: &mm,
-        domain: 0,
-    };
+    let env = labstor_core::StackEnv::new(&stack, 0, &mm, 0);
     let mut ctx = Ctx::new();
     // Pre-create a file.
     let resp = m.process(

@@ -105,12 +105,7 @@ fn warm_cache(size: usize) -> (ModuleManager, LabStack) {
         }],
         authorized_uids: vec![],
     };
-    let env = StackEnv {
-        stack: &stack,
-        vertex: 0,
-        registry: &mm,
-        domain: RUNTIME_DOMAIN,
-    };
+    let env = StackEnv::new(&stack, 0, &mm, RUNTIME_DOMAIN);
     let cache = mm.get("cache").expect("cache registered");
     let mut ctx = Ctx::new();
     for extent in 0..NBLOCKS {
@@ -143,12 +138,7 @@ fn warm_cache(size: usize) -> (ModuleManager, LabStack) {
 /// every response.
 fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> ReadHit {
     let (mm, stack) = warm_cache(size);
-    let env = StackEnv {
-        stack: &stack,
-        vertex: 0,
-        registry: &mm,
-        domain: RUNTIME_DOMAIN,
-    };
+    let env = StackEnv::new(&stack, 0, &mm, RUNTIME_DOMAIN);
     let cache = mm.get("cache").expect("cache registered");
     let qp = queue(lane);
     let mut client = Ctx::new();

@@ -70,10 +70,10 @@ pub struct Client {
     /// In-flight async requests: id → (submit virtual time, queue index,
     /// stack id).
     pending: std::collections::HashMap<u64, (u64, usize, u64)>,
-    /// Responses from inline (sync-stack) submissions awaiting reap.
-    inline_done: Vec<(Response, u64)>,
-    /// Completions drained from a CQ burst but not yet handed to the
-    /// caller: `(response, latency_ns)` in reap order.
+    /// Completions of submitted requests not yet handed to the caller, as
+    /// `(response, latency_ns)` in completion order: CQ bursts drained by
+    /// [`Client::reap_one`] or by a `roundtrip` waiting for another id,
+    /// and sync-stack submissions, which complete inline.
     reaped: std::collections::VecDeque<(Response, u64)>,
     /// How long `wait` tolerates an offline Runtime before giving up
     /// ("for a configurable period of time", §III-C3).
@@ -110,7 +110,6 @@ impl Client {
             rr: 0,
             core: 0,
             pending: std::collections::HashMap::new(),
-            inline_done: Vec::new(),
             reaped: std::collections::VecDeque::new(),
             offline_timeout: Duration::from_secs(5),
         }
@@ -256,24 +255,23 @@ impl Client {
             // Capture before the reap: a completion posted after the scan
             // rings the bell and aborts the park (doorbell protocol).
             let epoch = self.conn.bell.epoch();
-            if let Some(env) = qp.reap(&mut self.ctx, self.conn.domain) {
+            if let Some(env) = self.conn.queues[self.rr].reap(&mut self.ctx, self.conn.domain) {
+                // Completion-queue crossing: from the worker's completion
+                // post to this reap.
+                let (complete_vt, reap_vt) = (env.submit_vt, self.ctx.now());
                 if let Message::Resp(resp) = env.payload {
+                    let rec = self.runtime.mm.telemetry();
                     if resp.id == id {
                         if rec.enabled() {
-                            // Completion-queue crossing: from the
-                            // worker's completion post to this reap.
-                            rec.record(
-                                Stage::HopResp,
-                                id,
-                                stack_id,
-                                0,
-                                env.submit_vt,
-                                self.ctx.now(),
-                            );
+                            rec.record(Stage::HopResp, id, stack_id, 0, complete_vt, reap_vt);
                         }
                         return Ok(resp.payload);
                     }
-                    // A stale response from before a crash: drop it.
+                    // Not ours: an earlier `submit` shares this queue and
+                    // `reap_one` will ask for its completion.
+                    if let Some(span) = self.bank_completion(resp, complete_vt, reap_vt) {
+                        self.runtime.mm.telemetry().record_batch([span]);
+                    }
                 }
                 continue;
             }
@@ -317,8 +315,8 @@ impl Client {
 
     /// Submit a request without waiting (queue-depth > 1 clients).
     /// Returns the request id to pass to [`Client::reap_one`]. For
-    /// sync-mode stacks the request executes inline and its response is
-    /// buffered locally.
+    /// sync-mode stacks the request executes inline and its response
+    /// waits, with its latency, in the same buffer as reaped completions.
     pub fn submit(&mut self, stack: &Arc<LabStack>, payload: Payload) -> Result<u64, ClientError> {
         self.next_id += 1;
         let req = Request::on_core(self.next_id, stack.id, payload, self.conn.creds, self.core);
@@ -326,6 +324,7 @@ impl Client {
         self.admit(req.payload_bytes())?;
         match stack.exec {
             ExecMode::Sync => {
+                let start = self.ctx.now();
                 let resp = process_request(
                     &mut self.ctx,
                     req,
@@ -333,7 +332,7 @@ impl Client {
                     &self.runtime.mm,
                     self.conn.domain,
                 );
-                self.inline_done.push((resp, self.ctx.now()));
+                self.reaped.push_back((resp, self.ctx.now() - start));
                 Ok(id)
             }
             ExecMode::Async => {
@@ -464,12 +463,11 @@ impl Client {
     /// per queue instead of one per completion. Per-envelope `dequeue_vt`
     /// keeps each completion's reap time exact inside the burst.
     fn drain_completions(&mut self) {
-        let rec = self.runtime.mm.telemetry();
-        let recording = rec.enabled();
+        let recording = self.runtime.mm.telemetry().enabled();
         let mut burst: Vec<Envelope<Message>> = Vec::with_capacity(Self::REAP_BATCH);
         let mut spans: Vec<SpanEvent> = Vec::new();
-        for qp in &self.conn.queues {
-            if qp.reap_batch(
+        for qi in 0..self.conn.queues.len() {
+            if self.conn.queues[qi].reap_batch(
                 &mut self.ctx,
                 self.conn.domain,
                 &mut burst,
@@ -481,42 +479,52 @@ impl Client {
             for env in burst.drain(..) {
                 let (complete_vt, reap_vt) = (env.submit_vt, env.dequeue_vt);
                 if let Message::Resp(resp) = env.payload {
-                    let (submit_vt, _, stack_id) =
-                        self.pending.remove(&resp.id).unwrap_or((0, 0, 0));
-                    let latency = reap_vt.saturating_sub(submit_vt);
-                    self.observe_tenant_latency(latency);
+                    let span = self.bank_completion(resp, complete_vt, reap_vt);
                     if recording {
-                        // Completion-queue crossing: from the worker's
-                        // completion post to this envelope's reap.
-                        spans.push(SpanEvent {
-                            req_id: resp.id,
-                            stage: Stage::HopResp,
-                            stack: (stack_id & 0x00FF_FFFF) as u32,
-                            vertex: 0,
-                            ring: 0, // stamped by the recorder
-                            t_start_vns: complete_vt,
-                            t_end_vns: reap_vt,
-                        });
+                        spans.extend(span);
                     }
-                    self.reaped.push_back((resp, latency));
                 }
                 // Stale requests bounced back after a crash: drop them.
             }
         }
         if recording && !spans.is_empty() {
-            rec.record_batch(spans);
+            self.runtime.mm.telemetry().record_batch(spans);
         }
     }
 
-    /// Reap one completion from any of this client's queues (or the
-    /// inline buffer for sync stacks). Returns `(response, latency_ns)`.
-    /// Blocks (in real time) until something completes.
+    /// Book one reaped completion of a `submit`ted request: forget it in
+    /// `pending`, observe its latency and queue it for [`Client::reap_one`].
+    /// Returns its `HopResp` span (the worker's completion post → this
+    /// reap) for the caller to record, or `None` — keeping nothing — for
+    /// a response this client is not waiting for: a stale one, from
+    /// before a crash.
+    fn bank_completion(
+        &mut self,
+        resp: Response,
+        complete_vt: u64,
+        reap_vt: u64,
+    ) -> Option<SpanEvent> {
+        let (submit_vt, _, stack_id) = self.pending.remove(&resp.id)?;
+        let latency = reap_vt.saturating_sub(submit_vt);
+        self.observe_tenant_latency(latency);
+        let span = SpanEvent {
+            req_id: resp.id,
+            stage: Stage::HopResp,
+            stack: (stack_id & 0x00FF_FFFF) as u32,
+            vertex: 0,
+            ring: 0, // stamped by the recorder
+            t_start_vns: complete_vt,
+            t_end_vns: reap_vt,
+        };
+        self.reaped.push_back((resp, latency));
+        Some(span)
+    }
+
+    /// Reap one completion from any of this client's queues (a sync
+    /// stack's are ready as soon as `submit` returns), oldest first.
+    /// Returns `(response, latency_ns)`. Blocks (in real time) until
+    /// something completes.
     pub fn reap_one(&mut self) -> Result<(Response, u64), ClientError> {
-        if let Some((resp, done_vt)) = self.inline_done.pop() {
-            // Inline execution already advanced the clock.
-            let _ = done_vt;
-            return Ok((resp, 0));
-        }
         if let Some(r) = self.reaped.pop_front() {
             return Ok(r);
         }
@@ -550,7 +558,7 @@ impl Client {
     /// (including inline sync-stack completions and buffered CQ-burst
     /// completions awaiting reap).
     pub fn in_flight(&self) -> usize {
-        self.pending.len() + self.inline_done.len() + self.reaped.len()
+        self.pending.len() + self.reaped.len()
     }
 
     /// Convenience: execute against whatever stack governs `path`.

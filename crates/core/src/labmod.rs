@@ -12,11 +12,15 @@
 //!
 //! To be upgradable, stackable and monitorable, every LabMod implements
 //! the platform APIs: [`LabMod::state_update`] (live upgrade),
-//! [`LabMod::state_repair`] (crash recovery), and
-//! [`LabMod::est_processing_time`] / [`LabMod::est_total_time`]
-//! (performance counters consumed by the Work Orchestrator).
+//! [`LabMod::state_repair`] (crash recovery) and
+//! [`LabMod::est_processing_time`] (its cost model, consumed by the Work
+//! Orchestrator). The paper's other monitoring API, `EstTotalTime`, is
+//! not the LabMod's to implement: the platform measures every vertex
+//! where it runs it (`run_vertex`, below) and answers through
+//! [`ModuleManager::counters`].
 
 use std::any::Any;
+use std::cell::Cell;
 
 use labstor_sim::Ctx;
 use labstor_telemetry::Stage;
@@ -62,15 +66,11 @@ pub trait LabMod: Send + Sync {
     /// next DAG stage through `env`.
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload;
 
-    /// Estimated processing time of `req` in ns — the performance counter
-    /// the Work Orchestrator uses to classify queues as latency-sensitive
-    /// or computational.
+    /// Estimated processing time of `req` in ns: the mod's analytic model
+    /// of *this* request, which the Work Orchestrator uses to classify
+    /// queues as latency-sensitive or computational until the queue has
+    /// measured completions of its own.
     fn est_processing_time(&self, req: &Request) -> u64;
-
-    /// Cumulative processing time this instance has spent, in ns.
-    fn est_total_time(&self) -> u64 {
-        0
-    }
 
     /// Live upgrade: pull state out of the instance being replaced.
     /// Implementations downcast `old` via [`LabMod::as_any`].
@@ -96,9 +96,92 @@ pub struct StackEnv<'a> {
     pub registry: &'a ModuleManager,
     /// Domain (address space) executing this stage.
     pub domain: u32,
+    /// Busy time of every vertex this one has forwarded to so far, each
+    /// with its hand-off hop: what `run_vertex` takes off this vertex's
+    /// own busy time. One request on one thread, hence a `Cell`.
+    children_busy_ns: Cell<u64>,
 }
 
-impl StackEnv<'_> {
+/// Run one vertex of a LabStack — the only place the platform calls
+/// [`LabMod::process`]. `env` names the vertex; `parent` is the forwarding
+/// vertex's account, `None` for a stack's entry vertex.
+///
+/// In order: resolve the instance and its counters (one registry read),
+/// charge the same-domain hand-off hop if there is a parent (`Hop` span),
+/// run `process` (`Vertex` span, inclusive of everything downstream),
+/// observe the vertex's counters, credit the parent.
+///
+/// **What a vertex's counter means.** One observation per request, of the
+/// vertex's *exclusive busy* virtual ns on the clock every stage of the
+/// request shares: the busy time `process` added to `ctx`, minus the
+/// inclusive busy time of each vertex it forwarded to, minus those
+/// forwards' hops. A hop is therefore charged to neither side (it is the
+/// `Hop` span), modeled CPU work and a driver's polling for its device
+/// are counted, and time the actor merely idled forward is not. A vertex
+/// that answers without forwarding, or with an error, is observed like
+/// any other.
+pub(crate) fn run_vertex(
+    ctx: &mut Ctx,
+    env: StackEnv<'_>,
+    mut req: Request,
+    parent: Option<&Cell<u64>>,
+) -> RespPayload {
+    let Some(vertex) = env.stack.vertices.get(env.vertex) else {
+        return RespPayload::Err(format!(
+            "stack {} has no vertex {}",
+            env.stack.id, env.vertex
+        ));
+    };
+    let Some(slot) = env.registry.slot(&vertex.uuid) else {
+        return RespPayload::Err(format!("module {} not loaded", vertex.uuid));
+    };
+    let rec = env.registry.telemetry();
+    let recording = rec.enabled();
+    let (req_id, stack_id) = (req.id, env.stack.id);
+    let arrived_busy = ctx.busy();
+    if parent.is_some() {
+        let hop_t0 = ctx.now();
+        labstor_ipc::cost::same_domain_hop(ctx);
+        if recording {
+            // The inter-stage hand-off is IPC cost, not either vertex's —
+            // record it so the anatomy attributes it right.
+            rec.record(Stage::Hop, req_id, stack_id, env.vertex, hop_t0, ctx.now());
+        }
+    }
+    req.vertex = env.vertex;
+    let (t0, busy0) = (ctx.now(), ctx.busy());
+    let resp = slot.instance.process(ctx, req, &env);
+    slot.counters
+        .observe((ctx.busy() - busy0).saturating_sub(env.children_busy_ns.get()));
+    if recording {
+        // Inclusive: downstream vertices, hops and device windows recorded
+        // inside `process` nest under this span in the trace.
+        rec.record(Stage::Vertex, req_id, stack_id, env.vertex, t0, ctx.now());
+    }
+    if let Some(account) = parent {
+        account.set(account.get() + (ctx.busy() - arrived_busy));
+    }
+    resp
+}
+
+impl<'a> StackEnv<'a> {
+    /// The environment of vertex `vertex` of `stack`, executing in
+    /// `domain`.
+    pub fn new(
+        stack: &'a LabStack,
+        vertex: usize,
+        registry: &'a ModuleManager,
+        domain: u32,
+    ) -> StackEnv<'a> {
+        StackEnv {
+            stack,
+            vertex,
+            registry,
+            domain,
+            children_busy_ns: Cell::new(0),
+        }
+    }
+
     /// Forward a derived request to the current vertex's first output.
     ///
     /// This is the paper's asynchronous message-passing between stages,
@@ -118,36 +201,8 @@ impl StackEnv<'_> {
 
     /// Forward a derived request to a specific output vertex.
     pub fn forward_to(&self, ctx: &mut Ctx, next: usize, req: Request) -> RespPayload {
-        let Some(vertex) = self.stack.vertices.get(next) else {
-            return RespPayload::Err(format!("stack has no vertex {next}"));
-        };
-        let Some(mod_) = self.registry.get(&vertex.uuid) else {
-            return RespPayload::Err(format!("module {} not in registry", vertex.uuid));
-        };
-        let rec = self.registry.telemetry();
-        let recording = rec.enabled();
-        let (req_id, stack_id) = (req.id, self.stack.id);
-        let hop_t0 = ctx.now();
-        labstor_ipc::cost::same_domain_hop(ctx);
-        if recording {
-            // The inter-stage hand-off is IPC cost, not the parent
-            // vertex's — record it so the anatomy attributes it right.
-            rec.record(Stage::Hop, req_id, stack_id, next, hop_t0, ctx.now());
-        }
-        let env = StackEnv {
-            stack: self.stack,
-            vertex: next,
-            registry: self.registry,
-            domain: self.domain,
-        };
-        let mut fwd = req;
-        fwd.vertex = next;
-        let t0 = ctx.now();
-        let resp = mod_.process(ctx, fwd, &env);
-        if recording {
-            rec.record(Stage::Vertex, req_id, stack_id, next, t0, ctx.now());
-        }
-        resp
+        let env = StackEnv::new(self.stack, next, self.registry, self.domain);
+        run_vertex(ctx, env, req, Some(&self.children_busy_ns))
     }
 
     /// Bill `fuel` pushdown instruction units to the requesting tenant.
@@ -284,12 +339,7 @@ mod tests {
     #[test]
     fn forward_walks_the_chain() {
         let (mm, stack, a, b) = chain_stack();
-        let env = StackEnv {
-            stack: &stack,
-            vertex: 0,
-            registry: &mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(&stack, 0, &mm, 0);
         let mut ctx = Ctx::new();
         let req = Request::new(
             1,
@@ -306,15 +356,91 @@ mod tests {
         assert!(ctx.now() >= 200 + labstor_ipc::cost::SAME_DOMAIN_HOP_NS);
     }
 
+    /// A mod that does `work_ns` of work, then fans out to every output.
+    struct FanOut {
+        work_ns: u64,
+    }
+
+    impl LabMod for FanOut {
+        fn type_name(&self) -> &'static str {
+            "fan_out"
+        }
+        fn mod_type(&self) -> ModType {
+            ModType::Dummy
+        }
+        fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
+            ctx.advance(self.work_ns);
+            env.forward_all(ctx, req)
+        }
+        fn est_processing_time(&self, _req: &Request) -> u64 {
+            self.work_ns
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn every_vertex_is_observed_its_exclusive_busy_time() {
+        // a fans out to b and c; c forwards to d.
+        let mm = ModuleManager::new();
+        let work = [("a", 100), ("b", 200), ("c", 300), ("d", 400)];
+        for (uuid, work_ns) in work {
+            mm.insert_instance(uuid, Arc::new(FanOut { work_ns }));
+        }
+        let vertex = |uuid: &str, outputs: Vec<usize>| Vertex {
+            uuid: uuid.into(),
+            outputs,
+        };
+        let ns = crate::stack::Namespace::new();
+        let stack = ns
+            .mount(LabStack {
+                id: 0,
+                mount: "fan::/".into(),
+                exec: ExecMode::Sync,
+                vertices: vec![
+                    vertex("a", vec![1, 2]),
+                    vertex("b", vec![]),
+                    vertex("c", vec![3]),
+                    vertex("d", vec![]),
+                ],
+                authorized_uids: vec![0],
+            })
+            .unwrap();
+        let mut ctx = Ctx::new();
+        for id in 0..3 {
+            let req = Request::new(
+                id,
+                stack.id,
+                Payload::Dummy { work_ns: 0 },
+                Credentials::ROOT,
+            );
+            assert!(crate::worker::process_request(&mut ctx, req, &ns, &mm, 0)
+                .payload
+                .is_ok());
+        }
+        // The parent is credited with both children (c's includes d), and
+        // the three hops belong to no vertex.
+        for (uuid, work_ns) in work {
+            let c = mm.counters(uuid).unwrap();
+            assert_eq!((c.ops(), c.total_ns()), (3, 3 * work_ns), "{uuid}");
+        }
+        let hops = 3 * labstor_ipc::cost::SAME_DOMAIN_HOP_NS;
+        assert_eq!(ctx.busy(), 3 * (1_000 + hops));
+        let table = mm.counters_table();
+        assert_eq!(
+            table.iter().map(|r| r.uuid.as_str()).collect::<Vec<_>>(),
+            ["a", "b", "c", "d"]
+        );
+        assert_eq!(table[2].type_name, "fan_out");
+        assert_eq!((table[2].ops, table[2].total_ns), (3, 900));
+        assert_eq!((table[2].p50_ns, table[2].p99_ns), (300, 300));
+    }
+
     #[test]
     fn forward_past_end_is_ok() {
         let (mm, stack, _, _) = chain_stack();
-        let env = StackEnv {
-            stack: &stack,
-            vertex: 1,
-            registry: &mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(&stack, 1, &mm, 0);
         let mut ctx = Ctx::new();
         let req = Request::new(
             1,
@@ -328,12 +454,7 @@ mod tests {
     #[test]
     fn forward_to_missing_vertex_errors() {
         let (mm, stack, _, _) = chain_stack();
-        let env = StackEnv {
-            stack: &stack,
-            vertex: 0,
-            registry: &mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(&stack, 0, &mm, 0);
         let mut ctx = Ctx::new();
         let req = Request::new(
             1,

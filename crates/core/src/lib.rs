@@ -8,7 +8,9 @@
 //! * **LabMods** ([`labmod`]) — single-purpose, self-contained I/O modules
 //!   with a *type*, an *operation*, *state* and a *connector*, plus the
 //!   platform APIs that make them upgradable, stackable and monitorable:
-//!   `state_update`, `state_repair`, `est_processing_time`/`est_total_time`.
+//!   `state_update`, `state_repair`, `est_processing_time`. The platform
+//!   runs every vertex in one place and measures it there
+//!   ([`ModuleManager::counters`]).
 //! * **LabStacks** ([`stack`], [`spec`]) — user-composed DAGs of LabMods
 //!   defined in a human-readable spec file, mounted into a LabStack
 //!   Namespace, modifiable and hot-swappable live.
@@ -37,7 +39,7 @@ pub mod worker;
 pub use client::Client;
 pub use labmod::{LabMod, ModType, StackEnv};
 pub use orchestrator::{DynamicPolicy, OrchestratorPolicy, RoundRobinPolicy};
-pub use registry::{ModuleManager, UpgradeKind, UpgradeRequest};
+pub use registry::{CounterRow, ModuleManager, UpgradeKind, UpgradeRequest};
 pub use request::{
     BlockOp, FileStat, FsOp, KvsOp, Message, Payload, Request, RespPayload, Response,
 };

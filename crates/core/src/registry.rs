@@ -2,11 +2,13 @@
 //! (paper §III-C2).
 //!
 //! The Module Registry is a map from instance UUID to LabMod instance
-//! ("a hashmap in shared memory"). Upgrades are queued and processed by
-//! the Runtime admin, which quiesces primary queues (`UPDATE_PENDING` →
-//! `UPDATE_ACKED`), drains intermediate queues, loads the new module code
-//! from storage, transfers state via `state_update`, swaps the registry
-//! entry, and resumes the queues.
+//! ("a hashmap in shared memory") and, beside it, the performance
+//! counters the platform keeps for that UUID — they belong to the UUID,
+//! not the instance, so they outlive every upgrade. Upgrades are queued
+//! and processed by the Runtime admin, which quiesces primary queues
+//! (`UPDATE_PENDING` → `UPDATE_ACKED`), drains intermediate queues, loads
+//! the new module code from storage, transfers state via `state_update`,
+//! swaps the registry entry, and resumes the queues.
 //!
 //! Two protocols exist because operators can live in the Runtime *or* in
 //! client address spaces: **centralized** updates the Runtime's copy;
@@ -21,6 +23,7 @@ use parking_lot::{Mutex, RwLock};
 
 use labstor_ipc::{IpcManager, UpgradeFlag};
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
+use labstor_telemetry::PerfCounters;
 
 use crate::labmod::LabMod;
 use crate::request::Message;
@@ -80,9 +83,36 @@ pub struct ModRepo {
     pub trusted: bool,
 }
 
+/// What the registry holds under one UUID. A slot is immutable: an
+/// upgrade publishes a new slot with the new instance and the *same*
+/// counters, so running a vertex takes one registry read for both.
+pub(crate) struct Slot {
+    pub(crate) instance: Arc<dyn LabMod>,
+    pub(crate) counters: Arc<PerfCounters>,
+}
+
+/// One row of [`ModuleManager::counters_table`]: what the platform has
+/// measured for a UUID so far. Times are exclusive busy virtual ns (see
+/// `labmod::run_vertex` for exactly what that covers).
+#[derive(Debug, Clone)]
+pub struct CounterRow {
+    /// Instance UUID.
+    pub uuid: String,
+    /// Type of the instance currently registered under it.
+    pub type_name: &'static str,
+    /// Requests the vertex has processed.
+    pub ops: u64,
+    /// Lifetime exclusive busy time (the paper's `EstTotalTime`).
+    pub total_ns: u64,
+    /// Median per-request cost.
+    pub p50_ns: u64,
+    /// Tail per-request cost.
+    pub p99_ns: u64,
+}
+
 /// The Module Manager.
 pub struct ModuleManager {
-    registry: RwLock<HashMap<String, Arc<dyn LabMod>>>,
+    registry: RwLock<HashMap<String, Arc<Slot>>>,
     factories: RwLock<HashMap<String, ModFactory>>,
     /// Mounted repos by name.
     repos: RwLock<HashMap<String, ModRepo>>,
@@ -265,20 +295,31 @@ impl ModuleManager {
             .cloned()
             .ok_or_else(|| format!("no LabMod type '{type_name}' installed"))?;
         let instance = factory(params);
-        self.registry
-            .write() // lock-class: registry.instances
-            .insert(uuid.to_string(), instance.clone());
+        self.insert_instance(uuid, instance.clone());
         Ok(instance)
     }
 
-    /// Insert a pre-built instance (tests, in-process composition).
+    /// Register `instance` under `uuid` (tests, in-process composition,
+    /// and every upgrade). A UUID seen before keeps its counters, whatever
+    /// the type of the instance that replaces the old one.
     pub fn insert_instance(&self, uuid: &str, instance: Arc<dyn LabMod>) {
-        self.registry.write().insert(uuid.to_string(), instance); // lock-class: registry.instances
+        let mut registry = self.registry.write(); // lock-class: registry.instances
+        let counters = registry
+            .get(uuid)
+            .map(|slot| slot.counters.clone())
+            .unwrap_or_default();
+        registry.insert(uuid.to_string(), Arc::new(Slot { instance, counters }));
+    }
+
+    /// The instance and the counters of `uuid`, in one registry read.
+    pub(crate) fn slot(&self, uuid: &str) -> Option<Arc<Slot>> {
+        self.registry.read().get(uuid).cloned() // lock-class: registry.instances
     }
 
     /// Look up an instance.
     pub fn get(&self, uuid: &str) -> Option<Arc<dyn LabMod>> {
-        self.registry.read().get(uuid).cloned() // lock-class: registry.instances
+        let registry = self.registry.read(); // lock-class: registry.instances
+        registry.get(uuid).map(|slot| slot.instance.clone())
     }
 
     /// All `(uuid, instance)` pairs.
@@ -286,7 +327,38 @@ impl ModuleManager {
         self.registry
             .read() // lock-class: registry.instances
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.clone(), v.instance.clone()))
+            .collect()
+    }
+
+    /// The platform-measured counters of `uuid`: one observation per
+    /// request the vertex processed, of its exclusive busy virtual ns.
+    /// They start when the UUID is first registered and survive every
+    /// upgrade of it.
+    pub fn counters(&self, uuid: &str) -> Option<Arc<PerfCounters>> {
+        let registry = self.registry.read(); // lock-class: registry.instances
+        registry.get(uuid).map(|slot| slot.counters.clone())
+    }
+
+    /// Every UUID's counters, sorted by UUID.
+    pub fn counters_table(&self) -> Vec<CounterRow> {
+        let mut slots: Vec<(String, Arc<Slot>)> = self
+            .registry
+            .read() // lock-class: registry.instances
+            .iter()
+            .map(|(uuid, slot)| (uuid.clone(), slot.clone()))
+            .collect();
+        slots.sort_by(|a, b| a.0.cmp(&b.0));
+        slots
+            .into_iter()
+            .map(|(uuid, slot)| CounterRow {
+                uuid,
+                type_name: slot.instance.type_name(),
+                ops: slot.counters.ops(),
+                total_ns: slot.counters.total_ns(),
+                p50_ns: slot.counters.p50(),
+                p99_ns: slot.counters.p99(),
+            })
             .collect()
     }
 
@@ -393,7 +465,7 @@ impl ModuleManager {
                     new_instance.state_update(old.as_ref());
                     admin_ctx.advance(STATE_TRANSFER_NS);
                 }
-                self.registry.write().insert(up.uuid.clone(), new_instance); // lock-class: registry.instances
+                self.insert_instance(&up.uuid, new_instance);
             }
             // Decentralized: propagate the swap to every connected client.
             if up.kind == UpgradeKind::Decentralized {

@@ -300,6 +300,21 @@ impl Request {
         }
     }
 
+    /// A request a vertex originates on behalf of this one — the same id,
+    /// stack, credentials, originating core and queue hint around a new
+    /// `payload`. Forwarding it addresses it to the next vertex.
+    pub fn derive(&self, payload: Payload) -> Request {
+        Request {
+            id: self.id,
+            stack: self.stack,
+            vertex: self.vertex,
+            payload,
+            creds: self.creds,
+            core: self.core,
+            qid_hint: self.qid_hint,
+        }
+    }
+
     /// Approximate payload size in bytes (used for cost estimation).
     pub fn payload_bytes(&self) -> usize {
         match &self.payload {

@@ -23,7 +23,7 @@ use labstor_ipc::{Doorbell, Envelope, QueuePair, UpgradeFlag};
 use labstor_sim::{Ctx, Watermark};
 use labstor_telemetry::{ClockCell, SpanEvent, Stage};
 
-use crate::labmod::StackEnv;
+use crate::labmod::{run_vertex, StackEnv};
 use crate::registry::ModuleManager;
 use crate::request::{Message, Request, Response};
 use crate::stack::Namespace;
@@ -44,32 +44,8 @@ pub fn process_request(
     let Some(stack) = ns.get_id(req.stack) else {
         return Response::err(id, format!("no stack {}", req.stack));
     };
-    let Some(vertex) = stack.vertices.get(req.vertex) else {
-        return Response::err(
-            id,
-            format!("stack {} has no vertex {}", req.stack, req.vertex),
-        );
-    };
-    let Some(mod_) = mm.get(&vertex.uuid) else {
-        return Response::err(id, format!("module {} not loaded", vertex.uuid));
-    };
-    let env = StackEnv {
-        stack: &stack,
-        vertex: req.vertex,
-        registry: mm,
-        domain,
-    };
-    let rec = mm.telemetry();
-    let recording = rec.enabled();
-    let (stack_id, vertex_idx) = (req.stack, req.vertex);
-    let t0 = ctx.now();
-    let payload = mod_.process(ctx, req, &env);
-    if recording {
-        // The entry vertex's span is inclusive: downstream vertices,
-        // hops and device windows recorded inside `process` nest under
-        // it in the trace.
-        rec.record(Stage::Vertex, id, stack_id, vertex_idx, t0, ctx.now());
-    }
+    let env = StackEnv::new(&stack, req.vertex, mm, domain);
+    let payload = run_vertex(ctx, env, req, None);
     Response { id, payload }
 }
 

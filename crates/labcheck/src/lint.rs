@@ -401,6 +401,33 @@ fn has_word(code: &str, word: &str) -> bool {
     false
 }
 
+/// Is `code` the head of an `impl LabMod for T` block, with or without a
+/// generic parameter list (`impl<B: Backend> LabMod for DriverMod<B>`)?
+fn is_labmod_impl(code: &str) -> bool {
+    let Some(rest) = code.trim_start().strip_prefix("impl") else {
+        return false;
+    };
+    let mut rest = rest.trim_start();
+    if rest.starts_with('<') {
+        // Skip the parameter list by bracket depth; the `>` of a `->` in
+        // a bound (`F: Fn() -> u64`) closes nothing.
+        let (mut depth, mut prev) = (0usize, ' ');
+        let Some(close) = rest.char_indices().find_map(|(i, c)| {
+            match c {
+                '<' => depth += 1,
+                '>' if prev != '-' => depth -= 1,
+                _ => {}
+            }
+            prev = c;
+            (depth == 0).then_some(i)
+        }) else {
+            return false;
+        };
+        rest = rest[close + 1..].trim_start();
+    }
+    rest.starts_with("LabMod for ")
+}
+
 /// Lint 4: an `impl LabMod for` block outside tests that leaves either
 /// `state_update` or `state_repair` to the trait's no-op default must say
 /// so with `labmod-default-ok` — crash-recovery and live-upgrade coverage
@@ -408,7 +435,7 @@ fn has_word(code: &str, word: &str) -> bool {
 fn lint_labmod_contract(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
     for idx in 0..file.lines.len() {
         let line = &file.lines[idx];
-        if line.in_test || !line.code.contains("impl LabMod for") {
+        if line.in_test || !is_labmod_impl(&line.code) {
             continue;
         }
         let Some((start, end)) = file.item_extent(idx) else {

@@ -248,6 +248,23 @@ impl LabMod for Cache {
     assert!(!diags[0].message.contains("state_update and"));
 }
 
+/// A generic impl is an impl: `impl<B: Backend> LabMod for DriverMod<B>`
+/// and `impl<P: Policy> LabMod for BlockCache<P>` are two of the bundled
+/// mods.
+#[test]
+fn generic_labmod_impl_is_seen() {
+    let src = "\
+impl<B: Backend, F: Fn(u64) -> u64> LabMod for DriverMod<B, F> {
+    fn state_update(&self, old: &dyn LabMod) {}
+}
+";
+    let diags = lint_source(&cfg(), "crates/mods/src/drivers.rs", src);
+    assert_eq!(lines_with(&diags, Lint::LabModContract), vec![1]);
+    assert!(diags[0].message.contains("state_repair"));
+    let annotated = format!("// labmod-default-ok: the device outlives the driver\n{src}");
+    assert!(lint_source(&cfg(), "crates/mods/src/drivers.rs", &annotated).is_empty());
+}
+
 #[test]
 fn labmod_impl_with_both_hooks_passes() {
     let src = "\

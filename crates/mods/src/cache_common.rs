@@ -27,7 +27,6 @@ use parking_lot::{Condvar, Mutex};
 use labstor_core::{BlockOp, LabMod, ModType, Payload, Request, RespPayload, StackEnv};
 use labstor_ipc::{note_payload_copy, BufHandle};
 use labstor_sim::Ctx;
-use labstor_telemetry::PerfCounters;
 
 use crate::arc_cache::ArcPolicy;
 use crate::lru::LruPolicy;
@@ -215,9 +214,6 @@ pub struct BlockCache<P> {
     write_back: bool,
     hits: AtomicU64,
     misses: AtomicU64,
-    perf: PerfCounters,
-    /// Downstream busy time, subtracted so `est_total_time` is exclusive.
-    downstream_ns: AtomicU64,
 }
 
 impl<P: Policy> BlockCache<P> {
@@ -240,8 +236,6 @@ impl<P: Policy> BlockCache<P> {
             write_back,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            perf: PerfCounters::new(),
-            downstream_ns: AtomicU64::new(0),
         }
     }
 
@@ -269,30 +263,6 @@ impl<P: Policy> BlockCache<P> {
     #[cfg(test)]
     pub(crate) fn with_policy<R>(&self, shard: usize, f: impl FnOnce(&P) -> R) -> R {
         f(&self.shards[shard].lock().policy)
-    }
-
-    /// Forward, attributing the downstream busy time to downstream.
-    fn fwd(&self, ctx: &mut Ctx, env: &StackEnv<'_>, req: Request) -> RespPayload {
-        let before = ctx.busy();
-        let r = env.forward(ctx, req);
-        self.downstream_ns
-            .fetch_add(ctx.busy() - before, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        r
-    }
-
-    /// Forward a request this cache originates on behalf of `req`.
-    fn fwd_derived(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        payload: Payload,
-    ) -> RespPayload {
-        let mut derived = Request::new(req.id, req.stack, payload, req.creds);
-        derived.vertex = env.vertex;
-        derived.core = req.core;
-        derived.qid_hint = req.qid_hint;
-        self.fwd(ctx, env, derived)
     }
 
     /// Visit the blocks `lba + k * BLOCK_SECTORS`, `k < blocks`, grouped by
@@ -371,7 +341,7 @@ impl<P: Policy> BlockCache<P> {
         victims: Vec<(u64, CacheData)>,
     ) -> Result<(), RespPayload> {
         for (lba, data) in coalesce(victims) {
-            let r = self.fwd_derived(ctx, env, req, data.into_write(lba));
+            let r = env.forward(ctx, req.derive(data.into_write(lba)));
             if !r.is_ok() {
                 return Err(r);
             }
@@ -396,7 +366,7 @@ impl<P: Policy> BlockCache<P> {
         if self.write_back {
             RespPayload::Len(cached.len())
         } else {
-            self.fwd(ctx, env, req)
+            env.forward(ctx, req)
         }
     }
 
@@ -455,7 +425,7 @@ impl<P: Policy> BlockCache<P> {
                     len: run_len,
                 }
             };
-            let resp = self.fwd_derived(ctx, env, &req, Payload::Block(fetch));
+            let resp = env.forward(ctx, req.derive(Payload::Block(fetch)));
             let fetched = match &resp {
                 // Zero-copy downstream: cache the handle by refcount bump.
                 RespPayload::DataBuf(h) => CacheData::Buf(h.clone()),
@@ -525,7 +495,6 @@ impl<P: Policy> BlockCache<P> {
 
     /// Take over `prev`'s warm blocks in its recency order.
     fn absorb<Q: Policy>(&self, prev: &BlockCache<Q>) {
-        self.perf.absorb(&prev.perf);
         for (lba, data, dirty) in prev.drain() {
             // What does not fit the successor is dropped here, dirty or
             // not: there is no downstream to write to during an upgrade.
@@ -601,8 +570,7 @@ impl<P: Policy> LabMod for BlockCache<P> {
     }
 
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
-        let before = ctx.busy();
-        let resp = match &req.payload {
+        match &req.payload {
             Payload::Block(BlockOp::Write { lba, data }) => {
                 // One copy into the cache, one into the DMA-safe buffer
                 // handed downstream — "the page cache takes 17% of time
@@ -630,25 +598,16 @@ impl<P: Policy> LabMod for BlockCache<P> {
             Payload::Block(BlockOp::Flush) => {
                 // Write all dirty blocks, then pass the barrier down.
                 match self.write_back(ctx, env, &req, self.take_dirty()) {
-                    Ok(()) => self.fwd(ctx, env, req),
+                    Ok(()) => env.forward(ctx, req),
                     Err(e) => e,
                 }
             }
-            _ => self.fwd(ctx, env, req),
-        };
-        let downstream = self.downstream_ns.swap(0, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.perf
-            .observe((ctx.busy() - before).saturating_sub(downstream));
-        resp
+            _ => env.forward(ctx, req),
+        }
     }
 
     fn est_processing_time(&self, req: &Request) -> u64 {
-        self.perf
-            .est_ns(P::LOOKUP_NS + 2 * copy_cost(req.payload_bytes()))
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
+        P::LOOKUP_NS + 2 * copy_cost(req.payload_bytes())
     }
 
     fn state_update(&self, old: &dyn LabMod) {
@@ -902,12 +861,7 @@ pub(crate) mod testing {
         }
 
         pub fn exec(&self, payload: Payload, ctx: &mut Ctx) -> RespPayload {
-            let env = StackEnv {
-                stack: &self.stack,
-                vertex: 0,
-                registry: &self.mm,
-                domain: 0,
-            };
+            let env = StackEnv::new(&self.stack, 0, &self.mm, 0);
             let req = Request::new(1, 1, payload, Credentials::ROOT);
             self.cache().process(ctx, req, &env)
         }

@@ -17,7 +17,6 @@ use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
 use labstor_sim::Ctx;
-use labstor_telemetry::PerfCounters;
 
 use crate::compress_algo::{compress, compress_cost_ns, decompress, decompress_cost_ns};
 
@@ -36,7 +35,6 @@ struct Extent {
 /// The compression LabMod.
 pub struct CompressMod {
     extents: RwLock<HashMap<u64, Extent>>,
-    perf: PerfCounters,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
 }
@@ -46,7 +44,6 @@ impl CompressMod {
     pub fn new() -> Self {
         CompressMod {
             extents: RwLock::new(HashMap::new()),
-            perf: PerfCounters::new(),
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
         }
@@ -96,15 +93,7 @@ impl CompressMod {
                 raw,
             },
         );
-        let mut fwd = Request::new(
-            req.id,
-            req.stack,
-            Payload::Block(BlockOp::Write { lba, data: stored }),
-            req.creds,
-        );
-        fwd.vertex = req.vertex;
-        fwd.core = req.core;
-        fwd.qid_hint = req.qid_hint;
+        let fwd = req.derive(Payload::Block(BlockOp::Write { lba, data: stored }));
         match env.forward(ctx, fwd) {
             r if r.is_ok() => RespPayload::Len(orig_len),
             err => err,
@@ -120,18 +109,10 @@ impl CompressMod {
         lba: u64,
         e: Extent,
     ) -> Result<Vec<u8>, RespPayload> {
-        let mut fwd = Request::new(
-            req.id,
-            req.stack,
-            Payload::Block(BlockOp::Read {
-                lba,
-                len: e.stored_len,
-            }),
-            req.creds,
-        );
-        fwd.vertex = req.vertex;
-        fwd.core = req.core;
-        fwd.qid_hint = req.qid_hint;
+        let fwd = req.derive(Payload::Block(BlockOp::Read {
+            lba,
+            len: e.stored_len,
+        }));
         let stored = match env.forward(ctx, fwd) {
             RespPayload::Data(stored) => stored,
             RespPayload::DataBuf(h) => h.to_vec(), // copy-ok: decoder needs owned bytes; to_vec self-counts
@@ -162,7 +143,7 @@ fn pad_to_sectors(mut data: Vec<u8>) -> Vec<u8> {
     data
 }
 
-// labmod-default-ok: extent map and stats migrate in state_update; after a crash the stack re-reads extents from the device, so no repair pass is needed
+// labmod-default-ok: the extent map migrates in state_update; after a crash the stack re-reads extents from the device, so no repair pass is needed
 impl LabMod for CompressMod {
     fn type_name(&self) -> &'static str {
         "compress"
@@ -173,8 +154,7 @@ impl LabMod for CompressMod {
     }
 
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
-        let before = ctx.busy();
-        let resp = match &req.payload {
+        match &req.payload {
             Payload::Block(BlockOp::Write { lba, data }) => {
                 // Legacy Vec ingress: compress borrows the payload in
                 // place, so even this path copies nothing extra.
@@ -222,25 +202,18 @@ impl LabMod for CompressMod {
                 }
             }
             _ => env.forward(ctx, req),
-        };
-        self.perf.observe(ctx.busy() - before);
-        resp
+        }
     }
 
     fn est_processing_time(&self, req: &Request) -> u64 {
-        // Deliberately size-scaled and never EWMA-overridden: the
-        // orchestrator's CQ/LQ split keys off this model, and an average
-        // over mixed request sizes would misclassify small requests.
+        // Size-scaled: the orchestrator's CQ/LQ split keys off this model,
+        // and an average over mixed request sizes would misclassify small
+        // requests.
         compress_cost_ns(req.payload_bytes())
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
     }
 
     fn state_update(&self, old: &dyn LabMod) {
         if let Some(prev) = old.as_any().downcast_ref::<CompressMod>() {
-            self.perf.absorb(&prev.perf);
             *self.extents.write() = prev.extents.read().clone();
         }
     }
@@ -330,12 +303,7 @@ mod tests {
     }
 
     fn exec(mm: &ModuleManager, stack: &LabStack, payload: Payload, ctx: &mut Ctx) -> RespPayload {
-        let env = StackEnv {
-            stack,
-            vertex: 0,
-            registry: mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(stack, 0, mm, 0);
         mm.get("cz")
             .unwrap()
             .process(ctx, Request::new(1, 1, payload, Credentials::ROOT), &env)

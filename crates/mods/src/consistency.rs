@@ -20,7 +20,9 @@ use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
 use labstor_sim::Ctx;
-use labstor_telemetry::PerfCounters;
+
+/// Cost of deciding whether this write is followed by a barrier.
+const BARRIER_CHECK_NS: u64 = 50;
 
 /// Durability policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +40,6 @@ pub struct ConsistencyMod {
     policy: Policy,
     writes: AtomicU64,
     flushes: AtomicU64,
-    perf: PerfCounters,
 }
 
 impl ConsistencyMod {
@@ -48,7 +49,6 @@ impl ConsistencyMod {
             policy,
             writes: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
-            perf: PerfCounters::new(),
         }
     }
 
@@ -62,7 +62,7 @@ impl ConsistencyMod {
     }
 }
 
-// labmod-default-ok: counters migrate in state_update; barrier policy is config-derived, so the repair default is safe
+// labmod-default-ok: the write and barrier counts migrate in state_update; barrier policy is config-derived, so the repair default is safe
 impl LabMod for ConsistencyMod {
     fn type_name(&self) -> &'static str {
         "consistency"
@@ -73,23 +73,13 @@ impl LabMod for ConsistencyMod {
     }
 
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
-        let before = ctx.busy();
-        ctx.advance(50);
+        ctx.advance(BARRIER_CHECK_NS);
         let is_write = matches!(
             req.payload,
             Payload::Block(BlockOp::Write { .. } | BlockOp::WriteBuf { .. })
         );
         // Pre-build the barrier (avoiding a clone of the write payload).
-        let template = if is_write {
-            let mut flush =
-                Request::new(req.id, req.stack, Payload::Block(BlockOp::Flush), req.creds);
-            flush.vertex = req.vertex;
-            flush.core = req.core;
-            flush.qid_hint = req.qid_hint;
-            Some(flush)
-        } else {
-            None
-        };
+        let template = is_write.then(|| req.derive(Payload::Block(BlockOp::Flush)));
         let resp = env.forward(ctx, req);
         if resp.is_ok() && is_write {
             let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: stat counter; readers tolerate lag
@@ -108,24 +98,15 @@ impl LabMod for ConsistencyMod {
                 }
             }
         }
-        self.perf.observe(ctx.busy() - before);
         resp
     }
 
     fn est_processing_time(&self, _req: &Request) -> u64 {
-        // Stays the bare barrier-check cost (never EWMA-overridden): the
-        // observed busy delta includes the downstream write + flush, which
-        // would wildly overstate this stage's own work.
-        50
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
+        BARRIER_CHECK_NS
     }
 
     fn state_update(&self, old: &dyn LabMod) {
         if let Some(prev) = old.as_any().downcast_ref::<ConsistencyMod>() {
-            self.perf.absorb(&prev.perf);
             self.writes
                 .store(prev.writes.load(Ordering::Relaxed), Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
                                                                                 // relaxed-ok: stat counter; readers tolerate lag
@@ -223,12 +204,7 @@ mod tests {
             ],
             authorized_uids: vec![],
         };
-        let env = StackEnv {
-            stack: &stack,
-            vertex: 0,
-            registry: &mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(&stack, 0, &mm, 0);
         let m = mm.get("c").unwrap();
         let mut ctx = Ctx::new();
         for i in 0..writes {

@@ -4,10 +4,10 @@
 //! There is one Driver LabMod, `DriverMod`, and one request path:
 //! decode the block op into an `IoRequest`, pick the hardware queue,
 //! hand the command to the backend, stamp the Device span, shape the
-//! answer, account the cost. A `Backend` holds only what differs
-//! between the four ways this machine reaches media — `kernel_driver`
-//! (`KernelHctx`), `spdk` (`SpdkQueuePair`), `dax` (`DaxMap`) and
-//! `iouring_driver` (`IoUring`): its costs and its submit-and-wait.
+//! answer. A `Backend` holds only what differs between the four ways this
+//! machine reaches media — `kernel_driver` (`KernelHctx`), `spdk`
+//! (`SpdkQueuePair`), `dax` (`DaxMap`) and `iouring_driver` (`IoUring`):
+//! its costs and its submit-and-wait.
 //! Adding a driver is one `Backend` impl and one line in `install`.
 
 use std::collections::HashMap;
@@ -26,7 +26,6 @@ use labstor_sim::{
     BlockDevice, Completion, Ctx, DeviceError, DeviceModel, IoOp, IoRequest, PmemDevice, SimDevice,
     SECTOR_SIZE,
 };
-use labstor_telemetry::PerfCounters;
 
 use crate::devices::{device_param, DeviceRegistry};
 
@@ -40,9 +39,6 @@ const KDRV_ALLOC_NS: u64 = 1_350;
 const KDRV_PREKEYED_NS: u64 = 250;
 /// Cost of writing an SQE + doorbell on a user-mapped SPDK queue pair.
 const SPDK_SUBMIT_NS: u64 = 200;
-/// Per-command driver software cost besides request packaging (doorbell
-/// write, modeled in the block layer as `DRIVER_SUBMIT_NS`).
-const DRIVER_SW_NS: u64 = 150;
 
 /// Where a command is submitted.
 #[derive(Clone, Copy)]
@@ -61,18 +57,12 @@ struct Route {
 trait Backend: Send + Sync + 'static {
     /// Factory / `type_name` string.
     const TYPE_NAME: &'static str;
-    /// Software cost the analytic estimate adds to the media transfer
-    /// (what `est_processing_time` answers until the EWMA is warm).
+    /// Software cost the analytic estimate (`est_processing_time`) adds
+    /// to the media transfer.
     const EST_BASE_NS: u64;
 
     /// The performance model of the device behind this backend.
     fn model(&self) -> &DeviceModel;
-
-    /// The software share of one command that `est_total_time` accounts,
-    /// out of the `busy_ns` the command kept the core busy. The media
-    /// wait shows in the device's own busy counter, so only a path that
-    /// cannot tell the two apart reports `busy_ns` whole.
-    fn sw_ns(route: Route, busy_ns: u64) -> u64;
 
     /// Charge the packaging cost, reach the media and wait: one blocking
     /// command. `Err` is a refused submission; a command the device
@@ -98,7 +88,6 @@ enum Answer {
 /// The Driver LabMod: one request path over a [`Backend`].
 struct DriverMod<B> {
     backend: B,
-    perf: PerfCounters,
 }
 
 // labmod-default-ok: device drivers are stateless shims over the (simulated) device; device state outlives the module instance, so there is nothing to migrate or repair
@@ -112,7 +101,6 @@ impl<B: Backend> LabMod for DriverMod<B> {
     }
 
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
-        let busy0 = ctx.busy();
         let route = Route {
             core: req.core,
             qid: req.qid_hint.unwrap_or(req.core) % self.backend.model().hw_queues.max(1),
@@ -157,7 +145,7 @@ impl<B: Backend> LabMod for DriverMod<B> {
             env.stamp_device(req.id, c.done_at.saturating_sub(c.service_ns), c.done_at);
             c.result
         });
-        let resp = match (done, answer) {
+        match (done, answer) {
             (Ok(_), Answer::Len(len)) => RespPayload::Len(len),
             (Ok(data), Answer::Data) => match slot {
                 // The command overwrote all of the buffer it was lent. A
@@ -170,14 +158,7 @@ impl<B: Backend> LabMod for DriverMod<B> {
             // A failed barrier is as much an error as a failed write:
             // `Ok` would acknowledge durability that never happened.
             (Err(e), _) => RespPayload::Err(e.to_string()),
-        };
-        // Split accounting: `est_total_time` gets the backend's software
-        // share, while the estimator learns the device-inclusive cost —
-        // the same quantity the analytic model (`base + transfer`)
-        // predicts.
-        let busy_ns = ctx.busy() - busy0;
-        self.perf.observe_split(B::sw_ns(route, busy_ns), busy_ns);
-        resp
+        }
     }
 
     fn est_processing_time(&self, req: &Request) -> u64 {
@@ -186,17 +167,7 @@ impl<B: Backend> LabMod for DriverMod<B> {
             Payload::Block(BlockOp::Write { .. } | BlockOp::WriteBuf { .. })
         );
         let transfer_ns = self.backend.model().transfer_ns(write, req.payload_bytes());
-        self.perf.est_ns(B::EST_BASE_NS + transfer_ns)
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
-    }
-
-    fn state_update(&self, old: &dyn LabMod) {
-        if let Some(prev) = old.as_any().downcast_ref::<Self>() {
-            self.perf.absorb(&prev.perf);
-        }
+        B::EST_BASE_NS + transfer_ns
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -225,10 +196,6 @@ impl Backend for KernelHctx {
 
     fn model(&self) -> &DeviceModel {
         self.0.device().model()
-    }
-
-    fn sw_ns(route: Route, _busy_ns: u64) -> u64 {
-        kdrv_alloc_ns(route) + DRIVER_SW_NS
     }
 
     fn issue(
@@ -309,11 +276,6 @@ impl Backend for SpdkQueuePair {
         self.dev.model()
     }
 
-    /// The spin poll is charged as device wait.
-    fn sw_ns(_route: Route, _busy_ns: u64) -> u64 {
-        SPDK_SUBMIT_NS
-    }
-
     fn issue(
         &self,
         ctx: &mut Ctx,
@@ -340,11 +302,6 @@ impl Backend for DaxMap {
 
     fn model(&self) -> &DeviceModel {
         self.0.model()
-    }
-
-    /// DAX has no driver software layer; the access *is* the device.
-    fn sw_ns(_route: Route, _busy_ns: u64) -> u64 {
-        0
     }
 
     fn issue(
@@ -399,12 +356,6 @@ impl Backend for IoUring {
         self.0.block_layer().device().model()
     }
 
-    /// The kernel path's totals were always device-inclusive (the whole
-    /// syscall round trip).
-    fn sw_ns(_route: Route, busy_ns: u64) -> u64 {
-        busy_ns
-    }
-
     fn issue(
         &self,
         ctx: &mut Ctx,
@@ -436,8 +387,7 @@ fn register<B: Backend>(
             let name = device_param(params);
             let backend =
                 open(&reg, &name).unwrap_or_else(|| panic!("{}: no device '{name}'", B::TYPE_NAME));
-            let perf = PerfCounters::new();
-            Arc::new(DriverMod { backend, perf }) as Arc<dyn LabMod>
+            Arc::new(DriverMod { backend }) as Arc<dyn LabMod>
         }),
     );
 }
@@ -458,7 +408,8 @@ pub fn install(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use labstor_core::stack::{ExecMode, LabStack, Vertex};
+    use labstor_core::stack::{ExecMode, LabStack, Namespace, Vertex};
+    use labstor_core::worker::process_request;
     use labstor_ipc::Credentials;
     use labstor_sim::DeviceKind;
 
@@ -484,26 +435,25 @@ mod tests {
         (mm, devices)
     }
 
+    /// Run `op` on "drv" as the platform does (a one-vertex stack), so
+    /// the Module Manager's counters see it.
     fn run(mm: &ModuleManager, op: Payload, qid_hint: Option<usize>, ctx: &mut Ctx) -> RespPayload {
-        let stack = LabStack {
-            id: 1,
-            mount: "x".into(),
-            exec: ExecMode::Sync,
-            vertices: vec![Vertex {
-                uuid: "drv".into(),
-                outputs: vec![],
-            }],
-            authorized_uids: vec![],
-        };
-        let env = StackEnv {
-            stack: &stack,
-            vertex: 0,
-            registry: mm,
-            domain: 0,
-        };
-        let mut req = Request::new(1, 1, op, Credentials::ROOT);
+        let ns = Namespace::new();
+        let stack = ns
+            .mount(LabStack {
+                id: 0,
+                mount: "x".into(),
+                exec: ExecMode::Sync,
+                vertices: vec![Vertex {
+                    uuid: "drv".into(),
+                    outputs: vec![],
+                }],
+                authorized_uids: vec![],
+            })
+            .unwrap();
+        let mut req = Request::new(1, stack.id, op, Credentials::ROOT);
         req.qid_hint = qid_hint;
-        mm.get("drv").unwrap().process(ctx, req, &env)
+        process_request(ctx, req, &ns, mm, 0).payload
     }
 
     fn write(lba: u64, data: Vec<u8>) -> Payload {
@@ -667,27 +617,25 @@ mod tests {
         }
     }
 
-    /// `(ctx.now(), est_total_time())` after each step of {4 KiB Write,
-    /// 4 KiB Read, 4 KiB WriteBuf, 4 KiB ReadBuf, Flush, 128 KiB Write} on
-    /// a fresh machine. `ctx.busy()` is pinned too: it equals `ctx.now()`
-    /// on every path, because a driver polls — it never idles its core.
-    type Pins = [(u64, u64); 6];
+    /// `ctx.now()` after each step of {4 KiB Write, 4 KiB Read, 4 KiB
+    /// WriteBuf, 4 KiB ReadBuf, Flush, 128 KiB Write} on a fresh machine.
+    /// `ctx.busy()` is pinned too: it equals `ctx.now()` on every path,
+    /// because a driver polls — it never idles its core — and so is the
+    /// platform's counter for the vertex, which is that busy time.
+    type Pins = [u64; 6];
 
     /// Captured at the commit before the four driver mods became one
     /// (`71a5861`), in `DRIVERS` order. The refactor's contract is that
     /// virtual time does not move.
-    #[rustfmt::skip]
     const COST_PINS: [Pins; 4] = [
-        [(13655, 1500), (24617, 3000), (38272, 4500), (49234, 6000), (49384, 7500), (129869, 9000)],
-        [(12355, 200), (22017, 400), (34372, 600), (44034, 800), (44034, 1000), (123219, 1200)],
-        [(15715, 15715), (28737, 28737), (44452, 44452), (57474, 57474), (61104, 61104), (143649, 143649)],
-        [(1182, 0), (1994, 0), (3176, 0), (3988, 0), (4088, 0), (26433, 0)],
+        [13655, 24617, 38272, 49234, 49384, 129869],
+        [12355, 22017, 34372, 44034, 44034, 123219],
+        [15715, 28737, 44452, 57474, 61104, 143649],
+        [1182, 1994, 3176, 3988, 4088, 26433],
     ];
     /// Only the Kernel Driver prices a request an upstream scheduler
     /// already keyed (`qid_hint` set) differently.
-    #[rustfmt::skip]
-    const KERNEL_DRIVER_PREKEYED: Pins =
-        [(12555, 400), (22417, 800), (34972, 1200), (44834, 1600), (44984, 2000), (124369, 2400)];
+    const KERNEL_DRIVER_PREKEYED: Pins = [12555, 22417, 34972, 44834, 44984, 124369];
 
     fn cost_script(ty: &str, device: &str, qid_hint: Option<usize>) -> Pins {
         let (mm, _devices) = machine(ty, device);
@@ -703,7 +651,8 @@ mod tests {
         steps.map(|op| {
             assert!(run(&mm, op, qid_hint, &mut ctx).is_ok(), "{ty}");
             assert_eq!(ctx.busy(), ctx.now(), "{ty}");
-            (ctx.now(), mm.get("drv").unwrap().est_total_time())
+            assert_eq!(mm.counters("drv").unwrap().total_ns(), ctx.busy(), "{ty}");
+            ctx.now()
         })
     }
 

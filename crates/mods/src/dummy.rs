@@ -8,7 +8,6 @@ use std::sync::Arc;
 
 use labstor_core::{LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv};
 use labstor_sim::Ctx;
-use labstor_telemetry::PerfCounters;
 
 /// A module that spends a configurable amount of virtual work per message
 /// and counts how many messages it has seen.
@@ -18,7 +17,6 @@ pub struct DummyMod {
     /// Default per-message work when the request does not carry one.
     pub default_work_ns: u64,
     count: AtomicU64,
-    perf: PerfCounters,
 }
 
 impl DummyMod {
@@ -28,7 +26,6 @@ impl DummyMod {
             version,
             default_work_ns,
             count: AtomicU64::new(0),
-            perf: PerfCounters::new(),
         }
     }
 
@@ -38,7 +35,7 @@ impl DummyMod {
     }
 }
 
-// labmod-default-ok: migrates its counters in state_update; no durable state exists, so the repair default is safe
+// labmod-default-ok: its message count migrates in state_update; no durable state exists, so the repair default is safe
 impl LabMod for DummyMod {
     fn type_name(&self) -> &'static str {
         "dummy"
@@ -55,8 +52,7 @@ impl LabMod for DummyMod {
         };
         ctx.advance(work);
         self.count.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.perf.observe(work);
-        // Dummies are usually terminal but forward if stacked.
+                                                    // Dummies are usually terminal but forward if stacked.
         if env.stack.vertices[env.vertex].outputs.is_empty() {
             RespPayload::Ok
         } else {
@@ -65,21 +61,16 @@ impl LabMod for DummyMod {
     }
 
     fn est_processing_time(&self, req: &Request) -> u64 {
-        // The request carries its own cost: stay exact, never estimated.
+        // The request carries its own cost.
         match req.payload {
             Payload::Dummy { work_ns } if work_ns > 0 => work_ns,
             _ => self.default_work_ns,
         }
     }
 
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
-    }
-
     fn state_update(&self, old: &dyn LabMod) {
         if let Some(prev) = old.as_any().downcast_ref::<DummyMod>() {
             self.count.store(prev.count(), Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            self.perf.absorb(&prev.perf);
         }
     }
 
@@ -130,17 +121,11 @@ mod tests {
             }],
             authorized_uids: vec![],
         };
-        let env = StackEnv {
-            stack: &stack,
-            vertex: 0,
-            registry: &mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(&stack, 0, &mm, 0);
         let mut ctx = Ctx::new();
         let req = env_for(&mm, &stack);
         assert!(m.process(&mut ctx, req, &env).is_ok());
         assert_eq!(ctx.now(), 2_500);
-        assert_eq!(m.est_total_time(), 2_500);
     }
 
     #[test]

@@ -31,14 +31,12 @@
 //! builds a [`LogRecord`] and hands it to `LabFs::commit` — and
 //! [`install`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use labstor_core::{
     BlockOp, FsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
-use labstor_telemetry::PerfCounters;
 
 use crate::alloc::BlockAllocator;
 use crate::devices::{device_param, DeviceRegistry};
@@ -75,10 +73,6 @@ pub struct LabFs {
     /// The per-worker metadata logs, written to a reserved device region
     /// through a direct handle.
     journal: Journal,
-    perf: PerfCounters,
-    /// Busy time spent in downstream stages (subtracted so
-    /// `est_total_time` reports LabFS-exclusive work).
-    downstream_ns: AtomicU64,
 }
 
 impl LabFs {
@@ -91,18 +85,7 @@ impl LabFs {
             meta: meta::Meta::new(workers.next_power_of_two().max(16)),
             allocator: BlockAllocator::new(log_blocks, total_blocks, workers, 4096),
             journal: Journal::new(device, workers, LOG_BLOCKS_PER_WORKER * BLOCK_SECTORS),
-            perf: PerfCounters::new(),
-            downstream_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Forward while attributing the downstream busy time to downstream.
-    fn fwd(&self, ctx: &mut Ctx, env: &StackEnv<'_>, req: Request) -> RespPayload {
-        let before = ctx.busy();
-        let r = env.forward(ctx, req);
-        self.downstream_ns
-            .fetch_add(ctx.busy() - before, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        r
     }
 
     /// Append a record to the originating worker's log.
@@ -183,14 +166,6 @@ impl LabFs {
             RespPayload::Err(format!("{path}: file exists"))
         }
     }
-
-    /// Record this request's own busy time (downstream's subtracted).
-    fn observed(&self, ctx: &Ctx, before: u64, resp: RespPayload) -> RespPayload {
-        let downstream = self.downstream_ns.swap(0, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.perf
-            .observe((ctx.busy() - before).saturating_sub(downstream));
-        resp
-    }
 }
 
 impl LabMod for LabFs {
@@ -203,15 +178,13 @@ impl LabMod for LabFs {
     }
 
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
-        let before = ctx.busy();
         if let Payload::Fs(FsOp::Write { ino, offset, data }) = &mut req.payload {
             // A write's bytes move out of the request: a whole-page run
             // goes downstream as the allocation the caller made.
             let (ino, offset, data) = (*ino, *offset, std::mem::take(data));
-            let resp = self.op_write(ctx, env, &req, ino, offset, data);
-            return self.observed(ctx, before, resp);
+            return self.op_write(ctx, env, &req, ino, offset, data);
         }
-        let resp = match &req.payload {
+        match &req.payload {
             Payload::Fs(FsOp::Create { path, mode }) => {
                 self.op_create(ctx, &req, path, *mode, false)
             }
@@ -295,38 +268,28 @@ impl LabMod for LabFs {
                 if let Err(e) = self.journal.sync(ctx) {
                     return RespPayload::Err(e.to_string());
                 }
-                let mut fwd =
-                    Request::new(req.id, req.stack, Payload::Block(BlockOp::Flush), req.creds);
-                fwd.vertex = env.vertex;
-                fwd.core = req.core;
-                self.fwd(ctx, env, fwd)
+                env.forward(ctx, req.derive(Payload::Block(BlockOp::Flush)))
             }
             // Pass non-FS payloads through (e.g. a barrier travelling the
             // stack).
-            _ => self.fwd(ctx, env, req),
-        };
-        self.observed(ctx, before, resp)
+            _ => env.forward(ctx, req),
+        }
     }
 
     fn est_processing_time(&self, req: &Request) -> u64 {
-        self.perf.est_ns(match &req.payload {
+        match &req.payload {
             Payload::Fs(FsOp::Write { data, .. }) => 2_000 + data.len() as u64,
             Payload::Fs(FsOp::WriteBuf { buf, .. }) => 2_000 + buf.len() as u64,
             Payload::Fs(
                 FsOp::Read { len, .. } | FsOp::ReadBuf { len, .. } | FsOp::ReadFiltered { len, .. },
             ) => 2_000 + *len as u64,
             _ => META_CPU_NS + LOG_APPEND_NS,
-        })
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
+        }
     }
 
     fn state_update(&self, old: &dyn LabMod) {
         // Upgrades move the whole in-memory state across instances.
         if let Some(prev) = old.as_any().downcast_ref::<LabFs>() {
-            self.perf.absorb(&prev.perf);
             self.meta.absorb(&prev.meta);
             self.journal.absorb(&prev.journal);
             self.allocator.absorb(&prev.allocator);
@@ -409,12 +372,7 @@ mod tests {
         }
 
         fn exec(&self, payload: Payload, ctx: &mut Ctx) -> RespPayload {
-            let env = StackEnv {
-                stack: &self.stack,
-                vertex: 0,
-                registry: &self.mm,
-                domain: 0,
-            };
+            let env = StackEnv::new(&self.stack, 0, &self.mm, 0);
             self.mm.get("fs").unwrap().process(
                 ctx,
                 Request::new(1, 1, payload, Credentials::ROOT),

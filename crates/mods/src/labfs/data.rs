@@ -14,6 +14,16 @@ use labstor_sim::Ctx;
 use super::meta::LogRecord;
 use super::{LabFs, ALLOC_NS, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
 
+/// Forward one block op downstream with the request's routing intact.
+pub(super) fn fwd_block(
+    ctx: &mut Ctx,
+    env: &StackEnv<'_>,
+    req: &Request,
+    op: BlockOp,
+) -> RespPayload {
+    env.forward(ctx, req.derive(Payload::Block(op)))
+}
+
 impl LabFs {
     /// Map `[offset, offset+len)` of `ino` to device blocks, allocating
     /// and logging as needed (the metadata half shared by the copying and
@@ -70,14 +80,14 @@ impl LabFs {
         keep: usize,
     ) -> RespPayload {
         let (lba, len) = (src * BLOCK_SECTORS, FS_BLOCK);
-        let mut page = match self.fwd_block(ctx, env, req, BlockOp::Read { lba, len }) {
+        let mut page = match fwd_block(ctx, env, req, BlockOp::Read { lba, len }) {
             RespPayload::Data(d) => d,
             other => return other,
         };
         page.truncate(keep);
         page.resize(FS_BLOCK, 0);
         let lba = dst * BLOCK_SECTORS;
-        self.fwd_block(ctx, env, req, BlockOp::Write { lba, data: page })
+        fwd_block(ctx, env, req, BlockOp::Write { lba, data: page })
     }
 
     /// `Truncate` and `Open { truncate }`: set the size of `ino`. Growing
@@ -153,7 +163,7 @@ impl LabFs {
                 return RespPayload::Len(0);
             };
             let lba = block * BLOCK_SECTORS;
-            let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data });
+            let r = fwd_block(ctx, env, req, BlockOp::Write { lba, data });
             return if r.is_ok() { RespPayload::Len(len) } else { r };
         }
         // Emit block writes downstream. Partially-covered pages that were
@@ -171,7 +181,7 @@ impl LabFs {
                 // Partial overwrite of an existing block: read-modify-write.
                 let lba = block * BLOCK_SECTORS;
                 let read = BlockOp::Read { lba, len: FS_BLOCK };
-                let mut payload = match self.fwd_block(ctx, env, req, read) {
+                let mut payload = match fwd_block(ctx, env, req, read) {
                     RespPayload::Data(d) => d,
                     other => return other,
                 };
@@ -180,7 +190,7 @@ impl LabFs {
                 let src = (cover_from - offset) as usize;
                 let n = (cover_to - cover_from) as usize;
                 payload[dst..dst + n].copy_from_slice(&data[src..src + n]);
-                let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
+                let r = fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
                 if !r.is_ok() {
                     return r;
                 }
@@ -209,7 +219,7 @@ impl LabFs {
             payload.extend_from_slice(src);
             payload.resize(run_bytes, 0);
             let lba = block * BLOCK_SECTORS;
-            let r = self.fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
+            let r = fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
             if !r.is_ok() {
                 return r;
             }
@@ -279,7 +289,7 @@ impl LabFs {
         }
         if let Some(block) = mappings[0].filter(|&b| run_from(0, b) == mappings.len()) {
             // One run: no assembly, the answer is a window of the response.
-            return match self.fwd_block(ctx, env, req, read(block, mappings.len())) {
+            return match fwd_block(ctx, env, req, read(block, mappings.len())) {
                 RespPayload::DataBuf(h) => match h.slice(src, n) {
                     None => RespPayload::Err("short block read".into()),
                     Some(win) => inline(win.as_slice()).unwrap_or_else(|| {
@@ -318,7 +328,7 @@ impl LabFs {
                 continue;
             };
             let pages = run_from(i, block);
-            let resp = self.fwd_block(ctx, env, req, read(block, pages));
+            let resp = fwd_block(ctx, env, req, read(block, pages));
             let Some(bytes) = resp.data_bytes() else {
                 return resp;
             };
@@ -339,21 +349,6 @@ impl LabFs {
             i += pages;
         }
         RespPayload::Data(out)
-    }
-
-    /// Forward one block op downstream with the request's routing intact.
-    pub(super) fn fwd_block(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        op: BlockOp,
-    ) -> RespPayload {
-        let mut fwd = Request::new(req.id, req.stack, Payload::Block(op), req.creds);
-        fwd.vertex = env.vertex;
-        fwd.core = req.core;
-        fwd.qid_hint = req.qid_hint;
-        self.fwd(ctx, env, fwd)
     }
 
     /// Zero-copy write: fully covered pages are forwarded as `WriteBuf`
@@ -399,7 +394,7 @@ impl LabFs {
                 else {
                     return RespPayload::Err("write buffer shorter than its extent".into());
                 };
-                let r = self.fwd_block(
+                let r = fwd_block(
                     ctx,
                     env,
                     req,
@@ -422,7 +417,7 @@ impl LabFs {
                 vec![0u8; FS_BLOCK] // fresh block: pad with zeroes
             } else {
                 // Read-modify-write so neighbouring bytes survive.
-                let mut p = match self.fwd_block(
+                let mut p = match fwd_block(
                     ctx,
                     env,
                     req,
@@ -440,7 +435,7 @@ impl LabFs {
             };
             labstor_ipc::note_payload_copy(cnt);
             payload[dst..dst + cnt].copy_from_slice(&buf.as_slice()[src..src + cnt]); // copy-ok: partial-page patch; counted above
-            let r = self.fwd_block(
+            let r = fwd_block(
                 ctx,
                 env,
                 req,

@@ -5,6 +5,7 @@
 use labstor_core::{BlockOp, Request, RespPayload, StackEnv};
 use labstor_sim::Ctx;
 
+use super::data::fwd_block;
 use super::{LabFs, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
 
 impl LabFs {
@@ -69,7 +70,7 @@ impl LabFs {
             let window: &[u8] = match mapping {
                 None => &ZERO_PAGE[src..src + cnt],
                 Some(block) => {
-                    hole_resp = self.fwd_block(
+                    hole_resp = fwd_block(
                         ctx,
                         env,
                         req,

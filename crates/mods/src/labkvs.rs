@@ -18,7 +18,6 @@ use labstor_core::{
     BlockOp, KvsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
-use labstor_telemetry::PerfCounters;
 
 use crate::alloc::BlockAllocator;
 use crate::devices::{device_param, DeviceRegistry};
@@ -108,7 +107,6 @@ pub struct LabKvs {
     allocator: BlockAllocator,
     /// The per-worker op logs (see [`crate::journal`]).
     journal: Journal,
-    perf: PerfCounters,
     /// Table levels the `GetWhere` resubmission hook walks on a miss
     /// (LSM-style: level 0 is the primary namespace, deeper levels are
     /// probed in-stack instead of bouncing back to the client).
@@ -143,7 +141,6 @@ impl LabKvs {
             shards: (0..n_shards).map(|_| RwLock::new(HashMap::new())).collect(),
             allocator: BlockAllocator::new(log_sectors, total_sectors, workers, STEAL_SECTORS),
             journal: Journal::new(device, workers, LOG_SECTORS_PER_WORKER),
-            perf: PerfCounters::new(),
             resub_levels: levels.max(1),
         }
     }
@@ -225,20 +222,6 @@ impl LabKvs {
         snap
     }
 
-    /// Send one block op to the next vertex on behalf of `req`.
-    fn fwd_block(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        op: BlockOp,
-    ) -> RespPayload {
-        let mut fwd = Request::new(req.id, req.stack, Payload::Block(op), req.creds);
-        fwd.vertex = env.vertex;
-        fwd.core = req.core;
-        env.forward(ctx, fwd)
-    }
-
     /// Store a `len`-byte value: carve its extent from the originating
     /// worker's allocator shard, forward the write(s) `writes` builds for
     /// that extent, then record the put in the log and key map. A
@@ -261,7 +244,7 @@ impl LabKvs {
             };
             lba = first;
             for op in writes(lba).into_iter().flatten() {
-                let r = self.fwd_block(ctx, env, req, op);
+                let r = env.forward(ctx, req.derive(Payload::Block(op)));
                 if !r.is_ok() {
                     return r;
                 }
@@ -293,7 +276,7 @@ impl LabKvs {
             lba: loc.lba,
             len: loc.len.next_multiple_of(SECTOR),
         };
-        match self.fwd_block(ctx, env, req, read) {
+        match env.forward(ctx, req.derive(Payload::Block(read))) {
             RespPayload::DataBuf(mut h) => {
                 h.truncate(loc.len);
                 // Small values skip the BufferPool round trip and ride
@@ -477,18 +460,15 @@ impl LabMod for LabKvs {
     }
 
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
-        let before = ctx.busy();
         if let Payload::Kvs(KvsOp::Put { key, value }) = &mut req.payload {
             // A put's bytes move out of the request: the caller's own
             // allocation goes downstream, padded to the sector in place.
             let (key, value) = (std::mem::take(key), std::mem::take(value));
-            let resp = self.put_extent(ctx, env, &req, &key, value.len(), |lba| {
+            return self.put_extent(ctx, env, &req, &key, value.len(), |lba| {
                 [Some(padded_write(lba, value)), None]
             });
-            self.perf.observe(ctx.busy() - before);
-            return resp;
         }
-        let resp = match &req.payload {
+        match &req.payload {
             Payload::Kvs(KvsOp::PutBuf { key, buf }) => {
                 self.put_extent(ctx, env, &req, key, buf.len(), |lba| {
                     pooled_writes(lba, buf)
@@ -519,22 +499,15 @@ impl LabMod for LabKvs {
                 }
             }
             _ => env.forward(ctx, req),
-        };
-        self.perf.observe(ctx.busy() - before);
-        resp
+        }
     }
 
     fn est_processing_time(&self, req: &Request) -> u64 {
-        self.perf.est_ns(KV_CPU_NS + req.payload_bytes() as u64)
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
+        KV_CPU_NS + req.payload_bytes() as u64
     }
 
     fn state_update(&self, old: &dyn LabMod) {
         if let Some(prev) = old.as_any().downcast_ref::<LabKvs>() {
-            self.perf.absorb(&prev.perf);
             for (mine, theirs) in self.shards.iter().zip(prev.shards.iter()) {
                 *mine.write() = theirs.read().clone();
             }
@@ -616,12 +589,7 @@ mod tests {
     }
 
     fn exec(mm: &ModuleManager, stack: &LabStack, payload: Payload, ctx: &mut Ctx) -> RespPayload {
-        let env = StackEnv {
-            stack,
-            vertex: 0,
-            registry: mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(stack, 0, mm, 0);
         mm.get("kv")
             .unwrap()
             .process(ctx, Request::new(1, 1, payload, Credentials::ROOT), &env)

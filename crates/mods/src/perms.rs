@@ -17,7 +17,6 @@ use labstor_core::{
     FsOp, KvsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
 use labstor_sim::Ctx;
-use labstor_telemetry::PerfCounters;
 
 /// Per-operation check cost (ACL lookup + uid compare).
 const PERM_CHECK_NS: u64 = 450;
@@ -35,7 +34,6 @@ pub struct PermsMod {
     owners: RwLock<HashMap<String, Owner>>,
     /// Mode given to new entries.
     default_mode: u16,
-    perf: PerfCounters,
 }
 
 impl PermsMod {
@@ -44,7 +42,6 @@ impl PermsMod {
         PermsMod {
             owners: RwLock::new(HashMap::new()),
             default_mode,
-            perf: PerfCounters::new(),
         }
     }
 
@@ -82,7 +79,6 @@ impl LabMod for PermsMod {
 
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
         ctx.advance(PERM_CHECK_NS);
-        self.perf.observe(PERM_CHECK_NS);
         let denied = |what: &str| RespPayload::Err(format!("permission denied: {what}"));
         match &req.payload {
             Payload::Fs(FsOp::Create { path, mode }) => {
@@ -136,17 +132,12 @@ impl LabMod for PermsMod {
     }
 
     fn est_processing_time(&self, _req: &Request) -> u64 {
-        self.perf.est_ns(PERM_CHECK_NS)
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
+        PERM_CHECK_NS
     }
 
     fn state_update(&self, old: &dyn LabMod) {
         if let Some(prev) = old.as_any().downcast_ref::<PermsMod>() {
             *self.owners.write() = prev.owners.read().clone();
-            self.perf.absorb(&prev.perf);
         }
     }
 
@@ -230,12 +221,7 @@ mod tests {
         payload: Payload,
         creds: Credentials,
     ) -> RespPayload {
-        let env = StackEnv {
-            stack,
-            vertex: 0,
-            registry: mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(stack, 0, mm, 0);
         let m = mm.get("p").unwrap();
         let mut ctx = Ctx::new();
         m.process(&mut ctx, Request::new(1, 1, payload, creds), &env)

@@ -14,7 +14,6 @@ use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
 use labstor_sim::{Ctx, SimDevice};
-use labstor_telemetry::PerfCounters;
 
 use crate::devices::{device_param, DeviceRegistry};
 
@@ -30,7 +29,6 @@ const LATENCY_SIZE_BYTES: usize = 16 * 1024;
 /// Lab-NoOp: map to a hardware queue by originating core.
 pub struct NoopSchedMod {
     queues: usize,
-    perf: PerfCounters,
 }
 
 impl NoopSchedMod {
@@ -38,7 +36,6 @@ impl NoopSchedMod {
     pub fn new(queues: usize) -> Self {
         NoopSchedMod {
             queues: queues.max(1),
-            perf: PerfCounters::new(),
         }
     }
 }
@@ -55,23 +52,12 @@ impl LabMod for NoopSchedMod {
 
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
         ctx.advance(LAB_SCHED_NS);
-        self.perf.observe(LAB_SCHED_NS);
         req.qid_hint = Some(req.core % self.queues);
         env.forward(ctx, req)
     }
 
     fn est_processing_time(&self, _req: &Request) -> u64 {
-        self.perf.est_ns(LAB_SCHED_NS)
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
-    }
-
-    fn state_update(&self, old: &dyn LabMod) {
-        if let Some(prev) = old.as_any().downcast_ref::<NoopSchedMod>() {
-            self.perf.absorb(&prev.perf);
-        }
+        LAB_SCHED_NS
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -89,7 +75,6 @@ pub struct BlkSwitchSchedMod {
     cursor: AtomicUsize,
     /// Bulk-traffic history (app steering).
     history: labstor_kernel::sched::BulkHistory,
-    perf: PerfCounters,
 }
 
 impl BlkSwitchSchedMod {
@@ -100,7 +85,6 @@ impl BlkSwitchSchedMod {
             dev,
             congestion_threshold,
             cursor: AtomicUsize::new(0),
-            perf: PerfCounters::new(),
         }
     }
 
@@ -125,7 +109,6 @@ impl LabMod for BlkSwitchSchedMod {
 
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
         ctx.advance(LAB_SCHED_NS);
-        self.perf.observe(LAB_SCHED_NS);
         // A small block data op; the barrier carries no data to hurry.
         let is_latency = matches!(&req.payload, Payload::Block(op) if !matches!(op, BlockOp::Flush))
             && req.payload_bytes() <= LATENCY_SIZE_BYTES;
@@ -148,17 +131,7 @@ impl LabMod for BlkSwitchSchedMod {
     }
 
     fn est_processing_time(&self, _req: &Request) -> u64 {
-        self.perf.est_ns(LAB_SCHED_NS)
-    }
-
-    fn est_total_time(&self) -> u64 {
-        self.perf.total_ns()
-    }
-
-    fn state_update(&self, old: &dyn LabMod) {
-        if let Some(prev) = old.as_any().downcast_ref::<BlkSwitchSchedMod>() {
-            self.perf.absorb(&prev.perf);
-        }
+        LAB_SCHED_NS
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -253,12 +226,7 @@ mod tests {
             ],
             authorized_uids: vec![],
         };
-        let env = StackEnv {
-            stack: &stack,
-            vertex: 0,
-            registry: mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(&stack, 0, mm, 0);
         let m = mm.get(sched_uuid).unwrap();
         let mut ctx = Ctx::new();
         assert!(m.process(&mut ctx, req, &env).is_ok());

@@ -40,12 +40,7 @@ fn run(mm: &ModuleManager, op: BlockOp) -> RespPayload {
         }],
         authorized_uids: vec![],
     };
-    let env = StackEnv {
-        stack: &stack,
-        vertex: 0,
-        registry: mm,
-        domain: 0,
-    };
+    let env = StackEnv::new(&stack, 0, mm, 0);
     let req = Request::new(1, 1, Payload::Block(op), Credentials::ROOT);
     mm.get("drv").unwrap().process(&mut Ctx::new(), req, &env)
 }

@@ -1,33 +1,20 @@
-//! Per-LabMod performance counters: the facade LabMods use to back
-//! `est_processing_time` / `est_total_time` with *observed* cost instead
-//! of a hard-coded model constant.
+//! Per-LabMod performance counters: lifetime busy time, request count and
+//! a cost histogram for one LabMod instance uuid.
 //!
-//! A module calls [`PerfCounters::observe`] (or
-//! [`PerfCounters::observe_split`] when the accounted total differs from
-//! the cost the estimator should learn) once per request. After
-//! [`MIN_SAMPLES`] observations, [`PerfCounters::est_ns`] returns the
-//! EWMA of observed costs; before that it falls through to the module's
-//! analytic model, so cold stacks schedule exactly as they did before
-//! telemetry existed.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The platform owns these, not the LabMods: `labstor-core` observes each
+//! vertex's *exclusive* busy time (downstream vertices and the hand-off
+//! hop excluded) once per request, in the one function that runs a
+//! vertex, into counters its Module Manager keeps per uuid. A LabMod
+//! implements `process` and its analytic `est_processing_time` model and
+//! is monitored without a line of accounting code (DESIGN.md §8).
 
 use crate::hist::LogHistogram;
 
-/// Observations required before the EWMA overrides the model estimate.
-pub const MIN_SAMPLES: u64 = 8;
-
-/// EWMA weight of a new sample, in 1/16ths (3/16 ≈ 0.19).
-const EWMA_NUM: u64 = 3;
-const EWMA_DEN: u64 = 16;
-
-/// Concurrent per-module counters: lifetime totals, an EWMA of observed
-/// per-request cost, and a [`LogHistogram`] of the same.
+/// Concurrent counters of one vertex: a [`LogHistogram`] of the
+/// per-request cost, whose exact `sum` and `count` are the lifetime
+/// totals.
 #[derive(Default)]
 pub struct PerfCounters {
-    total_ns: AtomicU64,
-    ops: AtomicU64,
-    ewma_ns: AtomicU64,
     hist: LogHistogram,
 }
 
@@ -37,59 +24,19 @@ impl PerfCounters {
         PerfCounters::default()
     }
 
-    /// Record one request whose accounted total and learnable cost are
-    /// the same `ns`.
+    /// Record one request that cost `ns`.
     pub fn observe(&self, ns: u64) {
-        self.observe_split(ns, ns);
+        self.hist.record(ns);
     }
 
-    /// Record one request: `total_ns` is added to the lifetime total
-    /// (what `est_total_time` reports), while `cost_ns` feeds the EWMA
-    /// and histogram (what `est_processing_time` learns). Drivers use
-    /// this to account device-inclusive busy time while learning only
-    /// their software cost, caches to learn hit-path cost while
-    /// accounting exclusive time.
-    pub fn observe_split(&self, total_ns: u64, cost_ns: u64) {
-        self.total_ns.fetch_add(total_ns, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        let n = self.ops.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.hist.record(cost_ns);
-        if n == 0 {
-            self.ewma_ns.store(cost_ns, Ordering::Relaxed); // relaxed-ok: EWMA seed; a racing observe just re-smooths
-        } else {
-            // Single RMW-free update: the EWMA is a smoothed estimate, a
-            // lost race costs one sample's worth of smoothing, not
-            // correctness.
-            let cur = self.ewma_ns.load(Ordering::Relaxed); // relaxed-ok: smoothed estimate; lost races only delay convergence
-            let next = (cur * (EWMA_DEN - EWMA_NUM) + cost_ns * EWMA_NUM) / EWMA_DEN;
-            self.ewma_ns.store(next, Ordering::Relaxed); // relaxed-ok: smoothed estimate; lost races only delay convergence
-        }
-    }
-
-    /// The estimate the module should report: the EWMA of observed costs
-    /// once warm ([`MIN_SAMPLES`] observations), else `model_ns` — the
-    /// module's analytic estimate for this request.
-    pub fn est_ns(&self, model_ns: u64) -> u64 {
-        let warm = self.ops.load(Ordering::Relaxed) >= MIN_SAMPLES; // relaxed-ok: stat counter
-        if warm {
-            self.ewma_ns.load(Ordering::Relaxed) // relaxed-ok: smoothed estimate; staleness is acceptable
-        } else {
-            model_ns
-        }
-    }
-
-    /// Lifetime accounted busy time (backs `est_total_time`).
+    /// Lifetime accounted busy time (the paper's `EstTotalTime`).
     pub fn total_ns(&self) -> u64 {
-        self.total_ns.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+        self.hist.sum()
     }
 
     /// Requests observed.
     pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
-    }
-
-    /// Current EWMA of observed cost (0 before any observation).
-    pub fn ewma_ns(&self) -> u64 {
-        self.ewma_ns.load(Ordering::Relaxed) // relaxed-ok: smoothed estimate; staleness is acceptable
+        self.hist.count()
     }
 
     /// Median observed cost.
@@ -106,21 +53,6 @@ impl PerfCounters {
     pub fn hist(&self) -> &LogHistogram {
         &self.hist
     }
-
-    /// Fold `other` into `self` — used by `state_update` when a module
-    /// upgrade carries its predecessor's counters forward.
-    pub fn absorb(&self, other: &PerfCounters) {
-        self.total_ns.fetch_add(other.total_ns(), Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        let theirs = other.ops();
-        if theirs > 0 {
-            let mine = self.ops.fetch_add(theirs, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            if mine == 0 {
-                // Fresh module inherits the predecessor's warm estimate.
-                self.ewma_ns.store(other.ewma_ns(), Ordering::Relaxed); // relaxed-ok: EWMA seed; a racing observe just re-smooths
-            }
-        }
-        self.hist.merge(other.hist());
-    }
 }
 
 #[cfg(test)]
@@ -128,52 +60,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn est_uses_model_until_warm() {
+    fn observe_accumulates_totals_and_quantiles() {
         let p = PerfCounters::new();
-        assert_eq!(p.est_ns(777), 777);
-        for _ in 0..MIN_SAMPLES - 1 {
-            p.observe(1000);
-        }
-        assert_eq!(p.est_ns(777), 777, "one short of warm");
-        p.observe(1000);
-        assert_eq!(p.est_ns(777), 1000, "warm EWMA of a constant is exact");
-    }
-
-    #[test]
-    fn ewma_tracks_shift() {
-        let p = PerfCounters::new();
-        for _ in 0..16 {
-            p.observe(1000);
-        }
-        assert_eq!(p.ewma_ns(), 1000);
-        for _ in 0..64 {
-            p.observe(5000);
-        }
-        let e = p.ewma_ns();
-        assert!(e > 4500 && e <= 5000, "ewma {e} should approach 5000");
-    }
-
-    #[test]
-    fn observe_split_separates_total_and_cost() {
-        let p = PerfCounters::new();
-        for _ in 0..MIN_SAMPLES {
-            p.observe_split(10_000, 250);
-        }
-        assert_eq!(p.total_ns(), 10_000 * MIN_SAMPLES);
-        assert_eq!(p.est_ns(999), 250);
-        assert!(p.p99() >= 250);
-    }
-
-    #[test]
-    fn absorb_carries_counters_across_upgrade() {
-        let old = PerfCounters::new();
         for _ in 0..20 {
-            old.observe(400);
+            p.observe(400);
         }
-        let new = PerfCounters::new();
-        new.absorb(&old);
-        assert_eq!(new.total_ns(), 8000);
-        assert_eq!(new.ops(), 20);
-        assert_eq!(new.est_ns(123), 400, "inherits warm estimate");
+        p.observe(10_000);
+        assert_eq!(p.total_ns(), 18_000);
+        assert_eq!(p.ops(), 21);
+        assert_eq!(p.hist().count(), 21);
+        assert!(p.p50() >= 400 && p.p50() < 10_000, "p50 {}", p.p50());
+        assert!(p.p99() >= 400);
     }
 }

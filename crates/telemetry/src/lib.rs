@@ -13,9 +13,9 @@
 //!   the disabled cost is one relaxed load and a branch.
 //! * [`LogHistogram`] — an HDR-style log-bucketed concurrent histogram
 //!   (record / merge / quantile) replacing ad-hoc latency vectors.
-//! * [`PerfCounters`] — the per-LabMod facade backing
-//!   `est_processing_time` / `est_total_time` with an EWMA and quantiles
-//!   of observed spans instead of raw point estimates.
+//! * [`PerfCounters`] — one vertex's lifetime busy time, request count
+//!   and cost quantiles; `labstor-core` keeps one per LabMod uuid and
+//!   observes into it where it runs the vertex.
 //! * [`ClockCell`] — a worker's published `(now, busy)` virtual-clock
 //!   snapshot: one publication path for worker-visible time.
 //! * [`export`] — Chrome trace-event JSON (loadable in `chrome://tracing`

@@ -19,9 +19,7 @@
 //!
 //! With the recorder disabled (the default), the entire record path is one
 //! relaxed `AtomicBool` load and a branch — measured by the
-//! `span_recorder` group in `crates/bench/benches/primitives.rs`. With the
-//! `compile-off` cargo feature the path folds to a constant `false` and
-//! the optimizer deletes the call sites entirely.
+//! `span_recorder` group in `crates/bench/benches/primitives.rs`.
 
 use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
@@ -275,18 +273,9 @@ impl FlightRecorder {
 
     /// Whether spans are being recorded. This is the *entire* disabled
     /// cost: one relaxed load and a branch at each call site.
-    #[cfg(not(feature = "compile-off"))]
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed) // relaxed-ok: monitoring toggle; a lagging reader only delays span capture
-    }
-
-    /// Compiled-out mode: the recorder is a constant `false` and every
-    /// guarded call site folds away.
-    #[cfg(feature = "compile-off")]
-    #[inline(always)]
-    pub fn enabled(&self) -> bool {
-        false
     }
 
     /// Start recording.

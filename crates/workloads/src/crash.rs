@@ -397,12 +397,7 @@ impl Boot {
     }
 
     fn exec(&self, ctx: &mut Ctx, payload: Payload) -> RespPayload {
-        let env = StackEnv {
-            stack: &self.stack,
-            vertex: 0,
-            registry: &self.mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(&self.stack, 0, &self.mm, 0);
         self.mm.get(self.entry).expect("entry module").process(
             ctx,
             Request::new(1, 1, payload, Credentials::ROOT),

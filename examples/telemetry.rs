@@ -4,13 +4,18 @@
 //! 1. mount the quickstart LabStack (permissions → LabFS → LRU cache →
 //!    NoOp scheduler → Kernel Driver),
 //! 2. enable the flight recorder and push 4 KB writes + reads through,
-//! 3. dump `results/telemetry_trace.json` — open it at
-//!    `chrome://tracing` or <https://ui.perfetto.dev>,
+//! 3. dump the Chrome trace — open it at `chrome://tracing` or
+//!    <https://ui.perfetto.dev>,
 //! 4. fold the same spans into a Fig.-4a-style anatomy and check the
 //!    books: the per-stage exclusive times must tile the end-to-end
-//!    virtual latency exactly.
+//!    virtual latency exactly,
+//! 5. print the per-LabMod counters the platform keeps
+//!    (`ModuleManager::counters_table`) and check the two telemetries
+//!    against each other: every vertex's counter is the anatomy's
+//!    exclusive time for it, to the nanosecond.
 //!
-//! Run with: `cargo run --release --example telemetry`
+//! Run with: `cargo run --release --example telemetry [TRACE.json]`
+//! (default `results/telemetry_trace.json`, the committed sample).
 
 use labstor::core::{Runtime, RuntimeConfig};
 use labstor::mods::{DeviceRegistry, GenericFs};
@@ -18,6 +23,9 @@ use labstor::sim::DeviceKind;
 use labstor::telemetry::{anatomy, chrome_trace, SpanEvent, Stage};
 
 fn main() {
+    let trace_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "results/telemetry_trace.json".into());
     let devices = DeviceRegistry::new();
     devices.add_preset("nvme0", DeviceKind::Nvme);
     let rt = Runtime::start(RuntimeConfig::default());
@@ -83,10 +91,12 @@ fn main() {
     println!("recorded {} spans", spans.len());
 
     // Chrome trace-event JSON (virtual µs on the timeline).
-    std::fs::create_dir_all("results").expect("mkdir results");
+    if let Some(dir) = std::path::Path::new(&trace_path).parent() {
+        std::fs::create_dir_all(dir).expect("mkdir for the trace");
+    }
     let trace = chrome_trace(&spans, label);
-    std::fs::write("results/telemetry_trace.json", &trace).expect("write trace");
-    println!("wrote results/telemetry_trace.json ({} bytes)", trace.len());
+    std::fs::write(&trace_path, &trace).expect("write trace");
+    println!("wrote {trace_path} ({} bytes)", trace.len());
 
     // Anatomy: exclusive per-stage times. The recorder's span model
     // guarantees the stages tile each request's end-to-end extent, so
@@ -106,6 +116,43 @@ fn main() {
     for (name, ns) in &a.categories {
         println!("  {name:<18} {:>12} ns  {:>5.1}%", ns, a.pct(name));
     }
+
+    // The other telemetry: the counters the platform keeps per LabMod
+    // UUID, observed where it runs each vertex — exclusive busy time. No
+    // vertex above the driver idles here, so busy and wall virtual time
+    // agree and each counter is the anatomy's figure for that vertex; the
+    // driver's busy time contains the device window the anatomy books
+    // under "device i/o".
+    println!("\nper-LabMod counters (exclusive busy virtual ns, measured by the platform):");
+    println!(
+        "  {:<8} {:<14} {:>6} {:>12} {:>8} {:>8}",
+        "uuid", "type", "ops", "total ns", "p50 ns", "p99 ns"
+    );
+    let table = rt.mm.counters_table();
+    assert_eq!(table.len(), names.len(), "one row per vertex");
+    for row in &table {
+        println!(
+            "  {:<8} {:<14} {:>6} {:>12} {:>8} {:>8}",
+            row.uuid, row.type_name, row.ops, row.total_ns, row.p50_ns, row.p99_ns
+        );
+        let vertex = stack
+            .vertices
+            .iter()
+            .position(|v| v.uuid == row.uuid)
+            .expect("a vertex of the stack");
+        let device_ns = if vertex + 1 == names.len() {
+            a.ns("device i/o")
+        } else {
+            0
+        };
+        assert_eq!(
+            row.total_ns,
+            a.ns(names[vertex]) + device_ns,
+            "{}: counter vs span anatomy",
+            row.uuid
+        );
+    }
+    println!("  (each is the anatomy's exclusive time for its vertex — the driver's plus its device window — to the ns)");
 
     rt.shutdown();
     println!("done");

@@ -287,6 +287,79 @@ fn client_async_window_completes_out_of_order_submissions() {
     rt.shutdown();
 }
 
+/// A dummy-only stack at `dummy::/`, 1 µs of work per message.
+fn dummy_stack(rt: &Runtime, exec: &str, uuid: &str) -> Arc<labstor::core::LabStack> {
+    rt.mount_stack_json(&format!(
+        r#"{{
+        "mount": "dummy::/",
+        "exec": "{exec}",
+        "authorized_uids": [0],
+        "labmods": [ {{ "uuid": "{uuid}", "type": "dummy", "params": {{"work_ns": 1000}} }} ]
+    }}"#
+    ))
+    .unwrap()
+}
+
+#[test]
+fn execute_keeps_the_completions_of_earlier_submits() {
+    // `submit(A)`, then `execute(B)` on the same queue: B's wait reaps A's
+    // completion first. It must be kept for `reap_one`, not dropped — a
+    // dropped one leaves A pending forever and `reap_one` waits out the
+    // offline timeout before answering `RuntimeDown`.
+    let (rt, _d) = platform(1);
+    let stack = dummy_stack(&rt, "async", "e2e_dummy3");
+    let mut client = rt.connect(Credentials::new(1, 0, 0), 1);
+    client.offline_timeout = std::time::Duration::from_millis(500);
+    let a = client
+        .submit(&stack, Payload::Dummy { work_ns: 0 })
+        .unwrap();
+    let (resp, _) = client
+        .execute(&stack, Payload::Dummy { work_ns: 0 })
+        .unwrap();
+    assert!(resp.is_ok());
+    assert_eq!(client.in_flight(), 1, "A is still owed to the caller");
+    let (resp, latency) = client
+        .reap_one()
+        .expect("A's completion was reaped, not lost");
+    assert_eq!(resp.id, a);
+    assert!(resp.payload.is_ok());
+    assert!(latency > 0);
+    assert_eq!(client.in_flight(), 0);
+    rt.shutdown();
+}
+
+#[test]
+fn sync_stack_submissions_reap_in_order_with_their_latency() {
+    // An async stack reaps a, b, c with their latencies; a sync stack
+    // (which completes inline) must look the same to the caller.
+    let (rt, _d) = platform(1);
+    let stack = dummy_stack(&rt, "sync", "e2e_dummy4");
+    let mut client = rt.connect(Credentials::new(1, 0, 0), 1);
+    let ids = client
+        .submit_all(
+            &stack,
+            vec![
+                Payload::Dummy { work_ns: 100 },
+                Payload::Dummy { work_ns: 200 },
+                Payload::Dummy { work_ns: 300 },
+            ],
+        )
+        .unwrap();
+    assert_eq!(client.in_flight(), 3);
+    let reaped: Vec<(u64, u64)> = (0..3)
+        .map(|_| {
+            let (resp, latency) = client.reap_one().unwrap();
+            (resp.id, latency)
+        })
+        .collect();
+    assert_eq!(
+        reaped,
+        [(ids[0], 100), (ids[1], 200), (ids[2], 300)],
+        "submission order, each with the virtual time its inline run took"
+    );
+    rt.shutdown();
+}
+
 #[test]
 fn fs_and_kvs_payload_costs_show_in_virtual_time() {
     // A 1 MB write must cost more virtual time than a 4 KB write.

@@ -120,12 +120,7 @@ impl Rig {
     /// order one log's records against another's.
     fn exec(&mut self, core: usize, op: KvsOp) -> (RespPayload, Vec<(u64, usize, Option<usize>)>) {
         self.spy.writes.lock().unwrap().clear();
-        let env = StackEnv {
-            stack: &self.stack,
-            vertex: 0,
-            registry: &self.mm,
-            domain: 0,
-        };
+        let env = StackEnv::new(&self.stack, 0, &self.mm, 0);
         let req = Request::on_core(1, 1, Payload::Kvs(op), Credentials::ROOT, core);
         let resp = self.kvs().process(&mut self.ctx, req, &env);
         let writes = std::mem::take(&mut *self.spy.writes.lock().unwrap());

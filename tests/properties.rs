@@ -328,7 +328,7 @@ proptest! {
     #[test]
     fn labfs_matches_file_model(actions in proptest::collection::vec(fs_action(), 0..60)) {
         let (mm, stack, _dev) = labfs_harness();
-        let env = StackEnv { stack: &stack, vertex: 0, registry: &mm, domain: 0 };
+        let env = StackEnv::new(&stack, 0, &mm, 0);
         let fs_mod = mm.get("prop_fs").unwrap();
         let mut ctx = Ctx::new();
         let exec = |payload: Payload, ctx: &mut Ctx| {
@@ -527,7 +527,7 @@ proptest! {
     #[test]
     fn live_state_equals_replayed_state(actions in proptest::collection::vec(meta_action(), 0..40)) {
         let (mm, stack, dev) = labfs_harness();
-        let env = StackEnv { stack: &stack, vertex: 0, registry: &mm, domain: 0 };
+        let env = StackEnv::new(&stack, 0, &mm, 0);
         let mut ctx = Ctx::new();
         let exec = |payload: Payload, ctx: &mut Ctx| {
             let fs = mm.get("prop_fs").unwrap();
@@ -640,7 +640,7 @@ proptest! {
             vertices: vec![vertex("prop_kv", vec![1]), vertex("prop_drv", vec![])],
             authorized_uids: vec![0],
         };
-        let env = StackEnv { stack: &stack, vertex: 0, registry: &mm, domain: 0 };
+        let env = StackEnv::new(&stack, 0, &mm, 0);
         let mut ctx = Ctx::new();
         let exec = |op: KvsOp, ctx: &mut Ctx| {
             let kv = mm.get("prop_kv").unwrap();
