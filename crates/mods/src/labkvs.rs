@@ -907,6 +907,53 @@ mod tests {
         assert_eq!(kv.last_repair(), Some(rep));
     }
 
+    /// The on-device op log is pinned, as LabFS's is by
+    /// `log_region_bytes_are_the_recorded_ones`: a fixed op list on two
+    /// of four workers leaves these exact bytes in the two log regions,
+    /// this key map and this virtual clock (recorded at 2ab0d7e, before
+    /// the log moved into `metastore`).
+    #[test]
+    fn log_region_bytes_are_the_recorded_ones() {
+        let (mm, stack, dev) = setup_with_device();
+        let mut ctx = Ctx::new();
+        let env = StackEnv::new(&stack, 0, &mm, 0);
+        let kv_mod = mm.get("kv").unwrap();
+        let mut on = |core: usize, op: KvsOp| {
+            let req = Request::on_core(1, 1, Payload::Kvs(op), Credentials::ROOT, core);
+            kv_mod.process(&mut ctx, req, &env)
+        };
+        let put = |key: &str, len: usize| KvsOp::Put {
+            key: key.into(),
+            value: vec![0x5A; len],
+        };
+        let remove = |key: &str| KvsOp::Remove { key: key.into() };
+        for (i, len) in [1, 512, 700, 4096, 0].into_iter().enumerate() {
+            assert!(on(i % 2, put(&format!("k{len}"), len)).is_ok());
+        }
+        assert!(on(1, put("k700", 513)).is_ok(), "an overwrite");
+        assert!(on(0, remove("k512")).is_ok());
+        assert!(!on(1, remove("never-put")).is_ok(), "logs nothing");
+        let kv = kv_mod.as_any().downcast_ref::<LabKvs>().unwrap();
+        kv.flush_logs(&mut ctx).unwrap();
+
+        let mut regions = vec![0u8; 2 * 4 * SECTOR];
+        let (r0, r1) = regions.split_at_mut(4 * SECTOR);
+        let mut scan = Ctx::new(); // reading back is not part of the pinned timeline
+        dev.read(&mut scan, 0, r0).unwrap();
+        dev.read(&mut scan, LOG_SECTORS_PER_WORKER, r1).unwrap();
+        assert_eq!(crate::journal::crc32(&regions), 2_462_000_023);
+        assert_eq!(kv.key_count(), 4);
+        let snap: Vec<_> = kv.snapshot().into_iter().collect();
+        let want = [
+            ("k0", (0, 0)),
+            ("k1", (1, 32_768)),
+            ("k4096", (4096, 1_001_139)),
+            ("k700", (513, 1_001_147)),
+        ];
+        assert_eq!(snap, want.map(|(k, loc)| (k.to_string(), loc)));
+        assert_eq!(ctx.now(), 78_167);
+    }
+
     #[test]
     fn kv_record_roundtrip() {
         let records = vec![
