@@ -163,6 +163,9 @@ impl Config {
             relaxed_allowlist: vec!["crates/sim/src/stats.rs"],
             // The zero-copy data path: every stage that handles payload
             // bytes between the client's pool buffer and the device model.
+            // `mods/src/metastore.rs` (like `labfs/meta.rs`) is not one:
+            // the engine under labfs and labkvs moves log records and
+            // allocator cursors, never a payload byte.
             copy_hot_paths: vec![
                 "crates/ipc/src/buf.rs",
                 "crates/kernel/src/page_cache.rs",

@@ -85,8 +85,8 @@ impl BlockAllocator {
     }
 
     /// Live upgrade: continue from `prev`'s cursors, so nothing `prev`
-    /// handed out is handed out again. Both sides must have been built
-    /// with the same worker count, as the mods' sharded maps require too.
+    /// handed out is handed out again. Shards pair up by index: see the
+    /// precondition on `MetaStore::absorb`, its one caller.
     pub fn absorb(&self, prev: &BlockAllocator) {
         for (mine, theirs) in self.shards.iter().zip(prev.shards.iter()) {
             let (next, end) = {

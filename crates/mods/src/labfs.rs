@@ -5,12 +5,12 @@
 //!
 //! * **Scalable per-worker block allocator** — "evenly divides device
 //!   blocks among the pool of workers. Workers can steal from one another
-//!   if more space is needed." ([`BlockAllocator`])
+//!   if more space is needed." ([`crate::alloc::BlockAllocator`])
 //! * **Per-worker metadata log** — "LabFS uses a per-worker log for
 //!   tracking metadata operations. As opposed to storing inodes and
 //!   bitmaps on-disk as traditional FSes do, LabFS only stores the log
 //!   and reconstructs inodes in-memory by traversing the log."
-//!   ([`LogRecord`], over a [`Journal`])
+//!   ([`LogRecord`], over a [`crate::journal`])
 //! * **Flat inode hashmap** — "LabFS stores all files in a single hashmap,
 //!   which supports insert, rename, and delete operations with minimal
 //!   contention" — here sharded for the same minimal-contention goal.
@@ -24,23 +24,24 @@
 //! latency-critical log state bypasses the stack.
 //!
 //! The file is split where those two halves meet. `meta` owns the
-//! records, the maps and the one `apply` that changes them; `data` is the
-//! read/write/truncate path and `pushdown` the filtered read, both of
-//! which only ask `meta` where a file's pages are. What is left here is
-//! the struct, the [`LabMod`] dispatch — each metadata arm validates,
-//! builds a [`LogRecord`] and hands it to `LabFs::commit` — and
-//! [`install`].
+//! records, the maps and the one `apply` that changes them — the
+//! `StateMachine` the shared engine (`crate::metastore`) logs, replays
+//! and allocates for; `data` is the read/write/truncate path and
+//! `pushdown` the filtered read, both of which only ask `meta` where a
+//! file's pages are. What is left here is the struct, the [`LabMod`]
+//! dispatch — each metadata arm validates, builds a [`LogRecord`] and
+//! hands it to the store's `commit` — and [`install`].
 
 use std::sync::Arc;
 
 use labstor_core::{
     BlockOp, FsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
-use labstor_sim::{BlockDevice, Ctx, SimDevice};
+use labstor_sim::{Ctx, SimDevice};
 
-use crate::alloc::BlockAllocator;
-use crate::devices::{device_param, DeviceRegistry};
-use crate::journal::{Journal, RepairReport};
+use crate::devices::DeviceRegistry;
+use crate::journal::RepairReport;
+use crate::metastore::{self, MetaStore, LOG_APPEND_NS};
 
 mod data;
 mod meta;
@@ -60,80 +61,51 @@ const META_CPU_NS: u64 = 300;
 /// provenance setup. Calibrated against Fig. 7's ablations (removing the
 /// 450 ns permissions stage buys ~7%, removing the ~1.3 µs IPC path ~20%).
 const CREATE_CPU_NS: u64 = 4_200;
-/// CPU cost of appending one log record to the in-memory log buffer.
-const LOG_APPEND_NS: u64 = 80;
-/// CPU cost of one block allocation (bump pointer).
-const ALLOC_NS: u64 = 40;
 
 /// The LabFS LabMod.
 pub struct LabFs {
-    /// The name and inode maps; changed only by `meta::Meta::apply`.
-    meta: meta::Meta,
-    allocator: BlockAllocator,
-    /// The per-worker metadata logs, written to a reserved device region
-    /// through a direct handle.
-    journal: Journal,
+    /// The name and inode maps (changed only by `meta::Meta::apply`)
+    /// with their log and block allocator.
+    store: MetaStore<meta::Meta>,
 }
 
 impl LabFs {
     /// Build LabFS over `device` with `workers` allocator/log shards.
     pub fn new(device: Arc<SimDevice>, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let total_blocks = device.model().capacity_sectors() / BLOCK_SECTORS;
-        let log_blocks = LOG_BLOCKS_PER_WORKER * workers as u64;
+        let geometry = (LOG_BLOCKS_PER_WORKER, BLOCK_SECTORS, 4096);
         LabFs {
-            meta: meta::Meta::new(workers.next_power_of_two().max(16)),
-            allocator: BlockAllocator::new(log_blocks, total_blocks, workers, 4096),
-            journal: Journal::new(device, workers, LOG_BLOCKS_PER_WORKER * BLOCK_SECTORS),
+            store: MetaStore::new(device, workers, geometry, meta::Meta::new),
         }
-    }
-
-    /// Append a record to the originating worker's log.
-    fn log(&self, ctx: &mut Ctx, core: usize, rec: &LogRecord) {
-        ctx.advance(LOG_APPEND_NS);
-        self.journal.append(core, ctx.now(), |buf| rec.encode(buf));
-    }
-
-    /// The one way a live operation changes metadata: apply `rec`, then
-    /// log it, so replay folds the same `apply` over the same records.
-    /// `false` (nothing changed, nothing logged) is the operation's
-    /// "exists" / "not found".
-    fn commit(&self, ctx: &mut Ctx, core: usize, rec: &LogRecord) -> bool {
-        let applied = self.meta.apply(rec);
-        if applied {
-            self.log(ctx, core, rec);
-        }
-        applied
     }
 
     /// Drop all in-memory state and rebuild it by scanning the on-device
     /// journal regions — the crash-recovery path behind `state_repair`.
     /// Each region replays the longest prefix of committed frames and
-    /// discards any torn or stale tail (see [`Journal::replay`]).
+    /// discards any torn or stale tail.
     pub fn replay_from_device(&self) -> RepairReport {
-        self.meta.replay(&self.journal, &self.allocator)
+        self.store.replay()
     }
 
     /// What the most recent repair found, if one has run.
     pub fn last_repair(&self) -> Option<RepairReport> {
-        self.journal.last_repair()
+        self.store.last_repair()
     }
 
     /// Number of live files/directories.
     pub fn file_count(&self) -> usize {
-        self.meta.file_count()
+        self.store.state.file_count()
     }
 
     /// Provenance query: (ops, last_writer) for an inode.
     pub fn provenance(&self, ino: u64) -> Option<(u64, u32)> {
-        self.meta.provenance(ino)
+        self.store.state.provenance(ino)
     }
 
     /// Every name, sorted, with its inode's journaled state — what a
     /// replay of the log must reproduce. Provenance is not journaled and
     /// therefore not in it.
     pub fn snapshot(&self) -> Vec<NameSnapshot> {
-        self.meta.snapshot()
+        self.store.state.snapshot()
     }
 
     // ---- operations ----------------------------------------------------
@@ -147,10 +119,10 @@ impl LabFs {
         is_dir: bool,
     ) -> RespPayload {
         ctx.advance(CREATE_CPU_NS);
-        if self.meta.lookup(path).is_some() {
+        if self.store.state.lookup(path).is_some() {
             return RespPayload::Err(format!("{path}: file exists"));
         }
-        let ino = self.meta.fresh_ino();
+        let ino = self.store.state.fresh_ino();
         let rec = LogRecord::Create {
             path: path.to_string(),
             ino,
@@ -159,7 +131,7 @@ impl LabFs {
             gid: req.creds.gid,
             is_dir,
         };
-        if self.commit(ctx, req.core, &rec) {
+        if self.store.commit(ctx, req.core, &rec) {
             RespPayload::Ino(ino)
         } else {
             // Lost a race for the name between the lookup and the apply.
@@ -195,7 +167,7 @@ impl LabMod for LabFs {
                 truncate,
             }) => {
                 ctx.advance(META_CPU_NS);
-                match self.meta.lookup(path) {
+                match self.store.state.lookup(path) {
                     Some(ino) => {
                         if *truncate {
                             self.op_truncate(ctx, env, &req, ino, 0);
@@ -227,7 +199,7 @@ impl LabMod for LabFs {
                     from: from.clone(),
                     to: to.clone(),
                 };
-                if self.commit(ctx, req.core, &rec) {
+                if self.store.commit(ctx, req.core, &rec) {
                     RespPayload::Ok
                 } else {
                     RespPayload::Err(format!("{from}: not found"))
@@ -235,7 +207,10 @@ impl LabMod for LabFs {
             }
             Payload::Fs(FsOp::Unlink { path }) => {
                 ctx.advance(META_CPU_NS);
-                if self.commit(ctx, req.core, &LogRecord::Unlink { path: path.clone() }) {
+                if self
+                    .store
+                    .commit(ctx, req.core, &LogRecord::Unlink { path: path.clone() })
+                {
                     RespPayload::Ok
                 } else {
                     RespPayload::Err(format!("{path}: not found"))
@@ -243,7 +218,7 @@ impl LabMod for LabFs {
             }
             Payload::Fs(FsOp::Stat { path }) => {
                 ctx.advance(META_CPU_NS);
-                match self.meta.stat(path) {
+                match self.store.state.stat(path) {
                     Some(st) => RespPayload::Stat(st),
                     None => RespPayload::Err(format!("{path}: not found")),
                 }
@@ -254,7 +229,7 @@ impl LabMod for LabFs {
                 } else {
                     format!("{path}/")
                 };
-                let mut names = self.meta.children(&prefix);
+                let mut names = self.store.state.children(&prefix);
                 ctx.advance(100 * names.len().max(1) as u64);
                 names.sort();
                 RespPayload::Names(names)
@@ -265,7 +240,7 @@ impl LabMod for LabFs {
             }
             Payload::Fs(FsOp::Fsync { .. }) => {
                 // Persist the metadata log, then barrier the data path.
-                if let Err(e) = self.journal.sync(ctx) {
+                if let Err(e) = self.store.sync(ctx) {
                     return RespPayload::Err(e.to_string());
                 }
                 env.forward(ctx, req.derive(Payload::Block(BlockOp::Flush)))
@@ -290,9 +265,7 @@ impl LabMod for LabFs {
     fn state_update(&self, old: &dyn LabMod) {
         // Upgrades move the whole in-memory state across instances.
         if let Some(prev) = old.as_any().downcast_ref::<LabFs>() {
-            self.meta.absorb(&prev.meta);
-            self.journal.absorb(&prev.journal);
-            self.allocator.absorb(&prev.allocator);
+            self.store.absorb(&prev.store);
         }
     }
 
@@ -307,18 +280,9 @@ impl LabMod for LabFs {
 
 /// Register the factory. Params: `{"device": "<name>", "workers": <n>}`.
 pub fn install(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
-    let reg = devices.clone();
-    mm.register_factory(
-        "labfs",
-        Arc::new(move |params| {
-            let name = device_param(params);
-            let dev = reg
-                .block(&name)
-                .unwrap_or_else(|| panic!("no block device '{name}'"));
-            let workers = params.get("workers").and_then(|v| v.as_u64()).unwrap_or(8) as usize;
-            Arc::new(LabFs::new(dev, workers)) as Arc<dyn LabMod>
-        }),
-    );
+    metastore::install(mm, devices, "labfs", |dev, workers, _| {
+        LabFs::new(dev, workers)
+    });
 }
 
 #[cfg(test)]
@@ -326,7 +290,7 @@ mod tests {
     use super::*;
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
     use labstor_ipc::Credentials;
-    use labstor_sim::DeviceKind;
+    use labstor_sim::{BlockDevice, DeviceKind};
 
     struct Harness {
         mm: ModuleManager,
@@ -837,63 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn header_landed_payload_torn_txn_is_discarded_and_reported() {
-        let (h, dev) = Harness::new();
-        let mut ctx = Ctx::new();
-        let ino = ino_of(h.exec(
-            Payload::Fs(FsOp::Create {
-                path: "/durable".into(),
-                mode: 0o644,
-            }),
-            &mut ctx,
-        ));
-        assert!(h.exec(Payload::Fs(FsOp::Fsync { ino }), &mut ctx).is_ok());
-        let labfs = h.labfs();
-        let fs = labfs.as_any().downcast_ref::<LabFs>().unwrap();
-        // A crash inside the one write of a second, two-sector frame: its
-        // header sector landed, the rest of its payload did not.
-        for i in 0..12 {
-            let rec = LogRecord::Create {
-                path: format!("/lost-with-a-name-long-enough-to-spill-{i}"),
-                ino: 100 + i,
-                mode: 0o644,
-                uid: 0,
-                gid: 0,
-                is_dir: false,
-            };
-            fs.log(&mut ctx, 0, &rec);
-        }
-        let (sector, frame) = fs.journal.seal_next(0).unwrap();
-        assert_eq!(frame.len(), 2 * labstor_sim::SECTOR_SIZE);
-        dev.write(&mut ctx, sector, &frame[..labstor_sim::SECTOR_SIZE])
-            .unwrap();
-        let rep = fs.replay_from_device();
-        assert_eq!(rep.txns_replayed, 1);
-        assert_eq!(rep.txns_discarded, 1);
-        assert_eq!(rep.mid_frame_tears, 1);
-        assert!(rep.torn_tail);
-        assert_eq!(
-            fs.file_count(),
-            1,
-            "the torn frame was never acked, so none of it may appear"
-        );
-        // Appends resume after the committed prefix: the next fsync
-        // overwrites the torn tail.
-        let ino2 = ino_of(h.exec(
-            Payload::Fs(FsOp::Create {
-                path: "/after".into(),
-                mode: 0o644,
-            }),
-            &mut ctx,
-        ));
-        assert!(h
-            .exec(Payload::Fs(FsOp::Fsync { ino: ino2 }), &mut ctx)
-            .is_ok());
-        assert!(fs.replay_from_device().is_clean());
-        assert_eq!(fs.file_count(), 2);
-    }
-
-    #[test]
     fn stale_era_frame_does_not_extend_a_repaired_log() {
         let (h, dev) = Harness::new();
         let mut ctx = Ctx::new();
@@ -989,26 +896,6 @@ mod tests {
         let fs = labfs.as_any().downcast_ref::<LabFs>().unwrap();
         fs.state_repair();
         assert_eq!(fs.file_count(), 0);
-    }
-
-    #[test]
-    fn state_update_preserves_files_and_the_journal_chain() {
-        let (h, dev) = Harness::new();
-        let mut ctx = Ctx::new();
-        h.create_and_fsync(&mut ctx, "/keep");
-        let old = h.labfs();
-        let newer = Arc::new(LabFs::new(dev, 4));
-        newer.state_update(old.as_ref());
-        assert_eq!(newer.file_count(), 1);
-        // The upgraded instance appends after the old one's frame, with
-        // its sector cursor, sequence number and chain value: a crash
-        // after the upgrade replays both eras as one log.
-        h.mm.insert_instance("fs", newer.clone());
-        h.create_and_fsync(&mut ctx, "/after");
-        let rep = newer.replay_from_device();
-        assert_eq!(rep.txns_replayed, 2);
-        assert!(rep.is_clean());
-        assert_eq!(newer.file_count(), 2);
     }
 
     /// Create `path`, write `fill` × `len` at offset 0, fsync; returns the ino.

@@ -4,7 +4,8 @@
 //! missing ones in one critical section ([`LabFs::map_range`]) — and then
 //! emits `BlockOp`s down the LabStack DAG, coalescing pages that are
 //! contiguous on the device. Moved out of `labfs.rs` as it was; the
-//! metadata it changes goes through `FsNode::apply` and `LabFs::commit`.
+//! metadata it changes goes through `FsNode::apply` and the store's
+//! `commit`.
 
 use std::collections::HashSet;
 
@@ -12,7 +13,7 @@ use labstor_core::{BlockOp, Payload, Request, RespPayload, StackEnv};
 use labstor_sim::Ctx;
 
 use super::meta::LogRecord;
-use super::{LabFs, ALLOC_NS, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
+use super::{LabFs, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
 
 /// Forward one block op downstream with the request's routing intact.
 pub(super) fn fwd_block(
@@ -44,20 +45,19 @@ impl LabFs {
         offset: u64,
         len: usize,
     ) -> Result<(Vec<(u64, u64)>, HashSet<u64>), RespPayload> {
-        let alloc = || {
-            ctx.advance(ALLOC_NS);
-            self.allocator.alloc(req.core)
-        };
+        let alloc = || self.store.alloc_run(ctx, req.core, 1);
         let (recs, extents, stale) =
-            self.meta
+            self.store
+                .state
                 .map_pages(ino, (offset, len), req.creds.uid, alloc)?;
-        // Log only what changed: new mappings and growth.
+        // Log only what changed: new mappings and growth. `map_pages`
+        // applied them all under one inode lock.
         let mut fresh = HashSet::new();
         for rec in &recs {
             if let LogRecord::MapBlock { page, .. } = rec {
                 fresh.insert(*page);
             }
-            self.log(ctx, req.core, rec);
+            self.store.log_applied(ctx, req.core, rec);
         }
         if let Some((block, keep)) = stale {
             let r = self.rewrite_head(ctx, env, req, block, block, keep);
@@ -104,7 +104,7 @@ impl LabFs {
         size: u64,
     ) -> RespPayload {
         // The page the new end falls in, and what backs it.
-        let (old, tail) = match self.meta.page_map(ino, size, 1) {
+        let (old, tail) = match self.store.state.page_map(ino, size, 1) {
             Ok(v) => v,
             Err(e) => return e,
         };
@@ -118,8 +118,7 @@ impl LabFs {
         let copy = match tail[0].filter(|_| size < old && keep != 0) {
             None => None,
             Some(block) => {
-                ctx.advance(ALLOC_NS);
-                let Some(fresh) = self.allocator.alloc(req.core) else {
+                let Some(fresh) = self.store.alloc_run(ctx, req.core, 1) else {
                     return RespPayload::Err("no space".into());
                 };
                 let r = self.rewrite_head(ctx, env, req, block, fresh, keep);
@@ -130,10 +129,12 @@ impl LabFs {
             }
         };
         // The size first: without the remap it is still the right file.
-        self.commit(ctx, req.core, &LogRecord::SetSize { ino, size });
+        self.store
+            .commit(ctx, req.core, &LogRecord::SetSize { ino, size });
         if let Some(block) = copy {
             let page = size / FS_BLOCK as u64;
-            self.commit(ctx, req.core, &LogRecord::MapBlock { ino, page, block });
+            self.store
+                .commit(ctx, req.core, &LogRecord::MapBlock { ino, page, block });
         }
         RespPayload::Ok
     }
@@ -251,7 +252,7 @@ impl LabFs {
     ) -> RespPayload {
         ctx.advance(META_CPU_NS); // inode + mapping lookup
         let first_pg = offset / FS_BLOCK as u64;
-        let (size, mut mappings) = match self.meta.page_map(ino, offset, len) {
+        let (size, mut mappings) = match self.store.state.page_map(ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };

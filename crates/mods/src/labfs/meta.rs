@@ -7,14 +7,17 @@
 //! `fold(apply, log)`. Here that holds by construction: the name map, the
 //! inode map and `next_ino` are private to this module, and what changes
 //! them is [`Meta::apply`] (node-level records through `FsNode::apply`),
-//! called with the same [`LogRecord`] by a live operation and by replay.
-//! Allocation stays outside it — a block or an inode number is taken
-//! before the record that names it exists, so replay reserves next to
-//! `apply` and the live path takes no allocator lock it did not take
-//! before — and so does provenance (`ops`, `last_writer`), which no
-//! record carries and replay does not restore.
+//! called with the same [`LogRecord`] by a live operation and by replay
+//! — both through the engine ([`crate::metastore::MetaStore`]), which
+//! [`Meta`] is the [`StateMachine`] of. Allocation stays outside `apply`
+//! — a block or an inode number is taken before the record that names it
+//! exists, so the engine's replay reserves next to `apply` and the live
+//! path takes no allocator lock it did not take before — and so does
+//! provenance (`ops`, `last_writer`), which no record carries and replay
+//! does not restore.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -22,8 +25,7 @@ use parking_lot::RwLock;
 use labstor_core::{FileStat, RespPayload};
 
 use super::FS_BLOCK;
-use crate::alloc::BlockAllocator;
-use crate::journal::{Journal, RepairReport};
+use crate::metastore::{put_str, shard_of, take, take_str, StateMachine};
 
 /// A metadata log record. The log is the *only* persistent metadata:
 /// replaying it reconstructs every inode (crash consistency).
@@ -87,8 +89,7 @@ impl LogRecord {
                 is_dir,
             } => {
                 out.push(1);
-                out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-                out.extend_from_slice(path.as_bytes());
+                put_str(out, path);
                 out.extend_from_slice(&ino.to_le_bytes());
                 out.extend_from_slice(&mode.to_le_bytes());
                 out.extend_from_slice(&uid.to_le_bytes());
@@ -97,8 +98,7 @@ impl LogRecord {
             }
             LogRecord::Unlink { path } => {
                 out.push(2);
-                out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-                out.extend_from_slice(path.as_bytes());
+                put_str(out, path);
             }
             LogRecord::SetSize { ino, size } => {
                 out.push(3);
@@ -113,10 +113,8 @@ impl LogRecord {
             }
             LogRecord::Rename { from, to } => {
                 out.push(5);
-                out.extend_from_slice(&(from.len() as u32).to_le_bytes());
-                out.extend_from_slice(from.as_bytes());
-                out.extend_from_slice(&(to.len() as u32).to_le_bytes());
-                out.extend_from_slice(to.as_bytes());
+                put_str(out, from);
+                put_str(out, to);
             }
         }
     }
@@ -124,18 +122,11 @@ impl LogRecord {
     /// Decode one record from `buf[*pos..]`, advancing `pos`. Returns
     /// `None` at a zero tag (end-of-log padding) or on truncation.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Option<LogRecord> {
-        fn take<'b>(buf: &'b [u8], pos: &mut usize, n: usize) -> Option<&'b [u8]> {
-            let s = &buf.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
-        }
         let tag = *buf.get(*pos)?;
         *pos += 1;
         match tag {
             1 => {
-                let len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a path string — metadata, not payload bytes
-                let path = String::from_utf8(take(buf, pos, len)?.to_vec()).ok()?;
+                let path = take_str(buf, pos)?;
                 let ino = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
                 let mode = u16::from_le_bytes(take(buf, pos, 2)?.try_into().ok()?);
                 let uid = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?);
@@ -151,9 +142,7 @@ impl LogRecord {
                 })
             }
             2 => {
-                let len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a path string — metadata, not payload bytes
-                let path = String::from_utf8(take(buf, pos, len)?.to_vec()).ok()?;
+                let path = take_str(buf, pos)?;
                 Some(LogRecord::Unlink { path })
             }
             3 => {
@@ -168,12 +157,8 @@ impl LogRecord {
                 Some(LogRecord::MapBlock { ino, page, block })
             }
             5 => {
-                let flen = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a path string — metadata, not payload bytes
-                let from = String::from_utf8(take(buf, pos, flen)?.to_vec()).ok()?;
-                let tlen = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a path string — metadata, not payload bytes
-                let to = String::from_utf8(take(buf, pos, tlen)?.to_vec()).ok()?;
+                let from = take_str(buf, pos)?;
+                let to = take_str(buf, pos)?;
                 Some(LogRecord::Rename { from, to })
             }
             _ => None,
@@ -239,11 +224,7 @@ impl Meta {
     }
 
     fn name_shard_idx(&self, path: &str) -> usize {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in path.as_bytes() {
-            h = (h ^ *b as u64).wrapping_mul(0x100000001b3);
-        }
-        (h as usize) % self.names.len()
+        shard_of(path, self.names.len())
     }
 
     fn name_shard(&self, path: &str) -> &RwLock<HashMap<String, u64>> {
@@ -253,13 +234,32 @@ impl Meta {
     fn node_shard(&self, ino: u64) -> &RwLock<HashMap<u64, FsNode>> {
         &self.nodes[(ino as usize) % self.nodes.len()]
     }
+}
+
+impl StateMachine for Meta {
+    type Record = LogRecord;
+
+    fn encode(rec: &LogRecord, out: &mut Vec<u8>) {
+        rec.encode(out)
+    }
+
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<LogRecord> {
+        LogRecord::decode(buf, pos)
+    }
+
+    fn units(rec: &LogRecord) -> Range<u64> {
+        match *rec {
+            LogRecord::MapBlock { block, .. } => block..block + 1,
+            _ => 0..0,
+        }
+    }
 
     /// Apply one record to the maps — the only way they change, live and
     /// on replay. Returns whether it took effect: a create over a live
     /// name, an unlink or rename of a missing one and a size or mapping
     /// for an unknown inode change nothing, which is the live operation's
     /// existence check made under the shard lock.
-    pub(super) fn apply(&self, rec: &LogRecord) -> bool {
+    fn apply(&self, rec: &LogRecord) -> bool {
         match rec {
             LogRecord::Create {
                 path,
@@ -316,6 +316,27 @@ impl Meta {
         }
     }
 
+    /// `next_ino` is not rewound: a number this instance handed out is
+    /// not handed out again.
+    fn clear(&self) {
+        self.names.iter().for_each(|shard| shard.write().clear());
+        self.nodes.iter().for_each(|shard| shard.write().clear());
+    }
+
+    fn absorb(&self, prev: &Meta) {
+        for (mine, theirs) in self.names.iter().zip(&prev.names) {
+            *mine.write() = theirs.read().clone();
+        }
+        for (mine, theirs) in self.nodes.iter().zip(&prev.nodes) {
+            *mine.write() = theirs.read().clone();
+        }
+        // relaxed-ok: fresh-id allocation; atomicity alone suffices
+        self.next_ino
+            .store(prev.next_ino.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
+impl Meta {
     /// Move a key between name shards, replacing any existing target
     /// (POSIX rename semantics). Returns false if `from` does not exist.
     fn rename_in_maps(&self, from: &str, to: &str) -> bool {
@@ -414,39 +435,6 @@ impl Meta {
     /// loses a race for its name.
     pub(super) fn fresh_ino(&self) -> u64 {
         self.next_ino.fetch_add(1, Ordering::Relaxed) // relaxed-ok: fresh-id allocation; atomicity alone suffices
-    }
-
-    /// Crash recovery: empty the maps and rebuild them as the fold of
-    /// [`Meta::apply`] over every committed frame `journal` finds on the
-    /// device (see [`Journal::replay`]). `next_ino` is not rewound — a
-    /// number this instance handed out is not handed out again — and the
-    /// blocks the records name leave `allocator` here, not in `apply`:
-    /// live, `alloc` already took them.
-    pub(super) fn replay(&self, journal: &Journal, allocator: &BlockAllocator) -> RepairReport {
-        self.names.iter().for_each(|shard| shard.write().clear());
-        self.nodes.iter().for_each(|shard| shard.write().clear());
-        journal.replay(|buf, pos| {
-            let rec = LogRecord::decode(buf, pos)?;
-            if let LogRecord::MapBlock { block, .. } = rec {
-                allocator.reserve(block, block + 1);
-            }
-            self.apply(&rec);
-            Some(())
-        })
-    }
-
-    /// Live upgrade: take over `prev`'s whole state. Both sides must have
-    /// been built with the same worker count (the shards pair up).
-    pub(super) fn absorb(&self, prev: &Meta) {
-        for (mine, theirs) in self.names.iter().zip(&prev.names) {
-            *mine.write() = theirs.read().clone();
-        }
-        for (mine, theirs) in self.nodes.iter().zip(&prev.nodes) {
-            *mine.write() = theirs.read().clone();
-        }
-        // relaxed-ok: fresh-id allocation; atomicity alone suffices
-        self.next_ino
-            .store(prev.next_ino.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     pub(super) fn lookup(&self, path: &str) -> Option<u64> {

@@ -42,7 +42,7 @@ impl LabFs {
             ));
         }
         ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (size, mappings) = match self.meta.page_map(ino, offset, len) {
+        let (size, mappings) = match self.store.state.page_map(ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };

@@ -3,13 +3,16 @@
 //! "LabKVS is similarly designed to LabFS; however, LabKVS implements a
 //! put/get/remove API, which creates keys and stores data using a single
 //! syscall, as opposed to the three (open-modify-close) required by
-//! POSIX." It shares LabFS's architecture: sharded key map, per-worker
-//! allocation, per-worker operation log, replay-based recovery. A value
-//! is one device-contiguous run of sectors (DESIGN.md §12, "LabKVS
+//! POSIX." It shares LabFS's architecture — sharded key map, per-worker
+//! allocation, per-worker operation log, replay-based recovery — by
+//! sharing its engine: the key map here is the `StateMachine` a
+//! `crate::metastore::MetaStore` logs, replays and allocates for. A
+//! value is one device-contiguous run of sectors (DESIGN.md §12, "LabKVS
 //! on-device layout"): a put is one write, a get one read, of exactly
 //! the covering sectors.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -17,11 +20,11 @@ use parking_lot::RwLock;
 use labstor_core::{
     BlockOp, KvsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
-use labstor_sim::{BlockDevice, Ctx, SimDevice};
+use labstor_sim::{Ctx, SimDevice};
 
-use crate::alloc::BlockAllocator;
-use crate::devices::{device_param, DeviceRegistry};
-use crate::journal::{Journal, JournalError, RepairReport};
+use crate::devices::DeviceRegistry;
+use crate::journal::{JournalError, RepairReport};
+use crate::metastore::{self, put_str, shard_of, take, take_str, MetaStore, StateMachine};
 
 const SECTOR: usize = labstor_sim::SECTOR_SIZE;
 /// Sectors reserved per worker log region (4 MiB).
@@ -31,8 +34,6 @@ const STEAL_SECTORS: u64 = 32 * 1024;
 
 /// CPU cost of one key-map operation.
 const KV_CPU_NS: u64 = 250;
-/// CPU cost of carving one extent (bump pointer).
-const ALLOC_NS: u64 = 40;
 
 /// A stored value's location: one device-contiguous extent of
 /// `len.div_ceil(SECTOR)` sectors starting at `lba` (DESIGN.md §12,
@@ -55,58 +56,98 @@ enum KvRecord {
     Remove { key: String },
 }
 
-impl KvRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
+/// The sharded key map: LabKVS's state, changed only by
+/// [`StateMachine::apply`] (DESIGN.md §12, "Metadata state machine").
+struct KeyMap {
+    shards: Vec<RwLock<HashMap<String, ValueLoc>>>,
+}
+
+impl KeyMap {
+    fn new(shards: usize) -> Self {
+        KeyMap {
+            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+        }
+    }
+
+    fn shard(&self, key: &str) -> &RwLock<HashMap<String, ValueLoc>> {
+        &self.shards[shard_of(key, self.shards.len())]
+    }
+
+    fn get(&self, key: &str) -> Option<ValueLoc> {
+        self.shard(key).read().get(key).copied()
+    }
+}
+
+impl StateMachine for KeyMap {
+    type Record = KvRecord;
+
+    fn encode(rec: &KvRecord, out: &mut Vec<u8>) {
+        match rec {
             KvRecord::Put { key, len, lba } => {
                 out.push(1);
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
+                put_str(out, key);
                 out.extend_from_slice(&len.to_le_bytes());
                 out.extend_from_slice(&lba.to_le_bytes());
             }
             KvRecord::Remove { key } => {
                 out.push(2);
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
+                put_str(out, key);
             }
         }
     }
 
     fn decode(buf: &[u8], pos: &mut usize) -> Option<KvRecord> {
-        fn take<'b>(buf: &'b [u8], pos: &mut usize, n: usize) -> Option<&'b [u8]> {
-            let s = &buf.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
-        }
         let tag = *buf.get(*pos)?;
         *pos += 1;
         match tag {
             1 => {
-                let klen = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a key string — metadata, not payload bytes
-                let key = String::from_utf8(take(buf, pos, klen)?.to_vec()).ok()?;
+                let key = take_str(buf, pos)?;
                 let len = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
                 let lba = u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?);
                 Some(KvRecord::Put { key, len, lba })
             }
-            2 => {
-                let klen = u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?) as usize;
-                // copy-ok: log-record decode of a key string — metadata, not payload bytes
-                let key = String::from_utf8(take(buf, pos, klen)?.to_vec()).ok()?;
-                Some(KvRecord::Remove { key })
-            }
+            2 => Some(KvRecord::Remove {
+                key: take_str(buf, pos)?,
+            }),
             _ => None,
+        }
+    }
+
+    fn units(rec: &KvRecord) -> Range<u64> {
+        match *rec {
+            KvRecord::Put { len, lba, .. } => lba..lba.saturating_add(sectors_for(len as usize)),
+            KvRecord::Remove { .. } => 0..0,
+        }
+    }
+
+    /// `false` means there was no such key to remove.
+    fn apply(&self, rec: &KvRecord) -> bool {
+        match rec {
+            KvRecord::Put { key, len, lba } => {
+                let (len, lba) = (*len as usize, *lba);
+                let loc = ValueLoc { len, lba };
+                self.shard(key).write().insert(key.clone(), loc);
+                true
+            }
+            KvRecord::Remove { key } => self.shard(key).write().remove(key).is_some(),
+        }
+    }
+
+    fn clear(&self) {
+        self.shards.iter().for_each(|shard| shard.write().clear());
+    }
+
+    fn absorb(&self, prev: &KeyMap) {
+        for (mine, theirs) in self.shards.iter().zip(&prev.shards) {
+            *mine.write() = theirs.read().clone();
         }
     }
 }
 
 /// The LabKVS LabMod.
 pub struct LabKvs {
-    shards: Vec<RwLock<HashMap<String, ValueLoc>>>,
-    allocator: BlockAllocator,
-    /// The per-worker op logs (see [`crate::journal`]).
-    journal: Journal,
+    /// The key map with its per-worker op logs and sector allocator.
+    store: MetaStore<KeyMap>,
     /// Table levels the `GetWhere` resubmission hook walks on a miss
     /// (LSM-style: level 0 is the primary namespace, deeper levels are
     /// probed in-stack instead of bouncing back to the client).
@@ -133,88 +174,41 @@ impl LabKvs {
 
     /// Build LabKVS with an explicit number of `GetWhere` table levels.
     pub fn with_levels(device: Arc<SimDevice>, workers: usize, levels: u32) -> Self {
-        let workers = workers.max(1);
-        let total_sectors = device.model().capacity_sectors();
-        let log_sectors = LOG_SECTORS_PER_WORKER * workers as u64;
-        let n_shards = workers.next_power_of_two().max(16);
+        let geometry = (LOG_SECTORS_PER_WORKER, 1, STEAL_SECTORS);
         LabKvs {
-            shards: (0..n_shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            allocator: BlockAllocator::new(log_sectors, total_sectors, workers, STEAL_SECTORS),
-            journal: Journal::new(device, workers, LOG_SECTORS_PER_WORKER),
+            store: MetaStore::new(device, workers, geometry, KeyMap::new),
             resub_levels: levels.max(1),
         }
-    }
-
-    fn shard(&self, key: &str) -> &RwLock<HashMap<String, ValueLoc>> {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in key.as_bytes() {
-            h = (h ^ *b as u64).wrapping_mul(0x100000001b3);
-        }
-        &self.shards[(h as usize) % self.shards.len()]
-    }
-
-    /// Append a record to the originating worker's log.
-    fn log(&self, ctx: &mut Ctx, core: usize, rec: &KvRecord) {
-        ctx.advance(80);
-        self.journal.append(core, ctx.now(), |buf| rec.encode(buf));
     }
 
     /// LabKVS's durability point: persist every log's pending records as
     /// one journal frame each, then wait until they are on the device.
     pub fn flush_logs(&self, ctx: &mut Ctx) -> Result<(), JournalError> {
-        self.journal.sync(ctx)
-    }
-
-    /// Apply one record to the key map — the only way it changes, live
-    /// and on replay (DESIGN.md §12, "Metadata state machine"). `false`
-    /// means it changed nothing: there was no such key to remove.
-    fn apply(&self, rec: &KvRecord) -> bool {
-        match rec {
-            KvRecord::Put { key, len, lba } => {
-                let (len, lba) = (*len as usize, *lba);
-                let loc = ValueLoc { len, lba };
-                self.shard(key).write().insert(key.clone(), loc);
-                true
-            }
-            KvRecord::Remove { key } => self.shard(key).write().remove(key).is_some(),
-        }
+        self.store.sync(ctx)
     }
 
     /// Rebuild the key map by scanning the on-device journal regions:
-    /// clear it, then fold `LabKvs::apply` over the longest prefix of
-    /// committed frames, discarding any torn or stale tail (see
-    /// [`Journal::replay`]). The extents the records name leave the
-    /// allocator here, not in `apply`: live, `alloc_run` took them.
+    /// clear it, then fold `apply` over the longest prefix of committed
+    /// frames, discarding any torn or stale tail.
     pub fn replay_from_device(&self) -> RepairReport {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        self.journal.replay(|buf, pos| {
-            let rec = KvRecord::decode(buf, pos)?;
-            if let KvRecord::Put { len, lba, .. } = rec {
-                let end = lba.saturating_add(sectors_for(len as usize));
-                self.allocator.reserve(lba, end);
-            }
-            self.apply(&rec);
-            Some(())
-        })
+        self.store.replay()
     }
 
     /// What the most recent repair found, if one has run.
     pub fn last_repair(&self) -> Option<RepairReport> {
-        self.journal.last_repair()
+        self.store.last_repair()
     }
 
     /// Number of live keys.
     pub fn key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.store.state.shards.iter().map(|s| s.read().len()).sum()
     }
 
     /// Every key with its value's `(length, first sector)`: what a
     /// replay of the op log must reproduce.
     pub fn snapshot(&self) -> std::collections::BTreeMap<String, (usize, u64)> {
         let mut snap = std::collections::BTreeMap::new();
-        for shard in &self.shards {
+        for shard in &self.store.state.shards {
             for (key, loc) in shard.read().iter() {
                 snap.insert(key.clone(), (loc.len, loc.lba));
             }
@@ -238,8 +232,7 @@ impl LabKvs {
         ctx.advance(KV_CPU_NS);
         let mut lba = 0;
         if len > 0 {
-            ctx.advance(ALLOC_NS);
-            let Some(first) = self.allocator.alloc_run(req.core, sectors_for(len)) else {
+            let Some(first) = self.store.alloc_run(ctx, req.core, sectors_for(len)) else {
                 return RespPayload::Err("no space".into());
             };
             lba = first;
@@ -255,8 +248,7 @@ impl LabKvs {
             len: len as u64,
             lba,
         };
-        self.apply(&rec);
-        self.log(ctx, req.core, &rec);
+        self.store.commit(ctx, req.core, &rec);
         RespPayload::Len(len)
     }
 
@@ -313,8 +305,7 @@ impl LabKvs {
         for level in 0..self.resub_levels {
             ctx.advance(KV_CPU_NS); // one key-map probe per level walked
             let lkey = level_key(level, key);
-            let loc = self.shard(&lkey).read().get(&lkey).copied();
-            let Some(loc) = loc else {
+            let Some(loc) = self.store.state.get(&lkey) else {
                 continue; // resubmission hook: try the next level in-stack
             };
             let resp = self.read_value(ctx, env, req, loc);
@@ -358,7 +349,7 @@ impl LabKvs {
         use labstor_pushdown::Action;
         // Deterministic scan order across the sharded map.
         let mut entries: Vec<(String, ValueLoc)> = Vec::new();
-        for shard in &self.shards {
+        for shard in &self.store.state.shards {
             let m = shard.read();
             for (k, loc) in m.iter() {
                 if k.starts_with(prefix) {
@@ -476,8 +467,7 @@ impl LabMod for LabKvs {
             }
             Payload::Kvs(KvsOp::Get { key }) => {
                 ctx.advance(KV_CPU_NS);
-                let loc = self.shard(key).read().get(key).copied();
-                match loc {
+                match self.store.state.get(key) {
                     Some(loc) => self.read_value(ctx, env, &req, loc),
                     None => RespPayload::Err(format!("no key '{key}'")),
                 }
@@ -491,8 +481,7 @@ impl LabMod for LabKvs {
             Payload::Kvs(KvsOp::Remove { key }) => {
                 ctx.advance(KV_CPU_NS);
                 let rec = KvRecord::Remove { key: key.clone() };
-                if self.apply(&rec) {
-                    self.log(ctx, req.core, &rec);
+                if self.store.commit(ctx, req.core, &rec) {
                     RespPayload::Ok
                 } else {
                     RespPayload::Err(format!("no key '{key}'"))
@@ -508,11 +497,7 @@ impl LabMod for LabKvs {
 
     fn state_update(&self, old: &dyn LabMod) {
         if let Some(prev) = old.as_any().downcast_ref::<LabKvs>() {
-            for (mine, theirs) in self.shards.iter().zip(prev.shards.iter()) {
-                *mine.write() = theirs.read().clone();
-            }
-            self.journal.absorb(&prev.journal);
-            self.allocator.absorb(&prev.allocator);
+            self.store.absorb(&prev.store);
         }
     }
 
@@ -528,19 +513,10 @@ impl LabMod for LabKvs {
 /// Register the factory. Params: `{"device": "<name>", "workers": <n>,
 /// "levels": <n>}` (levels: `GetWhere` resubmission depth, default 2).
 pub fn install(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
-    let reg = devices.clone();
-    mm.register_factory(
-        "labkvs",
-        Arc::new(move |params| {
-            let name = device_param(params);
-            let dev = reg
-                .block(&name)
-                .unwrap_or_else(|| panic!("no block device '{name}'"));
-            let workers = params.get("workers").and_then(|v| v.as_u64()).unwrap_or(8) as usize;
-            let levels = params.get("levels").and_then(|v| v.as_u64()).unwrap_or(2) as u32;
-            Arc::new(LabKvs::with_levels(dev, workers, levels)) as Arc<dyn LabMod>
-        }),
-    );
+    metastore::install(mm, devices, "labkvs", |dev, workers, params| {
+        let levels = params.get("levels").and_then(|v| v.as_u64()).unwrap_or(2) as u32;
+        LabKvs::with_levels(dev, workers, levels)
+    });
 }
 
 #[cfg(test)]
@@ -548,7 +524,7 @@ mod tests {
     use super::*;
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
     use labstor_ipc::Credentials;
-    use labstor_sim::DeviceKind;
+    use labstor_sim::{BlockDevice, DeviceKind};
 
     fn setup() -> (ModuleManager, LabStack) {
         let (mm, stack, _dev) = setup_with_device();
@@ -870,41 +846,39 @@ mod tests {
         });
     }
 
+    /// "A record that did not apply is not logged" holds for LabKVS by
+    /// going through the engine's `commit` (`metastore::tests::
+    /// a_commit_that_does_not_apply_appends_nothing`): removing a key
+    /// that is not there leaves the log region as it was.
     #[test]
-    fn header_landed_payload_torn_kv_txn_is_discarded_and_reported() {
+    fn remove_of_a_missing_key_appends_nothing() {
         let (mm, stack, dev) = setup_with_device();
         let mut ctx = Ctx::new();
-        exec(
-            &mm,
-            &stack,
-            Payload::Kvs(KvsOp::Put {
-                key: "durable".into(),
-                value: vec![1u8; 64],
-            }),
-            &mut ctx,
-        );
+        put(&mm, &stack, &mut ctx, "there", &[7u8; 10]);
         let kv_mod = mm.get("kv").unwrap();
         let kv = kv_mod.as_any().downcast_ref::<LabKvs>().unwrap();
-        kv.flush_logs(&mut ctx).unwrap();
-        // A crash inside the one write of a second, three-sector frame:
-        // its first two sectors landed, its last did not.
-        let ghost = KvRecord::Put {
-            key: "ghost".repeat(220),
-            len: 8,
-            lba: 1 << 20,
+        let region = |ctx: &mut Ctx| {
+            kv.flush_logs(ctx).unwrap();
+            let mut bytes = vec![0u8; 4 * SECTOR];
+            dev.read(&mut Ctx::new(), 0, &mut bytes).unwrap();
+            bytes
         };
-        kv.log(&mut ctx, 0, &ghost);
-        let (sector, frame) = kv.journal.seal_next(0).unwrap();
-        assert_eq!(frame.len(), 3 * labstor_sim::SECTOR_SIZE);
-        dev.write(&mut ctx, sector, &frame[..2 * labstor_sim::SECTOR_SIZE])
-            .unwrap();
-        let rep = kv.replay_from_device();
-        assert_eq!(rep.txns_replayed, 1);
-        assert_eq!(rep.txns_discarded, 1);
-        assert_eq!(rep.mid_frame_tears, 1);
-        assert!(rep.torn_tail);
-        assert_eq!(kv.key_count(), 1, "ghost was never acked");
-        assert_eq!(kv.last_repair(), Some(rep));
+        let before = region(&mut ctx);
+        let remove = KvsOp::Remove {
+            key: "not-there".into(),
+        };
+        assert!(!exec(&mm, &stack, Payload::Kvs(remove), &mut ctx).is_ok());
+        assert_eq!(region(&mut ctx), before);
+    }
+
+    /// `MetaStore::absorb`'s precondition, through the admin path that
+    /// can break it: an upgrade whose params change the worker count.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must keep the store's geometry")]
+    fn upgrade_to_another_worker_count_is_refused_in_debug_builds() {
+        let dev = SimDevice::preset(DeviceKind::Nvme);
+        LabKvs::new(dev.clone(), 32).state_update(&LabKvs::new(dev, 8));
     }
 
     /// The on-device op log is pinned, as LabFS's is by
@@ -968,12 +942,12 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for r in &records {
-            r.encode(&mut buf);
+            KeyMap::encode(r, &mut buf);
         }
         buf.push(0);
         let mut pos = 0;
         let mut decoded = Vec::new();
-        while let Some(r) = KvRecord::decode(&buf, &mut pos) {
+        while let Some(r) = KeyMap::decode(&buf, &mut pos) {
             decoded.push(r);
         }
         assert_eq!(decoded, records);

@@ -45,6 +45,7 @@ pub mod journal;
 pub mod labfs;
 pub mod labkvs;
 pub mod lru;
+mod metastore;
 pub mod perms;
 pub mod sched;
 

@@ -405,33 +405,26 @@ impl Boot {
         )
     }
 
+    /// The entry module as the storage mod `M` it is. Both are the same
+    /// metadata engine behind the same calls, but the engine's type is
+    /// private to `labstor-mods`: this is the one downcast.
+    fn with_entry<M: 'static, R>(&self, f: impl FnOnce(&M) -> R) -> R {
+        let entry = self.mm.get(self.entry).expect("entry module");
+        f(entry.as_any().downcast_ref().expect("entry module's type"))
+    }
+
     /// Run the module's crash-recovery path and return its report.
     fn repair(&self) -> RepairReport {
-        let entry = self.mm.get(self.entry).expect("entry module");
         if self.kvs {
-            entry
-                .as_any()
-                .downcast_ref::<LabKvs>()
-                .expect("labkvs")
-                .replay_from_device()
+            self.with_entry(LabKvs::replay_from_device)
         } else {
-            entry
-                .as_any()
-                .downcast_ref::<LabFs>()
-                .expect("labfs")
-                .replay_from_device()
+            self.with_entry(LabFs::replay_from_device)
         }
     }
 
     /// Flush the KVS op log (LabKVS's durability point; LabFS uses fsync).
     fn kv_flush(&self, ctx: &mut Ctx) -> Result<(), String> {
-        self.mm
-            .get(self.entry)
-            .expect("entry module")
-            .as_any()
-            .downcast_ref::<LabKvs>()
-            .expect("labkvs")
-            .flush_logs(ctx)
+        self.with_entry(|kv: &LabKvs| kv.flush_logs(ctx))
             .map_err(|e| e.to_string())
     }
 
