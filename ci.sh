@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, clippy (workspace lint table), labcheck static
+# CI gate: formatting, clippy (workspace lint table), a type-check of the
+# frozen benchmark/ crate against this tree's API, labcheck static
 # analysis + the six-model checking gate, every workspace test, then the
 # figure-identity gate. Each step must pass. The smoke benches write
 # target/bench/BENCH_*.json and the telemetry example writes its trace
@@ -13,6 +14,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== benchmark/ still compiles against this tree (an API break fails here, not at the last step)"
+cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir "${CARGO_TARGET_DIR:-target/benchmark}"
 
 echo "== labcheck (lints incl. lock discipline + interleaving model checks)"
 cargo run -q -p labstor-labcheck -- --report lockcheck-report.json
@@ -35,7 +39,7 @@ echo "== sample Chrome trace (and: per-LabMod counters == span anatomy, to the n
 cargo run -q --release --example telemetry -- target/bench/telemetry_trace.json
 test -s target/bench/telemetry_trace.json
 
-echo "== bench_ipc smoke (SPSC fast-path regression gate)"
+echo "== bench_ipc smoke (batched-verb regression gate: batch 32 vs batch 1)"
 cargo run -q --release -p labstor-bench --bin bench_ipc -- --smoke
 test -s target/bench/BENCH_ipc.json
 

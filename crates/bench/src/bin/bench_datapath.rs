@@ -3,9 +3,8 @@
 //!
 //! Two sweeps:
 //!
-//! 1. **Read-hit sweep** — lane (MPMC vs SPSC) × payload size
-//!    (4 KiB / 64 KiB / 256 KiB) × mode (copying `BlockOp::Read` vs
-//!    zero-copy `BlockOp::ReadBuf`). A client half submits read
+//! 1. **Read-hit sweep** — payload size (4 KiB / 64 KiB / 256 KiB) × mode
+//!    (copying `BlockOp::Read` vs zero-copy `BlockOp::ReadBuf`). A client half submits read
 //!    descriptors over a queue pair; the worker half serves them from a
 //!    pre-warmed `LruCacheMod` whose blocks live in the shared buffer
 //!    pool. The copying mode clones the cached bytes into
@@ -36,9 +35,7 @@ use std::time::Instant;
 
 use labstor_core::stack::{ExecMode, LabStack, Vertex};
 use labstor_core::{BlockOp, ModuleManager, Payload, Request, RespPayload, StackEnv};
-use labstor_ipc::{
-    default_pool, Credentials, Envelope, LaneKind, QueueFlags, QueuePair, QueueRole,
-};
+use labstor_ipc::{default_pool, Credentials, Envelope, QueueFlags, QueuePair};
 use labstor_kernel::page_cache::{PageCache, PAGE_SIZE};
 use labstor_sim::{Ctx, SECTOR_SIZE};
 
@@ -53,28 +50,12 @@ const NBLOCKS: u64 = 8;
 /// Queue message: the lba to read going down, the response coming back.
 type Msg = (u64, Option<RespPayload>);
 
-fn queue(lane: LaneKind) -> Arc<QueuePair<Msg>> {
-    Arc::new(QueuePair::with_lane(
-        0,
-        QUEUE_DEPTH,
-        QueueFlags {
-            ordered: true,
-            role: QueueRole::Primary,
-        },
-        lane,
-    ))
-}
-
-fn lane_name(lane: LaneKind) -> &'static str {
-    match lane {
-        LaneKind::Mpmc => "mpmc",
-        LaneKind::Spsc => "spsc",
-    }
+fn queue() -> Arc<QueuePair<Msg>> {
+    Arc::new(QueuePair::new(0, QUEUE_DEPTH, QueueFlags::default()))
 }
 
 /// One read-hit configuration's measurements.
 struct ReadHit {
-    lane: LaneKind,
     size: usize,
     zero_copy: bool,
     ops: usize,
@@ -136,11 +117,11 @@ fn warm_cache(size: usize) -> (ModuleManager, LabStack) {
 /// scheduler noise): the client streams lbas over the queue pair, the
 /// worker answers each from the cache mod, the client checks a byte of
 /// every response.
-fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> ReadHit {
+fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
     let (mm, stack) = warm_cache(size);
     let env = StackEnv::new(&stack, 0, &mm, RUNTIME_DOMAIN);
     let cache = mm.get("cache").expect("cache registered");
-    let qp = queue(lane);
+    let qp = queue();
     let mut client = Ctx::new();
     let mut worker = Ctx::new();
     let vbase = worker.busy();
@@ -201,7 +182,6 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
     }
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     ReadHit {
-        lane,
         size,
         zero_copy,
         ops,
@@ -286,14 +266,10 @@ fn main() {
         (40_000, 25_000)
     };
 
-    let lanes = [LaneKind::Mpmc, LaneKind::Spsc];
-    let sizes = [4 * 1024usize, 64 * 1024, 256 * 1024];
     let mut hits: Vec<ReadHit> = Vec::new();
-    for lane in lanes {
-        for size in sizes {
-            for zero_copy in [false, true] {
-                hits.push(run_readhit(lane, size, zero_copy, hit_ops));
-            }
+    for size in [4 * 1024usize, 64 * 1024, 256 * 1024] {
+        for zero_copy in [false, true] {
+            hits.push(run_readhit(size, zero_copy, hit_ops));
         }
     }
 
@@ -303,13 +279,13 @@ fn main() {
         .map(|&n| run_shards(n, 8, stream_ops))
         .collect();
 
-    let find_hit = |lane: LaneKind, size: usize, zc: bool| {
+    let find_hit = |size: usize, zc: bool| {
         hits.iter()
-            .find(|h| h.lane == lane && h.size == size && h.zero_copy == zc)
+            .find(|h| h.size == size && h.zero_copy == zc)
             .expect("config present")
     };
-    let copy64 = find_hit(LaneKind::Spsc, 64 * 1024, false);
-    let zc64 = find_hit(LaneKind::Spsc, 64 * 1024, true);
+    let copy64 = find_hit(64 * 1024, false);
+    let zc64 = find_hit(64 * 1024, true);
     let wall_speedup = zc64.ops_per_sec / copy64.ops_per_sec.max(1e-9);
     let virt_speedup = copy64.virt_hit_ns / zc64.virt_hit_ns.max(1e-9);
     // Wall floor 1.0 (never regress, CI-noise proof); the modeled cost is
@@ -325,7 +301,6 @@ fn main() {
         .iter()
         .map(|h| {
             serde_json::json!({
-                "lane": lane_name(h.lane),
                 "payload_bytes": h.size,
                 "mode": if h.zero_copy { "zerocopy" } else { "copy" },
                 "ops": h.ops,
@@ -348,7 +323,7 @@ fn main() {
         })
         .collect();
     let zc_gate = serde_json::json!({
-        "compare": "spsc 64KiB zerocopy vs copy read hits",
+        "compare": "64KiB zerocopy vs copy read hits",
         "wall_speedup": wall_speedup,
         "wall_floor": 1.0,
         "virt_speedup": virt_speedup,
@@ -378,13 +353,12 @@ fn main() {
 
     println!("== datapath ({}) ==", if smoke { "smoke" } else { "full" });
     println!(
-        "{:>5} {:>9} {:>9} {:>14} {:>10} {:>12}",
-        "lane", "payload", "mode", "ops/s", "GiB/s", "vhit(ns)"
+        "{:>9} {:>9} {:>14} {:>10} {:>12}",
+        "payload", "mode", "ops/s", "GiB/s", "vhit(ns)"
     );
     for h in &hits {
         println!(
-            "{:>5} {:>9} {:>9} {:>14.0} {:>10.2} {:>12.0}",
-            lane_name(h.lane),
+            "{:>9} {:>9} {:>14.0} {:>10.2} {:>12.0}",
             h.size,
             if h.zero_copy { "zerocopy" } else { "copy" },
             h.ops_per_sec,

@@ -1,17 +1,17 @@
-//! IPC hot-path benchmark: lane (MPMC vs SPSC) × submit/consume batch
-//! size (1/8/32) × client threads (1/4), emitting `BENCH_ipc.json`.
+//! IPC hot-path benchmark: submit/consume batch size (1/8/32) × client
+//! threads (1/4), emitting `BENCH_ipc.json`.
 //!
 //! Measures the host-side cost of the queue-pair verb path — the thing
-//! the SPSC lane and the batched verbs (`submit_batch`/`consume_batch`/
+//! the batched verbs (`submit_batch`/`consume_batch`/
 //! `complete_batch`/`reap_batch`) optimize. Virtual time is tracked too:
 //! p50/p99 per-request virtual latency (submit → reap, per-envelope
 //! `dequeue_vt`) proves batching does not distort the simulated cost
 //! model — batch verbs charge hops per envelope, so the virtual
 //! percentiles must stay flat across batch sizes while ops/s climbs.
 //!
-//! Also the CI regression gate for the fast path: the run fails (exit 1)
-//! if SPSC at batch 32 does not at least match the seed configuration
-//! (MPMC, batch 1) on single-thread ops/s. Target is ≥2×.
+//! Also the CI regression gate for the batched verbs: the run fails
+//! (exit 1) if batch 32 does not at least match batch 1 on single-thread
+//! ops/s. Target is ≥2×.
 //!
 //! Usage: `bench_ipc [--smoke]` — `--smoke` shrinks the op counts for CI
 //! and writes `target/bench/BENCH_ipc.json` instead.
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use labstor_bench::percentile;
-use labstor_ipc::{Doorbell, Envelope, LaneKind, QueueFlags, QueuePair, QueueRole};
+use labstor_ipc::{Doorbell, Envelope, QueueFlags, QueuePair};
 use labstor_sim::Ctx;
 
 /// Request payload: `(request id, client submit virtual time)` — the
@@ -35,21 +35,12 @@ const QUEUE_DEPTH: usize = 1024;
 /// long it takes to notice `stop`).
 const PARK: Duration = Duration::from_millis(5);
 
-fn queue(lane: LaneKind, id: u64) -> Arc<QueuePair<Req>> {
-    Arc::new(QueuePair::with_lane(
-        id,
-        QUEUE_DEPTH,
-        QueueFlags {
-            ordered: true,
-            role: QueueRole::Primary,
-        },
-        lane,
-    ))
+fn queue(id: u64) -> Arc<QueuePair<Req>> {
+    Arc::new(QueuePair::new(id, QUEUE_DEPTH, QueueFlags::default()))
 }
 
 /// One config's measurements.
 struct ConfigResult {
-    lane: LaneKind,
     batch: usize,
     threads: usize,
     ops: usize,
@@ -61,8 +52,8 @@ struct ConfigResult {
 /// Single-thread mode: client and worker halves interleaved in one
 /// thread, four batched verbs per pass. Deterministic (no scheduler
 /// noise), which is what the regression gate compares.
-fn run_single(lane: LaneKind, batch: usize, ops: usize) -> ConfigResult {
-    let qp = queue(lane, 0);
+fn run_single(batch: usize, ops: usize) -> ConfigResult {
+    let qp = queue(0);
     let mut client = Ctx::new();
     let mut worker = Ctx::new();
     let mut lat: Vec<u64> = Vec::with_capacity(ops);
@@ -101,7 +92,6 @@ fn run_single(lane: LaneKind, batch: usize, ops: usize) -> ConfigResult {
     let elapsed = t0.elapsed().as_secs_f64();
     lat.sort_unstable();
     ConfigResult {
-        lane,
         batch,
         threads: 1,
         ops,
@@ -118,8 +108,8 @@ fn run_single(lane: LaneKind, batch: usize, ops: usize) -> ConfigResult {
 /// client on a bell registered on its CQ. (Five threads that waited with
 /// a bare `spin_loop` on two vCPUs measured the scheduler's timeslice,
 /// not the queue: EXPERIMENTS.md.)
-fn run_multi(lane: LaneKind, batch: usize, clients: usize, ops_per_client: usize) -> ConfigResult {
-    let qps: Vec<Arc<QueuePair<Req>>> = (0..clients).map(|i| queue(lane, i as u64)).collect();
+fn run_multi(batch: usize, clients: usize, ops_per_client: usize) -> ConfigResult {
+    let qps: Vec<Arc<QueuePair<Req>>> = (0..clients).map(|i| queue(i as u64)).collect();
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {
         let qps = qps.clone();
@@ -211,20 +201,12 @@ fn run_multi(lane: LaneKind, batch: usize, clients: usize, ops_per_client: usize
     lat.sort_unstable();
     let ops = clients * ops_per_client;
     ConfigResult {
-        lane,
         batch,
         threads: clients,
         ops,
         ops_per_sec: ops as f64 / elapsed.max(1e-9),
         p50_vns: percentile(&lat, 0.50),
         p99_vns: percentile(&lat, 0.99),
-    }
-}
-
-fn lane_name(lane: LaneKind) -> &'static str {
-    match lane {
-        LaneKind::Mpmc => "mpmc",
-        LaneKind::Spsc => "spsc",
     }
 }
 
@@ -236,27 +218,23 @@ fn main() {
         (100_000, 25_000)
     };
 
-    let lanes = [LaneKind::Mpmc, LaneKind::Spsc];
-    let batches = [1usize, 8, 32];
     let mut results: Vec<ConfigResult> = Vec::new();
-    for lane in lanes {
-        for batch in batches {
-            results.push(run_single(lane, batch, ops_single));
-            results.push(run_multi(lane, batch, 4, ops_per_client));
-        }
+    for batch in [1usize, 8, 32] {
+        results.push(run_single(batch, ops_single));
+        results.push(run_multi(batch, 4, ops_per_client));
     }
 
-    let find = |lane: LaneKind, batch: usize, threads: usize| {
+    let find = |batch: usize, threads: usize| {
         results
             .iter()
-            .find(|r| r.lane == lane && r.batch == batch && r.threads == threads)
+            .find(|r| r.batch == batch && r.threads == threads)
             .expect("config present")
     };
-    let seed = find(LaneKind::Mpmc, 1, 1);
-    let fast = find(LaneKind::Spsc, 32, 1);
-    let speedup = fast.ops_per_sec / seed.ops_per_sec.max(1e-9);
-    // Gate: the fast path must never regress below the seed path. The
-    // tentpole target is 2x; the hard floor is 1x so host noise in CI
+    let single = find(1, 1);
+    let fast = find(32, 1);
+    let speedup = fast.ops_per_sec / single.ops_per_sec.max(1e-9);
+    // Gate: the batched verbs must never fall below the single-verb
+    // rate. The target is 2x; the hard floor is 1x so host noise in CI
     // cannot flake the build.
     let required_min = 1.0;
     let target = 2.0;
@@ -266,7 +244,6 @@ fn main() {
         .iter()
         .map(|r| {
             serde_json::json!({
-                "lane": lane_name(r.lane),
                 "batch": r.batch,
                 "threads": r.threads,
                 "ops": r.ops,
@@ -277,7 +254,7 @@ fn main() {
         })
         .collect();
     let gate = serde_json::json!({
-        "compare": "spsc batch=32 threads=1 vs mpmc batch=1 threads=1 (ops/s)",
+        "compare": "batch=32 threads=1 vs batch=1 threads=1 (ops/s)",
         "speedup": speedup,
         "required_min": required_min,
         "target": target,
@@ -299,24 +276,18 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     println!(
-        "{:>5} {:>6} {:>8} {:>8} {:>14} {:>9} {:>9}",
-        "lane", "batch", "threads", "ops", "ops/s", "p50(vns)", "p99(vns)"
+        "{:>6} {:>8} {:>8} {:>14} {:>9} {:>9}",
+        "batch", "threads", "ops", "ops/s", "p50(vns)", "p99(vns)"
     );
     for r in &results {
         println!(
-            "{:>5} {:>6} {:>8} {:>8} {:>14.0} {:>9} {:>9}",
-            lane_name(r.lane),
-            r.batch,
-            r.threads,
-            r.ops,
-            r.ops_per_sec,
-            r.p50_vns,
-            r.p99_vns
+            "{:>6} {:>8} {:>8} {:>14.0} {:>9} {:>9}",
+            r.batch, r.threads, r.ops, r.ops_per_sec, r.p50_vns, r.p99_vns
         );
     }
-    println!("speedup (spsc b32 t1 / mpmc b1 t1): {speedup:.2}x (target {target}x, floor {required_min}x)");
+    println!("speedup (b32 t1 / b1 t1): {speedup:.2}x (target {target}x, floor {required_min}x)");
     if !pass {
-        eprintln!("FAIL: SPSC fast path regressed below the seed MPMC path");
+        eprintln!("FAIL: batched verbs fell below the single-verb rate");
         std::process::exit(1);
     }
 }

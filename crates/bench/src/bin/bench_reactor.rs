@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::utils::Backoff;
 use labstor_bench::percentile;
-use labstor_ipc::{Doorbell, LaneKind, QueueFlags, QueuePair, QueueRole};
+use labstor_ipc::{Doorbell, QueueFlags, QueuePair};
 use labstor_sim::Ctx;
 
 const WORKERS: usize = 4;
@@ -144,17 +144,7 @@ fn run_phase(
     settle: Duration,
 ) -> PhaseResult {
     let qps: Vec<Arc<QueuePair<u64>>> = (0..BOUND_QUEUES)
-        .map(|i| {
-            Arc::new(QueuePair::with_lane(
-                i as u64,
-                QUEUE_DEPTH,
-                QueueFlags {
-                    ordered: true,
-                    role: QueueRole::Primary,
-                },
-                LaneKind::Spsc,
-            ))
-        })
+        .map(|i| Arc::new(QueuePair::new(i as u64, QUEUE_DEPTH, QueueFlags::default())))
         .collect();
     let stop = Arc::new(AtomicBool::new(false));
     let per_worker = BOUND_QUEUES.div_ceil(WORKERS);

@@ -219,35 +219,41 @@ impl Client {
             .unwrap_or(1_000)
     }
 
-    /// Submit through a queue pair and wait for the matching completion.
-    fn roundtrip(&mut self, req: Request) -> Result<RespPayload, ClientError> {
-        let id = req.id;
-        let stack_id = req.stack;
+    /// Put one request on the next queue (round-robin, left in `self.rr`):
+    /// book its cost estimate on the queue, submit with backpressure
+    /// retry, record the `Submit` span. A refused request takes its
+    /// estimate back off the queue — the orchestrator's backlog counts
+    /// only work that was queued.
+    fn enqueue(&mut self, req: Request) -> Result<(), ClientError> {
+        let (id, stack_id) = (req.id, req.stack);
         let est = self.estimate(&req);
         self.rr = (self.rr + 1) % self.conn.queues.len();
-        let rec = self.runtime.mm.telemetry();
         let qp = &self.conn.queues[self.rr];
         qp.note_item_est(est);
         qp.add_load(est as i64);
-        // Submit with backpressure retry.
         let mut msg = Message::Req(req);
         let mut deadline = None;
-        loop {
-            match qp.submit(msg, self.ctx.now(), self.conn.domain) {
-                Ok(()) => break,
-                Err(back) => {
-                    msg = back;
-                    if backpressure_expired(&mut deadline, self.offline_timeout) {
-                        return Err(ClientError::Backpressure);
-                    }
-                    std::thread::yield_now();
-                }
+        while let Err(back) = qp.submit(msg, self.ctx.now(), self.conn.domain) {
+            msg = back;
+            if backpressure_expired(&mut deadline, self.offline_timeout) {
+                qp.add_load(-(est as i64));
+                return Err(ClientError::Backpressure);
             }
+            std::thread::yield_now();
         }
+        let rec = self.runtime.mm.telemetry();
         if rec.enabled() {
             let now = self.ctx.now();
             rec.record(Stage::Submit, id, stack_id, 0, now, now);
         }
+        Ok(())
+    }
+
+    /// Submit through a queue pair and wait for the matching completion.
+    fn roundtrip(&mut self, req: Request) -> Result<RespPayload, ClientError> {
+        let id = req.id;
+        let stack_id = req.stack;
+        self.enqueue(req)?;
         // Wait: park on the CQ doorbell between reaps; detect a crashed
         // Runtime and wait for its restart, then repair state and
         // resubmit the request (§III-C3).
@@ -336,34 +342,11 @@ impl Client {
                 Ok(id)
             }
             ExecMode::Async => {
-                let est = self.estimate(&req);
-                self.rr = (self.rr + 1) % self.conn.queues.len();
-                let qp = &self.conn.queues[self.rr];
-                qp.note_item_est(est);
-                qp.add_load(est as i64);
+                // Only this thread reaps, so booking the id after the
+                // submit cannot miss its completion.
+                self.enqueue(req)?;
                 self.pending.insert(id, (self.ctx.now(), self.rr, stack.id));
-                let mut msg = Message::Req(req);
-                let mut deadline = None;
-                loop {
-                    match qp.submit(msg, self.ctx.now(), self.conn.domain) {
-                        Ok(()) => {
-                            let rec = self.runtime.mm.telemetry();
-                            if rec.enabled() {
-                                let now = self.ctx.now();
-                                rec.record(Stage::Submit, id, stack.id, 0, now, now);
-                            }
-                            return Ok(id);
-                        }
-                        Err(back) => {
-                            msg = back;
-                            if backpressure_expired(&mut deadline, self.offline_timeout) {
-                                self.pending.remove(&id);
-                                return Err(ClientError::Backpressure);
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                }
+                Ok(id)
             }
         }
     }
@@ -376,9 +359,9 @@ impl Client {
     /// request — the client half of the batched IPC hot path.
     ///
     /// On backpressure timeout the not-yet-submitted tail is unregistered
-    /// and `Err(Backpressure)` is returned; requests of the burst that did
-    /// make it in stay in flight and remain reapable via
-    /// [`Client::reap_one`].
+    /// (ids and load estimates) and `Err(Backpressure)` is returned;
+    /// requests of the burst that did make it in stay in flight and remain
+    /// reapable via [`Client::reap_one`].
     ///
     /// [`QueuePair::submit_batch`]: labstor_ipc::QueuePair::submit_batch
     pub fn submit_all(
@@ -426,12 +409,16 @@ impl Client {
             if qp.submit_batch(&mut msgs, self.ctx.now(), self.conn.domain) == 0
                 && backpressure_expired(&mut deadline, self.offline_timeout)
             {
-                // Unregister the unsubmitted tail; keep ids that made it.
+                // Unregister the unsubmitted tail (ids and their load
+                // estimates); keep ids that made it.
+                let mut unqueued = 0u64;
                 for m in &msgs {
                     if let Message::Req(r) = m {
                         self.pending.remove(&r.id);
+                        unqueued += self.estimate(r);
                     }
                 }
+                qp.add_load(-(unqueued as i64));
                 return Err(ClientError::Backpressure);
             }
             if !msgs.is_empty() {

@@ -56,7 +56,7 @@ impl QueueLoad {
 pub type Assignment = Vec<Vec<u64>>;
 
 /// Qids whose worker changed between two assignment shapes (sorted
-/// per-worker qid groups), i.e. the queues whose ordered SPSC lane needs
+/// per-worker qid groups), i.e. the queues whose SPSC rings need
 /// the drain-and-handoff protocol before the new worker may consume.
 ///
 /// A queue present only in `new` is *not* moved — it has no previous

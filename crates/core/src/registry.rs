@@ -6,9 +6,10 @@
 //! counters the platform keeps for that UUID — they belong to the UUID,
 //! not the instance, so they outlive every upgrade. Upgrades are queued
 //! and processed by the Runtime admin, which quiesces primary queues
-//! (`UPDATE_PENDING` → `UPDATE_ACKED`), drains intermediate queues, loads
-//! the new module code from storage, transfers state via `state_update`,
-//! swaps the registry entry, and resumes the queues.
+//! (`UPDATE_PENDING` → `UPDATE_ACKED`; there are no intermediate queues to
+//! drain, so every primary queue acked *is* quiescence), loads the new
+//! module code from storage, transfers state via `state_update`, swaps the
+//! registry entry, and resumes the queues.
 //!
 //! Two protocols exist because operators can live in the Runtime *or* in
 //! client address spaces: **centralized** updates the Runtime's copy;
@@ -425,18 +426,7 @@ impl ModuleManager {
                 q.ack_update();
             }
         }
-        // 2. Drain intermediate queues.
-        let intermediates = ipc.intermediate_queues();
-        if workers_running {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while intermediates.iter().any(|q| q.sq_depth() > 0) {
-                if Instant::now() > deadline {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-        // 3. Apply each upgrade.
+        // 2. Apply each upgrade.
         let n = batch.len();
         for up in batch {
             // Load the module binary from storage (dominant cost).
@@ -473,7 +463,7 @@ impl ModuleManager {
                 admin_ctx.advance(clients * PER_CLIENT_PROPAGATE_NS);
             }
         }
-        // 4. Resume: publish the post-upgrade virtual time and unpause.
+        // 3. Resume: publish the post-upgrade virtual time and unpause.
         self.resume_vt
             .store(admin_ctx.now(), std::sync::atomic::Ordering::Release);
         for q in &primaries {

@@ -206,9 +206,9 @@ impl Runtime {
     /// rebalance + current backlog) / virtual time elapsed, in
     /// milli-workers — "the total estimated processing time of the queue".
     ///
-    /// Queues whose worker changes go through **drain-and-handoff**: the
-    /// ordered primary queues ride the SPSC lane, so exactly one consumer
-    /// may touch a queue at a time. The protocol: pause each moved queue
+    /// Queues whose worker changes go through **drain-and-handoff**: each
+    /// queue direction is an SPSC ring, so exactly one consumer may touch
+    /// a queue at a time. The protocol: pause each moved queue
     /// (`UPDATE_PENDING`), wait for its current consumer to ack (acks
     /// happen between batches, so an acked queue has no envelope in
     /// flight), publish the new assignment, wait until every worker runs

@@ -58,7 +58,7 @@ pub fn process_request(
 /// generation it now runs on through `seen`; `Runtime::rebalance` waits
 /// for `seen == generation` before un-pausing moved queues, which closes
 /// the window where a worker still holding a stale snapshot could consume
-/// a queue that was handed to another worker (the SPSC lane's
+/// a queue that was handed to another worker (the ring's
 /// single-consumer contract).
 pub struct AssignmentCell {
     queues: RwLock<Vec<Arc<QueuePair<Message>>>>,

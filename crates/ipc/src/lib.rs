@@ -13,13 +13,13 @@
 //! The queuing primitives mirror the paper's Queue Pairs:
 //!
 //! * [`ring::SpscRing`] — a bounded lock-free single-producer /
-//!   single-consumer ring used for **ordered** queues (must be processed in
-//!   sequence by one worker).
-//! * unordered queues use a bounded MPMC queue (crossbeam `ArrayQueue`) so
-//!   multiple workers can drain them.
-//! * [`queue_pair::QueuePair`] — a submission/completion queue pair with the
-//!   `UPDATE_PENDING`/`UPDATE_ACKED` flags the Module Manager's live-upgrade
-//!   protocol relies on.
+//!   single-consumer ring; every queue is **ordered** (processed in
+//!   sequence by one worker). There are no unordered or intermediate
+//!   queues here: a spawned request runs inline on the worker that
+//!   dequeued its parent.
+//! * [`queue_pair::QueuePair`] — a submission/completion queue pair (one
+//!   ring per direction) with the `UPDATE_PENDING`/`UPDATE_ACKED` flags the
+//!   Module Manager's live-upgrade protocol relies on.
 //!
 //! Crossing a domain boundary pays a calibrated cache-transfer cost
 //! ([`cost`]): the paper measures shared-memory IPC at 8.4% of a 4 KB I/O

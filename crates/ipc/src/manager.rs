@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 
 use crate::credentials::Credentials;
 use crate::doorbell::Doorbell;
-use crate::queue_pair::{LaneKind, QueueFlags, QueuePair, QueueRole};
+use crate::queue_pair::{QueueFlags, QueuePair};
 
 /// A client's connection to the Runtime: its domain id (address space) and
 /// the queue pairs allocated for it during the handshake.
@@ -60,24 +60,21 @@ impl<T> IpcManager<T> {
     }
 
     /// Handshake: register a client and allocate `n_queues` primary
-    /// ordered queue pairs for it.
+    /// ordered queue pairs for it — the only place a served queue is made.
     ///
-    /// Connect-allocated queues ride the zero-CAS SPSC lane: an ordered
-    /// primary queue has exactly one producer (this client connection) and
-    /// one consumer (the single worker the orchestrator assigns it to —
-    /// reassignment goes through the drain-and-handoff protocol in
-    /// `Runtime::rebalance`, so the contract holds across moves).
+    /// Each direction is a zero-CAS SPSC ring: the queue has exactly one
+    /// producer (this client connection) and one consumer (the single
+    /// worker the orchestrator assigns it to — reassignment goes through
+    /// the drain-and-handoff protocol in `Runtime::rebalance`, so the
+    /// contract holds across moves).
     pub fn connect(&self, creds: Credentials, n_queues: usize) -> ClientConnection<T> {
         let domain = self.next_domain.fetch_add(1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
         let queues: Vec<_> = (0..n_queues.max(1))
             .map(|_| {
-                self.alloc_queue_with_lane(
-                    QueueFlags {
-                        ordered: true,
-                        role: QueueRole::Primary,
-                    },
-                    LaneKind::Spsc,
-                )
+                let id = self.next_qid.fetch_add(1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
+                let qp = Arc::new(QueuePair::new(id, self.depth, QueueFlags::default()));
+                self.qps.write().push(qp.clone()); // lock-class: ipc.qps
+                qp
             })
             .collect();
         self.connections.write().push((domain, creds)); // lock-class: ipc.conns
@@ -95,46 +92,9 @@ impl<T> IpcManager<T> {
         }
     }
 
-    /// Allocate an additional queue pair (e.g. an intermediate queue for
-    /// requests spawned inside the Runtime). MPMC-backed: safe for any
-    /// number of producers and consumers.
-    pub fn alloc_queue(&self, flags: QueueFlags) -> Arc<QueuePair<T>> {
-        self.alloc_queue_with_lane(flags, LaneKind::Mpmc)
-    }
-
-    /// Allocate a queue pair on an explicit lane. Callers choosing
-    /// [`LaneKind::Spsc`] own the single-producer/single-consumer contract
-    /// per direction (see `queue_pair` module docs).
-    pub fn alloc_queue_with_lane(&self, flags: QueueFlags, lane: LaneKind) -> Arc<QueuePair<T>> {
-        let id = self.next_qid.fetch_add(1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
-        let qp = Arc::new(QueuePair::with_lane(id, self.depth, flags, lane));
-        self.qps.write().push(qp.clone()); // lock-class: ipc.qps
-        qp
-    }
-
     /// All primary queues (the upgrade protocol and orchestrator operate
     /// on these).
     pub fn primary_queues(&self) -> Vec<Arc<QueuePair<T>>> {
-        self.qps
-            .read() // lock-class: ipc.qps
-            .iter()
-            .filter(|q| q.flags().role == QueueRole::Primary)
-            .cloned()
-            .collect()
-    }
-
-    /// All intermediate queues.
-    pub fn intermediate_queues(&self) -> Vec<Arc<QueuePair<T>>> {
-        self.qps
-            .read() // lock-class: ipc.qps
-            .iter()
-            .filter(|q| q.flags().role == QueueRole::Intermediate)
-            .cloned()
-            .collect()
-    }
-
-    /// Every queue pair.
-    pub fn all_queues(&self) -> Vec<Arc<QueuePair<T>>> {
         self.qps.read().clone() // lock-class: ipc.qps
     }
 
@@ -200,19 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn intermediate_queues_are_separate() {
-        let m: Arc<IpcManager<u32>> = IpcManager::new(8);
-        m.connect(Credentials::new(1, 0, 0), 1);
-        m.alloc_queue(QueueFlags {
-            ordered: false,
-            role: QueueRole::Intermediate,
-        });
-        assert_eq!(m.primary_queues().len(), 1);
-        assert_eq!(m.intermediate_queues().len(), 1);
-        assert_eq!(m.all_queues().len(), 2);
-    }
-
-    #[test]
     fn liveness_toggle_and_wait() {
         let m: Arc<IpcManager<u32>> = IpcManager::new(1);
         assert!(m.is_online());
@@ -225,20 +172,6 @@ mod tests {
         });
         assert!(m.wait_online(Duration::from_secs(5)));
         t.join().unwrap();
-    }
-
-    #[test]
-    fn connect_selects_spsc_lane_and_alloc_stays_mpmc() {
-        let m: Arc<IpcManager<u32>> = IpcManager::new(8);
-        let conn = m.connect(Credentials::new(1, 0, 0), 2);
-        for q in &conn.queues {
-            assert_eq!(q.lane(), LaneKind::Spsc);
-        }
-        let inter = m.alloc_queue(QueueFlags {
-            ordered: false,
-            role: QueueRole::Intermediate,
-        });
-        assert_eq!(inter.lane(), LaneKind::Mpmc);
     }
 
     #[test]

@@ -3,29 +3,35 @@
 //!
 //! Properties reproduced from the paper:
 //!
-//! * **Primary vs intermediate**: primary queues carry client-initiated
-//!   requests (and live in shared memory); intermediate queues hold
-//!   requests spawned by other requests (private memory).
-//! * **Ordered vs unordered**: ordered queues must be drained in sequence
-//!   by a single worker; unordered queues may be drained by many.
+//! * **Primary queues**: every queue pair carries client-initiated
+//!   requests and is allocated by `IpcManager::connect`.
+//! * **Ordered**: a queue is drained in sequence by a single worker.
 //! * **Upgrade flags**: the Module Manager marks primary queues
 //!   `UPDATE_PENDING`; workers acknowledge with `UPDATE_ACKED` before the
 //!   upgrade proceeds (§III-C2).
 //!
-//! ## Two-lane backend
+//! Deviation from §III-C1: there are no intermediate or unordered queues.
+//! A request spawned by another request runs inline on the worker that
+//! dequeued its parent (`StackEnv::forward`), so nothing is ever queued
+//! inside the Runtime and upgrade quiescence is "every primary queue
+//! acked".
 //!
-//! Each direction (SQ and CQ) is backed by one of two lanes:
+//! ## One ring per direction
 //!
-//! * [`LaneKind::Mpmc`] — crossbeam's CAS-based bounded MPMC queue. Safe
-//!   under any topology; the default for directly constructed pairs and
-//!   for intermediate queues.
-//! * [`LaneKind::Spsc`] — the zero-CAS [`SpscRing`]. Selected at connect
-//!   time for *ordered primary* queues, whose topology is fixed: one
-//!   client submitting/reaping, one worker consuming/completing. The
-//!   orchestrator's single-consumer assignment plus the
-//!   `UpdatePending`/`UpdateAcked` drain-and-handoff keep the contract
-//!   across reassignment (DESIGN.md §9). Debug builds additionally verify
-//!   it dynamically with per-role access claims.
+//! The SQ and the CQ are each a zero-CAS [`SpscRing`], which is sound only
+//! with one producer and one consumer per direction at a time:
+//!
+//! * SQ producer and CQ consumer — the client connection the queue was
+//!   allocated for at connect time (a `Client` is one thread).
+//! * SQ consumer and CQ producer — the single worker the orchestrator
+//!   assigns the queue to. Reassignment goes through the
+//!   `UpdatePending`/`UpdateAcked` drain-and-handoff in
+//!   `Runtime::rebalance`, so the old consumer has let go before the new
+//!   one starts (DESIGN.md §9).
+//!
+//! Code that builds a pair directly (benches, tests) carries the same
+//! obligation. Debug builds verify it dynamically on every queue with
+//! per-role access claims.
 //!
 //! ## Batched verbs
 //!
@@ -49,7 +55,6 @@ use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crossbeam::queue::ArrayQueue;
 use labstor_sim::Ctx;
 use labstor_telemetry::LogHistogram;
 use parking_lot::RwLock;
@@ -58,14 +63,13 @@ use crate::cost;
 use crate::doorbell::Doorbell;
 use crate::ring::SpscRing;
 
-/// Whether a queue carries client-initiated or spawned requests.
+/// What a queue carries: client-initiated requests, always. A one-variant
+/// enum because the frozen `benchmark/src/probes.rs`, its only caller,
+/// spells `QueueRole::Primary` (ROADMAP 1g).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueRole {
     /// Client-initiated requests; participates in upgrade quiescence.
     Primary,
-    /// Requests spawned by other requests; drains to completion during
-    /// upgrades.
-    Intermediate,
 }
 
 /// Static properties of a queue pair.
@@ -73,7 +77,7 @@ pub enum QueueRole {
 pub struct QueueFlags {
     /// Ordered queues are processed in sequence on a single worker.
     pub ordered: bool,
-    /// Primary or intermediate (see [`QueueRole`]).
+    /// Always [`QueueRole::Primary`].
     pub role: QueueRole,
 }
 
@@ -86,14 +90,12 @@ impl Default for QueueFlags {
     }
 }
 
-/// Which backend a queue-pair direction runs on (see the module docs).
+/// The ring a queue-pair direction runs on: SPSC, always. A one-variant
+/// enum because the frozen `benchmark/src/probes.rs`, its only caller,
+/// passes it to the constructor below (ROADMAP 1g).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneKind {
-    /// CAS-based bounded MPMC queue — safe under any topology.
-    Mpmc,
-    /// Zero-CAS SPSC ring — requires the single-producer/single-consumer
-    /// contract held by connect-time selection plus orchestrator
-    /// assignment.
+    /// Zero-CAS SPSC ring.
     Spsc,
 }
 
@@ -125,102 +127,22 @@ pub struct Envelope<T> {
     pub dequeue_vt: u64,
 }
 
-/// One direction of a queue pair (see [`LaneKind`]).
-enum Lane<T> {
-    Mpmc(ArrayQueue<Envelope<T>>),
-    Spsc(SpscRing<Envelope<T>>),
-}
-
-impl<T> Lane<T> {
-    fn new(kind: LaneKind, depth: usize) -> Lane<T> {
-        match kind {
-            LaneKind::Mpmc => Lane::Mpmc(ArrayQueue::new(depth.max(1))),
-            LaneKind::Spsc => Lane::Spsc(SpscRing::with_capacity(depth.max(1))),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Lane::Mpmc(q) => q.len(),
-            Lane::Spsc(r) => r.len(),
-        }
-    }
-
-    /// Push one envelope.
-    ///
-    /// # Safety
-    ///
-    /// For the SPSC lane the caller must be the direction's sole producer
-    /// for the duration of the call (the queue-pair role contract; debug
-    /// builds check it via [`LaneClaims`]). Always safe on the MPMC lane.
-    // SAFETY: contract — forwards the unique-producer obligation to SpscRing.
-    unsafe fn push(&self, env: Envelope<T>) -> Result<(), Envelope<T>> {
-        match self {
-            Lane::Mpmc(q) => q.push(env),
-            // SAFETY: the caller upholds the unique-producer contract.
-            Lane::Spsc(r) => unsafe { r.producer_push(env) },
-        }
-    }
-
-    /// Pop the oldest envelope.
-    ///
-    /// # Safety
-    ///
-    /// For the SPSC lane the caller must be the direction's sole consumer
-    /// for the duration of the call. Always safe on the MPMC lane.
-    // SAFETY: contract — forwards the unique-consumer obligation to SpscRing.
-    unsafe fn pop(&self) -> Option<Envelope<T>> {
-        match self {
-            Lane::Mpmc(q) => q.pop(),
-            // SAFETY: the caller upholds the unique-consumer contract.
-            Lane::Spsc(r) => unsafe { r.consumer_pop() },
-        }
-    }
-
-    /// Pop up to `max` envelopes into `out` (FIFO, appended), with one
-    /// counter publication per batch on the SPSC lane. Returns the count.
-    ///
-    /// # Safety
-    ///
-    /// Same unique-consumer contract as [`Lane::pop`].
-    // SAFETY: contract — forwards the unique-consumer obligation to SpscRing.
-    unsafe fn pop_batch(&self, out: &mut Vec<Envelope<T>>, max: usize) -> usize {
-        match self {
-            Lane::Mpmc(q) => {
-                let mut n = 0usize;
-                while n < max {
-                    match q.pop() {
-                        Some(env) => {
-                            out.push(env);
-                            n += 1;
-                        }
-                        None => break,
-                    }
-                }
-                n
-            }
-            // SAFETY: the caller upholds the unique-consumer contract.
-            Lane::Spsc(r) => unsafe { r.consumer_pop_batch(out, max) },
-        }
-    }
-}
-
-/// Debug-only dynamic enforcement of the SPSC lane contract: each of the
-/// four roles (SQ producer/consumer, CQ producer/consumer) may be held by
-/// at most one thread at a time. Release builds compile this away — the
-/// contract is held by construction (connect-time lane selection, the
+/// Debug-only dynamic enforcement of the SPSC contract: each of the four
+/// roles (SQ producer/consumer, CQ producer/consumer) may be held by at
+/// most one thread at a time. Release builds compile this away — the
+/// contract is held by construction (one client per connection, the
 /// orchestrator's single-consumer assignment, and the drain-and-handoff
 /// protocol in `Runtime::rebalance`).
 #[cfg(debug_assertions)]
 #[derive(Default)]
-struct LaneClaims {
+struct RoleClaims {
     sq_producer: AtomicBool,
     sq_consumer: AtomicBool,
     cq_producer: AtomicBool,
     cq_consumer: AtomicBool,
 }
 
-/// RAII holder of one lane role; see [`LaneClaims`].
+/// RAII holder of one role; see [`RoleClaims`].
 #[cfg(debug_assertions)]
 struct Claim<'a>(&'a AtomicBool);
 
@@ -228,11 +150,11 @@ struct Claim<'a>(&'a AtomicBool);
 impl<'a> Claim<'a> {
     fn acquire(flag: &'a AtomicBool, what: &'static str) -> Claim<'a> {
         // panic-ok: debug-only contract check — a second concurrent holder
-        // of an SPSC-lane role is exactly the bug this guard exists to
-        // catch, and continuing would be UB on the ring.
+        // of a ring role is exactly the bug this guard exists to catch,
+        // and continuing would be UB on the ring.
         assert!(
             !flag.swap(true, Ordering::Acquire),
-            "SPSC lane contract violated: concurrent {what}"
+            "SPSC contract violated: concurrent {what}"
         );
         Claim(flag)
     }
@@ -247,17 +169,15 @@ impl Drop for Claim<'_> {
 
 /// A submission/completion queue pair.
 ///
-/// Backed by bounded queues: FIFO per queue; see the module docs for the
-/// two lanes. The *ordered* flag is an assignment constraint honored by
-/// the Work Orchestrator, which guarantees a single consumer for ordered
-/// queues.
+/// Two bounded FIFO rings; see the module docs for the
+/// single-producer/single-consumer contract every caller holds. The Work
+/// Orchestrator honours it by assigning each queue to one worker.
 pub struct QueuePair<T> {
     /// Unique queue id within the IPC manager.
     pub id: u64,
     flags: QueueFlags,
-    lane_kind: LaneKind,
-    sq: Lane<T>,
-    cq: Lane<T>,
+    sq: SpscRing<Envelope<T>>,
+    cq: SpscRing<Envelope<T>>,
     upgrade: AtomicU8,
     submitted: AtomicU64,
     consumed: AtomicU64,
@@ -290,13 +210,13 @@ pub struct QueuePair<T> {
     /// connection); registered once at connect time.
     cq_bell: RwLock<Option<Arc<Doorbell>>>,
     #[cfg(debug_assertions)]
-    claims: LaneClaims,
+    claims: RoleClaims,
 }
 
-/// The four lane roles checked by the debug claims.
+/// The four roles checked by the debug claims.
 #[cfg(debug_assertions)]
 #[derive(Clone, Copy)]
-enum LaneRole {
+enum Role {
     SqProducer,
     SqConsumer,
     CqProducer,
@@ -304,23 +224,15 @@ enum LaneRole {
 }
 
 impl<T> QueuePair<T> {
-    /// Create an MPMC-backed queue pair with `depth` slots in each
-    /// direction — safe under any producer/consumer topology.
+    /// Create a queue pair with `depth` slots (rounded up to a power of
+    /// two) in each direction. The caller owns the single-producer/
+    /// single-consumer contract per direction (module docs).
     pub fn new(id: u64, depth: usize, flags: QueueFlags) -> Self {
-        QueuePair::with_lane(id, depth, flags, LaneKind::Mpmc)
-    }
-
-    /// Create a queue pair on an explicit lane. [`LaneKind::Spsc`] rounds
-    /// `depth` up to a power of two and requires the single-producer/
-    /// single-consumer contract per direction (module docs); it is
-    /// selected by `IpcManager::connect` for ordered primary queues.
-    pub fn with_lane(id: u64, depth: usize, flags: QueueFlags, lane: LaneKind) -> Self {
         QueuePair {
             id,
             flags,
-            lane_kind: lane,
-            sq: Lane::new(lane, depth),
-            cq: Lane::new(lane, depth),
+            sq: SpscRing::with_capacity(depth.max(1)),
+            cq: SpscRing::with_capacity(depth.max(1)),
             upgrade: AtomicU8::new(UpgradeFlag::None as u8),
             submitted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
@@ -333,8 +245,14 @@ impl<T> QueuePair<T> {
             sq_bell: RwLock::new(None),
             cq_bell: RwLock::new(None),
             #[cfg(debug_assertions)]
-            claims: LaneClaims::default(),
+            claims: RoleClaims::default(),
         }
+    }
+
+    /// [`QueuePair::new`], for the frozen `benchmark/src/probes.rs`, its
+    /// only caller (ROADMAP 1g).
+    pub fn with_lane(id: u64, depth: usize, flags: QueueFlags, _lane: LaneKind) -> Self {
+        QueuePair::new(id, depth, flags)
     }
 
     // ---- doorbells ---------------------------------------------------------
@@ -384,25 +302,16 @@ impl<T> QueuePair<T> {
         self.flags
     }
 
-    /// Which backend this pair runs on.
-    pub fn lane(&self) -> LaneKind {
-        self.lane_kind
-    }
-
-    /// Claim a lane role for the duration of one verb (debug builds,
-    /// SPSC lane only — the MPMC lane allows any topology).
+    /// Claim a role for the duration of one verb (debug builds).
     #[cfg(debug_assertions)]
-    fn claim(&self, role: LaneRole) -> Option<Claim<'_>> {
-        if self.lane_kind != LaneKind::Spsc {
-            return None;
-        }
+    fn claim(&self, role: Role) -> Claim<'_> {
         let (flag, what) = match role {
-            LaneRole::SqProducer => (&self.claims.sq_producer, "SQ producer (submit)"),
-            LaneRole::SqConsumer => (&self.claims.sq_consumer, "SQ consumer (consume)"),
-            LaneRole::CqProducer => (&self.claims.cq_producer, "CQ producer (complete)"),
-            LaneRole::CqConsumer => (&self.claims.cq_consumer, "CQ consumer (reap)"),
+            Role::SqProducer => (&self.claims.sq_producer, "SQ producer (submit)"),
+            Role::SqConsumer => (&self.claims.sq_consumer, "SQ consumer (consume)"),
+            Role::CqProducer => (&self.claims.cq_producer, "CQ producer (complete)"),
+            Role::CqConsumer => (&self.claims.cq_consumer, "CQ consumer (reap)"),
         };
-        Some(Claim::acquire(flag, what))
+        Claim::acquire(flag, what)
     }
 
     /// Submit a request at virtual time `submit_vt` from `origin_domain`.
@@ -411,17 +320,16 @@ impl<T> QueuePair<T> {
     /// behaviour.
     pub fn submit(&self, payload: T, submit_vt: u64, origin_domain: u32) -> Result<(), T> {
         #[cfg(debug_assertions)]
-        let _claim = self.claim(LaneRole::SqProducer);
+        let _claim = self.claim(Role::SqProducer);
         let env = Envelope {
             payload,
             submit_vt,
             origin_domain,
             dequeue_vt: 0,
         };
-        // SAFETY: SPSC lanes exist only on connect-allocated ordered
-        // primary queues, whose sole SQ producer is the owning client
-        // connection (debug-checked by `_claim`).
-        match unsafe { self.sq.push(env) } {
+        // SAFETY: the sole SQ producer is the owning client connection
+        // (debug-checked by `_claim`).
+        match unsafe { self.sq.producer_push(env) } {
             Ok(()) => {
                 self.submitted.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
                 self.ring_sq();
@@ -438,7 +346,7 @@ impl<T> QueuePair<T> {
     /// retry. Equivalent to N single submits at the same `submit_vt`.
     pub fn submit_batch(&self, payloads: &mut Vec<T>, submit_vt: u64, origin_domain: u32) -> usize {
         #[cfg(debug_assertions)]
-        let _claim = self.claim(LaneRole::SqProducer);
+        let _claim = self.claim(Role::SqProducer);
         if payloads.is_empty() {
             return 0;
         }
@@ -448,41 +356,14 @@ impl<T> QueuePair<T> {
             origin_domain,
             dequeue_vt: 0,
         };
-        let n = match &self.sq {
-            Lane::Spsc(r) => {
-                // SAFETY: SPSC lanes exist only on connect-allocated
-                // ordered primary queues, whose sole SQ producer is the
-                // owning client connection (debug-checked by `_claim`); as
-                // sole producer, `free` cannot shrink before the push and
-                // the drain iterator is consumed in full.
-                let free = unsafe { r.producer_free() };
-                let k = payloads.len().min(free);
-                // SAFETY: same sole-SQ-producer contract as above.
-                unsafe { r.producer_push_iter(payloads.drain(..k).map(wrap)) }
-            }
-            Lane::Mpmc(q) => {
-                // Optimistic reservation; a racing MPMC producer can steal
-                // slots, so rejected payloads are spliced back in order.
-                let k = payloads.len().min(q.capacity().saturating_sub(q.len()));
-                let mut pushed = 0usize;
-                let mut rejected: Vec<T> = Vec::new();
-                for payload in payloads.drain(..k) {
-                    if !rejected.is_empty() {
-                        rejected.push(payload);
-                        continue;
-                    }
-                    match q.push(wrap(payload)) {
-                        Ok(()) => pushed += 1,
-                        Err(env) => rejected.push(env.payload),
-                    }
-                }
-                if !rejected.is_empty() {
-                    rejected.append(payloads);
-                    *payloads = rejected;
-                }
-                pushed
-            }
-        };
+        // SAFETY: the sole SQ producer is the owning client connection
+        // (debug-checked by `_claim`); as sole producer, `free` cannot
+        // shrink before the push and the drain iterator is consumed in
+        // full.
+        let free = unsafe { self.sq.producer_free() };
+        let k = payloads.len().min(free);
+        // SAFETY: same sole-SQ-producer contract as above.
+        let n = unsafe { self.sq.producer_push_iter(payloads.drain(..k).map(wrap)) };
         if n > 0 {
             self.submitted.fetch_add(n as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
             self.ring_sq(); // one doorbell per burst (PR 3 contract)
@@ -496,11 +377,11 @@ impl<T> QueuePair<T> {
     /// another address space.
     pub fn consume(&self, ctx: &mut Ctx, consumer_domain: u32) -> Option<Envelope<T>> {
         #[cfg(debug_assertions)]
-        let _claim = self.claim(LaneRole::SqConsumer);
-        // SAFETY: ordered queues are drained by a single worker at a time —
+        let _claim = self.claim(Role::SqConsumer);
+        // SAFETY: a queue is drained by a single worker at a time —
         // orchestrator assignment plus the drain-and-handoff protocol
         // (debug-checked by `_claim`).
-        let mut env = unsafe { self.sq.pop() }?;
+        let mut env = unsafe { self.sq.consumer_pop() }?;
         self.consumed.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
                                                        // Queue wait: how long the request sat before this worker's
                                                        // timeline reached it (zero when the worker was waiting for it).
@@ -533,11 +414,11 @@ impl<T> QueuePair<T> {
         max: usize,
     ) -> usize {
         #[cfg(debug_assertions)]
-        let _claim = self.claim(LaneRole::SqConsumer);
+        let _claim = self.claim(Role::SqConsumer);
         let start = out.len();
         // SAFETY: same single-draining-worker contract as `consume`
         // (debug-checked by `_claim`).
-        let n = unsafe { self.sq.pop_batch(out, max) };
+        let n = unsafe { self.sq.consumer_pop_batch(out, max) };
         if n == 0 {
             return 0;
         }
@@ -562,16 +443,16 @@ impl<T> QueuePair<T> {
     /// toward the client.
     pub fn complete(&self, payload: T, complete_vt: u64, origin_domain: u32) -> Result<(), T> {
         #[cfg(debug_assertions)]
-        let _claim = self.claim(LaneRole::CqProducer);
+        let _claim = self.claim(Role::CqProducer);
         let env = Envelope {
             payload,
             submit_vt: complete_vt,
             origin_domain,
             dequeue_vt: 0,
         };
-        // SAFETY: completions on an ordered queue are posted by its single
-        // assigned worker (debug-checked by `_claim`).
-        match unsafe { self.cq.push(env) } {
+        // SAFETY: completions are posted by the queue's single assigned
+        // worker (debug-checked by `_claim`).
+        match unsafe { self.cq.producer_push(env) } {
             Ok(()) => {
                 self.completed.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
                 self.ring_cq();
@@ -588,7 +469,7 @@ impl<T> QueuePair<T> {
     /// leftovers stay in `items` for the caller's bounded-backoff retry.
     pub fn complete_batch(&self, items: &mut Vec<(T, u64)>, origin_domain: u32) -> usize {
         #[cfg(debug_assertions)]
-        let _claim = self.claim(LaneRole::CqProducer);
+        let _claim = self.claim(Role::CqProducer);
         if items.is_empty() {
             return 0;
         }
@@ -598,40 +479,14 @@ impl<T> QueuePair<T> {
             origin_domain,
             dequeue_vt: 0,
         };
-        let n = match &self.cq {
-            Lane::Spsc(r) => {
-                // SAFETY: completions on an ordered queue are posted by
-                // its single assigned worker (debug-checked by `_claim`);
-                // as sole CQ producer, `free` cannot shrink before the
-                // push and the drain iterator is consumed in full.
-                let free = unsafe { r.producer_free() };
-                let k = items.len().min(free);
-                // SAFETY: same single-completing-worker contract as above.
-                unsafe { r.producer_push_iter(items.drain(..k).map(wrap)) }
-            }
-            Lane::Mpmc(q) => {
-                // Optimistic reservation; a racing MPMC producer can steal
-                // slots, so rejected completions are spliced back in order.
-                let k = items.len().min(q.capacity().saturating_sub(q.len()));
-                let mut pushed = 0usize;
-                let mut rejected: Vec<(T, u64)> = Vec::new();
-                for item in items.drain(..k) {
-                    if !rejected.is_empty() {
-                        rejected.push(item);
-                        continue;
-                    }
-                    match q.push(wrap(item)) {
-                        Ok(()) => pushed += 1,
-                        Err(env) => rejected.push((env.payload, env.submit_vt)),
-                    }
-                }
-                if !rejected.is_empty() {
-                    rejected.append(items);
-                    *items = rejected;
-                }
-                pushed
-            }
-        };
+        // SAFETY: completions are posted by the queue's single assigned
+        // worker (debug-checked by `_claim`); as sole CQ producer, `free`
+        // cannot shrink before the push and the drain iterator is consumed
+        // in full.
+        let free = unsafe { self.cq.producer_free() };
+        let k = items.len().min(free);
+        // SAFETY: same single-completing-worker contract as above.
+        let n = unsafe { self.cq.producer_push_iter(items.drain(..k).map(wrap)) };
         if n > 0 {
             self.completed.fetch_add(n as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
             self.ring_cq(); // one doorbell per burst (PR 3 contract)
@@ -644,10 +499,10 @@ impl<T> QueuePair<T> {
     /// domain.
     pub fn reap(&self, ctx: &mut Ctx, consumer_domain: u32) -> Option<Envelope<T>> {
         #[cfg(debug_assertions)]
-        let _claim = self.claim(LaneRole::CqConsumer);
+        let _claim = self.claim(Role::CqConsumer);
         // SAFETY: completions are reaped only by the owning client
         // connection (debug-checked by `_claim`).
-        let mut env = unsafe { self.cq.pop() }?;
+        let mut env = unsafe { self.cq.consumer_pop() }?;
         ctx.idle_until(env.submit_vt);
         if env.origin_domain != consumer_domain {
             cost::cross_domain_hop(ctx);
@@ -670,11 +525,11 @@ impl<T> QueuePair<T> {
         max: usize,
     ) -> usize {
         #[cfg(debug_assertions)]
-        let _claim = self.claim(LaneRole::CqConsumer);
+        let _claim = self.claim(Role::CqConsumer);
         let start = out.len();
         // SAFETY: same single-reaping-client contract as `reap`
         // (debug-checked by `_claim`).
-        let n = unsafe { self.cq.pop_batch(out, max) };
+        let n = unsafe { self.cq.consumer_pop_batch(out, max) };
         for env in out.iter_mut().skip(start) {
             ctx.idle_until(env.submit_vt);
             if env.origin_domain != consumer_domain {
@@ -862,28 +717,23 @@ mod tests {
         QueuePair::new(1, 8, QueueFlags::default())
     }
 
-    fn qp_spsc() -> QueuePair<u32> {
-        QueuePair::with_lane(1, 8, QueueFlags::default(), LaneKind::Spsc)
-    }
-
     #[test]
     fn submit_consume_complete_reap() {
-        for q in [qp(), qp_spsc()] {
-            q.submit(7, 100, 1).unwrap();
-            let mut worker = Ctx::new();
-            let env = q.consume(&mut worker, 0).unwrap();
-            assert_eq!(env.payload, 7);
-            assert_eq!(env.origin_domain, 1);
-            // Worker idled to submit time then paid the cross-domain hop.
-            assert_eq!(worker.now(), 100 + cost::CROSS_DOMAIN_HOP_NS);
-            assert_eq!(env.dequeue_vt, worker.now());
-            q.complete(env.payload + 1, worker.now(), 0).unwrap();
-            let mut client = Ctx::at(50);
-            let done = q.reap(&mut client, 1).unwrap();
-            assert_eq!(done.payload, 8);
-            assert_eq!(client.now(), worker.now() + cost::CROSS_DOMAIN_HOP_NS);
-            assert_eq!(done.dequeue_vt, client.now());
-        }
+        let q = qp();
+        q.submit(7, 100, 1).unwrap();
+        let mut worker = Ctx::new();
+        let env = q.consume(&mut worker, 0).unwrap();
+        assert_eq!(env.payload, 7);
+        assert_eq!(env.origin_domain, 1);
+        // Worker idled to submit time then paid the cross-domain hop.
+        assert_eq!(worker.now(), 100 + cost::CROSS_DOMAIN_HOP_NS);
+        assert_eq!(env.dequeue_vt, worker.now());
+        q.complete(env.payload + 1, worker.now(), 0).unwrap();
+        let mut client = Ctx::at(50);
+        let done = q.reap(&mut client, 1).unwrap();
+        assert_eq!(done.payload, 8);
+        assert_eq!(client.now(), worker.now() + cost::CROSS_DOMAIN_HOP_NS);
+        assert_eq!(done.dequeue_vt, client.now());
     }
 
     #[test]
@@ -906,17 +756,13 @@ mod tests {
 
     #[test]
     fn backpressure_when_full() {
-        for q in [
-            QueuePair::new(1, 2, QueueFlags::default()),
-            QueuePair::with_lane(1, 2, QueueFlags::default(), LaneKind::Spsc),
-        ] {
-            q.submit(1, 0, 0).unwrap();
-            q.submit(2, 0, 0).unwrap();
-            assert_eq!(q.submit(3, 0, 0), Err(3));
-            let mut ctx = Ctx::new();
-            q.consume(&mut ctx, 0).unwrap();
-            q.submit(3, 0, 0).unwrap();
-        }
+        let q = QueuePair::new(1, 2, QueueFlags::default());
+        q.submit(1, 0, 0).unwrap();
+        q.submit(2, 0, 0).unwrap();
+        assert_eq!(q.submit(3, 0, 0), Err(3));
+        let mut ctx = Ctx::new();
+        q.consume(&mut ctx, 0).unwrap();
+        q.submit(3, 0, 0).unwrap();
     }
 
     #[test]
@@ -933,68 +779,63 @@ mod tests {
     }
 
     #[test]
-    fn batch_verbs_roundtrip_both_lanes() {
-        for q in [qp(), qp_spsc()] {
-            let mut payloads: Vec<u32> = (0..5).collect();
-            assert_eq!(q.submit_batch(&mut payloads, 100, 1), 5);
-            assert!(payloads.is_empty());
-            assert_eq!((q.total_submitted(), q.sq_depth()), (5, 5));
+    fn batch_verbs_roundtrip() {
+        let q = qp();
+        let mut payloads: Vec<u32> = (0..5).collect();
+        assert_eq!(q.submit_batch(&mut payloads, 100, 1), 5);
+        assert!(payloads.is_empty());
+        assert_eq!((q.total_submitted(), q.sq_depth()), (5, 5));
 
-            let mut worker = Ctx::new();
-            let mut inbox = Vec::new();
-            assert_eq!(q.consume_batch(&mut worker, 0, &mut inbox, 8), 5);
-            assert_eq!(q.total_consumed(), 5);
-            let order: Vec<u32> = inbox.iter().map(|e| e.payload).collect();
-            assert_eq!(order, vec![0, 1, 2, 3, 4]);
-            // First envelope: idle to 100 then cross-domain hop; the rest
-            // pay one hop each (already past their submit time).
-            assert_eq!(worker.now(), 100 + 5 * cost::CROSS_DOMAIN_HOP_NS);
-            assert_eq!(inbox[0].dequeue_vt, 100 + cost::CROSS_DOMAIN_HOP_NS);
-            assert_eq!(inbox[4].dequeue_vt, worker.now());
+        let mut worker = Ctx::new();
+        let mut inbox = Vec::new();
+        assert_eq!(q.consume_batch(&mut worker, 0, &mut inbox, 8), 5);
+        assert_eq!(q.total_consumed(), 5);
+        let order: Vec<u32> = inbox.iter().map(|e| e.payload).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        // First envelope: idle to 100 then cross-domain hop; the rest
+        // pay one hop each (already past their submit time).
+        assert_eq!(worker.now(), 100 + 5 * cost::CROSS_DOMAIN_HOP_NS);
+        assert_eq!(inbox[0].dequeue_vt, 100 + cost::CROSS_DOMAIN_HOP_NS);
+        assert_eq!(inbox[4].dequeue_vt, worker.now());
 
-            let mut completions: Vec<(u32, u64)> = inbox
-                .iter()
-                .map(|e| (e.payload + 10, e.dequeue_vt))
-                .collect();
-            assert_eq!(q.complete_batch(&mut completions, 0), 5);
-            assert!(completions.is_empty());
-            assert_eq!(q.total_completed(), 5);
+        let mut completions: Vec<(u32, u64)> = inbox
+            .iter()
+            .map(|e| (e.payload + 10, e.dequeue_vt))
+            .collect();
+        assert_eq!(q.complete_batch(&mut completions, 0), 5);
+        assert!(completions.is_empty());
+        assert_eq!(q.total_completed(), 5);
 
-            let mut client = Ctx::new();
-            let mut done = Vec::new();
-            assert_eq!(q.reap_batch(&mut client, 1, &mut done, 8), 5);
-            let order: Vec<u32> = done.iter().map(|e| e.payload).collect();
-            assert_eq!(order, vec![10, 11, 12, 13, 14]);
-            // Per-completion production times survive the batch.
-            assert_eq!(done[0].submit_vt, 100 + cost::CROSS_DOMAIN_HOP_NS);
-        }
+        let mut client = Ctx::new();
+        let mut done = Vec::new();
+        assert_eq!(q.reap_batch(&mut client, 1, &mut done, 8), 5);
+        let order: Vec<u32> = done.iter().map(|e| e.payload).collect();
+        assert_eq!(order, vec![10, 11, 12, 13, 14]);
+        // Per-completion production times survive the batch.
+        assert_eq!(done[0].submit_vt, 100 + cost::CROSS_DOMAIN_HOP_NS);
     }
 
     #[test]
     fn batch_submit_backpressure_keeps_leftovers_in_order() {
-        for q in [
-            QueuePair::new(1, 4, QueueFlags::default()),
-            QueuePair::with_lane(1, 4, QueueFlags::default(), LaneKind::Spsc),
-        ] {
-            let mut payloads: Vec<u32> = (0..7).collect();
-            assert_eq!(q.submit_batch(&mut payloads, 0, 0), 4);
-            assert_eq!(payloads, vec![4, 5, 6]);
-            let mut ctx = Ctx::new();
-            let mut inbox = Vec::new();
-            assert_eq!(q.consume_batch(&mut ctx, 0, &mut inbox, 2), 2);
-            assert_eq!(q.submit_batch(&mut payloads, 0, 0), 2);
-            assert_eq!(payloads, vec![6]);
-            // FIFO across the partial batches.
-            inbox.clear();
-            q.consume_batch(&mut ctx, 0, &mut inbox, 16);
-            let order: Vec<u32> = inbox.iter().map(|e| e.payload).collect();
-            assert_eq!(order, vec![2, 3, 4, 5]);
-        }
+        let q = QueuePair::new(1, 4, QueueFlags::default());
+        let mut payloads: Vec<u32> = (0..7).collect();
+        assert_eq!(q.submit_batch(&mut payloads, 0, 0), 4);
+        assert_eq!(payloads, vec![4, 5, 6]);
+        let mut ctx = Ctx::new();
+        let mut inbox = Vec::new();
+        assert_eq!(q.consume_batch(&mut ctx, 0, &mut inbox, 2), 2);
+        assert_eq!(q.submit_batch(&mut payloads, 0, 0), 2);
+        assert_eq!(payloads, vec![6]);
+        // FIFO across the partial batches.
+        inbox.clear();
+        q.consume_batch(&mut ctx, 0, &mut inbox, 16);
+        let order: Vec<u32> = inbox.iter().map(|e| e.payload).collect();
+        assert_eq!(order, vec![2, 3, 4, 5]);
     }
 
     #[test]
     fn consume_batch_max_zero_is_noop() {
-        let q = qp_spsc();
+        let q = qp();
         q.submit(1, 0, 0).unwrap();
         let mut ctx = Ctx::new();
         let mut out = Vec::new();
@@ -1004,52 +845,58 @@ mod tests {
     }
 
     #[test]
-    fn spsc_lane_reports_kind_and_rounds_depth() {
-        let q = QueuePair::<u32>::with_lane(9, 5, QueueFlags::default(), LaneKind::Spsc);
-        assert_eq!(q.lane(), LaneKind::Spsc);
+    fn depth_rounds_up_to_a_power_of_two() {
+        let q = QueuePair::<u32>::new(9, 5, QueueFlags::default());
         // 5 rounds to 8.
         for i in 0..8 {
             q.submit(i, 0, 0).unwrap();
         }
         assert!(q.submit(9, 0, 0).is_err());
-        assert_eq!(qp().lane(), LaneKind::Mpmc);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "contract violated")]
+    fn a_second_holder_of_a_role_panics() {
+        let flag = AtomicBool::new(false);
+        let _first = Claim::acquire(&flag, "SQ producer (submit)");
+        let _second = Claim::acquire(&flag, "SQ producer (submit)");
     }
 
     #[test]
     fn doorbells_ring_once_per_burst() {
-        for q in [qp(), qp_spsc()] {
-            let worker_bell = Arc::new(Doorbell::new());
-            let client_bell = Arc::new(Doorbell::new());
-            q.register_sq_bell(&worker_bell);
-            q.register_cq_bell(&client_bell);
-            let (sq0, cq0) = (worker_bell.epoch(), client_bell.epoch());
+        let q = qp();
+        let worker_bell = Arc::new(Doorbell::new());
+        let client_bell = Arc::new(Doorbell::new());
+        q.register_sq_bell(&worker_bell);
+        q.register_cq_bell(&client_bell);
+        let (sq0, cq0) = (worker_bell.epoch(), client_bell.epoch());
 
-            // A 4-item burst rings the SQ bell exactly once.
-            let mut payloads: Vec<u32> = (0..4).collect();
-            assert_eq!(q.submit_batch(&mut payloads, 0, 0), 4);
-            assert_eq!(worker_bell.epoch(), sq0 + 1);
-            assert_eq!(client_bell.epoch(), cq0);
+        // A 4-item burst rings the SQ bell exactly once.
+        let mut payloads: Vec<u32> = (0..4).collect();
+        assert_eq!(q.submit_batch(&mut payloads, 0, 0), 4);
+        assert_eq!(worker_bell.epoch(), sq0 + 1);
+        assert_eq!(client_bell.epoch(), cq0);
 
-            // Singles ring once each.
-            q.submit(9, 0, 0).unwrap();
-            assert_eq!(worker_bell.epoch(), sq0 + 2);
+        // Singles ring once each.
+        q.submit(9, 0, 0).unwrap();
+        assert_eq!(worker_bell.epoch(), sq0 + 2);
 
-            // Completions ring the CQ bell, once per burst.
-            let mut ctx = Ctx::new();
-            let mut inbox = Vec::new();
-            q.consume_batch(&mut ctx, 0, &mut inbox, 8);
-            let mut completions: Vec<(u32, u64)> =
-                inbox.iter().map(|e| (e.payload, e.dequeue_vt)).collect();
-            assert_eq!(q.complete_batch(&mut completions, 0), 5);
-            assert_eq!(client_bell.epoch(), cq0 + 1);
-            assert_eq!(worker_bell.epoch(), sq0 + 2);
+        // Completions ring the CQ bell, once per burst.
+        let mut ctx = Ctx::new();
+        let mut inbox = Vec::new();
+        q.consume_batch(&mut ctx, 0, &mut inbox, 8);
+        let mut completions: Vec<(u32, u64)> =
+            inbox.iter().map(|e| (e.payload, e.dequeue_vt)).collect();
+        assert_eq!(q.complete_batch(&mut completions, 0), 5);
+        assert_eq!(client_bell.epoch(), cq0 + 1);
+        assert_eq!(worker_bell.epoch(), sq0 + 2);
 
-            // Upgrade edges ring the SQ bell so a parked worker reacts.
-            q.mark_update_pending();
-            assert_eq!(worker_bell.epoch(), sq0 + 3);
-            q.clear_update();
-            assert_eq!(worker_bell.epoch(), sq0 + 4);
-        }
+        // Upgrade edges ring the SQ bell so a parked worker reacts.
+        q.mark_update_pending();
+        assert_eq!(worker_bell.epoch(), sq0 + 3);
+        q.clear_update();
+        assert_eq!(worker_bell.epoch(), sq0 + 4);
     }
 
     #[test]
@@ -1126,17 +973,13 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved() {
-        for q in [
-            QueuePair::new(1, 64, QueueFlags::default()),
-            QueuePair::with_lane(1, 64, QueueFlags::default(), LaneKind::Spsc),
-        ] {
-            for i in 0..10 {
-                q.submit(i, 0, 0).unwrap();
-            }
-            let mut ctx = Ctx::new();
-            for i in 0..10 {
-                assert_eq!(q.consume(&mut ctx, 0).unwrap().payload, i);
-            }
+        let q = QueuePair::new(1, 64, QueueFlags::default());
+        for i in 0..10 {
+            q.submit(i, 0, 0).unwrap();
+        }
+        let mut ctx = Ctx::new();
+        for i in 0..10 {
+            assert_eq!(q.consume(&mut ctx, 0).unwrap().payload, i);
         }
     }
 }

@@ -13,9 +13,9 @@
 //!   contract a type-system fact. Use this whenever the two endpoints can
 //!   own their halves.
 //! * [`SpscRing::with_capacity`] hands out the unsplit ring for callers —
-//!   `QueuePair`'s SPSC lane — that enforce the contract by *protocol*
-//!   (connect-time lane selection plus the orchestrator's single-consumer
-//!   assignment and drain-and-handoff; see DESIGN.md §9). Those callers go
+//!   `QueuePair` — that enforce the contract by *protocol* (one client per
+//!   connection plus the orchestrator's single-consumer assignment and
+//!   drain-and-handoff; see DESIGN.md §9). Those callers go
 //!   through the `unsafe` `producer_*`/`consumer_*` operations and carry
 //!   the proof obligation themselves.
 //!

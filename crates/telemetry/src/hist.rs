@@ -4,8 +4,8 @@
 //! split into [`SUB`] linear sub-buckets, giving a worst-case relative
 //! quantile error of `1/SUB` (6.25%) across the whole range — the same
 //! scheme HdrHistogram uses. Every counter is an atomic, so `record` is
-//! wait-free and safe from any number of threads; `merge` and `quantile`
-//! read concurrently-updated counters and are approximate by design
+//! wait-free and safe from any number of threads; `quantile` reads
+//! concurrently-updated counters and is approximate by design
 //! (monitoring, not accounting).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,47 +101,6 @@ impl LogHistogram {
             match self.max.compare_exchange_weak(
                 cur,
                 v,
-                Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-                Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    /// Fold `other`'s recordings into `self` (used when aggregating
-    /// per-worker histograms).
-    pub fn merge(&self, other: &LogHistogram) {
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            let n = theirs.load(Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        let omin = other.min.load(Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        let mut cur = self.min.load(Ordering::Relaxed); // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-        while omin < cur {
-            match self.min.compare_exchange_weak(
-                cur,
-                omin,
-                Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-                Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-        let omax = other.max.load(Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        let mut cur = self.max.load(Ordering::Relaxed); // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-        while omax > cur {
-            match self.max.compare_exchange_weak(
-                cur,
-                omax,
                 Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
                 Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
             ) {
@@ -260,21 +219,6 @@ mod tests {
         assert!((100_000..=100_000 + 100_000 / 16 + 1).contains(&p50));
         assert_eq!(h.quantile(1.0), 100_000); // clamped to recorded max
         assert_eq!(h.mean(), 100_000);
-    }
-
-    #[test]
-    fn merge_conserves_counts() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        for v in 0..100u64 {
-            a.record(v * 97);
-            b.record(v * 1013);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        assert_eq!(a.sum(), (0..100u64).map(|v| v * 97 + v * 1013).sum());
-        assert_eq!(a.max(), 99 * 1013);
-        assert_eq!(a.min(), 0);
     }
 
     #[test]

@@ -36,33 +36,6 @@ fn span(i: u64) -> SpanEvent {
 }
 
 proptest! {
-    /// Merging histograms conserves both the value count and (within the
-    /// clamp-free domain) the exact sum.
-    #[test]
-    fn hist_merge_conserves_count_and_sum(
-        xs in proptest::collection::vec(0u64..DOMAIN, 0..200),
-        ys in proptest::collection::vec(0u64..DOMAIN, 0..200),
-    ) {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        for &v in &xs {
-            a.record(v);
-        }
-        for &v in &ys {
-            b.record(v);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), (xs.len() + ys.len()) as u64);
-        let expect: u64 = xs.iter().chain(ys.iter()).sum();
-        prop_assert_eq!(a.sum(), expect);
-        if !xs.is_empty() || !ys.is_empty() {
-            let lo = xs.iter().chain(ys.iter()).min().copied().unwrap();
-            let hi = xs.iter().chain(ys.iter()).max().copied().unwrap();
-            prop_assert_eq!(a.min(), lo);
-            prop_assert_eq!(a.max(), hi);
-        }
-    }
-
     /// Quantiles are monotone in `q` and live within `[min, max]`.
     #[test]
     fn hist_quantiles_monotone_and_bounded(

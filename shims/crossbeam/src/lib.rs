@@ -1,11 +1,8 @@
 //! Offline shim for `crossbeam`.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors the slice of crossbeam it uses: [`utils::CachePadded`],
-//! [`utils::Backoff`], and [`queue::ArrayQueue`]. The queue is the same
-//! algorithm the real crate uses — Dmitry Vyukov's bounded MPMC queue
-//! with per-slot sequence numbers — not a mutex stand-in, so the IPC hot
-//! path keeps its lock-free behaviour.
+//! vendors the slice of crossbeam it uses: [`utils::CachePadded`] and
+//! [`utils::Backoff`].
 
 pub mod utils {
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -107,291 +104,6 @@ pub mod utils {
     impl Default for Backoff {
         fn default() -> Self {
             Backoff::new()
-        }
-    }
-}
-
-pub mod queue {
-    use std::cell::UnsafeCell;
-    use std::mem::MaybeUninit;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    use crate::utils::CachePadded;
-
-    /// Bounded lock-free MPMC queue (Vyukov algorithm).
-    ///
-    /// Each slot carries a sequence number: `seq == index` means the slot
-    /// is empty and ready for the producer whose ticket is `index`;
-    /// `seq == index + 1` means it holds that ticket's element and is
-    /// ready for the matching consumer. Producers and consumers claim
-    /// tickets with a CAS on `head`/`tail` and then operate on their slot
-    /// without further contention.
-    pub struct ArrayQueue<T> {
-        buf: Box<[Slot<T>]>,
-        /// Next ticket to pop.
-        head: CachePadded<AtomicUsize>,
-        /// Next ticket to push.
-        tail: CachePadded<AtomicUsize>,
-        /// One lap advances a slot's sequence by `cap` (indices are not
-        /// masked powers of two here; we store capacity explicitly).
-        cap: usize,
-    }
-
-    struct Slot<T> {
-        seq: AtomicUsize,
-        value: UnsafeCell<MaybeUninit<T>>,
-    }
-
-    // SAFETY: the sequence-number protocol hands each element from exactly
-    // one producer to exactly one consumer; `T: Send` is all that transfer
-    // needs, and shared `&ArrayQueue` access only touches atomics.
-    unsafe impl<T: Send> Send for ArrayQueue<T> {}
-    // SAFETY: see above — concurrent shared access is mediated entirely by
-    // the per-slot `seq` atomics.
-    unsafe impl<T: Send> Sync for ArrayQueue<T> {}
-
-    impl<T> ArrayQueue<T> {
-        /// Create a queue holding at most `cap` elements.
-        ///
-        /// # Panics
-        /// Panics if `cap == 0`, mirroring crossbeam.
-        pub fn new(cap: usize) -> Self {
-            assert!(cap > 0, "ArrayQueue capacity must be non-zero");
-            let buf = (0..cap)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect();
-            ArrayQueue {
-                buf,
-                head: CachePadded::new(AtomicUsize::new(0)),
-                tail: CachePadded::new(AtomicUsize::new(0)),
-                cap,
-            }
-        }
-
-        /// Capacity the queue was created with.
-        pub fn capacity(&self) -> usize {
-            self.cap
-        }
-
-        /// Push an element; returns it back if the queue is full.
-        pub fn push(&self, value: T) -> Result<(), T> {
-            let mut tail = self.tail.load(Ordering::Relaxed); // relaxed-ok: optimistic ticket read; the slot seq CAS publishes the claim
-            loop {
-                let slot = &self.buf[tail % self.cap];
-                let seq = slot.seq.load(Ordering::Acquire);
-                // Vyukov protocol: seq == ticket → free for this producer;
-                // seq behind the ticket → the previous lap's element has
-                // not been consumed (queue full); seq ahead → another
-                // producer claimed the ticket first.
-                let diff = seq.wrapping_sub(tail) as isize;
-                if diff == 0 {
-                    match self.tail.compare_exchange_weak(
-                        tail,
-                        tail.wrapping_add(1),
-                        Ordering::Relaxed, // relaxed-ok: ticket CAS orders nothing else; slot seq carries the ordering
-                        Ordering::Relaxed, // relaxed-ok: ticket CAS orders nothing else; slot seq carries the ordering
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: the CAS above made us the unique
-                            // owner of ticket `tail`, and seq == tail
-                            // means the slot is empty; the release store
-                            // below publishes it to the matching consumer.
-                            unsafe { (*slot.value.get()).write(value) };
-                            slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(t) => tail = t,
-                    }
-                } else if diff < 0 {
-                    return Err(value);
-                } else {
-                    tail = self.tail.load(Ordering::Relaxed); // relaxed-ok: optimistic ticket re-read; the slot seq CAS publishes the claim
-                }
-            }
-        }
-
-        /// Pop the oldest element, if any.
-        pub fn pop(&self) -> Option<T> {
-            let mut head = self.head.load(Ordering::Relaxed); // relaxed-ok: optimistic ticket re-read; the slot seq CAS publishes the claim
-            loop {
-                let slot = &self.buf[head % self.cap];
-                let seq = slot.seq.load(Ordering::Acquire);
-                // seq == ticket + 1 → published element for this consumer;
-                // seq behind that → slot still empty (queue empty); ahead
-                // → another consumer claimed the ticket first.
-                let diff = seq.wrapping_sub(head.wrapping_add(1)) as isize;
-                if diff == 0 {
-                    match self.head.compare_exchange_weak(
-                        head,
-                        head.wrapping_add(1),
-                        Ordering::Relaxed, // relaxed-ok: ticket CAS orders nothing else; slot seq carries the ordering
-                        Ordering::Relaxed, // relaxed-ok: ticket CAS orders nothing else; slot seq carries the ordering
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: the CAS made us the unique consumer
-                            // of ticket `head`, and seq == head + 1 proves
-                            // the producer's release store published the
-                            // element.
-                            let value = unsafe { (*slot.value.get()).assume_init_read() };
-                            slot.seq
-                                .store(head.wrapping_add(self.cap), Ordering::Release);
-                            return Some(value);
-                        }
-                        Err(h) => head = h,
-                    }
-                } else if diff < 0 {
-                    return None;
-                } else {
-                    head = self.head.load(Ordering::Relaxed); // relaxed-ok: optimistic ticket re-read; the slot seq CAS publishes the claim
-                }
-            }
-        }
-
-        /// Number of elements currently queued (approximate under
-        /// concurrency).
-        pub fn len(&self) -> usize {
-            let tail = self.tail.load(Ordering::Relaxed); // relaxed-ok: racy occupancy snapshot by documented contract
-            let head = self.head.load(Ordering::Relaxed); // relaxed-ok: racy occupancy snapshot by documented contract
-            tail.wrapping_sub(head).min(self.cap)
-        }
-
-        /// True if no elements are queued (approximate).
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// True if the queue is at capacity (approximate).
-        pub fn is_full(&self) -> bool {
-            self.len() == self.cap
-        }
-    }
-
-    impl<T> Drop for ArrayQueue<T> {
-        fn drop(&mut self) {
-            // Drain unconsumed elements so their destructors run. `&mut
-            // self` means no concurrent access; wrapping walk handles
-            // ticket counters that have wrapped past usize::MAX.
-            let mut head = self.head.load(Ordering::Relaxed); // relaxed-ok: exclusive &mut self during drop
-            let tail = self.tail.load(Ordering::Relaxed); // relaxed-ok: exclusive &mut self during drop
-            while head != tail {
-                let slot = &self.buf[head % self.cap];
-                // SAFETY: sole owner during drop; tickets in [head, tail)
-                // were published by producers and never consumed.
-                unsafe { (*slot.value.get()).assume_init_drop() };
-                head = head.wrapping_add(1);
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-
-        #[test]
-        fn fifo_and_backpressure() {
-            let q = ArrayQueue::new(2);
-            q.push(1).unwrap();
-            q.push(2).unwrap();
-            assert_eq!(q.push(3), Err(3));
-            assert_eq!(q.pop(), Some(1));
-            q.push(3).unwrap();
-            assert_eq!(q.pop(), Some(2));
-            assert_eq!(q.pop(), Some(3));
-            assert_eq!(q.pop(), None);
-        }
-
-        #[test]
-        fn len_tracks() {
-            let q = ArrayQueue::new(4);
-            assert!(q.is_empty());
-            q.push(9u8).unwrap();
-            q.push(9u8).unwrap();
-            assert_eq!(q.len(), 2);
-            assert!(!q.is_full());
-        }
-
-        #[test]
-        fn non_power_of_two_capacity() {
-            let q = ArrayQueue::new(3);
-            for i in 0..3 {
-                q.push(i).unwrap();
-            }
-            assert!(q.is_full());
-            for i in 0..3 {
-                assert_eq!(q.pop(), Some(i));
-            }
-        }
-
-        #[test]
-        fn unconsumed_elements_dropped() {
-            static DROPS: AtomicUsize = AtomicUsize::new(0);
-            #[derive(Debug)]
-            struct D;
-            impl Drop for D {
-                fn drop(&mut self) {
-                    DROPS.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            {
-                let q = ArrayQueue::new(4);
-                q.push(D).unwrap();
-                q.push(D).unwrap();
-                let _ = q.pop();
-            }
-            assert_eq!(DROPS.load(Ordering::Relaxed), 2);
-        }
-
-        #[test]
-        fn mpmc_stress_no_loss_no_dup() {
-            const PER_PRODUCER: u64 = 5_000;
-            let q = Arc::new(ArrayQueue::new(16));
-            let sum = Arc::new(AtomicUsize::new(0));
-            let seen = Arc::new(AtomicUsize::new(0));
-            let mut handles = Vec::new();
-            for p in 0..3u64 {
-                let q = q.clone();
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..PER_PRODUCER {
-                        let mut v = p * PER_PRODUCER + i;
-                        loop {
-                            match q.push(v) {
-                                Ok(()) => break,
-                                Err(b) => {
-                                    v = b;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                }));
-            }
-            for _ in 0..3 {
-                let q = q.clone();
-                let sum = sum.clone();
-                let seen = seen.clone();
-                handles.push(std::thread::spawn(move || loop {
-                    if seen.load(Ordering::Relaxed) >= 3 * PER_PRODUCER as usize {
-                        break;
-                    }
-                    if let Some(v) = q.pop() {
-                        sum.fetch_add(v as usize, Ordering::Relaxed);
-                        seen.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let n = 3 * PER_PRODUCER as usize;
-            assert_eq!(seen.load(Ordering::Relaxed), n);
-            assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2);
         }
     }
 }

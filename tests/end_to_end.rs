@@ -178,51 +178,69 @@ fn execve_fd_state_survives_address_space_swap() {
 }
 
 #[test]
-fn unordered_queue_drained_by_multiple_workers() {
-    // Unordered queues "can be processed by multiple workers" (§III-C1):
-    // the MPMC queue pair stays loss- and duplication-free when two
-    // consumers race on it.
-    use labstor::ipc::{IpcManager, QueueFlags, QueuePair, QueueRole};
-    let _: &labstor::ipc::IpcManager<u64>; // type anchor
-    let qp: std::sync::Arc<QueuePair<u64>> = std::sync::Arc::new(QueuePair::new(
-        1,
-        4096,
-        QueueFlags {
-            ordered: false,
-            role: QueueRole::Intermediate,
-        },
-    ));
-    const N: u64 = 4000;
-    for i in 0..N {
-        qp.submit(i, 0, 1).unwrap();
-    }
-    let seen: Vec<u64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let qp = qp.clone();
-                s.spawn(move || {
-                    let mut got = Vec::new();
-                    let mut ctx = labstor::sim::Ctx::new();
-                    while let Some(env) = qp.consume(&mut ctx, 0) {
-                        got.push(env.payload);
-                    }
-                    got
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
+fn refused_submissions_leave_no_load_estimate_behind() {
+    // The orchestrator's backlog (`est_load_ns`) must count only requests
+    // that are in the ring: every way a submission can be refused with
+    // `Backpressure` takes its estimate back off the queue.
+    use labstor::core::client::ClientError;
+    let devices = DeviceRegistry::new();
+    let rt = Runtime::start(RuntimeConfig {
+        max_workers: 1,
+        queue_depth: 4,
+        auto_admin: false, // nothing un-pauses the queue behind the test
+        ..Default::default()
     });
-    let mut sorted = seen;
-    sorted.sort_unstable();
+    labstor::mods::install_all(&rt.mm, &devices);
+    rt.mount_stack_json(
+        r#"{
+        "mount": "dummy::/",
+        "exec": "async",
+        "authorized_uids": [0],
+        "labmods": [ { "uuid": "bp_dummy", "type": "dummy", "params": {"work_ns": 500} } ]
+    }"#,
+    )
+    .unwrap();
+    let stack = rt.ns.get("dummy::/").unwrap();
+    let mut client = rt.connect(Credentials::new(1, 0, 0), 1);
+    client.offline_timeout = std::time::Duration::from_millis(20);
+    let q = client.conn.queues[0].clone();
+    // Stop the drain: the worker acks the pending flag and leaves the
+    // queue alone until it is cleared.
+    q.mark_update_pending();
+    while !q.is_paused() {
+        std::thread::yield_now();
+    }
+    let dummy = || Payload::Dummy { work_ns: 500 };
+    let ids: Vec<u64> = (0..4)
+        .map(|_| client.submit(&stack, dummy()).unwrap())
+        .collect();
+    let queued = 4 * q.max_item_ns();
+    assert!(queued > 0);
+    assert_eq!((q.sq_depth(), q.est_load_ns()), (4, queued));
+
     assert_eq!(
-        sorted,
-        (0..N).collect::<Vec<_>>(),
-        "every element exactly once"
+        client.submit(&stack, dummy()),
+        Err(ClientError::Backpressure)
     );
-    let _ = IpcManager::<u64>::new(1);
+    assert_eq!(q.est_load_ns(), queued, "after a refused submit");
+    assert_eq!(
+        client.submit_all(&stack, vec![dummy(), dummy(), dummy()]),
+        Err(ClientError::Backpressure)
+    );
+    assert_eq!(q.est_load_ns(), queued, "after a refused burst");
+    assert_eq!(
+        client.execute(&stack, dummy()).unwrap_err(),
+        ClientError::Backpressure
+    );
+    assert_eq!(q.est_load_ns(), queued, "after a refused execute");
+
+    // The four that made it in are served once the queue resumes.
+    q.clear_update();
+    client.offline_timeout = std::time::Duration::from_secs(5);
+    for id in ids {
+        assert_eq!(client.reap_one().unwrap().0.id, id);
+    }
+    rt.shutdown();
 }
 
 #[test]

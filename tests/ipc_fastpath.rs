@@ -1,12 +1,12 @@
-//! Integration tests for the IPC fast path: SPSC lane selection at
-//! connect time, the drain-and-handoff protocol under live orchestrator
+//! Integration tests for the IPC fast path: the queues connect hands
+//! out, the drain-and-handoff protocol under live orchestrator
 //! reassignment, and batched-verb equivalence with the single verbs.
 
 use proptest::prelude::*;
 
 use labstor::core::orchestrator::{Assignment, QueueLoad};
 use labstor::core::{OrchestratorPolicy, Payload, Runtime, RuntimeConfig};
-use labstor::ipc::{Credentials, Envelope, LaneKind, QueueFlags, QueuePair, QueueRole};
+use labstor::ipc::{Credentials, Envelope, QueueFlags, QueuePair};
 use labstor::sim::Ctx;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ fn platform(max_workers: usize) -> Arc<Runtime> {
 }
 
 // ---------------------------------------------------------------------
-// Lane selection
+// Connect-time allocation
 // ---------------------------------------------------------------------
 
 #[test]
@@ -40,15 +40,10 @@ fn runtime_connect_puts_clients_on_the_spsc_lane() {
     let client = rt.connect(Credentials::new(1, 0, 0), 3);
     assert_eq!(client.conn.queues.len(), 3);
     for q in &client.conn.queues {
-        assert_eq!(q.lane(), LaneKind::Spsc, "ordered primary queue");
         assert!(q.flags().ordered);
     }
-    // Queues the Runtime allocates outside connect stay on the safe lane.
-    let inter = rt.ipc.alloc_queue(QueueFlags {
-        ordered: false,
-        role: QueueRole::Intermediate,
-    });
-    assert_eq!(inter.lane(), LaneKind::Mpmc);
+    // Connect is the only source of queues the Runtime serves.
+    assert_eq!(rt.ipc.primary_queues().len(), 3);
     rt.shutdown();
 }
 
@@ -185,8 +180,8 @@ fn doorbell_rings_during_handoff_strand_no_envelope() {
 /// return (consumed trace, reaped trace, worker clock, client clock).
 type Trace = Vec<(u64, u64, u64)>;
 
-fn run_singles(lane: LaneKind, payloads: &[u64], submit_vt: u64) -> (Trace, Trace, u64, u64) {
-    let qp: QueuePair<u64> = QueuePair::with_lane(1, 64, QueueFlags::default(), lane);
+fn run_singles(payloads: &[u64], submit_vt: u64) -> (Trace, Trace, u64, u64) {
+    let qp: QueuePair<u64> = QueuePair::new(1, 64, QueueFlags::default());
     let mut wctx = Ctx::new();
     let mut cctx = Ctx::new();
     for &p in payloads {
@@ -205,13 +200,8 @@ fn run_singles(lane: LaneKind, payloads: &[u64], submit_vt: u64) -> (Trace, Trac
 }
 
 /// Same workload through the *batched* verbs in bursts of `batch`.
-fn run_batched(
-    lane: LaneKind,
-    payloads: &[u64],
-    submit_vt: u64,
-    batch: usize,
-) -> (Trace, Trace, u64, u64) {
-    let qp: QueuePair<u64> = QueuePair::with_lane(1, 64, QueueFlags::default(), lane);
+fn run_batched(payloads: &[u64], submit_vt: u64, batch: usize) -> (Trace, Trace, u64, u64) {
+    let qp: QueuePair<u64> = QueuePair::new(1, 64, QueueFlags::default());
     let mut wctx = Ctx::new();
     let mut cctx = Ctx::new();
     let mut pend: Vec<u64> = payloads.to_vec();
@@ -252,18 +242,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The batched verbs must be observationally identical to N single
-    /// verbs on both lanes: same envelope order, same per-envelope
+    /// verbs: same envelope order, same per-envelope
     /// virtual-time stamps, same final worker and client clocks.
     #[test]
     fn batch_verbs_equal_n_singles(
         payloads in proptest::collection::vec(any::<u64>(), 1..48),
         batch in 1usize..9,
-        spsc in any::<bool>(),
         submit_vt in 0u64..10_000,
     ) {
-        let lane = if spsc { LaneKind::Spsc } else { LaneKind::Mpmc };
-        let (c1, r1, w1, k1) = run_singles(lane, &payloads, submit_vt);
-        let (c2, r2, w2, k2) = run_batched(lane, &payloads, submit_vt, batch);
+        let (c1, r1, w1, k1) = run_singles(&payloads, submit_vt);
+        let (c2, r2, w2, k2) = run_batched(&payloads, submit_vt, batch);
         prop_assert_eq!(c1.len(), payloads.len());
         prop_assert_eq!(&c1, &c2);
         prop_assert_eq!(&r1, &r2);
