@@ -5,9 +5,12 @@
 # figure-identity gate. Each step must pass. The smoke benches write
 # target/bench/BENCH_*.json and the telemetry example writes its trace
 # beside them; the committed BENCH_*.json and results/ are full runs and
-# samples and are not touched here.
+# samples and are not touched here: the last step fails the run if it left
+# the working tree any dirtier than it found it (benchmark/Cargo.lock
+# excepted: the frozen crate's lock file is stale and cargo rewrites it).
 set -euo pipefail
 cd "$(dirname "$0")"
+tree_before=$(git status --porcelain)
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
@@ -43,7 +46,7 @@ echo "== bench_ipc smoke (batched-verb regression gate: batch 32 vs batch 1)"
 cargo run -q --release -p labstor-bench --bin bench_ipc -- --smoke
 test -s target/bench/BENCH_ipc.json
 
-echo "== bench_datapath smoke (zero-copy + shard-scaling regression gate)"
+echo "== bench_datapath smoke (zero-copy read-hit regression gate)"
 cargo run -q --release -p labstor-bench --bin bench_datapath -- --smoke
 test -s target/bench/BENCH_datapath.json
 
@@ -67,5 +70,13 @@ test -s results/crash_fuzz_failures.json
 echo "== labstor-benchmark smoke (every workload end to end; a wrong byte, a failed op or cross-trial drift fails)"
 benchmark/run.sh --smoke > /dev/null
 test -s "${CARGO_TARGET_DIR:-target/benchmark}/results/smoke-seed1.json"
+
+echo "== clean tree (a CI run may not touch a committed file or leave an untracked one)"
+tree_new=$(comm -13 <(sort <<<"$tree_before") <(git status --porcelain | sort) | grep -vx ' M benchmark/Cargo.lock' || true)
+if [ -n "$tree_new" ]; then
+    echo "ci.sh dirtied the tree:"
+    echo "$tree_new"
+    exit 1
+fi
 
 echo "ci: all gates passed"

@@ -1,31 +1,20 @@
-//! Data-path benchmark: copy vs zero-copy read hits, and page-cache
-//! shard scaling — emits `BENCH_datapath.json`.
+//! Data-path benchmark: copy vs zero-copy read hits — emits
+//! `BENCH_datapath.json`.
 //!
-//! Two sweeps:
+//! **Read-hit sweep** — payload size (4 KiB / 64 KiB / 256 KiB) × mode
+//! (copying `BlockOp::Read` vs zero-copy `BlockOp::ReadBuf`). A client
+//! half submits read descriptors over a queue pair; the worker half
+//! serves them from a pre-warmed `LruCacheMod` whose blocks live in the
+//! shared buffer pool. The copying mode clones the cached bytes into
+//! `RespPayload::Data` per hit; the zero-copy mode answers with a
+//! `BufHandle` slice — a refcount bump. Both wall-clock ops/s and the
+//! modeled per-hit virtual cost are recorded.
 //!
-//! 1. **Read-hit sweep** — payload size (4 KiB / 64 KiB / 256 KiB) × mode
-//!    (copying `BlockOp::Read` vs zero-copy `BlockOp::ReadBuf`). A client half submits read
-//!    descriptors over a queue pair; the worker half serves them from a
-//!    pre-warmed `LruCacheMod` whose blocks live in the shared buffer
-//!    pool. The copying mode clones the cached bytes into
-//!    `RespPayload::Data` per hit; the zero-copy mode answers with a
-//!    `BufHandle` slice — a refcount bump. Both wall-clock ops/s and the
-//!    modeled per-hit virtual cost are recorded.
-//! 2. **Shard sweep** — the kernel `PageCache` at 1/2/4/8 shards under 8
-//!    concurrent request streams of pure hits. Throughput is measured in
-//!    *virtual* time (ops per simulated second): each shard's mapping
-//!    lock is a [`labstor_sim`] `Resource`, so one shard serializes all
-//!    streams while 8 shards let them proceed in parallel. Virtual
-//!    throughput is deterministic — immune to host core count and CI
-//!    noise — which is what the scaling gate compares.
-//!
-//! Gates (run fails with exit 1 if either misses):
-//! - zero-copy read hits at 64 KiB must not fall below the copying
-//!   baseline on wall-clock ops/s (target 2×, floor 1× to keep CI hosts
-//!   from flaking the build) AND must beat it ≥2× on modeled virtual
-//!   cost (deterministic, so the floor is the target).
-//! - page-cache virtual hit throughput must scale ≥3× from 1 to 8
-//!   shards at 8 streams.
+//! Gate (run fails with exit 1 if it misses): zero-copy read hits at
+//! 64 KiB must not fall below the copying baseline on wall-clock ops/s
+//! (target 2×, floor 1× to keep CI hosts from flaking the build) AND must
+//! beat it ≥2× on modeled virtual cost (deterministic, so the floor is
+//! the target).
 //!
 //! Usage: `bench_datapath [--smoke]` — `--smoke` shrinks op counts for CI
 //! and writes `target/bench/BENCH_datapath.json` instead.
@@ -36,7 +25,6 @@ use std::time::Instant;
 use labstor_core::stack::{ExecMode, LabStack, Vertex};
 use labstor_core::{BlockOp, ModuleManager, Payload, Request, RespPayload, StackEnv};
 use labstor_ipc::{default_pool, Credentials, Envelope, QueueFlags, QueuePair};
-use labstor_kernel::page_cache::{PageCache, PAGE_SIZE};
 use labstor_sim::{Ctx, SECTOR_SIZE};
 
 const RUNTIME_DOMAIN: u32 = 0;
@@ -191,80 +179,9 @@ fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
     }
 }
 
-/// One shard-count configuration's measurements.
-struct ShardSweep {
-    shards: usize,
-    streams: usize,
-    ops: usize,
-    /// Ops per *virtual* second — deterministic contention model.
-    virt_ops_per_sec: f64,
-    wall_ops_per_sec: f64,
-}
-
-/// 8 request streams of pure page-cache hits, round-robin interleaved
-/// (each stream has its own virtual clock; the per-shard mapping-lock
-/// `Resource` arbitrates them in virtual time exactly as racing threads
-/// would be). Virtual span = the latest clock at the end of the run.
-fn run_shards(shards: usize, streams: usize, ops_per_stream: usize) -> ShardSweep {
-    let pages_per_stream: u64 = 64;
-    let working_set = streams * pages_per_stream as usize * PAGE_SIZE;
-    // 2x the working set so hash imbalance across shards cannot evict.
-    let pc = PageCache::with_shards(2 * working_set, shards);
-    let mut warm = Ctx::new();
-    for s in 0..streams as u64 {
-        for p in 0..pages_per_stream {
-            pc.read_page(&mut warm, s, p, |_, _, b| {
-                b.fill(s as u8);
-                true
-            })
-            .expect("warm fill");
-        }
-    }
-    assert_eq!(pc.len(), streams * pages_per_stream as usize);
-    // Start every stream clock at the warm watermark so warm-up queueing
-    // does not bleed into the measured span.
-    let start = warm.now();
-    let mut ctxs: Vec<Ctx> = (0..streams)
-        .map(|_| {
-            let mut c = Ctx::new();
-            c.poll_until(start);
-            c
-        })
-        .collect();
-    let t0 = Instant::now();
-    for round in 0..ops_per_stream as u64 {
-        for (s, ctx) in ctxs.iter_mut().enumerate() {
-            let (h, hit) = pc
-                .read_page(ctx, s as u64, round % pages_per_stream, |_, _, _| false)
-                .expect("resident page");
-            assert!(hit, "sweep must be all hits");
-            assert_eq!(h.as_slice()[0], s as u8);
-        }
-    }
-    let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-    let vspan = ctxs
-        .iter()
-        .map(|c| c.now() - start)
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let ops = streams * ops_per_stream;
-    ShardSweep {
-        shards,
-        streams,
-        ops,
-        virt_ops_per_sec: ops as f64 / (vspan as f64 / 1e9),
-        wall_ops_per_sec: ops as f64 / elapsed,
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (hit_ops, stream_ops) = if smoke {
-        (4_000, 2_000)
-    } else {
-        (40_000, 25_000)
-    };
+    let hit_ops = if smoke { 4_000 } else { 40_000 };
 
     let mut hits: Vec<ReadHit> = Vec::new();
     for size in [4 * 1024usize, 64 * 1024, 256 * 1024] {
@@ -272,12 +189,6 @@ fn main() {
             hits.push(run_readhit(size, zero_copy, hit_ops));
         }
     }
-
-    let shard_counts = [1usize, 2, 4, 8];
-    let sweeps: Vec<ShardSweep> = shard_counts
-        .iter()
-        .map(|&n| run_shards(n, 8, stream_ops))
-        .collect();
 
     let find_hit = |size: usize, zc: bool| {
         hits.iter()
@@ -292,11 +203,6 @@ fn main() {
     // deterministic so it gates at the full 2x target.
     let zc_pass = wall_speedup >= 1.0 && virt_speedup >= 2.0;
 
-    let one = sweeps.iter().find(|s| s.shards == 1).expect("1 shard");
-    let eight = sweeps.iter().find(|s| s.shards == 8).expect("8 shards");
-    let shard_scaling = eight.virt_ops_per_sec / one.virt_ops_per_sec.max(1e-9);
-    let shard_pass = shard_scaling >= 3.0;
-
     let hit_json: Vec<serde_json::Value> = hits
         .iter()
         .map(|h| {
@@ -310,18 +216,6 @@ fn main() {
             })
         })
         .collect();
-    let sweep_json: Vec<serde_json::Value> = sweeps
-        .iter()
-        .map(|s| {
-            serde_json::json!({
-                "shards": s.shards,
-                "streams": s.streams,
-                "ops": s.ops,
-                "virt_ops_per_sec": s.virt_ops_per_sec,
-                "wall_ops_per_sec": s.wall_ops_per_sec,
-            })
-        })
-        .collect();
     let zc_gate = serde_json::json!({
         "compare": "64KiB zerocopy vs copy read hits",
         "wall_speedup": wall_speedup,
@@ -331,20 +225,12 @@ fn main() {
         "target": 2.0,
         "pass": zc_pass,
     });
-    let shard_gate = serde_json::json!({
-        "compare": "8 vs 1 page-cache shards, 8 streams, virtual ops/s",
-        "speedup": shard_scaling,
-        "required_min": 3.0,
-        "pass": shard_pass,
-    });
     let doc = serde_json::json!({
         "benchmark": "datapath",
         "smoke": smoke,
         "read_hits": hit_json,
-        "shard_sweep": sweep_json,
         "gates": serde_json::json!({
             "zero_copy_64k": zc_gate,
-            "shard_scaling": shard_gate,
         }),
     });
     let out = serde_json::to_string_pretty(&doc).expect("serialize");
@@ -367,26 +253,10 @@ fn main() {
         );
     }
     println!(
-        "{:>7} {:>8} {:>16} {:>16}",
-        "shards", "streams", "vops/s", "wall ops/s"
-    );
-    for s in &sweeps {
-        println!(
-            "{:>7} {:>8} {:>16.0} {:>16.0}",
-            s.shards, s.streams, s.virt_ops_per_sec, s.wall_ops_per_sec
-        );
-    }
-    println!(
         "zero-copy 64KiB: wall {wall_speedup:.2}x (floor 1.0), modeled {virt_speedup:.2}x (floor 2.0)"
     );
-    println!("shard scaling 1->8: {shard_scaling:.2}x virtual (floor 3.0)");
     if !zc_pass {
         eprintln!("FAIL: zero-copy read-hit path regressed against the copying baseline");
-    }
-    if !shard_pass {
-        eprintln!("FAIL: page-cache shard scaling fell below 3x");
-    }
-    if !(zc_pass && shard_pass) {
         std::process::exit(1);
     }
 }

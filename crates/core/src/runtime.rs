@@ -459,8 +459,7 @@ impl Runtime {
     /// First connection wins the registration; a later connection with a
     /// different policy stages a hot update (applied immediately here, and
     /// otherwise by the next admin tick). Every connection queue is bound
-    /// to the tenant for weighted-fair attribution, and a buffer quota is
-    /// forwarded to the shared pool.
+    /// to the tenant for weighted-fair attribution.
     pub fn connect_with_policy(
         self: &Arc<Self>,
         creds: Credentials,
@@ -479,7 +478,6 @@ impl Runtime {
             for q in &conn.queues {
                 self.tenants.bind_queue(q.id, tenant);
             }
-            labstor_ipc::default_pool().set_tenant_quota(tenant, policy.buf_quota_bytes);
         }
         self.rebalance();
         Client::new(conn, self.clone())

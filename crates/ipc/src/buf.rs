@@ -32,18 +32,31 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::credentials::TenantId;
-
 /// Count of intermediate payload copies performed by the stack (test hook).
 static PAYLOAD_COPIES: AtomicU64 = AtomicU64::new(0);
 /// Total bytes those copies moved.
 static PAYLOAD_COPY_BYTES: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`PAYLOAD_COPIES`].
+    static THREAD_PAYLOAD_COPIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Copies recorded by the calling thread: what a unit test compares
+/// exactly, since the tests running beside it bump [`payload_copies`] too.
+#[cfg(test)]
+pub(crate) fn thread_payload_copies() -> u64 {
+    THREAD_PAYLOAD_COPIES.get()
+}
 
 /// Record one intermediate payload copy of `bytes` bytes. Every site in
 /// the stack that memcpy-s payload data (legacy `Vec` paths, partial-page
 /// read-modify-write, copy-on-write) calls this so tests can prove the
 /// zero-copy path really is copy-free.
 pub fn note_payload_copy(bytes: usize) {
+    #[cfg(test)]
+    THREAD_PAYLOAD_COPIES.set(THREAD_PAYLOAD_COPIES.get() + 1);
     // relaxed-ok: monotonic test counters; no ordering with payload data is needed
     PAYLOAD_COPIES.fetch_add(1, Ordering::Relaxed);
     // relaxed-ok: same counter pair as above
@@ -202,81 +215,18 @@ impl Default for PoolConfig {
     }
 }
 
-/// Per-tenant accounting cells the pool keeps (lock-free open addressing:
-/// `id` holds `tenant + 1`, 0 = empty). All fields are statistics-grade
-/// atomics — quota enforcement tolerates the small races of concurrent
-/// charge/uncharge, which can overshoot a quota by at most one in-flight
-/// allocation per racing thread.
-struct TenantCell {
-    /// `tenant.as_u32() + 1`; 0 marks an unclaimed cell.
-    id: AtomicU32,
-    /// Bytes of pool slab currently charged to this tenant (slot sizes,
-    /// not request lengths: quota bounds reserved memory).
-    live_bytes: AtomicU64,
-    /// Quota in bytes; 0 = unlimited.
-    quota_bytes: AtomicU64,
-    /// Allocations rejected because the quota was exhausted.
-    rejects: AtomicU64,
-    /// Clean pages shed *from this tenant* by a pool-dry eviction pass
-    /// (reported by the page cache via [`BufferPool::note_tenant_shed`]).
-    shed_pages: AtomicU64,
-}
-
-/// Number of tenant accounting cells per pool. Tenants beyond this many
-/// distinct ids fall back to untenanted (uncounted) accounting.
-const TENANT_CELLS: usize = 64;
-
 struct PoolInner {
     classes: Box<[Class]>,
     /// Allocations currently live (slots out of the free lists).
     live: AtomicU64,
     /// Maximum of `live` ever observed.
     high_water: AtomicU64,
-    /// Per-tenant live-byte accounting and quotas.
-    tenants: Box<[TenantCell]>,
     /// Debug leak/aliasing tracker: the set of (class, slot) pairs that are
     /// currently allocated. Alloc asserts the pair was absent (no aliasing
     /// of two allocations onto one slot); free asserts it was present
     /// (free-exactly-once).
     #[cfg(debug_assertions)]
     tracker: crate::lockwitness::OrderedMutex<std::collections::HashSet<(u16, u32)>>,
-}
-
-impl PoolInner {
-    /// The accounting cell for `tenant`, claiming an empty cell when
-    /// `claim` is set. Returns `None` for the untenanted identity, for
-    /// unknown tenants when not claiming, or when all cells are taken
-    /// (such tenants degrade to untenanted accounting).
-    fn tenant_cell(&self, tenant: TenantId, claim: bool) -> Option<&TenantCell> {
-        if tenant.is_none() {
-            return None;
-        }
-        let key = tenant.as_u32().wrapping_add(1).max(1);
-        let start = tenant.as_u32() as usize % TENANT_CELLS;
-        for i in 0..TENANT_CELLS {
-            let cell = &self.tenants[(start + i) % TENANT_CELLS];
-            let id = cell.id.load(Ordering::Acquire);
-            if id == key {
-                return Some(cell);
-            }
-            if id == 0 {
-                if !claim {
-                    // Cells are never vacated: an empty probe slot means
-                    // this tenant was never registered.
-                    return None;
-                }
-                match cell
-                    .id
-                    .compare_exchange(0, key, Ordering::AcqRel, Ordering::Acquire)
-                {
-                    Ok(_) => return Some(cell),
-                    Err(now) if now == key => return Some(cell),
-                    Err(_) => continue, // lost the race to another tenant
-                }
-            }
-        }
-        None
-    }
 }
 
 /// A size-classed, refcounted shared-memory buffer pool. Cheap to clone
@@ -306,15 +256,6 @@ impl BufferPool {
                 classes,
                 live: AtomicU64::new(0),
                 high_water: AtomicU64::new(0),
-                tenants: (0..TENANT_CELLS)
-                    .map(|_| TenantCell {
-                        id: AtomicU32::new(0),
-                        live_bytes: AtomicU64::new(0),
-                        quota_bytes: AtomicU64::new(0),
-                        rejects: AtomicU64::new(0),
-                        shed_pages: AtomicU64::new(0),
-                    })
-                    .collect(),
                 #[cfg(debug_assertions)]
                 tracker: crate::lockwitness::OrderedMutex::new(
                     &crate::lockwitness::POOL_TRACKER,
@@ -334,39 +275,10 @@ impl BufferPool {
     /// Returns `None` when `len` exceeds the largest class or the pool is
     /// dry. Contents are unspecified (a recycled slot keeps its old
     /// bytes): fill or zero before exposing the buffer.
-    ///
-    /// Untenanted: equivalent to `alloc_for(TenantId::NONE, len)`.
     pub fn alloc(&self, len: usize) -> Option<BufHandle> {
-        self.alloc_for(TenantId::NONE, len)
-    }
-
-    /// Allocate `len` bytes billed to `tenant`. The charge is the *slot*
-    /// size of the serving class (quota bounds reserved slab memory, not
-    /// request bytes). A tenant over its byte quota gets `None` and a
-    /// bumped reject counter; [`TenantId::NONE`] is never quota-bound.
-    pub fn alloc_for(&self, tenant: TenantId, len: usize) -> Option<BufHandle> {
-        let cell = self.inner.tenant_cell(tenant, true);
         for (ci, class) in self.inner.classes.iter().enumerate() {
             if class.buf_size < len {
                 continue;
-            }
-            // Charge before popping so concurrent allocators cannot all
-            // slip under the quota together; roll back on any failure.
-            if let Some(cell) = cell {
-                let charge = class.buf_size as u64;
-                // relaxed-ok: quota accounting is statistics-grade; races overshoot by at most one in-flight alloc per thread
-                let after = cell.live_bytes.fetch_add(charge, Ordering::Relaxed) + charge;
-                // relaxed-ok: quota is a configuration value read monotonically
-                let quota = cell.quota_bytes.load(Ordering::Relaxed);
-                if quota > 0 && after > quota {
-                    // relaxed-ok: rollback of the stats charge above
-                    cell.live_bytes.fetch_sub(charge, Ordering::Relaxed);
-                    // relaxed-ok: stats counter
-                    cell.rejects.fetch_add(1, Ordering::Relaxed);
-                    // A larger class would charge even more: quota rejects
-                    // are terminal, not fall-over.
-                    return None;
-                }
             }
             if let Some(slot) = class.pop_free() {
                 let class_id = ci as u16;
@@ -396,14 +308,7 @@ impl BufferPool {
                     slot,
                     off: 0,
                     len,
-                    tenant,
                 });
-            }
-            // Class exhausted: undo the charge before falling over.
-            if let Some(cell) = cell {
-                // relaxed-ok: rollback of the stats charge above
-                cell.live_bytes
-                    .fetch_sub(class.buf_size as u64, Ordering::Relaxed);
             }
         }
         None
@@ -412,12 +317,7 @@ impl BufferPool {
     /// Allocate and fill from `src` in one step. This *is* a copy (the
     /// boundary copy into shared memory) and is recorded as one.
     pub fn alloc_from(&self, src: &[u8]) -> Option<BufHandle> {
-        self.alloc_from_for(TenantId::NONE, src)
-    }
-
-    /// [`BufferPool::alloc_from`] billed to `tenant`.
-    pub fn alloc_from_for(&self, tenant: TenantId, src: &[u8]) -> Option<BufHandle> {
-        let mut h = self.alloc_for(tenant, src.len())?;
+        let mut h = self.alloc(src.len())?;
         note_payload_copy(src.len());
         // copy-ok: the one boundary copy that moves bytes into shared memory; counted via note_payload_copy
         let ok = h.fill(src);
@@ -456,52 +356,6 @@ impl BufferPool {
             .map(|c| (c.buf_size, c.slots.len()))
             .collect()
     }
-
-    /// Set `tenant`'s byte quota (0 = unlimited). Registers the tenant's
-    /// accounting cell if it has none yet; a no-op for [`TenantId::NONE`]
-    /// or when all [`TENANT_CELLS`] cells are taken.
-    pub fn set_tenant_quota(&self, tenant: TenantId, quota_bytes: u64) {
-        if let Some(cell) = self.inner.tenant_cell(tenant, true) {
-            // relaxed-ok: configuration value; enforcement tolerates a stale read for one alloc
-            cell.quota_bytes.store(quota_bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Record that a pool-dry eviction pass shed one of `tenant`'s clean
-    /// pages (called by the page cache so exhaustion is attributable).
-    pub fn note_tenant_shed(&self, tenant: TenantId) {
-        if let Some(cell) = self.inner.tenant_cell(tenant, true) {
-            // relaxed-ok: stats counter
-            cell.shed_pages.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Slab bytes currently charged to `tenant` (0 for unknown tenants).
-    pub fn tenant_live_bytes(&self, tenant: TenantId) -> u64 {
-        self.inner
-            .tenant_cell(tenant, false)
-            // relaxed-ok: stats counter read
-            .map(|c| c.live_bytes.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Allocations rejected against `tenant`'s quota.
-    pub fn tenant_rejects(&self, tenant: TenantId) -> u64 {
-        self.inner
-            .tenant_cell(tenant, false)
-            // relaxed-ok: stats counter read
-            .map(|c| c.rejects.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Clean pages shed from `tenant` by pool-dry eviction passes.
-    pub fn tenant_shed_pages(&self, tenant: TenantId) -> u64 {
-        self.inner
-            .tenant_cell(tenant, false)
-            // relaxed-ok: stats counter read
-            .map(|c| c.shed_pages.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -523,9 +377,6 @@ pub struct BufHandle {
     slot: u32,
     off: usize,
     len: usize,
-    /// Tenant the slot is billed to (clones and slices share the bill;
-    /// the last drop uncharges it).
-    tenant: TenantId,
 }
 
 // SAFETY: the handle only permits shared reads of the slot bytes unless it
@@ -665,12 +516,6 @@ impl BufHandle {
     pub fn overlaps(&self, other: &BufHandle) -> bool {
         self.same_slot(other) && self.off < other.off + other.len && other.off < self.off + self.len
     }
-
-    /// The tenant this allocation is billed to ([`TenantId::NONE`] for
-    /// untenanted allocations).
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
 }
 
 impl Clone for BufHandle {
@@ -684,7 +529,6 @@ impl Clone for BufHandle {
             slot: self.slot,
             off: self.off,
             len: self.len,
-            tenant: self.tenant,
         }
     }
 }
@@ -705,11 +549,6 @@ impl Drop for BufHandle {
             }
             // relaxed-ok: stats counter
             self.pool.live.fetch_sub(1, Ordering::Relaxed);
-            if let Some(cell) = self.pool.tenant_cell(self.tenant, false) {
-                let charge = self.pool.classes[self.class as usize].buf_size as u64;
-                // relaxed-ok: uncharge of the stats-grade quota accounting made at alloc
-                cell.live_bytes.fetch_sub(charge, Ordering::Relaxed);
-            }
             self.pool.classes[self.class as usize].push_free(self.slot);
         }
     }
@@ -854,80 +693,14 @@ mod tests {
     #[test]
     fn copy_counter_tracks_boundary_copies() {
         let pool = small_pool();
-        let before = payload_copies();
+        let before = thread_payload_copies();
         let h = pool.alloc_from(b"counted").unwrap();
-        assert_eq!(payload_copies(), before + 1);
+        assert_eq!(thread_payload_copies(), before + 1);
         let _s = h.slice(0, 3).unwrap(); // no copy
         let _c = h.clone(); // no copy
-        assert_eq!(payload_copies(), before + 1);
+        assert_eq!(thread_payload_copies(), before + 1);
         let _v = h.to_vec(); // counted
-        assert_eq!(payload_copies(), before + 2);
-    }
-
-    #[test]
-    fn tenant_quota_rejects_and_uncharges() {
-        let pool = small_pool(); // classes: 64×4, 256×2
-        let t = TenantId(7);
-        pool.set_tenant_quota(t, 128); // room for two 64-byte slots
-        let a = pool.alloc_for(t, 10).unwrap();
-        assert_eq!(a.tenant(), t);
-        let b = pool.alloc_for(t, 10).unwrap();
-        assert_eq!(pool.tenant_live_bytes(t), 128);
-        // Third allocation would charge 64 more → over quota, terminal.
-        assert!(pool.alloc_for(t, 10).is_none());
-        assert_eq!(pool.tenant_rejects(t), 1);
-        assert_eq!(pool.tenant_live_bytes(t), 128);
-        // Other tenants and the untenanted identity are unaffected.
-        assert!(pool.alloc_for(TenantId(8), 10).is_some());
-        assert!(pool.alloc(10).is_some());
-        // Dropping uncharges; the tenant can allocate again.
-        drop(a);
-        drop(b);
-        assert_eq!(pool.tenant_live_bytes(t), 0);
-        assert!(pool.alloc_for(t, 10).is_some());
-    }
-
-    #[test]
-    fn tenant_charge_survives_clone_until_last_drop() {
-        let pool = small_pool();
-        let t = TenantId(3);
-        let h = pool.alloc_for(t, 16).unwrap();
-        let c = h.clone();
-        let s = h.slice(0, 4).unwrap();
-        assert_eq!(s.tenant(), t);
-        assert_eq!(pool.tenant_live_bytes(t), 64);
-        drop(h);
-        drop(c);
-        assert_eq!(pool.tenant_live_bytes(t), 64); // slice still live
-        drop(s);
-        assert_eq!(pool.tenant_live_bytes(t), 0);
-    }
-
-    #[test]
-    fn tenant_charge_rolls_back_on_class_fallover() {
-        let pool = small_pool();
-        let t = TenantId(9);
-        pool.set_tenant_quota(t, 1024);
-        // Exhaust the 64-byte class untenanted.
-        let _held: Vec<_> = (0..4).map(|_| pool.alloc(64).unwrap()).collect();
-        // Tenant alloc falls over to the 256-byte class; only the larger
-        // class's charge must stick.
-        let h = pool.alloc_for(t, 10).unwrap();
-        assert_eq!(h.region(), 1);
-        assert_eq!(pool.tenant_live_bytes(t), 256);
-        drop(h);
-        assert_eq!(pool.tenant_live_bytes(t), 0);
-    }
-
-    #[test]
-    fn shed_attribution_counter() {
-        let pool = small_pool();
-        let t = TenantId(4);
-        assert_eq!(pool.tenant_shed_pages(t), 0);
-        pool.note_tenant_shed(t);
-        pool.note_tenant_shed(t);
-        assert_eq!(pool.tenant_shed_pages(t), 2);
-        assert_eq!(pool.tenant_shed_pages(TenantId(5)), 0);
+        assert_eq!(thread_payload_copies(), before + 2);
     }
 
     #[test]

@@ -109,9 +109,9 @@ mod tests {
 
     #[test]
     fn inlining_counts_no_payload_copies() {
-        let before = crate::payload_copies();
+        let before = crate::buf::thread_payload_copies();
         let d = InlineData::from_slice(&[7u8; 32]).expect("fits");
         assert_eq!(d.len(), 32);
-        assert_eq!(crate::payload_copies(), before);
+        assert_eq!(crate::buf::thread_payload_copies(), before);
     }
 }

@@ -11,10 +11,10 @@
 //! In debug builds each thread keeps a stack of held classes; a violating
 //! acquisition panics *before blocking* with both backtraces (the held
 //! lock's acquisition site and the violating one), turning a potential
-//! deadlock — which the PR 5 pool-dry page-cache write shipped as — into
-//! an immediate, attributable test failure. In release builds the
-//! wrappers compile down to the plain `parking_lot` primitives: no
-//! thread-local, no branch, so the BENCH gates measure the real thing.
+//! deadlock into an immediate, attributable test failure. In release
+//! builds the wrappers compile down to the plain `parking_lot`
+//! primitives: no thread-local, no branch, so the BENCH gates measure the
+//! real thing.
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -36,8 +36,7 @@ pub struct LockClass {
 /// Tenant policy/accounting table (`labstor_qos::TenantTable`). Acquired
 /// after the Runtime's rebalance locks (ranks 10–34) during the
 /// weighted-fair pass, and must be released before any pool or page-cache
-/// lock is taken — shed attribution in the pool-dry path runs on atomics,
-/// never back into the table.
+/// lock is taken.
 pub static TENANT_TABLE: LockClass = LockClass {
     name: "qos.tenants",
     rank: 36,
@@ -53,7 +52,7 @@ pub static TENANT_BUCKET: LockClass = LockClass {
     nest_within: false,
 };
 
-/// Page-cache shard locks (`PageCache` LRU shards).
+/// The kernel page cache's lock (`PageCache`: one LRU, one mutex).
 pub static PAGECACHE_SHARD: LockClass = LockClass {
     name: "pagecache.shard",
     rank: 70,

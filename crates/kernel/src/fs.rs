@@ -378,7 +378,7 @@ impl KernelFs {
         let mut runs: Vec<(u64, Vec<u8>)> = Vec::new();
         {
             let inodes = self.inodes.read(); // lock-class: fs.inodes
-            let mut resolved: Vec<(u64, labstor_ipc::BufHandle)> = pages
+            let mut resolved: Vec<(u64, Arc<[u8]>)> = pages
                 .into_iter()
                 .filter_map(|p| {
                     let (ino, pgidx) = p.key;
@@ -392,9 +392,9 @@ impl KernelFs {
             for (b, data) in resolved {
                 match runs.last_mut() {
                     Some((start, buf)) if *start + (buf.len() / PAGE_SIZE) as u64 == b => {
-                        buf.extend_from_slice(data.as_slice());
+                        buf.extend_from_slice(&data);
                     }
-                    _ => runs.push((b, data.as_slice().to_vec())),
+                    _ => runs.push((b, data.to_vec())),
                 }
             }
         }

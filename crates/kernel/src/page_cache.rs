@@ -12,9 +12,9 @@
 //! virtual-time design (see `labstor_sim::time`).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use labstor_ipc::lockwitness::{OrderedMutex, PAGECACHE_SHARD};
-use labstor_ipc::{BufHandle, BufferPool, PoolConfig, TenantId};
 use labstor_sim::{Ctx, Resource};
 
 use crate::cost;
@@ -171,11 +171,11 @@ impl<K: std::hash::Hash + Eq + Clone, V> Default for LruMap<K, V> {
     }
 }
 
-/// A cached page: a shared-memory pool buffer plus dirty state. The
-/// handle is what zero-copy readers clone — a hit is a refcount bump.
+/// A cached page: its bytes plus dirty state. The page owns its bytes;
+/// a writeback snapshot ([`Evicted`]) shares them by refcount.
 pub struct Page {
-    /// Page contents (a full-page pool buffer).
-    pub data: BufHandle,
+    /// Page contents (always [`PAGE_SIZE`] bytes).
+    pub data: Arc<[u8]>,
     /// Set when the page holds data not yet written back.
     pub dirty: bool,
 }
@@ -188,86 +188,60 @@ pub struct Evicted {
     /// (inode, page index) of the evicted page.
     pub key: PageKey,
     /// Page contents at eviction time.
-    pub data: BufHandle,
+    pub data: Arc<[u8]>,
 }
 
-/// One cache shard: its own LRU, real mutex and virtual mapping lock.
-struct Shard {
-    inner: OrderedMutex<LruMap<PageKey, Page>>,
+/// What the cache mutex guards: the LRU and a count of its dirty pages
+/// (so [`PageCache::dirty_bytes`] is a read, not a scan).
+struct Inner {
+    pages: LruMap<PageKey, Page>,
+    dirty_pages: usize,
+}
+
+impl Inner {
+    /// The dirty count equals a scan of the LRU (debug builds only).
+    fn check_dirty_count(&self) {
+        debug_assert_eq!(
+            self.dirty_pages,
+            self.pages.iter().filter(|(_, p)| p.dirty).count()
+        );
+    }
+}
+
+fn zeroed_page() -> Arc<[u8]> {
+    Arc::from([0u8; PAGE_SIZE])
+}
+
+/// The page cache: 4 KB pages with dirty tracking in one LRU behind one
+/// lock — the copying baseline the paper's figures compare LabStor
+/// against. Eviction is exact: an insert past capacity evicts at once.
+pub struct PageCache {
+    inner: OrderedMutex<Inner>,
     /// Virtual-time serialization of tree/LRU manipulation (mapping lock).
     lock: Resource,
-}
-
-/// The page cache: 4 KB pages with dirty tracking, sharded by page-key
-/// hash into independent LRUs so the (zero-copy-cheap) hit path is not
-/// serialized on one global lock. [`PageCache::new`] keeps the historical
-/// single-shard shape; [`PageCache::with_shards`] spreads both the real
-/// mutex and the *modeled* lock contention (the per-shard [`Resource`])
-/// across N shards, which is what `bench_datapath`'s shard sweep measures.
-pub struct PageCache {
-    shards: Box<[Shard]>,
-    /// Per-shard page budget (total capacity / shard count).
-    per_shard_pages: usize,
-    /// Eviction batching: a shard may overshoot its budget by this many
-    /// pages before an insert triggers eviction, which then drains the
-    /// whole overshoot in one locked pass (amortized eviction). 0 =
-    /// evict-exactly-at-capacity (the single-shard historical behavior).
-    evict_slack: usize,
-    /// Backing store for page buffers.
-    pool: BufferPool,
+    capacity_pages: usize,
 }
 
 impl PageCache {
     /// Cache bounded at `capacity_bytes` (rounded down to whole pages,
-    /// minimum one page). Single shard, exact eviction — the historical
-    /// shape.
+    /// minimum one page).
     pub fn new(capacity_bytes: usize) -> Self {
-        Self::build(capacity_bytes, 1, 0)
-    }
-
-    /// Sharded cache: `shards` independent LRUs keyed by page hash, with
-    /// batched eviction (a shard evicts only after overshooting its
-    /// budget by a small slack, then drains the overshoot in one pass).
-    pub fn with_shards(capacity_bytes: usize, shards: usize) -> Self {
-        Self::build(capacity_bytes, shards.max(1), 8)
-    }
-
-    fn build(capacity_bytes: usize, shards: usize, evict_slack: usize) -> Self {
-        let capacity_pages = (capacity_bytes / PAGE_SIZE).max(1);
-        let per_shard_pages = capacity_pages.div_ceil(shards).max(1);
-        // Pool budget: every resident page, the eviction slack, plus
-        // headroom for pages pinned by in-flight reader handles and
-        // copy-on-write doubling.
-        let slots = capacity_pages + shards * evict_slack + 256;
-        let pool = BufferPool::new(PoolConfig {
-            classes: vec![(PAGE_SIZE, slots)],
-        });
         PageCache {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    inner: OrderedMutex::new(&PAGECACHE_SHARD, LruMap::new()),
-                    lock: Resource::new(),
-                })
-                .collect(),
-            per_shard_pages,
-            evict_slack,
-            pool,
+            inner: OrderedMutex::new(
+                &PAGECACHE_SHARD,
+                Inner {
+                    pages: LruMap::new(),
+                    dirty_pages: 0,
+                },
+            ),
+            lock: Resource::new(),
+            capacity_pages: (capacity_bytes / PAGE_SIZE).max(1),
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The pool backing this cache's pages (stats/tests).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
     }
 
     /// Pages currently cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.inner.lock().len()).sum() // lock-class: pagecache.maplock
+        self.inner.lock().pages.len() // lock-class: pagecache.shard
     }
 
     /// True when no pages are cached.
@@ -275,163 +249,16 @@ impl PageCache {
         self.len() == 0
     }
 
-    /// The shard owning `key` (FNV-1a over the key bytes).
-    fn shard_of(&self, key: &PageKey) -> &Shard {
-        if self.shards.len() == 1 {
-            return &self.shards[0];
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.0.to_le_bytes().into_iter().chain(key.1.to_le_bytes()) {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
-    }
-
-    /// Charge the per-page mapping-lock cost, serialized across threads
-    /// *within a shard* (shards contend independently).
-    fn charge_lock(shard: &Shard, ctx: &mut Ctx) {
-        let (_, end) = shard.lock.acquire(ctx.now(), cost::PAGE_LOOKUP_NS); // lock-class: pagecache.maplock
+    /// Charge the per-page mapping-lock cost, serialized across threads.
+    fn charge_lock(&self, ctx: &mut Ctx) {
+        let (_, end) = self.lock.acquire(ctx.now(), cost::PAGE_LOOKUP_NS); // lock-class: pagecache.maplock
         ctx.poll_until(end);
-    }
-
-    /// Pop a zeroed full-page buffer straight off the pool billed to
-    /// `tenant`, or `None` when the pool is dry (or the tenant is over
-    /// its byte quota — shedding its own clean pages uncharges it).
-    fn pool_page_for(&self, tenant: TenantId) -> Option<BufHandle> {
-        let mut h = self.pool.alloc_for(tenant, PAGE_SIZE)?;
-        h.write_with(|b| b.fill(0));
-        Some(h)
-    }
-
-    /// Evict clean LRU pages from `inner` until a pool slot frees up,
-    /// attributing every victim to its owning tenant (pool-dry exhaustion
-    /// is no longer anonymous). Stops at the first dirty victim (pushed
-    /// back as most-recent so it is not lost) or when the shard runs out
-    /// of pages. The freed slot is re-allocated billed to `tenant`.
-    fn shed_clean(&self, inner: &mut LruMap<PageKey, Page>, tenant: TenantId) -> Option<BufHandle> {
-        while !inner.is_empty() {
-            match inner.pop_lru() {
-                Some((k, p)) if p.dirty => {
-                    inner.insert(k, p);
-                    return None;
-                }
-                Some((_, p)) => {
-                    self.pool.note_tenant_shed(p.data.tenant());
-                    drop(p);
-                    if let Some(h) = self.pool_page_for(tenant) {
-                        return Some(h);
-                    }
-                }
-                None => return None,
-            }
-        }
-        None
-    }
-
-    /// The tenant-aware shed pass: evict the *offending* tenant's clean
-    /// pages first — the allocator whose pressure dried the pool gives up
-    /// its own cache before anyone else's (and, when it is over its byte
-    /// quota, shedding its own pages is the only thing that uncharges it).
-    /// Falls back to the global LRU pass when the offender has nothing
-    /// clean resident.
-    fn shed_offender_first(
-        &self,
-        inner: &mut LruMap<PageKey, Page>,
-        tenant: TenantId,
-    ) -> Option<BufHandle> {
-        if !tenant.is_none() {
-            let own: Vec<PageKey> = inner
-                .iter()
-                .filter(|(_, p)| !p.dirty && p.data.tenant() == tenant)
-                .map(|(k, _)| *k)
-                .collect();
-            for k in own {
-                if let Some(p) = inner.remove(&k) {
-                    self.pool.note_tenant_shed(p.data.tenant());
-                    drop(p);
-                    if let Some(h) = self.pool_page_for(tenant) {
-                        return Some(h);
-                    }
-                }
-            }
-        }
-        self.shed_clean(inner, tenant)
-    }
-
-    /// Allocate a zeroed full-page buffer from the pool, evicting clean
-    /// pages if the pool is pinned dry by in-flight reader handles.
-    ///
-    /// Must be called with NO shard lock held: the pool-dry fallback
-    /// locks `shard.inner` itself (and the shim mutex is non-reentrant),
-    /// and on a second failure walks every other shard shedding clean
-    /// pages — reclaimable memory elsewhere in the cache must not strand
-    /// this shard on the exhaustion panic.
-    fn alloc_page_for(&self, shard: &Shard, tenant: TenantId) -> BufHandle {
-        if let Some(h) = self.pool_page_for(tenant) {
-            return h;
-        }
-        // Pool dry: shed clean pages from this shard to unpin slots.
-        {
-            let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-            if let Some(h) = self.shed_offender_first(&mut inner, tenant) {
-                return h;
-            }
-        }
-        // Still dry: clean pages resident in other shards pin pool slots
-        // too — shed those before giving up. One shard lock is held at a
-        // time, so there is no lock-order cycle.
-        for other in self.shards.iter() {
-            if std::ptr::eq(other, shard) {
-                continue;
-            }
-            let mut inner = other.inner.lock(); // lock-class: pagecache.maplock
-            if let Some(h) = self.shed_offender_first(&mut inner, tenant) {
-                return h;
-            }
-        }
-        self.pool_page_for(tenant)
-            .expect("page-cache pool exhausted: too many pinned page handles")
-    }
-
-    /// Evict down to the shard budget once it overshoots budget + slack,
-    /// collecting dirty victims for writeback. One locked pass drains the
-    /// whole overshoot (batched eviction).
-    fn evict_overflow(&self, inner: &mut LruMap<PageKey, Page>, evicted: &mut Vec<Evicted>) {
-        if inner.len() <= self.per_shard_pages + self.evict_slack {
-            return;
-        }
-        while inner.len() > self.per_shard_pages {
-            match inner.pop_lru() {
-                Some((k, p)) if p.dirty => evicted.push(Evicted {
-                    key: k,
-                    data: p.data,
-                }),
-                Some(_) => {}
-                None => break,
-            }
-        }
     }
 
     /// Copy `data` into the cache at byte `offset` of `ino`, marking pages
     /// dirty. Returns dirty pages evicted to make room (for writeback);
-    /// clean victims are silently dropped. Untenanted: see
-    /// [`PageCache::write_for`].
+    /// clean victims are silently dropped.
     pub fn write(&self, ctx: &mut Ctx, ino: u64, offset: u64, data: &[u8]) -> Vec<Evicted> {
-        self.write_for(ctx, TenantId::NONE, ino, offset, data)
-    }
-
-    /// [`PageCache::write`] billed to `tenant`: freshly allocated pages
-    /// (including copy-on-write replacements) are charged to the tenant's
-    /// pool accounting, and a pool-dry shed pass evicts the tenant's own
-    /// clean pages first.
-    pub fn write_for(
-        &self,
-        ctx: &mut Ctx,
-        tenant: TenantId,
-        ino: u64,
-        offset: u64,
-        data: &[u8],
-    ) -> Vec<Evicted> {
         let mut evicted = Vec::new();
         let mut pos = 0usize;
         while pos < data.len() {
@@ -440,113 +267,58 @@ impl PageCache {
             let pgoff = (abs % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - pgoff).min(data.len() - pos);
             let key = (ino, pgidx);
-            let shard = self.shard_of(&key);
-            Self::charge_lock(shard, ctx);
+            self.charge_lock(ctx);
             cost::copy(ctx, n);
-            let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-            let needs_fresh = match inner.get(&key) {
-                Some(page) => !page.data.is_unique(),
-                None => true,
-            };
-            if needs_fresh {
-                // The page is missing or pinned by reader snapshots.
-                // Release the shard lock before allocating — the pool-dry
-                // fallback in alloc_page takes shard locks itself — then
-                // re-look-up, since the world may have changed meanwhile.
-                drop(inner);
-                let mut fresh = self.alloc_page_for(shard, tenant);
-                inner = shard.inner.lock(); // lock-class: pagecache.maplock
-                match inner.get(&key) {
-                    None => {
-                        inner.insert(
-                            key,
-                            Page {
-                                data: fresh,
-                                dirty: false,
-                            },
-                        );
+            let mut inner = self.inner.lock(); // lock-class: pagecache.shard
+            if inner.pages.peek(&key).is_none() {
+                inner.pages.insert(
+                    key,
+                    Page {
+                        data: zeroed_page(),
+                        dirty: false,
+                    },
+                );
+            }
+            let page = inner.pages.get(&key).expect("present under the held lock");
+            if Arc::get_mut(&mut page.data).is_none() {
+                // A writeback snapshot still shares the bytes: copy on
+                // write, so the snapshot keeps what it was taken with.
+                labstor_ipc::note_payload_copy(PAGE_SIZE);
+                page.data = Arc::from(&page.data[..]);
+            }
+            let bytes = Arc::get_mut(&mut page.data).expect("page unique under the held lock");
+            bytes[pgoff..pgoff + n].copy_from_slice(&data[pos..pos + n]);
+            let newly_dirty = !std::mem::replace(&mut page.dirty, true);
+            inner.dirty_pages += usize::from(newly_dirty);
+            while inner.pages.len() > self.capacity_pages {
+                match inner.pages.pop_lru() {
+                    Some((k, p)) if p.dirty => {
+                        inner.dirty_pages -= 1;
+                        evicted.push(Evicted {
+                            key: k,
+                            data: p.data,
+                        });
                     }
-                    Some(page) if !page.data.is_unique() => {
-                        // Copy-on-write: readers keep their snapshot.
-                        labstor_ipc::note_payload_copy(PAGE_SIZE);
-                        // copy-ok: copy-on-write of a page pinned by reader handles; counted via note_payload_copy
-                        let ok = fresh.fill(page.data.as_slice());
-                        debug_assert!(ok, "fresh page is unique");
-                        page.data = fresh;
-                    }
-                    // The last reader snapshot died while we were
-                    // unlocked; `fresh` drops back to the pool.
                     Some(_) => {}
+                    None => break,
                 }
             }
-            let page = inner.get(&key).expect("present under the held lock");
-            let wrote = page
-                .data
-                .write_with(|b| b[pgoff..pgoff + n].copy_from_slice(&data[pos..pos + n]));
-            debug_assert!(wrote, "page unique under the held lock");
-            page.dirty = true;
-            self.evict_overflow(&mut inner, &mut evicted);
+            inner.check_dirty_count();
             drop(inner);
             pos += n;
         }
         evicted
     }
 
-    /// Store a whole, page-aligned pooled buffer as the new contents of a
-    /// page — the zero-copy write path: the cache takes a refcount on the
-    /// caller's buffer instead of copying it. Only the mapping-lock cost
-    /// is charged (no byte copy happens). `buf` must be exactly one page.
-    pub fn write_page_buf(
-        &self,
-        ctx: &mut Ctx,
-        ino: u64,
-        pgidx: u64,
-        buf: BufHandle,
-    ) -> Vec<Evicted> {
-        debug_assert_eq!(buf.len(), PAGE_SIZE);
-        let mut evicted = Vec::new();
-        let key = (ino, pgidx);
-        let shard = self.shard_of(&key);
-        Self::charge_lock(shard, ctx);
-        let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-        inner.insert(
-            key,
-            Page {
-                data: buf,
-                dirty: true,
-            },
-        );
-        self.evict_overflow(&mut inner, &mut evicted);
-        evicted
-    }
-
     /// Read `buf.len()` bytes at byte `offset` of `ino`. For each page
-    /// miss, `fill` fetches the page from the device; returning `false`
-    /// aborts the read. On success returns the number of misses; `Err`
-    /// carries no payload because the filesystem owns the real error (it
-    /// is produced inside `fill`).
-    ///
-    /// This is the legacy *copying* read (bytes leave the cache through a
-    /// memcpy into `buf`); the zero-copy path is [`PageCache::read_page`].
+    /// miss, `fill` fetches the page from the device (with the cache
+    /// mutex released); returning `false` aborts the read. On success
+    /// returns the number of misses; `Err` carries no payload because the
+    /// filesystem owns the real error (it is produced inside `fill`).
     #[allow(clippy::result_unit_err)]
     pub fn read(
         &self,
         ctx: &mut Ctx,
-        ino: u64,
-        offset: u64,
-        buf: &mut [u8],
-        fill: impl FnMut(&mut Ctx, u64, &mut [u8]) -> bool,
-    ) -> Result<usize, ()> {
-        self.read_for(ctx, TenantId::NONE, ino, offset, buf, fill)
-    }
-
-    /// [`PageCache::read`] billed to `tenant`: miss pages are charged to
-    /// the tenant's pool accounting (see [`PageCache::write_for`]).
-    #[allow(clippy::result_unit_err)]
-    pub fn read_for(
-        &self,
-        ctx: &mut Ctx,
-        tenant: TenantId,
         ino: u64,
         offset: u64,
         buf: &mut [u8],
@@ -560,14 +332,13 @@ impl PageCache {
             let pgoff = (abs % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - pgoff).min(buf.len() - pos);
             let key = (ino, pgidx);
-            let shard = self.shard_of(&key);
-            Self::charge_lock(shard, ctx);
+            self.charge_lock(ctx);
             let hit = {
-                let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-                match inner.get(&key) {
+                let mut inner = self.inner.lock(); // lock-class: pagecache.shard
+                match inner.pages.get(&key) {
                     Some(page) => {
                         labstor_ipc::note_payload_copy(n);
-                        buf[pos..pos + n].copy_from_slice(&page.data.as_slice()[pgoff..pgoff + n]);
+                        buf[pos..pos + n].copy_from_slice(&page.data[pgoff..pgoff + n]);
                         true
                     }
                     None => false,
@@ -575,94 +346,32 @@ impl PageCache {
             };
             if !hit {
                 misses += 1;
-                let mut data = self.alloc_page_for(shard, tenant);
-                let mut filled = true;
-                data.write_with(|b| filled = fill(ctx, pgidx, b));
-                if !filled {
+                let mut data = zeroed_page();
+                if !fill(ctx, pgidx, Arc::get_mut(&mut data).expect("fresh page")) {
                     return Err(());
                 }
-                buf[pos..pos + n].copy_from_slice(&data.as_slice()[pgoff..pgoff + n]);
-                let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-                inner.insert(key, Page { data, dirty: false });
-                while inner.len() > self.per_shard_pages {
+                buf[pos..pos + n].copy_from_slice(&data[pgoff..pgoff + n]);
+                let mut inner = self.inner.lock(); // lock-class: pagecache.shard
+                inner.pages.insert(key, Page { data, dirty: false });
+                while inner.pages.len() > self.capacity_pages {
                     // Dirty LRU victims must not be lost: push them back as
                     // most-recent and stop (the cache temporarily exceeds
                     // capacity until writeback — dirty-ratio throttling).
-                    match inner.pop_lru() {
+                    match inner.pages.pop_lru() {
                         Some((k, p)) if p.dirty => {
-                            inner.insert(k, p);
+                            inner.pages.insert(k, p);
                             break;
                         }
                         Some(_) => {}
                         None => break,
                     }
                 }
+                inner.check_dirty_count();
             }
             cost::copy(ctx, n);
             pos += n;
         }
         Ok(misses)
-    }
-
-    /// Zero-copy read of one whole page: a hit clones the page's buffer
-    /// handle (a refcount bump — no byte copy, no copy cost charged); a
-    /// miss allocates a pool page, runs `fill` to fetch it, caches it and
-    /// returns a handle. Returns `(handle, was_hit)`; `Err` mirrors
-    /// [`PageCache::read`] (the fill callback owns the real error).
-    #[allow(clippy::result_unit_err)]
-    pub fn read_page(
-        &self,
-        ctx: &mut Ctx,
-        ino: u64,
-        pgidx: u64,
-        fill: impl FnMut(&mut Ctx, u64, &mut [u8]) -> bool,
-    ) -> Result<(BufHandle, bool), ()> {
-        self.read_page_for(ctx, TenantId::NONE, ino, pgidx, fill)
-    }
-
-    /// [`PageCache::read_page`] billed to `tenant` (see
-    /// [`PageCache::read_for`]).
-    #[allow(clippy::result_unit_err)]
-    pub fn read_page_for(
-        &self,
-        ctx: &mut Ctx,
-        tenant: TenantId,
-        ino: u64,
-        pgidx: u64,
-        mut fill: impl FnMut(&mut Ctx, u64, &mut [u8]) -> bool,
-    ) -> Result<(BufHandle, bool), ()> {
-        let key = (ino, pgidx);
-        let shard = self.shard_of(&key);
-        Self::charge_lock(shard, ctx);
-        {
-            let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-            if let Some(page) = inner.get(&key) {
-                // copy-ok: BufHandle clone is a refcount bump, not a byte copy
-                return Ok((page.data.clone(), true));
-            }
-        }
-        let mut data = self.alloc_page_for(shard, tenant);
-        let mut filled = true;
-        data.write_with(|b| filled = fill(ctx, pgidx, b));
-        if !filled {
-            return Err(());
-        }
-        // copy-ok: BufHandle clone is a refcount bump, not a byte copy
-        let handle = data.clone();
-        let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-        inner.insert(key, Page { data, dirty: false });
-        while inner.len() > self.per_shard_pages {
-            match inner.pop_lru() {
-                Some((k, p)) if p.dirty => {
-                    inner.insert(k, p);
-                    break;
-                }
-                Some(_) => {}
-                None => break,
-            }
-        }
-        drop(inner);
-        Ok((handle, false))
     }
 
     /// Take every dirty page belonging to `ino` (fsync) or to all inodes
@@ -671,44 +380,47 @@ impl PageCache {
     /// a racing re-write of the page copy-on-writes, leaving the
     /// writeback snapshot intact.
     pub fn take_dirty(&self, ctx: &mut Ctx, ino: Option<u64>) -> Vec<Evicted> {
-        let mut out: Vec<Evicted> = Vec::new();
-        for shard in &self.shards {
-            Self::charge_lock(shard, ctx);
-            let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-            let mut keys: Vec<PageKey> = inner
-                .iter()
-                .filter(|(k, p)| ino.is_none_or(|i| k.0 == i) && p.dirty)
-                .map(|(k, _)| *k)
-                .collect();
-            keys.sort_unstable();
-            for k in keys {
-                let page = inner.get(&k).expect("key just seen");
+        self.charge_lock(ctx);
+        let mut inner = self.inner.lock(); // lock-class: pagecache.shard
+        let mut keys: Vec<PageKey> = inner
+            .pages
+            .iter()
+            .filter(|(k, p)| ino.is_none_or(|i| k.0 == i) && p.dirty)
+            .map(|(k, _)| *k)
+            .collect();
+        keys.sort_unstable();
+        inner.dirty_pages -= keys.len();
+        let out = keys
+            .into_iter()
+            .map(|key| {
+                let page = inner.pages.get(&key).expect("key just seen");
                 page.dirty = false;
-                out.push(Evicted {
-                    key: k,
-                    // copy-ok: BufHandle clone is a refcount bump, not a byte copy
-                    data: page.data.clone(),
-                });
-            }
-        }
-        out.sort_unstable_by_key(|e| e.key);
+                Evicted {
+                    key,
+                    data: Arc::clone(&page.data),
+                }
+            })
+            .collect();
+        inner.check_dirty_count();
         out
     }
 
     /// Drop every cached page of `ino` at or beyond `from_page`
     /// (truncate invalidation).
     pub fn invalidate_from(&self, ino: u64, from_page: u64) {
-        for shard in &self.shards {
-            let mut inner = shard.inner.lock(); // lock-class: pagecache.maplock
-            let keys: Vec<PageKey> = inner
-                .iter()
-                .map(|(k, _)| *k)
-                .filter(|k| k.0 == ino && k.1 >= from_page)
-                .collect();
-            for k in keys {
-                inner.remove(&k);
+        let mut inner = self.inner.lock(); // lock-class: pagecache.shard
+        let keys: Vec<PageKey> = inner
+            .pages
+            .iter()
+            .map(|(k, _)| *k)
+            .filter(|k| k.0 == ino && k.1 >= from_page)
+            .collect();
+        for k in keys {
+            if inner.pages.remove(&k).is_some_and(|p| p.dirty) {
+                inner.dirty_pages -= 1;
             }
         }
+        inner.check_dirty_count();
     }
 
     /// Drop every page of `ino` (unlink / cache invalidation).
@@ -718,39 +430,13 @@ impl PageCache {
 
     /// Bytes of dirty data currently cached.
     pub fn dirty_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.inner.lock().iter().filter(|(_, p)| p.dirty).count() * PAGE_SIZE) // lock-class: pagecache.maplock
-            .sum()
+        self.inner.lock().dirty_pages * PAGE_SIZE // lock-class: pagecache.shard
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Regression harness for the PR 5 self-deadlock: `write`'s pool-dry
-    /// fallback used to call back into the shard while the caller still
-    /// held that shard's (non-reentrant) mutex. The shards now live on
-    /// `OrderedMutex`, so re-enacting the reverted shape — acquiring a
-    /// shard the thread already holds — panics in the witness instead of
-    /// deadlocking silently. If the fix is ever reverted, the cache tests
-    /// die here with both backtraces rather than hanging CI.
-    #[test]
-    #[cfg(debug_assertions)]
-    fn witness_catches_reverted_pool_dry_shard_reentry() {
-        let cache = PageCache::new(4 * PAGE_SIZE);
-        let shard = &cache.shards[0];
-        let _held = shard.inner.lock(); // write()'s guard in the bug shape
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // The reverted alloc_page fallback re-locking the same shard.
-            let _reacquired = shard.inner.lock();
-        }))
-        .expect_err("witness must catch the re-entrant shard acquisition");
-        let msg = err.downcast::<String>().map(|s| *s).unwrap_or_default();
-        assert!(msg.contains("self-deadlock"), "{msg}");
-        assert!(msg.contains("pagecache.shard"), "{msg}");
-    }
 
     #[test]
     fn lru_insert_get_evict() {
@@ -852,6 +538,37 @@ mod tests {
     }
 
     #[test]
+    fn read_never_evicts_a_dirty_page() {
+        let pc = PageCache::new(2 * PAGE_SIZE); // 2-page cache
+        let mut ctx = Ctx::new();
+        pc.write(&mut ctx, 1, 0, &[1u8; PAGE_SIZE]);
+        pc.write(&mut ctx, 1, PAGE_SIZE as u64, &[2u8; PAGE_SIZE]);
+        let mut out = vec![0u8; PAGE_SIZE];
+        let mut miss = |pc: &PageCache, ctx: &mut Ctx, pgidx: u64| {
+            pc.read(ctx, 1, pgidx * PAGE_SIZE as u64, &mut out, |_, _, page| {
+                page.fill(9);
+                true
+            })
+            .unwrap()
+        };
+        // A miss on a cache full of dirty pages goes over capacity rather
+        // than drop one: both are still there for writeback, intact.
+        assert_eq!(miss(&pc, &mut ctx, 2), 1);
+        assert_eq!(pc.len(), 3);
+        assert_eq!(pc.dirty_bytes(), 2 * PAGE_SIZE);
+        let dirty = pc.take_dirty(&mut ctx, None);
+        assert_eq!(dirty.len(), 2);
+        for (i, d) in dirty.iter().enumerate() {
+            assert_eq!(d.key, (1, i as u64));
+            assert!(d.data.iter().all(|&b| b == i as u8 + 1));
+        }
+        // Once they are clean the next miss evicts back down to capacity.
+        assert_eq!(miss(&pc, &mut ctx, 3), 1);
+        assert_eq!(pc.len(), 2);
+        assert_eq!(pc.dirty_bytes(), 0);
+    }
+
+    #[test]
     fn take_dirty_per_inode() {
         let pc = PageCache::new(1 << 20);
         let mut ctx = Ctx::new();
@@ -884,168 +601,26 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_preserves_contents_and_capacity() {
-        let pc = PageCache::with_shards(64 * PAGE_SIZE, 8);
-        assert_eq!(pc.shard_count(), 8);
-        let mut ctx = Ctx::new();
-        for i in 0..128u64 {
-            let page = vec![(i % 251) as u8; PAGE_SIZE];
-            pc.write(&mut ctx, 1, i * PAGE_SIZE as u64, &page);
-        }
-        // Batched eviction keeps residency near capacity: never more than
-        // capacity + total slack.
-        assert!(pc.len() <= 64 + 8 * 8, "len {} over budget", pc.len());
-        // Recently written pages still readable and correct.
-        let mut out = vec![0u8; PAGE_SIZE];
-        pc.read(&mut ctx, 1, 127 * PAGE_SIZE as u64, &mut out, |_, _, _| {
-            panic!("page 127 must be resident")
-        })
-        .unwrap();
-        assert!(out.iter().all(|&b| b == 127));
-    }
-
-    #[test]
-    fn read_page_hit_is_refcount_bump() {
-        let pc = PageCache::new(1 << 20);
-        let mut ctx = Ctx::new();
-        let page = vec![9u8; PAGE_SIZE];
-        pc.write(&mut ctx, 3, 0, &page);
-        let copies_before = labstor_ipc::payload_copies();
-        let t0 = ctx.now();
-        let (h, hit) = pc
-            .read_page(&mut ctx, 3, 0, |_, _, _| panic!("hit"))
-            .unwrap();
-        assert!(hit);
-        assert_eq!(h.as_slice(), &page[..]);
-        // No payload copy, and no copy cost charged: only the lookup.
-        assert_eq!(labstor_ipc::payload_copies(), copies_before);
-        assert!(ctx.now() - t0 < cost::copy_ns(PAGE_SIZE));
-    }
-
-    #[test]
     fn write_after_snapshot_copy_on_writes() {
         let pc = PageCache::new(1 << 20);
         let mut ctx = Ctx::new();
         pc.write(&mut ctx, 4, 0, &[1u8; PAGE_SIZE]);
-        let (snap, _) = pc
-            .read_page(&mut ctx, 4, 0, |_, _, _| panic!("hit"))
-            .unwrap();
-        // Re-write the page while the snapshot handle is live.
+        let snap = pc.take_dirty(&mut ctx, Some(4)).pop().unwrap();
+        // Re-write the page while the writeback snapshot is live.
+        let copies_before = labstor_ipc::payload_copies();
         pc.write(&mut ctx, 4, 0, &[2u8; PAGE_SIZE]);
+        // The copy is counted. (The counter is process-wide and other
+        // tests run beside this one, so only a lower bound is race-free;
+        // that the page was copied once and no longer shares the
+        // snapshot's bytes is the refcount below.)
+        assert!(labstor_ipc::payload_copies() > copies_before);
+        assert_eq!(Arc::strong_count(&snap.data), 1);
         // The snapshot still sees the old bytes; the cache sees the new.
-        assert!(snap.as_slice().iter().all(|&b| b == 1));
+        assert!(snap.data.iter().all(|&b| b == 1));
         let mut out = vec![0u8; PAGE_SIZE];
         pc.read(&mut ctx, 4, 0, &mut out, |_, _, _| panic!("hit"))
             .unwrap();
         assert!(out.iter().all(|&b| b == 2));
-    }
-
-    #[test]
-    fn write_page_buf_takes_ownership_without_copy() {
-        let pc = PageCache::new(1 << 20);
-        let mut ctx = Ctx::new();
-        let mut buf = pc.pool().alloc(PAGE_SIZE).unwrap();
-        assert!(buf.write_with(|b| b.fill(5)));
-        let copies_before = labstor_ipc::payload_copies();
-        pc.write_page_buf(&mut ctx, 6, 0, buf);
-        assert_eq!(labstor_ipc::payload_copies(), copies_before);
-        let (h, hit) = pc
-            .read_page(&mut ctx, 6, 0, |_, _, _| panic!("hit"))
-            .unwrap();
-        assert!(hit);
-        assert!(h.as_slice().iter().all(|&b| b == 5));
-        // The page is dirty and claimable for writeback.
-        assert_eq!(pc.take_dirty(&mut ctx, Some(6)).len(), 1);
-    }
-
-    #[test]
-    fn write_sheds_clean_pages_when_pool_is_pinned_dry() {
-        // Regression: write() used to call alloc_page while holding the
-        // shard lock; the pool-dry fallback re-locked the same (non-
-        // reentrant) mutex and deadlocked exactly when the pool ran out.
-        let pc = PageCache::with_shards(8 * PAGE_SIZE, 4);
-        let mut ctx = Ctx::new();
-        for i in 0..8u64 {
-            pc.write(
-                &mut ctx,
-                1,
-                i * PAGE_SIZE as u64,
-                &[(i + 1) as u8; PAGE_SIZE],
-            );
-        }
-        // Mark everything clean (dropping the writeback snapshots).
-        drop(pc.take_dirty(&mut ctx, None));
-        // Pin a reader snapshot of page (1, 0) so re-writing it must CoW.
-        let (snap, hit) = pc
-            .read_page(&mut ctx, 1, 0, |_, _, _| panic!("resident"))
-            .unwrap();
-        assert!(hit);
-        // Drain the pool dry with directly held handles.
-        let mut pins = Vec::new();
-        while let Some(h) = pc.pool().alloc(PAGE_SIZE) {
-            pins.push(h);
-        }
-        assert_eq!(pc.pool().free_slots_for(PAGE_SIZE), 0);
-        // A write needing a fresh page (new key) must shed a clean page —
-        // from its own shard or any other — instead of deadlocking or
-        // panicking "pool exhausted".
-        assert!(pc.write(&mut ctx, 2, 0, &[0xAA; PAGE_SIZE]).is_empty());
-        // Copy-on-write of the snapshotted page under pool pressure too.
-        pc.write(&mut ctx, 1, 0, &[0xBB; PAGE_SIZE]);
-        assert!(snap.as_slice().iter().all(|&b| b == 1), "snapshot torn");
-        let mut out = vec![0u8; PAGE_SIZE];
-        pc.read(&mut ctx, 1, 0, &mut out, |_, _, _| panic!("resident"))
-            .unwrap();
-        assert!(out.iter().all(|&b| b == 0xBB));
-    }
-
-    #[test]
-    fn pool_dry_shed_prefers_offending_tenant_and_attributes() {
-        let pc = PageCache::new(8 * PAGE_SIZE);
-        let mut ctx = Ctx::new();
-        let victim = TenantId(1);
-        let hog = TenantId(2);
-        // Two clean pages resident per tenant.
-        pc.write_for(&mut ctx, victim, 1, 0, &[1u8; PAGE_SIZE]);
-        pc.write_for(&mut ctx, victim, 1, PAGE_SIZE as u64, &[1u8; PAGE_SIZE]);
-        pc.write_for(&mut ctx, hog, 2, 0, &[2u8; PAGE_SIZE]);
-        pc.write_for(&mut ctx, hog, 2, PAGE_SIZE as u64, &[2u8; PAGE_SIZE]);
-        drop(pc.take_dirty(&mut ctx, None));
-        // Drain the pool dry with directly held handles.
-        let mut pins = Vec::new();
-        while let Some(h) = pc.pool().alloc(PAGE_SIZE) {
-            pins.push(h);
-        }
-        assert_eq!(pc.pool().free_slots_for(PAGE_SIZE), 0);
-        // The hog writes a new page: the shed pass must evict *its own*
-        // clean pages first — and attribute the shed — leaving the
-        // victim's pages resident.
-        pc.write_for(&mut ctx, hog, 2, 2 * PAGE_SIZE as u64, &[3u8; PAGE_SIZE]);
-        assert!(pc.pool().tenant_shed_pages(hog) >= 1);
-        assert_eq!(pc.pool().tenant_shed_pages(victim), 0);
-        let mut out = vec![0u8; PAGE_SIZE];
-        pc.read_for(&mut ctx, victim, 1, 0, &mut out, |_, _, _| {
-            panic!("victim page was shed")
-        })
-        .unwrap();
-        assert!(out.iter().all(|&b| b == 1));
-    }
-
-    #[test]
-    fn tenant_quota_recovers_by_shedding_own_pages() {
-        // A tenant capped at 2 pages of pool quota keeps writing: each new
-        // page sheds one of its own clean pages (uncharging the quota)
-        // instead of panicking or stealing from others.
-        let pc = PageCache::new(16 * PAGE_SIZE);
-        let mut ctx = Ctx::new();
-        let capped = TenantId(7);
-        pc.pool().set_tenant_quota(capped, 2 * PAGE_SIZE as u64);
-        for i in 0..6u64 {
-            pc.write_for(&mut ctx, capped, 3, i * PAGE_SIZE as u64, &[9u8; PAGE_SIZE]);
-            drop(pc.take_dirty(&mut ctx, Some(3)));
-        }
-        assert!(pc.pool().tenant_live_bytes(capped) <= 2 * PAGE_SIZE as u64);
-        assert!(pc.pool().tenant_shed_pages(capped) >= 4);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Lock-discipline lint: the static half of **lockcheck**.
 //!
 //! PR 5 fixed two lock bugs that only human review caught — a
-//! self-deadlock from re-acquiring a non-reentrant shard mutex inside
-//! `PageCache::write`'s pool-dry path, and torn multi-chunk `ShMem` reads
+//! self-deadlock from calling, with a non-reentrant mutex held, a
+//! function that locks the same class, and torn multi-chunk `ShMem` reads
 //! from unordered chunk-lock acquisition. The repaired invariants lived
 //! only in comments. This lint makes them machine-checked:
 //!
@@ -24,8 +24,8 @@
 //! (`x.lock().push(..)`) is treated as released at the end of its
 //! statement. Calls to same-file functions propagate the callee's
 //! (transitively) acquired classes to the call site — that is what
-//! catches the PR 5 shape, where `write` held the shard lock across
-//! `alloc_page`, whose pool-dry fallback locks the same shard class.
+//! catches the PR 5 shape, a lock held across a call whose callee locks
+//! the same class.
 //! The approximation under-reports holds (never false-positives on
 //! releases); the runtime lock witness (`labstor_ipc::lockwitness`)
 //! covers what the static view cannot see.
@@ -614,9 +614,9 @@ mod tests {
 
     #[test]
     fn pr5_shape_call_under_held_lock_flagged() {
-        // The exact PR 5 bug: `write` holds the shard lock and calls
-        // `alloc_page`, whose pool-dry fallback locks the same shard
-        // class. The call-site check catches it interprocedurally.
+        // The PR 5 bug: `write` holds the shard lock and calls
+        // `alloc_page`, which locks the same shard class. The call-site
+        // check catches it interprocedurally.
         let src = "\
 fn alloc_page(&self) -> Buf {
     let inner = self.shard.lock(); // lock-class: pagecache.shard

@@ -7,38 +7,22 @@
 //! while held (not even a different instance), and a `nest_within` class
 //! (the ShMem chunk sweep) may stack only in ascending instance order.
 //! This checker exercises those rules against exhaustive two-thread
-//! interleavings ([`crate::explore`]) of small lock programs modeled on
-//! the real PR 5 protocols:
+//! interleavings ([`crate::explore`]) of small lock programs:
 //!
-//! - [`LockVariant::CorrectWrite`] — the *fixed* `PageCache::write` on a
-//!   pool-dry cache: lock shard / unlock / shed own shard / shed the
-//!   other shard (one at a time) / re-lock / touch the pool tracker under
-//!   the shard. Never holds two shards; tracker nests ascending. Passes.
-//! - [`LockVariant::CorrectChunks`] — the fixed multi-chunk ShMem
-//!   access: both threads sweep chunk 0 → chunk 1 ascending. Passes.
-//! - [`LockVariant::ReentrantShard`] — the PR 5 bug: the pool-dry
-//!   fallback re-acquires the shard the caller already holds. The
-//!   witness rule catches it as a self-deadlock on every schedule.
+//! - [`LockVariant::CorrectChunks`] — the multi-chunk ShMem access: both
+//!   threads sweep chunk 0 → chunk 1 ascending. Passes.
+//! - [`LockVariant::ReentrantShard`] — a thread re-acquires a
+//!   non-reentrant lock it already holds. The witness rule catches it as
+//!   a self-deadlock on every schedule.
 //! - [`LockVariant::DescendingChunks`] — the pre-PR 5 chunk sweep: one
 //!   thread locks chunk 1 → chunk 0. Instance order inverts (and the
 //!   ABBA deadlock exists); the witness flags the descending acquire.
-//! - [`LockVariant::HoldAcrossAlloc`] — shedding from another shard
-//!   *while still holding your own*: two threads on opposite shards
-//!   deadlock ABBA. The same-class double-hold rule flags it first.
-//! - [`LockVariant::CorrectTenantCharge`] — the labtenant admission
-//!   path: resolve the tenant in the `TenantTable` (rank 36), release
-//!   it, then take the page-cache shard and pool tracker ascending.
-//!   The table is never held across pool locks. Passes.
-//! - [`LockVariant::TenantTableAfterShard`] — the inversion the QoS
-//!   design rules out: attributing a shed to the `TenantTable` from
-//!   *inside* the shard lock (36 < 70). The witness flags the
-//!   descending acquire on every schedule.
 //!
 //! A deadlocked schedule (every unfinished thread blocked) is kept as a
 //! backstop violation, so the checker stays sound even for bugs the
 //! witness rules would miss.
 //!
-//! All seven variants are rows of the gate table ([`crate::gate`]), which
+//! All three variants are rows of the gate table ([`crate::gate`]), which
 //! pins each correct protocol's state count and each planted bug's exact
 //! violation and counterexample length.
 
@@ -65,23 +49,13 @@ enum Step {
 /// Lock protocol under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockVariant {
-    /// The fixed pool-dry `PageCache::write`: drop before alloc, shed one
-    /// shard at a time, tracker nests above the shard.
-    CorrectWrite,
     /// The fixed ShMem span access: chunks acquired ascending up front.
     CorrectChunks,
-    /// Planted PR 5 bug: re-acquire the held shard in the dry fallback.
+    /// Planted bug: re-acquire a held non-reentrant lock (the only
+    /// [`LockViolation::SelfDeadlock`] row).
     ReentrantShard,
     /// Planted bug: one thread sweeps chunks in descending order.
     DescendingChunks,
-    /// Planted bug: shed another shard while holding your own.
-    HoldAcrossAlloc,
-    /// The labtenant admission path: tenant table released before any
-    /// pool lock; shard and tracker then nest ascending.
-    CorrectTenantCharge,
-    /// Planted bug: acquire the tenant table (rank 36) while holding a
-    /// page-cache shard (rank 70) — the shed-attribution inversion.
-    TenantTableAfterShard,
 }
 
 /// Discipline violation detected mid-exploration or at quiescence.
@@ -116,7 +90,7 @@ pub enum LockViolation {
 }
 
 const FREE: u8 = u8::MAX;
-const MAX_LOCKS: usize = 3;
+const MAX_LOCKS: usize = 2;
 
 /// Joint state: lock owners (thread id or [`FREE`]) and per-thread pc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,8 +101,7 @@ pub struct State {
 
 /// The lock set and the two thread programs of a variant. The model's
 /// lock classes mirror the workspace registry: `pagecache.shard` rank 70
-/// (non-reentrant), `shmem.chunk` rank 78 (`nest_within`), `pool.tracker`
-/// rank 90.
+/// (non-reentrant), `shmem.chunk` rank 78 (`nest_within`).
 fn programs(variant: LockVariant) -> (Vec<LockSpec>, [Vec<Step>; 2]) {
     let shard = |i: u8| LockSpec {
         name: if i == 0 {
@@ -150,53 +123,8 @@ fn programs(variant: LockVariant) -> (Vec<LockSpec>, [Vec<Step>; 2]) {
         instance: i,
         nest_within: true,
     };
-    let tracker = LockSpec {
-        name: "pool.tracker",
-        rank: 90,
-        instance: 0,
-        nest_within: false,
-    };
-    let table = LockSpec {
-        name: "qos.tenants",
-        rank: 36,
-        instance: 0,
-        nest_within: false,
-    };
     use Step::{Acq, Rel};
     match variant {
-        // Locks: [shard0, shard1, tracker]. Each thread writes a key in
-        // its own shard with the pool dry: lock / miss / unlock; shed own
-        // shard; shed the *other* shard; re-lock own; drop a BufHandle
-        // into the tracker under the shard; unlock.
-        LockVariant::CorrectWrite => (
-            vec![shard(0), shard(1), tracker],
-            [
-                vec![
-                    Acq(0),
-                    Rel(0),
-                    Acq(0),
-                    Rel(0),
-                    Acq(1),
-                    Rel(1),
-                    Acq(0),
-                    Acq(2),
-                    Rel(2),
-                    Rel(0),
-                ],
-                vec![
-                    Acq(1),
-                    Rel(1),
-                    Acq(1),
-                    Rel(1),
-                    Acq(0),
-                    Rel(0),
-                    Acq(1),
-                    Acq(2),
-                    Rel(2),
-                    Rel(1),
-                ],
-            ],
-        ),
         // Locks: [chunk0, chunk1]. Both threads sweep a two-chunk span in
         // ascending order — the fixed ShMem protocol.
         LockVariant::CorrectChunks => (
@@ -206,7 +134,7 @@ fn programs(variant: LockVariant) -> (Vec<LockSpec>, [Vec<Step>; 2]) {
                 vec![Acq(0), Acq(1), Rel(1), Rel(0)],
             ],
         ),
-        // The PR 5 shape: thread 0's dry fallback re-locks its own shard.
+        // Thread 0 re-locks the lock it holds.
         LockVariant::ReentrantShard => (
             vec![shard(0), shard(1)],
             [vec![Acq(0), Acq(0), Rel(0), Rel(0)], vec![Acq(1), Rel(1)]],
@@ -217,35 +145,6 @@ fn programs(variant: LockVariant) -> (Vec<LockSpec>, [Vec<Step>; 2]) {
             [
                 vec![Acq(0), Acq(1), Rel(1), Rel(0)],
                 vec![Acq(1), Acq(0), Rel(0), Rel(1)],
-            ],
-        ),
-        // Each thread holds its own shard while shedding the other: ABBA
-        // on the two shard instances of one non-reentrant class.
-        LockVariant::HoldAcrossAlloc => (
-            vec![shard(0), shard(1)],
-            [
-                vec![Acq(0), Acq(1), Rel(1), Rel(0)],
-                vec![Acq(1), Acq(0), Rel(0), Rel(1)],
-            ],
-        ),
-        // Locks: [table, shard0, tracker]. Both threads resolve their
-        // tenant under the table, release it, then charge a page: shard
-        // → tracker ascending. The table never overlaps a pool lock.
-        LockVariant::CorrectTenantCharge => (
-            vec![table, shard(0), tracker],
-            [
-                vec![Acq(0), Rel(0), Acq(1), Acq(2), Rel(2), Rel(1)],
-                vec![Acq(0), Rel(0), Acq(1), Acq(2), Rel(2), Rel(1)],
-            ],
-        ),
-        // Thread 0 attributes a shed victim via the table while still
-        // inside the shard lock: rank 36 acquired under rank 70. Thread
-        // 1 runs the correct order, so the ABBA deadlock also exists.
-        LockVariant::TenantTableAfterShard => (
-            vec![table, shard(0)],
-            [
-                vec![Acq(1), Acq(0), Rel(0), Rel(1)],
-                vec![Acq(0), Acq(1), Rel(1), Rel(0)],
             ],
         ),
     }

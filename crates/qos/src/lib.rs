@@ -7,15 +7,12 @@
 //! software-defined storage argument (per-tenant data-plane policies —
 //! rate limiting, prioritization — stacked over an unmodified data path),
 //! a [`TenantId`] rides the existing `Credentials` handshake and policy is
-//! enforced at three choke points that already exist:
+//! enforced at two choke points that already exist:
 //!
 //! 1. **Admission** — [`TokenBucket`] rate limiting in `Client::submit`,
 //!    charged in *virtual time* so simulated workloads are reproducible.
 //!    Rejects are typed errors with a retry-after hint, never panics.
-//! 2. **Memory** — per-tenant `BufferPool` byte quotas (in `labstor-ipc`)
-//!    so a hog exhausts *its own* buffer budget, and pool-dry page-cache
-//!    shedding evicts the offender's clean pages first.
-//! 3. **Scheduling** — per-tenant virtual-time service counters feed a
+//! 2. **Scheduling** — per-tenant virtual-time service counters feed a
 //!    weighted-fair pass in the Work Orchestrator: a hostile tenant's
 //!    queues are deprioritized, not starved, and latency-sensitive
 //!    tenants keep their workers.
@@ -30,9 +27,8 @@
 //!
 //! `qos.tenants` (rank 36) nests after the runtime rebalance locks
 //! (10–34) and strictly before every data-path lock (registry, pool,
-//! page-cache shards, ≥ 40). `qos.bucket` (rank 38) nests inside a table
-//! read. Shed attribution from page-cache shard context (rank 70) must
-//! use the pool's lock-free tenant cells, never the table.
+//! page-cache lock, ≥ 40). `qos.bucket` (rank 38) nests inside a table
+//! read.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -74,8 +70,6 @@ pub struct TenantPolicy {
     /// weight-1 tenant before the orchestrator deprioritizes it.
     /// Must be ≥ 1 (0 is clamped to 1).
     pub weight: u32,
-    /// BufferPool byte quota (slab bytes reserved); 0 = unlimited.
-    pub buf_quota_bytes: u64,
     /// Token-bucket refill rate in payload bytes per virtual second;
     /// 0 = unlimited (admission always passes).
     pub rate_bytes_per_sec: u64,
@@ -92,7 +86,6 @@ impl Default for TenantPolicy {
     fn default() -> Self {
         TenantPolicy {
             weight: 1,
-            buf_quota_bytes: 0,
             rate_bytes_per_sec: 0,
             burst_bytes: 0,
             deadline: DeadlineClass::BestEffort,
@@ -114,12 +107,6 @@ impl TenantPolicy {
     /// The same policy with a different weight.
     pub fn with_weight(mut self, weight: u32) -> Self {
         self.weight = weight;
-        self
-    }
-
-    /// The same policy with a BufferPool byte quota.
-    pub fn with_buf_quota(mut self, bytes: u64) -> Self {
-        self.buf_quota_bytes = bytes;
         self
     }
 

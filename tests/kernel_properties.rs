@@ -60,13 +60,22 @@ fn kfs_action() -> impl Strategy<Value = KfsAction> {
     ]
 }
 
-fn check_kernel_fs(profile: FsProfile, actions: Vec<KfsAction>) -> Result<(), TestCaseError> {
+/// Page-cache sizes each profile runs under: one that never evicts, and
+/// two pages, where most reads come back from the device after an
+/// eviction and its writeback.
+const CACHE_BYTES: [usize; 2] = [4 << 20, 2 * 4096];
+
+fn check_kernel_fs(
+    profile: FsProfile,
+    cache_bytes: usize,
+    actions: &[KfsAction],
+) -> Result<(), TestCaseError> {
     use labstor::kernel::vfs::Filesystem;
     let dev = SimDevice::preset(DeviceKind::Nvme);
-    let fs = KernelFs::new(profile, BlockLayer::new(dev), 4 << 20);
+    let fs = KernelFs::new(profile, BlockLayer::new(dev), cache_bytes);
     let mut ctx = Ctx::new();
     let mut model: HashMap<String, (u64, Vec<u8>)> = HashMap::new();
-    for a in actions {
+    for a in actions.iter().cloned() {
         match a {
             KfsAction::Create(f) => {
                 let path = format!("/f{f}");
@@ -148,17 +157,23 @@ proptest! {
 
     #[test]
     fn ext4_like_matches_model(actions in proptest::collection::vec(kfs_action(), 0..50)) {
-        check_kernel_fs(FsProfile::ext4_like(), actions)?;
+        for cache_bytes in CACHE_BYTES {
+            check_kernel_fs(FsProfile::ext4_like(), cache_bytes, &actions)?;
+        }
     }
 
     #[test]
     fn xfs_like_matches_model(actions in proptest::collection::vec(kfs_action(), 0..50)) {
-        check_kernel_fs(FsProfile::xfs_like(), actions)?;
+        for cache_bytes in CACHE_BYTES {
+            check_kernel_fs(FsProfile::xfs_like(), cache_bytes, &actions)?;
+        }
     }
 
     #[test]
     fn f2fs_like_matches_model(actions in proptest::collection::vec(kfs_action(), 0..50)) {
-        check_kernel_fs(FsProfile::f2fs_like(), actions)?;
+        for cache_bytes in CACHE_BYTES {
+            check_kernel_fs(FsProfile::f2fs_like(), cache_bytes, &actions)?;
+        }
     }
 
     #[test]
