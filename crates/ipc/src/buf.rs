@@ -18,9 +18,10 @@
 //! * whoever calls [`BufferPool::alloc`] owns a unique handle and may fill
 //!   it in place ([`BufHandle::fill`] / [`BufHandle::write_with`]);
 //! * cloning (or [`BufHandle::slice`], or [`BufHandle::join`] of two
-//!   adjacent views) shares the bytes read-only — all mutation is gated
-//!   on `refs == 1` *and* `&mut self`, so a shared buffer can never be
-//!   written;
+//!   adjacent views, or growing one over the other in place with
+//!   [`BufHandle::extend_with`]) shares the bytes read-only — all mutation
+//!   is gated on `refs == 1` *and* `&mut self`, so a shared buffer can
+//!   never be written;
 //! * the last `Drop` frees; freeing is idempotence-checked by the debug
 //!   tracker (a slot may return to the free list exactly once).
 //!
@@ -475,21 +476,29 @@ impl BufHandle {
         Some(h)
     }
 
-    /// One view over `self` followed by `next`, when `next` starts in the
-    /// same slot exactly where `self` ends (refcount bump, no copy) —
-    /// the inverse of cutting one buffer into adjacent [`slice`]s.
-    /// Returns `None` for another slot or pool, a gap, an overlap, or the
-    /// reverse order, so the result never covers a byte the two views do
-    /// not already cover.
+    /// Grow this view in place over `next`, when `next` starts in the same
+    /// slot exactly where `self` ends — the inverse of cutting one buffer
+    /// into adjacent [`slice`]s. No refcount moves: `self` already holds
+    /// its reference on the slot and `next` keeps its own. Returns `false`
+    /// and leaves `self` alone for another slot or pool, a gap, an overlap
+    /// or the reverse order, so the view never grows over a byte the two
+    /// views do not already cover.
     ///
     /// [`slice`]: BufHandle::slice
-    pub fn join(&self, next: &BufHandle) -> Option<BufHandle> {
+    pub fn extend_with(&mut self, next: &BufHandle) -> bool {
         if !self.same_slot(next) || self.off + self.len != next.off {
-            return None;
+            return false;
         }
+        self.len += next.len;
+        true
+    }
+
+    /// One new view over `self` followed by `next` (one refcount bump, no
+    /// copy), under the rule of [`BufHandle::extend_with`]; `None` where
+    /// that refuses.
+    pub fn join(&self, next: &BufHandle) -> Option<BufHandle> {
         let mut h = self.clone();
-        h.len += next.len;
-        Some(h)
+        h.extend_with(next).then_some(h)
     }
 
     /// Shrink the view to its first `new_len` bytes (no-op if larger).

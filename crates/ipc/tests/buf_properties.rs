@@ -145,6 +145,8 @@ proptest! {
     /// back left to right: every join of neighbours succeeds and equals the
     /// concatenation, no intermediate view holds a byte outside the view
     /// that was cut, and joining any piece to a non-neighbour is refused.
+    /// One handle grown in place with `extend_with` is the chained `join`
+    /// at every step, and accepts and refuses exactly the same pairs.
     #[test]
     fn join_chain_never_leaves_the_original_view(
         view in (0usize..200, 1usize..56),
@@ -169,21 +171,76 @@ proptest! {
             .collect();
 
         let mut acc = pieces[0].clone();
+        let mut grown = pieces[0].clone();
         for (i, piece) in pieces.iter().enumerate().skip(1) {
             acc = acc.join(piece).expect("neighbouring slices join");
             prop_assert_eq!(acc.as_slice(), &original.as_slice()[..bounds[i + 1]]);
             prop_assert_eq!(acc.offset(), original.offset());
+            prop_assert!(grown.extend_with(piece), "neighbouring slices extend");
+            prop_assert_eq!(grown.as_slice(), acc.as_slice());
+            prop_assert_eq!(grown.offset(), acc.offset());
         }
         prop_assert_eq!(acc.as_slice(), original.as_slice());
         for (i, a) in pieces.iter().enumerate() {
             for (j, b) in pieces.iter().enumerate() {
                 let neighbours = bounds[i + 1] == bounds[j];
                 prop_assert!(a.join(b).is_some() == neighbours, "pieces {} and {}", i, j);
+                let mut a = a.clone();
+                prop_assert!(a.extend_with(b) == neighbours, "pieces {} and {}", i, j);
+                prop_assert_eq!(a.len(), pieces[i].len() + if neighbours { b.len() } else { 0 });
             }
         }
-        drop((whole, original, pieces, acc));
+        drop((whole, original, pieces, acc, grown));
         prop_assert_eq!(pool.live(), 0);
     }
+}
+
+/// `extend_with` refuses everything `join` does and leaves the handle as
+/// it was; growing a view moves no refcount, so the slots drain when the
+/// handles that were there before it drop.
+#[test]
+fn extend_with_refuses_strangers_gaps_overlaps_and_the_reverse_order() {
+    let (pool, other_pool) = (pool(), pool());
+    let h = pool.alloc_from(b"abcdefgh").unwrap();
+    let (a, b, c) = (
+        h.slice(0, 3).unwrap(),
+        h.slice(3, 2).unwrap(),
+        h.slice(5, 3).unwrap(),
+    );
+    let other_slot = pool.alloc_from(b"abcdefgh").unwrap();
+    let foreign = other_pool.alloc_from(b"abcdefgh").unwrap();
+    let mut run = a.clone();
+    assert!(!run.extend_with(&c), "gap");
+    assert!(!run.extend_with(&a), "itself");
+    assert!(
+        !run.extend_with(&other_slot.slice(3, 2).unwrap()),
+        "other slot"
+    );
+    assert!(
+        !run.extend_with(&foreign.slice(3, 2).unwrap()),
+        "same class and slot index, other pool"
+    );
+    assert!(!b.clone().extend_with(&a), "reversed order");
+    assert_eq!((run.as_slice(), run.offset()), (a.as_slice(), a.offset()));
+    assert!(run.extend_with(&b));
+    assert!(!run.extend_with(&b), "overlap");
+    assert!(run.extend_with(&c));
+    assert_eq!(
+        run.as_slice(),
+        a.join(&b).unwrap().join(&c).unwrap().as_slice()
+    );
+    assert_eq!(run.as_slice(), h.as_slice());
+    assert!(run.same_slot(&h));
+    drop((h, a, b, c));
+    assert_eq!(
+        pool.live(),
+        2,
+        "the grown view holds the one reference it had"
+    );
+    drop((run, other_slot));
+    assert_eq!(pool.live(), 0);
+    drop(foreign);
+    assert_eq!(other_pool.live(), 0);
 }
 
 /// Offset of the view inside its slot (so two views of one slot map to the

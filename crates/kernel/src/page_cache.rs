@@ -12,6 +12,7 @@
 //! virtual-time design (see `labstor_sim::time`).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use labstor_ipc::lockwitness::{OrderedMutex, PAGECACHE_SHARD};
@@ -34,10 +35,45 @@ struct Entry<K, V> {
     next: usize,
 }
 
+/// The hasher of [`LruMap`]'s index: one multiply per key word, unkeyed.
+/// A client can choose keys — a raw block stack passes its `lba` straight
+/// to the cache, and an `(inode, page)` pair follows the file offsets an
+/// application picks — so it can make them collide. What that buys it is
+/// bounded: the map never holds more entries than the cache's capacity in
+/// blocks, so a flood of colliding keys lengthens probes within that many
+/// entries and evicts the rest; it cannot grow the table. Std's SipHash
+/// defends against that at the cost of most of a lookup on every hit.
+///
+/// `finish` folds the high half down: block keys are multiples of eight
+/// sectors, a product keeps the factor of eight in its low bits, and the
+/// table indexes buckets by the low bits — a bare multiply would leave
+/// seven buckets in eight empty. The top bits, which the table's control
+/// bytes use, are the multiply's best-mixed ones already.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// An LRU map with O(1) touch/insert/evict, built on a slab of doubly
 /// linked entries. Used by the page cache and reusable for other caches.
 pub struct LruMap<K, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<KeyHasher>>,
     slab: Vec<Entry<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -48,7 +84,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruMap<K, V> {
     /// Empty map.
     pub fn new() -> Self {
         LruMap {
-            map: HashMap::new(),
+            map: HashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -477,6 +513,21 @@ mod tests {
         l.insert(1, 1);
         l.pop_lru().unwrap();
         assert!(l.pop_lru().is_none());
+    }
+
+    #[test]
+    fn block_keys_spread_over_the_low_bits() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        // 4096 block keys (multiples of 8 sectors) into 4096 buckets by
+        // the low 12 bits, as the table indexes them. Uniform hashing fills
+        // ~63 % of the buckets; without the fold only one in eight can be.
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        let mut used = [false; 4096];
+        for block in 0..4096u64 {
+            used[(hasher.hash_one(block * 8) & 4095) as usize] = true;
+        }
+        let filled = used.iter().filter(|&&u| u).count();
+        assert!(filled > 2048, "{filled} of 4096 buckets used");
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! The policy keeps recency (T1) and frequency (T2) lists; ghost lists
 //! (B1/B2) remember recently evicted keys and steer the adaptive target
 //! `p` toward whichever list would have hit — which is what makes it
-//! resist one-shot scans that flush a plain LRU. With `shards` > 1 each
-//! shard runs an independent ARC instance over its slice of the capacity.
+//! resist one-shot scans that flush a plain LRU.
 
 use std::sync::Arc;
 
@@ -22,7 +21,7 @@ use labstor_kernel::page_cache::LruMap;
 
 use crate::cache_common::{BlockCache, CacheData, Policy};
 
-/// ARC replacement state for one shard.
+/// ARC replacement state.
 #[derive(Default)]
 pub struct ArcPolicy {
     /// Recency list: blocks seen exactly once.
@@ -137,20 +136,16 @@ impl Policy for ArcPolicy {
 pub type ArcCacheMod = BlockCache<ArcPolicy>;
 
 impl ArcCacheMod {
-    /// Cache of `capacity_bytes`, single shard.
+    /// Cache of `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_shards(capacity_bytes, 1)
-    }
-
-    /// Cache of `capacity_bytes` split over `shards` independent ARC
-    /// instances (capacity divides evenly; each shard adapts its own `p`).
-    pub fn with_shards(capacity_bytes: usize, shards: usize) -> Self {
-        Self::build(capacity_bytes, false, shards)
+        Self::build(capacity_bytes, false)
     }
 }
 
-/// Register the factory. Params: `{"capacity_bytes": <n>, "shards": <n>}`
-/// (defaults: 64 MiB, 1 shard).
+/// Register the factory. Params: `{"capacity_bytes": <n>}` (default:
+/// 64 MiB). The index is one ARC instance behind one lock; a spec that
+/// still passes the former `"shards"` key is served as any spec with an
+/// unknown key is — the key is ignored.
 pub fn install(mm: &ModuleManager) {
     mm.register_factory(
         "arc_cache",
@@ -159,8 +154,7 @@ pub fn install(mm: &ModuleManager) {
                 .get("capacity_bytes")
                 .and_then(|v| v.as_u64())
                 .unwrap_or(64 << 20) as usize;
-            let shards = params.get("shards").and_then(|v| v.as_u64()).unwrap_or(1) as usize;
-            Arc::new(ArcCacheMod::with_shards(cap, shards)) as Arc<dyn LabMod>
+            Arc::new(ArcCacheMod::new(cap)) as Arc<dyn LabMod>
         }),
     );
 }
@@ -247,27 +241,8 @@ mod tests {
         let m = rig.cache();
         let arc = m.as_any().downcast_ref::<ArcCacheMod>().unwrap();
         assert!(arc.resident_blocks() <= 8, "resident > capacity");
-        let ghosts = arc.with_policy(0, |s| s.b1.len() + s.b2.len());
+        let ghosts = arc.with_policy(|s| s.b1.len() + s.b2.len());
         assert!(ghosts <= 2 * 8 + 2, "ghost lists bounded");
-    }
-
-    #[test]
-    fn sharded_capacity_is_respected_per_shard() {
-        let arc = ArcCacheMod::with_shards(16 * BLOCK, 4);
-        let rig = Rig::around(Arc::new(arc), MemDev::new());
-        let mut ctx = Ctx::new();
-        for block in 0..400u64 {
-            write(&rig, &mut ctx, block, block as u8);
-        }
-        let m = rig.cache();
-        let arc = m.as_any().downcast_ref::<ArcCacheMod>().unwrap();
-        for shard in 0..arc.shard_count() {
-            let resident = arc.with_policy(shard, Policy::resident);
-            assert!(
-                resident <= 4,
-                "shard resident {resident} > per-shard capacity 4"
-            );
-        }
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! brought the bytes. A multi-block write becomes one entry per block (a
 //! pool handle by `slice()` refcount bumps, owned bytes as windows of one
 //! shared allocation), so capacity is counted in bytes and an overwrite
-//! replaces every block it covers. A multi-block read looks every block
-//! up, fetches only the smallest run covering the missing ones in one
-//! downstream request, and answers with [`BufHandle::join`] when the
-//! blocks are adjacent views of one pool slot — no bytes move — or by
-//! gathering each byte once into the response.
+//! replaces every block it covers. A request's blocks are walked as one
+//! run under the index's one lock. A `ReadBuf` whose blocks are all
+//! resident, adjacent views of one pool slot grows one handle over them
+//! by reference ([`BufHandle::extend_with`]) and answers with it — one
+//! refcount bump, no bytes move. Any other read takes its blocks by
+//! value, fetches only the smallest run covering the missing ones in one
+//! downstream request, and gathers each byte once into the response.
 //!
 //! The two cache LabMods are this engine with a different [`Policy`]: the
 //! policy decides what stays resident, the engine does everything else
-//! (sharding, the in-flight miss guard, write-back, cost accounting).
+//! (the in-flight miss guard, write-back, cost accounting).
 //!
 //! The contract is block-aligned requests (`lba` a multiple of
 //! [`BLOCK_SECTORS`]), which every bundled filesystem LabMod honors.
@@ -113,12 +115,12 @@ impl CacheData {
         }
     }
 
-    /// One window over `self` followed by `next`, when `next` starts in
-    /// the same allocation exactly where `self` ends (see
-    /// [`BufHandle::join`]); `None` otherwise.
-    pub fn join(&self, next: &CacheData) -> Option<CacheData> {
+    /// Grow this window in place over `next`, when `next` starts in the
+    /// same allocation exactly where `self` ends (see
+    /// [`BufHandle::extend_with`]); `false`, and no change, otherwise.
+    pub fn extend_with(&mut self, next: &CacheData) -> bool {
         match (self, next) {
-            (CacheData::Buf(a), CacheData::Buf(b)) => a.join(b).map(CacheData::Buf),
+            (CacheData::Buf(a), CacheData::Buf(b)) => a.extend_with(b),
             (
                 CacheData::Owned { bytes, off, len },
                 CacheData::Owned {
@@ -126,14 +128,11 @@ impl CacheData {
                     off: next_off,
                     len: next_len,
                 },
-            ) if Arc::ptr_eq(bytes, next_bytes) && off + len == *next_off => {
-                Some(CacheData::Owned {
-                    bytes: Arc::clone(bytes),
-                    off: *off,
-                    len: len + next_len,
-                })
+            ) if Arc::ptr_eq(bytes, next_bytes) && *off + *len == *next_off => {
+                *len += next_len;
+                true
             }
-            _ => None,
+            _ => false,
         }
     }
 
@@ -159,8 +158,7 @@ fn coalesce(mut victims: Vec<(u64, CacheData)>) -> Vec<(u64, CacheData)> {
     for (lba, data) in victims {
         if let Some((last_lba, last)) = out.last_mut() {
             let adjacent = *last_lba + (last.len() / labstor_sim::SECTOR_SIZE) as u64 == lba;
-            if let Some(joined) = adjacent.then(|| last.join(&data)).flatten() {
-                *last = joined;
+            if adjacent && last.extend_with(&data) {
                 continue;
             }
         }
@@ -169,14 +167,14 @@ fn coalesce(mut victims: Vec<(u64, CacheData)>) -> Vec<(u64, CacheData)> {
     out
 }
 
-/// The replacement policy of one cache shard: which blocks are resident.
-/// Everything else about a block cache is the engine's.
+/// The replacement policy of a block cache: which blocks are resident.
+/// Everything else about the cache is the engine's.
 pub trait Policy: Default + Send + 'static {
     /// LabMod type name of the cache built on this policy.
     const TYPE_NAME: &'static str;
     /// Modeled cost of looking one block up.
     const LOOKUP_NS: u64;
-    /// Fewest blocks a shard may be sized to.
+    /// Fewest blocks a cache may be sized to.
     const MIN_BLOCKS: usize;
 
     /// The resident block at `lba`, recorded as a hit.
@@ -184,7 +182,7 @@ pub trait Policy: Default + Send + 'static {
     /// The resident block at `lba`, leaving the policy's state alone.
     fn peek(&self, lba: u64) -> Option<&CacheData>;
     /// Insert or replace the block at `lba`, then hand every block pushed
-    /// out to keep the shard within `cap` blocks to `evict`.
+    /// out to keep the cache within `cap` blocks to `evict`.
     fn admit(
         &mut self,
         lba: u64,
@@ -198,50 +196,43 @@ pub trait Policy: Default + Send + 'static {
     fn resident(&self) -> usize;
 }
 
-struct Shard<P> {
+/// What the cache's one lock guards.
+struct Index<P> {
     policy: P,
-    /// Resident blocks not yet written downstream (write-back only).
+    /// Resident blocks not yet written downstream: a write-back cache's
+    /// own, or ones absorbed from a write-back predecessor in a hot swap.
+    /// Std's hasher stays: reads never hash it, and a write-through cache
+    /// hashes it only while such absorbed blocks remain.
     dirty: HashSet<u64>,
 }
 
-/// A sharded, block-granular cache LabMod over replacement policy `P`:
-/// write-through by default (data enters the cache and is forwarded),
-/// optionally write-back (dirty blocks held until flush or eviction).
+/// A block-granular cache LabMod over replacement policy `P`:
+/// write-through by default (data is forwarded, and enters the cache once
+/// the next stage has taken it), optionally write-back (dirty blocks held
+/// until flush or eviction).
 pub struct BlockCache<P> {
-    shards: Box<[Mutex<Shard<P>>]>,
+    index: Mutex<Index<P>>,
     inflight: InflightSet,
-    per_shard_blocks: usize,
+    capacity_blocks: usize,
     write_back: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl<P: Policy> BlockCache<P> {
-    /// Cache of `capacity_bytes` split over `shards` independently locked
-    /// policy instances (capacity divides evenly; eviction is per shard).
-    pub(crate) fn build(capacity_bytes: usize, write_back: bool, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity_blocks = (capacity_bytes / BLOCK).max(P::MIN_BLOCKS);
+    /// Cache of `capacity_bytes`, in whole blocks.
+    pub(crate) fn build(capacity_bytes: usize, write_back: bool) -> Self {
         BlockCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        policy: P::default(),
-                        dirty: HashSet::new(),
-                    })
-                })
-                .collect(),
+            index: Mutex::new(Index {
+                policy: P::default(),
+                dirty: HashSet::new(),
+            }),
             inflight: InflightSet::new(),
-            per_shard_blocks: capacity_blocks.div_ceil(shards).max(P::MIN_BLOCKS),
+            capacity_blocks: (capacity_bytes / BLOCK).max(P::MIN_BLOCKS),
             write_back,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Number of shards the index is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// (hits, misses) so far, counted in **blocks**: a 64 KiB read that
@@ -254,47 +245,57 @@ impl<P: Policy> BlockCache<P> {
         )
     }
 
-    /// Blocks resident across all shards.
+    /// Blocks resident.
     pub fn resident_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().policy.resident()).sum()
+        self.index.lock().policy.resident()
     }
 
-    /// Inspect one shard's policy state.
+    /// Inspect the policy's state.
     #[cfg(test)]
-    pub(crate) fn with_policy<R>(&self, shard: usize, f: impl FnOnce(&P) -> R) -> R {
-        f(&self.shards[shard].lock().policy)
+    pub(crate) fn with_policy<R>(&self, f: impl FnOnce(&P) -> R) -> R {
+        f(&self.index.lock().policy)
     }
 
-    /// Visit the blocks `lba + k * BLOCK_SECTORS`, `k < blocks`, grouped by
-    /// shard: each shard's lock is taken at most once, in ascending shard
-    /// order, and never two at a time.
-    fn for_blocks(
-        &self,
-        lba: u64,
-        blocks: usize,
-        mut visit: impl FnMut(&mut Shard<P>, usize, u64),
-    ) {
-        let nshards = self.shards.len();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut guard = None;
-            for k in 0..blocks {
-                let key = lba + k as u64 * BLOCK_SECTORS;
-                if shard_of(key, nshards) == s {
-                    visit(guard.get_or_insert_with(|| shard.lock()), k, key);
-                }
+    /// The zero-copy hit: one handle over the `len`-byte range at `lba`,
+    /// when every block of it is resident as a pool handle that starts
+    /// where the one before ends in the same slot. The blocks are walked
+    /// by reference under the lock — one refcount bump for the run, none
+    /// per block, nothing on the heap. Otherwise `Err(n)`: the first `n`
+    /// blocks have been through [`Policy::touch`] and the rest have not.
+    fn joined_hit(&self, lba: u64, len: usize, blocks: usize) -> Result<BufHandle, usize> {
+        let mut index = self.index.lock();
+        let mut run = None;
+        for k in 0..blocks {
+            let need = BLOCK.min(len - k * BLOCK);
+            let block = index.policy.touch(lba + k as u64 * BLOCK_SECTORS);
+            if !block.is_some_and(|d| d.len() >= need && grow(&mut run, d)) {
+                return Err(k + 1);
             }
         }
+        let mut run = run.ok_or(blocks)?;
+        run.truncate(len);
+        Ok(run)
     }
 
     /// Fill the empty slots of `found` with the resident blocks of the
-    /// `len`-byte range at `lba` that are long enough to serve it.
-    fn lookup(&self, lba: u64, len: usize, found: &mut [Option<CacheData>]) {
-        self.for_blocks(lba, found.len(), |shard, k, key| {
-            if found[k].is_none() {
+    /// `len`-byte range at `lba` that are long enough to serve it. The
+    /// first `touched` blocks have been through [`Policy::touch`] for this
+    /// request already and are only peeked at, so a request records each
+    /// of its hits once.
+    fn lookup(&self, lba: u64, len: usize, found: &mut [Option<CacheData>], touched: usize) {
+        let mut index = self.index.lock();
+        for (k, slot) in found.iter_mut().enumerate() {
+            if slot.is_none() {
+                let key = lba + k as u64 * BLOCK_SECTORS;
                 let need = BLOCK.min(len - k * BLOCK);
-                found[k] = shard.policy.touch(key).filter(|d| d.len() >= need).cloned();
+                let block = if k < touched {
+                    index.policy.peek(key)
+                } else {
+                    index.policy.touch(key)
+                };
+                *slot = block.filter(|d| d.len() >= need).cloned();
             }
-        });
+        }
     }
 
     /// Enter the blocks of `data` (an extent starting at `lba`) for which
@@ -308,27 +309,25 @@ impl<P: Policy> BlockCache<P> {
         dirty: bool,
     ) -> Vec<(u64, CacheData)> {
         let mut victims = Vec::new();
-        let cap = self.per_shard_blocks;
-        self.for_blocks(lba, data.len().div_ceil(BLOCK), |shard, k, key| {
-            if !want(k) {
-                return;
-            }
+        let mut index = self.index.lock();
+        let Index { policy, dirty: set } = &mut *index;
+        for k in (0..data.len().div_ceil(BLOCK)).filter(|&k| want(k)) {
             let off = k * BLOCK;
             let Some(block) = data.slice(off, BLOCK.min(data.len() - off)) else {
-                return;
+                continue;
             };
-            let Shard { policy, dirty: set } = shard;
+            let key = lba + k as u64 * BLOCK_SECTORS;
             if dirty {
                 set.insert(key);
             } else if !set.is_empty() {
                 set.remove(&key);
             }
-            policy.admit(key, block, cap, &mut |vlba, vdata| {
+            policy.admit(key, block, self.capacity_blocks, &mut |vlba, vdata| {
                 if !set.is_empty() && set.remove(&vlba) {
                     victims.push((vlba, vdata));
                 }
             });
-        });
+        }
         victims
     }
 
@@ -349,8 +348,12 @@ impl<P: Policy> BlockCache<P> {
         Ok(())
     }
 
-    /// The write path: index every block of the extent, then forward
-    /// (write-through) or acknowledge (write-back).
+    /// The write path. Write-through forwards first and indexes the extent
+    /// only once the next stage has taken it, so bytes the device refused
+    /// never become resident; write-back indexes and acknowledges. Either
+    /// way the dirty blocks this pushes out are written back: a
+    /// write-through cache makes none of its own but may have absorbed
+    /// some from a write-back predecessor in a hot swap.
     fn write(
         &self,
         ctx: &mut Ctx,
@@ -359,21 +362,33 @@ impl<P: Policy> BlockCache<P> {
         lba: u64,
         cached: CacheData,
     ) -> RespPayload {
-        let victims = self.insert(lba, &cached, |_| true, self.write_back);
-        if let Err(e) = self.write_back(ctx, env, &req, victims) {
-            return e;
+        if !self.write_back {
+            // `forward` consumes the request; write-backs derive from this.
+            let origin = req.derive(Payload::Block(BlockOp::Flush));
+            let resp = env.forward(ctx, req);
+            if resp.is_ok() {
+                let victims = self.insert(lba, &cached, |_| true, false);
+                if let Err(e) = self.write_back(ctx, env, &origin, victims) {
+                    return e;
+                }
+            }
+            return resp;
         }
-        if self.write_back {
-            RespPayload::Len(cached.len())
-        } else {
-            env.forward(ctx, req)
+        let victims = self.insert(lba, &cached, |_| true, true);
+        match self.write_back(ctx, env, &req, victims) {
+            Ok(()) => RespPayload::Len(cached.len()),
+            Err(e) => e,
         }
     }
 
     /// The read path. `zero_copy` selects the response shape: a `ReadBuf`
-    /// whose blocks are adjacent views of one pool slot answers with a
-    /// refcounted `DataBuf` (no memcpy, no copy charge); everything else
-    /// gathers into a `Vec` and is charged + counted.
+    /// whose blocks are all resident, adjacent views of one pool slot
+    /// answers with a refcounted `DataBuf` (no memcpy, no copy charge) —
+    /// found so at once, or after waiting out another request's fetch of
+    /// them. A read that misses every block is answered with what the next
+    /// stage returned. Everything else — a legacy `Read`, a run this
+    /// request fetched some blocks of, blocks of different slots — gathers
+    /// into a `Vec` and is charged + counted.
     fn read(
         &self,
         ctx: &mut Ctx,
@@ -385,7 +400,18 @@ impl<P: Policy> BlockCache<P> {
     ) -> RespPayload {
         let blocks = len.div_ceil(BLOCK).max(1);
         ctx.advance(P::LOOKUP_NS * blocks as u64);
-        // A single-block read stays off the heap.
+        let touched = match zero_copy.then(|| self.joined_hit(lba, len, blocks)) {
+            Some(Ok(h)) => {
+                // relaxed-ok: stat counter; readers tolerate lag
+                self.hits.fetch_add(blocks as u64, Ordering::Relaxed);
+                return RespPayload::DataBuf(h);
+            }
+            Some(Err(touched)) => touched,
+            None => 0,
+        };
+        // Not one joinable run: take the blocks by value, so that they
+        // outlive the lock across the fetch. A single-block read stays off
+        // the heap.
         let mut one = [None];
         let mut many: Vec<Option<CacheData>>;
         let found: &mut [Option<CacheData>] = if blocks == 1 {
@@ -394,7 +420,7 @@ impl<P: Policy> BlockCache<P> {
             many = (0..blocks).map(|_| None).collect();
             &mut many
         };
-        self.lookup(lba, len, found);
+        self.lookup(lba, len, found, touched);
         let fetched_blocks = 'fetch: {
             let Some((first, last)) = missing_run(found) else {
                 break 'fetch 0;
@@ -405,8 +431,15 @@ impl<P: Policy> BlockCache<P> {
             let claim = self
                 .inflight
                 .claim(lba + first as u64 * BLOCK_SECTORS, last - first + 1);
-            self.lookup(lba, len, found);
+            self.lookup(lba, len, found, 0);
             let Some((first, last)) = missing_run(found) else {
+                // The winner's fetch made every block resident, usually as
+                // views of the one slot it landed in: one run after all.
+                if let Some(h) = zero_copy.then(|| joined(found, len)).flatten() {
+                    // relaxed-ok: stat counter; readers tolerate lag
+                    self.hits.fetch_add(blocks as u64, Ordering::Relaxed);
+                    return RespPayload::DataBuf(h);
+                }
                 break 'fetch 0;
             };
             // One downstream request for the smallest run that covers
@@ -461,34 +494,27 @@ impl<P: Policy> BlockCache<P> {
         // relaxed-ok: stat counter; readers tolerate lag
         self.hits
             .fetch_add((blocks - fetched_blocks) as u64, Ordering::Relaxed);
-        answer(ctx, found, len, zero_copy)
+        gather(ctx, found, len)
     }
 
-    /// Take every dirty block (now clean), shard by shard.
+    /// Take every dirty block (now clean).
     fn take_dirty(&self) -> Vec<(u64, CacheData)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            let Shard { policy, dirty } = &mut *shard;
-            out.extend(
-                dirty
-                    .drain()
-                    .filter_map(|lba| Some((lba, policy.peek(lba)?.clone()))),
-            );
-        }
-        out
+        let mut index = self.index.lock();
+        let Index { policy, dirty } = &mut *index;
+        dirty
+            .drain()
+            .filter_map(|lba| Some((lba, policy.peek(lba)?.clone())))
+            .collect()
     }
 
-    /// Remove every block, coldest first per shard, with its dirty flag
-    /// (hot swaps pull warm state out with this; nothing is copied).
+    /// Remove every block, coldest first, with its dirty flag (hot swaps
+    /// pull warm state out with this; nothing is copied).
     fn drain(&self) -> Vec<(u64, CacheData, bool)> {
+        let mut index = self.index.lock();
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            while let Some((lba, data)) = shard.policy.pop_coldest() {
-                let dirty = shard.dirty.remove(&lba);
-                out.push((lba, data, dirty));
-            }
+        while let Some((lba, data)) = index.policy.pop_coldest() {
+            let dirty = index.dirty.remove(&lba);
+            out.push((lba, data, dirty));
         }
         out
     }
@@ -510,45 +536,34 @@ fn missing_run(found: &[Option<CacheData>]) -> Option<(usize, usize)> {
     Some((first, last))
 }
 
-/// One handle over all of `found`, when every block is a pool handle and
-/// each starts where the previous one ends in the same slot.
-fn join_all(found: &mut [Option<CacheData>]) -> Option<BufHandle> {
-    if let [only] = found {
-        // A single block moves out: no extra refcount round trip.
-        return match only.take() {
-            Some(CacheData::Buf(h)) => Some(h),
-            other => {
-                *only = other;
-                None
-            }
-        };
+/// Start `run` as a clone of `block`'s pool handle, or grow it in place
+/// over a handle that starts where it ends; `false` for anything else.
+fn grow(run: &mut Option<BufHandle>, block: &CacheData) -> bool {
+    match (run, block) {
+        (Some(run), CacheData::Buf(h)) => run.extend_with(h),
+        (run, CacheData::Buf(h)) => {
+            *run = Some(h.clone());
+            true
+        }
+        _ => false,
     }
-    let mut handles = found.iter().map(|slot| match slot {
-        Some(CacheData::Buf(h)) => Some(h),
-        _ => None,
-    });
-    let mut joined = handles.next()??.join(handles.next()??)?;
-    for h in handles {
-        joined = joined.join(h?)?;
-    }
-    Some(joined)
 }
 
-/// Build the response from the blocks of a `len`-byte read, all present.
-fn answer(
-    ctx: &mut Ctx,
-    found: &mut [Option<CacheData>],
-    len: usize,
-    zero_copy: bool,
-) -> RespPayload {
-    if zero_copy {
-        if let Some(mut h) = join_all(found) {
-            // The zero-copy hit: refcount bumps, no bytes move.
-            h.truncate(len);
-            return RespPayload::DataBuf(h);
-        }
+/// One handle over the first `len` bytes of `found`'s blocks, all present,
+/// when they are one run of pool handles.
+fn joined(found: &[Option<CacheData>], len: usize) -> Option<BufHandle> {
+    let mut run = None;
+    if !found.iter().flatten().all(|block| grow(&mut run, block)) {
+        return None;
     }
-    // Gather: each byte moves once, from its entry into the response.
+    let mut run = run?;
+    run.truncate(len);
+    Some(run)
+}
+
+/// Build the response from the blocks of a `len`-byte read, all present:
+/// each byte moves once, from its entry into the response.
+fn gather(ctx: &mut Ctx, found: &[Option<CacheData>], len: usize) -> RespPayload {
     note_payload_copy(len);
     ctx.advance(copy_cost(len));
     let mut out = Vec::with_capacity(len);
@@ -633,6 +648,8 @@ impl<P: Policy> LabMod for BlockCache<P> {
 /// under one mutex, so two multi-block claims cannot deadlock.
 #[derive(Default)]
 pub struct InflightSet {
+    /// Std's hasher stays: a key is hashed only on a miss, next to the
+    /// downstream request that fetches it.
     claimed: Mutex<HashSet<u64>>,
     /// Signaled by [`InflightGuard`]'s drop so losers park instead of
     /// burning a CPU spinning for the winner's (possibly slow, device-
@@ -692,18 +709,6 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Shard index for an lba (splitmix-style avalanche so sequential lbas
-/// spread evenly).
-pub fn shard_of(lba: u64, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut x = lba.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((x ^ (x >> 31)) % shards as u64) as usize
-}
-
 /// Test doubles shared by the cache test suites: a byte-addressed
 /// terminal device and a two-vertex stack around a cache instance.
 #[cfg(test)]
@@ -725,6 +730,8 @@ pub(crate) mod testing {
         pub pool: Option<BufferPool>,
         /// Real-time stall per read, to widen race windows in tests.
         pub read_stall: std::time::Duration,
+        /// While set, every write is refused and stores nothing.
+        pub fail_writes: std::sync::atomic::AtomicBool,
     }
 
     impl MemDev {
@@ -735,6 +742,7 @@ pub(crate) mod testing {
                 reads: Mutex::new(Vec::new()),
                 pool: None,
                 read_stall: std::time::Duration::ZERO,
+                fail_writes: std::sync::atomic::AtomicBool::new(false),
             }
         }
 
@@ -775,7 +783,11 @@ pub(crate) mod testing {
             ModType::Driver
         }
         fn process(&self, _ctx: &mut Ctx, req: Request, _env: &StackEnv<'_>) -> RespPayload {
+            let refused = self.fail_writes.load(Ordering::SeqCst);
             match req.payload {
+                Payload::Block(BlockOp::Write { .. } | BlockOp::WriteBuf { .. }) if refused => {
+                    RespPayload::Err("write refused".into())
+                }
                 Payload::Block(BlockOp::Write { lba, data }) => {
                     self.writes.fetch_add(1, Ordering::Relaxed);
                     self.poke(lba, &data);
@@ -904,18 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_spread_is_even_enough() {
-        let mut counts = [0usize; 8];
-        for lba in 0..8000u64 {
-            counts[shard_of(lba, 8)] += 1;
-        }
-        for &c in &counts {
-            assert!(c > 500, "shard starved: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn windows_slice_and_join_like_handles() {
+    fn windows_slice_and_extend_like_handles() {
         let whole = CacheData::owned(b"abcdefgh");
         let (a, b, c) = (
             whole.slice(0, 3).unwrap(),
@@ -924,22 +925,27 @@ mod tests {
         );
         assert_eq!(b.as_slice(), b"de");
         assert!(whole.slice(7, 2).is_none());
-        assert_eq!(a.join(&b).unwrap().as_slice(), b"abcde");
-        assert_eq!(
-            a.join(&b).unwrap().join(&c).unwrap().as_slice(),
-            b"abcdefgh"
-        );
-        assert!(a.join(&c).is_none(), "gap");
-        assert!(b.join(&a).is_none(), "reversed order");
+        let mut run = a.clone();
+        assert!(!run.extend_with(&c), "gap");
+        assert!(run.extend_with(&b));
+        assert_eq!(run.as_slice(), b"abcde");
+        assert!(!run.extend_with(&b), "overlap");
+        assert!(run.extend_with(&c));
+        assert_eq!(run.as_slice(), b"abcdefgh");
+        assert!(!b.clone().extend_with(&a), "reversed order");
         assert!(
-            a.join(&CacheData::owned(b"de")).is_none(),
+            !a.clone().extend_with(&CacheData::owned(b"de")),
             "another allocation"
         );
         let pool = BufferPool::new(PoolConfig {
             classes: vec![(64, 1)],
         });
         let h = CacheData::Buf(pool.alloc_from(b"de").unwrap());
-        assert!(a.join(&h).is_none() && h.join(&a).is_none(), "mixed arms");
+        assert!(
+            !a.clone().extend_with(&h) && !h.clone().extend_with(&a),
+            "mixed arms"
+        );
+        assert_eq!(a.as_slice(), b"abc", "a refusal leaves the window alone");
     }
 
     #[test]
@@ -998,11 +1004,76 @@ mod tests {
             .collect()
     }
 
-    /// Drive `ops` through a cache over `P` and a flat model side by side.
+    /// The cache the LRU engine must be indistinguishable from, kept the
+    /// naive way: resident block numbers, coldest first, each with the
+    /// pool allocation its entry is a view of (`None`: owned bytes).
+    #[derive(Default)]
+    struct NaiveLru {
+        blocks: Vec<(u64, Option<u32>)>,
+        allocations: u32,
+    }
+
+    impl NaiveLru {
+        fn origin(&self, block: u64) -> Option<Option<u32>> {
+            self.blocks.iter().find(|e| e.0 == block).map(|e| e.1)
+        }
+
+        fn touch(&mut self, block: u64) {
+            if let Some(i) = self.blocks.iter().position(|e| e.0 == block) {
+                let entry = self.blocks.remove(i);
+                self.blocks.push(entry);
+            }
+        }
+
+        fn admit(&mut self, block: u64, origin: Option<u32>) {
+            self.blocks.retain(|e| e.0 != block);
+            self.blocks.push((block, origin));
+            if self.blocks.len() > CAPACITY {
+                self.blocks.remove(0);
+            }
+        }
+
+        fn allocation(&mut self) -> Option<u32> {
+            self.allocations += 1;
+            Some(self.allocations)
+        }
+
+        /// Replay a read of `blocks` through the list — every resident
+        /// block touched once in ascending order, then the missing ones
+        /// admitted in ascending order as views of what the fetch brought
+        /// — and say whether the answer must be a `DataBuf`.
+        fn read(&mut self, blocks: std::ops::Range<u64>, zero_copy: bool) -> bool {
+            let origins: Vec<_> = blocks.clone().map(|b| self.origin(b)).collect();
+            // A handle comes back for one joinable run (consecutive blocks
+            // of one allocation are adjacent in it) and for a full miss,
+            // which passes the device's own response up.
+            let one_slot =
+                origins[0].flatten().is_some() && origins.iter().all(|o| *o == origins[0]);
+            let data_buf = zero_copy && (one_slot || origins.iter().all(Option::is_none));
+            for (block, _) in blocks.clone().zip(&origins).filter(|(_, o)| o.is_some()) {
+                self.touch(block);
+            }
+            if origins.iter().any(Option::is_none) {
+                let fetched = zero_copy.then(|| self.allocation()).flatten();
+                for (block, _) in blocks.zip(&origins).filter(|(_, o)| o.is_none()) {
+                    self.admit(block, fetched);
+                }
+            }
+            data_buf
+        }
+    }
+
+    /// Blocks the cache under test holds: against extents of up to 32,
+    /// eviction on nearly every op, including of blocks the same request
+    /// inserted.
+    const CAPACITY: usize = 8;
+
+    /// Drive `ops` through a cache over `P` and a flat model side by side;
+    /// with `exact_lru`, through a [`NaiveLru`] as well.
     fn check_against_flat_model<P: Policy>(
         ops: &[Op],
-        shards: usize,
         write_back: bool,
+        exact_lru: bool,
     ) -> Result<(), TestCaseError> {
         // One class, so every handle the run creates is visible in `live`.
         let pool = BufferPool::new(PoolConfig {
@@ -1010,11 +1081,10 @@ mod tests {
         });
         let mut dev = MemDev::new();
         dev.pool = Some(pool.clone());
-        // 8 blocks of capacity against extents of up to 32: eviction on
-        // nearly every op, including of blocks the same request inserted.
-        let cache = BlockCache::<P>::build(8 * BLOCK, write_back, shards);
-        let rig = Rig::around(Arc::new(cache), dev);
+        let cache = Arc::new(BlockCache::<P>::build(CAPACITY * BLOCK, write_back));
+        let rig = Rig::around(cache.clone(), dev);
         let mut model = vec![0u8; SPACE as usize * BLOCK];
+        let mut lru = NaiveLru::default();
         let mut ctx = Ctx::new();
         for op in ops {
             let reads_before = rig.dev.read_count();
@@ -1027,6 +1097,7 @@ mod tests {
                     let data = pattern(seed, blocks * BLOCK);
                     let at = block as usize * BLOCK;
                     model[at..at + data.len()].copy_from_slice(&data);
+                    (block..block + blocks as u64).for_each(|b| lru.admit(b, None));
                     prop_assert!(rig.write(&mut ctx, block, data).is_ok());
                 }
                 Op::WriteBuf {
@@ -1037,6 +1108,8 @@ mod tests {
                     let data = pattern(seed, blocks * BLOCK);
                     let at = block as usize * BLOCK;
                     model[at..at + data.len()].copy_from_slice(&data);
+                    let origin = lru.allocation();
+                    (block..block + blocks as u64).for_each(|b| lru.admit(b, origin));
                     let buf = pool.alloc_from(&data).expect("cache does not pin the pool");
                     let lba = block * BLOCK_SECTORS;
                     let r = rig.exec(Payload::Block(BlockOp::WriteBuf { lba, buf }), &mut ctx);
@@ -1044,9 +1117,11 @@ mod tests {
                 }
                 Op::Read { block, blocks } | Op::ReadBuf { block, blocks } => {
                     let len = blocks * BLOCK;
-                    let resp = match op {
-                        Op::Read { .. } => rig.read(&mut ctx, block, len),
-                        _ => rig.read_buf(&mut ctx, block, len),
+                    let zero_copy = matches!(op, Op::ReadBuf { .. });
+                    let resp = if zero_copy {
+                        rig.read_buf(&mut ctx, block, len)
+                    } else {
+                        rig.read(&mut ctx, block, len)
                     };
                     let at = block as usize * BLOCK;
                     prop_assert!(
@@ -1054,6 +1129,15 @@ mod tests {
                         "{:?} returned wrong bytes",
                         op
                     );
+                    let data_buf = lru.read(block..block + blocks as u64, zero_copy);
+                    if exact_lru {
+                        prop_assert!(
+                            matches!(resp, RespPayload::DataBuf(_)) == data_buf,
+                            "{:?} answered {:?}",
+                            op,
+                            resp
+                        );
+                    }
                     // The missing blocks come from the device in at most
                     // one request, and it stays inside what was asked for.
                     let reads = rig.dev.reads.lock();
@@ -1079,8 +1163,22 @@ mod tests {
             if !write_back {
                 prop_assert!(rig.dev.peek(0, model.len()) == model, "write-through lags");
             }
+            if exact_lru {
+                // What keeps device traffic per user byte what it is: after
+                // every op the same blocks are resident as in the list.
+                for block in 0..SPACE {
+                    let resident = cache.with_policy(|p| p.peek(block * BLOCK_SECTORS).is_some());
+                    prop_assert!(
+                        resident == lru.origin(block).is_some(),
+                        "after {:?} block {} resident: {}",
+                        op,
+                        block,
+                        resident
+                    );
+                }
+            }
         }
-        drop(rig);
+        drop((rig, cache));
         prop_assert!(pool.live() == 0, "{} handles leaked", pool.live());
         Ok(())
     }
@@ -1089,19 +1187,254 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Random interleavings of single- and multi-block reads, writes
-        /// and flushes over both policies, 1 and 4 shards, write-through
-        /// and write-back: every read equals a flat byte model, each
-        /// request fetches at most one run, and no handle outlives the
-        /// cache.
+        /// and flushes over both policies, write-through and write-back:
+        /// every read equals a flat byte model, each request fetches at
+        /// most one run, no handle outlives the cache, and the LRU cache
+        /// keeps the blocks — and answers `ReadBuf` with the shape — a
+        /// naive per-block LRU list says it must.
         #[test]
         fn reads_match_a_flat_model(
             ops in proptest::collection::vec(op_strategy(), 1..60),
-            sharded in any::<bool>(),
             write_back in any::<bool>(),
         ) {
-            let shards = if sharded { 4 } else { 1 };
-            check_against_flat_model::<LruPolicy>(&ops, shards, write_back)?;
-            check_against_flat_model::<ArcPolicy>(&ops, shards, write_back)?;
+            check_against_flat_model::<LruPolicy>(&ops, write_back, true)?;
+            check_against_flat_model::<ArcPolicy>(&ops, write_back, false)?;
+        }
+    }
+
+    /// The two response shapes of a fully resident `ReadBuf`.
+    #[test]
+    fn readbuf_is_a_view_of_one_slot_or_a_gather_across_two() {
+        for type_name in ["lru_cache", "arc_cache"] {
+            let pool = BufferPool::new(PoolConfig {
+                classes: vec![(8 * BLOCK, 2)],
+            });
+            let rig = Rig::mount(type_name, serde_json::json!({}), MemDev::new());
+            let mut ctx = Ctx::new();
+            let halves: Vec<BufHandle> = (1..=2)
+                .map(|seed| pool.alloc_from(&pattern(seed, 8 * BLOCK)).unwrap())
+                .collect();
+            for (half, buf) in halves.iter().enumerate() {
+                let lba = half as u64 * 8 * BLOCK_SECTORS;
+                let buf = buf.clone();
+                let r = rig.exec(Payload::Block(BlockOp::WriteBuf { lba, buf }), &mut ctx);
+                assert!(r.is_ok());
+            }
+            // Inside one slot: a view of the writer's bytes, where they are.
+            match rig.read_buf(&mut ctx, 2, 3 * BLOCK - 100) {
+                RespPayload::DataBuf(h) => {
+                    assert!(h.same_slot(&halves[0]), "{type_name}: a view, not a copy");
+                    assert_eq!(h.offset(), halves[0].offset() + 2 * BLOCK);
+                    assert_eq!(h.len(), 3 * BLOCK - 100);
+                }
+                other => panic!("{type_name}: expected DataBuf, got {other:?}"),
+            }
+            // Across both: neighbours on the device, not in memory.
+            match rig.read_buf(&mut ctx, 0, 16 * BLOCK) {
+                RespPayload::Data(d) => {
+                    assert!(d[..8 * BLOCK] == *halves[0].as_slice());
+                    assert!(d[8 * BLOCK..] == *halves[1].as_slice());
+                }
+                other => panic!("{type_name}: expected Data, got {other:?}"),
+            }
+            assert_eq!(rig.dev.read_count(), 0, "{type_name}: all resident");
+        }
+    }
+
+    /// A `ReadBuf` that loses a miss race finds its blocks resident once
+    /// the winner's fetch has landed, all in that one slot: it answers
+    /// with a view of it, like any other fully resident run.
+    #[test]
+    fn a_readbuf_that_waited_out_a_fetch_views_the_fetched_slot() {
+        for type_name in ["lru_cache", "arc_cache"] {
+            let pool = BufferPool::new(PoolConfig {
+                classes: vec![(4 * BLOCK, 2)],
+            });
+            let mut dev = MemDev::new();
+            dev.pool = Some(pool.clone());
+            dev.read_stall = std::time::Duration::from_millis(40);
+            dev.poke(0, &pattern(5, 4 * BLOCK));
+            let rig = Rig::mount(type_name, serde_json::json!({}), dev);
+            let resps: Vec<RespPayload> = std::thread::scope(|s| {
+                let readers = [0u64, 10].map(|delay_ms| {
+                    let rig = &rig;
+                    s.spawn(move || {
+                        std::thread::sleep(std::time::Duration::from_millis(delay_ms));
+                        rig.read_buf(&mut Ctx::new(), 0, 4 * BLOCK - 7)
+                    })
+                });
+                readers.map(|r| r.join().unwrap()).into()
+            });
+            assert_eq!(rig.dev.read_count(), 1, "{type_name}: one fetch");
+            match (&resps[0], &resps[1]) {
+                (RespPayload::DataBuf(a), RespPayload::DataBuf(b)) => {
+                    assert!(a.same_slot(b), "{type_name}: both view the fetched slot");
+                    assert_eq!((b.offset(), b.len()), (a.offset(), 4 * BLOCK - 7));
+                    assert!(b.as_slice() == &pattern(5, 4 * BLOCK)[..4 * BLOCK - 7]);
+                }
+                _ => panic!("{type_name}: the loser gathered a copy"),
+            }
+        }
+    }
+
+    /// A write-through cache can hold dirty blocks — the ones a write-back
+    /// predecessor handed over in a hot swap — and a write that evicts one
+    /// must write it back, as a read that evicts one does: the cache holds
+    /// the only copy of those bytes.
+    #[test]
+    fn write_through_writes_back_the_dirty_blocks_it_absorbed() {
+        use crate::arc_cache::ArcCacheMod;
+        use crate::lru::LruCacheMod;
+        const BLOCKS: usize = 8;
+        let successors: [fn() -> Arc<dyn LabMod>; 2] = [
+            || Arc::new(ArcCacheMod::new(BLOCKS * BLOCK)),
+            || Arc::new(LruCacheMod::new(BLOCKS * BLOCK, false)),
+        ];
+        for (successor, zero_copy) in successors.into_iter().zip([false, true]) {
+            let pool = BufferPool::new(PoolConfig {
+                classes: vec![(BLOCK, 4 * BLOCKS)],
+            });
+            let old = Rig::around(
+                Arc::new(LruCacheMod::new(BLOCKS * BLOCK, true)),
+                MemDev::new(),
+            );
+            let mut ctx = Ctx::new();
+            for block in 0..BLOCKS as u64 {
+                let r = old.write(&mut ctx, block, pattern(block as u8, BLOCK));
+                assert!(r.is_ok());
+            }
+            assert_eq!(old.dev.write_count(), 0, "held back, all dirty");
+            let rig = Rig::around(successor(), MemDev::new());
+            rig.cache().state_update(old.cache().as_ref());
+            // New blocks push every absorbed one out.
+            for block in (100..).take(2 * BLOCKS) {
+                let data = pattern(block as u8, BLOCK);
+                let r = if zero_copy {
+                    let buf = pool.alloc_from(&data).unwrap();
+                    let lba = block * BLOCK_SECTORS;
+                    rig.exec(Payload::Block(BlockOp::WriteBuf { lba, buf }), &mut ctx)
+                } else {
+                    rig.write(&mut ctx, block, data)
+                };
+                assert!(r.is_ok());
+            }
+            for block in 0..BLOCKS as u64 {
+                assert!(
+                    rig.dev.peek(block * BLOCK_SECTORS, BLOCK) == pattern(block as u8, BLOCK),
+                    "{}: dirty block {block} was dropped, not written back",
+                    rig.cache().type_name()
+                );
+            }
+        }
+    }
+
+    /// An LRU that records the hits it is told of.
+    #[derive(Default)]
+    struct RecordingLru {
+        lru: LruPolicy,
+        touched: Vec<u64>,
+    }
+
+    impl Policy for RecordingLru {
+        const TYPE_NAME: &'static str = "recording_lru";
+        const LOOKUP_NS: u64 = LruPolicy::LOOKUP_NS;
+        const MIN_BLOCKS: usize = LruPolicy::MIN_BLOCKS;
+
+        fn touch(&mut self, lba: u64) -> Option<&CacheData> {
+            let hit = self.lru.touch(lba);
+            self.touched
+                .extend(hit.is_some().then_some(lba / BLOCK_SECTORS));
+            hit
+        }
+        fn peek(&self, lba: u64) -> Option<&CacheData> {
+            self.lru.peek(lba)
+        }
+        fn admit(
+            &mut self,
+            lba: u64,
+            data: CacheData,
+            cap: usize,
+            evict: &mut dyn FnMut(u64, CacheData),
+        ) {
+            self.lru.admit(lba, data, cap, evict)
+        }
+        fn pop_coldest(&mut self) -> Option<(u64, CacheData)> {
+            self.lru.pop_coldest()
+        }
+        fn resident(&self) -> usize {
+            self.lru.resident()
+        }
+    }
+
+    /// Whichever way a read is answered, the policy hears of each resident
+    /// block once, in ascending order — a run that stops being joinable
+    /// half way is not told of twice.
+    #[test]
+    fn a_read_records_each_hit_once_in_ascending_order() {
+        let pool = BufferPool::new(PoolConfig {
+            classes: vec![(4 * BLOCK, 1)],
+        });
+        let cache = Arc::new(BlockCache::<RecordingLru>::build(64 * BLOCK, false));
+        let rig = Rig::around(cache.clone(), MemDev::new());
+        let mut ctx = Ctx::new();
+        let buf = pool.alloc_from(&pattern(1, 4 * BLOCK)).unwrap();
+        let r = rig.exec(Payload::Block(BlockOp::WriteBuf { lba: 0, buf }), &mut ctx);
+        assert!(r.is_ok());
+        // Block 2 becomes owned bytes: the run of handles stops there.
+        assert!(rig.write(&mut ctx, 2, pattern(2, BLOCK)).is_ok());
+        let touched = || std::mem::take(&mut cache.index.lock().policy.touched);
+        assert!(matches!(
+            rig.read_buf(&mut ctx, 0, 4 * BLOCK),
+            RespPayload::Data(_)
+        ));
+        assert_eq!(touched(), [0, 1, 2, 3], "gathered after a broken run");
+        assert!(matches!(
+            rig.read_buf(&mut ctx, 0, 2 * BLOCK),
+            RespPayload::DataBuf(_)
+        ));
+        assert_eq!(touched(), [0, 1], "joined");
+        assert!(matches!(
+            rig.read(&mut ctx, 0, 4 * BLOCK),
+            RespPayload::Data(_)
+        ));
+        assert_eq!(touched(), [0, 1, 2, 3], "legacy read");
+        // A miss in the middle: the hits around it, once each.
+        rig.dev.poke(5 * BLOCK_SECTORS, &pattern(3, BLOCK));
+        assert!(rig.read(&mut ctx, 4, BLOCK).is_ok());
+        assert!(rig.read(&mut ctx, 6, BLOCK).is_ok());
+        touched();
+        assert!(rig.read_buf(&mut ctx, 3, 4 * BLOCK).is_ok());
+        assert_eq!(touched(), [3, 4, 6], "one block fetched");
+    }
+
+    /// Fails at the parent of PR 24: write-through indexed before it
+    /// forwarded and took nothing back when the forward failed.
+    #[test]
+    fn a_refused_write_through_leaves_nothing_resident() {
+        for type_name in ["lru_cache", "arc_cache"] {
+            let pool = BufferPool::new(PoolConfig {
+                classes: vec![(BLOCK, 2)],
+            });
+            let rig = Rig::mount(type_name, serde_json::json!({}), MemDev::new());
+            let mut ctx = Ctx::new();
+            assert!(rig.write(&mut ctx, 1, vec![1u8; BLOCK]).is_ok());
+            let live = pool.live();
+            rig.dev.fail_writes.store(true, Ordering::SeqCst);
+            assert!(!rig.write(&mut ctx, 1, vec![2u8; BLOCK]).is_ok());
+            for block in [1, 2] {
+                let buf = pool.alloc_from(&[3u8; BLOCK]).unwrap();
+                let lba = block * BLOCK_SECTORS;
+                let r = rig.exec(Payload::Block(BlockOp::WriteBuf { lba, buf }), &mut ctx);
+                assert!(!r.is_ok(), "{type_name}: the refusal reaches the caller");
+            }
+            assert_eq!(pool.live(), live, "{type_name}: a refused buffer is let go");
+            for block in [1, 2] {
+                let r = rig.read(&mut ctx, block, BLOCK);
+                assert!(
+                    r.data_bytes() == Some(&rig.dev.peek(block * BLOCK_SECTORS, BLOCK)[..]),
+                    "{type_name}: block {block} is not what the device holds"
+                );
+            }
         }
     }
 }

@@ -5,8 +5,8 @@
 //! the cache and forwarded to the next stage), optional write-back
 //! (dirty blocks held until flush/eviction). This file is the replacement
 //! policy and the factory; the cache itself — block-granular index,
-//! run-coalesced reads, zero-copy arms, sharding, in-flight miss guard —
-//! is [`BlockCache`], shared with [`crate::arc_cache`].
+//! run-coalesced reads, zero-copy arms, in-flight miss guard — is
+//! [`BlockCache`], shared with [`crate::arc_cache`].
 
 use std::sync::Arc;
 
@@ -62,21 +62,16 @@ impl Policy for LruPolicy {
 pub type LruCacheMod = BlockCache<LruPolicy>;
 
 impl LruCacheMod {
-    /// Cache of `capacity_bytes`, single shard — the historical layout,
-    /// with exact global LRU eviction order.
+    /// Cache of `capacity_bytes` with exact LRU eviction order.
     pub fn new(capacity_bytes: usize, write_back: bool) -> Self {
-        Self::with_shards(capacity_bytes, write_back, 1)
-    }
-
-    /// Cache of `capacity_bytes` split over `shards` independently locked
-    /// LRU maps (capacity divides evenly; eviction is per shard).
-    pub fn with_shards(capacity_bytes: usize, write_back: bool, shards: usize) -> Self {
-        Self::build(capacity_bytes, write_back, shards)
+        Self::build(capacity_bytes, write_back)
     }
 }
 
 /// Register the factory. Params: `{"capacity_bytes": <n>, "write_back":
-/// <bool>, "shards": <n>}` (defaults: 64 MiB, write-through, 1 shard).
+/// <bool>}` (defaults: 64 MiB, write-through). The index is one LRU behind
+/// one lock; a spec that still passes the former `"shards"` key is served
+/// as any spec with an unknown key is — the key is ignored.
 pub fn install(mm: &ModuleManager) {
     mm.register_factory(
         "lru_cache",
@@ -89,8 +84,7 @@ pub fn install(mm: &ModuleManager) {
                 .get("write_back")
                 .and_then(|v| v.as_bool())
                 .unwrap_or(false);
-            let shards = params.get("shards").and_then(|v| v.as_u64()).unwrap_or(1) as usize;
-            Arc::new(LruCacheMod::with_shards(cap, wb, shards)) as Arc<dyn LabMod>
+            Arc::new(LruCacheMod::new(cap, wb)) as Arc<dyn LabMod>
         }),
     );
 }
@@ -332,7 +326,7 @@ mod tests {
         let mut dev = MemDev::new();
         dev.read_stall = std::time::Duration::from_millis(40);
         dev.poke(2 * BLOCK_SECTORS, &[3u8; BLOCK]);
-        let rig = Rig::mount("lru_cache", serde_json::json!({"shards": 4}), dev);
+        let rig = Rig::mount("lru_cache", serde_json::json!({}), dev);
         std::thread::scope(|s| {
             for delay_ms in [0u64, 10] {
                 let rig = &rig;
