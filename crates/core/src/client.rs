@@ -151,14 +151,17 @@ impl Client {
     /// stage ever copies them. Returns `None` when the pool is dry (fall
     /// back to the legacy `Vec` payload).
     ///
-    /// The buffer comes back zeroed: pool slots are recycled process-wide
-    /// across clients and domains, so a partially filled buffer must not
-    /// leak another domain's stale payload bytes into storage.
+    /// The buffer comes back zeroed, or holding only bytes this client's
+    /// domain wrote into it before — malloc within a process, calloc
+    /// across processes. Pool slots are recycled process-wide across
+    /// clients, domains and the Runtime, and a slot is zeroed whole when
+    /// it changes domain ([`BufferPool::alloc_for`]), so a partially
+    /// filled buffer never carries another domain's or the Runtime's
+    /// bytes into storage.
+    ///
+    /// [`BufferPool::alloc_for`]: labstor_ipc::BufferPool::alloc_for
     pub fn alloc_buf(&self, len: usize) -> Option<labstor_ipc::BufHandle> {
-        let mut h = labstor_ipc::default_pool().alloc(len)?;
-        let zeroed = h.write_with(|b| b.fill(0));
-        debug_assert!(zeroed, "fresh handle is unique");
-        Some(h)
+        labstor_ipc::default_pool().alloc_for(self.conn.domain, len)
     }
 
     /// The shared buffer pool this client allocates payload buffers from.

@@ -17,13 +17,19 @@
 //! Ownership rules (DESIGN.md §10):
 //! * whoever calls [`BufferPool::alloc`] owns a unique handle and may fill
 //!   it in place ([`BufHandle::fill`] / [`BufHandle::write_with`]);
-//! * cloning (or [`BufHandle::slice`], or [`BufHandle::join`] of two
-//!   adjacent views, or growing one over the other in place with
-//!   [`BufHandle::extend_with`]) shares the bytes read-only — all mutation
-//!   is gated on `refs == 1` *and* `&mut self`, so a shared buffer can
-//!   never be written;
+//! * cloning (or [`BufHandle::slice`], or growing one view over an
+//!   adjacent one in place with [`BufHandle::extend_with`]) shares the
+//!   bytes read-only — all mutation is gated on `refs == 1` *and*
+//!   `&mut self`, so a shared buffer can never be written;
 //! * the last `Drop` frees; freeing is idempotence-checked by the debug
-//!   tracker (a slot may return to the free list exactly once).
+//!   tracker (a slot may return to the free list exactly once);
+//! * every slot carries an owner tag, the domain whose bytes it holds:
+//!   [`BufferPool::alloc_for`] zeroes the whole slot only when the tag
+//!   names another domain (or none); every other allocation clears it,
+//!   and so does a write through any handle but the one an allocation
+//!   returned (a clone may have been handed to another domain) — the
+//!   pool's stand-in for ShMemMod mapping a region only into the
+//!   processes granted it.
 //!
 //! A global copy counter ([`note_payload_copy`]) instruments every place
 //! the stack still memcpy-s payload bytes; the zero-copy e2e test asserts
@@ -88,7 +94,8 @@ pub fn default_pool() -> &'static BufferPool {
     POOL.get_or_init(BufferPool::with_defaults)
 }
 
-/// One pool slot: fixed-size byte backing plus refcount and free-list link.
+/// One pool slot: fixed-size byte backing plus refcount, free-list link
+/// and owner tag.
 struct Slot {
     /// The mapped bytes. Mutated only through a unique handle (refs == 1,
     /// `&mut BufHandle`); read through shared handles.
@@ -97,7 +104,15 @@ struct Slot {
     refs: AtomicU32,
     /// Encoded index (idx + 1; 0 = end) of the next free slot.
     next: AtomicU32,
+    /// The domain whose bytes the slot holds, as `domain + 1`, or
+    /// [`NO_OWNER`]. Read and written only by the thread that popped the
+    /// slot or through a unique handle, like the bytes it describes.
+    owner: AtomicU64,
 }
+
+/// Owner tag of a slot whose bytes no domain-scoped allocation may trust
+/// (written by the Runtime, a test, or anyone else who called `alloc`).
+const NO_OWNER: u64 = 0;
 
 /// One size class: a slab of equally sized slots and its lock-free free
 /// list. The free-list head packs `tag << 32 | (idx + 1)` — the tag
@@ -109,11 +124,12 @@ struct Class {
     free_head: AtomicU64,
 }
 
-// SAFETY: `Slot.data` is an UnsafeCell, but all mutable access is gated on
-// `refs == 1` through `&mut BufHandle` (see `BufHandle::fill`), and slots
-// on the free list (refs == 0) are only touched by the thread that popped
-// them; the Treiber-stack CAS pairs (Release push / Acquire pop) publish
-// slot contents across threads.
+// SAFETY: `Slot.data` is an UnsafeCell, but all mutable access — to the
+// bytes and the owner tag — is gated on `refs == 1` through
+// `&mut BufHandle` (see `BufHandle::as_mut_slice`), and slots on the free
+// list (refs == 0) are only touched by the thread that popped them; the
+// Treiber-stack CAS pairs (Release push / Acquire pop) publish slot
+// contents across threads.
 unsafe impl Sync for Class {}
 // SAFETY: same argument as Sync; Box<[u8]> is Send.
 unsafe impl Send for Class {}
@@ -131,6 +147,7 @@ impl Class {
                 refs: AtomicU32::new(0),
                 // Thread the initial free list through the slab in order.
                 next: AtomicU32::new(if i + 1 < count { i as u32 + 2 } else { 0 }),
+                owner: AtomicU64::new(NO_OWNER),
             })
             .collect();
         let free_head = AtomicU64::new(if count == 0 { 0 } else { 1 });
@@ -222,12 +239,22 @@ struct PoolInner {
     live: AtomicU64,
     /// Maximum of `live` ever observed.
     high_water: AtomicU64,
+    /// Bytes zero-filled handing slots out: fresh backing, and slots that
+    /// changed domain.
+    zeroed: AtomicU64,
     /// Debug leak/aliasing tracker: the set of (class, slot) pairs that are
     /// currently allocated. Alloc asserts the pair was absent (no aliasing
     /// of two allocations onto one slot); free asserts it was present
     /// (free-exactly-once).
     #[cfg(debug_assertions)]
     tracker: crate::lockwitness::OrderedMutex<std::collections::HashSet<(u16, u32)>>,
+}
+
+impl PoolInner {
+    fn note_zeroed(&self, bytes: usize) {
+        // relaxed-ok: stats counter
+        self.zeroed.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
 }
 
 /// A size-classed, refcounted shared-memory buffer pool. Cheap to clone
@@ -257,6 +284,7 @@ impl BufferPool {
                 classes,
                 live: AtomicU64::new(0),
                 high_water: AtomicU64::new(0),
+                zeroed: AtomicU64::new(0),
                 #[cfg(debug_assertions)]
                 tracker: crate::lockwitness::OrderedMutex::new(
                     &crate::lockwitness::POOL_TRACKER,
@@ -275,25 +303,55 @@ impl BufferPool {
     /// that fits, falling over to larger classes when one is exhausted.
     /// Returns `None` when `len` exceeds the largest class or the pool is
     /// dry. Contents are unspecified (a recycled slot keeps its old
-    /// bytes): fill or zero before exposing the buffer.
+    /// bytes): fill or zero before exposing the buffer. Clears the slot's
+    /// owner tag, since whatever the caller writes (a DMA target's device
+    /// bytes, say) belongs to no domain.
     pub fn alloc(&self, len: usize) -> Option<BufHandle> {
+        self.alloc_tagged(len, NO_OWNER)
+    }
+
+    /// Allocate like [`BufferPool::alloc`], on behalf of `domain`: the
+    /// bytes are zeroed, or hold only what `domain` wrote into the slot
+    /// before (malloc within a process, calloc across processes). A slot
+    /// last tagged with another domain, or with none, is zeroed whole —
+    /// not just its first `len` bytes, which a later, longer allocation
+    /// from the same slot would read past — and tagged with `domain`. The
+    /// tag holds while only the returned handle writes: a write through a
+    /// clone or slice of it clears the tag.
+    pub fn alloc_for(&self, domain: u32, len: usize) -> Option<BufHandle> {
+        self.alloc_tagged(len, u64::from(domain) + 1)
+    }
+
+    fn alloc_tagged(&self, len: usize, owner: u64) -> Option<BufHandle> {
         for (ci, class) in self.inner.classes.iter().enumerate() {
             if class.buf_size < len {
                 continue;
             }
             if let Some(slot) = class.pop_free() {
                 let class_id = ci as u16;
+                let s = &class.slots[slot as usize];
                 {
                     // SAFETY: the slot was just popped off the free list
-                    // (refs == 0), so this thread has exclusive access
-                    // until the handle below is published.
-                    let data = unsafe { &mut *class.slots[slot as usize].data.get() };
+                    // (refs == 0), so this thread has exclusive access to
+                    // its bytes and its owner tag until the handle below
+                    // is published; the free-list CAS that handed it over
+                    // (Release push / Acquire pop) ordered the previous
+                    // owner's writes to both before this point.
+                    let data = unsafe { &mut *s.data.get() };
+                    // relaxed-ok: only the popping thread touches the tag; the free-list CAS publishes it with the bytes
+                    let was = s.owner.load(Ordering::Relaxed);
                     if data.len() != class.buf_size {
                         *data = vec![0u8; class.buf_size].into_boxed_slice();
+                        self.inner.note_zeroed(class.buf_size);
+                    } else if owner != NO_OWNER && was != owner {
+                        data.fill(0);
+                        self.inner.note_zeroed(class.buf_size);
                     }
+                    // relaxed-ok: as the load above
+                    s.owner.store(owner, Ordering::Relaxed);
                 }
                 // relaxed-ok: the handle is published to other threads through normal channels (queues, locks) that carry the happens-before edge
-                class.slots[slot as usize].refs.store(1, Ordering::Relaxed);
+                s.refs.store(1, Ordering::Relaxed);
                 // relaxed-ok: live/high-water are stats counters
                 let live = self.inner.live.fetch_add(1, Ordering::Relaxed) + 1;
                 // relaxed-ok: monotonic max, stats only
@@ -306,6 +364,7 @@ impl BufferPool {
                 return Some(BufHandle {
                     pool: Arc::clone(&self.inner),
                     class: class_id,
+                    minted: true,
                     slot,
                     off: 0,
                     len,
@@ -336,6 +395,12 @@ impl BufferPool {
     pub fn high_water(&self) -> u64 {
         // relaxed-ok: stats counter read
         self.inner.high_water.load(Ordering::Relaxed)
+    }
+
+    /// Bytes zero-filled handing slots out since the pool was built.
+    pub fn zeroed_bytes(&self) -> u64 {
+        // relaxed-ok: stats counter read
+        self.inner.zeroed.load(Ordering::Relaxed)
     }
 
     /// Free slots remaining in the class that would serve a `len`-byte
@@ -375,6 +440,11 @@ impl std::fmt::Debug for BufferPool {
 pub struct BufHandle {
     pool: Arc<PoolInner>,
     class: u16,
+    /// True only for the handle an allocation returned. Its holder is the
+    /// allocator, whose domain the owner tag names; a clone or slice may
+    /// have been handed to another domain (a cache hit answering a read),
+    /// so a write through one clears the tag.
+    minted: bool,
     slot: u32,
     off: usize,
     len: usize,
@@ -431,16 +501,21 @@ impl BufHandle {
     }
 
     /// The mutable bytes of a unique handle (e.g. to lend as a device DMA
-    /// target); `None` if the slot is shared.
+    /// target); `None` if the slot is shared. Through a clone or slice
+    /// that outlived its peers, this clears the slot's owner tag.
     pub fn as_mut_slice(&mut self) -> Option<&mut [u8]> {
         if !self.is_unique() {
             return None;
         }
+        if !self.minted {
+            // relaxed-ok: refs == 1 gives this thread the slot as exclusively as a pop does; the Release drop and the free-list CAS publish the tag with the bytes
+            self.slot_ref().owner.store(NO_OWNER, Ordering::Relaxed);
+        }
         // SAFETY: refs == 1 and we hold `&mut self` for as long as the
         // slice lives, so no other handle — and no other borrow of this
-        // handle, hence no clone of it — can observe the bytes mid-write.
-        // A concurrent drop of a peer would contradict refs == 1 (a true
-        // `is_unique` is stable).
+        // handle, hence no clone of it — can observe the bytes (or the
+        // owner tag set above) mid-write. A concurrent drop of a peer
+        // would contradict refs == 1 (a true `is_unique` is stable).
         let data = unsafe { &mut *self.slot_ref().data.get() };
         Some(&mut data[self.off..self.off + self.len])
     }
@@ -493,14 +568,6 @@ impl BufHandle {
         true
     }
 
-    /// One new view over `self` followed by `next` (one refcount bump, no
-    /// copy), under the rule of [`BufHandle::extend_with`]; `None` where
-    /// that refuses.
-    pub fn join(&self, next: &BufHandle) -> Option<BufHandle> {
-        let mut h = self.clone();
-        h.extend_with(next).then_some(h)
-    }
-
     /// Shrink the view to its first `new_len` bytes (no-op if larger).
     pub fn truncate(&mut self, new_len: usize) {
         self.len = self.len.min(new_len);
@@ -535,6 +602,7 @@ impl Clone for BufHandle {
         BufHandle {
             pool: Arc::clone(&self.pool),
             class: self.class,
+            minted: false,
             slot: self.slot,
             off: self.off,
             len: self.len,
@@ -646,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn join_reunites_adjacent_views_only() {
+    fn extend_with_reunites_adjacent_views_only() {
         let pool = small_pool();
         let h = pool.alloc_from(b"abcdefgh").unwrap();
         let (a, b, c) = (
@@ -654,23 +722,109 @@ mod tests {
             h.slice(3, 2).unwrap(),
             h.slice(5, 3).unwrap(),
         );
-        let ab = a.join(&b).unwrap();
+        let mut ab = a.clone();
+        assert!(ab.extend_with(&b));
         assert_eq!(ab.as_slice(), b"abcde");
         assert!(ab.same_slot(&h));
-        assert_eq!(ab.join(&c).unwrap().as_slice(), h.as_slice());
-        assert!(a.join(&c).is_none(), "gap");
-        assert!(ab.join(&b).is_none(), "overlap");
-        assert!(b.join(&a).is_none(), "reversed order");
+        let mut abc = ab.clone();
+        assert!(abc.extend_with(&c));
+        assert_eq!(abc.as_slice(), h.as_slice());
+        assert!(!a.clone().extend_with(&c), "gap");
+        assert!(!ab.clone().extend_with(&b), "overlap");
+        assert!(!b.clone().extend_with(&a), "reversed order");
         let other = pool.alloc_from(b"abcdefgh").unwrap();
-        assert!(a.join(&other.slice(3, 2).unwrap()).is_none(), "other slot");
+        assert!(
+            !a.clone().extend_with(&other.slice(3, 2).unwrap()),
+            "other slot"
+        );
         let other_pool = small_pool();
         let foreign = other_pool.alloc_from(b"abcdefgh").unwrap();
         assert!(
-            a.join(&foreign.slice(3, 2).unwrap()).is_none(),
+            !a.clone().extend_with(&foreign.slice(3, 2).unwrap()),
             "same class and slot index, other pool"
         );
         drop((h, a, b, c, ab, other));
-        assert_eq!(pool.live(), 0, "a joined view is one more reference");
+        assert_eq!(pool.live(), 1, "a grown view holds its one reference");
+        drop(abc);
+        assert_eq!(pool.live(), 0);
+    }
+
+    /// One slot per class, so a freed slot is the next one handed out.
+    fn one_slot_pool() -> BufferPool {
+        BufferPool::new(PoolConfig {
+            classes: vec![(4096, 1), (65536, 1)],
+        })
+    }
+
+    fn filled_for(pool: &BufferPool, domain: u32, len: usize, byte: u8) -> BufHandle {
+        let mut h = pool.alloc_for(domain, len).unwrap();
+        assert!(h.write_with(|b| b.fill(byte)));
+        h
+    }
+
+    #[test]
+    fn a_slot_comes_back_to_its_domain_with_its_bytes() {
+        let pool = one_slot_pool();
+        drop(filled_for(&pool, 1, 4096, 0x11));
+        let zeroed = pool.zeroed_bytes();
+        let h = pool.alloc_for(1, 4096).unwrap();
+        assert!(h.as_slice().iter().all(|&b| b == 0x11));
+        assert_eq!(pool.zeroed_bytes(), zeroed, "no zero-fill");
+    }
+
+    #[test]
+    fn another_domain_gets_zeros() {
+        let pool = one_slot_pool();
+        drop(filled_for(&pool, 1, 4096, 0x11));
+        let h = pool.alloc_for(2, 4096).unwrap();
+        assert!(h.as_slice().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_plain_alloc_in_between_clears_the_tag() {
+        let pool = one_slot_pool();
+        drop(filled_for(&pool, 1, 4096, 0x11));
+        // A DMA target: the device's bytes belong to no domain.
+        let mut dma = pool.alloc(4096).unwrap();
+        assert!(dma.write_with(|b| b.fill(0xD0)));
+        drop(dma);
+        let h = pool.alloc_for(1, 4096).unwrap();
+        assert!(h.as_slice().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_write_through_a_clone_clears_the_tag() {
+        let pool = one_slot_pool();
+        let mine = filled_for(&pool, 1, 4096, 0x11);
+        // A cache keeps a view and answers another domain's read with it.
+        let mut theirs = mine.slice(0, 4096).unwrap();
+        drop(mine);
+        assert!(theirs.write_with(|b| b.fill(0x22)));
+        drop(theirs);
+        let h = pool.alloc_for(1, 4096).unwrap();
+        assert!(h.as_slice().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn the_minted_flag_fits_in_the_padding() {
+        assert_eq!(std::mem::size_of::<BufHandle>(), 32);
+    }
+
+    #[test]
+    fn a_domain_change_zeroes_the_whole_slot_not_just_len() {
+        let pool = one_slot_pool();
+        let dry = pool.alloc(4096).unwrap(); // the 4 KiB class is dry
+        drop(filled_for(&pool, 2, 65536, 0x22));
+        let small = filled_for(&pool, 1, 4096, 0x11);
+        assert_eq!(small.region(), 1, "fell over to the 64 KiB slot");
+        drop(small);
+        let h = pool.alloc_for(1, 65536).unwrap();
+        assert!(h.as_slice()[..4096].iter().all(|&b| b == 0x11));
+        assert!(
+            h.as_slice()[4096..].iter().all(|&b| b == 0),
+            "domain 2's bytes past the 4 KiB domain 1 wrote"
+        );
+        drop(dry);
     }
 
     #[test]

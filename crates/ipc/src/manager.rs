@@ -11,11 +11,17 @@ use crate::credentials::Credentials;
 use crate::doorbell::Doorbell;
 use crate::queue_pair::{QueueFlags, QueuePair};
 
+/// The next client domain id. One counter per process, not per manager:
+/// the buffer pool is one process-wide arena whose slots remember the
+/// domain that wrote them (`BufferPool::alloc_for`), so two Runtimes in
+/// one process must never give two clients the same id. 0 is the Runtime.
+static NEXT_DOMAIN: AtomicU32 = AtomicU32::new(1);
+
 /// A client's connection to the Runtime: its domain id (address space) and
 /// the queue pairs allocated for it during the handshake.
 pub struct ClientConnection<T> {
-    /// Domain (address-space) id assigned by the manager. Domain 0 is the
-    /// Runtime itself.
+    /// Domain (address-space) id assigned by the manager, unique in the
+    /// process. Domain 0 is the Runtime itself.
     pub domain: u32,
     /// Credentials presented over the (simulated) UNIX domain socket.
     pub creds: Credentials,
@@ -36,7 +42,6 @@ pub struct IpcManager<T> {
     qps: RwLock<Vec<Arc<QueuePair<T>>>>,
     connections: RwLock<Vec<(u32, Credentials)>>,
     next_qid: AtomicU64,
-    next_domain: AtomicU32,
     online: AtomicBool,
     /// Rung on every liveness transition so `wait_online` can park
     /// instead of yield-spinning.
@@ -52,7 +57,6 @@ impl<T> IpcManager<T> {
             qps: RwLock::new(Vec::new()),
             connections: RwLock::new(Vec::new()),
             next_qid: AtomicU64::new(0),
-            next_domain: AtomicU32::new(1), // 0 is the Runtime
             online: AtomicBool::new(true),
             liveness: Doorbell::new(),
             depth,
@@ -68,7 +72,7 @@ impl<T> IpcManager<T> {
     /// the drain-and-handoff protocol in `Runtime::rebalance`, so the
     /// contract holds across moves).
     pub fn connect(&self, creds: Credentials, n_queues: usize) -> ClientConnection<T> {
-        let domain = self.next_domain.fetch_add(1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
+        let domain = NEXT_DOMAIN.fetch_add(1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
         let queues: Vec<_> = (0..n_queues.max(1))
             .map(|_| {
                 let id = self.next_qid.fetch_add(1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices

@@ -1,7 +1,8 @@
 //! Randomized property tests for the shared-memory buffer pool: random
 //! alloc/clone/slice/drop interleavings never leak a slot, never alias two
 //! live *allocations* onto overlapping bytes, and return each slot to the
-//! free list exactly once (the debug tracker panics on a double free).
+//! free list exactly once (the debug tracker panics on a double free); and
+//! a domain's allocation never holds a byte another writer left behind.
 
 use proptest::prelude::*;
 
@@ -141,14 +142,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cut a view of one allocation at random points and join the pieces
-    /// back left to right: every join of neighbours succeeds and equals the
-    /// concatenation, no intermediate view holds a byte outside the view
-    /// that was cut, and joining any piece to a non-neighbour is refused.
-    /// One handle grown in place with `extend_with` is the chained `join`
-    /// at every step, and accepts and refuses exactly the same pairs.
+    /// Cut a view of one allocation at random points and grow the first
+    /// piece over the others left to right with `extend_with`: every
+    /// neighbour is accepted and the grown view equals the concatenation
+    /// so far, no intermediate view holds a byte outside the view that was
+    /// cut, and growing any piece over a non-neighbour is refused and
+    /// leaves the piece as it was.
     #[test]
-    fn join_chain_never_leaves_the_original_view(
+    fn extend_chain_never_leaves_the_original_view(
         view in (0usize..200, 1usize..56),
         cuts in proptest::collection::vec(0usize..56, 0..8),
     ) {
@@ -170,34 +171,31 @@ proptest! {
             .map(|w| original.slice(w[0], w[1] - w[0]).unwrap())
             .collect();
 
-        let mut acc = pieces[0].clone();
         let mut grown = pieces[0].clone();
         for (i, piece) in pieces.iter().enumerate().skip(1) {
-            acc = acc.join(piece).expect("neighbouring slices join");
-            prop_assert_eq!(acc.as_slice(), &original.as_slice()[..bounds[i + 1]]);
-            prop_assert_eq!(acc.offset(), original.offset());
             prop_assert!(grown.extend_with(piece), "neighbouring slices extend");
-            prop_assert_eq!(grown.as_slice(), acc.as_slice());
-            prop_assert_eq!(grown.offset(), acc.offset());
+            prop_assert_eq!(grown.as_slice(), &original.as_slice()[..bounds[i + 1]]);
+            prop_assert_eq!(grown.offset(), original.offset());
         }
-        prop_assert_eq!(acc.as_slice(), original.as_slice());
+        prop_assert_eq!(grown.as_slice(), original.as_slice());
         for (i, a) in pieces.iter().enumerate() {
             for (j, b) in pieces.iter().enumerate() {
                 let neighbours = bounds[i + 1] == bounds[j];
-                prop_assert!(a.join(b).is_some() == neighbours, "pieces {} and {}", i, j);
                 let mut a = a.clone();
                 prop_assert!(a.extend_with(b) == neighbours, "pieces {} and {}", i, j);
                 prop_assert_eq!(a.len(), pieces[i].len() + if neighbours { b.len() } else { 0 });
+                prop_assert_eq!(a.offset(), pieces[i].offset());
             }
         }
-        drop((whole, original, pieces, acc, grown));
+        drop((whole, original, pieces, grown));
         prop_assert_eq!(pool.live(), 0);
     }
 }
 
-/// `extend_with` refuses everything `join` does and leaves the handle as
-/// it was; growing a view moves no refcount, so the slots drain when the
-/// handles that were there before it drop.
+/// `extend_with` refuses another slot or pool, a gap, an overlap and the
+/// reverse order, and leaves the handle as it was; growing a view moves
+/// no refcount, so the slots drain when the handles that were there
+/// before it drop.
 #[test]
 fn extend_with_refuses_strangers_gaps_overlaps_and_the_reverse_order() {
     let (pool, other_pool) = (pool(), pool());
@@ -225,10 +223,6 @@ fn extend_with_refuses_strangers_gaps_overlaps_and_the_reverse_order() {
     assert!(run.extend_with(&b));
     assert!(!run.extend_with(&b), "overlap");
     assert!(run.extend_with(&c));
-    assert_eq!(
-        run.as_slice(),
-        a.join(&b).unwrap().join(&c).unwrap().as_slice()
-    );
     assert_eq!(run.as_slice(), h.as_slice());
     assert!(run.same_slot(&h));
     drop((h, a, b, c));
@@ -274,4 +268,124 @@ fn drop_to_zero_frees_exactly_once() {
     let again = pool.alloc(64).unwrap();
     assert!(pool.alloc(64).is_none());
     drop(again);
+}
+
+/// Who may have written a pool byte: the Runtime (a plain `alloc`, as for
+/// a driver's DMA target) or one of three client domains.
+const RUNTIME: u8 = 0;
+
+/// A scripted action of the provenance property. `Alloc.0` and
+/// `HandOff.1` are writers ([`RUNTIME`] or a domain 1..=3); indices are
+/// taken modulo the live count.
+#[derive(Debug, Clone)]
+enum Own {
+    Alloc(u8, usize),
+    /// Give a clone of a live handle to another writer, as a cache hit
+    /// answers one domain's read with a view of another's write.
+    HandOff(usize, u8),
+    Fill(usize, u8),
+    Drop(usize),
+}
+
+fn own_strategy() -> impl Strategy<Value = Own> {
+    prop_oneof![
+        (0u8..4, 1usize..300).prop_map(|(w, len)| Own::Alloc(w, len)),
+        (0usize..8, 0u8..4).prop_map(|(i, w)| Own::HandOff(i, w)),
+        (0usize..8, 0u8..63).prop_map(|(i, k)| Own::Fill(i, k)),
+        (0usize..8).prop_map(Own::Drop),
+    ]
+}
+
+/// A nonzero byte that names its writer: `writer * 64 + 1 ..= writer * 64 + 63`.
+fn byte_of(writer: u8, k: u8) -> u8 {
+    writer * 64 + 1 + k % 63
+}
+
+/// The slot a full-slot handle views, as `(class, index)`.
+fn slot_key(h: &BufHandle) -> (u64, usize) {
+    let class_size = if h.region() == 0 { 64 } else { 256 };
+    (h.region(), h.offset() / class_size)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// No handle `alloc_for(d, ..)` returns ever exposes a byte that another
+    /// domain or the Runtime wrote since the slot was last zeroed — and no
+    /// byte of the slot *beyond* the handle holds one either, since a later,
+    /// longer allocation from the slot would read it. The model is every
+    /// slot's exact contents: each fill writes bytes that name their writer
+    /// — for a handed-off clone, the writer it was handed to — and the
+    /// pool's `zeroed_bytes` says when a slot was wiped whole.
+    #[test]
+    fn a_domain_never_reads_bytes_it_did_not_write(
+        script in proptest::collection::vec(own_strategy(), 1..160),
+    ) {
+        let pool = pool();
+        let mut model: std::collections::HashMap<(u64, usize), Vec<u8>> = Default::default();
+        let mut live: Vec<(BufHandle, u8)> = Vec::new();
+        for act in script {
+            match act {
+                Own::Alloc(writer, len) => {
+                    let zeroed = pool.zeroed_bytes();
+                    let got = if writer == RUNTIME {
+                        pool.alloc(len)
+                    } else {
+                        pool.alloc_for(u32::from(writer), len)
+                    };
+                    let Some(h) = got else { continue };
+                    let key = slot_key(&h);
+                    let class_size = if key.0 == 0 { 64 } else { 256 };
+                    let bytes = model.entry(key).or_insert_with(|| vec![0; class_size]);
+                    match pool.zeroed_bytes() - zeroed {
+                        0 => {}
+                        n => {
+                            // A zero-fill is the whole slot.
+                            prop_assert_eq!(n, class_size as u64);
+                            bytes.fill(0);
+                        }
+                    }
+                    prop_assert_eq!(h.as_slice(), &bytes[..len]);
+                    if writer != RUNTIME {
+                        prop_assert!(
+                            bytes.iter().all(|&b| b == 0 || b / 64 == writer),
+                            "domain {} holds a slot with bytes of {:?}",
+                            writer,
+                            bytes.iter().filter(|&&b| b != 0).map(|b| b / 64).collect::<std::collections::BTreeSet<_>>()
+                        );
+                    }
+                    live.push((h, writer));
+                }
+                Own::HandOff(i, to) => {
+                    if !live.is_empty() {
+                        let i = i % live.len();
+                        let dup = live[i].0.clone();
+                        live.push((dup, to));
+                    }
+                }
+                Own::Fill(i, k) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let n = live.len();
+                    let (h, writer) = &mut live[i % n];
+                    let v = byte_of(*writer, k);
+                    let unique = h.is_unique();
+                    prop_assert_eq!(h.write_with(|b| b.fill(v)), unique);
+                    if unique {
+                        let len = h.len();
+                        model.get_mut(&slot_key(h)).unwrap()[..len].fill(v);
+                    }
+                }
+                Own::Drop(i) => {
+                    if !live.is_empty() {
+                        let i = i % live.len();
+                        live.swap_remove(i);
+                    }
+                }
+            }
+        }
+        live.clear();
+        prop_assert_eq!(pool.live(), 0);
+    }
 }

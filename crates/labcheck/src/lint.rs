@@ -1,4 +1,4 @@
-//! The four LabStor-specific lints (see DESIGN.md §"Static analysis").
+//! The LabStor-specific lints (see DESIGN.md §"Static analysis").
 //!
 //! Each lint is a pure function over a preprocessed [`SourceFile`], which
 //! makes them trivially testable on in-memory fixture snippets; the
@@ -16,6 +16,8 @@
 //! - `// copy-ok: <reason>`           — permits a payload materialization
 //!   (`.to_vec()` / `.into_owned()` / `.to_owned()` / buffer `.clone()`)
 //!   in a zero-copy data-path module
+//! - `// owner-ok: <reason>`          — permits a `BufHandle` write in
+//!   Runtime-side code (the buffer is one the code allocated)
 //! - `// lock-class: <name>`          — names the registry class of a lock
 //!   acquisition (required on every acquisition in the governed crates;
 //!   see [`crate::lockcheck`])
@@ -41,6 +43,8 @@ pub enum Lint {
     LabModContract,
     /// Payload materialization in a zero-copy data-path module.
     PayloadCopy,
+    /// `BufHandle` write in Runtime-side code.
+    PoolWrite,
     /// Lock acquisition without a (valid) `lock-class` annotation.
     LockAnnotation,
     /// Nested acquisition violating the declared lock-class order.
@@ -58,6 +62,7 @@ impl Lint {
             Lint::UnsafeHygiene => "unsafe-hygiene",
             Lint::LabModContract => "labmod-contract",
             Lint::PayloadCopy => "payload-copy",
+            Lint::PoolWrite => "pool-write",
             Lint::LockAnnotation => "lock-annotation",
             Lint::LockOrder => "lock-order",
             Lint::LockReentry => "lock-reentry",
@@ -264,6 +269,7 @@ pub fn lint_file(cfg: &Config, file: &SourceFile) -> Vec<Diagnostic> {
     lint_unsafe_hygiene(file, &mut diags);
     lint_labmod_contract(file, &mut diags);
     lint_payload_copy(cfg, file, &mut diags);
+    lint_pool_write(file, &mut diags);
     lint_lock_discipline(cfg, file, &mut diags);
     diags.sort_by(|a, b| (a.line, a.lint.name()).cmp(&(b.line, b.lint.name())));
     diags
@@ -537,6 +543,83 @@ fn clone_receivers(code: &str) -> Vec<String> {
         from = abs + ".clone()".len();
     }
     out
+}
+
+/// The Runtime-side code the pool-write lint governs (path substrings):
+/// everything a request runs through once it leaves the client — the
+/// platform, the LabMods, the kernel baselines and the device model.
+const RUNTIME_PATHS: [&str; 6] = [
+    "crates/core/src/",
+    "crates/ipc/src/",
+    "crates/mods/src/",
+    "crates/kernel/src/",
+    "crates/sim/src/",
+    "crates/pushdown/src/",
+];
+
+/// Files under [`RUNTIME_PATHS`] the pool-write lint skips: the pool
+/// itself, which defines the mutators and zeroes the slots it hands out,
+/// and the client library, whose writes fill buffers its own domain
+/// allocated.
+const POOL_WRITE_EXEMPT: [&str; 2] = ["crates/ipc/src/buf.rs", "crates/core/src/client.rs"];
+
+/// `BufHandle` methods that write pool bytes, called or named as a path
+/// (`.and_then(BufHandle::as_mut_slice)`).
+const HANDLE_MUTATORS: [&str; 2] = ["as_mut_slice", "write_with"];
+
+/// Lint 6: in Runtime-side code, every write to a pool buffer — a
+/// [`HANDLE_MUTATORS`] use, or a `.fill(src)` that takes a slice — must
+/// carry an `owner-ok` justification. A slot remembers the client domain
+/// whose bytes it holds and `BufferPool::alloc_for` skips the zero-fill
+/// when that domain allocates it again; that is sound only while Runtime
+/// code writes no buffer it did not allocate (a plain `alloc` clears the
+/// tag), which this lint turns into a reviewed rule. A slice's own
+/// `.fill(byte)` — an integer literal, or an indexed receiver like
+/// `dst[span].fill(x)` — is not a handle write.
+fn lint_pool_write(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
+    if POOL_WRITE_EXEMPT.iter().any(|p| file.name.ends_with(p))
+        || !RUNTIME_PATHS.iter().any(|p| file.name.contains(p))
+    {
+        return;
+    }
+    for (idx, line) in file.lines.iter().enumerate() {
+        if line.in_test {
+            continue;
+        }
+        let mut hits: Vec<&str> = HANDLE_MUTATORS
+            .iter()
+            .copied()
+            .filter(|m| has_word(&line.code, m))
+            .collect();
+        if has_slice_fill(&line.code) {
+            hits.push("fill");
+        }
+        if hits.is_empty() || file.annotated(idx, "owner-ok:") {
+            continue;
+        }
+        diags.push(Diagnostic {
+            file: file.name.clone(),
+            line: idx + 1,
+            lint: Lint::PoolWrite,
+            message: format!(
+                "{} writes a pool buffer in Runtime-side code — \
+                 only a buffer this code allocated may be written (annotate \
+                 `// owner-ok: <reason>`)",
+                hits.join(" and ")
+            ),
+        });
+    }
+}
+
+/// True if the line calls `.fill(..)` in the form that copies a slice in:
+/// the argument is not an integer literal and the receiver is not an
+/// index expression.
+fn has_slice_fill(code: &str) -> bool {
+    code.match_indices(".fill(").any(|(pos, call)| {
+        let indexed = code[..pos].ends_with(']');
+        let arg = code[pos + call.len()..].trim_start();
+        !indexed && !arg.starts_with(|c: char| c.is_ascii_digit())
+    })
 }
 
 /// Collect all workspace `.rs` files under `root` (skipping `target/` and

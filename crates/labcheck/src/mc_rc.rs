@@ -7,10 +7,10 @@
 //! decrement observed `1`, i.e. this drop destroyed the last handle.
 //! That decision must be a single atomic read-modify-write: splitting it
 //! into a load and a store re-introduces the classic refcounting races.
-//! `slice` and `join` are clones to this protocol: each builds its view
-//! on `self.clone()` — one `fetch_add` on the same slot, nothing else —
-//! and only the new handle's `off`/`len`, which the counter never sees,
-//! differ. A chain of joins over a run of slices is `clones` below.
+//! `slice` is a clone to this protocol: it builds its view on
+//! `self.clone()` — one `fetch_add` on the same slot, nothing else — and
+//! only the new handle's `off`/`len`, which the counter never sees,
+//! differ; growing a view with `extend_with` moves no count at all.
 //!
 //! This checker decomposes two threads' clone/use/release sequences into
 //! atomic steps and explores every interleaving exhaustively

@@ -378,6 +378,82 @@ mod tests {
     assert!(lint_source(&cfg(), "crates/mods/src/lru.rs", src).is_empty());
 }
 
+// ---- lint 6: pool-write -------------------------------------------------
+
+#[test]
+fn handle_writes_in_copy_hot_path_are_flagged() {
+    let src = "\
+fn f(&self, mut h: BufHandle, src: &[u8]) {
+    h.write_with(|b| b.copy_from_slice(src));
+    let dst = h.as_mut_slice();
+    let lent = slot.as_mut().and_then(BufHandle::as_mut_slice);
+    h.fill(src);
+    h.fill(&src[..4]);
+    let v = h.as_slice();
+}
+";
+    let diags = lint_source(&cfg(), "crates/mods/src/lru.rs", src);
+    assert_eq!(lines_with(&diags, Lint::PoolWrite), vec![2, 3, 4, 5, 6]);
+    assert!(diags[0].message.contains("owner-ok"));
+}
+
+#[test]
+fn owner_ok_annotation_escapes_pool_write() {
+    let src = "\
+// owner-ok: the driver's own DMA target, allocated above
+let io = match slot.as_mut().and_then(BufHandle::as_mut_slice) {
+let ok = h.fill(src); // owner-ok: allocated two lines up
+";
+    assert!(lint_source(&cfg(), "crates/mods/src/drivers.rs", src).is_empty());
+}
+
+/// The rule covers all Runtime-side code, not just the zero-copy data
+/// path: a LabMod that only forwards `WriteBuf` handles, or the worker.
+#[test]
+fn pool_write_covers_every_runtime_crate() {
+    let write = "fn f(h: &mut BufHandle) { h.write_with(|b| b[0] = 1); }\n";
+    for name in [
+        "crates/mods/src/journal.rs",
+        "crates/mods/src/sched.rs",
+        "crates/core/src/worker.rs",
+        "crates/kernel/src/vfs.rs",
+        "crates/sim/src/model.rs",
+    ] {
+        let diags = lint_source(&cfg(), name, write);
+        assert_eq!(lines_with(&diags, Lint::PoolWrite), vec![1], "{name}");
+    }
+    let diags = lint_source(&cfg(), "crates/bench/src/bin/bench_datapath.rs", write);
+    assert!(lines_with(&diags, Lint::PoolWrite).is_empty(), "a client");
+}
+
+/// A lent `&mut [u8]` filled with a byte value is a slice, not a handle.
+#[test]
+fn slice_fill_with_a_byte_is_not_a_pool_write() {
+    let src = "\
+fn read(dst: &mut [u8], d: &mut [u8], span: Range<usize>) {
+    dst[span].fill(0);
+    d.fill(0);
+    dst[span].fill(byte);
+}
+";
+    let diags = lint_source(&cfg(), "crates/sim/src/device.rs", src);
+    assert!(lines_with(&diags, Lint::PoolWrite).is_empty(), "{diags:?}");
+}
+
+#[test]
+fn pool_writes_in_the_pool_tests_and_clients_are_allowed() {
+    let write = "let ok = h.write_with(|b| b.fill(0));\n";
+    assert!(lint_source(&cfg(), "crates/ipc/src/buf.rs", write).is_empty());
+    assert!(lint_source(&cfg(), "crates/core/src/client.rs", write).is_empty());
+    let test = "\
+#[cfg(test)]
+mod tests {
+    fn t() { assert!(buf.fill(&data)); }
+}
+";
+    assert!(lint_source(&cfg(), "crates/mods/src/lru.rs", test).is_empty());
+}
+
 // ---- output formats -----------------------------------------------------
 
 #[test]

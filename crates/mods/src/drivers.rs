@@ -124,6 +124,7 @@ impl<B: Backend> LabMod for DriverMod<B> {
             }
             Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                 slot = labstor_ipc::default_pool().alloc(len);
+                // owner-ok: the driver's own DMA target, allocated on the line above (a plain `alloc`, so its owner tag is clear)
                 let io = match slot.as_mut().and_then(BufHandle::as_mut_slice) {
                     Some(dst) => IoRequest::read_into(lba, dst, 0),
                     // Pool dry (`slot` stays `Some` only while lent): the
