@@ -152,6 +152,8 @@ impl Runtime {
         let stop = self.admin_stop.clone();
         let bell = self.admin_bell.clone();
         let interval = self.admin_interval;
+        // actor-ok: admin tick — pending tenant changes, live upgrades
+        // and the rebalance, one pass per `admin_interval`.
         let handle = std::thread::Builder::new()
             .name("labstor-admin".into())
             .spawn(move || {

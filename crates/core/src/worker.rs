@@ -185,6 +185,8 @@ impl Worker {
         let t_clock = clock.clone();
         let t_processed = processed.clone();
         let t_passes = passes.clone();
+        // actor-ok: reactor — one event loop per worker core, parked on
+        // its doorbell between bursts.
         let join = std::thread::Builder::new()
             .name(format!("labstor-worker-{id}"))
             .spawn(move || {

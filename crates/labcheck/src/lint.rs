@@ -18,6 +18,8 @@
 //!   in a zero-copy data-path module
 //! - `// owner-ok: <reason>`          — permits a `BufHandle` write in
 //!   Runtime-side code (the buffer is one the code allocated)
+//! - `// actor-ok: <role>`            — permits a thread spawn in
+//!   Runtime-side code (names the actor the thread is)
 //! - `// lock-class: <name>`          — names the registry class of a lock
 //!   acquisition (required on every acquisition in the governed crates;
 //!   see [`crate::lockcheck`])
@@ -45,6 +47,8 @@ pub enum Lint {
     PayloadCopy,
     /// `BufHandle` write in Runtime-side code.
     PoolWrite,
+    /// Thread spawn in Runtime-side code without a named role.
+    ThreadSpawn,
     /// Lock acquisition without a (valid) `lock-class` annotation.
     LockAnnotation,
     /// Nested acquisition violating the declared lock-class order.
@@ -63,6 +67,7 @@ impl Lint {
             Lint::LabModContract => "labmod-contract",
             Lint::PayloadCopy => "payload-copy",
             Lint::PoolWrite => "pool-write",
+            Lint::ThreadSpawn => "thread-spawn",
             Lint::LockAnnotation => "lock-annotation",
             Lint::LockOrder => "lock-order",
             Lint::LockReentry => "lock-reentry",
@@ -270,6 +275,7 @@ pub fn lint_file(cfg: &Config, file: &SourceFile) -> Vec<Diagnostic> {
     lint_labmod_contract(file, &mut diags);
     lint_payload_copy(cfg, file, &mut diags);
     lint_pool_write(file, &mut diags);
+    lint_thread_spawn(file, &mut diags);
     lint_lock_discipline(cfg, file, &mut diags);
     diags.sort_by(|a, b| (a.line, a.lint.name()).cmp(&(b.line, b.lint.name())));
     diags
@@ -545,9 +551,10 @@ fn clone_receivers(code: &str) -> Vec<String> {
     out
 }
 
-/// The Runtime-side code the pool-write lint governs (path substrings):
-/// everything a request runs through once it leaves the client — the
-/// platform, the LabMods, the kernel baselines and the device model.
+/// The Runtime-side code the pool-write and thread-spawn lints govern
+/// (path substrings): everything a request runs through once it leaves
+/// the client — the platform, the LabMods, the kernel baselines and the
+/// device model.
 const RUNTIME_PATHS: [&str; 6] = [
     "crates/core/src/",
     "crates/ipc/src/",
@@ -620,6 +627,37 @@ fn has_slice_fill(code: &str) -> bool {
         let arg = code[pos + call.len()..].trim_start();
         !indexed && !arg.starts_with(|c: char| c.is_ascii_digit())
     })
+}
+
+/// The two ways the workspace starts a thread that outlives its caller.
+/// `thread::scope` is not one: its threads are joined before it returns.
+const SPAWN_CALLS: [&str; 2] = ["thread::spawn", "thread::Builder"];
+
+/// Lint 7: in Runtime-side code, every thread spawn outside tests must
+/// name the actor it starts with `actor-ok`. Each Runtime thread is one
+/// more timeline a deterministic schedule has to serialize, so the
+/// inventory of them (today the worker reactors and the admin tick) is a
+/// reviewed list, not something a helper can grow unannounced.
+fn lint_thread_spawn(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
+    if !RUNTIME_PATHS.iter().any(|p| file.name.contains(p)) {
+        return;
+    }
+    for (idx, line) in file.lines.iter().enumerate() {
+        if line.in_test
+            || !SPAWN_CALLS.iter().any(|c| line.code.contains(c))
+            || file.annotated(idx, "actor-ok:")
+        {
+            continue;
+        }
+        diags.push(Diagnostic {
+            file: file.name.clone(),
+            line: idx + 1,
+            lint: Lint::ThreadSpawn,
+            message: "thread spawn in Runtime-side code — name the actor it \
+                      starts (annotate `// actor-ok: <role>`)"
+                .into(),
+        });
+    }
 }
 
 /// Collect all workspace `.rs` files under `root` (skipping `target/` and

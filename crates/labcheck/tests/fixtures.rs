@@ -454,6 +454,64 @@ mod tests {
     assert!(lint_source(&cfg(), "crates/mods/src/lru.rs", test).is_empty());
 }
 
+// ---- lint 7: thread-spawn -----------------------------------------------
+
+#[test]
+fn thread_spawn_in_runtime_code_is_flagged() {
+    let src = "\
+fn start(&self) {
+    let t = std::thread::spawn(move || run());
+    let h = thread::Builder::new()
+        .name(\"labstor-x\".into())
+        .spawn(move || run());
+}
+";
+    let diags = lint_source(&cfg(), "crates/mods/src/flush.rs", src);
+    assert_eq!(lines_with(&diags, Lint::ThreadSpawn), vec![2, 3]);
+    assert!(diags[0].message.contains("actor-ok"));
+    let diags = lint_source(&cfg(), "crates/workloads/src/stats.rs", src);
+    assert!(lines_with(&diags, Lint::ThreadSpawn).is_empty(), "a client");
+}
+
+#[test]
+fn actor_ok_annotation_escapes_thread_spawn() {
+    let src = "\
+// actor-ok: reactor — one event loop per worker core
+let join = std::thread::Builder::new()
+    .spawn(move || worker_loop());
+let t = std::thread::spawn(tick); // actor-ok: admin tick
+";
+    assert!(lint_source(&cfg(), "crates/core/src/worker.rs", src).is_empty());
+}
+
+#[test]
+fn thread_spawn_in_test_code_is_exempt() {
+    let src = "\
+#[cfg(test)]
+mod tests {
+    fn t() { let h = std::thread::spawn(|| ()); }
+}
+";
+    assert!(lint_source(&cfg(), "crates/ipc/src/ring.rs", src).is_empty());
+}
+
+/// Scoped threads are joined before `scope` returns: no actor outlives
+/// the call.
+#[test]
+fn thread_scope_in_a_test_is_not_a_spawn() {
+    let src = "\
+#[cfg(test)]
+mod tests {
+    fn t() {
+        std::thread::scope(|s| {
+            s.spawn(|| ());
+        });
+    }
+}
+";
+    assert!(lint_source(&cfg(), "crates/mods/src/lru.rs", src).is_empty());
+}
+
 // ---- output formats -----------------------------------------------------
 
 #[test]

@@ -16,7 +16,7 @@
 //! iff its header CRC, its sequence number, its chain field and its
 //! payload CRC all validate. The payload CRC is the commit point. The
 //! writer acks a frame only after its write returned, and one
-//! [`FlushDaemon`] issues the writes of a log in submission order.
+//! [`FrameWriter`] issues the writes of a log in submission order.
 //!
 //! Recovery ([`replay_scan`]) discovers the log extent from media alone:
 //! it walks the region from the start, one frame at a time, and *stops at
@@ -30,7 +30,7 @@
 //!
 //! [`LogRegion`] is one worker's log over one device region (the frame
 //! under construction plus sector cursors); [`Journal`] is a module's set
-//! of regions with the daemon that writes them. LabFS and LabKVS keep
+//! of regions with the writer that writes them. LabFS and LabKVS keep
 //! only their record encode, decode and apply.
 
 use std::fmt;
@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 
 use labstor_sim::{BlockDevice, Ctx, DeviceError, SimDevice, SECTOR_SIZE};
 
-use crate::flush::FlushDaemon;
+use crate::flush::FrameWriter;
 
 /// Magic tag opening a frame header.
 pub const FRAME_MAGIC: u32 = 0x4C42_4A32; // "LBJ2"
@@ -51,9 +51,9 @@ pub const HEADER_SIZE: usize = 4 + 8 + 4 + 4 + 4 + 4;
 /// The header bytes `header_crc` covers.
 const HEADER_CRC_AT: usize = HEADER_SIZE - 4;
 
-/// Pending payload bytes at which [`LogRegion::append`] kicks a
-/// background flush, so a durability point usually finds most of the
-/// work already on (or past) the wire.
+/// Pending payload bytes at which [`LogRegion::append`] kicks a frame
+/// onto the flush timeline, so a durability point usually finds most of
+/// the work already written and bounds the bytes a log buffers.
 const FLUSH_KICK_BYTES: usize = 32 * 1024;
 
 // ---------------------------------------------------------------------
@@ -315,7 +315,7 @@ impl From<DeviceError> for JournalError {
 
 /// One worker's log: the frame under construction plus sector cursors
 /// into its reserved device region. Each flush seals the frame and hands
-/// it to the [`FlushDaemon`] as one device write.
+/// it to the [`FrameWriter`] as one device write.
 #[derive(Debug, Clone)]
 pub struct LogRegion {
     /// [`HEADER_SIZE`] reserved bytes, then the records appended since
@@ -331,8 +331,9 @@ pub struct LogRegion {
     next_seq: u64,
     /// Header CRC of the last sealed frame (0 before the first).
     prev_crc: u32,
-    /// Region-full met by a kick, foreground or background: every
-    /// durability point returns it until a repair.
+    /// Region-full met by a kick, from `append` or a durability point:
+    /// every durability point returns it until a repair, and no record
+    /// is buffered past it.
     full: Option<JournalError>,
 }
 
@@ -355,19 +356,23 @@ impl LogRegion {
     }
 
     /// Append one encoded record. Once enough bytes are pending they are
-    /// streamed to the daemon in the background, so the append path
-    /// never blocks on the device.
-    pub fn append(&mut self, flush: &FlushDaemon, now: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+    /// kicked as a frame on the flush timeline, so the append path never
+    /// charges its caller device time. A full log drops the record: it
+    /// could never reach media.
+    pub fn append(&mut self, flush: &FrameWriter, now: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+        if self.full.is_some() {
+            return;
+        }
         encode(&mut self.frame);
         if self.frame.len() - HEADER_SIZE >= FLUSH_KICK_BYTES {
             self.submit_next(flush, now);
         }
     }
 
-    /// Foreground half of the double-buffered flush: seal the pending
-    /// records as this log's next frame and hand it to the daemon.
+    /// Seal the pending records as this log's next frame and hand it to
+    /// the [`FrameWriter`], which has written it when this returns.
     /// Returns the region-full error if this or an earlier kick met it.
-    pub fn kick(&mut self, flush: &FlushDaemon, now: u64) -> Result<(), JournalError> {
+    pub fn kick(&mut self, flush: &FrameWriter, now: u64) -> Result<(), JournalError> {
         self.submit_next(flush, now);
         match &self.full {
             Some(e) => Err(e.clone()),
@@ -375,7 +380,7 @@ impl LogRegion {
         }
     }
 
-    fn submit_next(&mut self, flush: &FlushDaemon, now: u64) {
+    fn submit_next(&mut self, flush: &FrameWriter, now: u64) {
         if let Some((sector, frame)) = self.seal_next() {
             flush.submit(frame, sector, now);
         }
@@ -383,9 +388,9 @@ impl LogRegion {
 
     /// Reserve the next frame (sectors, sequence number, chain value) and
     /// seal the pending records into it: `(device sector, frame bytes)`.
-    /// Cursors advance here, so appends keep filling a fresh frame while
-    /// this one is written. `None` when nothing is pending or the region
-    /// is full, which leaves the log untouched and latches the error.
+    /// Cursors advance here, so appends fill a fresh frame. `None` when
+    /// nothing is pending or the region is full, which leaves the cursors
+    /// untouched, latches the error and drops the pending records.
     pub(crate) fn seal_next(&mut self) -> Option<(u64, Vec<u8>)> {
         let payload_len = self.frame.len() - HEADER_SIZE;
         if payload_len == 0 || self.full.is_some() {
@@ -398,6 +403,7 @@ impl LogRegion {
                 need_sectors,
                 free_sectors,
             });
+            self.frame.truncate(HEADER_SIZE);
             return None;
         }
         let mut frame = std::mem::replace(&mut self.frame, empty_frame());
@@ -465,18 +471,19 @@ impl LogRegion {
 }
 
 // ---------------------------------------------------------------------
-// A module's journal: its log regions and the daemon that writes them
+// A module's journal: its log regions and the writer that writes them
 // ---------------------------------------------------------------------
 
 /// The per-worker log regions of one LabFS or LabKVS instance, laid out
-/// back to back from sector 0 of `device`, and the [`FlushDaemon`] that
+/// back to back from sector 0 of `device`, and the [`FrameWriter`] that
 /// writes their frames.
 pub struct Journal {
     regions: Vec<Mutex<LogRegion>>,
     /// Direct handle for log persistence and replay.
     device: Arc<SimDevice>,
-    /// Background half of the double-buffered flush (see [`crate::flush`]).
-    flush: FlushDaemon,
+    /// Writes every kicked frame on the flush timeline (see
+    /// [`crate::flush`]).
+    flush: FrameWriter,
     /// What the most recent [`Journal::replay`] found.
     last_repair: Mutex<Option<RepairReport>>,
 }
@@ -488,7 +495,7 @@ impl Journal {
             regions: (0..workers as u64)
                 .map(|w| Mutex::new(LogRegion::new(w * sectors_per_worker, sectors_per_worker)))
                 .collect(),
-            flush: FlushDaemon::new(device.clone()),
+            flush: FrameWriter::new(device.clone()),
             device,
             last_repair: Mutex::new(None),
         }
@@ -502,8 +509,8 @@ impl Journal {
     }
 
     /// Durability point: kick every log's pending records as one frame
-    /// each, wait until every submitted frame is on the device, and
-    /// charge the waiter's clock up to that instant.
+    /// each — every kicked frame is then on the device — and charge the
+    /// waiter's clock up to the instant the last one landed.
     pub fn sync(&self, ctx: &mut Ctx) -> Result<(), JournalError> {
         for region in &self.regions {
             region.lock().kick(&self.flush, ctx.now())?;
@@ -513,8 +520,8 @@ impl Journal {
 
     /// Crash recovery: rebuild every log from media (see
     /// [`LogRegion::replay`]). The scan trusts media, not in-memory
-    /// cursors, so the daemon is quiesced and its error latch cleared
-    /// first: queued frames predate the crash.
+    /// cursors, so the writer's error latch and durability clock are
+    /// cleared first: they describe the timeline before the crash.
     pub fn replay(&self, mut apply: impl FnMut(&[u8], &mut usize) -> Option<()>) -> RepairReport {
         self.flush.reset();
         let mut report = RepairReport::default();
@@ -533,9 +540,10 @@ impl Journal {
     /// Live upgrade: carry the logs over from the instance being
     /// replaced, so the new one appends after the old one's frames
     /// instead of overwriting the log from the start (which would orphan
-    /// pre-upgrade metadata on the next crash). The daemon goes first: it
-    /// drains the old instance's queue, so the cursors copied after it
-    /// are final, and its durability clock and error latch carry over.
+    /// pre-upgrade metadata on the next crash). The writer's durability
+    /// clock and error latch carry over; a kick writes its frame before
+    /// it lets go of its region, so the cursors copied under the region
+    /// locks are final.
     pub fn absorb(&self, prev: &Journal) {
         self.flush.absorb(&prev.flush);
         for (mine, theirs) in self.regions.iter().zip(prev.regions.iter()) {
@@ -811,7 +819,7 @@ mod tests {
     #[test]
     fn region_full_in_a_background_kick_reaches_the_next_durability_point() {
         let dev = SimDevice::preset(DeviceKind::Nvme);
-        let flush = FlushDaemon::new(dev);
+        let flush = FrameWriter::new(dev);
         let mut log = LogRegion::new(0, 8);
         // One record past the kick threshold: the background kick finds
         // no room, which the append path has nobody to tell.
@@ -824,6 +832,103 @@ mod tests {
         // Permanent until a repair: nothing was consumed or reserved.
         assert_eq!(log.kick(&flush, 0), Err(full));
         assert_eq!((log.next_sector, log.next_seq), (0, 1));
+    }
+
+    /// Every observable of one fixed flush script on a fresh NVMe device:
+    /// `ctx.now()` and `ctx.busy()` after each durability point, then the
+    /// device's write count and bytes written.
+    type TimelinePins = [u64; 8];
+
+    /// Captured at `86bd0d1`, where a background thread wrote the frames.
+    /// Moving the writes onto the kicking thread must not move the
+    /// timeline: a frame starts at `max(durable_vt, submit_vt)`.
+    const TIMELINE_PINS: TimelinePins = [118394, 250, 50010569, 300, 50010569, 0, 6, 109568];
+
+    #[test]
+    fn flush_timeline_is_the_recorded_one() {
+        let dev = SimDevice::preset(DeviceKind::Nvme);
+        let journal = Journal::new(dev.clone(), 2, 256);
+        let record = |b: &mut Vec<u8>| b.resize(b.len() + 3000, 0x5A);
+        // Region 0 crosses FLUSH_KICK_BYTES twice (at the 11th and 22nd
+        // record): two frames kicked by `append`, two records left over.
+        for i in 1..=24u64 {
+            journal.append(0, 1_000 * i, record);
+        }
+        // Region 1 kicks once, with a `submit_vt` far behind the durable
+        // point region 0's frames reached.
+        for i in 1..=12u64 {
+            journal.append(1, 10 + i, record);
+        }
+        // A durability point from a clock behind the durable point: both
+        // pending tails go out, and the clock idles forward.
+        let mut behind = Ctx::at(500);
+        behind.advance(250);
+        journal.sync(&mut behind).unwrap();
+        // One from a clock ahead of it: the frame starts at the kick.
+        journal.append(1, 40_000, |b| b.extend_from_slice(&[9; 100]));
+        let mut ahead = Ctx::at(50_000_000);
+        ahead.advance(300);
+        journal.sync(&mut ahead).unwrap();
+        // Nothing pending: a clock behind idles to the same durable point.
+        let mut idle = Ctx::at(1_000);
+        journal.sync(&mut idle).unwrap();
+        let stats = dev.stats().snapshot();
+        let got = [
+            behind.now(),
+            behind.busy(),
+            ahead.now(),
+            ahead.busy(),
+            idle.now(),
+            idle.busy(),
+            stats.writes,
+            stats.bytes_written,
+        ];
+        assert_eq!(got, TIMELINE_PINS);
+    }
+
+    #[test]
+    fn a_frame_kicked_by_append_is_on_the_device_when_append_returns() {
+        let dev = SimDevice::preset(DeviceKind::Nvme);
+        let journal = Journal::new(dev.clone(), 1, 128);
+        journal.append(0, 0, |b| b.resize(b.len() + FLUSH_KICK_BYTES, 7));
+        // No durability point: the kick itself wrote the frame.
+        let stats = dev.stats().snapshot();
+        let sectors = frame_sectors(FLUSH_KICK_BYTES);
+        assert_eq!(
+            (stats.writes, stats.bytes_written),
+            (1, sectors * SECTOR_SIZE as u64)
+        );
+        let out = replay_scan(128, |sector, n| {
+            let mut buf = vec![0u8; n as usize * SECTOR_SIZE];
+            dev.read(&mut Ctx::new(), sector, &mut buf)
+                .ok()
+                .map(|_| buf)
+        });
+        assert_eq!(out.txns.len(), 1);
+        assert_eq!(out.next_sector, sectors);
+    }
+
+    #[test]
+    fn a_full_log_drops_later_records_instead_of_buffering_them() {
+        let dev = SimDevice::preset(DeviceKind::Nvme);
+        let journal = Journal::new(dev.clone(), 1, 1);
+        // 1 MiB into a one-sector region: the first kick latches the error.
+        for _ in 0..1024 {
+            journal.append(0, 0, |b| b.resize(b.len() + 1024, 7));
+        }
+        assert_eq!(journal.regions[0].lock().frame.len(), HEADER_SIZE);
+        let full = JournalError::RegionFull {
+            need_sectors: frame_sectors(FLUSH_KICK_BYTES),
+            free_sectors: 1,
+        };
+        assert_eq!(
+            journal.regions[0].lock().kick(&journal.flush, 0),
+            Err(full.clone())
+        );
+        assert_eq!(journal.sync(&mut Ctx::new()), Err(full.clone()));
+        assert_eq!(journal.sync(&mut Ctx::new()), Err(full));
+        assert_eq!(journal.regions[0].lock().frame.len(), HEADER_SIZE);
+        assert_eq!(dev.stats().snapshot().writes, 0);
     }
 
     #[test]

@@ -151,8 +151,8 @@ impl<S: StateMachine> MetaStore<S> {
         self.journal.last_repair()
     }
 
-    /// Live upgrade: take over `prev`'s maps, its frame chain (the
-    /// journal drains `prev`'s flush daemon first, so the cursors it
+    /// Live upgrade: take over `prev`'s maps, its frame chain (every
+    /// frame `prev` kicked is already written, so the cursors the journal
     /// copies are final) and its allocator cursors.
     ///
     /// **Both sides must have the same geometry** — in practice the same

@@ -209,10 +209,9 @@ impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
 /// Contract (every notifier in the workspace meets it): between changing
 /// the predicate and calling `notify_*`, the notifier acquires the paired
 /// mutex — it changes the predicate while holding it (`InflightSet::claimed`
-/// in `InflightGuard::drop`; `flush::State` in `FlushDaemon::{submit, run,
-/// drop}`), or it takes the mutex after the change and notifies under it
-/// (`Doorbell::ring`: the epoch is an atomic, the waiter re-checks it under
-/// `mu`). Call that critical section `N`, and let `W` be the critical
+/// in `InflightGuard::drop`), or it takes the mutex after the change and
+/// notifies under it (`Doorbell::ring`: the epoch is an atomic, the waiter
+/// re-checks it under `mu`). Call that critical section `N`, and let `W` be the critical
 /// section in which a waiter last found the predicate false. The mutex
 /// orders the two:
 ///
