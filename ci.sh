@@ -42,29 +42,11 @@ echo "== sample Chrome trace (and: per-LabMod counters == span anatomy, to the n
 cargo run -q --release --example telemetry -- target/bench/telemetry_trace.json
 test -s target/bench/telemetry_trace.json
 
-echo "== bench_ipc smoke (batched-verb regression gate: batch 32 vs batch 1)"
-cargo run -q --release -p labstor-bench --bin bench_ipc -- --smoke
-test -s target/bench/BENCH_ipc.json
-
-echo "== bench_datapath smoke (zero-copy read-hit regression gate)"
-cargo run -q --release -p labstor-bench --bin bench_datapath -- --smoke
-test -s target/bench/BENCH_datapath.json
-
-echo "== bench_tenants smoke (noisy-neighbor tenant isolation gate)"
-cargo run -q --release -p labstor-bench --bin bench_tenants -- --smoke
-test -s target/bench/BENCH_tenants.json
-
-echo "== bench_reactor smoke (idle-fleet doorbell vs polling gate)"
-cargo run -q --release -p labstor-bench --bin bench_reactor -- --smoke
-test -s target/bench/BENCH_reactor.json
-
-echo "== bench_pushdown smoke (bytes-over-IPC + modeled-speedup + zero-copy gate)"
-cargo run -q --release -p labstor-bench --bin bench_pushdown -- --smoke
-test -s target/bench/BENCH_pushdown.json
-
-echo "== crash_fuzz smoke (crash-recovery prefix-consistency campaign)"
-cargo run -q --release -p labstor-bench --bin crash_fuzz -- --smoke
-test -s target/bench/BENCH_crash_fuzz.json
+echo "== gate bench smokes (each writes target/bench/BENCH_<name>.json and exits 1 if a check fails)"
+for bench in bench_ipc bench_datapath bench_tenants bench_reactor bench_pushdown crash_fuzz; do
+    cargo run -q --release -p labstor-bench --bin "$bench" -- --smoke
+    test -s "target/bench/BENCH_${bench#bench_}.json"
+done
 test -s results/crash_fuzz_failures.json
 
 echo "== labstor-benchmark smoke (every workload end to end; a wrong byte, a failed op or cross-trial drift fails)"

@@ -19,9 +19,11 @@
 //! Usage: `bench_datapath [--smoke]` — `--smoke` shrinks op counts for CI
 //! and writes `target/bench/BENCH_datapath.json` instead.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use labstor_bench::Report;
 use labstor_core::stack::{ExecMode, LabStack, Vertex};
 use labstor_core::{BlockOp, ModuleManager, Payload, Request, RespPayload, StackEnv};
 use labstor_ipc::{default_pool, Credentials, Envelope, QueueFlags, QueuePair};
@@ -179,9 +181,9 @@ fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let hit_ops = if smoke { 4_000 } else { 40_000 };
+fn main() -> ExitCode {
+    let mut report = Report::from_args("datapath", "BENCH_datapath.json");
+    let hit_ops = if report.smoke() { 4_000 } else { 40_000 };
 
     let mut hits: Vec<ReadHit> = Vec::new();
     for size in [4 * 1024usize, 64 * 1024, 256 * 1024] {
@@ -189,74 +191,35 @@ fn main() {
             hits.push(run_readhit(size, zero_copy, hit_ops));
         }
     }
+    for h in &hits {
+        report.row([
+            ("payload_bytes", h.size.into()),
+            ("mode", if h.zero_copy { "zerocopy" } else { "copy" }.into()),
+            ("ops", h.ops.into()),
+            ("ops_per_sec", h.ops_per_sec.into()),
+            ("gib_per_sec", h.gib_per_sec.into()),
+            ("virt_hit_ns", h.virt_hit_ns.into()),
+        ]);
+    }
 
-    let find_hit = |size: usize, zc: bool| {
+    let find_hit = |zc: bool| {
         hits.iter()
-            .find(|h| h.size == size && h.zero_copy == zc)
+            .find(|h| h.size == 64 * 1024 && h.zero_copy == zc)
             .expect("config present")
     };
-    let copy64 = find_hit(64 * 1024, false);
-    let zc64 = find_hit(64 * 1024, true);
-    let wall_speedup = zc64.ops_per_sec / copy64.ops_per_sec.max(1e-9);
-    let virt_speedup = copy64.virt_hit_ns / zc64.virt_hit_ns.max(1e-9);
+    let (copy64, zc64) = (find_hit(false), find_hit(true));
     // Wall floor 1.0 (never regress, CI-noise proof); the modeled cost is
     // deterministic so it gates at the full 2x target.
-    let zc_pass = wall_speedup >= 1.0 && virt_speedup >= 2.0;
-
-    let hit_json: Vec<serde_json::Value> = hits
-        .iter()
-        .map(|h| {
-            serde_json::json!({
-                "payload_bytes": h.size,
-                "mode": if h.zero_copy { "zerocopy" } else { "copy" },
-                "ops": h.ops,
-                "ops_per_sec": h.ops_per_sec,
-                "gib_per_sec": h.gib_per_sec,
-                "virt_hit_ns": h.virt_hit_ns,
-            })
-        })
-        .collect();
-    let zc_gate = serde_json::json!({
-        "compare": "64KiB zerocopy vs copy read hits",
-        "wall_speedup": wall_speedup,
-        "wall_floor": 1.0,
-        "virt_speedup": virt_speedup,
-        "virt_floor": 2.0,
-        "target": 2.0,
-        "pass": zc_pass,
-    });
-    let doc = serde_json::json!({
-        "benchmark": "datapath",
-        "smoke": smoke,
-        "read_hits": hit_json,
-        "gates": serde_json::json!({
-            "zero_copy_64k": zc_gate,
-        }),
-    });
-    let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    let artifact = labstor_bench::artifact_path("BENCH_datapath.json", smoke);
-    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_datapath.json");
-
-    println!("== datapath ({}) ==", if smoke { "smoke" } else { "full" });
-    println!(
-        "{:>9} {:>9} {:>14} {:>10} {:>12}",
-        "payload", "mode", "ops/s", "GiB/s", "vhit(ns)"
+    report.param("zero_copy_64k_target", 2.0);
+    report.at_least(
+        "zero_copy_64k_wall_speedup",
+        zc64.ops_per_sec / copy64.ops_per_sec.max(1e-9),
+        1.0,
     );
-    for h in &hits {
-        println!(
-            "{:>9} {:>9} {:>14.0} {:>10.2} {:>12.0}",
-            h.size,
-            if h.zero_copy { "zerocopy" } else { "copy" },
-            h.ops_per_sec,
-            h.gib_per_sec,
-            h.virt_hit_ns,
-        );
-    }
-    println!(
-        "zero-copy 64KiB: wall {wall_speedup:.2}x (floor 1.0), modeled {virt_speedup:.2}x (floor 2.0)"
+    report.at_least(
+        "zero_copy_64k_modeled_speedup",
+        copy64.virt_hit_ns / zc64.virt_hit_ns.max(1e-9),
+        2.0,
     );
-    if !zc_pass {
-        eprintln!("FAIL: zero-copy read-hit path regressed against the copying baseline");
-        std::process::exit(1);
-    }
+    report.finish()
 }

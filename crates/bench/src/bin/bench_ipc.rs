@@ -16,13 +16,15 @@
 //! Usage: `bench_ipc [--smoke]` — `--smoke` shrinks the op counts for CI
 //! and writes `target/bench/BENCH_ipc.json` instead.
 
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use labstor_bench::percentile;
+use labstor_bench::Report;
 use labstor_ipc::{Doorbell, Envelope, QueueFlags, QueuePair};
 use labstor_sim::Ctx;
+use labstor_workloads::stats::percentile;
 
 /// Request payload: `(request id, client submit virtual time)` — the
 /// worker echoes it back so the client can histogram submit→reap virtual
@@ -210,9 +212,9 @@ fn run_multi(batch: usize, clients: usize, ops_per_client: usize) -> ConfigResul
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (ops_single, ops_per_client) = if smoke {
+fn main() -> ExitCode {
+    let mut report = Report::from_args("ipc_hotpath", "BENCH_ipc.json");
+    let (ops_single, ops_per_client) = if report.smoke() {
         (2_000, 500)
     } else {
         (100_000, 25_000)
@@ -223,71 +225,29 @@ fn main() {
         results.push(run_single(batch, ops_single));
         results.push(run_multi(batch, 4, ops_per_client));
     }
-
-    let find = |batch: usize, threads: usize| {
-        results
-            .iter()
-            .find(|r| r.batch == batch && r.threads == threads)
-            .expect("config present")
-    };
-    let single = find(1, 1);
-    let fast = find(32, 1);
-    let speedup = fast.ops_per_sec / single.ops_per_sec.max(1e-9);
+    for r in &results {
+        report.row([
+            ("batch", r.batch.into()),
+            ("threads", r.threads.into()),
+            ("ops", r.ops.into()),
+            ("ops_per_sec", r.ops_per_sec.into()),
+            ("p50_vns", r.p50_vns.into()),
+            ("p99_vns", r.p99_vns.into()),
+        ]);
+    }
     // Gate: the batched verbs must never fall below the single-verb
     // rate. The target is 2x; the hard floor is 1x so host noise in CI
     // cannot flake the build.
-    let required_min = 1.0;
-    let target = 2.0;
-    let pass = speedup >= required_min;
-
-    let configs: Vec<serde_json::Value> = results
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "batch": r.batch,
-                "threads": r.threads,
-                "ops": r.ops,
-                "ops_per_sec": r.ops_per_sec,
-                "p50_vns": r.p50_vns,
-                "p99_vns": r.p99_vns,
-            })
-        })
-        .collect();
-    let gate = serde_json::json!({
-        "compare": "batch=32 threads=1 vs batch=1 threads=1 (ops/s)",
-        "speedup": speedup,
-        "required_min": required_min,
-        "target": target,
-        "pass": pass,
-    });
-    let doc = serde_json::json!({
-        "benchmark": "ipc_hotpath",
-        "smoke": smoke,
-        "queue_depth": QUEUE_DEPTH,
-        "configs": configs,
-        "gate": gate,
-    });
-    let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    let artifact = labstor_bench::artifact_path("BENCH_ipc.json", smoke);
-    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_ipc.json");
-
-    println!(
-        "== ipc_hotpath ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-    println!(
-        "{:>6} {:>8} {:>8} {:>14} {:>9} {:>9}",
-        "batch", "threads", "ops", "ops/s", "p50(vns)", "p99(vns)"
-    );
-    for r in &results {
-        println!(
-            "{:>6} {:>8} {:>8} {:>14.0} {:>9} {:>9}",
-            r.batch, r.threads, r.ops, r.ops_per_sec, r.p50_vns, r.p99_vns
-        );
-    }
-    println!("speedup (b32 t1 / b1 t1): {speedup:.2}x (target {target}x, floor {required_min}x)");
-    if !pass {
-        eprintln!("FAIL: batched verbs fell below the single-verb rate");
-        std::process::exit(1);
-    }
+    let single = |batch: usize| {
+        results
+            .iter()
+            .find(|r| r.batch == batch && r.threads == 1)
+            .expect("config present")
+            .ops_per_sec
+    };
+    let speedup = single(32) / single(1).max(1e-9);
+    report.param("queue_depth", QUEUE_DEPTH);
+    report.param("batch32_over_batch1_target", 2.0);
+    report.at_least("batch32_over_batch1_ops_per_s", speedup, 1.0);
+    report.finish()
 }

@@ -23,9 +23,10 @@
 //! count for CI (the dataset stays at the paper-shaped 256 KiB) and
 //! writes `target/bench/BENCH_pushdown.json` instead.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
-use labstor_bench::{labfs_stack_spec, runtime_with_mods, LabVariant};
+use labstor_bench::{labfs_stack_spec, runtime_with_mods, LabVariant, Report};
 use labstor_ipc::Credentials;
 use labstor_kernel::cost;
 use labstor_mods::{DeviceRegistry, FilteredRead, GenericFs};
@@ -134,9 +135,9 @@ fn run_pushdown(fs: &mut GenericFs, fd: i32, reps: usize, expect: u64) -> SideRe
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let reps = if smoke { 2 } else { 8 };
+fn main() -> ExitCode {
+    let mut report = Report::from_args("pushdown_filtered_scan", "BENCH_pushdown.json");
+    let reps = if report.smoke() { 2 } else { 8 };
 
     let devices = DeviceRegistry::new();
     devices.add_preset("nvme0", DeviceKind::Nvme);
@@ -164,71 +165,32 @@ fn main() {
     let pushdown = run_pushdown(&mut fs, fd, reps, expect);
     rt.shutdown();
 
-    // Gate 1: pushdown ships ≥ 100× fewer payload bytes over IPC.
-    let bytes_ratio = client.ipc_bytes as f64 / pushdown.ipc_bytes.max(1) as f64;
-    // Gate 2: ≥ 3× modeled speedup at 1% selectivity.
-    let speedup = client.vns_per_scan as f64 / pushdown.vns_per_scan.max(1) as f64;
-    // Gate 3: zero counted payload copies on the pushdown hit path.
-    let zero_copy = pushdown.copies == 0;
-    let pass = bytes_ratio >= 100.0 && speedup >= 3.0 && zero_copy;
-
-    let client_run = serde_json::json!({
-        "mode": "client_scan",
-        "vns_per_scan": client.vns_per_scan,
-        "ipc_payload_bytes": client.ipc_bytes,
-        "payload_copies": client.copies,
-    });
-    let pushdown_run = serde_json::json!({
-        "mode": "pushdown",
-        "vns_per_scan": pushdown.vns_per_scan,
-        "ipc_payload_bytes": pushdown.ipc_bytes,
-        "payload_copies": pushdown.copies,
-        "fuel_per_scan": pushdown.fuel,
-    });
-    let gate = serde_json::json!({
-        "compare": "client_scan vs pushdown over 256 KiB at 1% selectivity",
-        "bytes_ratio": bytes_ratio,
-        "bytes_ratio_min": 100.0,
-        "speedup": speedup,
-        "speedup_min": 3.0,
-        "pushdown_payload_copies": pushdown.copies,
-        "pass": pass,
-    });
-    let doc = serde_json::json!({
-        "benchmark": "pushdown_filtered_scan",
-        "smoke": smoke,
-        "data_bytes": DATA_BYTES,
-        "record_len": RECORD_LEN,
-        "selectivity": 1.0 / KEY_SPACE as f64,
-        "matches": pushdown.matches,
-        "reps": reps,
-        "runs": vec![client_run, pushdown_run],
-        "gate": gate,
-    });
-    let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    let artifact = labstor_bench::artifact_path("BENCH_pushdown.json", smoke);
-    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_pushdown.json");
-
-    println!(
-        "== pushdown_filtered_scan ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-    println!(
-        "{:>12} {:>14} {:>14} {:>8} {:>10}",
-        "mode", "vns/scan", "ipc bytes", "copies", "fuel"
-    );
-    for (label, r) in [("client_scan", &client), ("pushdown", &pushdown)] {
-        println!(
-            "{:>12} {:>14} {:>14} {:>8} {:>10}",
-            label, r.vns_per_scan, r.ipc_bytes, r.copies, r.fuel
-        );
+    for (mode, r) in [("client_scan", &client), ("pushdown", &pushdown)] {
+        report.row([
+            ("mode", mode.into()),
+            ("vns_per_scan", r.vns_per_scan.into()),
+            ("ipc_payload_bytes", r.ipc_bytes.into()),
+            ("payload_copies", r.copies.into()),
+            ("fuel_per_scan", r.fuel.into()),
+        ]);
     }
-    println!(
-        "bytes over IPC: {bytes_ratio:.0}x fewer (floor 100x); modeled speedup: {speedup:.2}x (floor 3x); pushdown copies: {}",
-        pushdown.copies
+    report.param("data_bytes", DATA_BYTES);
+    report.param("record_len", RECORD_LEN);
+    report.param("selectivity", 1.0 / KEY_SPACE as f64);
+    report.param("matches", pushdown.matches);
+    report.param("reps", reps);
+    // Pushdown ships >= 100x fewer payload bytes over IPC, runs >= 3x
+    // faster in modeled time at 1% selectivity, and copies no payload.
+    report.at_least(
+        "ipc_bytes_ratio",
+        client.ipc_bytes as f64 / pushdown.ipc_bytes.max(1) as f64,
+        100.0,
     );
-    if !pass {
-        eprintln!("FAIL: pushdown gate (see {})", artifact.display());
-        std::process::exit(1);
-    }
+    report.at_least(
+        "modeled_speedup",
+        client.vns_per_scan as f64 / pushdown.vns_per_scan.max(1) as f64,
+        3.0,
+    );
+    report.at_most("pushdown_payload_copies", pushdown.copies as f64, 0.0);
+    report.finish()
 }

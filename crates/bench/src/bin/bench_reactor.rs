@@ -44,14 +44,16 @@
 //! Usage: `bench_reactor [--smoke]` — `--smoke` shortens the window for
 //! CI and writes `target/bench/BENCH_reactor.json` instead.
 
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::utils::Backoff;
-use labstor_bench::percentile;
+use labstor_bench::Report;
 use labstor_ipc::{Doorbell, QueueFlags, QueuePair};
 use labstor_sim::Ctx;
+use labstor_workloads::stats::percentile;
 
 const WORKERS: usize = 4;
 const BOUND_QUEUES: usize = 4096;
@@ -275,12 +277,12 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn main() -> ExitCode {
+    let mut report = Report::from_args("reactor_idle_fleet", "BENCH_reactor.json");
     // Smoke shortens the window, not the fleet: the ceilings below were
     // set for 1024 queues per worker, and at an eighth of that the
     // polling arm's scan is so short that it wins any wake race.
-    let (window, settle) = if smoke {
+    let (window, settle) = if report.smoke() {
         (Duration::from_millis(400), Duration::from_millis(100))
     } else {
         (Duration::from_secs(2), Duration::from_millis(300))
@@ -303,98 +305,33 @@ fn main() {
         .map(|rep| rep.reactor.bells.parks_per_roundtrip(rep.reactor.ops))
         .fold(0.0, f64::max);
 
-    let (cpu_floor, cpu_target) = (10.0, 50.0);
-    let (parks_ceil, wake_target) = (1.0, 1.2);
-    let pass = cpu_ratio >= cpu_floor && rescued == 0 && parks_per_roundtrip <= parks_ceil;
-
-    let phase_json = |r: &PhaseResult| {
-        serde_json::json!({
-            "worker_cpu_ticks": r.worker_cpu_ticks,
-            "ops": r.ops,
-            "roundtrip_p50_ns": r.p50_ns,
-            "roundtrip_p99_ns": r.p99_ns,
-            "parks": r.bells.parks,
-            "park_timeouts": r.bells.timeouts,
-            "rescued_wakeups": r.bells.rescued,
-        })
-    };
-    let repetitions: Vec<serde_json::Value> = reps
-        .iter()
-        .map(|rep| {
-            serde_json::json!({
-                "reactor": phase_json(&rep.reactor),
-                "polling_baseline": phase_json(&rep.polling),
-                "cpu_ratio": rep.cpu_ratio(),
-                "wake_p99_ratio": rep.wake_ratio(),
-            })
-        })
-        .collect();
-    let gate = serde_json::json!({
-        "compare": "median over repetitions of: polling worker CPU / reactor worker CPU; reactor p99 / polling p99 (reported, not gated: a host-clock ratio). Over all repetitions: rescued wakeups (total), parks a ring ended per roundtrip (max)",
-        "cpu_ratio": cpu_ratio,
-        "cpu_required_min": cpu_floor,
-        "cpu_target": cpu_target,
-        "rescued_wakeups": rescued,
-        "rescued_required_max": 0,
-        "parks_per_roundtrip": parks_per_roundtrip,
-        "parks_required_max": parks_ceil,
-        "wake_p99_ratio": wake_ratio,
-        "wake_target": wake_target,
-        "pass": pass,
-    });
-    let window_ms = window.as_millis() as u64;
-    let pace_us = PACE.as_micros() as u64;
-    let doc = serde_json::json!({
-        "benchmark": "reactor_idle_fleet",
-        "smoke": smoke,
-        "window_ms": window_ms,
-        "pace_us": pace_us,
-        "workers": WORKERS,
-        "bound_queues": BOUND_QUEUES,
-        "active_queues": ACTIVE_QUEUES,
-        "repetitions": repetitions,
-        "gate": gate,
-    });
-    let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    let artifact = labstor_bench::artifact_path("BENCH_reactor.json", smoke);
-    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_reactor.json");
-
-    println!(
-        "== reactor_idle_fleet ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-    println!(
-        "{:>3} {:>8} {:>10} {:>6} {:>10} {:>10} {:>8} {:>8}",
-        "rep", "phase", "cpu_ticks", "ops", "p50(ns)", "p99(ns)", "cpu(x)", "wake(x)"
-    );
     for (i, rep) in reps.iter().enumerate() {
-        for (name, r) in [("reactor", &rep.reactor), ("polling", &rep.polling)] {
-            println!(
-                "{:>3} {:>8} {:>10} {:>6} {:>10} {:>10} {:>8.1} {:>8.2}",
-                i,
-                name,
-                r.worker_cpu_ticks,
-                r.ops,
-                r.p50_ns,
-                r.p99_ns,
-                rep.cpu_ratio(),
-                rep.wake_ratio()
-            );
+        for (phase, r) in [("reactor", &rep.reactor), ("polling", &rep.polling)] {
+            report.row([
+                ("rep", i.into()),
+                ("phase", phase.into()),
+                ("worker_cpu_ticks", r.worker_cpu_ticks.into()),
+                ("ops", r.ops.into()),
+                ("roundtrip_p50_ns", r.p50_ns.into()),
+                ("roundtrip_p99_ns", r.p99_ns.into()),
+                ("parks", r.bells.parks.into()),
+                ("park_timeouts", r.bells.timeouts.into()),
+                ("rescued_wakeups", r.bells.rescued.into()),
+                ("cpu_ratio", rep.cpu_ratio().into()),
+                ("wake_p99_ratio", rep.wake_ratio().into()),
+            ]);
         }
     }
-    println!(
-        "median cpu ratio (polling/reactor): {cpu_ratio:.1}x (target {cpu_target}x, floor {cpu_floor}x)"
-    );
-    println!(
-        "median wake p99 ratio (reactor/polling): {wake_ratio:.2}x (target {wake_target}x, not gated)"
-    );
-    println!(
-        "rescued wakeups: {rescued} (must be 0); parks per roundtrip: {parks_per_roundtrip:.3} (ceil {parks_ceil})"
-    );
-    if !pass {
-        eprintln!(
-            "FAIL: reactor idle-fleet gate (cpu_ratio >= {cpu_floor}, rescued wakeups == 0, parks per roundtrip <= {parks_ceil})"
-        );
-        std::process::exit(1);
-    }
+    report.param("window_ms", window.as_millis() as u64);
+    report.param("pace_us", PACE.as_micros() as u64);
+    report.param("workers", WORKERS);
+    report.param("bound_queues", BOUND_QUEUES);
+    report.param("active_queues", ACTIVE_QUEUES);
+    report.param("cpu_ratio_target", 50.0);
+    report.param("wake_p99_ratio_median", wake_ratio);
+    report.param("wake_p99_ratio_target", 1.2);
+    report.at_least("cpu_ratio_median", cpu_ratio, 10.0);
+    report.at_most("rescued_wakeups", rescued as f64, 0.0);
+    report.at_most("parks_per_roundtrip_max", parks_per_roundtrip, 1.0);
+    report.finish()
 }

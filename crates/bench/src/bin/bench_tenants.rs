@@ -22,17 +22,18 @@
 //! Usage: `bench_tenants [--smoke]` — `--smoke` shrinks the fleet and op
 //! counts for CI and writes `target/bench/BENCH_tenants.json` instead.
 
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use labstor_bench::{percentile, runtime_with_mods};
+use labstor_bench::{runtime_with_mods, Report};
 use labstor_core::client::ClientError;
 use labstor_core::{BlockOp, Payload, StackSpec, VertexSpec};
 use labstor_ipc::Credentials;
 use labstor_mods::DeviceRegistry;
 use labstor_qos::{DeadlineClass, TenantPolicy};
 use labstor_sim::DeviceKind;
-use labstor_workloads::stats::SkewGate;
+use labstor_workloads::stats::{percentile, SkewGate};
 
 /// Victim request size (4 KiB reads).
 const VICTIM_BYTES: usize = 4096;
@@ -264,102 +265,57 @@ fn run(mode: Mode, victims: usize, ops_per_victim: usize) -> RunResult {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (victims, ops_per_victim) = if smoke { (12, 40) } else { (99, 200) };
+fn main() -> ExitCode {
+    let mut report = Report::from_args("tenant_isolation", "BENCH_tenants.json");
+    let (victims, ops_per_victim) = if report.smoke() { (12, 40) } else { (99, 200) };
 
     let results: Vec<RunResult> = [Mode::Solo, Mode::ContendedNoQos, Mode::ContendedQos]
         .into_iter()
         .map(|m| run(m, victims, ops_per_victim))
         .collect();
-    let find = |m: Mode| results.iter().find(|r| r.mode == m).expect("mode ran");
-    let solo = find(Mode::Solo);
-    let noqos = find(Mode::ContendedNoQos);
-    let qos = find(Mode::ContendedQos);
-
-    // Gate 1: with QoS on, the fleet's aggregate p99 stays near solo.
-    // Target 2x; the hard ceiling is lenient so CI noise cannot flake.
-    let isolation_ratio = qos.victim_p99_vns as f64 / solo.victim_p99_vns.max(1) as f64;
-    let damage_ratio = noqos.victim_p99_vns as f64 / solo.victim_p99_vns.max(1) as f64;
-    let target = 2.0;
-    let required_max = 16.0;
-    // Gate 2: the hostile tenant's admitted virtual throughput stays at
-    // its bucket rate (burst slack + 2x leniency).
-    let hostile_secs = qos.hostile.elapsed_vns as f64 / 1e9;
-    let hostile_rate = qos.hostile.bytes as f64 / hostile_secs.max(1e-9);
-    let hostile_capped = qos.hostile.bytes as f64
-        <= 2.0 * (HOSTILE_RATE as f64 * hostile_secs + HOSTILE_BURST as f64);
-    let pass = isolation_ratio <= required_max && hostile_capped;
-
-    let runs: Vec<serde_json::Value> = results
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "mode": r.mode.label(),
-                "victim_ops": r.victim_ops,
-                "victim_p50_vns": r.victim_p50_vns,
-                "victim_p99_vns": r.victim_p99_vns,
-                "hostile_ops": r.hostile.ops,
-                "hostile_throttled": r.hostile.throttled,
-                "hostile_bytes": r.hostile.bytes,
-                "hostile_elapsed_vns": r.hostile.elapsed_vns,
-                "tenants": r.tenants_json.clone(),
-            })
-        })
-        .collect();
-    let gate = serde_json::json!({
-        "compare": "contended_qos victim p99 vs solo victim p99 (virtual ns)",
-        "isolation_ratio": isolation_ratio,
-        "damage_ratio_noqos": damage_ratio,
-        "target": target,
-        "required_max": required_max,
-        "hostile_rate_bytes_per_vsec": hostile_rate,
-        "hostile_bucket_rate": HOSTILE_RATE,
-        "hostile_capped": hostile_capped,
-        "pass": pass,
-    });
-    let doc = serde_json::json!({
-        "benchmark": "tenant_isolation",
-        "smoke": smoke,
-        "victims": victims,
-        "ops_per_victim": ops_per_victim,
-        "victim_bytes": VICTIM_BYTES,
-        "hostile_bytes_per_op": HOSTILE_BYTES,
-        "runs": runs,
-        "gate": gate,
-    });
-    let out = serde_json::to_string_pretty(&doc).expect("serialize");
-    let artifact = labstor_bench::artifact_path("BENCH_tenants.json", smoke);
-    std::fs::write(&artifact, format!("{out}\n")).expect("write BENCH_tenants.json");
-
-    println!(
-        "== tenant_isolation ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-    println!(
-        "{:>16} {:>10} {:>12} {:>12} {:>10} {:>10}",
-        "mode", "ops", "p50(vns)", "p99(vns)", "hostile", "throttled"
-    );
     for r in &results {
-        println!(
-            "{:>16} {:>10} {:>12} {:>12} {:>10} {:>10}",
-            r.mode.label(),
-            r.victim_ops,
-            r.victim_p50_vns,
-            r.victim_p99_vns,
-            r.hostile.ops,
-            r.hostile.throttled
-        );
+        report.row([
+            ("mode", r.mode.label().into()),
+            ("victim_ops", r.victim_ops.into()),
+            ("victim_p50_vns", r.victim_p50_vns.into()),
+            ("victim_p99_vns", r.victim_p99_vns.into()),
+            ("hostile_ops", r.hostile.ops.into()),
+            ("hostile_throttled", r.hostile.throttled.into()),
+            ("hostile_bytes", r.hostile.bytes.into()),
+            ("hostile_elapsed_vns", r.hostile.elapsed_vns.into()),
+            ("tenants", r.tenants_json.clone()),
+        ]);
     }
-    println!(
-        "isolation: qos/solo p99 {isolation_ratio:.2}x (target {target}x, ceiling {required_max}x); noqos/solo {damage_ratio:.2}x"
+    let find = |m: Mode| results.iter().find(|r| r.mode == m).expect("mode ran");
+    let (solo, noqos, qos) = (
+        find(Mode::Solo),
+        find(Mode::ContendedNoQos),
+        find(Mode::ContendedQos),
     );
-    println!(
-        "hostile admitted rate: {:.0} B/vs (bucket {HOSTILE_RATE} B/vs, capped: {hostile_capped})",
-        hostile_rate
+    let p99_over_solo = |r: &RunResult| r.victim_p99_vns as f64 / solo.victim_p99_vns.max(1) as f64;
+    let hostile_secs = qos.hostile.elapsed_vns as f64 / 1e9;
+    report.param("victims", victims);
+    report.param("ops_per_victim", ops_per_victim);
+    report.param("victim_bytes", VICTIM_BYTES);
+    report.param("hostile_bytes_per_op", HOSTILE_BYTES);
+    report.param("hostile_bucket_rate", HOSTILE_RATE);
+    report.param("hostile_bucket_burst", HOSTILE_BURST);
+    report.param(
+        "hostile_rate_bytes_per_vsec",
+        qos.hostile.bytes as f64 / hostile_secs.max(1e-9),
     );
-    if !pass {
-        eprintln!("FAIL: tenant isolation gate (see {})", artifact.display());
-        std::process::exit(1);
-    }
+    report.param("damage_ratio_noqos", p99_over_solo(noqos));
+    report.param("isolation_ratio_target", 2.0);
+    // With QoS on, the fleet's aggregate p99 stays near solo: target 2x,
+    // the hard ceiling lenient so CI noise cannot flake. The hostile
+    // tenant's admitted virtual throughput stays at its bucket rate
+    // (burst slack + 2x leniency).
+    report.at_most("isolation_ratio", p99_over_solo(qos), 16.0);
+    report.at_most(
+        "hostile_bytes_over_bucket_allowance",
+        qos.hostile.bytes as f64
+            / (2.0 * (HOSTILE_RATE as f64 * hostile_secs + HOSTILE_BURST as f64)),
+        1.0,
+    );
+    report.finish()
 }

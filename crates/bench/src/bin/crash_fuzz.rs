@@ -7,7 +7,8 @@
 //! filebench-like mixes over LabFS plus a LabKVS mix, each killed at a
 //! randomized virtual time, restarted over the same media, repaired, and
 //! checked for prefix consistency against the acknowledged history
-//! (DESIGN.md §12). Exit 1 on any violation.
+//! (DESIGN.md §12). Exit 1 on any violation, or if no cut landed inside
+//! a journal frame's write (`mid_frame_tears` 0).
 //!
 //! Usage: `crash_fuzz [--smoke]` — `--smoke` runs 52 crash points per
 //! mix (208 total, bounded virtual time) for CI; the full run does 150
@@ -15,20 +16,22 @@
 //! written to `results/crash_fuzz_failures.json`, which the CI workflow
 //! uploads as an artifact so failures replay exactly.
 
-use std::collections::HashMap;
+use std::process::ExitCode;
 
-use labstor_workloads::crash::{run_campaign, CampaignConfig};
+use labstor_bench::Report;
+use labstor_workloads::crash::{run_campaign, CampaignConfig, CrashWorkload};
 use serde_json::Value;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn main() -> ExitCode {
+    let mut report = Report::from_args("crash_fuzz", "BENCH_crash_fuzz.json");
+    let smoke = report.smoke();
     let cfg = CampaignConfig {
         trials_per_workload: if smoke { 52 } else { 150 },
         flows: if smoke { 4 } else { 8 },
         base_seed: 0x1AB5_702C,
     };
-    let report = run_campaign(&cfg);
-    let violations = report.violations();
+    let campaign = run_campaign(&cfg);
+    let violations = campaign.violations();
 
     // Failure-reproduction seeds: everything needed to replay a
     // violating trial exactly.
@@ -50,60 +53,43 @@ fn main() {
         format!("{}\n", Value::from(failures)),
     )
     .expect("write failure seeds");
+    for t in &violations {
+        eprintln!(
+            "FAIL: {} seed={} crash_at={:?}: {}",
+            t.workload.label(),
+            t.seed,
+            t.crash_at,
+            t.violation.as_deref().unwrap_or("?")
+        );
+    }
 
     // Per-workload replay/discard totals.
-    let mut agg: HashMap<&str, (u64, u64, u64)> = HashMap::new();
-    for t in &report.trials {
-        let e = agg.entry(t.workload.label()).or_insert((0, 0, 0));
-        e.0 += 1;
-        e.1 += t.repair.txns_replayed;
-        e.2 += t.repair.txns_discarded;
-    }
-    let mut per_workload = serde_json::Map::new();
-    for (label, (trials, replayed, discarded)) in agg {
-        per_workload.insert(
-            label.to_string(),
-            serde_json::json!({
-                "trials": trials,
-                "txns_replayed": replayed,
-                "txns_discarded": discarded,
-            }),
-        );
-    }
-    let out = serde_json::json!({
-        "bench": "crash_fuzz",
-        "smoke": smoke,
-        "trials": report.trials.len() as u64,
-        "crash_points": report.crashes() as u64,
-        // The version digit of the frame magic, "LBJ2".
-        "journal_format": u64::from(labstor_mods::journal::FRAME_MAGIC as u8 - b'0'),
-        "torn_tails_discarded": report.torn_tails() as u64,
-        "mid_frame_tears": report.mid_frame_tears() as u64,
-        "violations": violations.len() as u64,
-        "per_workload": Value::Object(per_workload),
-    });
-    let artifact = labstor_bench::artifact_path("BENCH_crash_fuzz.json", smoke);
-    std::fs::write(artifact, format!("{out}\n")).expect("write the campaign artifact");
-
-    println!(
-        "crash_fuzz ({}): {}",
-        if smoke { "smoke" } else { "full" },
-        report.summary()
-    );
-    if !violations.is_empty() {
-        for t in &violations {
-            eprintln!(
-                "FAIL: {} seed={} crash_at={:?}: {}",
-                t.workload.label(),
-                t.seed,
-                t.crash_at,
-                t.violation.as_deref().unwrap_or("?")
-            );
+    for w in CrashWorkload::all() {
+        let (mut trials, mut replayed, mut discarded) = (0usize, 0u64, 0u64);
+        for t in campaign.trials.iter().filter(|t| t.workload == w) {
+            trials += 1;
+            replayed += t.repair.txns_replayed;
+            discarded += t.repair.txns_discarded;
         }
-        eprintln!(
-            "FAIL: crash fuzzer found prefix-consistency violations \
-             (seeds in results/crash_fuzz_failures.json)"
-        );
-        std::process::exit(1);
+        report.row([
+            ("workload", w.label().into()),
+            ("trials", trials.into()),
+            ("txns_replayed", replayed.into()),
+            ("txns_discarded", discarded.into()),
+        ]);
     }
+    report.param("flows", cfg.flows);
+    report.param("trials", campaign.trials.len());
+    report.param("crash_points", campaign.crashes());
+    // The version digit of the frame magic, "LBJ2".
+    report.param(
+        "journal_format",
+        u64::from(labstor_mods::journal::FRAME_MAGIC as u8 - b'0'),
+    );
+    report.param("torn_tails_discarded", campaign.torn_tails());
+    report.at_most("violations", violations.len() as f64, 0.0);
+    // A campaign whose cuts never tear a multi-sector frame checks no
+    // torn payload, and would pass with 0 violations.
+    report.at_least("mid_frame_tears", campaign.mid_frame_tears() as f64, 1.0);
+    report.finish()
 }

@@ -19,13 +19,17 @@
 //!
 //! This library holds the shared setup: the paper's LabStack variants
 //! (`Lab-All` / `Lab-Min` / `Lab-D`, §IV "we define the following
-//! LabStacks"), device fixtures, and table printing.
+//! LabStacks"), device fixtures, table printing, and the [`Report`] every
+//! gate bench (`bench_*`, `crash_fuzz`) writes its `BENCH_*.json` through.
 
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use labstor_core::{Runtime, RuntimeConfig, StackSpec, VertexSpec};
 use labstor_mods::DeviceRegistry;
 use labstor_sim::DeviceKind;
+use serde_json::{Map, Value};
 
 /// The three LabStack configurations §IV evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,43 +242,278 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Where a bench binary writes its `BENCH_*.json` artifact, relative to
-/// the repository root it runs from: a full run rewrites the committed
-/// file `name`; a `--smoke` run writes `target/bench/<name>` (created on
-/// demand) and leaves the committed one alone.
-pub fn artifact_path(name: &str, smoke: bool) -> std::path::PathBuf {
-    if !smoke {
-        return name.into();
-    }
-    let dir = std::path::Path::new("target/bench");
-    std::fs::create_dir_all(dir).expect("create target/bench");
-    dir.join(name)
+/// One gate bench's run, from `--smoke` to exit code: the binary measures,
+/// adds params, rows and checks, and ends in [`Report::finish`].
+///
+/// The artifact is one `BENCH_*.json` document for every gate bench:
+/// `{benchmark, smoke, params, rows, checks, pass}`. `params` hold the
+/// run's settings and its reported-but-ungated values; `rows` its
+/// measurements, one flat object each, all with the same keys; `checks`
+/// its gates, each `{name, kind, bound, value, pass}` with `kind`
+/// `at_least` or `at_most` (both inclusive); `pass` is their conjunction.
+pub struct Report {
+    benchmark: &'static str,
+    smoke: bool,
+    path: PathBuf,
+    params: Map,
+    rows: Vec<Vec<(&'static str, Value)>>,
+    checks: Vec<Check>,
 }
 
-/// Nearest-rank percentile (`p` in `0.0..=1.0`) of an ascending slice;
-/// 0 for an empty slice.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+struct Check {
+    name: &'static str,
+    at_least: bool,
+    bound: f64,
+    value: f64,
+}
+
+impl Check {
+    fn pass(&self) -> bool {
+        if self.at_least {
+            self.value >= self.bound
+        } else {
+            self.value <= self.bound
+        }
     }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+}
+
+impl Report {
+    /// The report of `benchmark`, whose committed artifact is `file`
+    /// (relative to the repository root the binary runs from). A
+    /// `--smoke` argument marks a CI-sized run, which writes
+    /// `target/bench/<file>` instead and leaves the committed one alone.
+    pub fn from_args(benchmark: &'static str, file: &str) -> Report {
+        let smoke = std::env::args().any(|a| a == "--smoke");
+        let path = if smoke {
+            Path::new("target/bench").join(file)
+        } else {
+            file.into()
+        };
+        Report {
+            benchmark,
+            smoke,
+            path,
+            params: Map::new(),
+            rows: Vec::new(),
+            checks: Vec::new(),
+        }
+    }
+
+    /// Whether this is a `--smoke` run.
+    pub fn smoke(&self) -> bool {
+        self.smoke
+    }
+
+    /// Record a setting of the run or a value it reports but does not gate.
+    pub fn param(&mut self, key: &str, value: impl Into<Value>) {
+        self.params.insert(key.to_string(), value.into());
+    }
+
+    /// Add one row of measurements, in table column order. A nested value
+    /// (object or array) goes into the artifact but not into the table.
+    pub fn row(&mut self, cells: impl IntoIterator<Item = (&'static str, Value)>) {
+        self.rows.push(cells.into_iter().collect());
+    }
+
+    /// Gate: `value >= floor`.
+    pub fn at_least(&mut self, name: &'static str, value: f64, floor: f64) {
+        self.checks.push(Check {
+            name,
+            at_least: true,
+            bound: floor,
+            value,
+        });
+    }
+
+    /// Gate: `value <= ceiling`.
+    pub fn at_most(&mut self, name: &'static str, value: f64, ceiling: f64) {
+        self.checks.push(Check {
+            name,
+            at_least: false,
+            bound: ceiling,
+            value,
+        });
+    }
+
+    fn pass(&self) -> bool {
+        self.checks.iter().all(Check::pass)
+    }
+
+    fn to_json(&self) -> Value {
+        let rows: Vec<Value> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let cells = row.iter().map(|(k, v)| (k.to_string(), v.clone()));
+                Value::Object(cells.collect())
+            })
+            .collect();
+        let checks: Vec<Value> = self
+            .checks
+            .iter()
+            .map(|c| {
+                serde_json::json!({
+                    "name": c.name,
+                    "kind": if c.at_least { "at_least" } else { "at_most" },
+                    "bound": c.bound,
+                    "value": c.value,
+                    "pass": c.pass(),
+                })
+            })
+            .collect();
+        serde_json::json!({
+            "benchmark": self.benchmark,
+            "smoke": self.smoke,
+            "params": Value::Object(self.params.clone()),
+            "rows": rows,
+            "checks": checks,
+            "pass": self.pass(),
+        })
+    }
+
+    /// The rows' flat columns: headers from the first row, and every row's
+    /// cells under them.
+    fn table(&self) -> (Vec<&'static str>, Vec<Vec<String>>) {
+        let flat = |v: &Value| !matches!(v, Value::Object(_) | Value::Array(_));
+        let headers = self.rows.first().map_or(Vec::new(), |row| {
+            row.iter()
+                .filter(|(_, v)| flat(v))
+                .map(|(k, _)| *k)
+                .collect()
+        });
+        let cells = self
+            .rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .filter(|(_, v)| flat(v))
+                    .map(|(_, v)| cell(v))
+                    .collect()
+            })
+            .collect();
+        (headers, cells)
+    }
+
+    /// Write the artifact, print the table, the params and one line per
+    /// check, and return a failing exit code if any check failed.
+    pub fn finish(self) -> ExitCode {
+        if let Some(dir) = self.path.parent() {
+            std::fs::create_dir_all(dir).expect("create the artifact directory");
+        }
+        let doc = serde_json::to_string_pretty(&self.to_json()).expect("serialize");
+        std::fs::write(&self.path, format!("{doc}\n")).expect("write the artifact");
+
+        let mode = if self.smoke { "smoke" } else { "full" };
+        let (headers, cells) = self.table();
+        print_table(&format!("{} ({mode})", self.benchmark), &headers, &cells);
+        let params: Vec<String> = self
+            .params
+            .iter()
+            .map(|(k, v)| format!("{k}={}", cell(v)))
+            .collect();
+        println!("params: {}", params.join(", "));
+        for c in &self.checks {
+            let verdict = if c.pass() { "pass" } else { "FAIL" };
+            let op = if c.at_least { ">=" } else { "<=" };
+            println!(
+                "{verdict} {} = {} ({op} {})",
+                c.name,
+                num(c.value),
+                num(c.bound)
+            );
+        }
+        if self.pass() {
+            return ExitCode::SUCCESS;
+        }
+        eprintln!(
+            "FAIL: {} gate (see {})",
+            self.benchmark,
+            self.path.display()
+        );
+        ExitCode::FAILURE
+    }
+}
+
+/// A JSON value as a table cell: strings bare, numbers through [`num`].
+fn cell(v: &Value) -> String {
+    match v {
+        Value::String(s) => s.clone(),
+        Value::Number(n) => n.as_f64().map_or_else(|| v.to_string(), num),
+        other => other.to_string(),
+    }
+}
+
+/// Whole numbers without decimals, anything else to two.
+fn num(x: f64) -> String {
+    if x.fract() == 0.0 {
+        format!("{x:.0}")
+    } else {
+        format!("{x:.2}")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A report that writes under the workspace's (ignored) `target/`.
+    fn report(name: &str) -> Report {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
+        Report {
+            benchmark: "unit",
+            smoke: true,
+            path: dir.join(format!("report_{name}.json")),
+            params: Map::new(),
+            rows: Vec::new(),
+            checks: Vec::new(),
+        }
+    }
+
     #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[42], 0.0), 42);
-        assert_eq!(percentile(&[42], 0.99), 42);
-        assert_eq!(percentile(&[1, 2, 3, 4], 1.0), 4);
-        // Index (n - 1) * p rounds half away from zero: 0.5 -> 1, 1.5 -> 2.
-        assert_eq!(percentile(&[10, 20], 0.5), 20);
-        assert_eq!(percentile(&[10, 20, 30, 40], 0.5), 30);
-        assert_eq!(percentile(&[10, 20, 30, 40], 0.49), 20);
+    fn checks_are_inclusive_at_their_bound() {
+        let mut r = report("inclusive");
+        r.at_least("floor", 1.0, 1.0);
+        r.at_most("ceiling", 16.0, 16.0);
+        assert!(r.pass());
+        let mut r = report("inclusive");
+        r.at_least("floor", 1.0f64.next_down(), 1.0);
+        assert!(!r.pass());
+        let mut r = report("inclusive");
+        r.at_most("ceiling", 16.0f64.next_up(), 16.0);
+        assert!(!r.pass());
+    }
+
+    #[test]
+    fn one_failing_check_fails_finish() {
+        let mut r = report("failing");
+        r.at_least("kept", 3.0, 1.0);
+        r.at_most("broken", 1.0, 0.0);
+        let path = r.path.clone();
+        assert_eq!(r.finish(), ExitCode::FAILURE);
+        let doc: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(doc["pass"], false);
+        assert_eq!(doc["checks"][0]["pass"], true);
+        assert_eq!(doc["checks"][1]["kind"], "at_most");
+        let mut r = report("passing");
+        r.at_most("kept", 0.0, 0.0);
+        assert_eq!(r.finish(), ExitCode::SUCCESS);
+    }
+
+    #[test]
+    fn nested_row_values_stay_in_the_json_not_the_table() {
+        let mut r = report("nested");
+        r.row([
+            ("mode", "solo".into()),
+            ("tenants", serde_json::json!({"tenants": vec![1, 2]})),
+            ("p99", 2.5.into()),
+        ]);
+        let (headers, cells) = r.table();
+        assert_eq!(headers, ["mode", "p99"]);
+        assert_eq!(cells, [["solo", "2.50"]]);
+        let doc = r.to_json();
+        assert_eq!(doc["rows"][0]["tenants"]["tenants"][1], 2);
+        assert_eq!(doc["smoke"], true);
+        assert_eq!(doc["benchmark"], "unit");
     }
 
     #[test]

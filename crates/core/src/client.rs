@@ -322,6 +322,20 @@ impl Client {
         }
     }
 
+    /// Run `req` through a sync stack on this thread; its response waits,
+    /// with its latency, in the same buffer as reaped completions.
+    fn run_inline(&mut self, req: Request) {
+        let start = self.ctx.now();
+        let resp = process_request(
+            &mut self.ctx,
+            req,
+            &self.runtime.ns,
+            &self.runtime.mm,
+            self.conn.domain,
+        );
+        self.reaped.push_back((resp, self.ctx.now() - start));
+    }
+
     /// Submit a request without waiting (queue-depth > 1 clients).
     /// Returns the request id to pass to [`Client::reap_one`]. For
     /// sync-mode stacks the request executes inline and its response
@@ -333,15 +347,7 @@ impl Client {
         self.admit(req.payload_bytes())?;
         match stack.exec {
             ExecMode::Sync => {
-                let start = self.ctx.now();
-                let resp = process_request(
-                    &mut self.ctx,
-                    req,
-                    &self.runtime.ns,
-                    &self.runtime.mm,
-                    self.conn.domain,
-                );
-                self.reaped.push_back((resp, self.ctx.now() - start));
+                self.run_inline(req);
                 Ok(id)
             }
             ExecMode::Async => {
@@ -359,7 +365,9 @@ impl Client {
     /// queue (round-robin advances per burst, not per request) and goes
     /// through [`QueuePair::submit_batch`]: one SQ-counter publication and
     /// one batched `Submit`-span flush for the burst, instead of one per
-    /// request — the client half of the batched IPC hot path.
+    /// request — the client half of the batched IPC hot path. A sync
+    /// stack runs the burst inline, in order. Either way the burst is
+    /// admitted whole or refused whole (`Err(Throttled)`, nothing run).
     ///
     /// On backpressure timeout the not-yet-submitted tail is unregistered
     /// (ids and load estimates) and `Err(Backpressure)` is returned;
@@ -375,19 +383,9 @@ impl Client {
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
-        if stack.exec == ExecMode::Sync {
-            let mut ids = Vec::with_capacity(payloads.len());
-            for p in payloads {
-                ids.push(self.submit(stack, p)?);
-            }
-            return Ok(ids);
-        }
-        self.rr = (self.rr + 1) % self.conn.queues.len();
-        let qi = self.rr;
-        let qp = &self.conn.queues[qi];
         // Admission charges the whole burst atomically (one bucket
-        // operation per batch, matching the batched submit): either every
-        // request is admitted or none is queued.
+        // operation per burst, on either kind of stack): either every
+        // request is admitted or none runs or is queued.
         let mut reqs: Vec<Request> = Vec::with_capacity(payloads.len());
         let mut burst_bytes: usize = 0;
         for p in payloads {
@@ -397,6 +395,16 @@ impl Client {
             reqs.push(req);
         }
         self.admit(burst_bytes)?;
+        if stack.exec == ExecMode::Sync {
+            let ids = reqs.iter().map(|r| r.id).collect();
+            for req in reqs {
+                self.run_inline(req);
+            }
+            return Ok(ids);
+        }
+        self.rr = (self.rr + 1) % self.conn.queues.len();
+        let qi = self.rr;
+        let qp = &self.conn.queues[qi];
         let mut ids = Vec::with_capacity(reqs.len());
         let mut msgs: Vec<Message> = Vec::with_capacity(reqs.len());
         for req in reqs {

@@ -116,13 +116,9 @@ impl Recorder {
 
     /// Latency percentile (`p` in [0, 100]).
     pub fn percentile_ns(&self, p: f64) -> u64 {
-        if self.latencies.is_empty() {
-            return 0;
-        }
         let mut sorted = self.latencies.clone();
         sorted.sort_unstable();
-        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
+        percentile(&sorted, p / 100.0)
     }
 
     /// Merge multiple per-thread recorders: latencies concatenate, the
@@ -145,9 +141,31 @@ impl Recorder {
     }
 }
 
+/// Nearest-rank percentile (`p` in `0.0..=1.0`) of an ascending slice;
+/// 0 for an empty slice.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0);
+        assert_eq!(percentile(&[42], 0.0), 42);
+        assert_eq!(percentile(&[42], 0.99), 42);
+        assert_eq!(percentile(&[1, 2, 3, 4], 1.0), 4);
+        // Index (n - 1) * p rounds half away from zero: 0.5 -> 1, 1.5 -> 2.
+        assert_eq!(percentile(&[10, 20], 0.5), 20);
+        assert_eq!(percentile(&[10, 20, 30, 40], 0.5), 30);
+        assert_eq!(percentile(&[10, 20, 30, 40], 0.49), 20);
+    }
 
     #[test]
     fn aggregates_compute() {

@@ -244,6 +244,39 @@ fn refused_submissions_leave_no_load_estimate_behind() {
 }
 
 #[test]
+fn a_throttled_burst_on_a_sync_stack_runs_none_of_it() {
+    // `submit_all` admits a burst as one charge on either kind of stack:
+    // a sync stack that ran the admitted prefix inline would leave
+    // completions under ids the caller never received, and a caller that
+    // retries the burst would run them twice.
+    use labstor::core::client::ClientError;
+    use labstor::qos::TenantPolicy;
+    let (rt, _d) = platform(1);
+    let stack = dummy_stack(&rt, "sync", "e2e_dummy_throttled");
+    let creds = Credentials::new(1, 0, 0).with_tenant(1u32.into());
+    // Three tokens of burst and a refill too slow to matter; one request
+    // of a dummy payload costs one token.
+    let policy = TenantPolicy::rate_limited(1, 3);
+    let mut client = rt.connect_with_policy(creds, 1, policy);
+    let dummy = || Payload::Dummy { work_ns: 100 };
+    client.execute(&stack, dummy()).unwrap();
+    let ran = || rt.mm.counters("e2e_dummy_throttled").unwrap().ops();
+    assert_eq!(ran(), 1);
+
+    // Two tokens left: the bucket covers two of the burst's three.
+    assert!(matches!(
+        client.submit_all(&stack, vec![dummy(), dummy(), dummy()]),
+        Err(ClientError::Throttled { .. })
+    ));
+    assert_eq!(client.in_flight(), 0, "no completion without an id");
+    assert_eq!(ran(), 1, "nothing of the refused burst ran");
+    // A burst the bucket covers is admitted whole.
+    let ids = client.submit_all(&stack, vec![dummy(), dummy()]).unwrap();
+    assert_eq!((ids.len(), client.in_flight(), ran()), (2, 2, 3));
+    rt.shutdown();
+}
+
+#[test]
 fn many_clients_no_loss() {
     let (rt, _d) = platform(4);
     rt.mount_stack_json(
