@@ -14,10 +14,11 @@ use labstor_ipc::{ClientConnection, Envelope};
 use labstor_sim::Ctx;
 use labstor_telemetry::{SpanEvent, Stage};
 
+use crate::labmod::Routes;
 use crate::request::{Message, Payload, Request, RespPayload, Response};
 use crate::runtime::Runtime;
-use crate::stack::{ExecMode, LabStack};
-use crate::worker::process_request;
+use crate::stack::{ExecMode, LabStack, StackId};
+use crate::worker::run_request;
 
 /// Client-side failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,6 +83,9 @@ pub struct Client {
     /// untenanted identity): token-bucket admission, counters, latency
     /// histogram.
     tenant: Option<Arc<labstor_qos::TenantState>>,
+    /// The stacks this client has resolved: a sync request runs on its
+    /// route, and an async one is estimated from it.
+    routes: Routes,
 }
 
 /// Cap on each park of a client `wait` on its completion doorbell. Every
@@ -89,6 +93,16 @@ pub struct Client {
 /// Runtime (whose dead workers never ring) can go unnoticed — the wait
 /// loops re-check liveness after each wakeup instead of spin-checking it.
 const WAIT_PARK: Duration = Duration::from_millis(5);
+
+/// Estimate a request's processing cost for the orchestrator: the model
+/// of its stack's entry vertex, read through the client's routes.
+fn estimate(routes: &mut Routes, runtime: &Runtime, req: &Request) -> u64 {
+    routes
+        .get(req.stack, &runtime.ns, &runtime.mm)
+        .and_then(|route| route.slots.first()?.as_ref())
+        .map(|slot| slot.instance.est_processing_time(req))
+        .unwrap_or(1_000)
+}
 
 /// Has a refused submission been retried for longer than `timeout`? The
 /// first refusal starts the clock, so a submission the queue accepts at
@@ -112,6 +126,7 @@ impl Client {
             pending: std::collections::HashMap::new(),
             reaped: std::collections::VecDeque::new(),
             offline_timeout: Duration::from_secs(5),
+            routes: Routes::default(),
         }
     }
 
@@ -171,10 +186,18 @@ impl Client {
 
     /// Resolve the stack governing `path` (GenericFS-style ancestor walk).
     pub fn resolve(&self, path: &str) -> Result<(Arc<LabStack>, String), ClientError> {
+        // lookup-ok: the §III-E path walk of open, unlink, mkdir and GenericKVS
         self.runtime
             .ns
             .resolve(path)
             .ok_or_else(|| ClientError::NoStack(path.to_string()))
+    }
+
+    /// The stack mounted under `id` (an open fd's), served from this
+    /// client's routes. `None` once it is unmounted.
+    pub fn stack(&mut self, id: StackId) -> Option<Arc<LabStack>> {
+        let route = self.routes.get(id, &self.runtime.ns, &self.runtime.mm)?;
+        Some(route.stack.clone())
     }
 
     /// Execute `payload` against a stack. Returns the response payload and
@@ -191,13 +214,7 @@ impl Client {
         match stack.exec {
             ExecMode::Sync => {
                 // Decentralized: run the DAG inline, no IPC.
-                let resp = process_request(
-                    &mut self.ctx,
-                    req,
-                    &self.runtime.ns,
-                    &self.runtime.mm,
-                    self.conn.domain,
-                );
+                let resp = self.run_here(req);
                 let latency = self.ctx.now() - start;
                 self.observe_tenant_latency(latency);
                 Ok((resp.payload, latency))
@@ -211,15 +228,18 @@ impl Client {
         }
     }
 
-    /// Estimate a request's processing cost for the orchestrator (the
-    /// connector queries the shared registry, like GenericFS).
-    fn estimate(&self, req: &Request) -> u64 {
-        self.runtime
-            .ns
-            .get_id(req.stack)
-            .and_then(|s| self.runtime.mm.get(&s.vertices.first()?.uuid))
-            .map(|m| m.est_processing_time(req))
-            .unwrap_or(1_000)
+    /// Run `req` through a sync stack on this thread, on its route.
+    fn run_here(&mut self, req: Request) -> Response {
+        let route = self
+            .routes
+            .get(req.stack, &self.runtime.ns, &self.runtime.mm);
+        run_request(
+            &mut self.ctx,
+            req,
+            route,
+            &self.runtime.mm,
+            self.conn.domain,
+        )
     }
 
     /// Put one request on the next queue (round-robin, left in `self.rr`):
@@ -229,7 +249,7 @@ impl Client {
     /// only work that was queued.
     fn enqueue(&mut self, req: Request) -> Result<(), ClientError> {
         let (id, stack_id) = (req.id, req.stack);
-        let est = self.estimate(&req);
+        let est = estimate(&mut self.routes, &self.runtime, &req);
         self.rr = (self.rr + 1) % self.conn.queues.len();
         let qp = &self.conn.queues[self.rr];
         qp.note_item_est(est);
@@ -326,13 +346,7 @@ impl Client {
     /// with its latency, in the same buffer as reaped completions.
     fn run_inline(&mut self, req: Request) {
         let start = self.ctx.now();
-        let resp = process_request(
-            &mut self.ctx,
-            req,
-            &self.runtime.ns,
-            &self.runtime.mm,
-            self.conn.domain,
-        );
+        let resp = self.run_here(req);
         self.reaped.push_back((resp, self.ctx.now() - start));
     }
 
@@ -408,7 +422,7 @@ impl Client {
         let mut ids = Vec::with_capacity(reqs.len());
         let mut msgs: Vec<Message> = Vec::with_capacity(reqs.len());
         for req in reqs {
-            let est = self.estimate(&req);
+            let est = estimate(&mut self.routes, &self.runtime, &req);
             qp.note_item_est(est);
             qp.add_load(est as i64);
             self.pending.insert(req.id, (self.ctx.now(), qi, stack.id));
@@ -426,7 +440,7 @@ impl Client {
                 for m in &msgs {
                     if let Message::Req(r) = m {
                         self.pending.remove(&r.id);
-                        unqueued += self.estimate(r);
+                        unqueued += estimate(&mut self.routes, &self.runtime, r);
                     }
                 }
                 qp.add_load(-(unqueued as i64));

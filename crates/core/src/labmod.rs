@@ -20,14 +20,16 @@
 //! [`ModuleManager::counters`].
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::sync::Arc;
 
 use labstor_sim::Ctx;
 use labstor_telemetry::Stage;
 
-use crate::registry::ModuleManager;
+use crate::registry::{ModuleManager, Slot};
 use crate::request::{Request, RespPayload};
-use crate::stack::LabStack;
+use crate::stack::{LabStack, Namespace, StackId};
 
 /// The API family a LabMod implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,24 +94,97 @@ pub struct StackEnv<'a> {
     pub stack: &'a LabStack,
     /// Index of the vertex currently executing.
     pub vertex: usize,
-    /// Module registry for resolving output vertices.
+    /// The Module Manager (telemetry, tenants).
     pub registry: &'a ModuleManager,
     /// Domain (address space) executing this stage.
     pub domain: u32,
+    /// The registry slot of every vertex of `stack`, by vertex index,
+    /// resolved once for the whole request (a [`Route`]'s, borrowed).
+    slots: Cow<'a, [Option<Arc<Slot>>]>,
     /// Busy time of every vertex this one has forwarded to so far, each
     /// with its hand-off hop: what `run_vertex` takes off this vertex's
     /// own busy time. One request on one thread, hence a `Cell`.
     children_busy_ns: Cell<u64>,
 }
 
+/// A mounted stack resolved for running: the stack as the Namespace held
+/// it and, by vertex index, the registry slot of each vertex (`None`
+/// where the UUID is not loaded).
+pub(crate) struct Route {
+    pub(crate) stack: Arc<LabStack>,
+    pub(crate) slots: Box<[Option<Arc<Slot>>]>,
+}
+
+impl Route {
+    /// Resolve stack `id`: one namespace read, and one registry read for
+    /// every vertex. `None` if no stack has that id.
+    pub(crate) fn resolve(id: StackId, ns: &Namespace, mm: &ModuleManager) -> Option<Route> {
+        let stack = ns.get_id(id)?; // lookup-ok: the Routes miss path
+        let slots = mm.resolve(&stack); // lookup-ok: the Routes miss path
+        Some(Route { stack, slots })
+    }
+
+    /// Run `req` on its vertex of this route (the entry vertex, unless
+    /// the request names another).
+    pub(crate) fn run(
+        &self,
+        ctx: &mut Ctx,
+        req: Request,
+        mm: &ModuleManager,
+        domain: u32,
+    ) -> RespPayload {
+        let slots = Cow::Borrowed(&*self.slots);
+        let env = StackEnv::with_slots(&self.stack, slots, req.vertex, mm, domain);
+        run_vertex(ctx, env, req, None)
+    }
+}
+
+/// The routes one owner — a worker loop, a client — has resolved. They
+/// are current while the Namespace's and the registry's epochs read what
+/// they read when the routes were resolved; the first lookup after either
+/// moves drops them all. A hit is two loads and a scan of a few entries.
+#[derive(Default)]
+pub(crate) struct Routes {
+    epochs: (u64, u64),
+    routes: Vec<Route>,
+}
+
+impl Routes {
+    /// The route of stack `id`, resolved if this owner has no current
+    /// one. `None` if no stack has that id.
+    pub(crate) fn get(
+        &mut self,
+        id: StackId,
+        ns: &Namespace,
+        mm: &ModuleManager,
+    ) -> Option<&Route> {
+        // Read before resolving: a change that lands after these loads
+        // leaves the routes tagged with the older epochs, so the next
+        // lookup resolves again.
+        let epochs = (ns.epoch(), mm.epoch());
+        if epochs != self.epochs {
+            self.routes.clear();
+            self.epochs = epochs;
+        }
+        match self.routes.iter().position(|r| r.stack.id == id) {
+            Some(i) => self.routes.get(i),
+            None => {
+                self.routes.push(Route::resolve(id, ns, mm)?);
+                self.routes.last()
+            }
+        }
+    }
+}
+
 /// Run one vertex of a LabStack — the only place the platform calls
 /// [`LabMod::process`]. `env` names the vertex; `parent` is the forwarding
 /// vertex's account, `None` for a stack's entry vertex.
 ///
-/// In order: resolve the instance and its counters (one registry read),
-/// charge the same-domain hand-off hop if there is a parent (`Hop` span),
-/// run `process` (`Vertex` span, inclusive of everything downstream),
-/// observe the vertex's counters, credit the parent.
+/// In order: take the instance and its counters from the slots the
+/// request's route resolved, charge the same-domain hand-off hop if there
+/// is a parent (`Hop` span), run `process` (`Vertex` span, inclusive of
+/// everything downstream), observe the vertex's counters, credit the
+/// parent.
 ///
 /// **What a vertex's counter means.** One observation per request, of the
 /// vertex's *exclusive busy* virtual ns on the clock every stage of the
@@ -132,7 +207,7 @@ pub(crate) fn run_vertex(
             env.stack.id, env.vertex
         ));
     };
-    let Some(slot) = env.registry.slot(&vertex.uuid) else {
+    let Some(slot) = env.slots.get(env.vertex).and_then(Option::as_ref) else {
         return RespPayload::Err(format!("module {} not loaded", vertex.uuid));
     };
     let rec = env.registry.telemetry();
@@ -166,9 +241,28 @@ pub(crate) fn run_vertex(
 
 impl<'a> StackEnv<'a> {
     /// The environment of vertex `vertex` of `stack`, executing in
-    /// `domain`.
+    /// `domain`. It resolves every vertex of `stack` once, here.
     pub fn new(
         stack: &'a LabStack,
+        vertex: usize,
+        registry: &'a ModuleManager,
+        domain: u32,
+    ) -> StackEnv<'a> {
+        let slots = registry.resolve(stack); // lookup-ok: an env built by hand resolves once
+        StackEnv::with_slots(
+            stack,
+            Cow::Owned(slots.into_vec()),
+            vertex,
+            registry,
+            domain,
+        )
+    }
+
+    /// The environment of vertex `vertex` of `stack`, whose slots are
+    /// already resolved.
+    fn with_slots(
+        stack: &'a LabStack,
+        slots: Cow<'a, [Option<Arc<Slot>>]>,
         vertex: usize,
         registry: &'a ModuleManager,
         domain: u32,
@@ -178,6 +272,7 @@ impl<'a> StackEnv<'a> {
             vertex,
             registry,
             domain,
+            slots,
             children_busy_ns: Cell::new(0),
         }
     }
@@ -201,7 +296,8 @@ impl<'a> StackEnv<'a> {
 
     /// Forward a derived request to a specific output vertex.
     pub fn forward_to(&self, ctx: &mut Ctx, next: usize, req: Request) -> RespPayload {
-        let env = StackEnv::new(self.stack, next, self.registry, self.domain);
+        let slots = Cow::Borrowed(&*self.slots);
+        let env = StackEnv::with_slots(self.stack, slots, next, self.registry, self.domain);
         run_vertex(ctx, env, req, Some(&self.children_busy_ns))
     }
 
@@ -248,14 +344,11 @@ impl<'a> StackEnv<'a> {
     /// mirroring). Returns the last stage's response, or the first error.
     pub fn forward_all(&self, ctx: &mut Ctx, req: Request) -> RespPayload {
         let outputs = match self.stack.vertices.get(self.vertex) {
-            Some(v) => v.outputs.clone(),
+            Some(v) => &v.outputs,
             None => return RespPayload::Err(format!("no vertex {} in stack", self.vertex)),
         };
-        if outputs.is_empty() {
-            return RespPayload::Ok;
-        }
         let mut last = RespPayload::Ok;
-        for next in outputs {
+        for &next in outputs {
             let resp = self.forward_to(ctx, next, req.clone());
             if !resp.is_ok() {
                 return resp;

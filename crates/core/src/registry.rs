@@ -17,6 +17,7 @@
 //! client (slightly slower — Table I).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,6 +29,7 @@ use labstor_telemetry::PerfCounters;
 
 use crate::labmod::LabMod;
 use crate::request::Message;
+use crate::stack::LabStack;
 
 /// Factory that builds a LabMod instance from JSON parameters.
 pub type ModFactory = Arc<dyn Fn(&serde_json::Value) -> Arc<dyn LabMod> + Send + Sync>;
@@ -86,7 +88,7 @@ pub struct ModRepo {
 
 /// What the registry holds under one UUID. A slot is immutable: an
 /// upgrade publishes a new slot with the new instance and the *same*
-/// counters, so running a vertex takes one registry read for both.
+/// counters, so a resolved route holds both behind one `Arc`.
 pub(crate) struct Slot {
     pub(crate) instance: Arc<dyn LabMod>,
     pub(crate) counters: Arc<PerfCounters>,
@@ -114,6 +116,10 @@ pub struct CounterRow {
 /// The Module Manager.
 pub struct ModuleManager {
     registry: RwLock<HashMap<String, Arc<Slot>>>,
+    /// Bumped under the registry write lock by every slot published
+    /// (every instantiate and every upgrade): a route resolved at one
+    /// epoch is current while the epoch still reads the same.
+    epoch: AtomicU64,
     factories: RwLock<HashMap<String, ModFactory>>,
     /// Mounted repos by name.
     repos: RwLock<HashMap<String, ModRepo>>,
@@ -124,7 +130,7 @@ pub struct ModuleManager {
     upgrades: Mutex<Vec<UpgradeRequest>>,
     /// Virtual time at which the last upgrade window ended; resuming
     /// workers fast-forward to it so the pause costs virtual time.
-    resume_vt: std::sync::atomic::AtomicU64,
+    resume_vt: AtomicU64,
     /// The Runtime's span flight recorder (disabled by default). Owned
     /// here so every component that can reach the registry — workers,
     /// clients, LabMods via `StackEnv` — records into the same recorder,
@@ -148,12 +154,13 @@ impl ModuleManager {
     pub fn new() -> Self {
         ModuleManager {
             registry: RwLock::new(HashMap::new()),
+            epoch: AtomicU64::new(0),
             factories: RwLock::new(HashMap::new()),
             repos: RwLock::new(HashMap::new()),
             factory_repo: RwLock::new(HashMap::new()),
             max_repos_per_user: 8,
             upgrades: Mutex::new(Vec::new()),
-            resume_vt: std::sync::atomic::AtomicU64::new(0),
+            resume_vt: AtomicU64::new(0),
             telemetry: Arc::new(labstor_telemetry::FlightRecorder::default()),
             tenants: std::sync::OnceLock::new(),
         }
@@ -279,7 +286,9 @@ impl ModuleManager {
 
     /// Instantiate `type_name` under `uuid` unless that UUID already
     /// exists (mount semantics: "a LabMod is only instantiated if its UUID
-    /// did not exist in the registry"). Returns the live instance.
+    /// did not exist in the registry"). Returns the registered instance:
+    /// of two mounts racing on one UUID, each builds one, the first to
+    /// take the write lock registers its own, and both get that one.
     pub fn instantiate(
         &self,
         uuid: &str,
@@ -296,8 +305,15 @@ impl ModuleManager {
             .cloned()
             .ok_or_else(|| format!("no LabMod type '{type_name}' installed"))?;
         let instance = factory(params);
-        self.insert_instance(uuid, instance.clone());
-        Ok(instance)
+        let mut registry = self.registry.write(); // lock-class: registry.instances
+        let slot = registry.entry(uuid.to_string()).or_insert_with(|| {
+            self.epoch.fetch_add(1, Ordering::Release);
+            Arc::new(Slot {
+                instance,
+                counters: Default::default(),
+            })
+        });
+        Ok(slot.instance.clone())
     }
 
     /// Register `instance` under `uuid` (tests, in-process composition,
@@ -310,11 +326,23 @@ impl ModuleManager {
             .map(|slot| slot.counters.clone())
             .unwrap_or_default();
         registry.insert(uuid.to_string(), Arc::new(Slot { instance, counters }));
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// The instance and the counters of `uuid`, in one registry read.
-    pub(crate) fn slot(&self, uuid: &str) -> Option<Arc<Slot>> {
-        self.registry.read().get(uuid).cloned() // lock-class: registry.instances
+    /// The registry's epoch: it moves whenever a slot is published.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// The slot of every vertex of `stack`, by vertex index (`None` where
+    /// the UUID is not loaded), in one registry read.
+    pub(crate) fn resolve(&self, stack: &LabStack) -> Box<[Option<Arc<Slot>>]> {
+        let registry = self.registry.read(); // lock-class: registry.instances
+        stack
+            .vertices
+            .iter()
+            .map(|v| registry.get(&v.uuid).cloned())
+            .collect()
     }
 
     /// Look up an instance.
@@ -385,7 +413,7 @@ impl ModuleManager {
 
     /// Virtual time workers must fast-forward to after a pause.
     pub fn resume_vt(&self) -> u64 {
-        self.resume_vt.load(std::sync::atomic::Ordering::Acquire)
+        self.resume_vt.load(Ordering::Acquire)
     }
 
     /// Run the upgrade protocol over all queued requests. Called by the
@@ -464,8 +492,7 @@ impl ModuleManager {
             }
         }
         // 3. Resume: publish the post-upgrade virtual time and unpause.
-        self.resume_vt
-            .store(admin_ctx.now(), std::sync::atomic::Ordering::Release);
+        self.resume_vt.store(admin_ctx.now(), Ordering::Release);
         for q in &primaries {
             q.clear_update();
         }
@@ -542,6 +569,41 @@ mod tests {
             .instantiate("u2", "versioned", &serde_json::Value::Null)
             .unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    /// Two mounts sharing a UUID, racing: both build an instance (the
+    /// factory holds each until the other has arrived), and both must get
+    /// back the one the registry kept.
+    #[test]
+    fn racing_instantiates_of_one_uuid_get_the_registered_instance() {
+        let mm = ModuleManager::new();
+        let both_building = Arc::new(std::sync::Barrier::new(2));
+        let gate = both_building.clone();
+        mm.register_factory(
+            "versioned",
+            Arc::new(move |_params| {
+                gate.wait();
+                Arc::new(Versioned {
+                    version: 1,
+                    counter: AtomicU64::new(0),
+                }) as Arc<dyn LabMod>
+            }),
+        );
+        let mounted: Vec<Arc<dyn LabMod>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        mm.instantiate("shared", "versioned", &serde_json::Value::Null)
+                            .unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let registered = mm.get("shared").unwrap();
+        for instance in &mounted {
+            assert!(Arc::ptr_eq(instance, &registered));
+        }
     }
 
     #[test]

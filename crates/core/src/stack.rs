@@ -110,6 +110,10 @@ pub struct Namespace {
     by_mount: RwLock<HashMap<String, Arc<LabStack>>>,
     by_id: RwLock<HashMap<StackId, Arc<LabStack>>>,
     next_id: AtomicU64,
+    /// Bumped under the `by_mount` write lock by every mount, unmount and
+    /// modify: a route resolved at one epoch is current while the epoch
+    /// still reads the same.
+    epoch: AtomicU64,
 }
 
 impl Namespace {
@@ -130,6 +134,7 @@ impl Namespace {
         let arc = Arc::new(stack);
         by_mount.insert(arc.mount.clone(), arc.clone());
         self.by_id.write().insert(arc.id, arc.clone()); // lock-class: stack.ids
+        self.epoch.fetch_add(1, Ordering::Release);
         Ok(arc)
     }
 
@@ -145,6 +150,7 @@ impl Namespace {
         let id = stack.id;
         by_mount.remove(mount);
         self.by_id.write().remove(&id); // lock-class: stack.ids
+        self.epoch.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -156,6 +162,12 @@ impl Namespace {
     /// Lookup by id.
     pub fn get_id(&self, id: StackId) -> Option<Arc<LabStack>> {
         self.by_id.read().get(&id).cloned() // lock-class: stack.ids
+    }
+
+    /// The namespace's epoch: it moves whenever a stack is mounted,
+    /// unmounted or modified.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// GenericFS-style resolution: find the stack governing `path` by
@@ -199,6 +211,7 @@ impl Namespace {
         let arc = Arc::new(new);
         by_mount.insert(mount.to_string(), arc.clone());
         self.by_id.write().insert(arc.id, arc); // lock-class: stack.ids
+        self.epoch.fetch_add(1, Ordering::Release);
         Ok(())
     }
 

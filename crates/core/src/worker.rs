@@ -23,7 +23,7 @@ use labstor_ipc::{Doorbell, Envelope, QueuePair, UpgradeFlag};
 use labstor_sim::{Ctx, Watermark};
 use labstor_telemetry::{ClockCell, SpanEvent, Stage};
 
-use crate::labmod::{run_vertex, StackEnv};
+use crate::labmod::{Route, Routes};
 use crate::registry::ModuleManager;
 use crate::request::{Message, Request, Response};
 use crate::stack::Namespace;
@@ -31,8 +31,9 @@ use crate::stack::Namespace;
 /// The Runtime's domain id (address space 0).
 pub const RUNTIME_DOMAIN: u32 = 0;
 
-/// Execute one request against its stack's entry vertex. Shared by
-/// workers (async stacks) and clients (sync stacks).
+/// Execute one request against its stack's entry vertex, resolving the
+/// stack once for it. Workers and clients run requests through their own
+/// [`Routes`] instead (`run_request`).
 pub fn process_request(
     ctx: &mut Ctx,
     req: Request,
@@ -40,13 +41,28 @@ pub fn process_request(
     mm: &ModuleManager,
     domain: u32,
 ) -> Response {
+    let route = Route::resolve(req.stack, ns, mm);
+    run_request(ctx, req, route.as_ref(), mm, domain)
+}
+
+/// Execute one request on `route`, its stack's route (`None`: no stack
+/// has the request's stack id). Shared by workers (async stacks) and
+/// clients (sync stacks).
+pub(crate) fn run_request(
+    ctx: &mut Ctx,
+    req: Request,
+    route: Option<&Route>,
+    mm: &ModuleManager,
+    domain: u32,
+) -> Response {
     let id = req.id;
-    let Some(stack) = ns.get_id(req.stack) else {
-        return Response::err(id, format!("no stack {}", req.stack));
-    };
-    let env = StackEnv::new(&stack, req.vertex, mm, domain);
-    let payload = run_vertex(ctx, env, req, None);
-    Response { id, payload }
+    match route {
+        Some(route) => Response {
+            id,
+            payload: route.run(ctx, req, mm, domain),
+        },
+        None => Response::err(id, format!("no stack {}", req.stack)),
+    }
 }
 
 /// A worker's queue assignment, published under a generation counter.
@@ -267,6 +283,7 @@ fn worker_loop(
 ) {
     let mut ctx = Ctx::new();
     let rec = mm.telemetry().clone();
+    let mut routes = Routes::default();
     /// Requests drained per queue per pass: bounds queue starvation.
     const BATCH: usize = 8;
     // Reused per-pass scratch: queue snapshot, drained envelopes, pending
@@ -329,7 +346,8 @@ fn worker_loop(
                             });
                         }
                         let before = ctx.busy();
-                        let resp = process_request(&mut ctx, req, ns, mm, RUNTIME_DOMAIN);
+                        let route = routes.get(req.stack, ns, mm);
+                        let resp = run_request(&mut ctx, req, route, mm, RUNTIME_DOMAIN);
                         let spent = ctx.busy() - before;
                         q.add_load(-(spent as i64));
                         work_ns.push(spent);
@@ -374,7 +392,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labmod::{LabMod, ModType};
+    use crate::labmod::{LabMod, ModType, StackEnv};
     use crate::request::{Payload, RespPayload};
     use crate::stack::{ExecMode, LabStack, Vertex};
     use labstor_ipc::{Credentials, IpcManager};

@@ -20,6 +20,8 @@
 //!   Runtime-side code (the buffer is one the code allocated)
 //! - `// actor-ok: <role>`            — permits a thread spawn in
 //!   Runtime-side code (names the actor the thread is)
+//! - `// lookup-ok: <why>`            — permits a Namespace or registry
+//!   read on a request's path
 //! - `// lock-class: <name>`          — names the registry class of a lock
 //!   acquisition (required on every acquisition in the governed crates;
 //!   see [`crate::lockcheck`])
@@ -49,6 +51,8 @@ pub enum Lint {
     PoolWrite,
     /// Thread spawn in Runtime-side code without a named role.
     ThreadSpawn,
+    /// Namespace or registry read on a request's path.
+    RequestLookup,
     /// Lock acquisition without a (valid) `lock-class` annotation.
     LockAnnotation,
     /// Nested acquisition violating the declared lock-class order.
@@ -68,6 +72,7 @@ impl Lint {
             Lint::PayloadCopy => "payload-copy",
             Lint::PoolWrite => "pool-write",
             Lint::ThreadSpawn => "thread-spawn",
+            Lint::RequestLookup => "request-lookup",
             Lint::LockAnnotation => "lock-annotation",
             Lint::LockOrder => "lock-order",
             Lint::LockReentry => "lock-reentry",
@@ -276,6 +281,7 @@ pub fn lint_file(cfg: &Config, file: &SourceFile) -> Vec<Diagnostic> {
     lint_payload_copy(cfg, file, &mut diags);
     lint_pool_write(file, &mut diags);
     lint_thread_spawn(file, &mut diags);
+    lint_request_lookup(file, &mut diags);
     lint_lock_discipline(cfg, file, &mut diags);
     diags.sort_by(|a, b| (a.line, a.lint.name()).cmp(&(b.line, b.lint.name())));
     diags
@@ -506,7 +512,7 @@ fn lint_payload_copy(cfg: &Config, file: &SourceFile, diags: &mut Vec<Diagnostic
             .filter(|call| line.code.contains(*call))
             .map(|call| call.to_string())
             .collect();
-        for recv in clone_receivers(&line.code) {
+        for recv in receivers(&line.code, ".clone()") {
             if PAYLOAD_RECEIVERS.contains(&recv.as_str()) {
                 hits.push(format!("{recv}.clone()"));
             }
@@ -528,27 +534,21 @@ fn lint_payload_copy(cfg: &Config, file: &SourceFile, diags: &mut Vec<Diagnostic
     }
 }
 
-/// The identifiers that appear as the receiver of a `.clone()` call on
-/// this line (the identifier token directly before each `.clone()`).
-fn clone_receivers(code: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(".clone()") {
-        let abs = from + pos;
-        let recv: String = code[..abs]
-            .chars()
-            .rev()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect::<String>()
-            .chars()
-            .rev()
-            .collect();
-        if !recv.is_empty() {
-            out.push(recv);
-        }
-        from = abs + ".clone()".len();
-    }
-    out
+/// The identifiers that appear as the receiver of `call` (e.g.
+/// `.clone()`) on this line: the identifier token directly before each.
+fn receivers(code: &str, call: &str) -> Vec<String> {
+    code.match_indices(call)
+        .map(|(pos, _)| trailing_ident(&code[..pos]))
+        .filter(|recv| !recv.is_empty())
+        .collect()
+}
+
+/// The identifier `code` ends with (empty if it ends with anything else).
+fn trailing_ident(code: &str) -> String {
+    let start = code
+        .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .map_or(0, |i| i + 1);
+    code[start..].to_string()
 }
 
 /// The Runtime-side code the pool-write and thread-spawn lints govern
@@ -658,6 +658,75 @@ fn lint_thread_spawn(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 .into(),
         });
     }
+}
+
+/// The files a request runs through between its connector call and its
+/// LabMods: the client, the worker loop, the vertex runner and GenericFS.
+const REQUEST_PATHS: [&str; 4] = [
+    "crates/core/src/labmod.rs",
+    "crates/core/src/worker.rs",
+    "crates/core/src/client.rs",
+    "crates/mods/src/generic.rs",
+];
+
+/// The names the workspace gives the Namespace and the Module Manager.
+const LOOKUP_RECEIVERS: [&str; 3] = ["ns", "mm", "registry"];
+
+/// Their reads: by id, by path or mount, of an instance or its counters,
+/// of a whole stack's slots, or the registry lock itself.
+const LOOKUP_CALLS: [&str; 5] = [".get_id(", ".get(", ".resolve(", ".counters(", ".read()"];
+
+/// Lint 8: on a request's path, every Namespace or registry read outside
+/// tests — a [`LOOKUP_CALLS`] call on a [`LOOKUP_RECEIVERS`] name, or any
+/// `get_id` — must carry a `lookup-ok` justification. A request runs on
+/// the route its owner resolved (DESIGN.md §3 "Routes and epochs"); a
+/// lookup per hop or per request is the cost that design removed, and
+/// this keeps it from coming back unreviewed. A call on the first line of
+/// a rustfmt-wrapped chain has its receiver on an earlier line.
+fn lint_request_lookup(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
+    if !REQUEST_PATHS.iter().any(|p| file.name.ends_with(p)) {
+        return;
+    }
+    for (idx, line) in file.lines.iter().enumerate() {
+        if line.in_test {
+            continue;
+        }
+        let hits: Vec<String> = LOOKUP_CALLS
+            .iter()
+            .flat_map(|call| {
+                line.code.match_indices(call).filter_map(move |(pos, _)| {
+                    let recv = receiver_before(file, idx, pos);
+                    let by_name = call == &".get_id(" || LOOKUP_RECEIVERS.contains(&recv.as_str());
+                    by_name.then(|| format!("{recv}{}", call.trim_end_matches('(')))
+                })
+            })
+            .collect();
+        if hits.is_empty() || file.annotated(idx, "lookup-ok:") {
+            continue;
+        }
+        diags.push(Diagnostic {
+            file: file.name.clone(),
+            line: idx + 1,
+            lint: Lint::RequestLookup,
+            message: format!(
+                "{} reads the Namespace or the registry on a request's path — \
+                 run on the owner's route (annotate `// lookup-ok: <why>`)",
+                hits.join(" and ")
+            ),
+        });
+    }
+}
+
+/// The identifier directly before byte `pos` of line `idx`, looking back
+/// over blank and comment-only lines to the end of the previous code.
+fn receiver_before(file: &SourceFile, idx: usize, pos: usize) -> String {
+    let mut code = &file.lines[idx].code[..pos];
+    let mut at = idx;
+    while code.trim().is_empty() && at > 0 {
+        at -= 1;
+        code = &file.lines[at].code;
+    }
+    trailing_ident(code.trim_end())
 }
 
 /// Collect all workspace `.rs` files under `root` (skipping `target/` and

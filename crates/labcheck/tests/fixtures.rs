@@ -512,6 +512,69 @@ mod tests {
     assert!(lint_source(&cfg(), "crates/mods/src/lru.rs", src).is_empty());
 }
 
+// ---- lint 8: request-lookup ---------------------------------------------
+
+#[test]
+fn lookups_on_a_request_path_are_flagged() {
+    let src = "\
+fn run(&mut self, ns: &Namespace, mm: &ModuleManager, id: u64) {
+    let s = ns.get_id(id);
+    let m = mm.get(&uuid);
+    let c = self.runtime.mm.counters(&uuid);
+    let r = self.registry.read();
+    let (stack, rel) = self
+        .runtime
+        .ns
+        .resolve(path);
+    let any = namespace.get_id(id);
+    let fd = self.fds.get(&fd);
+    let route = self.routes.get(id, ns, mm);
+    let q = self.queues.read();
+}
+";
+    let diags = lint_source(&cfg(), "crates/core/src/worker.rs", src);
+    assert_eq!(
+        lines_with(&diags, Lint::RequestLookup),
+        vec![2, 3, 4, 5, 9, 10]
+    );
+    assert!(diags[0].message.contains("lookup-ok"));
+    let diags = lint_source(&cfg(), "crates/mods/src/generic.rs", src);
+    assert_eq!(lines_with(&diags, Lint::RequestLookup).len(), 6);
+    for elsewhere in ["crates/core/src/registry.rs", "crates/mods/src/labfs.rs"] {
+        let diags = lint_source(&cfg(), elsewhere, src);
+        assert!(
+            lines_with(&diags, Lint::RequestLookup).is_empty(),
+            "{elsewhere}"
+        );
+    }
+}
+
+#[test]
+fn lookup_ok_annotation_escapes_request_lookup() {
+    let src = "\
+// lookup-ok: the Routes miss path
+let stack = ns.get_id(id)?;
+let slots = mm.resolve(&stack); // lookup-ok: one registry read per route
+// lookup-ok: the path walk of open
+self.runtime
+    .ns
+    .resolve(path)
+    .ok_or_else(|| no_stack(path))
+";
+    assert!(lint_source(&cfg(), "crates/core/src/labmod.rs", src).is_empty());
+}
+
+#[test]
+fn lookups_in_test_code_are_exempt() {
+    let src = "\
+#[cfg(test)]
+mod tests {
+    fn t() { let c = mm.counters(\"a\").unwrap(); let s = ns.get_id(1); }
+}
+";
+    assert!(lint_source(&cfg(), "crates/core/src/client.rs", src).is_empty());
+}
+
 // ---- output formats -----------------------------------------------------
 
 #[test]

@@ -152,14 +152,9 @@ impl GenericFs {
             .ok_or(GenericFsError::BadFd(fd))
     }
 
-    fn stack_of(
-        &self,
-        stack_id: u64,
-    ) -> Result<std::sync::Arc<labstor_core::LabStack>, GenericFsError> {
+    fn stack_of(&mut self, stack_id: u64) -> Result<Arc<labstor_core::LabStack>, GenericFsError> {
         self.client
-            .runtime()
-            .ns
-            .get_id(stack_id)
+            .stack(stack_id)
             .ok_or_else(|| GenericFsError::Client(format!("stack {stack_id} vanished")))
     }
 
