@@ -1,12 +1,18 @@
 //! The LabStor client library (paper §III-D "Application-Side").
 //!
 //! Applications link this to mount, modify, query and execute LabStacks.
-//! For **async** stacks the client packages a request, places it in a
-//! shared-memory queue pair and polls the completion queue (`Wait`),
-//! detecting Runtime crashes and waiting for restart. For **sync** stacks
-//! the DAG executes inline in the client thread — the paper's
-//! decentralized mode with no IPC at all.
+//! A request leaves a [`Client`] one way: `send` numbers a burst, builds
+//! its requests and admits it with one token-bucket charge. For **sync**
+//! stacks the DAG then executes inline in the client thread — the paper's
+//! decentralized mode with no IPC at all. For **async** stacks the burst
+//! is booked as pending and placed on one shared-memory queue pair.
+//! `submit` is a burst of one, `submit_all` a burst of many, and
+//! `execute` is `submit` plus a wait for that id. Completions come back
+//! one way too: the wait drains the completion queues, parks on the
+//! connection's doorbell (`Wait`) and detects Runtime crashes, waiting
+//! for restart.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,14 +74,19 @@ pub struct Client {
     rr: usize,
     /// CPU core this client thread is pinned to (stamped on requests).
     pub core: usize,
-    /// In-flight async requests: id → (submit virtual time, queue index,
-    /// stack id).
-    pending: std::collections::HashMap<u64, (u64, usize, u64)>,
+    /// In-flight async requests as `(id, submit virtual time, stack id)`,
+    /// in id order. Completions come back mostly in that order, so
+    /// [`unbook`] finds one at or near the front, with no hashing.
+    pending: VecDeque<(u64, u64, StackId)>,
     /// Completions of submitted requests not yet handed to the caller, as
     /// `(response, latency_ns)` in completion order: CQ bursts drained by
-    /// [`Client::reap_one`] or by a `roundtrip` waiting for another id,
-    /// and sync-stack submissions, which complete inline.
-    reaped: std::collections::VecDeque<(Response, u64)>,
+    /// a wait for any id or for another one, and sync-stack submissions,
+    /// which complete inline.
+    reaped: VecDeque<(Response, u64)>,
+    /// Scratch for the burst being sent and for one CQ's drained burst,
+    /// kept so that neither allocates per request.
+    sq_burst: Vec<Message>,
+    cq_burst: Vec<Envelope<Message>>,
     /// How long `wait` tolerates an offline Runtime before giving up
     /// ("for a configurable period of time", §III-C3).
     pub offline_timeout: Duration,
@@ -112,6 +123,16 @@ fn backpressure_expired(deadline: &mut Option<Instant>, timeout: Duration) -> bo
     now > *deadline.get_or_insert(now + timeout)
 }
 
+/// Forget in-flight request `id`, returning its submit virtual time and
+/// stack id; `None` if it is not in flight (a stale response from before
+/// a crash).
+fn unbook(pending: &mut VecDeque<(u64, u64, StackId)>, id: u64) -> Option<(u64, StackId)> {
+    let at = pending.iter().position(|p| p.0 == id)?;
+    pending
+        .remove(at)
+        .map(|(_, submit_vt, stack)| (submit_vt, stack))
+}
+
 impl Client {
     pub(crate) fn new(conn: ClientConnection<Message>, runtime: Arc<Runtime>) -> Client {
         let tenant = runtime.tenants.resolve(conn.creds.tenant);
@@ -123,8 +144,10 @@ impl Client {
             next_id: 0,
             rr: 0,
             core: 0,
-            pending: std::collections::HashMap::new(),
-            reaped: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
+            reaped: VecDeque::new(),
+            sq_burst: Vec::new(),
+            cq_burst: Vec::new(),
             offline_timeout: Duration::from_secs(5),
             routes: Routes::default(),
         }
@@ -138,18 +161,6 @@ impl Client {
     /// This connection's live tenant accounting, if it bills to one.
     pub fn tenant(&self) -> Option<&Arc<labstor_qos::TenantState>> {
         self.tenant.as_ref()
-    }
-
-    /// Token-bucket admission for one request: charge its payload bytes
-    /// (min 1 token) against the tenant's bucket at the current virtual
-    /// time. Untenanted clients always pass.
-    fn admit(&self, cost_bytes: usize) -> Result<(), ClientError> {
-        let Some(tenant) = &self.tenant else {
-            return Ok(());
-        };
-        tenant
-            .try_admit(self.ctx.now(), (cost_bytes as u64).max(1))
-            .map_err(|retry_after_ns| ClientError::Throttled { retry_after_ns })
     }
 
     /// Record one completion latency into the tenant's histogram (the
@@ -179,11 +190,6 @@ impl Client {
         labstor_ipc::default_pool().alloc_for(self.conn.domain, len)
     }
 
-    /// The shared buffer pool this client allocates payload buffers from.
-    pub fn buf_pool(&self) -> &'static labstor_ipc::BufferPool {
-        labstor_ipc::default_pool()
-    }
-
     /// Resolve the stack governing `path` (GenericFS-style ancestor walk).
     pub fn resolve(&self, path: &str) -> Result<(Arc<LabStack>, String), ClientError> {
         // lookup-ok: the §III-E path walk of open, unlink, mkdir and GenericKVS
@@ -200,124 +206,24 @@ impl Client {
         Some(route.stack.clone())
     }
 
-    /// Execute `payload` against a stack. Returns the response payload and
-    /// the request's virtual latency in ns.
+    /// Execute `payload` against a stack: [`Client::submit`], then wait
+    /// for that request's completion for as long as the Runtime is
+    /// online. Returns the response payload and the request's virtual
+    /// latency in ns. Completions of earlier submits that the wait reaps
+    /// stay owed to [`Client::reap_one`].
     pub fn execute(
         &mut self,
         stack: &Arc<LabStack>,
         payload: Payload,
     ) -> Result<(RespPayload, u64), ClientError> {
-        self.next_id += 1;
-        let req = Request::on_core(self.next_id, stack.id, payload, self.conn.creds, self.core);
-        self.admit(req.payload_bytes())?;
-        let start = self.ctx.now();
-        match stack.exec {
-            ExecMode::Sync => {
-                // Decentralized: run the DAG inline, no IPC.
-                let resp = self.run_here(req);
-                let latency = self.ctx.now() - start;
-                self.observe_tenant_latency(latency);
-                Ok((resp.payload, latency))
-            }
-            ExecMode::Async => {
-                let resp = self.roundtrip(req)?;
-                let latency = self.ctx.now() - start;
-                self.observe_tenant_latency(latency);
-                Ok((resp, latency))
-            }
-        }
-    }
-
-    /// Run `req` through a sync stack on this thread, on its route.
-    fn run_here(&mut self, req: Request) -> Response {
-        let route = self
-            .routes
-            .get(req.stack, &self.runtime.ns, &self.runtime.mm);
-        run_request(
-            &mut self.ctx,
-            req,
-            route,
-            &self.runtime.mm,
-            self.conn.domain,
-        )
-    }
-
-    /// Put one request on the next queue (round-robin, left in `self.rr`):
-    /// book its cost estimate on the queue, submit with backpressure
-    /// retry, record the `Submit` span. A refused request takes its
-    /// estimate back off the queue — the orchestrator's backlog counts
-    /// only work that was queued.
-    fn enqueue(&mut self, req: Request) -> Result<(), ClientError> {
-        let (id, stack_id) = (req.id, req.stack);
-        let est = estimate(&mut self.routes, &self.runtime, &req);
-        self.rr = (self.rr + 1) % self.conn.queues.len();
-        let qp = &self.conn.queues[self.rr];
-        qp.note_item_est(est);
-        qp.add_load(est as i64);
-        let mut msg = Message::Req(req);
-        let mut deadline = None;
-        while let Err(back) = qp.submit(msg, self.ctx.now(), self.conn.domain) {
-            msg = back;
-            if backpressure_expired(&mut deadline, self.offline_timeout) {
-                qp.add_load(-(est as i64));
-                return Err(ClientError::Backpressure);
-            }
-            std::thread::yield_now();
-        }
-        let rec = self.runtime.mm.telemetry();
-        if rec.enabled() {
-            let now = self.ctx.now();
-            rec.record(Stage::Submit, id, stack_id, 0, now, now);
-        }
-        Ok(())
-    }
-
-    /// Submit through a queue pair and wait for the matching completion.
-    fn roundtrip(&mut self, req: Request) -> Result<RespPayload, ClientError> {
-        let id = req.id;
-        let stack_id = req.stack;
-        self.enqueue(req)?;
-        // Wait: park on the CQ doorbell between reaps; detect a crashed
-        // Runtime and wait for its restart, then repair state and
-        // resubmit the request (§III-C3).
-        loop {
-            // Capture before the reap: a completion posted after the scan
-            // rings the bell and aborts the park (doorbell protocol).
-            let epoch = self.conn.bell.epoch();
-            if let Some(env) = self.conn.queues[self.rr].reap(&mut self.ctx, self.conn.domain) {
-                // Completion-queue crossing: from the worker's completion
-                // post to this reap.
-                let (complete_vt, reap_vt) = (env.submit_vt, self.ctx.now());
-                if let Message::Resp(resp) = env.payload {
-                    let rec = self.runtime.mm.telemetry();
-                    if resp.id == id {
-                        if rec.enabled() {
-                            rec.record(Stage::HopResp, id, stack_id, 0, complete_vt, reap_vt);
-                        }
-                        return Ok(resp.payload);
-                    }
-                    // Not ours: an earlier `submit` shares this queue and
-                    // `reap_one` will ask for its completion.
-                    if let Some(span) = self.bank_completion(resp, complete_vt, reap_vt) {
-                        self.runtime.mm.telemetry().record_batch([span]);
-                    }
-                }
-                continue;
-            }
-            if !self.runtime.ipc.is_online() {
-                // The in-flight request may be lost with the crashed
-                // Runtime. Per §III-C3 the client library invokes
-                // StateRepair in each LabMod once the Runtime returns;
-                // resubmission happens in `execute_with_retry`.
-                if self.runtime.ipc.wait_online(self.offline_timeout) {
-                    self.runtime.mm.repair_all();
-                }
-                return Err(ClientError::RuntimeDown);
-            }
-            // Nothing reapable: park until a worker rings. The cap keeps
-            // the liveness check above live when the Runtime dies parked.
-            self.conn.bell.wait_past(epoch, WAIT_PARK);
-        }
+        let id = self.submit(stack, payload)?;
+        self.wait(Some(id))
+            .map(|(resp, latency)| (resp.payload, latency))
+            // Lost with a crashed Runtime: `execute_with_retry` resubmits
+            // it, so nobody will reap it.
+            .inspect_err(|_| {
+                unbook(&mut self.pending, id);
+            })
     }
 
     /// Execute with automatic resubmission across a Runtime crash: the
@@ -342,36 +248,13 @@ impl Client {
         }
     }
 
-    /// Run `req` through a sync stack on this thread; its response waits,
-    /// with its latency, in the same buffer as reaped completions.
-    fn run_inline(&mut self, req: Request) {
-        let start = self.ctx.now();
-        let resp = self.run_here(req);
-        self.reaped.push_back((resp, self.ctx.now() - start));
-    }
-
-    /// Submit a request without waiting (queue-depth > 1 clients).
-    /// Returns the request id to pass to [`Client::reap_one`]. For
-    /// sync-mode stacks the request executes inline and its response
-    /// waits, with its latency, in the same buffer as reaped completions.
+    /// Submit a request without waiting (queue-depth > 1 clients): a
+    /// burst of one. Returns the request id to pass to
+    /// [`Client::reap_one`]. For sync-mode stacks the request executes
+    /// inline and its response waits, with its latency, in the same
+    /// buffer as reaped completions.
     pub fn submit(&mut self, stack: &Arc<LabStack>, payload: Payload) -> Result<u64, ClientError> {
-        self.next_id += 1;
-        let req = Request::on_core(self.next_id, stack.id, payload, self.conn.creds, self.core);
-        let id = req.id;
-        self.admit(req.payload_bytes())?;
-        match stack.exec {
-            ExecMode::Sync => {
-                self.run_inline(req);
-                Ok(id)
-            }
-            ExecMode::Async => {
-                // Only this thread reaps, so booking the id after the
-                // submit cannot miss its completion.
-                self.enqueue(req)?;
-                self.pending.insert(id, (self.ctx.now(), self.rr, stack.id));
-                Ok(id)
-            }
-        }
+        self.send(stack, std::iter::once(payload))
     }
 
     /// Submit a burst of requests without waiting, returning their ids in
@@ -394,67 +277,127 @@ impl Client {
         stack: &Arc<LabStack>,
         payloads: Vec<Payload>,
     ) -> Result<Vec<u64>, ClientError> {
-        if payloads.is_empty() {
+        let n = payloads.len() as u64;
+        if n == 0 {
             return Ok(Vec::new());
         }
-        // Admission charges the whole burst atomically (one bucket
-        // operation per burst, on either kind of stack): either every
-        // request is admitted or none runs or is queued.
-        let mut reqs: Vec<Request> = Vec::with_capacity(payloads.len());
-        let mut burst_bytes: usize = 0;
-        for p in payloads {
+        let first = self.send(stack, payloads)?;
+        Ok((first..first + n).collect())
+    }
+
+    /// The one way a request leaves this client. Number the burst, build
+    /// its requests and admit it with one charge of its payload bytes
+    /// (min 1 token each) against the tenant's token bucket at the
+    /// current virtual time (untenanted clients always pass). Then a sync
+    /// stack runs it inline, in order, and an async stack's burst goes on
+    /// one queue ([`Client::enqueue`]). Returns the first id; a burst's
+    /// ids are consecutive. A refused burst runs nothing and queues
+    /// nothing.
+    fn send(
+        &mut self,
+        stack: &LabStack,
+        payloads: impl IntoIterator<Item = Payload>,
+    ) -> Result<u64, ClientError> {
+        let first = self.next_id + 1;
+        let mut burst = std::mem::take(&mut self.sq_burst);
+        let mut cost_bytes: usize = 0;
+        for payload in payloads {
             self.next_id += 1;
-            let req = Request::on_core(self.next_id, stack.id, p, self.conn.creds, self.core);
-            burst_bytes = burst_bytes.saturating_add(req.payload_bytes().max(1));
-            reqs.push(req);
+            let req = Request::on_core(self.next_id, stack.id, payload, self.conn.creds, self.core);
+            cost_bytes = cost_bytes.saturating_add(req.payload_bytes().max(1));
+            burst.push(Message::Req(req));
         }
-        self.admit(burst_bytes)?;
-        if stack.exec == ExecMode::Sync {
-            let ids = reqs.iter().map(|r| r.id).collect();
-            for req in reqs {
-                self.run_inline(req);
+        let admitted = match &self.tenant {
+            Some(tenant) => tenant
+                .try_admit(self.ctx.now(), cost_bytes as u64)
+                .map_err(|retry_after_ns| ClientError::Throttled { retry_after_ns }),
+            None => Ok(()),
+        };
+        let sent = admitted.and_then(|()| match stack.exec {
+            ExecMode::Sync => {
+                for msg in burst.drain(..) {
+                    if let Message::Req(req) = msg {
+                        self.run_inline(req);
+                    }
+                }
+                Ok(())
             }
-            return Ok(ids);
-        }
+            ExecMode::Async => self.enqueue(&mut burst, first, stack.id),
+        });
+        burst.clear();
+        self.sq_burst = burst;
+        sent.map(|()| first)
+    }
+
+    /// Run `req` through a sync stack on this thread, on its route; its
+    /// response waits, with its latency, in the same buffer as reaped
+    /// completions, and the latency goes to the tenant's histogram.
+    fn run_inline(&mut self, req: Request) {
+        let start = self.ctx.now();
+        let route = self
+            .routes
+            .get(req.stack, &self.runtime.ns, &self.runtime.mm);
+        let resp = run_request(
+            &mut self.ctx,
+            req,
+            route,
+            &self.runtime.mm,
+            self.conn.domain,
+        );
+        let latency = self.ctx.now() - start;
+        self.observe_tenant_latency(latency);
+        self.reaped.push_back((resp, latency));
+    }
+
+    /// Put an admitted burst (ids `first..`) on the next queue
+    /// (round-robin, left in `self.rr`): book each request's cost
+    /// estimate on the queue and its id in `pending`, submit with
+    /// backpressure retry, record the `Submit` spans. Only this thread
+    /// reaps, so booking the ids before the submit cannot miss a
+    /// completion. On backpressure timeout the unsubmitted tail takes its
+    /// ids and estimates back — the orchestrator's backlog counts only
+    /// work that was queued.
+    fn enqueue(
+        &mut self,
+        burst: &mut Vec<Message>,
+        first: u64,
+        stack_id: StackId,
+    ) -> Result<(), ClientError> {
         self.rr = (self.rr + 1) % self.conn.queues.len();
-        let qi = self.rr;
-        let qp = &self.conn.queues[qi];
-        let mut ids = Vec::with_capacity(reqs.len());
-        let mut msgs: Vec<Message> = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            let est = estimate(&mut self.routes, &self.runtime, &req);
-            qp.note_item_est(est);
-            qp.add_load(est as i64);
-            self.pending.insert(req.id, (self.ctx.now(), qi, stack.id));
-            ids.push(req.id);
-            msgs.push(Message::Req(req));
+        let qp = &self.conn.queues[self.rr];
+        let now = self.ctx.now();
+        let n = burst.len() as u64;
+        for msg in burst.iter() {
+            if let Message::Req(req) = msg {
+                let est = estimate(&mut self.routes, &self.runtime, req);
+                qp.note_item_est(est);
+                qp.add_load(est as i64);
+                self.pending.push_back((req.id, now, stack_id));
+            }
         }
         let mut deadline = None;
-        while !msgs.is_empty() {
-            if qp.submit_batch(&mut msgs, self.ctx.now(), self.conn.domain) == 0
+        while !burst.is_empty() {
+            if qp.submit_batch(burst, now, self.conn.domain) == 0
                 && backpressure_expired(&mut deadline, self.offline_timeout)
             {
-                // Unregister the unsubmitted tail (ids and their load
-                // estimates); keep ids that made it.
                 let mut unqueued = 0u64;
-                for m in &msgs {
-                    if let Message::Req(r) = m {
-                        self.pending.remove(&r.id);
-                        unqueued += estimate(&mut self.routes, &self.runtime, r);
+                for msg in burst.iter() {
+                    if let Message::Req(req) = msg {
+                        unbook(&mut self.pending, req.id);
+                        unqueued += estimate(&mut self.routes, &self.runtime, req);
                     }
                 }
                 qp.add_load(-(unqueued as i64));
                 return Err(ClientError::Backpressure);
             }
-            if !msgs.is_empty() {
+            if !burst.is_empty() {
                 std::thread::yield_now();
             }
         }
         let rec = self.runtime.mm.telemetry();
         if rec.enabled() {
-            let now = self.ctx.now();
-            let stack_bits = (stack.id & 0x00FF_FFFF) as u32;
-            rec.record_batch(ids.iter().map(|&id| SpanEvent {
+            let stack_bits = (stack_id & 0x00FF_FFFF) as u32;
+            rec.record_batch((first..first + n).map(|id| SpanEvent {
                 req_id: id,
                 stage: Stage::Submit,
                 stack: stack_bits,
@@ -464,10 +407,10 @@ impl Client {
                 t_end_vns: now,
             }));
         }
-        Ok(ids)
+        Ok(())
     }
 
-    /// Completions drained per CQ crossing in [`Client::reap_one`].
+    /// Completions drained per CQ crossing in [`Client::drain_completions`].
     const REAP_BATCH: usize = 8;
 
     /// Drain one burst of completions from each queue into the local
@@ -476,18 +419,15 @@ impl Client {
     /// keeps each completion's reap time exact inside the burst.
     fn drain_completions(&mut self) {
         let recording = self.runtime.mm.telemetry().enabled();
-        let mut burst: Vec<Envelope<Message>> = Vec::with_capacity(Self::REAP_BATCH);
+        let mut burst = std::mem::take(&mut self.cq_burst);
         let mut spans: Vec<SpanEvent> = Vec::new();
         for qi in 0..self.conn.queues.len() {
-            if self.conn.queues[qi].reap_batch(
+            self.conn.queues[qi].reap_batch(
                 &mut self.ctx,
                 self.conn.domain,
                 &mut burst,
                 Self::REAP_BATCH,
-            ) == 0
-            {
-                continue;
-            }
+            );
             for env in burst.drain(..) {
                 let (complete_vt, reap_vt) = (env.submit_vt, env.dequeue_vt);
                 if let Message::Resp(resp) = env.payload {
@@ -499,13 +439,14 @@ impl Client {
                 // Stale requests bounced back after a crash: drop them.
             }
         }
+        self.cq_burst = burst;
         if recording && !spans.is_empty() {
             self.runtime.mm.telemetry().record_batch(spans);
         }
     }
 
-    /// Book one reaped completion of a `submit`ted request: forget it in
-    /// `pending`, observe its latency and queue it for [`Client::reap_one`].
+    /// Book one reaped completion of a submitted request: forget it in
+    /// `pending`, observe its latency and queue it for its waiter.
     /// Returns its `HopResp` span (the worker's completion post → this
     /// reap) for the caller to record, or `None` — keeping nothing — for
     /// a response this client is not waiting for: a stale one, from
@@ -516,7 +457,7 @@ impl Client {
         complete_vt: u64,
         reap_vt: u64,
     ) -> Option<SpanEvent> {
-        let (submit_vt, _, stack_id) = self.pending.remove(&resp.id)?;
+        let (submit_vt, stack_id) = unbook(&mut self.pending, resp.id)?;
         let latency = reap_vt.saturating_sub(submit_vt);
         self.observe_tenant_latency(latency);
         let span = SpanEvent {
@@ -535,17 +476,42 @@ impl Client {
     /// Reap one completion from any of this client's queues (a sync
     /// stack's are ready as soon as `submit` returns), oldest first.
     /// Returns `(response, latency_ns)`. Blocks (in real time) until
-    /// something completes.
+    /// something completes, for at most `offline_timeout`.
     pub fn reap_one(&mut self) -> Result<(Response, u64), ClientError> {
-        if let Some(r) = self.reaped.pop_front() {
+        self.wait(None)
+    }
+
+    /// Take a banked completion: request `want`'s, or the oldest.
+    fn take_reaped(&mut self, want: Option<u64>) -> Option<(Response, u64)> {
+        let at = match want {
+            Some(id) => self.reaped.iter().position(|(resp, _)| resp.id == id)?,
+            None => 0,
+        };
+        self.reaped.remove(at)
+    }
+
+    /// The one completion loop: drain every CQ and bank what it holds,
+    /// park on the completion doorbell between drains, and check the
+    /// Runtime's liveness after each wakeup, until request `want` (or,
+    /// for `None`, any request) has completed. On a crashed Runtime it
+    /// waits for the restart, invokes StateRepair in each LabMod once the
+    /// Runtime returns (§III-C3) and answers `RuntimeDown`; resubmission
+    /// is `execute_with_retry`'s. A wait for any request also gives up
+    /// after `offline_timeout`, and answers `Backpressure` when nothing
+    /// is owed.
+    fn wait(&mut self, want: Option<u64>) -> Result<(Response, u64), ClientError> {
+        if let Some(r) = self.take_reaped(want) {
             return Ok(r);
         }
-        let deadline = Instant::now() + self.offline_timeout;
+        let deadline = want
+            .is_none()
+            .then(|| Instant::now() + self.offline_timeout);
         loop {
-            // Capture before the drain (doorbell protocol; see roundtrip).
+            // Capture before the drain: a completion posted after the scan
+            // rings the bell and aborts the park (doorbell protocol).
             let epoch = self.conn.bell.epoch();
             self.drain_completions();
-            if let Some(r) = self.reaped.pop_front() {
+            if let Some(r) = self.take_reaped(want) {
                 return Ok(r);
             }
             if self.pending.is_empty() {
@@ -557,11 +523,12 @@ impl Client {
                 }
                 return Err(ClientError::RuntimeDown);
             }
-            if Instant::now() > deadline {
+            if deadline.is_some_and(|d| Instant::now() > d) {
                 return Err(ClientError::RuntimeDown);
             }
-            // Park until a completion burst rings this connection's bell;
-            // the cap keeps the liveness and deadline checks live.
+            // Nothing reapable: park until a completion burst rings this
+            // connection's bell. The cap keeps the liveness and deadline
+            // checks live when the Runtime dies parked.
             self.conn.bell.wait_past(epoch, WAIT_PARK);
         }
     }
@@ -571,15 +538,5 @@ impl Client {
     /// completions awaiting reap).
     pub fn in_flight(&self) -> usize {
         self.pending.len() + self.reaped.len()
-    }
-
-    /// Convenience: execute against whatever stack governs `path`.
-    pub fn execute_path(
-        &mut self,
-        path: &str,
-        payload: Payload,
-    ) -> Result<(RespPayload, u64), ClientError> {
-        let (stack, _) = self.resolve(path)?;
-        self.execute(&stack, payload)
     }
 }

@@ -442,18 +442,7 @@ impl Runtime {
     /// policy (no rate limit, no quota, weight 1); see
     /// [`Runtime::connect_with_policy`] to declare one.
     pub fn connect(self: &Arc<Self>, creds: Credentials, n_queues: usize) -> Client {
-        let conn = self.ipc.connect(creds, n_queues);
-        let tenant = creds.tenant;
-        if !tenant.is_none() {
-            // Register-or-noop: an undeclared connection never overwrites
-            // a policy declared by an earlier `connect_with_policy`.
-            self.tenants.register(tenant, TenantPolicy::default());
-            for q in &conn.queues {
-                self.tenants.bind_queue(q.id, tenant);
-            }
-        }
-        self.rebalance();
-        Client::new(conn, self.clone())
+        self.handshake(creds, n_queues, None)
     }
 
     /// Connect a client declaring a tenant QoS policy in the handshake.
@@ -468,14 +457,27 @@ impl Runtime {
         n_queues: usize,
         policy: TenantPolicy,
     ) -> Client {
+        self.handshake(creds, n_queues, Some(policy))
+    }
+
+    /// The connect handshake: IPC connect, tenant registration (`None`
+    /// declares no policy), queue binding, rebalance.
+    fn handshake(
+        self: &Arc<Self>,
+        creds: Credentials,
+        n_queues: usize,
+        policy: Option<TenantPolicy>,
+    ) -> Client {
         let conn = self.ipc.connect(creds, n_queues);
         let tenant = creds.tenant;
         if !tenant.is_none() {
             let existing = self.tenants.policy(tenant);
-            self.tenants.register(tenant, policy);
-            if existing.is_some_and(|p| p != policy) {
-                self.tenants.request_policy_update(tenant, policy);
-                self.tenants.apply_pending();
+            self.tenants.register(tenant, policy.unwrap_or_default());
+            if let (Some(p), Some(e)) = (policy, existing) {
+                if p != e {
+                    self.tenants.request_policy_update(tenant, p);
+                    self.tenants.apply_pending();
+                }
             }
             for q in &conn.queues {
                 self.tenants.bind_queue(q.id, tenant);

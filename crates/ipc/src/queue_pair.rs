@@ -317,7 +317,10 @@ impl<T> QueuePair<T> {
     /// Submit a request at virtual time `submit_vt` from `origin_domain`.
     /// Fails (returning the payload) when the submission queue is full —
     /// callers back off and retry, which is the paper's backpressure
-    /// behaviour.
+    /// behaviour. `Client` submits through [`QueuePair::submit_batch`]
+    /// only; this single verb is left for the frozen
+    /// `benchmark/src/probes.rs`, `bench_reactor`, the primitives bench
+    /// and the tests that pin "batch ≡ N singles" (ROADMAP 1g).
     pub fn submit(&self, payload: T, submit_vt: u64, origin_domain: u32) -> Result<(), T> {
         #[cfg(debug_assertions)]
         let _claim = self.claim(Role::SqProducer);
@@ -496,7 +499,9 @@ impl<T> QueuePair<T> {
 
     /// Client side: reap one completion, idling forward to its production
     /// time and paying the transfer cost when it was produced in another
-    /// domain.
+    /// domain. `Client` reaps through [`QueuePair::reap_batch`] only;
+    /// this single verb is left for the same callers as
+    /// [`QueuePair::submit`] (ROADMAP 1g).
     pub fn reap(&self, ctx: &mut Ctx, consumer_domain: u32) -> Option<Envelope<T>> {
         #[cfg(debug_assertions)]
         let _claim = self.claim(Role::CqConsumer);

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use labstor_core::client::{Client, ClientError};
-use labstor_core::{FileStat, FsOp, KvsOp, Payload, RespPayload};
+use labstor_core::{FileStat, FsOp, KvsOp, LabStack, Payload, RespPayload};
 use labstor_pushdown::{AggReply, VerifiedProgram};
 
 /// What a pushdown read ships back: orders of magnitude fewer bytes
@@ -71,6 +71,19 @@ impl From<ClientError> for GenericFsError {
     }
 }
 
+/// Execute one request: a client failure or an `Err` response comes back
+/// as the matching [`GenericFsError`], any other response as its payload.
+fn call(
+    client: &mut Client,
+    stack: &Arc<LabStack>,
+    payload: Payload,
+) -> Result<RespPayload, GenericFsError> {
+    match client.execute(stack, payload)?.0 {
+        RespPayload::Err(e) => Err(GenericFsError::Fs(e)),
+        resp => Ok(resp),
+    }
+}
+
 struct OpenEntry {
     stack_id: u64,
     ino: u64,
@@ -104,11 +117,13 @@ impl GenericFs {
         &mut self.client
     }
 
-    fn fs_err(resp: RespPayload) -> GenericFsError {
-        match resp {
-            RespPayload::Err(e) => GenericFsError::Fs(e),
-            other => GenericFsError::Fs(format!("unexpected response {other:?}")),
-        }
+    fn unexpected(resp: RespPayload) -> GenericFsError {
+        GenericFsError::Fs(format!("unexpected response {resp:?}"))
+    }
+
+    /// Execute `op` on `stack`: see [`call`].
+    fn call(&mut self, stack: &Arc<LabStack>, op: FsOp) -> Result<RespPayload, GenericFsError> {
+        call(&mut self.client, stack, Payload::Fs(op))
     }
 
     /// `open(2)`: resolve the governing stack (path, then ancestors — the
@@ -120,13 +135,13 @@ impl GenericFs {
         truncate: bool,
     ) -> Result<i32, GenericFsError> {
         let (stack, rel) = self.client.resolve(path)?;
-        let (resp, _) = self.client.execute(
+        let resp = self.call(
             &stack,
-            Payload::Fs(FsOp::Open {
+            FsOp::Open {
                 path: rel,
                 create,
                 truncate,
-            }),
+            },
         )?;
         match resp {
             RespPayload::Ino(ino) => {
@@ -141,7 +156,7 @@ impl GenericFs {
                 );
                 Ok(self.next_fd)
             }
-            other => Err(Self::fs_err(other)),
+            other => Err(Self::unexpected(other)),
         }
     }
 
@@ -162,20 +177,20 @@ impl GenericFs {
     pub fn write(&mut self, fd: i32, data: &[u8]) -> Result<usize, GenericFsError> {
         let (sid, ino, pos) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
-        let (resp, _) = self.client.execute(
+        let resp = self.call(
             &stack,
-            Payload::Fs(FsOp::Write {
+            FsOp::Write {
                 ino,
                 offset: pos,
                 data: data.to_vec(),
-            }),
+            },
         )?;
         match resp {
             RespPayload::Len(n) => {
                 self.fds.get_mut(&fd).expect("entry checked").pos = pos + n as u64;
                 Ok(n)
             }
-            other => Err(Self::fs_err(other)),
+            other => Err(Self::unexpected(other)),
         }
     }
 
@@ -189,13 +204,13 @@ impl GenericFs {
     pub fn read(&mut self, fd: i32, len: usize) -> Result<Vec<u8>, GenericFsError> {
         let (sid, ino, pos) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
-        let (resp, _) = self.client.execute(
+        let resp = self.call(
             &stack,
-            Payload::Fs(FsOp::ReadBuf {
+            FsOp::ReadBuf {
                 ino,
                 offset: pos,
                 len,
-            }),
+            },
         )?;
         match resp {
             RespPayload::Inline(d) => {
@@ -212,7 +227,7 @@ impl GenericFs {
                 self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
                 Ok(d)
             }
-            other => Err(Self::fs_err(other)),
+            other => Err(Self::unexpected(other)),
         }
     }
 
@@ -228,20 +243,20 @@ impl GenericFs {
     ) -> Result<usize, GenericFsError> {
         let (sid, ino, pos) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
-        let (resp, _) = self.client.execute(
+        let resp = self.call(
             &stack,
-            Payload::Fs(FsOp::WriteBuf {
+            FsOp::WriteBuf {
                 ino,
                 offset: pos,
                 buf,
-            }),
+            },
         )?;
         match resp {
             RespPayload::Len(n) => {
                 self.fds.get_mut(&fd).expect("entry checked").pos = pos + n as u64;
                 Ok(n)
             }
-            other => Err(Self::fs_err(other)),
+            other => Err(Self::unexpected(other)),
         }
     }
 
@@ -255,13 +270,13 @@ impl GenericFs {
     ) -> Result<labstor_ipc::BufHandle, GenericFsError> {
         let (sid, ino, pos) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
-        let (resp, _) = self.client.execute(
+        let resp = self.call(
             &stack,
-            Payload::Fs(FsOp::ReadBuf {
+            FsOp::ReadBuf {
                 ino,
                 offset: pos,
                 len,
-            }),
+            },
         )?;
         let h = match resp {
             RespPayload::DataBuf(h) => h,
@@ -271,7 +286,7 @@ impl GenericFs {
             RespPayload::Data(d) => labstor_ipc::default_pool()
                 .alloc_from(&d)
                 .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?,
-            other => return Err(Self::fs_err(other)),
+            other => return Err(Self::unexpected(other)),
         };
         self.fds.get_mut(&fd).expect("entry checked").pos = pos + h.len() as u64;
         Ok(h)
@@ -290,14 +305,14 @@ impl GenericFs {
         let (sid, ino, pos) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
         let is_select = prog.action() == labstor_pushdown::Action::Select;
-        let (resp, _) = self.client.execute(
+        let resp = self.call(
             &stack,
-            Payload::Fs(FsOp::ReadFiltered {
+            FsOp::ReadFiltered {
                 ino,
                 offset: pos,
                 len,
                 prog,
-            }),
+            },
         )?;
         match resp {
             RespPayload::Inline(d) if is_select => Ok(FilteredRead::Inline(d.to_vec())), // copy-ok: inline copy-out
@@ -306,7 +321,7 @@ impl GenericFs {
                 .ok_or_else(|| GenericFsError::Fs("malformed pushdown aggregate".into())),
             RespPayload::DataBuf(h) => Ok(FilteredRead::Buf(h)),
             RespPayload::Data(d) => Ok(FilteredRead::Inline(d)),
-            other => Err(Self::fs_err(other)),
+            other => Err(Self::unexpected(other)),
         }
     }
 
@@ -322,28 +337,16 @@ impl GenericFs {
     pub fn ftruncate(&mut self, fd: i32, size: u64) -> Result<(), GenericFsError> {
         let (sid, ino, _) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Fs(FsOp::Truncate { ino, size }))?;
-        if resp.is_ok() {
-            Ok(())
-        } else {
-            Err(Self::fs_err(resp))
-        }
+        self.call(&stack, FsOp::Truncate { ino, size })?;
+        Ok(())
     }
 
     /// `fsync(2)`.
     pub fn fsync(&mut self, fd: i32) -> Result<(), GenericFsError> {
         let (sid, ino, _) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Fs(FsOp::Fsync { ino }))?;
-        if resp.is_ok() {
-            Ok(())
-        } else {
-            Err(Self::fs_err(resp))
-        }
+        self.call(&stack, FsOp::Fsync { ino })?;
+        Ok(())
     }
 
     /// `close(2)`.
@@ -361,67 +364,47 @@ impl GenericFs {
         if stack_a.id != stack_b.id {
             return Err(GenericFsError::Fs("cross-stack rename (EXDEV)".into()));
         }
-        let (resp, _) = self.client.execute(
+        self.call(
             &stack_a,
-            Payload::Fs(FsOp::Rename {
+            FsOp::Rename {
                 from: rel_from,
                 to: rel_to,
-            }),
+            },
         )?;
-        if resp.is_ok() {
-            Ok(())
-        } else {
-            Err(Self::fs_err(resp))
-        }
+        Ok(())
     }
 
     /// `unlink(2)`.
     pub fn unlink(&mut self, path: &str) -> Result<(), GenericFsError> {
         let (stack, rel) = self.client.resolve(path)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Fs(FsOp::Unlink { path: rel }))?;
-        if resp.is_ok() {
-            Ok(())
-        } else {
-            Err(Self::fs_err(resp))
-        }
+        self.call(&stack, FsOp::Unlink { path: rel })?;
+        Ok(())
     }
 
     /// `mkdir(2)`.
     pub fn mkdir(&mut self, path: &str, mode: u16) -> Result<(), GenericFsError> {
         let (stack, rel) = self.client.resolve(path)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Fs(FsOp::Mkdir { path: rel, mode }))?;
-        if resp.is_ok() {
-            Ok(())
-        } else {
-            Err(Self::fs_err(resp))
-        }
+        self.call(&stack, FsOp::Mkdir { path: rel, mode })?;
+        Ok(())
     }
 
     /// `stat(2)`.
     pub fn stat(&mut self, path: &str) -> Result<FileStat, GenericFsError> {
         let (stack, rel) = self.client.resolve(path)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Fs(FsOp::Stat { path: rel }))?;
+        let resp = self.call(&stack, FsOp::Stat { path: rel })?;
         match resp {
             RespPayload::Stat(st) => Ok(st),
-            other => Err(Self::fs_err(other)),
+            other => Err(Self::unexpected(other)),
         }
     }
 
     /// `readdir(3)`.
     pub fn readdir(&mut self, path: &str) -> Result<Vec<String>, GenericFsError> {
         let (stack, rel) = self.client.resolve(path)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Fs(FsOp::Readdir { path: rel }))?;
+        let resp = self.call(&stack, FsOp::Readdir { path: rel })?;
         match resp {
             RespPayload::Names(n) => Ok(n),
-            other => Err(Self::fs_err(other)),
+            other => Err(Self::unexpected(other)),
         }
     }
 
@@ -528,22 +511,23 @@ impl GenericKvs {
         &mut self.client
     }
 
-    fn route(
-        &self,
+    /// Resolve `key`'s stack and execute the op `op` builds from its
+    /// stack-relative key: see [`call`].
+    fn call(
+        &mut self,
         key: &str,
-    ) -> Result<(std::sync::Arc<labstor_core::LabStack>, String), ClientError> {
-        self.client.resolve(key)
+        op: impl FnOnce(String) -> KvsOp,
+    ) -> Result<RespPayload, GenericFsError> {
+        let (stack, rel) = self.client.resolve(key)?;
+        call(&mut self.client, &stack, Payload::Kvs(op(rel)))
     }
 
     /// Store a value. One request, one round trip — the paper's point.
     pub fn put(&mut self, key: &str, value: Vec<u8>) -> Result<usize, GenericFsError> {
-        let (stack, rel) = self.route(key)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::Put { key: rel, value }))?;
+        let resp = self.call(key, |key| KvsOp::Put { key, value })?;
         match resp {
             RespPayload::Len(n) => Ok(n),
-            other => Err(GenericFs::fs_err(other)),
+            other => Err(GenericFs::unexpected(other)),
         }
     }
 
@@ -554,13 +538,10 @@ impl GenericKvs {
         key: &str,
         buf: labstor_ipc::BufHandle,
     ) -> Result<usize, GenericFsError> {
-        let (stack, rel) = self.route(key)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::PutBuf { key: rel, buf }))?;
+        let resp = self.call(key, |key| KvsOp::PutBuf { key, buf })?;
         match resp {
             RespPayload::Len(n) => Ok(n),
-            other => Err(GenericFs::fs_err(other)),
+            other => Err(GenericFs::unexpected(other)),
         }
     }
 
@@ -571,15 +552,12 @@ impl GenericKvs {
     /// larger ones arrive as a refcounted handle and pay exactly the
     /// one client-side copy-out an owned-`Vec` API requires.
     pub fn get(&mut self, key: &str) -> Result<Vec<u8>, GenericFsError> {
-        let (stack, rel) = self.route(key)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::Get { key: rel }))?;
+        let resp = self.call(key, |key| KvsOp::Get { key })?;
         match resp {
             RespPayload::Inline(d) => Ok(d.to_vec()), // copy-ok: inline envelope copy-out, uncounted by design
             RespPayload::Data(d) => Ok(d),
             RespPayload::DataBuf(h) => Ok(h.to_vec()), // copy-ok: owned-Vec API; to_vec self-counts
-            other => Err(GenericFs::fs_err(other)),
+            other => Err(GenericFs::unexpected(other)),
         }
     }
 
@@ -587,10 +565,7 @@ impl GenericKvs {
     /// of the driver's DMA buffer. Inline and legacy `Vec` responses are
     /// pooled (one counted copy) so the return type stays uniform.
     pub fn get_buf(&mut self, key: &str) -> Result<labstor_ipc::BufHandle, GenericFsError> {
-        let (stack, rel) = self.route(key)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::Get { key: rel }))?;
+        let resp = self.call(key, |key| KvsOp::Get { key })?;
         match resp {
             RespPayload::DataBuf(h) => Ok(h),
             RespPayload::Inline(d) => labstor_ipc::default_pool()
@@ -599,7 +574,7 @@ impl GenericKvs {
             RespPayload::Data(d) => labstor_ipc::default_pool()
                 .alloc_from(&d)
                 .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into())),
-            other => Err(GenericFs::fs_err(other)),
+            other => Err(GenericFs::unexpected(other)),
         }
     }
 
@@ -612,16 +587,13 @@ impl GenericKvs {
         key: &str,
         prog: Arc<VerifiedProgram>,
     ) -> Result<Option<Vec<u8>>, GenericFsError> {
-        let (stack, rel) = self.route(key)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::GetWhere { key: rel, prog }))?;
+        let resp = self.call(key, |key| KvsOp::GetWhere { key, prog })?;
         match resp {
             RespPayload::Ok => Ok(None),
             RespPayload::Inline(d) => Ok(Some(d.to_vec())), // copy-ok: inline envelope copy-out, uncounted by design
             RespPayload::Data(d) => Ok(Some(d)),
             RespPayload::DataBuf(h) => Ok(Some(h.to_vec())), // copy-ok: owned-Vec API; to_vec self-counts
-            other => Err(GenericFs::fs_err(other)),
+            other => Err(GenericFs::unexpected(other)),
         }
     }
 
@@ -633,29 +605,19 @@ impl GenericKvs {
         prefix: &str,
         prog: Arc<VerifiedProgram>,
     ) -> Result<ScanReply, GenericFsError> {
-        let (stack, rel) = self.route(prefix)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::ScanWhere { prefix: rel, prog }))?;
+        let resp = self.call(prefix, |prefix| KvsOp::ScanWhere { prefix, prog })?;
         match resp {
             RespPayload::Names(keys) => Ok(ScanReply::Keys(keys)),
             RespPayload::Inline(d) => AggReply::decode(d.as_slice())
                 .map(ScanReply::Agg)
                 .ok_or_else(|| GenericFsError::Fs("malformed pushdown aggregate".into())),
-            other => Err(GenericFs::fs_err(other)),
+            other => Err(GenericFs::unexpected(other)),
         }
     }
 
     /// Delete a key.
     pub fn remove(&mut self, key: &str) -> Result<(), GenericFsError> {
-        let (stack, rel) = self.route(key)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::Remove { key: rel }))?;
-        if resp.is_ok() {
-            Ok(())
-        } else {
-            Err(GenericFs::fs_err(resp))
-        }
+        self.call(key, |key| KvsOp::Remove { key })?;
+        Ok(())
     }
 }

@@ -233,6 +233,11 @@ fn refused_submissions_leave_no_load_estimate_behind() {
         ClientError::Backpressure
     );
     assert_eq!(q.est_load_ns(), queued, "after a refused execute");
+    assert_eq!(
+        client.in_flight(),
+        ids.len(),
+        "a refused execute leaves no id"
+    );
 
     // The four that made it in are served once the queue resumes.
     q.clear_update();
@@ -273,7 +278,62 @@ fn a_throttled_burst_on_a_sync_stack_runs_none_of_it() {
     // A burst the bucket covers is admitted whole.
     let ids = client.submit_all(&stack, vec![dummy(), dummy()]).unwrap();
     assert_eq!((ids.len(), client.in_flight(), ran()), (2, 2, 3));
+    // The bucket is empty now: a refused execute runs nothing and leaves
+    // no id behind either.
+    assert!(matches!(
+        client.execute(&stack, dummy()),
+        Err(ClientError::Throttled { .. })
+    ));
+    assert_eq!((client.in_flight(), ran()), (2, 3));
     rt.shutdown();
+}
+
+#[test]
+fn every_sync_stack_completion_reaches_the_tenant_latency_histogram() {
+    // `execute`, `submit_all` and `submit` on a sync stack complete five
+    // requests inline; each one's latency belongs in the tenant's
+    // histogram, whichever verb sent it.
+    let (rt, _d) = platform(1);
+    let stack = dummy_stack(&rt, "sync", "e2e_dummy_tenant_latency");
+    let creds = Credentials::new(1, 0, 0).with_tenant(7u32.into());
+    let mut client = rt.connect(creds, 1);
+    let dummy = || Payload::Dummy { work_ns: 100 };
+    client.execute(&stack, dummy()).unwrap();
+    client
+        .submit_all(&stack, vec![dummy(), dummy(), dummy()])
+        .unwrap();
+    client.submit(&stack, dummy()).unwrap();
+    assert_eq!(client.tenant().unwrap().completions(), 5);
+    rt.shutdown();
+}
+
+/// One dummy request on a fresh Runtime and client, sent by `execute` or
+/// by `submit` + `reap_one`: its latency and the client's clock after it.
+fn one_dummy_request(exec: &str, by_execute: bool) -> (u64, u64) {
+    let (rt, _d) = platform(1);
+    let stack = dummy_stack(&rt, exec, "e2e_dummy_one");
+    let mut client = rt.connect(Credentials::new(1, 0, 0), 1);
+    let payload = Payload::Dummy { work_ns: 700 };
+    let latency = if by_execute {
+        client.execute(&stack, payload).unwrap().1
+    } else {
+        let id = client.submit(&stack, payload).unwrap();
+        let (resp, latency) = client.reap_one().unwrap();
+        assert_eq!(resp.id, id);
+        latency
+    };
+    let now = client.ctx.now();
+    rt.shutdown();
+    (latency, now)
+}
+
+#[test]
+fn execute_and_submit_then_reap_agree_in_virtual_time() {
+    for exec in ["sync", "async"] {
+        let executed = one_dummy_request(exec, true);
+        assert!(executed.0 > 0, "{exec}: {executed:?}");
+        assert_eq!(executed, one_dummy_request(exec, false), "{exec} stack");
+    }
 }
 
 #[test]

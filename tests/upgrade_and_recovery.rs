@@ -223,6 +223,7 @@ fn client_sees_runtime_down_without_restart() {
         .execute(&stack, Payload::Dummy { work_ns: 0 })
         .unwrap_err();
     assert_eq!(err, labstor::core::client::ClientError::RuntimeDown);
+    assert_eq!(client.in_flight(), 0, "a lost execute leaves no id");
     rt.shutdown();
 }
 
