@@ -84,7 +84,7 @@ fn bench_block_allocator(c: &mut Criterion) {
             || BlockAllocator::new(0, 1 << 22, 8, 4096),
             |a| {
                 for _ in 0..1000 {
-                    std::hint::black_box(a.alloc(3));
+                    std::hint::black_box(a.alloc_run(3, 1));
                 }
             },
             BatchSize::SmallInput,
@@ -96,7 +96,7 @@ fn bench_block_allocator(c: &mut Criterion) {
             || BlockAllocator::new(0, 8 * 1024, 8, 64),
             |a| {
                 for _ in 0..1500 {
-                    std::hint::black_box(a.alloc(0));
+                    std::hint::black_box(a.alloc_run(0, 1));
                 }
             },
             BatchSize::SmallInput,

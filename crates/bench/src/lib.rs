@@ -28,7 +28,6 @@ use std::sync::Arc;
 
 use labstor_core::{Runtime, RuntimeConfig, StackSpec, VertexSpec};
 use labstor_mods::DeviceRegistry;
-use labstor_sim::DeviceKind;
 use serde_json::{Map, Value};
 
 /// The three LabStack configurations §IV evaluates.
@@ -181,17 +180,6 @@ pub fn runtime_with_mods(
     });
     labstor_mods::install_all(&rt.mm, devices);
     rt
-}
-
-/// The paper's device fixture: one of each storage class.
-pub fn testbed_devices() -> Arc<DeviceRegistry> {
-    let devices = DeviceRegistry::new();
-    devices.add_preset("hdd0", DeviceKind::Hdd);
-    devices.add_preset("ssd0", DeviceKind::SataSsd);
-    devices.add_preset("nvme0", DeviceKind::Nvme);
-    devices.add_preset("pmem0", DeviceKind::Pmem);
-    devices.add_pmem("pmemdax0", labstor_sim::PmemDevice::preset());
-    devices
 }
 
 /// Print a fixed-width table (the harnesses' common output format).
@@ -455,6 +443,18 @@ fn num(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use labstor_sim::DeviceKind;
+
+    /// The paper's device fixture: one of each storage class.
+    fn testbed_devices() -> Arc<DeviceRegistry> {
+        let devices = DeviceRegistry::new();
+        devices.add_preset("hdd0", DeviceKind::Hdd);
+        devices.add_preset("ssd0", DeviceKind::SataSsd);
+        devices.add_preset("nvme0", DeviceKind::Nvme);
+        devices.add_preset("pmem0", DeviceKind::Pmem);
+        devices.add_pmem("pmemdax0", labstor_sim::PmemDevice::preset());
+        devices
+    }
 
     /// A report that writes under the workspace's (ignored) `target/`.
     fn report(name: &str) -> Report {

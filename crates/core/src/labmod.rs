@@ -46,8 +46,6 @@ pub enum ModType {
     Driver,
     /// Request filter/transformer (permissions, compression, consistency).
     Filter,
-    /// Interface multiplexer (GenericFS, GenericKVS).
-    Generic,
     /// Test/benchmark module.
     Dummy,
 }
@@ -339,24 +337,6 @@ impl<'a> StackEnv<'a> {
             .telemetry()
             .record(Stage::Device, req_id, self.stack.id, self.vertex, t0, t1);
     }
-
-    /// Forward a derived request to *every* output vertex (fan-out, e.g.
-    /// mirroring). Returns the last stage's response, or the first error.
-    pub fn forward_all(&self, ctx: &mut Ctx, req: Request) -> RespPayload {
-        let outputs = match self.stack.vertices.get(self.vertex) {
-            Some(v) => &v.outputs,
-            None => return RespPayload::Err(format!("no vertex {} in stack", self.vertex)),
-        };
-        let mut last = RespPayload::Ok;
-        for &next in outputs {
-            let resp = self.forward_to(ctx, next, req.clone());
-            if !resp.is_ok() {
-                return resp;
-            }
-            last = resp;
-        }
-        last
-    }
 }
 
 #[cfg(test)]
@@ -463,7 +443,11 @@ mod tests {
         }
         fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
             ctx.advance(self.work_ns);
-            env.forward_all(ctx, req)
+            let mut last = RespPayload::Ok;
+            for &next in &env.stack.vertices[env.vertex].outputs {
+                last = env.forward_to(ctx, next, req.clone());
+            }
+            last
         }
         fn est_processing_time(&self, _req: &Request) -> u64 {
             self.work_ns

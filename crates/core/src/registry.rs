@@ -190,6 +190,7 @@ impl ModuleManager {
     /// by the Runtime's user (root here) are trusted by default; others
     /// are untrusted unless root marks them otherwise. Enforces the
     /// configurable per-user repo limit.
+    // api-ok: §III-B repo commands (tests/stack_composition.rs)
     pub fn mount_repo(&self, name: &str, owner_uid: u32) -> Result<(), String> {
         let mut repos = self.repos.write(); // lock-class: registry.repos
         if repos.contains_key(name) {
@@ -216,6 +217,7 @@ impl ModuleManager {
     }
 
     /// Unmount a repo (`unmount.repo`): only the owner or root.
+    // api-ok: §III-B repo commands
     pub fn unmount_repo(&self, name: &str, uid: u32) -> Result<(), String> {
         let mut repos = self.repos.write(); // lock-class: registry.repos
         let repo = repos
@@ -234,6 +236,7 @@ impl ModuleManager {
     }
 
     /// Register a LabMod type as provided by `repo` (must be mounted).
+    // api-ok: §III-B repo commands (tests/stack_composition.rs)
     pub fn register_factory_in_repo(
         &self,
         repo: &str,
@@ -277,11 +280,6 @@ impl ModuleManager {
         self.factories
             .write() // lock-class: registry.factories
             .insert(type_name.to_string(), factory);
-    }
-
-    /// True if a factory for `type_name` exists.
-    pub fn has_factory(&self, type_name: &str) -> bool {
-        self.factories.read().contains_key(type_name) // lock-class: registry.factories
     }
 
     /// Instantiate `type_name` under `uuid` unless that UUID already

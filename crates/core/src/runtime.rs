@@ -75,7 +75,6 @@ pub struct Runtime {
     /// `shutdown`/`Drop` (exit now).
     admin_bell: Arc<Doorbell>,
     admin: Mutex<Option<JoinHandle<()>>>,
-    auto_admin: bool,
     admin_interval: Duration,
     /// Rebalance history: watermark and per-queue work-done at the last
     /// rebalance, for demand estimation.
@@ -136,7 +135,6 @@ impl Runtime {
             admin_stop: Arc::new(AtomicBool::new(false)),
             admin_bell: Arc::new(Doorbell::new()),
             admin: Mutex::new(None),
-            auto_admin: config.auto_admin,
             admin_interval: config.admin_interval,
             rebalance_state: Mutex::new(RebalanceState::default()),
             rebalance_coord: Mutex::new(()),
@@ -592,11 +590,6 @@ impl Runtime {
         }
         workers.clear();
         self.ipc.set_offline();
-    }
-
-    /// Whether this runtime runs its own admin thread.
-    pub fn has_admin(&self) -> bool {
-        self.auto_admin
     }
 }
 

@@ -139,6 +139,7 @@ impl Namespace {
     }
 
     /// Unmount by mount point.
+    // api-ok: tests/route_freshness.rs pins what a request sees after it
     pub fn unmount(&self, mount: &str, uid: u32) -> Result<(), String> {
         let mut by_mount = self.by_mount.write(); // lock-class: stack.mounts
         let stack = by_mount

@@ -34,6 +34,7 @@ pub const RUNTIME_DOMAIN: u32 = 0;
 /// Execute one request against its stack's entry vertex, resolving the
 /// stack once for it. Workers and clients run requests through their own
 /// [`Routes`] instead (`run_request`).
+// api-ok: tests/labmod_counters.rs drives stacks through it
 pub fn process_request(
     ctx: &mut Ctx,
     req: Request,

@@ -204,7 +204,8 @@ impl Class {
         }
     }
 
-    /// Number of slots currently on the free list (O(n) walk; stats only).
+    /// Number of slots currently on the free list (O(n) walk).
+    #[cfg(test)]
     fn free_count(&self) -> usize {
         self.slots
             .iter()
@@ -398,20 +399,10 @@ impl BufferPool {
     }
 
     /// Bytes zero-filled handing slots out since the pool was built.
+    // api-ok: tests/alloc_buf_zero_fill.rs counts the zero-fills it pins
     pub fn zeroed_bytes(&self) -> u64 {
         // relaxed-ok: stats counter read
         self.inner.zeroed.load(Ordering::Relaxed)
-    }
-
-    /// Free slots remaining in the class that would serve a `len`-byte
-    /// allocation (stats/tests).
-    pub fn free_slots_for(&self, len: usize) -> usize {
-        self.inner
-            .classes
-            .iter()
-            .find(|c| c.buf_size >= len)
-            .map(|c| c.free_count())
-            .unwrap_or(0)
     }
 
     /// The size-class ladder as `(buf_size, slot_count)` pairs.
@@ -589,6 +580,7 @@ impl BufHandle {
     /// True when the two views' byte ranges intersect. Distinct
     /// allocations must never overlap (the proptest invariant); slices of
     /// one allocation may.
+    // api-ok: crates/ipc/tests/buf_properties.rs checks live handles never alias
     pub fn overlaps(&self, other: &BufHandle) -> bool {
         self.same_slot(other) && self.off < other.off + other.len && other.off < self.off + self.len
     }
@@ -896,6 +888,6 @@ mod tests {
         }
         assert_eq!(pool.live(), 0);
         assert!(pool.high_water() <= 32);
-        assert_eq!(pool.free_slots_for(64), 32);
+        assert_eq!(pool.inner.classes[0].free_count(), 32);
     }
 }

@@ -179,9 +179,6 @@ pub struct QueuePair<T> {
     sq: SpscRing<Envelope<T>>,
     cq: SpscRing<Envelope<T>>,
     upgrade: AtomicU8,
-    submitted: AtomicU64,
-    consumed: AtomicU64,
-    completed: AtomicU64,
     /// Estimated total processing cost (ns) of requests currently queued;
     /// maintained by callers via [`QueuePair::add_load`] and consumed by
     /// the Work Orchestrator's partitioner.
@@ -196,7 +193,7 @@ pub struct QueuePair<T> {
     /// latency-pressure signal.
     wait_ema_ns: AtomicU64,
     /// Histogram of measured per-item processing cost (everything passed
-    /// to [`QueuePair::record_work`]). The Work Orchestrator classifies
+    /// to [`QueuePair::record_work_batch`]). The Work Orchestrator classifies
     /// queues by its quantiles, falling back to [`QueuePair::max_item_ns`]
     /// while the histogram is still empty.
     item_hist: LogHistogram,
@@ -234,9 +231,6 @@ impl<T> QueuePair<T> {
             sq: SpscRing::with_capacity(depth.max(1)),
             cq: SpscRing::with_capacity(depth.max(1)),
             upgrade: AtomicU8::new(UpgradeFlag::None as u8),
-            submitted: AtomicU64::new(0),
-            consumed: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             est_load_ns: AtomicU64::new(0),
             max_item_ns: AtomicU64::new(0),
             work_done_ns: AtomicU64::new(0),
@@ -334,7 +328,6 @@ impl<T> QueuePair<T> {
         // (debug-checked by `_claim`).
         match unsafe { self.sq.producer_push(env) } {
             Ok(()) => {
-                self.submitted.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
                 self.ring_sq();
                 Ok(())
             }
@@ -344,9 +337,9 @@ impl<T> QueuePair<T> {
 
     /// Batched [`QueuePair::submit`]: move requests from the front of
     /// `payloads` into the SQ until it fills, publishing the burst with
-    /// one ring doorbell and one counter update. Returns how many were
-    /// queued; leftovers stay in `payloads` for the caller's backpressure
-    /// retry. Equivalent to N single submits at the same `submit_vt`.
+    /// one ring doorbell. Returns how many were queued; leftovers stay in
+    /// `payloads` for the caller's backpressure retry. Equivalent to N
+    /// single submits at the same `submit_vt`.
     pub fn submit_batch(&self, payloads: &mut Vec<T>, submit_vt: u64, origin_domain: u32) -> usize {
         #[cfg(debug_assertions)]
         let _claim = self.claim(Role::SqProducer);
@@ -368,7 +361,6 @@ impl<T> QueuePair<T> {
         // SAFETY: same sole-SQ-producer contract as above.
         let n = unsafe { self.sq.producer_push_iter(payloads.drain(..k).map(wrap)) };
         if n > 0 {
-            self.submitted.fetch_add(n as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
             self.ring_sq(); // one doorbell per burst (PR 3 contract)
         }
         n
@@ -385,30 +377,23 @@ impl<T> QueuePair<T> {
         // orchestrator assignment plus the drain-and-handoff protocol
         // (debug-checked by `_claim`).
         let mut env = unsafe { self.sq.consumer_pop() }?;
-        self.consumed.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-                                                       // Queue wait: how long the request sat before this worker's
-                                                       // timeline reached it (zero when the worker was waiting for it).
+        // Queue wait: how long the request sat before this worker's
+        // timeline reached it (zero when the worker was waiting for it).
         let wait = ctx.now().saturating_sub(env.submit_vt);
         let ema = self.wait_ema_ns.load(Ordering::Relaxed); // relaxed-ok: single-writer EMA, approximate by design
         self.wait_ema_ns
             .store(ema - ema / 8 + wait / 8, Ordering::Relaxed); // relaxed-ok: single-writer EMA, approximate by design
-        ctx.idle_until(env.submit_vt);
-        if env.origin_domain != consumer_domain {
-            cost::cross_domain_hop(ctx);
-        } else {
-            cost::same_domain_hop(ctx);
-        }
-        env.dequeue_vt = ctx.now();
+        arrive(ctx, &mut env, consumer_domain);
         Some(env)
     }
 
     /// Batched [`QueuePair::consume`]: drain up to `max` requests into
-    /// `out` (appended, FIFO). The ring doorbell, the flow counter, and
-    /// the wait-EMA store happen once per batch; causality idling and the
-    /// per-envelope transfer hop are charged per envelope, in order, so
-    /// the virtual-time results are identical to N single consumes (the
-    /// EMA recurrence is folded locally — bit-identical, since the
-    /// consumer is the EMA's only writer). Returns the count drained.
+    /// `out` (appended, FIFO). The ring retire and the wait-EMA store
+    /// happen once per batch; each envelope's arrival — causality idling
+    /// and the transfer hop — is charged per envelope, in order, so the
+    /// virtual-time results are identical to N single consumes (the EMA
+    /// recurrence is folded locally — bit-identical, since the consumer
+    /// is the EMA's only writer). Returns the count drained.
     pub fn consume_batch(
         &self,
         ctx: &mut Ctx,
@@ -425,18 +410,11 @@ impl<T> QueuePair<T> {
         if n == 0 {
             return 0;
         }
-        self.consumed.fetch_add(n as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
         let mut ema = self.wait_ema_ns.load(Ordering::Relaxed); // relaxed-ok: single-writer EMA, approximate by design
         for env in out.iter_mut().skip(start) {
             let wait = ctx.now().saturating_sub(env.submit_vt);
             ema = ema - ema / 8 + wait / 8;
-            ctx.idle_until(env.submit_vt);
-            if env.origin_domain != consumer_domain {
-                cost::cross_domain_hop(ctx);
-            } else {
-                cost::same_domain_hop(ctx);
-            }
-            env.dequeue_vt = ctx.now();
+            arrive(ctx, env, consumer_domain);
         }
         self.wait_ema_ns.store(ema, Ordering::Relaxed); // relaxed-ok: single-writer EMA, approximate by design
         n
@@ -457,7 +435,6 @@ impl<T> QueuePair<T> {
         // worker (debug-checked by `_claim`).
         match unsafe { self.cq.producer_push(env) } {
             Ok(()) => {
-                self.completed.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
                 self.ring_cq();
                 Ok(())
             }
@@ -467,9 +444,9 @@ impl<T> QueuePair<T> {
 
     /// Batched [`QueuePair::complete`]: post completions from the front of
     /// `items` — each a `(payload, complete_vt)` pair, preserving
-    /// per-request production times — until the CQ fills. One doorbell and
-    /// one counter update per batch. Returns how many were posted;
-    /// leftovers stay in `items` for the caller's bounded-backoff retry.
+    /// per-request production times — until the CQ fills. One doorbell
+    /// per batch. Returns how many were posted; leftovers stay in `items`
+    /// for the caller's bounded-backoff retry.
     pub fn complete_batch(&self, items: &mut Vec<(T, u64)>, origin_domain: u32) -> usize {
         #[cfg(debug_assertions)]
         let _claim = self.claim(Role::CqProducer);
@@ -491,7 +468,6 @@ impl<T> QueuePair<T> {
         // SAFETY: same single-completing-worker contract as above.
         let n = unsafe { self.cq.producer_push_iter(items.drain(..k).map(wrap)) };
         if n > 0 {
-            self.completed.fetch_add(n as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
             self.ring_cq(); // one doorbell per burst (PR 3 contract)
         }
         n
@@ -508,13 +484,7 @@ impl<T> QueuePair<T> {
         // SAFETY: completions are reaped only by the owning client
         // connection (debug-checked by `_claim`).
         let mut env = unsafe { self.cq.consumer_pop() }?;
-        ctx.idle_until(env.submit_vt);
-        if env.origin_domain != consumer_domain {
-            cost::cross_domain_hop(ctx);
-        } else {
-            cost::same_domain_hop(ctx);
-        }
-        env.dequeue_vt = ctx.now();
+        arrive(ctx, &mut env, consumer_domain);
         Some(env)
     }
 
@@ -536,40 +506,15 @@ impl<T> QueuePair<T> {
         // (debug-checked by `_claim`).
         let n = unsafe { self.cq.consumer_pop_batch(out, max) };
         for env in out.iter_mut().skip(start) {
-            ctx.idle_until(env.submit_vt);
-            if env.origin_domain != consumer_domain {
-                cost::cross_domain_hop(ctx);
-            } else {
-                cost::same_domain_hop(ctx);
-            }
-            env.dequeue_vt = ctx.now();
+            arrive(ctx, env, consumer_domain);
         }
         n
     }
 
     /// Number of submitted-but-unconsumed requests.
+    // api-ok: tests/end_to_end.rs pins the backlog a refused submit leaves
     pub fn sq_depth(&self) -> usize {
         self.sq.len()
-    }
-
-    /// Number of posted-but-unreaped completions.
-    pub fn cq_depth(&self) -> usize {
-        self.cq.len()
-    }
-
-    /// Total requests ever submitted.
-    pub fn total_submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
-    }
-
-    /// Total requests ever consumed by workers.
-    pub fn total_consumed(&self) -> u64 {
-        self.consumed.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
-    }
-
-    /// Total completions ever posted.
-    pub fn total_completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
     }
 
     // ---- upgrade handshake ------------------------------------------------
@@ -611,12 +556,6 @@ impl<T> QueuePair<T> {
         self.upgrade
             .store(UpgradeFlag::None as u8, Ordering::Release);
         self.ring_sq();
-    }
-
-    /// True while the queue must not be drained (update acked, upgrade in
-    /// progress).
-    pub fn is_paused(&self) -> bool {
-        self.upgrade.load(Ordering::Acquire) == UpgradeFlag::UpdateAcked as u8
     }
 
     // ---- orchestrator load accounting --------------------------------------
@@ -672,15 +611,9 @@ impl<T> QueuePair<T> {
         self.max_item_ns.load(Ordering::Relaxed) // relaxed-ok: self-contained stat counter; CAS guards no other memory
     }
 
-    /// Record `ns` of processing done for a request from this queue.
-    pub fn record_work(&self, ns: u64) {
-        self.work_done_ns.fetch_add(ns, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.item_hist.record(ns);
-    }
-
-    /// Batched [`QueuePair::record_work`]: one counter update for the
-    /// batch total; per-item histogram records (quantiles need the
-    /// individual values).
+    /// Record the processing done for a batch of this queue's requests,
+    /// `ns` per request: one counter update for the batch total; per-item
+    /// histogram records (quantiles need the individual values).
     pub fn record_work_batch(&self, per_item_ns: &[u64]) {
         let total: u64 = per_item_ns.iter().sum();
         if total > 0 {
@@ -712,6 +645,20 @@ impl<T> QueuePair<T> {
     pub fn p99_item_ns(&self) -> u64 {
         self.item_hist.p99()
     }
+}
+
+/// An envelope's arrival at its consumer: the consumer's clock idles
+/// forward to the envelope's production time (causality), pays the
+/// transfer hop — cross-domain when the envelope came from another
+/// address space — and the envelope is stamped with its dequeue time.
+fn arrive<T>(ctx: &mut Ctx, env: &mut Envelope<T>, consumer_domain: u32) {
+    ctx.idle_until(env.submit_vt);
+    if env.origin_domain != consumer_domain {
+        cost::cross_domain_hop(ctx);
+    } else {
+        cost::same_domain_hop(ctx);
+    }
+    env.dequeue_vt = ctx.now();
 }
 
 #[cfg(test)]
@@ -771,16 +718,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_flow() {
+    fn sq_depth_tracks_flow() {
         let q = qp();
         q.submit(1, 0, 0).unwrap();
         q.submit(2, 0, 0).unwrap();
         assert_eq!(q.sq_depth(), 2);
         let mut ctx = Ctx::new();
         q.consume(&mut ctx, 0).unwrap();
-        assert_eq!((q.total_submitted(), q.total_consumed()), (2, 1));
-        q.complete(9, 0, 0).unwrap();
-        assert_eq!((q.cq_depth(), q.total_completed()), (1, 1));
+        assert_eq!(q.sq_depth(), 1);
     }
 
     #[test]
@@ -789,12 +734,12 @@ mod tests {
         let mut payloads: Vec<u32> = (0..5).collect();
         assert_eq!(q.submit_batch(&mut payloads, 100, 1), 5);
         assert!(payloads.is_empty());
-        assert_eq!((q.total_submitted(), q.sq_depth()), (5, 5));
+        assert_eq!(q.sq_depth(), 5);
 
         let mut worker = Ctx::new();
         let mut inbox = Vec::new();
         assert_eq!(q.consume_batch(&mut worker, 0, &mut inbox, 8), 5);
-        assert_eq!(q.total_consumed(), 5);
+        assert_eq!(q.sq_depth(), 0);
         let order: Vec<u32> = inbox.iter().map(|e| e.payload).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         // First envelope: idle to 100 then cross-domain hop; the rest
@@ -809,7 +754,6 @@ mod tests {
             .collect();
         assert_eq!(q.complete_batch(&mut completions, 0), 5);
         assert!(completions.is_empty());
-        assert_eq!(q.total_completed(), 5);
 
         let mut client = Ctx::new();
         let mut done = Vec::new();
@@ -924,10 +868,9 @@ mod tests {
         q.mark_update_pending();
         assert_eq!(q.upgrade_flag(), UpgradeFlag::UpdatePending);
         assert!(q.ack_update());
-        assert!(q.is_paused());
+        assert_eq!(q.upgrade_flag(), UpgradeFlag::UpdateAcked);
         q.clear_update();
         assert_eq!(q.upgrade_flag(), UpgradeFlag::None);
-        assert!(!q.is_paused());
     }
 
     #[test]
@@ -953,27 +896,12 @@ mod tests {
     fn record_work_feeds_item_quantiles() {
         let q = qp();
         assert_eq!((q.p50_item_ns(), q.p99_item_ns()), (0, 0));
-        for _ in 0..9 {
-            q.record_work(1_000);
-        }
-        q.record_work(1_000_000);
+        q.record_work_batch(&[1_000; 9]);
+        q.record_work_batch(&[1_000_000]);
         let p50 = q.p50_item_ns();
         assert!((1_000..1_100).contains(&p50), "p50 {p50}");
         assert!(q.p99_item_ns() >= 1_000_000);
         assert_eq!(q.work_done_ns(), 9_000 + 1_000_000);
-    }
-
-    #[test]
-    fn record_work_batch_matches_singles() {
-        let a = qp();
-        let b = qp();
-        for ns in [1_000u64, 2_000, 4_000] {
-            a.record_work(ns);
-        }
-        b.record_work_batch(&[1_000, 2_000, 4_000]);
-        assert_eq!(a.work_done_ns(), b.work_done_ns());
-        assert_eq!(a.p50_item_ns(), b.p50_item_ns());
-        assert_eq!(a.p99_item_ns(), b.p99_item_ns());
     }
 
     #[test]

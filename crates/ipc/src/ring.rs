@@ -256,21 +256,6 @@ impl<T> Producer<T> {
         unsafe { self.ring.producer_push(value) }
     }
 
-    /// Move elements from the front of `items` into the ring until it is
-    /// full, publishing the burst with one release store. Returns how many
-    /// moved; leftovers stay in `items` (backpressure).
-    pub fn push_batch(&mut self, items: &mut Vec<T>) -> usize {
-        // SAFETY: `&mut self` on the unique producer half — no other
-        // producer can exist.
-        let free = unsafe { self.ring.producer_free() };
-        let k = items.len().min(free);
-        // SAFETY: same unique-producer argument as above; `drain(..k)`
-        // yields exactly `k <= free` elements, and free space can only
-        // have grown since the check (we are the sole producer), so the
-        // iterator is fully consumed — nothing is dropped by the drain.
-        unsafe { self.ring.producer_push_iter(items.drain(..k)) }
-    }
-
     /// Queue occupancy as seen by the producer.
     pub fn len(&self) -> usize {
         self.ring.len()
@@ -288,14 +273,6 @@ impl<T> Consumer<T> {
         // SAFETY: `&mut self` on the unique consumer half — no other
         // consumer can exist.
         unsafe { self.ring.consumer_pop() }
-    }
-
-    /// Pop up to `max` elements into `out` (FIFO order), retiring the
-    /// burst with one release store. Returns how many were popped.
-    pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        // SAFETY: `&mut self` on the unique consumer half — no other
-        // consumer can exist.
-        unsafe { self.ring.consumer_pop_batch(out, max) }
     }
 
     /// Queue occupancy as seen by the consumer.
@@ -335,6 +312,35 @@ impl<T> Drop for SpscRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The batched verbs on the split halves: the ring's `producer_push_iter`
+    // and `consumer_pop_batch` under the halves' type-level contract.
+    impl<T> Producer<T> {
+        /// Move elements from the front of `items` into the ring until it is
+        /// full, publishing the burst with one release store. Returns how many
+        /// moved; leftovers stay in `items` (backpressure).
+        fn push_batch(&mut self, items: &mut Vec<T>) -> usize {
+            // SAFETY: `&mut self` on the unique producer half — no other
+            // producer can exist.
+            let free = unsafe { self.ring.producer_free() };
+            let k = items.len().min(free);
+            // SAFETY: same unique-producer argument as above; `drain(..k)`
+            // yields exactly `k <= free` elements, and free space can only
+            // have grown since the check (we are the sole producer), so the
+            // iterator is fully consumed — nothing is dropped by the drain.
+            unsafe { self.ring.producer_push_iter(items.drain(..k)) }
+        }
+    }
+
+    impl<T> Consumer<T> {
+        /// Pop up to `max` elements into `out` (FIFO order), retiring the
+        /// burst with one release store. Returns how many were popped.
+        fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+            // SAFETY: `&mut self` on the unique consumer half — no other
+            // consumer can exist.
+            unsafe { self.ring.consumer_pop_batch(out, max) }
+        }
+    }
 
     #[test]
     fn fifo_order() {

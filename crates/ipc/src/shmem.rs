@@ -199,6 +199,7 @@ impl ShmRegionHandle {
 }
 
 /// The Runtime-owned shared memory manager.
+// api-ok: §III-C ShMemMod grants (tests/stack_composition.rs)
 #[derive(Default)]
 pub struct ShmManager {
     regions: RwLock<HashMap<u64, Arc<Region>>>,
@@ -213,6 +214,7 @@ impl ShmManager {
 
     /// Allocate a region of `size` bytes, owned by (and granted to)
     /// `owner_pid`. Returns the region id.
+    // api-ok: §III-C ShMemMod grants (tests/stack_composition.rs)
     pub fn create_region(&self, size: usize, owner_pid: u32) -> u64 {
         let mut next = self.next_id.write(); // lock-class: shmem.ids
         let id = *next;
@@ -224,6 +226,7 @@ impl ShmManager {
     }
 
     /// Grant `pid` the right to attach `region`.
+    // api-ok: §III-C ShMemMod grants (tests/stack_composition.rs)
     pub fn grant(&self, region: u64, pid: u32) -> Result<(), ShmError> {
         let regions = self.regions.read(); // lock-class: shmem.regions
         let r = regions.get(&region).ok_or(ShmError::NoSuchRegion(region))?;
@@ -233,6 +236,7 @@ impl ShmManager {
 
     /// Revoke `pid`'s grant. Existing handles stay valid (pages already
     /// mapped), future attaches fail.
+    // api-ok: §III-C ShMemMod grants
     pub fn revoke(&self, region: u64, pid: u32) -> Result<(), ShmError> {
         let regions = self.regions.read(); // lock-class: shmem.regions
         let r = regions.get(&region).ok_or(ShmError::NoSuchRegion(region))?;
@@ -241,6 +245,7 @@ impl ShmManager {
     }
 
     /// Map the region into `pid`'s address space.
+    // api-ok: §III-C ShMemMod grants (tests/stack_composition.rs)
     pub fn attach(&self, region: u64, pid: u32) -> Result<ShmRegionHandle, ShmError> {
         let regions = self.regions.read(); // lock-class: shmem.regions
         let r = regions.get(&region).ok_or(ShmError::NoSuchRegion(region))?;
@@ -252,21 +257,6 @@ impl ShmManager {
             id: region,
             region: r.clone(),
         })
-    }
-
-    /// Destroy a region. Outstanding handles keep the memory alive but the
-    /// id becomes invalid.
-    pub fn destroy(&self, region: u64) -> Result<(), ShmError> {
-        self.regions
-            .write() // lock-class: shmem.regions
-            .remove(&region)
-            .map(|_| ())
-            .ok_or(ShmError::NoSuchRegion(region))
-    }
-
-    /// Number of live regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.read().len() // lock-class: shmem.regions
     }
 }
 
@@ -325,17 +315,6 @@ mod tests {
         assert!(h.write(10, &[0u8; 10]).is_err());
         let mut buf = [0u8; 20];
         assert!(h.read(0, &mut buf).is_err());
-    }
-
-    #[test]
-    fn destroy_invalidates_id_keeps_memory() {
-        let m = ShmManager::new();
-        let id = m.create_region(16, 1);
-        let h = m.attach(id, 1).unwrap();
-        m.destroy(id).unwrap();
-        assert!(m.attach(id, 1).is_err());
-        assert_eq!(m.region_count(), 0);
-        h.write(0, &[7]).unwrap(); // handle-held memory survives
     }
 
     #[test]

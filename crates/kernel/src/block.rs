@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use labstor_sim::{BlockDevice, Completion, Ctx, DeviceError, IoRequest, SimDevice};
 
@@ -44,7 +44,7 @@ pub enum CompletionMode {
 /// The block layer instance fronting one device.
 pub struct BlockLayer {
     dev: Arc<SimDevice>,
-    sched: RwLock<Arc<dyn KernelSched>>,
+    sched: Arc<dyn KernelSched>,
     next_tag: AtomicU64,
     /// Completions reaped from a shared hardware queue on behalf of other
     /// waiters (the IRQ handler completes everything it finds).
@@ -61,7 +61,7 @@ impl BlockLayer {
     pub fn with_sched(dev: Arc<SimDevice>, sched: Arc<dyn KernelSched>) -> Arc<Self> {
         Arc::new(BlockLayer {
             dev,
-            sched: RwLock::new(sched),
+            sched,
             next_tag: AtomicU64::new(1),
             stash: Mutex::new(HashMap::new()),
         })
@@ -70,17 +70,6 @@ impl BlockLayer {
     /// The underlying device.
     pub fn device(&self) -> &Arc<SimDevice> {
         &self.dev
-    }
-
-    /// Swap the I/O scheduler (like writing to
-    /// `/sys/block/<dev>/queue/scheduler`).
-    pub fn set_sched(&self, sched: Arc<dyn KernelSched>) {
-        *self.sched.write() = sched; // lock-class: block.sched
-    }
-
-    /// Name of the active scheduler.
-    pub fn sched_name(&self) -> &'static str {
-        self.sched.read().name() // lock-class: block.sched
     }
 
     /// Allocate a unique request tag.
@@ -99,10 +88,7 @@ impl BlockLayer {
         req: IoRequest<'_>,
     ) -> Result<usize, DeviceError> {
         ctx.advance(cost::BIO_ALLOC_NS + cost::BLOCK_LAYER_NS + cost::SCHED_DECIDE_NS);
-        let qid = self
-            .sched
-            .read() // lock-class: block.sched
-            .select_queue(&self.dev, core, req.len, class);
+        let qid = self.sched.select_queue(&self.dev, core, req.len, class);
         ctx.advance(cost::DRIVER_SUBMIT_NS);
         self.dev.submit_at(qid, req, ctx.now())?;
         Ok(qid)
@@ -329,14 +315,6 @@ mod tests {
         assert_eq!(c2.tag, t2);
         let c1 = b.wait_for_tag(&mut a, 0, t1, CompletionMode::DriverPoll);
         assert_eq!(c1.tag, t1);
-    }
-
-    #[test]
-    fn scheduler_swap_takes_effect() {
-        let b = layer();
-        assert_eq!(b.sched_name(), "noop");
-        b.set_sched(Arc::new(crate::sched::BlkSwitchSched::default()));
-        assert_eq!(b.sched_name(), "blk-switch");
     }
 
     #[test]

@@ -63,11 +63,6 @@ pub fn context_switch(ctx: &mut Ctx) {
     ctx.advance(CONTEXT_SWITCH_NS);
 }
 
-/// Charge an interrupt delivery + completion processing.
-pub fn interrupt(ctx: &mut Ctx) {
-    ctx.advance(INTERRUPT_NS);
-}
-
 /// Charge a user↔kernel copy of `bytes`.
 pub fn copy(ctx: &mut Ctx, bytes: usize) {
     ctx.advance(copy_ns(bytes));
@@ -102,8 +97,7 @@ mod tests {
         let mut ctx = Ctx::new();
         syscall(&mut ctx);
         context_switch(&mut ctx);
-        interrupt(&mut ctx);
-        assert_eq!(ctx.now(), SYSCALL_NS + CONTEXT_SWITCH_NS + INTERRUPT_NS);
+        assert_eq!(ctx.now(), SYSCALL_NS + CONTEXT_SWITCH_NS);
     }
 
     #[test]

@@ -245,18 +245,6 @@ impl KernelFs {
         &self.profile
     }
 
-    /// Dirty-byte threshold that triggers foreground writeback throttling
-    /// (Linux's dirty_ratio analog). Sustained write workloads become
-    /// device-bound once they cross it.
-    pub fn set_dirty_threshold(&mut self, bytes: usize) {
-        self.dirty_threshold = bytes;
-    }
-
-    /// Number of inodes (including the root).
-    pub fn inode_count(&self) -> usize {
-        self.inodes.read().len() // lock-class: fs.inodes
-    }
-
     // ---- internal helpers ---------------------------------------------
 
     fn domain_of(&self, ino: u64) -> usize {
@@ -684,17 +672,6 @@ impl Filesystem for KernelFs {
         })
     }
 
-    fn readdir(&self, ctx: &mut Ctx, path: &str) -> Result<Vec<String>, FsError> {
-        let ino = self.resolve(ctx, path)?;
-        let inodes = self.inodes.read(); // lock-class: fs.inodes
-        let node = inodes.get(&ino).ok_or(FsError::NotFound)?;
-        if node.kind != FileKind::Dir {
-            return Err(FsError::NotDir);
-        }
-        ctx.advance(100 * node.children.len().max(1) as u64);
-        Ok(node.children.keys().cloned().collect())
-    }
-
     fn truncate(&self, ctx: &mut Ctx, _core: usize, ino: u64, size: u64) -> Result<(), FsError> {
         self.take_meta_lock(ctx, self.domain_of(ino));
         let old_size;
@@ -795,7 +772,6 @@ mod tests {
         f.mkdir(&mut ctx, 0, "/d/e", 0o755, root()).unwrap();
         f.create(&mut ctx, 0, "/d/e/f", 0o644, root()).unwrap();
         assert!(f.lookup(&mut ctx, "/d/e/f").is_ok());
-        assert_eq!(f.readdir(&mut ctx, "/d").unwrap(), vec!["e".to_string()]);
     }
 
     #[test]

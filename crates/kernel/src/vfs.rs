@@ -132,8 +132,6 @@ pub trait Filesystem: Send + Sync {
     ) -> Result<(), FsError>;
     /// Stat a path.
     fn stat(&self, ctx: &mut Ctx, path: &str) -> Result<Stat, FsError>;
-    /// List a directory.
-    fn readdir(&self, ctx: &mut Ctx, path: &str) -> Result<Vec<String>, FsError>;
     /// Set file size.
     fn truncate(&self, ctx: &mut Ctx, core: usize, ino: u64, size: u64) -> Result<(), FsError>;
     /// Persist one file's data and metadata.
@@ -186,7 +184,6 @@ struct OpenFile {
     fs: Arc<dyn Filesystem>,
     ino: u64,
     pos: u64,
-    append: bool,
 }
 
 #[derive(Default)]
@@ -274,15 +271,7 @@ impl Vfs {
         let table = tables.entry(pid).or_default();
         table.next_fd += 1;
         let fd = table.next_fd;
-        table.open.insert(
-            fd,
-            OpenFile {
-                fs,
-                ino,
-                pos,
-                append: flags.append,
-            },
-        );
+        table.open.insert(fd, OpenFile { fs, ino, pos });
         Ok(fd)
     }
 
@@ -328,36 +317,6 @@ impl Vfs {
         let n = fs.read(ctx, core, ino, off, buf)?;
         self.with_fd(pid, fd, |f| f.pos = off + n as u64)?;
         Ok(n)
-    }
-
-    /// `pwrite(2)`: positional write, fd position unchanged.
-    pub fn pwrite(
-        &self,
-        ctx: &mut Ctx,
-        core: usize,
-        pid: u32,
-        fd: i32,
-        off: u64,
-        data: &[u8],
-    ) -> Result<usize, VfsError> {
-        cost::syscall(ctx);
-        let (fs, ino) = self.with_fd(pid, fd, |f| (f.fs.clone(), f.ino))?;
-        Ok(fs.write(ctx, core, ino, off, data)?)
-    }
-
-    /// `pread(2)`: positional read.
-    pub fn pread(
-        &self,
-        ctx: &mut Ctx,
-        core: usize,
-        pid: u32,
-        fd: i32,
-        off: u64,
-        buf: &mut [u8],
-    ) -> Result<usize, VfsError> {
-        cost::syscall(ctx);
-        let (fs, ino) = self.with_fd(pid, fd, |f| (f.fs.clone(), f.ino))?;
-        Ok(fs.read(ctx, core, ino, off, buf)?)
     }
 
     /// `lseek(2)` (SEEK_SET only — what the workloads use).
@@ -443,49 +402,6 @@ impl Vfs {
         let (fs, rel) = self.route(path)?;
         Ok(fs.stat(ctx, rel)?)
     }
-
-    /// `readdir(3)` (whole directory at once).
-    pub fn readdir(&self, ctx: &mut Ctx, path: &str) -> Result<Vec<String>, VfsError> {
-        cost::syscall(ctx);
-        let (fs, rel) = self.route(path)?;
-        Ok(fs.readdir(ctx, rel)?)
-    }
-
-    /// Duplicate a process's fd table into a child (fork/clone semantics;
-    /// GenericFS intercepts the same calls on the LabStor side, §III-F).
-    pub fn fork_fds(&self, parent: u32, child: u32) {
-        let mut tables = self.tables.write(); // lock-class: vfs.table
-        let copied: Option<FdTable> = tables.get(&parent).map(|t| FdTable {
-            next_fd: t.next_fd,
-            open: t
-                .open
-                .iter()
-                .map(|(fd, f)| {
-                    (
-                        *fd,
-                        OpenFile {
-                            fs: f.fs.clone(),
-                            ino: f.ino,
-                            pos: f.pos,
-                            append: f.append,
-                        },
-                    )
-                })
-                .collect(),
-        });
-        if let Some(t) = copied {
-            tables.insert(child, t);
-        }
-    }
-
-    /// Open fd count for a process.
-    pub fn open_fds(&self, pid: u32) -> usize {
-        self.tables
-            .read() // lock-class: vfs.table
-            .get(&pid)
-            .map(|t| t.open.len())
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -527,7 +443,7 @@ mod tests {
         assert_eq!(v.read(&mut ctx, 0, 1, fd, &mut out).unwrap(), 11);
         assert_eq!(&out, b"hello world");
         v.close(&mut ctx, 1, fd).unwrap();
-        assert_eq!(v.open_fds(1), 0);
+        assert_eq!(v.close(&mut ctx, 1, fd), Err(VfsError::BadFd(fd)));
     }
 
     #[test]
@@ -558,58 +474,6 @@ mod tests {
             v.read(&mut ctx, 0, 1, 42, &mut b),
             Err(VfsError::BadFd(42))
         ));
-    }
-
-    #[test]
-    fn positional_io_does_not_move_cursor() {
-        let v = vfs();
-        let mut ctx = Ctx::new();
-        let fd = v
-            .open(
-                &mut ctx,
-                0,
-                1,
-                Cred::ROOT,
-                "/mnt/p",
-                OpenFlags {
-                    create: true,
-                    ..Default::default()
-                },
-                0o644,
-            )
-            .unwrap();
-        v.pwrite(&mut ctx, 0, 1, fd, 100, b"xyz").unwrap();
-        let mut out = [0u8; 3];
-        v.pread(&mut ctx, 0, 1, fd, 100, &mut out).unwrap();
-        assert_eq!(&out, b"xyz");
-        // Cursor still at 0: a plain write lands at the start.
-        v.write(&mut ctx, 0, 1, fd, b"a").unwrap();
-        v.pread(&mut ctx, 0, 1, fd, 0, &mut out[..1]).unwrap();
-        assert_eq!(&out[..1], b"a");
-    }
-
-    #[test]
-    fn fork_copies_fd_table() {
-        let v = vfs();
-        let mut ctx = Ctx::new();
-        let fd = v
-            .open(
-                &mut ctx,
-                0,
-                1,
-                Cred::ROOT,
-                "/mnt/f",
-                OpenFlags {
-                    create: true,
-                    ..Default::default()
-                },
-                0o644,
-            )
-            .unwrap();
-        v.fork_fds(1, 2);
-        assert_eq!(v.open_fds(2), 1);
-        // Child can use the inherited fd.
-        v.write(&mut ctx, 0, 2, fd, b"child").unwrap();
     }
 
     #[test]

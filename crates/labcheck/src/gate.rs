@@ -216,7 +216,7 @@ pub fn gate() -> Vec<GateRow> {
     vec![
         // SPSC ring: depth 6 per side at cap 2 and 4, a wraparound run,
         // a partial-drain run (Drop contract), depth 7, and the batched
-        // protocol (`push_batch`/`pop_batch`: one doorbell store per
+        // protocol (`producer_push_iter`/`consumer_pop_batch`: one store per
         // burst) at batch 2 and 3, including across the counter wrap.
         ring(McConfig::correct(2, 6), pass(787, 1720, 2)),
         ring(McConfig::correct(4, 6), pass(2171, 5008, 4)),

@@ -3,10 +3,12 @@
 //!
 //! Two halves (DESIGN.md §"Static analysis & concurrency checking"):
 //!
-//! 1. [`lint`] — four source lints enforcing LabStor-specific invariants
+//! 1. [`lint`] — source lints enforcing LabStor-specific invariants
 //!    over every workspace `.rs` file: justified `Ordering::Relaxed`,
 //!    panic-freedom in the IPC hot paths, `SAFETY:` comments on `unsafe`,
-//!    and explicit opt-out from the LabMod platform contract defaults.
+//!    explicit opt-out from the LabMod platform contract defaults, the
+//!    copy, pool-write, thread-spawn, request-lookup and lock rules, and
+//!    no `pub` item without a caller (`unreached-pub`).
 //! 2. [`explore`] — the one exhaustive breadth-first search, over any
 //!    [`Model`]; six models re-express real protocols as atomic steps
 //!    with planted-bug variants: [`mc`] (SPSC ring push/pop), [`mc_rc`]
@@ -30,11 +32,12 @@ pub mod mc_fuel;
 pub mod mc_journal;
 pub mod mc_lock;
 pub mod mc_rc;
+mod reach;
 pub mod scan;
 
 pub use explore::{explore, Failure, Model, Report};
 pub use gate::{gate, GateRow};
-pub use lint::{lint_source, lint_workspace, render_json, render_text, Config, Diagnostic, Lint};
+pub use lint::{lint_sources, lint_workspace, render_json, render_text, Config, Diagnostic, Lint};
 pub use lockcheck::LockClassSpec;
 pub use mc::{McConfig, Variant, Violation};
 pub use mc_doorbell::{DoorbellConfig, DoorbellVariant, DoorbellViolation};

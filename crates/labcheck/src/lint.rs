@@ -25,6 +25,11 @@
 //! - `// lock-class: <name>`          — names the registry class of a lock
 //!   acquisition (required on every acquisition in the governed crates;
 //!   see [`crate::lockcheck`])
+//! - `// api-ok: <reason>`            — permits a `pub` item in
+//!   `crates/*/src` that nothing outside tests names; the reason must
+//!   name the paper section it reproduces (`§…`) or the integration test
+//!   that reads it (`tests/…`). Covers the definition line (see
+//!   `crate::reach`).
 
 use std::fmt;
 use std::fs;
@@ -32,6 +37,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::lockcheck::{lint_lock_discipline, LockClassSpec};
+use crate::reach::lint_unreached_pub;
 use crate::scan::SourceFile;
 
 /// Lint identifiers, stable across text and JSON output.
@@ -59,6 +65,8 @@ pub enum Lint {
     LockOrder,
     /// Re-acquisition of a held non-reentrant lock class.
     LockReentry,
+    /// `pub` item in `crates/*/src` that nothing outside tests names.
+    UnreachedPub,
 }
 
 impl Lint {
@@ -76,6 +84,7 @@ impl Lint {
             Lint::LockAnnotation => "lock-annotation",
             Lint::LockOrder => "lock-order",
             Lint::LockReentry => "lock-reentry",
+            Lint::UnreachedPub => "unreached-pub",
         }
     }
 }
@@ -232,7 +241,6 @@ impl Config {
                 LockClassSpec::lock("ipc.qps", 59),
                 LockClassSpec::lock("fs.inodes", 60),
                 LockClassSpec::lock("fs.journal", 62),
-                LockClassSpec::lock("block.sched", 64),
                 LockClassSpec::lock("block.stash", 66),
                 LockClassSpec::lock("engines.staged", 68),
                 LockClassSpec::lock("pagecache.shard", 70),
@@ -287,9 +295,18 @@ pub fn lint_file(cfg: &Config, file: &SourceFile) -> Vec<Diagnostic> {
     diags
 }
 
-/// Convenience: preprocess + lint an in-memory snippet (fixture tests).
-pub fn lint_source(cfg: &Config, name: &str, text: &str) -> Vec<Diagnostic> {
-    lint_file(cfg, &SourceFile::parse(name, text))
+/// Preprocess and lint a set of `(path, text)` files as one workspace:
+/// every per-file lint on each, then the cross-file `unreached-pub` lint
+/// over all of them. Paths are workspace-relative with `/` separators.
+pub fn lint_sources(cfg: &Config, sources: &[(&str, &str)]) -> Vec<Diagnostic> {
+    let files: Vec<SourceFile> = sources
+        .iter()
+        .map(|(name, text)| SourceFile::parse(name, text))
+        .collect();
+    let mut diags: Vec<Diagnostic> = files.iter().flat_map(|f| lint_file(cfg, f)).collect();
+    lint_unreached_pub(&files, &mut diags);
+    diags.sort_by(|a, b| (&a.file, a.line, a.lint.name()).cmp(&(&b.file, b.line, b.lint.name())));
+    diags
 }
 
 /// Lint 1: every `Ordering::Relaxed` outside the allowlist and outside
@@ -730,13 +747,12 @@ fn receiver_before(file: &SourceFile, idx: usize, pos: usize) -> String {
 }
 
 /// Collect all workspace `.rs` files under `root` (skipping `target/` and
-/// dot-directories) and lint them. Paths in diagnostics are
-/// workspace-relative with `/` separators.
+/// dot-directories) and lint them as one set (see [`lint_sources`]).
 pub fn lint_workspace(cfg: &Config, root: &Path) -> io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
     files.sort();
-    let mut diags = Vec::new();
+    let mut sources = Vec::new();
     for path in files {
         let text = fs::read_to_string(&path)?;
         let rel = path
@@ -746,9 +762,13 @@ pub fn lint_workspace(cfg: &Config, root: &Path) -> io::Result<Vec<Diagnostic>> 
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        diags.extend(lint_file(cfg, &SourceFile::parse(&rel, &text)));
+        sources.push((rel, text));
     }
-    Ok(diags)
+    let sources: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(p, t)| (p.as_str(), t.as_str()))
+        .collect();
+    Ok(lint_sources(cfg, &sources))
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -524,7 +524,7 @@ fn drop_calls(code: &str) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::lint::{lint_source, Config, Lint};
+    use crate::lint::{lint_sources, Config, Lint};
 
     fn lock_cfg() -> Config {
         let mut cfg = Config::labstor();
@@ -534,7 +534,7 @@ mod tests {
     }
 
     fn lints_of(src: &str) -> Vec<(Lint, usize)> {
-        lint_source(&lock_cfg(), "fixtures/locks.rs", src)
+        lint_sources(&lock_cfg(), &[("fixtures/locks.rs", src)])
             .into_iter()
             .map(|d| (d.lint, d.line))
             .collect()
@@ -676,7 +676,7 @@ fn write(&self) {
     fn ungoverned_path_exempt() {
         let cfg = Config::labstor();
         let src = "fn f(&self) {\n    let g = self.m.lock();\n}";
-        assert!(lint_source(&cfg, "crates/mods/src/lru.rs", src)
+        assert!(lint_sources(&cfg, &[("crates/mods/src/lru.rs", src)])
             .iter()
             .all(|d| d.lint != Lint::LockAnnotation));
     }

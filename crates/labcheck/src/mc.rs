@@ -1,7 +1,7 @@
 //! Deterministic interleaving model checker for the SPSC ring hot path.
 //!
-//! `Producer::push`/`push_batch` and `Consumer::pop`/`pop_batch`
-//! (crates/ipc/src/ring.rs) are
+//! `SpscRing::producer_push`/`producer_push_iter` and
+//! `consumer_pop`/`consumer_pop_batch` (crates/ipc/src/ring.rs) are
 //! decomposed into their atomic steps — counter loads, the occupancy
 //! check, the slot access, the publishing store — and a scheduler explores
 //! *every* reachable interleaving of the two threads ([`crate::explore`]).
@@ -23,7 +23,8 @@
 //! - with [`McConfig::batch`] `> 1` each operation claims up to `batch`
 //!   slots from one counter observation, touches them one atomic step at
 //!   a time, and publishes the whole burst with **one** counter store —
-//!   exactly the batched-doorbell protocol of `push_batch`/`pop_batch`.
+//!   exactly the batched-doorbell protocol of `producer_push_iter` /
+//!   `consumer_pop_batch`.
 //!   With batched publication a counter skips intermediate values; the
 //!   stale-read model still enumerates them, a safe-side
 //!   over-approximation (a skipped value only ever implies *fewer*

@@ -49,92 +49,60 @@ impl SourceFile {
         }
     }
 
-    /// True when line `idx` (0-based) is covered by `marker`: a comment on
-    /// the same line, on an earlier line of the same statement, or in the
-    /// contiguous comment-only block directly above the statement (doc
-    /// comments included). A blank line ends the block.
+    /// True when line `idx` (0-based) is covered by `marker` (see
+    /// [`SourceFile::annotation`]).
+    pub fn annotated(&self, idx: usize, marker: &str) -> bool {
+        self.annotation(idx, marker).is_some()
+    }
+
+    /// The value of a `<marker> <value>` annotation covering line `idx`:
+    /// the first whitespace-delimited token after the marker (e.g.
+    /// `// lock-class: pagecache.shard` yields `pagecache.shard`).
+    pub fn annotation_value(&self, idx: usize, marker: &str) -> Option<String> {
+        let rest = self.annotation(idx, marker)?;
+        let token: String = rest.chars().take_while(|c| !c.is_whitespace()).collect();
+        (!token.is_empty()).then_some(token)
+    }
+
+    /// The comment text after the `marker` covering line `idx`, trimmed:
+    /// a comment on the same line, on an earlier line of the same
+    /// statement, or in the contiguous comment-only block directly above
+    /// the statement (doc comments included). A blank line ends the block.
     ///
     /// Statement awareness matters because rustfmt freely rewraps long
     /// statements: an annotation written against one physical line must
     /// keep covering the code after the formatter splits it. A line is
     /// taken to start a statement when the code line above it is blank,
     /// comment-only, or ends with `;`, `{` or `}`.
-    pub fn annotated(&self, idx: usize, marker: &str) -> bool {
-        if self.lines[idx].comment.contains(marker) {
-            return true;
+    pub fn annotation(&self, idx: usize, marker: &str) -> Option<&str> {
+        fn after<'a>(line: &'a Line, marker: &str) -> Option<&'a str> {
+            let pos = line.comment.find(marker)?;
+            Some(line.comment[pos + marker.len()..].trim())
+        }
+        let lines = &self.lines;
+        if let Some(rest) = after(&lines[idx], marker) {
+            return Some(rest);
         }
         // Walk back to the first line of the enclosing statement, honoring
         // annotations on any earlier line of it along the way.
         let mut start = idx;
         while start > 0 {
-            let prev = self.lines[start - 1].code.trim();
+            let prev = lines[start - 1].code.trim();
             if prev.is_empty() || prev.ends_with(';') || prev.ends_with('{') || prev.ends_with('}')
             {
                 break;
             }
             start -= 1;
-            if self.lines[start].comment.contains(marker) {
-                return true;
+            if let Some(rest) = after(&lines[start], marker) {
+                return Some(rest);
             }
         }
         // Contiguous comment-only block directly above the statement.
-        let mut i = start;
-        while i > 0 {
-            i -= 1;
-            let line = &self.lines[i];
-            if !line.code.trim().is_empty() {
-                return false;
-            }
-            if line.comment.is_empty() {
-                return false;
-            }
-            if line.comment.contains(marker) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The value of a `<marker> <value>` annotation covering line `idx`,
-    /// using the same coverage walk as [`SourceFile::annotated`]: same
-    /// line, an earlier line of the same statement, or the contiguous
-    /// comment block directly above. The value is the first
-    /// whitespace-delimited token after the marker (e.g.
-    /// `// lock-class: pagecache.shard` yields `pagecache.shard`).
-    pub fn annotation_value(&self, idx: usize, marker: &str) -> Option<String> {
-        let extract = |comment: &str| -> Option<String> {
-            let pos = comment.find(marker)?;
-            let rest = comment[pos + marker.len()..].trim_start();
-            let token: String = rest.chars().take_while(|c| !c.is_whitespace()).collect();
-            (!token.is_empty()).then_some(token)
-        };
-        if let Some(v) = extract(&self.lines[idx].comment) {
-            return Some(v);
-        }
-        let mut start = idx;
-        while start > 0 {
-            let prev = self.lines[start - 1].code.trim();
-            if prev.is_empty() || prev.ends_with(';') || prev.ends_with('{') || prev.ends_with('}')
-            {
-                break;
-            }
-            start -= 1;
-            if let Some(v) = extract(&self.lines[start].comment) {
-                return Some(v);
-            }
-        }
-        let mut i = start;
-        while i > 0 {
-            i -= 1;
-            let line = &self.lines[i];
-            if !line.code.trim().is_empty() || line.comment.is_empty() {
-                return None;
-            }
-            if let Some(v) = extract(&line.comment) {
-                return Some(v);
-            }
-        }
-        None
+        lines[..start]
+            .iter()
+            .rev()
+            .take_while(|line| line.code.trim().is_empty() && !line.comment.is_empty())
+            .find_map(|line| after(line, marker))
     }
 
     /// Extent of the item whose header is at line `start` (0-based): scans
@@ -190,12 +158,6 @@ impl SourceFile {
             }
         }
         out
-    }
-
-    /// Line range of the first occurrence of the named function (see
-    /// [`SourceFile::fn_extents`] for all occurrences).
-    pub fn fn_extent(&self, fn_name: &str) -> Option<(usize, usize)> {
-        self.fn_extents(fn_name).into_iter().next()
     }
 
     /// Every function item in the file: `(name, start, end)` with the
@@ -520,8 +482,8 @@ mod tests {
     fn fn_extent_brace_matching() {
         let src = "fn a() {\n  if x { y(); }\n}\nfn ab() {\n  z();\n}";
         let f = SourceFile::parse("t.rs", src);
-        assert_eq!(f.fn_extent("a"), Some((0, 2)));
-        assert_eq!(f.fn_extent("ab"), Some((3, 5)));
-        assert_eq!(f.fn_extent("missing"), None);
+        assert_eq!(f.fn_extents("a"), vec![(0, 2)]);
+        assert_eq!(f.fn_extents("ab"), vec![(3, 5)]);
+        assert_eq!(f.fn_extents("missing"), vec![]);
     }
 }

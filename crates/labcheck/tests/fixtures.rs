@@ -2,7 +2,12 @@
 //! in-memory strings, asserting exact `file:line` diagnostics and every
 //! annotation escape hatch.
 
-use labstor_labcheck::{lint_source, render_json, render_text, Config, Lint};
+use labstor_labcheck::{lint_sources, render_json, render_text, Config, Diagnostic, Lint};
+
+/// Lint one in-memory snippet as the whole workspace.
+fn lint_source(cfg: &Config, name: &str, text: &str) -> Vec<Diagnostic> {
+    lint_sources(cfg, &[(name, text)])
+}
 
 fn cfg() -> Config {
     Config::labstor()
@@ -573,6 +578,160 @@ mod tests {
 }
 ";
     assert!(lint_source(&cfg(), "crates/core/src/client.rs", src).is_empty());
+}
+
+// ---- lint 12: unreached-pub ----------------------------------------------
+
+/// A crate defining a planted `pub fn` and a planted variant (lines 2 and
+/// 8), and a binary that uses the enum and its other variant.
+const PLANTED: &str = "\
+/// Planted: no caller.
+pub fn planted_fn() -> u32 {
+    7
+}
+
+pub enum Planted {
+    Live,
+    DeadVariant,
+}
+";
+const PLANTED_PATH: &str = "crates/x/src/lib.rs";
+const MAIN: (&str, &str) = (
+    "crates/app/src/main.rs",
+    "fn main() {\n    let _ = labstor_x::Planted::Live;\n}\n",
+);
+/// A use of both planted items.
+const USE: &str = "labstor_x::planted_fn(); let _ = labstor_x::Planted::DeadVariant;";
+
+/// The `unreached-pub` findings, as `(line, message)`, when the planted
+/// crate is linted with `main.rs` and `extra`.
+fn unreached(planted: &str, extra: &[(&str, &str)]) -> Vec<(usize, String)> {
+    let mut sources = vec![(PLANTED_PATH, planted), MAIN];
+    sources.extend_from_slice(extra);
+    lint_sources(&cfg(), &sources)
+        .into_iter()
+        .filter(|d| d.lint == Lint::UnreachedPub)
+        .map(|d| (d.line, d.message))
+        .collect()
+}
+
+fn unreached_lines(planted: &str, extra: &[(&str, &str)]) -> Vec<usize> {
+    unreached(planted, extra)
+        .into_iter()
+        .map(|(l, _)| l)
+        .collect()
+}
+
+#[test]
+fn unreached_pub_fn_and_variant_are_flagged_with_exact_lines() {
+    let found = unreached(PLANTED, &[]);
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert_eq!(found[0].0, 2);
+    assert!(found[0].1.contains("pub fn `planted_fn`"), "{}", found[0].1);
+    assert_eq!(found[1].0, 8);
+    assert!(
+        found[1].1.contains("pub enum variant `DeadVariant`"),
+        "{}",
+        found[1].1
+    );
+}
+
+#[test]
+fn unreached_pub_ignores_tests_benches_cfg_test_comments_and_pub_use() {
+    let in_fn = format!("fn t() {{ {USE} }}\n");
+    let cfg_test = format!("#[cfg(test)]\nmod tests {{\n    fn t() {{ {USE} }}\n}}\n");
+    let comment = format!("// {USE}\n/* {USE} */\n");
+    let string = "const S: &str = \"planted_fn DeadVariant\";\n";
+    let reexport = "pub use labstor_x::{planted_fn, Planted::DeadVariant};\n";
+    let only_uses: [(&str, &str); 7] = [
+        ("tests/it.rs", &in_fn),
+        ("crates/y/tests/it.rs", &in_fn),
+        ("crates/bench/benches/b.rs", &in_fn),
+        ("crates/y/src/lib.rs", &cfg_test),
+        ("crates/y/src/lib.rs", &comment),
+        ("crates/y/src/lib.rs", string),
+        ("src/lib.rs", reexport),
+    ];
+    for (path, text) in only_uses {
+        assert_eq!(
+            unreached_lines(PLANTED, &[(path, text)]),
+            vec![2, 8],
+            "a use in {path} counted:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn unreached_pub_is_cleared_by_any_non_test_use() {
+    let in_fn = format!("fn f() {{ {USE} }}\n");
+    for path in [
+        "crates/y/src/lib.rs",
+        "crates/x/src/other.rs",
+        "crates/bench/src/bin/fig.rs",
+        "src/lib.rs",
+        "examples/demo.rs",
+        "benchmark/src/main.rs",
+    ] {
+        assert!(
+            unreached_lines(PLANTED, &[(path, &in_fn)]).is_empty(),
+            "a use in {path} did not count"
+        );
+    }
+}
+
+#[test]
+fn own_definition_impl_headers_and_same_named_definitions_are_not_uses() {
+    let planted = "\
+pub struct Lonely;
+
+impl Lonely {
+    fn helper(&self) {}
+}
+
+impl std::fmt::Debug for Lonely {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(\"l\")
+    }
+}
+
+pub fn recurse(n: u32) -> u32 {
+    if n == 0 { 0 } else { recurse(n - 1) }
+}
+";
+    let shadow = "fn recurse() {}\nstruct Lonely;\n";
+    assert_eq!(
+        unreached_lines(planted, &[("crates/y/src/lib.rs", shadow)]),
+        vec![1, 13]
+    );
+}
+
+#[test]
+fn api_ok_with_a_paper_section_or_a_test_file_clears_unreached_pub() {
+    let annotated = PLANTED
+        .replace(
+            "pub fn planted_fn",
+            "// api-ok: §III-B planted for this fixture\npub fn planted_fn",
+        )
+        .replace(
+            "    DeadVariant,",
+            "    // api-ok: tests/it.rs reads it\n    DeadVariant,",
+        );
+    assert!(unreached(&annotated, &[]).is_empty());
+}
+
+#[test]
+fn an_empty_or_unsourced_api_ok_does_not_clear_unreached_pub() {
+    for reason in ["", "kept for later"] {
+        let annotated = PLANTED.replace(
+            "pub fn planted_fn",
+            &format!("// api-ok: {reason}\npub fn planted_fn"),
+        );
+        assert_eq!(
+            unreached_lines(&annotated, &[]),
+            vec![3, 9],
+            "`api-ok: {reason}` cleared it"
+        );
+    }
 }
 
 // ---- output formats -----------------------------------------------------

@@ -40,11 +40,6 @@ impl BlockAllocator {
         }
     }
 
-    /// Allocate one unit from `worker`'s shard, stealing when empty.
-    pub fn alloc(&self, worker: usize) -> Option<u64> {
-        self.alloc_run(worker, 1)
-    }
-
     /// Allocate `n` contiguous units from `worker`'s shard and return the
     /// first. A shard that cannot fit the run replaces its range with a
     /// batch stolen from the tail of the richest other shard; the fewer
@@ -122,6 +117,7 @@ impl BlockAllocator {
     }
 
     /// Total free units.
+    // api-ok: tests/properties.rs checks no block is lost across decommissions
     pub fn free_blocks(&self) -> u64 {
         self.shards
             .iter()
@@ -139,6 +135,7 @@ impl BlockAllocator {
     /// wholesale when a peer can absorb it (empty or adjacent); otherwise
     /// it stays in place where the existing steal path hands it out —
     /// either way every block remains allocatable exactly once.
+    // api-ok: §III-E worker decommission (tests/properties.rs)
     pub fn decommission(&self, w: usize) {
         let w = w % self.shards.len();
         let needy = (0..self.shards.len()).filter(|&v| v != w).min_by_key(|&v| {
@@ -184,7 +181,7 @@ mod tests {
         // Drain shard 0 (25 blocks), then keep allocating: stealing kicks in.
         let mut got = std::collections::HashSet::new();
         for _ in 0..80 {
-            let b = a.alloc(0).expect("steals from other shards");
+            let b = a.alloc_run(0, 1).expect("steals from other shards");
             assert!(got.insert(b), "no double allocation");
         }
         assert!(a.free_blocks() <= 20);
@@ -199,7 +196,7 @@ mod tests {
         // Worker 2's shard is empty; other workers can still allocate all
         // remaining blocks (via their shards or stealing).
         let mut seen = std::collections::HashSet::new();
-        while let Some(b) = a.alloc(0) {
+        while let Some(b) = a.alloc_run(0, 1) {
             assert!(seen.insert(b));
         }
         assert_eq!(seen.len() as u64, before);
@@ -210,10 +207,10 @@ mod tests {
         let a = BlockAllocator::new(0, 16, 2, 4);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..16 {
-            assert!(seen.insert(a.alloc(0).unwrap()));
+            assert!(seen.insert(a.alloc_run(0, 1).unwrap()));
         }
-        assert!(a.alloc(0).is_none());
-        assert!(a.alloc(1).is_none());
+        assert!(a.alloc_run(0, 1).is_none());
+        assert!(a.alloc_run(1, 1).is_none());
     }
 
     #[test]
@@ -225,7 +222,9 @@ mod tests {
         let workers = [0usize; 12]
             .into_iter()
             .chain([1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 2]);
-        let got: Vec<u64> = workers.map(|w| a.alloc(w).expect("space left")).collect();
+        let got: Vec<u64> = workers
+            .map(|w| a.alloc_run(w, 1).expect("space left"))
+            .collect();
         assert_eq!(
             got,
             vec![
@@ -324,7 +323,7 @@ mod tests {
         assert_eq!(restarted.free_blocks(), a.free_blocks() - 6);
         for alloc in [&upgraded, &restarted] {
             for w in [0, 1, 0, 1] {
-                while let Some(b) = alloc.alloc(w) {
+                while let Some(b) = alloc.alloc_run(w, 1) {
                     assert!(
                         named.iter().all(|&(from, to)| b < from || b >= to),
                         "unit {b} handed out twice"

@@ -246,7 +246,8 @@ impl<P: Policy> BlockCache<P> {
     }
 
     /// Blocks resident.
-    pub fn resident_blocks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_blocks(&self) -> usize {
         self.index.lock().policy.resident()
     }
 

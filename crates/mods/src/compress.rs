@@ -8,7 +8,6 @@
 //! C-LabStack "computational" to the Work Orchestrator.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -35,8 +34,6 @@ struct Extent {
 /// The compression LabMod.
 pub struct CompressMod {
     extents: RwLock<HashMap<u64, Extent>>,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
 }
 
 impl CompressMod {
@@ -44,18 +41,7 @@ impl CompressMod {
     pub fn new() -> Self {
         CompressMod {
             extents: RwLock::new(HashMap::new()),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
         }
-    }
-
-    /// Cumulative (input bytes, stored bytes) — the achieved ratio.
-    pub fn ratio_stats(&self) -> (u64, u64) {
-        // relaxed-ok: stat counter; readers tolerate lag
-        (
-            self.bytes_in.load(Ordering::Relaxed),
-            self.bytes_out.load(Ordering::Relaxed),
-        )
     }
 
     /// Compress `data`, record the extent, and forward the stored bytes.
@@ -81,9 +67,6 @@ impl CompressMod {
         };
         let comp_len = stored.len();
         let stored = pad_to_sectors(stored);
-        self.bytes_in.fetch_add(orig_len as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.bytes_out
-            .fetch_add(stored.len() as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
         self.extents.write().insert(
             lba,
             Extent {
@@ -237,6 +220,7 @@ mod tests {
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
     use labstor_ipc::Credentials;
     use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct MemDev {
         blocks: Mutex<HashMap<u64, Vec<u8>>>,

@@ -63,11 +63,6 @@ impl DeviceRegistry {
     pub fn pmem(&self, name: &str) -> Option<Arc<PmemDevice>> {
         self.pmems.read().get(name).cloned()
     }
-
-    /// Names of all registered block devices.
-    pub fn block_names(&self) -> Vec<String> {
-        self.blocks.read().keys().cloned().collect()
-    }
 }
 
 /// Read a device name out of factory params (key `"device"`, default
@@ -93,7 +88,6 @@ mod tests {
         assert!(reg.block("ghost").is_none());
         reg.add_pmem("pmem0", PmemDevice::preset());
         assert!(reg.pmem("pmem0").is_some());
-        assert_eq!(reg.block_names(), vec!["nvme0".to_string()]);
     }
 
     #[test]

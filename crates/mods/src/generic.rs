@@ -263,6 +263,7 @@ impl GenericFs {
     /// Zero-copy `read(2)`: returns a refcounted view of shared memory —
     /// a page-cache hit costs a refcount bump, not a copy. Falls back to
     /// pooling a legacy `Vec` response (counted) when a stage downgraded.
+    // api-ok: tests/zero_copy_path.rs pins its copy count
     pub fn read_buf(
         &mut self,
         fd: i32,
@@ -398,23 +399,9 @@ impl GenericFs {
         }
     }
 
-    /// `readdir(3)`.
-    pub fn readdir(&mut self, path: &str) -> Result<Vec<String>, GenericFsError> {
-        let (stack, rel) = self.client.resolve(path)?;
-        let resp = self.call(&stack, FsOp::Readdir { path: rel })?;
-        match resp {
-            RespPayload::Names(n) => Ok(n),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Open fd count.
-    pub fn open_fds(&self) -> usize {
-        self.fds.len()
-    }
-
     /// Fork semantics (§III-F): the child gets a *new* connection (new
     /// shared-memory queue pairs) and a copy of the parent's open fds.
+    // api-ok: §III-F fork interception
     pub fn fork(&self, child_client: Client) -> GenericFs {
         GenericFs {
             client: child_client,
@@ -440,6 +427,7 @@ impl GenericFs {
     /// Runtime and is reloaded upon completion". [`GenericFs::save_fds`]
     /// serializes the table; the post-exec process reconnects and calls
     /// [`GenericFs::restore_fds`] with the saved blob.
+    // api-ok: §III-F execve interception (tests/end_to_end.rs)
     pub fn save_fds(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.fds.len() as u32).to_le_bytes());
@@ -456,6 +444,7 @@ impl GenericFs {
     }
 
     /// Rebuild a GenericFS in a fresh address space from a saved fd blob.
+    // api-ok: §III-F execve interception (tests/end_to_end.rs)
     pub fn restore_fds(client: Client, blob: &[u8]) -> Result<GenericFs, GenericFsError> {
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], GenericFsError> {
             let s = blob
@@ -531,20 +520,6 @@ impl GenericKvs {
         }
     }
 
-    /// Zero-copy put: the caller filled a pool buffer in place and the
-    /// KVS forwards full blocks as refcounted slices of it.
-    pub fn put_buf(
-        &mut self,
-        key: &str,
-        buf: labstor_ipc::BufHandle,
-    ) -> Result<usize, GenericFsError> {
-        let resp = self.call(key, |key| KvsOp::PutBuf { key, buf })?;
-        match resp {
-            RespPayload::Len(n) => Ok(n),
-            other => Err(GenericFs::unexpected(other)),
-        }
-    }
-
     /// Fetch a value.
     ///
     /// Delegates to the zero-copy response path plus one copy-out:
@@ -557,23 +532,6 @@ impl GenericKvs {
             RespPayload::Inline(d) => Ok(d.to_vec()), // copy-ok: inline envelope copy-out, uncounted by design
             RespPayload::Data(d) => Ok(d),
             RespPayload::DataBuf(h) => Ok(h.to_vec()), // copy-ok: owned-Vec API; to_vec self-counts
-            other => Err(GenericFs::unexpected(other)),
-        }
-    }
-
-    /// Zero-copy fetch: single-block values arrive as a refcounted view
-    /// of the driver's DMA buffer. Inline and legacy `Vec` responses are
-    /// pooled (one counted copy) so the return type stays uniform.
-    pub fn get_buf(&mut self, key: &str) -> Result<labstor_ipc::BufHandle, GenericFsError> {
-        let resp = self.call(key, |key| KvsOp::Get { key })?;
-        match resp {
-            RespPayload::DataBuf(h) => Ok(h),
-            RespPayload::Inline(d) => labstor_ipc::default_pool()
-                .alloc_from(d.as_slice())
-                .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into())),
-            RespPayload::Data(d) => labstor_ipc::default_pool()
-                .alloc_from(&d)
-                .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into())),
             other => Err(GenericFs::unexpected(other)),
         }
     }

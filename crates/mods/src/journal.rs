@@ -594,6 +594,7 @@ impl RepairReport {
     }
 
     /// True when the log replayed without discarding anything.
+    // api-ok: tests/properties.rs replays cleanly after every op sequence
     pub fn is_clean(&self) -> bool {
         self.txns_discarded == 0 && !self.torn_tail
     }

@@ -92,12 +92,14 @@ impl LabFs {
     }
 
     /// Number of live files/directories.
-    pub fn file_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn file_count(&self) -> usize {
         self.store.state.file_count()
     }
 
     /// Provenance query: (ops, last_writer) for an inode.
-    pub fn provenance(&self, ino: u64) -> Option<(u64, u32)> {
+    #[cfg(test)]
+    pub(crate) fn provenance(&self, ino: u64) -> Option<(u64, u32)> {
         self.store.state.provenance(ino)
     }
 

@@ -486,10 +486,12 @@ impl Meta {
         names
     }
 
+    #[cfg(test)]
     pub(super) fn file_count(&self) -> usize {
         self.names.iter().map(|s| s.read().len()).sum()
     }
 
+    #[cfg(test)]
     pub(super) fn provenance(&self, ino: u64) -> Option<(u64, u32)> {
         self.node_shard(ino)
             .read()

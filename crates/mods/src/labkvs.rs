@@ -200,7 +200,8 @@ impl LabKvs {
     }
 
     /// Number of live keys.
-    pub fn key_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn key_count(&self) -> usize {
         self.store.state.shards.iter().map(|s| s.read().len()).sum()
     }
 

@@ -31,11 +31,12 @@
 //!
 //! The hot-path interpreter lives in [`interp`] and is governed by the
 //! labcheck hot-path policy: no panics, no indexing, no payload copies.
-//! [`reference`] is an intentionally independent evaluator used by the
-//! equivalence proptest.
+//! `reference` (test-only) is an intentionally independent evaluator
+//! used by the equivalence proptest.
 
 pub mod interp;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 
 pub use interp::{scan, ExecError, ScanOut};
 
@@ -591,6 +592,7 @@ impl Program {
 
     /// Sum the little-endian `u64` field at `sum_off` over records whose
     /// `u32` field at `key_off` equals `value`.
+    // api-ok: tests/pushdown_path.rs pushes a sum down through LabFS
     pub fn sum_u64_where_u32_eq(
         record_len: usize,
         sum_off: u16,
@@ -623,6 +625,7 @@ impl Program {
     }
 
     /// Replace the fuel budget (builders default to [`MAX_FUEL`]).
+    // api-ok: tests/pushdown_path.rs runs a program out of fuel in-stack
     pub fn with_fuel(mut self, fuel: u64) -> Program {
         self.fuel_budget = fuel;
         self

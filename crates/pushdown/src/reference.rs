@@ -68,7 +68,7 @@ fn eval_record(
 /// Returns exactly what [`crate::scan`] produces (accumulated into a
 /// fresh [`ScanOut`]) — including the out-of-fuel error and the partial
 /// output's fuel accounting.
-pub fn reference_scan(
+pub(crate) fn reference_scan(
     prog: &VerifiedProgram,
     data: &[u8],
     base_index: u64,

@@ -478,7 +478,8 @@ impl TenantTable {
     }
 
     /// The tenant bound to queue `qid`, if any.
-    pub fn tenant_of_qid(&self, qid: u64) -> Option<TenantId> {
+    #[cfg(test)]
+    fn tenant_of_qid(&self, qid: u64) -> Option<TenantId> {
         let inner = self.inner.read(); // lock-class: qos.tenants
         inner.by_qid.get(&qid).copied()
     }

@@ -120,12 +120,6 @@ impl SimDevice {
         self.queues.get(qid).map(|q| q.depth()).unwrap_or(0)
     }
 
-    /// Latest channel reservation end: the virtual makespan of all media
-    /// work scheduled so far.
-    pub fn media_makespan(&self) -> u64 {
-        self.channels.makespan()
-    }
-
     fn validate(&self, lba: u64, bytes: usize) -> Result<(), DeviceError> {
         if bytes == 0 || !bytes.is_multiple_of(SECTOR_SIZE) {
             return Err(DeviceError::BadTransfer { bytes });
@@ -158,10 +152,7 @@ impl SimDevice {
         (ns, seeked)
     }
 
-    /// Deliver an async completion, applying the drop/delay fault knobs.
-    /// Dropping models a lost CQ entry: the media work already happened,
-    /// the host just never hears; delaying slips the deadline, deferring
-    /// everything behind it on the same in-order queue.
+    /// Deliver an async completion on `queue`, due at `due`.
     fn deliver(
         &self,
         queue: &HwQueue,
@@ -170,11 +161,6 @@ impl SimDevice {
         service_ns: u64,
         due: u64,
     ) {
-        if self.faults.should_drop() {
-            self.stats.record_dropped();
-            return;
-        }
-        let due = due + self.faults.delay_for().unwrap_or(0);
         queue.push(PendingIo {
             due,
             completion: Completion {
@@ -720,37 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_completion_never_arrives() {
-        let d = dev(DeviceKind::Nvme);
-        d.faults().set_drop_period(1);
-        d.submit_at(0, IoRequest::write(0, vec![3u8; 512], 1), 0)
-            .unwrap();
-        assert!(d.poll(0, u64::MAX, 16).is_empty());
-        assert_eq!(d.stats().snapshot().dropped, 1);
-        // The media work still happened.
-        d.faults().set_drop_period(0);
-        let mut ctx = Ctx::new();
-        let mut buf = vec![0u8; 512];
-        d.read(&mut ctx, 0, &mut buf).unwrap();
-        assert_eq!(buf, vec![3u8; 512]);
-    }
-
-    #[test]
-    fn delayed_completion_slips_deadline() {
-        let d = dev(DeviceKind::Nvme);
-        d.submit_at(0, IoRequest::write(0, vec![0u8; 512], 1), 0)
-            .unwrap();
-        let base = d.next_due(0).unwrap();
-        let c = d.poll(0, base, 16);
-        assert_eq!(c.len(), 1);
-        d.faults().set_delay(1, 5_000);
-        d.submit_at(0, IoRequest::write(0, vec![0u8; 512], 2), base)
-            .unwrap();
-        let delayed = d.next_due(0).unwrap();
-        assert!(delayed >= base + 5_000);
-    }
-
-    #[test]
     fn hdd_pays_seek_on_random_access() {
         let d = dev(DeviceKind::Hdd);
         let buf = vec![0u8; 4096];
@@ -812,13 +767,5 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!((c[0].tag, c[1].tag), (1, 2));
         assert!(c[1].done_at >= c[0].done_at);
-    }
-
-    #[test]
-    fn makespan_tracks_media_work() {
-        let d = dev(DeviceKind::Nvme);
-        let mut ctx = Ctx::new();
-        d.write(&mut ctx, 0, &[0u8; 4096]).unwrap();
-        assert_eq!(d.media_makespan(), ctx.now());
     }
 }

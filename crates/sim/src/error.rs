@@ -112,13 +112,6 @@ impl std::error::Error for DeviceError {}
 ///   prefix of the write's sectors lands. Loud mode surfaces
 ///   [`DeviceError::TornWrite`]; silent mode acks success (the journal
 ///   CRC must catch it on replay).
-/// - **Dropped completions** ([`set_drop_period`](Self::set_drop_period)):
-///   the media work happens but the completion is never delivered — the
-///   host-visible signature of a lost CQ entry.
-/// - **Delayed completions** ([`set_delay`](Self::set_delay)): the
-///   completion's deadline slips by a fixed amount, deferring everything
-///   behind it on the same in-order queue and reordering it against other
-///   queues.
 /// - **Power cut** ([`set_crash_at`](Self::set_crash_at)): commands at or
 ///   after the cut fail with [`DeviceError::PoweredOff`]; a write
 ///   straddling the cut lands a seeded prefix (torn by power loss).
@@ -130,11 +123,6 @@ pub struct FaultConfig {
     torn_period: AtomicU64,
     torn_counter: AtomicU64,
     torn_silent: AtomicBool,
-    drop_period: AtomicU64,
-    drop_counter: AtomicU64,
-    delay_period: AtomicU64,
-    delay_counter: AtomicU64,
-    delay_ns: AtomicU64,
     /// Virtual time of the power cut; `u64::MAX` means "never".
     crash_at: AtomicU64,
 }
@@ -148,11 +136,6 @@ impl Default for FaultConfig {
             torn_period: AtomicU64::new(0),
             torn_counter: AtomicU64::new(0),
             torn_silent: AtomicBool::new(false),
-            drop_period: AtomicU64::new(0),
-            drop_counter: AtomicU64::new(0),
-            delay_period: AtomicU64::new(0),
-            delay_counter: AtomicU64::new(0),
-            delay_ns: AtomicU64::new(0),
             crash_at: AtomicU64::new(u64::MAX),
         }
     }
@@ -169,6 +152,7 @@ fn mix64(mut x: u64) -> u64 {
 
 impl FaultConfig {
     /// Fail every `period`-th command from now on (0 disables).
+    // api-ok: tests/upgrade_and_recovery.rs fails the device under a stack
     pub fn set_period(&self, period: u64) {
         self.period.store(period, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
         self.counter.store(0, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
@@ -195,6 +179,7 @@ impl FaultConfig {
     /// Tear every `period`-th write (0 disables): only a seeded strict
     /// prefix of its sectors lands. With `silent` the device still acks
     /// success; otherwise it completes with [`DeviceError::TornWrite`].
+    // api-ok: crates/sim/tests/borrowed_io.rs tears borrowed writes
     pub fn set_torn(&self, period: u64, silent: bool) {
         self.torn_period.store(period, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
         self.torn_counter.store(0, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
@@ -220,45 +205,6 @@ impl FaultConfig {
     /// Whether torn writes are silent (acked as success).
     pub fn torn_silent(&self) -> bool {
         self.torn_silent.load(Ordering::Relaxed) // relaxed-ok: fault-injection knob; guards no other memory
-    }
-
-    /// Drop every `period`-th async completion (0 disables): the media
-    /// work happens, the host never hears about it.
-    pub fn set_drop_period(&self, period: u64) {
-        self.drop_period.store(period, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
-        self.drop_counter.store(0, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
-    }
-
-    /// Returns true if the current async completion should be dropped.
-    pub fn should_drop(&self) -> bool {
-        let period = self.drop_period.load(Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
-        if period == 0 {
-            return false;
-        }
-        let n = self.drop_counter.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: fault-injection knob; guards no other memory
-        n.is_multiple_of(period)
-    }
-
-    /// Delay every `period`-th async completion by `ns` virtual
-    /// nanoseconds (0 disables).
-    pub fn set_delay(&self, period: u64, ns: u64) {
-        self.delay_period.store(period, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
-        self.delay_counter.store(0, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
-        self.delay_ns.store(ns, Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
-    }
-
-    /// Extra deadline slip for the current async completion, if any.
-    pub fn delay_for(&self) -> Option<u64> {
-        let period = self.delay_period.load(Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
-        if period == 0 {
-            return None;
-        }
-        let n = self.delay_counter.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: fault-injection knob; guards no other memory
-        if n.is_multiple_of(period) {
-            Some(self.delay_ns.load(Ordering::Relaxed)) // relaxed-ok: fault-injection knob; guards no other memory
-        } else {
-            None
-        }
     }
 
     /// Cut power at virtual time `at`: commands submitted at or after it
@@ -334,17 +280,6 @@ mod tests {
         h.set_torn(2, false);
         let c: Vec<Option<u64>> = (0..6).map(|_| h.torn_sectors(8)).collect();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn drop_and_delay_fire_every_nth() {
-        let f = FaultConfig::default();
-        f.set_drop_period(3);
-        let drops: Vec<bool> = (0..6).map(|_| f.should_drop()).collect();
-        assert_eq!(drops, vec![false, false, true, false, false, true]);
-        f.set_delay(2, 500);
-        let delays: Vec<Option<u64>> = (0..4).map(|_| f.delay_for()).collect();
-        assert_eq!(delays, vec![None, Some(500), None, Some(500)]);
     }
 
     #[test]

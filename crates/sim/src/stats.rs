@@ -22,8 +22,6 @@ pub struct DeviceStats {
     pub seeks: AtomicU64,
     /// Commands that failed (fault injection or out-of-range).
     pub errors: AtomicU64,
-    /// Async completions swallowed by fault injection (never delivered).
-    pub dropped: AtomicU64,
 }
 
 /// A point-in-time copy of [`DeviceStats`].
@@ -43,8 +41,6 @@ pub struct StatsSnapshot {
     pub seeks: u64,
     /// Failed commands.
     pub errors: u64,
-    /// Async completions swallowed by fault injection.
-    pub dropped: u64,
 }
 
 impl DeviceStats {
@@ -69,11 +65,6 @@ impl DeviceStats {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record an async completion dropped by fault injection.
-    pub fn record_dropped(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Copy out the current counter values.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -84,7 +75,6 @@ impl DeviceStats {
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
             seeks: self.seeks.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
         }
     }
 
@@ -97,7 +87,6 @@ impl DeviceStats {
         self.busy_ns.store(0, Ordering::Relaxed);
         self.seeks.store(0, Ordering::Relaxed);
         self.errors.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
     }
 }
 

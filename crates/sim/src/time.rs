@@ -204,16 +204,6 @@ impl ChannelPool {
         }
     }
 
-    /// Earliest time any channel is free.
-    pub fn earliest_free(&self) -> u64 {
-        self.channels.iter().map(|c| c.free_at()).min().unwrap_or(0)
-    }
-
-    /// Latest reservation end across channels (makespan of work done).
-    pub fn makespan(&self) -> u64 {
-        self.channels.iter().map(|c| c.free_at()).max().unwrap_or(0)
-    }
-
     /// Reset all channels.
     pub fn reset(&self) {
         for c in &self.channels {
@@ -288,7 +278,6 @@ mod tests {
         let (s3, e3) = p.acquire(0, 100);
         assert_eq!((s1, s2), (0, 0)); // two channels run in parallel
         assert_eq!((s3, e3), (100, 200)); // third queues
-        assert_eq!(p.makespan(), 200);
     }
 
     #[test]

@@ -174,6 +174,7 @@ impl LogHistogram {
     }
 
     /// `[lo, hi)` bounds of the bucket `v` lands in (for tests and docs).
+    // api-ok: crates/telemetry/tests/properties.rs checks every value lands in its bucket
     pub fn bucket_bounds(v: u64) -> (u64, u64) {
         bounds(index(v))
     }

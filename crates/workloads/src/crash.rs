@@ -173,6 +173,7 @@ impl CampaignReport {
     }
 
     /// One-line summary.
+    // api-ok: tests/crash_fuzz.rs prints it when a check fails
     pub fn summary(&self) -> String {
         format!(
             "{} trials, {} crash points, {} torn tails discarded ({} mid-frame), {} violations",
@@ -292,6 +293,7 @@ pub fn run_trial(
 /// workload, then check that (a) repairing twice leaves the same state as
 /// repairing once, and (b) a crash *during* repair followed by a clean
 /// repair also converges to that state. Returns a violation description.
+// api-ok: tests/crash_fuzz.rs runs it over every fuzzed crash point
 pub fn check_repair_idempotence(
     workload: CrashWorkload,
     seed: u64,

@@ -75,9 +75,10 @@ pub struct FioJob {
     pub seed: u64,
 }
 
+#[cfg(test)]
 impl FioJob {
     /// 4 KB random writes, QD1 — the paper's most common configuration.
-    pub fn rand_write_4k(ops: usize) -> Self {
+    fn rand_write_4k(ops: usize) -> Self {
         FioJob {
             mode: RwMode::RandWrite,
             bs: 4096,

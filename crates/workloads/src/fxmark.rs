@@ -50,18 +50,6 @@ pub fn run_create(job: &FxmarkJob, target: &mut dyn FsTarget) -> Result<Recorder
     Ok(rec)
 }
 
-/// Unlink everything a previous [`run_create`] made (cleanup between
-/// repetitions).
-pub fn cleanup(job: &FxmarkJob, target: &mut dyn FsTarget) {
-    let dir = match job.mode {
-        CreateMode::SharedDir => "/shared".to_string(),
-        CreateMode::PrivateDir => format!("/priv{}", job.thread),
-    };
-    for i in 0..job.files {
-        let _ = target.unlink(&format!("{dir}/t{}f{i}", job.thread));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,18 +104,5 @@ mod tests {
             };
             assert_eq!(run_create(&job, &mut t).unwrap().ops(), 5);
         }
-    }
-
-    #[test]
-    fn cleanup_removes_files() {
-        let mut t = target();
-        let job = FxmarkJob {
-            files: 5,
-            mode: CreateMode::SharedDir,
-            thread: 0,
-        };
-        run_create(&job, &mut t).unwrap();
-        cleanup(&job, &mut t);
-        assert!(t.stat_size("/shared/t0f0").is_err());
     }
 }

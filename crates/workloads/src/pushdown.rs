@@ -49,6 +49,7 @@ pub fn client_scan_count(data: &[u8], value: u32) -> u64 {
 
 /// Host-side reference: sum the `u64` column at offset 8 over records
 /// whose key equals `value`.
+// api-ok: tests/pushdown_path.rs checks the pushed-down sum against it
 pub fn client_scan_sum(data: &[u8], value: u32) -> u64 {
     data.chunks_exact(RECORD_LEN)
         .filter(|rec| {

@@ -2,7 +2,7 @@
 //! → simulated device, and back.
 
 use labstor::core::{FsOp, KvsOp, Payload, RespPayload, Runtime, RuntimeConfig};
-use labstor::ipc::Credentials;
+use labstor::ipc::{Credentials, UpgradeFlag};
 use labstor::mods::{DeviceRegistry, GenericFs, GenericKvs};
 use labstor::sim::DeviceKind;
 use std::sync::Arc;
@@ -207,7 +207,7 @@ fn refused_submissions_leave_no_load_estimate_behind() {
     // Stop the drain: the worker acks the pending flag and leaves the
     // queue alone until it is cleared.
     q.mark_update_pending();
-    while !q.is_paused() {
+    while q.upgrade_flag() != UpgradeFlag::UpdateAcked {
         std::thread::yield_now();
     }
     let dummy = || Payload::Dummy { work_ns: 500 };

@@ -6,7 +6,15 @@
 //! The full fixture suite lives in `crates/labcheck/tests/`; this file is
 //! only the gate.
 
+use std::fs;
+use std::path::Path;
+
 use labstor_labcheck::{gate, lint_workspace, render_text, workspace_root, Config};
+
+/// The `// api-ok:` escapes from the `unreached-pub` lint in
+/// `crates/*/src`, pinned exactly as the gate pins its rows: a change to
+/// this number needs a CHANGES.md line saying why.
+const API_OK_ANNOTATIONS: usize = 28;
 
 #[test]
 fn workspace_passes_labcheck_lints() {
@@ -16,6 +24,40 @@ fn workspace_passes_labcheck_lints() {
         diags.is_empty(),
         "labcheck violations (fix or annotate — see DESIGN.md §static analysis):\n{}",
         render_text(&diags)
+    );
+}
+
+/// `// api-ok:` comment lines under `dir`, as `path: line` strings.
+fn api_ok_lines(dir: &Path, out: &mut Vec<String>) {
+    for entry in fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            api_ok_lines(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = fs::read_to_string(&path).expect("read source");
+            out.extend(
+                text.lines()
+                    .filter(|l| l.trim_start().starts_with("// api-ok:"))
+                    .map(|l| format!("{}: {}", path.display(), l.trim())),
+            );
+        }
+    }
+}
+
+#[test]
+fn api_ok_annotations_match_their_pin() {
+    let mut found = Vec::new();
+    for krate in fs::read_dir(workspace_root().join("crates")).expect("crates/") {
+        let src = krate.expect("crate dir").path().join("src");
+        if src.is_dir() {
+            api_ok_lines(&src, &mut found);
+        }
+    }
+    assert_eq!(
+        found.len(),
+        API_OK_ANNOTATIONS,
+        "api-ok annotations moved (re-pin with a CHANGES.md line saying why):\n{}",
+        found.join("\n")
     );
 }
 

@@ -138,7 +138,7 @@ proptest! {
                 prop_assert_eq!(a.free_blocks(), before);
                 continue;
             }
-            match a.alloc(w) {
+            match a.alloc_run(w, 1) {
                 Some(b) => {
                     prop_assert!(b < total, "block {} out of range", b);
                     prop_assert!(seen.insert(b), "block {} allocated twice", b);
