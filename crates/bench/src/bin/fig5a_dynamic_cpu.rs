@@ -14,13 +14,14 @@
 //! (Scaled: 32 MB per client instead of 1 GB — saturation depends on
 //! rates, not totals.)
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use labstor_bench::{print_table, runtime_with_mods};
 use labstor_core::{RoundRobinPolicy, StackSpec, VertexSpec};
 use labstor_mods::DeviceRegistry;
 use labstor_sim::DeviceKind;
+use labstor_telemetry::Stat;
 use labstor_workloads::fio::{run_fio, FioJob, RwMode, StackTarget};
 use labstor_workloads::stats::Recorder;
 
@@ -76,8 +77,8 @@ fn run(cfg: &WorkerCfg, clients: usize) -> (f64, f64) {
 
     // Sample the active worker count while clients run.
     let stop = Arc::new(AtomicBool::new(false));
-    let samples = Arc::new(AtomicU64::new(0));
-    let active_sum = Arc::new(AtomicU64::new(0));
+    let samples = Arc::new(Stat::new(0));
+    let active_sum = Arc::new(Stat::new(0));
     let sampler = {
         let rt = rt.clone();
         let stop = stop.clone();
@@ -85,8 +86,8 @@ fn run(cfg: &WorkerCfg, clients: usize) -> (f64, f64) {
         let active_sum = active_sum.clone();
         std::thread::spawn(move || {
             while !stop.load(Ordering::Acquire) {
-                active_sum.fetch_add(rt.active_workers() as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-                samples.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+                active_sum.add(rt.active_workers() as u64);
+                samples.add(1);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         })
@@ -121,11 +122,8 @@ fn run(cfg: &WorkerCfg, clients: usize) -> (f64, f64) {
     let _ = sampler.join();
 
     let merged = Recorder::merge(recorders);
-    // relaxed-ok: stat counter; readers tolerate lag
-    let avg_active = if samples.load(Ordering::Relaxed) > 0 {
-        // relaxed-ok: stat counter; readers tolerate lag
-        active_sum.load(Ordering::Relaxed) as f64 / samples.load(Ordering::Relaxed) as f64
-    // relaxed-ok: stat counter; readers tolerate lag
+    let avg_active = if samples.get() > 0 {
+        active_sum.get() as f64 / samples.get() as f64
     } else {
         0.0
     };

@@ -16,7 +16,8 @@ use parking_lot::Mutex;
 
 use labstor_ipc::{Credentials, Doorbell, IpcManager, QueuePair, UpgradeFlag};
 use labstor_qos::{TenantPolicy, TenantTable};
-use labstor_sim::{Ctx, Watermark};
+use labstor_sim::Ctx;
+use labstor_telemetry::Stat;
 
 use crate::client::Client;
 use crate::orchestrator::{DynamicPolicy, OrchestratorPolicy, QueueLoad};
@@ -62,7 +63,7 @@ pub struct Runtime {
     /// LabStack namespace.
     pub ns: Arc<Namespace>,
     /// Virtual-time high watermark across workers.
-    pub watermark: Arc<Watermark>,
+    pub watermark: Arc<Stat>,
     /// Tenant registry: per-tenant policies, live accounting, and the
     /// qid→tenant binding the weighted-fair rebalance pass consults.
     pub tenants: Arc<TenantTable>,
@@ -115,7 +116,7 @@ impl Runtime {
         let ipc = IpcManager::new(config.queue_depth);
         let mm = Arc::new(ModuleManager::new());
         let ns = Namespace::new();
-        let watermark = Arc::new(Watermark::new());
+        let watermark = Arc::new(Stat::new(0));
         let tenants = Arc::new(TenantTable::new());
         // Attached before any worker runs so LabMods can bill pushdown
         // fuel to the requesting tenant from the first request.
@@ -185,7 +186,7 @@ impl Runtime {
             let mut admin_ctx = Ctx::at(self.watermark.get());
             self.mm
                 .process_upgrades(&mut admin_ctx, &self.ipc, self.workers_running());
-            self.watermark.publish(admin_ctx.now());
+            self.watermark.max(admin_ctx.now());
         }
         self.rebalance();
     }
@@ -424,11 +425,10 @@ impl Runtime {
 
     /// Total requests processed by all workers.
     pub fn total_processed(&self) -> u64 {
-        // relaxed-ok: stat counter; readers tolerate lag
         self.workers
             .lock() // lock-class: runtime.workers
             .iter()
-            .map(|w| w.processed.load(Ordering::Relaxed))
+            .map(|w| w.processed.get())
             .sum()
     }
 

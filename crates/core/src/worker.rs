@@ -20,8 +20,8 @@ use crossbeam::utils::Backoff;
 use parking_lot::RwLock;
 
 use labstor_ipc::{Doorbell, Envelope, QueuePair, UpgradeFlag};
-use labstor_sim::{Ctx, Watermark};
-use labstor_telemetry::{ClockCell, SpanEvent, Stage};
+use labstor_sim::Ctx;
+use labstor_telemetry::{ClockCell, SpanEvent, Stage, Stat};
 
 use crate::labmod::{Route, Routes};
 use crate::registry::ModuleManager;
@@ -172,13 +172,13 @@ pub struct Worker {
     /// the single publication path for worker-visible time.
     pub clock: Arc<ClockCell>,
     /// Requests processed.
-    pub processed: Arc<AtomicU64>,
+    pub processed: Arc<Stat>,
     /// Reactor passes completed (scan-everything rounds). A parked worker
     /// does not accumulate passes — tests and the idle-fleet bench use
     /// this to prove idleness costs no CPU. How its waits ended is on
-    /// the bell: `assigned.bell().parks()` (slept) and `.phase_hits()`
+    /// the bell: `assigned.bell().parks()` (slept) and its `phase_hits`
     /// (rung during the pre-park run).
-    pub passes: Arc<AtomicU64>,
+    pub passes: Arc<Stat>,
     stop: Arc<AtomicBool>,
     join: Option<JoinHandle<()>>,
 }
@@ -189,13 +189,13 @@ impl Worker {
         id: usize,
         ns: Arc<Namespace>,
         mm: Arc<ModuleManager>,
-        watermark: Arc<Watermark>,
+        watermark: Arc<Stat>,
     ) -> Worker {
         let assigned = Arc::new(AssignmentCell::new());
         let stop = Arc::new(AtomicBool::new(false));
         let clock = Arc::new(ClockCell::new());
-        let processed = Arc::new(AtomicU64::new(0));
-        let passes = Arc::new(AtomicU64::new(0));
+        let processed = Arc::new(Stat::new(0));
+        let passes = Arc::new(Stat::new(0));
 
         let t_assigned = assigned.clone();
         let t_stop = stop.clone();
@@ -276,11 +276,11 @@ fn worker_loop(
     assigned: &AssignmentCell,
     ns: &Namespace,
     mm: &ModuleManager,
-    watermark: &Watermark,
+    watermark: &Stat,
     stop: &AtomicBool,
     clock: &ClockCell,
-    processed: &AtomicU64,
-    passes: &AtomicU64,
+    processed: &Stat,
+    passes: &Stat,
 ) {
     let mut ctx = Ctx::new();
     let rec = mm.telemetry().clone();
@@ -303,7 +303,7 @@ fn worker_loop(
         // immediately instead of sleeping through it (doorbell protocol —
         // see `labstor_ipc::doorbell` and DESIGN.md §13).
         let epoch = assigned.bell().epoch();
-        passes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+        passes.add(1);
 
         // Fast-forward across any upgrade pause that completed.
         ctx.idle_until(mm.resume_vt());
@@ -359,7 +359,7 @@ fn worker_loop(
                 }
             }
             q.record_work_batch(&work_ns);
-            processed.fetch_add(work_ns.len() as u64, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+            processed.add(work_ns.len() as u64);
             if recording && !spans.is_empty() {
                 // One enabled-check + one TLS ring lookup for the burst.
                 rec.record_batch(spans.drain(..));
@@ -376,10 +376,9 @@ fn worker_loop(
             }
             outbox.clear();
         }
-        // Single publication path for worker-visible time (labtelem's
-        // ClockCell carries its own relaxed-ok justification).
+        // Single publication path for worker-visible time.
         clock.publish(ctx.now(), ctx.busy());
-        watermark.publish(ctx.now());
+        watermark.max(ctx.now());
         if !did_work && !stop.load(Ordering::Acquire) {
             // Nothing to do anywhere (including the decommissioned,
             // no-queues case): park until a doorbell rings. The epoch
@@ -464,7 +463,7 @@ mod tests {
         let (ns, mm, sid) = setup();
         let ipc: Arc<IpcManager<Message>> = IpcManager::new(64);
         let conn = ipc.connect(Credentials::new(1, 0, 0), 1);
-        let watermark = Arc::new(Watermark::new());
+        let watermark = Arc::new(Stat::new(0));
         let mut worker = Worker::spawn(0, ns, mm, watermark);
         worker.assign(vec![conn.queues[0].clone()]);
 
@@ -487,7 +486,7 @@ mod tests {
             }
         }
         assert_eq!(got, 10, "worker must complete all requests");
-        assert!(worker.processed.load(Ordering::Relaxed) >= 10);
+        assert!(worker.processed.get() >= 10);
         worker.stop();
     }
 
@@ -496,16 +495,16 @@ mod tests {
         let (ns, mm, sid) = setup();
         let ipc: Arc<IpcManager<Message>> = IpcManager::new(64);
         let conn = ipc.connect(Credentials::new(1, 0, 0), 1);
-        let watermark = Arc::new(Watermark::new());
+        let watermark = Arc::new(Stat::new(0));
         let mut worker = Worker::spawn(0, ns, mm, watermark);
 
         // No queues assigned: the reactor must park, not spin. Give it a
         // beat to enter the park, then the pass counter must be bounded by
         // the safety-timeout cadence (a polling loop would log millions).
         std::thread::sleep(Duration::from_millis(40));
-        let p0 = worker.passes.load(Ordering::Relaxed);
+        let p0 = worker.passes.get();
         std::thread::sleep(Duration::from_millis(120));
-        let parked_passes = worker.passes.load(Ordering::Relaxed) - p0;
+        let parked_passes = worker.passes.get() - p0;
         assert!(
             parked_passes <= 16,
             "decommissioned worker must park, saw {parked_passes} passes in 120ms"
@@ -542,7 +541,7 @@ mod tests {
         let (ns, mm, _) = setup();
         let ipc: Arc<IpcManager<Message>> = IpcManager::new(8);
         let conn = ipc.connect(Credentials::new(1, 0, 0), 1);
-        let watermark = Arc::new(Watermark::new());
+        let watermark = Arc::new(Stat::new(0));
         let mut worker = Worker::spawn(0, ns, mm, watermark);
         worker.assign(vec![conn.queues[0].clone()]);
         conn.queues[0].mark_update_pending();

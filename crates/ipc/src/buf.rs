@@ -39,10 +39,12 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use labstor_telemetry::Stat;
+
 /// Count of intermediate payload copies performed by the stack (test hook).
-static PAYLOAD_COPIES: AtomicU64 = AtomicU64::new(0);
+static PAYLOAD_COPIES: Stat = Stat::new(0);
 /// Total bytes those copies moved.
-static PAYLOAD_COPY_BYTES: AtomicU64 = AtomicU64::new(0);
+static PAYLOAD_COPY_BYTES: Stat = Stat::new(0);
 
 #[cfg(test)]
 thread_local! {
@@ -64,22 +66,18 @@ pub(crate) fn thread_payload_copies() -> u64 {
 pub fn note_payload_copy(bytes: usize) {
     #[cfg(test)]
     THREAD_PAYLOAD_COPIES.set(THREAD_PAYLOAD_COPIES.get() + 1);
-    // relaxed-ok: monotonic test counters; no ordering with payload data is needed
-    PAYLOAD_COPIES.fetch_add(1, Ordering::Relaxed);
-    // relaxed-ok: same counter pair as above
-    PAYLOAD_COPY_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    PAYLOAD_COPIES.add(1);
+    PAYLOAD_COPY_BYTES.add(bytes as u64);
 }
 
 /// Number of payload copies recorded since process start (test hook).
 pub fn payload_copies() -> u64 {
-    // relaxed-ok: test-hook counter read
-    PAYLOAD_COPIES.load(Ordering::Relaxed)
+    PAYLOAD_COPIES.get()
 }
 
 /// Total payload bytes copied since process start (test hook).
 pub fn payload_copy_bytes() -> u64 {
-    // relaxed-ok: test-hook counter read
-    PAYLOAD_COPY_BYTES.load(Ordering::Relaxed)
+    PAYLOAD_COPY_BYTES.get()
 }
 
 /// The process-wide default pool: what clients fill request payloads from
@@ -209,7 +207,6 @@ impl Class {
     fn free_count(&self) -> usize {
         self.slots
             .iter()
-            // relaxed-ok: approximate stats counter, no synchronization implied
             .filter(|s| s.refs.load(Ordering::Relaxed) == 0)
             .count()
     }
@@ -237,25 +234,18 @@ impl Default for PoolConfig {
 struct PoolInner {
     classes: Box<[Class]>,
     /// Allocations currently live (slots out of the free lists).
-    live: AtomicU64,
+    live: Stat,
     /// Maximum of `live` ever observed.
-    high_water: AtomicU64,
+    high_water: Stat,
     /// Bytes zero-filled handing slots out: fresh backing, and slots that
     /// changed domain.
-    zeroed: AtomicU64,
+    zeroed: Stat,
     /// Debug leak/aliasing tracker: the set of (class, slot) pairs that are
     /// currently allocated. Alloc asserts the pair was absent (no aliasing
     /// of two allocations onto one slot); free asserts it was present
     /// (free-exactly-once).
     #[cfg(debug_assertions)]
     tracker: crate::lockwitness::OrderedMutex<std::collections::HashSet<(u16, u32)>>,
-}
-
-impl PoolInner {
-    fn note_zeroed(&self, bytes: usize) {
-        // relaxed-ok: stats counter
-        self.zeroed.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
 }
 
 /// A size-classed, refcounted shared-memory buffer pool. Cheap to clone
@@ -283,9 +273,9 @@ impl BufferPool {
         BufferPool {
             inner: Arc::new(PoolInner {
                 classes,
-                live: AtomicU64::new(0),
-                high_water: AtomicU64::new(0),
-                zeroed: AtomicU64::new(0),
+                live: Stat::new(0),
+                high_water: Stat::new(0),
+                zeroed: Stat::new(0),
                 #[cfg(debug_assertions)]
                 tracker: crate::lockwitness::OrderedMutex::new(
                     &crate::lockwitness::POOL_TRACKER,
@@ -343,20 +333,18 @@ impl BufferPool {
                     let was = s.owner.load(Ordering::Relaxed);
                     if data.len() != class.buf_size {
                         *data = vec![0u8; class.buf_size].into_boxed_slice();
-                        self.inner.note_zeroed(class.buf_size);
+                        self.inner.zeroed.add(class.buf_size as u64);
                     } else if owner != NO_OWNER && was != owner {
                         data.fill(0);
-                        self.inner.note_zeroed(class.buf_size);
+                        self.inner.zeroed.add(class.buf_size as u64);
                     }
                     // relaxed-ok: as the load above
                     s.owner.store(owner, Ordering::Relaxed);
                 }
                 // relaxed-ok: the handle is published to other threads through normal channels (queues, locks) that carry the happens-before edge
                 s.refs.store(1, Ordering::Relaxed);
-                // relaxed-ok: live/high-water are stats counters
-                let live = self.inner.live.fetch_add(1, Ordering::Relaxed) + 1;
-                // relaxed-ok: monotonic max, stats only
-                self.inner.high_water.fetch_max(live, Ordering::Relaxed);
+                let live = self.inner.live.add(1);
+                self.inner.high_water.max(live);
                 #[cfg(debug_assertions)]
                 {
                     let fresh = self.inner.tracker.lock().insert((class_id, slot)); // lock-class: pool.tracker
@@ -388,21 +376,18 @@ impl BufferPool {
 
     /// Allocations currently live.
     pub fn live(&self) -> u64 {
-        // relaxed-ok: stats counter read
-        self.inner.live.load(Ordering::Relaxed)
+        self.inner.live.get()
     }
 
     /// High-water mark of live allocations.
     pub fn high_water(&self) -> u64 {
-        // relaxed-ok: stats counter read
-        self.inner.high_water.load(Ordering::Relaxed)
+        self.inner.high_water.get()
     }
 
     /// Bytes zero-filled handing slots out since the pool was built.
     // api-ok: tests/alloc_buf_zero_fill.rs counts the zero-fills it pins
     pub fn zeroed_bytes(&self) -> u64 {
-        // relaxed-ok: stats counter read
-        self.inner.zeroed.load(Ordering::Relaxed)
+        self.inner.zeroed.get()
     }
 
     /// The size-class ladder as `(buf_size, slot_count)` pairs.
@@ -616,8 +601,7 @@ impl Drop for BufHandle {
                 let was_live = self.pool.tracker.lock().remove(&(self.class, self.slot)); // lock-class: pool.tracker
                 assert!(was_live, "buffer slot freed twice");
             }
-            // relaxed-ok: stats counter
-            self.pool.live.fetch_sub(1, Ordering::Relaxed);
+            self.pool.live.sub(1);
             self.pool.classes[self.class as usize].push_free(self.slot);
         }
     }

@@ -42,6 +42,8 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use labstor_telemetry::Stat;
+
 /// Longest pre-park run. A lone `sched_yield` is ~0.2 us, so the cap is
 /// worth about one futex round trip (10-20 us): past that, sleeping is
 /// the cheaper way to wait.
@@ -79,9 +81,10 @@ pub struct Doorbell {
     /// concurrent waiters may overwrite each other's update).
     run: AtomicU32,
     /// Waits that got as far as registering as a waiter.
-    parks: AtomicU64,
-    /// Waits that a ring ended inside the pre-park run.
-    phase_hits: AtomicU64,
+    parks: Stat,
+    /// Waits that a ring ended inside the pre-park run, with no futex call
+    /// on either side.
+    phase_hits: Stat,
 }
 
 impl Doorbell {
@@ -93,21 +96,15 @@ impl Doorbell {
             mu: Mutex::new(()),
             cv: Condvar::new(),
             run: AtomicU32::new(1),
-            parks: AtomicU64::new(0),
-            phase_hits: AtomicU64::new(0),
+            parks: Stat::new(0),
+            phase_hits: Stat::new(0),
         }
     }
 
     /// How many `wait_past` calls registered as a waiter (the slow path:
     /// a futex wait, and a futex wake for the ringer).
     pub fn parks(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
-    }
-
-    /// How many `wait_past` calls a ring ended inside the pre-park run,
-    /// with no futex call on either side.
-    pub fn phase_hits(&self) -> u64 {
-        self.phase_hits.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+        self.parks.get()
     }
 
     /// Record how a wait ended and size the next pre-park run from it.
@@ -155,12 +152,12 @@ impl Doorbell {
         for _ in 0..run {
             std::thread::yield_now();
             if self.epoch.load(Ordering::SeqCst) != observed {
-                self.phase_hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+                self.phase_hits.add(1);
                 self.resize_run(run, true);
                 return true;
             }
         }
-        self.parks.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+        self.parks.add(1);
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let parked = Instant::now();
         {
@@ -211,7 +208,7 @@ mod tests {
         let t0 = Instant::now();
         assert!(bell.wait_past(e, Duration::from_secs(10)));
         assert!(t0.elapsed() < Duration::from_secs(1));
-        assert_eq!((bell.parks(), bell.phase_hits()), (0, 0));
+        assert_eq!((bell.parks(), bell.phase_hits.get()), (0, 0));
     }
 
     /// The pre-park run is part of the wait, not in front of it: even at
@@ -230,7 +227,7 @@ mod tests {
         );
         assert!(took < Duration::from_millis(500), "overslept: {took:?}");
         assert_eq!(bell.epoch(), e);
-        assert_eq!((bell.parks(), bell.phase_hits()), (1, 0));
+        assert_eq!((bell.parks(), bell.phase_hits.get()), (1, 0));
     }
 
     #[test]

@@ -211,11 +211,6 @@ impl<T> OrderedMutex<T> {
             inner: Mutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
 }
 
 impl<T: ?Sized> OrderedMutex<T> {
@@ -298,11 +293,6 @@ impl<T> OrderedRwLock<T> {
             class,
             inner: RwLock::new(value),
         }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
     }
 }
 

@@ -52,11 +52,11 @@
 
 #[cfg(debug_assertions)]
 use std::sync::atomic::AtomicBool;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use labstor_sim::Ctx;
-use labstor_telemetry::LogHistogram;
+use labstor_telemetry::{LogHistogram, Stat};
 use parking_lot::RwLock;
 
 use crate::cost;
@@ -182,16 +182,16 @@ pub struct QueuePair<T> {
     /// Estimated total processing cost (ns) of requests currently queued;
     /// maintained by callers via [`QueuePair::add_load`] and consumed by
     /// the Work Orchestrator's partitioner.
-    est_load_ns: AtomicU64,
+    est_load_ns: Stat,
     /// Maximum estimated single-item cost seen (queue classification).
-    max_item_ns: AtomicU64,
+    max_item_ns: Stat,
     /// Cumulative processing time workers spent on this queue's requests
     /// (the orchestrator's demand signal).
-    work_done_ns: AtomicU64,
+    work_done_ns: Stat,
     /// Exponential moving average of the queue wait requests observed
     /// (worker pickup time minus submit time) — the orchestrator's
     /// latency-pressure signal.
-    wait_ema_ns: AtomicU64,
+    wait_ema_ns: Stat,
     /// Histogram of measured per-item processing cost (everything passed
     /// to [`QueuePair::record_work_batch`]). The Work Orchestrator classifies
     /// queues by its quantiles, falling back to [`QueuePair::max_item_ns`]
@@ -231,10 +231,10 @@ impl<T> QueuePair<T> {
             sq: SpscRing::with_capacity(depth.max(1)),
             cq: SpscRing::with_capacity(depth.max(1)),
             upgrade: AtomicU8::new(UpgradeFlag::None as u8),
-            est_load_ns: AtomicU64::new(0),
-            max_item_ns: AtomicU64::new(0),
-            work_done_ns: AtomicU64::new(0),
-            wait_ema_ns: AtomicU64::new(0),
+            est_load_ns: Stat::new(0),
+            max_item_ns: Stat::new(0),
+            work_done_ns: Stat::new(0),
+            wait_ema_ns: Stat::new(0),
             item_hist: LogHistogram::new(),
             sq_bell: RwLock::new(None),
             cq_bell: RwLock::new(None),
@@ -380,9 +380,8 @@ impl<T> QueuePair<T> {
         // Queue wait: how long the request sat before this worker's
         // timeline reached it (zero when the worker was waiting for it).
         let wait = ctx.now().saturating_sub(env.submit_vt);
-        let ema = self.wait_ema_ns.load(Ordering::Relaxed); // relaxed-ok: single-writer EMA, approximate by design
-        self.wait_ema_ns
-            .store(ema - ema / 8 + wait / 8, Ordering::Relaxed); // relaxed-ok: single-writer EMA, approximate by design
+        let ema = self.wait_ema_ns.get();
+        self.wait_ema_ns.set(ema - ema / 8 + wait / 8);
         arrive(ctx, &mut env, consumer_domain);
         Some(env)
     }
@@ -410,13 +409,13 @@ impl<T> QueuePair<T> {
         if n == 0 {
             return 0;
         }
-        let mut ema = self.wait_ema_ns.load(Ordering::Relaxed); // relaxed-ok: single-writer EMA, approximate by design
+        let mut ema = self.wait_ema_ns.get();
         for env in out.iter_mut().skip(start) {
             let wait = ctx.now().saturating_sub(env.submit_vt);
             ema = ema - ema / 8 + wait / 8;
             arrive(ctx, env, consumer_domain);
         }
-        self.wait_ema_ns.store(ema, Ordering::Relaxed); // relaxed-ok: single-writer EMA, approximate by design
+        self.wait_ema_ns.set(ema);
         n
     }
 
@@ -563,52 +562,27 @@ impl<T> QueuePair<T> {
     /// Add (or with a negative value, remove) estimated processing cost.
     pub fn add_load(&self, delta_ns: i64) {
         if delta_ns >= 0 {
-            self.est_load_ns
-                .fetch_add(delta_ns as u64, Ordering::Relaxed); // relaxed-ok: self-contained stat counter; CAS guards no other memory
+            self.est_load_ns.add(delta_ns as u64);
         } else {
-            let sub = (-delta_ns) as u64;
-            let mut cur = self.est_load_ns.load(Ordering::Relaxed); // relaxed-ok: self-contained stat counter; CAS guards no other memory
-            loop {
-                let next = cur.saturating_sub(sub);
-                match self.est_load_ns.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed, // relaxed-ok: ticket CAS orders nothing else; slot seq carries the ordering
-                    Ordering::Relaxed, // relaxed-ok: ticket CAS orders nothing else; slot seq carries the ordering
-                ) {
-                    Ok(_) => break,
-                    Err(c) => cur = c,
-                }
-            }
+            self.est_load_ns.saturating_sub(delta_ns.unsigned_abs());
         }
     }
 
     /// Estimated processing cost of currently queued requests, in ns.
     pub fn est_load_ns(&self) -> u64 {
-        self.est_load_ns.load(Ordering::Relaxed) // relaxed-ok: self-contained stat counter; CAS guards no other memory
+        self.est_load_ns.get()
     }
 
     /// Record the estimated cost of one submitted item; keeps the
     /// maximum. The Work Orchestrator classifies queues as
     /// latency-sensitive or computational from this (paper §III-C4).
     pub fn note_item_est(&self, est_ns: u64) {
-        let mut cur = self.max_item_ns.load(Ordering::Relaxed); // relaxed-ok: self-contained stat counter; CAS guards no other memory
-        while est_ns > cur {
-            match self.max_item_ns.compare_exchange_weak(
-                cur,
-                est_ns,
-                Ordering::Relaxed, // relaxed-ok: ticket CAS orders nothing else; slot seq carries the ordering
-                Ordering::Relaxed, // relaxed-ok: ticket CAS orders nothing else; slot seq carries the ordering
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
+        self.max_item_ns.max(est_ns);
     }
 
     /// Maximum estimated single-item cost seen on this queue.
     pub fn max_item_ns(&self) -> u64 {
-        self.max_item_ns.load(Ordering::Relaxed) // relaxed-ok: self-contained stat counter; CAS guards no other memory
+        self.max_item_ns.get()
     }
 
     /// Record the processing done for a batch of this queue's requests,
@@ -617,7 +591,7 @@ impl<T> QueuePair<T> {
     pub fn record_work_batch(&self, per_item_ns: &[u64]) {
         let total: u64 = per_item_ns.iter().sum();
         if total > 0 {
-            self.work_done_ns.fetch_add(total, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+            self.work_done_ns.add(total);
         }
         for &ns in per_item_ns {
             self.item_hist.record(ns);
@@ -626,12 +600,12 @@ impl<T> QueuePair<T> {
 
     /// Cumulative processing time spent on this queue's requests.
     pub fn work_done_ns(&self) -> u64 {
-        self.work_done_ns.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+        self.work_done_ns.get()
     }
 
     /// Recent average queue wait in ns.
     pub fn wait_ema_ns(&self) -> u64 {
-        self.wait_ema_ns.load(Ordering::Relaxed) // relaxed-ok: single-writer EMA, approximate by design
+        self.wait_ema_ns.get()
     }
 
     /// Median measured per-item processing cost (0 until work is

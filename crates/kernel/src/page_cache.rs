@@ -275,16 +275,6 @@ impl PageCache {
         }
     }
 
-    /// Pages currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().pages.len() // lock-class: pagecache.shard
-    }
-
-    /// True when no pages are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Charge the per-page mapping-lock cost, serialized across threads.
     fn charge_lock(&self, ctx: &mut Ctx) {
         let (_, end) = self.lock.acquire(ctx.now(), cost::PAGE_LOOKUP_NS); // lock-class: pagecache.maplock
@@ -605,7 +595,7 @@ mod tests {
         // A miss on a cache full of dirty pages goes over capacity rather
         // than drop one: both are still there for writeback, intact.
         assert_eq!(miss(&pc, &mut ctx, 2), 1);
-        assert_eq!(pc.len(), 3);
+        assert_eq!(pc.inner.lock().pages.len(), 3);
         assert_eq!(pc.dirty_bytes(), 2 * PAGE_SIZE);
         let dirty = pc.take_dirty(&mut ctx, None);
         assert_eq!(dirty.len(), 2);
@@ -615,7 +605,7 @@ mod tests {
         }
         // Once they are clean the next miss evicts back down to capacity.
         assert_eq!(miss(&pc, &mut ctx, 3), 1);
-        assert_eq!(pc.len(), 2);
+        assert_eq!(pc.inner.lock().pages.len(), 2);
         assert_eq!(pc.dirty_bytes(), 0);
     }
 
@@ -640,7 +630,7 @@ mod tests {
         let mut ctx = Ctx::new();
         pc.write(&mut ctx, 5, 0, &[1u8; PAGE_SIZE]);
         pc.invalidate(5);
-        assert!(pc.is_empty());
+        assert!(pc.inner.lock().pages.is_empty());
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use labstor_sim::{BlockDevice, SimDevice};
+use labstor_telemetry::Stat;
 
 /// Priority class a submitter can attach to a request. Blk-switch uses it
 /// to separate latency-sensitive from throughput traffic.
@@ -109,16 +110,14 @@ impl BlkSwitchSched {
 /// depth looks low.
 #[derive(Debug)]
 pub struct BulkHistory {
-    per_queue: Vec<std::sync::atomic::AtomicU64>,
+    per_queue: Vec<Stat>,
 }
 
 impl BulkHistory {
     /// History over `queues` queues.
     pub fn new(queues: usize) -> Self {
         BulkHistory {
-            per_queue: (0..queues.max(1))
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect(),
+            per_queue: (0..queues.max(1)).map(|_| Stat::new(0)).collect(),
         }
     }
 
@@ -126,18 +125,13 @@ impl BulkHistory {
     pub fn record(&self, qid: usize, bytes: usize) {
         let slot = &self.per_queue[qid % self.per_queue.len()];
         // EMA-ish: decay an eighth, add the new sample.
-        let cur = slot.load(std::sync::atomic::Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-                                                                   // relaxed-ok: single-writer EMA, approximate by design
-        slot.store(
-            cur - cur / 8 + bytes as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        let cur = slot.get();
+        slot.set(cur - cur / 8 + bytes as u64);
     }
 
     /// Recent bulk pressure on `qid`.
     pub fn pressure(&self, qid: usize) -> u64 {
-        // relaxed-ok: stat counter; readers tolerate lag
-        self.per_queue[qid % self.per_queue.len()].load(std::sync::atomic::Ordering::Relaxed)
+        self.per_queue[qid % self.per_queue.len()].get()
     }
 }
 

@@ -129,8 +129,6 @@ pub struct HotPath {
 pub struct Config {
     /// Regions where panicking constructs are forbidden.
     pub hot_paths: Vec<HotPath>,
-    /// Path substrings exempt from the relaxed-ordering lint.
-    pub relaxed_allowlist: Vec<&'static str>,
     /// Zero-copy data-path modules governed by the payload-copy lint
     /// (path suffixes, workspace-relative with `/` separators).
     pub copy_hot_paths: Vec<&'static str>,
@@ -181,10 +179,6 @@ impl Config {
                     function: None,
                 },
             ],
-            // The simulator's virtual-clock counters are single-threaded
-            // bookkeeping behind &mut self; auditing them adds noise, not
-            // signal. Everything else must justify each Relaxed.
-            relaxed_allowlist: vec!["crates/sim/src/stats.rs"],
             // The zero-copy data path: every stage that handles payload
             // bytes between the client's pool buffer and the device model.
             // `mods/src/metastore.rs` (like `labfs/meta.rs`) is not one:
@@ -282,7 +276,7 @@ impl Config {
 /// Run every lint over one preprocessed file.
 pub fn lint_file(cfg: &Config, file: &SourceFile) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    lint_relaxed_ordering(cfg, file, &mut diags);
+    lint_relaxed_ordering(file, &mut diags);
     lint_hot_path_panic(cfg, file, &mut diags);
     lint_unsafe_hygiene(file, &mut diags);
     lint_labmod_contract(file, &mut diags);
@@ -309,12 +303,9 @@ pub fn lint_sources(cfg: &Config, sources: &[(&str, &str)]) -> Vec<Diagnostic> {
     diags
 }
 
-/// Lint 1: every `Ordering::Relaxed` outside the allowlist and outside
-/// test code needs a `relaxed-ok` justification.
-fn lint_relaxed_ordering(cfg: &Config, file: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    if cfg.relaxed_allowlist.iter().any(|p| file.name.contains(p)) {
-        return;
-    }
+/// Lint 1: every `Ordering::Relaxed` outside test code needs a
+/// `relaxed-ok` justification.
+fn lint_relaxed_ordering(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
     for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test || !line.code.contains("Ordering::Relaxed") {
             continue;

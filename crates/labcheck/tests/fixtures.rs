@@ -79,13 +79,6 @@ mod tests {
 }
 
 #[test]
-fn relaxed_in_allowlisted_file_is_exempt() {
-    let src = "c.load(Ordering::Relaxed);\n";
-    assert!(lint_source(&cfg(), "crates/sim/src/stats.rs", src).is_empty());
-    assert_eq!(lint_source(&cfg(), "crates/sim/src/other.rs", src).len(), 1);
-}
-
-#[test]
 fn relaxed_inside_string_or_comment_is_not_code() {
     let src = "\
 let s = \"Ordering::Relaxed\";

@@ -21,7 +21,6 @@
 //! [`BLOCK_SECTORS`]), which every bundled filesystem LabMod honors.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -29,6 +28,7 @@ use parking_lot::{Condvar, Mutex};
 use labstor_core::{BlockOp, LabMod, ModType, Payload, Request, RespPayload, StackEnv};
 use labstor_ipc::{note_payload_copy, BufHandle};
 use labstor_sim::Ctx;
+use labstor_telemetry::Stat;
 
 use crate::arc_cache::ArcPolicy;
 use crate::lru::LruPolicy;
@@ -215,8 +215,8 @@ pub struct BlockCache<P> {
     inflight: InflightSet,
     capacity_blocks: usize,
     write_back: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Stat,
+    misses: Stat,
 }
 
 impl<P: Policy> BlockCache<P> {
@@ -230,19 +230,15 @@ impl<P: Policy> BlockCache<P> {
             inflight: InflightSet::new(),
             capacity_blocks: (capacity_bytes / BLOCK).max(P::MIN_BLOCKS),
             write_back,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Stat::new(0),
+            misses: Stat::new(0),
         }
     }
 
     /// (hits, misses) so far, counted in **blocks**: a 64 KiB read that
     /// finds 15 of its 16 blocks resident adds 15 hits and 1 miss.
     pub fn hit_stats(&self) -> (u64, u64) {
-        // relaxed-ok: stat counter; readers tolerate lag
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        (self.hits.get(), self.misses.get())
     }
 
     /// Blocks resident.
@@ -403,8 +399,7 @@ impl<P: Policy> BlockCache<P> {
         ctx.advance(P::LOOKUP_NS * blocks as u64);
         let touched = match zero_copy.then(|| self.joined_hit(lba, len, blocks)) {
             Some(Ok(h)) => {
-                // relaxed-ok: stat counter; readers tolerate lag
-                self.hits.fetch_add(blocks as u64, Ordering::Relaxed);
+                self.hits.add(blocks as u64);
                 return RespPayload::DataBuf(h);
             }
             Some(Err(touched)) => touched,
@@ -437,8 +432,7 @@ impl<P: Policy> BlockCache<P> {
                 // The winner's fetch made every block resident, usually as
                 // views of the one slot it landed in: one run after all.
                 if let Some(h) = zero_copy.then(|| joined(found, len)).flatten() {
-                    // relaxed-ok: stat counter; readers tolerate lag
-                    self.hits.fetch_add(blocks as u64, Ordering::Relaxed);
+                    self.hits.add(blocks as u64);
                     return RespPayload::DataBuf(h);
                 }
                 break 'fetch 0;
@@ -478,8 +472,7 @@ impl<P: Policy> BlockCache<P> {
             if let Err(e) = self.write_back(ctx, env, &req, victims) {
                 return e;
             }
-            // relaxed-ok: stat counter; readers tolerate lag
-            self.misses.fetch_add(missing as u64, Ordering::Relaxed);
+            self.misses.add(missing as u64);
             if missing == blocks {
                 // Nothing was resident: what came back is the answer.
                 return resp;
@@ -492,9 +485,7 @@ impl<P: Policy> BlockCache<P> {
             }
             missing
         };
-        // relaxed-ok: stat counter; readers tolerate lag
-        self.hits
-            .fetch_add((blocks - fetched_blocks) as u64, Ordering::Relaxed);
+        self.hits.add((blocks - fetched_blocks) as u64);
         gather(ctx, found, len)
     }
 
@@ -718,13 +709,14 @@ pub(crate) mod testing {
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
     use labstor_core::ModuleManager;
     use labstor_ipc::{BufferPool, Credentials};
+    use std::sync::atomic::Ordering;
 
     /// Terminal "device": a flat byte array addressed by sector, so what
     /// a read returns depends on the bytes written, not on how requests
     /// were cut. Unwritten bytes read as zero.
     pub(crate) struct MemDev {
         pub bytes: Mutex<Vec<u8>>,
-        pub writes: AtomicU64,
+        pub writes: Stat,
         /// Every read request seen, as `(lba, len)`.
         pub reads: Mutex<Vec<(u64, usize)>>,
         /// Lands `ReadBuf` completions in this pool (else answers `Data`).
@@ -739,7 +731,7 @@ pub(crate) mod testing {
         pub fn new() -> Self {
             MemDev {
                 bytes: Mutex::new(Vec::new()),
-                writes: AtomicU64::new(0),
+                writes: Stat::new(0),
                 reads: Mutex::new(Vec::new()),
                 pool: None,
                 read_stall: std::time::Duration::ZERO,
@@ -772,7 +764,7 @@ pub(crate) mod testing {
         }
 
         pub fn write_count(&self) -> u64 {
-            self.writes.load(Ordering::Relaxed)
+            self.writes.get()
         }
     }
 
@@ -790,12 +782,12 @@ pub(crate) mod testing {
                     RespPayload::Err("write refused".into())
                 }
                 Payload::Block(BlockOp::Write { lba, data }) => {
-                    self.writes.fetch_add(1, Ordering::Relaxed);
+                    self.writes.add(1);
                     self.poke(lba, &data);
                     RespPayload::Len(data.len())
                 }
                 Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
-                    self.writes.fetch_add(1, Ordering::Relaxed);
+                    self.writes.add(1);
                     self.poke(lba, buf.as_slice());
                     RespPayload::Len(buf.len())
                 }
@@ -902,6 +894,7 @@ mod tests {
     use super::*;
     use labstor_ipc::{BufferPool, PoolConfig};
     use proptest::prelude::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn inflight_claim_covers_the_run_and_releases_on_drop() {

@@ -13,13 +13,13 @@
 //! relaxed live via `modify_stack` — the paper's Dynamic Semantics
 //! Imposition.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
 use labstor_sim::Ctx;
+use labstor_telemetry::Stat;
 
 /// Cost of deciding whether this write is followed by a barrier.
 const BARRIER_CHECK_NS: u64 = 50;
@@ -38,8 +38,8 @@ pub enum Policy {
 /// The consistency LabMod.
 pub struct ConsistencyMod {
     policy: Policy,
-    writes: AtomicU64,
-    flushes: AtomicU64,
+    /// Writes seen, the `FlushEveryN` count.
+    writes: Stat,
 }
 
 impl ConsistencyMod {
@@ -47,22 +47,12 @@ impl ConsistencyMod {
     pub fn new(policy: Policy) -> Self {
         ConsistencyMod {
             policy,
-            writes: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
+            writes: Stat::new(0),
         }
-    }
-
-    /// (writes seen, barriers issued).
-    pub fn stats(&self) -> (u64, u64) {
-        // relaxed-ok: stat counter; readers tolerate lag
-        (
-            self.writes.load(Ordering::Relaxed),
-            self.flushes.load(Ordering::Relaxed),
-        )
     }
 }
 
-// labmod-default-ok: the write and barrier counts migrate in state_update; barrier policy is config-derived, so the repair default is safe
+// labmod-default-ok: the write count migrates in state_update; barrier policy is config-derived, so the repair default is safe
 impl LabMod for ConsistencyMod {
     fn type_name(&self) -> &'static str {
         "consistency"
@@ -82,7 +72,7 @@ impl LabMod for ConsistencyMod {
         let template = is_write.then(|| req.derive(Payload::Block(BlockOp::Flush)));
         let resp = env.forward(ctx, req);
         if resp.is_ok() && is_write {
-            let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: stat counter; readers tolerate lag
+            let n = self.writes.add(1);
             let flush_now = match self.policy {
                 Policy::Relaxed => false,
                 Policy::FlushEach => true,
@@ -90,7 +80,6 @@ impl LabMod for ConsistencyMod {
             };
             if flush_now {
                 if let Some(f) = template {
-                    self.flushes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
                     let r = env.forward(ctx, f);
                     if !r.is_ok() {
                         return r;
@@ -107,11 +96,7 @@ impl LabMod for ConsistencyMod {
 
     fn state_update(&self, old: &dyn LabMod) {
         if let Some(prev) = old.as_any().downcast_ref::<ConsistencyMod>() {
-            self.writes
-                .store(prev.writes.load(Ordering::Relaxed), Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-                                                                                // relaxed-ok: stat counter; readers tolerate lag
-            self.flushes
-                .store(prev.flushes.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.writes.set(prev.writes.get());
         }
     }
 
@@ -148,8 +133,8 @@ mod tests {
     use labstor_ipc::Credentials;
 
     struct FlushCounter {
-        writes: AtomicU64,
-        flushes: AtomicU64,
+        writes: Stat,
+        flushes: Stat,
     }
     impl LabMod for FlushCounter {
         fn type_name(&self) -> &'static str {
@@ -161,11 +146,11 @@ mod tests {
         fn process(&self, _ctx: &mut Ctx, req: Request, _env: &StackEnv<'_>) -> RespPayload {
             match req.payload {
                 Payload::Block(BlockOp::Write { .. }) => {
-                    self.writes.fetch_add(1, Ordering::Relaxed);
+                    self.writes.add(1);
                     RespPayload::Ok
                 }
                 Payload::Block(BlockOp::Flush) => {
-                    self.flushes.fetch_add(1, Ordering::Relaxed);
+                    self.flushes.add(1);
                     RespPayload::Ok
                 }
                 _ => RespPayload::Ok,
@@ -184,8 +169,8 @@ mod tests {
         install(&mm);
         mm.instantiate("c", "consistency", &params).unwrap();
         let counter = Arc::new(FlushCounter {
-            writes: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
+            writes: Stat::new(0),
+            flushes: Stat::new(0),
         });
         mm.insert_instance("dev", counter.clone());
         let stack = LabStack {
@@ -219,10 +204,7 @@ mod tests {
             );
             assert!(m.process(&mut ctx, req, &env).is_ok());
         }
-        (
-            counter.writes.load(Ordering::Relaxed),
-            counter.flushes.load(Ordering::Relaxed),
-        )
+        (counter.writes.get(), counter.flushes.get())
     }
 
     #[test]

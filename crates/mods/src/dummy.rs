@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use labstor_core::{LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv};
 use labstor_sim::Ctx;
+use labstor_telemetry::Stat;
 
 /// A module that spends a configurable amount of virtual work per message
 /// and counts how many messages it has seen.
@@ -16,7 +17,7 @@ pub struct DummyMod {
     pub version: u64,
     /// Default per-message work when the request does not carry one.
     pub default_work_ns: u64,
-    count: AtomicU64,
+    count: Stat,
 }
 
 impl DummyMod {
@@ -25,13 +26,13 @@ impl DummyMod {
         DummyMod {
             version,
             default_work_ns,
-            count: AtomicU64::new(0),
+            count: Stat::new(0),
         }
     }
 
     /// Messages processed (survives upgrades via `state_update`).
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+        self.count.get()
     }
 }
 
@@ -51,8 +52,8 @@ impl LabMod for DummyMod {
             _ => self.default_work_ns,
         };
         ctx.advance(work);
-        self.count.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-                                                    // Dummies are usually terminal but forward if stacked.
+        self.count.add(1);
+        // Dummies are usually terminal but forward if stacked.
         if env.stack.vertices[env.vertex].outputs.is_empty() {
             RespPayload::Ok
         } else {
@@ -70,7 +71,7 @@ impl LabMod for DummyMod {
 
     fn state_update(&self, old: &dyn LabMod) {
         if let Some(prev) = old.as_any().downcast_ref::<DummyMod>() {
-            self.count.store(prev.count(), Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+            self.count.set(prev.count());
         }
     }
 
@@ -147,7 +148,7 @@ mod tests {
             .instantiate("d1", "dummy", &serde_json::Value::Null)
             .unwrap();
         let old_dummy = old.as_any().downcast_ref::<DummyMod>().unwrap();
-        old_dummy.count.store(123, Ordering::Relaxed);
+        old_dummy.count.set(123);
         let newer = DummyMod::new(99, 0);
         newer.state_update(old.as_ref());
         assert_eq!(newer.count(), 123);

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use labstor_ipc::lockwitness::{OrderedMutex, OrderedRwLock, TENANT_BUCKET, TENANT_TABLE};
 use labstor_ipc::TenantId;
-use labstor_telemetry::LogHistogram;
+use labstor_telemetry::{LogHistogram, Stat};
 
 /// Nanoseconds per second: the fixed-point scale of [`TokenBucket`]
 /// accounting (one token = `NS_PER_SEC` token-nanoseconds).
@@ -221,14 +221,14 @@ pub struct TenantState {
     /// 1 latency-sensitive, otherwise the target p99 in virtual ns.
     deadline_packed: AtomicU64,
     bucket: OrderedMutex<TokenBucket>,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
+    admitted: Stat,
+    rejected: Stat,
     /// Virtual service consumed (worker-observed item-ns), the
     /// weighted-fair currency.
-    service_vns: AtomicU64,
+    service_vns: Stat,
     /// Pushdown fuel retired on behalf of this tenant (one unit per
     /// bytecode instruction executed inside the stack).
-    fuel_used: AtomicU64,
+    fuel_used: Stat,
     /// Completion latency histogram (virtual ns), the per-tenant p99.
     latency: LogHistogram,
 }
@@ -260,10 +260,10 @@ impl TenantState {
                 &TENANT_BUCKET,
                 TokenBucket::new(policy.rate_bytes_per_sec, policy.burst_bytes),
             ),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            service_vns: AtomicU64::new(0),
-            fuel_used: AtomicU64::new(0),
+            admitted: Stat::new(0),
+            rejected: Stat::new(0),
+            service_vns: Stat::new(0),
+            fuel_used: Stat::new(0),
             latency: LogHistogram::new(),
         }
     }
@@ -280,13 +280,11 @@ impl TenantState {
         let verdict = self.bucket.lock().try_admit(now_vt, cost); // lock-class: qos.bucket
         match verdict {
             Ok(()) => {
-                // relaxed-ok: stats counter
-                self.admitted.fetch_add(1, Ordering::Relaxed);
+                self.admitted.add(1);
                 Ok(())
             }
             Err(retry) => {
-                // relaxed-ok: stats counter
-                self.rejected.fetch_add(1, Ordering::Relaxed);
+                self.rejected.add(1);
                 Err(retry)
             }
         }
@@ -318,33 +316,25 @@ impl TenantState {
 
     /// Charge `vns` virtual nanoseconds of worker service to this tenant.
     pub fn note_service(&self, vns: u64) {
-        // relaxed-ok: service counter consumed by the rebalance pass, which tolerates slight staleness
-        self.service_vns.fetch_add(vns, Ordering::Relaxed);
+        self.service_vns.add(vns);
     }
 
     /// Charge `fuel` pushdown instruction units to this tenant.
     pub fn note_fuel(&self, fuel: u64) {
-        // relaxed-ok: accounting counter consumed by exports/rebalance, tolerates staleness
-        self.fuel_used.fetch_add(fuel, Ordering::Relaxed);
+        self.fuel_used.add(fuel);
     }
 
     /// Total pushdown fuel retired for this tenant so far.
     pub fn fuel_used(&self) -> u64 {
-        // relaxed-ok: accounting counter read
-        self.fuel_used.load(Ordering::Relaxed)
-    }
-
-    /// Total virtual service consumed so far.
-    pub fn service_vns(&self) -> u64 {
-        // relaxed-ok: service counter read
-        self.service_vns.load(Ordering::Relaxed)
+        self.fuel_used.get()
     }
 
     /// Service normalized by weight (`service × 1000 / weight`): the
     /// virtual-time currency the weighted-fair pass compares across
     /// tenants.
     pub fn normalized_service_milli(&self) -> u64 {
-        self.service_vns()
+        self.service_vns
+            .get()
             .saturating_mul(1000)
             .checked_div(u64::from(self.weight()))
             .unwrap_or(0)
@@ -357,14 +347,12 @@ impl TenantState {
 
     /// Requests admitted so far.
     pub fn admitted(&self) -> u64 {
-        // relaxed-ok: stats counter read
-        self.admitted.load(Ordering::Relaxed)
+        self.admitted.get()
     }
 
     /// Requests rejected by admission so far.
     pub fn rejected(&self) -> u64 {
-        // relaxed-ok: stats counter read
-        self.rejected.load(Ordering::Relaxed)
+        self.rejected.get()
     }
 
     /// p99 completion latency (virtual ns; 0 with no samples).
@@ -390,7 +378,7 @@ impl std::fmt::Debug for TenantState {
             .field("weight", &self.weight())
             .field("admitted", &self.admitted())
             .field("rejected", &self.rejected())
-            .field("service_vns", &self.service_vns())
+            .field("service_vns", &self.service_vns.get())
             .field("p99_ns", &self.p99_ns())
             .finish()
     }
@@ -589,7 +577,7 @@ impl TenantTable {
                     "weight": s.weight(),
                     "admitted": s.admitted(),
                     "rejected": s.rejected(),
-                    "service_vns": s.service_vns(),
+                    "service_vns": s.service_vns.get(),
                     "fuel_used": s.fuel_used(),
                     "completions": s.completions(),
                     "p50_ns": s.p50_ns(),
@@ -694,13 +682,13 @@ mod tests {
         assert_eq!(t.tenant_of_qid(10), Some(TenantId(1)));
         t.note_qid_service(10, 4000);
         t.note_qid_service(11, 4000);
-        assert_eq!(a.service_vns(), 4000);
+        assert_eq!(a.service_vns.get(), 4000);
         let norm = t.qid_normalized_service();
         // Equal raw service, but tenant 1 has weight 2 → half the
         // normalized service.
         assert_eq!(norm[&10], 2_000_000);
         assert_eq!(norm[&11], 4_000_000);
-        assert_eq!(b.service_vns(), 4000);
+        assert_eq!(b.service_vns.get(), 4000);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use model::{DeviceKind, DeviceModel};
 pub use pmem::PmemDevice;
 pub use queue::{Completion, HwQueue, IoOp, IoRequest};
 pub use stats::DeviceStats;
-pub use time::{ChannelPool, Ctx, Resource, Watermark};
+pub use time::{ChannelPool, Ctx, Resource};
 
 /// Size of a device sector in bytes. All LBAs are sector-granular.
 pub const SECTOR_SIZE: usize = 512;

@@ -1,27 +1,27 @@
 //! Lock-free per-device statistics counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use labstor_telemetry::Stat;
 
-/// Cumulative device statistics, updated with relaxed atomics on the hot
-/// path and read coherently enough for reporting (individual counters are
-/// exact; cross-counter snapshots are approximate, which is fine for the
-/// throughput/latency aggregates the harnesses report).
+/// Cumulative device statistics: one [`Stat`] per counter, so each
+/// counter is exact while a cross-counter [`DeviceStats::snapshot`] is
+/// approximate, which is fine for the throughput/latency aggregates the
+/// harnesses report.
 #[derive(Debug, Default)]
 pub struct DeviceStats {
     /// Completed read commands.
-    pub reads: AtomicU64,
+    reads: Stat,
     /// Completed write commands.
-    pub writes: AtomicU64,
+    writes: Stat,
     /// Bytes read from media.
-    pub bytes_read: AtomicU64,
+    bytes_read: Stat,
     /// Bytes written to media.
-    pub bytes_written: AtomicU64,
+    bytes_written: Stat,
     /// Total modeled service time spent on media, in ns.
-    pub busy_ns: AtomicU64,
+    busy_ns: Stat,
     /// Accesses that paid a positioning (seek) penalty.
-    pub seeks: AtomicU64,
+    seeks: Stat,
     /// Commands that failed (fault injection or out-of-range).
-    pub errors: AtomicU64,
+    errors: Stat,
 }
 
 /// A point-in-time copy of [`DeviceStats`].
@@ -47,46 +47,45 @@ impl DeviceStats {
     /// Record a completed command.
     pub fn record(&self, write: bool, bytes: usize, service_ns: u64, seeked: bool) {
         if write {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.bytes_written
-                .fetch_add(bytes as u64, Ordering::Relaxed);
+            self.writes.add(1);
+            self.bytes_written.add(bytes as u64);
         } else {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
+            self.reads.add(1);
+            self.bytes_read.add(bytes as u64);
         }
-        self.busy_ns.fetch_add(service_ns, Ordering::Relaxed);
+        self.busy_ns.add(service_ns);
         if seeked {
-            self.seeks.fetch_add(1, Ordering::Relaxed);
+            self.seeks.add(1);
         }
     }
 
     /// Record a failed command.
     pub fn record_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.errors.add(1);
     }
 
     /// Copy out the current counter values.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+            reads: self.reads.get(),
+            writes: self.writes.get(),
+            bytes_read: self.bytes_read.get(),
+            bytes_written: self.bytes_written.get(),
+            busy_ns: self.busy_ns.get(),
+            seeks: self.seeks.get(),
+            errors: self.errors.get(),
         }
     }
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.busy_ns.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
-        self.errors.store(0, Ordering::Relaxed);
+        self.reads.set(0);
+        self.writes.set(0);
+        self.bytes_read.set(0);
+        self.bytes_written.set(0);
+        self.busy_ns.set(0);
+        self.seeks.set(0);
+        self.errors.set(0);
     }
 }
 

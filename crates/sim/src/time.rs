@@ -212,37 +212,6 @@ impl ChannelPool {
     }
 }
 
-/// Monotonic high-watermark clock shared by an experiment: actors publish
-/// their finish times so the harness can compute the virtual makespan.
-#[derive(Debug, Default)]
-pub struct Watermark {
-    max_ns: AtomicU64,
-}
-
-impl Watermark {
-    /// New watermark at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publish a timestamp; keeps the max.
-    pub fn publish(&self, t: u64) {
-        let mut cur = self.max_ns.load(Ordering::Relaxed); // relaxed-ok: watermark CAS; the counter is the only shared state
-        while t > cur {
-            match self.max_ns.compare_exchange_weak(cur, t, Ordering::Relaxed, Ordering::Relaxed) // relaxed-ok: watermark CAS; the counter is the only shared state
-            {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    /// Current high watermark.
-    pub fn get(&self) -> u64 {
-        self.max_ns.load(Ordering::Relaxed) // relaxed-ok: watermark CAS; the counter is the only shared state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,14 +282,5 @@ mod tests {
             assert_eq!(s, i as u64 * 7);
             assert_eq!(e, s + 7);
         }
-    }
-
-    #[test]
-    fn watermark_keeps_max() {
-        let w = Watermark::new();
-        w.publish(5);
-        w.publish(3);
-        w.publish(9);
-        assert_eq!(w.get(), 9);
     }
 }

@@ -3,12 +3,12 @@
 //! Values (virtual nanoseconds) are binned into base-2 octaves, each
 //! split into [`SUB`] linear sub-buckets, giving a worst-case relative
 //! quantile error of `1/SUB` (6.25%) across the whole range — the same
-//! scheme HdrHistogram uses. Every counter is an atomic, so `record` is
-//! wait-free and safe from any number of threads; `quantile` reads
+//! scheme HdrHistogram uses. Every counter is a [`Stat`], so `record` is
+//! lock-free and safe from any number of threads; `quantile` reads
 //! concurrently-updated counters and is approximate by design
 //! (monitoring, not accounting).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::Stat;
 
 /// Log2 of the number of linear sub-buckets per octave.
 const SUB_BITS: u32 = 4;
@@ -50,11 +50,11 @@ fn bounds(idx: usize) -> (u64, u64) {
 
 /// A concurrent log-bucketed histogram of `u64` values (ns).
 pub struct LogHistogram {
-    counts: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    counts: Box<[Stat]>,
+    count: Stat,
+    sum: Stat,
+    min: Stat,
+    max: Stat,
 }
 
 impl Default for LogHistogram {
@@ -67,62 +67,41 @@ impl LogHistogram {
     /// Empty histogram (~5.8 KB of counters).
     pub fn new() -> Self {
         LogHistogram {
-            counts: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            counts: (0..N_BUCKETS).map(|_| Stat::new(0)).collect(),
+            count: Stat::new(0),
+            sum: Stat::new(0),
+            min: Stat::new(u64::MAX),
+            max: Stat::new(0),
         }
     }
 
-    /// Record one value. Wait-free (a handful of relaxed atomic RMWs).
+    /// Record one value. Lock-free: three [`Stat`] adds, and a min/max
+    /// that store only when the value is a new extremum.
     /// Values above the histogram's domain clamp to [`MAX_VALUE`] —
     /// everywhere, including `min`/`max`/`sum`, so all statistics
     /// describe the same clamped stream.
     pub fn record(&self, v: u64) {
         let v = v.min(MAX_VALUE);
-        self.counts[index(v)].fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.count.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        self.sum.fetch_add(v, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        let mut cur = self.min.load(Ordering::Relaxed); // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-        while v < cur {
-            match self.min.compare_exchange_weak(
-                cur,
-                v,
-                Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-                Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-        let mut cur = self.max.load(Ordering::Relaxed); // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-        while v > cur {
-            match self.max.compare_exchange_weak(
-                cur,
-                v,
-                Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-                Ordering::Relaxed, // relaxed-ok: self-contained stat extremum; CAS guards no other memory
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
+        self.counts[index(v)].add(1);
+        self.count.add(1);
+        self.sum.add(v);
+        self.min.min(v);
+        self.max.max(v);
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+        self.count.get()
     }
 
     /// Sum of recorded values.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+        self.sum.get()
     }
 
     /// Smallest recorded value (0 when empty).
     pub fn min(&self) -> u64 {
-        let m = self.min.load(Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+        let m = self.min.get();
         if m == u64::MAX {
             0
         } else {
@@ -132,7 +111,7 @@ impl LogHistogram {
 
     /// Largest recorded value.
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+        self.max.get()
     }
 
     /// Mean of recorded values (0 when empty).
@@ -154,7 +133,7 @@ impl LogHistogram {
         let target = (((n as f64) * q).ceil() as u64).clamp(1, n);
         let mut cum = 0u64;
         for (idx, c) in self.counts.iter().enumerate() {
-            cum += c.load(Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+            cum += c.get();
             if cum >= target {
                 let (_, hi) = bounds(idx);
                 return (hi - 1).clamp(self.min(), self.max());
@@ -220,6 +199,58 @@ mod tests {
         assert!((100_000..=100_000 + 100_000 / 16 + 1).contains(&p50));
         assert_eq!(h.quantile(1.0), 100_000); // clamped to recorded max
         assert_eq!(h.mean(), 100_000);
+    }
+
+    /// Four threads record one shuffled value set, split between them,
+    /// into a histogram and into bare `Stat`s; every statistic and every
+    /// bucket must equal the sequential fold of the same values.
+    #[test]
+    fn concurrent_records_equal_the_sequential_fold() {
+        // Values spread over many octaves, the domain's clamp included.
+        let mut values: Vec<u64> = (0..4000u64).map(|i| i * i * 977 + i % 13).collect();
+        values.push(u64::MAX);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..values.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+
+        let seq = LogHistogram::new();
+        for &v in &values {
+            seq.record(v);
+        }
+        let conc = LogHistogram::new();
+        let (sum, lo, hi) = (Stat::new(0), Stat::new(u64::MAX), Stat::new(0));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for part in values.chunks(values.len().div_ceil(4)) {
+                let (conc, sum, lo, hi, start) = (&conc, &sum, &lo, &hi, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for &v in part {
+                        conc.record(v);
+                        sum.add(v);
+                        lo.min(v);
+                        hi.max(v);
+                    }
+                });
+            }
+        });
+
+        let fold_sum = values.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+        assert_eq!(sum.get(), fold_sum);
+        assert_eq!(lo.get(), *values.iter().min().unwrap());
+        assert_eq!(hi.get(), u64::MAX);
+        assert_eq!(
+            (conc.count(), conc.sum(), conc.min(), conc.max()),
+            (seq.count(), seq.sum(), seq.min(), seq.max())
+        );
+        assert_eq!(conc.count(), values.len() as u64);
+        for (i, (c, s)) in conc.counts.iter().zip(seq.counts.iter()).enumerate() {
+            assert_eq!(c.get(), s.get(), "bucket {i} {:?}", bounds(i));
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   observes into it where it runs the vertex.
 //! * [`ClockCell`] — a worker's published `(now, busy)` virtual-clock
 //!   snapshot: one publication path for worker-visible time.
+//! * [`Stat`] — the workspace's one counter type for a value that orders
+//!   no other memory (counts, extrema, published metrics).
 //! * [`export`] — Chrome trace-event JSON (loadable in `chrome://tracing`
 //!   or Perfetto) and the Fig. 4a text anatomy built from recorded spans.
 //!
@@ -30,8 +32,10 @@ pub mod counters;
 pub mod export;
 pub mod hist;
 pub mod span;
+pub mod stat;
 
 pub use counters::PerfCounters;
 pub use export::{anatomy, chrome_trace, Anatomy};
 pub use hist::LogHistogram;
 pub use span::{ClockCell, FlightRecorder, SpanEvent, SpanRing, Stage};
+pub use stat::Stat;

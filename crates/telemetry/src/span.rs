@@ -25,6 +25,8 @@ use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::Stat;
+
 /// Which leg of a request's journey a span covers. Spans of one request
 /// tile its end-to-end latency exactly: `HopReq` + the entry `Vertex`
 /// (which nests `Hop`/`Vertex`/`Device` children) + `HopResp`.
@@ -403,8 +405,8 @@ impl FlightRecorder {
 /// ad-hoc atomics the worker loop used to store into.
 #[derive(Debug, Default)]
 pub struct ClockCell {
-    now_ns: AtomicU64,
-    busy_ns: AtomicU64,
+    now_ns: Stat,
+    busy_ns: Stat,
 }
 
 impl ClockCell {
@@ -416,18 +418,18 @@ impl ClockCell {
     /// Publish the owning worker's `(now, busy)` snapshot. Single writer;
     /// readers tolerate staleness (it is a metric, not a fence).
     pub fn publish(&self, now_ns: u64, busy_ns: u64) {
-        self.now_ns.store(now_ns, Ordering::Relaxed); // relaxed-ok: published metric snapshot; staleness is acceptable
-        self.busy_ns.store(busy_ns, Ordering::Relaxed); // relaxed-ok: published metric snapshot; staleness is acceptable
+        self.now_ns.set(now_ns);
+        self.busy_ns.set(busy_ns);
     }
 
     /// Last published virtual now.
     pub fn now(&self) -> u64 {
-        self.now_ns.load(Ordering::Relaxed) // relaxed-ok: published metric snapshot; staleness is acceptable
+        self.now_ns.get()
     }
 
     /// Last published virtual busy time.
     pub fn busy(&self) -> u64 {
-        self.busy_ns.load(Ordering::Relaxed) // relaxed-ok: published metric snapshot; staleness is acceptable
+        self.busy_ns.get()
     }
 }
 

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
+use labstor_telemetry::Stat;
 
 use crate::stats::Recorder;
 use crate::targets::FsTarget;
@@ -51,7 +52,7 @@ pub struct Pfs {
     /// what the experiment varies.
     mds_pool: Vec<Mutex<Box<dyn FsTarget + Send>>>,
     mds_rr: std::sync::atomic::AtomicUsize,
-    mds_ops: std::sync::atomic::AtomicU64,
+    mds_ops: Stat,
     data: Vec<Arc<SimDevice>>,
     cfg: PfsConfig,
     /// Per-data-server allocation cursors (sectors).
@@ -72,7 +73,7 @@ impl Pfs {
         Pfs {
             mds_pool: mds_pool.into_iter().map(Mutex::new).collect(),
             mds_rr: std::sync::atomic::AtomicUsize::new(0),
-            mds_ops: std::sync::atomic::AtomicU64::new(0),
+            mds_ops: Stat::new(0),
             cursors: (0..data.len()).map(|_| Mutex::new(0)).collect(),
             data,
             cfg,
@@ -82,7 +83,7 @@ impl Pfs {
 
     /// Metadata operations served so far.
     pub fn mds_ops(&self) -> u64 {
-        self.mds_ops.load(std::sync::atomic::Ordering::Relaxed) // relaxed-ok: stat counter; readers tolerate lag
+        self.mds_ops.get()
     }
 
     /// One metadata RPC: the client's clock travels to the MDS, one of the
@@ -98,8 +99,7 @@ impl Pfs {
         let idx = self.mds_rr.fetch_add(1, std::sync::atomic::Ordering::Relaxed) // relaxed-ok: fresh-id allocation; atomicity alone suffices
             % self.mds_pool.len();
         let mut mds = self.mds_pool[idx].lock();
-        self.mds_ops
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
+        self.mds_ops.add(1);
         let arrive = client.now() + self.cfg.net_ns;
         mds.sync_to(arrive);
         op(mds.as_mut())?;

@@ -10,7 +10,8 @@
 # keeps each run's result line. Then
 # prints, per pair, both host_ns_per_op values and whether the five exact
 # metrics and the failed-op count are identical; and, over all pairs, how
-# many this tree won, both medians and the parent's interquartile distance.
+# many this tree won, both medians and the parent's interquartile distance,
+# then both medians of setup_s and peak_rss_mib.
 # A claimed gain needs 9 wins in 10 and a median gap wider than that
 # distance (benchmark/README.md).
 #
@@ -65,12 +66,16 @@ def load(side, seed):
     return m, r["failed"]
 
 parent, this, wins = [], [], 0
+others = {"setup_s": ([], []), "peak_rss_mib": ([], [])}
 print(f"{workload}: pair  seed  parent_ns  this_ns  delta  exact+failed")
 for i, seed in enumerate(seeds, 1):
     (pm, pf), (tm, tf) = load("parent", seed), load("this", seed)
     p, t = pm["host_ns_per_op"], tm["host_ns_per_op"]
     parent.append(p)
     this.append(t)
+    for k, (ps, ts) in others.items():
+        ps.append(pm[k])
+        ts.append(tm[k])
     wins += t < p
     same = all(pm[k] == tm[k] for k in EXACT) and pf == tf
     ident = "identical" if same else "DIFFERENT"
@@ -85,4 +90,7 @@ if len(parent) > 1:
 print(f"{workload}: this tree faster in {wins}/{len(seeds)} pairs; median "
       f"{pmed:.0f} -> {tmed:.0f} ns ({(tmed - pmed) / pmed:+.1%}); "
       f"parent IQR {iqr:.0f} ns")
+for k, (ps, ts) in others.items():
+    pm_, tm_ = statistics.median(ps), statistics.median(ts)
+    print(f"{workload}: {k} median {pm_:.3f} -> {tm_:.3f} ({(tm_ - pm_) / pm_:+.1%})")
 EOF
