@@ -12,7 +12,9 @@
 //! per class live on a lock-free Treiber stack whose head packs a 32-bit
 //! ABA tag next to the slot index. [`BufHandle`] is the `(region, offset,
 //! len)` view: `Clone` is a refcount bump, `Drop` returns the slot to the
-//! free list when the last handle dies.
+//! free list when the last handle dies. A class hands out at most its
+//! budget — its configured count plus the [`Reservation`]s held on it —
+//! and creates slots only as the budget is used.
 //!
 //! Ownership rules (DESIGN.md §10):
 //! * whoever calls [`BufferPool::alloc`] owns a unique handle and may fill
@@ -36,8 +38,9 @@
 //! the counter stays flat across a LabFS write→read round trip.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use labstor_telemetry::Stat;
 
@@ -112,22 +115,63 @@ struct Slot {
 /// (written by the Runtime, a test, or anyone else who called `alloc`).
 const NO_OWNER: u64 = 0;
 
-/// One size class: a slab of equally sized slots and its lock-free free
-/// list. The free-list head packs `tag << 32 | (idx + 1)` — the tag
-/// increments on every successful push/pop so a stalled CAS cannot ABA
-/// onto a recycled head.
+impl Slot {
+    fn new() -> Self {
+        Slot {
+            // Backing bytes are allocated on the slot's first allocation.
+            data: UnsafeCell::new(Box::default()),
+            refs: AtomicU32::new(0),
+            next: AtomicU32::new(0),
+            owner: AtomicU64::new(NO_OWNER),
+        }
+    }
+}
+
+/// Slots in a class's first storage bucket, as a power of two; bucket `b`
+/// holds `1 << (FIRST_BUCKET_SHIFT + b)`.
+const FIRST_BUCKET_SHIFT: u32 = 6;
+/// Storage buckets per class: enough for [`MAX_SLOTS`].
+const BUCKETS: usize = 25;
+/// Most slots one class can index (a free-list link is `idx + 1` in 32
+/// bits).
+const MAX_SLOTS: usize = ((1 << BUCKETS) - 1) << FIRST_BUCKET_SHIFT;
+
+/// One size class: equally sized slots and two lock-free stacks of them.
+/// A stack head packs `tag << 32 | (idx + 1)` — the tag increments on
+/// every successful push/pop so a stalled CAS cannot ABA onto a recycled
+/// head.
+///
+/// The class hands out at most its *budget* of slots: its base count plus
+/// whatever [`Reservation`]s hold. Slots come into being on first need
+/// (the free list is empty and the budget has headroom), in buckets of
+/// doubling size that never move, so a live slot stays where its handles
+/// point while the class grows. A budget that falls retires slots — free
+/// ones at once, live ones when their last handle drops — onto the spare
+/// stack, their bytes released, for the next growth to take back.
 struct Class {
     buf_size: usize,
-    slots: Box<[Slot]>,
+    /// Budget with no reservation held.
+    base: usize,
+    /// Slots reserved above `base`.
+    reserved: Stat,
+    /// Budget minus slots in circulation (free or live): what the class
+    /// may still bring in; negative while it owes retirements.
+    headroom: AtomicI64,
+    /// Slots created so far: the next fresh index.
+    created: AtomicU32,
+    buckets: [OnceLock<Box<[Slot]>>; BUCKETS],
+    /// Slots ready to hand out.
     free_head: AtomicU64,
+    /// Retired slots, out of circulation.
+    spare_head: AtomicU64,
 }
 
 // SAFETY: `Slot.data` is an UnsafeCell, but all mutable access — to the
 // bytes and the owner tag — is gated on `refs == 1` through
-// `&mut BufHandle` (see `BufHandle::as_mut_slice`), and slots on the free
-// list (refs == 0) are only touched by the thread that popped them; the
-// Treiber-stack CAS pairs (Release push / Acquire pop) publish slot
-// contents across threads.
+// `&mut BufHandle` (see `BufHandle::as_mut_slice`), and slots off the
+// handle side (refs == 0) are only touched by the thread that popped them
+// or dropped their last handle; the stack CAS pairs (Release push /
+// Acquire pop) publish slot contents across threads.
 unsafe impl Sync for Class {}
 // SAFETY: same argument as Sync; Box<[u8]> is Send.
 unsafe impl Send for Class {}
@@ -136,79 +180,159 @@ const LOW_MASK: u64 = 0xffff_ffff;
 
 impl Class {
     fn new(buf_size: usize, count: usize) -> Self {
-        assert!(count < u32::MAX as usize, "class too large");
-        let slots: Box<[Slot]> = (0..count)
-            .map(|i| Slot {
-                // Backing bytes are allocated lazily on first use, so a
-                // pool sized for a large cache costs nothing up front.
-                data: UnsafeCell::new(Box::default()),
-                refs: AtomicU32::new(0),
-                // Thread the initial free list through the slab in order.
-                next: AtomicU32::new(if i + 1 < count { i as u32 + 2 } else { 0 }),
-                owner: AtomicU64::new(NO_OWNER),
-            })
-            .collect();
-        let free_head = AtomicU64::new(if count == 0 { 0 } else { 1 });
+        assert!(count <= MAX_SLOTS, "class too large");
         Class {
             buf_size,
-            slots,
-            free_head,
+            base: count,
+            reserved: Stat::new(0),
+            headroom: AtomicI64::new(count as i64),
+            created: AtomicU32::new(0),
+            buckets: std::array::from_fn(|_| OnceLock::new()),
+            free_head: AtomicU64::new(0),
+            spare_head: AtomicU64::new(0),
         }
     }
 
-    /// Pop a free slot index, or None if the class is exhausted.
-    fn pop_free(&self) -> Option<u32> {
-        let mut head = self.free_head.load(Ordering::Acquire);
+    /// Bucket and position of slot `idx`.
+    fn locate(idx: u32) -> (usize, usize) {
+        let j = idx as usize + (1 << FIRST_BUCKET_SHIFT);
+        let b = (usize::BITS - 1 - j.leading_zeros() - FIRST_BUCKET_SHIFT) as usize;
+        (b, j - (1 << (FIRST_BUCKET_SHIFT as usize + b)))
+    }
+
+    /// Slot `idx`, which has been created.
+    fn slot(&self, idx: u32) -> &Slot {
+        let (b, at) = Self::locate(idx);
+        &self.buckets[b].get().expect("slot was created")[at]
+    }
+
+    /// Slots the class may have in circulation: base plus reservations.
+    fn budget(&self) -> usize {
+        self.base + self.reserved.get() as usize
+    }
+
+    /// Pop a slot off the stack at `head`, or None if it is empty.
+    fn pop(&self, head: &AtomicU64) -> Option<(u32, &Slot)> {
+        let mut top = head.load(Ordering::Acquire);
         loop {
-            let low = (head & LOW_MASK) as u32;
+            let low = (top & LOW_MASK) as u32;
             if low == 0 {
                 return None;
             }
             let idx = low - 1;
+            let slot = self.slot(idx);
             // relaxed-ok: the value is validated by the tagged CAS below; a stale read only causes a retry or is caught by the ABA tag
-            let next = self.slots[idx as usize].next.load(Ordering::Relaxed);
-            let tag = ((head >> 32) + 1) & LOW_MASK;
+            let next = slot.next.load(Ordering::Relaxed);
+            let tag = ((top >> 32) + 1) & LOW_MASK;
             let new = (tag << 32) | u64::from(next);
-            match self.free_head.compare_exchange_weak(
-                head,
-                new,
-                Ordering::Acquire,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(idx),
-                Err(h) => head = h,
+            match head.compare_exchange_weak(top, new, Ordering::Acquire, Ordering::Acquire) {
+                Ok(_) => return Some((idx, slot)),
+                Err(h) => top = h,
             }
         }
     }
 
-    /// Push a slot index back onto the free list.
-    fn push_free(&self, idx: u32) {
-        let slot = &self.slots[idx as usize];
-        let mut head = self.free_head.load(Ordering::Acquire);
+    /// Push slot `idx` onto the stack at `head`.
+    fn push(&self, head: &AtomicU64, idx: u32, slot: &Slot) {
+        let mut top = head.load(Ordering::Acquire);
         loop {
-            // relaxed-ok: the link is published by the Release CAS on free_head below
-            slot.next.store((head & LOW_MASK) as u32, Ordering::Relaxed);
-            let tag = ((head >> 32) + 1) & LOW_MASK;
+            // relaxed-ok: the link is published by the Release CAS on the head below
+            slot.next.store((top & LOW_MASK) as u32, Ordering::Relaxed);
+            let tag = ((top >> 32) + 1) & LOW_MASK;
             let new = (tag << 32) | u64::from(idx + 1);
-            match self.free_head.compare_exchange_weak(
-                head,
-                new,
-                Ordering::Release,
-                Ordering::Acquire,
-            ) {
+            match head.compare_exchange_weak(top, new, Ordering::Release, Ordering::Acquire) {
                 Ok(_) => return,
-                Err(h) => head = h,
+                Err(h) => top = h,
             }
         }
     }
 
-    /// Number of slots currently on the free list (O(n) walk).
+    /// A free slot: off the free list, or — the cold path, when it is
+    /// empty — brought into circulation while the budget has headroom,
+    /// from the spare stack or freshly created.
+    fn take(&self) -> Option<(u32, &Slot)> {
+        self.pop(&self.free_head).or_else(|| self.admit())
+    }
+
+    fn admit(&self) -> Option<(u32, &Slot)> {
+        let mut room = self.headroom.load(Ordering::Acquire);
+        loop {
+            if room <= 0 {
+                return None;
+            }
+            match self.headroom.compare_exchange_weak(
+                room,
+                room - 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break,
+                Err(r) => room = r,
+            }
+        }
+        if let Some(spare) = self.pop(&self.spare_head) {
+            return Some(spare);
+        }
+        // Circulation never exceeds the largest budget, which `reserve`
+        // keeps within MAX_SLOTS.
+        let idx = self.created.fetch_add(1, Ordering::AcqRel);
+        let (b, at) = Self::locate(idx);
+        let len = 1 << (FIRST_BUCKET_SHIFT as usize + b);
+        let bucket = self.buckets[b].get_or_init(|| (0..len).map(|_| Slot::new()).collect());
+        Some((idx, &bucket[at]))
+    }
+
+    /// Return slot `idx`, whose last handle dropped: to the free list, or
+    /// to the spare stack while the class owes retirements.
+    fn release(&self, idx: u32, slot: &Slot) {
+        if self.headroom.load(Ordering::Acquire) < 0 {
+            self.retire(idx, slot);
+        } else {
+            self.push(&self.free_head, idx, slot);
+        }
+    }
+
+    /// Take slot `idx` out of circulation and release its bytes. The
+    /// caller holds the slot exclusively: popped, or its last handle
+    /// dropped.
+    fn retire(&self, idx: u32, slot: &Slot) {
+        // SAFETY: refs == 0 and the slot is on no stack, so no handle and
+        // no other thread can reach its bytes until the push below
+        // publishes it.
+        unsafe { *slot.data.get() = Box::default() };
+        self.push(&self.spare_head, idx, slot);
+        self.headroom.fetch_add(1, Ordering::AcqRel);
+    }
+
+    fn grow(&self, slots: usize) {
+        self.reserved.add(slots as u64);
+        self.headroom.fetch_add(slots as i64, Ordering::AcqRel);
+    }
+
+    /// Lower the budget by `slots`, retiring free slots for what is now
+    /// over it; live ones retire as they are freed.
+    fn shrink(&self, slots: usize) {
+        self.reserved.sub(slots as u64);
+        self.headroom.fetch_sub(slots as i64, Ordering::AcqRel);
+        while self.headroom.load(Ordering::Acquire) < 0 {
+            let Some((idx, slot)) = self.pop(&self.free_head) else {
+                break;
+            };
+            self.retire(idx, slot);
+        }
+    }
+
+    /// Slots the class can hand out before one is freed: the free list
+    /// (an O(n) walk, for a quiescent class) plus the headroom.
     #[cfg(test)]
     fn free_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.refs.load(Ordering::Relaxed) == 0)
-            .count()
+        let mut free = 0;
+        let mut link = (self.free_head.load(Ordering::Acquire) & LOW_MASK) as u32;
+        while link != 0 {
+            free += 1;
+            link = self.slot(link - 1).next.load(Ordering::Acquire);
+        }
+        free + self.headroom.load(Ordering::Acquire).max(0) as usize
     }
 }
 
@@ -262,6 +386,10 @@ impl BufferPool {
         let mut prev = 0usize;
         for &(size, _) in &cfg.classes {
             assert!(size > prev, "classes must be ascending by buffer size");
+            assert!(
+                size <= u32::MAX as usize,
+                "a handle indexes its slot in 32 bits"
+            );
             prev = size;
         }
         let classes: Box<[Class]> = cfg
@@ -318,9 +446,8 @@ impl BufferPool {
             if class.buf_size < len {
                 continue;
             }
-            if let Some(slot) = class.pop_free() {
+            if let Some((slot, s)) = class.take() {
                 let class_id = ci as u16;
-                let s = &class.slots[slot as usize];
                 {
                     // SAFETY: the slot was just popped off the free list
                     // (refs == 0), so this thread has exclusive access to
@@ -352,11 +479,13 @@ impl BufferPool {
                 }
                 return Some(BufHandle {
                     pool: Arc::clone(&self.inner),
-                    class: class_id,
-                    minted: true,
+                    at: NonNull::from(s),
                     slot,
                     off: 0,
-                    len,
+                    // `new` keeps every class within u32.
+                    len: len as u32,
+                    class: class_id,
+                    minted: true,
                 });
             }
         }
@@ -390,13 +519,51 @@ impl BufferPool {
         self.inner.zeroed.get()
     }
 
-    /// The size-class ladder as `(buf_size, slot_count)` pairs.
+    /// The size-class ladder as `(buf_size, slot_budget)` pairs: each
+    /// class's configured count plus the reservations held on it.
     pub fn class_table(&self) -> Vec<(usize, usize)> {
         self.inner
             .classes
             .iter()
-            .map(|c| (c.buf_size, c.slots.len()))
+            .map(|c| (c.buf_size, c.budget()))
             .collect()
+    }
+
+    /// Raise the slot budget of the class that serves `len`-byte
+    /// allocations (the smallest that fits) by `slots`, for as long as the
+    /// returned guard lives: room for a holder that keeps that many slots
+    /// without taking them from everyone else (a block cache's resident
+    /// blocks). Nothing is allocated up front. `None` when no class fits
+    /// `len` or the class cannot index that many slots.
+    pub fn reserve(&self, len: usize, slots: usize) -> Option<Reservation> {
+        let ci = self.inner.classes.iter().position(|c| c.buf_size >= len)?;
+        let class = &self.inner.classes[ci];
+        if class.budget().checked_add(slots)? > MAX_SLOTS {
+            return None;
+        }
+        class.grow(slots);
+        Some(Reservation {
+            pool: Arc::clone(&self.inner),
+            class: ci,
+            slots,
+        })
+    }
+}
+
+/// Slots a [`BufferPool`] class holds in its budget for one holder
+/// ([`BufferPool::reserve`]); dropping the guard lowers the budget again.
+/// Slots over the lowered budget leave circulation: free ones at once,
+/// live ones when their last handle drops.
+#[must_use = "the reservation ends when the guard drops"]
+pub struct Reservation {
+    pool: Arc<PoolInner>,
+    class: usize,
+    slots: usize,
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.pool.classes[self.class].shrink(self.slots);
     }
 }
 
@@ -415,15 +582,18 @@ impl std::fmt::Debug for BufferPool {
 /// free list. Mutation (`fill`, `write_with`) requires a *unique* handle.
 pub struct BufHandle {
     pool: Arc<PoolInner>,
+    /// Slot `slot` of class `class`: its storage neither moves nor is
+    /// freed while `pool` lives, and the handle holds `pool`.
+    at: NonNull<Slot>,
+    slot: u32,
+    off: u32,
+    len: u32,
     class: u16,
     /// True only for the handle an allocation returned. Its holder is the
     /// allocator, whose domain the owner tag names; a clone or slice may
     /// have been handed to another domain (a cache hit answering a read),
     /// so a write through one clears the tag.
     minted: bool,
-    slot: u32,
-    off: usize,
-    len: usize,
 }
 
 // SAFETY: the handle only permits shared reads of the slot bytes unless it
@@ -436,12 +606,20 @@ unsafe impl Sync for BufHandle {}
 
 impl BufHandle {
     fn slot_ref(&self) -> &Slot {
-        &self.pool.classes[self.class as usize].slots[self.slot as usize]
+        // SAFETY: `at` points into a storage bucket of the pool this
+        // handle keeps alive; buckets are never moved or freed before the
+        // pool is dropped.
+        unsafe { self.at.as_ref() }
+    }
+
+    /// The viewed byte range inside the slot.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.off as usize..self.off as usize + self.len as usize
     }
 
     /// Length of this view in bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True when the view is zero-length.
@@ -456,7 +634,7 @@ impl BufHandle {
 
     /// Byte offset of this view inside its backing region.
     pub fn offset(&self) -> usize {
-        self.slot as usize * self.pool.classes[self.class as usize].buf_size + self.off
+        self.slot as usize * self.pool.classes[self.class as usize].buf_size + self.off as usize
     }
 
     /// True when this is the only live handle on the slot. A `true` result
@@ -473,7 +651,7 @@ impl BufHandle {
         // borrow is alive either refs > 1 (no writer can exist) or the
         // sole handle is borrowed here (so no `&mut` borrow can coexist).
         let data = unsafe { &*self.slot_ref().data.get() };
-        &data[self.off..self.off + self.len]
+        &data[self.range()]
     }
 
     /// The mutable bytes of a unique handle (e.g. to lend as a device DMA
@@ -493,7 +671,8 @@ impl BufHandle {
         // owner tag set above) mid-write. A concurrent drop of a peer
         // would contradict refs == 1 (a true `is_unique` is stable).
         let data = unsafe { &mut *self.slot_ref().data.get() };
-        Some(&mut data[self.off..self.off + self.len])
+        let range = self.range();
+        Some(&mut data[range])
     }
 
     /// Copy `src` into the front of the view. Fails (returns false)
@@ -518,12 +697,13 @@ impl BufHandle {
     /// copy). Returns `None` if the range falls outside this view.
     pub fn slice(&self, off: usize, len: usize) -> Option<BufHandle> {
         let end = off.checked_add(len)?;
-        if end > self.len {
+        if end > self.len() {
             return None;
         }
         let mut h = self.clone();
-        h.off += off;
-        h.len = len;
+        // Both fit: `end` is within this view, which is within u32.
+        h.off += off as u32;
+        h.len = len as u32;
         Some(h)
     }
 
@@ -537,22 +717,25 @@ impl BufHandle {
     ///
     /// [`slice`]: BufHandle::slice
     pub fn extend_with(&mut self, next: &BufHandle) -> bool {
-        if !self.same_slot(next) || self.off + self.len != next.off {
+        if !self.same_slot(next) || self.range().end != next.off as usize {
             return false;
         }
+        // Both views lie in one slot, so the sum is within it.
         self.len += next.len;
         true
     }
 
     /// Shrink the view to its first `new_len` bytes (no-op if larger).
     pub fn truncate(&mut self, new_len: usize) {
-        self.len = self.len.min(new_len);
+        if new_len < self.len() {
+            self.len = new_len as u32;
+        }
     }
 
     /// Copy the bytes out into a fresh `Vec`. This is an intermediate
     /// payload copy and is recorded as one.
     pub fn to_vec(&self) -> Vec<u8> {
-        note_payload_copy(self.len);
+        note_payload_copy(self.len());
         // copy-ok: explicit materialization for legacy Vec consumers; counted via note_payload_copy
         self.as_slice().to_vec()
     }
@@ -567,7 +750,8 @@ impl BufHandle {
     /// one allocation may.
     // api-ok: crates/ipc/tests/buf_properties.rs checks live handles never alias
     pub fn overlaps(&self, other: &BufHandle) -> bool {
-        self.same_slot(other) && self.off < other.off + other.len && other.off < self.off + self.len
+        let (a, b) = (self.range(), other.range());
+        self.same_slot(other) && a.start < b.end && b.start < a.end
     }
 }
 
@@ -578,11 +762,12 @@ impl Clone for BufHandle {
         debug_assert!(prev > 0, "cloned a dead handle");
         BufHandle {
             pool: Arc::clone(&self.pool),
-            class: self.class,
-            minted: false,
+            at: self.at,
             slot: self.slot,
             off: self.off,
             len: self.len,
+            class: self.class,
+            minted: false,
         }
     }
 }
@@ -602,7 +787,7 @@ impl Drop for BufHandle {
                 assert!(was_live, "buffer slot freed twice");
             }
             self.pool.live.sub(1);
-            self.pool.classes[self.class as usize].push_free(self.slot);
+            self.pool.classes[self.class as usize].release(self.slot, self.slot_ref());
         }
     }
 }
@@ -873,5 +1058,124 @@ mod tests {
         assert_eq!(pool.live(), 0);
         assert!(pool.high_water() <= 32);
         assert_eq!(pool.inner.classes[0].free_count(), 32);
+    }
+
+    #[test]
+    fn a_reservation_raises_the_budget_while_it_lives() {
+        let pool = small_pool();
+        let r = pool.reserve(33, 3).unwrap();
+        assert_eq!(
+            pool.class_table(),
+            [(64, 7), (256, 2)],
+            "the class that fits"
+        );
+        let r2 = pool.reserve(1, 1).unwrap();
+        assert_eq!(pool.class_table()[0], (64, 8));
+        drop(r);
+        assert_eq!(pool.class_table()[0], (64, 5));
+        drop(r2);
+        assert_eq!(pool.class_table(), [(64, 4), (256, 2)]);
+        assert!(pool.reserve(257, 1).is_none(), "no class fits");
+        assert!(
+            pool.reserve(64, MAX_SLOTS).is_none(),
+            "past what a class indexes"
+        );
+        assert_eq!(pool.class_table()[0], (64, 4));
+    }
+
+    #[test]
+    fn past_base_plus_reservations_alloc_refuses() {
+        let pool = BufferPool::new(PoolConfig {
+            classes: vec![(64, 2)],
+        });
+        let r = pool.reserve(64, 3).unwrap();
+        let held: Vec<_> = (0..5).map(|_| pool.alloc(64).unwrap()).collect();
+        assert!(pool.alloc(64).is_none());
+        // The budget falls with five slots live: they leave circulation as
+        // they are freed until two remain.
+        drop(r);
+        assert!(pool.alloc(64).is_none());
+        drop(held);
+        assert_eq!(pool.live(), 0);
+        let again: Vec<_> = std::iter::from_fn(|| pool.alloc(64)).collect();
+        assert_eq!(again.len(), 2);
+        // A new reservation brings retired slots back, not fresh ones.
+        let _r = pool.reserve(64, 3).unwrap();
+        let more: Vec<_> = std::iter::from_fn(|| pool.alloc(64)).collect();
+        assert_eq!(more.len(), 3);
+        assert_eq!(pool.inner.classes[0].created.load(Ordering::Acquire), 5);
+        for h in again.iter().chain(&more) {
+            assert!(h.offset() < 5 * 64, "{h:?}");
+        }
+    }
+
+    #[test]
+    fn retired_slots_release_their_bytes() {
+        let pool = BufferPool::new(PoolConfig {
+            classes: vec![(64, 1)],
+        });
+        let r = pool.reserve(64, 1).unwrap();
+        let mut a = pool.alloc(64).unwrap();
+        let b = pool.alloc(64).unwrap();
+        assert!(a.write_with(|x| x.fill(0xEE)));
+        drop(a);
+        drop(r); // retires the free slot (the one `a` held)
+        let zeroed = pool.zeroed_bytes();
+        drop(b); // under budget again: back on the free list
+        let _r = pool.reserve(64, 1).unwrap();
+        let held: Vec<_> = std::iter::from_fn(|| pool.alloc(64)).collect();
+        assert_eq!(held.len(), 2);
+        assert!(held.iter().all(|h| h.as_slice().iter().all(|&x| x == 0)));
+        assert_eq!(
+            pool.zeroed_bytes(),
+            zeroed + 64,
+            "the retired slot's bytes were fresh"
+        );
+    }
+
+    #[test]
+    fn concurrent_alloc_free_storm_across_growth_steps() {
+        let pool = BufferPool::new(PoolConfig {
+            classes: vec![(64, 8)],
+        });
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let (pool, stop) = (pool.clone(), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut held = Vec::new();
+                    let mut i = 0u32;
+                    while !stop.load(Ordering::Acquire) {
+                        i = i.wrapping_add(1);
+                        if let Some(mut h) = pool.alloc(64) {
+                            let tag = (t as u32) << 24 | (i & 0xff_ffff);
+                            assert!(h.fill(&tag.to_le_bytes()));
+                            held.push((tag, h));
+                        }
+                        // Hold up to 16 at a time, so that the budget's
+                        // growth is what lets the threads go past 8 slots.
+                        if held.len() > 16 || i.is_multiple_of(7) {
+                            for (tag, h) in held.drain(..) {
+                                let got = u32::from_le_bytes(h.as_slice()[..4].try_into().unwrap());
+                                assert_eq!(got, tag, "two holders of one slot");
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for round in 0..200 {
+            let r = pool.reserve(64, 1 + round % 64).unwrap();
+            std::thread::yield_now();
+            drop(r);
+        }
+        stop.store(true, Ordering::Release);
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(pool.live(), 0);
+        assert_eq!(pool.class_table(), [(64, 8)]);
+        let all: Vec<_> = std::iter::from_fn(|| pool.alloc(64)).collect();
+        assert_eq!(all.len(), 8, "the base budget, no more");
     }
 }

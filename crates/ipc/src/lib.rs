@@ -39,7 +39,7 @@ pub mod shmem;
 
 pub use buf::{
     default_pool, note_payload_copy, payload_copies, payload_copy_bytes, BufHandle, BufferPool,
-    PoolConfig,
+    PoolConfig, Reservation,
 };
 pub use credentials::{Credentials, TenantId};
 pub use doorbell::Doorbell;

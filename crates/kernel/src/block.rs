@@ -12,16 +12,16 @@
 //!   dispatch queue, bypassing the block layer's allocation, bookkeeping
 //!   and scheduling (the re-implemented `blk_mq_try_issue_directly`).
 //! * `submit_io_to_blk` — the standard full block-layer path.
-//! * `poll_completions` — poll-based completion reaping for pollable
-//!   devices.
+//!
+//! Completions are reaped by polling (`wait_for_tag` in
+//! [`CompletionMode::DriverPoll`]) for pollable devices.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use labstor_sim::{BlockDevice, Completion, Ctx, DeviceError, IoRequest, SimDevice};
+use labstor_sim::{
+    BlockDevice, Completion, CompletionStash, Ctx, DeviceError, IoRequest, SimDevice,
+};
 
 use crate::cost;
 use crate::sched::{IoClass, KernelSched, NoopSched};
@@ -48,7 +48,7 @@ pub struct BlockLayer {
     next_tag: AtomicU64,
     /// Completions reaped from a shared hardware queue on behalf of other
     /// waiters (the IRQ handler completes everything it finds).
-    stash: Mutex<HashMap<u64, Completion>>,
+    stash: CompletionStash,
 }
 
 impl BlockLayer {
@@ -63,7 +63,7 @@ impl BlockLayer {
             dev,
             sched,
             next_tag: AtomicU64::new(1),
-            stash: Mutex::new(HashMap::new()),
+            stash: CompletionStash::default(),
         })
     }
 
@@ -107,13 +107,6 @@ impl BlockLayer {
         self.dev.submit_at(qid, req, ctx.now())
     }
 
-    /// Poll-based completion reaping (`poll_completions`): reap up to
-    /// `max` completions due by the caller's current time, without
-    /// advancing it. No interrupt cost.
-    pub fn poll_completions(&self, ctx: &Ctx, qid: usize, max: usize) -> Vec<Completion> {
-        self.dev.poll(qid, ctx.now(), max)
-    }
-
     /// Wait for the completion of `tag` on hardware queue `qid`.
     ///
     /// Shared queues are handled like Linux's IRQ path: whoever processes
@@ -129,8 +122,7 @@ impl BlockLayer {
         mode: CompletionMode,
     ) -> Completion {
         loop {
-            // lock-class: block.stash
-            if let Some(c) = self.stash.lock().remove(&tag) {
+            if let Some(c) = self.stash.take(tag) {
                 self.charge_completion(ctx, c.done_at, mode);
                 return c;
             }
@@ -141,18 +133,7 @@ impl BlockLayer {
                         CompletionMode::Block => ctx.idle_until(due),
                         CompletionMode::PollCq | CompletionMode::DriverPoll => ctx.poll_until(due),
                     };
-                    let batch = self.dev.poll(qid, ctx.now(), 64);
-                    let mut found = None;
-                    let mut stash = self.stash.lock(); // lock-class: block.stash
-                    for c in batch {
-                        if c.tag == tag {
-                            found = Some(c);
-                        } else {
-                            stash.insert(c.tag, c);
-                        }
-                    }
-                    drop(stash);
-                    if let Some(c) = found {
+                    if let Some(c) = self.stash.reap(self.dev.as_ref(), qid, ctx.now(), 64, tag) {
                         self.charge_completion(ctx, c.done_at, mode);
                         return c;
                     }

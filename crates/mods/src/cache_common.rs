@@ -26,7 +26,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use labstor_core::{BlockOp, LabMod, ModType, Payload, Request, RespPayload, StackEnv};
-use labstor_ipc::{note_payload_copy, BufHandle};
+use labstor_ipc::{note_payload_copy, BufHandle, Reservation};
 use labstor_sim::Ctx;
 use labstor_telemetry::Stat;
 
@@ -217,21 +217,28 @@ pub struct BlockCache<P> {
     write_back: bool,
     hits: Stat,
     misses: Stat,
+    /// A pool slot per resident block, on top of the transport ladder: a
+    /// `ReadBuf` miss keeps the slot the device filled, and the cache
+    /// does not starve clients and drivers of theirs. Declared last, so
+    /// the blocks above let their slots go before the budget falls.
+    _pages: Option<Reservation>,
 }
 
 impl<P: Policy> BlockCache<P> {
     /// Cache of `capacity_bytes`, in whole blocks.
     pub(crate) fn build(capacity_bytes: usize, write_back: bool) -> Self {
+        let capacity_blocks = (capacity_bytes / BLOCK).max(P::MIN_BLOCKS);
         BlockCache {
             index: Mutex::new(Index {
                 policy: P::default(),
                 dirty: HashSet::new(),
             }),
             inflight: InflightSet::new(),
-            capacity_blocks: (capacity_bytes / BLOCK).max(P::MIN_BLOCKS),
+            capacity_blocks,
             write_back,
             hits: Stat::new(0),
             misses: Stat::new(0),
+            _pages: labstor_ipc::default_pool().reserve(BLOCK, capacity_blocks),
         }
     }
 

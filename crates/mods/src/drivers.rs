@@ -10,7 +10,6 @@
 //! its costs and its submit-and-wait.
 //! Adding a driver is one `Backend` impl and one line in `install`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,8 +22,8 @@ use labstor_kernel::engines::{IoEngineKind, RawEngine};
 use labstor_kernel::sched::IoClass;
 use labstor_kernel::BlockLayer;
 use labstor_sim::{
-    BlockDevice, Completion, Ctx, DeviceError, DeviceModel, IoOp, IoRequest, PmemDevice, SimDevice,
-    SECTOR_SIZE,
+    BlockDevice, Completion, CompletionStash, Ctx, DeviceError, DeviceModel, IoOp, IoRequest,
+    PmemDevice, SimDevice, SECTOR_SIZE,
 };
 
 use crate::devices::{device_param, DeviceRegistry};
@@ -227,7 +226,7 @@ struct SpdkQueuePair {
     /// each other's completions.
     next_cid: AtomicU64,
     /// Completions reaped on behalf of other pollers sharing a queue.
-    stash: parking_lot::Mutex<HashMap<u64, Completion>>,
+    stash: CompletionStash,
 }
 
 impl SpdkQueuePair {
@@ -235,7 +234,7 @@ impl SpdkQueuePair {
         SpdkQueuePair {
             dev,
             next_cid: AtomicU64::new(1),
-            stash: parking_lot::Mutex::new(HashMap::new()),
+            stash: CompletionStash::default(),
         }
     }
 
@@ -244,22 +243,12 @@ impl SpdkQueuePair {
     /// waiters, never dropped.
     fn wait(&self, ctx: &mut Ctx, qid: usize, tag: u64) -> Completion {
         loop {
-            if let Some(c) = self.stash.lock().remove(&tag) {
+            if let Some(c) = self.stash.take(tag) {
                 return c;
             }
             if let Some(due) = self.dev.next_due(qid) {
                 ctx.poll_until(due);
-                let mut found = None;
-                let mut stash = self.stash.lock();
-                for c in self.dev.poll(qid, ctx.now(), 32) {
-                    if c.tag == tag {
-                        found = Some(c);
-                    } else {
-                        stash.insert(c.tag, c);
-                    }
-                }
-                drop(stash);
-                if let Some(c) = found {
+                if let Some(c) = self.stash.reap(self.dev.as_ref(), qid, ctx.now(), 32, tag) {
                     return c;
                 }
             } else {
@@ -484,14 +473,13 @@ mod tests {
     /// (the slot a `WriteBuf` of the same bytes just freed) nor zeroes.
     fn poison_free_slots() {
         let pool = labstor_ipc::default_pool();
-        // As many allocations as the 4 KiB class has slots reach every
-        // free one of them; the rest spill into larger classes, harmlessly.
-        let slots = pool
-            .class_table()
-            .iter()
-            .find(|c| c.0 >= 4096)
-            .map_or(0, |c| c.1);
-        let mut held: Vec<_> = (0..slots).filter_map(|_| pool.alloc(4096)).collect();
+        // Drain the class that serves 4 KiB until it refuses — its budget
+        // moves while other tests' caches hold reservations — and stop at
+        // the first slot that spills into a larger class.
+        let class = pool.class_table().iter().position(|c| c.0 >= 4096);
+        let mut held: Vec<_> = std::iter::from_fn(|| pool.alloc(4096))
+            .take_while(|h| Some(h.region() as usize) == class)
+            .collect();
         for h in &mut held {
             assert!(h.write_with(|b| b.fill(0x5a)));
         }

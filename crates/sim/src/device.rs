@@ -32,9 +32,9 @@ pub trait BlockDevice: Send + Sync {
     /// Submit a command to hardware queue `qid` at virtual time `at`,
     /// without waiting for it.
     fn submit_at(&self, qid: usize, req: IoRequest<'_>, at: u64) -> Result<(), DeviceError>;
-    /// Reap up to `max` completions from queue `qid` that are due at or
+    /// Reap the oldest completion of queue `qid` if it is due at or
     /// before virtual time `now`.
-    fn poll(&self, qid: usize, now: u64, max: usize) -> Vec<Completion>;
+    fn reap(&self, qid: usize, now: u64) -> Option<Completion>;
     /// Virtual deadline of the oldest in-flight command on `qid`, if any.
     fn next_due(&self, qid: usize) -> Option<u64>;
     /// Synchronously read `buf.len()` bytes at `lba`, advancing the
@@ -54,7 +54,7 @@ pub trait BlockDevice: Send + Sync {
 /// ([`ChannelPool`]); its completion deadline is
 /// `max(now, channel_free) + service`. Synchronous callers advance their
 /// virtual clock to the deadline; asynchronous callers discover it via
-/// [`BlockDevice::poll`]. Channel occupancy creates genuine queueing when
+/// [`BlockDevice::reap`]. Channel occupancy creates genuine queueing when
 /// offered load exceeds the device's internal parallelism.
 ///
 /// # Data visibility
@@ -402,11 +402,8 @@ impl BlockDevice for SimDevice {
         Ok(())
     }
 
-    fn poll(&self, qid: usize, now: u64, max: usize) -> Vec<Completion> {
-        self.queues
-            .get(qid)
-            .map(|q| q.poll(now, max))
-            .unwrap_or_default()
+    fn reap(&self, qid: usize, now: u64) -> Option<Completion> {
+        self.queues.get(qid).and_then(|q| q.reap(now))
     }
 
     fn next_due(&self, qid: usize) -> Option<u64> {
@@ -506,6 +503,11 @@ mod tests {
         SimDevice::new(DeviceModel::preset(kind))
     }
 
+    /// Every completion of queue 0 due by `now`, in order.
+    fn reap_all(d: &SimDevice, now: u64) -> Vec<Completion> {
+        std::iter::from_fn(|| d.reap(0, now)).collect()
+    }
+
     #[test]
     fn write_then_read_roundtrip() {
         let d = dev(DeviceKind::Nvme);
@@ -581,13 +583,13 @@ mod tests {
         d.submit_at(0, IoRequest::write(0, vec![7u8; 512], 42), 0)
             .unwrap();
         let due = d.next_due(0).expect("one in flight");
-        assert!(d.poll(0, due - 1, 16).is_empty(), "not due yet");
-        let c = d.poll(0, due, 16);
+        assert!(d.reap(0, due - 1).is_none(), "not due yet");
+        let c = reap_all(&d, due);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].tag, 42);
         d.submit_at(0, IoRequest::read(0, 512, 43), due).unwrap();
         let due2 = d.next_due(0).unwrap();
-        let c = d.poll(0, due2, 16);
+        let c = reap_all(&d, due2);
         assert_eq!(c[0].result.as_ref().unwrap(), &vec![7u8; 512]);
     }
 
@@ -628,7 +630,7 @@ mod tests {
         // Async: the error completion's deadline reflects the bus time.
         d.submit_at(0, IoRequest::write(0, vec![0u8; 4096], 1), 0)
             .unwrap();
-        let c = d.poll(0, u64::MAX, 16);
+        let c = reap_all(&d, u64::MAX);
         assert_eq!(c.len(), 1);
         assert!(matches!(c[0].result, Err(DeviceError::MediaError { .. })));
         assert_eq!(c[0].service_ns, d.model().transfer_ns(true, 4096));
@@ -763,7 +765,7 @@ mod tests {
         let write_due = d.next_due(0).unwrap();
         d.submit_at(0, IoRequest::flush(2), 0).unwrap();
         // Flush is due no earlier than the write.
-        let c = d.poll(0, write_due, 16);
+        let c = reap_all(&d, write_due);
         assert_eq!(c.len(), 2);
         assert_eq!((c[0].tag, c[1].tag), (1, 2));
         assert!(c[1].done_at >= c[0].done_at);

@@ -34,7 +34,7 @@ pub use device::{BlockDevice, SimDevice};
 pub use error::{DeviceError, FaultConfig};
 pub use model::{DeviceKind, DeviceModel};
 pub use pmem::PmemDevice;
-pub use queue::{Completion, HwQueue, IoOp, IoRequest};
+pub use queue::{Completion, CompletionStash, HwQueue, IoOp, IoRequest};
 pub use stats::DeviceStats;
 pub use time::{ChannelPool, Ctx, Resource};
 

@@ -2,17 +2,20 @@
 //!
 //! A [`HwQueue`] mirrors an NVMe queue pair: commands are *submitted* and
 //! their completions are later *polled*. Each submitted command carries a
-//! virtual-time deadline computed by the device's channel model; `poll`
+//! virtual-time deadline computed by the device's channel model; `reap`
 //! surfaces completions whose deadline has passed on the caller's
 //! timeline. The device genuinely works "in parallel" with the CPU: a
 //! submitting actor's clock does not advance while the command is in
 //! flight.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
 
+use labstor_telemetry::Stat;
+
+use crate::device::BlockDevice;
 use crate::error::DeviceError;
 
 /// Kind of I/O command.
@@ -135,7 +138,7 @@ impl Completion {
 }
 
 /// A command whose media work has been scheduled and which becomes
-/// visible to `poll` once the caller's virtual clock reaches `due`.
+/// visible to `reap` once the caller's virtual clock reaches `due`.
 pub(crate) struct PendingIo {
     pub due: u64,
     pub completion: Completion,
@@ -161,23 +164,18 @@ impl HwQueue {
         self.pending.lock().len() // lock-class: sim.queue
     }
 
-    /// Reap up to `max` completions due at or before virtual time `now`.
+    /// Reap the oldest completion if it is due at or before virtual time
+    /// `now`.
     ///
     /// Completions are reaped in submission order per queue (like an NVMe
     /// completion queue): a due entry behind a not-yet-due entry waits,
     /// which models in-order CQ consumption on one queue pair.
-    pub fn poll(&self, now: u64, max: usize) -> Vec<Completion> {
-        let mut out = Vec::new();
+    pub fn reap(&self, now: u64) -> Option<Completion> {
         let mut q = self.pending.lock(); // lock-class: sim.queue
-        while out.len() < max {
-            match q.front() {
-                Some(p) if p.due <= now => {
-                    out.push(q.pop_front().expect("front checked").completion);
-                }
-                _ => break,
-            }
+        match q.front() {
+            Some(p) if p.due <= now => q.pop_front().map(|p| p.completion),
+            _ => None,
         }
-        out
     }
 
     /// Virtual time at which the *next* (oldest) pending command completes.
@@ -190,6 +188,57 @@ impl HwQueue {
     /// barriers). `None` when the queue is empty.
     pub(crate) fn last_due(&self) -> Option<u64> {
         self.pending.lock().iter().map(|p| p.due).max() // lock-class: sim.queue
+    }
+}
+
+/// Completions reaped from a shared hardware queue on behalf of other
+/// waiters: like Linux's IRQ path, whoever reaps completes everything it
+/// finds and leaves the others' completions here for them.
+#[derive(Default)]
+pub struct CompletionStash {
+    by_tag: Mutex<HashMap<u64, Completion>>,
+    /// Entries in `by_tag`, kept under its lock: while it reads 0 a waiter
+    /// skips the lock and the hash. A stale 0 only sends it round its wait
+    /// loop once more.
+    held: Stat,
+}
+
+impl CompletionStash {
+    /// `tag`'s completion, if another waiter stashed it.
+    pub fn take(&self, tag: u64) -> Option<Completion> {
+        if self.held.get() == 0 {
+            return None;
+        }
+        let mut by_tag = self.by_tag.lock(); // lock-class: block.stash
+        let c = by_tag.remove(&tag)?;
+        self.held.sub(1);
+        Some(c)
+    }
+
+    /// Reap up to `max` completions of queue `qid` due by `now`, in order,
+    /// and return `tag`'s if it was among them; stash the others.
+    pub fn reap(
+        &self,
+        dev: &dyn BlockDevice,
+        qid: usize,
+        now: u64,
+        max: usize,
+        tag: u64,
+    ) -> Option<Completion> {
+        let mut found = None;
+        for _ in 0..max {
+            let Some(c) = dev.reap(qid, now) else {
+                break;
+            };
+            if c.tag == tag {
+                found = Some(c);
+            } else {
+                let mut by_tag = self.by_tag.lock(); // lock-class: block.stash
+                by_tag.insert(c.tag, c);
+                self.held.add(1);
+            }
+        }
+        found
     }
 }
 
@@ -214,9 +263,8 @@ mod tests {
         let q = HwQueue::default();
         q.push(done(1, 100));
         q.push(done(2, 200));
-        let c = q.poll(150, 16);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].tag, 1);
+        assert_eq!(q.reap(150).map(|c| c.tag), Some(1));
+        assert!(q.reap(150).is_none());
         assert_eq!(q.depth(), 1);
         assert_eq!(q.next_due(), Some(200));
     }
@@ -227,18 +275,27 @@ mod tests {
         // First entry not due yet: the due one behind it must wait.
         q.push(done(1, 500));
         q.push(done(2, 100));
-        assert!(q.poll(200, 16).is_empty());
-        assert_eq!(q.poll(500, 16).len(), 2);
+        assert!(q.reap(200).is_none());
+        assert_eq!(q.reap(500).map(|c| c.tag), Some(1));
+        assert_eq!(q.reap(500).map(|c| c.tag), Some(2));
     }
 
     #[test]
     fn poll_honors_max() {
-        let q = HwQueue::default();
+        let dev = crate::SimDevice::preset(crate::DeviceKind::Nvme);
         for t in 0..10 {
-            q.push(done(t, 0));
+            dev.submit_at(0, IoRequest::flush(t), 0).unwrap();
         }
-        assert_eq!(q.poll(0, 3).len(), 3);
-        assert_eq!(q.depth(), 7);
+        let stash = CompletionStash::default();
+        assert!(stash.reap(dev.as_ref(), 0, u64::MAX, 3, 99).is_none());
+        assert_eq!(dev.queue_depth(0), 7);
+        // The three reaped are stashed for their waiters, once each.
+        assert_eq!(stash.take(1).map(|c| c.tag), Some(1));
+        assert!(stash.take(1).is_none());
+        assert_eq!(stash.held.get(), 2);
+        let c = stash.reap(dev.as_ref(), 0, u64::MAX, 16, 5);
+        assert_eq!(c.map(|c| c.tag), Some(5));
+        assert_eq!((dev.queue_depth(0), stash.held.get()), (0, 8));
     }
 
     #[test]

@@ -18,9 +18,9 @@ const WINDOW_SECTORS: usize = 3 * CHUNK_SECTORS as usize;
 /// Submit one command and reap its completion.
 fn issue(dev: &SimDevice, req: IoRequest<'_>) -> Completion {
     dev.submit_at(0, req, 0).unwrap();
-    let mut done = dev.poll(0, u64::MAX, 2);
-    assert_eq!(done.len(), 1);
-    done.remove(0)
+    let done = dev.reap(0, u64::MAX).expect("one completion");
+    assert!(dev.reap(0, u64::MAX).is_none(), "and only one");
+    done
 }
 
 #[derive(Debug, Clone, Copy)]

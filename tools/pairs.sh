@@ -7,11 +7,12 @@
 # For each seed, runs
 #   benchmark/run.sh --workload WORKLOAD --seed SEED --seconds 20 --trace 0
 # in PARENT_TREE and in this tree, alternating which side goes first, and
-# keeps each run's result line. Then
-# prints, per pair, both host_ns_per_op values and whether the five exact
-# metrics and the failed-op count are identical; and, over all pairs, how
-# many this tree won, both medians and the parent's interquartile distance,
-# then both medians of setup_s and peak_rss_mib.
+# keeps each run's result line. Then prints, per pair, both host_ns_per_op
+# values and whether the five exact metrics and the failed-op count are
+# identical, with each exact metric that differs on a line of its own as
+# parent -> this; and, over all pairs, how many this tree won, both medians
+# and the parent's interquartile distance, then both medians of setup_s and
+# peak_rss_mib.
 # A claimed gain needs 9 wins in 10 and a median gap wider than that
 # distance (benchmark/README.md).
 #
@@ -77,10 +78,12 @@ for i, seed in enumerate(seeds, 1):
         ps.append(pm[k])
         ts.append(tm[k])
     wins += t < p
-    same = all(pm[k] == tm[k] for k in EXACT) and pf == tf
-    ident = "identical" if same else "DIFFERENT"
+    moved = [k for k in EXACT if pm[k] != tm[k]]
+    ident = "identical" if not moved and pf == tf else "DIFFERENT"
     print(f"{workload}: {i:4}  {seed:>4}  {p:9.0f}  {t:7.0f}  {(t - p) / p:+6.1%}"
           f"  {ident} (failed {pf}/{tf})")
+    for k in moved:
+        print(f"{workload}:        {k} {pm[k]:.6g} -> {tm[k]:.6g}")
 
 pmed, tmed = statistics.median(parent), statistics.median(this)
 iqr = 0.0
