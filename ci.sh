@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# CI gate: formatting, clippy (workspace lint table), a type-check of the
-# frozen benchmark/ crate against this tree's API, labcheck static
-# analysis + the six-model checking gate, every workspace test, then the
-# figure-identity gate. Each step must pass. The smoke benches write
-# target/bench/BENCH_*.json and the telemetry example writes its trace
-# beside them; the committed BENCH_*.json and results/ are full runs and
-# samples and are not touched here: the last step fails the run if it left
-# the working tree any dirtier than it found it (benchmark/Cargo.lock
-# excepted: the frozen crate's lock file is stale and cargo rewrites it).
+# CI gate: formatting, clippy (workspace lint table), rustdoc with
+# warnings denied, a type-check of the frozen benchmark/ crate against
+# this tree's API, labcheck static analysis + the six-model checking gate,
+# every workspace test, then the figure-identity gate. Each step must
+# pass. The smoke benches write target/bench/BENCH_*.json and the
+# telemetry example writes its trace beside them; the committed
+# BENCH_*.json and results/ are full runs and samples and are not touched
+# here: the last step fails the run if it left the working tree any
+# dirtier than it found it (benchmark/Cargo.lock excepted: the frozen
+# crate's lock file is stale and cargo rewrites it).
 set -euo pipefail
 cd "$(dirname "$0")"
 tree_before=$(git status --porcelain)
@@ -17,6 +18,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc -D warnings (no broken intra-doc links, no public doc linking a private item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== benchmark/ still compiles against this tree (an API break fails here, not at the last step)"
 cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir "${CARGO_TARGET_DIR:-target/benchmark}"

@@ -31,7 +31,7 @@ use labstor_core::client::ClientError;
 use labstor_core::{BlockOp, Payload, StackSpec, VertexSpec};
 use labstor_ipc::Credentials;
 use labstor_mods::DeviceRegistry;
-use labstor_qos::{DeadlineClass, TenantPolicy};
+use labstor_qos::TenantPolicy;
 use labstor_sim::DeviceKind;
 use labstor_workloads::stats::{percentile, SkewGate};
 
@@ -142,9 +142,7 @@ fn run(mode: Mode, victims: usize, ops_per_victim: usize) -> RunResult {
     let rt = runtime_with_mods(&devices, 4, true);
     let stack = rt.mount_stack(&block_stack_spec()).expect("stack mounts");
 
-    let victim_policy = TenantPolicy::default()
-        .with_weight(4)
-        .with_deadline(DeadlineClass::LatencySensitive);
+    let victim_policy = TenantPolicy::default().with_weight(4);
     let hostile_policy = TenantPolicy::rate_limited(HOSTILE_RATE, HOSTILE_BURST).with_weight(1);
 
     let stop = Arc::new(AtomicBool::new(false));

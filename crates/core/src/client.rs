@@ -153,11 +153,6 @@ impl Client {
         }
     }
 
-    /// The runtime this client is connected to.
-    pub fn runtime(&self) -> &Arc<Runtime> {
-        &self.runtime
-    }
-
     /// This connection's live tenant accounting, if it bills to one.
     pub fn tenant(&self) -> Option<&Arc<labstor_qos::TenantState>> {
         self.tenant.as_ref()

@@ -93,9 +93,9 @@ pub struct StackEnv<'a> {
     /// Index of the vertex currently executing.
     pub vertex: usize,
     /// The Module Manager (telemetry, tenants).
-    pub registry: &'a ModuleManager,
+    pub(crate) registry: &'a ModuleManager,
     /// Domain (address space) executing this stage.
-    pub domain: u32,
+    pub(crate) domain: u32,
     /// The registry slot of every vertex of `stack`, by vertex index,
     /// resolved once for the whole request (a [`Route`]'s, borrowed).
     slots: Cow<'a, [Option<Arc<Slot>>]>,
@@ -293,7 +293,7 @@ impl<'a> StackEnv<'a> {
     }
 
     /// Forward a derived request to a specific output vertex.
-    pub fn forward_to(&self, ctx: &mut Ctx, next: usize, req: Request) -> RespPayload {
+    pub(crate) fn forward_to(&self, ctx: &mut Ctx, next: usize, req: Request) -> RespPayload {
         let slots = Cow::Borrowed(&*self.slots);
         let env = StackEnv::with_slots(self.stack, slots, next, self.registry, self.domain);
         run_vertex(ctx, env, req, Some(&self.children_busy_ns))

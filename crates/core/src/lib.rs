@@ -39,10 +39,8 @@ pub mod worker;
 pub use client::Client;
 pub use labmod::{LabMod, ModType, StackEnv};
 pub use orchestrator::{DynamicPolicy, OrchestratorPolicy, RoundRobinPolicy};
-pub use registry::{CounterRow, ModuleManager, UpgradeKind, UpgradeRequest};
-pub use request::{
-    BlockOp, FileStat, FsOp, KvsOp, Message, Payload, Request, RespPayload, Response,
-};
+pub use registry::{ModuleManager, UpgradeKind, UpgradeRequest};
+pub use request::{BlockOp, FileStat, FsOp, KvsOp, Message, Payload, Request, RespPayload};
 pub use runtime::{Runtime, RuntimeConfig};
 pub use spec::{StackSpec, VertexSpec};
-pub use stack::{ExecMode, LabStack, Namespace, StackId};
+pub use stack::{ExecMode, LabStack, Namespace};

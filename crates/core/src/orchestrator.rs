@@ -42,7 +42,7 @@ impl QueueLoad {
     /// The per-item cost the dynamic policy classifies by: the measured
     /// P99 when the queue's histogram has data, else the estimate-derived
     /// maximum (a fresh queue has processed nothing yet).
-    pub fn classify_item_ns(&self) -> u64 {
+    pub(crate) fn classify_item_ns(&self) -> u64 {
         if self.p99_item_ns > 0 {
             self.p99_item_ns
         } else {
@@ -62,7 +62,7 @@ pub type Assignment = Vec<Vec<u64>>;
 /// A queue present only in `new` is *not* moved — it has no previous
 /// consumer to quiesce. A queue present only in `old` *is* moved: its old
 /// consumer must stop even though nobody picks it up.
-pub fn moved_qids(old: &[Vec<u64>], new: &[Vec<u64>]) -> Vec<u64> {
+pub(crate) fn moved_qids(old: &[Vec<u64>], new: &[Vec<u64>]) -> Vec<u64> {
     use std::collections::HashMap;
     fn index(shape: &[Vec<u64>]) -> HashMap<u64, usize> {
         shape
@@ -151,13 +151,13 @@ impl OrchestratorPolicy for RoundRobinPolicy {
 
 /// Configuration of the dynamic policy.
 #[derive(Debug, Clone, Copy)]
-pub struct DynamicConfig {
+pub(crate) struct DynamicConfig {
     /// A queue whose largest request exceeds this is computational.
-    pub latency_threshold_ns: u64,
+    pub(crate) latency_threshold_ns: u64,
     /// Demand (milli-workers) one worker is allowed to carry — the
     /// "performance loss under a configurable threshold" knob. 900 means
     /// workers are sized for 90% utilization.
-    pub worker_capacity_milli: u64,
+    pub(crate) worker_capacity_milli: u64,
 }
 
 impl Default for DynamicConfig {
@@ -174,7 +174,7 @@ impl Default for DynamicConfig {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DynamicPolicy {
     /// Tunables.
-    pub config: DynamicConfig,
+    pub(crate) config: DynamicConfig,
 }
 
 impl DynamicPolicy {

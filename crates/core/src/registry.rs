@@ -32,7 +32,7 @@ use crate::request::Message;
 use crate::stack::LabStack;
 
 /// Factory that builds a LabMod instance from JSON parameters.
-pub type ModFactory = Arc<dyn Fn(&serde_json::Value) -> Arc<dyn LabMod> + Send + Sync>;
+pub(crate) type ModFactory = Arc<dyn Fn(&serde_json::Value) -> Arc<dyn LabMod> + Send + Sync>;
 
 /// Which upgrade protocol to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,16 +74,14 @@ const PER_CLIENT_PROPAGATE_NS: u64 = 150_000;
 /// A LabMod repo: a named source of LabMod types with an owner and a
 /// trust level (§III-D). "A LabMod repo which is owned by the same user
 /// as the LabStor Runtime is considered trustworthy by default. Untrusted
-/// LabMods … must be [executed] in a separate address space from the
+/// LabMods … must be \[executed\] in a separate address space from the
 /// Runtime."
 #[derive(Debug, Clone)]
 pub struct ModRepo {
-    /// Repo name (the directory path in the real system).
-    pub name: String,
     /// Owning uid.
-    pub owner_uid: u32,
+    pub(crate) owner_uid: u32,
     /// Whether the Runtime may execute this repo's mods in-process.
-    pub trusted: bool,
+    pub(crate) trusted: bool,
 }
 
 /// What the registry holds under one UUID. A slot is immutable: an
@@ -168,12 +166,12 @@ impl ModuleManager {
 
     /// Attach the Runtime's tenant table (once, at startup). Later calls
     /// are ignored — the first table wins, matching `OnceLock`.
-    pub fn attach_tenants(&self, tenants: Arc<labstor_qos::TenantTable>) {
+    pub(crate) fn attach_tenants(&self, tenants: Arc<labstor_qos::TenantTable>) {
         let _ = self.tenants.set(tenants);
     }
 
     /// The attached tenant table, if this manager belongs to a Runtime.
-    pub fn tenants(&self) -> Option<&Arc<labstor_qos::TenantTable>> {
+    pub(crate) fn tenants(&self) -> Option<&Arc<labstor_qos::TenantTable>> {
         self.tenants.get()
     }
 
@@ -208,7 +206,6 @@ impl ModuleManager {
         repos.insert(
             name.to_string(),
             ModRepo {
-                name: name.to_string(),
                 owner_uid,
                 trusted: owner_uid == 0,
             },
@@ -230,7 +227,7 @@ impl ModuleManager {
         Ok(())
     }
 
-    /// Look up a mounted repo.
+    /// Look up a mounted repo (§III-B repo commands).
     pub fn repo(&self, name: &str) -> Option<ModRepo> {
         self.repos.read().get(name).cloned() // lock-class: registry.repos
     }
@@ -259,7 +256,7 @@ impl ModuleManager {
     /// True if the type comes from a trusted repo (types registered with
     /// the plain [`ModuleManager::register_factory`] count as built-in and
     /// trusted).
-    pub fn type_is_trusted(&self, type_name: &str) -> bool {
+    pub(crate) fn type_is_trusted(&self, type_name: &str) -> bool {
         // lock-class: registry.factories
         match self.factory_repo.read().get(type_name) {
             Some(repo) => self
@@ -350,7 +347,7 @@ impl ModuleManager {
     }
 
     /// All `(uuid, instance)` pairs.
-    pub fn instances(&self) -> Vec<(String, Arc<dyn LabMod>)> {
+    pub(crate) fn instances(&self) -> Vec<(String, Arc<dyn LabMod>)> {
         self.registry
             .read() // lock-class: registry.instances
             .iter()
@@ -410,7 +407,7 @@ impl ModuleManager {
     }
 
     /// Virtual time workers must fast-forward to after a pause.
-    pub fn resume_vt(&self) -> u64 {
+    pub(crate) fn resume_vt(&self) -> u64 {
         self.resume_vt.load(Ordering::Acquire)
     }
 

@@ -260,9 +260,9 @@ pub struct Request {
     /// Unique request id (chosen by the submitting connector).
     pub id: u64,
     /// Target LabStack.
-    pub stack: u64,
+    pub(crate) stack: u64,
     /// Target vertex within the stack DAG (entry vertex = 0).
-    pub vertex: usize,
+    pub(crate) vertex: usize,
     /// The operation.
     pub payload: Payload,
     /// Credentials of the originating process.
@@ -389,12 +389,13 @@ pub struct Response {
 
 impl Response {
     /// Success response.
-    pub fn ok(id: u64, payload: RespPayload) -> Self {
+    #[cfg(test)]
+    fn ok(id: u64, payload: RespPayload) -> Self {
         Response { id, payload }
     }
 
     /// Error response.
-    pub fn err(id: u64, msg: impl Into<String>) -> Self {
+    pub(crate) fn err(id: u64, msg: impl Into<String>) -> Self {
         Response {
             id,
             payload: RespPayload::Err(msg.into()),

@@ -63,7 +63,7 @@ pub struct Runtime {
     /// LabStack namespace.
     pub ns: Arc<Namespace>,
     /// Virtual-time high watermark across workers.
-    pub watermark: Arc<Stat>,
+    pub(crate) watermark: Arc<Stat>,
     /// Tenant registry: per-tenant policies, live accounting, and the
     /// qid→tenant binding the weighted-fair rebalance pass consults.
     pub tenants: Arc<TenantTable>,

@@ -192,7 +192,7 @@ impl StackSpec {
     }
 
     /// Execution mode.
-    pub fn exec_mode(&self) -> Result<ExecMode, String> {
+    pub(crate) fn exec_mode(&self) -> Result<ExecMode, String> {
         match self.exec.as_str() {
             "async" => Ok(ExecMode::Async),
             "sync" => Ok(ExecMode::Sync),

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 /// Stack identifier within the Namespace.
-pub type StackId = u64;
+pub(crate) type StackId = u64;
 
 /// How a stack's DAG executes (paper §III-B "execution method").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub struct LabStack {
 
 impl LabStack {
     /// Verify the DAG: non-empty, edges in range, acyclic.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.vertices.is_empty() {
             return Err("stack has no vertices".into());
         }
@@ -97,7 +97,7 @@ impl LabStack {
     }
 
     /// True if `uid` may modify this stack.
-    pub fn authorizes(&self, uid: u32) -> bool {
+    pub(crate) fn authorizes(&self, uid: u32) -> bool {
         uid == 0 || self.authorized_uids.contains(&uid)
     }
 }
@@ -174,7 +174,7 @@ impl Namespace {
     /// GenericFS-style resolution: find the stack governing `path` by
     /// checking the path itself, then each ancestor. Returns the stack and
     /// the path remainder relative to the mount.
-    pub fn resolve(&self, path: &str) -> Option<(Arc<LabStack>, String)> {
+    pub(crate) fn resolve(&self, path: &str) -> Option<(Arc<LabStack>, String)> {
         let by_mount = self.by_mount.read(); // lock-class: stack.mounts
         let mut probe = path.trim_end_matches('/');
         loop {
@@ -214,11 +214,6 @@ impl Namespace {
         self.by_id.write().insert(arc.id, arc); // lock-class: stack.ids
         self.epoch.fetch_add(1, Ordering::Release);
         Ok(())
-    }
-
-    /// All mounted stacks.
-    pub fn stacks(&self) -> Vec<Arc<LabStack>> {
-        self.by_mount.read().values().cloned().collect() // lock-class: stack.mounts
     }
 }
 

@@ -29,11 +29,11 @@ use crate::request::{Message, Request, Response};
 use crate::stack::Namespace;
 
 /// The Runtime's domain id (address space 0).
-pub const RUNTIME_DOMAIN: u32 = 0;
+pub(crate) const RUNTIME_DOMAIN: u32 = 0;
 
 /// Execute one request against its stack's entry vertex, resolving the
 /// stack once for it. Workers and clients run requests through their own
-/// [`Routes`] instead (`run_request`).
+/// `Routes` instead (`run_request`).
 // api-ok: tests/labmod_counters.rs drives stacks through it
 pub fn process_request(
     ctx: &mut Ctx,
@@ -77,7 +77,7 @@ pub(crate) fn run_request(
 /// the window where a worker still holding a stale snapshot could consume
 /// a queue that was handed to another worker (the ring's
 /// single-consumer contract).
-pub struct AssignmentCell {
+pub(crate) struct AssignmentCell {
     queues: RwLock<Vec<Arc<QueuePair<Message>>>>,
     generation: AtomicU64,
     seen: AtomicU64,
@@ -91,7 +91,7 @@ pub struct AssignmentCell {
 
 impl AssignmentCell {
     /// Empty assignment, generation 0 (already "seen").
-    pub fn new() -> AssignmentCell {
+    pub(crate) fn new() -> AssignmentCell {
         AssignmentCell {
             queues: RwLock::new(Vec::new()),
             generation: AtomicU64::new(0),
@@ -101,31 +101,31 @@ impl AssignmentCell {
     }
 
     /// The owning worker's doorbell (park/wake word of its reactor loop).
-    pub fn bell(&self) -> &Arc<Doorbell> {
+    pub(crate) fn bell(&self) -> &Arc<Doorbell> {
         &self.bell
     }
 
     /// Publish a new assignment (orchestrator side), bump the generation,
     /// and ring the worker's bell so a parked worker picks it up
     /// immediately.
-    pub fn publish(&self, queues: Vec<Arc<QueuePair<Message>>>) {
+    pub(crate) fn publish(&self, queues: Vec<Arc<QueuePair<Message>>>) {
         *self.queues.write() = queues; // lock-class: worker.queues
         self.generation.fetch_add(1, Ordering::Release);
         self.bell.ring();
     }
 
     /// Latest published generation.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
     /// Generation the owning worker has acknowledged running on.
-    pub fn seen(&self) -> u64 {
+    pub(crate) fn seen(&self) -> u64 {
         self.seen.load(Ordering::Acquire)
     }
 
     /// True when no queues are assigned.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queues.read().is_empty() // lock-class: worker.queues
     }
 
@@ -162,30 +162,29 @@ impl Default for AssignmentCell {
 }
 
 /// Handle to a spawned worker thread.
-pub struct Worker {
-    /// Worker index.
-    pub id: usize,
+pub(crate) struct Worker {
     /// Queues this worker drains (swapped by the orchestrator), published
     /// under a generation counter so the reactor loop snapshots lazily.
-    pub assigned: Arc<AssignmentCell>,
+    pub(crate) assigned: Arc<AssignmentCell>,
     /// Published `(now, busy)` snapshot of the worker's virtual clock —
     /// the single publication path for worker-visible time.
-    pub clock: Arc<ClockCell>,
+    pub(crate) clock: Arc<ClockCell>,
     /// Requests processed.
-    pub processed: Arc<Stat>,
+    pub(crate) processed: Arc<Stat>,
     /// Reactor passes completed (scan-everything rounds). A parked worker
-    /// does not accumulate passes — tests and the idle-fleet bench use
-    /// this to prove idleness costs no CPU. How its waits ended is on
+    /// does not accumulate passes, which is how the decommission test
+    /// proves a parked worker stops scanning. How its waits ended is on
     /// the bell: `assigned.bell().parks()` (slept) and its `phase_hits`
     /// (rung during the pre-park run).
-    pub passes: Arc<Stat>,
+    #[cfg(test)]
+    passes: Arc<Stat>,
     stop: Arc<AtomicBool>,
     join: Option<JoinHandle<()>>,
 }
 
 impl Worker {
     /// Spawn a worker thread.
-    pub fn spawn(
+    pub(crate) fn spawn(
         id: usize,
         ns: Arc<Namespace>,
         mm: Arc<ModuleManager>,
@@ -221,10 +220,10 @@ impl Worker {
             .expect("spawn worker thread");
 
         Worker {
-            id,
             assigned,
             clock,
             processed,
+            #[cfg(test)]
             passes,
             stop,
             join: Some(join),
@@ -232,25 +231,25 @@ impl Worker {
     }
 
     /// Replace this worker's queue assignment.
-    pub fn assign(&self, queues: Vec<Arc<QueuePair<Message>>>) {
+    pub(crate) fn assign(&self, queues: Vec<Arc<QueuePair<Message>>>) {
         self.assigned.publish(queues);
     }
 
     /// True while the worker has queues assigned.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         !self.assigned.is_empty()
     }
 
     /// True once the worker thread has picked up the latest assignment
     /// (its next consume can only touch queues of the current snapshot).
-    pub fn assignment_current(&self) -> bool {
+    pub(crate) fn assignment_current(&self) -> bool {
         self.assigned.seen() == self.assigned.generation()
     }
 
     /// Stop and join the worker. Rings the bell so a parked reactor
     /// observes the stop flag immediately instead of at its next safety
     /// wakeup.
-    pub fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
         self.assigned.bell().ring();
         if let Some(j) = self.join.take() {

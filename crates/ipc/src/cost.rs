@@ -12,14 +12,14 @@ use labstor_sim::Ctx;
 /// Cost of transferring a request descriptor to another core's cache
 /// (one direction). Two hops per request/response round trip lands IPC at
 /// ≈1.2 µs, the paper's 8.4% share of a ~15 µs 4 KB write.
-pub const CROSS_DOMAIN_HOP_NS: u64 = 600;
+pub(crate) const CROSS_DOMAIN_HOP_NS: u64 = 600;
 
 /// Cost of handing a request to a LabMod in the *same* address space
 /// (a function call through the registry) — negligible but nonzero.
 pub const SAME_DOMAIN_HOP_NS: u64 = 20;
 
 /// Charge the cross-domain transfer cost to `ctx`.
-pub fn cross_domain_hop(ctx: &mut Ctx) {
+pub(crate) fn cross_domain_hop(ctx: &mut Ctx) {
     ctx.advance(CROSS_DOMAIN_HOP_NS);
 }
 

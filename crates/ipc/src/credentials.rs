@@ -48,7 +48,7 @@ impl From<u32> for TenantId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Credentials {
     /// Process id (simulated; unique per client connection domain).
-    pub pid: u32,
+    pub(crate) pid: u32,
     /// User id.
     pub uid: u32,
     /// Primary group id.
@@ -85,7 +85,7 @@ impl Credentials {
     }
 
     /// True for the superuser.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.uid == 0
     }
 

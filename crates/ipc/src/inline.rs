@@ -3,7 +3,7 @@
 //! Small results — pushdown aggregates (32 B), short KVS values, stat
 //! words — do not justify a BufferPool round trip: allocating a handle,
 //! copying the bytes in, shipping the handle, and copying back out costs
-//! more than the payload itself. Results of at most [`INLINE_MAX`] bytes
+//! more than the payload itself. Results of at most `INLINE_MAX` bytes
 //! instead ride *inside* the response envelope, exactly like NVMe's
 //! in-CQE small completions. The 64-byte threshold is one cache line —
 //! the unit the IPC cost model already charges per envelope transfer —
@@ -11,7 +11,7 @@
 //! counts **zero** payload copies.
 
 /// Maximum inline payload size in bytes (one cache line).
-pub const INLINE_MAX: usize = 64;
+pub(crate) const INLINE_MAX: usize = 64;
 
 /// A small payload stored by value in the response envelope.
 #[derive(Clone, Copy)]
@@ -21,7 +21,7 @@ pub struct InlineData {
 }
 
 impl InlineData {
-    /// Wrap `data` if it fits; `None` above [`INLINE_MAX`] bytes (the
+    /// Wrap `data` if it fits; `None` above `INLINE_MAX` bytes (the
     /// caller falls back to the BufferPool path).
     pub fn from_slice(data: &[u8]) -> Option<InlineData> {
         if data.len() > INLINE_MAX {
@@ -43,12 +43,14 @@ impl InlineData {
     }
 
     /// Payload length in bytes.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len as usize
     }
 
     /// True when the payload is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 

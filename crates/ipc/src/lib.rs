@@ -12,7 +12,7 @@
 //!
 //! The queuing primitives mirror the paper's Queue Pairs:
 //!
-//! * [`ring::SpscRing`] — a bounded lock-free single-producer /
+//! * `ring::SpscRing` — a bounded lock-free single-producer /
 //!   single-consumer ring; every queue is **ordered** (processed in
 //!   sequence by one worker). There are no unordered or intermediate
 //!   queues here: a spawned request runs inline on the worker that
@@ -43,9 +43,7 @@ pub use buf::{
 };
 pub use credentials::{Credentials, TenantId};
 pub use doorbell::Doorbell;
-pub use inline::{InlineData, INLINE_MAX};
-pub use lockwitness::{LockClass, OrderedMutex, OrderedRwLock};
+pub use inline::InlineData;
 pub use manager::{ClientConnection, IpcManager};
 pub use queue_pair::{Envelope, LaneKind, QueueFlags, QueuePair, QueueRole, UpgradeFlag};
-pub use ring::SpscRing;
-pub use shmem::{ShmError, ShmManager, ShmRegionHandle};
+pub use shmem::ShmManager;

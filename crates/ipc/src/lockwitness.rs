@@ -25,12 +25,12 @@ use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[derive(Debug)]
 pub struct LockClass {
     /// Registry name, e.g. `pagecache.shard`.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Position in the global acquisition order (acquire ascending).
-    pub rank: u16,
+    pub(crate) rank: u16,
     /// Whether two instances of this class may nest (ascending instance
     /// address only) — the sharded chunk-lock pattern.
-    pub nest_within: bool,
+    pub(crate) nest_within: bool,
 }
 
 /// Tenant policy/accounting table (`labstor_qos::TenantTable`). Acquired
@@ -225,16 +225,6 @@ impl<T: ?Sized> OrderedMutex<T> {
         }
     }
 
-    /// The class this lock was declared under.
-    pub fn class(&self) -> &'static LockClass {
-        self.class
-    }
-
-    /// Exclusive access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
-    }
-
     #[cfg(debug_assertions)]
     fn addr(&self) -> usize {
         self as *const Self as *const u8 as usize
@@ -317,16 +307,6 @@ impl<T: ?Sized> OrderedRwLock<T> {
             #[cfg(debug_assertions)]
             _token: token,
         }
-    }
-
-    /// The class this lock was declared under.
-    pub fn class(&self) -> &'static LockClass {
-        self.class
-    }
-
-    /// Exclusive access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 
     #[cfg(debug_assertions)]

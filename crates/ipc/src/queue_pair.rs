@@ -18,7 +18,7 @@
 //!
 //! ## One ring per direction
 //!
-//! The SQ and the CQ are each a zero-CAS [`SpscRing`], which is sound only
+//! The SQ and the CQ are each a zero-CAS `SpscRing`, which is sound only
 //! with one producer and one consumer per direction at a time:
 //!
 //! * SQ producer and CQ consumer — the client connection the queue was
@@ -120,7 +120,7 @@ pub struct Envelope<T> {
     /// Virtual time at which the envelope entered the queue.
     pub submit_vt: u64,
     /// Domain (address space) that produced the envelope.
-    pub origin_domain: u32,
+    pub(crate) origin_domain: u32,
     /// Virtual time at which the consumer finished the transfer hop for
     /// this envelope; stamped by `consume`/`reap` (0 while queued). Batch
     /// consumers use it to attribute per-envelope hop spans.

@@ -12,7 +12,7 @@
 //! * [`spsc`] returns split [`Producer`]/[`Consumer`] halves, making the
 //!   contract a type-system fact. Use this whenever the two endpoints can
 //!   own their halves.
-//! * [`SpscRing::with_capacity`] hands out the unsplit ring for callers —
+//! * `SpscRing::with_capacity` hands out the unsplit ring for callers —
 //!   `QueuePair` — that enforce the contract by *protocol* (one client per
 //!   connection plus the orchestrator's single-consumer assignment and
 //!   drain-and-handoff; see DESIGN.md §9). Those callers go
@@ -35,7 +35,7 @@ use crossbeam::utils::CachePadded;
 ///
 /// `head` is only advanced by the consumer, `tail` only by the producer.
 /// Each is on its own cache line so the two sides do not false-share.
-pub struct SpscRing<T> {
+pub(crate) struct SpscRing<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
     /// Next slot to pop (consumer-owned).
     head: CachePadded<AtomicUsize>,
@@ -100,14 +100,15 @@ impl<T> SpscRing<T> {
     }
 
     /// Number of elements currently queued (approximate under concurrency).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let tail = self.tail.load(Ordering::Acquire);
         let head = self.head.load(Ordering::Acquire);
         tail.wrapping_sub(head)
     }
 
     /// True if no elements are queued (approximate under concurrency).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -257,12 +258,14 @@ impl<T> Producer<T> {
     }
 
     /// Queue occupancy as seen by the producer.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.ring.len()
     }
 
     /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
 }
@@ -276,13 +279,9 @@ impl<T> Consumer<T> {
     }
 
     /// Queue occupancy as seen by the consumer.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.ring.len()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 }
 

@@ -111,19 +111,10 @@ pub struct ShmRegionHandle {
 }
 
 impl ShmRegionHandle {
-    /// Region id this handle maps.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Region size in bytes.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.region.size
-    }
-
-    /// True for a zero-sized region.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn bounds_check(&self, offset: usize, len: usize) -> Result<(), ShmError> {

@@ -80,7 +80,7 @@ impl BlockLayer {
     /// Full block-layer submission (`submit_io_to_blk`): bio allocation,
     /// bookkeeping, scheduler decision, driver dispatch. Returns the
     /// hardware queue chosen.
-    pub fn submit_io_to_blk(
+    pub(crate) fn submit_io_to_blk(
         &self,
         ctx: &mut Ctx,
         core: usize,
@@ -194,7 +194,7 @@ impl BlockLayer {
     }
 
     /// Flush barrier on the queue the scheduler picks for `core`.
-    pub fn sync_flush(&self, ctx: &mut Ctx, core: usize) -> Result<(), DeviceError> {
+    pub(crate) fn sync_flush(&self, ctx: &mut Ctx, core: usize) -> Result<(), DeviceError> {
         let tag = self.alloc_tag();
         let qid = self.submit_io_to_blk(ctx, core, IoClass::Throughput, IoRequest::flush(tag))?;
         self.wait_for_tag(ctx, qid, tag, CompletionMode::Block);

@@ -9,72 +9,72 @@ use labstor_sim::Ctx;
 
 /// One user→kernel→user syscall round trip (mode switches, entry assembly,
 /// KPTI page-table swap).
-pub const SYSCALL_NS: u64 = 700;
+pub(crate) const SYSCALL_NS: u64 = 700;
 
 /// A full context switch to another thread (scheduler pick, register and
 /// address-space switch, cache disturbance). Paid e.g. when an AIO thread
 /// or an interrupt wakeup hands control.
-pub const CONTEXT_SWITCH_NS: u64 = 1_800;
+pub(crate) const CONTEXT_SWITCH_NS: u64 = 1_800;
 
 /// Hard interrupt + completion soft-irq processing for interrupt-driven
 /// devices (SATA, HDD).
-pub const INTERRUPT_NS: u64 = 1_500;
+pub(crate) const INTERRUPT_NS: u64 = 1_500;
 
 /// Allocating and initializing a `bio`/`request` pair in the block layer.
-pub const BIO_ALLOC_NS: u64 = 450;
+pub(crate) const BIO_ALLOC_NS: u64 = 450;
 
 /// Per-request block-layer bookkeeping (plug list, merge attempt, tag
 /// allocation, software-queue insertion).
-pub const BLOCK_LAYER_NS: u64 = 550;
+pub(crate) const BLOCK_LAYER_NS: u64 = 550;
 
 /// I/O scheduler decision cost (even NoOp keys a request to a queue).
-pub const SCHED_DECIDE_NS: u64 = 120;
+pub(crate) const SCHED_DECIDE_NS: u64 = 120;
 
 /// MQ driver doorbell write + command packaging.
-pub const DRIVER_SUBMIT_NS: u64 = 150;
+pub(crate) const DRIVER_SUBMIT_NS: u64 = 150;
 
 /// Fixed cost of touching one page-cache page (lookup in the per-file
 /// tree, locking the page).
-pub const PAGE_LOOKUP_NS: u64 = 250;
+pub(crate) const PAGE_LOOKUP_NS: u64 = 250;
 
 /// Copying between user and kernel buffers, per byte (≈3.3 GB/s single
 /// threaded, memcpy through cold cache).
-pub const COPY_NS_PER_KB: u64 = 300;
+pub(crate) const COPY_NS_PER_KB: u64 = 300;
 
 /// VFS path-walk cost per path component (dcache hash lookup + RCU walk).
-pub const PATH_COMPONENT_NS: u64 = 180;
+pub(crate) const PATH_COMPONENT_NS: u64 = 180;
 
 /// Client-side predicate scan over payload bytes, per KiB (branchy
 /// record-at-a-time compare loop, ≈1 GB/s — slower than straight memcpy
 /// because of the per-record control flow). This is the cost pushdown
 /// avoids by filtering in-stack and shipping bytes, not pages.
-pub const SCAN_NS_PER_KB: u64 = 1_000;
+pub(crate) const SCAN_NS_PER_KB: u64 = 1_000;
 
 /// Scheduler wakeup of a task blocked on I/O completion.
-pub const WAKEUP_NS: u64 = 900;
+pub(crate) const WAKEUP_NS: u64 = 900;
 
 /// Charge one syscall round trip.
-pub fn syscall(ctx: &mut Ctx) {
+pub(crate) fn syscall(ctx: &mut Ctx) {
     ctx.advance(SYSCALL_NS);
 }
 
 /// Charge a context switch.
-pub fn context_switch(ctx: &mut Ctx) {
+pub(crate) fn context_switch(ctx: &mut Ctx) {
     ctx.advance(CONTEXT_SWITCH_NS);
 }
 
 /// Charge a user↔kernel copy of `bytes`.
-pub fn copy(ctx: &mut Ctx, bytes: usize) {
+pub(crate) fn copy(ctx: &mut Ctx, bytes: usize) {
     ctx.advance(copy_ns(bytes));
 }
 
 /// Modeled cost of copying `bytes` between user and kernel space.
-pub fn copy_ns(bytes: usize) -> u64 {
+pub(crate) fn copy_ns(bytes: usize) -> u64 {
     (bytes as u64 * COPY_NS_PER_KB) / 1024
 }
 
 /// Modeled cost of a client-side predicate scan over `bytes` of payload.
-pub fn scan_ns(bytes: usize) -> u64 {
+pub(crate) fn scan_ns(bytes: usize) -> u64 {
     (bytes as u64 * SCAN_NS_PER_KB) / 1024
 }
 
@@ -84,7 +84,7 @@ pub fn scan(ctx: &mut Ctx, bytes: usize) {
 }
 
 /// Charge a VFS path resolution over `components` path elements.
-pub fn path_walk(ctx: &mut Ctx, components: usize) {
+pub(crate) fn path_walk(ctx: &mut Ctx, components: usize) {
     ctx.advance(PATH_COMPONENT_NS * components.max(1) as u64);
 }
 

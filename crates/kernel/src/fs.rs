@@ -31,7 +31,7 @@ use crate::block::BlockLayer;
 use crate::cost;
 use crate::page_cache::{PageCache, PAGE_SIZE};
 use crate::sched::IoClass;
-use crate::vfs::{Cred, FileKind, Filesystem, Stat};
+use crate::vfs::{Cred, FileKind, Stat};
 
 /// Filesystem errors (mapped to errno-style failures).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,19 +78,19 @@ pub struct FsProfile {
     pub name: &'static str,
     /// Number of independent metadata-lock domains. ext4's jbd2 journal
     /// and F2FS's log are global (1); XFS has per-AG locks (16).
-    pub lock_domains: usize,
+    pub(crate) lock_domains: usize,
     /// Virtual hold time of the metadata lock per namespace operation
     /// (journal handle start/stop, log reservation).
     pub meta_hold_ns: u64,
     /// CPU cost of creating an inode (init, bitmap, dirent insert).
-    pub create_cpu_ns: u64,
+    pub(crate) create_cpu_ns: u64,
     /// Journal bytes persisted per metadata operation at commit time.
-    pub journal_bytes_per_op: usize,
+    pub(crate) journal_bytes_per_op: usize,
     /// Log-structured data allocation (F2FS): strictly sequential LBAs,
     /// which HDDs love and which skips in-place extent lookup cost.
-    pub log_structured: bool,
+    pub(crate) log_structured: bool,
     /// Block-allocator lock hold per extent allocation.
-    pub alloc_hold_ns: u64,
+    pub(crate) alloc_hold_ns: u64,
 }
 
 impl FsProfile {
@@ -140,7 +140,7 @@ const BLOCK_SECTORS: u64 = (PAGE_SIZE / labstor_sim::SECTOR_SIZE) as u64;
 /// Blocks reserved for the journal at the front of the device.
 const JOURNAL_BLOCKS: u64 = 4096;
 /// Root inode number.
-pub const ROOT_INO: u64 = 1;
+pub(crate) const ROOT_INO: u64 = 1;
 
 struct Inode {
     kind: FileKind,
@@ -152,7 +152,6 @@ struct Inode {
     blocks: HashMap<u64, u64>,
     /// Directory entries (dirs only).
     children: HashMap<String, u64>,
-    nlink: u32,
 }
 
 impl Inode {
@@ -165,7 +164,6 @@ impl Inode {
             mode,
             blocks: HashMap::new(),
             children: HashMap::new(),
-            nlink: 1,
         }
     }
 }
@@ -238,11 +236,6 @@ impl KernelFs {
             block,
         };
         Arc::new(fs)
-    }
-
-    /// The filesystem's profile.
-    pub fn profile(&self) -> &FsProfile {
-        &self.profile
     }
 
     // ---- internal helpers ---------------------------------------------
@@ -428,12 +421,15 @@ impl KernelFs {
     }
 }
 
-impl Filesystem for KernelFs {
-    fn name(&self) -> &str {
+impl KernelFs {
+    /// Filesystem name (for reports).
+    #[cfg(test)]
+    pub(crate) fn name(&self) -> &str {
         self.profile.name
     }
 
-    fn create(
+    /// Create a regular file. Returns its inode.
+    pub fn create(
         &self,
         ctx: &mut Ctx,
         _core: usize,
@@ -444,7 +440,8 @@ impl Filesystem for KernelFs {
         self.make_node(ctx, path, FileKind::File, mode, cred)
     }
 
-    fn mkdir(
+    /// Create a directory.
+    pub(crate) fn mkdir(
         &self,
         ctx: &mut Ctx,
         _core: usize,
@@ -455,11 +452,13 @@ impl Filesystem for KernelFs {
         self.make_node(ctx, path, FileKind::Dir, mode, cred)
     }
 
-    fn lookup(&self, ctx: &mut Ctx, path: &str) -> Result<u64, FsError> {
+    /// Resolve a path to an inode.
+    pub(crate) fn lookup(&self, ctx: &mut Ctx, path: &str) -> Result<u64, FsError> {
         self.resolve(ctx, path)
     }
 
-    fn write(
+    /// Write at an offset. Returns bytes written.
+    pub fn write(
         &self,
         ctx: &mut Ctx,
         core: usize,
@@ -512,7 +511,8 @@ impl Filesystem for KernelFs {
         Ok(data.len())
     }
 
-    fn read(
+    /// Read at an offset. Returns bytes read (short at EOF).
+    pub fn read(
         &self,
         ctx: &mut Ctx,
         core: usize,
@@ -575,7 +575,14 @@ impl Filesystem for KernelFs {
         }
     }
 
-    fn unlink(&self, ctx: &mut Ctx, _core: usize, path: &str, cred: Cred) -> Result<(), FsError> {
+    /// Remove a file or empty directory.
+    pub fn unlink(
+        &self,
+        ctx: &mut Ctx,
+        _core: usize,
+        path: &str,
+        cred: Cred,
+    ) -> Result<(), FsError> {
         let (parent, name) = self.resolve_parent(ctx, path)?;
         self.take_dir_lock(ctx, parent);
         self.take_meta_lock(ctx, self.domain_of(parent));
@@ -603,7 +610,8 @@ impl Filesystem for KernelFs {
         Ok(())
     }
 
-    fn rename(
+    /// Rename a file or directory (replaces an existing target).
+    pub fn rename(
         &self,
         ctx: &mut Ctx,
         _core: usize,
@@ -656,23 +664,27 @@ impl Filesystem for KernelFs {
         Ok(())
     }
 
-    fn stat(&self, ctx: &mut Ctx, path: &str) -> Result<Stat, FsError> {
+    /// Stat a path.
+    pub(crate) fn stat(&self, ctx: &mut Ctx, path: &str) -> Result<Stat, FsError> {
         let ino = self.resolve(ctx, path)?;
         ctx.advance(200);
         let inodes = self.inodes.read(); // lock-class: fs.inodes
         let node = inodes.get(&ino).ok_or(FsError::NotFound)?;
         Ok(Stat {
-            ino,
+            #[cfg(test)]
             kind: node.kind,
             size: node.size,
-            uid: node.uid,
-            gid: node.gid,
-            mode: node.mode,
-            nlink: node.nlink,
         })
     }
 
-    fn truncate(&self, ctx: &mut Ctx, _core: usize, ino: u64, size: u64) -> Result<(), FsError> {
+    /// Set file size.
+    pub fn truncate(
+        &self,
+        ctx: &mut Ctx,
+        _core: usize,
+        ino: u64,
+        size: u64,
+    ) -> Result<(), FsError> {
         self.take_meta_lock(ctx, self.domain_of(ino));
         let old_size;
         {
@@ -704,17 +716,9 @@ impl Filesystem for KernelFs {
         Ok(())
     }
 
-    fn fsync(&self, ctx: &mut Ctx, core: usize, ino: u64) -> Result<(), FsError> {
+    /// Persist one file's data and metadata.
+    pub fn fsync(&self, ctx: &mut Ctx, core: usize, ino: u64) -> Result<(), FsError> {
         let dirty = self.cache.take_dirty(ctx, Some(ino));
-        self.writeback(ctx, core, dirty)?;
-        self.journal_commit(ctx, core)?;
-        self.block
-            .sync_flush(ctx, core)
-            .map_err(|e| FsError::Io(e.to_string()))
-    }
-
-    fn sync(&self, ctx: &mut Ctx, core: usize) -> Result<(), FsError> {
-        let dirty = self.cache.take_dirty(ctx, None);
         self.writeback(ctx, core, dirty)?;
         self.journal_commit(ctx, core)?;
         self.block
@@ -867,7 +871,7 @@ mod tests {
         let mut b = Ctx::new();
         f.create(&mut a, 0, "/f1", 0o644, root()).unwrap();
         f.create(&mut b, 1, "/f2", 0o644, root()).unwrap();
-        let hold = f.profile().meta_hold_ns;
+        let hold = f.profile.meta_hold_ns;
         assert!(
             b.now() >= a.now().min(2 * hold),
             "second create must queue behind the first's journal hold: a={} b={}",
@@ -889,7 +893,7 @@ mod tests {
         f.create(&mut a, 0, "/d0/f", 0o644, root()).unwrap();
         f.create(&mut b, 1, "/d1/f", 0o644, root()).unwrap();
         // d0 is ino 2, d1 is ino 3 → domains 2 and 3: independent locks.
-        let serial = a.now() + f.profile().meta_hold_ns;
+        let serial = a.now() + f.profile.meta_hold_ns;
         assert!(b.now() < serial, "independent domains must not serialize");
     }
 

@@ -38,7 +38,4 @@ pub mod sched;
 pub mod vfs;
 
 pub use block::BlockLayer;
-pub use engines::IoEngineKind;
-pub use fs::{FsError, FsProfile, KernelFs};
-pub use sched::{BlkSwitchSched, KernelSched, NoopSched};
-pub use vfs::{OpenFlags, Vfs, VfsError};
+pub use sched::KernelSched;

@@ -21,10 +21,10 @@ use labstor_sim::{Ctx, Resource};
 use crate::cost;
 
 /// Page size in bytes (x86-64).
-pub const PAGE_SIZE: usize = 4096;
+pub(crate) const PAGE_SIZE: usize = 4096;
 
 /// Key of a cached page: (inode, page index).
-pub type PageKey = (u64, u64);
+pub(crate) type PageKey = (u64, u64);
 
 const NIL: usize = usize::MAX;
 
@@ -194,7 +194,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruMap<K, V> {
     }
 
     /// Iterate over `(key, &value)` pairs in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.map
             .iter()
             .filter_map(|(k, &idx)| self.slab[idx].value.as_ref().map(|v| (k, v)))
@@ -209,22 +209,22 @@ impl<K: std::hash::Hash + Eq + Clone, V> Default for LruMap<K, V> {
 
 /// A cached page: its bytes plus dirty state. The page owns its bytes;
 /// a writeback snapshot ([`Evicted`]) shares them by refcount.
-pub struct Page {
+pub(crate) struct Page {
     /// Page contents (always [`PAGE_SIZE`] bytes).
-    pub data: Arc<[u8]>,
+    pub(crate) data: Arc<[u8]>,
     /// Set when the page holds data not yet written back.
-    pub dirty: bool,
+    pub(crate) dirty: bool,
 }
 
 /// A dirty page handed back to the filesystem for writeback. `data` is a
 /// refcounted view of the page bytes (no deep copy at eviction); if the
 /// page is written again before writeback completes, copy-on-write in
 /// [`PageCache::write`] preserves this snapshot.
-pub struct Evicted {
+pub(crate) struct Evicted {
     /// (inode, page index) of the evicted page.
-    pub key: PageKey,
+    pub(crate) key: PageKey,
     /// Page contents at eviction time.
-    pub data: Arc<[u8]>,
+    pub(crate) data: Arc<[u8]>,
 }
 
 /// What the cache mutex guards: the LRU and a count of its dirty pages
@@ -251,7 +251,7 @@ fn zeroed_page() -> Arc<[u8]> {
 /// The page cache: 4 KB pages with dirty tracking in one LRU behind one
 /// lock — the copying baseline the paper's figures compare LabStor
 /// against. Eviction is exact: an insert past capacity evicts at once.
-pub struct PageCache {
+pub(crate) struct PageCache {
     inner: OrderedMutex<Inner>,
     /// Virtual-time serialization of tree/LRU manipulation (mapping lock).
     lock: Resource,
@@ -261,7 +261,7 @@ pub struct PageCache {
 impl PageCache {
     /// Cache bounded at `capacity_bytes` (rounded down to whole pages,
     /// minimum one page).
-    pub fn new(capacity_bytes: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
         PageCache {
             inner: OrderedMutex::new(
                 &PAGECACHE_SHARD,
@@ -284,7 +284,7 @@ impl PageCache {
     /// Copy `data` into the cache at byte `offset` of `ino`, marking pages
     /// dirty. Returns dirty pages evicted to make room (for writeback);
     /// clean victims are silently dropped.
-    pub fn write(&self, ctx: &mut Ctx, ino: u64, offset: u64, data: &[u8]) -> Vec<Evicted> {
+    pub(crate) fn write(&self, ctx: &mut Ctx, ino: u64, offset: u64, data: &[u8]) -> Vec<Evicted> {
         let mut evicted = Vec::new();
         let mut pos = 0usize;
         while pos < data.len() {
@@ -342,7 +342,7 @@ impl PageCache {
     /// returns the number of misses; `Err` carries no payload because the
     /// filesystem owns the real error (it is produced inside `fill`).
     #[allow(clippy::result_unit_err)]
-    pub fn read(
+    pub(crate) fn read(
         &self,
         ctx: &mut Ctx,
         ino: u64,
@@ -405,7 +405,7 @@ impl PageCache {
     /// for writeback. Each snapshot is a refcount bump, not a deep copy —
     /// a racing re-write of the page copy-on-writes, leaving the
     /// writeback snapshot intact.
-    pub fn take_dirty(&self, ctx: &mut Ctx, ino: Option<u64>) -> Vec<Evicted> {
+    pub(crate) fn take_dirty(&self, ctx: &mut Ctx, ino: Option<u64>) -> Vec<Evicted> {
         self.charge_lock(ctx);
         let mut inner = self.inner.lock(); // lock-class: pagecache.shard
         let mut keys: Vec<PageKey> = inner
@@ -433,7 +433,7 @@ impl PageCache {
 
     /// Drop every cached page of `ino` at or beyond `from_page`
     /// (truncate invalidation).
-    pub fn invalidate_from(&self, ino: u64, from_page: u64) {
+    pub(crate) fn invalidate_from(&self, ino: u64, from_page: u64) {
         let mut inner = self.inner.lock(); // lock-class: pagecache.shard
         let keys: Vec<PageKey> = inner
             .pages
@@ -450,12 +450,12 @@ impl PageCache {
     }
 
     /// Drop every page of `ino` (unlink / cache invalidation).
-    pub fn invalidate(&self, ino: u64) {
+    pub(crate) fn invalidate(&self, ino: u64) {
         self.invalidate_from(ino, 0);
     }
 
     /// Bytes of dirty data currently cached.
-    pub fn dirty_bytes(&self) -> usize {
+    pub(crate) fn dirty_bytes(&self) -> usize {
         self.inner.lock().dirty_pages * PAGE_SIZE // lock-class: pagecache.shard
     }
 }

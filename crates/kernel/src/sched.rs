@@ -73,7 +73,7 @@ impl KernelSched for NoopSched {
 #[derive(Debug)]
 pub struct BlkSwitchSched {
     /// Queue depth above which throughput requests spill over.
-    pub congestion_threshold: usize,
+    pub(crate) congestion_threshold: usize,
     /// Rotates tie-breaks so concurrent latency flows spread out.
     cursor: std::sync::atomic::AtomicUsize,
     /// Bulk-traffic history (app steering).
@@ -130,7 +130,7 @@ impl BulkHistory {
     }
 
     /// Recent bulk pressure on `qid`.
-    pub fn pressure(&self, qid: usize) -> u64 {
+    pub(crate) fn pressure(&self, qid: usize) -> u64 {
         self.per_queue[qid % self.per_queue.len()].get()
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Baseline workloads (FxMark, Filebench, LABIOS's POSIX backend) enter
 //! here: every call charges a syscall crossing, resolves the mount, and
-//! dispatches to the mounted [`Filesystem`]. Per-process fd tables
+//! dispatches to the mounted [`KernelFs`]. Per-process fd tables
 //! reproduce the open-modify-close discipline whose cost Fig. 9b contrasts
 //! with LabKVS's single put/get.
 
@@ -15,16 +15,16 @@ use parking_lot::RwLock;
 use labstor_sim::Ctx;
 
 use crate::cost;
-use crate::fs::FsError;
+use crate::fs::{FsError, KernelFs};
 
 /// Kernel-side credentials (the kernel has its own copy of the identity a
 /// process carries; LabStor's IPC credentials convert into this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cred {
     /// User id.
-    pub uid: u32,
+    pub(crate) uid: u32,
     /// Primary group id.
-    pub gid: u32,
+    pub(crate) gid: u32,
 }
 
 impl Cred {
@@ -33,7 +33,7 @@ impl Cred {
 
     /// Unix permission check against `(owner_uid, owner_gid, mode)`;
     /// `want` is an rwx bitmask (4=r, 2=w, 1=x).
-    pub fn allows(&self, owner_uid: u32, owner_gid: u32, mode: u16, want: u16) -> bool {
+    pub(crate) fn allows(&self, owner_uid: u32, owner_gid: u32, mode: u16, want: u16) -> bool {
         if self.uid == 0 {
             return true;
         }
@@ -50,7 +50,7 @@ impl Cred {
 
 /// What an inode is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
+pub(crate) enum FileKind {
     /// Regular file.
     File,
     /// Directory.
@@ -60,84 +60,11 @@ pub enum FileKind {
 /// Result of a `stat` call.
 #[derive(Debug, Clone, Copy)]
 pub struct Stat {
-    /// Inode number.
-    pub ino: u64,
     /// File or directory.
-    pub kind: FileKind,
+    #[cfg(test)]
+    pub(crate) kind: FileKind,
     /// Size in bytes.
     pub size: u64,
-    /// Owner uid.
-    pub uid: u32,
-    /// Owner gid.
-    pub gid: u32,
-    /// Permission bits.
-    pub mode: u16,
-    /// Hard link count.
-    pub nlink: u32,
-}
-
-/// The interface every mountable filesystem implements (kernel baselines
-/// here; FUSE-style adapters could too).
-pub trait Filesystem: Send + Sync {
-    /// Filesystem name (for reports).
-    fn name(&self) -> &str;
-    /// Create a regular file. Returns its inode.
-    fn create(
-        &self,
-        ctx: &mut Ctx,
-        core: usize,
-        path: &str,
-        mode: u16,
-        cred: Cred,
-    ) -> Result<u64, FsError>;
-    /// Create a directory.
-    fn mkdir(
-        &self,
-        ctx: &mut Ctx,
-        core: usize,
-        path: &str,
-        mode: u16,
-        cred: Cred,
-    ) -> Result<u64, FsError>;
-    /// Resolve a path to an inode.
-    fn lookup(&self, ctx: &mut Ctx, path: &str) -> Result<u64, FsError>;
-    /// Write at an offset. Returns bytes written.
-    fn write(
-        &self,
-        ctx: &mut Ctx,
-        core: usize,
-        ino: u64,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<usize, FsError>;
-    /// Read at an offset. Returns bytes read (short at EOF).
-    fn read(
-        &self,
-        ctx: &mut Ctx,
-        core: usize,
-        ino: u64,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<usize, FsError>;
-    /// Remove a file or empty directory.
-    fn unlink(&self, ctx: &mut Ctx, core: usize, path: &str, cred: Cred) -> Result<(), FsError>;
-    /// Rename a file or directory (replaces an existing target).
-    fn rename(
-        &self,
-        ctx: &mut Ctx,
-        core: usize,
-        from: &str,
-        to: &str,
-        cred: Cred,
-    ) -> Result<(), FsError>;
-    /// Stat a path.
-    fn stat(&self, ctx: &mut Ctx, path: &str) -> Result<Stat, FsError>;
-    /// Set file size.
-    fn truncate(&self, ctx: &mut Ctx, core: usize, ino: u64, size: u64) -> Result<(), FsError>;
-    /// Persist one file's data and metadata.
-    fn fsync(&self, ctx: &mut Ctx, core: usize, ino: u64) -> Result<(), FsError>;
-    /// Persist everything.
-    fn sync(&self, ctx: &mut Ctx, core: usize) -> Result<(), FsError>;
 }
 
 /// `open(2)` flags subset used by the workloads.
@@ -181,7 +108,7 @@ impl From<FsError> for VfsError {
 }
 
 struct OpenFile {
-    fs: Arc<dyn Filesystem>,
+    fs: Arc<KernelFs>,
     ino: u64,
     pos: u64,
 }
@@ -195,7 +122,7 @@ struct FdTable {
 /// The VFS: mount table + per-process fd tables + the syscall surface.
 #[derive(Default)]
 pub struct Vfs {
-    mounts: RwLock<Vec<(String, Arc<dyn Filesystem>)>>,
+    mounts: RwLock<Vec<(String, Arc<KernelFs>)>>,
     tables: RwLock<HashMap<u32, FdTable>>,
 }
 
@@ -206,14 +133,14 @@ impl Vfs {
     }
 
     /// Mount `fs` at `prefix` (longest-prefix dispatch).
-    pub fn mount(&self, prefix: &str, fs: Arc<dyn Filesystem>) {
+    pub fn mount(&self, prefix: &str, fs: Arc<KernelFs>) {
         let mut mounts = self.mounts.write(); // lock-class: vfs.mounts
         mounts.push((prefix.trim_end_matches('/').to_string(), fs));
         mounts.sort_by_key(|(p, _)| std::cmp::Reverse(p.len()));
     }
 
     /// Resolve a path to `(filesystem, fs-relative path)`.
-    fn route<'p>(&self, path: &'p str) -> Result<(Arc<dyn Filesystem>, &'p str), VfsError> {
+    fn route<'p>(&self, path: &'p str) -> Result<(Arc<KernelFs>, &'p str), VfsError> {
         let mounts = self.mounts.read(); // lock-class: vfs.mounts
         for (prefix, fs) in mounts.iter() {
             if let Some(rest) = path.strip_prefix(prefix.as_str()) {
@@ -408,7 +335,7 @@ impl Vfs {
 mod tests {
     use super::*;
     use crate::block::BlockLayer;
-    use crate::fs::{FsProfile, KernelFs};
+    use crate::fs::FsProfile;
     use labstor_sim::{DeviceKind, SimDevice};
 
     fn vfs() -> Arc<Vfs> {

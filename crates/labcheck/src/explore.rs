@@ -1,29 +1,29 @@
 //! The one exhaustive search in labcheck: a visited-set breadth-first
-//! exploration of a [`Model`]'s reachable states.
+//! exploration of a `Model`'s reachable states.
 //!
 //! Every model checker in this crate is an `impl Model` — its state, its
 //! step semantics, its invariants and its planted variants — and
-//! [`explore`] is the only code that owns a queue, a visited set or a
+//! `explore` is the only code that owns a queue, a visited set or a
 //! parent map. Two schedules that reach the same joint state have the
 //! same futures, so visiting each state once enumerates every
 //! interleaving while staying tractable.
 //!
 //! What `explore` guarantees:
 //!
-//! - **Exhaustive**: every state reachable from [`Model::init`] is
+//! - **Exhaustive**: every state reachable from `Model::init` is
 //!   expanded exactly once (state types are finite, so there is no bound
 //!   to configure).
 //! - **Shortest counterexample**: states are expanded in breadth-first
 //!   order and successors in the order the model pushes them, so the
 //!   first violation found has a minimal-length trace, and the trace is
 //!   reproducible as long as the model keeps its scheduler order.
-//! - **Replayable trace**: [`Failure::trace`] holds the step labels from
+//! - **Replayable trace**: `Failure::trace` holds the step labels from
 //!   `init` to the violation, in order.
 //!
-//! Where each hook fires, per expanded state: [`Model::invariant`] first
-//! (on `init` too), then the terminal test and [`Model::check_terminal`],
-//! then [`Model::successors`], and [`Model::stuck`] if a non-terminal
-//! state has none. [`Model::never_terminated`] is consulted once, after
+//! Where each hook fires, per expanded state: `Model::invariant` first
+//! (on `init` too), then the terminal test and `Model::check_terminal`,
+//! then `Model::successors`, and `Model::stuck` if a non-terminal
+//! state has none. `Model::never_terminated` is consulted once, after
 //! the space is exhausted with zero terminal states.
 
 use std::collections::hash_map::Entry;
@@ -32,13 +32,13 @@ use std::fmt;
 use std::hash::Hash;
 
 /// A successor state and the label of the step that reaches it.
-pub type Step<S> = (S, String);
+pub(crate) type Step<S> = (S, String);
 
 /// A violation and the label of the step that commits (or exposes) it.
-pub type Violating<V> = (V, String);
+pub(crate) type Violating<V> = (V, String);
 
 /// A finite-state protocol model: what [`explore`] searches.
-pub trait Model {
+pub(crate) trait Model {
     /// Joint state of the modeled system. `Copy` keeps expansion
     /// allocation-free; `Hash + Eq` is the visited-set identity.
     type State: Copy + Eq + Hash;
@@ -89,11 +89,11 @@ pub trait Model {
 
 /// A violation plus the schedule that reaches it.
 #[derive(Debug, Clone)]
-pub struct Failure<V> {
+pub(crate) struct Failure<V> {
     /// What went wrong.
-    pub violation: V,
+    pub(crate) violation: V,
     /// Step labels from the initial state to the violating step.
-    pub trace: Vec<String>,
+    pub(crate) trace: Vec<String>,
 }
 
 impl<V: fmt::Debug> fmt::Display for Failure<V> {
@@ -108,13 +108,13 @@ impl<V: fmt::Debug> fmt::Display for Failure<V> {
 
 /// Statistics from a completed exploration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Report {
+pub(crate) struct Report {
     /// Distinct states reached (each had [`Model::invariant`] checked).
-    pub states: usize,
+    pub(crate) states: usize,
     /// Scheduler transitions taken.
-    pub transitions: usize,
+    pub(crate) transitions: usize,
     /// Distinct terminal states.
-    pub terminals: usize,
+    pub(crate) terminals: usize,
 }
 
 /// Walk the parent map back from `at` to the initial state; `last` is
@@ -137,7 +137,7 @@ fn fail<S: Copy + Eq + Hash, V>(
 
 /// Exhaustively explore `model`. `Ok` carries statistics; `Err` carries
 /// the first violation found plus a shortest schedule that reaches it.
-pub fn explore<M: Model>(model: &M) -> Result<Report, Failure<M::Violation>> {
+pub(crate) fn explore<M: Model>(model: &M) -> Result<Report, Failure<M::Violation>> {
     let init = model.init();
     // Visited set and parent map in one: how each state was first reached.
     let mut reached: HashMap<M::State, Option<Step<M::State>>> = HashMap::new();

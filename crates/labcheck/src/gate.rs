@@ -9,7 +9,7 @@
 //! violation it plants*, with the pinned counterexample length — a
 //! checker that stops failing on known bugs, or flags the wrong thing,
 //! is itself broken. The pinned values are reproducible because
-//! [`explore`] is breadth-first and every model fixes its scheduler
+//! `explore` is breadth-first and every model fixes its scheduler
 //! order.
 
 use std::fmt::Debug;

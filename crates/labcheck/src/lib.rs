@@ -9,13 +9,13 @@
 //!    explicit opt-out from the LabMod platform contract defaults, the
 //!    copy, pool-write, thread-spawn, request-lookup and lock rules, and
 //!    no `pub` item without a caller (`unreached-pub`).
-//! 2. [`explore`] — the one exhaustive breadth-first search, over any
-//!    [`Model`]; six models re-express real protocols as atomic steps
+//! 2. `explore()` — the one exhaustive breadth-first search, over any
+//!    `Model`; six models re-express real protocols as atomic steps
 //!    with planted-bug variants: [`mc`] (SPSC ring push/pop), [`mc_rc`]
 //!    (buffer-pool refcount release), [`mc_lock`] (lock-witness
 //!    discipline), [`mc_doorbell`] (park/wake liveness), [`mc_journal`]
 //!    (commit protocol under crashes and tears) and [`mc_fuel`]
-//!    (pushdown termination and fuel accounting). [`gate`] is the table
+//!    (pushdown termination and fuel accounting). [`gate()`] is the table
 //!    of explorations, with pinned outcomes, that every caller runs.
 //!
 //! Run as `cargo run -p labstor-labcheck` (add `--json` for machine
@@ -35,16 +35,8 @@ pub mod mc_rc;
 mod reach;
 pub mod scan;
 
-pub use explore::{explore, Failure, Model, Report};
 pub use gate::{gate, GateRow};
 pub use lint::{lint_sources, lint_workspace, render_json, render_text, Config, Diagnostic, Lint};
-pub use lockcheck::LockClassSpec;
-pub use mc::{McConfig, Variant, Violation};
-pub use mc_doorbell::{DoorbellConfig, DoorbellVariant, DoorbellViolation};
-pub use mc_fuel::{FuelConfig, FuelInsn, FuelVariant, FuelViolation};
-pub use mc_journal::{JournalConfig, JournalVariant, JournalViolation};
-pub use mc_lock::{LockModel, LockVariant, LockViolation};
-pub use mc_rc::{RcConfig, RcVariant, RcViolation};
 
 use std::path::PathBuf;
 

@@ -1,6 +1,6 @@
 //! The LabStor-specific lints (see DESIGN.md §"Static analysis").
 //!
-//! Each lint is a pure function over a preprocessed [`SourceFile`], which
+//! Each lint is a pure function over a preprocessed `SourceFile`, which
 //! makes them trivially testable on in-memory fixture snippets; the
 //! workspace walk in [`lint_workspace`] is just plumbing around them.
 //!
@@ -71,7 +71,7 @@ pub enum Lint {
 
 impl Lint {
     /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Lint::RelaxedOrdering => "relaxed-ordering",
             Lint::HotPathPanic => "hot-path-panic",
@@ -131,13 +131,13 @@ pub struct Config {
     pub hot_paths: Vec<HotPath>,
     /// Zero-copy data-path modules governed by the payload-copy lint
     /// (path suffixes, workspace-relative with `/` separators).
-    pub copy_hot_paths: Vec<&'static str>,
+    pub(crate) copy_hot_paths: Vec<&'static str>,
     /// The workspace lock-class registry: every lock acquisition in the
     /// governed paths must name one of these classes, and nested
     /// acquisitions must follow ascending rank (see `lockcheck`).
     pub lock_classes: Vec<LockClassSpec>,
     /// Path substrings selecting the crates governed by the lock lints.
-    pub lock_paths: Vec<&'static str>,
+    pub(crate) lock_paths: Vec<&'static str>,
 }
 
 impl Config {
@@ -274,7 +274,7 @@ impl Config {
 }
 
 /// Run every lint over one preprocessed file.
-pub fn lint_file(cfg: &Config, file: &SourceFile) -> Vec<Diagnostic> {
+pub(crate) fn lint_file(cfg: &Config, file: &SourceFile) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     lint_relaxed_ordering(file, &mut diags);
     lint_hot_path_panic(cfg, file, &mut diags);

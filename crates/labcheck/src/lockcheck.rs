@@ -44,14 +44,14 @@ pub struct LockClassSpec {
     pub rank: u16,
     /// Same-class nesting permitted (multi-instance, ascending order).
     pub nest_within: bool,
-    /// A virtual-time [`Resource`] (annotation required, never held — a
+    /// A virtual-time `labstor_sim::Resource` (annotation required, never held — a
     /// reservation returns a time window, not a guard).
     pub virtual_only: bool,
 }
 
 impl LockClassSpec {
     /// A plain non-reentrant lock class.
-    pub const fn lock(name: &'static str, rank: u16) -> Self {
+    pub(crate) const fn lock(name: &'static str, rank: u16) -> Self {
         LockClassSpec {
             name,
             rank,
@@ -61,7 +61,7 @@ impl LockClassSpec {
     }
 
     /// A class whose instances may nest in ascending order.
-    pub const fn ordered(name: &'static str, rank: u16) -> Self {
+    pub(crate) const fn ordered(name: &'static str, rank: u16) -> Self {
         LockClassSpec {
             name,
             rank,
@@ -71,7 +71,7 @@ impl LockClassSpec {
     }
 
     /// A virtual-time resource class (annotation-only).
-    pub const fn resource(name: &'static str) -> Self {
+    pub(crate) const fn resource(name: &'static str) -> Self {
         LockClassSpec {
             name,
             rank: u16::MAX,
@@ -82,7 +82,7 @@ impl LockClassSpec {
 }
 
 /// The marker every acquisition site must carry.
-pub const LOCK_CLASS_MARKER: &str = "lock-class:";
+pub(crate) const LOCK_CLASS_MARKER: &str = "lock-class:";
 
 /// One acquisition site found in a function body.
 #[derive(Debug, Clone)]
@@ -103,7 +103,7 @@ struct Acquire {
 }
 
 /// Run the lock-discipline lint over one preprocessed file.
-pub fn lint_lock_discipline(cfg: &Config, file: &SourceFile, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn lint_lock_discipline(cfg: &Config, file: &SourceFile, diags: &mut Vec<Diagnostic>) {
     if !cfg.lock_paths.iter().any(|p| file.name.contains(p)) {
         return;
     }

@@ -4,23 +4,23 @@
 //! `consumer_pop`/`consumer_pop_batch` (crates/ipc/src/ring.rs) are
 //! decomposed into their atomic steps — counter loads, the occupancy
 //! check, the slot access, the publishing store — and a scheduler explores
-//! *every* reachable interleaving of the two threads ([`crate::explore`]).
+//! *every* reachable interleaving of the two threads (`explore::explore`).
 //! This is equivalent to enumerating all schedules up to the configured
 //! operation bound while staying tractable: depth 6/6 is a few thousand
 //! states, not C(48,24) sequences.
 //!
 //! Modeled faithfully from the implementation:
 //! - counters are fixed-width and wrap (modeled as `u8` so wraparound is
-//!   actually exercised — see [`McConfig::start`]);
+//!   actually exercised — see `McConfig::start`);
 //! - slot index = counter masked by capacity (a power of two);
 //! - the producer re-reads `head`, the consumer re-reads `tail`, and with
-//!   [`McConfig::stale_reads`] those loads may return *any* value the
+//!   `McConfig::stale_reads` those loads may return *any* value the
 //!   other side ever published since the reader's last observation —
 //!   the coherence-permitted weakness of an Acquire load of a counter the
 //!   other thread bumps with Release stores. (Store/store reordering is
 //!   *not* modeled; the release fences in the implementation are what
 //!   forbid it.)
-//! - with [`McConfig::batch`] `> 1` each operation claims up to `batch`
+//! - with `McConfig::batch` `> 1` each operation claims up to `batch`
 //!   slots from one counter observation, touches them one atomic step at
 //!   a time, and publishes the whole burst with **one** counter store —
 //!   exactly the batched-doorbell protocol of `producer_push_iter` /
@@ -44,12 +44,12 @@ use crate::explore::{Model, Step, Violating};
 
 /// Maximum modeled capacity (slots array is fixed-size to keep the state
 /// hashable and cheap to clone).
-pub const MAX_CAP: usize = 8;
+pub(crate) const MAX_CAP: usize = 8;
 
 /// Algorithm variant to explore. The buggy variants exist so tests can
 /// prove the checker actually detects the bug classes it claims to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
+pub(crate) enum Variant {
     /// The shipped algorithm.
     Correct,
     /// Full check uses `> cap` instead of `== cap`: admits one push too
@@ -69,28 +69,28 @@ pub enum Variant {
 
 /// Model-checker configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct McConfig {
+pub(crate) struct McConfig {
     /// Ring capacity; must be a power of two `<= MAX_CAP`.
-    pub cap: u8,
+    pub(crate) cap: u8,
     /// Number of push operations on the producer side.
-    pub pushes: u8,
+    pub(crate) pushes: u8,
     /// Number of pop operations on the consumer side (`<= pushes`).
-    pub pops: u8,
+    pub(crate) pops: u8,
     /// Initial value of both counters. Set near `u8::MAX` to drive the
     /// counters across the wrap during the run.
-    pub start: u8,
+    pub(crate) start: u8,
     /// Model stale counter reads (see module docs).
-    pub stale_reads: bool,
+    pub(crate) stale_reads: bool,
     /// Slots each operation may claim from one counter observation before
     /// its single publishing store (1 = the classic per-element protocol).
-    pub batch: u8,
+    pub(crate) batch: u8,
     /// Algorithm variant under test.
-    pub variant: Variant,
+    pub(crate) variant: Variant,
 }
 
 impl McConfig {
     /// A correct-algorithm exploration at the given depth.
-    pub fn correct(cap: u8, ops: u8) -> McConfig {
+    pub(crate) fn correct(cap: u8, ops: u8) -> McConfig {
         McConfig {
             cap,
             pushes: ops,
@@ -103,7 +103,7 @@ impl McConfig {
     }
 
     /// A correct-algorithm exploration using batched publication.
-    pub fn correct_batched(cap: u8, ops: u8, batch: u8) -> McConfig {
+    pub(crate) fn correct_batched(cap: u8, ops: u8, batch: u8) -> McConfig {
         McConfig {
             batch,
             ..McConfig::correct(cap, ops)
@@ -113,7 +113,7 @@ impl McConfig {
 
 /// Safety violation detected mid-exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Violation {
+pub(crate) enum Violation {
     /// Push wrote over a slot still holding an unconsumed value.
     Overwrite { slot: usize, lost: u8 },
     /// Pop read a slot with no published value.
@@ -132,7 +132,7 @@ pub enum Violation {
 /// inside push/pop each side is; locals mirror the implementation's stack
 /// variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct State {
+pub(crate) struct State {
     // Shared memory.
     head: u8,
     tail: u8,

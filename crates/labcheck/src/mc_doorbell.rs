@@ -18,28 +18,28 @@
 //!   re-check sees it, and the consumer retries instead of sleeping.
 //!
 //! This checker exhaustively explores producer/consumer interleavings
-//! ([`crate::explore`]) of that protocol and three planted bugs, with **no
+//! (`explore::explore`) of that protocol and three planted bugs, with **no
 //! timeout in the model**: the real `wait_past` carries a safety-net timeout, but the
 //! protocol must not need it.
 //!
-//! - [`DoorbellVariant::Correct`] — the shipped protocol. Every schedule
+//! - `DoorbellVariant::Correct` — the shipped protocol. Every schedule
 //!   drains every burst; no reachable state has the consumer parked with
 //!   work queued and no ring in flight. The pre-park phase's length is a
 //!   run-time heuristic, so every idle scan branches over 0, 1 and 2
 //!   epoch re-reads before registration.
-//! - [`DoorbellVariant::ParkWithoutRecheck`] — the classic lost wakeup:
+//! - `DoorbellVariant::ParkWithoutRecheck` — the classic lost wakeup:
 //!   the consumer parks after its idle scan *without* re-checking the
 //!   epoch under the mutex. A ring between "check empty" and "park"
 //!   already notified nobody, so the consumer sleeps on a non-empty
 //!   queue forever.
-//! - [`DoorbellVariant::EdgeOnlyRing`] — ring only on the producer's
+//! - `DoorbellVariant::EdgeOnlyRing` — ring only on the producer's
 //!   *believed* empty→non-empty edge: read the queue depth, push, and
 //!   skip the ring if the pre-push read was non-zero. The belief is
 //!   stale the moment a consumer pops concurrently, so a push can land
 //!   on a queue the consumer just drained — no edge observed, no ring,
 //!   consumer parks forever. (This is why the real producers ring
 //!   unconditionally per successful burst.)
-//! - [`DoorbellVariant::PhaseReadAsRecheck`] — the tempting shortcut the
+//! - `DoorbellVariant::PhaseReadAsRecheck` — the tempting shortcut the
 //!   pre-park phase invites: the consumer just read the epoch, so it
 //!   registers and sleeps without reading it again under the mutex. The
 //!   phase's read is taken *before* registration, so a ring between that
@@ -50,7 +50,7 @@ use crate::explore::{Model, Step, Violating};
 
 /// Park/wake protocol under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DoorbellVariant {
+pub(crate) enum DoorbellVariant {
     /// The shipped protocol: capture before scan, re-check under the
     /// mutex before sleeping, unconditional ring per burst.
     Correct,
@@ -67,18 +67,19 @@ pub enum DoorbellVariant {
 
 /// Model-checker configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct DoorbellConfig {
+pub(crate) struct DoorbellConfig {
     /// Number of producer bursts.
-    pub bursts: u8,
+    pub(crate) bursts: u8,
     /// Envelopes pushed per burst (one ring per burst regardless).
-    pub batch: u8,
+    pub(crate) batch: u8,
     /// Protocol under test.
-    pub variant: DoorbellVariant,
+    pub(crate) variant: DoorbellVariant,
 }
 
 impl DoorbellConfig {
     /// The shipped protocol at a given shape.
-    pub fn correct(bursts: u8, batch: u8) -> Self {
+    #[cfg(test)]
+    fn correct(bursts: u8, batch: u8) -> Self {
         DoorbellConfig {
             bursts,
             batch,
@@ -89,7 +90,7 @@ impl DoorbellConfig {
 
 /// Liveness violation detected at a stuck state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DoorbellViolation {
+pub(crate) enum DoorbellViolation {
     /// The consumer is parked, envelopes are queued, and no ring is in
     /// flight: nothing will ever wake it (the model has no timeout).
     LostWakeup {
@@ -151,7 +152,7 @@ impl CPhase {
 
 /// Joint state of the two-thread model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct State {
+pub(crate) struct State {
     /// Queue depth.
     q: u8,
     /// Doorbell epoch (bounded by the burst count).

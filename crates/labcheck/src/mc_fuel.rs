@@ -14,26 +14,26 @@
 //! This checker abstracts the ISA to the three shapes that matter for
 //! control flow — fall-through, halt, and a *nondeterministic*
 //! conditional branch — and explores both outcomes of every branch
-//! ([`crate::explore`]). The model mirrors the shipped pipeline: a
-//! verifier step first ([`run`] rejects backward offsets), then
+//! (`explore::explore`). The model mirrors the shipped pipeline: a
+//! verifier step first (`run` rejects backward offsets), then
 //! exhaustive execution with two invariants checked on every
 //! transition. Two planted bugs prove the checker has teeth:
 //!
-//! - [`FuelVariant::BackwardJumpAccepted`] — the verifier lets a
+//! - `FuelVariant::BackwardJumpAccepted` — the verifier lets a
 //!   negative offset through. A taken backward branch loops, `steps`
 //!   exceeds the program length, and the forward-progress invariant
-//!   ([`FuelViolation::Runaway`]) fires.
-//! - [`FuelVariant::FuelNotChargedOnTakenBranch`] — the interpreter
+//!   (`FuelViolation::Runaway`) fires.
+//! - `FuelVariant::FuelNotChargedOnTakenBranch` — the interpreter
 //!   charges fall-throughs but skips the charge when a branch is taken
 //!   (the classic "charge at the top of the loop, branch out the
 //!   bottom" slip). The first taken branch desynchronizes `steps` from
-//!   `budget − fuel` and [`FuelViolation::FuelLeak`] fires.
+//!   `budget − fuel` and `FuelViolation::FuelLeak` fires.
 
 use crate::explore::{explore, Failure, Model, Report, Step, Violating};
 
 /// Execution-model variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FuelVariant {
+pub(crate) enum FuelVariant {
     /// The shipped pipeline: backward jumps rejected, every retired
     /// instruction (taken branches included) charged one fuel unit.
     Correct,
@@ -47,7 +47,7 @@ pub enum FuelVariant {
 
 /// Abstracted instruction: just the control-flow shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FuelInsn {
+pub(crate) enum FuelInsn {
     /// Straight-line instruction (load/alu/mov): `pc + 1`.
     Fall,
     /// Conditional branch with a relative offset from the *next*
@@ -59,18 +59,19 @@ pub enum FuelInsn {
 
 /// Model-checker configuration: a program, a fuel budget, a variant.
 #[derive(Debug, Clone)]
-pub struct FuelConfig {
+pub(crate) struct FuelConfig {
     /// The abstracted program.
-    pub program: Vec<FuelInsn>,
+    pub(crate) program: Vec<FuelInsn>,
     /// Fuel budget for one execution.
-    pub fuel: u8,
+    pub(crate) fuel: u8,
     /// Pipeline variant under test.
-    pub variant: FuelVariant,
+    pub(crate) variant: FuelVariant,
 }
 
 impl FuelConfig {
     /// The shipped pipeline over a given program and budget.
-    pub fn correct(program: Vec<FuelInsn>, fuel: u8) -> Self {
+    #[cfg(test)]
+    fn correct(program: Vec<FuelInsn>, fuel: u8) -> Self {
         FuelConfig {
             program,
             fuel,
@@ -81,7 +82,7 @@ impl FuelConfig {
     /// The verifier step: the shipped verifier rejects negative offsets
     /// before execution (a correct outcome for programs with backward
     /// jumps); the planted BackwardJumpAccepted bug waves them through.
-    pub fn rejected(&self) -> bool {
+    pub(crate) fn rejected(&self) -> bool {
         self.variant != FuelVariant::BackwardJumpAccepted
             && self
                 .program
@@ -127,7 +128,7 @@ impl FuelConfig {
 
 /// Invariant violation detected on a transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FuelViolation {
+pub(crate) enum FuelViolation {
     /// Forward progress lost: more instructions retired than the program
     /// has — only a backward jump can do that.
     Runaway {
@@ -147,7 +148,7 @@ pub enum FuelViolation {
 /// One execution state. `charged` is tracked separately from `steps`
 /// precisely so the two can disagree under the planted charging bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct State {
+pub(crate) struct State {
     /// Program counter.
     pc: u8,
     /// Fuel remaining.
@@ -159,7 +160,7 @@ pub struct State {
 /// Run the model verifier, then exhaustively explore every execution
 /// (both outcomes of each branch). A rejected program executes nothing,
 /// which the all-zero report says.
-pub fn run(cfg: &FuelConfig) -> Result<Report, Failure<FuelViolation>> {
+pub(crate) fn run(cfg: &FuelConfig) -> Result<Report, Failure<FuelViolation>> {
     if cfg.rejected() {
         return Ok(Report::default());
     }

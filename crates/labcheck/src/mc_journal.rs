@@ -6,7 +6,7 @@
 //! prefix of frames whose header CRC, sequence chain and payload CRC all
 //! validate. There is no commit record: the payload CRC is the commit
 //! point. This checker explores every crash point and device-tear choice
-//! of that protocol ([`crate::explore`]) and verifies, at every crash and
+//! of that protocol (`explore::explore`) and verifies, at every crash and
 //! at clean shutdown:
 //!
 //! 1. **Prefix + exactly-once**: recovery applies transactions
@@ -23,7 +23,7 @@
 //! its payload — and its write as two atomic sub-steps: an arbitrary
 //! *strict subset* of the parts lands (nothing, header only, payload
 //! only), then all of them. A crash between the two leaves a torn frame;
-//! with [`JournalConfig::allow_silent_tear`] the scheduler may also have
+//! with `JournalConfig::allow_silent_tear` the scheduler may also have
 //! the device *ack* the partial landing (the silent-tear fault the sim
 //! injects), after which the writer proceeds believing the frame is
 //! durable. (A one-sector frame lands whole or not at all, which is the
@@ -32,12 +32,12 @@
 //!
 //! Planted-bug variants, each of which must be caught:
 //!
-//! - [`JournalVariant::AckBeforeWrite`] — the writer acks the client when
+//! - `JournalVariant::AckBeforeWrite` — the writer acks the client when
 //!   it has *submitted* the frame, before the write returned. A crash in
 //!   between loses an acked transaction.
-//! - [`JournalVariant::ReplayTwice`] — recovery applies each committed
+//! - `JournalVariant::ReplayTwice` — recovery applies each committed
 //!   transaction twice (a replay loop without idempotence bookkeeping).
-//! - [`JournalVariant::TornCrcAccept`] — recovery skips the payload CRC
+//! - `JournalVariant::TornCrcAccept` — recovery skips the payload CRC
 //!   and accepts any frame whose header is present, replaying torn data.
 //!   With one write per transaction nothing else stands between a plain
 //!   power cut and that bug, so it is caught without any device fault.
@@ -45,11 +45,11 @@
 use crate::explore::{Model, Step, Violating};
 
 /// Maximum transactions the model supports (state arrays are fixed-size).
-pub const MAX_TXNS: usize = 3;
+pub(crate) const MAX_TXNS: usize = 3;
 
 /// Journal protocol variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalVariant {
+pub(crate) enum JournalVariant {
     /// The shipped protocol: one frame write, then ack; recovery
     /// validates header and payload CRC and stops at the first invalid
     /// frame.
@@ -65,19 +65,20 @@ pub enum JournalVariant {
 
 /// Model-checker configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct JournalConfig {
+pub(crate) struct JournalConfig {
     /// Transactions the writer appends (1..=[`MAX_TXNS`]).
-    pub txns: u8,
+    pub(crate) txns: u8,
     /// Whether the scheduler may silently tear a frame write (device
     /// acks a partial landing).
-    pub allow_silent_tear: bool,
+    pub(crate) allow_silent_tear: bool,
     /// Protocol variant under test.
-    pub variant: JournalVariant,
+    pub(crate) variant: JournalVariant,
 }
 
 impl JournalConfig {
     /// The shipped protocol.
-    pub fn correct(txns: u8, allow_silent_tear: bool) -> JournalConfig {
+    #[cfg(test)]
+    fn correct(txns: u8, allow_silent_tear: bool) -> JournalConfig {
         JournalConfig {
             txns,
             allow_silent_tear,
@@ -101,7 +102,7 @@ enum Frame {
 
 /// Invariant violation found at a crash point or clean shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalViolation {
+pub(crate) enum JournalViolation {
     /// Recovery applied transactions out of order or with a hole.
     NotAPrefix {
         /// The offending replay position.
@@ -139,7 +140,7 @@ enum Pc {
 /// Joint state: per-transaction media + ack flags, writer position, and
 /// whether a silent tear happened in this run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct State {
+pub(crate) struct State {
     frame: [Frame; MAX_TXNS],
     acked: [bool; MAX_TXNS],
     /// Index of the transaction the writer is working on (== txns when

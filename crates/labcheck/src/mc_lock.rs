@@ -7,14 +7,14 @@
 //! while held (not even a different instance), and a `nest_within` class
 //! (the ShMem chunk sweep) may stack only in ascending instance order.
 //! This checker exercises those rules against exhaustive two-thread
-//! interleavings ([`crate::explore`]) of small lock programs:
+//! interleavings (`explore::explore`) of small lock programs:
 //!
-//! - [`LockVariant::CorrectChunks`] — the multi-chunk ShMem access: both
+//! - `LockVariant::CorrectChunks` — the multi-chunk ShMem access: both
 //!   threads sweep chunk 0 → chunk 1 ascending. Passes.
-//! - [`LockVariant::ReentrantShard`] — a thread re-acquires a
+//! - `LockVariant::ReentrantShard` — a thread re-acquires a
 //!   non-reentrant lock it already holds. The witness rule catches it as
 //!   a self-deadlock on every schedule.
-//! - [`LockVariant::DescendingChunks`] — the pre-PR 5 chunk sweep: one
+//! - `LockVariant::DescendingChunks` — the old descending chunk sweep: one
 //!   thread locks chunk 1 → chunk 0. Instance order inverts (and the
 //!   ABBA deadlock exists); the witness flags the descending acquire.
 //!
@@ -22,7 +22,7 @@
 //! backstop violation, so the checker stays sound even for bugs the
 //! witness rules would miss.
 //!
-//! All three variants are rows of the gate table ([`crate::gate`]), which
+//! All three variants are rows of the gate table ([`crate::gate()`]), which
 //! pins each correct protocol's state count and each planted bug's exact
 //! violation and counterexample length.
 
@@ -48,7 +48,7 @@ enum Step {
 
 /// Lock protocol under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockVariant {
+pub(crate) enum LockVariant {
     /// The fixed ShMem span access: chunks acquired ascending up front.
     CorrectChunks,
     /// Planted bug: re-acquire a held non-reentrant lock (the only
@@ -60,7 +60,7 @@ pub enum LockVariant {
 
 /// Discipline violation detected mid-exploration or at quiescence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LockViolation {
+pub(crate) enum LockViolation {
     /// A thread acquired a lock it already holds (non-reentrant mutex:
     /// guaranteed deadlock).
     SelfDeadlock {
@@ -94,7 +94,7 @@ const MAX_LOCKS: usize = 2;
 
 /// Joint state: lock owners (thread id or [`FREE`]) and per-thread pc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct State {
+pub(crate) struct State {
     owners: [u8; MAX_LOCKS],
     pcs: [u8; 2],
 }
@@ -152,14 +152,14 @@ fn programs(variant: LockVariant) -> (Vec<LockSpec>, [Vec<Step>; 2]) {
 
 /// The model of one protocol: its lock set and the two thread programs.
 #[derive(Debug, Clone)]
-pub struct LockModel {
+pub(crate) struct LockModel {
     locks: Vec<LockSpec>,
     progs: [Vec<Step>; 2],
 }
 
 impl LockModel {
     /// The model of `variant` (the variant fixes both threads' programs).
-    pub fn new(variant: LockVariant) -> LockModel {
+    pub(crate) fn new(variant: LockVariant) -> LockModel {
         let (locks, progs) = programs(variant);
         assert!(locks.len() <= MAX_LOCKS);
         LockModel { locks, progs }

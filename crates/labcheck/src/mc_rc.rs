@@ -14,14 +14,14 @@
 //!
 //! This checker decomposes two threads' clone/use/release sequences into
 //! atomic steps and explores every interleaving exhaustively
-//! ([`crate::explore`]).
+//! (`explore::explore`).
 //! Planted-bug variants split the release decision the two possible wrong
 //! ways and must be caught:
 //!
-//! - [`RcVariant::LoadThenSub`] — decide on a *pre*-decrement load, then
+//! - `RcVariant::LoadThenSub` — decide on a *pre*-decrement load, then
 //!   decrement separately. Two racing drops can both observe `2`, so
 //!   nobody frees: the slot leaks.
-//! - [`RcVariant::SubThenLoad`] — decrement, then decide on a separate
+//! - `RcVariant::SubThenLoad` — decrement, then decide on a separate
 //!   load of the counter. Two racing drops can both observe `0` after
 //!   both decrements land: the slot is freed twice.
 //!
@@ -32,7 +32,7 @@ use crate::explore::{Model, Step, Violating};
 
 /// Release-protocol variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RcVariant {
+pub(crate) enum RcVariant {
     /// The shipped protocol: one atomic `fetch_sub`, free iff it
     /// returned 1.
     Correct,
@@ -48,16 +48,17 @@ pub enum RcVariant {
 /// handle to the same slot, cloning it `clones` times before releasing
 /// everything it owns (each handle is used once before its release).
 #[derive(Debug, Clone, Copy)]
-pub struct RcConfig {
+pub(crate) struct RcConfig {
     /// Clones each thread performs before releasing (0 = plain drop race).
-    pub clones: u8,
+    pub(crate) clones: u8,
     /// Release protocol under test.
-    pub variant: RcVariant,
+    pub(crate) variant: RcVariant,
 }
 
 impl RcConfig {
     /// The shipped protocol at the given clone depth.
-    pub fn correct(clones: u8) -> RcConfig {
+    #[cfg(test)]
+    fn correct(clones: u8) -> RcConfig {
         RcConfig {
             clones,
             variant: RcVariant::Correct,
@@ -67,7 +68,7 @@ impl RcConfig {
 
 /// Safety violation detected mid-exploration or at quiescence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RcViolation {
+pub(crate) enum RcViolation {
     /// A thread used a handle whose slot was already recycled.
     UseAfterFree { thread: usize },
     /// The slot was returned to the free list twice.
@@ -96,7 +97,7 @@ struct Thread {
 
 /// Joint state of the two-thread system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct State {
+pub(crate) struct State {
     /// The shared atomic refcount.
     refs: u8,
     /// True once the slot has been returned to the free list.

@@ -19,28 +19,28 @@
 
 /// One preprocessed source line.
 #[derive(Debug, Clone)]
-pub struct Line {
+pub(crate) struct Line {
     /// Code with comments stripped and literal bodies blanked.
-    pub code: String,
+    pub(crate) code: String,
     /// Comment text on this line (including the `//` / `/*` markers).
-    pub comment: String,
+    pub(crate) comment: String,
     /// True when the line is inside a `#[cfg(test)]` item.
-    pub in_test: bool,
+    pub(crate) in_test: bool,
 }
 
 /// A preprocessed source file.
 #[derive(Debug)]
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     /// Display path (workspace-relative for real files, fixture name for
     /// in-memory snippets).
-    pub name: String,
+    pub(crate) name: String,
     /// Preprocessed lines, index 0 = line 1.
-    pub lines: Vec<Line>,
+    pub(crate) lines: Vec<Line>,
 }
 
 impl SourceFile {
     /// Preprocess `text` into per-line code/comment views.
-    pub fn parse(name: &str, text: &str) -> SourceFile {
+    pub(crate) fn parse(name: &str, text: &str) -> SourceFile {
         let mut lines = split_literals(text);
         mark_test_regions(&mut lines);
         SourceFile {
@@ -51,14 +51,14 @@ impl SourceFile {
 
     /// True when line `idx` (0-based) is covered by `marker` (see
     /// [`SourceFile::annotation`]).
-    pub fn annotated(&self, idx: usize, marker: &str) -> bool {
+    pub(crate) fn annotated(&self, idx: usize, marker: &str) -> bool {
         self.annotation(idx, marker).is_some()
     }
 
     /// The value of a `<marker> <value>` annotation covering line `idx`:
     /// the first whitespace-delimited token after the marker (e.g.
     /// `// lock-class: pagecache.shard` yields `pagecache.shard`).
-    pub fn annotation_value(&self, idx: usize, marker: &str) -> Option<String> {
+    pub(crate) fn annotation_value(&self, idx: usize, marker: &str) -> Option<String> {
         let rest = self.annotation(idx, marker)?;
         let token: String = rest.chars().take_while(|c| !c.is_whitespace()).collect();
         (!token.is_empty()).then_some(token)
@@ -74,7 +74,7 @@ impl SourceFile {
     /// keep covering the code after the formatter splits it. A line is
     /// taken to start a statement when the code line above it is blank,
     /// comment-only, or ends with `;`, `{` or `}`.
-    pub fn annotation(&self, idx: usize, marker: &str) -> Option<&str> {
+    pub(crate) fn annotation(&self, idx: usize, marker: &str) -> Option<&str> {
         fn after<'a>(line: &'a Line, marker: &str) -> Option<&'a str> {
             let pos = line.comment.find(marker)?;
             Some(line.comment[pos + marker.len()..].trim())
@@ -109,7 +109,7 @@ impl SourceFile {
     /// forward for the first `{` and returns the inclusive line range up
     /// to its matching `}`. Returns `None` if a `;` ends the item before
     /// any brace opens (e.g. a declaration) or the braces never close.
-    pub fn item_extent(&self, start: usize) -> Option<(usize, usize)> {
+    pub(crate) fn item_extent(&self, start: usize) -> Option<(usize, usize)> {
         let mut depth: i64 = 0;
         let mut opened = false;
         for (i, line) in self.lines.iter().enumerate().skip(start) {
@@ -138,7 +138,7 @@ impl SourceFile {
     /// name in several impl blocks (`LruMap::len` vs `PageCache::len`);
     /// extent-aware lints must attribute each body to its own occurrence,
     /// not to whichever header happens to appear first.
-    pub fn fn_extents(&self, fn_name: &str) -> Vec<(usize, usize)> {
+    pub(crate) fn fn_extents(&self, fn_name: &str) -> Vec<(usize, usize)> {
         let needle = format!("fn {fn_name}");
         let mut out = Vec::new();
         for (i, l) in self.lines.iter().enumerate() {
@@ -163,7 +163,7 @@ impl SourceFile {
     /// Every function item in the file: `(name, start, end)` with the
     /// extent of each body. Declarations without a body (trait methods
     /// ending in `;`) are skipped.
-    pub fn fn_items(&self) -> Vec<(String, usize, usize)> {
+    pub(crate) fn fn_items(&self) -> Vec<(String, usize, usize)> {
         let mut out = Vec::new();
         for (i, l) in self.lines.iter().enumerate() {
             let mut from = 0;

@@ -82,7 +82,7 @@ impl BlockAllocator {
     /// Live upgrade: continue from `prev`'s cursors, so nothing `prev`
     /// handed out is handed out again. Shards pair up by index: see the
     /// precondition on `MetaStore::absorb`, its one caller.
-    pub fn absorb(&self, prev: &BlockAllocator) {
+    pub(crate) fn absorb(&self, prev: &BlockAllocator) {
         for (mine, theirs) in self.shards.iter().zip(prev.shards.iter()) {
             let (next, end) = {
                 let t = theirs.lock();
@@ -101,7 +101,7 @@ impl BlockAllocator {
     /// moves past the run), and for the first run of a batch that was
     /// stolen from this shard's tail it is the unused rest of that batch,
     /// so the leak is at most one steal batch per steal that happened.
-    pub fn reserve(&self, start: u64, end: u64) {
+    pub(crate) fn reserve(&self, start: u64, end: u64) {
         for shard in &self.shards {
             let mut s = shard.lock();
             let (from, to) = (start.max(s.next), end.min(s.end));

@@ -127,6 +127,7 @@ impl Policy for ArcPolicy {
         self.t1.pop_lru().or_else(|| self.t2.pop_lru())
     }
 
+    #[cfg(test)]
     fn resident(&self) -> usize {
         self.t1.len() + self.t2.len()
     }
@@ -137,7 +138,7 @@ pub type ArcCacheMod = BlockCache<ArcPolicy>;
 
 impl ArcCacheMod {
     /// Cache of `capacity_bytes`.
-    pub fn new(capacity_bytes: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
         Self::build(capacity_bytes, false)
     }
 }
@@ -146,7 +147,7 @@ impl ArcCacheMod {
 /// 64 MiB). The index is one ARC instance behind one lock; a spec that
 /// still passes the former `"shards"` key is served as any spec with an
 /// unknown key is — the key is ignored.
-pub fn install(mm: &ModuleManager) {
+pub(crate) fn install(mm: &ModuleManager) {
     mm.register_factory(
         "arc_cache",
         Arc::new(|params| {

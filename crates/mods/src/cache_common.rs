@@ -1,6 +1,6 @@
 //! The block-cache engine behind [`crate::lru`] and [`crate::arc_cache`].
 //!
-//! The index is block-granular: one entry per [`BLOCK`]-byte block, keyed
+//! The index is block-granular: one entry per `BLOCK`-byte block, keyed
 //! by the block's first sector, whatever the size of the request that
 //! brought the bytes. A multi-block write becomes one entry per block (a
 //! pool handle by `slice()` refcount bumps, owned bytes as windows of one
@@ -18,7 +18,7 @@
 //! (the in-flight miss guard, write-back, cost accounting).
 //!
 //! The contract is block-aligned requests (`lba` a multiple of
-//! [`BLOCK_SECTORS`]), which every bundled filesystem LabMod honors.
+//! `BLOCK_SECTORS`), which every bundled filesystem LabMod honors.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -34,9 +34,9 @@ use crate::arc_cache::ArcPolicy;
 use crate::lru::LruPolicy;
 
 /// Bytes per cache entry.
-pub const BLOCK: usize = 4096;
+pub(crate) const BLOCK: usize = 4096;
 /// Sectors per cache entry: the key stride between neighbouring blocks.
-pub const BLOCK_SECTORS: u64 = (BLOCK / labstor_sim::SECTOR_SIZE) as u64;
+pub(crate) const BLOCK_SECTORS: u64 = (BLOCK / labstor_sim::SECTOR_SIZE) as u64;
 /// Copy cost per KB into/out of the cache (same memcpy as the kernel's —
 /// the savings come from lock-free access, not magic memory).
 const COPY_NS_PER_KB: u64 = 300;
@@ -68,7 +68,7 @@ pub enum CacheData {
 impl CacheData {
     /// Copy `src` into a fresh shared allocation: the one counted copy
     /// that brings legacy bytes into the cache.
-    pub fn owned(src: &[u8]) -> CacheData {
+    pub(crate) fn owned(src: &[u8]) -> CacheData {
         note_payload_copy(src.len());
         CacheData::Owned {
             bytes: Arc::from(src), // copy-ok: legacy bytes enter the cache by one copy per request; counted above
@@ -78,20 +78,15 @@ impl CacheData {
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             CacheData::Owned { len, .. } => *len,
             CacheData::Buf(b) => b.len(),
         }
     }
 
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Read view of the bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         match self {
             CacheData::Owned { bytes, off, len } => &bytes[*off..*off + *len],
             CacheData::Buf(b) => b.as_slice(),
@@ -100,7 +95,7 @@ impl CacheData {
 
     /// A narrowed window of the same bytes (refcount bump, no copy), or
     /// `None` if the range falls outside this one.
-    pub fn slice(&self, off: usize, len: usize) -> Option<CacheData> {
+    pub(crate) fn slice(&self, off: usize, len: usize) -> Option<CacheData> {
         match self {
             CacheData::Owned {
                 bytes,
@@ -118,7 +113,7 @@ impl CacheData {
     /// Grow this window in place over `next`, when `next` starts in the
     /// same allocation exactly where `self` ends (see
     /// [`BufHandle::extend_with`]); `false`, and no change, otherwise.
-    pub fn extend_with(&mut self, next: &CacheData) -> bool {
+    pub(crate) fn extend_with(&mut self, next: &CacheData) -> bool {
         match (self, next) {
             (CacheData::Buf(a), CacheData::Buf(b)) => a.extend_with(b),
             (
@@ -193,6 +188,7 @@ pub trait Policy: Default + Send + 'static {
     /// Remove and return a resident block, coldest first.
     fn pop_coldest(&mut self) -> Option<(u64, CacheData)>;
     /// Number of resident blocks.
+    #[cfg(test)]
     fn resident(&self) -> usize;
 }
 
@@ -224,6 +220,14 @@ pub struct BlockCache<P> {
     _pages: Option<Reservation>,
 }
 
+impl<P> BlockCache<P> {
+    /// (hits, misses) so far, counted in **blocks**: a 64 KiB read that
+    /// finds 15 of its 16 blocks resident adds 15 hits and 1 miss.
+    pub fn hit_stats(&self) -> (u64, u64) {
+        (self.hits.get(), self.misses.get())
+    }
+}
+
 impl<P: Policy> BlockCache<P> {
     /// Cache of `capacity_bytes`, in whole blocks.
     pub(crate) fn build(capacity_bytes: usize, write_back: bool) -> Self {
@@ -240,12 +244,6 @@ impl<P: Policy> BlockCache<P> {
             misses: Stat::new(0),
             _pages: labstor_ipc::default_pool().reserve(BLOCK, capacity_blocks),
         }
-    }
-
-    /// (hits, misses) so far, counted in **blocks**: a 64 KiB read that
-    /// finds 15 of its 16 blocks resident adds 15 hits and 1 miss.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
     }
 
     /// Blocks resident.
@@ -646,7 +644,7 @@ impl<P: Policy> LabMod for BlockCache<P> {
 /// double-inserting) the blocks. A run is claimed whole or not at all,
 /// under one mutex, so two multi-block claims cannot deadlock.
 #[derive(Default)]
-pub struct InflightSet {
+pub(crate) struct InflightSet {
     /// Std's hasher stays: a key is hashed only on a miss, next to the
     /// downstream request that fetches it.
     claimed: Mutex<HashSet<u64>>,
@@ -658,14 +656,14 @@ pub struct InflightSet {
 
 impl InflightSet {
     /// Empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Claim the `blocks` blocks starting at `lba`, parking on a condvar
     /// while another miss holds any of them. The returned guard releases
     /// the claim (and wakes waiters) on drop.
-    pub fn claim(&self, lba: u64, blocks: usize) -> InflightGuard<'_> {
+    pub(crate) fn claim(&self, lba: u64, blocks: usize) -> InflightGuard<'_> {
         let guard = InflightGuard {
             set: self,
             lba,
@@ -682,7 +680,7 @@ impl InflightSet {
 }
 
 /// RAII claim on a run of blocks being miss-fetched; dropping releases it.
-pub struct InflightGuard<'a> {
+pub(crate) struct InflightGuard<'a> {
     set: &'a InflightSet,
     lba: u64,
     blocks: usize,

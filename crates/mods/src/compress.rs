@@ -32,13 +32,13 @@ struct Extent {
 }
 
 /// The compression LabMod.
-pub struct CompressMod {
+pub(crate) struct CompressMod {
     extents: RwLock<HashMap<u64, Extent>>,
 }
 
 impl CompressMod {
     /// New compressor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CompressMod {
             extents: RwLock::new(HashMap::new()),
         }
@@ -207,7 +207,7 @@ impl LabMod for CompressMod {
 }
 
 /// Register the factory (no parameters).
-pub fn install(mm: &ModuleManager) {
+pub(crate) fn install(mm: &ModuleManager) {
     mm.register_factory(
         "compress",
         Arc::new(|_params| Arc::new(CompressMod::new()) as Arc<dyn LabMod>),

@@ -109,18 +109,18 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, String> {
 
 /// Modeled compression throughput: ~1.6 GB/s (the paper's 32 MB requests
 /// take "roughly 20ms").
-pub const COMPRESS_BYTES_PER_SEC: u64 = 1_600_000_000;
+pub(crate) const COMPRESS_BYTES_PER_SEC: u64 = 1_600_000_000;
 
 /// Modeled decompression throughput (LZ decode is faster than encode).
-pub const DECOMPRESS_BYTES_PER_SEC: u64 = 3_200_000_000;
+pub(crate) const DECOMPRESS_BYTES_PER_SEC: u64 = 3_200_000_000;
 
 /// Modeled CPU cost of compressing `bytes`.
-pub fn compress_cost_ns(bytes: usize) -> u64 {
+pub(crate) fn compress_cost_ns(bytes: usize) -> u64 {
     (bytes as u64).saturating_mul(1_000_000_000) / COMPRESS_BYTES_PER_SEC
 }
 
 /// Modeled CPU cost of decompressing to `bytes`.
-pub fn decompress_cost_ns(bytes: usize) -> u64 {
+pub(crate) fn decompress_cost_ns(bytes: usize) -> u64 {
     (bytes as u64).saturating_mul(1_000_000_000) / DECOMPRESS_BYTES_PER_SEC
 }
 

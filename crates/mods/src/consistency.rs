@@ -26,7 +26,7 @@ const BARRIER_CHECK_NS: u64 = 50;
 
 /// Durability policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
+pub(crate) enum Policy {
     /// Flush only when asked.
     Relaxed,
     /// Barrier after every write.
@@ -36,7 +36,7 @@ pub enum Policy {
 }
 
 /// The consistency LabMod.
-pub struct ConsistencyMod {
+pub(crate) struct ConsistencyMod {
     policy: Policy,
     /// Writes seen, the `FlushEveryN` count.
     writes: Stat,
@@ -44,7 +44,7 @@ pub struct ConsistencyMod {
 
 impl ConsistencyMod {
     /// New filter with a policy.
-    pub fn new(policy: Policy) -> Self {
+    pub(crate) fn new(policy: Policy) -> Self {
         ConsistencyMod {
             policy,
             writes: Stat::new(0),
@@ -107,7 +107,7 @@ impl LabMod for ConsistencyMod {
 
 /// Register the factory. Params: `{"policy": "relaxed"|"flush_each",
 /// "flush_every": <n>}`.
-pub fn install(mm: &ModuleManager) {
+pub(crate) fn install(mm: &ModuleManager) {
     mm.register_factory(
         "consistency",
         Arc::new(|params| {

@@ -55,7 +55,7 @@ impl DeviceRegistry {
     }
 
     /// Look up the kernel block layer fronting a block device.
-    pub fn layer(&self, name: &str) -> Option<Arc<BlockLayer>> {
+    pub(crate) fn layer(&self, name: &str) -> Option<Arc<BlockLayer>> {
         self.layers.read().get(name).cloned()
     }
 
@@ -67,7 +67,7 @@ impl DeviceRegistry {
 
 /// Read a device name out of factory params (key `"device"`, default
 /// `"default"`).
-pub fn device_param(params: &serde_json::Value) -> String {
+pub(crate) fn device_param(params: &serde_json::Value) -> String {
     params
         .get("device")
         .and_then(|v| v.as_str())

@@ -16,7 +16,7 @@ pub struct DummyMod {
     /// Module "version", bumped by each upgrade factory call.
     pub version: u64,
     /// Default per-message work when the request does not carry one.
-    pub default_work_ns: u64,
+    pub(crate) default_work_ns: u64,
     count: Stat,
 }
 

@@ -9,7 +9,7 @@
 //!
 //! * **Kick** — the caller, holding its log's mutex, swaps the pending
 //!   records out, reserves the frame's sectors, sequence number and chain
-//!   value, seals it, and hands the bytes to the [`FrameWriter`]. Appends
+//!   value, seals it, and hands the bytes to the `FrameWriter`. Appends
 //!   keep filling a fresh frame.
 //! * **Write** — the writer issues the frame as one device write under
 //!   its mutex, on the flush timeline rather than the caller's clock.
@@ -22,7 +22,7 @@
 //! A frame's write starts at `max(durable_vt, submit_vt)` — it can
 //! neither begin before the foreground kicked it (`submit_vt`, causality)
 //! nor before the previous frame finished (`durable_vt`, frames are
-//! serialized on one timeline). [`FrameWriter::sync`] then charges the
+//! serialized on one timeline). `FrameWriter::sync` then charges the
 //! *waiter* with `idle_until(durable_vt)`: the caller's envelope pays
 //! exactly the wall-clock it would have waited for durability, but as
 //! idle time, not busy time — the device work itself is never billed to
@@ -33,8 +33,8 @@
 //! The kick fails fast (region-full is detected before any cursor moves).
 //! Device errors happen after the cursors already advanced, and a kick
 //! from `append` has nobody to report to, so they are *sticky*: the first
-//! one is latched and every subsequent [`FrameWriter::sync`] reports it
-//! until crash recovery calls [`FrameWriter::reset`]. A failed frame
+//! one is latched and every subsequent `FrameWriter::sync` reports it
+//! until crash recovery calls `FrameWriter::reset`. A failed frame
 //! leaves a hole in the journal chain, and the latch guarantees no later
 //! durability point can report `Ok` past that hole.
 
@@ -53,14 +53,14 @@ struct State {
 }
 
 /// The journal's frame writer, one per module instance. See module docs.
-pub struct FrameWriter {
+pub(crate) struct FrameWriter {
     device: Arc<SimDevice>,
     state: Mutex<State>,
 }
 
 impl FrameWriter {
     /// A writer for `device`.
-    pub fn new(device: Arc<SimDevice>) -> Self {
+    pub(crate) fn new(device: Arc<SimDevice>) -> Self {
         FrameWriter {
             device,
             state: Mutex::new(State::default()),
@@ -70,7 +70,7 @@ impl FrameWriter {
     /// Write one sealed frame at device `sector` on the flush timeline.
     /// The caller has already swapped the records out of its log and
     /// advanced the log's cursors — the writer only does device work.
-    pub fn submit(&self, frame: Vec<u8>, sector: u64, submit_vt: u64) {
+    pub(crate) fn submit(&self, frame: Vec<u8>, sector: u64, submit_vt: u64) {
         let mut st = self.state.lock();
         // One write per frame: the frame seals itself, so nothing has to
         // follow it.
@@ -84,7 +84,7 @@ impl FrameWriter {
     /// Durability point: every submitted frame is on the device, so
     /// charge the waiter's clock up to the durable instant and surface
     /// any latched write error.
-    pub fn sync(&self, ctx: &mut Ctx) -> Result<(), DeviceError> {
+    pub(crate) fn sync(&self, ctx: &mut Ctx) -> Result<(), DeviceError> {
         let (durable, err) = {
             let st = self.state.lock();
             (st.durable_vt, st.first_err.clone())
@@ -95,13 +95,13 @@ impl FrameWriter {
 
     /// Crash-recovery reset: clear the error latch and rewind the
     /// durability clock for the post-recovery timeline.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         *self.state.lock() = State::default();
     }
 
     /// Carry durability-clock and error-latch continuity from the
     /// instance being replaced during an upgrade.
-    pub fn absorb(&self, prev: &FrameWriter) {
+    pub(crate) fn absorb(&self, prev: &FrameWriter) {
         let (vt, err) = {
             let st = prev.state.lock();
             (st.durable_vt, st.first_err.clone())

@@ -16,9 +16,9 @@
 //! iff its header CRC, its sequence number, its chain field and its
 //! payload CRC all validate. The payload CRC is the commit point. The
 //! writer acks a frame only after its write returned, and one
-//! [`FrameWriter`] issues the writes of a log in submission order.
+//! `FrameWriter` issues the writes of a log in submission order.
 //!
-//! Recovery ([`replay_scan`]) discovers the log extent from media alone:
+//! Recovery (`replay_scan`) discovers the log extent from media alone:
 //! it walks the region from the start, one frame at a time, and *stops at
 //! the first invalid frame*. Whatever follows — a torn frame, stale bytes
 //! from a previous era — is discarded, making replay prefix-consistent:
@@ -28,8 +28,8 @@
 //! and a new frame k is appended, the old frame k+1 still on media names
 //! the *old* frame k as its predecessor and is rejected.
 //!
-//! [`LogRegion`] is one worker's log over one device region (the frame
-//! under construction plus sector cursors); [`Journal`] is a module's set
+//! `LogRegion` is one worker's log over one device region (the frame
+//! under construction plus sector cursors); `Journal` is a module's set
 //! of regions with the writer that writes them. LabFS and LabKVS keep
 //! only their record encode, decode and apply.
 
@@ -47,7 +47,7 @@ pub const FRAME_MAGIC: u32 = 0x4C42_4A32; // "LBJ2"
 
 /// Encoded header size: magic, seq, payload_len, payload_crc, prev_crc,
 /// header_crc.
-pub const HEADER_SIZE: usize = 4 + 8 + 4 + 4 + 4 + 4;
+pub(crate) const HEADER_SIZE: usize = 4 + 8 + 4 + 4 + 4 + 4;
 /// The header bytes `header_crc` covers.
 const HEADER_CRC_AT: usize = HEADER_SIZE - 4;
 
@@ -180,24 +180,24 @@ fn parse_header(sector: &[u8]) -> HeaderParse {
 
 /// Result of scanning one log region.
 #[derive(Debug, Default)]
-pub struct ScanOutcome {
+pub(crate) struct ScanOutcome {
     /// Committed transactions in order: `(seq, payload)`.
-    pub txns: Vec<(u64, Vec<u8>)>,
+    pub(crate) txns: Vec<(u64, Vec<u8>)>,
     /// First sector after the last committed frame, relative to the
     /// region start — the first invalid sector, and the resume point for
     /// new appends.
-    pub next_sector: u64,
+    pub(crate) next_sector: u64,
     /// Header CRC of the last committed frame (0 when there is none):
     /// the `prev_crc` of the next append.
-    pub last_header_crc: u32,
+    pub(crate) last_header_crc: u32,
     /// Torn or stale frames discarded at the tail.
-    pub txns_discarded: u64,
+    pub(crate) txns_discarded: u64,
     /// True when the scan stopped on nonzero garbage rather than a clean
     /// (all-zero) end of log.
-    pub torn_tail: bool,
+    pub(crate) torn_tail: bool,
     /// True when the scan stopped *inside* a frame: its header landed and
     /// chains, its payload did not.
-    pub mid_frame_tear: bool,
+    pub(crate) mid_frame_tear: bool,
 }
 
 /// Walk a log region frame by frame, validating each and stopping at the
@@ -208,7 +208,7 @@ pub struct ScanOutcome {
 /// error (treated as end of scan). Reads are incremental — proportional
 /// to the actual log extent, not the region size — so recovery cost
 /// scales with what was written.
-pub fn replay_scan<F>(region_sectors: u64, mut read: F) -> ScanOutcome
+pub(crate) fn replay_scan<F>(region_sectors: u64, mut read: F) -> ScanOutcome
 where
     F: FnMut(u64, u64) -> Option<Vec<u8>>,
 {
@@ -317,7 +317,7 @@ impl From<DeviceError> for JournalError {
 /// into its reserved device region. Each flush seals the frame and hands
 /// it to the [`FrameWriter`] as one device write.
 #[derive(Debug, Clone)]
-pub struct LogRegion {
+pub(crate) struct LogRegion {
     /// [`HEADER_SIZE`] reserved bytes, then the records appended since
     /// the last kick.
     frame: Vec<u8>,
@@ -343,7 +343,7 @@ fn empty_frame() -> Vec<u8> {
 
 impl LogRegion {
     /// An empty log over `sectors` device sectors from `start_sector`.
-    pub fn new(start_sector: u64, sectors: u64) -> Self {
+    pub(crate) fn new(start_sector: u64, sectors: u64) -> Self {
         LogRegion {
             frame: empty_frame(),
             start_sector,
@@ -359,7 +359,12 @@ impl LogRegion {
     /// kicked as a frame on the flush timeline, so the append path never
     /// charges its caller device time. A full log drops the record: it
     /// could never reach media.
-    pub fn append(&mut self, flush: &FrameWriter, now: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+    pub(crate) fn append(
+        &mut self,
+        flush: &FrameWriter,
+        now: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
         if self.full.is_some() {
             return;
         }
@@ -372,7 +377,7 @@ impl LogRegion {
     /// Seal the pending records as this log's next frame and hand it to
     /// the [`FrameWriter`], which has written it when this returns.
     /// Returns the region-full error if this or an earlier kick met it.
-    pub fn kick(&mut self, flush: &FrameWriter, now: u64) -> Result<(), JournalError> {
+    pub(crate) fn kick(&mut self, flush: &FrameWriter, now: u64) -> Result<(), JournalError> {
         self.submit_next(flush, now);
         match &self.full {
             Some(e) => Err(e.clone()),
@@ -419,7 +424,7 @@ impl LogRegion {
     /// appends right after the last committed frame. `apply(payload,
     /// pos)` decodes and applies the record at `payload[*pos..]` and
     /// advances `pos`; `None` means the bytes there are no record.
-    pub fn replay(
+    pub(crate) fn replay(
         &mut self,
         device: &SimDevice,
         mut apply: impl FnMut(&[u8], &mut usize) -> Option<()>,
@@ -477,7 +482,7 @@ impl LogRegion {
 /// The per-worker log regions of one LabFS or LabKVS instance, laid out
 /// back to back from sector 0 of `device`, and the [`FrameWriter`] that
 /// writes their frames.
-pub struct Journal {
+pub(crate) struct Journal {
     regions: Vec<Mutex<LogRegion>>,
     /// Direct handle for log persistence and replay.
     device: Arc<SimDevice>,
@@ -490,7 +495,7 @@ pub struct Journal {
 
 impl Journal {
     /// `workers` regions of `sectors_per_worker` sectors each.
-    pub fn new(device: Arc<SimDevice>, workers: usize, sectors_per_worker: u64) -> Self {
+    pub(crate) fn new(device: Arc<SimDevice>, workers: usize, sectors_per_worker: u64) -> Self {
         Journal {
             regions: (0..workers as u64)
                 .map(|w| Mutex::new(LogRegion::new(w * sectors_per_worker, sectors_per_worker)))
@@ -502,7 +507,7 @@ impl Journal {
     }
 
     /// Append one record to the log of the worker running on `core`.
-    pub fn append(&self, core: usize, now: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+    pub(crate) fn append(&self, core: usize, now: u64, encode: impl FnOnce(&mut Vec<u8>)) {
         self.regions[core % self.regions.len()]
             .lock()
             .append(&self.flush, now, encode);
@@ -511,7 +516,7 @@ impl Journal {
     /// Durability point: kick every log's pending records as one frame
     /// each — every kicked frame is then on the device — and charge the
     /// waiter's clock up to the instant the last one landed.
-    pub fn sync(&self, ctx: &mut Ctx) -> Result<(), JournalError> {
+    pub(crate) fn sync(&self, ctx: &mut Ctx) -> Result<(), JournalError> {
         for region in &self.regions {
             region.lock().kick(&self.flush, ctx.now())?;
         }
@@ -522,7 +527,10 @@ impl Journal {
     /// [`LogRegion::replay`]). The scan trusts media, not in-memory
     /// cursors, so the writer's error latch and durability clock are
     /// cleared first: they describe the timeline before the crash.
-    pub fn replay(&self, mut apply: impl FnMut(&[u8], &mut usize) -> Option<()>) -> RepairReport {
+    pub(crate) fn replay(
+        &self,
+        mut apply: impl FnMut(&[u8], &mut usize) -> Option<()>,
+    ) -> RepairReport {
         self.flush.reset();
         let mut report = RepairReport::default();
         for region in &self.regions {
@@ -533,7 +541,8 @@ impl Journal {
     }
 
     /// What the most recent repair found, if one has run.
-    pub fn last_repair(&self) -> Option<RepairReport> {
+    #[cfg(test)]
+    pub(crate) fn last_repair(&self) -> Option<RepairReport> {
         *self.last_repair.lock()
     }
 
@@ -544,7 +553,7 @@ impl Journal {
     /// clock and error latch carry over; a kick writes its frame before
     /// it lets go of its region, so the cursors copied under the region
     /// locks are final.
-    pub fn absorb(&self, prev: &Journal) {
+    pub(crate) fn absorb(&self, prev: &Journal) {
         self.flush.absorb(&prev.flush);
         for (mine, theirs) in self.regions.iter().zip(prev.regions.iter()) {
             *mine.lock() = theirs.lock().clone();
@@ -569,11 +578,11 @@ pub struct RepairReport {
     /// Committed transactions replayed.
     pub txns_replayed: u64,
     /// Log records applied from committed transactions.
-    pub records_replayed: u64,
+    pub(crate) records_replayed: u64,
     /// Torn or stale frames discarded.
     pub txns_discarded: u64,
     /// Committed transactions whose payload stopped decoding part-way.
-    pub records_discarded: u64,
+    pub(crate) records_discarded: u64,
     /// Regions whose scan stopped inside a frame: the header sector
     /// landed, the payload did not (a tear only a multi-sector frame can
     /// show; a one-sector frame lands whole or not at all).
@@ -584,7 +593,7 @@ pub struct RepairReport {
 
 impl RepairReport {
     /// Fold another region's findings into this report.
-    pub fn merge(&mut self, other: &RepairReport) {
+    pub(crate) fn merge(&mut self, other: &RepairReport) {
         self.txns_replayed += other.txns_replayed;
         self.records_replayed += other.records_replayed;
         self.txns_discarded += other.txns_discarded;

@@ -47,7 +47,8 @@ mod data;
 mod meta;
 mod pushdown;
 
-pub use meta::{LogRecord, NameSnapshot};
+pub use meta::LogRecord;
+pub(crate) use meta::NameSnapshot;
 
 /// Filesystem block size.
 pub const FS_BLOCK: usize = 4096;
@@ -87,7 +88,8 @@ impl LabFs {
     }
 
     /// What the most recent repair found, if one has run.
-    pub fn last_repair(&self) -> Option<RepairReport> {
+    #[cfg(test)]
+    pub(crate) fn last_repair(&self) -> Option<RepairReport> {
         self.store.last_repair()
     }
 

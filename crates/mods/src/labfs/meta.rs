@@ -168,7 +168,7 @@ impl LogRecord {
 
 /// One name with its inode's journaled state: the attributes and the
 /// sorted (page, block) map.
-pub type NameSnapshot = (String, FileStat, Vec<(u64, u64)>);
+pub(crate) type NameSnapshot = (String, FileStat, Vec<(u64, u64)>);
 
 #[derive(Clone)]
 struct FsNode {

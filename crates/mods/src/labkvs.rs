@@ -173,7 +173,7 @@ impl LabKvs {
     }
 
     /// Build LabKVS with an explicit number of `GetWhere` table levels.
-    pub fn with_levels(device: Arc<SimDevice>, workers: usize, levels: u32) -> Self {
+    pub(crate) fn with_levels(device: Arc<SimDevice>, workers: usize, levels: u32) -> Self {
         let geometry = (LOG_SECTORS_PER_WORKER, 1, STEAL_SECTORS);
         LabKvs {
             store: MetaStore::new(device, workers, geometry, KeyMap::new),
@@ -192,11 +192,6 @@ impl LabKvs {
     /// frames, discarding any torn or stale tail.
     pub fn replay_from_device(&self) -> RepairReport {
         self.store.replay()
-    }
-
-    /// What the most recent repair found, if one has run.
-    pub fn last_repair(&self) -> Option<RepairReport> {
-        self.store.last_repair()
     }
 
     /// Number of live keys.

@@ -53,6 +53,7 @@ impl Policy for LruPolicy {
         self.0.pop_lru()
     }
 
+    #[cfg(test)]
     fn resident(&self) -> usize {
         self.0.len()
     }
@@ -63,7 +64,7 @@ pub type LruCacheMod = BlockCache<LruPolicy>;
 
 impl LruCacheMod {
     /// Cache of `capacity_bytes` with exact LRU eviction order.
-    pub fn new(capacity_bytes: usize, write_back: bool) -> Self {
+    pub(crate) fn new(capacity_bytes: usize, write_back: bool) -> Self {
         Self::build(capacity_bytes, write_back)
     }
 }

@@ -147,6 +147,7 @@ impl<S: StateMachine> MetaStore<S> {
     }
 
     /// What the most recent [`MetaStore::replay`] found, if one has run.
+    #[cfg(test)]
     pub(crate) fn last_repair(&self) -> Option<RepairReport> {
         self.journal.last_repair()
     }

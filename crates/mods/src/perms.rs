@@ -29,7 +29,7 @@ struct Owner {
 }
 
 /// The permissions LabMod.
-pub struct PermsMod {
+pub(crate) struct PermsMod {
     /// Path (or key) ownership, recorded at create time.
     owners: RwLock<HashMap<String, Owner>>,
     /// Mode given to new entries.
@@ -38,7 +38,7 @@ pub struct PermsMod {
 
 impl PermsMod {
     /// New checker; entries created through it get `default_mode`.
-    pub fn new(default_mode: u16) -> Self {
+    pub(crate) fn new(default_mode: u16) -> Self {
         PermsMod {
             owners: RwLock::new(HashMap::new()),
             default_mode,
@@ -148,7 +148,7 @@ impl LabMod for PermsMod {
 
 /// Register the factory. Params: `{"default_mode": <u16>}` (default
 /// 0o644).
-pub fn install(mm: &ModuleManager) {
+pub(crate) fn install(mm: &ModuleManager) {
     mm.register_factory(
         "permissions",
         Arc::new(|params| {

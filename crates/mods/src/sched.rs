@@ -27,13 +27,13 @@ const LAB_SCHED_NS: u64 = 850;
 const LATENCY_SIZE_BYTES: usize = 16 * 1024;
 
 /// Lab-NoOp: map to a hardware queue by originating core.
-pub struct NoopSchedMod {
+pub(crate) struct NoopSchedMod {
     queues: usize,
 }
 
 impl NoopSchedMod {
     /// Schedule across `queues` hardware queues.
-    pub fn new(queues: usize) -> Self {
+    pub(crate) fn new(queues: usize) -> Self {
         NoopSchedMod {
             queues: queues.max(1),
         }
@@ -66,7 +66,7 @@ impl LabMod for NoopSchedMod {
 }
 
 /// Lab-Blk: blk-switch-like steering on live queue depths.
-pub struct BlkSwitchSchedMod {
+pub(crate) struct BlkSwitchSchedMod {
     dev: Arc<SimDevice>,
     /// Depth above which throughput requests spill to the least-loaded
     /// queue.
@@ -79,7 +79,7 @@ pub struct BlkSwitchSchedMod {
 
 impl BlkSwitchSchedMod {
     /// Steer over `dev`'s hardware queues.
-    pub fn new(dev: Arc<SimDevice>, congestion_threshold: usize) -> Self {
+    pub(crate) fn new(dev: Arc<SimDevice>, congestion_threshold: usize) -> Self {
         BlkSwitchSchedMod {
             history: labstor_kernel::sched::BulkHistory::new(dev.num_queues()),
             dev,
@@ -144,7 +144,7 @@ impl LabMod for BlkSwitchSchedMod {
 /// * `noop_sched` params: `{"queues": <n>}` (default 32).
 /// * `blk_switch_sched` params: `{"device": "<name>",
 ///   "congestion_threshold": <n>}` (default 64).
-pub fn install(mm: &ModuleManager) {
+pub(crate) fn install(mm: &ModuleManager) {
     mm.register_factory(
         "noop_sched",
         Arc::new(|params| {
@@ -156,7 +156,7 @@ pub fn install(mm: &ModuleManager) {
 
 /// Blk-switch needs device visibility; registered separately with the
 /// registry in scope.
-pub fn install_blk_switch(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
+pub(crate) fn install_blk_switch(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
     let reg = devices.clone();
     mm.register_factory(
         "blk_switch_sched",

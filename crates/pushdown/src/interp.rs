@@ -44,7 +44,7 @@ pub struct ScanOut {
     /// Wrapping sum of verdicts ([`Action::Sum`]).
     pub agg: u64,
     /// Fuel consumed so far.
-    pub fuel_used: u64,
+    pub(crate) fuel_used: u64,
     /// Byte offsets (within the scanned data of the *current* call) of
     /// matching records ([`Action::Select`] only).
     pub hits: Vec<usize>,
@@ -54,7 +54,7 @@ pub struct ScanOut {
 /// is decremented by one per retired instruction; exhaustion aborts
 /// with [`ExecError::OutOfFuel`]. Falling off the end of the program
 /// returns verdict 0 (no match).
-pub fn run_record(
+pub(crate) fn run_record(
     insns: &[Insn],
     record: &[u8],
     index: u64,

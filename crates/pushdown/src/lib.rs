@@ -38,21 +38,21 @@ pub mod interp;
 #[cfg(test)]
 mod reference;
 
-pub use interp::{scan, ExecError, ScanOut};
+pub use interp::{scan, ScanOut};
 
 /// Number of general-purpose registers.
-pub const NUM_REGS: usize = 16;
+pub(crate) const NUM_REGS: usize = 16;
 /// Maximum program length in instructions.
-pub const MAX_INSNS: usize = 256;
+pub(crate) const MAX_INSNS: usize = 256;
 /// Maximum fuel budget a program may declare (≈2 ms of virtual time).
-pub const MAX_FUEL: u64 = 1 << 20;
+pub(crate) const MAX_FUEL: u64 = 1 << 20;
 /// Maximum record length a program may declare.
-pub const MAX_RECORD_LEN: usize = 1 << 16;
+pub(crate) const MAX_RECORD_LEN: usize = 1 << 16;
 /// Virtual nanoseconds charged per fuel unit (one retired instruction —
 /// a couple of dispatch-loop steps on the paper's 2.3 GHz testbed).
 pub const FUEL_NS: u64 = 2;
 /// Encoded instruction size in bytes (see [`Program::encode`]).
-pub const ENCODED_INSN_LEN: usize = 16;
+pub(crate) const ENCODED_INSN_LEN: usize = 16;
 
 /// Arithmetic/logic operations. All arithmetic wraps; division and
 /// remainder by zero produce 0 (no trapping paths — the interpreter must
@@ -205,14 +205,14 @@ pub enum Action {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// The instruction sequence.
-    pub insns: Vec<Insn>,
+    pub(crate) insns: Vec<Insn>,
     /// Record length in bytes; every load is bounds-checked against it
     /// at verify time.
-    pub record_len: usize,
+    pub(crate) record_len: usize,
     /// What to do with matching records.
-    pub action: Action,
+    pub(crate) action: Action,
     /// Fuel budget for the whole scan (1 fuel = 1 retired instruction).
-    pub fuel_budget: u64,
+    pub(crate) fuel_budget: u64,
 }
 
 /// Why the verifier rejected a program.
@@ -220,12 +220,12 @@ pub struct Program {
 pub enum VerifyError {
     /// The program has no instructions.
     Empty,
-    /// More than [`MAX_INSNS`] instructions.
+    /// More than `MAX_INSNS` instructions.
     TooLong {
         /// Actual length.
         len: usize,
     },
-    /// `record_len` is zero or exceeds [`MAX_RECORD_LEN`].
+    /// `record_len` is zero or exceeds `MAX_RECORD_LEN`.
     BadRecordLen {
         /// Declared record length.
         record_len: usize,
@@ -271,7 +271,7 @@ pub enum VerifyError {
         /// Computed target.
         target: usize,
     },
-    /// Fuel budget zero, above [`MAX_FUEL`], or below the program length
+    /// Fuel budget zero, above `MAX_FUEL`, or below the program length
     /// (too small to retire even one record's worst case).
     FuelOverflow {
         /// Declared budget.
@@ -339,7 +339,7 @@ pub struct VerifiedProgram(Program);
 
 impl VerifiedProgram {
     /// The verified instruction sequence.
-    pub fn insns(&self) -> &[Insn] {
+    pub(crate) fn insns(&self) -> &[Insn] {
         &self.0.insns
     }
 
@@ -624,7 +624,7 @@ impl Program {
         p
     }
 
-    /// Replace the fuel budget (builders default to [`MAX_FUEL`]).
+    /// Replace the fuel budget (builders default to `MAX_FUEL`).
     // api-ok: tests/pushdown_path.rs runs a program out of fuel in-stack
     pub fn with_fuel(mut self, fuel: u64) -> Program {
         self.fuel_budget = fuel;
@@ -737,6 +737,7 @@ impl AggReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::ExecError;
     use crate::reference::reference_scan;
     use proptest::prelude::*;
 

@@ -7,7 +7,8 @@
 //! proptest in `lib.rs` compares two independent implementations of the
 //! ISA semantics rather than one implementation with itself.
 
-use crate::{Action, AluOp, CmpOp, ExecError, Insn, ScanOut, VerifiedProgram};
+use crate::interp::ExecError;
+use crate::{Action, AluOp, CmpOp, Insn, ScanOut, VerifiedProgram};
 
 /// Evaluate one record and return `(verdict, fuel_consumed)`, or the
 /// fuel consumed before exhaustion.

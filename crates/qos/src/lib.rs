@@ -31,7 +31,7 @@
 //! read.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use labstor_ipc::lockwitness::{OrderedMutex, OrderedRwLock, TENANT_BUCKET, TENANT_TABLE};
@@ -40,26 +40,7 @@ use labstor_telemetry::{LogHistogram, Stat};
 
 /// Nanoseconds per second: the fixed-point scale of [`TokenBucket`]
 /// accounting (one token = `NS_PER_SEC` token-nanoseconds).
-pub const NS_PER_SEC: u64 = 1_000_000_000;
-
-/// Deadline class a tenant declares: how the orchestrator should read its
-/// latency needs. Today this is advisory metadata exported with the
-/// accounting (the weighted-fair pass uses `weight`); it reserves the slot
-/// PAIO-style deadline scheduling plugs into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeadlineClass {
-    /// No latency target: throughput-oriented, first to be deprioritized.
-    #[default]
-    BestEffort,
-    /// Latency-sensitive: the tenant's p99 is the number the noisy-neighbor
-    /// isolation gate watches.
-    LatencySensitive,
-    /// An explicit p99 target in virtual nanoseconds.
-    Deadline {
-        /// Target p99 completion latency (virtual ns).
-        target_p99_ns: u64,
-    },
-}
+pub(crate) const NS_PER_SEC: u64 = 1_000_000_000;
 
 /// Declared per-tenant policy: what the handshake (or an admin hot update)
 /// attaches to a [`TenantId`].
@@ -72,13 +53,11 @@ pub struct TenantPolicy {
     pub weight: u32,
     /// Token-bucket refill rate in payload bytes per virtual second;
     /// 0 = unlimited (admission always passes).
-    pub rate_bytes_per_sec: u64,
+    pub(crate) rate_bytes_per_sec: u64,
     /// Token-bucket burst capacity in payload bytes. Oversize requests
     /// (cost > burst) are clamped to the burst: they drain the bucket
     /// fully instead of livelocking.
-    pub burst_bytes: u64,
-    /// Advisory latency class (see [`DeadlineClass`]).
-    pub deadline: DeadlineClass,
+    pub(crate) burst_bytes: u64,
 }
 
 impl Default for TenantPolicy {
@@ -88,7 +67,6 @@ impl Default for TenantPolicy {
             weight: 1,
             rate_bytes_per_sec: 0,
             burst_bytes: 0,
-            deadline: DeadlineClass::BestEffort,
         }
     }
 }
@@ -107,12 +85,6 @@ impl TenantPolicy {
     /// The same policy with a different weight.
     pub fn with_weight(mut self, weight: u32) -> Self {
         self.weight = weight;
-        self
-    }
-
-    /// The same policy with a deadline class.
-    pub fn with_deadline(mut self, deadline: DeadlineClass) -> Self {
-        self.deadline = deadline;
         self
     }
 }
@@ -152,7 +124,7 @@ impl TokenBucket {
     /// Reconfigure rate/burst in place (hot policy update). The tank is
     /// clamped to the new burst; accrued debt or credit otherwise carries
     /// over so an update cannot mint a free burst.
-    pub fn reconfigure(&mut self, rate: u64, burst: u64) {
+    pub(crate) fn reconfigure(&mut self, rate: u64, burst: u64) {
         self.rate = rate;
         self.burst_scaled = burst.saturating_mul(NS_PER_SEC);
         self.tank = self.tank.min(self.burst_scaled);
@@ -197,16 +169,6 @@ impl TokenBucket {
     pub fn tokens(&self) -> u64 {
         self.tank / NS_PER_SEC
     }
-
-    /// Configured refill rate (tokens per virtual second).
-    pub fn rate(&self) -> u64 {
-        self.rate
-    }
-
-    /// Configured burst capacity in whole tokens.
-    pub fn burst(&self) -> u64 {
-        self.burst_scaled / NS_PER_SEC
-    }
 }
 
 /// Live accounting for one tenant: the object the hot paths touch.
@@ -217,9 +179,6 @@ pub struct TenantState {
     id: TenantId,
     /// Weighted-fair weight (hot-updatable; always ≥ 1).
     weight: AtomicU32,
-    /// Advisory deadline class, packed for lock-free reads: 0 best-effort,
-    /// 1 latency-sensitive, otherwise the target p99 in virtual ns.
-    deadline_packed: AtomicU64,
     bucket: OrderedMutex<TokenBucket>,
     admitted: Stat,
     rejected: Stat,
@@ -233,29 +192,11 @@ pub struct TenantState {
     latency: LogHistogram,
 }
 
-fn pack_deadline(d: DeadlineClass) -> u64 {
-    match d {
-        DeadlineClass::BestEffort => 0,
-        DeadlineClass::LatencySensitive => 1,
-        // Targets below 2 ns are not meaningful; reuse the low codes.
-        DeadlineClass::Deadline { target_p99_ns } => target_p99_ns.max(2),
-    }
-}
-
-fn unpack_deadline(v: u64) -> DeadlineClass {
-    match v {
-        0 => DeadlineClass::BestEffort,
-        1 => DeadlineClass::LatencySensitive,
-        target_p99_ns => DeadlineClass::Deadline { target_p99_ns },
-    }
-}
-
 impl TenantState {
     fn new(id: TenantId, policy: &TenantPolicy) -> Self {
         TenantState {
             id,
             weight: AtomicU32::new(policy.weight.max(1)),
-            deadline_packed: AtomicU64::new(pack_deadline(policy.deadline)),
             bucket: OrderedMutex::new(
                 &TENANT_BUCKET,
                 TokenBucket::new(policy.rate_bytes_per_sec, policy.burst_bytes),
@@ -269,7 +210,7 @@ impl TenantState {
     }
 
     /// The tenant this state bills to.
-    pub fn id(&self) -> TenantId {
+    pub(crate) fn id(&self) -> TenantId {
         self.id
     }
 
@@ -291,31 +232,22 @@ impl TenantState {
     }
 
     /// Apply a (possibly hot) policy update to the live state.
-    pub fn apply_policy(&self, policy: &TenantPolicy) {
+    pub(crate) fn apply_policy(&self, policy: &TenantPolicy) {
         // relaxed-ok: weight is a tuning knob read by the next rebalance pass
         self.weight.store(policy.weight.max(1), Ordering::Relaxed);
-        // relaxed-ok: advisory metadata, same freshness contract as weight
-        self.deadline_packed
-            .store(pack_deadline(policy.deadline), Ordering::Relaxed);
         self.bucket // lock-class: qos.bucket
             .lock()
             .reconfigure(policy.rate_bytes_per_sec, policy.burst_bytes);
     }
 
     /// Current weighted-fair weight (≥ 1).
-    pub fn weight(&self) -> u32 {
+    pub(crate) fn weight(&self) -> u32 {
         // relaxed-ok: tuning knob read
         self.weight.load(Ordering::Relaxed).max(1)
     }
 
-    /// Current advisory deadline class.
-    pub fn deadline(&self) -> DeadlineClass {
-        // relaxed-ok: advisory metadata read
-        unpack_deadline(self.deadline_packed.load(Ordering::Relaxed))
-    }
-
     /// Charge `vns` virtual nanoseconds of worker service to this tenant.
-    pub fn note_service(&self, vns: u64) {
+    pub(crate) fn note_service(&self, vns: u64) {
         self.service_vns.add(vns);
     }
 
@@ -332,7 +264,7 @@ impl TenantState {
     /// Service normalized by weight (`service × 1000 / weight`): the
     /// virtual-time currency the weighted-fair pass compares across
     /// tenants.
-    pub fn normalized_service_milli(&self) -> u64 {
+    pub(crate) fn normalized_service_milli(&self) -> u64 {
         self.service_vns
             .get()
             .saturating_mul(1000)
@@ -361,7 +293,7 @@ impl TenantState {
     }
 
     /// p50 completion latency (virtual ns; 0 with no samples).
-    pub fn p50_ns(&self) -> u64 {
+    pub(crate) fn p50_ns(&self) -> u64 {
         self.latency.p50()
     }
 
@@ -547,18 +479,19 @@ impl TenantTable {
     }
 
     /// Number of registered tenants.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let inner = self.inner.read(); // lock-class: qos.tenants
         inner.tenants.len()
     }
 
     /// True when no tenant is registered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Snapshot of every registered tenant's live state.
-    pub fn all(&self) -> Vec<Arc<TenantState>> {
+    pub(crate) fn all(&self) -> Vec<Arc<TenantState>> {
         let inner = self.inner.read(); // lock-class: qos.tenants
         let mut v: Vec<_> = inner.tenants.values().cloned().collect();
         v.sort_by_key(|s| s.id());
@@ -738,23 +671,5 @@ mod tests {
         let tenants = doc["tenants"].as_array().unwrap();
         assert_eq!(tenants.len(), 2);
         assert_eq!(tenants[0]["tenant"].as_u64(), Some(1));
-    }
-
-    #[test]
-    fn deadline_class_round_trips() {
-        for d in [
-            DeadlineClass::BestEffort,
-            DeadlineClass::LatencySensitive,
-            DeadlineClass::Deadline {
-                target_p99_ns: 123_456,
-            },
-        ] {
-            assert_eq!(unpack_deadline(pack_deadline(d)), d);
-        }
-        let s = TenantState::new(
-            TenantId(1),
-            &TenantPolicy::default().with_deadline(DeadlineClass::LatencySensitive),
-        );
-        assert_eq!(s.deadline(), DeadlineClass::LatencySensitive);
     }
 }

@@ -51,7 +51,7 @@ pub trait BlockDevice: Send + Sync {
 /// # Timing
 ///
 /// Each command reserves the internal *channel* that frees up earliest
-/// ([`ChannelPool`]); its completion deadline is
+/// (`ChannelPool`); its completion deadline is
 /// `max(now, channel_free) + service`. Synchronous callers advance their
 /// virtual clock to the deadline; asynchronous callers discover it via
 /// [`BlockDevice::reap`]. Channel occupancy creates genuine queueing when

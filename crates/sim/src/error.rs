@@ -159,7 +159,7 @@ impl FaultConfig {
     }
 
     /// Returns true if the current command should fail.
-    pub fn should_fail(&self) -> bool {
+    pub(crate) fn should_fail(&self) -> bool {
         let period = self.period.load(Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
         if period == 0 {
             return false;
@@ -203,7 +203,7 @@ impl FaultConfig {
     }
 
     /// Whether torn writes are silent (acked as success).
-    pub fn torn_silent(&self) -> bool {
+    pub(crate) fn torn_silent(&self) -> bool {
         self.torn_silent.load(Ordering::Relaxed) // relaxed-ok: fault-injection knob; guards no other memory
     }
 
@@ -220,7 +220,7 @@ impl FaultConfig {
     }
 
     /// The configured power-cut time, if one is armed.
-    pub fn crash_at(&self) -> Option<u64> {
+    pub(crate) fn crash_at(&self) -> Option<u64> {
         let at = self.crash_at.load(Ordering::Relaxed); // relaxed-ok: fault-injection knob; guards no other memory
         (at != u64::MAX).then_some(at)
     }
@@ -228,7 +228,7 @@ impl FaultConfig {
     /// Seeded prefix length for a write torn by power loss: how many of
     /// its `sectors` land, keyed on the write's start LBA so distinct
     /// straddling writes tear differently.
-    pub fn crash_torn_sectors(&self, lba: u64, sectors: u64) -> u64 {
+    pub(crate) fn crash_torn_sectors(&self, lba: u64, sectors: u64) -> u64 {
         if sectors == 0 {
             return 0;
         }

@@ -17,7 +17,7 @@
 //! 2. **Time is modeled in virtual nanoseconds.** Each operation computes a
 //!    model service time (base latency + size/bandwidth + positioning
 //!    penalties) and reserves one of a bounded pool of internal channels on
-//!    the virtual timeline ([`time::ChannelPool`]). Saturation, queueing and
+//!    the virtual timeline (`time::ChannelPool`). Saturation, queueing and
 //!    device-parallelism effects emerge from the reservation algebra and are
 //!    therefore *host-independent*: the same shapes reproduce on a laptop or
 //!    a single-core CI box (see `crates/sim/src/time.rs` for the rationale).
@@ -34,9 +34,8 @@ pub use device::{BlockDevice, SimDevice};
 pub use error::{DeviceError, FaultConfig};
 pub use model::{DeviceKind, DeviceModel};
 pub use pmem::PmemDevice;
-pub use queue::{Completion, CompletionStash, HwQueue, IoOp, IoRequest};
-pub use stats::DeviceStats;
-pub use time::{ChannelPool, Ctx, Resource};
+pub use queue::{Completion, CompletionStash, IoOp, IoRequest};
+pub use time::{Ctx, Resource};
 
 /// Size of a device sector in bytes. All LBAs are sector-granular.
 pub const SECTOR_SIZE: usize = 512;

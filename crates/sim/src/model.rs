@@ -39,32 +39,27 @@ impl DeviceKind {
 /// queues.
 #[derive(Debug, Clone)]
 pub struct DeviceModel {
-    /// Hardware class.
-    pub kind: DeviceKind,
     /// Total capacity in bytes.
-    pub capacity: u64,
+    pub(crate) capacity: u64,
     /// Fixed per-command read latency in ns (controller + media access).
-    pub read_latency_ns: u64,
+    pub(crate) read_latency_ns: u64,
     /// Fixed per-command write latency in ns.
     pub write_latency_ns: u64,
     /// Sustained read bandwidth in bytes per second.
-    pub read_bw_bps: u64,
+    pub(crate) read_bw_bps: u64,
     /// Sustained write bandwidth in bytes per second.
-    pub write_bw_bps: u64,
+    pub(crate) write_bw_bps: u64,
     /// Internal parallelism: number of transfers serviced concurrently.
     pub channels: usize,
     /// Number of hardware submission/completion queue pairs exposed.
     pub hw_queues: usize,
     /// Average positioning penalty (seek + rotation) in ns for a
     /// non-contiguous access. Zero for solid-state devices.
-    pub seek_ns: u64,
+    pub(crate) seek_ns: u64,
     /// LBA distance (in sectors) above which an access pays `seek_ns`.
-    pub seek_threshold_sectors: u64,
-    /// True if completions are discovered by polling (NVMe, PMEM); false
-    /// if the device raises a (simulated) interrupt.
-    pub poll_completions: bool,
+    pub(crate) seek_threshold_sectors: u64,
     /// True if the device is byte-addressable via load/store (PMEM).
-    pub byte_addressable: bool,
+    pub(crate) byte_addressable: bool,
 }
 
 impl DeviceModel {
@@ -73,9 +68,8 @@ impl DeviceModel {
     /// Datasheet: ~20 µs read / ~20 µs write 4K latency class; we use
     /// 10 µs write base + bandwidth so a 4 KB write services in ~11.5 µs,
     /// matching Fig. 4a where "I/O" is ~66% of a ~17 µs total.
-    pub fn nvme_p3700(capacity: u64) -> Self {
+    pub(crate) fn nvme_p3700(capacity: u64) -> Self {
         DeviceModel {
-            kind: DeviceKind::Nvme,
             capacity,
             read_latency_ns: 8_000,
             write_latency_ns: 10_000,
@@ -85,15 +79,13 @@ impl DeviceModel {
             hw_queues: 32,
             seek_ns: 0,
             seek_threshold_sectors: 0,
-            poll_completions: true,
             byte_addressable: false,
         }
     }
 
     /// Intel SSDSC2BX01-class SATA SSD (the paper's SSD device).
-    pub fn sata_ssd(capacity: u64) -> Self {
+    pub(crate) fn sata_ssd(capacity: u64) -> Self {
         DeviceModel {
-            kind: DeviceKind::SataSsd,
             capacity,
             read_latency_ns: 55_000,
             write_latency_ns: 60_000,
@@ -103,7 +95,6 @@ impl DeviceModel {
             hw_queues: 1,
             seek_ns: 0,
             seek_threshold_sectors: 0,
-            poll_completions: false,
             byte_addressable: false,
         }
     }
@@ -111,9 +102,8 @@ impl DeviceModel {
     /// Seagate ST600MP0005-class 15K SAS HDD (the paper's HDD device).
     ///
     /// 15 000 RPM → 2 ms average rotational latency; ~2.5 ms average seek.
-    pub fn hdd_15k(capacity: u64) -> Self {
+    pub(crate) fn hdd_15k(capacity: u64) -> Self {
         DeviceModel {
-            kind: DeviceKind::Hdd,
             capacity,
             read_latency_ns: 100_000,
             write_latency_ns: 100_000,
@@ -123,15 +113,13 @@ impl DeviceModel {
             hw_queues: 1,
             seek_ns: 4_500_000,
             seek_threshold_sectors: 256,
-            poll_completions: false,
             byte_addressable: false,
         }
     }
 
     /// Bootloader-emulated persistent memory (DRAM-backed, as in the paper).
-    pub fn pmem(capacity: u64) -> Self {
+    pub(crate) fn pmem(capacity: u64) -> Self {
         DeviceModel {
-            kind: DeviceKind::Pmem,
             capacity,
             read_latency_ns: 300,
             write_latency_ns: 500,
@@ -141,7 +129,6 @@ impl DeviceModel {
             hw_queues: 1,
             seek_ns: 0,
             seek_threshold_sectors: 0,
-            poll_completions: true,
             byte_addressable: true,
         }
     }

@@ -28,7 +28,7 @@ pub struct PmemDevice {
 
 impl PmemDevice {
     /// Create a PMEM device. The model must be byte-addressable.
-    pub fn new(model: DeviceModel) -> Result<Arc<Self>, DeviceError> {
+    pub(crate) fn new(model: DeviceModel) -> Result<Arc<Self>, DeviceError> {
         if !model.byte_addressable {
             return Err(DeviceError::NotByteAddressable);
         }
@@ -52,7 +52,8 @@ impl PmemDevice {
     }
 
     /// Cumulative statistics.
-    pub fn stats(&self) -> &DeviceStats {
+    #[cfg(test)]
+    fn stats(&self) -> &DeviceStats {
         &self.stats
     }
 

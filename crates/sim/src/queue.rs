@@ -1,6 +1,6 @@
 //! Hardware submission/completion queues for simulated devices.
 //!
-//! A [`HwQueue`] mirrors an NVMe queue pair: commands are *submitted* and
+//! A `HwQueue` mirrors an NVMe queue pair: commands are *submitted* and
 //! their completions are later *polled*. Each submitted command carries a
 //! virtual-time deadline computed by the device's channel model; `reap`
 //! surfaces completions whose deadline has passed on the caller's
@@ -140,8 +140,8 @@ impl Completion {
 /// A command whose media work has been scheduled and which becomes
 /// visible to `reap` once the caller's virtual clock reaches `due`.
 pub(crate) struct PendingIo {
-    pub due: u64,
-    pub completion: Completion,
+    pub(crate) due: u64,
+    pub(crate) completion: Completion,
 }
 
 /// One hardware submission/completion queue pair.
@@ -150,7 +150,7 @@ pub(crate) struct PendingIo {
 /// `HwQueue` models doorbell/CQ contention on one NVMe queue pair, which is
 /// exactly why real multi-queue drivers give each core its own pair.
 #[derive(Default)]
-pub struct HwQueue {
+pub(crate) struct HwQueue {
     pending: Mutex<VecDeque<PendingIo>>,
 }
 
@@ -160,7 +160,7 @@ impl HwQueue {
     }
 
     /// Number of commands submitted but not yet reaped.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.pending.lock().len() // lock-class: sim.queue
     }
 
@@ -170,7 +170,7 @@ impl HwQueue {
     /// Completions are reaped in submission order per queue (like an NVMe
     /// completion queue): a due entry behind a not-yet-due entry waits,
     /// which models in-order CQ consumption on one queue pair.
-    pub fn reap(&self, now: u64) -> Option<Completion> {
+    pub(crate) fn reap(&self, now: u64) -> Option<Completion> {
         let mut q = self.pending.lock(); // lock-class: sim.queue
         match q.front() {
             Some(p) if p.due <= now => q.pop_front().map(|p| p.completion),
@@ -180,7 +180,7 @@ impl HwQueue {
 
     /// Virtual time at which the *next* (oldest) pending command completes.
     /// A poller can `poll_until` this to model spin-polling for it.
-    pub fn next_due(&self) -> Option<u64> {
+    pub(crate) fn next_due(&self) -> Option<u64> {
         self.pending.lock().front().map(|p| p.due) // lock-class: sim.queue
     }
 

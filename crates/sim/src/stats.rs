@@ -38,14 +38,14 @@ pub struct StatsSnapshot {
     /// Total modeled media service time in ns.
     pub busy_ns: u64,
     /// Accesses that paid a positioning penalty.
-    pub seeks: u64,
+    pub(crate) seeks: u64,
     /// Failed commands.
     pub errors: u64,
 }
 
 impl DeviceStats {
     /// Record a completed command.
-    pub fn record(&self, write: bool, bytes: usize, service_ns: u64, seeked: bool) {
+    pub(crate) fn record(&self, write: bool, bytes: usize, service_ns: u64, seeked: bool) {
         if write {
             self.writes.add(1);
             self.bytes_written.add(bytes as u64);
@@ -60,7 +60,7 @@ impl DeviceStats {
     }
 
     /// Record a failed command.
-    pub fn record_error(&self) {
+    pub(crate) fn record_error(&self) {
         self.errors.add(1);
     }
 
@@ -78,7 +78,8 @@ impl DeviceStats {
     }
 
     /// Reset all counters to zero.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    fn reset(&self) {
         self.reads.set(0);
         self.writes.set(0);
         self.bytes_read.set(0);

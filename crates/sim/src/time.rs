@@ -137,12 +137,13 @@ impl Resource {
     }
 
     /// When the resource next becomes free.
-    pub fn free_at(&self) -> u64 {
+    pub(crate) fn free_at(&self) -> u64 {
         self.free_at.load(Ordering::Relaxed) // relaxed-ok: virtual-time arbitration; the counter is the only shared state
     }
 
     /// Reset to free-from-zero (between experiment phases).
-    pub fn reset(&self) {
+    #[cfg(test)]
+    fn reset(&self) {
         self.free_at.store(0, Ordering::Relaxed); // relaxed-ok: virtual-time arbitration; the counter is the only shared state
     }
 }
@@ -150,26 +151,16 @@ impl Resource {
 /// A pool of interchangeable resources (e.g. a device's internal channels):
 /// a reservation takes the channel that frees earliest.
 #[derive(Debug)]
-pub struct ChannelPool {
+pub(crate) struct ChannelPool {
     channels: Vec<Resource>,
 }
 
 impl ChannelPool {
     /// Pool of `n` channels (minimum 1).
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         ChannelPool {
             channels: (0..n.max(1)).map(|_| Resource::new()).collect(),
         }
-    }
-
-    /// Number of channels.
-    pub fn len(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// True if the pool has no channels (never — minimum is 1).
-    pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
     }
 
     /// Reserve `service_ns` on the channel affine to `key` (e.g. a
@@ -177,13 +168,13 @@ impl ChannelPool {
     /// queue its own service chain — the arbitration that lets one
     /// queue's backlog not stall another queue's commands, as NVMe's
     /// round-robin SQ arbitration does.
-    pub fn acquire_affine(&self, key: usize, at: u64, service_ns: u64) -> (u64, u64) {
+    pub(crate) fn acquire_affine(&self, key: usize, at: u64, service_ns: u64) -> (u64, u64) {
         self.channels[key % self.channels.len()].acquire(at, service_ns) // lock-class: sim.channel
     }
 
     /// Reserve `service_ns` on the earliest-free channel from `at`.
     /// Returns `(start, end)`.
-    pub fn acquire(&self, at: u64, service_ns: u64) -> (u64, u64) {
+    pub(crate) fn acquire(&self, at: u64, service_ns: u64) -> (u64, u64) {
         loop {
             let (idx, free) = self
                 .channels
@@ -205,7 +196,8 @@ impl ChannelPool {
     }
 
     /// Reset all channels.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    fn reset(&self) {
         for c in &self.channels {
             c.reset();
         }

@@ -19,11 +19,6 @@ pub struct PerfCounters {
 }
 
 impl PerfCounters {
-    /// Zeroed counters.
-    pub fn new() -> PerfCounters {
-        PerfCounters::default()
-    }
-
     /// Record one request that cost `ns`.
     pub fn observe(&self, ns: u64) {
         self.hist.record(ns);
@@ -61,7 +56,7 @@ mod tests {
 
     #[test]
     fn observe_accumulates_totals_and_quantiles() {
-        let p = PerfCounters::new();
+        let p = PerfCounters::default();
         for _ in 0..20 {
             p.observe(400);
         }

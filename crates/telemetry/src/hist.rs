@@ -1,7 +1,7 @@
 //! Lock-free HDR-style log-bucketed histogram.
 //!
 //! Values (virtual nanoseconds) are binned into base-2 octaves, each
-//! split into [`SUB`] linear sub-buckets, giving a worst-case relative
+//! split into `SUB` linear sub-buckets, giving a worst-case relative
 //! quantile error of `1/SUB` (6.25%) across the whole range — the same
 //! scheme HdrHistogram uses. Every counter is a [`Stat`], so `record` is
 //! lock-free and safe from any number of threads; `quantile` reads
@@ -77,7 +77,7 @@ impl LogHistogram {
 
     /// Record one value. Lock-free: three [`Stat`] adds, and a min/max
     /// that store only when the value is a new extremum.
-    /// Values above the histogram's domain clamp to [`MAX_VALUE`] —
+    /// Values above the histogram's domain clamp to `MAX_VALUE` —
     /// everywhere, including `min`/`max`/`sum`, so all statistics
     /// describe the same clamped stream.
     pub fn record(&self, v: u64) {
@@ -95,7 +95,7 @@ impl LogHistogram {
     }
 
     /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.get()
     }
 
@@ -115,7 +115,8 @@ impl LogHistogram {
     }
 
     /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> u64 {
+    #[cfg(test)]
+    fn mean(&self) -> u64 {
         self.sum().checked_div(self.count()).unwrap_or(0)
     }
 

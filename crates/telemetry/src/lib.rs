@@ -35,7 +35,7 @@ pub mod span;
 pub mod stat;
 
 pub use counters::PerfCounters;
-pub use export::{anatomy, chrome_trace, Anatomy};
+pub use export::{anatomy, chrome_trace};
 pub use hist::LogHistogram;
 pub use span::{ClockCell, FlightRecorder, SpanEvent, SpanRing, Stage};
 pub use stat::Stat;

@@ -50,7 +50,7 @@ pub enum Stage {
 
 impl Stage {
     /// Stable display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Submit => "submit",
             Stage::HopReq => "hop-req",
@@ -94,7 +94,7 @@ pub struct SpanEvent {
 
 impl SpanEvent {
     /// Span duration in virtual ns.
-    pub fn dur_vns(&self) -> u64 {
+    pub(crate) fn dur_vns(&self) -> u64 {
         self.t_end_vns.saturating_sub(self.t_start_vns)
     }
 
@@ -162,13 +162,8 @@ impl SpanRing {
         }
     }
 
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// This ring's id (stamped into events it records).
-    pub fn ring_id(&self) -> u16 {
+    pub(crate) fn ring_id(&self) -> u16 {
         self.ring_id
     }
 
@@ -192,7 +187,7 @@ impl SpanRing {
     }
 
     /// Total spans ever pushed.
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.head.load(Ordering::Acquire)
     }
 
@@ -233,7 +228,7 @@ impl SpanRing {
 }
 
 /// Default per-thread ring capacity (spans). ~160 KB per ring.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Recorder ids are global so one thread can record into several
 /// recorders (e.g. two Runtimes in one test process) without cross-talk.
@@ -292,7 +287,7 @@ impl FlightRecorder {
 
     /// Set the capacity used for rings created *after* this call (rings
     /// already registered keep their size). Call before `enable` when a
-    /// run needs more than [`DEFAULT_RING_CAPACITY`] spans per thread.
+    /// run needs more than `DEFAULT_RING_CAPACITY` spans per thread.
     pub fn set_ring_capacity(&self, capacity: usize) {
         self.ring_capacity
             .store(capacity.max(2) as u64, Ordering::Release);
@@ -395,7 +390,8 @@ impl FlightRecorder {
     }
 
     /// Number of per-thread rings registered so far.
-    pub fn rings(&self) -> usize {
+    #[cfg(test)]
+    fn rings(&self) -> usize {
         self.rings.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 }

@@ -67,7 +67,7 @@ impl Stat {
     /// Lower the value to `v` when `v` is smaller; loads first, like
     /// [`Stat::max`].
     #[inline]
-    pub fn min(&self, v: u64) {
+    pub(crate) fn min(&self, v: u64) {
         self.update(|cur| (v < cur).then_some(v));
     }
 

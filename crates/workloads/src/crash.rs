@@ -110,7 +110,7 @@ pub struct TrialReport {
     /// trial, which happens when the mix errored uncrashed).
     pub crash_at: Option<u64>,
     /// Operations acknowledged before the crash.
-    pub acked_ops: usize,
+    pub(crate) acked_ops: usize,
     /// History index of the last acknowledged durability point.
     pub durable_floor: usize,
     /// History index whose model state the recovered state matched.

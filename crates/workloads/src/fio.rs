@@ -35,13 +35,8 @@ pub enum RwMode {
 }
 
 impl RwMode {
-    /// True for pure-write variants.
-    pub fn is_write(self) -> bool {
-        matches!(self, RwMode::RandWrite | RwMode::SeqWrite)
-    }
-
     /// True for the random variants.
-    pub fn is_random(self) -> bool {
+    pub(crate) fn is_random(self) -> bool {
         matches!(
             self,
             RwMode::RandWrite | RwMode::RandRead | RwMode::RandMix { .. }
@@ -49,7 +44,7 @@ impl RwMode {
     }
 
     /// Decide whether operation drawing `roll` (an RNG sample) writes.
-    pub fn writes_this_op(self, roll: u64) -> bool {
+    pub(crate) fn writes_this_op(self, roll: u64) -> bool {
         match self {
             RwMode::RandWrite | RwMode::SeqWrite => true,
             RwMode::RandRead | RwMode::SeqRead => false,
@@ -133,10 +128,10 @@ pub fn run_fio(job: &FioJob, target: &mut dyn BlockTarget) -> Result<Recorder, S
     run_fio_inner(job, target, None)
 }
 
-/// Like [`run_fio`] but synchronized through a [`SkewGate`]: actor `idx`
-/// never runs more than the gate's window ahead of its slowest peer.
-/// Required whenever several fio threads share devices and the host has
-/// fewer cores than threads (see `stats::SkewGate`).
+/// Like [`run_fio`] but synchronized through a
+/// [`SkewGate`](crate::stats::SkewGate): actor `idx` never runs more than
+/// the gate's window ahead of its slowest peer. Required whenever several
+/// fio threads share devices and the host has fewer cores than threads.
 pub fn run_fio_gated(
     job: &FioJob,
     target: &mut dyn BlockTarget,
@@ -223,11 +218,6 @@ impl EngineTarget {
             label,
         }
     }
-
-    /// Read access to the clock.
-    pub fn ctx(&self) -> &Ctx {
-        &self.ctx
-    }
 }
 
 impl BlockTarget for EngineTarget {
@@ -304,11 +294,6 @@ impl StackTarget {
             stack,
             label: label.to_string(),
         }
-    }
-
-    /// The wrapped client.
-    pub fn client(&self) -> &Client {
-        &self.client
     }
 }
 

@@ -17,16 +17,16 @@ use crate::targets::FsTarget;
 #[derive(Debug, Clone)]
 pub struct LabiosJob {
     /// Labels to store.
-    pub labels: usize,
+    pub(crate) labels: usize,
     /// Label payload size (the paper uses 8 KB).
-    pub label_bytes: usize,
+    pub(crate) label_bytes: usize,
     /// Random (true, NVMe test) or sequential label ids.
-    pub random: bool,
+    pub(crate) random: bool,
     /// Number of distinct label ids (steady-state workers overwrite a
     /// bounded label space; only the first touch of an id creates).
-    pub id_space: u64,
+    pub(crate) id_space: u64,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl LabiosJob {

@@ -36,5 +36,4 @@ pub mod pushdown;
 pub mod stats;
 pub mod targets;
 
-pub use stats::Recorder;
-pub use targets::{FsTarget, KernelFsTarget, LabStorFsTarget};
+pub use targets::{FsTarget, LabStorFsTarget};

@@ -27,11 +27,11 @@ use crate::targets::FsTarget;
 #[derive(Debug, Clone)]
 pub struct PfsConfig {
     /// Stripe size in bytes (the paper uses 64 KB).
-    pub stripe: usize,
+    pub(crate) stripe: usize,
     /// One-way network latency per RPC in ns (HPC interconnect class).
-    pub net_ns: u64,
+    pub(crate) net_ns: u64,
     /// Network bandwidth in bytes/sec.
-    pub net_bw_bps: u64,
+    pub(crate) net_bw_bps: u64,
 }
 
 impl Default for PfsConfig {
@@ -243,7 +243,7 @@ pub struct VpicConfig {
 
 impl VpicConfig {
     /// Bytes one process writes per step (8 f32 per particle).
-    pub fn bytes_per_step(&self) -> usize {
+    pub(crate) fn bytes_per_step(&self) -> usize {
         self.particles * 8 * 4
     }
 }

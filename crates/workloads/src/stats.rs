@@ -56,11 +56,11 @@ impl SkewGate {
 pub struct Recorder {
     latencies: Vec<u64>,
     /// Virtual time the workload started.
-    pub start_vt: u64,
+    pub(crate) start_vt: u64,
     /// Virtual time the workload finished.
     pub end_vt: u64,
     /// Bytes moved.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl Recorder {
@@ -83,11 +83,6 @@ impl Recorder {
     /// Operations recorded.
     pub fn ops(&self) -> u64 {
         self.latencies.len() as u64
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.latencies.is_empty()
     }
 
     /// Workload span in virtual ns.

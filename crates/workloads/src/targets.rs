@@ -47,17 +47,17 @@ pub trait FsTarget {
 /// VFS (syscalls, page cache, block layer — the baseline path).
 pub struct KernelFsTarget {
     /// The VFS holding the mounted filesystem.
-    pub vfs: Arc<Vfs>,
+    pub(crate) vfs: Arc<Vfs>,
     /// This thread's virtual clock.
     pub ctx: Ctx,
     /// Simulated pid owning the fd table.
-    pub pid: u32,
+    pub(crate) pid: u32,
     /// Core the thread runs on.
-    pub core: usize,
+    pub(crate) core: usize,
     /// Credentials.
-    pub cred: Cred,
+    pub(crate) cred: Cred,
     /// Mount prefix to prepend to workload paths.
-    pub mount: String,
+    pub(crate) mount: String,
     label: String,
 }
 
@@ -187,7 +187,7 @@ pub struct LabStorFsTarget {
     /// The GenericFS connector (owns the client and its clock).
     pub gfs: GenericFs,
     /// Mount prefix to prepend to workload paths.
-    pub mount: String,
+    pub(crate) mount: String,
     label: String,
 }
 

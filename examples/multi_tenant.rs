@@ -18,7 +18,7 @@ use labstor::core::client::ClientError;
 use labstor::core::{BlockOp, Payload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
 use labstor::mods::DeviceRegistry;
-use labstor::qos::{DeadlineClass, TenantPolicy};
+use labstor::qos::TenantPolicy;
 use labstor::sim::DeviceKind;
 
 fn main() {
@@ -45,13 +45,8 @@ fn main() {
     //    rate-limited to 1 MiB of payload per virtual second.
     let latency_tenant = Credentials::new(1, 0, 0).with_tenant(1.into());
     let batch_tenant = Credentials::new(2, 0, 0).with_tenant(2.into());
-    let mut fast = rt.connect_with_policy(
-        latency_tenant,
-        1,
-        TenantPolicy::default()
-            .with_weight(4)
-            .with_deadline(DeadlineClass::LatencySensitive),
-    );
+    let mut fast =
+        rt.connect_with_policy(latency_tenant, 1, TenantPolicy::default().with_weight(4));
     let mut batch = rt.connect_with_policy(
         batch_tenant,
         1,

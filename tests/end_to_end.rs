@@ -178,6 +178,32 @@ fn execve_fd_state_survives_address_space_swap() {
 }
 
 #[test]
+fn fork_child_inherits_fds_on_its_own_connection() {
+    // §III-F: on fork the child gets a new connection and a copy of the
+    // parent's open fds; from then on each process moves its own cursors.
+    let (rt, _d) = platform(2);
+    rt.mount_stack_json(FS_SPEC).unwrap();
+    let mut parent = GenericFs::new(rt.connect(Credentials::new(1, 0, 0), 1));
+    let fd = parent.open("fs::/b/fork.log", true, false).unwrap();
+    parent.write(fd, b"parent|bytes|tail").unwrap();
+    parent.seek(fd, 7).unwrap();
+    let mut child = parent.fork(rt.connect(Credentials::new(1, 0, 0), 1));
+    // The inherited fd reads the parent's bytes from the parent's position.
+    assert_eq!(child.read(fd, 5).unwrap(), b"bytes");
+    // Seeking and closing the child's copy leaves the parent's fd in place.
+    child.seek(fd, 0).unwrap();
+    child.close(fd).unwrap();
+    assert!(child.read(fd, 1).is_err());
+    assert_eq!(parent.read(fd, 5).unwrap(), b"bytes");
+    // Both fd tables continue from the number the parent had reached.
+    let parent_next = parent.open("fs::/b/parent.log", true, false).unwrap();
+    let child_next = child.open("fs::/b/child.log", true, false).unwrap();
+    assert_eq!(child_next, parent_next);
+    assert_ne!(child_next, fd);
+    rt.shutdown();
+}
+
+#[test]
 fn refused_submissions_leave_no_load_estimate_behind() {
     // The orchestrator's backlog (`est_load_ns`) must count only requests
     // that are in the ring: every way a submission can be refused with

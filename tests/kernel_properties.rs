@@ -70,7 +70,6 @@ fn check_kernel_fs(
     cache_bytes: usize,
     actions: &[KfsAction],
 ) -> Result<(), TestCaseError> {
-    use labstor::kernel::vfs::Filesystem;
     let dev = SimDevice::preset(DeviceKind::Nvme);
     let fs = KernelFs::new(profile, BlockLayer::new(dev), cache_bytes);
     let mut ctx = Ctx::new();
