@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, clippy (workspace lint table), rustdoc with
-# warnings denied, a type-check of the frozen benchmark/ crate against
+# CI gate: formatting, clippy (workspace lint table, debug and release),
+# rustdoc with warnings denied, a type-check of the frozen benchmark/ crate against
 # this tree's API, labcheck static analysis + the six-model checking gate,
 # every workspace test, then the figure-identity gate. Each step must
 # pass. The smoke benches write target/bench/BENCH_*.json and the
@@ -18,6 +18,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo clippy --release -D warnings (release builds compile the lock witness out)"
+cargo clippy --workspace --all-targets --release -- -D warnings
 
 echo "== cargo doc -D warnings (no broken intra-doc links, no public doc linking a private item)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -169,8 +169,11 @@ impl Client {
     /// Allocate a zero-copy payload buffer from the shared pool and fill
     /// it in place — the application writes its bytes straight into
     /// shared memory, then submits `FsOp::WriteBuf { buf, .. }` so no
-    /// stage ever copies them. Returns `None` when the pool is dry (fall
-    /// back to the legacy `Vec` payload).
+    /// stage ever copies them. The slot comes only from the smallest size
+    /// class that fits `len`: a block cache keeps a write's buffer while
+    /// the blocks stay resident, and a larger slot would pin its spare
+    /// bytes with them. Returns `None` when that class is dry (fall back
+    /// to the legacy `Vec` payload).
     ///
     /// The buffer comes back zeroed, or holding only bytes this client's
     /// domain wrote into it before — malloc within a process, calloc

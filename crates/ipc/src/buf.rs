@@ -426,7 +426,7 @@ impl BufferPool {
     /// owner tag, since whatever the caller writes (a DMA target's device
     /// bytes, say) belongs to no domain.
     pub fn alloc(&self, len: usize) -> Option<BufHandle> {
-        self.alloc_tagged(len, NO_OWNER)
+        self.alloc_tagged(len, NO_OWNER, true)
     }
 
     /// Allocate like [`BufferPool::alloc`], on behalf of `domain`: the
@@ -437,15 +437,23 @@ impl BufferPool {
     /// from the same slot would read past — and tagged with `domain`. The
     /// tag holds while only the returned handle writes: a write through a
     /// clone or slice of it clears the tag.
+    ///
+    /// Unlike `alloc`, it takes a slot only from the smallest class that
+    /// fits and returns `None` when that class is dry: a block cache keeps
+    /// a client's write buffer for as long as the blocks stay resident, so
+    /// a slot from a larger class would pin its spare bytes with them.
     pub fn alloc_for(&self, domain: u32, len: usize) -> Option<BufHandle> {
-        self.alloc_tagged(len, u64::from(domain) + 1)
+        self.alloc_tagged(len, u64::from(domain) + 1, false)
     }
 
-    fn alloc_tagged(&self, len: usize, owner: u64) -> Option<BufHandle> {
-        for (ci, class) in self.inner.classes.iter().enumerate() {
-            if class.buf_size < len {
-                continue;
-            }
+    /// Take a slot from the smallest class that fits `len`, or, when
+    /// `spill` holds and that class is dry, from the next larger one that
+    /// is not.
+    fn alloc_tagged(&self, len: usize, owner: u64, spill: bool) -> Option<BufHandle> {
+        let classes = &self.inner.classes;
+        let fit = classes.iter().position(|c| c.buf_size >= len)?;
+        let last = if spill { classes.len() } else { fit + 1 };
+        for (ci, class) in classes.iter().enumerate().take(last).skip(fit) {
             if let Some((slot, s)) = class.take() {
                 let class_id = ci as u16;
                 {
@@ -974,18 +982,29 @@ mod tests {
     #[test]
     fn a_domain_change_zeroes_the_whole_slot_not_just_len() {
         let pool = one_slot_pool();
-        let dry = pool.alloc(4096).unwrap(); // the 4 KiB class is dry
-        drop(filled_for(&pool, 2, 65536, 0x22));
-        let small = filled_for(&pool, 1, 4096, 0x11);
-        assert_eq!(small.region(), 1, "fell over to the 64 KiB slot");
-        drop(small);
-        let h = pool.alloc_for(1, 65536).unwrap();
-        assert!(h.as_slice()[..4096].iter().all(|&b| b == 0x11));
+        drop(filled_for(&pool, 2, 4096, 0x22));
+        drop(filled_for(&pool, 1, 100, 0x11));
+        let h = pool.alloc_for(1, 4096).unwrap();
+        assert!(h.as_slice()[..100].iter().all(|&b| b == 0x11));
         assert!(
-            h.as_slice()[4096..].iter().all(|&b| b == 0),
-            "domain 2's bytes past the 4 KiB domain 1 wrote"
+            h.as_slice()[100..].iter().all(|&b| b == 0),
+            "domain 2's bytes past the 100 domain 1 wrote"
         );
-        drop(dry);
+    }
+
+    #[test]
+    fn alloc_for_takes_only_the_class_that_fits() {
+        let pool = BufferPool::new(PoolConfig {
+            classes: vec![(4096, 1), (16384, 1)],
+        });
+        let drained = pool.alloc(4096).unwrap();
+        assert_eq!(drained.region(), 0);
+        assert!(pool.alloc_for(1, 4096).is_none(), "no spill into 16 KiB");
+        let spilled = pool.alloc(4096).unwrap();
+        assert_eq!(spilled.region(), 1, "alloc still falls over");
+        drop(spilled);
+        assert!(pool.alloc_for(1, 4097).is_some(), "16 KiB fits 4097");
+        assert!(pool.alloc_for(1, 16385).is_none(), "no class fits");
     }
 
     #[test]

@@ -27,9 +27,17 @@ pub struct LockClass {
     /// Registry name, e.g. `pagecache.shard`.
     pub(crate) name: &'static str,
     /// Position in the global acquisition order (acquire ascending).
+    #[cfg_attr(
+        not(debug_assertions),
+        expect(dead_code, reason = "only the debug-build witness reads it")
+    )]
     pub(crate) rank: u16,
     /// Whether two instances of this class may nest (ascending instance
     /// address only) — the sharded chunk-lock pattern.
+    #[cfg_attr(
+        not(debug_assertions),
+        expect(dead_code, reason = "only the debug-build witness reads it")
+    )]
     pub(crate) nest_within: bool,
 }
 
@@ -352,6 +360,7 @@ mod tests {
     // is gated so `--release` test runs (where the wrappers are plain
     // parking_lot) don't hang or spuriously fail.
 
+    #[cfg(debug_assertions)]
     fn catch(f: impl FnOnce() + Send + 'static) -> Option<String> {
         std::thread::spawn(f)
             .join()

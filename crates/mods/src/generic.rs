@@ -174,17 +174,36 @@ impl GenericFs {
     }
 
     /// `write(2)` at the fd's position.
+    ///
+    /// The mirror of [`GenericFs::read`]: the bytes are copied once, and
+    /// counted, into a pool buffer of the class that fits
+    /// ([`Client::alloc_buf`]) and ride the zero-copy `WriteBuf` path, so
+    /// a block cache keeps that buffer instead of copying them again.
+    /// When that class is dry the bytes go as the legacy `Write`.
+    ///
+    /// [`Client::alloc_buf`]: labstor_core::Client::alloc_buf
     pub fn write(&mut self, fd: i32, data: &[u8]) -> Result<usize, GenericFsError> {
         let (sid, ino, pos) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
-        let resp = self.call(
-            &stack,
-            FsOp::Write {
+        let op = match self.client.alloc_buf(data.len()) {
+            Some(mut buf) => {
+                labstor_ipc::note_payload_copy(data.len());
+                // owner-ok: the client fills the buffer its own domain just allocated
+                let filled = buf.fill(data);
+                debug_assert!(filled, "fresh handle is unique");
+                FsOp::WriteBuf {
+                    ino,
+                    offset: pos,
+                    buf,
+                }
+            }
+            None => FsOp::Write {
                 ino,
                 offset: pos,
                 data: data.to_vec(),
             },
-        )?;
+        };
+        let resp = self.call(&stack, op)?;
         match resp {
             RespPayload::Len(n) => {
                 self.fds.get_mut(&fd).expect("entry checked").pos = pos + n as u64;

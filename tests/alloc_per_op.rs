@@ -1,7 +1,8 @@
 //! Heap allocations per operation on the steady-state data path: a warmed
-//! 4 KiB `ReadBuf` miss, a `ReadBuf` hit and a legacy `Write` through a
-//! sync Lab-D stack (labfs → lru_cache 16 MiB → noop_sched →
-//! kernel_driver). A sync stack runs the whole request on the calling
+//! 4 KiB `ReadBuf` miss, a `ReadBuf` hit, a legacy `Write` and a
+//! `GenericFs::write` (one: it sends `WriteBuf`, so neither a payload
+//! `Vec` nor the cache's `Arc<[u8]>` copy is made) through a sync Lab-D
+//! stack (labfs → lru_cache 16 MiB → noop_sched → kernel_driver). A sync stack runs the whole request on the calling
 //! thread, so a global allocator that counts that thread's calls counts
 //! everything the operation allocates.
 //!
@@ -29,7 +30,7 @@ use std::cell::Cell;
 
 use labstor::core::{FsOp, Payload, RespPayload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
-use labstor::mods::DeviceRegistry;
+use labstor::mods::{DeviceRegistry, GenericFs};
 use labstor::sim::DeviceKind;
 
 thread_local! {
@@ -166,8 +167,20 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
         })
         .collect();
 
+    // The same overwrites through GenericFS, from caller-owned bytes.
+    let mut fs = GenericFs::new(client);
+    let fd = fs.open("fs::/ap/data.bin", false, false).unwrap();
+    let page = [0x3c; PAGE];
+    let generic: Vec<u64> = (warm..warm + OPS as u64)
+        .map(|p| {
+            fs.seek(fd, p * PAGE as u64).unwrap();
+            calls(|| assert_eq!(fs.write(fd, &page), Ok(PAGE)))
+        })
+        .collect();
+
     assert_eq!(miss, [1; OPS], "ReadBuf miss");
     assert_eq!(hit, [1; OPS], "ReadBuf hit");
     assert_eq!(legacy, [2; OPS], "legacy Write");
+    assert_eq!(generic, [1; OPS], "GenericFs::write");
     rt.shutdown();
 }

@@ -2,7 +2,9 @@
 //! through the full platform (client → IPC → worker → perms → LabFS →
 //! LRU cache) is byte-identical AND performs zero intermediate payload
 //! copies on the read-hit path, asserted via the global copy-counter
-//! hook (`labstor::ipc::payload_copies`).
+//! hook (`labstor::ipc::payload_copies`). A `GenericFs::write` of
+//! caller-owned bytes pays exactly one counted copy, and the page reads
+//! back the same way.
 //!
 //! This file intentionally holds a single test: the counter is
 //! process-global, and rust integration-test files are separate
@@ -81,6 +83,29 @@ fn labfs_readbuf_round_trip_is_byte_identical_and_copy_free() {
     // to copy — no delta assertion here).
     fs.seek(fd, 0).unwrap();
     assert_eq!(fs.read(fd, PAGE).unwrap(), expect);
+
+    // `write(2)` from caller-owned bytes copies them once, into a pool
+    // buffer, and the cache keeps that buffer: reading the page back is
+    // a hit answered by refcount bumps, not by a pooled copy of owned
+    // bytes (which `read_buf` would count).
+    let page: Vec<u8> = (0..PAGE).map(|i| (i % 241) as u8).collect();
+    fs.seek(fd, PAGE as u64).unwrap();
+    let before = labstor::ipc::payload_copies();
+    assert_eq!(fs.write(fd, &page).unwrap(), PAGE);
+    assert_eq!(
+        labstor::ipc::payload_copies() - before,
+        1,
+        "write(2) copies into shared memory once"
+    );
+    fs.seek(fd, PAGE as u64).unwrap();
+    let before = labstor::ipc::payload_copies();
+    let h3 = fs.read_buf(fd, PAGE).unwrap();
+    assert_eq!(
+        labstor::ipc::payload_copies() - before,
+        0,
+        "the cache kept write(2)'s pool buffer"
+    );
+    assert_eq!(h3.as_slice(), &page[..]);
 
     fs.close(fd).unwrap();
     rt.shutdown();
