@@ -595,11 +595,27 @@ mod tests {
         assert!(matches!(r, RespPayload::Data(d) if d.len() == 500 && d.iter().all(|&b| b == 1)));
     }
 
-    /// Terminal stage that notes where each legacy write's bytes live.
+    /// Terminal stage that notes every block command and where each
+    /// legacy write's bytes live.
     struct WriteSpy {
         store: crate::cache_common::testing::MemDev,
         /// `(address, length)` of every `BlockOp::Write` buffer.
         writes: parking_lot::Mutex<Vec<(usize, usize)>>,
+        /// `(kind, lba, length)` of every `BlockOp`, in arrival order.
+        ops: parking_lot::Mutex<Vec<(&'static str, u64, usize)>>,
+    }
+
+    impl WriteSpy {
+        /// Put a fresh spy in place of `h`'s driver.
+        fn mount(h: &Harness) -> Arc<WriteSpy> {
+            let spy = Arc::new(WriteSpy {
+                store: crate::cache_common::testing::MemDev::new(),
+                writes: parking_lot::Mutex::new(Vec::new()),
+                ops: parking_lot::Mutex::new(Vec::new()),
+            });
+            h.mm.insert_instance("drv", spy.clone());
+            spy
+        }
     }
 
     impl LabMod for WriteSpy {
@@ -615,6 +631,16 @@ mod tests {
                     .lock()
                     .push((data.as_ptr() as usize, data.len()));
             }
+            if let Payload::Block(op) = &req.payload {
+                let (kind, lba, len) = match op {
+                    BlockOp::Write { lba, data } => ("write", *lba, data.len()),
+                    BlockOp::WriteBuf { lba, buf } => ("write_buf", *lba, buf.len()),
+                    BlockOp::Read { lba, len } => ("read", *lba, *len),
+                    BlockOp::ReadBuf { lba, len } => ("read_buf", *lba, *len),
+                    BlockOp::Flush => ("flush", 0, 0),
+                };
+                self.ops.lock().push((kind, lba, len));
+            }
             self.store.process(ctx, req, env)
         }
         fn est_processing_time(&self, _req: &Request) -> u64 {
@@ -628,11 +654,7 @@ mod tests {
     #[test]
     fn aligned_write_moves_the_callers_allocation_downstream() {
         let (h, _) = Harness::new();
-        let spy = Arc::new(WriteSpy {
-            store: crate::cache_common::testing::MemDev::new(),
-            writes: parking_lot::Mutex::new(Vec::new()),
-        });
-        h.mm.insert_instance("drv", spy.clone());
+        let spy = WriteSpy::mount(&h);
         let mut ctx = Ctx::new();
         let ino = ino_of(h.exec(
             Payload::Fs(FsOp::Create {
@@ -678,6 +700,105 @@ mod tests {
             &mut ctx,
         );
         assert!(matches!(r, RespPayload::Data(d) if d == model));
+    }
+
+    /// The block commands one fixed script emits when its writes go as
+    /// the legacy `Write` and as the pool `WriteBuf`: the whole cut of
+    /// the write path into device commands, pinned per verb.
+    #[test]
+    fn block_commands_are_the_recorded_ones() {
+        fn run(pooled: bool) -> Vec<(&'static str, u64, usize)> {
+            let (h, _) = Harness::new();
+            let spy = WriteSpy::mount(&h);
+            let mut ctx = Ctx::new();
+            let create = |ctx: &mut Ctx, path: &str| {
+                ino_of(h.exec(
+                    Payload::Fs(FsOp::Create {
+                        path: path.into(),
+                        mode: 0o644,
+                    }),
+                    ctx,
+                ))
+            };
+            let (a, b) = (create(&mut ctx, "/a"), create(&mut ctx, "/b"));
+            let write = |ctx: &mut Ctx, ino: u64, offset: u64, len: usize| {
+                let data: Vec<u8> = (0..len).map(|i| (i % 239) as u8).collect();
+                let op = if pooled {
+                    let buf = labstor_ipc::default_pool().alloc_from(&data).unwrap();
+                    FsOp::WriteBuf { ino, offset, buf }
+                } else {
+                    FsOp::Write { ino, offset, data }
+                };
+                let r = h.exec(Payload::Fs(op), ctx);
+                assert!(matches!(r, RespPayload::Len(n) if n == len), "{r:?}");
+            };
+            let page = FS_BLOCK as u64;
+            // Aligned, onto contiguous fresh pages.
+            write(&mut ctx, a, 0, 2 * FS_BLOCK);
+            // Aligned, onto a mapped page and a fresh one that another
+            // file's block keeps apart from it.
+            write(&mut ctx, b, 0, FS_BLOCK);
+            write(&mut ctx, a, page, 2 * FS_BLOCK);
+            // A patch inside two mapped pages.
+            write(&mut ctx, a, 2 * page - 100, 300);
+            // Unaligned append: a mapped partial tail, then fresh pages.
+            write(&mut ctx, a, 3 * page - 10, 2 * FS_BLOCK);
+            // Past an end of file that lies inside a mapped page.
+            write(&mut ctx, a, 6 * page + 100, 100);
+            // Truncate to the middle of a mapped page.
+            let r = h.exec(
+                Payload::Fs(FsOp::Truncate {
+                    ino: a,
+                    size: page + 50,
+                }),
+                &mut ctx,
+            );
+            assert!(r.is_ok(), "{r:?}");
+            let ops = spy.ops.lock().clone();
+            ops
+        }
+        // Data block `block` (past the four workers' log regions), `pages` long.
+        let cmd = |kind, block: u64, pages: usize| {
+            let lba = (4 * LOG_BLOCKS_PER_WORKER + block) * BLOCK_SECTORS;
+            (kind, lba, pages * FS_BLOCK)
+        };
+        let (r, w, wb) = ("read", "write", "write_buf");
+        let shared_tail = [
+            // The stale head: the old end's page rewritten in place,
+            // then the fresh page past it, zero-padded.
+            cmd(r, 5, 1),
+            cmd(w, 5, 1),
+            cmd(w, 6, 1),
+            // Truncate: page 1's head copied to a fresh block.
+            cmd(r, 1, 1),
+            cmd(w, 7, 1),
+        ];
+        let patches = [
+            cmd(r, 1, 1),
+            cmd(w, 1, 1),
+            cmd(r, 3, 1),
+            cmd(w, 3, 1),
+            cmd(r, 3, 1),
+            cmd(w, 3, 1),
+        ];
+        let owned = [
+            [cmd(w, 0, 2), cmd(w, 2, 1), cmd(w, 1, 1), cmd(w, 3, 1)].as_slice(),
+            &patches,
+            // The fresh pages of the append go as one zero-padded run.
+            &[cmd(w, 4, 2)],
+            &shared_tail,
+        ]
+        .concat();
+        let pooled = [
+            [cmd(wb, 0, 2), cmd(wb, 2, 1), cmd(wb, 1, 1), cmd(wb, 3, 1)].as_slice(),
+            &patches,
+            // A handle run stops at the partial page, patched from zeroes.
+            &[cmd(wb, 4, 1), cmd(w, 5, 1)],
+            &shared_tail,
+        ]
+        .concat();
+        assert_eq!(run(false), owned);
+        assert_eq!(run(true), pooled);
     }
 
     #[test]
