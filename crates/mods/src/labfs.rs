@@ -154,11 +154,8 @@ impl LabMod for LabFs {
     }
 
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
-        if let Payload::Fs(FsOp::Write { ino, offset, data }) = &mut req.payload {
-            // A write's bytes move out of the request: a whole-page run
-            // goes downstream as the allocation the caller made.
-            let (ino, offset, data) = (*ino, *offset, std::mem::take(data));
-            return self.op_write(ctx, env, &req, ino, offset, data);
+        if let Some((ino, offset, src)) = data::Source::take(&mut req.payload) {
+            return self.op_write(ctx, env, &req, ino, offset, src);
         }
         match &req.payload {
             Payload::Fs(FsOp::Create { path, mode }) => {
@@ -181,9 +178,6 @@ impl LabMod for LabFs {
                     None if *create => self.op_create(ctx, &req, path, 0o644, false),
                     None => RespPayload::Err(format!("{path}: not found")),
                 }
-            }
-            Payload::Fs(FsOp::WriteBuf { ino, offset, buf }) => {
-                self.op_write_buf(ctx, env, &req, *ino, *offset, buf)
             }
             Payload::Fs(FsOp::Read { ino, offset, len }) => {
                 self.op_read(ctx, env, &req, *ino, *offset, *len, false)
@@ -257,11 +251,13 @@ impl LabMod for LabFs {
 
     fn est_processing_time(&self, req: &Request) -> u64 {
         match &req.payload {
-            Payload::Fs(FsOp::Write { data, .. }) => 2_000 + data.len() as u64,
-            Payload::Fs(FsOp::WriteBuf { buf, .. }) => 2_000 + buf.len() as u64,
             Payload::Fs(
-                FsOp::Read { len, .. } | FsOp::ReadBuf { len, .. } | FsOp::ReadFiltered { len, .. },
-            ) => 2_000 + *len as u64,
+                FsOp::Write { .. }
+                | FsOp::WriteBuf { .. }
+                | FsOp::Read { .. }
+                | FsOp::ReadBuf { .. }
+                | FsOp::ReadFiltered { .. },
+            ) => 2_000 + req.payload_bytes() as u64,
             _ => META_CPU_NS + LOG_APPEND_NS,
         }
     }

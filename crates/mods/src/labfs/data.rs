@@ -3,13 +3,15 @@
 //! stand behind the pages it touches — a write allocates and maps the
 //! missing ones in one critical section ([`LabFs::map_range`]) — and then
 //! emits `BlockOp`s down the LabStack DAG, coalescing pages that are
-//! contiguous on the device. Moved out of `labfs.rs` as it was; the
-//! metadata it changes goes through `FsNode::apply` and the store's
-//! `commit`.
+//! contiguous on the device. Both write verbs take one walk
+//! ([`LabFs::op_write`]) and every partial page one patcher
+//! ([`LabFs::patch_page`]); the metadata they change goes through
+//! `FsNode::apply` and the store's `commit`.
 
 use std::collections::HashSet;
 
-use labstor_core::{BlockOp, Payload, Request, RespPayload, StackEnv};
+use labstor_core::{BlockOp, FsOp, Payload, Request, RespPayload, StackEnv};
+use labstor_ipc::BufHandle;
 use labstor_sim::Ctx;
 
 use super::meta::LogRecord;
@@ -25,11 +27,40 @@ pub(super) fn fwd_block(
     env.forward(ctx, req.derive(Payload::Block(op)))
 }
 
+/// The bytes a write carries: the caller's `Vec` (the legacy `Write`)
+/// or its pool buffer (`WriteBuf`).
+pub(super) enum Source {
+    Owned(Vec<u8>),
+    Buf(BufHandle),
+}
+
+impl Source {
+    /// The target `(ino, offset)` and bytes of a write verb; the `Vec`
+    /// moves out of the request, the handle is shared by refcount.
+    pub(super) fn take(payload: &mut Payload) -> Option<(u64, u64, Source)> {
+        match payload {
+            Payload::Fs(FsOp::Write { ino, offset, data }) => {
+                Some((*ino, *offset, Source::Owned(std::mem::take(data))))
+            }
+            Payload::Fs(FsOp::WriteBuf { ino, offset, buf }) => {
+                Some((*ino, *offset, Source::Buf(buf.clone())))
+            }
+            _ => None,
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Source::Owned(data) => data,
+            Source::Buf(buf) => buf.as_slice(),
+        }
+    }
+}
+
 impl LabFs {
     /// Map `[offset, offset+len)` of `ino` to device blocks, allocating
-    /// and logging as needed (the metadata half shared by the copying and
-    /// zero-copy write paths). Returns the (page, block) extents and the
-    /// set of freshly mapped pages.
+    /// and logging as needed (a write's metadata half). Returns the
+    /// (page, block) extents and the set of freshly mapped pages.
     ///
     /// A write that starts past an end of file lying inside a mapped page
     /// first zeroes that page from the old end on: what a crash left there
@@ -60,7 +91,7 @@ impl LabFs {
             self.store.log_applied(ctx, req.core, rec);
         }
         if let Some((block, keep)) = stale {
-            let r = self.rewrite_head(ctx, env, req, block, block, keep);
+            let r = self.patch_page(ctx, env, req, Some(block), block, |p| p[keep..].fill(0));
             if !r.is_ok() {
                 return Err(r);
             }
@@ -68,24 +99,32 @@ impl LabFs {
         Ok((extents, fresh))
     }
 
-    /// Write the first `keep` bytes of block `src`, then zeroes, to block
-    /// `dst`: one read and one write, like any partial-page write.
-    fn rewrite_head(
+    /// Write one page to block `dst`: zeroes, or what block `base` holds
+    /// when there is one, changed by `patch`. One write, after one read
+    /// when there is a base. Every partial-page write goes through here,
+    /// and so does a truncate's copy of a page's head.
+    fn patch_page(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
         req: &Request,
-        src: u64,
+        base: Option<u64>,
         dst: u64,
-        keep: usize,
+        patch: impl FnOnce(&mut [u8]),
     ) -> RespPayload {
-        let (lba, len) = (src * BLOCK_SECTORS, FS_BLOCK);
-        let mut page = match fwd_block(ctx, env, req, BlockOp::Read { lba, len }) {
-            RespPayload::Data(d) => d,
-            other => return other,
+        let mut page = match base {
+            None => vec![0u8; FS_BLOCK],
+            Some(block) => {
+                let (lba, len) = (block * BLOCK_SECTORS, FS_BLOCK);
+                match fwd_block(ctx, env, req, BlockOp::Read { lba, len }) {
+                    RespPayload::Data(d) => d,
+                    RespPayload::DataBuf(h) => h.to_vec(), // copy-ok: a patch needs owned bytes; to_vec self-counts
+                    other => return other,
+                }
+            }
         };
-        page.truncate(keep);
         page.resize(FS_BLOCK, 0);
+        patch(&mut page);
         let lba = dst * BLOCK_SECTORS;
         fwd_block(ctx, env, req, BlockOp::Write { lba, data: page })
     }
@@ -121,7 +160,7 @@ impl LabFs {
                 let Some(fresh) = self.store.alloc_run(ctx, req.core, 1) else {
                     return RespPayload::Err("no space".into());
                 };
-                let r = self.rewrite_head(ctx, env, req, block, fresh, keep);
+                let r = self.patch_page(ctx, env, req, Some(block), fresh, |p| p[keep..].fill(0));
                 if !r.is_ok() {
                     return r;
                 }
@@ -139,6 +178,17 @@ impl LabFs {
         RespPayload::Ok
     }
 
+    /// `Write` and `WriteBuf`: map every page `src` touches, then walk
+    /// them in runs of pages that are contiguous on the device. A run
+    /// extends over fully covered pages, and over freshly mapped partial
+    /// ones when `src` is an owned `Vec`: those bytes are assembled
+    /// anyway, so joining the page costs no copy and saves a command. A
+    /// handle run must be bytes of one slot, so it stops at a partial
+    /// page. A handle run goes down as a `WriteBuf` slice; an owned run
+    /// that is the whole `Vec` moves it, any other is assembled once and
+    /// zero-padded. Every other page is patched (`patch_page`): from
+    /// zeroes when it is fresh, else from its block, so neighbouring
+    /// bytes survive.
     pub(super) fn op_write(
         &self,
         ctx: &mut Ctx,
@@ -146,85 +196,75 @@ impl LabFs {
         req: &Request,
         ino: u64,
         offset: u64,
-        data: Vec<u8>,
+        mut src: Source,
     ) -> RespPayload {
-        // Map every touched page to a block, allocating as needed.
         ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (extents, fresh_pages) = match self.map_range(ctx, env, req, ino, offset, data.len()) {
+        let len = src.as_slice().len();
+        let (extents, fresh) = match self.map_range(ctx, env, req, ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };
-        let len = data.len();
         let end = offset + len as u64;
-        let whole_pages = offset.is_multiple_of(FS_BLOCK as u64) && len.is_multiple_of(FS_BLOCK);
-        if whole_pages && extents.windows(2).all(|w| w[1].1 == w[0].1 + 1) {
-            // Whole pages on one contiguous run: the caller's allocation
-            // goes downstream as it is, neither zero-filled nor copied.
-            let Some(&(_, block)) = extents.first() else {
-                return RespPayload::Len(0);
-            };
-            let lba = block * BLOCK_SECTORS;
-            let r = fwd_block(ctx, env, req, BlockOp::Write { lba, data });
-            return if r.is_ok() { RespPayload::Len(len) } else { r };
-        }
-        // Emit block writes downstream. Partially-covered pages that were
-        // already mapped (and not freshly allocated) need read-modify-write
-        // so neighbouring bytes survive; full pages and fresh pages are
-        // written directly, coalescing contiguous full blocks.
+        let page = FS_BLOCK as u64;
+        let owned = matches!(src, Source::Owned(_));
+        let joins = |(pg, _): (u64, u64)| {
+            let full = offset <= pg * page && (pg + 1) * page <= end;
+            full || (owned && fresh.contains(&pg))
+        };
         let mut i = 0usize;
         while i < extents.len() {
-            let (page, block) = extents[i];
-            let pg_start = page * FS_BLOCK as u64;
-            let cover_from = pg_start.max(offset);
-            let cover_to = (pg_start + FS_BLOCK as u64).min(end);
-            let full = cover_from == pg_start && cover_to == pg_start + FS_BLOCK as u64;
-            if !full && !fresh_pages.contains(&page) {
-                // Partial overwrite of an existing block: read-modify-write.
+            let (pg, block) = extents[i];
+            let joined = joins(extents[i]);
+            let pages = 1 + extents[i + 1..]
+                .iter()
+                .zip(&extents[i..])
+                .take_while(|&(&next, prev)| joined && next.1 == prev.1 + 1 && joins(next))
+                .count();
+            i += pages;
+            // These pages, and the bytes of `src` that land in them, from
+            // `at` on.
+            let (start, run) = (pg * page, pages * FS_BLOCK);
+            let from = start.max(offset);
+            let bytes = (from - offset) as usize..((start + run as u64).min(end) - offset) as usize;
+            let at = (from - start) as usize;
+            let r = if !joined {
+                let base = (!fresh.contains(&pg)).then_some(block);
+                let bytes = &src.as_slice()[bytes];
+                self.patch_page(ctx, env, req, base, block, |p| {
+                    labstor_ipc::note_payload_copy(bytes.len());
+                    p[at..at + bytes.len()].copy_from_slice(bytes); // copy-ok: partial-page patch; counted above
+                })
+            } else {
                 let lba = block * BLOCK_SECTORS;
-                let read = BlockOp::Read { lba, len: FS_BLOCK };
-                let mut payload = match fwd_block(ctx, env, req, read) {
-                    RespPayload::Data(d) => d,
-                    other => return other,
+                let op = match &mut src {
+                    Source::Buf(buf) => match buf.slice(bytes.start, run) {
+                        Some(buf) => BlockOp::WriteBuf { lba, buf },
+                        None => {
+                            return RespPayload::Err("write buffer shorter than its extent".into())
+                        }
+                    },
+                    // The whole `Vec` on one run: it goes downstream as
+                    // the caller allocated it, neither zeroed nor copied.
+                    Source::Owned(data) if start == offset && run == len => BlockOp::Write {
+                        lba,
+                        data: std::mem::take(data),
+                    },
+                    // Zero only what the bytes do not cover: the head of
+                    // a fresh first page, the tail of a fresh last one.
+                    Source::Owned(data) => {
+                        let mut padded = Vec::with_capacity(run);
+                        padded.resize(at, 0);
+                        labstor_ipc::note_payload_copy(bytes.len());
+                        padded.extend_from_slice(&data[bytes]); // copy-ok: run assembly of owned bytes; counted above
+                        padded.resize(run, 0);
+                        BlockOp::Write { lba, data: padded }
+                    }
                 };
-                payload.resize(FS_BLOCK, 0);
-                let dst = (cover_from - pg_start) as usize;
-                let src = (cover_from - offset) as usize;
-                let n = (cover_to - cover_from) as usize;
-                payload[dst..dst + n].copy_from_slice(&data[src..src + n]);
-                let r = fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
-                if !r.is_ok() {
-                    return r;
-                }
-                i += 1;
-                continue;
-            }
-            // Coalesce a run of contiguous blocks that are full or fresh.
-            let mut j = i;
-            while j + 1 < extents.len() && extents[j + 1].1 == extents[j].1 + 1 {
-                let (npage, _) = extents[j + 1];
-                let n_start = npage * FS_BLOCK as u64;
-                let n_full = offset <= n_start && n_start + FS_BLOCK as u64 <= end;
-                if !n_full && !fresh_pages.contains(&npage) {
-                    break;
-                }
-                j += 1;
-            }
-            let run_bytes = (j - i + 1) * FS_BLOCK;
-            let run_start = pg_start.max(offset);
-            let run_end = (pg_start + run_bytes as u64).min(end);
-            let src = &data[(run_start - offset) as usize..(run_end - offset) as usize];
-            // Zero only what the caller's bytes do not cover: the head of
-            // a fresh first page, the tail of a fresh last one.
-            let mut payload = Vec::with_capacity(run_bytes);
-            payload.resize((run_start - pg_start) as usize, 0);
-            payload.extend_from_slice(src);
-            payload.resize(run_bytes, 0);
-            let lba = block * BLOCK_SECTORS;
-            let r = fwd_block(ctx, env, req, BlockOp::Write { lba, data: payload });
+                fwd_block(ctx, env, req, op)
+            };
             if !r.is_ok() {
                 return r;
             }
-            i = j + 1;
         }
         RespPayload::Len(len)
     }
@@ -350,106 +390,5 @@ impl LabFs {
             i += pages;
         }
         RespPayload::Data(out)
-    }
-
-    /// Zero-copy write: fully covered pages are forwarded as `WriteBuf`
-    /// slices of the caller's pool buffer (refcount bumps — no memcpy all
-    /// the way to the driver, which DMAs from the shared buffer). Partial
-    /// pages fall back to the copying path: fresh ones are zero-padded,
-    /// existing ones read-modify-write; both copies are counted.
-    pub(super) fn op_write_buf(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        buf: &labstor_ipc::BufHandle,
-    ) -> RespPayload {
-        ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let data_len = buf.len();
-        let (extents, fresh_pages) = match self.map_range(ctx, env, req, ino, offset, data_len) {
-            Ok(v) => v,
-            Err(e) => return e,
-        };
-        let end = offset + data_len as u64;
-        let mut i = 0usize;
-        while i < extents.len() {
-            let (page, block) = extents[i];
-            let pg_start = page * FS_BLOCK as u64;
-            let cover_from = pg_start.max(offset);
-            let cover_to = (pg_start + FS_BLOCK as u64).min(end);
-            let full = cover_from == pg_start && cover_to == pg_start + FS_BLOCK as u64;
-            if full {
-                // Coalesce contiguous fully covered blocks into one slice.
-                let mut j = i;
-                while j + 1 < extents.len() && extents[j + 1].1 == extents[j].1 + 1 {
-                    let n_start = extents[j + 1].0 * FS_BLOCK as u64;
-                    if !(offset <= n_start && n_start + FS_BLOCK as u64 <= end) {
-                        break;
-                    }
-                    j += 1;
-                }
-                let run_pages = j - i + 1;
-                let Some(slice) = buf.slice((pg_start - offset) as usize, run_pages * FS_BLOCK)
-                else {
-                    return RespPayload::Err("write buffer shorter than its extent".into());
-                };
-                let r = fwd_block(
-                    ctx,
-                    env,
-                    req,
-                    BlockOp::WriteBuf {
-                        lba: block * BLOCK_SECTORS,
-                        buf: slice,
-                    },
-                );
-                if !r.is_ok() {
-                    return r;
-                }
-                i = j + 1;
-                continue;
-            }
-            // Partial page: copying fallback.
-            let dst = (cover_from - pg_start) as usize;
-            let src = (cover_from - offset) as usize;
-            let cnt = (cover_to - cover_from) as usize;
-            let mut payload = if fresh_pages.contains(&page) {
-                vec![0u8; FS_BLOCK] // fresh block: pad with zeroes
-            } else {
-                // Read-modify-write so neighbouring bytes survive.
-                let mut p = match fwd_block(
-                    ctx,
-                    env,
-                    req,
-                    BlockOp::Read {
-                        lba: block * BLOCK_SECTORS,
-                        len: FS_BLOCK,
-                    },
-                ) {
-                    RespPayload::Data(d) => d,
-                    RespPayload::DataBuf(h) => h.to_vec(), // copy-ok: RMW needs owned bytes; to_vec self-counts
-                    other => return other,
-                };
-                p.resize(FS_BLOCK, 0);
-                p
-            };
-            labstor_ipc::note_payload_copy(cnt);
-            payload[dst..dst + cnt].copy_from_slice(&buf.as_slice()[src..src + cnt]); // copy-ok: partial-page patch; counted above
-            let r = fwd_block(
-                ctx,
-                env,
-                req,
-                BlockOp::Write {
-                    lba: block * BLOCK_SECTORS,
-                    data: payload,
-                },
-            );
-            if !r.is_ok() {
-                return r;
-            }
-            i += 1;
-        }
-        RespPayload::Len(data_len)
     }
 }
