@@ -466,6 +466,10 @@ impl KernelFs {
         offset: u64,
         data: &[u8],
     ) -> Result<usize, FsError> {
+        if data.is_empty() {
+            // No bytes change nothing, not even the size (POSIX).
+            return Ok(0);
+        }
         // Allocate backing blocks for any new pages.
         let first_pg = offset / PAGE_SIZE as u64;
         let last_pg = (offset + data.len() as u64).div_ceil(PAGE_SIZE as u64);
@@ -751,6 +755,19 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         assert_eq!(f.read(&mut ctx, 0, ino, 0, &mut out).unwrap(), data.len());
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn an_empty_write_past_the_end_leaves_the_size_alone() {
+        let f = fs(FsProfile::ext4_like());
+        let mut ctx = Ctx::new();
+        let ino = f.create(&mut ctx, 0, "/e", 0o644, root()).unwrap();
+        f.write(&mut ctx, 0, ino, 0, &[7u8; 100]).unwrap();
+        assert_eq!(
+            f.write(&mut ctx, 0, ino, 3 * PAGE_SIZE as u64 + 5, &[]),
+            Ok(0)
+        );
+        assert_eq!(f.stat(&mut ctx, "/e").unwrap().size, 100);
     }
 
     #[test]

@@ -200,6 +200,10 @@ impl LabFs {
     ) -> RespPayload {
         ctx.advance(META_CPU_NS); // inode + mapping lookup
         let len = src.as_slice().len();
+        if len == 0 {
+            // No bytes change nothing, not even the size (POSIX).
+            return RespPayload::Len(0);
+        }
         let (extents, fresh) = match self.map_range(ctx, env, req, ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
