@@ -4,13 +4,14 @@
 //! copies on the read-hit path, asserted via the global copy-counter
 //! hook (`labstor::ipc::payload_copies`). A `GenericFs::write` of
 //! caller-owned bytes pays exactly one counted copy, and the page reads
-//! back the same way.
+//! back the same way. A hand-built legacy `FsOp::Write` counts exactly
+//! the bytes LabFS patches and assembles, and none when its `Vec` moves.
 //!
 //! This file intentionally holds a single test: the counter is
 //! process-global, and rust integration-test files are separate
 //! processes, so the delta assertion cannot race with unrelated suites.
 
-use labstor::core::{Runtime, RuntimeConfig};
+use labstor::core::{FsOp, Payload, RespPayload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
 use labstor::mods::{DeviceRegistry, GenericFs};
 use labstor::sim::DeviceKind;
@@ -25,6 +26,17 @@ const SPEC: &str = r#"{
         { "uuid": "zc_fs", "type": "labfs", "params": {"device": "nvme0", "workers": 2}, "outputs": ["zc_lru"] },
         { "uuid": "zc_lru", "type": "lru_cache", "params": {"capacity_bytes": 4194304}, "outputs": ["zc_drv"] },
         { "uuid": "zc_drv", "type": "kernel_driver", "params": {"device": "nvme0"} }
+    ]
+}"#;
+
+/// LabFS straight on a driver: nothing below it copies.
+const BARE: &str = r#"{
+    "mount": "fs::/zc_bare",
+    "exec": "sync",
+    "authorized_uids": [0],
+    "labmods": [
+        { "uuid": "zb_fs", "type": "labfs", "params": {"device": "nvme1", "workers": 1}, "outputs": ["zb_drv"] },
+        { "uuid": "zb_drv", "type": "kernel_driver", "params": {"device": "nvme1"} }
     ]
 }"#;
 
@@ -107,6 +119,44 @@ fn labfs_readbuf_round_trip_is_byte_identical_and_copy_free() {
     );
     assert_eq!(h3.as_slice(), &page[..]);
 
+    fs.close(fd).unwrap();
+
+    // The legacy `FsOp::Write` on a stack with no cache, so LabFS's own
+    // copies are all the counter sees. Whole pages on one device run move
+    // the caller's `Vec` and copy nothing; an unaligned write patches the
+    // mapped page it starts in and assembles its fresh pages into one
+    // run, each byte copied and counted once.
+    devices.add_preset("nvme1", DeviceKind::Nvme);
+    let bare = rt.mount_stack_json(BARE).unwrap();
+    let fd = fs.open("fs::/zc_bare/legacy.bin", true, false).unwrap();
+    let ino = fs.stat("fs::/zc_bare/legacy.bin").unwrap().ino;
+    let mut model: Vec<u8> = Vec::new();
+    for (offset, len, copies) in [(0, 2 * PAGE, 0), (2 * PAGE - 100, 100 + PAGE + 50, 2)] {
+        let data: Vec<u8> = (0..len).map(|i| (i % 239) as u8).collect();
+        model.resize(model.len().max(offset + len), 0);
+        model[offset..offset + len].copy_from_slice(&data);
+        let op = FsOp::Write {
+            ino,
+            offset: offset as u64,
+            data,
+        };
+        let copies_before = labstor::ipc::payload_copies();
+        let bytes_before = labstor::ipc::payload_copy_bytes();
+        let resp = fs.client_mut().execute(&bare, Payload::Fs(op)).unwrap().0;
+        assert!(matches!(resp, RespPayload::Len(n) if n == len), "{resp:?}");
+        assert_eq!(
+            labstor::ipc::payload_copies() - copies_before,
+            copies,
+            "at {offset}"
+        );
+        let copied = if copies == 0 { 0 } else { len as u64 };
+        assert_eq!(
+            labstor::ipc::payload_copy_bytes() - bytes_before,
+            copied,
+            "at {offset}"
+        );
+    }
+    assert_eq!(fs.read(fd, model.len()).unwrap(), model);
     fs.close(fd).unwrap();
     rt.shutdown();
 }
