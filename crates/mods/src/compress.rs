@@ -149,38 +149,28 @@ impl LabMod for CompressMod {
                 let (lba, buf) = (*lba, buf.clone());
                 self.do_write(ctx, env, &req, lba, buf.as_slice())
             }
-            Payload::Block(BlockOp::Read { lba, len }) => {
+            Payload::Block(BlockOp::Read { lba, len } | BlockOp::ReadBuf { lba, len }) => {
+                let zero_copy = matches!(req.payload, Payload::Block(BlockOp::ReadBuf { .. }));
                 let (lba, len) = (*lba, *len);
                 let extent = self.extents.read().get(&lba).copied();
                 match extent {
                     Some(e) => match self.fetch_decoded(ctx, env, &req, lba, e) {
                         Ok(mut data) => {
                             data.truncate(len.min(data.len()));
-                            RespPayload::Data(data)
-                        }
-                        Err(resp) => resp,
-                    },
-                    // Unknown extent: pass through untouched.
-                    None => env.forward(ctx, req),
-                }
-            }
-            Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-                let (lba, len) = (*lba, *len);
-                let extent = self.extents.read().get(&lba).copied();
-                match extent {
-                    Some(e) => match self.fetch_decoded(ctx, env, &req, lba, e) {
-                        Ok(mut data) => {
-                            data.truncate(len.min(data.len()));
-                            // The decoder's output lands in a pool buffer so
-                            // upstream stages share it by refcount.
-                            match labstor_ipc::default_pool().alloc_from(&data) {
+                            // A `ReadBuf`'s decoded bytes land in a pool
+                            // buffer so upstream stages share it by refcount.
+                            let pooled = zero_copy
+                                .then(|| labstor_ipc::default_pool().alloc_from(&data))
+                                .flatten();
+                            match pooled {
                                 Some(h) => RespPayload::DataBuf(h),
-                                None => RespPayload::Data(data), // pool dry: legacy Vec fallback
+                                None => RespPayload::Data(data), // legacy `Read`, or the pool is dry
                             }
                         }
                         Err(resp) => resp,
                     },
-                    // Unknown extent: downstream answers zero-copy directly.
+                    // Unknown extent: pass through untouched (downstream
+                    // answers a `ReadBuf` zero-copy directly).
                     None => env.forward(ctx, req),
                 }
             }

@@ -183,34 +183,22 @@ impl GenericFs {
     ///
     /// [`Client::alloc_buf`]: labstor_core::Client::alloc_buf
     pub fn write(&mut self, fd: i32, data: &[u8]) -> Result<usize, GenericFsError> {
-        let (sid, ino, pos) = self.entry(fd)?;
-        let stack = self.stack_of(sid)?;
-        let op = match self.client.alloc_buf(data.len()) {
-            Some(mut buf) => {
-                labstor_ipc::note_payload_copy(data.len());
-                // owner-ok: the client fills the buffer its own domain just allocated
-                let filled = buf.fill(data);
-                debug_assert!(filled, "fresh handle is unique");
-                FsOp::WriteBuf {
-                    ino,
-                    offset: pos,
-                    buf,
+        self.write_op(fd, |fs, ino, offset| {
+            match fs.client.alloc_buf(data.len()) {
+                Some(mut buf) => {
+                    labstor_ipc::note_payload_copy(data.len());
+                    // owner-ok: the client fills the buffer its own domain just allocated
+                    let filled = buf.fill(data);
+                    debug_assert!(filled, "fresh handle is unique");
+                    FsOp::WriteBuf { ino, offset, buf }
                 }
+                None => FsOp::Write {
+                    ino,
+                    offset,
+                    data: data.to_vec(),
+                },
             }
-            None => FsOp::Write {
-                ino,
-                offset: pos,
-                data: data.to_vec(),
-            },
-        };
-        let resp = self.call(&stack, op)?;
-        match resp {
-            RespPayload::Len(n) => {
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + n as u64;
-                Ok(n)
-            }
-            other => Err(Self::unexpected(other)),
-        }
+        })
     }
 
     /// `read(2)` at the fd's position.
@@ -260,17 +248,20 @@ impl GenericFs {
         fd: i32,
         buf: labstor_ipc::BufHandle,
     ) -> Result<usize, GenericFsError> {
+        self.write_op(fd, |_, ino, offset| FsOp::WriteBuf { ino, offset, buf })
+    }
+
+    /// Both writes' tail: send the op `make` builds for the fd's inode
+    /// and position, then advance the position by what was written.
+    fn write_op(
+        &mut self,
+        fd: i32,
+        make: impl FnOnce(&mut Self, u64, u64) -> FsOp,
+    ) -> Result<usize, GenericFsError> {
         let (sid, ino, pos) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
-        let resp = self.call(
-            &stack,
-            FsOp::WriteBuf {
-                ino,
-                offset: pos,
-                buf,
-            },
-        )?;
-        match resp {
+        let op = make(self, ino, pos);
+        match self.call(&stack, op)? {
             RespPayload::Len(n) => {
                 self.fds.get_mut(&fd).expect("entry checked").pos = pos + n as u64;
                 Ok(n)
