@@ -130,7 +130,7 @@ impl LabFs {
     }
 
     /// `Truncate` and `Open { truncate }`: set the size of `ino`. Growing
-    /// is a write of no bytes at the new end. Shrinking to the middle of
+    /// maps a range of no bytes at the new end. Shrinking to the middle of
     /// a mapped page remaps that page to a copy zeroed past the new end:
     /// later appends land in the copy, so a crash that loses this
     /// truncate still finds in the old block what the old size shows.

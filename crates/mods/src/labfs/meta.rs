@@ -402,7 +402,7 @@ impl Meta {
             .flatten()
             .map(|&block| (block, old_end));
         let first_pg = offset / FS_BLOCK as u64;
-        // No bytes, no pages: a truncate grows a file by such a write.
+        // No bytes, no pages: a truncate grows a file by such a range.
         let last_pg = if len == 0 {
             first_pg
         } else {
