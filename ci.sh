@@ -60,6 +60,10 @@ echo "== labstor-benchmark smoke (every workload end to end; a wrong byte, a fai
 benchmark/run.sh --smoke > /dev/null
 test -s "${CARGO_TARGET_DIR:-target/benchmark}/results/smoke-seed1.json"
 
+echo "== exact-metric identity (the smoke run's 25 virtual-time and byte metrics must reproduce results/benchmark_exact.txt)"
+tools/exact.sh > target/bench/benchmark_exact.txt
+cmp target/bench/benchmark_exact.txt results/benchmark_exact.txt
+
 echo "== clean tree (a CI run may not touch a committed file or leave an untracked one)"
 tree_new=$(comm -13 <(sort <<<"$tree_before") <(git status --porcelain | sort) | grep -vx ' M benchmark/Cargo.lock' || true)
 if [ -n "$tree_new" ]; then
