@@ -474,7 +474,7 @@ impl KernelFs {
         let first_pg = offset / PAGE_SIZE as u64;
         let last_pg = (offset + data.len() as u64).div_ceil(PAGE_SIZE as u64);
         let domain = self.domain_of(ino);
-        {
+        let fresh = {
             // Collect missing pages under the read lock, then allocate.
             let missing: Vec<u64> = {
                 let inodes = self.inodes.read(); // lock-class: fs.inodes
@@ -493,14 +493,14 @@ impl KernelFs {
                 }
                 let mut inodes = self.inodes.write(); // lock-class: fs.inodes
                 let node = inodes.get_mut(&ino).ok_or(FsError::NotFound)?;
-                for (p, b) in missing.into_iter().zip(allocated) {
+                for (&p, b) in missing.iter().zip(allocated) {
                     node.blocks.entry(p).or_insert(b);
                 }
             }
-        }
+            missing
+        };
         // Copy into the page cache.
-        let evicted = self.cache.write(ctx, ino, offset, data);
-        self.writeback(ctx, core, evicted)?;
+        self.cache_write(ctx, core, ino, offset, data, &fresh)?;
         // Update size.
         {
             let mut inodes = self.inodes.write(); // lock-class: fs.inodes
@@ -536,47 +536,77 @@ impl KernelFs {
             return Ok(0);
         }
         let n = buf.len().min((size - offset) as usize);
-        let block = &self.block;
-        let inodes = &self.inodes;
         let mut io_err = None;
         let res = self
             .cache
             .read(ctx, ino, offset, &mut buf[..n], |ctx, pgidx, page| {
-                let blockno = {
-                    let map = inodes.read(); // lock-class: fs.inodes
-                    map.get(&ino).and_then(|nd| nd.blocks.get(&pgidx)).copied()
-                };
-                match blockno {
-                    Some(b) => match block.sync_read(
-                        ctx,
-                        core,
-                        IoClass::Latency,
-                        b * BLOCK_SECTORS,
-                        PAGE_SIZE,
-                    ) {
-                        Ok(c) => match c.result {
-                            Ok(data) => {
-                                page.copy_from_slice(&data);
-                                true
-                            }
-                            Err(e) => {
-                                io_err = Some(FsError::Io(e.to_string()));
-                                false
-                            }
-                        },
-                        Err(e) => {
-                            io_err = Some(FsError::Io(e.to_string()));
-                            false
-                        }
-                    },
-                    // Hole: reads as zeroes.
-                    None => true,
-                }
+                self.fill_page(ctx, core, ino, pgidx, page, &mut io_err)
             });
         match res {
             Ok(_) => Ok(n),
             Err(()) => Err(io_err.unwrap_or(FsError::Io("page fill failed".into()))),
         }
+    }
+
+    /// Fetch page `pgidx` of `ino` from its block into `page`; a hole
+    /// leaves it zero. On a device error, notes it in `io_err` and
+    /// returns `false`.
+    fn fill_page(
+        &self,
+        ctx: &mut Ctx,
+        core: usize,
+        ino: u64,
+        pgidx: u64,
+        page: &mut [u8],
+        io_err: &mut Option<FsError>,
+    ) -> bool {
+        let blockno = {
+            let map = self.inodes.read(); // lock-class: fs.inodes
+            map.get(&ino).and_then(|nd| nd.blocks.get(&pgidx)).copied()
+        };
+        let Some(b) = blockno else {
+            return true;
+        };
+        let read = self
+            .block
+            .sync_read(ctx, core, IoClass::Latency, b * BLOCK_SECTORS, PAGE_SIZE);
+        match read.map(|c| c.result) {
+            Ok(Ok(data)) => {
+                page.copy_from_slice(&data);
+                true
+            }
+            Ok(Err(e)) => {
+                *io_err = Some(FsError::Io(e.to_string()));
+                false
+            }
+            Err(e) => {
+                *io_err = Some(FsError::Io(e.to_string()));
+                false
+            }
+        }
+    }
+
+    /// Copy `data` into the page cache at `offset` of `ino` and write
+    /// back the dirty pages that evicts. A page the copy covers in part
+    /// and that is not cached is first read from its block, unless it is
+    /// one of the `fresh` pages this write just allocated (zeroes).
+    fn cache_write(
+        &self,
+        ctx: &mut Ctx,
+        core: usize,
+        ino: u64,
+        offset: u64,
+        data: &[u8],
+        fresh: &[u64],
+    ) -> Result<(), FsError> {
+        let mut io_err = None;
+        let evicted = self
+            .cache
+            .write(ctx, ino, offset, data, |ctx, pgidx, page| {
+                fresh.contains(&pgidx) || self.fill_page(ctx, core, ino, pgidx, page, &mut io_err)
+            });
+        self.writeback(ctx, core, evicted)?;
+        io_err.map_or(Ok(()), Err)
     }
 
     /// Remove a file or empty directory.
@@ -646,6 +676,17 @@ impl KernelFs {
         if fparent == tparent && fname == tname {
             return Ok(());
         }
+        // The target must name an entry of a directory, and may not be a
+        // directory that still has entries.
+        let tnode = &inodes[&tparent];
+        if tnode.kind != FileKind::Dir {
+            return Err(FsError::NotDir);
+        }
+        if let Some(old) = tnode.children.get(tname).and_then(|old| inodes.get(old)) {
+            if !old.children.is_empty() {
+                return Err(FsError::NotEmpty);
+            }
+        }
         // Replace any existing target (dropping its inode), then move.
         let replaced = inodes
             .get_mut(&tparent)
@@ -682,13 +723,7 @@ impl KernelFs {
     }
 
     /// Set file size.
-    pub fn truncate(
-        &self,
-        ctx: &mut Ctx,
-        _core: usize,
-        ino: u64,
-        size: u64,
-    ) -> Result<(), FsError> {
+    pub fn truncate(&self, ctx: &mut Ctx, core: usize, ino: u64, size: u64) -> Result<(), FsError> {
         self.take_meta_lock(ctx, self.domain_of(ino));
         let old_size;
         {
@@ -712,7 +747,7 @@ impl KernelFs {
             if tail != 0 {
                 let zero_to = (old_size.min(keep * PAGE_SIZE as u64) - size) as usize;
                 if zero_to > 0 {
-                    self.cache.write(ctx, ino, size, &vec![0u8; zero_to]);
+                    self.cache_write(ctx, core, ino, size, &vec![0u8; zero_to], &[])?;
                 }
             }
         }
@@ -836,6 +871,52 @@ mod tests {
         f.mkdir(&mut ctx, 0, "/d", 0o755, root()).unwrap();
         f.create(&mut ctx, 0, "/d/f", 0o644, root()).unwrap();
         assert_eq!(f.unlink(&mut ctx, 0, "/d", root()), Err(FsError::NotEmpty));
+    }
+
+    #[test]
+    fn rename_refuses_a_file_as_parent_and_a_directory_with_entries() {
+        let f = fs(FsProfile::ext4_like());
+        let mut ctx = Ctx::new();
+        f.create(&mut ctx, 0, "/a", 0o644, root()).unwrap();
+        f.create(&mut ctx, 0, "/f", 0o644, root()).unwrap();
+        f.mkdir(&mut ctx, 0, "/d", 0o755, root()).unwrap();
+        f.create(&mut ctx, 0, "/d/x", 0o644, root()).unwrap();
+        let rename = |ctx: &mut Ctx, to| f.rename(ctx, 0, "/a", to, root());
+        assert_eq!(rename(&mut ctx, "/f/a"), Err(FsError::NotDir));
+        assert_eq!(rename(&mut ctx, "/d"), Err(FsError::NotEmpty));
+        assert!(f.lookup(&mut ctx, "/a").is_ok() && f.lookup(&mut ctx, "/d/x").is_ok());
+    }
+
+    /// A 2-page cache: the first page is written, then evicted (and
+    /// written back) by the next two.
+    fn evicted_first_page() -> (Arc<KernelFs>, Ctx, u64) {
+        let dev = SimDevice::new(DeviceModel::preset(DeviceKind::Nvme));
+        let f = KernelFs::new(FsProfile::xfs_like(), BlockLayer::new(dev), 2 * PAGE_SIZE);
+        let mut ctx = Ctx::new();
+        let ino = f.create(&mut ctx, 0, "/a", 0o644, root()).unwrap();
+        f.write(&mut ctx, 0, ino, 0, &[1u8; PAGE_SIZE]).unwrap();
+        f.write(&mut ctx, 0, ino, PAGE_SIZE as u64, &[2u8; 2 * PAGE_SIZE])
+            .unwrap();
+        (f, ctx, ino)
+    }
+
+    #[test]
+    fn a_partial_write_to_an_evicted_page_keeps_its_other_bytes() {
+        let (f, mut ctx, ino) = evicted_first_page();
+        f.write(&mut ctx, 0, ino, 100, &[3u8; 10]).unwrap();
+        let mut page = vec![0u8; PAGE_SIZE];
+        f.read(&mut ctx, 0, ino, 0, &mut page).unwrap();
+        assert_eq!((page[99], page[100], page[110]), (1, 3, 1));
+    }
+
+    #[test]
+    fn a_truncate_into_an_evicted_page_keeps_its_head() {
+        let (f, mut ctx, ino) = evicted_first_page();
+        f.truncate(&mut ctx, 0, ino, 100).unwrap();
+        f.truncate(&mut ctx, 0, ino, 200).unwrap();
+        let mut head = vec![0u8; 200];
+        f.read(&mut ctx, 0, ino, 0, &mut head).unwrap();
+        assert_eq!((head[99], head[100]), (1, 0));
     }
 
     #[test]

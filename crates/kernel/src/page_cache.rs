@@ -282,10 +282,19 @@ impl PageCache {
     }
 
     /// Copy `data` into the cache at byte `offset` of `ino`, marking pages
-    /// dirty. Returns dirty pages evicted to make room (for writeback);
-    /// clean victims are silently dropped.
-    pub(crate) fn write(&self, ctx: &mut Ctx, ino: u64, offset: u64, data: &[u8]) -> Vec<Evicted> {
-        let mut evicted = Vec::new();
+    /// dirty. A page the copy covers only in part and that misses starts
+    /// from what `fill` fetches (with the cache mutex released), so its
+    /// other bytes survive; a `false` from `fill` stops the copy there.
+    /// Returns dirty pages evicted to make room (for writeback); clean
+    /// victims are silently dropped.
+    pub(crate) fn write(
+        &self,
+        ctx: &mut Ctx,
+        ino: u64,
+        offset: u64,
+        data: &[u8],
+        mut fill: impl FnMut(&mut Ctx, u64, &mut [u8]) -> bool,
+    ) -> Vec<Evicted> {
         let mut pos = 0usize;
         while pos < data.len() {
             let abs = offset + pos as u64;
@@ -295,12 +304,20 @@ impl PageCache {
             let key = (ino, pgidx);
             self.charge_lock(ctx);
             cost::copy(ctx, n);
+            let mut base = zeroed_page();
+            let partial_miss = n < PAGE_SIZE && {
+                let inner = self.inner.lock(); // lock-class: pagecache.shard
+                inner.pages.peek(&key).is_none()
+            };
+            if partial_miss && !fill(ctx, pgidx, Arc::get_mut(&mut base).expect("fresh page")) {
+                break;
+            }
             let mut inner = self.inner.lock(); // lock-class: pagecache.shard
             if inner.pages.peek(&key).is_none() {
                 inner.pages.insert(
                     key,
                     Page {
-                        data: zeroed_page(),
+                        data: base,
                         dirty: false,
                     },
                 );
@@ -316,23 +333,28 @@ impl PageCache {
             bytes[pgoff..pgoff + n].copy_from_slice(&data[pos..pos + n]);
             let newly_dirty = !std::mem::replace(&mut page.dirty, true);
             inner.dirty_pages += usize::from(newly_dirty);
-            while inner.pages.len() > self.capacity_pages {
-                match inner.pages.pop_lru() {
-                    Some((k, p)) if p.dirty => {
-                        inner.dirty_pages -= 1;
-                        evicted.push(Evicted {
-                            key: k,
-                            data: p.data,
-                        });
-                    }
-                    Some(_) => {}
-                    None => break,
-                }
-            }
-            inner.check_dirty_count();
             drop(inner);
             pos += n;
         }
+        // Evict once the whole copy is in: the same least recently used
+        // pages go as when each page made its own room, but none of this
+        // write's pages leaves before a later one in it is filled.
+        let mut evicted = Vec::new();
+        let mut inner = self.inner.lock(); // lock-class: pagecache.shard
+        while inner.pages.len() > self.capacity_pages {
+            match inner.pages.pop_lru() {
+                Some((k, p)) if p.dirty => {
+                    inner.dirty_pages -= 1;
+                    evicted.push(Evicted {
+                        key: k,
+                        data: p.data,
+                    });
+                }
+                Some(_) => {}
+                None => break,
+            }
+        }
+        inner.check_dirty_count();
         evicted
     }
 
@@ -525,7 +547,7 @@ mod tests {
         let pc = PageCache::new(1 << 20);
         let mut ctx = Ctx::new();
         let data: Vec<u8> = (0..8192).map(|i| (i % 250) as u8).collect();
-        let ev = pc.write(&mut ctx, 1, 100, &data);
+        let ev = pc.write(&mut ctx, 1, 100, &data, |_, _, _| true);
         assert!(ev.is_empty());
         let mut out = vec![0u8; 8192];
         let misses = pc
@@ -571,9 +593,11 @@ mod tests {
         let pc = PageCache::new(2 * PAGE_SIZE); // 2-page cache
         let mut ctx = Ctx::new();
         let page = vec![1u8; PAGE_SIZE];
-        assert!(pc.write(&mut ctx, 1, 0, &page).is_empty());
-        assert!(pc.write(&mut ctx, 1, PAGE_SIZE as u64, &page).is_empty());
-        let ev = pc.write(&mut ctx, 1, 2 * PAGE_SIZE as u64, &page);
+        assert!(pc.write(&mut ctx, 1, 0, &page, |_, _, _| true).is_empty());
+        assert!(pc
+            .write(&mut ctx, 1, PAGE_SIZE as u64, &page, |_, _, _| true)
+            .is_empty());
+        let ev = pc.write(&mut ctx, 1, 2 * PAGE_SIZE as u64, &page, |_, _, _| true);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].key, (1, 0)); // the oldest page went out
     }
@@ -582,8 +606,14 @@ mod tests {
     fn read_never_evicts_a_dirty_page() {
         let pc = PageCache::new(2 * PAGE_SIZE); // 2-page cache
         let mut ctx = Ctx::new();
-        pc.write(&mut ctx, 1, 0, &[1u8; PAGE_SIZE]);
-        pc.write(&mut ctx, 1, PAGE_SIZE as u64, &[2u8; PAGE_SIZE]);
+        pc.write(&mut ctx, 1, 0, &[1u8; PAGE_SIZE], |_, _, _| true);
+        pc.write(
+            &mut ctx,
+            1,
+            PAGE_SIZE as u64,
+            &[2u8; PAGE_SIZE],
+            |_, _, _| true,
+        );
         let mut out = vec![0u8; PAGE_SIZE];
         let mut miss = |pc: &PageCache, ctx: &mut Ctx, pgidx: u64| {
             pc.read(ctx, 1, pgidx * PAGE_SIZE as u64, &mut out, |_, _, page| {
@@ -613,8 +643,8 @@ mod tests {
     fn take_dirty_per_inode() {
         let pc = PageCache::new(1 << 20);
         let mut ctx = Ctx::new();
-        pc.write(&mut ctx, 1, 0, &[1u8; PAGE_SIZE]);
-        pc.write(&mut ctx, 2, 0, &[2u8; PAGE_SIZE]);
+        pc.write(&mut ctx, 1, 0, &[1u8; PAGE_SIZE], |_, _, _| true);
+        pc.write(&mut ctx, 2, 0, &[2u8; PAGE_SIZE], |_, _, _| true);
         let d1 = pc.take_dirty(&mut ctx, Some(1));
         assert_eq!(d1.len(), 1);
         assert_eq!(d1[0].key.0, 1);
@@ -628,7 +658,7 @@ mod tests {
     fn invalidate_drops_pages() {
         let pc = PageCache::new(1 << 20);
         let mut ctx = Ctx::new();
-        pc.write(&mut ctx, 5, 0, &[1u8; PAGE_SIZE]);
+        pc.write(&mut ctx, 5, 0, &[1u8; PAGE_SIZE], |_, _, _| true);
         pc.invalidate(5);
         assert!(pc.inner.lock().pages.is_empty());
     }
@@ -637,7 +667,7 @@ mod tests {
     fn write_charges_copy_cost() {
         let pc = PageCache::new(1 << 20);
         let mut ctx = Ctx::new();
-        pc.write(&mut ctx, 1, 0, &[0u8; 4096]);
+        pc.write(&mut ctx, 1, 0, &[0u8; 4096], |_, _, _| true);
         assert!(ctx.now() >= cost::copy_ns(4096));
     }
 
@@ -645,11 +675,11 @@ mod tests {
     fn write_after_snapshot_copy_on_writes() {
         let pc = PageCache::new(1 << 20);
         let mut ctx = Ctx::new();
-        pc.write(&mut ctx, 4, 0, &[1u8; PAGE_SIZE]);
+        pc.write(&mut ctx, 4, 0, &[1u8; PAGE_SIZE], |_, _, _| true);
         let snap = pc.take_dirty(&mut ctx, Some(4)).pop().unwrap();
         // Re-write the page while the writeback snapshot is live.
         let copies_before = labstor_ipc::payload_copies();
-        pc.write(&mut ctx, 4, 0, &[2u8; PAGE_SIZE]);
+        pc.write(&mut ctx, 4, 0, &[2u8; PAGE_SIZE], |_, _, _| true);
         // The copy is counted. (The counter is process-wide and other
         // tests run beside this one, so only a lower bound is race-free;
         // that the page was copied once and no longer shares the
@@ -671,8 +701,8 @@ mod tests {
         let pc = PageCache::new(1 << 20);
         let mut a = Ctx::new();
         let mut b = Ctx::new();
-        pc.write(&mut a, 1, 0, &[0u8; 512]);
-        pc.write(&mut b, 2, 0, &[0u8; 512]);
+        pc.write(&mut a, 1, 0, &[0u8; 512], |_, _, _| true);
+        pc.write(&mut b, 2, 0, &[0u8; 512], |_, _, _| true);
         assert!(
             b.now() > a.now() - cost::copy_ns(512),
             "b queued behind a's lock hold"

@@ -179,10 +179,14 @@ impl GenericFs {
     /// counted, into a pool buffer of the class that fits
     /// ([`Client::alloc_buf`]) and ride the zero-copy `WriteBuf` path, so
     /// a block cache keeps that buffer instead of copying them again.
-    /// When that class is dry the bytes go as the legacy `Write`.
+    /// When that class is dry the bytes go as the legacy `Write`. No
+    /// bytes send nothing: the fd is checked and the write returns 0.
     ///
     /// [`Client::alloc_buf`]: labstor_core::Client::alloc_buf
     pub fn write(&mut self, fd: i32, data: &[u8]) -> Result<usize, GenericFsError> {
+        if data.is_empty() {
+            return self.entry(fd).map(|_| 0);
+        }
         self.write_op(fd, |fs, ino, offset| {
             match fs.client.alloc_buf(data.len()) {
                 Some(mut buf) => {

@@ -126,6 +126,9 @@ impl LabFs {
         if self.store.state.lookup(path).is_some() {
             return RespPayload::Err(format!("{path}: file exists"));
         }
+        if !self.store.state.parent_is_dir(path) {
+            return RespPayload::Err(format!("{path}: no such directory"));
+        }
         let ino = self.store.state.fresh_ino();
         let rec = LogRecord::Create {
             path: path.to_string(),
@@ -169,12 +172,11 @@ impl LabMod for LabFs {
             }) => {
                 ctx.advance(META_CPU_NS);
                 match self.store.state.lookup(path) {
-                    Some(ino) => {
-                        if *truncate {
-                            self.op_truncate(ctx, env, &req, ino, 0);
-                        }
-                        RespPayload::Ino(ino)
-                    }
+                    Some(ino) if *truncate => match self.op_truncate(ctx, env, &req, ino, 0) {
+                        RespPayload::Ok => RespPayload::Ino(ino),
+                        err => err,
+                    },
+                    Some(ino) => RespPayload::Ino(ino),
                     None if *create => self.op_create(ctx, &req, path, 0o644, false),
                     None => RespPayload::Err(format!("{path}: not found")),
                 }
@@ -193,6 +195,10 @@ impl LabMod for LabFs {
             }) => self.op_read_filtered(ctx, env, &req, *ino, *offset, *len, prog),
             Payload::Fs(FsOp::Rename { from, to }) => {
                 ctx.advance(META_CPU_NS);
+                let state = &self.store.state;
+                if from != to && (!state.parent_is_dir(to) || state.has_children(to)) {
+                    return RespPayload::Err(format!("{to}: not a place to rename to"));
+                }
                 let rec = LogRecord::Rename {
                     from: from.clone(),
                     to: to.clone(),
@@ -205,6 +211,9 @@ impl LabMod for LabFs {
             }
             Payload::Fs(FsOp::Unlink { path }) => {
                 ctx.advance(META_CPU_NS);
+                if self.store.state.has_children(path) {
+                    return RespPayload::Err(format!("{path}: directory not empty"));
+                }
                 if self
                     .store
                     .commit(ctx, req.core, &LogRecord::Unlink { path: path.clone() })
@@ -459,6 +468,13 @@ mod tests {
             &mut ctx,
         );
         h.exec(
+            Payload::Fs(FsOp::Mkdir {
+                path: "/d/sub".into(),
+                mode: 0o755,
+            }),
+            &mut ctx,
+        );
+        h.exec(
             Payload::Fs(FsOp::Create {
                 path: "/d/sub/z".into(),
                 mode: 0o644,
@@ -466,9 +482,126 @@ mod tests {
             &mut ctx,
         );
         let names = h.exec(Payload::Fs(FsOp::Readdir { path: "/d".into() }), &mut ctx);
-        assert!(
-            matches!(names, RespPayload::Names(n) if n == vec!["x".to_string(), "y".to_string()])
+        assert!(matches!(names, RespPayload::Names(n) if n == ["sub", "x", "y"]));
+    }
+
+    /// Namespace calls for the tests below.
+    impl Harness {
+        fn fs(&self, ctx: &mut Ctx, op: FsOp) -> RespPayload {
+            self.exec(Payload::Fs(op), ctx)
+        }
+
+        fn create(&self, ctx: &mut Ctx, path: &str) -> RespPayload {
+            let (path, mode) = (path.to_string(), 0o644);
+            self.fs(ctx, FsOp::Create { path, mode })
+        }
+
+        fn mkdir(&self, ctx: &mut Ctx, path: &str) -> RespPayload {
+            let (path, mode) = (path.to_string(), 0o755);
+            self.fs(ctx, FsOp::Mkdir { path, mode })
+        }
+
+        fn unlink(&self, ctx: &mut Ctx, path: &str) -> RespPayload {
+            let path = path.to_string();
+            self.fs(ctx, FsOp::Unlink { path })
+        }
+
+        fn rename(&self, ctx: &mut Ctx, from: &str, to: &str) -> RespPayload {
+            let (from, to) = (from.to_string(), to.to_string());
+            self.fs(ctx, FsOp::Rename { from, to })
+        }
+
+        fn size(&self, ctx: &mut Ctx, path: &str) -> Option<u64> {
+            let path = path.to_string();
+            match self.fs(ctx, FsOp::Stat { path }) {
+                RespPayload::Stat(st) => Some(st.size),
+                _ => None,
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_name_needs_a_directory_to_go_in() {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        assert!(!h.create(&mut ctx, "/nodir/x").is_ok());
+        let path = "/nodir/y".to_string();
+        let open = FsOp::Open {
+            path,
+            create: true,
+            truncate: false,
+        };
+        assert!(!h.fs(&mut ctx, open).is_ok());
+        assert!(h.create(&mut ctx, "/f").is_ok());
+        assert!(!h.mkdir(&mut ctx, "/f/sub").is_ok());
+        assert!(h.mkdir(&mut ctx, "/d").is_ok());
+        assert!(h.create(&mut ctx, "/d/x").is_ok());
+        let names = h.fs(&mut ctx, FsOp::Readdir { path: "/".into() });
+        assert!(matches!(names, RespPayload::Names(n) if n == ["d", "f"]));
+    }
+
+    #[test]
+    fn unlink_refuses_a_directory_with_a_name_under_it() {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        h.mkdir(&mut ctx, "/d2");
+        h.create(&mut ctx, "/d2/x");
+        assert!(!h.unlink(&mut ctx, "/d2").is_ok());
+        assert_eq!(h.size(&mut ctx, "/d2/x"), Some(0));
+        assert!(h.unlink(&mut ctx, "/d2/x").is_ok());
+        assert!(h.unlink(&mut ctx, "/d2").is_ok());
+    }
+
+    #[test]
+    fn a_directory_rename_moves_every_name_under_it() {
+        let (h, dev) = Harness::new();
+        let mut ctx = Ctx::new();
+        h.mkdir(&mut ctx, "/d");
+        h.mkdir(&mut ctx, "/d/sub");
+        let ino = ino_of(h.create(&mut ctx, "/d/x"));
+        h.create(&mut ctx, "/d/sub/y");
+        let data = b"hello".to_vec();
+        h.fs(
+            &mut ctx,
+            FsOp::Write {
+                ino,
+                offset: 0,
+                data,
+            },
         );
+        assert!(h.rename(&mut ctx, "/d", "/e").is_ok());
+        assert_eq!(h.size(&mut ctx, "/e/x"), Some(5));
+        assert_eq!(h.size(&mut ctx, "/e/sub/y"), Some(0));
+        assert_eq!(h.size(&mut ctx, "/d/x"), None);
+        // Replay runs the same move.
+        assert!(h.fs(&mut ctx, FsOp::Fsync { ino }).is_ok());
+        let replayed = LabFs::new(dev, 4);
+        assert!(replayed.replay_from_device().is_clean());
+        let labfs = h.labfs();
+        let live = labfs.as_any().downcast_ref::<LabFs>().unwrap();
+        assert_eq!(replayed.snapshot(), live.snapshot());
+    }
+
+    #[test]
+    fn rename_and_open_refuse_what_they_cannot_do() {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        h.create(&mut ctx, "/a");
+        h.mkdir(&mut ctx, "/d");
+        h.create(&mut ctx, "/d/x");
+        // Onto itself: nothing changes, the inode included.
+        assert!(h.rename(&mut ctx, "/a", "/a").is_ok());
+        assert_eq!(h.size(&mut ctx, "/a"), Some(0));
+        assert!(!h.rename(&mut ctx, "/a", "/nodir/a").is_ok());
+        assert!(!h.rename(&mut ctx, "/a", "/d").is_ok());
+        assert_eq!(h.size(&mut ctx, "/d/x"), Some(0));
+        let path = "/d".to_string();
+        let open = FsOp::Open {
+            path,
+            create: false,
+            truncate: true,
+        };
+        assert!(!h.fs(&mut ctx, open).is_ok(), "O_TRUNC on a directory");
     }
 
     #[test]

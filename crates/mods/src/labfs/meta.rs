@@ -337,39 +337,48 @@ impl StateMachine for Meta {
 }
 
 impl Meta {
-    /// Move a key between name shards, replacing any existing target
-    /// (POSIX rename semantics). Returns false if `from` does not exist.
+    /// Move `from`, and when it is a directory every name under it, to
+    /// `to`, replacing what `to` named (POSIX rename semantics; the live
+    /// operation has refused a target directory that has children).
+    /// Renaming a name onto itself changes nothing. Returns false if
+    /// `from` does not exist.
     fn rename_in_maps(&self, from: &str, to: &str) -> bool {
-        // Lock discipline: a rename may span two shards; take the lower
-        // shard index first.
-        let fi = self.name_shard_idx(from);
-        let ti = self.name_shard_idx(to);
-        if fi == ti {
-            let mut shard = self.names[fi].write();
-            let Some(ino) = shard.remove(from) else {
-                return false;
-            };
-            if let Some(old) = shard.insert(to.to_string(), ino) {
-                self.node_shard(old).write().remove(&old);
-            }
-            true
-        } else {
-            let (lo, hi) = (fi.min(ti), fi.max(ti));
-            let mut lo_guard = self.names[lo].write();
-            let mut hi_guard = self.names[hi].write();
-            let (from_shard, to_shard) = if fi == lo {
-                (&mut lo_guard, &mut hi_guard)
-            } else {
-                (&mut hi_guard, &mut lo_guard)
-            };
-            let Some(ino) = from_shard.remove(from) else {
-                return false;
-            };
-            if let Some(old) = to_shard.insert(to.to_string(), ino) {
-                self.node_shard(old).write().remove(&old);
-            }
-            true
+        // Lock discipline: a directory's names hash to any shard, so a
+        // rename takes every shard, in index order.
+        let mut shards: Vec<_> = self.names.iter().map(|shard| shard.write()).collect();
+        let Some(&ino) = shards[self.name_shard_idx(from)].get(from) else {
+            return false;
+        };
+        if from == to {
+            return true;
         }
+        let mut moved = vec![(to.to_string(), ino)];
+        if self
+            .node_shard(ino)
+            .read()
+            .get(&ino)
+            .is_some_and(|n| n.stat.is_dir)
+        {
+            let under = format!("{from}/");
+            for shard in &mut shards {
+                let keys: Vec<String> = shard
+                    .keys()
+                    .filter(|k| k.starts_with(&under))
+                    .cloned()
+                    .collect();
+                for key in keys {
+                    let child = shard.remove(&key).expect("key just listed");
+                    moved.push((format!("{to}{}", &key[from.len()..]), child));
+                }
+            }
+        }
+        shards[self.name_shard_idx(from)].remove(from);
+        for (key, ino) in moved {
+            if let Some(old) = shards[self.name_shard_idx(&key)].insert(key, ino) {
+                self.node_shard(old).write().remove(&old);
+            }
+        }
+        true
     }
 
     /// `map_range`'s metadata half: in one critical section on `ino`,
@@ -444,6 +453,25 @@ impl Meta {
     pub(super) fn stat(&self, path: &str) -> Option<FileStat> {
         let ino = self.lookup(path)?;
         self.node_shard(ino).read().get(&ino).map(|n| n.stat)
+    }
+
+    /// Whether a new name at `path` has a directory to go in: the root,
+    /// or a directory that exists.
+    pub(super) fn parent_is_dir(&self, path: &str) -> bool {
+        match path.rfind('/') {
+            None | Some(0) => true,
+            Some(i) => self.stat(&path[..i]).is_some_and(|st| st.is_dir),
+        }
+    }
+
+    /// Whether `path` is a directory with a name under it.
+    pub(super) fn has_children(&self, path: &str) -> bool {
+        let under = format!("{path}/");
+        self.stat(path).is_some_and(|st| st.is_dir)
+            && self
+                .names
+                .iter()
+                .any(|shard| shard.read().keys().any(|k| k.starts_with(&under)))
     }
 
     /// The size of file `ino` and the device block behind each page of

@@ -55,6 +55,7 @@ use labstor_mods::{DeviceRegistry, RepairReport};
 use labstor_sim::{BlockDevice, Ctx, DeviceKind, SimDevice};
 
 use crate::fio::XorShift;
+use crate::fsmodel::FsModel;
 
 /// Which operation mix a trial runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -434,6 +435,13 @@ impl Boot {
     /// candidate namespace: a few values (or files) of assorted sizes,
     /// each read back.
     fn write_after_recovery(&self, ctx: &mut Ctx) -> Result<(), String> {
+        if !self.kvs {
+            let (path, mode) = ("/post-recovery".to_string(), 0o755);
+            match self.exec(ctx, Payload::Fs(FsOp::Mkdir { path, mode })) {
+                RespPayload::Ino(_) => {}
+                other => return Err(format!("mkdir /post-recovery: {other:?}")),
+            }
+        }
         for (i, len) in [700usize, 4096, 5000, 1].into_iter().enumerate() {
             let name = format!("post-recovery/object-{i}");
             let data = vec![0xC0 | i as u8; len];
@@ -449,7 +457,7 @@ impl Boot {
                 self.exec(ctx, Payload::Kvs(KvsOp::Get { key: name.clone() }))
             } else {
                 let create = FsOp::Create {
-                    path: name.clone(),
+                    path: format!("/{name}"),
                     mode: 0o644,
                 };
                 let ino = match self.exec(ctx, Payload::Fs(create)) {
@@ -573,24 +581,6 @@ fn fold_digest(mut entries: Vec<(String, usize, u32)>) -> u64 {
 
 // ---- model + workload driver ------------------------------------------
 
-/// In-memory model of what the acknowledged history should produce.
-#[derive(Default)]
-struct Model {
-    /// name → (content, content crc).
-    files: HashMap<String, (Vec<u8>, u32)>,
-}
-
-impl Model {
-    fn digest(&self) -> u64 {
-        fold_digest(
-            self.files
-                .iter()
-                .map(|(k, (v, c))| (k.clone(), v.len(), *c))
-                .collect(),
-        )
-    }
-}
-
 struct RunOutcome {
     dev: Arc<SimDevice>,
     end_vt: u64,
@@ -630,7 +620,12 @@ impl RunOutcome {
 struct Driver<'a> {
     boot: &'a Boot,
     ctx: Ctx,
-    model: Model,
+    /// What the acknowledged history should produce: a KVS key is a file.
+    model: FsModel,
+    /// `(size, content crc)` of every file in `model`, by name: the
+    /// digest's entries, refreshed for the name an acked operation
+    /// changed.
+    entries: HashMap<String, (usize, u32)>,
     digests: Vec<u64>,
     durable_floor: usize,
     sync_starts: Vec<u64>,
@@ -656,8 +651,31 @@ impl Driver<'_> {
         }
     }
 
-    fn ack(&mut self) {
-        self.digests.push(self.model.digest());
+    /// Acknowledge an operation that changed the file `touched`, if any:
+    /// record the digest of the model state it left.
+    fn ack(&mut self, touched: Option<&str>) {
+        if let Some(path) = touched {
+            let bytes = self
+                .model
+                .lookup(path)
+                .and_then(|ino| self.model.read(ino, 0, usize::MAX));
+            match bytes {
+                Some(bytes) => self
+                    .entries
+                    .insert(path.to_string(), (bytes.len(), crc32(bytes))),
+                None => self.entries.remove(path),
+            };
+        }
+        let entries = self
+            .entries
+            .iter()
+            .map(|(k, &(len, crc))| (k.clone(), len, crc));
+        self.digests.push(fold_digest(entries.collect()));
+    }
+
+    /// The model's inode for `path`, which an acked operation touched.
+    fn modeled(&self, path: &str) -> u64 {
+        self.model.lookup(path).expect("modeled file")
     }
 
     fn create(&mut self, path: &str) {
@@ -674,10 +692,10 @@ impl Driver<'_> {
         ) {
             RespPayload::Ino(i) => {
                 self.inos.insert(path.to_string(), i);
-                self.model
-                    .files
-                    .insert(path.to_string(), (Vec::new(), crc32(&[])));
-                self.ack();
+                match self.model.open(path, true, false) {
+                    Some(_) => self.ack(Some(path)),
+                    None => self.violation = Some(format!("create {path}: the model refuses it")),
+                }
             }
             RespPayload::Err(e) => self.error("create", e),
             other => self.violation = Some(format!("create {path}: {other:?}")),
@@ -694,12 +712,7 @@ impl Driver<'_> {
             self.violation = Some(format!("append {path}: no ino"));
             return;
         };
-        let offset = self
-            .model
-            .files
-            .get(path)
-            .map(|(v, _)| v.len())
-            .unwrap_or(0) as u64;
+        let offset = self.model.size(path).unwrap_or(0);
         match self.boot.exec(
             &mut self.ctx,
             Payload::Fs(FsOp::Write {
@@ -709,10 +722,8 @@ impl Driver<'_> {
             }),
         ) {
             RespPayload::Len(_) => {
-                let entry = self.model.files.get_mut(path).expect("modeled file");
-                entry.0.extend_from_slice(&data);
-                entry.1 = crc32(&entry.0);
-                self.ack();
+                self.model.write(self.modeled(path), offset, &data);
+                self.ack(Some(path));
             }
             RespPayload::Err(e) => self.error("append", e),
             other => self.violation = Some(format!("append {path}: {other:?}")),
@@ -734,10 +745,8 @@ impl Driver<'_> {
         };
         match self.boot.exec(&mut self.ctx, Payload::Fs(op)) {
             RespPayload::Ok => {
-                let entry = self.model.files.get_mut(path).expect("modeled file");
-                entry.0.resize(size, 0);
-                entry.1 = crc32(&entry.0);
-                self.ack();
+                self.model.truncate(self.modeled(path), size as u64);
+                self.ack(Some(path));
             }
             RespPayload::Err(e) => self.error("truncate", e),
             other => self.violation = Some(format!("truncate {path}: {other:?}")),
@@ -745,7 +754,7 @@ impl Driver<'_> {
     }
 
     fn unlink(&mut self, path: &str) {
-        if !self.live() || !self.model.files.contains_key(path) {
+        if !self.live() || self.model.lookup(path).is_none() {
             return;
         }
         match self.boot.exec(
@@ -755,9 +764,9 @@ impl Driver<'_> {
             }),
         ) {
             RespPayload::Ok => {
-                self.model.files.remove(path);
+                self.model.unlink(path);
                 self.inos.remove(path);
-                self.ack();
+                self.ack(Some(path));
             }
             RespPayload::Err(e) => self.error("unlink", e),
             other => self.violation = Some(format!("unlink {path}: {other:?}")),
@@ -776,7 +785,7 @@ impl Driver<'_> {
             Payload::Fs(FsOp::Fsync { ino: self.dir_ino }),
         ) {
             r if r.is_ok() => {
-                self.ack();
+                self.ack(None);
                 self.durable_floor = self.digests.len() - 1;
             }
             RespPayload::Err(e) => self.error("fsync", e),
@@ -792,31 +801,21 @@ impl Driver<'_> {
         let Some(&ino) = self.inos.get(path) else {
             return;
         };
-        let want = self.model.files.get(path).expect("modeled file").0.clone();
-        match self.boot.exec(
+        let modeled = self.model.read(self.modeled(path), 0, usize::MAX);
+        let want = modeled.expect("modeled file").to_vec();
+        let resp = self.boot.exec(
             &mut self.ctx,
             Payload::Fs(FsOp::Read {
                 ino,
                 offset: 0,
                 len: want.len().max(1),
             }),
-        ) {
-            RespPayload::Data(d) => {
-                if d != want {
-                    self.violation = Some(format!("live read mismatch on {path}"));
-                } else {
-                    self.ack();
-                }
-            }
-            RespPayload::DataBuf(h) => {
-                if h.to_vec() != want {
-                    self.violation = Some(format!("live read mismatch on {path}"));
-                } else {
-                    self.ack();
-                }
-            }
-            RespPayload::Err(e) => self.error("read", e),
-            other => self.violation = Some(format!("read {path}: {other:?}")),
+        );
+        match (resp.data_bytes().map(|d| d == want), resp) {
+            (Some(true), _) => self.ack(None),
+            (Some(false), _) => self.violation = Some(format!("live read mismatch on {path}")),
+            (None, RespPayload::Err(e)) => self.error("read", e),
+            (None, other) => self.violation = Some(format!("read {path}: {other:?}")),
         }
     }
 
@@ -832,18 +831,21 @@ impl Driver<'_> {
                 value: value.clone(),
             }),
         ) {
-            RespPayload::Len(_) => {
-                let crc = crc32(&value);
-                self.model.files.insert(key.to_string(), (value, crc));
-                self.ack();
-            }
+            // A put is a create-or-truncate and a write at offset 0.
+            RespPayload::Len(_) => match self.model.open(key, true, true) {
+                Some(ino) => {
+                    self.model.write(ino, 0, &value);
+                    self.ack(Some(key));
+                }
+                None => self.violation = Some(format!("put {key}: the model refuses it")),
+            },
             RespPayload::Err(e) => self.error("put", e),
             other => self.violation = Some(format!("put {key}: {other:?}")),
         }
     }
 
     fn remove(&mut self, key: &str) {
-        if !self.live() || !self.model.files.contains_key(key) {
+        if !self.live() || self.model.lookup(key).is_none() {
             return;
         }
         match self.boot.exec(
@@ -853,8 +855,8 @@ impl Driver<'_> {
             }),
         ) {
             RespPayload::Ok => {
-                self.model.files.remove(key);
-                self.ack();
+                self.model.unlink(key);
+                self.ack(Some(key));
             }
             RespPayload::Err(e) => self.error("remove", e),
             other => self.violation = Some(format!("remove {key}: {other:?}")),
@@ -869,7 +871,7 @@ impl Driver<'_> {
         self.sync_starts.push(self.ctx.now());
         match self.boot.kv_flush(&mut self.ctx) {
             Ok(()) => {
-                self.ack();
+                self.ack(None);
                 self.durable_floor = self.digests.len() - 1;
             }
             Err(e) => self.error("kv flush", e),
@@ -894,7 +896,8 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
     let mut d = Driver {
         boot: &boot,
         ctx: Ctx::new(),
-        model: Model::default(),
+        model: FsModel::new(),
+        entries: HashMap::new(),
         digests: Vec::new(),
         durable_floor: 0,
         sync_starts: Vec::new(),
@@ -905,9 +908,13 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
         expect_crash: crash_at.is_some(),
         violation: None,
     };
-    d.digests.push(d.model.digest()); // state after zero ops
+    d.ack(None); // state after zero ops
 
-    if !workload.is_kvs() {
+    if workload.is_kvs() {
+        // Every key is under this one prefix: the model's key names are
+        // files in it.
+        d.model.mkdir("bucket-7");
+    } else {
         // The shared directory is op 1 of the history (digest unchanged —
         // only files are digested, the directory is structural).
         match d.boot.exec(
@@ -919,7 +926,8 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
         ) {
             RespPayload::Ino(i) => {
                 d.dir_ino = i;
-                d.ack();
+                d.model.mkdir("/cf");
+                d.ack(None);
             }
             RespPayload::Err(e) => d.error("mkdir", e),
             other => d.violation = Some(format!("mkdir: {other:?}")),
@@ -935,7 +943,7 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
             CrashWorkload::FioWrite => {
                 for _ in 0..4 {
                     let path = format!("/cf/f{}", rng.next() % 8);
-                    if !d.model.files.contains_key(&path) {
+                    if d.model.lookup(&path).is_none() {
                         d.create(&path);
                     }
                     let len = 512 + (rng.next() % 8192) as usize;
@@ -944,7 +952,7 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
                 }
                 if flow % 5 == 4 {
                     let path = format!("/cf/f{}", rng.next() % 8);
-                    let len = d.model.files.get(&path).map_or(0, |(v, _)| v.len());
+                    let len = d.model.size(&path).unwrap_or(0) as usize;
                     d.truncate(&path, rng.next() as usize % (len + 1024));
                 }
                 if flow % 2 == 1 {
@@ -991,11 +999,10 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
                 }
                 // One in-place overwrite of a live key, at another length
                 // (down to zero, up to a dozen sectors).
-                let mut live: Vec<&String> = d.model.files.keys().collect();
-                live.sort_unstable();
+                let live: Vec<(&str, &[u8])> = d.model.files().collect();
                 if !live.is_empty() {
-                    let key = live[rng.next() as usize % live.len()].clone();
-                    let old_len = d.model.files[&key].0.len();
+                    let (key, old) = live[rng.next() as usize % live.len()];
+                    let (key, old_len) = (key.to_string(), old.len());
                     let len = (old_len + 300 + (rng.next() % 3000) as usize) % 6200;
                     let value = payload_bytes(&mut rng, len);
                     d.put(&key, value);

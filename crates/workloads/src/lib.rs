@@ -22,6 +22,9 @@
 //! * [`pushdown`] — fixed-width record datasets and host-side reference
 //!   scans for the pushdown-vs-client-side-filter comparison.
 //! * [`stats`] — virtual-time latency recorders and percentile math.
+//! * [`fsmodel`] — the one model of file-system semantics every
+//!   file-system target is checked against, and the crash campaign's
+//!   state.
 //! * [`crash`] — the crash-recovery fuzz campaign: seeded fio/filebench
 //!   mixes killed at randomized virtual times, restarted, repaired, and
 //!   checked for prefix consistency against the acked history.
@@ -29,6 +32,7 @@
 pub mod crash;
 pub mod filebench;
 pub mod fio;
+pub mod fsmodel;
 pub mod fxmark;
 pub mod labios;
 pub mod pfs;

@@ -1,7 +1,9 @@
 //! Heap allocations per operation on the steady-state data path: a warmed
 //! 4 KiB `ReadBuf` miss, a `ReadBuf` hit, a legacy `Write` and a
 //! `GenericFs::write` (one: it sends `WriteBuf`, so neither a payload
-//! `Vec` nor the cache's `Arc<[u8]>` copy is made) through a sync Lab-D
+//! `Vec` nor the cache's `Arc<[u8]>` copy is made), and an empty
+//! `GenericFs::write` (none: it sends nothing, takes no pool slot and
+//! copies nothing) through a sync Lab-D
 //! stack (labfs → lru_cache 16 MiB → noop_sched → kernel_driver). A sync stack runs the whole request on the calling
 //! thread, so a global allocator that counts that thread's calls counts
 //! everything the operation allocates.
@@ -178,9 +180,19 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
         })
         .collect();
 
+    let pool = labstor::ipc::default_pool();
+    let (live, copies) = (pool.live(), labstor::ipc::payload_copies());
+    let empty = calls(|| assert_eq!(fs.write(fd, b""), Ok(0)));
+    let after = (pool.live(), labstor::ipc::payload_copies());
+
     assert_eq!(miss, [1; OPS], "ReadBuf miss");
     assert_eq!(hit, [1; OPS], "ReadBuf hit");
     assert_eq!(legacy, [2; OPS], "legacy Write");
     assert_eq!(generic, [1; OPS], "GenericFs::write");
+    assert_eq!(
+        (empty, after),
+        (0, (live, copies)),
+        "empty GenericFs::write"
+    );
     rt.shutdown();
 }
