@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, HashMap};
 /// One step of a file-system script. Names are full paths; an `fd`
 /// indexes the script's successful opens, modulo their count (a script
 /// with none skips the step).
-// api-ok: tests/fs_model.rs drives every file-system target with it
+// api-ok: tests/fs_harness/ drives every file-system target with it
 #[derive(Debug, Clone)]
 pub enum FsAction {
     /// `open(2)`: with `create` a missing file is made, with `truncate`

@@ -1,6 +1,6 @@
 //! One proptest for every file system: the same random script of
-//! [`FsAction`]s drives each target through the `FsTarget` trait and
-//! drives the one [`FsModel`]. After every step the target must equal the
+//! `FsAction`s drives each target through the `FsTarget` trait and
+//! drives the one `FsModel`. After every step the target must equal the
 //! model. That means every name's stat size and every file's bytes, and
 //! on LabFS every directory listing as well. The targets:
 //!
@@ -18,452 +18,21 @@
 //! totally ordered. After every fsync, `ModuleManager::repair_all`
 //! rebuilds LabFS from the device, and the next check must pass again. At
 //! the end, a fresh instance replayed from the same device must have the
-//! live instance's `LabFs::snapshot`.
+//! live instance's `LabFs::snapshot`, and, put in its place, must equal
+//! the model again.
+//!
+//! The alphabet, the targets and the driver are in `fs_harness/`. LabFS
+//! on Lab-D with owned verbs runs in `tests/properties.rs`
+//! (`labfs_matches_file_model`), next to `live_state_equals_replayed_state`,
+//! which drives the pool-verb target through longer scripts and checks at
+//! the end and after the replay.
 
-use std::collections::HashMap;
-use std::fmt::Debug;
-use std::sync::Arc;
+mod fs_harness;
 
 use proptest::prelude::*;
 
-use labstor::core::client::Client;
-use labstor::core::{FsOp, LabStack, Payload, RespPayload, Runtime, RuntimeConfig};
-use labstor::core::{StackSpec, VertexSpec};
-use labstor::ipc::Credentials;
-use labstor::kernel::fs::{FsProfile, KernelFs};
-use labstor::kernel::vfs::Vfs;
-use labstor::kernel::BlockLayer;
-use labstor::mods::labfs::LabFs;
-use labstor::mods::DeviceRegistry;
-use labstor::sim::{DeviceKind, SimDevice};
-use labstor::workloads::fsmodel::{FsAction, FsModel};
-use labstor::workloads::targets::{FsTarget, KernelFsTarget, LabStorFsTarget};
-
-const PAGE: u64 = 4096;
-const MOUNT: &str = "fs::/m";
-
-/// The names a script works on: files in the root, two directories and
-/// files in them. A directory's name may also be created as a file,
-/// which leaves the names under it without a directory.
-const FS_PATHS: [&str; 11] = [
-    "/f0", "/f1", "/f2", "/d0", "/d1", "/d0/f0", "/d0/f1", "/d0/f2", "/d1/f0", "/d1/f1", "/d1/f2",
-];
-
-const LAB_D: &str = r#"{
-    "mount": "fs::/m",
-    "exec": "sync",
-    "authorized_uids": [0],
-    "labmods": [
-        { "uuid": "m_fs", "type": "labfs", "params": {"device": "nvme0", "workers": 1}, "outputs": ["m_lru"] },
-        { "uuid": "m_lru", "type": "lru_cache", "params": {"capacity_bytes": 32768, "write_back": true}, "outputs": ["m_sched"] },
-        { "uuid": "m_sched", "type": "noop_sched", "outputs": ["m_drv"] },
-        { "uuid": "m_drv", "type": "kernel_driver", "params": {"device": "nvme0"} }
-    ]
-}"#;
-
-// ---------------------------------------------------------------------
-// The alphabet
-// ---------------------------------------------------------------------
-
-fn path() -> impl Strategy<Value = &'static str> {
-    (0..FS_PATHS.len()).prop_map(|i| FS_PATHS[i])
-}
-
-fn fd() -> impl Strategy<Value = usize> {
-    any::<u8>().prop_map(usize::from)
-}
-
-fn write(fd: usize, offset: u64, len: u64, seed: u8) -> FsAction {
-    let len = len as usize;
-    FsAction::Write {
-        fd,
-        offset,
-        len,
-        seed,
-    }
-}
-
-fn action() -> impl Strategy<Value = FsAction> {
-    prop_oneof![
-        4 => path().prop_map(|path| FsAction::Open { path, create: true, truncate: false }),
-        1 => path().prop_map(|path| FsAction::Open { path, create: false, truncate: true }),
-        1 => path().prop_map(|path| FsAction::Open { path, create: false, truncate: false }),
-        2 => path().prop_map(|path| FsAction::Mkdir { path }),
-        // Empty.
-        1 => (fd(), 0..16 * PAGE).prop_map(|(fd, offset)| write(fd, offset, 0, 0)),
-        // Inside one page.
-        3 => (fd(), 0..8u64, 0..PAGE, 1..PAGE, any::<u8>())
-            .prop_map(|(fd, p, o, l, s)| write(fd, p * PAGE + o, l.min(PAGE - o), s)),
-        // Across one page boundary.
-        3 => (fd(), 0..8u64, 1..PAGE, 1..PAGE, any::<u8>())
-            .prop_map(|(fd, p, h, t, s)| write(fd, (p + 1) * PAGE - h, h + t, s)),
-        // Whole pages.
-        2 => (fd(), 0..8u64, 1..4u64, any::<u8>()).prop_map(|(fd, p, n, s)| write(fd, p * PAGE, n * PAGE, s)),
-        // Past every earlier end: leaves a hole.
-        1 => (fd(), 12 * PAGE..16 * PAGE, 1..2 * PAGE, any::<u8>())
-            .prop_map(|(fd, o, l, s)| write(fd, o, l, s)),
-        3 => (fd(), 0..12 * PAGE, 1..3 * PAGE as usize)
-            .prop_map(|(fd, offset, len)| FsAction::Read { fd, offset, len }),
-        // Up or down to a page boundary, and anywhere (mostly mid-page).
-        1 => (fd(), 0..6u64).prop_map(|(fd, p)| FsAction::Truncate { fd, size: p * PAGE }),
-        2 => (fd(), 0..12 * PAGE).prop_map(|(fd, size)| FsAction::Truncate { fd, size }),
-        // Onto itself, onto any name, and a directory onto a top-level
-        // name. Moving a directory under itself is not in the alphabet.
-        1 => path().prop_map(|p| FsAction::Rename { from: p, to: p }),
-        2 => (path(), path()).prop_map(|(a, b)| {
-            let (from, to) = if b.starts_with(&format!("{a}/")) { (b, a) } else { (a, b) };
-            FsAction::Rename { from, to }
-        }),
-        1 => (0..2usize, 0..5usize)
-            .prop_map(|(d, to)| FsAction::Rename { from: FS_PATHS[3 + d], to: FS_PATHS[to] }),
-        1 => path().prop_map(|path| FsAction::Unlink { path }),
-        1 => fd().prop_map(|fd| FsAction::Fsync { fd }),
-    ]
-}
-
-fn script() -> impl Strategy<Value = Vec<FsAction>> {
-    proptest::collection::vec(action(), 1..64)
-}
-
-// ---------------------------------------------------------------------
-// The targets
-// ---------------------------------------------------------------------
-
-/// One file system under test, and what only LabFS offers.
-struct Subject {
-    fs: Box<dyn FsTarget>,
-    labfs: Option<LabFsStack>,
-}
-
-/// A mounted LabFS stack: readdir, repair and replay.
-struct LabFsStack {
-    rt: Arc<Runtime>,
-    stack: Arc<LabStack>,
-    dev: Arc<SimDevice>,
-    client: Client,
-}
-
-impl LabFsStack {
-    fn readdir(&mut self, dir: &str) -> Result<Vec<String>, String> {
-        let op = Payload::Fs(FsOp::Readdir { path: dir.into() });
-        match self.client.execute(&self.stack, op) {
-            Ok((RespPayload::Names(names), _)) => Ok(names),
-            other => Err(format!("readdir {dir}: {other:?}")),
-        }
-    }
-}
-
-fn labfs(all: bool, owned: bool) -> Subject {
-    let devices = DeviceRegistry::new();
-    let dev = devices.add_preset("nvme0", DeviceKind::Nvme);
-    let rt = Runtime::start(RuntimeConfig {
-        max_workers: 1,
-        ..Default::default()
-    });
-    labstor::mods::install_all(&rt.mm, &devices);
-    let mut spec: StackSpec = serde_json::from_str(LAB_D).unwrap();
-    if all {
-        spec.exec = "async".into();
-        let perms = VertexSpec {
-            uuid: "m_perm".into(),
-            type_name: "permissions".into(),
-            params: serde_json::Value::Null,
-            outputs: vec!["m_fs".into()],
-        };
-        spec.labmods.insert(0, perms);
-    }
-    let stack = rt.mount_stack(&spec).unwrap();
-    let connect = || rt.connect(Credentials::new(1, 0, 0), 1);
-    let label = if all { "labfs-all" } else { "labfs-d" };
-    let target = LabStorFsTarget::new(connect(), MOUNT, label);
-    let fs: Box<dyn FsTarget> = if owned {
-        let (stack, fds) = (stack.clone(), HashMap::new());
-        Box::new(OwnedVerbs {
-            inner: target,
-            stack,
-            fds,
-        })
-    } else {
-        Box::new(target)
-    };
-    let client = connect();
-    Subject {
-        fs,
-        labfs: Some(LabFsStack {
-            rt,
-            stack,
-            dev,
-            client,
-        }),
-    }
-}
-
-fn kernel(name: &str, profile: FsProfile, cache_bytes: usize) -> Subject {
-    let label = format!("{name} with {cache_bytes} B of page cache");
-    let vfs = Vfs::new();
-    let block = BlockLayer::new(SimDevice::preset(DeviceKind::Nvme));
-    vfs.mount("/mnt", KernelFs::new(profile, block, cache_bytes));
-    Subject {
-        fs: Box::new(KernelFsTarget::new(vfs, "/mnt", &label, 1, 0)),
-        labfs: None,
-    }
-}
-
-/// LabFS through hand-built owned verbs: `FsOp::Write` and `FsOp::Read`
-/// carry their bytes in a `Vec`, where GenericFs sends pool buffers.
-/// Every other call goes through GenericFs.
-struct OwnedVerbs {
-    inner: LabStorFsTarget,
-    stack: Arc<LabStack>,
-    /// fd → (inode, position), for the owned verbs.
-    fds: HashMap<i32, (u64, u64)>,
-}
-
-impl OwnedVerbs {
-    /// Send `op` for `fd`'s inode at its position; advance the position
-    /// by the bytes the answer moved.
-    fn call(&mut self, fd: i32, op: impl FnOnce(u64, u64) -> FsOp) -> Result<RespPayload, String> {
-        let (ino, pos) = *self.fds.get(&fd).ok_or(format!("bad fd {fd}"))?;
-        let resp = self
-            .inner
-            .gfs
-            .client_mut()
-            .execute(&self.stack, Payload::Fs(op(ino, pos)))
-            .map_err(|e| e.to_string())?
-            .0;
-        let moved = match &resp {
-            RespPayload::Len(n) => *n,
-            RespPayload::Data(d) => d.len(),
-            other => return Err(format!("{other:?}")),
-        };
-        self.fds.insert(fd, (ino, pos + moved as u64));
-        Ok(resp)
-    }
-}
-
-impl FsTarget for OwnedVerbs {
-    fn open(&mut self, path: &str, create: bool, truncate: bool) -> Result<i32, String> {
-        let fd = self.inner.open(path, create, truncate)?;
-        let st = self.inner.gfs.stat(&format!("{MOUNT}{path}"));
-        self.fds.insert(fd, (st.map_err(|e| e.to_string())?.ino, 0));
-        Ok(fd)
-    }
-
-    fn write(&mut self, fd: i32, data: &[u8]) -> Result<usize, String> {
-        let data = data.to_vec();
-        match self.call(fd, |ino, offset| FsOp::Write { ino, offset, data })? {
-            RespPayload::Len(n) => Ok(n),
-            other => Err(format!("{other:?}")),
-        }
-    }
-
-    fn read(&mut self, fd: i32, len: usize) -> Result<Vec<u8>, String> {
-        match self.call(fd, |ino, offset| FsOp::Read { ino, offset, len })? {
-            RespPayload::Data(d) => Ok(d),
-            other => Err(format!("{other:?}")),
-        }
-    }
-
-    fn seek(&mut self, fd: i32, pos: u64) -> Result<(), String> {
-        self.fds.get_mut(&fd).ok_or(format!("bad fd {fd}"))?.1 = pos;
-        self.inner.seek(fd, pos)
-    }
-
-    fn ftruncate(&mut self, fd: i32, size: u64) -> Result<(), String> {
-        self.inner.ftruncate(fd, size)
-    }
-
-    fn fsync(&mut self, fd: i32) -> Result<(), String> {
-        self.inner.fsync(fd)
-    }
-
-    fn close(&mut self, fd: i32) -> Result<(), String> {
-        self.fds.remove(&fd);
-        self.inner.close(fd)
-    }
-
-    fn unlink(&mut self, path: &str) -> Result<(), String> {
-        self.inner.unlink(path)
-    }
-
-    fn rename(&mut self, from: &str, to: &str) -> Result<(), String> {
-        self.inner.rename(from, to)
-    }
-
-    fn mkdir(&mut self, path: &str) -> Result<(), String> {
-        self.inner.mkdir(path)
-    }
-
-    fn stat_size(&mut self, path: &str) -> Result<u64, String> {
-        self.inner.stat_size(path)
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
-    }
-
-    fn sync_to(&mut self, vt: u64) {
-        self.inner.sync_to(vt)
-    }
-
-    fn label(&self) -> String {
-        format!("{} with owned verbs", self.inner.label())
-    }
-}
-
-// ---------------------------------------------------------------------
-// The driver
-// ---------------------------------------------------------------------
-
-fn agree<T: PartialEq + Debug>(what: &str, target: T, model: T) -> Result<(), String> {
-    if target == model {
-        Ok(())
-    } else {
-        Err(format!("{what}: target {target:?}, model {model:?}"))
-    }
-}
-
-/// Run `action` on the target and on the model; both must answer alike.
-fn step(
-    sut: &mut Subject,
-    model: &mut FsModel,
-    fds: &mut Vec<(i32, u64)>,
-    action: &FsAction,
-) -> Result<(), String> {
-    let fs = &mut sut.fs;
-    // The (target fd, model inode) an fd step works on.
-    let (fd, ino) = match *action {
-        FsAction::Write { fd, .. }
-        | FsAction::Read { fd, .. }
-        | FsAction::Truncate { fd, .. }
-        | FsAction::Fsync { fd } => match fds.len() {
-            0 => return Ok(()),
-            n => fds[fd % n],
-        },
-        _ => (0, 0),
-    };
-    match *action {
-        FsAction::Open {
-            path,
-            create,
-            truncate,
-        } => {
-            let (got, want) = (
-                fs.open(path, create, truncate),
-                model.open(path, create, truncate),
-            );
-            agree("open", got.is_ok(), want.is_some())?;
-            if let (Ok(fd), Some(ino)) = (got, want) {
-                fds.push((fd, ino));
-            }
-        }
-        FsAction::Mkdir { path } => {
-            agree("mkdir", fs.mkdir(path).is_ok(), model.mkdir(path).is_some())?
-        }
-        FsAction::Write {
-            offset, len, seed, ..
-        } => {
-            let data: Vec<u8> = (0..len).map(|i| seed ^ (i % 251) as u8).collect();
-            fs.seek(fd, offset)?;
-            agree(
-                "write",
-                fs.write(fd, &data).ok(),
-                model.write(ino, offset, &data),
-            )?;
-        }
-        FsAction::Read { offset, len, .. } => {
-            fs.seek(fd, offset)?;
-            let got = fs.read(fd, len).ok();
-            agree("read", got.as_deref(), model.read(ino, offset, len))?;
-        }
-        FsAction::Truncate { size, .. } => agree(
-            "truncate",
-            fs.ftruncate(fd, size).is_ok(),
-            model.truncate(ino, size),
-        )?,
-        FsAction::Rename { from, to } => agree(
-            "rename",
-            fs.rename(from, to).is_ok(),
-            model.rename(from, to),
-        )?,
-        FsAction::Unlink { path } => agree("unlink", fs.unlink(path).is_ok(), model.unlink(path))?,
-        FsAction::Fsync { .. } => {
-            fs.fsync(fd)?;
-            if let Some(lab) = &sut.labfs {
-                lab.rt.mm.repair_all();
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The whole state: every name's size, every file's bytes (read through
-/// a fresh fd) and, on LabFS, every listing.
-fn check(sut: &mut Subject, model: &FsModel) -> Result<(), String> {
-    let fs = &mut sut.fs;
-    for path in FS_PATHS {
-        agree(path, fs.stat_size(path).ok(), model.size(path))?;
-    }
-    for (path, bytes) in model.files() {
-        let fd = fs.open(path, false, false)?;
-        let got = fs.read(fd, bytes.len() + PAGE as usize)?;
-        fs.close(fd)?;
-        if got != bytes {
-            let at = got.iter().zip(bytes).position(|(a, b)| a != b);
-            let (n, m) = (got.len(), bytes.len());
-            return Err(format!(
-                "{path}: {n} bytes read, {m} modeled, first difference at {at:?}"
-            ));
-        }
-    }
-    if let Some(lab) = &mut sut.labfs {
-        for dir in std::iter::once("/").chain(FS_PATHS) {
-            agree(dir, lab.readdir(dir)?, model.children(dir))?;
-        }
-    }
-    Ok(())
-}
-
-/// Drive `sut` through `script` against the model, checking after every
-/// step; then, on LabFS, compare the live state with a replay of the
-/// device.
-fn run(mut sut: Subject, script: &[FsAction]) -> Result<(), TestCaseError> {
-    let mut model = FsModel::new();
-    let mut fds = Vec::new();
-    let label = sut.fs.label();
-    for (i, action) in script.iter().enumerate() {
-        step(&mut sut, &mut model, &mut fds, action)
-            .and_then(|()| check(&mut sut, &model))
-            .map_err(|e| {
-                TestCaseError::fail(format!(
-                    "{label}, step {i} {action:?}: {e}\nscript: {script:#?}"
-                ))
-            })?;
-    }
-    if let Some(mut lab) = sut.labfs {
-        let sync = Payload::Fs(FsOp::Fsync { ino: 0 });
-        let resp = lab.client.execute(&lab.stack, sync).map(|r| r.0);
-        prop_assert!(
-            matches!(resp, Ok(ref r) if r.is_ok()),
-            "final fsync: {:?}",
-            resp
-        );
-        let live_mod = lab.rt.mm.get("m_fs").unwrap();
-        let live = live_mod.as_any().downcast_ref::<LabFs>().unwrap();
-        let replayed = LabFs::new(lab.dev.clone(), 1);
-        prop_assert!(replayed.replay_from_device().is_clean());
-        let same = replayed.snapshot() == live.snapshot();
-        prop_assert!(
-            same,
-            "{}: a replay of the device differs from the live state",
-            label
-        );
-        lab.rt.shutdown();
-    }
-    Ok(())
-}
-
-const CACHE_BYTES: [usize; 2] = [4 << 20, 2 * PAGE as usize];
+use fs_harness::{kernel, labfs, run, script, CACHE_BYTES};
+use labstor::kernel::fs::FsProfile;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -471,11 +40,6 @@ proptest! {
     #[test]
     fn labfs_d_pool_verbs_matches_model(script in script()) {
         run(labfs(false, false), &script)?;
-    }
-
-    #[test]
-    fn labfs_d_owned_verbs_matches_model(script in script()) {
-        run(labfs(false, true), &script)?;
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests: core data structures and invariants checked
 //! against reference models under randomized operation sequences.
 
+#[allow(dead_code)]
+mod fs_harness;
+
 use proptest::prelude::*;
 
 use labstor::core::labmod::StackEnv;
@@ -239,7 +242,43 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Live state = replayed state (LabKVS; LabFS's is tests/fs_model.rs)
+// LabFS against the one file model, and live state = replayed state
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// LabFS on Lab-D through hand-built owned verbs (`FsOp::Write` and
+    /// `FsOp::Read` carry their bytes in a `Vec`) equals `FsModel` after
+    /// every step, and after the `repair_all` that follows each fsync.
+    /// One of the targets of the proptest in `tests/fs_model.rs`.
+    #[test]
+    fn labfs_matches_file_model(script in fs_harness::script()) {
+        fs_harness::run(fs_harness::labfs(false, true), &script)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// LabFS keeps nothing on the device but its log, so the state a live
+    /// instance reached must be the state a fresh instance folds out of
+    /// that log (`LabFs::snapshot`), and every file must read back as
+    /// `FsModel` has it from the live and from the replayed instance.
+    /// The scripts are three times as long as `tests/fs_model.rs`'s, so
+    /// the state is checked only at the end.
+    #[test]
+    fn live_state_equals_replayed_state(
+        script in proptest::collection::vec(fs_harness::action(), 1..192),
+    ) {
+        let mut sut = fs_harness::labfs(false, false);
+        let model = fs_harness::drive(&mut sut, &script, false)?;
+        fs_harness::replay(sut, &model)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Live state = replayed state (LabKVS)
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
