@@ -126,9 +126,6 @@ impl LabFs {
         if self.store.state.lookup(path).is_some() {
             return RespPayload::Err(format!("{path}: file exists"));
         }
-        if !self.store.state.parent_is_dir(path) {
-            return RespPayload::Err(format!("{path}: no such directory"));
-        }
         let ino = self.store.state.fresh_ino();
         let rec = LogRecord::Create {
             path: path.to_string(),
@@ -141,8 +138,9 @@ impl LabFs {
         if self.store.commit(ctx, req.core, &rec) {
             RespPayload::Ino(ino)
         } else {
-            // Lost a race for the name between the lookup and the apply.
-            RespPayload::Err(format!("{path}: file exists"))
+            // No directory to go in, or lost a race for the name between
+            // the lookup and the apply.
+            RespPayload::Err(format!("{path}: exists, or no directory to go in"))
         }
     }
 }
@@ -195,10 +193,6 @@ impl LabMod for LabFs {
             }) => self.op_read_filtered(ctx, env, &req, *ino, *offset, *len, prog),
             Payload::Fs(FsOp::Rename { from, to }) => {
                 ctx.advance(META_CPU_NS);
-                let state = &self.store.state;
-                if from != to && (!state.parent_is_dir(to) || state.has_children(to)) {
-                    return RespPayload::Err(format!("{to}: not a place to rename to"));
-                }
                 let rec = LogRecord::Rename {
                     from: from.clone(),
                     to: to.clone(),
@@ -206,21 +200,20 @@ impl LabMod for LabFs {
                 if self.store.commit(ctx, req.core, &rec) {
                     RespPayload::Ok
                 } else {
-                    RespPayload::Err(format!("{from}: not found"))
+                    RespPayload::Err(format!("{from} → {to}: no such name, or no place to go"))
                 }
             }
             Payload::Fs(FsOp::Unlink { path }) => {
                 ctx.advance(META_CPU_NS);
-                if self.store.state.has_children(path) {
-                    return RespPayload::Err(format!("{path}: directory not empty"));
-                }
                 if self
                     .store
                     .commit(ctx, req.core, &LogRecord::Unlink { path: path.clone() })
                 {
                     RespPayload::Ok
                 } else {
-                    RespPayload::Err(format!("{path}: not found"))
+                    RespPayload::Err(format!(
+                        "{path}: not found, or a directory with names under it"
+                    ))
                 }
             }
             Payload::Fs(FsOp::Stat { path }) => {

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use labstor_core::{FileStat, RespPayload};
 
@@ -236,6 +236,35 @@ impl Meta {
     }
 }
 
+/// Write locks on some of [`Meta`]'s name shards, indexed by shard.
+struct NameLocks<'a>(Vec<Option<RwLockWriteGuard<'a, HashMap<String, u64>>>>);
+
+impl NameLocks<'_> {
+    /// The locked shard `path` hashes to.
+    fn shard(&mut self, path: &str) -> &mut HashMap<String, u64> {
+        let i = shard_of(path, self.0.len());
+        self.0[i]
+            .as_deref_mut()
+            .expect("the shard of a name an apply touches is locked")
+    }
+
+    fn get(&self, path: &str) -> Option<u64> {
+        let i = shard_of(path, self.0.len());
+        let shard = self.0[i]
+            .as_deref()
+            .expect("the shard of a name an apply touches is locked");
+        shard.get(path).copied()
+    }
+}
+
+/// The directory `path` goes in, `None` for the root.
+fn parent_of(path: &str) -> Option<&str> {
+    match path.rfind('/') {
+        None | Some(0) => None,
+        Some(i) => Some(&path[..i]),
+    }
+}
+
 impl StateMachine for Meta {
     type Record = LogRecord;
 
@@ -257,8 +286,11 @@ impl StateMachine for Meta {
     /// Apply one record to the maps — the only way they change, live and
     /// on replay. Returns whether it took effect: a create over a live
     /// name, an unlink or rename of a missing one and a size or mapping
-    /// for an unknown inode change nothing, which is the live operation's
-    /// existence check made under the shard lock.
+    /// for an unknown inode change nothing, and neither do the namespace
+    /// refusals — a create or rename whose new name has no directory to
+    /// go in, an unlink of or a rename onto a directory with names under
+    /// it. That is the live operation's check, made under the name-shard
+    /// locks, so no other apply changes its answer before the change.
     fn apply(&self, rec: &LogRecord) -> bool {
         match rec {
             LogRecord::Create {
@@ -269,13 +301,15 @@ impl StateMachine for Meta {
                 gid,
                 is_dir,
             } => {
-                {
-                    let mut names = self.name_shard(path).write();
-                    if names.contains_key(path) {
-                        return false;
-                    }
-                    names.insert(path.clone(), *ino);
+                // The parent's shard too, so no unlink or rename of the
+                // parent can slip in between the check and the insert.
+                let parent = parent_of(path).map(|p| self.name_shard_idx(p));
+                let own = self.name_shard_idx(path);
+                let mut names = self.lock_names(|i| i == own || Some(i) == parent);
+                if names.get(path).is_some() || !self.parent_is_dir(&names, path) {
+                    return false;
                 }
+                names.shard(path).insert(path.clone(), *ino);
                 let stat = FileStat {
                     ino: *ino,
                     size: 0,
@@ -297,7 +331,11 @@ impl StateMachine for Meta {
                 true
             }
             LogRecord::Unlink { path } => {
-                let Some(ino) = self.name_shard(path).write().remove(path) else {
+                let mut names = self.lock_names(|_| true);
+                if self.has_children(&names, path) {
+                    return false;
+                }
+                let Some(ino) = names.shard(path).remove(path) else {
                     return false;
                 };
                 self.node_shard(ino).write().remove(&ino);
@@ -338,29 +376,25 @@ impl StateMachine for Meta {
 
 impl Meta {
     /// Move `from`, and when it is a directory every name under it, to
-    /// `to`, replacing what `to` named (POSIX rename semantics; the live
-    /// operation has refused a target directory that has children).
-    /// Renaming a name onto itself changes nothing. Returns false if
-    /// `from` does not exist.
+    /// `to`, replacing what `to` named (POSIX rename semantics). Renaming
+    /// a name onto itself changes nothing. Returns false if `from` does
+    /// not exist, or if `to` has no directory to go in or is a directory
+    /// with names under it.
     fn rename_in_maps(&self, from: &str, to: &str) -> bool {
-        // Lock discipline: a directory's names hash to any shard, so a
-        // rename takes every shard, in index order.
-        let mut shards: Vec<_> = self.names.iter().map(|shard| shard.write()).collect();
-        let Some(&ino) = shards[self.name_shard_idx(from)].get(from) else {
+        let mut names = self.lock_names(|_| true);
+        let Some(ino) = names.get(from) else {
             return false;
         };
         if from == to {
             return true;
         }
+        if !self.parent_is_dir(&names, to) || self.has_children(&names, to) {
+            return false;
+        }
         let mut moved = vec![(to.to_string(), ino)];
-        if self
-            .node_shard(ino)
-            .read()
-            .get(&ino)
-            .is_some_and(|n| n.stat.is_dir)
-        {
+        if self.is_dir(ino) {
             let under = format!("{from}/");
-            for shard in &mut shards {
+            for shard in names.0.iter_mut().flatten() {
                 let keys: Vec<String> = shard
                     .keys()
                     .filter(|k| k.starts_with(&under))
@@ -372,13 +406,47 @@ impl Meta {
                 }
             }
         }
-        shards[self.name_shard_idx(from)].remove(from);
+        names.shard(from).remove(from);
         for (key, ino) in moved {
-            if let Some(old) = shards[self.name_shard_idx(&key)].insert(key, ino) {
+            if let Some(old) = names.shard(&key).insert(key, ino) {
                 self.node_shard(old).write().remove(&old);
             }
         }
         true
+    }
+
+    /// Write-lock the name shards whose index `want` picks, in index
+    /// order: every apply that takes more than one takes them in that
+    /// order, so no two deadlock.
+    fn lock_names(&self, want: impl Fn(usize) -> bool) -> NameLocks<'_> {
+        let shards = self.names.iter().enumerate();
+        NameLocks(shards.map(|(i, s)| want(i).then(|| s.write())).collect())
+    }
+
+    fn is_dir(&self, ino: u64) -> bool {
+        let nodes = self.node_shard(ino).read();
+        nodes.get(&ino).is_some_and(|n| n.stat.is_dir)
+    }
+
+    /// Whether a new name at `path` has a directory to go in: the root,
+    /// or a directory that exists. `names` holds the parent's shard.
+    fn parent_is_dir(&self, names: &NameLocks<'_>, path: &str) -> bool {
+        match parent_of(path) {
+            None => true,
+            Some(parent) => names.get(parent).is_some_and(|ino| self.is_dir(ino)),
+        }
+    }
+
+    /// Whether `path` is a directory with a name under it. `names` holds
+    /// every shard.
+    fn has_children(&self, names: &NameLocks<'_>, path: &str) -> bool {
+        let under = format!("{path}/");
+        names.get(path).is_some_and(|ino| self.is_dir(ino))
+            && names
+                .0
+                .iter()
+                .flatten()
+                .any(|shard| shard.keys().any(|k| k.starts_with(&under)))
     }
 
     /// `map_range`'s metadata half: in one critical section on `ino`,
@@ -453,25 +521,6 @@ impl Meta {
     pub(super) fn stat(&self, path: &str) -> Option<FileStat> {
         let ino = self.lookup(path)?;
         self.node_shard(ino).read().get(&ino).map(|n| n.stat)
-    }
-
-    /// Whether a new name at `path` has a directory to go in: the root,
-    /// or a directory that exists.
-    pub(super) fn parent_is_dir(&self, path: &str) -> bool {
-        match path.rfind('/') {
-            None | Some(0) => true,
-            Some(i) => self.stat(&path[..i]).is_some_and(|st| st.is_dir),
-        }
-    }
-
-    /// Whether `path` is a directory with a name under it.
-    pub(super) fn has_children(&self, path: &str) -> bool {
-        let under = format!("{path}/");
-        self.stat(path).is_some_and(|st| st.is_dir)
-            && self
-                .names
-                .iter()
-                .any(|shard| shard.read().keys().any(|k| k.starts_with(&under)))
     }
 
     /// The size of file `ino` and the device block behind each page of

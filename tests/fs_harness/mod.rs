@@ -39,7 +39,7 @@ const LAB_D: &str = r#"{
     "exec": "sync",
     "authorized_uids": [0],
     "labmods": [
-        { "uuid": "m_fs", "type": "labfs", "params": {"device": "nvme0", "workers": 1}, "outputs": ["m_lru"] },
+        { "uuid": "m_fs", "type": "labfs", "params": {"device": "nvme0", "workers": 4}, "outputs": ["m_lru"] },
         { "uuid": "m_lru", "type": "lru_cache", "params": {"capacity_bytes": 32768, "write_back": true}, "outputs": ["m_sched"] },
         { "uuid": "m_sched", "type": "noop_sched", "outputs": ["m_drv"] },
         { "uuid": "m_drv", "type": "kernel_driver", "params": {"device": "nvme0"} }
@@ -84,6 +84,10 @@ pub fn action() -> impl Strategy<Value = FsAction> {
             .prop_map(|(fd, p, h, t, s)| write(fd, (p + 1) * PAGE - h, h + t, s)),
         // Whole pages.
         2 => (fd(), 0..8u64, 1..4u64, any::<u8>()).prop_map(|(fd, p, n, s)| write(fd, p * PAGE, n * PAGE, s)),
+        // Several pages, unaligned: a partial head, whole pages, a
+        // partial tail.
+        2 => (fd(), 0..8 * PAGE, 2 * PAGE..4 * PAGE, any::<u8>())
+            .prop_map(|(fd, o, l, s)| write(fd, o, l, s)),
         // Past every earlier end: leaves a hole.
         1 => (fd(), 12 * PAGE..16 * PAGE, 1..2 * PAGE, any::<u8>())
             .prop_map(|(fd, o, l, s)| write(fd, o, l, s)),
@@ -463,7 +467,8 @@ pub fn replay(mut sut: Subject, model: &FsModel) -> Result<(), TestCaseError> {
     );
     let live_mod = lab.rt.mm.get("m_fs").unwrap();
     let live = live_mod.as_any().downcast_ref::<LabFs>().unwrap();
-    let replayed = Arc::new(LabFs::new(lab.dev.clone(), 1));
+    // As many shards and logs as LAB_D's `workers`.
+    let replayed = Arc::new(LabFs::new(lab.dev.clone(), 4));
     prop_assert!(replayed.replay_from_device().is_clean());
     let same = replayed.snapshot() == live.snapshot();
     prop_assert!(

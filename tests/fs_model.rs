@@ -14,8 +14,10 @@
 //!   pages, where most reads come back from the device after an
 //!   eviction and its writeback.
 //!
-//! Each LabFS target keeps one log (one worker), so its history is
-//! totally ordered. After every fsync, `ModuleManager::repair_all`
+//! Each LabFS target has four workers, so its names and inodes hash to
+//! four shards and a directory rename or unlink works across them. Its
+//! ops come from one client on one core, so they land in one log and its
+//! history is totally ordered. After every fsync, `ModuleManager::repair_all`
 //! rebuilds LabFS from the device, and the next check must pass again. At
 //! the end, a fresh instance replayed from the same device must have the
 //! live instance's `LabFs::snapshot`, and, put in its place, must equal
