@@ -2,7 +2,8 @@
 # CI gate: formatting, clippy (workspace lint table, debug and release),
 # rustdoc with warnings denied, a type-check of the frozen benchmark/ crate against
 # this tree's API, labcheck static analysis + the six-model checking gate,
-# every workspace test, then the figure-identity gate. Each step must
+# every workspace test, the same tests under AddressSanitizer (nightly),
+# then the figure-identity gate. Each step must
 # pass. The smoke benches write target/bench/BENCH_*.json and the
 # telemetry example writes its trace beside them; the committed
 # BENCH_*.json and results/ are full runs and samples and are not touched
@@ -34,6 +35,14 @@ test -s lockcheck-report.json
 
 echo "== cargo test --workspace"
 cargo test --workspace -q
+
+echo "== cargo +nightly test --workspace under AddressSanitizer (use after release, overflow, leaks in the unsafe code)"
+# Its own target dir: instrumented artifacts never mix with the stable
+# ones. An explicit --target keeps build scripts and proc macros
+# uninstrumented; RUSTDOCFLAGS carries the flag so doctests link.
+RUSTFLAGS="-Zsanitizer=address" RUSTDOCFLAGS="-Zsanitizer=address" \
+    cargo +nightly test --workspace -q --target x86_64-unknown-linux-gnu \
+    --target-dir "${CARGO_TARGET_DIR:-target}/asan"
 
 echo "== figure identity (the deterministic harnesses must reproduce results/*.txt byte for byte)"
 # Virtual time is a pure function of the code: a refactor that moves one

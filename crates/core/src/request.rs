@@ -209,6 +209,15 @@ pub enum BlockOp {
     },
     /// Durability barrier.
     Flush,
+    /// Nothing will read these sectors again (a freed file's blocks): a
+    /// cache drops them, dirty ones included, and every stage passes the
+    /// hint on. No bytes move.
+    Discard {
+        /// Start LBA.
+        lba: u64,
+        /// Bytes covered.
+        len: usize,
+    },
 }
 
 /// The operation a request carries.

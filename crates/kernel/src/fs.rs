@@ -52,6 +52,9 @@ pub enum FsError {
     Perm,
     /// Device failure during I/O (EIO).
     Io(String),
+    /// Invalid argument, such as a directory renamed under itself
+    /// (EINVAL).
+    Invalid,
 }
 
 impl fmt::Display for FsError {
@@ -65,6 +68,7 @@ impl fmt::Display for FsError {
             FsError::NoSpace => write!(f, "no space left on device"),
             FsError::Perm => write!(f, "permission denied"),
             FsError::Io(e) => write!(f, "I/O error: {e}"),
+            FsError::Invalid => write!(f, "invalid argument"),
         }
     }
 }
@@ -687,6 +691,20 @@ impl KernelFs {
                 return Err(FsError::NotEmpty);
             }
         }
+        // Nor may a directory move into its own subtree: it would hang
+        // under itself, cut off from the root with everything in it.
+        let mut subtree = vec![ino];
+        while let Some(dir) = subtree.pop() {
+            if dir == tparent {
+                return Err(FsError::Invalid);
+            }
+            subtree.extend(
+                inodes
+                    .get(&dir)
+                    .into_iter()
+                    .flat_map(|n| n.children.values()),
+            );
+        }
         // Replace any existing target (dropping its inode), then move.
         let replaced = inodes
             .get_mut(&tparent)
@@ -885,6 +903,28 @@ mod tests {
         assert_eq!(rename(&mut ctx, "/f/a"), Err(FsError::NotDir));
         assert_eq!(rename(&mut ctx, "/d"), Err(FsError::NotEmpty));
         assert!(f.lookup(&mut ctx, "/a").is_ok() && f.lookup(&mut ctx, "/d/x").is_ok());
+    }
+
+    #[test]
+    fn a_directory_never_moves_under_itself() {
+        let f = fs(FsProfile::ext4_like());
+        let mut ctx = Ctx::new();
+        f.mkdir(&mut ctx, 0, "/d", 0o755, root()).unwrap();
+        f.mkdir(&mut ctx, 0, "/d/e", 0o755, root()).unwrap();
+        f.create(&mut ctx, 0, "/d/x", 0o644, root()).unwrap();
+        for to in ["/d/y", "/d/e/y", "/d/x"] {
+            assert_eq!(
+                f.rename(&mut ctx, 0, "/d", to, root()),
+                Err(FsError::Invalid),
+                "{to}"
+            );
+        }
+        for path in ["/d", "/d/e", "/d/x"] {
+            assert!(
+                f.lookup(&mut ctx, path).is_ok(),
+                "{path} is still reachable"
+            );
+        }
     }
 
     /// A 2-page cache: the first page is written, then evicted (and

@@ -196,6 +196,7 @@ impl Config {
                 "crates/mods/src/labkvs.rs",
                 "crates/mods/src/compress.rs",
                 "crates/mods/src/drivers.rs",
+                "crates/mods/src/generic.rs",
                 "crates/kernel/src/block.rs",
                 "crates/kernel/src/engines.rs",
                 "crates/sim/src/queue.rs",

@@ -127,7 +127,14 @@ impl Policy for ArcPolicy {
         self.t1.pop_lru().or_else(|| self.t2.pop_lru())
     }
 
-    #[cfg(test)]
+    /// A dead block's ghost goes too: no read will bring it back to
+    /// steer `p`.
+    fn remove(&mut self, lba: u64) -> Option<CacheData> {
+        self.b1.remove(&lba);
+        self.b2.remove(&lba);
+        self.t1.remove(&lba).or_else(|| self.t2.remove(&lba))
+    }
+
     fn resident(&self) -> usize {
         self.t1.len() + self.t2.len()
     }

@@ -187,8 +187,9 @@ pub trait Policy: Default + Send + 'static {
     );
     /// Remove and return a resident block, coldest first.
     fn pop_coldest(&mut self) -> Option<(u64, CacheData)>;
+    /// Forget the block at `lba`: nothing will read it again.
+    fn remove(&mut self, lba: u64) -> Option<CacheData>;
     /// Number of resident blocks.
-    #[cfg(test)]
     fn resident(&self) -> usize;
 }
 
@@ -247,8 +248,8 @@ impl<P: Policy> BlockCache<P> {
     }
 
     /// Blocks resident.
-    #[cfg(test)]
-    pub(crate) fn resident_blocks(&self) -> usize {
+    // api-ok: tests/cache_discard_churn.rs bounds it by the live files
+    pub fn resident_blocks(&self) -> usize {
         self.index.lock().policy.resident()
     }
 
@@ -494,6 +495,21 @@ impl<P: Policy> BlockCache<P> {
         gather(ctx, found, len)
     }
 
+    /// Drop the resident blocks of the `len`-byte range at `lba`, dirty
+    /// ones unwritten: nothing will read them again, and a write-back
+    /// cache's unflushed bytes are lost in a crash anyway. Their pool
+    /// slots go back once no reader holds a view of them.
+    fn discard(&self, lba: u64, len: usize) {
+        let mut index = self.index.lock();
+        let Index { policy, dirty } = &mut *index;
+        for k in 0..len.div_ceil(BLOCK) as u64 {
+            let key = lba + k * BLOCK_SECTORS;
+            if policy.remove(key).is_some() && !dirty.is_empty() {
+                dirty.remove(&key);
+            }
+        }
+    }
+
     /// Take every dirty block (now clean).
     fn take_dirty(&self) -> Vec<(u64, CacheData)> {
         let mut index = self.index.lock();
@@ -613,6 +629,12 @@ impl<P: Policy> LabMod for BlockCache<P> {
                     Ok(()) => env.forward(ctx, req),
                     Err(e) => e,
                 }
+            }
+            Payload::Block(BlockOp::Discard { lba, len }) => {
+                // One lookup charge per request, as for a write.
+                ctx.advance(P::LOOKUP_NS);
+                self.discard(*lba, *len);
+                env.forward(ctx, req)
             }
             _ => env.forward(ctx, req),
         }
@@ -1359,6 +1381,9 @@ mod tests {
         }
         fn pop_coldest(&mut self) -> Option<(u64, CacheData)> {
             self.lru.pop_coldest()
+        }
+        fn remove(&mut self, lba: u64) -> Option<CacheData> {
+            self.lru.remove(lba)
         }
         fn resident(&self) -> usize {
             self.lru.resident()

@@ -137,6 +137,9 @@ impl<B: Backend> LabMod for DriverMod<B> {
                 (io, Answer::Data)
             }
             Payload::Block(BlockOp::Flush) => (IoRequest::flush(0), Answer::Ok),
+            // The simulated media have no TRIM: nothing to command, no
+            // cost. The stages above have already let the sectors go.
+            Payload::Block(BlockOp::Discard { .. }) => return RespPayload::Ok,
             _ => return RespPayload::Err(format!("{} handles block ops only", B::TYPE_NAME)),
         };
         let done = self.backend.issue(ctx, route, io).and_then(|c| {
@@ -520,6 +523,21 @@ mod tests {
 
             let f = run(&mm, Payload::Block(BlockOp::Flush), None, &mut ctx);
             assert!(matches!(f, RespPayload::Ok), "{ty}: {f:?}");
+
+            // A discard: no device command, no charge.
+            let (before, media) = (
+                ctx.now(),
+                devices.block(device).map(|d| d.stats().snapshot()),
+            );
+            let discard = Payload::Block(BlockOp::Discard { lba: 8, len: 8192 });
+            let d = run(&mm, discard, None, &mut ctx);
+            assert!(matches!(d, RespPayload::Ok), "{ty}: {d:?}");
+            assert_eq!(ctx.now(), before, "{ty}: a discard costs nothing");
+            assert_eq!(
+                devices.block(device).map(|d| d.stats().snapshot()),
+                media,
+                "{ty}"
+            );
 
             let before = ctx.now();
             let resp = run(&mm, Payload::Dummy { work_ns: 1 }, None, &mut ctx);

@@ -179,8 +179,9 @@ impl GenericFs {
     /// counted, into a pool buffer of the class that fits
     /// ([`Client::alloc_buf`]) and ride the zero-copy `WriteBuf` path, so
     /// a block cache keeps that buffer instead of copying them again.
-    /// When that class is dry the bytes go as the legacy `Write`. No
-    /// bytes send nothing: the fd is checked and the write returns 0.
+    /// When that class is dry the bytes go, copied and counted the same,
+    /// as the legacy `Write`. No bytes send nothing: the fd is checked
+    /// and the write returns 0.
     ///
     /// [`Client::alloc_buf`]: labstor_core::Client::alloc_buf
     pub fn write(&mut self, fd: i32, data: &[u8]) -> Result<usize, GenericFsError> {
@@ -188,10 +189,11 @@ impl GenericFs {
             return self.entry(fd).map(|_| 0);
         }
         self.write_op(fd, |fs, ino, offset| {
+            labstor_ipc::note_payload_copy(data.len());
             match fs.client.alloc_buf(data.len()) {
                 Some(mut buf) => {
-                    labstor_ipc::note_payload_copy(data.len());
                     // owner-ok: the client fills the buffer its own domain just allocated
+                    // copy-ok: write(2)'s one boundary copy into shared memory; counted above
                     let filled = buf.fill(data);
                     debug_assert!(filled, "fresh handle is unique");
                     FsOp::WriteBuf { ino, offset, buf }
@@ -199,7 +201,7 @@ impl GenericFs {
                 None => FsOp::Write {
                     ino,
                     offset,
-                    data: data.to_vec(),
+                    data: data.to_vec(), // copy-ok: the pool-dry fallback's one copy; counted above
                 },
             }
         })
@@ -295,9 +297,11 @@ impl GenericFs {
         )?;
         let h = match resp {
             RespPayload::DataBuf(h) => h,
+            // copy-ok: a downgraded response pooled for the handle API; alloc_from self-counts
             RespPayload::Inline(d) => labstor_ipc::default_pool()
                 .alloc_from(d.as_slice())
                 .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?,
+            // copy-ok: a downgraded response pooled for the handle API; alloc_from self-counts
             RespPayload::Data(d) => labstor_ipc::default_pool()
                 .alloc_from(&d)
                 .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?,

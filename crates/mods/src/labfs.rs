@@ -135,7 +135,7 @@ impl LabFs {
             gid: req.creds.gid,
             is_dir,
         };
-        if self.store.commit(ctx, req.core, &rec) {
+        if self.store.commit(ctx, req.core, &rec).is_some() {
             RespPayload::Ino(ino)
         } else {
             // No directory to go in, or lost a race for the name between
@@ -197,7 +197,7 @@ impl LabMod for LabFs {
                     from: from.clone(),
                     to: to.clone(),
                 };
-                if self.store.commit(ctx, req.core, &rec) {
+                if self.commit_and_discard(ctx, env, &req, &rec) {
                     RespPayload::Ok
                 } else {
                     RespPayload::Err(format!("{from} → {to}: no such name, or no place to go"))
@@ -205,10 +205,8 @@ impl LabMod for LabFs {
             }
             Payload::Fs(FsOp::Unlink { path }) => {
                 ctx.advance(META_CPU_NS);
-                if self
-                    .store
-                    .commit(ctx, req.core, &LogRecord::Unlink { path: path.clone() })
-                {
+                let rec = LogRecord::Unlink { path: path.clone() };
+                if self.commit_and_discard(ctx, env, &req, &rec) {
                     RespPayload::Ok
                 } else {
                     RespPayload::Err(format!(
@@ -576,6 +574,33 @@ mod tests {
     }
 
     #[test]
+    fn a_directory_never_moves_under_itself() {
+        let (h, dev) = Harness::new();
+        let mut ctx = Ctx::new();
+        h.mkdir(&mut ctx, "/d");
+        let ino = ino_of(h.create(&mut ctx, "/d/x"));
+        assert!(!h.rename(&mut ctx, "/d", "/d/y").is_ok(), "EINVAL");
+        assert!(
+            !h.rename(&mut ctx, "/d", "/d/x").is_ok(),
+            "onto a name under it"
+        );
+        assert_eq!(h.size(&mut ctx, "/d/x"), Some(0));
+        // The refusal is `apply`'s, so a replay that met such a record
+        // would refuse it too; and nothing was logged.
+        let labfs = h.labfs();
+        let live = labfs.as_any().downcast_ref::<LabFs>().unwrap();
+        let rec = LogRecord::Rename {
+            from: "/d".into(),
+            to: "/d/y".into(),
+        };
+        assert!(crate::metastore::StateMachine::apply(&live.store.state, &rec).is_none());
+        assert!(h.fs(&mut ctx, FsOp::Fsync { ino }).is_ok());
+        let replayed = LabFs::new(dev, 4);
+        assert!(replayed.replay_from_device().is_clean());
+        assert_eq!(replayed.snapshot(), live.snapshot());
+    }
+
+    #[test]
     fn rename_and_open_refuse_what_they_cannot_do() {
         let (h, _) = Harness::new();
         let mut ctx = Ctx::new();
@@ -723,8 +748,12 @@ mod tests {
         store: crate::cache_common::testing::MemDev,
         /// `(address, length)` of every `BlockOp::Write` buffer.
         writes: parking_lot::Mutex<Vec<(usize, usize)>>,
-        /// `(kind, lba, length)` of every `BlockOp`, in arrival order.
+        /// `(kind, lba, length)` of every `BlockOp` but a discard, in
+        /// arrival order.
         ops: parking_lot::Mutex<Vec<(&'static str, u64, usize)>>,
+        /// `(lba, length)` of every `BlockOp::Discard`, which commands no
+        /// device, in arrival order.
+        discards: parking_lot::Mutex<Vec<(u64, usize)>>,
     }
 
     impl WriteSpy {
@@ -734,6 +763,7 @@ mod tests {
                 store: crate::cache_common::testing::MemDev::new(),
                 writes: parking_lot::Mutex::new(Vec::new()),
                 ops: parking_lot::Mutex::new(Vec::new()),
+                discards: parking_lot::Mutex::new(Vec::new()),
             });
             h.mm.insert_instance("drv", spy.clone());
             spy
@@ -760,6 +790,10 @@ mod tests {
                     BlockOp::Read { lba, len } => ("read", *lba, *len),
                     BlockOp::ReadBuf { lba, len } => ("read_buf", *lba, *len),
                     BlockOp::Flush => ("flush", 0, 0),
+                    BlockOp::Discard { lba, len } => {
+                        self.discards.lock().push((*lba, *len));
+                        return RespPayload::Ok;
+                    }
                 };
                 self.ops.lock().push((kind, lba, len));
             }
@@ -921,6 +955,87 @@ mod tests {
         .concat();
         assert_eq!(run(false), owned);
         assert_eq!(run(true), pooled);
+    }
+
+    /// Each record that unmaps blocks sends one discard per run of them
+    /// that is contiguous on the device: unlink, rename onto a live
+    /// file, a shrinking truncate and its tail remap, `Open{truncate}`.
+    #[test]
+    fn freed_blocks_are_discarded_in_device_runs() {
+        let (h, _) = Harness::new();
+        let spy = WriteSpy::mount(&h);
+        let mut ctx = Ctx::new();
+        let page = FS_BLOCK as u64;
+        let write = |ctx: &mut Ctx, ino: u64, pg: u64, pages: usize| {
+            let data = vec![7u8; pages * FS_BLOCK];
+            let r = h.fs(
+                ctx,
+                FsOp::Write {
+                    ino,
+                    offset: pg * page,
+                    data,
+                },
+            );
+            assert!(r.is_ok(), "{r:?}");
+        };
+        let (a, b) = (
+            ino_of(h.create(&mut ctx, "/a")),
+            ino_of(h.create(&mut ctx, "/b")),
+        );
+        write(&mut ctx, a, 0, 2); // blocks 0, 1
+        write(&mut ctx, b, 0, 1); // block 2
+        write(&mut ctx, a, 2, 1); // block 3
+        let c = ino_of(h.create(&mut ctx, "/c"));
+        write(&mut ctx, c, 0, 3); // blocks 4, 5, 6
+        assert!(spy.discards.lock().is_empty(), "writes free nothing");
+        assert!(h.unlink(&mut ctx, "/a").is_ok());
+        assert!(h.rename(&mut ctx, "/c", "/b").is_ok());
+        // To mid page 1: page 2 goes, page 1's head moves to block 7.
+        let r = h.fs(
+            &mut ctx,
+            FsOp::Truncate {
+                ino: c,
+                size: page + 50,
+            },
+        );
+        assert!(r.is_ok(), "{r:?}");
+        let grow = FsOp::Truncate {
+            ino: c,
+            size: 9 * page,
+        };
+        assert!(h.fs(&mut ctx, grow).is_ok(), "growing frees nothing");
+        let (path, create, truncate) = ("/b".to_string(), false, true);
+        assert!(h
+            .fs(
+                &mut ctx,
+                FsOp::Open {
+                    path,
+                    create,
+                    truncate
+                }
+            )
+            .is_ok());
+        // Data block `block` (past the four workers' log regions).
+        let run = |block: u64, pages: usize| {
+            (
+                (4 * LOG_BLOCKS_PER_WORKER + block) * BLOCK_SECTORS,
+                pages * FS_BLOCK,
+            )
+        };
+        let expect = [
+            // unlink /a
+            run(0, 2),
+            run(3, 1),
+            // /c renamed over /b
+            run(2, 1),
+            // the truncate's size, then its remap
+            run(6, 1),
+            run(5, 1),
+            // O_TRUNC: pages 0 and 1
+            run(4, 1),
+            run(7, 1),
+        ];
+        assert_eq!(*spy.discards.lock(), expect);
     }
 
     #[test]

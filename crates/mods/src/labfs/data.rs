@@ -168,14 +168,39 @@ impl LabFs {
             }
         };
         // The size first: without the remap it is still the right file.
-        self.store
-            .commit(ctx, req.core, &LogRecord::SetSize { ino, size });
+        self.commit_and_discard(ctx, env, req, &LogRecord::SetSize { ino, size });
         if let Some(block) = copy {
             let page = size / FS_BLOCK as u64;
-            self.store
-                .commit(ctx, req.core, &LogRecord::MapBlock { ino, page, block });
+            self.commit_and_discard(ctx, env, req, &LogRecord::MapBlock { ino, page, block });
         }
         RespPayload::Ok
+    }
+
+    /// Commit `rec`, then tell the stack below that the blocks it
+    /// unmapped are dead: one `Discard` per run of them that is contiguous
+    /// on the device, so a cache lets their pages, and the pool slots
+    /// behind them, go. A freed block is never reused, so no discard can
+    /// overtake its next owner's write. The discard is a hint: the record
+    /// stands whatever the stack answers. `false`: nothing applied.
+    pub(super) fn commit_and_discard(
+        &self,
+        ctx: &mut Ctx,
+        env: &StackEnv<'_>,
+        req: &Request,
+        rec: &LogRecord,
+    ) -> bool {
+        let Some(mut freed) = self.store.commit(ctx, req.core, rec) else {
+            return false;
+        };
+        freed.sort_unstable();
+        let mut rest = &freed[..];
+        while let Some(&first) = rest.first() {
+            let run = 1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count();
+            let (lba, len) = (first * BLOCK_SECTORS, run * FS_BLOCK);
+            fwd_block(ctx, env, req, BlockOp::Discard { lba, len });
+            rest = &rest[run..];
+        }
+        true
     }
 
     /// `Write` and `WriteBuf`: map every page `src` touches, then walk

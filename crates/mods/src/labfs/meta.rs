@@ -182,24 +182,30 @@ struct FsNode {
 }
 
 impl FsNode {
-    /// Apply a node-level record. A `SetSize` that shrinks the file drops
-    /// the mappings past the new end, so a later write there starts from
-    /// a fresh block; one that grows it touches no mapping (an append
-    /// stays O(pages written), not O(pages mapped)).
-    fn apply(&mut self, rec: &LogRecord) {
+    /// Apply a node-level record and return the blocks it unmapped. A
+    /// `SetSize` that shrinks the file drops the mappings past the new
+    /// end, so a later write there starts from a fresh block; one that
+    /// grows it touches no mapping (an append stays O(pages written), not
+    /// O(pages mapped)). A `MapBlock` over a mapped page (a truncate's
+    /// remap of its tail) unmaps the old block.
+    fn apply(&mut self, rec: &LogRecord) -> Vec<u64> {
         match *rec {
             LogRecord::SetSize { size, .. } => {
+                let mut freed = Vec::new();
                 if size < self.stat.size {
                     let keep = size.div_ceil(FS_BLOCK as u64);
-                    self.blocks.retain(|&pg, _| pg < keep);
+                    freed.extend(self.blocks.extract_if(|&pg, _| pg >= keep).map(|(_, b)| b));
                 }
                 self.stat.size = size;
+                freed
             }
             LogRecord::MapBlock { page, block, .. } => {
-                self.blocks.insert(page, block);
+                self.blocks.insert(page, block).into_iter().collect()
             }
             // Namespace records change the maps, not an inode.
-            LogRecord::Create { .. } | LogRecord::Unlink { .. } | LogRecord::Rename { .. } => {}
+            LogRecord::Create { .. } | LogRecord::Unlink { .. } | LogRecord::Rename { .. } => {
+                Vec::new()
+            }
         }
     }
 }
@@ -284,14 +290,17 @@ impl StateMachine for Meta {
     }
 
     /// Apply one record to the maps — the only way they change, live and
-    /// on replay. Returns whether it took effect: a create over a live
-    /// name, an unlink or rename of a missing one and a size or mapping
-    /// for an unknown inode change nothing, and neither do the namespace
-    /// refusals — a create or rename whose new name has no directory to
-    /// go in, an unlink of or a rename onto a directory with names under
-    /// it. That is the live operation's check, made under the name-shard
-    /// locks, so no other apply changes its answer before the change.
-    fn apply(&self, rec: &LogRecord) -> bool {
+    /// on replay. Returns `None` when it took no effect: a create over a
+    /// live name, an unlink or rename of a missing one and a size or
+    /// mapping for an unknown inode change nothing, and neither do the
+    /// namespace refusals — a create or rename whose new name has no
+    /// directory to go in, an unlink of or a rename onto a directory with
+    /// names under it, a directory's rename to a name under itself. That
+    /// is the live operation's check, made under the name-shard locks, so
+    /// no other apply changes its answer before the change. `Some` holds
+    /// the device blocks no page maps any more: an unlinked or renamed-
+    /// over inode's, a shrunk file's tail, a remapped page's old block.
+    fn apply(&self, rec: &LogRecord) -> Option<Vec<u64>> {
         match rec {
             LogRecord::Create {
                 path,
@@ -307,7 +316,7 @@ impl StateMachine for Meta {
                 let own = self.name_shard_idx(path);
                 let mut names = self.lock_names(|i| i == own || Some(i) == parent);
                 if names.get(path).is_some() || !self.parent_is_dir(&names, path) {
-                    return false;
+                    return None;
                 }
                 names.shard(path).insert(path.clone(), *ino);
                 let stat = FileStat {
@@ -328,27 +337,21 @@ impl StateMachine for Meta {
                 // Keep ino allocation ahead of everything applied (a
                 // no-op live, where `fresh_ino` already moved past it).
                 self.next_ino.fetch_max(ino + 1, Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
-                true
+                Some(Vec::new())
             }
             LogRecord::Unlink { path } => {
                 let mut names = self.lock_names(|_| true);
                 if self.has_children(&names, path) {
-                    return false;
+                    return None;
                 }
-                let Some(ino) = names.shard(path).remove(path) else {
-                    return false;
-                };
-                self.node_shard(ino).write().remove(&ino);
-                true
+                let ino = names.shard(path).remove(path)?;
+                Some(self.drop_node(ino))
             }
             LogRecord::SetSize { ino, .. } | LogRecord::MapBlock { ino, .. } => {
                 let mut nodes = self.node_shard(*ino).write();
-                let Some(node) = nodes.get_mut(ino) else {
-                    return false;
-                };
-                node.apply(rec);
+                let node = nodes.get_mut(ino)?;
                 node.ops += 1; // live, a truncate; `map_pages` counts a write
-                true
+                Some(node.apply(rec))
             }
             LogRecord::Rename { from, to } => self.rename_in_maps(from, to),
         }
@@ -376,20 +379,23 @@ impl StateMachine for Meta {
 
 impl Meta {
     /// Move `from`, and when it is a directory every name under it, to
-    /// `to`, replacing what `to` named (POSIX rename semantics). Renaming
-    /// a name onto itself changes nothing. Returns false if `from` does
-    /// not exist, or if `to` has no directory to go in or is a directory
-    /// with names under it.
-    fn rename_in_maps(&self, from: &str, to: &str) -> bool {
+    /// `to`, replacing what `to` named (POSIX rename semantics), and
+    /// return the replaced inode's blocks. Renaming a name onto itself
+    /// changes nothing. `None` if `from` does not exist, if `to` has no
+    /// directory to go in or is a directory with names under it, or if
+    /// `to` lies under `from` (EINVAL: the moved directory would hang
+    /// under itself, cut off from the root).
+    fn rename_in_maps(&self, from: &str, to: &str) -> Option<Vec<u64>> {
         let mut names = self.lock_names(|_| true);
-        let Some(ino) = names.get(from) else {
-            return false;
-        };
+        let ino = names.get(from)?;
         if from == to {
-            return true;
+            return Some(Vec::new());
         }
-        if !self.parent_is_dir(&names, to) || self.has_children(&names, to) {
-            return false;
+        let into_itself = to
+            .strip_prefix(from)
+            .is_some_and(|rest| rest.starts_with('/'));
+        if into_itself || !self.parent_is_dir(&names, to) || self.has_children(&names, to) {
+            return None;
         }
         let mut moved = vec![(to.to_string(), ino)];
         if self.is_dir(ino) {
@@ -407,12 +413,20 @@ impl Meta {
             }
         }
         names.shard(from).remove(from);
+        let mut freed = Vec::new();
         for (key, ino) in moved {
             if let Some(old) = names.shard(&key).insert(key, ino) {
-                self.node_shard(old).write().remove(&old);
+                freed.extend(self.drop_node(old));
             }
         }
-        true
+        Some(freed)
+    }
+
+    /// Remove inode `ino`, which no name maps any more, and return the
+    /// blocks its pages mapped.
+    fn drop_node(&self, ino: u64) -> Vec<u64> {
+        let node = self.node_shard(ino).write().remove(&ino);
+        node.map_or_else(Vec::new, |n| n.blocks.into_values().collect())
     }
 
     /// Write-lock the name shards whose index `want` picks, in index
@@ -502,7 +516,10 @@ impl Meta {
         if end > old {
             recs.push(LogRecord::SetSize { ino, size: end });
         }
-        recs.iter().for_each(|rec| node.apply(rec));
+        // Growth and fresh pages: these records unmap nothing.
+        for rec in &recs {
+            node.apply(rec);
+        }
         node.ops += 1;
         node.last_writer = writer;
         Ok((recs, extents, stale))

@@ -120,9 +120,11 @@ impl StateMachine for KeyMap {
         }
     }
 
-    /// `false` means there was no such key to remove.
-    fn apply(&self, rec: &KvRecord) -> bool {
-        match rec {
+    /// `None` means there was no such key to remove. A replaced or
+    /// removed value's sectors are not reported: LabKVS sends no discard
+    /// yet (ROADMAP 7).
+    fn apply(&self, rec: &KvRecord) -> Option<Vec<u64>> {
+        let applied = match rec {
             KvRecord::Put { key, len, lba } => {
                 let (len, lba) = (*len as usize, *lba);
                 let loc = ValueLoc { len, lba };
@@ -130,7 +132,8 @@ impl StateMachine for KeyMap {
                 true
             }
             KvRecord::Remove { key } => self.shard(key).write().remove(key).is_some(),
-        }
+        };
+        applied.then(Vec::new)
     }
 
     fn clear(&self) {
@@ -477,10 +480,9 @@ impl LabMod for LabKvs {
             Payload::Kvs(KvsOp::Remove { key }) => {
                 ctx.advance(KV_CPU_NS);
                 let rec = KvRecord::Remove { key: key.clone() };
-                if self.store.commit(ctx, req.core, &rec) {
-                    RespPayload::Ok
-                } else {
-                    RespPayload::Err(format!("no key '{key}'"))
+                match self.store.commit(ctx, req.core, &rec) {
+                    Some(_) => RespPayload::Ok,
+                    None => RespPayload::Err(format!("no key '{key}'")),
                 }
             }
             _ => env.forward(ctx, req),

@@ -53,7 +53,10 @@ impl Policy for LruPolicy {
         self.0.pop_lru()
     }
 
-    #[cfg(test)]
+    fn remove(&mut self, lba: u64) -> Option<CacheData> {
+        self.0.remove(&lba)
+    }
+
     fn resident(&self) -> usize {
         self.0.len()
     }

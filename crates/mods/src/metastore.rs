@@ -45,9 +45,11 @@ pub(crate) trait StateMachine {
     fn units(rec: &Self::Record) -> Range<u64>;
 
     /// Apply one record — the only way the state changes, live and on
-    /// replay. `false` means it changed nothing (the name exists, the
-    /// key does not): the live operation's existence check.
-    fn apply(&self, rec: &Self::Record) -> bool;
+    /// replay. `None` means it changed nothing (the name exists, the key
+    /// does not): the live operation's existence check. `Some` carries
+    /// the units the record left unnamed, for a live caller to tell its
+    /// stack about (LabFS's freed blocks; LabKVS reports none).
+    fn apply(&self, rec: &Self::Record) -> Option<Vec<u64>>;
 
     /// Forget everything a replay rebuilds.
     fn clear(&self);
@@ -103,14 +105,12 @@ impl<S: StateMachine> MetaStore<S> {
     /// The one way a live operation changes metadata: apply `rec`, then
     /// — only if it applied — append it to the log of the worker on
     /// `core`, so replay folds the same `apply` over the same records.
-    /// `false` (nothing changed, nothing logged) is the operation's
-    /// "exists" / "not found".
-    pub(crate) fn commit(&self, ctx: &mut Ctx, core: usize, rec: &S::Record) -> bool {
-        let applied = self.state.apply(rec);
-        if applied {
-            self.log_applied(ctx, core, rec);
-        }
-        applied
+    /// `None` (nothing changed, nothing logged) is the operation's
+    /// "exists" / "not found"; `Some` carries the units `rec` freed.
+    pub(crate) fn commit(&self, ctx: &mut Ctx, core: usize, rec: &S::Record) -> Option<Vec<u64>> {
+        let freed = self.state.apply(rec)?;
+        self.log_applied(ctx, core, rec);
+        Some(freed)
     }
 
     /// Log a record the state has *already* applied, inside a critical
@@ -132,7 +132,9 @@ impl<S: StateMachine> MetaStore<S> {
     /// `apply` over every committed frame on the device, region by
     /// region, discarding any torn or stale tail ([`Journal::replay`]).
     /// The units the records name leave the allocator here, not in
-    /// `apply`: live, `alloc_run` took them.
+    /// `apply`: live, `alloc_run` took them. Units a record frees stay
+    /// taken (none is reused) and nothing below is told of them: no
+    /// cache holds a block a replay could find.
     pub(crate) fn replay(&self) -> RepairReport {
         self.state.clear();
         self.journal.replay(|buf, pos| {
@@ -273,11 +275,12 @@ mod tests {
             }
         }
 
-        fn apply(&self, rec: &Op) -> bool {
-            match *rec {
+        fn apply(&self, rec: &Op) -> Option<Vec<u64>> {
+            let applied = match *rec {
                 Op::Insert(n) => self.0.lock().insert(n),
                 Op::Remove(n) => self.0.lock().remove(&n),
-            }
+            };
+            applied.then(Vec::new)
         }
 
         fn clear(&self) {
@@ -305,7 +308,7 @@ mod tests {
     /// Allocate a unit on `core` and insert it.
     fn insert_fresh(store: &MetaStore<Set>, ctx: &mut Ctx, core: usize) -> u64 {
         let unit = store.alloc_run(ctx, core, 1).expect("space");
-        assert!(store.commit(ctx, core, &Op::Insert(unit)));
+        assert!(store.commit(ctx, core, &Op::Insert(unit)).is_some());
         unit
     }
 
@@ -324,19 +327,25 @@ mod tests {
         let dev = SimDevice::preset(DeviceKind::Nvme);
         let s = store(&dev);
         let mut ctx = Ctx::new();
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(1)));
+        assert!(s.commit(&mut ctx, 0, &Op::Insert(1)).is_some());
         s.sync(&mut ctx).unwrap();
         let before = (log_bytes(&dev), ctx.now());
 
-        assert!(!s.commit(&mut ctx, 0, &Op::Insert(1)), "already a member");
-        assert!(!s.commit(&mut ctx, 1, &Op::Remove(9)), "not a member");
+        assert!(
+            s.commit(&mut ctx, 0, &Op::Insert(1)).is_none(),
+            "already a member"
+        );
+        assert!(
+            s.commit(&mut ctx, 1, &Op::Remove(9)).is_none(),
+            "not a member"
+        );
         assert_eq!(ctx.now(), before.1, "no append was charged");
         assert!(s.journal.seal_next(0).is_none(), "nothing is pending");
         assert!(s.journal.seal_next(1).is_none(), "nothing is pending");
         s.sync(&mut ctx).unwrap();
         assert_eq!(log_bytes(&dev), before.0);
         // The next frame of worker 0's log is still its second.
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(2)));
+        assert!(s.commit(&mut ctx, 0, &Op::Insert(2)).is_some());
         let (sector, frame) = s.journal.seal_next(0).unwrap();
         assert_eq!(sector, 1);
         assert_eq!(u64::from_le_bytes(frame[4..12].try_into().unwrap()), 2);
@@ -350,14 +359,14 @@ mod tests {
         let a = insert_fresh(&old, &mut ctx, 0);
         let b = insert_fresh(&old, &mut ctx, 1);
         let c = insert_fresh(&old, &mut ctx, 0);
-        assert!(old.commit(&mut ctx, 1, &Op::Remove(b)));
+        assert!(old.commit(&mut ctx, 1, &Op::Remove(b)).is_some());
         old.sync(&mut ctx).unwrap();
         insert_fresh(&old, &mut ctx, 0); // never synced: lost with the crash
 
         let fresh = store(&dev);
         assert!(fresh.last_repair().is_none(), "no repair has run yet");
         assert!(
-            fresh.commit(&mut ctx, 0, &Op::Insert(999)),
+            fresh.commit(&mut ctx, 0, &Op::Insert(999)).is_some(),
             "not in the log"
         );
         let rep = fresh.replay();
@@ -406,12 +415,12 @@ mod tests {
         let dev = SimDevice::preset(DeviceKind::Nvme);
         let s = store(&dev);
         let mut ctx = Ctx::new();
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(1)));
+        assert!(s.commit(&mut ctx, 0, &Op::Insert(1)).is_some());
         s.sync(&mut ctx).unwrap();
         // A crash inside the one write of a second, two-sector frame: its
         // header sector landed, the rest of its payload did not.
         for n in 100..200 {
-            assert!(s.commit(&mut ctx, 0, &Op::Insert(n)));
+            assert!(s.commit(&mut ctx, 0, &Op::Insert(n)).is_some());
         }
         let (sector, frame) = s.journal.seal_next(0).unwrap();
         assert_eq!(frame.len(), 2 * SECTOR_SIZE);
@@ -429,7 +438,7 @@ mod tests {
         );
         // Appends resume after the committed prefix: the next sync
         // overwrites the torn tail.
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(2)));
+        assert!(s.commit(&mut ctx, 0, &Op::Insert(2)).is_some());
         s.sync(&mut ctx).unwrap();
         assert!(s.replay().is_clean());
         assert_eq!(members(&s), vec![1, 2]);
@@ -447,9 +456,9 @@ mod tests {
         let dev = SimDevice::preset(DeviceKind::Nvme);
         let s = store(&dev);
         let mut ctx = Ctx::new();
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(7)));
-        assert!(s.commit(&mut ctx, 1, &Op::Remove(7)));
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(7)));
+        assert!(s.commit(&mut ctx, 0, &Op::Insert(7)).is_some());
+        assert!(s.commit(&mut ctx, 1, &Op::Remove(7)).is_some());
+        assert!(s.commit(&mut ctx, 0, &Op::Insert(7)).is_some());
         s.sync(&mut ctx).unwrap();
         assert_eq!(members(&s), vec![7]);
         let fresh = store(&dev);

@@ -109,8 +109,9 @@ impl LabMod for BlkSwitchSchedMod {
 
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
         ctx.advance(LAB_SCHED_NS);
-        // A small block data op; the barrier carries no data to hurry.
-        let is_latency = matches!(&req.payload, Payload::Block(op) if !matches!(op, BlockOp::Flush))
+        // A small block data op; a barrier or a discard carries no data
+        // to hurry.
+        let is_latency = matches!(&req.payload, Payload::Block(op) if !matches!(op, BlockOp::Flush | BlockOp::Discard { .. }))
             && req.payload_bytes() <= LATENCY_SIZE_BYTES;
         let n = self.dev.num_queues();
         let qid = if is_latency {

@@ -206,8 +206,9 @@ impl FsModel {
 
     /// `rename(2)`: `from`, and every name under it, moves to `to`,
     /// replacing what `to` named. Refused when `from` is missing, when
-    /// `to` has no directory to live in, or when `to` is a directory
-    /// with names under it. A name renamed onto itself stays.
+    /// `to` has no directory to live in, when `to` is a directory with
+    /// names under it, or when `to` lies under `from` (EINVAL). A name
+    /// renamed onto itself stays.
     pub fn rename(&mut self, from: &str, to: &str) -> bool {
         if !self.names.contains_key(from) || !self.has_parent(to) {
             return false;
@@ -215,7 +216,10 @@ impl FsModel {
         if from == to {
             return true;
         }
-        if self.has_children(to) {
+        let into_itself = to
+            .strip_prefix(from)
+            .is_some_and(|rest| rest.starts_with('/'));
+        if into_itself || self.has_children(to) {
             return false;
         }
         if let Some(old) = self.names.remove(to) {
@@ -298,6 +302,9 @@ mod tests {
             "onto a directory with a name in it"
         );
         assert!(!m.unlink("/d1"));
+        assert!(!m.rename("/d1", "/d1/f1"), "under itself");
+        assert!(!m.rename("/d1", "/d1/f0"), "onto a name under itself");
+        assert_eq!(m.lookup("/d1/f0"), Some(x));
         assert!(m.unlink("/d1/f0") && m.unlink("/d1"));
         assert_eq!(m.write(x, 0, b"z"), None, "the fd's inode is gone");
         assert_eq!(m.write(x, 0, b""), Some(0));

@@ -6,11 +6,15 @@
 //! left stale by the next multi-page overwrite. Both cache LabMods are
 //! driven through labfs → cache → kernel_driver here, with every client
 //! API that reaches them.
+//!
+//! And a cache must let go of what LabFS discards: a discarded range's
+//! blocks, clean or dirty, leave the cache, the dirty ones are never
+//! written back, and the next read of the range goes to the device.
 
-use labstor::core::{Runtime, RuntimeConfig};
+use labstor::core::{BlockOp, Payload, RespPayload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
 use labstor::mods::{DeviceRegistry, GenericFs};
-use labstor::sim::DeviceKind;
+use labstor::sim::{BlockDevice, DeviceKind};
 
 const PAGE: usize = 4096;
 
@@ -124,6 +128,98 @@ fn unaligned_overwrite_is_visible(cache: &str) {
     let got = fs.read(fd, want.len()).unwrap();
     assert_eq!(stale_pages(&got, &want), Vec::<usize>::new(), "{cache}");
     rt.shutdown();
+}
+
+/// `cache → kernel_driver`, driven with block ops: blocks 0–3 dirty
+/// (handed over by a write-back LRU in a hot swap, the way a
+/// write-through cache comes to hold dirty blocks), blocks 4–7 clean,
+/// then one discard of all eight.
+fn discard_drops_clean_and_dirty_blocks(cache: &str) {
+    let devices = DeviceRegistry::new();
+    let dev = devices.add_preset("nvme0", DeviceKind::Nvme);
+    let rt = Runtime::start(RuntimeConfig {
+        max_workers: 1,
+        ..Default::default()
+    });
+    labstor::mods::install_all(&rt.mm, &devices);
+    let spec = |mount: &str, uuid: &str, ty: &str, params: &str| {
+        format!(
+            r#"{{
+                "mount": "{mount}",
+                "exec": "sync",
+                "authorized_uids": [0],
+                "labmods": [
+                    {{ "uuid": "{uuid}", "type": "{ty}", "params": {params}, "outputs": ["{uuid}_drv"] }},
+                    {{ "uuid": "{uuid}_drv", "type": "kernel_driver", "params": {{"device": "nvme0"}} }}
+                ]
+            }}"#
+        )
+    };
+    let wb = r#"{"capacity_bytes": 1048576, "write_back": true}"#;
+    rt.mount_stack_json(&spec("blk::/old", "dc_old", "lru_cache", wb))
+        .unwrap();
+    rt.mount_stack_json(&spec(
+        "blk::/dc",
+        "dc",
+        cache,
+        r#"{"capacity_bytes": 1048576}"#,
+    ))
+    .unwrap();
+    let (old, stack) = (
+        rt.ns.get("blk::/old").unwrap(),
+        rt.ns.get("blk::/dc").unwrap(),
+    );
+    let mut client = rt.connect(Credentials::new(1, 0, 0), 1);
+    let mut run = |stack, op| client.execute(stack, Payload::Block(op)).unwrap().0;
+    let media = || dev.stats().snapshot();
+    let bytes: Vec<u8> = (0..8 * PAGE).map(|i| (i / PAGE) as u8 + 1).collect();
+
+    let data = bytes[..4 * PAGE].to_vec();
+    assert!(run(&old, BlockOp::Write { lba: 0, data }).is_ok());
+    assert_eq!(media().writes, 0, "{cache}: write-back holds blocks 0-3");
+    let (successor, predecessor) = (rt.mm.get("dc").unwrap(), rt.mm.get("dc_old").unwrap());
+    successor.state_update(predecessor.as_ref());
+    let data = bytes[4 * PAGE..].to_vec();
+    assert!(run(&stack, BlockOp::Write { lba: 32, data }).is_ok());
+    assert_eq!(media().writes, 1, "{cache}: write-through");
+    let len = 8 * PAGE;
+    match run(&stack, BlockOp::Read { lba: 0, len }) {
+        RespPayload::Data(d) => assert!(d == bytes, "{cache}: all eight resident"),
+        other => panic!("{cache}: {other:?}"),
+    }
+    assert_eq!(media().reads, 0, "{cache}: all eight resident");
+
+    assert!(run(&stack, BlockOp::Discard { lba: 0, len }).is_ok());
+    assert!(run(&stack, BlockOp::Flush).is_ok());
+    assert_eq!(
+        media().writes,
+        1,
+        "{cache}: the dirty blocks were never written"
+    );
+    match run(&stack, BlockOp::Read { lba: 0, len }) {
+        // The dirty blocks never reached the device, which still reads 0.
+        RespPayload::Data(d) => assert!(
+            d[..4 * PAGE].iter().all(|&b| b == 0) && d[4 * PAGE..] == bytes[4 * PAGE..],
+            "{cache}"
+        ),
+        other => panic!("{cache}: {other:?}"),
+    }
+    assert_eq!(
+        media().reads,
+        1,
+        "{cache}: the read after the discard missed"
+    );
+    rt.shutdown();
+}
+
+#[test]
+fn lru_cache_drops_discarded_blocks() {
+    discard_drops_clean_and_dirty_blocks("lru_cache");
+}
+
+#[test]
+fn arc_cache_drops_discarded_blocks() {
+    discard_drops_clean_and_dirty_blocks("arc_cache");
 }
 
 #[test]

@@ -96,15 +96,14 @@ pub fn action() -> impl Strategy<Value = FsAction> {
         // Up or down to a page boundary, and anywhere (mostly mid-page).
         1 => (fd(), 0..6u64).prop_map(|(fd, p)| FsAction::Truncate { fd, size: p * PAGE }),
         2 => (fd(), 0..12 * PAGE).prop_map(|(fd, size)| FsAction::Truncate { fd, size }),
-        // Onto itself, onto any name, and a directory onto a top-level
-        // name. Moving a directory under itself is not in the alphabet.
+        // Onto itself, onto any name, a directory onto a top-level name,
+        // and a directory under itself (refused: EINVAL).
         1 => path().prop_map(|p| FsAction::Rename { from: p, to: p }),
-        2 => (path(), path()).prop_map(|(a, b)| {
-            let (from, to) = if b.starts_with(&format!("{a}/")) { (b, a) } else { (a, b) };
-            FsAction::Rename { from, to }
-        }),
+        2 => (path(), path()).prop_map(|(from, to)| FsAction::Rename { from, to }),
         1 => (0..2usize, 0..5usize)
             .prop_map(|(d, to)| FsAction::Rename { from: FS_PATHS[3 + d], to: FS_PATHS[to] }),
+        1 => (0..2usize, 0..3usize)
+            .prop_map(|(d, f)| FsAction::Rename { from: FS_PATHS[3 + d], to: FS_PATHS[5 + 3 * d + f] }),
         1 => path().prop_map(|path| FsAction::Unlink { path }),
         1 => fd().prop_map(|fd| FsAction::Fsync { fd }),
     ]
