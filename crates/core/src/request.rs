@@ -66,7 +66,9 @@ pub enum FsOp {
         buf: BufHandle,
     },
     /// Zero-copy read: respond with [`RespPayload::DataBuf`] — a handle
-    /// into the page cache (hit) or a freshly filled pool buffer (miss).
+    /// into the page cache (hit) or a freshly filled pool buffer (miss) —
+    /// or, when the bytes lie in several pool slots, with
+    /// [`RespPayload::DataRuns`].
     ReadBuf {
         /// Source inode.
         ino: u64,
@@ -200,7 +202,9 @@ pub enum BlockOp {
         /// Payload (sector multiple) in a pooled buffer.
         buf: BufHandle,
     },
-    /// Zero-copy sector read: respond with [`RespPayload::DataBuf`].
+    /// Zero-copy sector read: respond with [`RespPayload::DataBuf`], or
+    /// with [`RespPayload::DataRuns`] when the bytes lie in several pool
+    /// slots.
     ReadBuf {
         /// Start LBA.
         lba: u64,
@@ -355,6 +359,12 @@ pub enum RespPayload {
     /// Zero-copy read result: a refcounted view of shared-memory bytes
     /// (a page-cache hit is a refcount bump, not a copy).
     DataBuf(BufHandle),
+    /// Zero-copy read result whose bytes lie in several pool slots (a
+    /// cache hit on blocks that different writes brought in): the views
+    /// of each run, in byte order — always two or more, none empty.
+    /// Passing it on moves refcounts, not bytes; [`RespPayload::data_parts`]
+    /// reads it.
+    DataRuns(Vec<BufHandle>),
     /// Small result (≤ 64 B) carried by value inside the response
     /// envelope — no BufferPool round trip, zero counted payload
     /// copies. Pushdown aggregates and short KVS values ride here.
@@ -375,8 +385,11 @@ impl RespPayload {
         !matches!(self, RespPayload::Err(_))
     }
 
-    /// The returned bytes regardless of representation (legacy `Vec` or
-    /// shared-memory handle); `None` for non-data payloads.
+    /// The returned bytes when they are one contiguous slice (legacy
+    /// `Vec`, inline envelope or one shared-memory handle); `None` for
+    /// non-data payloads and for a [`RespPayload::DataRuns`] run list,
+    /// whose bytes are not contiguous — read any data answer with
+    /// [`RespPayload::data_parts`].
     pub fn data_bytes(&self) -> Option<&[u8]> {
         match self {
             RespPayload::Data(v) => Some(v),
@@ -384,6 +397,17 @@ impl RespPayload {
             RespPayload::Inline(d) => Some(d.as_slice()),
             _ => None,
         }
+    }
+
+    /// The bytes of a data answer, whatever its shape, as the slices
+    /// that hold them in byte order: one for `Data`, `DataBuf` and
+    /// `Inline`, one per run for `DataRuns`. `None` for non-data payloads.
+    pub fn data_parts(&self) -> Option<impl Iterator<Item = &[u8]> + Clone + '_> {
+        let (one, runs): (Option<&[u8]>, &[BufHandle]) = match self {
+            RespPayload::DataRuns(runs) => (None, runs),
+            other => (Some(other.data_bytes()?), &[]),
+        };
+        Some(one.into_iter().chain(runs.iter().map(BufHandle::as_slice)))
     }
 }
 
@@ -425,6 +449,31 @@ pub enum Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn data_parts_read_every_data_shape_in_byte_order() {
+        let pool = labstor_ipc::BufferPool::new(labstor_ipc::PoolConfig {
+            classes: vec![(64, 2)],
+        });
+        let (a, b) = (
+            pool.alloc_from(b"head").unwrap(),
+            pool.alloc_from(b"tail").unwrap(),
+        );
+        let parts = |r: &RespPayload| r.data_parts().map(|p| p.collect::<Vec<_>>().concat());
+        let runs = RespPayload::DataRuns(vec![a.clone(), b]);
+        assert_eq!(parts(&runs).as_deref(), Some(&b"headtail"[..]));
+        assert_eq!(runs.data_bytes(), None, "a run list is not one slice");
+        let inline = RespPayload::Inline(InlineData::from_slice(b"in").unwrap());
+        for (r, want) in [
+            (RespPayload::Data(b"vec".to_vec()), &b"vec"[..]),
+            (RespPayload::DataBuf(a), b"head"),
+            (inline, b"in"),
+        ] {
+            assert_eq!(parts(&r).as_deref(), Some(want));
+            assert_eq!(r.data_bytes(), Some(want));
+        }
+        assert!(RespPayload::Len(3).data_parts().is_none());
+    }
 
     #[test]
     fn payload_bytes_reflect_data() {

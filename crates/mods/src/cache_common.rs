@@ -10,8 +10,12 @@
 //! resident, adjacent views of one pool slot grows one handle over them
 //! by reference ([`BufHandle::extend_with`]) and answers with it — one
 //! refcount bump, no bytes move. Any other read takes its blocks by
-//! value, fetches only the smallest run covering the missing ones in one
-//! downstream request, and gathers each byte once into the response.
+//! value and fetches only the smallest run covering the missing ones in
+//! one downstream request. A `ReadBuf` whose blocks are then all pool
+//! views answers with them, one handle per run of adjacent views
+//! ([`RespPayload::DataRuns`] when there are several); a legacy `Read`,
+//! or a read that meets an owned window, gathers each byte once into the
+//! response.
 //!
 //! The two cache LabMods are this engine with a different [`Policy`]: the
 //! policy decides what stays resident, the engine does everything else
@@ -384,14 +388,14 @@ impl<P: Policy> BlockCache<P> {
         }
     }
 
-    /// The read path. `zero_copy` selects the response shape: a `ReadBuf`
-    /// whose blocks are all resident, adjacent views of one pool slot
-    /// answers with a refcounted `DataBuf` (no memcpy, no copy charge) —
-    /// found so at once, or after waiting out another request's fetch of
-    /// them. A read that misses every block is answered with what the next
-    /// stage returned. Everything else — a legacy `Read`, a run this
-    /// request fetched some blocks of, blocks of different slots — gathers
-    /// into a `Vec` and is charged + counted.
+    /// The read path. `zero_copy` selects the response shape. A read that
+    /// misses every block is answered with what the next stage returned.
+    /// Otherwise a `ReadBuf` whose blocks are all pool views — resident,
+    /// or cut from the one run this request fetched — answers with them
+    /// by refcount (no memcpy, no copy charge): a `DataBuf` when they are
+    /// adjacent views of one slot, a `DataRuns` list of one view per run
+    /// when they lie in several. A legacy `Read`, or blocks of which one
+    /// is an owned window, gathers into a `Vec` and is charged + counted.
     fn read(
         &self,
         ctx: &mut Ctx,
@@ -437,10 +441,6 @@ impl<P: Policy> BlockCache<P> {
             let Some((first, last)) = missing_run(found) else {
                 // The winner's fetch made every block resident, usually as
                 // views of the one slot it landed in: one run after all.
-                if let Some(h) = zero_copy.then(|| joined(found, len)).flatten() {
-                    self.hits.add(blocks as u64);
-                    return RespPayload::DataBuf(h);
-                }
                 break 'fetch 0;
             };
             // One downstream request for the smallest run that covers
@@ -492,7 +492,10 @@ impl<P: Policy> BlockCache<P> {
             missing
         };
         self.hits.add((blocks - fetched_blocks) as u64);
-        gather(ctx, found, len)
+        match zero_copy.then(|| views(found, len)).flatten() {
+            Some(answer) => answer,
+            None => gather(ctx, found, len),
+        }
     }
 
     /// Drop the resident blocks of the `len`-byte range at `lba`, dirty
@@ -562,20 +565,34 @@ fn grow(run: &mut Option<BufHandle>, block: &CacheData) -> bool {
     }
 }
 
-/// One handle over the first `len` bytes of `found`'s blocks, all present,
-/// when they are one run of pool handles.
-fn joined(found: &[Option<CacheData>], len: usize) -> Option<BufHandle> {
+/// The zero-copy answer over the first `len` bytes of `found`'s blocks,
+/// all present and all pool handles: one handle when they are one run,
+/// else the runs' handles in byte order. `None` when a block is an owned
+/// window, whose bytes have no handle to pass on.
+fn views(found: &[Option<CacheData>], len: usize) -> Option<RespPayload> {
+    let mut runs = Vec::new();
     let mut run = None;
-    if !found.iter().flatten().all(|block| grow(&mut run, block)) {
-        return None;
+    for block in found.iter().flatten() {
+        if !grow(&mut run, block) {
+            let CacheData::Buf(h) = block else {
+                return None;
+            };
+            runs.extend(run.replace(h.clone()));
+        }
     }
+    // Only the last block may reach past `len`.
     let mut run = run?;
-    run.truncate(len);
-    Some(run)
+    run.truncate(len - runs.iter().map(BufHandle::len).sum::<usize>());
+    if runs.is_empty() {
+        return Some(RespPayload::DataBuf(run));
+    }
+    runs.push(run);
+    Some(RespPayload::DataRuns(runs))
 }
 
 /// Build the response from the blocks of a `len`-byte read, all present:
-/// each byte moves once, from its entry into the response.
+/// each byte moves once, from its entry into the response. Only for
+/// bytes that have no handle: a legacy `Read`, or an owned window.
 fn gather(ctx: &mut Ctx, found: &[Option<CacheData>], len: usize) -> RespPayload {
     note_payload_copy(len);
     ctx.advance(copy_cost(len));
@@ -1062,26 +1079,69 @@ mod tests {
         /// Replay a read of `blocks` through the list — every resident
         /// block touched once in ascending order, then the missing ones
         /// admitted in ascending order as views of what the fetch brought
-        /// — and say whether the answer must be a `DataBuf`.
-        fn read(&mut self, blocks: std::ops::Range<u64>, zero_copy: bool) -> bool {
+        /// — and say what shape the answer must have.
+        fn read(&mut self, blocks: std::ops::Range<u64>, zero_copy: bool) -> Shape {
             let origins: Vec<_> = blocks.clone().map(|b| self.origin(b)).collect();
-            // A handle comes back for one joinable run (consecutive blocks
-            // of one allocation are adjacent in it) and for a full miss,
-            // which passes the device's own response up.
-            let one_slot =
-                origins[0].flatten().is_some() && origins.iter().all(|o| *o == origins[0]);
-            let data_buf = zero_copy && (one_slot || origins.iter().all(Option::is_none));
             for (block, _) in blocks.clone().zip(&origins).filter(|(_, o)| o.is_some()) {
                 self.touch(block);
             }
-            if origins.iter().any(Option::is_none) {
-                let fetched = zero_copy.then(|| self.allocation()).flatten();
-                for (block, _) in blocks.zip(&origins).filter(|(_, o)| o.is_none()) {
-                    self.admit(block, fetched);
+            let full_miss = origins.iter().all(Option::is_none);
+            let fetched = origins
+                .iter()
+                .any(Option::is_none)
+                .then(|| zero_copy.then(|| self.allocation()).flatten());
+            for (block, _) in blocks.zip(&origins).filter(|(_, o)| o.is_none()) {
+                self.admit(block, fetched.flatten());
+            }
+            // Where each block's bytes lie once the fetch has landed.
+            let served: Vec<Option<u32>> = origins
+                .iter()
+                .map(|o| o.unwrap_or_else(|| fetched.flatten()))
+                .collect();
+            if !zero_copy {
+                Shape::Data
+            } else if full_miss {
+                // The device's own response is passed up.
+                Shape::Buf
+            } else if served.iter().any(Option::is_none) {
+                Shape::Data
+            } else {
+                // Consecutive blocks of one allocation are adjacent in it:
+                // a run ends where the allocation changes.
+                let runs = 1 + served.windows(2).filter(|w| w[0] != w[1]).count();
+                if runs == 1 {
+                    Shape::Buf
+                } else {
+                    Shape::Runs(runs)
                 }
             }
-            data_buf
         }
+    }
+
+    /// The shape of a read's answer.
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        /// Owned bytes: `Data`.
+        Data,
+        /// One handle: `DataBuf`.
+        Buf,
+        /// A run list of this many handles: `DataRuns`.
+        Runs(usize),
+    }
+
+    fn shape(resp: &RespPayload) -> Option<Shape> {
+        match resp {
+            RespPayload::Data(_) => Some(Shape::Data),
+            RespPayload::DataBuf(_) => Some(Shape::Buf),
+            RespPayload::DataRuns(runs) => Some(Shape::Runs(runs.len())),
+            _ => None,
+        }
+    }
+
+    /// A data answer's bytes, whatever its shape.
+    fn bytes(resp: &RespPayload) -> Option<Vec<u8>> {
+        resp.data_parts()
+            .map(|parts| parts.collect::<Vec<_>>().concat())
     }
 
     /// Blocks the cache under test holds: against extents of up to 32,
@@ -1146,18 +1206,19 @@ mod tests {
                     };
                     let at = block as usize * BLOCK;
                     prop_assert!(
-                        resp.data_bytes() == Some(&model[at..at + len]),
+                        bytes(&resp).as_deref() == Some(&model[at..at + len]),
                         "{:?} returned wrong bytes",
                         op
                     );
-                    let data_buf = lru.read(block..block + blocks as u64, zero_copy);
+                    if let RespPayload::DataRuns(runs) = &resp {
+                        prop_assert!(zero_copy, "{:?} answered a run list", op);
+                        prop_assert!(runs.len() >= 2 && runs.iter().all(|r| !r.is_empty()));
+                        let joined = runs.windows(2).any(|w| w[0].clone().extend_with(&w[1]));
+                        prop_assert!(!joined, "{:?}: two runs join", op);
+                    }
+                    let want = lru.read(block..block + blocks as u64, zero_copy);
                     if exact_lru {
-                        prop_assert!(
-                            matches!(resp, RespPayload::DataBuf(_)) == data_buf,
-                            "{:?} answered {:?}",
-                            op,
-                            resp
-                        );
+                        prop_assert!(shape(&resp) == Some(want), "{:?} answered {:?}", op, resp);
                     }
                     // The missing blocks come from the device in at most
                     // one request, and it stays inside what was asked for.
@@ -1225,7 +1286,7 @@ mod tests {
 
     /// The two response shapes of a fully resident `ReadBuf`.
     #[test]
-    fn readbuf_is_a_view_of_one_slot_or_a_gather_across_two() {
+    fn readbuf_is_a_view_of_one_slot_or_the_views_of_each() {
         for type_name in ["lru_cache", "arc_cache"] {
             let pool = BufferPool::new(PoolConfig {
                 classes: vec![(8 * BLOCK, 2)],
@@ -1250,15 +1311,51 @@ mod tests {
                 }
                 other => panic!("{type_name}: expected DataBuf, got {other:?}"),
             }
-            // Across both: neighbours on the device, not in memory.
-            match rig.read_buf(&mut ctx, 0, 16 * BLOCK) {
-                RespPayload::Data(d) => {
-                    assert!(d[..8 * BLOCK] == *halves[0].as_slice());
-                    assert!(d[8 * BLOCK..] == *halves[1].as_slice());
+            // Across both: neighbours on the device, not in memory. Each
+            // run is a view of its writer's bytes, the last one cut short.
+            match rig.read_buf(&mut ctx, 0, 16 * BLOCK - 100) {
+                RespPayload::DataRuns(runs) => {
+                    assert_eq!(runs.len(), 2, "{type_name}");
+                    assert!(runs[0].same_slot(&halves[0]) && runs[1].same_slot(&halves[1]));
+                    assert!(runs[0].as_slice() == halves[0].as_slice());
+                    assert!(runs[1].as_slice() == &halves[1].as_slice()[..8 * BLOCK - 100]);
                 }
-                other => panic!("{type_name}: expected Data, got {other:?}"),
+                other => panic!("{type_name}: expected DataRuns, got {other:?}"),
             }
             assert_eq!(rig.dev.read_count(), 0, "{type_name}: all resident");
+        }
+    }
+
+    /// A `ReadBuf` that finds some of its blocks resident and fetches the
+    /// rest in one run answers with the views of both slots, in byte
+    /// order, and copies nothing.
+    #[test]
+    fn a_partial_readbuf_hit_answers_the_resident_and_the_fetched_runs() {
+        for type_name in ["lru_cache", "arc_cache"] {
+            let pool = BufferPool::new(PoolConfig {
+                classes: vec![(4 * BLOCK, 2)],
+            });
+            let mut dev = MemDev::new();
+            dev.pool = Some(pool.clone());
+            dev.poke(2 * BLOCK_SECTORS, &pattern(9, 2 * BLOCK));
+            let rig = Rig::mount(type_name, serde_json::json!({}), dev);
+            let mut ctx = Ctx::new();
+            let head = pool.alloc_from(&pattern(8, 2 * BLOCK)).unwrap();
+            let buf = head.clone();
+            let r = rig.exec(Payload::Block(BlockOp::WriteBuf { lba: 0, buf }), &mut ctx);
+            assert!(r.is_ok());
+            match rig.read_buf(&mut ctx, 0, 4 * BLOCK - 7) {
+                RespPayload::DataRuns(runs) => {
+                    assert_eq!(runs.len(), 2, "{type_name}");
+                    assert!(runs[0].same_slot(&head), "{type_name}: the resident run");
+                    assert!(!runs[1].same_slot(&head), "{type_name}: the fetched run");
+                    assert!(runs[0].as_slice() == head.as_slice());
+                    assert!(runs[1].as_slice() == &pattern(9, 2 * BLOCK)[..2 * BLOCK - 7]);
+                }
+                other => panic!("{type_name}: expected DataRuns, got {other:?}"),
+            }
+            // Only the missing blocks were fetched.
+            assert_eq!(*rig.dev.reads.lock(), [(2 * BLOCK_SECTORS, 2 * BLOCK - 7)]);
         }
     }
 

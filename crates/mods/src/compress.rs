@@ -96,11 +96,9 @@ impl CompressMod {
             lba,
             len: e.stored_len,
         }));
-        let stored = match env.forward(ctx, fwd) {
-            RespPayload::Data(stored) => stored,
-            RespPayload::DataBuf(h) => h.to_vec(), // copy-ok: decoder needs owned bytes; to_vec self-counts
-            other => return Err(other),
-        };
+        // The decoder needs owned bytes: a handle or a run list is copied
+        // out once, counted.
+        let stored = crate::generic::owned_bytes(env.forward(ctx, fwd))?;
         if e.raw {
             let mut d = stored;
             d.truncate(e.orig_len);
@@ -126,7 +124,7 @@ fn pad_to_sectors(mut data: Vec<u8>) -> Vec<u8> {
     data
 }
 
-// labmod-default-ok: the extent map migrates in state_update; after a crash the stack re-reads extents from the device, so no repair pass is needed
+// labmod-default-ok: the extent map migrates in state_update but lives in memory only, so a restart loses it and compressed blocks then read back raw (ROADMAP 25); no map is kept on the device for a repair pass to check
 impl LabMod for CompressMod {
     fn type_name(&self) -> &'static str {
         "compress"

@@ -84,6 +84,28 @@ fn call(
     }
 }
 
+/// A data answer's bytes as one owned `Vec`, or the answer back when it
+/// carries none. A `Vec` is handed on as it is, inline bytes are copied
+/// out of the envelope uncounted, and a handle or a run list pays the one
+/// counted copy-out an owned-`Vec` API makes.
+pub(crate) fn owned_bytes(resp: RespPayload) -> Result<Vec<u8>, RespPayload> {
+    match resp {
+        RespPayload::Data(d) => Ok(d),
+        RespPayload::Inline(d) => Ok(d.to_vec()), // copy-ok: inline envelope copy-out, uncounted by design
+        other => other.data_parts().map(copy_out).ok_or(other),
+    }
+}
+
+/// One counted copy of `parts` into a `Vec` sized once.
+fn copy_out<'a>(parts: impl Iterator<Item = &'a [u8]> + Clone) -> Vec<u8> {
+    let len = parts.clone().map(<[u8]>::len).sum();
+    labstor_ipc::note_payload_copy(len);
+    let mut out = Vec::with_capacity(len);
+    // copy-ok: the copy-out of a handle or of each run; counted above
+    parts.for_each(|part| out.extend_from_slice(part));
+    out
+}
+
 struct OpenEntry {
     stack_id: u64,
     ino: u64,
@@ -225,23 +247,9 @@ impl GenericFs {
                 len,
             },
         )?;
-        match resp {
-            RespPayload::Inline(d) => {
-                let d = d.to_vec(); // copy-ok: inline envelope copy-out, uncounted by design
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
-                Ok(d)
-            }
-            RespPayload::Data(d) => {
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
-                Ok(d)
-            }
-            RespPayload::DataBuf(h) => {
-                let d = h.to_vec(); // copy-ok: read(2) returns owned bytes; to_vec self-counts
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
-                Ok(d)
-            }
-            other => Err(Self::unexpected(other)),
-        }
+        let d = owned_bytes(resp).map_err(Self::unexpected)?;
+        self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
+        Ok(d)
     }
 
     /// Zero-copy `write(2)`: the caller filled a pool buffer in place
@@ -277,8 +285,10 @@ impl GenericFs {
     }
 
     /// Zero-copy `read(2)`: returns a refcounted view of shared memory —
-    /// a page-cache hit costs a refcount bump, not a copy. Falls back to
-    /// pooling a legacy `Vec` response (counted) when a stage downgraded.
+    /// a page-cache hit costs a refcount bump, not a copy. Pools any other
+    /// data answer by one counted copy: a legacy `Vec` or inline bytes
+    /// when a stage downgraded, the runs of bytes that lie in several
+    /// slots.
     // api-ok: tests/zero_copy_path.rs pins its copy count
     pub fn read_buf(
         &mut self,
@@ -297,15 +307,27 @@ impl GenericFs {
         )?;
         let h = match resp {
             RespPayload::DataBuf(h) => h,
-            // copy-ok: a downgraded response pooled for the handle API; alloc_from self-counts
-            RespPayload::Inline(d) => labstor_ipc::default_pool()
-                .alloc_from(d.as_slice())
-                .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?,
-            // copy-ok: a downgraded response pooled for the handle API; alloc_from self-counts
-            RespPayload::Data(d) => labstor_ipc::default_pool()
-                .alloc_from(&d)
-                .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?,
-            other => return Err(Self::unexpected(other)),
+            other => {
+                let Some(parts) = other.data_parts() else {
+                    return Err(Self::unexpected(other));
+                };
+                let len = parts.clone().map(<[u8]>::len).sum();
+                let mut h = labstor_ipc::default_pool()
+                    .alloc(len)
+                    .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?;
+                labstor_ipc::note_payload_copy(len);
+                // owner-ok: the client fills the buffer its own domain just allocated
+                let filled = h.write_with(|dst| {
+                    let mut at = 0;
+                    for part in parts {
+                        // copy-ok: the answer pooled for the handle API; counted above
+                        dst[at..at + part.len()].copy_from_slice(part);
+                        at += part.len();
+                    }
+                });
+                debug_assert!(filled, "fresh handle is unique");
+                h
+            }
         };
         self.fds.get_mut(&fd).expect("entry checked").pos = pos + h.len() as u64;
         Ok(h)
@@ -546,12 +568,7 @@ impl GenericKvs {
     /// one client-side copy-out an owned-`Vec` API requires.
     pub fn get(&mut self, key: &str) -> Result<Vec<u8>, GenericFsError> {
         let resp = self.call(key, |key| KvsOp::Get { key })?;
-        match resp {
-            RespPayload::Inline(d) => Ok(d.to_vec()), // copy-ok: inline envelope copy-out, uncounted by design
-            RespPayload::Data(d) => Ok(d),
-            RespPayload::DataBuf(h) => Ok(h.to_vec()), // copy-ok: owned-Vec API; to_vec self-counts
-            other => Err(GenericFs::unexpected(other)),
-        }
+        owned_bytes(resp).map_err(GenericFs::unexpected)
     }
 
     /// Pushdown point-query: fetch `key`'s value only if the verified
@@ -566,10 +583,7 @@ impl GenericKvs {
         let resp = self.call(key, |key| KvsOp::GetWhere { key, prog })?;
         match resp {
             RespPayload::Ok => Ok(None),
-            RespPayload::Inline(d) => Ok(Some(d.to_vec())), // copy-ok: inline envelope copy-out, uncounted by design
-            RespPayload::Data(d) => Ok(Some(d)),
-            RespPayload::DataBuf(h) => Ok(Some(h.to_vec())), // copy-ok: owned-Vec API; to_vec self-counts
-            other => Err(GenericFs::unexpected(other)),
+            other => owned_bytes(other).map(Some).map_err(GenericFs::unexpected),
         }
     }
 

@@ -301,13 +301,15 @@ impl LabFs {
     /// Read `[offset, offset + len)`, one block request per run of pages
     /// that are contiguous on the device — the mirror image of the write
     /// paths' coalescing. `zero_copy` (the `ReadBuf` op) asks downstream
-    /// for pool handles and may answer with one or with inline bytes; the
-    /// legacy `Read` op always answers `Data`.
+    /// for pool handles and may answer with one, with a run list of them
+    /// or with inline bytes; the legacy `Read` op always answers `Data`.
     ///
     /// A read that is a single run hands back a window of whatever came
-    /// up — `h.slice(..)` of a handle, the `Vec` itself when it starts at
-    /// the window — with no assembly buffer. Holes and scattered files
-    /// assemble into one `Vec`, each mapped byte copied (and counted) once.
+    /// up — `h.slice(..)` of a handle, the views of a run list that the
+    /// window crosses (one view is answered as a handle), the `Vec`
+    /// itself when it starts at the window — with no assembly buffer.
+    /// Holes and scattered files assemble into one `Vec`, each mapped byte
+    /// copied (and counted) once.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn op_read(
         &self,
@@ -359,18 +361,24 @@ impl LabFs {
         }
         if let Some(block) = mappings[0].filter(|&b| run_from(0, b) == mappings.len()) {
             // One run: no assembly, the answer is a window of the response.
+            let short = || RespPayload::Err("short block read".into());
+            let one_view = |win: BufHandle| {
+                inline(win.as_slice()).unwrap_or_else(|| {
+                    if zero_copy {
+                        // The zero-copy path: a view of the cached/DMA'd run.
+                        RespPayload::DataBuf(win)
+                    } else {
+                        // copy-ok: legacy Read answers with owned bytes; to_vec self-counts
+                        RespPayload::Data(win.to_vec())
+                    }
+                })
+            };
             return match fwd_block(ctx, env, req, read(block, mappings.len())) {
-                RespPayload::DataBuf(h) => match h.slice(src, n) {
-                    None => RespPayload::Err("short block read".into()),
-                    Some(win) => inline(win.as_slice()).unwrap_or_else(|| {
-                        if zero_copy {
-                            // The zero-copy path: a view of the cached/DMA'd run.
-                            RespPayload::DataBuf(win)
-                        } else {
-                            // copy-ok: legacy Read answers with owned bytes; to_vec self-counts
-                            RespPayload::Data(win.to_vec())
-                        }
-                    }),
+                RespPayload::DataBuf(h) => h.slice(src, n).map_or_else(short, one_view),
+                RespPayload::DataRuns(runs) if zero_copy => match window(runs, src, n) {
+                    None => short(),
+                    Some(views) if views.len() > 1 => RespPayload::DataRuns(views),
+                    Some(mut views) => views.pop().map_or(RespPayload::Data(Vec::new()), one_view),
                 },
                 RespPayload::Data(mut d) => {
                     let Some(win) = d.get(src..src + n) else {
@@ -399,7 +407,7 @@ impl LabFs {
             };
             let pages = run_from(i, block);
             let resp = fwd_block(ctx, env, req, read(block, pages));
-            let Some(bytes) = resp.data_bytes() else {
+            let Some(parts) = resp.data_parts() else {
                 return resp;
             };
             // This run's bytes within the request and within the response.
@@ -407,17 +415,42 @@ impl LabFs {
             let copy_from = run_start.max(offset);
             let copy_to = (run_start + (pages * FS_BLOCK) as u64).min(offset + n as u64);
             let cnt = (copy_to - copy_from) as usize;
-            let Some(win) = bytes
-                .get((copy_from - run_start) as usize..)
-                .and_then(|b| b.get(..cnt))
-            else {
+            let mut skip = (copy_from - run_start) as usize;
+            let (mut dst, end) = ((copy_from - offset) as usize, (copy_to - offset) as usize);
+            for part in parts {
+                let from = skip.min(part.len());
+                let take = (part.len() - from).min(end - dst);
+                // copy-ok: assembly of a scattered read; counted below
+                out[dst..dst + take].copy_from_slice(&part[from..from + take]);
+                skip -= from;
+                dst += take;
+            }
+            if dst < end {
                 return RespPayload::Err("short block read".into());
-            };
-            let dst = (copy_from - offset) as usize;
+            }
             labstor_ipc::note_payload_copy(cnt);
-            out[dst..dst + cnt].copy_from_slice(win); // copy-ok: assembly of a scattered read; counted above
             i += pages;
         }
         RespPayload::Data(out)
     }
+}
+
+/// Cut `runs`, a run list in byte order, to the window `[src, src + n)`
+/// in place: the runs the window crosses, each narrowed to its share of
+/// it. `None` if the runs end before the window does.
+fn window(mut runs: Vec<BufHandle>, src: usize, n: usize) -> Option<Vec<BufHandle>> {
+    let (mut at, end) = (0, src + n);
+    runs.retain_mut(|run| {
+        let start = at;
+        at += run.len();
+        let (lo, hi) = (src.max(start), end.min(at));
+        match (lo < hi).then(|| run.slice(lo - start, hi - lo)).flatten() {
+            Some(view) => {
+                *run = view;
+                true
+            }
+            None => false,
+        }
+    });
+    (at >= end).then_some(runs)
 }

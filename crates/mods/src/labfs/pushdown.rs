@@ -79,17 +79,16 @@ impl LabFs {
                             len: FS_BLOCK,
                         },
                     );
-                    match &hole_resp {
-                        // The pushdown payoff: scan the cached/DMA'd
-                        // block in place through the handle — no copy.
-                        RespPayload::DataBuf(h) if h.len() >= src + cnt => {
-                            &h.as_slice()[src..src + cnt]
-                        }
-                        RespPayload::Data(d) if d.len() >= src + cnt => &d[src..src + cnt],
-                        RespPayload::DataBuf(_) | RespPayload::Data(_) => {
-                            return RespPayload::Err("short block read".into())
-                        }
-                        _ => return hole_resp.clone(),
+                    // The pushdown payoff: scan the cached/DMA'd block in
+                    // place through the handle — no copy. One block is one
+                    // part: a run list needs two blocks or more.
+                    match hole_resp
+                        .data_parts()
+                        .map(|mut p| p.next().unwrap_or_default())
+                    {
+                        Some(bytes) if bytes.len() >= src + cnt => &bytes[src..src + cnt],
+                        Some(_) => return RespPayload::Err("short block read".into()),
+                        None => return hole_resp.clone(),
                     }
                 }
             };

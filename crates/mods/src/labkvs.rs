@@ -278,12 +278,16 @@ impl LabKvs {
                     None => RespPayload::DataBuf(h),
                 }
             }
-            // A pool-dry driver answers with an owned Vec.
-            RespPayload::Data(mut d) => {
-                d.truncate(loc.len);
-                RespPayload::Data(d)
-            }
-            other => other,
+            // A pool-dry driver answers with an owned Vec. Sectors that a
+            // cache below holds in several slots are copied out once,
+            // counted: the pushdown scans read a value as one slice.
+            other => match crate::generic::owned_bytes(other) {
+                Ok(mut d) => {
+                    d.truncate(loc.len);
+                    RespPayload::Data(d)
+                }
+                Err(other) => other,
+            },
         }
     }
 

@@ -494,8 +494,10 @@ impl Boot {
         let offset = 0;
         match self.exec(ctx, Payload::Fs(FsOp::Read { ino, offset, len })) {
             RespPayload::Data(d) => Ok(d),
-            RespPayload::DataBuf(h) => Ok(h.to_vec()),
-            other => Err(format!("read {name}: {other:?}")),
+            other => match other.data_parts() {
+                Some(parts) => Ok(parts.collect::<Vec<_>>().concat()),
+                None => Err(format!("read {name}: {other:?}")),
+            },
         }
     }
 

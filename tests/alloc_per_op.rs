@@ -21,8 +21,25 @@
 //! Before, a warm cache held every transport slot, so a miss fell back to
 //! the driver's owned `Vec` and the cache's `Arc<[u8]>` copy of it, and a
 //! hit on such a block gathered into a new `Vec`; every device command's
-//! completion came back in a `Vec` of its own. The same counts hold in
-//! debug and release builds.
+//! completion came back in a `Vec` of its own.
+//!
+//! Varmail's flow on the same stack — create a file, append two 8 KiB
+//! halves, fsync, read the 16 KiB back, unlink — per operation, before
+//! and after a `ReadBuf` hit on blocks in two pool slots (each append
+//! took its own) began to answer with the slots' views, a `DataRuns` run
+//! list, instead of a copy the cache gathered:
+//!
+//! | operation                | before | after |
+//! |--------------------------|-------:|------:|
+//! | create (`open`)          |      5 |     5 |
+//! | 8 KiB append             |     5* |    5* |
+//! | fsync                    |      2 |     2 |
+//! | 16 KiB `GenericFs::read` |      3 |     4 |
+//!
+//! \* every eighth append takes 6, at the same place in every run. The
+//! read gains one: the run list is a `Vec` of its own, while the cache's
+//! gathered `Vec` became `GenericFs::read`'s copy-out. The same counts
+//! hold in debug and release builds.
 //!
 //! This file holds a single test: it reads which slots the default pool
 //! has free, and the integration tests of one file share one process.
@@ -97,6 +114,8 @@ const SPEC: &str = r#"{
 }"#;
 
 const PAGE: usize = 4096;
+/// Half of a varmail file: one append.
+const HALF: usize = 8192;
 /// A 32 MiB file: twice the cache.
 const FILE_PAGES: u64 = 8192;
 /// Cache capacity in pages.
@@ -185,6 +204,29 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
     let empty = calls(|| assert_eq!(fs.write(fd, b""), Ok(0)));
     let after = (pool.live(), labstor::ipc::payload_copies());
 
+    // Varmail's flow: create a file, append two 8 KiB halves, fsync, read
+    // the whole file back (a hit on the two slots the appends took), then
+    // unlink it. The first cycles warm the maps and the journal.
+    let half = [0x6d; HALF];
+    let mut varmail = |cycle: usize| {
+        let path = format!("fs::/ap/mail{cycle}");
+        let mut mail = 0;
+        let create = calls(|| mail = fs.open(&path, true, false).unwrap());
+        let append = calls(|| assert_eq!(fs.write(mail, &half), Ok(HALF)));
+        assert_eq!(fs.write(mail, &half), Ok(HALF));
+        let fsync = calls(|| fs.fsync(mail).unwrap());
+        fs.seek(mail, 0).unwrap();
+        let read = calls(|| assert_eq!(fs.read(mail, 2 * HALF).unwrap().len(), 2 * HALF));
+        fs.close(mail).unwrap();
+        fs.unlink(&path).unwrap();
+        [create, append, fsync, read]
+    };
+    (0..3 * OPS).for_each(|cycle| {
+        varmail(cycle);
+    });
+    let flows: Vec<[u64; 4]> = (0..OPS).map(&mut varmail).collect();
+    let shape = |k: usize| flows.iter().map(|f| f[k]).collect::<Vec<u64>>();
+
     assert_eq!(miss, [1; OPS], "ReadBuf miss");
     assert_eq!(hit, [1; OPS], "ReadBuf hit");
     assert_eq!(legacy, [2; OPS], "legacy Write");
@@ -194,5 +236,10 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
         (0, (live, copies)),
         "empty GenericFs::write"
     );
+    let appends: Vec<u64> = (0..OPS).map(|i| if i % 8 == 0 { 6 } else { 5 }).collect();
+    assert_eq!(shape(0), [5; OPS], "varmail create");
+    assert_eq!(shape(1), appends, "varmail 8 KiB append");
+    assert_eq!(shape(2), [2; OPS], "varmail fsync");
+    assert_eq!(shape(3), [4; OPS], "varmail 16 KiB read over two slots");
     rt.shutdown();
 }

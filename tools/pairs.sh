@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Alternate end-to-end benchmark runs of a parent tree and this tree, one
-# pair per seed, and compare them.
+# pair per seed, and compare them on every end-to-end metric.
 #
 #   tools/pairs.sh PARENT_TREE WORKLOAD SEED...
 #
@@ -10,9 +10,12 @@
 # keeps each run's result line. Then prints, per pair, both host_ns_per_op
 # values and whether the five exact metrics and the failed-op count are
 # identical, with each exact metric that differs on a line of its own as
-# parent -> this; and, over all pairs, how many this tree won, both medians
-# and the parent's interquartile distance, then both medians of setup_s and
-# peak_rss_mib.
+# parent -> this. Last comes one line per end-to-end metric of this
+# tree's BENCHMARK.json, which gives the names, the better directions and
+# the bounds: the pairs this tree won and tied, both medians and their
+# change, the parent's interquartile distance, whether the medians are
+# further apart than that distance, and WORSE where this tree's median is
+# worse than the parent's by more than the metric's bound.
 # A claimed gain needs 9 wins in 10 and a median gap wider than that
 # distance (benchmark/README.md).
 #
@@ -53,12 +56,14 @@ for seed in "$@"; do
     fi
 done
 
-python3 - "$out" "$workload" "$@" <<'EOF'
+python3 - "$out" "$this/BENCHMARK.json" "$workload" "$@" <<'EOF'
 import json, statistics, sys
 
-out, workload, seeds = sys.argv[1], sys.argv[2], sys.argv[3:]
+out, spec, workload, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 EXACT = ["virt_ops_per_s", "virt_lat_p50_vns", "virt_lat_p99_vns",
          "dev_bytes_per_user_byte", "copy_bytes_per_user_byte"]
+with open(spec) as f:
+    metrics = json.load(f)["end_to_end"]
 
 def load(side, seed):
     with open(f"{out}/{side}.{seed}.json") as f:
@@ -66,18 +71,12 @@ def load(side, seed):
     m = {k: v["value"] for k, v in r["metrics"].items()}
     return m, r["failed"]
 
-parent, this, wins = [], [], 0
-others = {"setup_s": ([], []), "peak_rss_mib": ([], [])}
+pairs = []
 print(f"{workload}: pair  seed  parent_ns  this_ns  delta  exact+failed")
 for i, seed in enumerate(seeds, 1):
     (pm, pf), (tm, tf) = load("parent", seed), load("this", seed)
+    pairs.append((pm, tm))
     p, t = pm["host_ns_per_op"], tm["host_ns_per_op"]
-    parent.append(p)
-    this.append(t)
-    for k, (ps, ts) in others.items():
-        ps.append(pm[k])
-        ts.append(tm[k])
-    wins += t < p
     moved = [k for k in EXACT if pm[k] != tm[k]]
     ident = "identical" if not moved and pf == tf else "DIFFERENT"
     print(f"{workload}: {i:4}  {seed:>4}  {p:9.0f}  {t:7.0f}  {(t - p) / p:+6.1%}"
@@ -85,15 +84,22 @@ for i, seed in enumerate(seeds, 1):
     for k in moved:
         print(f"{workload}:        {k} {pm[k]:.6g} -> {tm[k]:.6g}")
 
-pmed, tmed = statistics.median(parent), statistics.median(this)
-iqr = 0.0
-if len(parent) > 1:
-    q = statistics.quantiles(parent, n=4)
-    iqr = q[2] - q[0]
-print(f"{workload}: this tree faster in {wins}/{len(seeds)} pairs; median "
-      f"{pmed:.0f} -> {tmed:.0f} ns ({(tmed - pmed) / pmed:+.1%}); "
-      f"parent IQR {iqr:.0f} ns")
-for k, (ps, ts) in others.items():
-    pm_, tm_ = statistics.median(ps), statistics.median(ts)
-    print(f"{workload}: {k} median {pm_:.3f} -> {tm_:.3f} ({(tm_ - pm_) / pm_:+.1%})")
+print(f"{workload}: metric                    better  wins  ties  parent_median"
+      f"  this_median  change  parent_IQR  gap>IQR  bound")
+for m in metrics:
+    name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
+    ps = [p[name] for p, _ in pairs]
+    ts = [t[name] for _, t in pairs]
+    wins = sum(t < p if lower else t > p for p, t in zip(ps, ts))
+    ties = sum(t == p for p, t in zip(ps, ts))
+    pmed, tmed = statistics.median(ps), statistics.median(ts)
+    iqr = 0.0
+    if len(ps) > 1:
+        q = statistics.quantiles(ps, n=4)
+        iqr = q[2] - q[0]
+    change = (tmed - pmed) / pmed if pmed else 0.0
+    verdict = "WORSE" if (change if lower else -change) > bound else "ok"
+    gap = "yes" if abs(tmed - pmed) > iqr else "no"
+    print(f"{workload}: {name:<25} {m['better']:<6}  {wins:4}  {ties:4}  {pmed:13.6g}"
+          f"  {tmed:11.6g}  {change:+6.1%}  {iqr:10.4g}  {gap:>7}  {bound:.0%} {verdict}")
 EOF
