@@ -58,6 +58,10 @@ echo "== sample Chrome trace (and: per-LabMod counters == span anatomy, to the n
 cargo run -q --release --example telemetry -- target/bench/telemetry_trace.json
 test -s target/bench/telemetry_trace.json
 
+echo "== crash-recovery and split-stack examples (their asserts run only here)"
+cargo run -q --release --example crash_recovery
+cargo run -q --release --example decentralized_split
+
 echo "== gate bench smokes (each writes target/bench/BENCH_<name>.json and exits 1 if a check fails)"
 for bench in bench_ipc bench_datapath bench_tenants bench_reactor bench_pushdown crash_fuzz; do
     cargo run -q --release -p labstor-bench --bin "$bench" -- --smoke

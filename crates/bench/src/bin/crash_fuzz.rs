@@ -3,22 +3,22 @@
 //! leaves the committed artifact alone) and a failure-reproduction seed
 //! file under `results/`.
 //!
-//! Runs the `labstor_workloads::crash` campaign: seeded fio-like and
-//! filebench-like mixes over LabFS plus a LabKVS mix, each killed at a
-//! randomized virtual time, restarted over the same media, repaired, and
-//! checked for prefix consistency against the acknowledged history
-//! (DESIGN.md §12). Exit 1 on any violation, or if no cut landed inside
-//! a journal frame's write (`mid_frame_tears` 0).
+//! Runs the `labstor_workloads::crash` campaign: seeded fio-like,
+//! filebench-like and namespace mixes over LabFS plus a LabKVS mix, each
+//! killed at a randomized virtual time, restarted over the same media,
+//! repaired, and checked for prefix consistency against the acknowledged
+//! history (DESIGN.md §12). Exit 1 on any violation, or if no cut landed
+//! inside a journal frame's write (`mid_frame_tears` 0).
 //!
 //! Usage: `crash_fuzz [--smoke]` — `--smoke` runs 52 crash points per
-//! mix (208 total, bounded virtual time) for CI; the full run does 150
-//! per mix. Any violating trial's (workload, seed, crash_at) triple is
-//! written to `results/crash_fuzz_failures.json`, which the CI workflow
-//! uploads as an artifact so failures replay exactly.
+//! mix (260 total, bounded virtual time) for CI; the full run does 150
+//! per mix. Every violating trial goes to `results/crash_fuzz_failures.json`;
+//! `crash::run_trial(workload, seed, flows, crash_permille)` replays it.
 
 use std::process::ExitCode;
 
 use labstor_bench::Report;
+use labstor_mods::RepairReport;
 use labstor_workloads::crash::{run_campaign, CampaignConfig, CrashWorkload};
 use serde_json::Value;
 
@@ -42,6 +42,7 @@ fn main() -> ExitCode {
                 "workload": t.workload.label(),
                 "seed": t.seed,
                 "crash_at": t.crash_at.map(Value::from).unwrap_or(Value::Null),
+                "crash_permille": t.crash_permille,
                 "flows": cfg.flows as u64,
                 "violation": t.violation.clone().unwrap_or_default(),
             })
@@ -65,17 +66,17 @@ fn main() -> ExitCode {
 
     // Per-workload replay/discard totals.
     for w in CrashWorkload::all() {
-        let (mut trials, mut replayed, mut discarded) = (0usize, 0u64, 0u64);
-        for t in campaign.trials.iter().filter(|t| t.workload == w) {
-            trials += 1;
-            replayed += t.repair.txns_replayed;
-            discarded += t.repair.txns_discarded;
-        }
+        let trials: Vec<_> = campaign.trials.iter().filter(|t| t.workload == w).collect();
+        let sum = |f: fn(&RepairReport) -> u64| trials.iter().map(|t| f(&t.repair)).sum::<u64>();
         report.row([
             ("workload", w.label().into()),
-            ("trials", trials.into()),
-            ("txns_replayed", replayed.into()),
-            ("txns_discarded", discarded.into()),
+            ("trials", trials.len().into()),
+            ("txns_replayed", sum(|r| r.txns_replayed).into()),
+            ("txns_discarded", sum(|r| r.txns_discarded).into()),
+            (
+                "mid_frame_tears",
+                sum(|r| u64::from(r.mid_frame_tears > 0)).into(),
+            ),
         ]);
     }
     report.param("flows", cfg.flows);

@@ -1,68 +1,51 @@
-//! Crash-recovery fuzz campaign over LabFS and LabKVS.
+//! Crash-recovery fuzz campaign over LabFS and LabKVS (DESIGN.md §12).
 //!
-//! Each trial runs a seeded fio-like or filebench-like operation mix
-//! against a freshly built stack (LabFS or LabKVS over the Kernel MQ
-//! driver on a simulated NVMe device), kills the device at a randomized
-//! virtual time with [`labstor_sim::FaultConfig::set_crash_at`],
-//! restarts a brand-new module instance over the *same* media, runs
-//! `state_repair`, and asserts the recovered state equals the model
-//! state after some prefix of the acknowledged-operation history — a
-//! prefix no shorter than the last acknowledged durability point
-//! (fsync / log flush).
+//! Each trial runs a seeded operation mix against a freshly mounted stack
+//! (LabFS or LabKVS over the Kernel MQ driver on a simulated NVMe device,
+//! run in the client), kills the device at a randomized virtual time with
+//! [`labstor_sim::FaultConfig::set_crash_at`], mounts a brand-new stack
+//! over the *same* media, runs `state_repair`, and asserts the recovered
+//! state equals the model state after some prefix of the acknowledged
+//! history no shorter than the last acknowledged fsync / log flush.
 //!
-//! The harness is single-threaded on core 0, so every operation lands in
-//! one journal log and the acknowledged history is totally ordered. A
-//! trial runs the mix twice: once uncrashed to measure the run's
-//! virtual-time span (and to prove the mix itself is error-free), then
-//! again on a fresh device with the crash armed at a per-trial fraction
-//! of that span — and, for every second trial, moved from there into the
-//! next durability point's journal write, because that write is the only
-//! place a crash can tear a frame: a one-sector frame lands whole or not
-//! at all, so the tears recovery has to discard are the ones inside the
-//! multi-sector frames the fio and fileserver mixes fsync.
-//! The LabFS mixes overwrite no byte a durable state still shows
-//! (appends, truncates, unlink + recreate): LabFS journals metadata, not
-//! file data, so an in-place data overwrite before the metadata commit is
-//! the documented ext4-ordered-mode gap, not a bug this campaign hunts.
-//! The fio mix truncates to a random size — mid-page more often than not,
-//! sometimes a short extension — and keeps appending to the cut file
-//! before the next fsync: LabFS must not let those appends, or the cut
-//! itself, touch the block the last durable size still covers. The
-//! LabKVS mix does overwrite live keys, at a different length each time:
-//! a put always lands in a fresh extent and the old one stays reachable
-//! until the new record is durable, so either value is a legal prefix
-//! state.
+//! A file-system mix is a script of [`FsAction`]s generated from the
+//! trial's seed and run through the one interpreter
+//! ([`crate::fsmodel::step`]) over GenericFS; the KVS mix sends its puts
+//! and removes through GenericKVS, and a key is a file of the model. The
+//! mix runs twice: uncrashed, to measure its span and prove it
+//! error-free, then on a fresh device cut at a per-trial fraction of that
+//! span — for odd seeds moved on into the next durability point's journal
+//! write, the only place a cut can tear a (multi-sector) frame. The LabFS
+//! mixes overwrite no byte a durable state still shows: LabFS journals
+//! metadata, not data, so an overwrite before the commit is the
+//! ordered-mode gap, not a bug this campaign hunts. A LabKVS put always
+//! lands in a fresh extent, so its mix overwrites live keys.
 //!
-//! After the prefix check every trial keeps going on the recovered
-//! instance: it writes a few new values (or files) and re-checks that
-//! what recovery rebuilt still reads back unchanged — a recovered
-//! allocator that handed out a live extent again would fail here. A
-//! LabFS trial then extends every surviving file by an unaligned write
-//! past a gap and checks it against a flat model: the gap must read as
-//! zeroes even where the blocks behind it hold what a truncate cut off or
-//! an append whose size record the crash lost.
+//! After the prefix check, new values (or files) must not change what
+//! recovery rebuilt, and on LabFS every surviving file, extended past a
+//! gap, must read back as recovered bytes + zeroes + new bytes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
-use labstor_core::stack::{ExecMode, LabStack, Vertex};
-use labstor_core::{FsOp, KvsOp, ModuleManager, Payload, Request, RespPayload, StackEnv};
+use labstor_core::{Runtime, RuntimeConfig};
 use labstor_ipc::Credentials;
-use labstor_mods::journal::crc32;
+use labstor_mods::generic::{GenericFsError, GenericKvs};
 use labstor_mods::labfs::LabFs;
 use labstor_mods::labkvs::LabKvs;
 use labstor_mods::{DeviceRegistry, RepairReport};
-use labstor_sim::{BlockDevice, Ctx, DeviceKind, SimDevice};
+use labstor_sim::{BlockDevice, DeviceKind, SimDevice};
 
 use crate::fio::XorShift;
-use crate::fsmodel::FsModel;
+use crate::fsmodel::{pattern, step, Answer, Divergence, FsAction, FsModel};
+use crate::targets::{FsTarget, LabStorFsTarget};
 
 /// Which operation mix a trial runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashWorkload {
     /// fio-like write-heavy mix over a fixed file set: random-size
-    /// appends, periodic fsync, occasional truncate (to a random size)
-    /// and rewrite.
+    /// appends, periodic fsync, occasional truncate (to a random size).
     FioWrite,
     /// Filebench varmail: unlink → create → append → fsync → append →
     /// fsync → read, over a small mail set.
@@ -70,8 +53,11 @@ pub enum CrashWorkload {
     /// Filebench fileserver: large appends, whole-file reads, deletes of
     /// older files, sparser fsyncs.
     Fileserver,
-    /// LabKVS mix: puts, removes, explicit log flushes, read-backs.
+    /// LabKVS mix: puts, removes, explicit log flushes.
     KvsMix,
+    /// Namespace churn: mkdir, create + small append, renames of any
+    /// name onto any name, directory moves, unlinks.
+    Namespace,
 }
 
 impl CrashWorkload {
@@ -82,21 +68,44 @@ impl CrashWorkload {
             CrashWorkload::Varmail => "varmail",
             CrashWorkload::Fileserver => "fileserver",
             CrashWorkload::KvsMix => "kvs-mix",
+            CrashWorkload::Namespace => "namespace",
         }
     }
 
-    /// All mixes, fio first.
-    pub fn all() -> [CrashWorkload; 4] {
+    /// All mixes, fio first; a new mix goes last, so the others keep
+    /// their trial seeds.
+    pub fn all() -> [CrashWorkload; 5] {
         [
             CrashWorkload::FioWrite,
             CrashWorkload::Varmail,
             CrashWorkload::Fileserver,
             CrashWorkload::KvsMix,
+            CrashWorkload::Namespace,
         ]
     }
 
     fn is_kvs(self) -> bool {
         self == CrashWorkload::KvsMix
+    }
+
+    /// The script a file-system mix runs for `seed` and `flows`; `None`
+    /// for the KVS mix, whose verbs are not file-system actions.
+    fn script(self, seed: u64, flows: usize) -> Option<Vec<FsAction>> {
+        let flow: fn(&mut Gen, usize) = match self {
+            CrashWorkload::FioWrite => fio_write,
+            CrashWorkload::Varmail => varmail,
+            CrashWorkload::Fileserver => fileserver,
+            CrashWorkload::KvsMix => return None,
+            CrashWorkload::Namespace => namespace,
+        };
+        let mut g = Gen::new(seed);
+        for i in 0..flows {
+            flow(&mut g, i);
+        }
+        // End every run on a durability point so a late crash still has
+        // a device operation to hit.
+        g.fsync();
+        Some(g.script)
     }
 }
 
@@ -107,6 +116,9 @@ pub struct TrialReport {
     pub workload: CrashWorkload,
     /// Trial seed.
     pub seed: u64,
+    /// Where in the uncrashed run's span the cut was armed, in ‰:
+    /// `run_trial(workload, seed, flows, crash_permille)` replays it.
+    pub crash_permille: u32,
     /// Virtual time the power cut was armed at (`None` = baseline-only
     /// trial, which happens when the mix errored uncrashed).
     pub crash_at: Option<u64>,
@@ -211,13 +223,10 @@ pub fn run_trial(
     flows: usize,
     crash_permille: u32,
 ) -> TrialReport {
-    // Baseline: same seed, no crash. Measures the virtual-time span and
-    // proves the mix is error-free, so any error in the crashed pass is
-    // attributable to the cut.
-    let base = run_once(workload, seed, flows, None);
     let mut report = TrialReport {
         workload,
         seed,
+        crash_permille,
         crash_at: None,
         acked_ops: 0,
         durable_floor: 0,
@@ -225,69 +234,56 @@ pub fn run_trial(
         repair: RepairReport::default(),
         violation: None,
     };
-    if let Some(v) = base.violation {
-        report.violation = Some(format!("baseline run failed: {v}"));
-        return report;
-    }
-    let crash_at = base.crash_point(seed, crash_permille);
-    report.crash_at = Some(crash_at);
+    report.violation = verify(&mut report, flows).err();
+    report
+}
 
-    let run = run_once(workload, seed, flows, Some(crash_at));
-    if let Some(v) = run.violation {
-        report.violation = Some(v);
-        return report;
-    }
-    report.acked_ops = run.digests.len() - 1;
-    report.durable_floor = run.durable_floor;
+/// The trial `r` describes, filling in what it finds.
+fn verify(r: &mut TrialReport, flows: usize) -> Result<(), String> {
+    let run = crashed_run(r.workload, r.seed, flows, r.crash_permille).map_err(|(at, v)| {
+        r.crash_at = at;
+        v
+    })?;
+    r.crash_at = Some(run.crash_at);
+    r.acked_ops = run.digests.len() - 1;
+    r.durable_floor = run.durable_floor;
 
-    // Restart: clear the fault, boot a brand-new module instance over the
-    // same media, and repair.
-    run.dev.faults().clear_crash();
-    let boot = Boot::new(&run.dev, workload.is_kvs());
-    report.repair = boot.repair();
+    // Restart: a brand-new stack over the same media, repaired.
+    let boot = Boot::new(&run.dev, r.workload.is_kvs());
+    r.repair = boot.repair();
 
     // The recovered state must equal the model state after some
     // acknowledged prefix, no shorter than the last acked durability
     // point.
-    let mut ctx = Ctx::new();
-    let recovered = match boot.observed_digest(&mut ctx, &run.candidates) {
-        Ok(d) => d,
-        Err(e) => {
-            report.violation = Some(format!("post-recovery scan failed: {e}"));
-            return report;
-        }
-    };
-    report.matched_prefix = (run.durable_floor..run.digests.len())
+    let mut conn = boot.connect();
+    let recovered = conn
+        .observe(&run.candidates)
+        .map_err(|e| format!("post-recovery scan failed: {e}"))?;
+    let found = digest(&recovered);
+    r.matched_prefix = (run.durable_floor..run.digests.len())
         .rev()
-        .find(|&k| run.digests[k] == recovered);
-    if report.matched_prefix.is_none() {
-        report.violation = Some(format!(
+        .find(|&k| run.digests[k] == found);
+    if r.matched_prefix.is_none() {
+        return Err(format!(
             "recovered state matches no acked prefix >= durability floor \
              (floor {}, acked {}, crash_at {}, repair: {})",
-            run.durable_floor,
-            run.digests.len() - 1,
-            crash_at,
-            report.repair,
+            run.durable_floor, r.acked_ops, run.crash_at, r.repair,
         ));
-        return report;
     }
 
     // Life goes on after recovery: new writes on the recovered instance
     // must land outside everything it recovered.
-    let after = boot
-        .write_after_recovery(&mut ctx)
-        .and_then(|()| boot.observed_digest(&mut ctx, &run.candidates));
-    match after {
-        Ok(d) if d == recovered => {}
-        Ok(_) => {
-            report.violation = Some("writes after recovery changed a recovered value".to_string());
-        }
-        Err(e) => report.violation = Some(format!("post-recovery writes failed: {e}")),
+    let after = conn
+        .write_after_recovery(&recovered)
+        .and_then(|()| conn.observe(&run.candidates))
+        .map_err(|e| format!("post-recovery writes failed: {e}"))?;
+    if digest(&after) != found {
+        return Err("writes after recovery changed a recovered value".to_string());
     }
-    if report.violation.is_none() && !workload.is_kvs() {
-        report.violation = boot.extend_survivors(&mut ctx, &run.candidates).err();
+    match &mut conn {
+        Conn::Fs(fs) => extend_survivors(fs, &recovered),
+        Conn::Kvs(_) => Ok(()),
     }
-    report
 }
 
 /// Repair idempotence probe (for the property tests): run a crashed
@@ -301,51 +297,75 @@ pub fn check_repair_idempotence(
     flows: usize,
     crash_permille: u32,
 ) -> Result<(), String> {
-    let base = run_once(workload, seed, flows, None);
-    if let Some(v) = base.violation {
-        return Err(format!("baseline run failed: {v}"));
-    }
-    let crash_at = base.crash_point(seed, crash_permille);
-    let run = run_once(workload, seed, flows, Some(crash_at));
-    if let Some(v) = run.violation {
-        return Err(v);
-    }
-    run.dev.faults().clear_crash();
-
+    let run = crashed_run(workload, seed, flows, crash_permille).map_err(|(_, v)| v)?;
+    let stats = || run.dev.stats().snapshot();
     let boot = Boot::new(&run.dev, workload.is_kvs());
+    let before = stats();
     boot.repair();
-    let mut ctx = Ctx::new();
-    let once = boot.observed_digest(&mut ctx, &run.candidates)?;
+    // The scan's reads run back to back on its own clock, from 0.
+    let scan_ns = stats().busy_ns - before.busy_ns;
+    let mut conn = boot.connect();
+    let once = digest(&conn.observe(&run.candidates)?);
     // Repair is a read-only scan of media: doing it again must converge
     // to the same state.
     let twice_report = boot.repair();
-    let twice = boot.observed_digest(&mut ctx, &run.candidates)?;
-    if once != twice {
+    if digest(&conn.observe(&run.candidates)?) != once {
         return Err(format!("second repair diverged (repair: {twice_report})"));
     }
     // Crash in the middle of a repair (the recovery scan itself loses
-    // power), then repair cleanly: same state again.
+    // power), then repair cleanly: same state again. The cut lies inside
+    // the span of the clean scan's reads, so some read must be refused.
     let boot2 = Boot::new(&run.dev, workload.is_kvs());
-    run.dev.faults().set_crash_at(40_000); // a few reads into the scan
-    let _ = boot2.repair(); // partial: scan reads die at the cut
+    let errors = stats().errors;
+    run.dev
+        .faults()
+        .set_crash_at(1 + seed % scan_ns.saturating_sub(1).max(1));
+    boot2.repair(); // partial: scan reads die at the cut
     run.dev.faults().clear_crash();
+    if stats().errors == errors {
+        return Err(format!(
+            "the cut inside the repair scan ({scan_ns} ns of reads) refused no device command"
+        ));
+    }
     boot2.repair();
-    let mut ctx2 = Ctx::new();
-    let after = boot2.observed_digest(&mut ctx2, &run.candidates)?;
-    if once != after {
+    if digest(&boot2.connect().observe(&run.candidates)?) != once {
         return Err("repair after crashed repair diverged".to_string());
     }
     Ok(())
 }
 
-// ---- harness ----------------------------------------------------------
+/// The baseline pass, which proves the mix error-free, then the pass cut
+/// at `crash_permille` of its span, with the cut cleared after. A
+/// violation comes with the cut, if the baseline got that far.
+fn crashed_run(
+    workload: CrashWorkload,
+    seed: u64,
+    flows: usize,
+    crash_permille: u32,
+) -> Result<Run, (Option<u64>, String)> {
+    let base = run_once(workload, seed, flows, None);
+    if let Some(v) = base.violation {
+        return Err((None, format!("baseline run failed: {v}")));
+    }
+    let crash_at = base.crash_point(seed, crash_permille);
+    let run = run_once(workload, seed, flows, Some(crash_at));
+    if let Some(v) = run.violation {
+        return Err((Some(crash_at), v));
+    }
+    run.dev.faults().clear_crash();
+    Ok(run)
+}
 
-/// One "boot" of the stack: a module manager holding the FS/KVS entry
-/// module and the kernel driver, wired over a shared device.
+// ---- the stack ----------------------------------------------------------
+
+const FS_MOUNT: &str = "fs::/crash";
+const KVS_MOUNT: &str = "kvs::/bucket-7";
+
+/// One "boot" of the stack: a Runtime with the FS/KVS entry module over
+/// the kernel driver, mounted sync (every op runs inline on the client's
+/// clock) over a shared device. Dropping it shuts the Runtime down.
 struct Boot {
-    mm: ModuleManager,
-    stack: LabStack,
-    entry: &'static str,
+    rt: Arc<Runtime>,
     kvs: bool,
 }
 
@@ -353,251 +373,203 @@ impl Boot {
     fn new(dev: &Arc<SimDevice>, kvs: bool) -> Boot {
         let devices = DeviceRegistry::new();
         devices.add_block("dev0", dev.clone());
-        let mm = ModuleManager::new();
-        labstor_mods::labfs::install(&mm, &devices);
-        labstor_mods::labkvs::install(&mm, &devices);
-        labstor_mods::drivers::install(&mm, &devices);
-        let (entry, type_name) = if kvs {
-            ("kvs", "labkvs")
-        } else {
-            ("fs", "labfs")
+        let rt = Runtime::start(RuntimeConfig {
+            max_workers: 1,
+            auto_admin: false,
+            ..Default::default()
+        });
+        labstor_mods::install_all(&rt.mm, &devices);
+        let (mount, type_name) = match kvs {
+            true => (KVS_MOUNT, "labkvs"),
+            false => (FS_MOUNT, "labfs"),
         };
         // One worker = one journal log = a totally ordered history.
-        mm.instantiate(
-            entry,
-            type_name,
-            &serde_json::json!({"device": "dev0", "workers": 1}),
-        )
-        .expect("instantiate entry module");
-        mm.instantiate(
-            "drv",
-            "kernel_driver",
-            &serde_json::json!({"device": "dev0"}),
-        )
-        .expect("instantiate driver");
-        let stack = LabStack {
-            id: 1,
-            mount: format!("{entry}::/cf"),
-            exec: ExecMode::Sync,
-            vertices: vec![
-                Vertex {
-                    uuid: entry.into(),
-                    outputs: vec![1],
-                },
-                Vertex {
-                    uuid: "drv".into(),
-                    outputs: vec![],
-                },
-            ],
-            authorized_uids: vec![],
-        };
-        Boot {
-            mm,
-            stack,
-            entry,
-            kvs,
-        }
+        let spec = format!(
+            r#"{{"mount": "{mount}", "exec": "sync", "labmods": [
+                {{"uuid": "entry", "type": "{type_name}",
+                  "params": {{"device": "dev0", "workers": 1}}, "outputs": ["drv"]}},
+                {{"uuid": "drv", "type": "kernel_driver", "params": {{"device": "dev0"}}}}
+            ]}}"#
+        );
+        rt.mount_stack_json(&spec).expect("mount the crash stack");
+        Boot { rt, kvs }
     }
 
-    fn exec(&self, ctx: &mut Ctx, payload: Payload) -> RespPayload {
-        let env = StackEnv::new(&self.stack, 0, &self.mm, 0);
-        self.mm.get(self.entry).expect("entry module").process(
-            ctx,
-            Request::new(1, 1, payload, Credentials::ROOT),
-            &env,
-        )
+    /// A connection through the client every workload uses.
+    fn connect(&self) -> Conn {
+        let client = self.rt.connect(Credentials::ROOT, 1);
+        match self.kvs {
+            true => Conn::Kvs(GenericKvs::new(client)),
+            false => Conn::Fs(LabStorFsTarget::new(client, FS_MOUNT, "labfs")),
+        }
     }
 
     /// The entry module as the storage mod `M` it is. Both are the same
     /// metadata engine behind the same calls, but the engine's type is
     /// private to `labstor-mods`: this is the one downcast.
     fn with_entry<M: 'static, R>(&self, f: impl FnOnce(&M) -> R) -> R {
-        let entry = self.mm.get(self.entry).expect("entry module");
+        let entry = self.rt.mm.get("entry").expect("entry module");
         f(entry.as_any().downcast_ref().expect("entry module's type"))
     }
 
     /// Run the module's crash-recovery path and return its report.
     fn repair(&self) -> RepairReport {
-        if self.kvs {
-            self.with_entry(LabKvs::replay_from_device)
-        } else {
-            self.with_entry(LabFs::replay_from_device)
+        match self.kvs {
+            true => self.with_entry(LabKvs::replay_from_device),
+            false => self.with_entry(LabFs::replay_from_device),
         }
     }
+}
 
-    /// Flush the KVS op log (LabKVS's durability point; LabFS uses fsync).
-    fn kv_flush(&self, ctx: &mut Ctx) -> Result<(), String> {
-        self.with_entry(|kv: &LabKvs| kv.flush_logs(ctx))
-            .map_err(|e| e.to_string())
+impl Drop for Boot {
+    fn drop(&mut self) {
+        self.rt.shutdown();
+    }
+}
+
+/// A client connection to a boot's stack.
+enum Conn {
+    Fs(LabStorFsTarget),
+    Kvs(GenericKvs),
+}
+
+impl Conn {
+    /// The state of `names` as the stack serves it, as a model: a
+    /// directory, a file with the bytes its size covers, or absent.
+    fn observe(&mut self, names: &BTreeSet<String>) -> Result<FsModel, String> {
+        let mut model = FsModel::new();
+        for name in names {
+            // A directory (`None`), a file's bytes, or absent.
+            let found = match self {
+                Conn::Kvs(kvs) => kvs.get(&format!("{KVS_MOUNT}{name}")).map(Some),
+                Conn::Fs(fs) => match fs.gfs.stat(&fs.full(name)) {
+                    Ok(st) if st.is_dir => Ok(None),
+                    Ok(st) => {
+                        let fd = fs.open(name, false, false)?;
+                        let bytes = fs.read(fd, st.size as usize + 1)?;
+                        fs.close(fd)?;
+                        Ok(Some(bytes))
+                    }
+                    Err(e) => Err(e),
+                },
+            };
+            let made = match found {
+                Ok(None) => model.mkdir(name),
+                Ok(Some(bytes)) => (model.open(name, true, false))
+                    .filter(|&ino| model.write(ino, 0, &bytes).is_some()),
+                Err(GenericFsError::Fs(_)) => continue, // absent
+                Err(e) => return Err(format!("{name}: {e}")),
+            };
+            made.ok_or(format!("{name}: under no directory"))?;
+        }
+        Ok(model)
     }
 
     /// A short write phase on the recovered instance, outside the
     /// candidate namespace: a few values (or files) of assorted sizes,
     /// each read back.
-    fn write_after_recovery(&self, ctx: &mut Ctx) -> Result<(), String> {
-        if !self.kvs {
-            let (path, mode) = ("/post-recovery".to_string(), 0o755);
-            match self.exec(ctx, Payload::Fs(FsOp::Mkdir { path, mode })) {
-                RespPayload::Ino(_) => {}
-                other => return Err(format!("mkdir /post-recovery: {other:?}")),
-            }
-        }
-        for (i, len) in [700usize, 4096, 5000, 1].into_iter().enumerate() {
-            let name = format!("post-recovery/object-{i}");
-            let data = vec![0xC0 | i as u8; len];
-            let read_back = if self.kvs {
-                let put = KvsOp::Put {
-                    key: name.clone(),
-                    value: data.clone(),
-                };
-                match self.exec(ctx, Payload::Kvs(put)) {
-                    RespPayload::Len(_) => {}
-                    other => return Err(format!("put {name}: {other:?}")),
+    fn write_after_recovery(&mut self, recovered: &FsModel) -> Result<(), String> {
+        let lens = [700usize, 4096, 5000, 1];
+        match self {
+            Conn::Fs(fs) => {
+                let mut g = Gen::over(recovered.clone(), 0xC0);
+                g.push(FsAction::Mkdir {
+                    path: "/post-recovery".into(),
+                });
+                for (i, len) in lens.into_iter().enumerate() {
+                    let path = format!("/post-recovery/object-{i}");
+                    g.open(path.clone());
+                    g.append(&path, len);
+                    g.read_back(&path);
                 }
-                self.exec(ctx, Payload::Kvs(KvsOp::Get { key: name.clone() }))
-            } else {
-                let create = FsOp::Create {
-                    path: format!("/{name}"),
-                    mode: 0o644,
-                };
-                let ino = match self.exec(ctx, Payload::Fs(create)) {
-                    RespPayload::Ino(ino) => ino,
-                    other => return Err(format!("create {name}: {other:?}")),
-                };
-                let write = FsOp::Write {
-                    ino,
-                    offset: 0,
-                    data: data.clone(),
-                };
-                match self.exec(ctx, Payload::Fs(write)) {
-                    RespPayload::Len(_) => {}
-                    other => return Err(format!("write {name}: {other:?}")),
+                run_script(fs, recovered, &g.script)
+            }
+            Conn::Kvs(kvs) => {
+                for (i, len) in lens.into_iter().enumerate() {
+                    let key = format!("{KVS_MOUNT}/post-recovery/object-{i}");
+                    let value = pattern(len, 0xC0 | i as u8);
+                    kvs.put(&key, value.clone())
+                        .map_err(|e| format!("put {key}: {e}"))?;
+                    if kvs.get(&key).ok() != Some(value) {
+                        return Err(format!("{key} does not read back"));
+                    }
                 }
-                let (offset, len) = (0, data.len());
-                self.exec(ctx, Payload::Fs(FsOp::Read { ino, offset, len }))
-            };
-            if read_back.data_bytes() != Some(&data[..]) {
-                return Err(format!("{name} does not read back"));
+                Ok(())
             }
         }
-        Ok(())
-    }
-
-    /// The first `len` bytes of file `ino`.
-    fn read_file(
-        &self,
-        ctx: &mut Ctx,
-        name: &str,
-        ino: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, String> {
-        let offset = 0;
-        match self.exec(ctx, Payload::Fs(FsOp::Read { ino, offset, len })) {
-            RespPayload::Data(d) => Ok(d),
-            other => match other.data_parts() {
-                Some(parts) => Ok(parts.collect::<Vec<_>>().concat()),
-                None => Err(format!("read {name}: {other:?}")),
-            },
-        }
-    }
-
-    /// LabFS only: extend every surviving file by an unaligned write past
-    /// a gap — inside the page its recovered end falls in, or beyond it —
-    /// and check the whole file against a flat model. The gap must read
-    /// as zeroes whatever the blocks behind it held before the crash: the
-    /// tail a truncate cut off, or an append whose size record was lost.
-    fn extend_survivors(&self, ctx: &mut Ctx, candidates: &BTreeSet<String>) -> Result<(), String> {
-        for (i, name) in candidates.iter().enumerate() {
-            let st = match self.exec(ctx, Payload::Fs(FsOp::Stat { path: name.clone() })) {
-                RespPayload::Stat(st) if !st.is_dir => st,
-                _ => continue, // absent
-            };
-            let mut model = self.read_file(ctx, name, st.ino, st.size as usize)?;
-            let data = vec![0xE0 | (i % 16) as u8; 300 + 7 * i];
-            model.resize(model.len() + 1 + (i * 1237) % 6000, 0);
-            let write = FsOp::Write {
-                ino: st.ino,
-                offset: model.len() as u64,
-                data: data.clone(),
-            };
-            match self.exec(ctx, Payload::Fs(write)) {
-                RespPayload::Len(_) => model.extend_from_slice(&data),
-                other => return Err(format!("extend {name}: {other:?}")),
-            }
-            if self.read_file(ctx, name, st.ino, model.len())? != model {
-                return Err(format!(
-                    "{name}: extended past a gap, it no longer reads back as recovered + zeroes + new bytes"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Digest of the live (post-recovery) state over the candidate
-    /// namespace, computed the same way as the model's snapshots.
-    fn observed_digest(&self, ctx: &mut Ctx, candidates: &BTreeSet<String>) -> Result<u64, String> {
-        let mut entries: Vec<(String, usize, u32)> = Vec::new();
-        for name in candidates {
-            if self.kvs {
-                let resp = self.exec(ctx, Payload::Kvs(KvsOp::Get { key: name.clone() }));
-                match resp.data_bytes() {
-                    Some(d) => entries.push((name.clone(), d.len(), crc32(d))),
-                    None if matches!(resp, RespPayload::Err(_)) => {} // absent
-                    None => return Err(format!("get {name}: {resp:?}")),
-                }
-            } else {
-                let st = match self.exec(ctx, Payload::Fs(FsOp::Stat { path: name.clone() })) {
-                    RespPayload::Stat(st) => st,
-                    RespPayload::Err(_) => continue, // absent
-                    other => return Err(format!("stat {name}: {other:?}")),
-                };
-                if st.is_dir {
-                    continue;
-                }
-                let data = self.read_file(ctx, name, st.ino, st.size as usize)?;
-                entries.push((name.clone(), data.len(), crc32(&data)));
-            }
-        }
-        Ok(fold_digest(entries))
     }
 }
 
-/// Order-independent 64-bit digest over (name, size, content crc).
-fn fold_digest(mut entries: Vec<(String, usize, u32)>) -> u64 {
-    entries.sort();
-    let mut h = 0xcbf29ce484222325u64;
-    let mut byte = |b: u8| h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    for (name, len, crc) in &entries {
-        for b in name.as_bytes() {
-            byte(*b);
-        }
-        for b in (*len as u64).to_le_bytes() {
-            byte(b);
-        }
-        for b in crc.to_le_bytes() {
-            byte(b);
-        }
+/// LabFS only: extend every surviving file by an unaligned write past a
+/// gap — inside the page its recovered end falls in, or beyond it — and
+/// read it back. The gap must read as zeroes whatever the blocks behind
+/// it held before the crash: the tail a truncate cut off, or an append
+/// whose size record was lost.
+fn extend_survivors(fs: &mut LabStorFsTarget, recovered: &FsModel) -> Result<(), String> {
+    let mut g = Gen::over(recovered.clone(), 0xE0);
+    for (i, (name, bytes)) in recovered.files().enumerate() {
+        g.open(name.into());
+        g.write(
+            name,
+            (bytes.len() + 1 + (i * 1237) % 6000) as u64,
+            300 + 7 * i,
+        );
+        g.read_back(name);
     }
-    h
+    run_script(fs, recovered, &g.script).map_err(|e| format!("extended past a gap: {e}"))
 }
 
-// ---- model + workload driver ------------------------------------------
+/// Run `script` through the interpreter from the state `model`.
+fn run_script(fs: &mut dyn FsTarget, model: &FsModel, script: &[FsAction]) -> Result<(), String> {
+    let (mut model, mut fds) = (model.clone(), Vec::new());
+    (script.iter())
+        .try_for_each(|action| step(fs, &mut model, &mut fds, action))
+        .map_err(|d| d.to_string())
+}
 
-struct RunOutcome {
+/// 64-bit digest of a state: every name, in name order, with its file's
+/// bytes or `None` for a directory. Only digests one process made are
+/// compared.
+fn digest(model: &FsModel) -> u64 {
+    let mut h = DefaultHasher::new();
+    model.names().for_each(|entry| entry.hash(&mut h));
+    h.finish()
+}
+
+// ---- one pass of a mix ---------------------------------------------------
+
+/// One pass of a mix and its acknowledged history.
+struct Run {
     dev: Arc<SimDevice>,
+    /// The client's clock at the end of an uncrashed pass.
     end_vt: u64,
-    /// Virtual time each durability point (fsync / log flush) began.
-    sync_starts: Vec<u64>,
+    /// Where the pass was cut (0 uncrashed).
+    crash_at: u64,
+    /// What the acknowledged history should produce: a KVS key is a file.
+    model: FsModel,
     /// `digests[k]` = model digest after the first `k` acked operations.
     digests: Vec<u64>,
     /// Index of the last acked durability point in `digests`.
     durable_floor: usize,
-    /// Every name the mix ever touched (the verification namespace).
+    /// Virtual time each durability point (fsync / log flush) began.
+    sync_starts: Vec<u64>,
+    /// Every name the pass tried or the model held: what is verified.
     candidates: BTreeSet<String>,
     violation: Option<String>,
 }
 
-impl RunOutcome {
+impl Run {
+    /// Acknowledge an operation: record the digest of the model state it
+    /// left; a durability point moves the floor to it.
+    fn ack(&mut self, durable: bool) {
+        let names = self.model.names().map(|(name, _)| name.to_string());
+        self.candidates.extend(names);
+        self.digests.push(digest(&self.model));
+        if durable {
+            self.durable_floor = self.digests.len() - 1;
+        }
+    }
+
     /// Where to cut power in the crashed pass of this (baseline) run:
     /// `permille` of the way through, and for odd seeds moved on from
     /// there into the journal write of the next durability point.
@@ -616,277 +588,10 @@ impl RunOutcome {
     }
 }
 
-/// Drives one pass of a mix, maintaining the model and the acked-history
-/// digests. Stops at the first error: a crash if one is armed, a
-/// violation otherwise.
-struct Driver<'a> {
-    boot: &'a Boot,
-    ctx: Ctx,
-    /// What the acknowledged history should produce: a KVS key is a file.
-    model: FsModel,
-    /// `(size, content crc)` of every file in `model`, by name: the
-    /// digest's entries, refreshed for the name an acked operation
-    /// changed.
-    entries: HashMap<String, (usize, u32)>,
-    digests: Vec<u64>,
-    durable_floor: usize,
-    sync_starts: Vec<u64>,
-    inos: HashMap<String, u64>,
-    dir_ino: u64,
-    candidates: BTreeSet<String>,
-    crashed: bool,
-    expect_crash: bool,
-    violation: Option<String>,
-}
-
-impl Driver<'_> {
-    fn live(&self) -> bool {
-        !self.crashed && self.violation.is_none()
-    }
-
-    /// Record an error response: the armed crash, or a violation.
-    fn error(&mut self, what: &str, msg: String) {
-        if self.expect_crash {
-            self.crashed = true;
-        } else {
-            self.violation = Some(format!("{what}: {msg}"));
-        }
-    }
-
-    /// Acknowledge an operation that changed the file `touched`, if any:
-    /// record the digest of the model state it left.
-    fn ack(&mut self, touched: Option<&str>) {
-        if let Some(path) = touched {
-            let bytes = self
-                .model
-                .lookup(path)
-                .and_then(|ino| self.model.read(ino, 0, usize::MAX));
-            match bytes {
-                Some(bytes) => self
-                    .entries
-                    .insert(path.to_string(), (bytes.len(), crc32(bytes))),
-                None => self.entries.remove(path),
-            };
-        }
-        let entries = self
-            .entries
-            .iter()
-            .map(|(k, &(len, crc))| (k.clone(), len, crc));
-        self.digests.push(fold_digest(entries.collect()));
-    }
-
-    /// The model's inode for `path`, which an acked operation touched.
-    fn modeled(&self, path: &str) -> u64 {
-        self.model.lookup(path).expect("modeled file")
-    }
-
-    fn create(&mut self, path: &str) {
-        if !self.live() {
-            return;
-        }
-        self.candidates.insert(path.to_string());
-        match self.boot.exec(
-            &mut self.ctx,
-            Payload::Fs(FsOp::Create {
-                path: path.to_string(),
-                mode: 0o644,
-            }),
-        ) {
-            RespPayload::Ino(i) => {
-                self.inos.insert(path.to_string(), i);
-                match self.model.open(path, true, false) {
-                    Some(_) => self.ack(Some(path)),
-                    None => self.violation = Some(format!("create {path}: the model refuses it")),
-                }
-            }
-            RespPayload::Err(e) => self.error("create", e),
-            other => self.violation = Some(format!("create {path}: {other:?}")),
-        }
-    }
-
-    /// Append `data` at the current end of file (overwrite-free by
-    /// construction).
-    fn append(&mut self, path: &str, data: Vec<u8>) {
-        if !self.live() {
-            return;
-        }
-        let Some(&ino) = self.inos.get(path) else {
-            self.violation = Some(format!("append {path}: no ino"));
-            return;
-        };
-        let offset = self.model.size(path).unwrap_or(0);
-        match self.boot.exec(
-            &mut self.ctx,
-            Payload::Fs(FsOp::Write {
-                ino,
-                offset,
-                data: data.clone(),
-            }),
-        ) {
-            RespPayload::Len(_) => {
-                self.model.write(self.modeled(path), offset, &data);
-                self.ack(Some(path));
-            }
-            RespPayload::Err(e) => self.error("append", e),
-            other => self.violation = Some(format!("append {path}: {other:?}")),
-        }
-    }
-
-    /// Set the file's size: a shrink to anywhere inside it (mid-page
-    /// more often than not) or a short zero-filled extension.
-    fn truncate(&mut self, path: &str, size: usize) {
-        if !self.live() {
-            return;
-        }
-        let Some(&ino) = self.inos.get(path) else {
-            return;
-        };
-        let op = FsOp::Truncate {
-            ino,
-            size: size as u64,
-        };
-        match self.boot.exec(&mut self.ctx, Payload::Fs(op)) {
-            RespPayload::Ok => {
-                self.model.truncate(self.modeled(path), size as u64);
-                self.ack(Some(path));
-            }
-            RespPayload::Err(e) => self.error("truncate", e),
-            other => self.violation = Some(format!("truncate {path}: {other:?}")),
-        }
-    }
-
-    fn unlink(&mut self, path: &str) {
-        if !self.live() || self.model.lookup(path).is_none() {
-            return;
-        }
-        match self.boot.exec(
-            &mut self.ctx,
-            Payload::Fs(FsOp::Unlink {
-                path: path.to_string(),
-            }),
-        ) {
-            RespPayload::Ok => {
-                self.model.unlink(path);
-                self.inos.remove(path);
-                self.ack(Some(path));
-            }
-            RespPayload::Err(e) => self.error("unlink", e),
-            other => self.violation = Some(format!("unlink {path}: {other:?}")),
-        }
-    }
-
-    /// LabFS durability point: fsync flushes every buffered log record as
-    /// a journal transaction and barriers the data path.
-    fn fsync(&mut self) {
-        if !self.live() {
-            return;
-        }
-        self.sync_starts.push(self.ctx.now());
-        match self.boot.exec(
-            &mut self.ctx,
-            Payload::Fs(FsOp::Fsync { ino: self.dir_ino }),
-        ) {
-            r if r.is_ok() => {
-                self.ack(None);
-                self.durable_floor = self.digests.len() - 1;
-            }
-            RespPayload::Err(e) => self.error("fsync", e),
-            other => self.violation = Some(format!("fsync: {other:?}")),
-        }
-    }
-
-    /// Live read-back check (also an acked operation).
-    fn read_check(&mut self, path: &str) {
-        if !self.live() {
-            return;
-        }
-        let Some(&ino) = self.inos.get(path) else {
-            return;
-        };
-        let modeled = self.model.read(self.modeled(path), 0, usize::MAX);
-        let want = modeled.expect("modeled file").to_vec();
-        let resp = self.boot.exec(
-            &mut self.ctx,
-            Payload::Fs(FsOp::Read {
-                ino,
-                offset: 0,
-                len: want.len().max(1),
-            }),
-        );
-        match (resp.data_bytes().map(|d| d == want), resp) {
-            (Some(true), _) => self.ack(None),
-            (Some(false), _) => self.violation = Some(format!("live read mismatch on {path}")),
-            (None, RespPayload::Err(e)) => self.error("read", e),
-            (None, other) => self.violation = Some(format!("read {path}: {other:?}")),
-        }
-    }
-
-    fn put(&mut self, key: &str, value: Vec<u8>) {
-        if !self.live() {
-            return;
-        }
-        self.candidates.insert(key.to_string());
-        match self.boot.exec(
-            &mut self.ctx,
-            Payload::Kvs(KvsOp::Put {
-                key: key.to_string(),
-                value: value.clone(),
-            }),
-        ) {
-            // A put is a create-or-truncate and a write at offset 0.
-            RespPayload::Len(_) => match self.model.open(key, true, true) {
-                Some(ino) => {
-                    self.model.write(ino, 0, &value);
-                    self.ack(Some(key));
-                }
-                None => self.violation = Some(format!("put {key}: the model refuses it")),
-            },
-            RespPayload::Err(e) => self.error("put", e),
-            other => self.violation = Some(format!("put {key}: {other:?}")),
-        }
-    }
-
-    fn remove(&mut self, key: &str) {
-        if !self.live() || self.model.lookup(key).is_none() {
-            return;
-        }
-        match self.boot.exec(
-            &mut self.ctx,
-            Payload::Kvs(KvsOp::Remove {
-                key: key.to_string(),
-            }),
-        ) {
-            RespPayload::Ok => {
-                self.model.unlink(key);
-                self.ack(Some(key));
-            }
-            RespPayload::Err(e) => self.error("remove", e),
-            other => self.violation = Some(format!("remove {key}: {other:?}")),
-        }
-    }
-
-    /// LabKVS durability point: persist the op log.
-    fn kv_flush(&mut self) {
-        if !self.live() {
-            return;
-        }
-        self.sync_starts.push(self.ctx.now());
-        match self.boot.kv_flush(&mut self.ctx) {
-            Ok(()) => {
-                self.ack(None);
-                self.durable_floor = self.digests.len() - 1;
-            }
-            Err(e) => self.error("kv flush", e),
-        }
-    }
-}
-
-/// Deterministic payload bytes for one operation.
-fn payload_bytes(rng: &mut XorShift, len: usize) -> Vec<u8> {
-    (0..len).map(|_| rng.next() as u8).collect()
-}
-
-fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u64>) -> RunOutcome {
+/// One pass of a mix on a fresh device, cut at `crash_at` if set. Stops
+/// at the first divergence: with a cut armed, a refusal is the cut;
+/// anything else is a violation.
+fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u64>) -> Run {
     let dev = SimDevice::preset(DeviceKind::Nvme);
     // How many sectors of a write the cut straddles still land is seeded:
     // per trial, so the same frame tears differently across trials.
@@ -895,148 +600,307 @@ fn run_once(workload: CrashWorkload, seed: u64, flows: usize, crash_at: Option<u
         dev.faults().set_crash_at(t);
     }
     let boot = Boot::new(&dev, workload.is_kvs());
-    let mut d = Driver {
-        boot: &boot,
-        ctx: Ctx::new(),
+    let mut run = Run {
+        dev,
+        end_vt: 0,
+        crash_at: crash_at.unwrap_or(0),
         model: FsModel::new(),
-        entries: HashMap::new(),
         digests: Vec::new(),
         durable_floor: 0,
         sync_starts: Vec::new(),
-        inos: HashMap::new(),
-        dir_ino: 0,
         candidates: BTreeSet::new(),
-        crashed: false,
-        expect_crash: crash_at.is_some(),
         violation: None,
     };
-    d.ack(None); // state after zero ops
-
-    if workload.is_kvs() {
-        // Every key is under this one prefix: the model's key names are
-        // files in it.
-        d.model.mkdir("bucket-7");
-    } else {
-        // The shared directory is op 1 of the history (digest unchanged —
-        // only files are digested, the directory is structural).
-        match d.boot.exec(
-            &mut d.ctx,
-            Payload::Fs(FsOp::Mkdir {
-                path: "/cf".into(),
-                mode: 0o755,
-            }),
-        ) {
-            RespPayload::Ino(i) => {
-                d.dir_ino = i;
-                d.model.mkdir("/cf");
-                d.ack(None);
-            }
-            RespPayload::Err(e) => d.error("mkdir", e),
-            other => d.violation = Some(format!("mkdir: {other:?}")),
-        }
+    run.ack(false); // state after zero ops
+    let ran = match (boot.connect(), workload.script(seed, flows)) {
+        (Conn::Fs(mut fs), Some(script)) => run_fs(&mut fs, &mut run, &script),
+        (Conn::Kvs(mut kvs), None) => run_kvs(&boot, &mut kvs, &mut run, seed, flows),
+        _ => unreachable!("a KVS boot runs the KVS mix"),
+    };
+    match ran {
+        Ok(end_vt) => run.end_vt = end_vt,
+        Err(Divergence::Refused(_)) if crash_at.is_some() => {}
+        Err(d) => run.violation = Some(d.to_string()),
     }
+    run
+}
 
+/// Run a file-system mix's script, acknowledging each action that both
+/// the stack and the model answered alike. Returns the client's clock.
+fn run_fs(fs: &mut LabStorFsTarget, run: &mut Run, script: &[FsAction]) -> Result<u64, Divergence> {
+    let mut fds = Vec::new();
+    for action in script {
+        if let FsAction::Open { path, .. }
+        | FsAction::Mkdir { path }
+        | FsAction::Rename { to: path, .. } = action
+        {
+            run.candidates.insert(path.clone());
+        }
+        // LabFS's durability point: fsync flushes every buffered log
+        // record as a journal transaction and barriers the data path.
+        let sync = matches!(action, FsAction::Fsync { .. });
+        if sync {
+            run.sync_starts.push(fs.now_ns());
+        }
+        step(fs, &mut run.model, &mut fds, action)?;
+        run.ack(sync);
+    }
+    Ok(fs.now_ns())
+}
+
+/// The KVS mix: object-store keys and a log flush every fourth flow — a
+/// dozen puts make an op-log frame of more than one sector, the only
+/// kind a crash can tear. A put is a create-or-truncate and a write at
+/// offset 0 of the model. Returns the client's clock.
+fn run_kvs(
+    boot: &Boot,
+    kvs: &mut GenericKvs,
+    run: &mut Run,
+    seed: u64,
+    flows: usize,
+) -> Result<u64, Divergence> {
+    let refused = |what: String| move |e| Divergence::Refused(format!("{what}: {e}"));
+    let put = |kvs: &mut GenericKvs, run: &mut Run, key: String, value: Vec<u8>| {
+        run.candidates.insert(key.clone());
+        let full = format!("{KVS_MOUNT}{key}");
+        kvs.put(&full, value.clone())
+            .map_err(refused(format!("put {key}")))?;
+        let ino = run.model.open(&key, true, true);
+        run.model.write(ino.expect("a key in the root"), 0, &value);
+        run.ack(false);
+        Ok(())
+    };
+    let flush = |kvs: &mut GenericKvs, run: &mut Run| {
+        let ctx = &mut kvs.client_mut().ctx;
+        run.sync_starts.push(ctx.now());
+        boot.with_entry(|kv: &LabKvs| kv.flush_logs(ctx))
+            .map_err(|e| Divergence::Refused(format!("kv flush: {e}")))?;
+        run.ack(true);
+        Ok(())
+    };
     let mut rng = XorShift::new(seed | 1);
+    let bytes = |rng: &mut XorShift, len: usize| -> Vec<u8> {
+        (0..len).map(|_| rng.next() as u8).collect()
+    };
     for flow in 0..flows {
-        if !d.live() {
-            break;
+        for _ in 0..3 {
+            let key = format!("/object-{:04}", rng.next() % 12);
+            let len = 200 + (rng.next() % 6000) as usize;
+            put(kvs, run, key, bytes(&mut rng, len))?;
         }
-        match workload {
-            CrashWorkload::FioWrite => {
-                for _ in 0..4 {
-                    let path = format!("/cf/f{}", rng.next() % 8);
-                    if d.model.lookup(&path).is_none() {
-                        d.create(&path);
-                    }
-                    let len = 512 + (rng.next() % 8192) as usize;
-                    let data = payload_bytes(&mut rng, len);
-                    d.append(&path, data);
-                }
-                if flow % 5 == 4 {
-                    let path = format!("/cf/f{}", rng.next() % 8);
-                    let len = d.model.size(&path).unwrap_or(0) as usize;
-                    d.truncate(&path, rng.next() as usize % (len + 1024));
-                }
-                if flow % 2 == 1 {
-                    d.fsync();
-                }
+        // One in-place overwrite of a live key, at another length
+        // (down to zero, up to a dozen sectors).
+        let live = run.model.files().count();
+        let pick = (live > 0).then(|| rng.next() as usize % live);
+        if let Some((key, old)) = pick.and_then(|i| run.model.files().nth(i)) {
+            let (key, len) = (key.to_string(), old.len() + 300);
+            let len = (len + (rng.next() % 3000) as usize) % 6200;
+            put(kvs, run, key, bytes(&mut rng, len))?;
+        }
+        if rng.next().is_multiple_of(5) {
+            let key = format!("/object-{:04}", rng.next() % 12);
+            if run.model.lookup(&key).is_some() {
+                let full = format!("{KVS_MOUNT}{key}");
+                kvs.remove(&full)
+                    .map_err(refused(format!("remove {key}")))?;
+                run.model.unlink(&key);
+                run.ack(false);
             }
-            CrashWorkload::Varmail => {
-                let path = format!("/cf/v{}", rng.next() % 6);
-                d.unlink(&path);
-                d.create(&path);
-                let half = 2048 + (rng.next() % 2048) as usize;
-                let first = payload_bytes(&mut rng, half);
-                let second = payload_bytes(&mut rng, half);
-                d.append(&path, first);
-                d.fsync();
-                d.append(&path, second);
-                d.fsync();
-                d.read_check(&path);
-            }
-            CrashWorkload::Fileserver => {
-                let path = format!("/cf/s{flow}");
-                d.create(&path);
-                for _ in 0..4 {
-                    let data = payload_bytes(&mut rng, 4096);
-                    d.append(&path, data);
-                }
-                d.read_check(&path);
-                if flow >= 2 {
-                    d.unlink(&format!("/cf/s{}", flow - 2));
-                }
-                if flow % 3 == 2 {
-                    d.fsync();
-                }
-            }
-            CrashWorkload::KvsMix => {
-                // Object-store keys and a flush every fourth flow: a dozen
-                // puts make an op-log frame of more than one sector, the
-                // only kind a crash can tear.
-                for _ in 0..3 {
-                    let key = format!("bucket-7/object-{:04}", rng.next() % 12);
-                    let len = 200 + (rng.next() % 6000) as usize;
-                    let value = payload_bytes(&mut rng, len);
-                    d.put(&key, value);
-                }
-                // One in-place overwrite of a live key, at another length
-                // (down to zero, up to a dozen sectors).
-                let live: Vec<(&str, &[u8])> = d.model.files().collect();
-                if !live.is_empty() {
-                    let (key, old) = live[rng.next() as usize % live.len()];
-                    let (key, old_len) = (key.to_string(), old.len());
-                    let len = (old_len + 300 + (rng.next() % 3000) as usize) % 6200;
-                    let value = payload_bytes(&mut rng, len);
-                    d.put(&key, value);
-                }
-                if rng.next().is_multiple_of(5) {
-                    let key = format!("bucket-7/object-{:04}", rng.next() % 12);
-                    d.remove(&key);
-                }
-                if flow % 4 == 3 {
-                    d.kv_flush();
-                }
-            }
+        }
+        if flow % 4 == 3 {
+            flush(kvs, run)?;
         }
     }
-    // End every run on a durability point so a late crash still has a
-    // device operation to hit.
-    if d.live() {
-        if workload.is_kvs() {
-            d.kv_flush();
-        } else {
-            d.fsync();
+    flush(kvs, run)?;
+    Ok(kvs.client().ctx.now())
+}
+
+// ---- the file-system mixes ----------------------------------------------
+
+/// A script being generated, with a scratch model of the state it
+/// leaves: what the mixes read back, where they append, what is live.
+struct Gen {
+    script: Vec<FsAction>,
+    model: FsModel,
+    /// The model inode behind each fd the script opened, in fd order.
+    fds: Vec<u64>,
+    rng: XorShift,
+}
+
+impl Gen {
+    /// A script from the state `model`, with no fd open.
+    fn over(model: FsModel, seed: u64) -> Gen {
+        let (script, fds, rng) = (Vec::new(), Vec::new(), XorShift::new(seed | 1));
+        Gen {
+            script,
+            model,
+            fds,
+            rng,
         }
     }
-    let end_vt = d.ctx.now();
-    RunOutcome {
-        dev,
-        end_vt,
-        sync_starts: d.sync_starts,
-        digests: d.digests,
-        durable_floor: d.durable_floor,
-        candidates: d.candidates,
-        violation: d.violation,
+
+    /// A script that makes the shared directory and opens it as fd 0,
+    /// the fd every fsync goes through.
+    fn new(seed: u64) -> Gen {
+        let mut g = Gen::over(FsModel::new(), seed);
+        g.push(FsAction::Mkdir { path: "/cf".into() });
+        g.open("/cf".into());
+        g
+    }
+
+    fn pick(&mut self, n: u64) -> u64 {
+        self.rng.next() % n
+    }
+
+    /// Add `action` to the script and apply it to the scratch model.
+    fn push(&mut self, action: FsAction) {
+        let ino = action.fd().map_or(0, |fd| self.fds[fd]);
+        if let Some(Answer::Opened(ino)) = self.model.apply(ino, &action) {
+            self.fds.push(ino);
+        }
+        self.script.push(action);
+    }
+
+    /// Open `path`, made first as an empty file if it is missing.
+    fn open(&mut self, path: String) {
+        let (create, truncate) = (true, false);
+        self.push(FsAction::Open {
+            path,
+            create,
+            truncate,
+        });
+    }
+
+    /// The latest fd opened on what `path` names.
+    fn fd(&self, path: &str) -> Option<usize> {
+        let ino = self.model.lookup(path)?;
+        self.fds.iter().rposition(|&fd_ino| fd_ino == ino)
+    }
+
+    /// Write `len` bytes at `offset` of what `path` names.
+    fn write(&mut self, path: &str, offset: u64, len: usize) {
+        let seed = self.rng.next() as u8;
+        if let Some(fd) = self.fd(path) {
+            self.push(FsAction::Write {
+                fd,
+                offset,
+                len,
+                seed,
+            });
+        }
+    }
+
+    /// Append `len` bytes to `path` (overwrite-free by construction).
+    fn append(&mut self, path: &str, len: usize) {
+        let size = self.model.size(path).unwrap_or(0);
+        self.write(path, size, len);
+    }
+
+    /// Live read-back of the whole file `path`.
+    fn read_back(&mut self, path: &str) {
+        if let (Some(fd), Some(size)) = (self.fd(path), self.model.size(path)) {
+            let len = (size as usize).max(1);
+            self.push(FsAction::Read { fd, offset: 0, len });
+        }
+    }
+
+    /// Unlink `path` if it names anything.
+    fn unlink(&mut self, path: String) {
+        if self.model.lookup(&path).is_some() {
+            self.push(FsAction::Unlink { path });
+        }
+    }
+
+    fn fsync(&mut self) {
+        self.push(FsAction::Fsync { fd: 0 });
+    }
+}
+
+/// fio-write: four random-size appends over eight files, an fsync every
+/// second flow, a truncate to a random size every fifth.
+fn fio_write(g: &mut Gen, flow: usize) {
+    for _ in 0..4 {
+        let path = format!("/cf/f{}", g.pick(8));
+        if g.model.lookup(&path).is_none() {
+            g.open(path.clone());
+        }
+        let len = 512 + g.pick(8192) as usize;
+        g.append(&path, len);
+    }
+    if flow % 5 == 4 {
+        let path = format!("/cf/f{}", g.pick(8));
+        let size = g.rng.next() % (g.model.size(&path).unwrap_or(0) + 1024);
+        if let Some(fd) = g.fd(&path) {
+            g.push(FsAction::Truncate { fd, size });
+        }
+    }
+    if flow % 2 == 1 {
+        g.fsync();
+    }
+}
+
+/// varmail: recreate a mail file, append and fsync twice, read it back.
+fn varmail(g: &mut Gen, _flow: usize) {
+    let path = format!("/cf/v{}", g.pick(6));
+    g.unlink(path.clone());
+    g.open(path.clone());
+    let half = 2048 + g.pick(2048) as usize;
+    g.append(&path, half);
+    g.fsync();
+    g.append(&path, half);
+    g.fsync();
+    g.read_back(&path);
+}
+
+/// fileserver: a new file of four 4 KiB appends, read back; the file two
+/// flows older deleted; an fsync every third flow.
+fn fileserver(g: &mut Gen, flow: usize) {
+    let path = format!("/cf/s{flow}");
+    g.open(path.clone());
+    for _ in 0..4 {
+        g.append(&path, 4096);
+    }
+    g.read_back(&path);
+    if flow >= 2 {
+        g.unlink(format!("/cf/s{}", flow - 2));
+    }
+    if flow % 3 == 2 {
+        g.fsync();
+    }
+}
+
+/// namespace: over `/cf/nK`, `/cf/dK` and `/cf/dK/nK`, a mkdir, a
+/// create plus a small append, a rename of any name onto any name, and
+/// sometimes a directory move or an unlink; an fsync every second flow.
+/// A refusal is a step too: the stack must refuse what the model does.
+fn namespace(g: &mut Gen, flow: usize) {
+    // One of the first `kinds` of: /cf/nK, /cf/dK/nK, /cf/dK.
+    let name = |g: &mut Gen, kinds| match g.pick(kinds) {
+        0 => format!("/cf/n{}", g.pick(4)),
+        1 => format!("/cf/d{}/n{}", g.pick(3), g.pick(4)),
+        _ => format!("/cf/d{}", g.pick(3)),
+    };
+    let path = format!("/cf/d{}", g.pick(3));
+    g.push(FsAction::Mkdir { path });
+    let file = name(g, 2);
+    g.open(file.clone());
+    let len = 1 + g.pick(600) as usize;
+    g.append(&file, len);
+    let (from, to) = (name(g, 3), name(g, 3));
+    g.push(FsAction::Rename { from, to });
+    match g.pick(4) {
+        0 => {
+            let (from, to) = (format!("/cf/d{}", g.pick(3)), name(g, 3));
+            g.push(FsAction::Rename { from, to });
+        }
+        1 => {
+            let path = name(g, 3);
+            g.unlink(path);
+        }
+        _ => {}
+    }
+    if flow % 2 == 1 {
+        g.fsync();
     }
 }
 
@@ -1096,9 +960,9 @@ mod tests {
             flows: 3,
             base_seed: 42,
         });
-        assert_eq!(report.trials.len(), 8);
+        assert_eq!(report.trials.len(), 10);
         assert!(report.violations().is_empty(), "{:#?}", report.violations());
-        assert_eq!(report.crashes(), 8);
+        assert_eq!(report.crashes(), 10);
     }
 
     #[test]

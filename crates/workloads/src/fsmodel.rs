@@ -1,9 +1,11 @@
 //! One model of what a file system does: the oracle that every
 //! file-system target (LabFS on each stack, the kernel-like profiles
-//! behind the VFS) is checked against, op by op, in `tests/fs_model.rs`,
-//! and the state the crash campaign ([`crate::crash`]) digests its
-//! acknowledged history from. DESIGN.md §6 states the contract it
-//! encodes, including where that contract is not POSIX.
+//! behind the VFS) is checked against, op by op, and the state the crash
+//! campaign ([`crate::crash`]) digests its acknowledged history from.
+//! Both run scripts of [`FsAction`]s through the one interpreter,
+//! [`step`]: `tests/fs_model.rs` with random scripts, the campaign with
+//! its mixes. DESIGN.md §6 states the contract the model encodes,
+//! including where that contract is not POSIX.
 //!
 //! A name is a full path ("/d0/f1"). The root is always there; a name
 //! with no `/` after its first character lives in it. Every other name
@@ -12,18 +14,20 @@
 //! fails once its inode is unlinked or renamed over.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+
+use crate::targets::FsTarget;
 
 /// One step of a file-system script. Names are full paths; an `fd`
 /// indexes the script's successful opens, modulo their count (a script
 /// with none skips the step).
-// api-ok: tests/fs_harness/ drives every file-system target with it
 #[derive(Debug, Clone)]
 pub enum FsAction {
     /// `open(2)`: with `create` a missing file is made, with `truncate`
     /// an existing one is cut to no bytes.
     Open {
         /// Name to open.
-        path: &'static str,
+        path: String,
         /// O_CREAT.
         create: bool,
         /// O_TRUNC.
@@ -32,7 +36,7 @@ pub enum FsAction {
     /// `mkdir(2)`.
     Mkdir {
         /// Name to make.
-        path: &'static str,
+        path: String,
     },
     /// Seek to `offset`, then write `len` bytes derived from `seed`.
     Write {
@@ -64,20 +68,33 @@ pub enum FsAction {
     /// `rename(2)`.
     Rename {
         /// Existing name.
-        from: &'static str,
+        from: String,
         /// New name.
-        to: &'static str,
+        to: String,
     },
     /// `unlink(2)` (of a file or of an empty directory).
     Unlink {
         /// Name to remove.
-        path: &'static str,
+        path: String,
     },
     /// `fsync(2)`.
     Fsync {
         /// Open fd.
         fd: usize,
     },
+}
+
+impl FsAction {
+    /// The fd an fd action works on.
+    pub(crate) fn fd(&self) -> Option<usize> {
+        match *self {
+            FsAction::Write { fd, .. }
+            | FsAction::Read { fd, .. }
+            | FsAction::Truncate { fd, .. }
+            | FsAction::Fsync { fd } => Some(fd),
+            _ => None,
+        }
+    }
 }
 
 /// What an inode is.
@@ -259,14 +276,19 @@ impl FsModel {
         }
     }
 
+    /// Every name, in name order, with its file's bytes (`None` for a
+    /// directory).
+    pub(crate) fn names(&self) -> impl Iterator<Item = (&str, Option<&[u8]>)> {
+        self.names.iter().map(|(path, ino)| match &self.nodes[ino] {
+            Node::File(bytes) => (path.as_str(), Some(&bytes[..])),
+            Node::Dir => (path.as_str(), None),
+        })
+    }
+
     /// Every file, by name, in name order.
     pub fn files(&self) -> impl Iterator<Item = (&str, &[u8])> {
-        self.names
-            .iter()
-            .filter_map(|(path, ino)| match self.nodes.get(ino) {
-                Some(Node::File(bytes)) => Some((path.as_str(), &bytes[..])),
-                _ => None,
-            })
+        self.names()
+            .filter_map(|(path, bytes)| Some((path, bytes?)))
     }
 
     /// The names directly in directory `dir` ("/" for the root), sorted.
@@ -278,6 +300,132 @@ impl FsModel {
             .filter(|rest| !rest.contains('/'))
             .map(str::to_string)
             .collect()
+    }
+}
+
+/// The bytes a [`FsAction::Write`] of `len` bytes with `seed` writes.
+pub(crate) fn pattern(len: usize, seed: u8) -> Vec<u8> {
+    (0..len).map(|i| seed ^ (i % 251) as u8).collect()
+}
+
+/// What a file system answers to one [`FsAction`] it accepts.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Answer {
+    Done,
+    /// An open's fd (target) or inode (model).
+    Opened(u64),
+    Wrote(usize),
+    Read(Vec<u8>),
+}
+
+impl FsModel {
+    /// The model's half of [`step`]: apply `action`, an fd action to
+    /// inode `ino`, and answer it; `None` where the model refuses.
+    pub(crate) fn apply(&mut self, ino: u64, action: &FsAction) -> Option<Answer> {
+        match *action {
+            FsAction::Open {
+                ref path,
+                create,
+                truncate,
+            } => self.open(path, create, truncate).map(Answer::Opened),
+            FsAction::Mkdir { ref path } => self.mkdir(path).map(|_| Answer::Done),
+            FsAction::Write {
+                offset, len, seed, ..
+            } => self
+                .write(ino, offset, &pattern(len, seed))
+                .map(Answer::Wrote),
+            FsAction::Read { offset, len, .. } => self
+                .read(ino, offset, len)
+                .map(|b| Answer::Read(b.to_vec())),
+            FsAction::Truncate { size, .. } => self.truncate(ino, size).then_some(Answer::Done),
+            FsAction::Rename { ref from, ref to } => self.rename(from, to).then_some(Answer::Done),
+            FsAction::Unlink { ref path } => self.unlink(path).then_some(Answer::Done),
+            FsAction::Fsync { .. } => Some(Answer::Done),
+        }
+    }
+}
+
+/// Where a target's answer to one [`FsAction`] parts from the model's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Divergence {
+    /// The target refused (or failed) an action the model accepts.
+    Refused(String),
+    /// The target accepted an action the model refuses, or answered
+    /// other bytes or another length.
+    Differs(String),
+}
+
+impl fmt::Display for Divergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Divergence::Refused(what) | Divergence::Differs(what) => f.write_str(what),
+        }
+    }
+}
+
+/// How `got` differs from `want`, for a report.
+pub fn first_difference(got: &[u8], want: &[u8]) -> String {
+    let at = got.iter().zip(want).position(|(a, b)| a != b);
+    let (n, m) = (got.len(), want.len());
+    format!("{n} bytes read, {m} modeled, first difference at {at:?}")
+}
+
+/// The interpreter: run `action` on the target `fs` and on `model`, and
+/// report where their answers part. `fds` holds the (target fd, model
+/// inode) of every open of the script that both accepted, in order; an
+/// fd step with none is skipped.
+pub fn step(
+    fs: &mut dyn FsTarget,
+    model: &mut FsModel,
+    fds: &mut Vec<(i32, u64)>,
+    action: &FsAction,
+) -> Result<(), Divergence> {
+    // The (target fd, model inode) an fd step works on.
+    let (fd, ino) = match action.fd() {
+        None => (0, 0),
+        Some(_) if fds.is_empty() => return Ok(()),
+        Some(fd) => fds[fd % fds.len()],
+    };
+    let done = |()| Answer::Done;
+    let got = match *action {
+        FsAction::Open {
+            ref path,
+            create,
+            truncate,
+        } => fs
+            .open(path, create, truncate)
+            .map(|fd| Answer::Opened(fd as u64)),
+        FsAction::Mkdir { ref path } => fs.mkdir(path).map(done),
+        FsAction::Write {
+            offset, len, seed, ..
+        } => (fs.seek(fd, offset))
+            .and_then(|()| fs.write(fd, &pattern(len, seed)))
+            .map(Answer::Wrote),
+        FsAction::Read { offset, len, .. } => (fs.seek(fd, offset))
+            .and_then(|()| fs.read(fd, len))
+            .map(Answer::Read),
+        FsAction::Truncate { size, .. } => fs.ftruncate(fd, size).map(done),
+        FsAction::Rename { ref from, ref to } => fs.rename(from, to).map(done),
+        FsAction::Unlink { ref path } => fs.unlink(path).map(done),
+        FsAction::Fsync { .. } => fs.fsync(fd).map(done),
+    };
+    match (got, model.apply(ino, action)) {
+        (Ok(Answer::Opened(fd)), Some(Answer::Opened(ino))) => {
+            fds.push((fd as i32, ino));
+            Ok(())
+        }
+        (Ok(got), Some(want)) if got == want => Ok(()),
+        (Err(_), None) => Ok(()),
+        (Ok(Answer::Read(got)), Some(Answer::Read(want))) => Err(Divergence::Differs(format!(
+            "{action:?}: {}",
+            first_difference(&got, &want)
+        ))),
+        (Err(e), Some(_)) => Err(Divergence::Refused(format!(
+            "{action:?}: target refused ({e})"
+        ))),
+        (got, want) => Err(Divergence::Differs(format!(
+            "{action:?}: target {got:?}, model {want:?}"
+        ))),
     }
 }
 

@@ -201,7 +201,8 @@ impl LabStorFsTarget {
         }
     }
 
-    fn full(&self, path: &str) -> String {
+    /// `path` under the mount.
+    pub(crate) fn full(&self, path: &str) -> String {
         format!("{}{}", self.mount, path)
     }
 

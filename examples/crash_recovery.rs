@@ -53,17 +53,21 @@ fn main() {
         RespPayload::Ino(i) => i,
         other => panic!("create failed: {other:?}"),
     };
+    // The bytes go in a pool slot the client fills in place.
     let payload: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
-    client
+    let mut buf = client.alloc_buf(payload.len()).expect("a pool slot");
+    assert!(buf.fill(&payload));
+    let (resp, _) = client
         .execute(
             &stack,
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 0,
-                data: payload.clone(),
+                buf,
             }),
         )
         .expect("write");
+    assert!(resp.is_ok(), "write failed: {resp:?}");
     client
         .execute(&stack, Payload::Fs(FsOp::Fsync { ino }))
         .expect("fsync");
@@ -114,19 +118,19 @@ fn main() {
     let (resp, _) = client
         .execute(
             &stack,
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 0,
                 len: payload.len(),
             }),
         )
         .expect("read after recovery");
-    match resp {
-        RespPayload::Data(d) => {
-            assert_eq!(d, payload);
+    match resp.data_parts() {
+        Some(parts) => {
+            assert_eq!(parts.collect::<Vec<_>>().concat(), payload);
             println!("data blocks intact through the replayed mappings ✓");
         }
-        other => panic!("read failed: {other:?}"),
+        None => panic!("read failed: {resp:?}"),
     }
 
     // The unsynced file is gone — the log never reached the device.

@@ -76,15 +76,18 @@ fn main() {
 
     // 2. Data ops through the client-side sync path — same inode, shared
     //    allocator/mapping state, zero IPC.
+    //    The bytes go in a pool slot the client fills in place.
     let payload = vec![0x42u8; 64 * 1024];
+    let mut buf = client.alloc_buf(payload.len()).expect("a pool slot");
+    assert!(buf.fill(&payload));
     let t0 = client.ctx.now();
     let (resp, _) = client
         .execute(
             &data_stack,
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 0,
-                data: payload.clone(),
+                buf,
             }),
         )
         .expect("data write");
@@ -96,16 +99,16 @@ fn main() {
     let (resp, _) = client
         .execute(
             &meta,
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 0,
                 len: payload.len(),
             }),
         )
         .expect("read via meta view");
-    match resp {
-        RespPayload::Data(d) => assert_eq!(d, payload),
-        other => panic!("read failed: {other:?}"),
+    match resp.data_parts() {
+        Some(parts) => assert_eq!(parts.collect::<Vec<_>>().concat(), payload),
+        None => panic!("read failed: {resp:?}"),
     }
 
     println!(

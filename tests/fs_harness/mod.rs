@@ -1,9 +1,10 @@
 //! The one proptest for every file system, shared by the tests that run
 //! it: the [`FsAction`] alphabet, the targets, and the driver that runs a
-//! script on a target and on the one [`FsModel`] and checks that they
-//! agree. `tests/fs_model.rs` says what each target is and what is
-//! checked; `tests/properties.rs` runs the two LabFS targets whose
-//! properties it has always held.
+//! script through the one interpreter (`fsmodel::step`, which the crash
+//! campaign runs too) on a target and on the one [`FsModel`] and checks
+//! the whole state after each step. `tests/fs_model.rs` says what each
+//! target is and what is checked; `tests/properties.rs` runs the two
+//! LabFS targets whose properties it has always held.
 
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -21,7 +22,7 @@ use labstor::kernel::BlockLayer;
 use labstor::mods::labfs::LabFs;
 use labstor::mods::DeviceRegistry;
 use labstor::sim::{DeviceKind, SimDevice};
-use labstor::workloads::fsmodel::{FsAction, FsModel};
+use labstor::workloads::fsmodel::{self, first_difference, FsAction, FsModel};
 use labstor::workloads::targets::{FsTarget, KernelFsTarget, LabStorFsTarget};
 
 const PAGE: u64 = 4096;
@@ -50,8 +51,8 @@ const LAB_D: &str = r#"{
 // The alphabet
 // ---------------------------------------------------------------------
 
-fn path() -> impl Strategy<Value = &'static str> {
-    (0..FS_PATHS.len()).prop_map(|i| FS_PATHS[i])
+fn path() -> impl Strategy<Value = String> {
+    (0..FS_PATHS.len()).prop_map(|i| FS_PATHS[i].to_string())
 }
 
 fn fd() -> impl Strategy<Value = usize> {
@@ -98,12 +99,12 @@ pub fn action() -> impl Strategy<Value = FsAction> {
         2 => (fd(), 0..12 * PAGE).prop_map(|(fd, size)| FsAction::Truncate { fd, size }),
         // Onto itself, onto any name, a directory onto a top-level name,
         // and a directory under itself (refused: EINVAL).
-        1 => path().prop_map(|p| FsAction::Rename { from: p, to: p }),
+        1 => path().prop_map(|p| FsAction::Rename { from: p.clone(), to: p }),
         2 => (path(), path()).prop_map(|(from, to)| FsAction::Rename { from, to }),
         1 => (0..2usize, 0..5usize)
-            .prop_map(|(d, to)| FsAction::Rename { from: FS_PATHS[3 + d], to: FS_PATHS[to] }),
+            .prop_map(|(d, to)| FsAction::Rename { from: FS_PATHS[3 + d].into(), to: FS_PATHS[to].into() }),
         1 => (0..2usize, 0..3usize)
-            .prop_map(|(d, f)| FsAction::Rename { from: FS_PATHS[3 + d], to: FS_PATHS[5 + 3 * d + f] }),
+            .prop_map(|(d, f)| FsAction::Rename { from: FS_PATHS[3 + d].into(), to: FS_PATHS[5 + 3 * d + f].into() }),
         1 => path().prop_map(|path| FsAction::Unlink { path }),
         1 => fd().prop_map(|fd| FsAction::Fsync { fd }),
     ]
@@ -311,80 +312,6 @@ fn agree<T: PartialEq + Debug>(what: &str, target: T, model: T) -> Result<(), St
     }
 }
 
-/// Run `action` on the target and on the model; both must answer alike.
-fn step(
-    sut: &mut Subject,
-    model: &mut FsModel,
-    fds: &mut Vec<(i32, u64)>,
-    action: &FsAction,
-) -> Result<(), String> {
-    let fs = &mut sut.fs;
-    // The (target fd, model inode) an fd step works on.
-    let (fd, ino) = match *action {
-        FsAction::Write { fd, .. }
-        | FsAction::Read { fd, .. }
-        | FsAction::Truncate { fd, .. }
-        | FsAction::Fsync { fd } => match fds.len() {
-            0 => return Ok(()),
-            n => fds[fd % n],
-        },
-        _ => (0, 0),
-    };
-    match *action {
-        FsAction::Open {
-            path,
-            create,
-            truncate,
-        } => {
-            let (got, want) = (
-                fs.open(path, create, truncate),
-                model.open(path, create, truncate),
-            );
-            agree("open", got.is_ok(), want.is_some())?;
-            if let (Ok(fd), Some(ino)) = (got, want) {
-                fds.push((fd, ino));
-            }
-        }
-        FsAction::Mkdir { path } => {
-            agree("mkdir", fs.mkdir(path).is_ok(), model.mkdir(path).is_some())?
-        }
-        FsAction::Write {
-            offset, len, seed, ..
-        } => {
-            let data: Vec<u8> = (0..len).map(|i| seed ^ (i % 251) as u8).collect();
-            fs.seek(fd, offset)?;
-            agree(
-                "write",
-                fs.write(fd, &data).ok(),
-                model.write(ino, offset, &data),
-            )?;
-        }
-        FsAction::Read { offset, len, .. } => {
-            fs.seek(fd, offset)?;
-            let got = fs.read(fd, len).ok();
-            agree("read", got.as_deref(), model.read(ino, offset, len))?;
-        }
-        FsAction::Truncate { size, .. } => agree(
-            "truncate",
-            fs.ftruncate(fd, size).is_ok(),
-            model.truncate(ino, size),
-        )?,
-        FsAction::Rename { from, to } => agree(
-            "rename",
-            fs.rename(from, to).is_ok(),
-            model.rename(from, to),
-        )?,
-        FsAction::Unlink { path } => agree("unlink", fs.unlink(path).is_ok(), model.unlink(path))?,
-        FsAction::Fsync { .. } => {
-            fs.fsync(fd)?;
-            if let Some(lab) = &sut.labfs {
-                lab.rt.mm.repair_all();
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The whole state: every name's size, every file's bytes (read through
 /// a fresh fd) and, on LabFS, every listing.
 fn check(sut: &mut Subject, model: &FsModel) -> Result<(), String> {
@@ -397,11 +324,7 @@ fn check(sut: &mut Subject, model: &FsModel) -> Result<(), String> {
         let got = fs.read(fd, bytes.len() + PAGE as usize)?;
         fs.close(fd)?;
         if got != bytes {
-            let at = got.iter().zip(bytes).position(|(a, b)| a != b);
-            let (n, m) = (got.len(), bytes.len());
-            return Err(format!(
-                "{path}: {n} bytes read, {m} modeled, first difference at {at:?}"
-            ));
+            return Err(format!("{path}: {}", first_difference(&got, bytes)));
         }
     }
     if let Some(lab) = &mut sut.labfs {
@@ -433,10 +356,18 @@ pub fn drive(
     let label = sut.fs.label();
     for (i, action) in script.iter().enumerate() {
         let last = i + 1 == script.len();
-        step(sut, &mut model, &mut fds, action)
-            .and_then(|()| match every_step || last {
-                true => check(sut, &model),
-                false => Ok(()),
+        fsmodel::step(&mut *sut.fs, &mut model, &mut fds, action)
+            .map_err(|d| d.to_string())
+            .and_then(|()| {
+                // After an fsync that ran, rebuild LabFS from the device.
+                let synced = matches!(action, FsAction::Fsync { .. }) && !fds.is_empty();
+                if let (true, Some(lab)) = (synced, &sut.labfs) {
+                    lab.rt.mm.repair_all();
+                }
+                match every_step || last {
+                    true => check(sut, &model),
+                    false => Ok(()),
+                }
             })
             .map_err(|e| {
                 TestCaseError::fail(format!(

@@ -14,7 +14,7 @@ use labstor_labcheck::{gate, lint_workspace, render_text, workspace_root, Config
 /// The `// api-ok:` escapes from the `unreached-pub` lint in
 /// `crates/*/src`, pinned exactly as the gate pins its rows: a change to
 /// this number needs a CHANGES.md line saying why.
-const API_OK_ANNOTATIONS: usize = 30;
+const API_OK_ANNOTATIONS: usize = 29;
 
 /// The `relaxed-ok:` escapes from the `relaxed-ordering` lint in
 /// `crates/*/src` outside `crates/labcheck` (whose sources and fixtures
