@@ -58,9 +58,11 @@ echo "== sample Chrome trace (and: per-LabMod counters == span anatomy, to the n
 cargo run -q --release --example telemetry -- target/bench/telemetry_trace.json
 test -s target/bench/telemetry_trace.json
 
-echo "== crash-recovery and split-stack examples (their asserts run only here)"
+echo "== crash-recovery, split-stack, custom-stack and multi-tenant examples (their asserts run only here)"
 cargo run -q --release --example crash_recovery
 cargo run -q --release --example decentralized_split
+cargo run -q --release --example custom_stack
+cargo run -q --release --example multi_tenant
 
 echo "== gate bench smokes (each writes target/bench/BENCH_<name>.json and exits 1 if a check fails)"
 for bench in bench_ipc bench_datapath bench_tenants bench_reactor bench_pushdown crash_fuzz; do

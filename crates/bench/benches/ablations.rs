@@ -151,7 +151,7 @@ fn ablate_lru_cache(c: &mut Criterion) {
                     &mm,
                     stack,
                     &mut ctx,
-                    Payload::Block(labstor_core::BlockOp::Read { lba: 0, len: 4096 }),
+                    Payload::Block(labstor_core::BlockOp::ReadBuf { lba: 0, len: 4096 }),
                 ));
             });
         });
@@ -340,7 +340,7 @@ fn ablate_cache_policy(c: &mut Criterion) {
                     &mm,
                     stack,
                     &mut ctx,
-                    Payload::Block(labstor_core::BlockOp::Read {
+                    Payload::Block(labstor_core::BlockOp::ReadBuf {
                         lba: lba * 8,
                         len: 4096,
                     }),
@@ -362,7 +362,7 @@ fn ablate_cache_policy(c: &mut Criterion) {
                         &mm,
                         stack,
                         &mut ctx,
-                        Payload::Block(labstor_core::BlockOp::Read {
+                        Payload::Block(labstor_core::BlockOp::ReadBuf {
                             lba: cold,
                             len: 4096,
                         }),
@@ -372,7 +372,7 @@ fn ablate_cache_policy(c: &mut Criterion) {
                     &mm,
                     stack,
                     &mut ctx,
-                    Payload::Block(labstor_core::BlockOp::Read {
+                    Payload::Block(labstor_core::BlockOp::ReadBuf {
                         lba: (n % 8) * 8,
                         len: 4096,
                     }),

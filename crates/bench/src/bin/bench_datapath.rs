@@ -1,14 +1,17 @@
 //! Data-path benchmark: copy vs zero-copy read hits — emits
 //! `BENCH_datapath.json`.
 //!
-//! **Read-hit sweep** — payload size (4 KiB / 64 KiB / 256 KiB) × mode
-//! (copying `BlockOp::Read` vs zero-copy `BlockOp::ReadBuf`). A client
-//! half submits read descriptors over a queue pair; the worker half
-//! serves them from a pre-warmed `LruCacheMod` whose blocks live in the
-//! shared buffer pool. The copying mode clones the cached bytes into
-//! `RespPayload::Data` per hit; the zero-copy mode answers with a
-//! `BufHandle` slice — a refcount bump. Both wall-clock ops/s and the
-//! modeled per-hit virtual cost are recorded.
+//! **Read-hit sweep** — payload size (4 KiB / 64 KiB / 256 KiB) × mode.
+//! A client half submits read descriptors over a queue pair; the worker
+//! half serves each with one `BlockOp::ReadBuf` from a pre-warmed
+//! `LruCacheMod`. The two modes differ in how the cache was warmed: the
+//! copying mode with owned `BlockOp::Write`s, so every hit gathers the
+//! cached windows into a `RespPayload::Data` (the one copying hit a read
+//! still has); the zero-copy mode with pool-buffer `BlockOp::WriteBuf`s,
+//! so every hit answers with a `BufHandle` slice — a refcount bump. Each
+//! run asserts the payload bytes it copied per hit (`size` and 0), so
+//! neither mode can silently become the other. Both wall-clock ops/s and
+//! the modeled per-hit virtual cost are recorded.
 //!
 //! Gate (run fails with exit 1 if it misses): zero-copy read hits at
 //! 64 KiB must not fall below the copying baseline on wall-clock ops/s
@@ -26,7 +29,7 @@ use std::time::Instant;
 use labstor_bench::Report;
 use labstor_core::stack::{ExecMode, LabStack, Vertex};
 use labstor_core::{BlockOp, ModuleManager, Payload, Request, RespPayload, StackEnv};
-use labstor_ipc::{default_pool, Credentials, Envelope, QueueFlags, QueuePair};
+use labstor_ipc::{default_pool, payload_copy_bytes, Credentials, Envelope, QueueFlags, QueuePair};
 use labstor_sim::{Ctx, SECTOR_SIZE};
 
 const RUNTIME_DOMAIN: u32 = 0;
@@ -56,8 +59,9 @@ struct ReadHit {
 }
 
 /// Build a single-vertex stack around a warm write-back LRU cache so
-/// every benchmarked read is a hit served straight from the mod.
-fn warm_cache(size: usize) -> (ModuleManager, LabStack) {
+/// every benchmarked read is a hit served straight from the mod: its
+/// blocks are pool views when `zero_copy`, else owned windows.
+fn warm_cache(size: usize, zero_copy: bool) -> (ModuleManager, LabStack) {
     let mm = ModuleManager::new();
     labstor_mods::lru::install(&mm);
     mm.instantiate(
@@ -80,19 +84,18 @@ fn warm_cache(size: usize) -> (ModuleManager, LabStack) {
     let cache = mm.get("cache").expect("cache registered");
     let mut ctx = Ctx::new();
     for extent in 0..NBLOCKS {
-        let mut buf = default_pool().alloc(size).expect("pool has a slot");
-        assert!(buf.write_with(|b| b.fill(extent as u8)), "fresh handle");
+        let lba = extent * (size / SECTOR_SIZE) as u64;
+        let op = if zero_copy {
+            let mut buf = default_pool().alloc(size).expect("pool has a slot");
+            assert!(buf.write_with(|b| b.fill(extent as u8)), "fresh handle");
+            BlockOp::WriteBuf { lba, buf }
+        } else {
+            let data = vec![extent as u8; size];
+            BlockOp::Write { lba, data }
+        };
         let resp = cache.process(
             &mut ctx,
-            Request::new(
-                extent,
-                stack.id,
-                Payload::Block(BlockOp::WriteBuf {
-                    lba: extent * (size / SECTOR_SIZE) as u64,
-                    buf,
-                }),
-                Credentials::ROOT,
-            ),
+            Request::new(extent, stack.id, Payload::Block(op), Credentials::ROOT),
             &env,
         );
         assert!(
@@ -108,7 +111,7 @@ fn warm_cache(size: usize) -> (ModuleManager, LabStack) {
 /// worker answers each from the cache mod, the client checks a byte of
 /// every response.
 fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
-    let (mm, stack) = warm_cache(size);
+    let (mm, stack) = warm_cache(size, zero_copy);
     let env = StackEnv::new(&stack, 0, &mm, RUNTIME_DOMAIN);
     let cache = mm.get("cache").expect("cache registered");
     let qp = queue();
@@ -138,15 +141,18 @@ fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
         for env_msg in inbox.drain(..) {
             let extent = env_msg.payload.0;
             let lba = extent * (size / SECTOR_SIZE) as u64;
-            let op = if zero_copy {
-                BlockOp::ReadBuf { lba, len: size }
-            } else {
-                BlockOp::Read { lba, len: size }
-            };
+            let op = BlockOp::ReadBuf { lba, len: size };
+            let copied = payload_copy_bytes();
             let resp = cache.process(
                 &mut worker,
                 Request::new(extent, stack.id, Payload::Block(op), Credentials::ROOT),
                 &env,
+            );
+            let want = if zero_copy { 0 } else { size as u64 };
+            assert_eq!(
+                payload_copy_bytes() - copied,
+                want,
+                "a hit copies {want} payload bytes"
             );
             done.push(((extent, Some(resp)), worker.now()));
         }

@@ -223,7 +223,7 @@ fn run(mode: Mode, victims: usize, ops_per_victim: usize) -> RunResult {
                             .ctx
                             .idle_until(start + op as u64 * VICTIM_INTERVAL_NS);
                         gate.sync(i, client.ctx.now());
-                        let payload = Payload::Block(BlockOp::Read {
+                        let payload = Payload::Block(BlockOp::ReadBuf {
                             lba: next_lba(&mut rng),
                             len: VICTIM_BYTES,
                         });

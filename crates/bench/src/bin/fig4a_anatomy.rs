@@ -87,7 +87,7 @@ fn main() {
                     data: data.clone(),
                 })
             } else {
-                Payload::Fs(FsOp::Read {
+                Payload::Fs(FsOp::ReadBuf {
                     ino,
                     offset: off,
                     len: 4096,

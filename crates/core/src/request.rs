@@ -46,15 +46,6 @@ pub enum FsOp {
         /// Payload.
         data: Vec<u8>,
     },
-    /// Read `len` bytes at `offset` of inode `ino`.
-    Read {
-        /// Source inode.
-        ino: u64,
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to read.
-        len: usize,
-    },
     /// Zero-copy write: the payload lives in a pooled shared-memory
     /// buffer; stages pass the handle by refcount bump, never by copy.
     WriteBuf {
@@ -65,10 +56,14 @@ pub enum FsOp {
         /// Shared-memory payload.
         buf: BufHandle,
     },
-    /// Zero-copy read: respond with [`RespPayload::DataBuf`] — a handle
-    /// into the page cache (hit) or a freshly filled pool buffer (miss) —
-    /// or, when the bytes lie in several pool slots, with
-    /// [`RespPayload::DataRuns`].
+    /// Read `len` bytes at `offset` of inode `ino`, the one file read
+    /// verb. The answer is data of any shape ([`RespPayload::data_parts`]
+    /// reads them all): a [`RespPayload::DataBuf`] view of a cache hit or
+    /// of the pool buffer a miss landed in, a [`RespPayload::DataRuns`]
+    /// list when the bytes lie in several pool slots, small results
+    /// [`RespPayload::Inline`], and a [`RespPayload::Data`] `Vec` where
+    /// the bytes have no handle (a dry pool, a cached owned write, an
+    /// assembled scattered read).
     ReadBuf {
         /// Source inode.
         ino: u64,
@@ -188,13 +183,6 @@ pub enum BlockOp {
         /// Payload (sector multiple).
         data: Vec<u8>,
     },
-    /// Read sectors.
-    Read {
-        /// Start LBA.
-        lba: u64,
-        /// Bytes to read.
-        len: usize,
-    },
     /// Zero-copy sector write: payload passed by shared-memory handle.
     WriteBuf {
         /// Start LBA (512-byte sectors).
@@ -202,9 +190,10 @@ pub enum BlockOp {
         /// Payload (sector multiple) in a pooled buffer.
         buf: BufHandle,
     },
-    /// Zero-copy sector read: respond with [`RespPayload::DataBuf`], or
-    /// with [`RespPayload::DataRuns`] when the bytes lie in several pool
-    /// slots.
+    /// Read sectors, the one block read verb: respond with
+    /// [`RespPayload::DataBuf`], with [`RespPayload::DataRuns`] when the
+    /// bytes lie in several pool slots, or with [`RespPayload::Data`]
+    /// when they have no handle (a dry pool, a cached owned write).
     ReadBuf {
         /// Start LBA.
         lba: u64,
@@ -332,14 +321,12 @@ impl Request {
     pub fn payload_bytes(&self) -> usize {
         match &self.payload {
             Payload::Fs(FsOp::Write { data, .. }) => data.len(),
-            Payload::Fs(
-                FsOp::Read { len, .. } | FsOp::ReadBuf { len, .. } | FsOp::ReadFiltered { len, .. },
-            ) => *len,
+            Payload::Fs(FsOp::ReadBuf { len, .. } | FsOp::ReadFiltered { len, .. }) => *len,
             Payload::Fs(FsOp::WriteBuf { buf, .. }) => buf.len(),
             Payload::Kvs(KvsOp::Put { value, .. }) => value.len(),
             Payload::Kvs(KvsOp::PutBuf { buf, .. }) => buf.len(),
             Payload::Block(BlockOp::Write { data, .. }) => data.len(),
-            Payload::Block(BlockOp::Read { len, .. } | BlockOp::ReadBuf { len, .. }) => *len,
+            Payload::Block(BlockOp::ReadBuf { len, .. }) => *len,
             Payload::Block(BlockOp::WriteBuf { buf, .. }) => buf.len(),
             Payload::Custom { data, .. } => data.len(),
             _ => 0,
@@ -492,7 +479,7 @@ mod tests {
         let r = Request::new(
             2,
             0,
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino: 1,
                 offset: 0,
                 len: 512,

@@ -69,7 +69,9 @@ impl KernelSched for NoopSched {
 /// Blk-switch-like: latency-class requests are steered to the least-loaded
 /// queue; throughput requests keep core affinity unless their home queue
 /// is heavily congested, in which case they spill to the least-loaded one
-/// (app-steering + req-steering from the blk-switch paper).
+/// (app-steering + req-steering from the blk-switch paper). Fig. 8 runs
+/// this one policy in two places: here, under the kernel block layer, and
+/// in the Lab-Blk scheduler LabMod.
 #[derive(Debug)]
 pub struct BlkSwitchSched {
     /// Queue depth above which throughput requests spill over.
@@ -82,25 +84,42 @@ pub struct BlkSwitchSched {
 
 impl Default for BlkSwitchSched {
     fn default() -> Self {
-        BlkSwitchSched {
-            congestion_threshold: 64,
-            cursor: std::sync::atomic::AtomicUsize::new(0),
-            history: BulkHistory::new(64),
-        }
+        BlkSwitchSched::new(64, 64)
     }
 }
 
 impl BlkSwitchSched {
-    /// Least-loaded queue, weighing the *service-channel group* a queue
-    /// maps to (queues sharing a channel share its backlog) ahead of the
-    /// queue's own depth, with a rotating scan start to spread ties.
-    pub(crate) fn least_loaded(&self, dev: &Arc<SimDevice>) -> usize {
-        least_loaded_queue(
-            dev,
-            &self.history,
-            self.cursor
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed), // relaxed-ok: fresh-id allocation; atomicity alone suffices
-        )
+    /// Steering over `queues` hardware queues (the bulk history's width);
+    /// throughput requests spill once their home queue is deeper than
+    /// `congestion_threshold`.
+    pub fn new(queues: usize, congestion_threshold: usize) -> Self {
+        BlkSwitchSched {
+            congestion_threshold,
+            cursor: std::sync::atomic::AtomicUsize::new(0),
+            history: BulkHistory::new(queues),
+        }
+    }
+
+    /// Least-loaded queue: the one whose *service-channel group* (queues
+    /// sharing a channel share its backlog) carries the least bulk
+    /// history and the least instantaneous depth, then the queue's own
+    /// depth, with a rotating scan start to spread ties.
+    fn least_loaded(&self, dev: &Arc<SimDevice>) -> usize {
+        let rotate = self
+            .cursor
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed-ok: fresh-id allocation; atomicity alone suffices
+        let n = dev.num_queues();
+        let c = dev.model().channels.max(1);
+        let mut group_depth = vec![0usize; c];
+        let mut group_bulk = vec![0u64; c];
+        for q in 0..n {
+            group_depth[q % c] += dev.queue_depth(q);
+            group_bulk[q % c] += self.history.pressure(q);
+        }
+        (0..n)
+            .map(|i| (rotate + i) % n)
+            .min_by_key(|&q| (group_bulk[q % c], group_depth[q % c], dev.queue_depth(q)))
+            .unwrap_or(0)
     }
 }
 
@@ -109,20 +128,20 @@ impl BlkSwitchSched {
 /// throughput applications use, even between bursts when instantaneous
 /// depth looks low.
 #[derive(Debug)]
-pub struct BulkHistory {
+struct BulkHistory {
     per_queue: Vec<Stat>,
 }
 
 impl BulkHistory {
     /// History over `queues` queues.
-    pub fn new(queues: usize) -> Self {
+    fn new(queues: usize) -> Self {
         BulkHistory {
             per_queue: (0..queues.max(1)).map(|_| Stat::new(0)).collect(),
         }
     }
 
     /// Record bulk bytes submitted to `qid`.
-    pub fn record(&self, qid: usize, bytes: usize) {
+    fn record(&self, qid: usize, bytes: usize) {
         let slot = &self.per_queue[qid % self.per_queue.len()];
         // EMA-ish: decay an eighth, add the new sample.
         let cur = slot.get();
@@ -130,27 +149,9 @@ impl BulkHistory {
     }
 
     /// Recent bulk pressure on `qid`.
-    pub(crate) fn pressure(&self, qid: usize) -> u64 {
+    fn pressure(&self, qid: usize) -> u64 {
         self.per_queue[qid % self.per_queue.len()].get()
     }
-}
-
-/// Shared steering helper (also used by the userspace scheduler LabMod):
-/// pick the queue whose *service-channel group* carries the least bulk
-/// history and the least instantaneous depth.
-pub fn least_loaded_queue(dev: &Arc<SimDevice>, history: &BulkHistory, rotate: usize) -> usize {
-    let n = dev.num_queues();
-    let c = dev.model().channels.max(1);
-    let mut group_depth = vec![0usize; c];
-    let mut group_bulk = vec![0u64; c];
-    for q in 0..n {
-        group_depth[q % c] += dev.queue_depth(q);
-        group_bulk[q % c] += history.pressure(q);
-    }
-    (0..n)
-        .map(|i| (rotate + i) % n)
-        .min_by_key(|&q| (group_bulk[q % c], group_depth[q % c], dev.queue_depth(q)))
-        .unwrap_or(0)
 }
 
 impl KernelSched for BlkSwitchSched {

@@ -6,16 +6,16 @@
 //! pool handle by `slice()` refcount bumps, owned bytes as windows of one
 //! shared allocation), so capacity is counted in bytes and an overwrite
 //! replaces every block it covers. A request's blocks are walked as one
-//! run under the index's one lock. A `ReadBuf` whose blocks are all
-//! resident, adjacent views of one pool slot grows one handle over them
-//! by reference ([`BufHandle::extend_with`]) and answers with it — one
-//! refcount bump, no bytes move. Any other read takes its blocks by
-//! value and fetches only the smallest run covering the missing ones in
-//! one downstream request. A `ReadBuf` whose blocks are then all pool
-//! views answers with them, one handle per run of adjacent views
-//! ([`RespPayload::DataRuns`] when there are several); a legacy `Read`,
-//! or a read that meets an owned window, gathers each byte once into the
-//! response.
+//! run under the index's one lock. A read (`ReadBuf`, the one read verb)
+//! whose blocks are all resident, adjacent views of one pool slot grows
+//! one handle over them by reference ([`BufHandle::extend_with`]) and
+//! answers with it — one refcount bump, no bytes move. Any other read
+//! takes its blocks by value and fetches only the smallest run covering
+//! the missing ones in one downstream request. A read whose blocks are
+//! then all pool views answers with them, one handle per run of adjacent
+//! views ([`RespPayload::DataRuns`] when there are several); a read that
+//! meets an owned window (an owned write's, or a dry pool's fetch)
+//! gathers each byte once into the response.
 //!
 //! The two cache LabMods are this engine with a different [`Policy`]: the
 //! policy decides what stays resident, the engine does everything else
@@ -388,14 +388,14 @@ impl<P: Policy> BlockCache<P> {
         }
     }
 
-    /// The read path. `zero_copy` selects the response shape. A read that
-    /// misses every block is answered with what the next stage returned.
-    /// Otherwise a `ReadBuf` whose blocks are all pool views — resident,
-    /// or cut from the one run this request fetched — answers with them
-    /// by refcount (no memcpy, no copy charge): a `DataBuf` when they are
-    /// adjacent views of one slot, a `DataRuns` list of one view per run
-    /// when they lie in several. A legacy `Read`, or blocks of which one
-    /// is an owned window, gathers into a `Vec` and is charged + counted.
+    /// The read path. A read that misses every block is answered with
+    /// what the next stage returned. Otherwise a read whose blocks are all
+    /// pool views — resident, or cut from the one run this request
+    /// fetched — answers with them by refcount (no memcpy, no copy
+    /// charge): a `DataBuf` when they are adjacent views of one slot, a
+    /// `DataRuns` list of one view per run when they lie in several. A
+    /// read that meets an owned window gathers into a `Vec` and is
+    /// charged + counted.
     fn read(
         &self,
         ctx: &mut Ctx,
@@ -403,17 +403,15 @@ impl<P: Policy> BlockCache<P> {
         req: Request,
         lba: u64,
         len: usize,
-        zero_copy: bool,
     ) -> RespPayload {
         let blocks = len.div_ceil(BLOCK).max(1);
         ctx.advance(P::LOOKUP_NS * blocks as u64);
-        let touched = match zero_copy.then(|| self.joined_hit(lba, len, blocks)) {
-            Some(Ok(h)) => {
+        let touched = match self.joined_hit(lba, len, blocks) {
+            Ok(h) => {
                 self.hits.add(blocks as u64);
                 return RespPayload::DataBuf(h);
             }
-            Some(Err(touched)) => touched,
-            None => 0,
+            Err(touched) => touched,
         };
         // Not one joinable run: take the blocks by value, so that they
         // outlive the lock across the fetch. A single-block read stays off
@@ -448,20 +446,14 @@ impl<P: Policy> BlockCache<P> {
             // served from the cache all the same: they may be dirty.
             let run_lba = lba + first as u64 * BLOCK_SECTORS;
             let run_len = len.min((last + 1) * BLOCK) - first * BLOCK;
-            let fetch = if zero_copy {
-                BlockOp::ReadBuf {
-                    lba: run_lba,
-                    len: run_len,
-                }
-            } else {
-                BlockOp::Read {
-                    lba: run_lba,
-                    len: run_len,
-                }
+            let fetch = BlockOp::ReadBuf {
+                lba: run_lba,
+                len: run_len,
             };
             let resp = env.forward(ctx, req.derive(Payload::Block(fetch)));
             let fetched = match &resp {
-                // Zero-copy downstream: cache the handle by refcount bump.
+                // Cache the handle by refcount bump; a dry pool's `Vec`
+                // is copied in once.
                 RespPayload::DataBuf(h) => CacheData::Buf(h.clone()),
                 RespPayload::Data(d) => {
                     ctx.advance(copy_cost(d.len()));
@@ -492,10 +484,7 @@ impl<P: Policy> BlockCache<P> {
             missing
         };
         self.hits.add((blocks - fetched_blocks) as u64);
-        match zero_copy.then(|| views(found, len)).flatten() {
-            Some(answer) => answer,
-            None => gather(ctx, found, len),
-        }
+        views(found, len).unwrap_or_else(|| gather(ctx, found, len))
     }
 
     /// Drop the resident blocks of the `len`-byte range at `lba`, dirty
@@ -592,7 +581,7 @@ fn views(found: &[Option<CacheData>], len: usize) -> Option<RespPayload> {
 
 /// Build the response from the blocks of a `len`-byte read, all present:
 /// each byte moves once, from its entry into the response. Only for
-/// bytes that have no handle: a legacy `Read`, or an owned window.
+/// bytes that have no handle: a read that meets an owned window.
 fn gather(ctx: &mut Ctx, found: &[Option<CacheData>], len: usize) -> RespPayload {
     note_payload_copy(len);
     ctx.advance(copy_cost(len));
@@ -632,13 +621,9 @@ impl<P: Policy> LabMod for BlockCache<P> {
                 let (lba, cached) = (*lba, CacheData::Buf(buf.clone()));
                 self.write(ctx, env, req, lba, cached)
             }
-            Payload::Block(BlockOp::Read { lba, len }) => {
-                let (lba, len) = (*lba, *len);
-                self.read(ctx, env, req, lba, len, false)
-            }
             Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                 let (lba, len) = (*lba, *len);
-                self.read(ctx, env, req, lba, len, true)
+                self.read(ctx, env, req, lba, len)
             }
             Payload::Block(BlockOp::Flush) => {
                 // Write all dirty blocks, then pass the barrier down.
@@ -763,8 +748,11 @@ pub(crate) mod testing {
         pub writes: Stat,
         /// Every read request seen, as `(lba, len)`.
         pub reads: Mutex<Vec<(u64, usize)>>,
-        /// Lands `ReadBuf` completions in this pool (else answers `Data`).
+        /// Lands read completions in this pool (else answers `Data`).
         pub pool: Option<BufferPool>,
+        /// While set, a read answers `Data`, as a driver does when the
+        /// pool is dry.
+        pub dry: std::sync::atomic::AtomicBool,
         /// Real-time stall per read, to widen race windows in tests.
         pub read_stall: std::time::Duration,
         /// While set, every write is refused and stores nothing.
@@ -778,6 +766,7 @@ pub(crate) mod testing {
                 writes: Stat::new(0),
                 reads: Mutex::new(Vec::new()),
                 pool: None,
+                dry: std::sync::atomic::AtomicBool::new(false),
                 read_stall: std::time::Duration::ZERO,
                 fail_writes: std::sync::atomic::AtomicBool::new(false),
             }
@@ -835,16 +824,15 @@ pub(crate) mod testing {
                     self.poke(lba, buf.as_slice());
                     RespPayload::Len(buf.len())
                 }
-                Payload::Block(BlockOp::Read { lba, len }) => {
-                    self.reads.lock().push((lba, len));
-                    std::thread::sleep(self.read_stall);
-                    RespPayload::Data(self.peek(lba, len))
-                }
                 Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                     self.reads.lock().push((lba, len));
                     std::thread::sleep(self.read_stall);
                     let data = self.peek(lba, len);
-                    match self.pool.as_ref().and_then(|p| p.alloc(len)) {
+                    let pool = self
+                        .pool
+                        .as_ref()
+                        .filter(|_| !self.dry.load(Ordering::SeqCst));
+                    match pool.and_then(|p| p.alloc(len)) {
                         Some(mut h) => {
                             assert!(h.fill(&data));
                             RespPayload::DataBuf(h)
@@ -921,11 +909,6 @@ pub(crate) mod testing {
         }
 
         pub fn read(&self, ctx: &mut Ctx, block: u64, len: usize) -> RespPayload {
-            let lba = block * BLOCK_SECTORS;
-            self.exec(Payload::Block(BlockOp::Read { lba, len }), ctx)
-        }
-
-        pub fn read_buf(&self, ctx: &mut Ctx, block: u64, len: usize) -> RespPayload {
             let lba = block * BLOCK_SECTORS;
             self.exec(Payload::Block(BlockOp::ReadBuf { lba, len }), ctx)
         }
@@ -1007,10 +990,23 @@ mod tests {
     /// One step of the model-checked op stream (block units).
     #[derive(Debug, Clone)]
     enum Op {
-        Write { block: u64, blocks: usize, seed: u8 },
-        WriteBuf { block: u64, blocks: usize, seed: u8 },
-        Read { block: u64, blocks: usize },
-        ReadBuf { block: u64, blocks: usize },
+        Write {
+            block: u64,
+            blocks: usize,
+            seed: u8,
+        },
+        WriteBuf {
+            block: u64,
+            blocks: usize,
+            seed: u8,
+        },
+        /// With `dry`, the device answers a miss with a `Vec`, as a
+        /// driver does when the pool is dry.
+        Read {
+            block: u64,
+            blocks: usize,
+            dry: bool,
+        },
         Flush,
     }
 
@@ -1019,19 +1015,22 @@ mod tests {
     fn op_strategy() -> impl Strategy<Value = Op> {
         let extent = || (0u64..SPACE - 32, 1usize..33);
         prop_oneof![
-            (extent(), any::<u8>()).prop_map(|((block, blocks), seed)| Op::Write {
+            1 => (extent(), any::<u8>()).prop_map(|((block, blocks), seed)| Op::Write {
                 block,
                 blocks,
                 seed
             }),
-            (extent(), any::<u8>()).prop_map(|((block, blocks), seed)| Op::WriteBuf {
+            1 => (extent(), any::<u8>()).prop_map(|((block, blocks), seed)| Op::WriteBuf {
                 block,
                 blocks,
                 seed
             }),
-            extent().prop_map(|(block, blocks)| Op::Read { block, blocks }),
-            extent().prop_map(|(block, blocks)| Op::ReadBuf { block, blocks }),
-            (0u8..1).prop_map(|_| Op::Flush),
+            2 => (extent(), any::<bool>()).prop_map(|((block, blocks), dry)| Op::Read {
+                block,
+                blocks,
+                dry
+            }),
+            1 => (0u8..1).prop_map(|_| Op::Flush),
         ]
     }
 
@@ -1079,8 +1078,9 @@ mod tests {
         /// Replay a read of `blocks` through the list — every resident
         /// block touched once in ascending order, then the missing ones
         /// admitted in ascending order as views of what the fetch brought
-        /// — and say what shape the answer must have.
-        fn read(&mut self, blocks: std::ops::Range<u64>, zero_copy: bool) -> Shape {
+        /// (owned bytes when the device's pool is `dry`) — and say what
+        /// shape the answer must have.
+        fn read(&mut self, blocks: std::ops::Range<u64>, dry: bool) -> Shape {
             let origins: Vec<_> = blocks.clone().map(|b| self.origin(b)).collect();
             for (block, _) in blocks.clone().zip(&origins).filter(|(_, o)| o.is_some()) {
                 self.touch(block);
@@ -1089,7 +1089,7 @@ mod tests {
             let fetched = origins
                 .iter()
                 .any(Option::is_none)
-                .then(|| zero_copy.then(|| self.allocation()).flatten());
+                .then(|| (!dry).then(|| self.allocation()).flatten());
             for (block, _) in blocks.zip(&origins).filter(|(_, o)| o.is_none()) {
                 self.admit(block, fetched.flatten());
             }
@@ -1098,11 +1098,13 @@ mod tests {
                 .iter()
                 .map(|o| o.unwrap_or_else(|| fetched.flatten()))
                 .collect();
-            if !zero_copy {
-                Shape::Data
-            } else if full_miss {
+            if full_miss {
                 // The device's own response is passed up.
-                Shape::Buf
+                if dry {
+                    Shape::Data
+                } else {
+                    Shape::Buf
+                }
             } else if served.iter().any(Option::is_none) {
                 Shape::Data
             } else {
@@ -1196,14 +1198,10 @@ mod tests {
                     let r = rig.exec(Payload::Block(BlockOp::WriteBuf { lba, buf }), &mut ctx);
                     prop_assert!(r.is_ok());
                 }
-                Op::Read { block, blocks } | Op::ReadBuf { block, blocks } => {
+                Op::Read { block, blocks, dry } => {
                     let len = blocks * BLOCK;
-                    let zero_copy = matches!(op, Op::ReadBuf { .. });
-                    let resp = if zero_copy {
-                        rig.read_buf(&mut ctx, block, len)
-                    } else {
-                        rig.read(&mut ctx, block, len)
-                    };
+                    rig.dev.dry.store(dry, Ordering::SeqCst);
+                    let resp = rig.read(&mut ctx, block, len);
                     let at = block as usize * BLOCK;
                     prop_assert!(
                         bytes(&resp).as_deref() == Some(&model[at..at + len]),
@@ -1211,12 +1209,11 @@ mod tests {
                         op
                     );
                     if let RespPayload::DataRuns(runs) = &resp {
-                        prop_assert!(zero_copy, "{:?} answered a run list", op);
                         prop_assert!(runs.len() >= 2 && runs.iter().all(|r| !r.is_empty()));
                         let joined = runs.windows(2).any(|w| w[0].clone().extend_with(&w[1]));
                         prop_assert!(!joined, "{:?}: two runs join", op);
                     }
-                    let want = lru.read(block..block + blocks as u64, zero_copy);
+                    let want = lru.read(block..block + blocks as u64, dry);
                     if exact_lru {
                         prop_assert!(shape(&resp) == Some(want), "{:?} answered {:?}", op, resp);
                     }
@@ -1239,7 +1236,7 @@ mod tests {
                     );
                 }
             }
-            if !matches!(op, Op::Read { .. } | Op::ReadBuf { .. }) {
+            if !matches!(op, Op::Read { .. }) {
                 prop_assert!(rig.dev.read_count() == reads_before, "writes never read");
             }
             if !write_back {
@@ -1272,8 +1269,9 @@ mod tests {
         /// and flushes over both policies, write-through and write-back:
         /// every read equals a flat byte model, each request fetches at
         /// most one run, no handle outlives the cache, and the LRU cache
-        /// keeps the blocks — and answers `ReadBuf` with the shape — a
-        /// naive per-block LRU list says it must.
+        /// keeps the blocks — and answers each read, with the device's
+        /// pool dry or not, with the shape — a naive per-block LRU list
+        /// says it must.
         #[test]
         fn reads_match_a_flat_model(
             ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -1303,7 +1301,7 @@ mod tests {
                 assert!(r.is_ok());
             }
             // Inside one slot: a view of the writer's bytes, where they are.
-            match rig.read_buf(&mut ctx, 2, 3 * BLOCK - 100) {
+            match rig.read(&mut ctx, 2, 3 * BLOCK - 100) {
                 RespPayload::DataBuf(h) => {
                     assert!(h.same_slot(&halves[0]), "{type_name}: a view, not a copy");
                     assert_eq!(h.offset(), halves[0].offset() + 2 * BLOCK);
@@ -1313,7 +1311,7 @@ mod tests {
             }
             // Across both: neighbours on the device, not in memory. Each
             // run is a view of its writer's bytes, the last one cut short.
-            match rig.read_buf(&mut ctx, 0, 16 * BLOCK - 100) {
+            match rig.read(&mut ctx, 0, 16 * BLOCK - 100) {
                 RespPayload::DataRuns(runs) => {
                     assert_eq!(runs.len(), 2, "{type_name}");
                     assert!(runs[0].same_slot(&halves[0]) && runs[1].same_slot(&halves[1]));
@@ -1344,7 +1342,7 @@ mod tests {
             let buf = head.clone();
             let r = rig.exec(Payload::Block(BlockOp::WriteBuf { lba: 0, buf }), &mut ctx);
             assert!(r.is_ok());
-            match rig.read_buf(&mut ctx, 0, 4 * BLOCK - 7) {
+            match rig.read(&mut ctx, 0, 4 * BLOCK - 7) {
                 RespPayload::DataRuns(runs) => {
                     assert_eq!(runs.len(), 2, "{type_name}");
                     assert!(runs[0].same_slot(&head), "{type_name}: the resident run");
@@ -1378,7 +1376,7 @@ mod tests {
                     let rig = &rig;
                     s.spawn(move || {
                         std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-                        rig.read_buf(&mut Ctx::new(), 0, 4 * BLOCK - 7)
+                        rig.read(&mut Ctx::new(), 0, 4 * BLOCK - 7)
                     })
                 });
                 readers.map(|r| r.join().unwrap()).into()
@@ -1505,26 +1503,28 @@ mod tests {
         assert!(rig.write(&mut ctx, 2, pattern(2, BLOCK)).is_ok());
         let touched = || std::mem::take(&mut cache.index.lock().policy.touched);
         assert!(matches!(
-            rig.read_buf(&mut ctx, 0, 4 * BLOCK),
+            rig.read(&mut ctx, 0, 4 * BLOCK),
             RespPayload::Data(_)
         ));
         assert_eq!(touched(), [0, 1, 2, 3], "gathered after a broken run");
         assert!(matches!(
-            rig.read_buf(&mut ctx, 0, 2 * BLOCK),
+            rig.read(&mut ctx, 0, 2 * BLOCK),
             RespPayload::DataBuf(_)
         ));
         assert_eq!(touched(), [0, 1], "joined");
+        // Owned windows from the first block on: the run stops at once.
+        assert!(rig.write(&mut ctx, 0, pattern(4, 4 * BLOCK)).is_ok());
         assert!(matches!(
             rig.read(&mut ctx, 0, 4 * BLOCK),
             RespPayload::Data(_)
         ));
-        assert_eq!(touched(), [0, 1, 2, 3], "legacy read");
+        assert_eq!(touched(), [0, 1, 2, 3], "owned windows");
         // A miss in the middle: the hits around it, once each.
         rig.dev.poke(5 * BLOCK_SECTORS, &pattern(3, BLOCK));
         assert!(rig.read(&mut ctx, 4, BLOCK).is_ok());
         assert!(rig.read(&mut ctx, 6, BLOCK).is_ok());
         touched();
-        assert!(rig.read_buf(&mut ctx, 3, 4 * BLOCK).is_ok());
+        assert!(rig.read(&mut ctx, 3, 4 * BLOCK).is_ok());
         assert_eq!(touched(), [3, 4, 6], "one block fetched");
     }
 

@@ -92,17 +92,25 @@ impl CompressMod {
         lba: u64,
         e: Extent,
     ) -> Result<Vec<u8>, RespPayload> {
-        let fwd = req.derive(Payload::Block(BlockOp::Read {
+        let fwd = req.derive(Payload::Block(BlockOp::ReadBuf {
             lba,
             len: e.stored_len,
         }));
-        // The decoder needs owned bytes: a handle or a run list is copied
-        // out once, counted.
-        let stored = crate::generic::owned_bytes(env.forward(ctx, fwd))?;
+        let resp = env.forward(ctx, fwd);
+        // The decoder reads one slice: the answer's own, or a run list
+        // joined by one counted copy.
+        let joined;
+        let stored = match resp.data_bytes() {
+            Some(bytes) => bytes,
+            None => {
+                joined = crate::generic::owned_bytes(resp.clone())?;
+                &joined
+            }
+        };
         if e.raw {
-            let mut d = stored;
-            d.truncate(e.orig_len);
-            Ok(d)
+            let raw = &stored[..e.orig_len.min(stored.len())];
+            labstor_ipc::note_payload_copy(raw.len());
+            Ok(raw.to_vec()) // copy-ok: raw extents decode by a copy out of the answer; counted above
         } else {
             ctx.advance(decompress_cost_ns(e.orig_len));
             decompress(&stored[..e.comp_len.min(stored.len())])
@@ -147,28 +155,24 @@ impl LabMod for CompressMod {
                 let (lba, buf) = (*lba, buf.clone());
                 self.do_write(ctx, env, &req, lba, buf.as_slice())
             }
-            Payload::Block(BlockOp::Read { lba, len } | BlockOp::ReadBuf { lba, len }) => {
-                let zero_copy = matches!(req.payload, Payload::Block(BlockOp::ReadBuf { .. }));
+            Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                 let (lba, len) = (*lba, *len);
                 let extent = self.extents.read().get(&lba).copied();
                 match extent {
                     Some(e) => match self.fetch_decoded(ctx, env, &req, lba, e) {
                         Ok(mut data) => {
                             data.truncate(len.min(data.len()));
-                            // A `ReadBuf`'s decoded bytes land in a pool
-                            // buffer so upstream stages share it by refcount.
-                            let pooled = zero_copy
-                                .then(|| labstor_ipc::default_pool().alloc_from(&data))
-                                .flatten();
-                            match pooled {
+                            // The decoded bytes land in a pool buffer so
+                            // upstream stages share it by refcount.
+                            match labstor_ipc::default_pool().alloc_from(&data) {
                                 Some(h) => RespPayload::DataBuf(h),
-                                None => RespPayload::Data(data), // legacy `Read`, or the pool is dry
+                                None => RespPayload::Data(data), // the pool is dry
                             }
                         }
                         Err(resp) => resp,
                     },
                     // Unknown extent: pass through untouched (downstream
-                    // answers a `ReadBuf` zero-copy directly).
+                    // answers zero-copy directly).
                     None => env.forward(ctx, req),
                 }
             }
@@ -230,7 +234,8 @@ mod tests {
                     self.blocks.lock().insert(lba, data);
                     RespPayload::Len(n)
                 }
-                Payload::Block(BlockOp::Read { lba, len }) => match self.blocks.lock().get(&lba) {
+                Payload::Block(BlockOp::ReadBuf { lba, len }) => match self.blocks.lock().get(&lba)
+                {
                     Some(d) => RespPayload::Data(d[..len.min(d.len())].to_vec()),
                     None => RespPayload::Data(vec![0u8; len]),
                 },
@@ -307,11 +312,11 @@ mod tests {
         let r = exec(
             &mm,
             &stack,
-            Payload::Block(BlockOp::Read { lba: 0, len: orig }),
+            Payload::Block(BlockOp::ReadBuf { lba: 0, len: orig }),
             &mut ctx,
         );
         assert!(
-            matches!(r, RespPayload::Data(d) if d == data),
+            r.data_bytes() == Some(&data[..]),
             "transparent decompression"
         );
     }
@@ -341,13 +346,13 @@ mod tests {
         let r = exec(
             &mm,
             &stack,
-            Payload::Block(BlockOp::Read {
+            Payload::Block(BlockOp::ReadBuf {
                 lba: 8,
                 len: data.len(),
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == data));
+        assert!(r.data_bytes() == Some(&data[..]));
     }
 
     #[test]

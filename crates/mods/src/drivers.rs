@@ -118,17 +118,14 @@ impl<B: Backend> LabMod for DriverMod<B> {
                 IoRequest::write(lba, buf.as_slice(), 0),
                 Answer::Len(buf.len()),
             ),
-            Payload::Block(BlockOp::Read { lba, len }) => {
-                (IoRequest::read(lba, len, 0), Answer::Data)
-            }
             Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                 slot = labstor_ipc::default_pool().alloc(len);
                 // owner-ok: the driver's own DMA target, allocated on the line above (a plain `alloc`, so its owner tag is clear)
                 let io = match slot.as_mut().and_then(BufHandle::as_mut_slice) {
                     Some(dst) => IoRequest::read_into(lba, dst, 0),
-                    // Pool dry (`slot` stays `Some` only while lent): the
-                    // legacy owned `Vec`; upstream stages treat `Data`
-                    // and `DataBuf` uniformly.
+                    // Pool dry (`slot` stays `Some` only while lent): an
+                    // owned `Vec`; upstream stages read every data shape
+                    // alike.
                     None => {
                         slot = None;
                         IoRequest::read(lba, len, 0)
@@ -453,10 +450,6 @@ mod tests {
         Payload::Block(BlockOp::Write { lba, data })
     }
 
-    fn read(lba: u64, len: usize) -> Payload {
-        Payload::Block(BlockOp::Read { lba, len })
-    }
-
     fn write_buf(lba: u64, len: usize, fill: u8) -> Payload {
         write_buf_from(lba, &vec![fill; len])
     }
@@ -500,9 +493,9 @@ mod tests {
             let w = run(&mm, write(8, data.clone()), None, &mut ctx);
             assert!(matches!(w, RespPayload::Len(4096)), "{ty}: {w:?}");
             first_write_ns.push(ctx.now());
-            match run(&mm, read(8, 4096), None, &mut ctx) {
-                RespPayload::Data(d) => assert_eq!(d, data, "{ty}"),
-                other => panic!("{ty}: expected Data, got {other:?}"),
+            match run(&mm, read_buf(8, 4096), None, &mut ctx) {
+                RespPayload::DataBuf(h) => assert_eq!(h.as_slice(), data, "{ty}"),
+                other => panic!("{ty}: expected DataBuf, got {other:?}"),
             }
 
             // The destination a `ReadBuf` is lent holds 0x5A, never the
@@ -548,8 +541,8 @@ mod tests {
                 // Arbitrary length: DAX does not care about sector multiples.
                 let w = run(&mm, write(1234, b"dax bytes".to_vec()), None, &mut ctx);
                 assert!(matches!(w, RespPayload::Len(9)), "{w:?}");
-                match run(&mm, read(1234, 9), None, &mut ctx) {
-                    RespPayload::Data(d) => assert_eq!(&d, b"dax bytes"),
+                match run(&mm, read_buf(1234, 9), None, &mut ctx) {
+                    RespPayload::DataBuf(h) => assert_eq!(h.as_slice(), b"dax bytes"),
                     other => panic!("unexpected {other:?}"),
                 }
             }
@@ -603,7 +596,6 @@ mod tests {
                 let end = devices.pmem(device).unwrap().len() / labstor_sim::SECTOR_SIZE as u64;
                 let mut ctx = Ctx::new();
                 assert!(!run(&mm, write(end, vec![1u8; 512]), None, &mut ctx).is_ok());
-                assert!(!run(&mm, read(end, 512), None, &mut ctx).is_ok());
                 assert!(!run(&mm, read_buf(end, 512), None, &mut ctx).is_ok());
                 continue;
             }
@@ -614,7 +606,6 @@ mod tests {
                 let ops = [
                     ("write", write(8, vec![1u8; 4096])),
                     ("write_buf", write_buf(8, 4096, 1)),
-                    ("read", read(8, 4096)),
                     ("read_buf", read_buf(8, 4096)),
                     ("flush", Payload::Block(BlockOp::Flush)),
                 ];
@@ -629,7 +620,7 @@ mod tests {
         }
     }
 
-    /// `ctx.now()` after each step of {4 KiB Write, 4 KiB Read, 4 KiB
+    /// `ctx.now()` after each step of {4 KiB Write, 4 KiB ReadBuf, 4 KiB
     /// WriteBuf, 4 KiB ReadBuf, Flush, 128 KiB Write} on a fresh machine.
     /// `ctx.busy()` is pinned too: it equals `ctx.now()` on every path,
     /// because a driver polls — it never idles its core — and so is the
@@ -654,7 +645,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let steps = [
             write(8, vec![7u8; 4096]),
-            read(8, 4096),
+            read_buf(8, 4096),
             write_buf(16, 4096, 0xab),
             read_buf(16, 4096),
             Payload::Block(BlockOp::Flush),

@@ -179,11 +179,8 @@ impl LabMod for LabFs {
                     None => RespPayload::Err(format!("{path}: not found")),
                 }
             }
-            Payload::Fs(FsOp::Read { ino, offset, len }) => {
-                self.op_read(ctx, env, &req, *ino, *offset, *len, false)
-            }
             Payload::Fs(FsOp::ReadBuf { ino, offset, len }) => {
-                self.op_read(ctx, env, &req, *ino, *offset, *len, true)
+                self.op_read(ctx, env, &req, *ino, *offset, *len)
             }
             Payload::Fs(FsOp::ReadFiltered {
                 ino,
@@ -254,7 +251,6 @@ impl LabMod for LabFs {
             Payload::Fs(
                 FsOp::Write { .. }
                 | FsOp::WriteBuf { .. }
-                | FsOp::Read { .. }
                 | FsOp::ReadBuf { .. }
                 | FsOp::ReadFiltered { .. },
             ) => 2_000 + req.payload_bytes() as u64,
@@ -361,6 +357,12 @@ mod tests {
         }
     }
 
+    /// A data answer's bytes, whatever its shape.
+    fn bytes_of(resp: &RespPayload) -> Option<Vec<u8>> {
+        resp.data_parts()
+            .map(|parts| parts.collect::<Vec<_>>().concat())
+    }
+
     fn ino_of(resp: RespPayload) -> u64 {
         match resp {
             RespPayload::Ino(i) => i,
@@ -390,14 +392,14 @@ mod tests {
         );
         assert!(matches!(w, RespPayload::Len(n) if n == data.len()));
         let r = h.exec(
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 0,
                 len: data.len(),
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == data));
+        assert_eq!(bytes_of(&r), Some(data));
     }
 
     #[test]
@@ -702,14 +704,14 @@ mod tests {
             &mut ctx,
         );
         let r = h.exec(
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 0,
                 len: FS_BLOCK,
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d.iter().all(|&b| b == 0)));
+        assert_eq!(bytes_of(&r), Some(vec![0u8; FS_BLOCK]));
     }
 
     #[test]
@@ -732,14 +734,14 @@ mod tests {
             &mut ctx,
         );
         let r = h.exec(
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 100,
                 len: 500,
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d.len() == 500 && d.iter().all(|&b| b == 1)));
+        assert_eq!(bytes_of(&r), Some(vec![1u8; 500]));
     }
 
     /// Terminal stage that notes every block command and where each
@@ -787,8 +789,7 @@ mod tests {
                 let (kind, lba, len) = match op {
                     BlockOp::Write { lba, data } => ("write", *lba, data.len()),
                     BlockOp::WriteBuf { lba, buf } => ("write_buf", *lba, buf.len()),
-                    BlockOp::Read { lba, len } => ("read", *lba, *len),
-                    BlockOp::ReadBuf { lba, len } => ("read_buf", *lba, *len),
+                    BlockOp::ReadBuf { lba, len } => ("read", *lba, *len),
                     BlockOp::Flush => ("flush", 0, 0),
                     BlockOp::Discard { lba, len } => {
                         self.discards.lock().push((*lba, *len));
@@ -848,14 +849,14 @@ mod tests {
 
         let len = model.len();
         let r = h.exec(
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 0,
                 len,
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == model));
+        assert_eq!(bytes_of(&r), Some(model));
     }
 
     /// The block commands one fixed script emits when its writes go as
@@ -1087,11 +1088,7 @@ mod tests {
             }),
             &mut ctx,
         );
-        let got = match &r {
-            RespPayload::DataBuf(h2) => h2.as_slice().to_vec(),
-            RespPayload::Data(d) => d.clone(),
-            other => panic!("expected data, got {other:?}"),
-        };
+        let got = bytes_of(&r).expect("data");
         assert_eq!(&got[..], &expect[100..100 + FS_BLOCK + 500]);
     }
 
@@ -1127,15 +1124,16 @@ mod tests {
             matches!(st, RespPayload::Stat(s) if s.size == data.len() as u64 && s.mode == 0o600)
         );
         let r = h.exec(
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 0,
                 len: data.len(),
             }),
             &mut ctx,
         );
-        assert!(
-            matches!(r, RespPayload::Data(d) if d == data),
+        assert_eq!(
+            bytes_of(&r),
+            Some(data),
             "data blocks survive via replayed mappings"
         );
     }
@@ -1285,14 +1283,14 @@ mod tests {
 
     fn assert_file(h: &Harness, ctx: &mut Ctx, ino: u64, fill: u8, len: usize) {
         let r = h.exec(
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 0,
                 len,
             }),
             ctx,
         );
-        let intact = r.data_bytes() == Some(&vec![fill; len][..]);
+        let intact = bytes_of(&r) == Some(vec![fill; len]);
         assert!(
             intact,
             "ino {ino} no longer reads back as {len} x {fill:#x}"
@@ -1342,8 +1340,8 @@ mod tests {
         let w = h.exec(Payload::Fs(FsOp::Write { ino, offset, data }), &mut ctx);
         assert!(matches!(w, RespPayload::Len(10)), "{w:?}");
         let (offset, len) = (0, 110);
-        let r = h.exec(Payload::Fs(FsOp::Read { ino, offset, len }), &mut ctx);
-        r.data_bytes().expect("read after cut").to_vec()
+        let r = h.exec(Payload::Fs(FsOp::ReadBuf { ino, offset, len }), &mut ctx);
+        bytes_of(&r).expect("read after cut")
     }
 
     /// A truncate must mean the same thing replayed as it did live: the
@@ -1390,9 +1388,9 @@ mod tests {
         want.resize(200, 0);
         want.resize(210, 0x55);
         let (offset, len) = (0, 210);
-        let r = h.exec(Payload::Fs(FsOp::Read { ino, offset, len }), &mut ctx);
+        let r = h.exec(Payload::Fs(FsOp::ReadBuf { ino, offset, len }), &mut ctx);
         assert!(
-            r.data_bytes() == Some(&want[..]),
+            bytes_of(&r) == Some(want.clone()),
             "the gap after a shrink reads as zeroes, not the old bytes"
         );
         // Growing by truncate exposes the same zeroes, and the whole
@@ -1406,8 +1404,8 @@ mod tests {
         want.resize(size as usize, 0);
         for recovered in [false, true] {
             let (offset, len) = (0, want.len());
-            let r = h.exec(Payload::Fs(FsOp::Read { ino, offset, len }), &mut ctx);
-            assert!(r.data_bytes() == Some(&want[..]), "recovered: {recovered}");
+            let r = h.exec(Payload::Fs(FsOp::ReadBuf { ino, offset, len }), &mut ctx);
+            assert!(bytes_of(&r) == Some(want.clone()), "recovered: {recovered}");
             assert!(h.exec(Payload::Fs(FsOp::Fsync { ino }), &mut ctx).is_ok());
             h.labfs().state_repair();
         }

@@ -16,6 +16,7 @@ use labstor_sim::Ctx;
 
 use super::meta::LogRecord;
 use super::{LabFs, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
+use crate::generic::owned_bytes;
 
 /// Forward one block op downstream with the request's routing intact.
 pub(super) fn fwd_block(
@@ -116,10 +117,11 @@ impl LabFs {
             None => vec![0u8; FS_BLOCK],
             Some(block) => {
                 let (lba, len) = (block * BLOCK_SECTORS, FS_BLOCK);
-                match fwd_block(ctx, env, req, BlockOp::Read { lba, len }) {
-                    RespPayload::Data(d) => d,
-                    RespPayload::DataBuf(h) => h.to_vec(), // copy-ok: a patch needs owned bytes; to_vec self-counts
-                    other => return other,
+                // A patch needs owned bytes: a view is copied out once,
+                // counted; a dry pool's `Vec` moves.
+                match owned_bytes(fwd_block(ctx, env, req, BlockOp::ReadBuf { lba, len })) {
+                    Ok(d) => d,
+                    Err(other) => return other,
                 }
             }
         };
@@ -298,19 +300,17 @@ impl LabFs {
         RespPayload::Len(len)
     }
 
-    /// Read `[offset, offset + len)`, one block request per run of pages
-    /// that are contiguous on the device — the mirror image of the write
-    /// paths' coalescing. `zero_copy` (the `ReadBuf` op) asks downstream
-    /// for pool handles and may answer with one, with a run list of them
-    /// or with inline bytes; the legacy `Read` op always answers `Data`.
+    /// `ReadBuf`: read `[offset, offset + len)`, one block `ReadBuf` per
+    /// run of pages that are contiguous on the device — the mirror image
+    /// of the write path's coalescing.
     ///
     /// A read that is a single run hands back a window of whatever came
     /// up — `h.slice(..)` of a handle, the views of a run list that the
-    /// window crosses (one view is answered as a handle), the `Vec`
-    /// itself when it starts at the window — with no assembly buffer.
-    /// Holes and scattered files assemble into one `Vec`, each mapped byte
-    /// copied (and counted) once.
-    #[allow(clippy::too_many_arguments)]
+    /// window crosses (one view is answered as a handle), the `Vec` (a
+    /// dry pool's, or a cache's gather over owned windows) itself when it
+    /// starts at the window — with no assembly buffer. Small results ride
+    /// inline. Holes and scattered files assemble into one `Vec`, each
+    /// mapped byte copied (and counted) once.
     pub(super) fn op_read(
         &self,
         ctx: &mut Ctx,
@@ -319,7 +319,6 @@ impl LabFs {
         ino: u64,
         offset: u64,
         len: usize,
-        zero_copy: bool,
     ) -> RespPayload {
         ctx.advance(META_CPU_NS); // inode + mapping lookup
         let first_pg = offset / FS_BLOCK as u64;
@@ -333,27 +332,18 @@ impl LabFs {
         let n = len.min((size - offset) as usize);
         let src = (offset - first_pg * FS_BLOCK as u64) as usize;
         mappings.truncate((src + n).div_ceil(FS_BLOCK));
-        let read = |block: u64, pages: usize| {
-            let (lba, len) = (block * BLOCK_SECTORS, pages * FS_BLOCK);
-            if zero_copy {
-                BlockOp::ReadBuf { lba, len }
-            } else {
-                BlockOp::Read { lba, len }
-            }
+        let read = |block: u64, pages: usize| BlockOp::ReadBuf {
+            lba: block * BLOCK_SECTORS,
+            len: pages * FS_BLOCK,
         };
         let run_from = |i: usize, block: u64| {
             (i..mappings.len())
                 .take_while(|&j| mappings[j] == Some(block + (j - i) as u64))
                 .count()
         };
-        let inline = |win: &[u8]| {
-            // Small results skip the handle round trip and ride by value
-            // in the envelope.
-            zero_copy
-                .then(|| labstor_ipc::InlineData::from_slice(win))
-                .flatten()
-                .map(RespPayload::Inline)
-        };
+        // Small results skip the handle round trip and ride by value in
+        // the envelope.
+        let inline = |win: &[u8]| labstor_ipc::InlineData::from_slice(win).map(RespPayload::Inline);
         if mappings.iter().all(Option::is_none) {
             // Hole: hand back zeroes without touching the stack.
             let zeroes = vec![0u8; n];
@@ -362,27 +352,18 @@ impl LabFs {
         if let Some(block) = mappings[0].filter(|&b| run_from(0, b) == mappings.len()) {
             // One run: no assembly, the answer is a window of the response.
             let short = || RespPayload::Err("short block read".into());
-            let one_view = |win: BufHandle| {
-                inline(win.as_slice()).unwrap_or_else(|| {
-                    if zero_copy {
-                        // The zero-copy path: a view of the cached/DMA'd run.
-                        RespPayload::DataBuf(win)
-                    } else {
-                        // copy-ok: legacy Read answers with owned bytes; to_vec self-counts
-                        RespPayload::Data(win.to_vec())
-                    }
-                })
-            };
+            let one_view =
+                |win: BufHandle| inline(win.as_slice()).unwrap_or(RespPayload::DataBuf(win));
             return match fwd_block(ctx, env, req, read(block, mappings.len())) {
                 RespPayload::DataBuf(h) => h.slice(src, n).map_or_else(short, one_view),
-                RespPayload::DataRuns(runs) if zero_copy => match window(runs, src, n) {
+                RespPayload::DataRuns(runs) => match window(runs, src, n) {
                     None => short(),
                     Some(views) if views.len() > 1 => RespPayload::DataRuns(views),
                     Some(mut views) => views.pop().map_or(RespPayload::Data(Vec::new()), one_view),
                 },
                 RespPayload::Data(mut d) => {
                     let Some(win) = d.get(src..src + n) else {
-                        return RespPayload::Err("short block read".into());
+                        return short();
                     };
                     if let Some(small) = inline(win) {
                         small

@@ -204,7 +204,7 @@ mod tests {
         // refcounted view of the cached block. (Copy-counter deltas are
         // asserted in the dedicated e2e integration test, which owns its
         // process — the global counter races across parallel unit tests.)
-        match rig.read_buf(&mut ctx, 1, BLOCK) {
+        match rig.read(&mut ctx, 1, BLOCK) {
             RespPayload::DataBuf(h) => assert_eq!(h.as_slice(), &[7u8; BLOCK]),
             other => panic!("expected DataBuf, got {other:?}"),
         }
@@ -225,7 +225,7 @@ mod tests {
             .for_each(|(i, x)| *x = (i / 61) as u8)));
         let written = buf.clone();
         rig.exec(Payload::Block(BlockOp::WriteBuf { lba: 0, buf }), &mut ctx);
-        match rig.read_buf(&mut ctx, 0, 16 * BLOCK) {
+        match rig.read(&mut ctx, 0, 16 * BLOCK) {
             RespPayload::DataBuf(h) => {
                 assert!(
                     h.same_slot(&written),
@@ -235,15 +235,23 @@ mod tests {
             }
             other => panic!("expected DataBuf, got {other:?}"),
         }
-        // An inner sub-run joins too; a legacy `Read` of it gathers.
-        match rig.read_buf(&mut ctx, 3, 2 * BLOCK) {
+        // An inner sub-run joins too, and so does one that ends inside
+        // a block.
+        match rig.read(&mut ctx, 3, 2 * BLOCK) {
             RespPayload::DataBuf(h) => {
                 assert_eq!(h.as_slice(), &written.as_slice()[3 * BLOCK..5 * BLOCK])
             }
             other => panic!("expected DataBuf, got {other:?}"),
         }
-        let r = rig.read(&mut ctx, 3, 2 * BLOCK);
-        assert!(matches!(r, RespPayload::Data(d) if d == written.as_slice()[3 * BLOCK..5 * BLOCK]));
+        match rig.read(&mut ctx, 3, 2 * BLOCK - 100) {
+            RespPayload::DataBuf(h) => {
+                assert_eq!(
+                    h.as_slice(),
+                    &written.as_slice()[3 * BLOCK..5 * BLOCK - 100]
+                )
+            }
+            other => panic!("expected DataBuf, got {other:?}"),
+        }
         assert_eq!(rig.dev.read_count(), 0);
         assert_eq!(stats(&rig), (20, 0), "hits are counted in blocks");
     }

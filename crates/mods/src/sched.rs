@@ -7,13 +7,16 @@
 //! there is no block-layer bookkeeping around it — the ~20% latency
 //! reduction the paper reports over the in-kernel versions.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
+use labstor_kernel::sched::{BlkSwitchSched, IoClass, KernelSched};
 use labstor_sim::{Ctx, SimDevice};
+// The tests' hint probe records with these.
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::devices::{device_param, DeviceRegistry};
 
@@ -65,35 +68,21 @@ impl LabMod for NoopSchedMod {
     }
 }
 
-/// Lab-Blk: blk-switch-like steering on live queue depths.
+/// Lab-Blk: the kernel's blk-switch policy
+/// ([`labstor_kernel::sched::BlkSwitchSched`]) run as a LabMod, on live
+/// queue depths.
 pub(crate) struct BlkSwitchSchedMod {
     dev: Arc<SimDevice>,
-    /// Depth above which throughput requests spill to the least-loaded
-    /// queue.
-    congestion_threshold: usize,
-    /// Round-robin cursor for spreading latency requests.
-    cursor: AtomicUsize,
-    /// Bulk-traffic history (app steering).
-    history: labstor_kernel::sched::BulkHistory,
+    sched: BlkSwitchSched,
 }
 
 impl BlkSwitchSchedMod {
     /// Steer over `dev`'s hardware queues.
     pub(crate) fn new(dev: Arc<SimDevice>, congestion_threshold: usize) -> Self {
         BlkSwitchSchedMod {
-            history: labstor_kernel::sched::BulkHistory::new(dev.num_queues()),
+            sched: BlkSwitchSched::new(dev.num_queues(), congestion_threshold),
             dev,
-            congestion_threshold,
-            cursor: AtomicUsize::new(0),
         }
-    }
-
-    fn least_loaded(&self) -> usize {
-        labstor_kernel::sched::least_loaded_queue(
-            &self.dev,
-            &self.history,
-            self.cursor.fetch_add(1, Ordering::Relaxed), // relaxed-ok: fresh-id allocation; atomicity alone suffices
-        )
     }
 }
 
@@ -113,20 +102,14 @@ impl LabMod for BlkSwitchSchedMod {
         // to hurry.
         let is_latency = matches!(&req.payload, Payload::Block(op) if !matches!(op, BlockOp::Flush | BlockOp::Discard { .. }))
             && req.payload_bytes() <= LATENCY_SIZE_BYTES;
-        let n = self.dev.num_queues();
-        let qid = if is_latency {
-            // Steer latency requests to the least-loaded channel group.
-            self.least_loaded()
+        let class = if is_latency {
+            IoClass::Latency
         } else {
-            let home = req.core % n;
-            let qid = if self.dev.queue_depth(home) > self.congestion_threshold {
-                self.least_loaded()
-            } else {
-                home
-            };
-            self.history.record(qid, req.payload_bytes());
-            qid
+            IoClass::Throughput
         };
+        let qid = self
+            .sched
+            .select_queue(&self.dev, req.core, req.payload_bytes(), class);
         req.qid_hint = Some(qid);
         env.forward(ctx, req)
     }

@@ -301,7 +301,7 @@ impl BlockTarget for StackTarget {
     fn submit(&mut self, lba: u64, len: usize, data: Option<Vec<u8>>) -> Result<(), String> {
         let payload = match data {
             Some(d) => Payload::Block(BlockOp::Write { lba, data: d }),
-            None => Payload::Block(BlockOp::Read { lba, len }),
+            None => Payload::Block(BlockOp::ReadBuf { lba, len }),
         };
         self.client
             .submit(&self.stack, payload)

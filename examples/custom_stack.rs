@@ -65,16 +65,14 @@ fn main() {
     let (resp, _) = client
         .execute(
             &zstack,
-            Payload::Block(BlockOp::Read {
+            Payload::Block(BlockOp::ReadBuf {
                 lba: 0,
                 len: compressible.len(),
             }),
         )
         .expect("read back");
-    match resp {
-        labstor::core::RespPayload::Data(d) => assert_eq!(d, compressible),
-        other => panic!("unexpected {other:?}"),
-    }
+    let parts = resp.data_parts().expect("read back data");
+    assert_eq!(parts.collect::<Vec<_>>().concat(), compressible);
     println!("active storage: transparent decompression verified");
 
     // --- Interface convergence: POSIX and KVS side by side ----------------

@@ -59,7 +59,7 @@ fn main() {
         let (_, lat) = fast
             .execute(
                 &stack,
-                Payload::Block(BlockOp::Read {
+                Payload::Block(BlockOp::ReadBuf {
                     lba: i * 8,
                     len: 4096,
                 }),

@@ -11,7 +11,7 @@
 //! blocks, clean or dirty, leave the cache, the dirty ones are never
 //! written back, and the next read of the range goes to the device.
 
-use labstor::core::{BlockOp, Payload, RespPayload, Runtime, RuntimeConfig};
+use labstor::core::{BlockOp, Payload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
 use labstor::mods::{DeviceRegistry, GenericFs};
 use labstor::sim::{BlockDevice, DeviceKind};
@@ -183,9 +183,12 @@ fn discard_drops_clean_and_dirty_blocks(cache: &str) {
     assert!(run(&stack, BlockOp::Write { lba: 32, data }).is_ok());
     assert_eq!(media().writes, 1, "{cache}: write-through");
     let len = 8 * PAGE;
-    match run(&stack, BlockOp::Read { lba: 0, len }) {
-        RespPayload::Data(d) => assert!(d == bytes, "{cache}: all eight resident"),
-        other => panic!("{cache}: {other:?}"),
+    match run(&stack, BlockOp::ReadBuf { lba: 0, len }).data_parts() {
+        Some(d) => assert!(
+            d.collect::<Vec<_>>().concat() == bytes,
+            "{cache}: all eight resident"
+        ),
+        None => panic!("{cache}: no data"),
     }
     assert_eq!(media().reads, 0, "{cache}: all eight resident");
 
@@ -196,13 +199,16 @@ fn discard_drops_clean_and_dirty_blocks(cache: &str) {
         1,
         "{cache}: the dirty blocks were never written"
     );
-    match run(&stack, BlockOp::Read { lba: 0, len }) {
+    match run(&stack, BlockOp::ReadBuf { lba: 0, len }).data_parts() {
         // The dirty blocks never reached the device, which still reads 0.
-        RespPayload::Data(d) => assert!(
-            d[..4 * PAGE].iter().all(|&b| b == 0) && d[4 * PAGE..] == bytes[4 * PAGE..],
-            "{cache}"
-        ),
-        other => panic!("{cache}: {other:?}"),
+        Some(d) => {
+            let d = d.collect::<Vec<_>>().concat();
+            assert!(
+                d[..4 * PAGE].iter().all(|&b| b == 0) && d[4 * PAGE..] == bytes[4 * PAGE..],
+                "{cache}"
+            )
+        }
+        None => panic!("{cache}: no data"),
     }
     assert_eq!(
         media().reads,

@@ -167,7 +167,7 @@ pub fn labfs(all: bool, owned: bool) -> Subject {
     let target = LabStorFsTarget::new(connect(), MOUNT, label);
     let fs: Box<dyn FsTarget> = if owned {
         let (stack, fds) = (stack.clone(), HashMap::new());
-        Box::new(OwnedVerbs {
+        Box::new(OwnedWrites {
             inner: target,
             stack,
             fds,
@@ -198,17 +198,18 @@ pub fn kernel(name: &str, profile: FsProfile, cache_bytes: usize) -> Subject {
     }
 }
 
-/// LabFS through hand-built owned verbs: `FsOp::Write` and `FsOp::Read`
-/// carry their bytes in a `Vec`, where GenericFs sends pool buffers.
-/// Every other call goes through GenericFs.
-struct OwnedVerbs {
+/// LabFS through hand-built owned writes: `FsOp::Write` carries its
+/// bytes in a `Vec`, where GenericFs sends a pool buffer, so the cache
+/// holds owned windows and a read of them gathers. Reads are `FsOp::ReadBuf`
+/// sent by hand; every other call goes through GenericFs.
+struct OwnedWrites {
     inner: LabStorFsTarget,
     stack: Arc<LabStack>,
-    /// fd → (inode, position), for the owned verbs.
+    /// fd → (inode, position), for the hand-built calls.
     fds: HashMap<i32, (u64, u64)>,
 }
 
-impl OwnedVerbs {
+impl OwnedWrites {
     /// Send `op` for `fd`'s inode at its position; advance the position
     /// by the bytes the answer moved.
     fn call(&mut self, fd: i32, op: impl FnOnce(u64, u64) -> FsOp) -> Result<RespPayload, String> {
@@ -220,17 +221,17 @@ impl OwnedVerbs {
             .execute(&self.stack, Payload::Fs(op(ino, pos)))
             .map_err(|e| e.to_string())?
             .0;
-        let moved = match &resp {
-            RespPayload::Len(n) => *n,
-            RespPayload::Data(d) => d.len(),
-            other => return Err(format!("{other:?}")),
+        let moved = match (&resp, resp.data_parts()) {
+            (RespPayload::Len(n), _) => *n,
+            (_, Some(parts)) => parts.map(<[u8]>::len).sum(),
+            (other, None) => return Err(format!("{other:?}")),
         };
         self.fds.insert(fd, (ino, pos + moved as u64));
         Ok(resp)
     }
 }
 
-impl FsTarget for OwnedVerbs {
+impl FsTarget for OwnedWrites {
     fn open(&mut self, path: &str, create: bool, truncate: bool) -> Result<i32, String> {
         let fd = self.inner.open(path, create, truncate)?;
         let st = self.inner.gfs.stat(&format!("{MOUNT}{path}"));
@@ -247,10 +248,11 @@ impl FsTarget for OwnedVerbs {
     }
 
     fn read(&mut self, fd: i32, len: usize) -> Result<Vec<u8>, String> {
-        match self.call(fd, |ino, offset| FsOp::Read { ino, offset, len })? {
-            RespPayload::Data(d) => Ok(d),
-            other => Err(format!("{other:?}")),
-        }
+        let resp = self.call(fd, |ino, offset| FsOp::ReadBuf { ino, offset, len })?;
+        let bytes = resp
+            .data_parts()
+            .map(|parts| parts.collect::<Vec<_>>().concat());
+        bytes.ok_or_else(|| format!("{resp:?}"))
     }
 
     fn seek(&mut self, fd: i32, pos: u64) -> Result<(), String> {
@@ -296,7 +298,7 @@ impl FsTarget for OwnedVerbs {
     }
 
     fn label(&self) -> String {
-        format!("{} with owned verbs", self.inner.label())
+        format!("{} with owned writes", self.inner.label())
     }
 }
 

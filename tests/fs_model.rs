@@ -7,7 +7,8 @@
 //! * LabFS on Lab-D: labfs → lru_cache (32 KiB, write-back, so it
 //!   evicts) → noop_sched → kernel_driver, run in the client. It runs
 //!   once with GenericFs's pool verbs (`WriteBuf`/`ReadBuf`) and once
-//!   with hand-built owned verbs (`FsOp::Write`/`FsOp::Read`);
+//!   with hand-built owned writes (`FsOp::Write`), whose cached windows
+//!   every read of them gathers;
 //! * LabFS on Lab-All: permissions in front, async;
 //! * the ext4-, XFS- and F2FS-like kernel profiles behind the VFS, each
 //!   with a page cache that never evicts (4 MiB) and with one of two
@@ -24,7 +25,7 @@
 //! the model again.
 //!
 //! The alphabet, the targets and the driver are in `fs_harness/`. LabFS
-//! on Lab-D with owned verbs runs in `tests/properties.rs`
+//! on Lab-D with owned writes runs in `tests/properties.rs`
 //! (`labfs_matches_file_model`), next to `live_state_equals_replayed_state`,
 //! which drives the pool-verb target through longer scripts and checks at
 //! the end and after the replay.

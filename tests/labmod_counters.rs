@@ -78,15 +78,14 @@ impl Machine {
     }
 
     fn read_page(&self, ctx: &mut Ctx, core: usize, ino: u64, page: u64) {
-        let read = FsOp::Read {
+        let read = FsOp::ReadBuf {
             ino,
             offset: page * PAGE as u64,
             len: PAGE,
         };
-        match self.exec(ctx, core, Payload::Fs(read)) {
-            RespPayload::Data(d) => assert_eq!(d, vec![page as u8; PAGE]),
-            other => panic!("read: {other:?}"),
-        }
+        let resp = self.exec(ctx, core, Payload::Fs(read));
+        let bytes = resp.data_parts().map(|d| d.collect::<Vec<_>>().concat());
+        assert_eq!(bytes, Some(vec![page as u8; PAGE]), "read: {resp:?}");
     }
 
     /// `(ops, total_ns)` the platform has measured for `uuid`.
@@ -115,7 +114,7 @@ impl LabMod for Yielder {
         ctx.advance(1_000);
         match req.payload {
             Payload::Block(BlockOp::Write { data, .. }) => RespPayload::Len(data.len()),
-            Payload::Block(BlockOp::Read { len, .. }) => RespPayload::Data(vec![0; len]),
+            Payload::Block(BlockOp::ReadBuf { len, .. }) => RespPayload::Data(vec![0; len]),
             _ => RespPayload::Ok,
         }
     }

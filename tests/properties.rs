@@ -248,8 +248,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// LabFS on Lab-D through hand-built owned verbs (`FsOp::Write` and
-    /// `FsOp::Read` carry their bytes in a `Vec`) equals `FsModel` after
+    /// LabFS on Lab-D through hand-built owned writes (`FsOp::Write`
+    /// carries its bytes in a `Vec`) equals `FsModel` after
     /// every step, and after the `repair_all` that follows each fsync.
     /// One of the targets of the proptest in `tests/fs_model.rs`.
     #[test]

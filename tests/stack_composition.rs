@@ -2,7 +2,7 @@
 //! multi-view deployment, live DAG modification, and authorization.
 
 use labstor::core::stack::Vertex;
-use labstor::core::{BlockOp, Payload, RespPayload, Runtime, RuntimeConfig, StackSpec};
+use labstor::core::{BlockOp, Payload, Runtime, RuntimeConfig, StackSpec};
 use labstor::ipc::Credentials;
 use labstor::mods::DeviceRegistry;
 use labstor::sim::{BlockDevice, DeviceKind};
@@ -58,13 +58,14 @@ fn compression_stack_shrinks_device_traffic() {
     let (resp, _) = client
         .execute(
             &stack,
-            Payload::Block(BlockOp::Read {
+            Payload::Block(BlockOp::ReadBuf {
                 lba: 0,
                 len: data.len(),
             }),
         )
         .unwrap();
-    assert!(matches!(resp, RespPayload::Data(d2) if d2 == data));
+    let parts = resp.data_parts().map(|p| p.collect::<Vec<_>>().concat());
+    assert_eq!(parts, Some(data));
     rt.shutdown();
 }
 
@@ -92,9 +93,10 @@ fn dax_stack_serves_byte_addressable_pmem() {
         .unwrap();
     assert!(resp.is_ok());
     let (resp, _) = client
-        .execute(&stack, Payload::Block(BlockOp::Read { lba: 3, len: 5 }))
+        .execute(&stack, Payload::Block(BlockOp::ReadBuf { lba: 3, len: 5 }))
         .unwrap();
-    assert!(matches!(resp, RespPayload::Data(d) if d == b"bytes"));
+    let parts = resp.data_parts().map(|p| p.collect::<Vec<_>>().concat());
+    assert_eq!(parts.as_deref(), Some(&b"bytes"[..]));
     rt.shutdown();
 }
 
@@ -271,13 +273,14 @@ fn cache_policy_hot_swap_through_upgrade_protocol() {
         let (resp, _) = client
             .execute(
                 &stack,
-                Payload::Block(BlockOp::Read {
+                Payload::Block(BlockOp::ReadBuf {
                     lba: lba * 8,
                     len: 4096,
                 }),
             )
             .unwrap();
-        assert!(matches!(resp, RespPayload::Data(dta) if dta == vec![lba as u8; 4096]));
+        let parts = resp.data_parts().map(|p| p.collect::<Vec<_>>().concat());
+        assert_eq!(parts, Some(vec![lba as u8; 4096]));
     }
     // Wait for the swap to land (pending_upgrades drops when the admin
     // *starts*; poll the registry for the installed instance instead).
@@ -299,7 +302,7 @@ fn cache_policy_hot_swap_through_upgrade_protocol() {
         let (resp, _) = client
             .execute(
                 &stack,
-                Payload::Block(BlockOp::Read {
+                Payload::Block(BlockOp::ReadBuf {
                     lba: lba * 8,
                     len: 4096,
                 }),

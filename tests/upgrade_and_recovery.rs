@@ -194,16 +194,20 @@ fn crash_then_restart_recovers_labfs_state() {
     let (resp, _) = client
         .execute_with_retry(
             &stack,
-            Payload::Fs(FsOp::Read {
+            Payload::Fs(FsOp::ReadBuf {
                 ino,
                 offset: 0,
                 len: data.len(),
             }),
         )
         .unwrap();
-    match resp {
-        RespPayload::Data(d) => assert_eq!(d, data, "log replay restored the mapping"),
-        other => panic!("read failed after recovery: {other:?}"),
+    match resp.data_parts() {
+        Some(d) => assert_eq!(
+            d.collect::<Vec<_>>().concat(),
+            data,
+            "log replay restored the mapping"
+        ),
+        None => panic!("read failed after recovery: {resp:?}"),
     }
     rt.shutdown();
 }
@@ -517,14 +521,15 @@ fn storage_mod_upgrade_mid_workload_keeps_every_pre_upgrade_byte() {
             resp.data_bytes() == Some(&kv_fill(i)[..]),
             "value k{i} changed across the upgrade"
         );
-        let read = FsOp::Read {
+        let read = FsOp::ReadBuf {
             ino,
             offset: 0,
             len: len(i),
         };
         let (resp, _) = client.execute(&fs, Payload::Fs(read)).unwrap();
+        let parts = resp.data_parts().map(|p| p.collect::<Vec<_>>().concat());
         assert!(
-            resp.data_bytes() == Some(&fs_fill(i)[..]),
+            parts == Some(fs_fill(i)),
             "file /f{i} changed across the upgrade"
         );
     }

@@ -5,7 +5,8 @@
 //! hook (`labstor::ipc::payload_copies`). A `GenericFs::write` of
 //! caller-owned bytes pays exactly one counted copy, and the page reads
 //! back the same way. A hand-built legacy `FsOp::Write` counts exactly
-//! the bytes LabFS patches and assembles, and none when its `Vec` moves.
+//! the bytes LabFS patches and assembles and the base page a patch
+//! copies out, and none when its `Vec` moves.
 //!
 //! This file intentionally holds a single test: the counter is
 //! process-global, and rust integration-test files are separate
@@ -125,13 +126,15 @@ fn labfs_readbuf_round_trip_is_byte_identical_and_copy_free() {
     // copies are all the counter sees. Whole pages on one device run move
     // the caller's `Vec` and copy nothing; an unaligned write patches the
     // mapped page it starts in and assembles its fresh pages into one
-    // run, each byte copied and counted once.
+    // run, each byte copied and counted once. The patch reads its base
+    // page with `ReadBuf`, the one read verb, and copies the driver's
+    // pool buffer out once, counted: one more copy, of a page.
     devices.add_preset("nvme1", DeviceKind::Nvme);
     let bare = rt.mount_stack_json(BARE).unwrap();
     let fd = fs.open("fs::/zc_bare/legacy.bin", true, false).unwrap();
     let ino = fs.stat("fs::/zc_bare/legacy.bin").unwrap().ino;
     let mut model: Vec<u8> = Vec::new();
-    for (offset, len, copies) in [(0, 2 * PAGE, 0), (2 * PAGE - 100, 100 + PAGE + 50, 2)] {
+    for (offset, len, copies) in [(0, 2 * PAGE, 0), (2 * PAGE - 100, 100 + PAGE + 50, 3)] {
         let data: Vec<u8> = (0..len).map(|i| (i % 239) as u8).collect();
         model.resize(model.len().max(offset + len), 0);
         model[offset..offset + len].copy_from_slice(&data);
@@ -149,7 +152,7 @@ fn labfs_readbuf_round_trip_is_byte_identical_and_copy_free() {
             copies,
             "at {offset}"
         );
-        let copied = if copies == 0 { 0 } else { len as u64 };
+        let copied = if copies == 0 { 0 } else { (len + PAGE) as u64 };
         assert_eq!(
             labstor::ipc::payload_copy_bytes() - bytes_before,
             copied,
