@@ -58,11 +58,14 @@ echo "== sample Chrome trace (and: per-LabMod counters == span anatomy, to the n
 cargo run -q --release --example telemetry -- target/bench/telemetry_trace.json
 test -s target/bench/telemetry_trace.json
 
-echo "== crash-recovery, split-stack, custom-stack and multi-tenant examples (their asserts run only here)"
+echo "== crash-recovery, split-stack, custom-stack, multi-tenant, quickstart, pushdown and live-upgrade examples (their asserts run only here)"
 cargo run -q --release --example crash_recovery
 cargo run -q --release --example decentralized_split
 cargo run -q --release --example custom_stack
 cargo run -q --release --example multi_tenant
+cargo run -q --release --example quickstart
+cargo run -q --release --example pushdown
+cargo run -q --release --example live_upgrade
 
 echo "== gate bench smokes (each writes target/bench/BENCH_<name>.json and exits 1 if a check fails)"
 for bench in bench_ipc bench_datapath bench_tenants bench_reactor bench_pushdown crash_fuzz; do

@@ -8,13 +8,11 @@
 //! ([`LabFs::patch_page`]); the metadata they change goes through
 //! `FsNode::apply` and the store's `commit`.
 
-use std::collections::HashSet;
-
 use labstor_core::{BlockOp, FsOp, Payload, Request, RespPayload, StackEnv};
 use labstor_ipc::BufHandle;
 use labstor_sim::Ctx;
 
-use super::meta::LogRecord;
+use super::meta::{LogRecord, Runs};
 use super::{LabFs, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
 use crate::generic::owned_bytes;
 
@@ -60,8 +58,9 @@ impl Source {
 
 impl LabFs {
     /// Map `[offset, offset+len)` of `ino` to device blocks, allocating
-    /// and logging as needed (a write's metadata half). Returns the
-    /// (page, block) extents and the set of freshly mapped pages.
+    /// and logging as needed (a write's metadata half). Returns the runs
+    /// behind the range and the records logged, whose `MapBlock`s name
+    /// the freshly mapped pages.
     ///
     /// A write that starts past an end of file lying inside a mapped page
     /// first zeroes that page from the old end on: what a crash left there
@@ -76,19 +75,15 @@ impl LabFs {
         ino: u64,
         offset: u64,
         len: usize,
-    ) -> Result<(Vec<(u64, u64)>, HashSet<u64>), RespPayload> {
+    ) -> Result<(Runs, Vec<LogRecord>), RespPayload> {
         let alloc = || self.store.alloc_run(ctx, req.core, 1);
-        let (recs, extents, stale) =
+        let (recs, runs, stale) =
             self.store
                 .state
                 .map_pages(ino, (offset, len), req.creds.uid, alloc)?;
         // Log only what changed: new mappings and growth. `map_pages`
         // applied them all under one inode lock.
-        let mut fresh = HashSet::new();
         for rec in &recs {
-            if let LogRecord::MapBlock { page, .. } = rec {
-                fresh.insert(*page);
-            }
             self.store.log_applied(ctx, req.core, rec);
         }
         if let Some((block, keep)) = stale {
@@ -97,7 +92,7 @@ impl LabFs {
                 return Err(r);
             }
         }
-        Ok((extents, fresh))
+        Ok((runs, recs))
     }
 
     /// Write one page to block `dst`: zeroes, or what block `base` holds
@@ -156,13 +151,14 @@ impl LabFs {
             };
         }
         let keep = (size % FS_BLOCK as u64) as usize;
-        let copy = match tail[0].filter(|_| size < old && keep != 0) {
+        let copy = match tail.first().filter(|_| size < old && keep != 0) {
             None => None,
-            Some(block) => {
+            Some(run) => {
                 let Some(fresh) = self.store.alloc_run(ctx, req.core, 1) else {
                     return RespPayload::Err("no space".into());
                 };
-                let r = self.patch_page(ctx, env, req, Some(block), fresh, |p| p[keep..].fill(0));
+                let r =
+                    self.patch_page(ctx, env, req, Some(run.block), fresh, |p| p[keep..].fill(0));
                 if !r.is_ok() {
                     return r;
                 }
@@ -231,70 +227,81 @@ impl LabFs {
             // No bytes change nothing, not even the size (POSIX).
             return RespPayload::Len(0);
         }
-        let (extents, fresh) = match self.map_range(ctx, env, req, ino, offset, len) {
+        let (runs, recs) = match self.map_range(ctx, env, req, ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
+        };
+        let fresh = |pg: u64| {
+            recs.iter()
+                .any(|r| matches!(*r, LogRecord::MapBlock { page, .. } if page == pg))
         };
         let end = offset + len as u64;
         let page = FS_BLOCK as u64;
         let owned = matches!(src, Source::Owned(_));
-        let joins = |(pg, _): (u64, u64)| {
+        let joins = |pg: u64| {
             let full = offset <= pg * page && (pg + 1) * page <= end;
-            full || (owned && fresh.contains(&pg))
+            full || (owned && fresh(pg))
         };
-        let mut i = 0usize;
-        while i < extents.len() {
-            let (pg, block) = extents[i];
-            let joined = joins(extents[i]);
-            let pages = 1 + extents[i + 1..]
-                .iter()
-                .zip(&extents[i..])
-                .take_while(|&(&next, prev)| joined && next.1 == prev.1 + 1 && joins(next))
-                .count();
-            i += pages;
-            // These pages, and the bytes of `src` that land in them, from
-            // `at` on.
-            let (start, run) = (pg * page, pages * FS_BLOCK);
-            let from = start.max(offset);
-            let bytes = (from - offset) as usize..((start + run as u64).min(end) - offset) as usize;
-            let at = (from - start) as usize;
-            let r = if !joined {
-                let base = (!fresh.contains(&pg)).then_some(block);
-                let bytes = &src.as_slice()[bytes];
-                self.patch_page(ctx, env, req, base, block, |p| {
-                    labstor_ipc::note_payload_copy(bytes.len());
-                    p[at..at + bytes.len()].copy_from_slice(bytes); // copy-ok: partial-page patch; counted above
-                })
-            } else {
-                let lba = block * BLOCK_SECTORS;
-                let op = match &mut src {
-                    Source::Buf(buf) => match buf.slice(bytes.start, run) {
-                        Some(buf) => BlockOp::WriteBuf { lba, buf },
-                        None => {
-                            return RespPayload::Err("write buffer shorter than its extent".into())
-                        }
-                    },
-                    // The whole `Vec` on one run: it goes downstream as
-                    // the caller allocated it, neither zeroed nor copied.
-                    Source::Owned(data) if start == offset && run == len => BlockOp::Write {
-                        lba,
-                        data: std::mem::take(data),
-                    },
-                    // Zero only what the bytes do not cover: the head of
-                    // a fresh first page, the tail of a fresh last one.
-                    Source::Owned(data) => {
-                        let mut padded = Vec::with_capacity(run);
-                        padded.resize(at, 0);
+        // Each run's pages are contiguous on the device: cut it into
+        // stretches of joining pages and single pages that do not.
+        for run in runs.iter() {
+            let mut next = run.page;
+            while next < run.end() {
+                let (pg, joined) = (next, joins(next));
+                next += 1;
+                while joined && next < run.end() && joins(next) {
+                    next += 1;
+                }
+                let (block, pages) = (run.block + (pg - run.page), next - pg);
+                // These pages, and the bytes of `src` that land in them, from
+                // `at` on.
+                let (start, run_len) = (pg * page, pages as usize * FS_BLOCK);
+                let from = start.max(offset);
+                let bytes =
+                    (from - offset) as usize..((start + run_len as u64).min(end) - offset) as usize;
+                let at = (from - start) as usize;
+                let r = if !joined {
+                    let base = (!fresh(pg)).then_some(block);
+                    let bytes = &src.as_slice()[bytes];
+                    self.patch_page(ctx, env, req, base, block, |p| {
                         labstor_ipc::note_payload_copy(bytes.len());
-                        padded.extend_from_slice(&data[bytes]); // copy-ok: run assembly of owned bytes; counted above
-                        padded.resize(run, 0);
-                        BlockOp::Write { lba, data: padded }
-                    }
+                        p[at..at + bytes.len()].copy_from_slice(bytes); // copy-ok: partial-page patch; counted above
+                    })
+                } else {
+                    let lba = block * BLOCK_SECTORS;
+                    let op = match &mut src {
+                        Source::Buf(buf) => match buf.slice(bytes.start, run_len) {
+                            Some(buf) => BlockOp::WriteBuf { lba, buf },
+                            None => {
+                                return RespPayload::Err(
+                                    "write buffer shorter than its extent".into(),
+                                )
+                            }
+                        },
+                        // The whole `Vec` on one run: it goes downstream as
+                        // the caller allocated it, neither zeroed nor copied.
+                        Source::Owned(data) if start == offset && run_len == len => {
+                            BlockOp::Write {
+                                lba,
+                                data: std::mem::take(data),
+                            }
+                        }
+                        // Zero only what the bytes do not cover: the head of
+                        // a fresh first page, the tail of a fresh last one.
+                        Source::Owned(data) => {
+                            let mut padded = Vec::with_capacity(run_len);
+                            padded.resize(at, 0);
+                            labstor_ipc::note_payload_copy(bytes.len());
+                            padded.extend_from_slice(&data[bytes]); // copy-ok: run assembly of owned bytes; counted above
+                            padded.resize(run_len, 0);
+                            BlockOp::Write { lba, data: padded }
+                        }
+                    };
+                    fwd_block(ctx, env, req, op)
                 };
-                fwd_block(ctx, env, req, op)
-            };
-            if !r.is_ok() {
-                return r;
+                if !r.is_ok() {
+                    return r;
+                }
             }
         }
         RespPayload::Len(len)
@@ -322,7 +329,7 @@ impl LabFs {
     ) -> RespPayload {
         ctx.advance(META_CPU_NS); // inode + mapping lookup
         let first_pg = offset / FS_BLOCK as u64;
-        let (size, mut mappings) = match self.store.state.page_map(ino, offset, len) {
+        let (size, runs) = match self.store.state.page_map(ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };
@@ -331,30 +338,28 @@ impl LabFs {
         }
         let n = len.min((size - offset) as usize);
         let src = (offset - first_pg * FS_BLOCK as u64) as usize;
-        mappings.truncate((src + n).div_ceil(FS_BLOCK));
-        let read = |block: u64, pages: usize| BlockOp::ReadBuf {
+        let pages = (src + n).div_ceil(FS_BLOCK) as u64;
+        let read = |block: u64, pages: u64| BlockOp::ReadBuf {
             lba: block * BLOCK_SECTORS,
-            len: pages * FS_BLOCK,
-        };
-        let run_from = |i: usize, block: u64| {
-            (i..mappings.len())
-                .take_while(|&j| mappings[j] == Some(block + (j - i) as u64))
-                .count()
+            len: pages as usize * FS_BLOCK,
         };
         // Small results skip the handle round trip and ride by value in
         // the envelope.
         let inline = |win: &[u8]| labstor_ipc::InlineData::from_slice(win).map(RespPayload::Inline);
-        if mappings.iter().all(Option::is_none) {
+        if runs.is_empty() {
             // Hole: hand back zeroes without touching the stack.
             let zeroes = vec![0u8; n];
             return inline(&zeroes).unwrap_or(RespPayload::Data(zeroes));
         }
-        if let Some(block) = mappings[0].filter(|&b| run_from(0, b) == mappings.len()) {
+        if let Some(run) = runs
+            .first()
+            .filter(|r| r.page == first_pg && r.pages == pages)
+        {
             // One run: no assembly, the answer is a window of the response.
             let short = || RespPayload::Err("short block read".into());
             let one_view =
                 |win: BufHandle| inline(win.as_slice()).unwrap_or(RespPayload::DataBuf(win));
-            return match fwd_block(ctx, env, req, read(block, mappings.len())) {
+            return match fwd_block(ctx, env, req, read(run.block, pages)) {
                 RespPayload::DataBuf(h) => h.slice(src, n).map_or_else(short, one_view),
                 RespPayload::DataRuns(runs) => match window(runs, src, n) {
                     None => short(),
@@ -380,21 +385,15 @@ impl LabFs {
         }
         // Holes or scattered runs: assemble. Holes stay zero.
         let mut out = vec![0u8; n];
-        let mut i = 0usize;
-        while i < mappings.len() {
-            let Some(block) = mappings[i] else {
-                i += 1;
-                continue;
-            };
-            let pages = run_from(i, block);
-            let resp = fwd_block(ctx, env, req, read(block, pages));
+        for run in runs.iter() {
+            let resp = fwd_block(ctx, env, req, read(run.block, run.pages));
             let Some(parts) = resp.data_parts() else {
                 return resp;
             };
             // This run's bytes within the request and within the response.
-            let run_start = (first_pg + i as u64) * FS_BLOCK as u64;
+            let run_start = run.page * FS_BLOCK as u64;
             let copy_from = run_start.max(offset);
-            let copy_to = (run_start + (pages * FS_BLOCK) as u64).min(offset + n as u64);
+            let copy_to = (run.end() * FS_BLOCK as u64).min(offset + n as u64);
             let cnt = (copy_to - copy_from) as usize;
             let mut skip = (copy_from - run_start) as usize;
             let (mut dst, end) = ((copy_from - offset) as usize, (copy_to - offset) as usize);
@@ -410,7 +409,6 @@ impl LabFs {
                 return RespPayload::Err("short block read".into());
             }
             labstor_ipc::note_payload_copy(cnt);
-            i += pages;
         }
         RespPayload::Data(out)
     }

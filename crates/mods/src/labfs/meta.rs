@@ -170,11 +170,180 @@ impl LogRecord {
 /// sorted (page, block) map.
 pub(crate) type NameSnapshot = (String, FileStat, Vec<(u64, u64)>);
 
+/// Pages `[page, page + pages)` of a file, on device blocks
+/// `[block, block + pages)`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(super) struct Run {
+    pub(super) page: u64,
+    pub(super) block: u64,
+    pub(super) pages: u64,
+}
+
+impl Run {
+    /// The first page past the run.
+    pub(super) fn end(&self) -> u64 {
+        self.page + self.pages
+    }
+
+    fn blocks(&self) -> Range<u64> {
+        self.block..self.block + self.pages
+    }
+}
+
+/// Runs a lookup returns inline; more spill to the heap.
+const INLINE_RUNS: usize = 4;
+
+/// The runs behind a range of pages, in page order, as a slice. Up to
+/// [`INLINE_RUNS`] of them take no heap allocation, so a lookup on a file
+/// laid out in one run (or a few) allocates nothing.
+#[derive(Default)]
+pub(super) struct Runs {
+    inline: [Run; INLINE_RUNS],
+    len: usize,
+    /// Every run, once there are more than fit inline.
+    spill: Vec<Run>,
+}
+
+impl Runs {
+    fn push(&mut self, run: Run) {
+        if self.spill.is_empty() && self.len < INLINE_RUNS {
+            self.inline[self.len] = run;
+            self.len += 1;
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(run);
+        }
+    }
+}
+
+impl std::ops::Deref for Runs {
+    type Target = [Run];
+
+    fn deref(&self) -> &[Run] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+/// A file's page map as runs: sorted by page, disjoint, and each as long
+/// as it can be (no run ends where the next begins, on the block just
+/// before the next one's). Its bump allocator lays a file out in a few
+/// runs, so a lookup is one binary search and a range's answer a few
+/// runs, however many pages it spans.
+#[derive(Clone, Default)]
+struct RunMap(Vec<Run>);
+
+impl RunMap {
+    /// The index of the first run that ends past `page`.
+    fn find(&self, page: u64) -> usize {
+        self.0.partition_point(|r| r.end() <= page)
+    }
+
+    /// The block behind `page`, `None` for a hole.
+    fn get(&self, page: u64) -> Option<u64> {
+        let run = self.0.get(self.find(page))?;
+        (run.page <= page).then(|| run.block + (page - run.page))
+    }
+
+    /// The runs behind `pages`, cut to them; holes are left out.
+    fn runs(&self, pages: Range<u64>) -> Runs {
+        let mut out = Runs::default();
+        if pages.is_empty() {
+            return out;
+        }
+        for run in self.0[self.find(pages.start)..]
+            .iter()
+            .take_while(|r| r.page < pages.end)
+        {
+            let (lo, hi) = (run.page.max(pages.start), run.end().min(pages.end));
+            let block = run.block + (lo - run.page);
+            out.push(Run {
+                page: lo,
+                block,
+                pages: hi - lo,
+            });
+        }
+        out
+    }
+
+    /// Map `page` to `block`, joining the runs on either side that it
+    /// continues, and return the block it mapped before: a remap splits
+    /// its run around the page.
+    fn map(&mut self, page: u64, block: u64) -> Option<u64> {
+        let old = self.unmap(page);
+        let i = self.find(page);
+        let pages = 1;
+        self.0.insert(i, Run { page, block, pages });
+        self.join(i);
+        if i > 0 {
+            self.join(i - 1);
+        }
+        old
+    }
+
+    /// Make runs `i` and `i + 1` one when the second continues the first.
+    fn join(&mut self, i: usize) {
+        if let Some(&[a, b]) = self.0.get(i..i + 2) {
+            if a.end() == b.page && a.blocks().end == b.block {
+                self.0[i].pages += b.pages;
+                self.0.remove(i + 1);
+            }
+        }
+    }
+
+    /// Unmap `page`, splitting its run around it, and return its block.
+    fn unmap(&mut self, page: u64) -> Option<u64> {
+        let i = self.split(page);
+        self.split(page + 1);
+        (self.0.get(i)?.page == page).then(|| self.0.remove(i).block)
+    }
+
+    /// Unmap every page from `keep` on and push their blocks onto `freed`.
+    fn cut(&mut self, keep: u64, freed: &mut Vec<u64>) {
+        let i = self.split(keep);
+        freed.extend(self.0.drain(i..).flat_map(|r| r.blocks()));
+    }
+
+    /// Cut the run that holds `page` past its first page in two, so that
+    /// no run spans `page - 1` and `page`, and return the index of the
+    /// first run from `page` on.
+    fn split(&mut self, page: u64) -> usize {
+        let i = self.find(page);
+        match self.0.get(i).copied() {
+            Some(run) if run.page < page => {
+                let head = page - run.page;
+                self.0[i].pages = head;
+                let (block, pages) = (run.block + head, run.pages - head);
+                self.0.insert(i + 1, Run { page, block, pages });
+                i + 1
+            }
+            _ => i,
+        }
+    }
+
+    /// Every block the map holds, in page order.
+    fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().flat_map(Run::blocks)
+    }
+
+    /// Every `(page, block)`, in page order.
+    fn pages(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.0
+            .iter()
+            .flat_map(|r| (0..r.pages).map(move |k| (r.page + k, r.block + k)))
+    }
+}
+
 #[derive(Clone)]
 struct FsNode {
     stat: FileStat,
-    /// page index → device block.
-    blocks: HashMap<u64, u64>,
+    /// Page index → device block, as runs.
+    blocks: RunMap,
     /// Provenance: operations applied to this inode.
     ops: u64,
     /// Provenance: uid of the last writer.
@@ -183,24 +352,24 @@ struct FsNode {
 
 impl FsNode {
     /// Apply a node-level record and return the blocks it unmapped. A
-    /// `SetSize` that shrinks the file drops the mappings past the new
-    /// end, so a later write there starts from a fresh block; one that
-    /// grows it touches no mapping (an append stays O(pages written), not
-    /// O(pages mapped)). A `MapBlock` over a mapped page (a truncate's
-    /// remap of its tail) unmaps the old block.
+    /// `SetSize` that shrinks the file cuts the runs past the new end, so
+    /// a later write there starts from a fresh block; one that grows it
+    /// touches no mapping. A `MapBlock` joins the run it continues (an
+    /// append's page extends the last run); over a mapped page (a
+    /// truncate's remap of its tail) it splits that page's run and
+    /// unmaps the old block.
     fn apply(&mut self, rec: &LogRecord) -> Vec<u64> {
         match *rec {
             LogRecord::SetSize { size, .. } => {
                 let mut freed = Vec::new();
                 if size < self.stat.size {
-                    let keep = size.div_ceil(FS_BLOCK as u64);
-                    freed.extend(self.blocks.extract_if(|&pg, _| pg >= keep).map(|(_, b)| b));
+                    self.blocks.cut(size.div_ceil(FS_BLOCK as u64), &mut freed);
                 }
                 self.stat.size = size;
                 freed
             }
             LogRecord::MapBlock { page, block, .. } => {
-                self.blocks.insert(page, block).into_iter().collect()
+                self.blocks.map(page, block).into_iter().collect()
             }
             // Namespace records change the maps, not an inode.
             LogRecord::Create { .. } | LogRecord::Unlink { .. } | LogRecord::Rename { .. } => {
@@ -329,7 +498,7 @@ impl StateMachine for Meta {
                 };
                 let node = FsNode {
                     stat,
-                    blocks: HashMap::new(),
+                    blocks: RunMap::default(),
                     ops: 1,
                     last_writer: *uid,
                 };
@@ -426,7 +595,7 @@ impl Meta {
     /// blocks its pages mapped.
     fn drop_node(&self, ino: u64) -> Vec<u64> {
         let node = self.node_shard(ino).write().remove(&ino);
-        node.map_or_else(Vec::new, |n| n.blocks.into_values().collect())
+        node.map_or_else(Vec::new, |n| n.blocks.blocks().collect())
     }
 
     /// Write-lock the name shards whose index `want` picks, in index
@@ -468,7 +637,7 @@ impl Meta {
     /// supplies the missing ones, all of them before anything changes —
     /// and grow the size to cover the range. Every change is a record,
     /// made by `FsNode::apply` and returned for the caller to log. With
-    /// them come the (page, block) extents and, when the range starts
+    /// them come the runs behind the range and, when the range starts
     /// past an end of file that lies inside a mapped page, that page's
     /// `(block, offset of the old end in it)`.
     #[allow(clippy::type_complexity)]
@@ -478,7 +647,7 @@ impl Meta {
         (offset, len): (u64, usize),
         writer: u32,
         mut alloc: impl FnMut() -> Option<u64>,
-    ) -> Result<(Vec<LogRecord>, Vec<(u64, u64)>, Option<(u64, usize)>), RespPayload> {
+    ) -> Result<(Vec<LogRecord>, Runs, Option<(u64, usize)>), RespPayload> {
         let mut shard = self.node_shard(ino).write();
         let Some(node) = shard.get_mut(&ino) else {
             return Err(RespPayload::Err(format!("no inode {ino}")));
@@ -489,9 +658,9 @@ impl Meta {
         let (old, end) = (node.stat.size, offset + len as u64);
         let old_end = (old % FS_BLOCK as u64) as usize;
         let stale = (offset > old && old_end != 0)
-            .then(|| node.blocks.get(&(old / FS_BLOCK as u64)))
+            .then(|| node.blocks.get(old / FS_BLOCK as u64))
             .flatten()
-            .map(|&block| (block, old_end));
+            .map(|block| (block, old_end));
         let first_pg = offset / FS_BLOCK as u64;
         // No bytes, no pages: a truncate grows a file by such a range.
         let last_pg = if len == 0 {
@@ -499,19 +668,19 @@ impl Meta {
         } else {
             end.div_ceil(FS_BLOCK as u64)
         };
-        let (mut recs, mut extents) = (Vec::new(), Vec::new());
-        for page in first_pg..last_pg {
-            let block = match node.blocks.get(&page) {
-                Some(&block) => block,
-                None => {
-                    let Some(block) = alloc() else {
-                        return Err(RespPayload::Err("no space".into()));
-                    };
-                    recs.push(LogRecord::MapBlock { ino, page, block });
-                    block
-                }
-            };
-            extents.push((page, block));
+        let mapped = node.blocks.runs(first_pg..last_pg);
+        // The holes are the gaps between the mapped runs.
+        let mut recs = Vec::new();
+        let mut hole_start = first_pg;
+        let bounds = mapped.iter().map(|r| (r.page, r.end()));
+        for (hole_end, next) in bounds.chain([(last_pg, last_pg)]) {
+            for page in hole_start..hole_end {
+                let Some(block) = alloc() else {
+                    return Err(RespPayload::Err("no space".into()));
+                };
+                recs.push(LogRecord::MapBlock { ino, page, block });
+            }
+            hole_start = next;
         }
         if end > old {
             recs.push(LogRecord::SetSize { ino, size: end });
@@ -520,9 +689,14 @@ impl Meta {
         for rec in &recs {
             node.apply(rec);
         }
+        let runs = if recs.is_empty() {
+            mapped
+        } else {
+            node.blocks.runs(first_pg..last_pg)
+        };
         node.ops += 1;
         node.last_writer = writer;
-        Ok((recs, extents, stale))
+        Ok((recs, runs, stale))
     }
 
     /// The inode number for a create's record; wasted if the create then
@@ -540,14 +714,15 @@ impl Meta {
         self.node_shard(ino).read().get(&ino).map(|n| n.stat)
     }
 
-    /// The size of file `ino` and the device block behind each page of
-    /// `[offset, offset + len)` (`None` = hole).
+    /// The size of file `ino` and the runs behind the pages of
+    /// `[offset, offset + len)` that hold bytes below that size; holes
+    /// are left out.
     pub(super) fn page_map(
         &self,
         ino: u64,
         offset: u64,
         len: usize,
-    ) -> Result<(u64, Vec<Option<u64>>), RespPayload> {
+    ) -> Result<(u64, Runs), RespPayload> {
         let shard = self.node_shard(ino).read();
         let Some(node) = shard.get(&ino) else {
             return Err(RespPayload::Err(format!("no inode {ino}")));
@@ -556,13 +731,9 @@ impl Meta {
             return Err(RespPayload::Err("is a directory".into()));
         }
         let first_pg = offset / FS_BLOCK as u64;
-        let last_pg = (offset + len as u64).div_ceil(FS_BLOCK as u64);
-        Ok((
-            node.stat.size,
-            (first_pg..last_pg)
-                .map(|pg| node.blocks.get(&pg).copied())
-                .collect(),
-        ))
+        let end = (offset + len as u64).min(node.stat.size);
+        let last_pg = end.div_ceil(FS_BLOCK as u64);
+        Ok((node.stat.size, node.blocks.runs(first_pg..last_pg)))
     }
 
     /// Names directly under `prefix` (which ends in `/`), unsorted.
@@ -599,13 +770,244 @@ impl Meta {
         for shard in &self.names {
             for (path, ino) in shard.read().iter() {
                 if let Some(node) = self.node_shard(*ino).read().get(ino) {
-                    let mut blocks: Vec<_> = node.blocks.iter().map(|(p, b)| (*p, *b)).collect();
-                    blocks.sort_unstable();
-                    snap.push((path.clone(), node.stat, blocks));
+                    snap.push((path.clone(), node.stat, node.blocks.pages().collect()));
                 }
             }
         }
         snap.sort_by(|a, b| a.0.cmp(&b.0));
         snap
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    const INO: u64 = 7;
+    const PATH: &str = "/f";
+    /// Pages the scripts touch.
+    const SPACE: u64 = 48;
+    const PAGE: u64 = FS_BLOCK as u64;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Map `pages` pages from `page` on to fresh blocks: one after
+        /// the other (`gap` 0) or `gap` blocks apart.
+        Map { page: u64, pages: u64, gap: u64 },
+        /// Map one page to a fresh block, mapped or not (a truncate's
+        /// copy of its tail).
+        Remap { page: u64 },
+        /// Set the size: a shrink cuts the map, a growth leaves it.
+        Size { size: u64 },
+        /// Unlink the file and create it again, empty.
+        Unlink,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => (0..SPACE, 1u64..10, 0u64..3)
+                .prop_map(|(page, pages, gap)| Op::Map { page, pages, gap }),
+            1 => (0..SPACE).prop_map(|page| Op::Remap { page }),
+            2 => (0..SPACE, any::<bool>(), 1..PAGE).prop_map(|(page, mid, at)| Op::Size {
+                size: page * PAGE + if mid { at } else { 0 },
+            }),
+            1 => (0u8..1).prop_map(|_| Op::Unlink),
+        ]
+    }
+
+    fn create() -> LogRecord {
+        LogRecord::Create {
+            path: PATH.into(),
+            ino: INO,
+            mode: 0o644,
+            uid: 0,
+            gid: 0,
+            is_dir: false,
+        }
+    }
+
+    /// The flat model: page → block, and the size.
+    #[derive(Default)]
+    struct Model {
+        pages: BTreeMap<u64, u64>,
+        size: u64,
+    }
+
+    impl Model {
+        /// What `rec` unmaps, as `FsNode::apply` must report it.
+        fn apply(&mut self, rec: &LogRecord) -> Vec<u64> {
+            match *rec {
+                LogRecord::MapBlock { page, block, .. } => {
+                    self.pages.insert(page, block).into_iter().collect()
+                }
+                LogRecord::SetSize { size, .. } => {
+                    let mut freed = Vec::new();
+                    if size < self.size {
+                        freed = self
+                            .pages
+                            .split_off(&size.div_ceil(PAGE))
+                            .into_values()
+                            .collect();
+                    }
+                    self.size = size;
+                    freed
+                }
+                LogRecord::Unlink { .. } => {
+                    self.size = 0;
+                    std::mem::take(&mut self.pages).into_values().collect()
+                }
+                _ => Vec::new(),
+            }
+        }
+
+        /// `page_map`'s answer, page by page joined into runs.
+        fn runs(&self, offset: u64, len: u64) -> Vec<Run> {
+            let end = (offset + len).min(self.size).div_ceil(PAGE);
+            let mut runs: Vec<Run> = Vec::new();
+            for (&page, &block) in self.pages.range(offset / PAGE..end.max(offset / PAGE)) {
+                match runs.last_mut() {
+                    Some(r) if r.end() == page && r.blocks().end == block => r.pages += 1,
+                    _ => runs.push(Run {
+                        page,
+                        block,
+                        pages: 1,
+                    }),
+                }
+            }
+            runs
+        }
+    }
+
+    /// The records an op is made of, with `next` the first fresh block.
+    fn records(op: &Op, next: &mut u64) -> Vec<LogRecord> {
+        let mut fresh = |gap: u64| {
+            let block = *next;
+            *next += 1 + gap;
+            block
+        };
+        match *op {
+            Op::Map { page, pages, gap } => (page..page + pages)
+                .map(|page| LogRecord::MapBlock {
+                    ino: INO,
+                    page,
+                    block: fresh(gap),
+                })
+                .collect(),
+            Op::Remap { page } => vec![LogRecord::MapBlock {
+                ino: INO,
+                page,
+                block: fresh(0),
+            }],
+            Op::Size { size } => vec![LogRecord::SetSize { ino: INO, size }],
+            Op::Unlink => vec![LogRecord::Unlink { path: PATH.into() }, create()],
+        }
+    }
+
+    /// Every way the run map answers must equal the flat model's.
+    fn check(meta: &Meta, model: &Model) -> Result<(), TestCaseError> {
+        let shard = meta.node_shard(INO).read();
+        let runs = &shard.get(&INO).expect("the file exists").blocks;
+        for page in 0..SPACE + 16 {
+            let (got, want) = (runs.get(page), model.pages.get(&page).copied());
+            prop_assert!(got == want, "page {}: {:?}, not {:?}", page, got, want);
+        }
+        for w in runs.0.windows(2) {
+            prop_assert!(w[0].pages > 0 && w[0].end() <= w[1].page, "{:?} overlap", w);
+            let joins = w[0].end() == w[1].page && w[0].blocks().end == w[1].block;
+            prop_assert!(!joins, "{:?} should be one run", w);
+        }
+        drop(shard);
+        let snap = meta.snapshot();
+        let want: Vec<(u64, u64)> = model.pages.iter().map(|(&p, &b)| (p, b)).collect();
+        prop_assert_eq!(&snap[0].2, &want);
+        prop_assert_eq!(snap[0].1.size, model.size);
+        for (offset, len) in [(0, SPACE * PAGE), (5 * PAGE + 9, 3 * PAGE), (17 * PAGE, 1)] {
+            let (size, got) = meta.page_map(INO, offset, len as usize).unwrap();
+            prop_assert_eq!(size, model.size);
+            let want = model.runs(offset, len);
+            prop_assert!(
+                got[..] == want[..],
+                "{}+{}: {:?}, not {:?}",
+                offset,
+                len,
+                &got[..],
+                want
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random maps on contiguous and scattered blocks, remaps,
+        /// shrinks to a page boundary and to mid-page, growths and
+        /// unlinks: after each, every page's block, the snapshot, a
+        /// range's runs and the blocks each record freed are the flat
+        /// model's.
+        #[test]
+        fn run_map_matches_a_flat_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
+            let meta = Meta::new(2);
+            let mut model = Model::default();
+            let mut next = 1000;
+            prop_assert!(meta.apply(&create()).is_some());
+            for op in &ops {
+                for rec in records(op, &mut next) {
+                    let mut freed = meta.apply(&rec).expect("the file exists");
+                    let mut want = model.apply(&rec);
+                    freed.sort_unstable();
+                    want.sort_unstable();
+                    prop_assert!(freed == want, "{:?} of {:?} freed {:?}, not {:?}", rec, op, freed, want);
+                }
+                check(&meta, &model)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_remap_splits_one_run_into_three() {
+        let meta = Meta::new(1);
+        assert!(meta.apply(&create()).is_some());
+        for page in 0..8 {
+            let rec = LogRecord::MapBlock {
+                ino: INO,
+                page,
+                block: 100 + page,
+            };
+            assert_eq!(meta.apply(&rec), Some(Vec::new()));
+        }
+        let set = LogRecord::SetSize {
+            ino: INO,
+            size: 8 * PAGE,
+        };
+        assert_eq!(meta.apply(&set), Some(Vec::new()));
+        let run = |page, block, pages| Run { page, block, pages };
+        assert_eq!(
+            meta.page_map(INO, 0, 8 * FS_BLOCK).unwrap().1[..],
+            [run(0, 100, 8)]
+        );
+        let remap = LogRecord::MapBlock {
+            ino: INO,
+            page: 3,
+            block: 500,
+        };
+        assert_eq!(meta.apply(&remap), Some(vec![103]));
+        let three = [run(0, 100, 3), run(3, 500, 1), run(4, 104, 4)];
+        assert_eq!(meta.page_map(INO, 0, 8 * FS_BLOCK).unwrap().1[..], three);
+        // Mapping the old block back joins the three again.
+        let back = LogRecord::MapBlock {
+            ino: INO,
+            page: 3,
+            block: 103,
+        };
+        assert_eq!(meta.apply(&back), Some(vec![500]));
+        assert_eq!(
+            meta.page_map(INO, 0, 8 * FS_BLOCK).unwrap().1[..],
+            [run(0, 100, 8)]
+        );
     }
 }

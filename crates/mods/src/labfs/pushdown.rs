@@ -42,7 +42,7 @@ impl LabFs {
             ));
         }
         ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (size, mappings) = match self.store.state.page_map(ino, offset, len) {
+        let (size, runs) = match self.store.state.page_map(ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };
@@ -53,14 +53,19 @@ impl LabFs {
         let mut matched: Vec<u8> = Vec::new();
         let first_pg = offset / FS_BLOCK as u64;
         static ZERO_PAGE: [u8; FS_BLOCK] = [0u8; FS_BLOCK];
-        for (idx, mapping) in mappings.iter().enumerate() {
-            let pg = first_pg + idx as u64;
+        // The runs not yet passed: the first one holds `pg` or lies past it.
+        let mut ahead = &runs[..];
+        for pg in first_pg..(offset + n as u64).div_ceil(FS_BLOCK as u64) {
+            while ahead.first().is_some_and(|r| r.end() <= pg) {
+                ahead = &ahead[1..];
+            }
+            let mapping = ahead
+                .first()
+                .filter(|r| r.page <= pg)
+                .map(|r| r.block + (pg - r.page));
             let pg_start = pg * FS_BLOCK as u64;
             let win_from = pg_start.max(offset);
             let win_to = (pg_start + FS_BLOCK as u64).min(offset + n as u64);
-            if win_from >= win_to {
-                continue;
-            }
             let src = (win_from - pg_start) as usize;
             let cnt = (win_to - win_from) as usize;
             let base_index = (win_from - offset) / rlen as u64;

@@ -75,16 +75,19 @@ fn main() {
             .verify()
             .expect("program verifies"),
     );
-    match fs.read_filtered(fd, data.len(), count).unwrap() {
-        FilteredRead::Agg(agg) => println!(
-            "labfs: scanned {} records in-stack, {} matched, {} fuel — shipped 32 bytes instead of {}",
-            agg.records,
-            agg.matches,
-            agg.fuel_used,
-            data.len()
-        ),
-        other => println!("unexpected reply: {other:?}"),
-    }
+    let agg = match fs.read_filtered(fd, data.len(), count).unwrap() {
+        FilteredRead::Agg(agg) => agg,
+        other => panic!("unexpected reply: {other:?}"),
+    };
+    let shipped = agg.encode().len();
+    println!(
+        "labfs: scanned {} records in-stack, {} matched, {} fuel — shipped {shipped} bytes instead of {}",
+        agg.records,
+        agg.matches,
+        agg.fuel_used,
+        data.len()
+    );
+    assert_eq!((agg.records, agg.matches, shipped), (1024, 11, 32));
 
     // KVS: values are single records; `get_where` ships the value only
     // if the predicate matches, and `scan_where` evaluates the program
@@ -100,12 +103,15 @@ fn main() {
             .verify()
             .unwrap(),
     );
-    if let ScanReply::Keys(keys) = kvs.scan_where("kv::/pd/user", odd.clone()).unwrap() {
-        println!(
-            "labkvs: {} of 10 values matched the scan predicate",
-            keys.len()
-        );
-    }
+    let keys = match kvs.scan_where("kv::/pd/user", odd.clone()).unwrap() {
+        ScanReply::Keys(keys) => keys,
+        other => panic!("unexpected reply: {other:?}"),
+    };
+    println!(
+        "labkvs: {} of 10 values matched the scan predicate",
+        keys.len()
+    );
+    assert_eq!(keys.len(), 5);
     let hit = kvs.get_where("kv::/pd/user3", odd).unwrap();
     println!(
         "labkvs: get_where(user3) -> {}",
@@ -115,6 +121,7 @@ fn main() {
             "no bytes shipped"
         }
     );
+    assert!(hit.is_some(), "user3's value matches");
 
     rt.shutdown();
 }

@@ -52,9 +52,8 @@ fn main() {
     let mut fs = GenericFs::new(client);
 
     let fd = fs.open("fs::/b/hello.txt", true, false).expect("open");
-    let n = fs
-        .write(fd, b"Hello from a userspace I/O stack!")
-        .expect("write");
+    let hello = b"Hello from a userspace I/O stack!";
+    let n = fs.write(fd, hello).expect("write");
     fs.fsync(fd).expect("fsync");
     fs.seek(fd, 0).expect("seek");
     let back = fs.read(fd, n).expect("read");
@@ -63,9 +62,11 @@ fn main() {
         "wrote and read back {n} bytes: {:?}",
         String::from_utf8_lossy(&back)
     );
+    assert_eq!((n, &back[..]), (33, &hello[..]), "the bytes read back");
 
     let st = fs.stat("fs::/b/hello.txt").expect("stat");
     println!("stat: ino={} size={} mode={:o}", st.ino, st.size, st.mode);
+    assert_eq!(st.size, 33, "stat's size");
 
     // Virtual-time accounting: what this I/O *would* have cost on the
     // modeled hardware.

@@ -1,45 +1,46 @@
-//! Heap allocations per operation on the steady-state data path: a warmed
-//! 4 KiB `ReadBuf` miss, a `ReadBuf` hit, a legacy `Write` and a
-//! `GenericFs::write` (one: it sends `WriteBuf`, so neither a payload
-//! `Vec` nor the cache's `Arc<[u8]>` copy is made), and an empty
-//! `GenericFs::write` (none: it sends nothing, takes no pool slot and
-//! copies nothing) through a sync Lab-D
-//! stack (labfs → lru_cache 16 MiB → noop_sched → kernel_driver). A sync stack runs the whole request on the calling
+//! Heap allocations per operation on the steady-state data path through a
+//! sync Lab-D stack (labfs → lru_cache 16 MiB → noop_sched →
+//! kernel_driver). A sync stack runs the whole request on the calling
 //! thread, so a global allocator that counts that thread's calls counts
 //! everything the operation allocates.
 //!
-//! Per operation, before → after the block cache reserved its pages in
-//! the buffer pool and device completions stopped arriving in a fresh
-//! `Vec`:
+//! Per operation, before and after LabFS's page map became a run map
+//! (`labfs/meta.rs`: a lookup answers a few runs inline instead of a
+//! `Vec` with one entry per page), with every allocation that remains:
 //!
-//! | operation      | before | after |
-//! |----------------|-------:|------:|
-//! | `ReadBuf` miss |      4 |     1 |
-//! | `ReadBuf` hit  |      2 |     1 |
-//! | legacy `Write` |      3 |     2 |
+//! | operation                   | before | after | what allocates                           |
+//! |-----------------------------|-------:|------:|------------------------------------------|
+//! | 4 KiB `ReadBuf` miss        |      1 |     0 |                                          |
+//! | 4 KiB `ReadBuf` hit         |      1 |     0 |                                          |
+//! | 4 KiB legacy `Write`        |      2 |     1 | the cache's `Arc<[u8]>` of the page      |
+//! | 4 KiB `GenericFs::write`    |      1 |     0 |                                          |
+//! | empty `GenericFs::write`    |      0 |     0 |                                          |
+//! | 64 KiB `WriteBuf` overwrite |      — |     0 |                                          |
+//! | 64 KiB `ReadBuf` hit        |      — |     0 |                                          |
 //!
-//! Before, a warm cache held every transport slot, so a miss fell back to
-//! the driver's owned `Vec` and the cache's `Arc<[u8]>` copy of it, and a
-//! hit on such a block gathered into a new `Vec`; every device command's
-//! completion came back in a `Vec` of its own.
+//! The legacy `Write`'s `Vec` is the caller's, made before the count
+//! starts; the cache keeps its own copy of an owned write's bytes.
+//! `GenericFs::write` sends `WriteBuf`, so neither a payload `Vec` nor
+//! that copy is made, and an empty one sends nothing, takes no pool slot
+//! and copies nothing.
 //!
 //! Varmail's flow on the same stack — create a file, append two 8 KiB
-//! halves, fsync, read the 16 KiB back, unlink — per operation, before
-//! and after a `ReadBuf` hit on blocks in two pool slots (each append
-//! took its own) began to answer with the slots' views, a `DataRuns` run
-//! list, instead of a copy the cache gathered:
+//! halves, fsync, read the 16 KiB back (a hit on blocks in the two pool
+//! slots the appends took), unlink:
 //!
-//! | operation                | before | after |
-//! |--------------------------|-------:|------:|
-//! | create (`open`)          |      5 |     5 |
-//! | 8 KiB append             |     5* |    5* |
-//! | fsync                    |      2 |     2 |
-//! | 16 KiB `GenericFs::read` |      3 |     4 |
+//! | operation                | before | after | what allocates                                                                 |
+//! |--------------------------|-------:|------:|--------------------------------------------------------------------------------|
+//! | create (`open`)          |      5 |     5 | the resolved path, LabFS's path, its name-shard lock list, the name map's key, the journal frame growing |
+//! | 8 KiB append             |     5* |    3* | `map_pages`' records, the new file's first run, the journal frame growing       |
+//! | fsync                    |      2 |     2 | the next frame's buffer, the sealed frame's sector padding                      |
+//! | 16 KiB `GenericFs::read` |      4 |     3 | the cache's per-block lookup slots, the `DataRuns` list, `GenericFs::read`'s copy-out |
 //!
-//! \* every eighth append takes 6, at the same place in every run. The
-//! read gains one: the run list is a `Vec` of its own, while the cache's
-//! gathered `Vec` became `GenericFs::read`'s copy-out. The same counts
-//! hold in debug and release builds.
+//! \* every eighth append takes one more, at the same place in every run:
+//! `SimDevice::store` creates a 128 KiB backing chunk. Each file takes
+//! 16 KiB of blocks that are never reused, so eight files fill a chunk.
+//! The append lost the page map's per-page extent list and the set of
+//! fresh pages; the read lost the page map's `Vec`. The same counts hold
+//! in debug and release builds.
 //!
 //! This file holds a single test: it reads which slots the default pool
 //! has free, and the integration tests of one file share one process.
@@ -47,10 +48,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use labstor::core::{FsOp, Payload, RespPayload, Runtime, RuntimeConfig};
+use labstor::core::{Client, FsOp, Payload, RespPayload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
 use labstor::mods::{DeviceRegistry, GenericFs};
-use labstor::sim::DeviceKind;
+use labstor::sim::{BlockDevice, DeviceKind};
 
 thread_local! {
     /// Allocator calls made by this thread.
@@ -118,6 +119,8 @@ const PAGE: usize = 4096;
 const HALF: usize = 8192;
 /// A 32 MiB file: twice the cache.
 const FILE_PAGES: u64 = 8192;
+/// One sequential write or read of the 64 KiB shapes.
+const CHUNK: usize = 16 * PAGE;
 /// Cache capacity in pages.
 const CACHE_PAGES: u64 = 4096;
 /// Operations measured per shape.
@@ -149,7 +152,7 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
     let RespPayload::Ino(ino) = client.execute(&stack, open).unwrap().0 else {
         panic!("open failed");
     };
-    let mut run = |payload: Payload| {
+    let run = |client: &mut Client, payload: Payload| {
         let resp = client.execute(&stack, payload).unwrap().0;
         assert!(resp.is_ok(), "{resp:?}");
     };
@@ -166,7 +169,7 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
         })
     };
     for page in (0..FILE_PAGES).step_by(16) {
-        run(write(page, vec![0x5a; 16 * PAGE]));
+        run(&mut client, write(page, vec![0x5a; 16 * PAGE]));
     }
 
     // Warm-up: misses on the first pages push the written (owned) blocks
@@ -176,17 +179,48 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
     // pool dry evicts a block that had found it dry too) is measured in
     // that state.
     let warm = CACHE_PAGES + 1024;
-    (0..warm).for_each(|page| run(read_buf(page)));
+    (0..warm).for_each(|page| run(&mut client, read_buf(page)));
     // Pages past `warm` were evicted: misses; then, just read, hits.
     let pages = warm..warm + OPS as u64;
-    let miss: Vec<u64> = pages.clone().map(|p| calls(|| run(read_buf(p)))).collect();
-    let hit: Vec<u64> = pages.clone().map(|p| calls(|| run(read_buf(p)))).collect();
+    let miss: Vec<u64> = pages
+        .clone()
+        .map(|p| calls(|| run(&mut client, read_buf(p))))
+        .collect();
+    let hit: Vec<u64> = pages
+        .clone()
+        .map(|p| calls(|| run(&mut client, read_buf(p))))
+        .collect();
     let legacy: Vec<u64> = pages
         .map(|p| {
             let op = write(p, vec![0xa5; PAGE]);
-            calls(|| run(op))
+            calls(|| run(&mut client, op))
         })
         .collect();
+
+    // 64 KiB overwrites from a pool buffer, then hits on what they wrote.
+    let chunks = (0..OPS as u64).map(|c| c * CHUNK as u64);
+    let write64k: Vec<u64> = chunks
+        .clone()
+        .map(|offset| {
+            let mut buf = client.alloc_buf(CHUNK).expect("a free 64 KiB slot");
+            buf.write_with(|b| b.fill(0x96));
+            let op = Payload::Fs(FsOp::WriteBuf { ino, offset, buf });
+            calls(|| run(&mut client, op))
+        })
+        .collect();
+    let nvme = devices.block("nvme0").unwrap();
+    let device_reads = nvme.stats().snapshot().reads;
+    let read64k: Vec<u64> = chunks
+        .map(|offset| {
+            let op = Payload::Fs(FsOp::ReadBuf {
+                ino,
+                offset,
+                len: CHUNK,
+            });
+            calls(|| run(&mut client, op))
+        })
+        .collect();
+    let hits64k = nvme.stats().snapshot().reads == device_reads;
 
     // The same overwrites through GenericFS, from caller-owned bytes.
     let mut fs = GenericFs::new(client);
@@ -227,19 +261,22 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
     let flows: Vec<[u64; 4]> = (0..OPS).map(&mut varmail).collect();
     let shape = |k: usize| flows.iter().map(|f| f[k]).collect::<Vec<u64>>();
 
-    assert_eq!(miss, [1; OPS], "ReadBuf miss");
-    assert_eq!(hit, [1; OPS], "ReadBuf hit");
-    assert_eq!(legacy, [2; OPS], "legacy Write");
-    assert_eq!(generic, [1; OPS], "GenericFs::write");
+    assert_eq!(miss, [0; OPS], "ReadBuf miss");
+    assert_eq!(hit, [0; OPS], "ReadBuf hit");
+    assert_eq!(legacy, [1; OPS], "legacy Write");
+    assert_eq!(generic, [0; OPS], "GenericFs::write");
     assert_eq!(
         (empty, after),
         (0, (live, copies)),
         "empty GenericFs::write"
     );
-    let appends: Vec<u64> = (0..OPS).map(|i| if i % 8 == 0 { 6 } else { 5 }).collect();
+    assert_eq!(write64k, [0; OPS], "64 KiB WriteBuf overwrite");
+    assert!(hits64k, "the 64 KiB reads read the device");
+    assert_eq!(read64k, [0; OPS], "64 KiB ReadBuf hit");
+    let appends: Vec<u64> = (0..OPS).map(|i| if i % 8 == 0 { 4 } else { 3 }).collect();
     assert_eq!(shape(0), [5; OPS], "varmail create");
     assert_eq!(shape(1), appends, "varmail 8 KiB append");
     assert_eq!(shape(2), [2; OPS], "varmail fsync");
-    assert_eq!(shape(3), [4; OPS], "varmail 16 KiB read over two slots");
+    assert_eq!(shape(3), [3; OPS], "varmail 16 KiB read over two slots");
     rt.shutdown();
 }
