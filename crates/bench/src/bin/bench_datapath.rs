@@ -1,23 +1,23 @@
-//! Data-path benchmark: copy vs zero-copy read hits — emits
+//! Data-path benchmark: read hits on a warm block cache — emits
 //! `BENCH_datapath.json`.
 //!
 //! **Read-hit sweep** — payload size (4 KiB / 64 KiB / 256 KiB) × mode.
 //! A client half submits read descriptors over a queue pair; the worker
 //! half serves each with one `BlockOp::ReadBuf` from a pre-warmed
-//! `LruCacheMod`. The two modes differ in how the cache was warmed: the
-//! copying mode with owned `BlockOp::Write`s, so every hit gathers the
-//! cached windows into a `RespPayload::Data` (the one copying hit a read
-//! still has); the zero-copy mode with pool-buffer `BlockOp::WriteBuf`s,
-//! so every hit answers with a `BufHandle` slice — a refcount bump. Each
-//! run asserts the payload bytes it copied per hit (`size` and 0), so
-//! neither mode can silently become the other. Both wall-clock ops/s and
-//! the modeled per-hit virtual cost are recorded.
+//! `LruCacheMod`. The two modes are named after the verb that warmed the
+//! cache: `owned` with `BlockOp::Write`s, whose bytes the cache copied
+//! into one pool slot per 4 KiB block, so a hit of several blocks answers
+//! with the slots' views (`RespPayload::DataRuns`); `pool` with pool
+//! buffer `BlockOp::WriteBuf`s, so every hit answers with one `BufHandle`
+//! slice. Either way a hit is refcount bumps. Each run records the most
+//! payload bytes one hit copied, its wall-clock ops/s and the modeled
+//! per-hit virtual cost.
 //!
-//! Gate (run fails with exit 1 if it misses): zero-copy read hits at
-//! 64 KiB must not fall below the copying baseline on wall-clock ops/s
-//! (target 2×, floor 1× to keep CI hosts from flaking the build) AND must
-//! beat it ≥2× on modeled virtual cost (deterministic, so the floor is
-//! the target).
+//! Gate (run fails with exit 1 if it misses), so that a copying hit
+//! cannot come back:
+//! * no hit, of any size in either mode, copies a payload byte;
+//! * each mode's 64 KiB modeled cost per hit stays at most what the
+//!   committed full run measured (deterministic, so the bound is exact).
 //!
 //! Usage: `bench_datapath [--smoke]` — `--smoke` shrinks op counts for CI
 //! and writes `target/bench/BENCH_datapath.json` instead.
@@ -40,6 +40,12 @@ const BATCH: usize = 8;
 /// the default pool's 256 KiB class, which has 16 slots).
 const NBLOCKS: u64 = 8;
 
+/// Modeled cost of one 64 KiB hit on an owned-warmed cache: sixteen
+/// single-block slots, answered by their views.
+const OWNED_64K_HIT_VNS: f64 = 3000.0;
+/// Modeled cost of one 64 KiB hit on a pool-warmed cache: one slot.
+const POOL_64K_HIT_VNS: f64 = 3000.0;
+
 /// Queue message: the lba to read going down, the response coming back.
 type Msg = (u64, Option<RespPayload>);
 
@@ -50,8 +56,11 @@ fn queue() -> Arc<QueuePair<Msg>> {
 /// One read-hit configuration's measurements.
 struct ReadHit {
     size: usize,
-    zero_copy: bool,
+    /// Warmed with `WriteBuf`s (else with owned `Write`s).
+    pool: bool,
     ops: usize,
+    /// Most payload bytes one hit copied.
+    max_copy_bytes: u64,
     ops_per_sec: f64,
     gib_per_sec: f64,
     /// Modeled (virtual) busy ns per hit on the worker side.
@@ -59,9 +68,9 @@ struct ReadHit {
 }
 
 /// Build a single-vertex stack around a warm write-back LRU cache so
-/// every benchmarked read is a hit served straight from the mod: its
-/// blocks are pool views when `zero_copy`, else owned windows.
-fn warm_cache(size: usize, zero_copy: bool) -> (ModuleManager, LabStack) {
+/// every benchmarked read is a hit served straight from the mod, warmed
+/// with `WriteBuf`s when `pool`, else with owned `Write`s.
+fn warm_cache(size: usize, pool: bool) -> (ModuleManager, LabStack) {
     let mm = ModuleManager::new();
     labstor_mods::lru::install(&mm);
     mm.instantiate(
@@ -85,7 +94,7 @@ fn warm_cache(size: usize, zero_copy: bool) -> (ModuleManager, LabStack) {
     let mut ctx = Ctx::new();
     for extent in 0..NBLOCKS {
         let lba = extent * (size / SECTOR_SIZE) as u64;
-        let op = if zero_copy {
+        let op = if pool {
             let mut buf = default_pool().alloc(size).expect("pool has a slot");
             assert!(buf.write_with(|b| b.fill(extent as u8)), "fresh handle");
             BlockOp::WriteBuf { lba, buf }
@@ -110,8 +119,8 @@ fn warm_cache(size: usize, zero_copy: bool) -> (ModuleManager, LabStack) {
 /// scheduler noise): the client streams lbas over the queue pair, the
 /// worker answers each from the cache mod, the client checks a byte of
 /// every response.
-fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
-    let (mm, stack) = warm_cache(size, zero_copy);
+fn run_readhit(size: usize, pool: bool, ops: usize) -> ReadHit {
+    let (mm, stack) = warm_cache(size, pool);
     let env = StackEnv::new(&stack, 0, &mm, RUNTIME_DOMAIN);
     let cache = mm.get("cache").expect("cache registered");
     let qp = queue();
@@ -124,6 +133,7 @@ fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
     let mut outbox: Vec<Envelope<Msg>> = Vec::with_capacity(BATCH);
     let mut next: u64 = 0;
     let mut reaped = 0usize;
+    let mut max_copy_bytes = 0;
     let t0 = Instant::now();
     while reaped < ops {
         if pend.is_empty() && (next as usize) < ops {
@@ -148,12 +158,7 @@ fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
                 Request::new(extent, stack.id, Payload::Block(op), Credentials::ROOT),
                 &env,
             );
-            let want = if zero_copy { 0 } else { size as u64 };
-            assert_eq!(
-                payload_copy_bytes() - copied,
-                want,
-                "a hit copies {want} payload bytes"
-            );
+            max_copy_bytes = max_copy_bytes.max(payload_copy_bytes() - copied);
             done.push(((extent, Some(resp)), worker.now()));
         }
         while !done.is_empty() {
@@ -164,23 +169,24 @@ fn run_readhit(size: usize, zero_copy: bool, ops: usize) -> ReadHit {
         for env_msg in outbox.drain(..) {
             let (extent, resp) = env_msg.payload;
             let resp = resp.expect("worker filled the response");
-            if zero_copy {
+            if pool {
                 assert!(
                     matches!(resp, RespPayload::DataBuf(_)),
-                    "zero-copy hit must answer with a handle"
+                    "a hit on one buffer answers with one handle"
                 );
             }
-            let bytes = resp.data_bytes().expect("hit carries data");
-            assert_eq!(bytes.len(), size);
-            assert_eq!(bytes[0], extent as u8, "payload integrity");
+            let parts: Vec<&[u8]> = resp.data_parts().expect("hit carries data").collect();
+            assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), size);
+            assert_eq!(parts[0][0], extent as u8, "payload integrity");
             reaped += 1;
         }
     }
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     ReadHit {
         size,
-        zero_copy,
+        pool,
         ops,
+        max_copy_bytes,
         ops_per_sec: ops as f64 / elapsed,
         gib_per_sec: (ops * size) as f64 / elapsed / (1u64 << 30) as f64,
         virt_hit_ns: (worker.busy() - vbase) as f64 / ops as f64,
@@ -193,39 +199,34 @@ fn main() -> ExitCode {
 
     let mut hits: Vec<ReadHit> = Vec::new();
     for size in [4 * 1024usize, 64 * 1024, 256 * 1024] {
-        for zero_copy in [false, true] {
-            hits.push(run_readhit(size, zero_copy, hit_ops));
+        for pool in [false, true] {
+            hits.push(run_readhit(size, pool, hit_ops));
         }
     }
     for h in &hits {
         report.row([
             ("payload_bytes", h.size.into()),
-            ("mode", if h.zero_copy { "zerocopy" } else { "copy" }.into()),
+            ("mode", if h.pool { "pool" } else { "owned" }.into()),
             ("ops", h.ops.into()),
             ("ops_per_sec", h.ops_per_sec.into()),
             ("gib_per_sec", h.gib_per_sec.into()),
             ("virt_hit_ns", h.virt_hit_ns.into()),
+            ("max_copy_bytes", h.max_copy_bytes.into()),
         ]);
     }
 
-    let find_hit = |zc: bool| {
-        hits.iter()
-            .find(|h| h.size == 64 * 1024 && h.zero_copy == zc)
-            .expect("config present")
-    };
-    let (copy64, zc64) = (find_hit(false), find_hit(true));
-    // Wall floor 1.0 (never regress, CI-noise proof); the modeled cost is
-    // deterministic so it gates at the full 2x target.
-    report.param("zero_copy_64k_target", 2.0);
-    report.at_least(
-        "zero_copy_64k_wall_speedup",
-        zc64.ops_per_sec / copy64.ops_per_sec.max(1e-9),
-        1.0,
-    );
-    report.at_least(
-        "zero_copy_64k_modeled_speedup",
-        copy64.virt_hit_ns / zc64.virt_hit_ns.max(1e-9),
-        2.0,
-    );
+    let most_copied = hits.iter().map(|h| h.max_copy_bytes).max().unwrap_or(0);
+    report.at_most("hit_copy_bytes_max", most_copied as f64, 0.0);
+    // The committed full run's 64 KiB costs per hit, one per mode.
+    for (pool, name, bound) in [
+        (false, "owned_64k_virt_hit_ns", OWNED_64K_HIT_VNS),
+        (true, "pool_64k_virt_hit_ns", POOL_64K_HIT_VNS),
+    ] {
+        let h = hits
+            .iter()
+            .find(|h| h.size == 64 * 1024 && h.pool == pool)
+            .expect("config present");
+        report.at_most(name, h.virt_hit_ns, bound);
+    }
     report.finish()
 }

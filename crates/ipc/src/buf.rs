@@ -551,7 +551,7 @@ impl BufferPool {
         }
         class.grow(slots);
         Some(Reservation {
-            pool: Arc::clone(&self.inner),
+            pool: self.clone(),
             class: ci,
             slots,
         })
@@ -564,14 +564,23 @@ impl BufferPool {
 /// live ones when their last handle drops.
 #[must_use = "the reservation ends when the guard drops"]
 pub struct Reservation {
-    pool: Arc<PoolInner>,
+    pool: BufferPool,
     class: usize,
     slots: usize,
 }
 
+impl Reservation {
+    /// [`BufferPool::alloc`] from the class that fits `len` only, never a
+    /// larger one: up to the length reserved for, the reserved class.
+    /// `None` when that class is dry.
+    pub fn alloc(&self, len: usize) -> Option<BufHandle> {
+        self.pool.alloc_tagged(len, NO_OWNER, false)
+    }
+}
+
 impl Drop for Reservation {
     fn drop(&mut self) {
-        self.pool.classes[self.class].shrink(self.slots);
+        self.pool.inner.classes[self.class].shrink(self.slots);
     }
 }
 
@@ -1100,6 +1109,18 @@ mod tests {
             "past what a class indexes"
         );
         assert_eq!(pool.class_table()[0], (64, 4));
+    }
+
+    #[test]
+    fn a_reservation_allocates_from_its_class_only() {
+        let pool = small_pool();
+        let r = pool.reserve(33, 1).unwrap();
+        let held: Vec<_> = std::iter::from_fn(|| r.alloc(40)).collect();
+        assert_eq!(held.len(), 5, "base plus the reservation");
+        assert!(held.iter().all(|h| h.region() == 0 && h.len() == 40));
+        assert!(pool.alloc(64).is_some_and(|h| h.region() == 1), "spills");
+        drop(held);
+        assert!(r.alloc(64).is_some());
     }
 
     #[test]

@@ -17,17 +17,18 @@
 use std::sync::Arc;
 
 use labstor_core::{LabMod, ModuleManager};
+use labstor_ipc::BufHandle;
 use labstor_kernel::page_cache::LruMap;
 
-use crate::cache_common::{BlockCache, CacheData, Policy};
+use crate::cache_common::{BlockCache, Policy};
 
 /// ARC replacement state.
 #[derive(Default)]
 pub struct ArcPolicy {
     /// Recency list: blocks seen exactly once.
-    t1: LruMap<u64, CacheData>,
+    t1: LruMap<u64, BufHandle>,
     /// Frequency list: blocks seen more than once.
-    t2: LruMap<u64, CacheData>,
+    t2: LruMap<u64, BufHandle>,
     /// Ghosts of T1 evictions (keys only).
     b1: LruMap<u64, ()>,
     /// Ghosts of T2 evictions (keys only).
@@ -39,7 +40,7 @@ pub struct ArcPolicy {
 impl ArcPolicy {
     /// ARC REPLACE: evict from T1 or T2 according to the target `p`,
     /// recording a ghost.
-    fn replace(&mut self, in_b2: bool, evict: &mut dyn FnMut(u64, CacheData)) {
+    fn replace(&mut self, in_b2: bool, evict: &mut dyn FnMut(u64, BufHandle)) {
         let t1_len = self.t1.len();
         let from_t1 = t1_len > 0 && (t1_len > self.p || (in_b2 && t1_len == self.p));
         if let Some((k, v)) = from_t1.then(|| self.t1.pop_lru()).flatten() {
@@ -62,14 +63,14 @@ impl Policy for ArcPolicy {
     const MIN_BLOCKS: usize = 2;
 
     /// A T2 hit refreshes recency; a T1 hit promotes to T2.
-    fn touch(&mut self, lba: u64) -> Option<&CacheData> {
+    fn touch(&mut self, lba: u64) -> Option<&BufHandle> {
         if let Some(d) = self.t1.remove(&lba) {
             self.t2.insert(lba, d);
         }
         self.t2.get(&lba).map(|d| &*d)
     }
 
-    fn peek(&self, lba: u64) -> Option<&CacheData> {
+    fn peek(&self, lba: u64) -> Option<&BufHandle> {
         self.t1.peek(&lba).or_else(|| self.t2.peek(&lba))
     }
 
@@ -77,9 +78,9 @@ impl Policy for ArcPolicy {
     fn admit(
         &mut self,
         lba: u64,
-        data: CacheData,
+        data: BufHandle,
         cap: usize,
-        evict: &mut dyn FnMut(u64, CacheData),
+        evict: &mut dyn FnMut(u64, BufHandle),
     ) {
         // Case 1: hit in T1 or T2 → promote to T2 MRU.
         if self.t1.remove(&lba).is_some() || self.t2.peek(&lba).is_some() {
@@ -123,13 +124,13 @@ impl Policy for ArcPolicy {
         self.t1.insert(lba, data);
     }
 
-    fn pop_coldest(&mut self) -> Option<(u64, CacheData)> {
+    fn pop_coldest(&mut self) -> Option<(u64, BufHandle)> {
         self.t1.pop_lru().or_else(|| self.t2.pop_lru())
     }
 
     /// A dead block's ghost goes too: no read will bring it back to
     /// steer `p`.
-    fn remove(&mut self, lba: u64) -> Option<CacheData> {
+    fn remove(&mut self, lba: u64) -> Option<BufHandle> {
         self.b1.remove(&lba);
         self.b2.remove(&lba);
         self.t1.remove(&lba).or_else(|| self.t2.remove(&lba))
@@ -170,7 +171,7 @@ pub(crate) fn install(mm: &ModuleManager) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache_common::testing::{MemDev, Rig};
+    use crate::cache_common::testing::{bytes, MemDev, Rig};
     use crate::cache_common::BLOCK;
     use labstor_core::RespPayload;
     use labstor_sim::Ctx;
@@ -218,7 +219,7 @@ mod tests {
         let mut ctx = Ctx::new();
         write(&rig, &mut ctx, 1, 7);
         let r = read(&rig, &mut ctx, 1);
-        assert!(matches!(r, RespPayload::Data(d) if d == vec![7u8; BLOCK]));
+        assert!(bytes(&r) == Some(vec![7u8; BLOCK]));
         assert_eq!(rig.dev.read_count(), 0);
     }
 
@@ -266,9 +267,9 @@ mod tests {
         newer.state_update(rig.cache().as_ref());
         rig.mm.insert_instance("cache", Arc::new(newer));
         let r = read(&rig, &mut ctx, 1);
-        assert!(matches!(r, RespPayload::Data(d) if d == vec![11u8; BLOCK]));
+        assert!(bytes(&r) == Some(vec![11u8; BLOCK]));
         let r = rig.read(&mut ctx, 2, 3 * BLOCK);
-        assert!(matches!(r, RespPayload::Data(d) if d == vec![22u8; 3 * BLOCK]));
+        assert!(bytes(&r) == Some(vec![22u8; 3 * BLOCK]));
         assert_eq!(rig.dev.read_count(), 0, "served from migrated state");
     }
 }

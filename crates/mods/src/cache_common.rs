@@ -2,20 +2,21 @@
 //!
 //! The index is block-granular: one entry per `BLOCK`-byte block, keyed
 //! by the block's first sector, whatever the size of the request that
-//! brought the bytes. A multi-block write becomes one entry per block (a
-//! pool handle by `slice()` refcount bumps, owned bytes as windows of one
-//! shared allocation), so capacity is counted in bytes and an overwrite
-//! replaces every block it covers. A request's blocks are walked as one
-//! run under the index's one lock. A read (`ReadBuf`, the one read verb)
-//! whose blocks are all resident, adjacent views of one pool slot grows
-//! one handle over them by reference ([`BufHandle::extend_with`]) and
-//! answers with it — one refcount bump, no bytes move. Any other read
-//! takes its blocks by value and fetches only the smallest run covering
-//! the missing ones in one downstream request. A read whose blocks are
-//! then all pool views answers with them, one handle per run of adjacent
-//! views ([`RespPayload::DataRuns`] when there are several); a read that
-//! meets an owned window (an owned write's, or a dry pool's fetch)
-//! gathers each byte once into the response.
+//! brought the bytes. Every entry is a pool handle. A `WriteBuf` becomes
+//! one entry per block by `slice()` refcount bumps; an owned `Write` is
+//! copied once, counted, into one slot per block of the 4 KiB class the
+//! cache reserves, and is indexed the same way from there. So capacity is
+//! counted in bytes and an overwrite replaces every block it covers. A
+//! request's blocks are walked as one run under the index's one lock. A
+//! read (`ReadBuf`, the one read verb) whose blocks are all resident,
+//! adjacent views of one pool slot grows one handle over them by
+//! reference ([`BufHandle::extend_with`]) and answers with it — one
+//! refcount bump, no bytes move. Any other read takes its blocks by value
+//! and fetches only the smallest run covering the missing ones in one
+//! downstream request, then answers with the blocks' views, one handle
+//! per run of adjacent views ([`RespPayload::DataRuns`] when there are
+//! several). No hit copies a byte. A dry pool's `Vec` answer to a fetch
+//! is passed up uncached, any resident block's bytes laid over it.
 //!
 //! The two cache LabMods are this engine with a different [`Policy`]: the
 //! policy decides what stays resident, the engine does everything else
@@ -25,7 +26,6 @@
 //! `BLOCK_SECTORS`), which every bundled filesystem LabMod honors.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -49,111 +49,33 @@ fn copy_cost(bytes: usize) -> u64 {
     (bytes as u64 * COPY_NS_PER_KB) / 1024
 }
 
-/// Bytes held by a cache entry: a refcounted read-only window of whatever
-/// carried them. Legacy `Vec` traffic is copied once into a shared
-/// allocation per request; zero-copy traffic (`WriteBuf`/`ReadBuf`) keeps
-/// the pool handle. Either way a block entry is a window, cutting one out
-/// is a refcount bump, and adjacent windows of one allocation join back.
-#[derive(Clone)]
-pub enum CacheData {
-    /// Window of an owned allocation (legacy copying path).
-    Owned {
-        /// The request's bytes, shared by all its block entries.
-        bytes: Arc<[u8]>,
-        /// Start of this window.
-        off: usize,
-        /// Length of this window.
-        len: usize,
-    },
-    /// Shared-memory pool handle (zero-copy path).
-    Buf(BufHandle),
+/// The blocks of `buf`, an extent, as `(index, view)`: one refcount bump
+/// each.
+fn blocks_of(buf: &BufHandle) -> impl Iterator<Item = (usize, BufHandle)> + '_ {
+    (0..buf.len().div_ceil(BLOCK))
+        .filter_map(|k| Some((k, buf.slice(k * BLOCK, BLOCK.min(buf.len() - k * BLOCK))?)))
 }
 
-impl CacheData {
-    /// Copy `src` into a fresh shared allocation: the one counted copy
-    /// that brings legacy bytes into the cache.
-    pub(crate) fn owned(src: &[u8]) -> CacheData {
-        note_payload_copy(src.len());
-        CacheData::Owned {
-            bytes: Arc::from(src), // copy-ok: legacy bytes enter the cache by one copy per request; counted above
-            off: 0,
-            len: src.len(),
-        }
-    }
-
-    /// Length in bytes.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            CacheData::Owned { len, .. } => *len,
-            CacheData::Buf(b) => b.len(),
-        }
-    }
-
-    /// Read view of the bytes.
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        match self {
-            CacheData::Owned { bytes, off, len } => &bytes[*off..*off + *len],
-            CacheData::Buf(b) => b.as_slice(),
-        }
-    }
-
-    /// A narrowed window of the same bytes (refcount bump, no copy), or
-    /// `None` if the range falls outside this one.
-    pub(crate) fn slice(&self, off: usize, len: usize) -> Option<CacheData> {
-        match self {
-            CacheData::Owned {
-                bytes,
-                off: base,
-                len: have,
-            } => (off.checked_add(len)? <= *have).then(|| CacheData::Owned {
-                bytes: Arc::clone(bytes),
-                off: base + off,
-                len,
-            }),
-            CacheData::Buf(b) => b.slice(off, len).map(CacheData::Buf),
-        }
-    }
-
-    /// Grow this window in place over `next`, when `next` starts in the
-    /// same allocation exactly where `self` ends (see
-    /// [`BufHandle::extend_with`]); `false`, and no change, otherwise.
-    pub(crate) fn extend_with(&mut self, next: &CacheData) -> bool {
-        match (self, next) {
-            (CacheData::Buf(a), CacheData::Buf(b)) => a.extend_with(b),
-            (
-                CacheData::Owned { bytes, off, len },
-                CacheData::Owned {
-                    bytes: next_bytes,
-                    off: next_off,
-                    len: next_len,
-                },
-            ) if Arc::ptr_eq(bytes, next_bytes) && *off + *len == *next_off => {
-                *len += next_len;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The downstream write that carries these bytes: a handle goes as
-    /// `WriteBuf` (refcount bump), owned bytes as a legacy `Write`.
-    fn into_write(self, lba: u64) -> Payload {
-        match self {
-            CacheData::Buf(buf) => Payload::Block(BlockOp::WriteBuf { lba, buf }),
-            owned => {
-                note_payload_copy(owned.len());
-                let data = owned.as_slice().to_vec(); // copy-ok: write-back of legacy bytes needs an owned Vec; counted above
-                Payload::Block(BlockOp::Write { lba, data })
-            }
-        }
+/// One empty slot per block of an `n`-block request, in `one` for a
+/// single block (no heap) and in `many` otherwise.
+fn per_block<'a>(
+    n: usize,
+    one: &'a mut [Option<BufHandle>; 1],
+    many: &'a mut Vec<Option<BufHandle>>,
+) -> &'a mut [Option<BufHandle>] {
+    if n <= 1 {
+        &mut one[..n]
+    } else {
+        many.resize_with(n, || None);
+        many
     }
 }
 
 /// Merge write-back victims that are neighbours both on the device and in
 /// memory, so the blocks of one cached extent leave as one write.
-fn coalesce(mut victims: Vec<(u64, CacheData)>) -> Vec<(u64, CacheData)> {
+fn coalesce(mut victims: Vec<(u64, BufHandle)>) -> Vec<(u64, BufHandle)> {
     victims.sort_unstable_by_key(|&(lba, _)| lba);
-    let mut out: Vec<(u64, CacheData)> = Vec::with_capacity(victims.len());
+    let mut out: Vec<(u64, BufHandle)> = Vec::with_capacity(victims.len());
     for (lba, data) in victims {
         if let Some((last_lba, last)) = out.last_mut() {
             let adjacent = *last_lba + (last.len() / labstor_sim::SECTOR_SIZE) as u64 == lba;
@@ -177,22 +99,22 @@ pub trait Policy: Default + Send + 'static {
     const MIN_BLOCKS: usize;
 
     /// The resident block at `lba`, recorded as a hit.
-    fn touch(&mut self, lba: u64) -> Option<&CacheData>;
+    fn touch(&mut self, lba: u64) -> Option<&BufHandle>;
     /// The resident block at `lba`, leaving the policy's state alone.
-    fn peek(&self, lba: u64) -> Option<&CacheData>;
+    fn peek(&self, lba: u64) -> Option<&BufHandle>;
     /// Insert or replace the block at `lba`, then hand every block pushed
     /// out to keep the cache within `cap` blocks to `evict`.
     fn admit(
         &mut self,
         lba: u64,
-        data: CacheData,
+        data: BufHandle,
         cap: usize,
-        evict: &mut dyn FnMut(u64, CacheData),
+        evict: &mut dyn FnMut(u64, BufHandle),
     );
     /// Remove and return a resident block, coldest first.
-    fn pop_coldest(&mut self) -> Option<(u64, CacheData)>;
+    fn pop_coldest(&mut self) -> Option<(u64, BufHandle)>;
     /// Forget the block at `lba`: nothing will read it again.
-    fn remove(&mut self, lba: u64) -> Option<CacheData>;
+    fn remove(&mut self, lba: u64) -> Option<BufHandle>;
     /// Number of resident blocks.
     fn resident(&self) -> usize;
 }
@@ -219,10 +141,11 @@ pub struct BlockCache<P> {
     hits: Stat,
     misses: Stat,
     /// A pool slot per resident block, on top of the transport ladder: a
-    /// `ReadBuf` miss keeps the slot the device filled, and the cache
-    /// does not starve clients and drivers of theirs. Declared last, so
-    /// the blocks above let their slots go before the budget falls.
-    _pages: Option<Reservation>,
+    /// `ReadBuf` miss keeps the slot the device filled, an owned write's
+    /// blocks are copied into slots of this class, and the cache does not
+    /// starve clients and drivers of theirs. Declared last, so the blocks
+    /// above let their slots go before the budget falls.
+    pages: Option<Reservation>,
 }
 
 impl<P> BlockCache<P> {
@@ -247,7 +170,10 @@ impl<P: Policy> BlockCache<P> {
             write_back,
             hits: Stat::new(0),
             misses: Stat::new(0),
-            _pages: labstor_ipc::default_pool().reserve(BLOCK, capacity_blocks),
+            #[cfg(not(test))]
+            pages: labstor_ipc::default_pool().reserve(BLOCK, capacity_blocks),
+            #[cfg(test)]
+            pages: testing::block_pool().reserve(BLOCK, capacity_blocks),
         }
     }
 
@@ -264,18 +190,18 @@ impl<P: Policy> BlockCache<P> {
     }
 
     /// The zero-copy hit: one handle over the `len`-byte range at `lba`,
-    /// when every block of it is resident as a pool handle that starts
-    /// where the one before ends in the same slot. The blocks are walked
-    /// by reference under the lock — one refcount bump for the run, none
-    /// per block, nothing on the heap. Otherwise `Err(n)`: the first `n`
-    /// blocks have been through [`Policy::touch`] and the rest have not.
+    /// when every block of it is resident and starts where the one before
+    /// ends in the same slot. The blocks are walked by reference under
+    /// the lock — one refcount bump for the run, none per block, nothing
+    /// on the heap. Otherwise `Err(n)`: the first `n` blocks have been
+    /// through [`Policy::touch`] and the rest have not.
     fn joined_hit(&self, lba: u64, len: usize, blocks: usize) -> Result<BufHandle, usize> {
         let mut index = self.index.lock();
         let mut run = None;
         for k in 0..blocks {
             let need = BLOCK.min(len - k * BLOCK);
             let block = index.policy.touch(lba + k as u64 * BLOCK_SECTORS);
-            if !block.is_some_and(|d| d.len() >= need && grow(&mut run, d)) {
+            if !block.is_some_and(|h| h.len() >= need && grow(&mut run, h)) {
                 return Err(k + 1);
             }
         }
@@ -289,7 +215,7 @@ impl<P: Policy> BlockCache<P> {
     /// first `touched` blocks have been through [`Policy::touch`] for this
     /// request already and are only peeked at, so a request records each
     /// of its hits once.
-    fn lookup(&self, lba: u64, len: usize, found: &mut [Option<CacheData>], touched: usize) {
+    fn lookup(&self, lba: u64, len: usize, found: &mut [Option<BufHandle>], touched: usize) {
         let mut index = self.index.lock();
         for (k, slot) in found.iter_mut().enumerate() {
             if slot.is_none() {
@@ -300,29 +226,23 @@ impl<P: Policy> BlockCache<P> {
                 } else {
                     index.policy.touch(key)
                 };
-                *slot = block.filter(|d| d.len() >= need).cloned();
+                *slot = block.filter(|h| h.len() >= need).cloned();
             }
         }
     }
 
-    /// Enter the blocks of `data` (an extent starting at `lba`) for which
-    /// `want(k)` holds, one entry per block, and return the dirty blocks
-    /// this pushed out.
+    /// Enter `blocks`, each `(k, view)` the `k`-th block of an extent
+    /// starting at `lba`, and return the dirty blocks this pushed out.
     fn insert(
         &self,
         lba: u64,
-        data: &CacheData,
-        want: impl Fn(usize) -> bool,
+        blocks: impl IntoIterator<Item = (usize, BufHandle)>,
         dirty: bool,
-    ) -> Vec<(u64, CacheData)> {
+    ) -> Vec<(u64, BufHandle)> {
         let mut victims = Vec::new();
         let mut index = self.index.lock();
         let Index { policy, dirty: set } = &mut *index;
-        for k in (0..data.len().div_ceil(BLOCK)).filter(|&k| want(k)) {
-            let off = k * BLOCK;
-            let Some(block) = data.slice(off, BLOCK.min(data.len() - off)) else {
-                continue;
-            };
+        for (k, block) in blocks {
             let key = lba + k as u64 * BLOCK_SECTORS;
             if dirty {
                 set.insert(key);
@@ -338,16 +258,18 @@ impl<P: Policy> BlockCache<P> {
         victims
     }
 
-    /// Write evicted or flushed dirty blocks downstream, neighbours merged.
+    /// Write evicted or flushed dirty blocks downstream, neighbours merged,
+    /// each run as a `WriteBuf` (a refcount bump).
     fn write_back(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
         req: &Request,
-        victims: Vec<(u64, CacheData)>,
+        victims: Vec<(u64, BufHandle)>,
     ) -> Result<(), RespPayload> {
-        for (lba, data) in coalesce(victims) {
-            let r = env.forward(ctx, req.derive(data.into_write(lba)));
+        for (lba, buf) in coalesce(victims) {
+            let write = Payload::Block(BlockOp::WriteBuf { lba, buf });
+            let r = env.forward(ctx, req.derive(write));
             if !r.is_ok() {
                 return Err(r);
             }
@@ -355,7 +277,8 @@ impl<P: Policy> BlockCache<P> {
         Ok(())
     }
 
-    /// The write path. Write-through forwards first and indexes the extent
+    /// The write path, for the `len`-byte extent at `lba` whose blocks
+    /// are `blocks`. Write-through forwards first and indexes the extent
     /// only once the next stage has taken it, so bytes the device refused
     /// never become resident; write-back indexes and acknowledges. Either
     /// way the dirty blocks this pushes out are written back: a
@@ -367,35 +290,77 @@ impl<P: Policy> BlockCache<P> {
         env: &StackEnv<'_>,
         req: Request,
         lba: u64,
-        cached: CacheData,
+        len: usize,
+        blocks: impl IntoIterator<Item = (usize, BufHandle)>,
     ) -> RespPayload {
         if !self.write_back {
             // `forward` consumes the request; write-backs derive from this.
             let origin = req.derive(Payload::Block(BlockOp::Flush));
             let resp = env.forward(ctx, req);
             if resp.is_ok() {
-                let victims = self.insert(lba, &cached, |_| true, false);
+                let victims = self.insert(lba, blocks, false);
                 if let Err(e) = self.write_back(ctx, env, &origin, victims) {
                     return e;
                 }
             }
             return resp;
         }
-        let victims = self.insert(lba, &cached, |_| true, true);
+        let victims = self.insert(lba, blocks, true);
         match self.write_back(ctx, env, &req, victims) {
-            Ok(()) => RespPayload::Len(cached.len()),
+            Ok(()) => RespPayload::Len(len),
             Err(e) => e,
         }
     }
 
+    /// Copy an owned write's bytes into `slots`, one per block, taken from
+    /// the class the cache reserves: never a larger class's slot, which a
+    /// resident block would pin with its spare bytes. The copy fills each
+    /// slot's view whole, so a recycled slot is not zero-filled first.
+    /// `false`, with every slot empty again, when the class has too few.
+    fn copy_in(&self, data: &[u8], slots: &mut [Option<BufHandle>]) -> bool {
+        let copied = slots.iter_mut().zip(data.chunks(BLOCK)).all(|(slot, src)| {
+            *slot = self.pages.as_ref().and_then(|pages| pages.alloc(src.len()));
+            // owner-ok: the cache fills the slot it just allocated
+            // copy-ok: an owned write's one copy into the cache; counted below
+            slot.as_mut().is_some_and(|h| h.fill(src))
+        });
+        if copied {
+            note_payload_copy(data.len());
+        } else {
+            slots.iter_mut().for_each(|slot| *slot = None);
+        }
+        copied
+    }
+
+    /// An owned write with no slots to cache it in: the cache keeps none
+    /// of its blocks. A dirty block in the range is written back first —
+    /// the write may not cover its last block whole — then the write is
+    /// forwarded and the range dropped, as a `Discard` drops it.
+    fn write_around(
+        &self,
+        ctx: &mut Ctx,
+        env: &StackEnv<'_>,
+        req: Request,
+        lba: u64,
+        len: usize,
+    ) -> RespPayload {
+        let end = lba + len.div_ceil(BLOCK) as u64 * BLOCK_SECTORS;
+        let dirty = self.take_dirty(|key| (lba..end).contains(&key));
+        if let Err(e) = self.write_back(ctx, env, &req, dirty) {
+            return e;
+        }
+        let resp = env.forward(ctx, req);
+        self.discard(lba, len);
+        resp
+    }
+
     /// The read path. A read that misses every block is answered with
-    /// what the next stage returned. Otherwise a read whose blocks are all
-    /// pool views — resident, or cut from the one run this request
-    /// fetched — answers with them by refcount (no memcpy, no copy
-    /// charge): a `DataBuf` when they are adjacent views of one slot, a
-    /// `DataRuns` list of one view per run when they lie in several. A
-    /// read that meets an owned window gathers into a `Vec` and is
-    /// charged + counted.
+    /// what the next stage returned. Otherwise the blocks — resident, or
+    /// cut from the one run this request fetched — answer by refcount (no
+    /// memcpy, no copy charge): a `DataBuf` when they are adjacent views
+    /// of one slot, a `DataRuns` list of one view per run when they lie
+    /// in several. A fetch that a dry pool answered with a `Vec` is not
+    /// cached: the resident blocks are laid over it ([`lay_over`]).
     fn read(
         &self,
         ctx: &mut Ctx,
@@ -414,16 +379,9 @@ impl<P: Policy> BlockCache<P> {
             Err(touched) => touched,
         };
         // Not one joinable run: take the blocks by value, so that they
-        // outlive the lock across the fetch. A single-block read stays off
-        // the heap.
-        let mut one = [None];
-        let mut many: Vec<Option<CacheData>>;
-        let found: &mut [Option<CacheData>] = if blocks == 1 {
-            &mut one
-        } else {
-            many = (0..blocks).map(|_| None).collect();
-            &mut many
-        };
+        // outlive the lock across the fetch.
+        let (mut one, mut many) = ([None], Vec::new());
+        let found = per_block(blocks, &mut one, &mut many);
         self.lookup(lba, len, found, touched);
         let fetched_blocks = 'fetch: {
             let Some((first, last)) = missing_run(found) else {
@@ -451,26 +409,33 @@ impl<P: Policy> BlockCache<P> {
                 len: run_len,
             };
             let resp = env.forward(ctx, req.derive(Payload::Block(fetch)));
-            let fetched = match &resp {
-                // Cache the handle by refcount bump; a dry pool's `Vec`
-                // is copied in once.
-                RespPayload::DataBuf(h) => CacheData::Buf(h.clone()),
-                RespPayload::Data(d) => {
-                    ctx.advance(copy_cost(d.len()));
-                    CacheData::owned(d)
-                }
+            let got = match &resp {
+                RespPayload::DataBuf(h) => h.len(),
+                RespPayload::Data(d) => d.len(),
                 _ => return resp,
             };
-            if fetched.len() < run_len {
+            if got < run_len {
                 return RespPayload::Err("short block read".into());
             }
             let missing = found.iter().filter(|b| b.is_none()).count();
-            let victims = self.insert(run_lba, &fetched, |k| found[first + k].is_none(), false);
+            self.misses.add(missing as u64);
+            let RespPayload::DataBuf(fetched) = &resp else {
+                drop(claim);
+                self.hits.add((blocks - missing) as u64);
+                return match resp {
+                    RespPayload::Data(d) if missing < blocks => lay_over(ctx, found, first, d, len),
+                    resp => resp,
+                };
+            };
+            let victims = self.insert(
+                run_lba,
+                blocks_of(fetched).filter(|&(k, _)| found[first + k].is_none()),
+                false,
+            );
             drop(claim);
             if let Err(e) = self.write_back(ctx, env, &req, victims) {
                 return e;
             }
-            self.misses.add(missing as u64);
             if missing == blocks {
                 // Nothing was resident: what came back is the answer.
                 return resp;
@@ -484,7 +449,7 @@ impl<P: Policy> BlockCache<P> {
             missing
         };
         self.hits.add((blocks - fetched_blocks) as u64);
-        views(found, len).unwrap_or_else(|| gather(ctx, found, len))
+        views(found, len)
     }
 
     /// Drop the resident blocks of the `len`-byte range at `lba`, dirty
@@ -502,19 +467,19 @@ impl<P: Policy> BlockCache<P> {
         }
     }
 
-    /// Take every dirty block (now clean).
-    fn take_dirty(&self) -> Vec<(u64, CacheData)> {
+    /// Take the dirty blocks whose key `pick` selects (now clean).
+    fn take_dirty(&self, pick: impl Fn(u64) -> bool) -> Vec<(u64, BufHandle)> {
         let mut index = self.index.lock();
         let Index { policy, dirty } = &mut *index;
         dirty
-            .drain()
+            .extract_if(|&lba| pick(lba))
             .filter_map(|lba| Some((lba, policy.peek(lba)?.clone())))
             .collect()
     }
 
     /// Remove every block, coldest first, with its dirty flag (hot swaps
     /// pull warm state out with this; nothing is copied).
-    fn drain(&self) -> Vec<(u64, CacheData, bool)> {
+    fn drain(&self) -> Vec<(u64, BufHandle, bool)> {
         let mut index = self.index.lock();
         let mut out = Vec::new();
         while let Some((lba, data)) = index.policy.pop_coldest() {
@@ -529,67 +494,79 @@ impl<P: Policy> BlockCache<P> {
         for (lba, data, dirty) in prev.drain() {
             // What does not fit the successor is dropped here, dirty or
             // not: there is no downstream to write to during an upgrade.
-            self.insert(lba, &data, |_| true, dirty);
+            self.insert(lba, [(0, data)], dirty);
         }
     }
 }
 
 /// First and last index of the empty slots, if any.
-fn missing_run(found: &[Option<CacheData>]) -> Option<(usize, usize)> {
+fn missing_run(found: &[Option<BufHandle>]) -> Option<(usize, usize)> {
     let first = found.iter().position(Option::is_none)?;
     let last = found.iter().rposition(Option::is_none)?;
     Some((first, last))
 }
 
-/// Start `run` as a clone of `block`'s pool handle, or grow it in place
-/// over a handle that starts where it ends; `false` for anything else.
-fn grow(run: &mut Option<BufHandle>, block: &CacheData) -> bool {
-    match (run, block) {
-        (Some(run), CacheData::Buf(h)) => run.extend_with(h),
-        (run, CacheData::Buf(h)) => {
-            *run = Some(h.clone());
+/// Start `run` as a clone of `block`, or grow it in place over a block
+/// that starts where it ends; `false`, and no change, otherwise.
+fn grow(run: &mut Option<BufHandle>, block: &BufHandle) -> bool {
+    match run {
+        Some(run) => run.extend_with(block),
+        None => {
+            *run = Some(block.clone());
             true
         }
-        _ => false,
     }
 }
 
 /// The zero-copy answer over the first `len` bytes of `found`'s blocks,
-/// all present and all pool handles: one handle when they are one run,
-/// else the runs' handles in byte order. `None` when a block is an owned
-/// window, whose bytes have no handle to pass on.
-fn views(found: &[Option<CacheData>], len: usize) -> Option<RespPayload> {
+/// all present: one handle when they are one run, else the runs' handles
+/// in byte order.
+fn views(found: &[Option<BufHandle>], len: usize) -> RespPayload {
     let mut runs = Vec::new();
     let mut run = None;
     for block in found.iter().flatten() {
         if !grow(&mut run, block) {
-            let CacheData::Buf(h) = block else {
-                return None;
-            };
-            runs.extend(run.replace(h.clone()));
+            runs.extend(run.replace(block.clone()));
         }
     }
-    // Only the last block may reach past `len`.
-    let mut run = run?;
+    // A read has at least one block; only the last may reach past `len`.
+    let Some(mut run) = run else {
+        return RespPayload::DataRuns(runs);
+    };
     run.truncate(len - runs.iter().map(BufHandle::len).sum::<usize>());
     if runs.is_empty() {
-        return Some(RespPayload::DataBuf(run));
+        return RespPayload::DataBuf(run);
     }
     runs.push(run);
-    Some(RespPayload::DataRuns(runs))
+    RespPayload::DataRuns(runs)
 }
 
-/// Build the response from the blocks of a `len`-byte read, all present:
-/// each byte moves once, from its entry into the response. Only for
-/// bytes that have no handle: a read that meets an owned window.
-fn gather(ctx: &mut Ctx, found: &[Option<CacheData>], len: usize) -> RespPayload {
-    note_payload_copy(len);
-    ctx.advance(copy_cost(len));
-    let mut out = Vec::with_capacity(len);
-    for block in found.iter().flatten() {
-        let take = block.len().min(len - out.len());
-        out.extend_from_slice(&block.as_slice()[..take]); // copy-ok: the copying hit; counted and charged above
+/// The answer to a `len`-byte read whose missing run, from block `first`
+/// on, came back as a dry pool's `Vec`: the fetched bytes at their place,
+/// every resident block's laid over them (one in the run may be dirty,
+/// newer than the device's). Each byte that moves is counted and charged.
+fn lay_over(
+    ctx: &mut Ctx,
+    found: &[Option<BufHandle>],
+    first: usize,
+    mut out: Vec<u8>,
+    len: usize,
+) -> RespPayload {
+    let head = first * BLOCK;
+    let mut moved = if head > 0 { out.len() } else { 0 };
+    out.splice(0..0, std::iter::repeat_n(0, head));
+    out.resize(len, 0);
+    for (k, block) in found.iter().enumerate() {
+        if let Some(h) = block {
+            let at = k * BLOCK;
+            let n = h.len().min(len - at);
+            // copy-ok: a resident block laid over a dry pool's answer; counted below
+            out[at..at + n].copy_from_slice(&h.as_slice()[..n]);
+            moved += n;
+        }
     }
+    note_payload_copy(moved);
+    ctx.advance(copy_cost(moved));
     RespPayload::Data(out)
 }
 
@@ -611,15 +588,22 @@ impl<P: Policy> LabMod for BlockCache<P> {
                 // due to data copying" (Fig. 4a). One lookup charge per
                 // request: the index is updated, not searched.
                 ctx.advance(P::LOOKUP_NS + 2 * copy_cost(data.len()));
-                let (lba, cached) = (*lba, CacheData::owned(data));
-                self.write(ctx, env, req, lba, cached)
+                let (lba, len) = (*lba, data.len());
+                let (mut one, mut many) = ([None], Vec::new());
+                let slots = per_block(len.div_ceil(BLOCK), &mut one, &mut many);
+                if !self.copy_in(data, slots) {
+                    return self.write_around(ctx, env, req, lba, len);
+                }
+                let blocks = slots.iter_mut().enumerate();
+                let blocks = blocks.filter_map(|(k, slot)| Some((k, slot.take()?)));
+                self.write(ctx, env, req, lba, len, blocks)
             }
             Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
                 // Zero-copy write: the cache keeps refcounts on the pool
                 // buffer — no memcpy, so only the lookup is charged.
                 ctx.advance(P::LOOKUP_NS);
-                let (lba, cached) = (*lba, CacheData::Buf(buf.clone()));
-                self.write(ctx, env, req, lba, cached)
+                let (lba, buf) = (*lba, buf.clone());
+                self.write(ctx, env, req, lba, buf.len(), blocks_of(&buf))
             }
             Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                 let (lba, len) = (*lba, *len);
@@ -627,7 +611,7 @@ impl<P: Policy> LabMod for BlockCache<P> {
             }
             Payload::Block(BlockOp::Flush) => {
                 // Write all dirty blocks, then pass the barrier down.
-                match self.write_back(ctx, env, &req, self.take_dirty()) {
+                match self.write_back(ctx, env, &req, self.take_dirty(|_| true)) {
                     Ok(()) => env.forward(ctx, req),
                     Err(e) => e,
                 }
@@ -648,7 +632,7 @@ impl<P: Policy> LabMod for BlockCache<P> {
 
     fn state_update(&self, old: &dyn LabMod) {
         // Hot-swapping cache policies: warm state moves across from
-        // either flavor (handles and windows by refcount — no byte copies).
+        // either flavor (handles by refcount — no byte copies).
         let old = old.as_any();
         if let Some(prev) = old.downcast_ref::<BlockCache<LruPolicy>>() {
             self.absorb(prev);
@@ -739,6 +723,14 @@ pub(crate) mod testing {
     use labstor_core::ModuleManager;
     use labstor_ipc::{BufferPool, Credentials};
     use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    /// The pool this crate's unit-test caches keep owned writes' blocks
+    /// in, apart from the process pool, which the driver tests drain.
+    pub(crate) fn block_pool() -> &'static BufferPool {
+        static POOL: std::sync::OnceLock<BufferPool> = std::sync::OnceLock::new();
+        POOL.get_or_init(BufferPool::with_defaults)
+    }
 
     /// Terminal "device": a flat byte array addressed by sector, so what
     /// a read returns depends on the bytes written, not on how requests
@@ -748,8 +740,9 @@ pub(crate) mod testing {
         pub writes: Stat,
         /// Every read request seen, as `(lba, len)`.
         pub reads: Mutex<Vec<(u64, usize)>>,
-        /// Lands read completions in this pool (else answers `Data`).
-        pub pool: Option<BufferPool>,
+        /// Lands read completions in this pool; answers `Data` when it
+        /// has no slot.
+        pub pool: BufferPool,
         /// While set, a read answers `Data`, as a driver does when the
         /// pool is dry.
         pub dry: std::sync::atomic::AtomicBool,
@@ -765,7 +758,7 @@ pub(crate) mod testing {
                 bytes: Mutex::new(Vec::new()),
                 writes: Stat::new(0),
                 reads: Mutex::new(Vec::new()),
-                pool: None,
+                pool: BufferPool::with_defaults(),
                 dry: std::sync::atomic::AtomicBool::new(false),
                 read_stall: std::time::Duration::ZERO,
                 fail_writes: std::sync::atomic::AtomicBool::new(false),
@@ -828,11 +821,8 @@ pub(crate) mod testing {
                     self.reads.lock().push((lba, len));
                     std::thread::sleep(self.read_stall);
                     let data = self.peek(lba, len);
-                    let pool = self
-                        .pool
-                        .as_ref()
-                        .filter(|_| !self.dry.load(Ordering::SeqCst));
-                    match pool.and_then(|p| p.alloc(len)) {
+                    let dry = self.dry.load(Ordering::SeqCst);
+                    match (!dry).then(|| self.pool.alloc(len)).flatten() {
                         Some(mut h) => {
                             assert!(h.fill(&data));
                             RespPayload::DataBuf(h)
@@ -849,6 +839,12 @@ pub(crate) mod testing {
         fn as_any(&self) -> &dyn std::any::Any {
             self
         }
+    }
+
+    /// A data answer's bytes, whatever its shape.
+    pub(crate) fn bytes(resp: &RespPayload) -> Option<Vec<u8>> {
+        resp.data_parts()
+            .map(|parts| parts.collect::<Vec<_>>().concat())
     }
 
     /// A `cache → dev` stack executed inline.
@@ -917,11 +913,12 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::testing::{MemDev, Rig};
+    use super::testing::{bytes, MemDev, Rig};
     use super::*;
     use labstor_ipc::{BufferPool, PoolConfig};
     use proptest::prelude::*;
     use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     #[test]
     fn inflight_claim_covers_the_run_and_releases_on_drop() {
@@ -937,41 +934,11 @@ mod tests {
     }
 
     #[test]
-    fn windows_slice_and_extend_like_handles() {
-        let whole = CacheData::owned(b"abcdefgh");
-        let (a, b, c) = (
-            whole.slice(0, 3).unwrap(),
-            whole.slice(3, 2).unwrap(),
-            whole.slice(5, 3).unwrap(),
-        );
-        assert_eq!(b.as_slice(), b"de");
-        assert!(whole.slice(7, 2).is_none());
-        let mut run = a.clone();
-        assert!(!run.extend_with(&c), "gap");
-        assert!(run.extend_with(&b));
-        assert_eq!(run.as_slice(), b"abcde");
-        assert!(!run.extend_with(&b), "overlap");
-        assert!(run.extend_with(&c));
-        assert_eq!(run.as_slice(), b"abcdefgh");
-        assert!(!b.clone().extend_with(&a), "reversed order");
-        assert!(
-            !a.clone().extend_with(&CacheData::owned(b"de")),
-            "another allocation"
-        );
-        let pool = BufferPool::new(PoolConfig {
-            classes: vec![(64, 1)],
-        });
-        let h = CacheData::Buf(pool.alloc_from(b"de").unwrap());
-        assert!(
-            !a.clone().extend_with(&h) && !h.clone().extend_with(&a),
-            "mixed arms"
-        );
-        assert_eq!(a.as_slice(), b"abc", "a refusal leaves the window alone");
-    }
-
-    #[test]
     fn victims_of_one_extent_coalesce_into_one_write() {
-        let whole = CacheData::owned(&[7u8; 4 * BLOCK]);
+        let pool = BufferPool::new(PoolConfig {
+            classes: vec![(4 * BLOCK, 2)],
+        });
+        let whole = pool.alloc_from(&[7u8; 4 * BLOCK]).unwrap();
         let block = |k: usize| {
             (
                 k as u64 * BLOCK_SECTORS,
@@ -982,8 +949,9 @@ mod tests {
         let merged = coalesce(vec![block(3), block(1), block(0)]);
         let shape: Vec<(u64, usize)> = merged.iter().map(|(l, d)| (*l, d.len())).collect();
         assert_eq!(shape, vec![(0, 2 * BLOCK), (3 * BLOCK_SECTORS, BLOCK)]);
-        // Device neighbours from different allocations stay apart.
-        let other = CacheData::owned(&[8u8; BLOCK]);
+        assert!(merged[0].1.same_slot(&whole), "a view, not a copy");
+        // Device neighbours from different slots stay apart.
+        let other = pool.alloc_from(&[8u8; BLOCK]).unwrap();
         assert_eq!(coalesce(vec![block(0), (BLOCK_SECTORS, other)]).len(), 2);
     }
 
@@ -1043,15 +1011,16 @@ mod tests {
 
     /// The cache the LRU engine must be indistinguishable from, kept the
     /// naive way: resident block numbers, coldest first, each with the
-    /// pool allocation its entry is a view of (`None`: owned bytes).
+    /// pool allocation its entry is a view of. An owned write's blocks
+    /// take one allocation each.
     #[derive(Default)]
     struct NaiveLru {
-        blocks: Vec<(u64, Option<u32>)>,
+        blocks: Vec<(u64, u32)>,
         allocations: u32,
     }
 
     impl NaiveLru {
-        fn origin(&self, block: u64) -> Option<Option<u32>> {
+        fn origin(&self, block: u64) -> Option<u32> {
             self.blocks.iter().find(|e| e.0 == block).map(|e| e.1)
         }
 
@@ -1062,7 +1031,7 @@ mod tests {
             }
         }
 
-        fn admit(&mut self, block: u64, origin: Option<u32>) {
+        fn admit(&mut self, block: u64, origin: u32) {
             self.blocks.retain(|e| e.0 != block);
             self.blocks.push((block, origin));
             if self.blocks.len() > CAPACITY {
@@ -1070,52 +1039,45 @@ mod tests {
             }
         }
 
-        fn allocation(&mut self) -> Option<u32> {
+        fn allocation(&mut self) -> u32 {
             self.allocations += 1;
-            Some(self.allocations)
+            self.allocations
         }
 
         /// Replay a read of `blocks` through the list — every resident
         /// block touched once in ascending order, then the missing ones
-        /// admitted in ascending order as views of what the fetch brought
-        /// (owned bytes when the device's pool is `dry`) — and say what
-        /// shape the answer must have.
+        /// admitted in ascending order as views of what the fetch brought,
+        /// unless the device's pool was `dry` — and say what shape the
+        /// answer must have.
         fn read(&mut self, blocks: std::ops::Range<u64>, dry: bool) -> Shape {
             let origins: Vec<_> = blocks.clone().map(|b| self.origin(b)).collect();
             for (block, _) in blocks.clone().zip(&origins).filter(|(_, o)| o.is_some()) {
                 self.touch(block);
             }
             let full_miss = origins.iter().all(Option::is_none);
-            let fetched = origins
-                .iter()
-                .any(Option::is_none)
-                .then(|| (!dry).then(|| self.allocation()).flatten());
-            for (block, _) in blocks.zip(&origins).filter(|(_, o)| o.is_none()) {
-                self.admit(block, fetched.flatten());
+            let hit = origins.iter().all(Option::is_some);
+            if !hit && dry {
+                // The device's `Vec` is passed up, resident blocks laid
+                // over it, and not admitted.
+                return Shape::Data;
             }
-            // Where each block's bytes lie once the fetch has landed.
-            let served: Vec<Option<u32>> = origins
-                .iter()
-                .map(|o| o.unwrap_or_else(|| fetched.flatten()))
-                .collect();
+            let fetched = (!hit).then(|| self.allocation());
+            for (block, _) in blocks.zip(&origins).filter(|(_, o)| o.is_none()) {
+                self.admit(block, fetched.unwrap_or_default());
+            }
             if full_miss {
                 // The device's own response is passed up.
-                if dry {
-                    Shape::Data
-                } else {
-                    Shape::Buf
-                }
-            } else if served.iter().any(Option::is_none) {
-                Shape::Data
+                return Shape::Buf;
+            }
+            // Where each block's bytes lie once the fetch has landed.
+            // Consecutive blocks of one allocation are adjacent in it: a
+            // run ends where the allocation changes.
+            let served: Vec<Option<u32>> = origins.iter().map(|o| o.or(fetched)).collect();
+            let runs = 1 + served.windows(2).filter(|w| w[0] != w[1]).count();
+            if runs == 1 {
+                Shape::Buf
             } else {
-                // Consecutive blocks of one allocation are adjacent in it:
-                // a run ends where the allocation changes.
-                let runs = 1 + served.windows(2).filter(|w| w[0] != w[1]).count();
-                if runs == 1 {
-                    Shape::Buf
-                } else {
-                    Shape::Runs(runs)
-                }
+                Shape::Runs(runs)
             }
         }
     }
@@ -1140,12 +1102,6 @@ mod tests {
         }
     }
 
-    /// A data answer's bytes, whatever its shape.
-    fn bytes(resp: &RespPayload) -> Option<Vec<u8>> {
-        resp.data_parts()
-            .map(|parts| parts.collect::<Vec<_>>().concat())
-    }
-
     /// Blocks the cache under test holds: against extents of up to 32,
     /// eviction on nearly every op, including of blocks the same request
     /// inserted.
@@ -1163,7 +1119,7 @@ mod tests {
             classes: vec![(32 * BLOCK, 64)],
         });
         let mut dev = MemDev::new();
-        dev.pool = Some(pool.clone());
+        dev.pool = pool.clone();
         let cache = Arc::new(BlockCache::<P>::build(CAPACITY * BLOCK, write_back));
         let rig = Rig::around(cache.clone(), dev);
         let mut model = vec![0u8; SPACE as usize * BLOCK];
@@ -1180,7 +1136,10 @@ mod tests {
                     let data = pattern(seed, blocks * BLOCK);
                     let at = block as usize * BLOCK;
                     model[at..at + data.len()].copy_from_slice(&data);
-                    (block..block + blocks as u64).for_each(|b| lru.admit(b, None));
+                    for b in block..block + blocks as u64 {
+                        let origin = lru.allocation();
+                        lru.admit(b, origin);
+                    }
                     prop_assert!(rig.write(&mut ctx, block, data).is_ok());
                 }
                 Op::WriteBuf {
@@ -1213,6 +1172,8 @@ mod tests {
                         let joined = runs.windows(2).any(|w| w[0].clone().extend_with(&w[1]));
                         prop_assert!(!joined, "{:?}: two runs join", op);
                     }
+                    let copied = matches!(resp, RespPayload::Data(_));
+                    prop_assert!(!copied || dry, "{:?}: only a dry fetch copies", op);
                     let want = lru.read(block..block + blocks as u64, dry);
                     if exact_lru {
                         prop_assert!(shape(&resp) == Some(want), "{:?} answered {:?}", op, resp);
@@ -1334,7 +1295,7 @@ mod tests {
                 classes: vec![(4 * BLOCK, 2)],
             });
             let mut dev = MemDev::new();
-            dev.pool = Some(pool.clone());
+            dev.pool = pool.clone();
             dev.poke(2 * BLOCK_SECTORS, &pattern(9, 2 * BLOCK));
             let rig = Rig::mount(type_name, serde_json::json!({}), dev);
             let mut ctx = Ctx::new();
@@ -1367,7 +1328,7 @@ mod tests {
                 classes: vec![(4 * BLOCK, 2)],
             });
             let mut dev = MemDev::new();
-            dev.pool = Some(pool.clone());
+            dev.pool = pool.clone();
             dev.read_stall = std::time::Duration::from_millis(40);
             dev.poke(0, &pattern(5, 4 * BLOCK));
             let rig = Rig::mount(type_name, serde_json::json!({}), dev);
@@ -1456,28 +1417,28 @@ mod tests {
         const LOOKUP_NS: u64 = LruPolicy::LOOKUP_NS;
         const MIN_BLOCKS: usize = LruPolicy::MIN_BLOCKS;
 
-        fn touch(&mut self, lba: u64) -> Option<&CacheData> {
+        fn touch(&mut self, lba: u64) -> Option<&BufHandle> {
             let hit = self.lru.touch(lba);
             self.touched
                 .extend(hit.is_some().then_some(lba / BLOCK_SECTORS));
             hit
         }
-        fn peek(&self, lba: u64) -> Option<&CacheData> {
+        fn peek(&self, lba: u64) -> Option<&BufHandle> {
             self.lru.peek(lba)
         }
         fn admit(
             &mut self,
             lba: u64,
-            data: CacheData,
+            data: BufHandle,
             cap: usize,
-            evict: &mut dyn FnMut(u64, CacheData),
+            evict: &mut dyn FnMut(u64, BufHandle),
         ) {
             self.lru.admit(lba, data, cap, evict)
         }
-        fn pop_coldest(&mut self) -> Option<(u64, CacheData)> {
+        fn pop_coldest(&mut self) -> Option<(u64, BufHandle)> {
             self.lru.pop_coldest()
         }
-        fn remove(&mut self, lba: u64) -> Option<CacheData> {
+        fn remove(&mut self, lba: u64) -> Option<BufHandle> {
             self.lru.remove(lba)
         }
         fn resident(&self) -> usize {
@@ -1499,26 +1460,28 @@ mod tests {
         let buf = pool.alloc_from(&pattern(1, 4 * BLOCK)).unwrap();
         let r = rig.exec(Payload::Block(BlockOp::WriteBuf { lba: 0, buf }), &mut ctx);
         assert!(r.is_ok());
-        // Block 2 becomes owned bytes: the run of handles stops there.
+        // Block 2's owned bytes go to a slot of their own: the run of
+        // handles stops there.
         assert!(rig.write(&mut ctx, 2, pattern(2, BLOCK)).is_ok());
         let touched = || std::mem::take(&mut cache.index.lock().policy.touched);
         assert!(matches!(
             rig.read(&mut ctx, 0, 4 * BLOCK),
-            RespPayload::Data(_)
+            RespPayload::DataRuns(runs) if runs.len() == 3
         ));
-        assert_eq!(touched(), [0, 1, 2, 3], "gathered after a broken run");
+        assert_eq!(touched(), [0, 1, 2, 3], "views after a broken run");
         assert!(matches!(
             rig.read(&mut ctx, 0, 2 * BLOCK),
             RespPayload::DataBuf(_)
         ));
         assert_eq!(touched(), [0, 1], "joined");
-        // Owned windows from the first block on: the run stops at once.
+        // A slot per owned block from the first block on: the run stops
+        // after one.
         assert!(rig.write(&mut ctx, 0, pattern(4, 4 * BLOCK)).is_ok());
         assert!(matches!(
             rig.read(&mut ctx, 0, 4 * BLOCK),
-            RespPayload::Data(_)
+            RespPayload::DataRuns(runs) if runs.len() == 4
         ));
-        assert_eq!(touched(), [0, 1, 2, 3], "owned windows");
+        assert_eq!(touched(), [0, 1, 2, 3], "owned blocks");
         // A miss in the middle: the hits around it, once each.
         rig.dev.poke(5 * BLOCK_SECTORS, &pattern(3, BLOCK));
         assert!(rig.read(&mut ctx, 4, BLOCK).is_ok());

@@ -313,9 +313,9 @@ impl LabFs {
     ///
     /// A read that is a single run hands back a window of whatever came
     /// up — `h.slice(..)` of a handle, the views of a run list that the
-    /// window crosses (one view is answered as a handle), the `Vec` (a
-    /// dry pool's, or a cache's gather over owned windows) itself when it
-    /// starts at the window — with no assembly buffer. Small results ride
+    /// window crosses (one view is answered as a handle), a dry pool's
+    /// `Vec` itself when it starts at the window — with no assembly
+    /// buffer. Small results ride
     /// inline. Holes and scattered files assemble into one `Vec`, each
     /// mapped byte copied (and counted) once.
     pub(super) fn op_read(

@@ -11,8 +11,8 @@ use super::{LabFs, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
 impl LabFs {
     /// Pushdown read: run a verified program over the file range
     /// in-stack and ship back only the result. Every page is scanned in
-    /// place — cache hits stay refcounted handle slices, legacy `Data`
-    /// answers are scanned where they sit — so the hit path counts
+    /// place — cache hits stay refcounted handle slices, a dry pool's
+    /// `Data` answers are scanned where they sit — so the hit path counts
     /// **zero** payload copies. Fuel is metered per instruction across
     /// the whole range and billed to the requesting tenant afterwards.
     #[allow(clippy::too_many_arguments)]

@@ -11,13 +11,14 @@
 use std::sync::Arc;
 
 use labstor_core::{LabMod, ModuleManager};
+use labstor_ipc::BufHandle;
 use labstor_kernel::page_cache::LruMap;
 
-use crate::cache_common::{BlockCache, CacheData, Policy};
+use crate::cache_common::{BlockCache, Policy};
 
 /// Plain least-recently-used replacement.
 #[derive(Default)]
-pub struct LruPolicy(LruMap<u64, CacheData>);
+pub struct LruPolicy(LruMap<u64, BufHandle>);
 
 impl Policy for LruPolicy {
     const TYPE_NAME: &'static str = "lru_cache";
@@ -25,20 +26,20 @@ impl Policy for LruPolicy {
     const LOOKUP_NS: u64 = 150;
     const MIN_BLOCKS: usize = 1;
 
-    fn touch(&mut self, lba: u64) -> Option<&CacheData> {
+    fn touch(&mut self, lba: u64) -> Option<&BufHandle> {
         self.0.get(&lba).map(|d| &*d)
     }
 
-    fn peek(&self, lba: u64) -> Option<&CacheData> {
+    fn peek(&self, lba: u64) -> Option<&BufHandle> {
         self.0.peek(&lba)
     }
 
     fn admit(
         &mut self,
         lba: u64,
-        data: CacheData,
+        data: BufHandle,
         cap: usize,
-        evict: &mut dyn FnMut(u64, CacheData),
+        evict: &mut dyn FnMut(u64, BufHandle),
     ) {
         self.0.insert(lba, data);
         while self.0.len() > cap {
@@ -49,11 +50,11 @@ impl Policy for LruPolicy {
         }
     }
 
-    fn pop_coldest(&mut self) -> Option<(u64, CacheData)> {
+    fn pop_coldest(&mut self) -> Option<(u64, BufHandle)> {
         self.0.pop_lru()
     }
 
-    fn remove(&mut self, lba: u64) -> Option<CacheData> {
+    fn remove(&mut self, lba: u64) -> Option<BufHandle> {
         self.0.remove(&lba)
     }
 
@@ -96,7 +97,7 @@ pub fn install(mm: &ModuleManager) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache_common::testing::{MemDev, Rig};
+    use crate::cache_common::testing::{bytes, MemDev, Rig};
     use crate::cache_common::{BLOCK, BLOCK_SECTORS};
     use labstor_core::{BlockOp, Payload, RespPayload};
     use labstor_ipc::{BufferPool, PoolConfig};
@@ -123,7 +124,7 @@ mod tests {
         rig.write(&mut ctx, 1, data.clone());
         assert_eq!(rig.dev.write_count(), 1);
         let r = rig.read(&mut ctx, 1, BLOCK);
-        assert!(matches!(r, RespPayload::Data(d) if d == data));
+        assert!(bytes(&r).as_ref() == Some(&data));
         assert_eq!(rig.dev.read_count(), 0, "read must be a cache hit");
         assert_eq!(stats(&rig), (1, 0));
     }
@@ -135,7 +136,7 @@ mod tests {
         // Prime the device directly (bypass cache).
         rig.dev.poke(2 * BLOCK_SECTORS, &[3u8; BLOCK]);
         let r = rig.read(&mut ctx, 2, BLOCK);
-        assert!(matches!(r, RespPayload::Data(d) if d == vec![3u8; BLOCK]));
+        assert!(bytes(&r) == Some(vec![3u8; BLOCK]));
         assert_eq!(rig.dev.read_count(), 1);
         rig.read(&mut ctx, 2, BLOCK);
         assert_eq!(rig.dev.read_count(), 1, "second read hits");
@@ -168,14 +169,23 @@ mod tests {
 
     #[test]
     fn write_back_extent_leaves_as_one_write() {
-        // The 4 blocks of one cached extent are pushed out by the next and
-        // must reach the device as the one write they arrived as.
+        // The 4 blocks of one cached pool buffer are pushed out by the next
+        // extent and must reach the device as the one write they arrived
+        // as. An owned extent's blocks lie in a slot each: one write each.
         let rig = setup(serde_json::json!({"write_back": true, "capacity_bytes": 4 * BLOCK}));
         let mut ctx = Ctx::new();
-        rig.write(&mut ctx, 0, vec![1u8; 4 * BLOCK]);
+        let pool = BufferPool::new(PoolConfig {
+            classes: vec![(4 * BLOCK, 1)],
+        });
+        let buf = pool.alloc_from(&[1u8; 4 * BLOCK]).unwrap();
+        rig.exec(Payload::Block(BlockOp::WriteBuf { lba: 0, buf }), &mut ctx);
         rig.write(&mut ctx, 8, vec![2u8; 4 * BLOCK]);
         assert_eq!(rig.dev.write_count(), 1);
         assert_eq!(rig.dev.peek(0, 4 * BLOCK), vec![1u8; 4 * BLOCK]);
+        rig.write(&mut ctx, 16, vec![3u8; 4 * BLOCK]);
+        assert_eq!(rig.dev.write_count(), 1 + 4);
+        let at = 8 * BLOCK_SECTORS;
+        assert_eq!(rig.dev.peek(at, 4 * BLOCK), vec![2u8; 4 * BLOCK]);
     }
 
     #[test]
@@ -270,10 +280,7 @@ mod tests {
         rig.write(&mut ctx, 0, vec![0xBB; 4 * BLOCK]);
         for b in 0..4 {
             let r = rig.read(&mut ctx, b, BLOCK);
-            assert!(
-                matches!(&r, RespPayload::Data(d) if d == &vec![0xBB; BLOCK]),
-                "block {b} is stale"
-            );
+            assert!(bytes(&r) == Some(vec![0xBB; BLOCK]), "block {b} is stale");
         }
         assert_eq!(rig.dev.read_count(), 0, "written blocks are resident");
     }
@@ -290,7 +297,7 @@ mod tests {
         rig.read(&mut ctx, 7, BLOCK);
         rig.dev.reads.lock().clear();
         let r = rig.read(&mut ctx, 0, 8 * BLOCK);
-        assert!(matches!(r, RespPayload::Data(d) if d == image));
+        assert!(bytes(&r).as_ref() == Some(&image));
         assert_eq!(
             *rig.dev.reads.lock(),
             vec![(2 * BLOCK_SECTORS, 5 * BLOCK)],
@@ -346,7 +353,7 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(delay_ms));
                     let mut ctx = Ctx::new();
                     let r = rig.read(&mut ctx, 2, BLOCK);
-                    assert!(matches!(r, RespPayload::Data(d) if d == vec![3u8; BLOCK]));
+                    assert!(bytes(&r) == Some(vec![3u8; BLOCK]));
                 });
             }
         });

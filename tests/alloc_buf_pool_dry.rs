@@ -11,11 +11,16 @@
 //!   instead of a pool buffer; the cache and LabFS pass that on, and the
 //!   read must return the right bytes. Once the pool is refilled, a miss
 //!   lands in a pool slot again.
+//! * A block cache copies an owned write's bytes into 4 KiB slots only.
+//!   With that class drained, a write-back cache keeps none of the
+//!   write's blocks, no slot of a larger class either, and writes a dirty
+//!   block the write covers only in part back before it forwards the
+//!   write: no dirty byte is lost.
 //!
 //! This file holds a single test: it drains the default pool, and the
 //! integration tests of one file share one process and pool.
 
-use labstor::core::{Runtime, RuntimeConfig};
+use labstor::core::{BlockOp, Payload, Runtime, RuntimeConfig};
 use labstor::ipc::{default_pool, Credentials};
 use labstor::mods::{DeviceRegistry, GenericFs};
 use labstor::sim::{BlockDevice, DeviceKind};
@@ -31,6 +36,17 @@ const SPEC: &str = r#"{
         { "uuid": "dry_lru", "type": "lru_cache", "params": {"capacity_bytes": 1048576}, "outputs": ["dry_sched"] },
         { "uuid": "dry_sched", "type": "noop_sched", "outputs": ["dry_drv"] },
         { "uuid": "dry_drv", "type": "kernel_driver", "params": {"device": "nvme0"} }
+    ]
+}"#;
+
+/// A write-back LRU straight on a driver, for block commands by hand.
+const WRITE_BACK: &str = r#"{
+    "mount": "blk::/dry_wb",
+    "exec": "sync",
+    "authorized_uids": [0],
+    "labmods": [
+        { "uuid": "wb_lru", "type": "lru_cache", "params": {"capacity_bytes": 1048576, "write_back": true}, "outputs": ["wb_drv"] },
+        { "uuid": "wb_drv", "type": "kernel_driver", "params": {"device": "nvme1"} }
     ]
 }"#;
 
@@ -116,5 +132,52 @@ fn a_write_with_its_class_drained_falls_back_and_spills_nowhere() {
     let live = pool.live();
     read_evicted(&mut fs, 1);
     assert_eq!(pool.live(), live + 1, "the cache kept the miss's slot");
+
+    // Block 1 dirty in a write-back cache, then the 4 KiB class drained
+    // and an owned write of block 0 and the first sector of block 1.
+    let nvme1 = devices.add_preset("nvme1", DeviceKind::Nvme);
+    let wb = rt.mount_stack_json(WRITE_BACK).unwrap();
+    let client = fs.client_mut();
+    let write = |lba, data| Payload::Block(BlockOp::Write { lba, data });
+    let old = page_bytes(7);
+    let r = client.execute(&wb, write(PAGE as u64 / 512, old.clone()));
+    assert!(r.unwrap().0.is_ok());
+    assert_eq!(nvme1.stats().snapshot().writes, 0, "block 1 is dirty");
+    let mut held = Vec::new();
+    loop {
+        let h = pool.alloc(PAGE).expect("a larger class has room");
+        if h.region() != 0 {
+            break;
+        }
+        held.push(h);
+    }
+    let new: Vec<u8> = (0..PAGE + 512).map(|i| (i % 233) as u8).collect();
+    let live = pool.live();
+    assert!(client
+        .execute(&wb, write(0, new.clone()))
+        .unwrap()
+        .0
+        .is_ok());
+    assert_eq!(
+        pool.live(),
+        live - 1,
+        "block 1's slot went back and no slot of any class was kept"
+    );
+    assert_eq!(
+        nvme1.stats().snapshot().writes,
+        2,
+        "the dirty block, then the write"
+    );
+    drop(held);
+    let reads = nvme1.stats().snapshot().reads;
+    let read = Payload::Block(BlockOp::ReadBuf {
+        lba: 0,
+        len: 2 * PAGE,
+    });
+    let resp = client.execute(&wb, read).unwrap().0;
+    let got = resp.data_parts().map(|p| p.collect::<Vec<_>>().concat());
+    let want = [&new[..], &old[512..]].concat();
+    assert!(got == Some(want), "the write and block 1's dirty tail");
+    assert_eq!(nvme1.stats().snapshot().reads, reads + 1, "a miss");
     rt.shutdown();
 }

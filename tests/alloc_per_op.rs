@@ -4,25 +4,26 @@
 //! thread, so a global allocator that counts that thread's calls counts
 //! everything the operation allocates.
 //!
-//! Per operation, before and after LabFS's page map became a run map
+//! Per operation, before LabFS's page map became a run map
 //! (`labfs/meta.rs`: a lookup answers a few runs inline instead of a
-//! `Vec` with one entry per page), with every allocation that remains:
+//! `Vec` with one entry per page) and now:
 //!
-//! | operation                   | before | after | what allocates                           |
-//! |-----------------------------|-------:|------:|------------------------------------------|
-//! | 4 KiB `ReadBuf` miss        |      1 |     0 |                                          |
-//! | 4 KiB `ReadBuf` hit         |      1 |     0 |                                          |
-//! | 4 KiB legacy `Write`        |      2 |     1 | the cache's `Arc<[u8]>` of the page      |
-//! | 4 KiB `GenericFs::write`    |      1 |     0 |                                          |
-//! | empty `GenericFs::write`    |      0 |     0 |                                          |
-//! | 64 KiB `WriteBuf` overwrite |      — |     0 |                                          |
-//! | 64 KiB `ReadBuf` hit        |      — |     0 |                                          |
+//! | operation                   | before | now |
+//! |-----------------------------|-------:|----:|
+//! | 4 KiB `ReadBuf` miss        |      1 |   0 |
+//! | 4 KiB `ReadBuf` hit         |      1 |   0 |
+//! | 4 KiB legacy `Write`        |      2 |   0 |
+//! | 4 KiB `GenericFs::write`    |      1 |   0 |
+//! | empty `GenericFs::write`    |      0 |   0 |
+//! | 64 KiB `WriteBuf` overwrite |      — |   0 |
+//! | 64 KiB `ReadBuf` hit        |      — |   0 |
 //!
 //! The legacy `Write`'s `Vec` is the caller's, made before the count
-//! starts; the cache keeps its own copy of an owned write's bytes.
-//! `GenericFs::write` sends `WriteBuf`, so neither a payload `Vec` nor
-//! that copy is made, and an empty one sends nothing, takes no pool slot
-//! and copies nothing.
+//! starts. The run map took one of its allocations; the other was the
+//! cache's `Arc<[u8]>` of the page, gone since the cache copies an owned
+//! write's bytes into a pool slot per block instead. `GenericFs::write`
+//! sends `WriteBuf`, so no payload `Vec` is made, and an empty one sends
+//! nothing, takes no pool slot and copies nothing.
 //!
 //! Varmail's flow on the same stack — create a file, append two 8 KiB
 //! halves, fsync, read the 16 KiB back (a hit on blocks in the two pool
@@ -263,7 +264,7 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
 
     assert_eq!(miss, [0; OPS], "ReadBuf miss");
     assert_eq!(hit, [0; OPS], "ReadBuf hit");
-    assert_eq!(legacy, [1; OPS], "legacy Write");
+    assert_eq!(legacy, [0; OPS], "legacy Write");
     assert_eq!(generic, [0; OPS], "GenericFs::write");
     assert_eq!(
         (empty, after),

@@ -18,8 +18,9 @@ const CHECKS: &[(&str, bool, &[Check])] = &[
         "BENCH_datapath.json",
         false,
         &[
-            ("zero_copy_64k_wall_speedup", "at_least", 1.0),
-            ("zero_copy_64k_modeled_speedup", "at_least", 2.0),
+            ("hit_copy_bytes_max", "at_most", 0.0),
+            ("owned_64k_virt_hit_ns", "at_most", 3000.0),
+            ("pool_64k_virt_hit_ns", "at_most", 3000.0),
         ],
     ),
     (

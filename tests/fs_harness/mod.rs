@@ -200,8 +200,8 @@ pub fn kernel(name: &str, profile: FsProfile, cache_bytes: usize) -> Subject {
 
 /// LabFS through hand-built owned writes: `FsOp::Write` carries its
 /// bytes in a `Vec`, where GenericFs sends a pool buffer, so the cache
-/// holds owned windows and a read of them gathers. Reads are `FsOp::ReadBuf`
-/// sent by hand; every other call goes through GenericFs.
+/// copies them into a pool slot per block. Reads are `FsOp::ReadBuf` sent
+/// by hand; every other call goes through GenericFs.
 struct OwnedWrites {
     inner: LabStorFsTarget,
     stack: Arc<LabStack>,

@@ -7,8 +7,9 @@
 //! * LabFS on Lab-D: labfs → lru_cache (32 KiB, write-back, so it
 //!   evicts) → noop_sched → kernel_driver, run in the client. It runs
 //!   once with GenericFs's pool verbs (`WriteBuf`/`ReadBuf`) and once
-//!   with hand-built owned writes (`FsOp::Write`), whose cached windows
-//!   every read of them gathers;
+//!   with hand-built owned writes (`FsOp::Write`), whose bytes the cache
+//!   copies into a pool slot per block, so a read of several of them
+//!   answers with the slots' views;
 //! * LabFS on Lab-All: permissions in front, async;
 //! * the ext4-, XFS- and F2FS-like kernel profiles behind the VFS, each
 //!   with a page cache that never evicts (4 MiB) and with one of two

@@ -6,7 +6,10 @@
 //! caller-owned bytes pays exactly one counted copy, and the page reads
 //! back the same way. A hand-built legacy `FsOp::Write` counts exactly
 //! the bytes LabFS patches and assembles and the base page a patch
-//! copies out, and none when its `Vec` moves.
+//! copies out, and none when its `Vec` moves. Last, `rw4k`'s preload
+//! through a 16 MiB LRU, where most 64 KiB writes find the pool class dry
+//! and go as owned `Write`s: every later hit on a page of it copies
+//! nothing and costs the same virtual time.
 //!
 //! This file intentionally holds a single test: the counter is
 //! process-global, and rust integration-test files are separate
@@ -15,7 +18,7 @@
 use labstor::core::{FsOp, Payload, RespPayload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
 use labstor::mods::{DeviceRegistry, GenericFs};
-use labstor::sim::DeviceKind;
+use labstor::sim::{BlockDevice, DeviceKind};
 use std::sync::Arc;
 
 const SPEC: &str = r#"{
@@ -38,6 +41,20 @@ const BARE: &str = r#"{
     "labmods": [
         { "uuid": "zb_fs", "type": "labfs", "params": {"device": "nvme1", "workers": 1}, "outputs": ["zb_drv"] },
         { "uuid": "zb_drv", "type": "kernel_driver", "params": {"device": "nvme1"} }
+    ]
+}"#;
+
+/// Lab-D as `rw4k_d_qd1` mounts it: a 16 MiB write-through LRU, run
+/// inline in the client.
+const LAB_D: &str = r#"{
+    "mount": "fs::/zc_d",
+    "exec": "sync",
+    "authorized_uids": [0],
+    "labmods": [
+        { "uuid": "zd_fs", "type": "labfs", "params": {"device": "nvme2", "workers": 1}, "outputs": ["zd_lru"] },
+        { "uuid": "zd_lru", "type": "lru_cache", "params": {"capacity_bytes": 16777216}, "outputs": ["zd_sched"] },
+        { "uuid": "zd_sched", "type": "noop_sched", "outputs": ["zd_drv"] },
+        { "uuid": "zd_drv", "type": "kernel_driver", "params": {"device": "nvme2"} }
     ]
 }"#;
 
@@ -160,6 +177,48 @@ fn labfs_readbuf_round_trip_is_byte_identical_and_copy_free() {
         );
     }
     assert_eq!(fs.read(fd, model.len()).unwrap(), model);
+    fs.close(fd).unwrap();
+
+    // `rw4k`'s preload: 1 024 × 64 KiB `write(2)`s through the 16 MiB
+    // LRU. The cache pins the 64 KiB class's slots, so most writes find
+    // it dry and go as owned `Write`s, whose bytes the cache copies into
+    // a 4 KiB slot per block (one counted copy more per write). The last
+    // 16 MiB stay resident, and a hit on any of its pages is a view.
+    const CHUNK: usize = 16 * PAGE;
+    const CHUNKS: usize = 1024;
+    const CACHED_PAGES: usize = 4096;
+    let page_of = |page: usize| -> Vec<u8> {
+        (0..PAGE)
+            .map(|i| (i % 251) as u8 ^ (page / 16) as u8)
+            .collect()
+    };
+    devices.add_preset("nvme2", DeviceKind::Nvme);
+    rt.mount_stack_json(LAB_D).unwrap();
+    let fd = fs.open("fs::/zc_d/preload.bin", true, false).unwrap();
+    let copies = labstor::ipc::payload_copies();
+    for c in 0..CHUNKS {
+        let chunk: Vec<u8> = (0..16).flat_map(|k| page_of(16 * c + k)).collect();
+        assert_eq!(fs.write(fd, &chunk), Ok(CHUNK));
+    }
+    let owned = labstor::ipc::payload_copies() - copies - CHUNKS as u64;
+    assert!(owned > 0, "no preload write went as an owned Write");
+    let nvme2 = devices.block("nvme2").unwrap();
+    let reads = nvme2.stats().snapshot().reads;
+    let mut costs = std::collections::BTreeSet::new();
+    for page in CHUNKS * 16 - CACHED_PAGES..CHUNKS * 16 {
+        fs.seek(fd, (page * PAGE) as u64).unwrap();
+        let (copies, at) = (labstor::ipc::payload_copies(), fs.client().ctx.now());
+        let h = fs.read_buf(fd, PAGE).unwrap();
+        costs.insert(fs.client().ctx.now() - at);
+        assert_eq!(
+            labstor::ipc::payload_copies() - copies,
+            0,
+            "page {page}: a hit copies nothing"
+        );
+        assert!(h.as_slice() == page_of(page), "page {page}");
+    }
+    assert_eq!(nvme2.stats().snapshot().reads, reads, "every read hit");
+    assert_eq!(costs.len(), 1, "every hit costs the same: {costs:?}");
     fs.close(fd).unwrap();
     rt.shutdown();
 }
