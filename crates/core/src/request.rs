@@ -62,8 +62,8 @@ pub enum FsOp {
     /// of the pool buffer a miss landed in, a [`RespPayload::DataRuns`]
     /// list when the bytes lie in several pool slots, small results
     /// [`RespPayload::Inline`], and a [`RespPayload::Data`] `Vec` where
-    /// the bytes have no handle (a dry pool, a cached owned write, an
-    /// assembled scattered read).
+    /// the bytes have no handle (a dry pool, an assembled scattered
+    /// read).
     ReadBuf {
         /// Source inode.
         ino: u64,
@@ -193,7 +193,7 @@ pub enum BlockOp {
     /// Read sectors, the one block read verb: respond with
     /// [`RespPayload::DataBuf`], with [`RespPayload::DataRuns`] when the
     /// bytes lie in several pool slots, or with [`RespPayload::Data`]
-    /// when they have no handle (a dry pool, a cached owned write).
+    /// when they have no handle (a dry pool).
     ReadBuf {
         /// Start LBA.
         lba: u64,

@@ -38,6 +38,7 @@
 //! the counter stays flat across a LabFS write→read round trip.
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::ptr::NonNull;
 use std::sync::atomic::{fence, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -426,7 +427,7 @@ impl BufferPool {
     /// owner tag, since whatever the caller writes (a DMA target's device
     /// bytes, say) belongs to no domain.
     pub fn alloc(&self, len: usize) -> Option<BufHandle> {
-        self.alloc_tagged(len, NO_OWNER, true)
+        self.alloc_tagged(0..self.inner.classes.len(), len, NO_OWNER)
     }
 
     /// Allocate like [`BufferPool::alloc`], on behalf of `domain`: the
@@ -443,17 +444,16 @@ impl BufferPool {
     /// a client's write buffer for as long as the blocks stay resident, so
     /// a slot from a larger class would pin its spare bytes with them.
     pub fn alloc_for(&self, domain: u32, len: usize) -> Option<BufHandle> {
-        self.alloc_tagged(len, u64::from(domain) + 1, false)
+        let fit = self.inner.classes.iter().position(|c| c.buf_size >= len)?;
+        self.alloc_tagged(fit..fit + 1, len, u64::from(domain) + 1)
     }
 
-    /// Take a slot from the smallest class that fits `len`, or, when
-    /// `spill` holds and that class is dry, from the next larger one that
-    /// is not.
-    fn alloc_tagged(&self, len: usize, owner: u64, spill: bool) -> Option<BufHandle> {
-        let classes = &self.inner.classes;
-        let fit = classes.iter().position(|c| c.buf_size >= len)?;
-        let last = if spill { classes.len() } else { fit + 1 };
-        for (ci, class) in classes.iter().enumerate().take(last).skip(fit) {
+    /// Take a slot for `len` bytes from the first class in `range` that
+    /// fits them and is not dry.
+    fn alloc_tagged(&self, range: Range<usize>, len: usize, owner: u64) -> Option<BufHandle> {
+        let classes = self.inner.classes.iter().enumerate();
+        let fit = classes.take(range.end).skip(range.start);
+        for (ci, class) in fit.filter(|(_, c)| c.buf_size >= len) {
             if let Some((slot, s)) = class.take() {
                 let class_id = ci as u16;
                 {
@@ -570,11 +570,12 @@ pub struct Reservation {
 }
 
 impl Reservation {
-    /// [`BufferPool::alloc`] from the class that fits `len` only, never a
-    /// larger one: up to the length reserved for, the reserved class.
-    /// `None` when that class is dry.
+    /// A slot of the reserved class, never another's, for `len` bytes, as
+    /// [`BufferPool::alloc`] hands one out. `None` when they do not fit
+    /// the class's slots or the class is dry.
     pub fn alloc(&self, len: usize) -> Option<BufHandle> {
-        self.pool.alloc_tagged(len, NO_OWNER, false)
+        self.pool
+            .alloc_tagged(self.class..self.class + 1, len, NO_OWNER)
     }
 }
 
@@ -1121,6 +1122,12 @@ mod tests {
         assert!(pool.alloc(64).is_some_and(|h| h.region() == 1), "spills");
         drop(held);
         assert!(r.alloc(64).is_some());
+        assert!(r.alloc(65).is_none(), "longer than the class's slots");
+        // A smaller class that fits is not the reserved one.
+        let r = pool.reserve(100, 1).unwrap();
+        assert!(r
+            .alloc(40)
+            .is_some_and(|h| h.region() == 1 && h.len() == 40));
     }
 
     #[test]

@@ -147,7 +147,7 @@ pub type ArcCacheMod = BlockCache<ArcPolicy>;
 impl ArcCacheMod {
     /// Cache of `capacity_bytes`.
     pub(crate) fn new(capacity_bytes: usize) -> Self {
-        Self::build(capacity_bytes, false)
+        Self::build(labstor_ipc::default_pool(), capacity_bytes, false)
     }
 }
 

@@ -30,7 +30,7 @@ use std::collections::HashSet;
 use parking_lot::{Condvar, Mutex};
 
 use labstor_core::{BlockOp, LabMod, ModType, Payload, Request, RespPayload, StackEnv};
-use labstor_ipc::{note_payload_copy, BufHandle, Reservation};
+use labstor_ipc::{note_payload_copy, BufHandle, BufferPool, Reservation};
 use labstor_sim::Ctx;
 use labstor_telemetry::Stat;
 
@@ -71,21 +71,24 @@ fn per_block<'a>(
     }
 }
 
-/// Merge write-back victims that are neighbours both on the device and in
-/// memory, so the blocks of one cached extent leave as one write.
-fn coalesce(mut victims: Vec<(u64, BufHandle)>) -> Vec<(u64, BufHandle)> {
+/// The writes that carry write-back victims downstream: one per run of
+/// device neighbours, so the blocks of one cached extent leave as one
+/// write. A run of adjacent views of one slot grows back into one handle
+/// and goes as a `WriteBuf`; a run over several slots (an owned write's
+/// blocks lie in a slot each) is joined into one `Write`, one counted copy.
+fn coalesce(mut victims: Vec<(u64, BufHandle)>) -> Vec<BlockOp> {
     victims.sort_unstable_by_key(|&(lba, _)| lba);
-    let mut out: Vec<(u64, BufHandle)> = Vec::with_capacity(victims.len());
-    for (lba, data) in victims {
-        if let Some((last_lba, last)) = out.last_mut() {
-            let adjacent = *last_lba + (last.len() / labstor_sim::SECTOR_SIZE) as u64 == lba;
-            if adjacent && last.extend_with(&data) {
-                continue;
-            }
+    let end = |(lba, h): &(u64, BufHandle)| lba + (h.len() / labstor_sim::SECTOR_SIZE) as u64;
+    let runs = victims.chunk_by(|a, b| end(a) == b.0);
+    runs.map(|run| {
+        let (lba, mut buf) = run[0].clone();
+        if run[1..].iter().all(|(_, next)| buf.extend_with(next)) {
+            return BlockOp::WriteBuf { lba, buf };
         }
-        out.push((lba, data));
-    }
-    out
+        let data = crate::generic::copy_out(run.iter().map(|(_, h)| h.as_slice()));
+        BlockOp::Write { lba, data }
+    })
+    .collect()
 }
 
 /// The replacement policy of a block cache: which blocks are resident.
@@ -157,8 +160,9 @@ impl<P> BlockCache<P> {
 }
 
 impl<P: Policy> BlockCache<P> {
-    /// Cache of `capacity_bytes`, in whole blocks.
-    pub(crate) fn build(capacity_bytes: usize, write_back: bool) -> Self {
+    /// Cache of `capacity_bytes`, in whole blocks, holding its slot per
+    /// resident block in `pool`.
+    pub(crate) fn build(pool: &BufferPool, capacity_bytes: usize, write_back: bool) -> Self {
         let capacity_blocks = (capacity_bytes / BLOCK).max(P::MIN_BLOCKS);
         BlockCache {
             index: Mutex::new(Index {
@@ -170,10 +174,7 @@ impl<P: Policy> BlockCache<P> {
             write_back,
             hits: Stat::new(0),
             misses: Stat::new(0),
-            #[cfg(not(test))]
-            pages: labstor_ipc::default_pool().reserve(BLOCK, capacity_blocks),
-            #[cfg(test)]
-            pages: testing::block_pool().reserve(BLOCK, capacity_blocks),
+            pages: pool.reserve(BLOCK, capacity_blocks),
         }
     }
 
@@ -258,8 +259,8 @@ impl<P: Policy> BlockCache<P> {
         victims
     }
 
-    /// Write evicted or flushed dirty blocks downstream, neighbours merged,
-    /// each run as a `WriteBuf` (a refcount bump).
+    /// Write evicted or flushed dirty blocks downstream, device neighbours
+    /// merged into one write per run ([`coalesce`]).
     fn write_back(
         &self,
         ctx: &mut Ctx,
@@ -267,9 +268,8 @@ impl<P: Policy> BlockCache<P> {
         req: &Request,
         victims: Vec<(u64, BufHandle)>,
     ) -> Result<(), RespPayload> {
-        for (lba, buf) in coalesce(victims) {
-            let write = Payload::Block(BlockOp::WriteBuf { lba, buf });
-            let r = env.forward(ctx, req.derive(write));
+        for write in coalesce(victims) {
+            let r = env.forward(ctx, req.derive(Payload::Block(write)));
             if !r.is_ok() {
                 return Err(r);
             }
@@ -721,15 +721,61 @@ pub(crate) mod testing {
     use super::*;
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
     use labstor_core::ModuleManager;
-    use labstor_ipc::{BufferPool, Credentials};
+    use labstor_ipc::Credentials;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
-    /// The pool this crate's unit-test caches keep owned writes' blocks
-    /// in, apart from the process pool, which the driver tests drain.
-    pub(crate) fn block_pool() -> &'static BufferPool {
-        static POOL: std::sync::OnceLock<BufferPool> = std::sync::OnceLock::new();
-        POOL.get_or_init(BufferPool::with_defaults)
+    /// `Some(n)`: `n` live [`Rig`]s use the process pool, whose 4 KiB
+    /// slots their caches copy owned writes into. `None`: a test has it
+    /// drained ([`PoolUse::exclusive`]), and a rig's cache would find the
+    /// class dry and write around itself. Each waits for the other.
+    static DEFAULT_POOL: Mutex<Option<usize>> = Mutex::new(Some(0));
+    static DEFAULT_POOL_FREED: Condvar = Condvar::new();
+
+    /// Use of the process pool until the guard drops: shared by every
+    /// [`Rig`], exclusive for a test that drains a class of it.
+    pub(crate) struct PoolUse {
+        exclusive: bool,
+    }
+
+    impl PoolUse {
+        /// Shared use; waits out an exclusive one. A thread that holds a
+        /// shared use never waits for another: no exclusive one can start
+        /// while it lives.
+        pub(crate) fn shared() -> Self {
+            let mut users = DEFAULT_POOL.lock();
+            loop {
+                match &mut *users {
+                    Some(n) => {
+                        *n += 1;
+                        break;
+                    }
+                    None => DEFAULT_POOL_FREED.wait(&mut users),
+                }
+            }
+            PoolUse { exclusive: false }
+        }
+
+        /// Sole use; waits until no other use is live.
+        pub(crate) fn exclusive() -> Self {
+            let mut users = DEFAULT_POOL.lock();
+            while *users != Some(0) {
+                DEFAULT_POOL_FREED.wait(&mut users);
+            }
+            *users = None;
+            PoolUse { exclusive: true }
+        }
+    }
+
+    impl Drop for PoolUse {
+        fn drop(&mut self) {
+            let mut users = DEFAULT_POOL.lock();
+            *users = match *users {
+                Some(n) if !self.exclusive => Some(n - 1),
+                _ => Some(0),
+            };
+            DEFAULT_POOL_FREED.notify_all();
+        }
     }
 
     /// Terminal "device": a flat byte array addressed by sector, so what
@@ -852,11 +898,13 @@ pub(crate) mod testing {
         pub mm: ModuleManager,
         pub stack: LabStack,
         pub dev: Arc<MemDev>,
+        _pool: PoolUse,
     }
 
     impl Rig {
         /// Mount `cache` in front of `dev`.
         pub fn around(cache: Arc<dyn LabMod>, dev: MemDev) -> Rig {
+            let _pool = PoolUse::shared();
             let mm = ModuleManager::new();
             mm.insert_instance("cache", cache);
             let dev = Arc::new(dev);
@@ -877,7 +925,12 @@ pub(crate) mod testing {
                 ],
                 authorized_uids: vec![],
             };
-            Rig { mm, stack, dev }
+            Rig {
+                mm,
+                stack,
+                dev,
+                _pool,
+            }
         }
 
         /// Instantiate `type_name` through its registered factory.
@@ -915,7 +968,7 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::{bytes, MemDev, Rig};
     use super::*;
-    use labstor_ipc::{BufferPool, PoolConfig};
+    use labstor_ipc::{default_pool, PoolConfig};
     use proptest::prelude::*;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -945,14 +998,29 @@ mod tests {
                 whole.slice(k * BLOCK, BLOCK).unwrap(),
             )
         };
-        // Out of order, with block 2 missing: {0,1} merge, {3} stands alone.
-        let merged = coalesce(vec![block(3), block(1), block(0)]);
-        let shape: Vec<(u64, usize)> = merged.iter().map(|(l, d)| (*l, d.len())).collect();
-        assert_eq!(shape, vec![(0, 2 * BLOCK), (3 * BLOCK_SECTORS, BLOCK)]);
-        assert!(merged[0].1.same_slot(&whole), "a view, not a copy");
-        // Device neighbours from different slots stay apart.
+        // Out of order, with block 2 missing: {0,1} merge into one view,
+        // {3} stands alone.
+        match &coalesce(vec![block(3), block(1), block(0)])[..] {
+            [BlockOp::WriteBuf { lba: 0, buf }, BlockOp::WriteBuf { lba, buf: last }] => {
+                assert!(buf.same_slot(&whole) && buf.len() == 2 * BLOCK, "a view");
+                assert_eq!((*lba, last.len()), (3 * BLOCK_SECTORS, BLOCK));
+            }
+            other => panic!("expected two views, got {other:?}"),
+        }
+        // A device neighbour in another slot joins the run, and the run
+        // leaves as one write of its joined bytes, a counted copy.
         let other = pool.alloc_from(&[8u8; BLOCK]).unwrap();
-        assert_eq!(coalesce(vec![block(0), (BLOCK_SECTORS, other)]).len(), 2);
+        let copies = labstor_ipc::payload_copies();
+        match &coalesce(vec![(2 * BLOCK_SECTORS, other), block(1), block(0)])[..] {
+            [BlockOp::Write { lba: 0, data }] => {
+                assert!(*data == [[7u8; 2 * BLOCK].as_slice(), &[8u8; BLOCK]].concat());
+            }
+            other => panic!("expected one owned write, got {other:?}"),
+        }
+        assert!(
+            labstor_ipc::payload_copies() > copies,
+            "the join is counted"
+        );
     }
 
     /// One step of the model-checked op stream (block units).
@@ -1114,13 +1182,16 @@ mod tests {
         write_back: bool,
         exact_lru: bool,
     ) -> Result<(), TestCaseError> {
-        // One class, so every handle the run creates is visible in `live`.
+        // Every handle the run creates comes from this pool, so `live`
+        // sees each: the cache's slots for owned writes, the device's
+        // landing buffers and the writers' buffers. The 4 KiB class never
+        // runs dry: a 32-block write's slots and the resident blocks fit.
         let pool = BufferPool::new(PoolConfig {
-            classes: vec![(32 * BLOCK, 64)],
+            classes: vec![(BLOCK, 64), (32 * BLOCK, 64)],
         });
         let mut dev = MemDev::new();
         dev.pool = pool.clone();
-        let cache = Arc::new(BlockCache::<P>::build(CAPACITY * BLOCK, write_back));
+        let cache = Arc::new(BlockCache::<P>::build(&pool, CAPACITY * BLOCK, write_back));
         let rig = Rig::around(cache.clone(), dev);
         let mut model = vec![0u8; SPACE as usize * BLOCK];
         let mut lru = NaiveLru::default();
@@ -1454,7 +1525,11 @@ mod tests {
         let pool = BufferPool::new(PoolConfig {
             classes: vec![(4 * BLOCK, 1)],
         });
-        let cache = Arc::new(BlockCache::<RecordingLru>::build(64 * BLOCK, false));
+        let cache = Arc::new(BlockCache::<RecordingLru>::build(
+            default_pool(),
+            64 * BLOCK,
+            false,
+        ));
         let rig = Rig::around(cache.clone(), MemDev::new());
         let mut ctx = Ctx::new();
         let buf = pool.alloc_from(&pattern(1, 4 * BLOCK)).unwrap();

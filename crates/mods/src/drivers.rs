@@ -468,6 +468,8 @@ mod tests {
     /// `ReadBuf` is handed a destination that holds neither its answer
     /// (the slot a `WriteBuf` of the same bytes just freed) nor zeroes.
     fn poison_free_slots() {
+        // Not while a cache test copies owned writes into the class.
+        let _sole = crate::cache_common::testing::PoolUse::exclusive();
         let pool = labstor_ipc::default_pool();
         // Drain the class that serves 4 KiB until it refuses — its budget
         // moves while other tests' caches hold reservations — and stop at

@@ -97,7 +97,7 @@ pub(crate) fn owned_bytes(resp: RespPayload) -> Result<Vec<u8>, RespPayload> {
 }
 
 /// One counted copy of `parts` into a `Vec` sized once.
-fn copy_out<'a>(parts: impl Iterator<Item = &'a [u8]> + Clone) -> Vec<u8> {
+pub(crate) fn copy_out<'a>(parts: impl Iterator<Item = &'a [u8]> + Clone) -> Vec<u8> {
     let len = parts.clone().map(<[u8]>::len).sum();
     labstor_ipc::note_payload_copy(len);
     let mut out = Vec::with_capacity(len);
