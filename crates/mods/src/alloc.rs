@@ -2,12 +2,84 @@
 //! "evenly divides device blocks among the pool of workers. Workers can
 //! steal from one another if more space is needed." LabKVS carves its
 //! value extents from the same allocator, in sectors.
+//!
+//! Each shard hands out units from a bump range and from a free list of
+//! units given back (`BlockAllocator::free`), the free list first. The
+//! engine gives a unit back only once the record that freed it is
+//! durable and the stack below has let it go (DESIGN.md §12).
 
 use parking_lot::Mutex;
 
 struct AllocShard {
     next: u64,
     end: u64,
+    /// Units given back, as `(first, n)` runs sorted by `first`, none
+    /// touching the next.
+    free: Vec<(u64, u64)>,
+}
+
+impl AllocShard {
+    /// `[goal, goal + n)` out of the free list or off the bump cursor,
+    /// when all of it is there; `(goal, reused)`.
+    fn take_at(&mut self, goal: u64, n: u64) -> Option<(u64, bool)> {
+        if goal == self.next && self.end - self.next >= n {
+            self.next += n;
+            return Some((goal, false));
+        }
+        let i = self.free.partition_point(|&(first, _)| first <= goal);
+        let (first, len) = *self.free.get(i.checked_sub(1)?)?;
+        if goal + n > first + len {
+            return None;
+        }
+        self.carve(i - 1, goal, n);
+        Some((goal, true))
+    }
+
+    /// First fit: the head of the first free run that holds `n` units.
+    fn take_free(&mut self, n: u64) -> Option<u64> {
+        let i = self.free.iter().position(|&(_, len)| len >= n)?;
+        let first = self.free[i].0;
+        self.carve(i, first, n);
+        Some(first)
+    }
+
+    /// Remove `[at, at + n)`, which lies inside free run `i`.
+    fn carve(&mut self, i: usize, at: u64, n: u64) {
+        let (first, len) = self.free[i];
+        let tail = (at + n, first + len - at - n);
+        match (at == first, tail.1 == 0) {
+            (true, true) => {
+                self.free.remove(i);
+            }
+            (true, false) => self.free[i] = tail,
+            (false, true) => self.free[i].1 = at - first,
+            (false, false) => {
+                self.free[i].1 = at - first;
+                self.free.insert(i + 1, tail);
+            }
+        }
+    }
+
+    /// Put `[first, first + n)` on the free list, joined to the runs it
+    /// touches.
+    fn give(&mut self, first: u64, n: u64) {
+        let i = self.free.partition_point(|&(f, _)| f < first);
+        let left = i > 0 && self.free[i - 1].0 + self.free[i - 1].1 == first;
+        let right = self.free.get(i).is_some_and(|&(f, _)| f == first + n);
+        match (left, right) {
+            (true, true) => {
+                let (_, len) = self.free.remove(i);
+                self.free[i - 1].1 += n + len;
+            }
+            (true, false) => self.free[i - 1].1 += n,
+            (false, true) => self.free[i] = (first, self.free[i].1 + n),
+            (false, false) => self.free.insert(i, (first, n)),
+        }
+    }
+
+    fn available(&self) -> u64 {
+        self.end - self.next + self.free.iter().map(|&(_, n)| n).sum::<u64>()
+    }
 }
 
 /// The per-worker allocator with stealing. It hands out *units*: LabFS
@@ -33,6 +105,7 @@ impl BlockAllocator {
                         } else {
                             start + (w + 1) * per
                         },
+                        free: Vec::new(),
                     })
                 })
                 .collect(),
@@ -41,21 +114,47 @@ impl BlockAllocator {
     }
 
     /// Allocate `n` contiguous units from `worker`'s shard and return the
-    /// first. A shard that cannot fit the run replaces its range with a
+    /// first: first fit from the units given back, else off the bump
+    /// cursor. A shard that cannot fit the run replaces its range with a
     /// batch stolen from the tail of the richest other shard; the fewer
     /// than `n` units it still held are not handed out again (none when
-    /// `n` is 1). `None` when no shard holds `n` contiguous units.
+    /// `n` is 1). Last come the units given back to other shards. `None`
+    /// when no shard holds `n` contiguous units.
     pub fn alloc_run(&self, worker: usize, n: u64) -> Option<u64> {
+        self.take(worker, n, None).map(|(first, _)| first)
+    }
+
+    /// [`BlockAllocator::alloc_run`], starting at `goal` when `worker`'s
+    /// shard holds `[goal, goal + n)` free (a file that grows stays one
+    /// run, as ext4's goal block keeps it), and saying whether the run
+    /// was given back before (`true`) or never handed out.
+    pub(crate) fn take(&self, worker: usize, n: u64, goal: Option<u64>) -> Option<(u64, bool)> {
         let w = worker % self.shards.len();
         {
             let mut shard = self.shards[w].lock();
+            if let Some(got) = goal.and_then(|goal| shard.take_at(goal, n)) {
+                return Some(got);
+            }
+            if let Some(first) = shard.take_free(n) {
+                return Some((first, true));
+            }
             if shard.end - shard.next >= n {
                 let first = shard.next;
                 shard.next += n;
-                return Some(first);
+                return Some((first, false));
             }
         }
-        // Steal: take a batch from the richest other shard.
+        if let Some(first) = self.steal(w, n) {
+            return Some((first, false));
+        }
+        (0..self.shards.len())
+            .filter(|&v| v != w)
+            .find_map(|v| Some((self.shards[v].lock().take_free(n)?, true)))
+    }
+
+    /// Replace shard `w`'s range with a batch from the tail of the richest
+    /// other shard's, and take `n` units off its head.
+    fn steal(&self, w: usize, n: u64) -> Option<u64> {
         let victim = (0..self.shards.len())
             .filter(|&v| v != w)
             .max_by_key(|&v| {
@@ -79,23 +178,28 @@ impl BlockAllocator {
         Some(steal_start)
     }
 
-    /// Live upgrade: continue from `prev`'s cursors, so nothing `prev`
-    /// handed out is handed out again. Shards pair up by index: see the
-    /// precondition on `MetaStore::absorb`, its one caller.
+    /// Give `[first, first + n)` back to `worker`'s shard: its next runs
+    /// come from these units first.
+    pub(crate) fn free(&self, worker: usize, first: u64, n: u64) {
+        self.shards[worker % self.shards.len()]
+            .lock()
+            .give(first, n);
+    }
+
+    /// Live upgrade: continue from `prev`'s cursors and free lists, so
+    /// nothing `prev` handed out is handed out again. Shards pair up by
+    /// index: see the precondition on `MetaStore::absorb`, its one caller.
     pub(crate) fn absorb(&self, prev: &BlockAllocator) {
         for (mine, theirs) in self.shards.iter().zip(prev.shards.iter()) {
-            let (next, end) = {
-                let t = theirs.lock();
-                (t.next, t.end)
-            };
+            let theirs = theirs.lock();
             let mut mine = mine.lock();
-            mine.next = next;
-            mine.end = end;
+            (mine.next, mine.end) = (theirs.next, theirs.end);
+            mine.free.clone_from(&theirs.free);
         }
     }
 
     /// Recovery: units `[start, end)` are named by a replayed log record;
-    /// make sure no shard hands any of them out again. A shard that still
+    /// make sure no shard's bump range hands any of them out again. A shard that still
     /// holds part of the range gives up the shorter side of it — for
     /// records replayed in allocation order that is nothing (the cursor
     /// moves past the run), and for the first run of a batch that was
@@ -119,22 +223,17 @@ impl BlockAllocator {
     /// Total free units.
     // api-ok: tests/properties.rs checks no block is lost across decommissions
     pub fn free_blocks(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock();
-                s.end - s.next
-            })
-            .sum()
+        self.shards.iter().map(|s| s.lock().available()).sum()
     }
 
     /// Decommission worker `w`: its remaining blocks are reassigned to
     /// running workers ("if the number of workers decreases, free blocks
     /// of the decommissioned workers are assigned to running workers",
-    /// §III-E). A shard holds one contiguous range, so the range moves
-    /// wholesale when a peer can absorb it (empty or adjacent); otherwise
-    /// it stays in place where the existing steal path hands it out —
-    /// either way every block remains allocatable exactly once.
+    /// §III-E). Its free list joins the peer's. Its bump range is one
+    /// contiguous range, so it moves wholesale when a peer can absorb it
+    /// (empty or adjacent); otherwise it stays in place where the steal
+    /// path hands it out — either way every block remains allocatable
+    /// exactly once.
     // api-ok: §III-E worker decommission (tests/properties.rs)
     pub fn decommission(&self, w: usize) {
         let w = w % self.shards.len();
@@ -153,8 +252,11 @@ impl BlockAllocator {
             let a = self.shards[w].lock();
             (a, b)
         };
+        for (first, n) in a.free.drain(..) {
+            b.give(first, n);
+        }
         if a.next >= a.end {
-            return; // nothing to donate
+            return; // no range to donate
         }
         if b.next >= b.end {
             // Peer empty: adopt the range wholesale.
@@ -295,6 +397,58 @@ mod tests {
         for pair in sorted.windows(2) {
             assert!(pair[0].1 <= pair[1].0, "runs overlap: {pair:?}");
         }
+    }
+
+    #[test]
+    fn units_given_back_go_out_first_fit_before_the_cursor_moves() {
+        let a = BlockAllocator::new(0, 100, 2, 8);
+        let got: Vec<u64> = (0..10).map(|_| a.alloc_run(0, 1).unwrap()).collect();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        // Runs given back join the ones they touch.
+        for (first, n) in [(6, 2), (2, 1), (1, 1), (8, 1), (3, 1)] {
+            a.free(0, first, n);
+        }
+        assert_eq!(a.shards[0].lock().free, vec![(1, 3), (6, 3)]);
+        assert_eq!(a.free_blocks(), 40 + 6 + 50);
+        // First fit: the first run that holds all of it.
+        assert_eq!(a.take(0, 3, None), Some((1, true)));
+        assert_eq!(a.take(0, 1, None), Some((6, true)));
+        // A goal inside a run splits it; a goal that is not free is
+        // passed over; the cursor serves a goal at the cursor only.
+        a.free(0, 1, 3);
+        assert_eq!(a.take(0, 1, Some(2)), Some((2, true)));
+        assert_eq!(a.shards[0].lock().free, vec![(1, 1), (3, 1), (7, 2)]);
+        assert_eq!(a.take(0, 2, Some(3)), Some((7, true)), "3 holds one unit");
+        assert_eq!(a.take(0, 1, Some(10)), Some((10, false)));
+        assert_eq!(a.take(0, 1, Some(40)), Some((1, true)));
+        assert_eq!(a.take(0, 1, None), Some((3, true)));
+        assert_eq!(a.take(0, 1, None), Some((11, false)), "the list is dry");
+        // A dry shard reaches the runs another shard was given back.
+        let b = BlockAllocator::new(0, 4, 2, 8);
+        assert_eq!(b.alloc_run(0, 2), Some(0));
+        assert_eq!(b.alloc_run(1, 2), Some(2));
+        b.free(1, 3, 1);
+        assert_eq!(b.take(0, 1, None), Some((3, true)));
+        assert_eq!(b.alloc_run(0, 1), None);
+    }
+
+    #[test]
+    fn decommission_and_absorb_carry_the_free_lists() {
+        let a = BlockAllocator::new(0, 64, 2, 8);
+        for _ in 0..6 {
+            a.alloc_run(0, 1).unwrap();
+        }
+        a.free(0, 1, 2);
+        a.free(0, 4, 1);
+        let upgraded = BlockAllocator::new(0, 64, 2, 8);
+        upgraded.absorb(&a);
+        assert_eq!(upgraded.free_blocks(), a.free_blocks());
+        assert_eq!(upgraded.alloc_run(0, 2), Some(1));
+        let before = a.free_blocks();
+        a.decommission(0);
+        assert_eq!(a.free_blocks(), before);
+        assert_eq!(a.shards[1].lock().free, vec![(1, 2), (4, 1)]);
+        assert_eq!(a.alloc_run(1, 1), Some(1));
     }
 
     #[test]

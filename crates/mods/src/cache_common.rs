@@ -130,6 +130,10 @@ struct Index<P> {
     /// Std's hasher stays: reads never hash it, and a write-through cache
     /// hashes it only while such absorbed blocks remain.
     dirty: HashSet<u64>,
+    /// Discards so far. A fetch enters what it read only if none came by
+    /// while it was below the cache: a discarded block may be reused, and
+    /// what the fetch read is then its dead owner's bytes.
+    discards: u64,
 }
 
 /// A block-granular cache LabMod over replacement policy `P`:
@@ -168,6 +172,7 @@ impl<P: Policy> BlockCache<P> {
             index: Mutex::new(Index {
                 policy: P::default(),
                 dirty: HashSet::new(),
+                discards: 0,
             }),
             inflight: InflightSet::new(),
             capacity_blocks,
@@ -215,8 +220,9 @@ impl<P: Policy> BlockCache<P> {
     /// `len`-byte range at `lba` that are long enough to serve it. The
     /// first `touched` blocks have been through [`Policy::touch`] for this
     /// request already and are only peeked at, so a request records each
-    /// of its hits once.
-    fn lookup(&self, lba: u64, len: usize, found: &mut [Option<BufHandle>], touched: usize) {
+    /// of its hits once. Returns the discard count, for a fetch to pass
+    /// to [`BlockCache::insert`].
+    fn lookup(&self, lba: u64, len: usize, found: &mut [Option<BufHandle>], touched: usize) -> u64 {
         let mut index = self.index.lock();
         for (k, slot) in found.iter_mut().enumerate() {
             if slot.is_none() {
@@ -230,19 +236,28 @@ impl<P: Policy> BlockCache<P> {
                 *slot = block.filter(|h| h.len() >= need).cloned();
             }
         }
+        index.discards
     }
 
     /// Enter `blocks`, each `(k, view)` the `k`-th block of an extent
-    /// starting at `lba`, and return the dirty blocks this pushed out.
+    /// starting at `lba`, and return the dirty blocks this pushed out. A
+    /// fetch passes the discard count its lookup saw (`fetched`), and
+    /// enters nothing if it has moved since.
     fn insert(
         &self,
         lba: u64,
         blocks: impl IntoIterator<Item = (usize, BufHandle)>,
         dirty: bool,
+        fetched: Option<u64>,
     ) -> Vec<(u64, BufHandle)> {
         let mut victims = Vec::new();
         let mut index = self.index.lock();
-        let Index { policy, dirty: set } = &mut *index;
+        if fetched.is_some_and(|seen| seen != index.discards) {
+            return victims;
+        }
+        let Index {
+            policy, dirty: set, ..
+        } = &mut *index;
         for (k, block) in blocks {
             let key = lba + k as u64 * BLOCK_SECTORS;
             if dirty {
@@ -298,14 +313,14 @@ impl<P: Policy> BlockCache<P> {
             let origin = req.derive(Payload::Block(BlockOp::Flush));
             let resp = env.forward(ctx, req);
             if resp.is_ok() {
-                let victims = self.insert(lba, blocks, false);
+                let victims = self.insert(lba, blocks, false, None);
                 if let Err(e) = self.write_back(ctx, env, &origin, victims) {
                     return e;
                 }
             }
             return resp;
         }
-        let victims = self.insert(lba, blocks, true);
+        let victims = self.insert(lba, blocks, true, None);
         match self.write_back(ctx, env, &req, victims) {
             Ok(()) => RespPayload::Len(len),
             Err(e) => e,
@@ -393,7 +408,7 @@ impl<P: Policy> BlockCache<P> {
             let claim = self
                 .inflight
                 .claim(lba + first as u64 * BLOCK_SECTORS, last - first + 1);
-            self.lookup(lba, len, found, 0);
+            let discards = self.lookup(lba, len, found, 0);
             let Some((first, last)) = missing_run(found) else {
                 // The winner's fetch made every block resident, usually as
                 // views of the one slot it landed in: one run after all.
@@ -431,6 +446,7 @@ impl<P: Policy> BlockCache<P> {
                 run_lba,
                 blocks_of(fetched).filter(|&(k, _)| found[first + k].is_none()),
                 false,
+                Some(discards),
             );
             drop(claim);
             if let Err(e) = self.write_back(ctx, env, &req, victims) {
@@ -458,7 +474,8 @@ impl<P: Policy> BlockCache<P> {
     /// slots go back once no reader holds a view of them.
     fn discard(&self, lba: u64, len: usize) {
         let mut index = self.index.lock();
-        let Index { policy, dirty } = &mut *index;
+        index.discards += 1;
+        let Index { policy, dirty, .. } = &mut *index;
         for k in 0..len.div_ceil(BLOCK) as u64 {
             let key = lba + k * BLOCK_SECTORS;
             if policy.remove(key).is_some() && !dirty.is_empty() {
@@ -470,7 +487,7 @@ impl<P: Policy> BlockCache<P> {
     /// Take the dirty blocks whose key `pick` selects (now clean).
     fn take_dirty(&self, pick: impl Fn(u64) -> bool) -> Vec<(u64, BufHandle)> {
         let mut index = self.index.lock();
-        let Index { policy, dirty } = &mut *index;
+        let Index { policy, dirty, .. } = &mut *index;
         dirty
             .extract_if(|&lba| pick(lba))
             .filter_map(|lba| Some((lba, policy.peek(lba)?.clone())))
@@ -494,7 +511,7 @@ impl<P: Policy> BlockCache<P> {
         for (lba, data, dirty) in prev.drain() {
             // What does not fit the successor is dropped here, dirty or
             // not: there is no downstream to write to during an upgrade.
-            self.insert(lba, [(0, data)], dirty);
+            self.insert(lba, [(0, data)], dirty, None);
         }
     }
 }
@@ -794,6 +811,9 @@ pub(crate) mod testing {
         pub dry: std::sync::atomic::AtomicBool,
         /// Real-time stall per read, to widen race windows in tests.
         pub read_stall: std::time::Duration,
+        /// Runs once, inside the next read, before it reads: a command
+        /// that overtakes that read.
+        pub during_read: Mutex<Option<Box<dyn FnOnce() + Send>>>,
         /// While set, every write is refused and stores nothing.
         pub fail_writes: std::sync::atomic::AtomicBool,
     }
@@ -807,6 +827,7 @@ pub(crate) mod testing {
                 pool: BufferPool::with_defaults(),
                 dry: std::sync::atomic::AtomicBool::new(false),
                 read_stall: std::time::Duration::ZERO,
+                during_read: Mutex::new(None),
                 fail_writes: std::sync::atomic::AtomicBool::new(false),
             }
         }
@@ -866,6 +887,8 @@ pub(crate) mod testing {
                 Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                     self.reads.lock().push((lba, len));
                     std::thread::sleep(self.read_stall);
+                    let overtake = self.during_read.lock().take();
+                    overtake.into_iter().for_each(|run| run());
                     let data = self.peek(lba, len);
                     let dry = self.dry.load(Ordering::SeqCst);
                     match (!dry).then(|| self.pool.alloc(len)).flatten() {
@@ -1429,6 +1452,39 @@ mod tests {
     /// predecessor handed over in a hot swap — and a write that evicts one
     /// must write it back, as a read that evicts one does: the cache holds
     /// the only copy of those bytes.
+    /// A fetch that a block's `Discard` overtakes answers its read but
+    /// does not make what it read resident: reused, the block would
+    /// answer its next owner's reads with its dead owner's bytes.
+    #[test]
+    fn a_fetch_overtaken_by_a_discard_enters_nothing() {
+        for cache in ["lru_cache", "arc_cache"] {
+            let rig = Rig::mount(cache, serde_json::json!({}), MemDev::new());
+            let rig = Arc::new(rig);
+            rig.dev.poke(0, &[0xDE; BLOCK]);
+            let overtaker = Arc::downgrade(&rig);
+            *rig.dev.during_read.lock() = Some(Box::new(move || {
+                let rig = overtaker.upgrade().expect("the rig outlives its reads");
+                let discard = BlockOp::Discard { lba: 0, len: BLOCK };
+                assert!(rig.exec(Payload::Block(discard), &mut Ctx::new()).is_ok());
+            }));
+            let mut ctx = Ctx::new();
+            let dead = bytes(&rig.read(&mut ctx, 0, BLOCK));
+            assert_eq!(
+                dead,
+                Some(vec![0xDE; BLOCK]),
+                "{cache}: the read is answered"
+            );
+            // The block's next owner writes below the cache (a write-around).
+            rig.dev.poke(0, &[0x0A; BLOCK]);
+            let now = bytes(&rig.read(&mut ctx, 0, BLOCK));
+            assert_eq!(
+                now,
+                Some(vec![0x0A; BLOCK]),
+                "{cache}: a dead block was cached"
+            );
+        }
+    }
+
     #[test]
     fn write_through_writes_back_the_dirty_blocks_it_absorbed() {
         use crate::arc_cache::ArcCacheMod;

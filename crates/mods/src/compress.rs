@@ -7,7 +7,7 @@
 //! paper's ZLIB anchor (32 MB ≈ 20 ms), which is what makes the
 //! C-LabStack "computational" to the Work Orchestrator.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -15,7 +15,7 @@ use parking_lot::RwLock;
 use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
-use labstor_sim::Ctx;
+use labstor_sim::{Ctx, SECTOR_SIZE};
 
 use crate::compress_algo::{compress, compress_cost_ns, decompress, decompress_cost_ns};
 
@@ -31,17 +31,42 @@ struct Extent {
     raw: bool,
 }
 
+impl Extent {
+    /// Sectors of the original bytes.
+    fn sectors(&self) -> u64 {
+        self.orig_len.div_ceil(SECTOR_SIZE) as u64
+    }
+}
+
 /// The compression LabMod.
 pub(crate) struct CompressMod {
-    extents: RwLock<HashMap<u64, Extent>>,
+    /// Extents by first lba.
+    extents: RwLock<BTreeMap<u64, Extent>>,
 }
 
 impl CompressMod {
     /// New compressor.
     pub(crate) fn new() -> Self {
         CompressMod {
-            extents: RwLock::new(HashMap::new()),
+            extents: RwLock::new(BTreeMap::new()),
         }
+    }
+
+    /// Forget the extents that start in the `len` bytes at `lba`: a
+    /// write there replaced them, or a discard said they are dead.
+    fn forget(&self, lba: u64, len: usize) {
+        let end = lba + len.div_ceil(SECTOR_SIZE) as u64;
+        let mut extents = self.extents.write();
+        while let Some((&at, _)) = extents.range(lba..end).next() {
+            extents.remove(&at);
+        }
+    }
+
+    /// The extent that holds sector `lba`, with its first lba.
+    fn covering(&self, lba: u64) -> Option<(u64, Extent)> {
+        let extents = self.extents.read();
+        let (&at, &e) = extents.range(..=lba).next_back()?;
+        (lba < at + e.sectors()).then_some((at, e))
     }
 
     /// Compress `data`, record the extent, and forward the stored bytes.
@@ -67,6 +92,7 @@ impl CompressMod {
         };
         let comp_len = stored.len();
         let stored = pad_to_sectors(stored);
+        self.forget(lba, orig_len);
         self.extents.write().insert(
             lba,
             Extent {
@@ -126,9 +152,8 @@ impl Default for CompressMod {
 }
 
 fn pad_to_sectors(mut data: Vec<u8>) -> Vec<u8> {
-    let sector = labstor_sim::SECTOR_SIZE;
-    let padded = data.len().div_ceil(sector) * sector;
-    data.resize(padded.max(sector), 0);
+    let padded = data.len().div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
+    data.resize(padded.max(SECTOR_SIZE), 0);
     data
 }
 
@@ -157,11 +182,13 @@ impl LabMod for CompressMod {
             }
             Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                 let (lba, len) = (*lba, *len);
-                let extent = self.extents.read().get(&lba).copied();
-                match extent {
-                    Some(e) => match self.fetch_decoded(ctx, env, &req, lba, e) {
+                match self.covering(lba) {
+                    Some((at, e)) => match self.fetch_decoded(ctx, env, &req, at, e) {
                         Ok(mut data) => {
-                            data.truncate(len.min(data.len()));
+                            // The read's window of the decoded extent.
+                            let skip = ((lba - at) as usize * SECTOR_SIZE).min(data.len());
+                            data.truncate((skip + len).min(data.len()));
+                            data.drain(..skip);
                             // The decoded bytes land in a pool buffer so
                             // upstream stages share it by refcount.
                             match labstor_ipc::default_pool().alloc_from(&data) {
@@ -175,6 +202,10 @@ impl LabMod for CompressMod {
                     // answers zero-copy directly).
                     None => env.forward(ctx, req),
                 }
+            }
+            Payload::Block(BlockOp::Discard { lba, len }) => {
+                self.forget(*lba, *len);
+                env.forward(ctx, req)
             }
             _ => env.forward(ctx, req),
         }
@@ -215,7 +246,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     struct MemDev {
-        blocks: Mutex<HashMap<u64, Vec<u8>>>,
+        blocks: Mutex<std::collections::HashMap<u64, Vec<u8>>>,
         bytes_written: AtomicU64,
     }
     impl LabMod for MemDev {
@@ -256,7 +287,7 @@ mod tests {
         mm.instantiate("cz", "compress", &serde_json::Value::Null)
             .unwrap();
         let dev = Arc::new(MemDev {
-            blocks: Mutex::new(HashMap::new()),
+            blocks: Mutex::new(Default::default()),
             bytes_written: AtomicU64::new(0),
         });
         mm.insert_instance("dev", dev.clone());
@@ -409,6 +440,43 @@ mod tests {
             "32 MB ≈ 20 ms of compression, got {} ns",
             ctx.now()
         );
+    }
+
+    /// A block LabFS freed and reused: its old extent is discarded, and
+    /// a longer write from an earlier lba now covers it. A read at the
+    /// reused lba decodes the new extent, not the dead one.
+    #[test]
+    fn a_read_inside_a_newer_extent_decodes_it_not_a_discarded_one() {
+        let (mm, stack, _dev) = setup();
+        let mut ctx = Ctx::new();
+        let mut run = |payload| exec(&mm, &stack, Payload::Block(payload), &mut ctx);
+        let old = vec![0x11u8; 8 * SECTOR_SIZE];
+        assert!(run(BlockOp::Write { lba: 16, data: old }).is_ok());
+        assert!(run(BlockOp::Discard {
+            lba: 16,
+            len: 8 * SECTOR_SIZE
+        })
+        .is_ok());
+        let cz = mm.get("cz").unwrap();
+        let cz = cz.as_any().downcast_ref::<CompressMod>().unwrap();
+        assert!(cz.covering(16).is_none(), "the discard forgot the extent");
+        let new: Vec<u8> = (0..16 * SECTOR_SIZE).map(|i| (i / 100) as u8).collect();
+        assert!(run(BlockOp::Write {
+            lba: 8,
+            data: new.clone()
+        })
+        .is_ok());
+        let len = 8 * SECTOR_SIZE;
+        let r = run(BlockOp::ReadBuf { lba: 16, len });
+        assert_eq!(r.data_bytes(), Some(&new[len..]));
+        // An extent a newer write starts inside of is forgotten too.
+        assert!(run(BlockOp::Write {
+            lba: 12,
+            data: vec![0x22; len]
+        })
+        .is_ok());
+        let r = run(BlockOp::ReadBuf { lba: 12, len });
+        assert_eq!(r.data_bytes(), Some(&[0x22; 8 * SECTOR_SIZE][..]));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! the full media time of every buffered frame. A flush has two halves
 //! instead, both run by the thread that kicks it:
 //!
-//! * **Kick** — the caller, holding its log's mutex, swaps the pending
-//!   records out, reserves the frame's sectors, sequence number and chain
-//!   value, seals it, and hands the bytes to the `FrameWriter`. Appends
-//!   keep filling a fresh frame.
+//! * **Kick** — the caller, holding its log's mutex, reserves the frame's
+//!   sectors, sequence number and chain value, seals the pending records
+//!   in place, and hands the bytes to the `FrameWriter`. When the write
+//!   returns, the emptied buffer takes the next appends.
 //! * **Write** — the writer issues the frame as one device write under
 //!   its mutex, on the flush timeline rather than the caller's clock.
 //!   The mutex orders the writes, which keeps each log's sequence chain
@@ -68,17 +68,19 @@ impl FrameWriter {
     }
 
     /// Write one sealed frame at device `sector` on the flush timeline.
-    /// The caller has already swapped the records out of its log and
-    /// advanced the log's cursors — the writer only does device work.
-    pub(crate) fn submit(&self, frame: Vec<u8>, sector: u64, submit_vt: u64) {
+    /// The caller has already advanced its log's cursors — the writer
+    /// only does device work. `true` when the frame is durable: written,
+    /// with no error latched before it.
+    pub(crate) fn submit(&self, frame: &[u8], sector: u64, submit_vt: u64) -> bool {
         let mut st = self.state.lock();
         // One write per frame: the frame seals itself, so nothing has to
         // follow it.
         let mut ctx = Ctx::at(st.durable_vt.max(submit_vt));
-        if let Err(e) = self.device.write(&mut ctx, sector, &frame) {
+        if let Err(e) = self.device.write(&mut ctx, sector, frame) {
             st.first_err.get_or_insert(e);
         }
         st.durable_vt = ctx.now();
+        st.first_err.is_none()
     }
 
     /// Durability point: every submitted frame is on the device, so
@@ -159,17 +161,18 @@ mod tests {
         let writer = FrameWriter::new(dev.clone());
         // Out-of-range start sector: the write fails on the device.
         let far = dev.model().capacity_sectors() + 10;
-        writer.submit(vec![1u8; SECTOR_SIZE], far, 0);
+        assert!(!writer.submit(&[1u8; SECTOR_SIZE], far, 0));
         let mut ctx = Ctx::new();
         assert!(matches!(
             writer.sync(&mut ctx),
             Err(DeviceError::OutOfRange { .. })
         ));
-        // Still latched on a later, healthy flush.
-        writer.submit(vec![2u8; SECTOR_SIZE], 0, 0);
+        // Still latched on a later, healthy flush: behind the hole, that
+        // frame is not durable either.
+        assert!(!writer.submit(&[2u8; SECTOR_SIZE], 0, 0));
         assert!(writer.sync(&mut ctx).is_err());
         writer.reset();
-        writer.submit(vec![3u8; SECTOR_SIZE], 0, 0);
+        assert!(writer.submit(&[3u8; SECTOR_SIZE], 0, 0));
         assert!(writer.sync(&mut ctx).is_ok());
     }
 

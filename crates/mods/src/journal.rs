@@ -319,7 +319,9 @@ impl From<DeviceError> for JournalError {
 #[derive(Debug, Clone)]
 pub(crate) struct LogRegion {
     /// [`HEADER_SIZE`] reserved bytes, then the records appended since
-    /// the last kick.
+    /// the last kick. One buffer serves every frame: a kick writes it
+    /// before it lets go of the region, so it is empty again when the
+    /// next record comes.
     frame: Vec<u8>,
     /// First device sector of the region.
     start_sector: u64,
@@ -331,14 +333,21 @@ pub(crate) struct LogRegion {
     next_seq: u64,
     /// Header CRC of the last sealed frame (0 before the first).
     prev_crc: u32,
+    /// Sequence number of the last frame known durable: written without
+    /// an error since the writer's last reset (0 for none).
+    durable: u64,
     /// Region-full met by a kick, from `append` or a durability point:
     /// every durability point returns it until a repair, and no record
     /// is buffered past it.
     full: Option<JournalError>,
 }
 
+/// A frame buffer with room for one sector: it grows by doubling, so its
+/// capacity stays whole sectors and [`seal_frame`]'s padding fits in it.
 fn empty_frame() -> Vec<u8> {
-    vec![0u8; HEADER_SIZE]
+    let mut frame = Vec::with_capacity(SECTOR_SIZE);
+    frame.resize(HEADER_SIZE, 0);
+    frame
 }
 
 impl LogRegion {
@@ -351,27 +360,31 @@ impl LogRegion {
             next_sector: 0,
             next_seq: 1,
             prev_crc: 0,
+            durable: 0,
             full: None,
         }
     }
 
-    /// Append one encoded record. Once enough bytes are pending they are
+    /// Append one encoded record and return the sequence number of the
+    /// frame it goes out in. Once enough bytes are pending they are
     /// kicked as a frame on the flush timeline, so the append path never
-    /// charges its caller device time. A full log drops the record: it
-    /// could never reach media.
+    /// charges its caller device time. A full log drops the record (it
+    /// could never reach media): `None`.
     pub(crate) fn append(
         &mut self,
         flush: &FrameWriter,
         now: u64,
         encode: impl FnOnce(&mut Vec<u8>),
-    ) {
+    ) -> Option<u64> {
         if self.full.is_some() {
-            return;
+            return None;
         }
+        let seq = self.next_seq;
         encode(&mut self.frame);
         if self.frame.len() - HEADER_SIZE >= FLUSH_KICK_BYTES {
             self.submit_next(flush, now);
         }
+        self.full.is_none().then_some(seq)
     }
 
     /// Seal the pending records as this log's next frame and hand it to
@@ -386,17 +399,21 @@ impl LogRegion {
     }
 
     fn submit_next(&mut self, flush: &FrameWriter, now: u64) {
-        if let Some((sector, frame)) = self.seal_next() {
-            flush.submit(frame, sector, now);
+        if let Some(sector) = self.seal() {
+            if flush.submit(&self.frame, sector, now) {
+                self.durable = self.next_seq - 1;
+            }
+            self.frame.truncate(HEADER_SIZE);
         }
     }
 
     /// Reserve the next frame (sectors, sequence number, chain value) and
-    /// seal the pending records into it: `(device sector, frame bytes)`.
-    /// Cursors advance here, so appends fill a fresh frame. `None` when
-    /// nothing is pending or the region is full, which leaves the cursors
-    /// untouched, latches the error and drops the pending records.
-    pub(crate) fn seal_next(&mut self) -> Option<(u64, Vec<u8>)> {
+    /// seal the pending records into it, in place: its device sector.
+    /// Cursors advance here; the caller writes the frame and empties it.
+    /// `None` when nothing is pending or the region is full, which leaves
+    /// the cursors untouched, latches the error and drops the pending
+    /// records.
+    fn seal(&mut self) -> Option<u64> {
         let payload_len = self.frame.len() - HEADER_SIZE;
         if payload_len == 0 || self.full.is_some() {
             return None;
@@ -411,11 +428,21 @@ impl LogRegion {
             self.frame.truncate(HEADER_SIZE);
             return None;
         }
-        let mut frame = std::mem::replace(&mut self.frame, empty_frame());
-        self.prev_crc = seal_frame(&mut frame, self.next_seq, self.prev_crc);
+        self.prev_crc = seal_frame(&mut self.frame, self.next_seq, self.prev_crc);
         let sector = self.start_sector + self.next_sector;
         self.next_sector += need_sectors;
         self.next_seq += 1;
+        Some(sector)
+    }
+
+    /// [`LogRegion::seal`], handing the sealed bytes to a test that lands
+    /// any subset of the frame's sectors itself: `(device sector, frame
+    /// bytes)`.
+    #[cfg(test)]
+    pub(crate) fn seal_next(&mut self) -> Option<(u64, Vec<u8>)> {
+        let sector = self.seal()?;
+        let frame = self.frame.clone();
+        self.frame.truncate(HEADER_SIZE);
         Some((sector, frame))
     }
 
@@ -470,6 +497,7 @@ impl LogRegion {
             next_sector: outcome.next_sector,
             next_seq: outcome.txns.len() as u64 + 1,
             prev_crc: outcome.last_header_crc,
+            durable: outcome.txns.len() as u64,
             ..LogRegion::new(self.start_sector, self.sectors)
         };
     }
@@ -506,11 +534,23 @@ impl Journal {
         }
     }
 
-    /// Append one record to the log of the worker running on `core`.
-    pub(crate) fn append(&self, core: usize, now: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+    /// Append one record to the log of the worker running on `core`: the
+    /// sequence number of the frame it goes out in, `None` if the log is
+    /// full.
+    pub(crate) fn append(
+        &self,
+        core: usize,
+        now: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Option<u64> {
         self.regions[core % self.regions.len()]
             .lock()
-            .append(&self.flush, now, encode);
+            .append(&self.flush, now, encode)
+    }
+
+    /// The sequence number of log `log`'s last durable frame.
+    pub(crate) fn durable(&self, log: usize) -> u64 {
+        self.regions[log % self.regions.len()].lock().durable
     }
 
     /// Durability point: kick every log's pending records as one frame
@@ -900,8 +940,12 @@ mod tests {
     fn a_frame_kicked_by_append_is_on_the_device_when_append_returns() {
         let dev = SimDevice::preset(DeviceKind::Nvme);
         let journal = Journal::new(dev.clone(), 1, 128);
-        journal.append(0, 0, |b| b.resize(b.len() + FLUSH_KICK_BYTES, 7));
-        // No durability point: the kick itself wrote the frame.
+        let seq = journal.append(0, 0, |b| b.resize(b.len() + FLUSH_KICK_BYTES, 7));
+        // No durability point: the kick itself wrote the frame, and the
+        // record's frame is durable.
+        assert_eq!((seq, journal.durable(0)), (Some(1), 1));
+        assert_eq!(journal.append(0, 0, |b| b.push(1)), Some(2));
+        assert_eq!(journal.durable(0), 1);
         let stats = dev.stats().snapshot();
         let sectors = frame_sectors(FLUSH_KICK_BYTES);
         assert_eq!(
@@ -926,6 +970,7 @@ mod tests {
         for _ in 0..1024 {
             journal.append(0, 0, |b| b.resize(b.len() + 1024, 7));
         }
+        assert_eq!(journal.append(0, 0, |b| b.push(7)), None, "no frame");
         assert_eq!(journal.regions[0].lock().frame.len(), HEADER_SIZE);
         let full = JournalError::RegionFull {
             need_sectors: frame_sectors(FLUSH_KICK_BYTES),

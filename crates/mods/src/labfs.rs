@@ -295,6 +295,11 @@ mod tests {
 
     impl Harness {
         fn new() -> (Harness, Arc<SimDevice>) {
+            Harness::over(vec![])
+        }
+
+        /// LabFS, then `stages` in order, then the kernel driver.
+        fn over(stages: Vec<(&str, Arc<dyn LabMod>)>) -> (Harness, Arc<SimDevice>) {
             let devices = DeviceRegistry::new();
             let dev = devices.add_preset("nvme0", DeviceKind::Nvme);
             let mm = ModuleManager::new();
@@ -312,20 +317,22 @@ mod tests {
                 &serde_json::json!({"device": "nvme0"}),
             )
             .unwrap();
+            let mut uuids = vec!["fs"];
+            for (uuid, stage) in stages {
+                mm.insert_instance(uuid, stage);
+                uuids.push(uuid);
+            }
+            uuids.push("drv");
+            let last = uuids.len() - 1;
+            let vertices = uuids.into_iter().enumerate().map(|(i, uuid)| Vertex {
+                uuid: uuid.into(),
+                outputs: if i < last { vec![i + 1] } else { vec![] },
+            });
             let stack = LabStack {
                 id: 1,
                 mount: "fs::/t".into(),
                 exec: ExecMode::Sync,
-                vertices: vec![
-                    Vertex {
-                        uuid: "fs".into(),
-                        outputs: vec![1],
-                    },
-                    Vertex {
-                        uuid: "drv".into(),
-                        outputs: vec![],
-                    },
-                ],
+                vertices: vertices.collect(),
                 authorized_uids: vec![],
             };
             (Harness { mm, stack }, dev)
@@ -502,6 +509,18 @@ mod tests {
         fn rename(&self, ctx: &mut Ctx, from: &str, to: &str) -> RespPayload {
             let (from, to) = (from.to_string(), to.to_string());
             self.fs(ctx, FsOp::Rename { from, to })
+        }
+
+        /// `data` at offset 0 of `ino`.
+        fn write(&self, ctx: &mut Ctx, ino: u64, data: Vec<u8>) -> RespPayload {
+            self.fs(
+                ctx,
+                FsOp::Write {
+                    ino,
+                    offset: 0,
+                    data,
+                },
+            )
         }
 
         fn size(&self, ctx: &mut Ctx, path: &str) -> Option<u64> {
@@ -1321,6 +1340,193 @@ mod tests {
         let new = write_file(&h, &mut ctx, "/new", 0xB2, 3 * FS_BLOCK);
         assert_file(&h, &mut ctx, old, 0xA1, 3 * FS_BLOCK);
         assert_file(&h, &mut ctx, new, 0xB2, 3 * FS_BLOCK);
+    }
+
+    /// What [`Hook`] runs on a block command; `false` disarms it.
+    type OnBlock = Box<dyn FnMut(&BlockOp) -> bool + Send>;
+
+    /// A stage that runs its armed closure on each block command before
+    /// passing it on. The closure is out while it runs, so what it sends
+    /// through the stack passes unhooked.
+    #[derive(Default)]
+    struct Hook(parking_lot::Mutex<Option<OnBlock>>);
+
+    impl Hook {
+        fn arm(&self, on: impl FnMut(&BlockOp) -> bool + Send + 'static) {
+            *self.0.lock() = Some(Box::new(on));
+        }
+    }
+
+    impl LabMod for Hook {
+        fn type_name(&self) -> &'static str {
+            "hook"
+        }
+        fn mod_type(&self) -> ModType {
+            ModType::Filter
+        }
+        fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
+            if let Payload::Block(op) = &req.payload {
+                let on = self.0.lock().take();
+                if let Some(mut on) = on {
+                    if on(op) {
+                        self.0.lock().get_or_insert(on);
+                    }
+                }
+            }
+            env.forward(ctx, req)
+        }
+        fn est_processing_time(&self, _req: &Request) -> u64 {
+            1
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// The blocks behind `path`'s pages, in page order.
+    fn blocks_of(fs: &dyn LabMod, path: &str) -> Vec<u64> {
+        let fs = fs.as_any().downcast_ref::<LabFs>().unwrap();
+        let snap = fs.snapshot().into_iter().filter(|n| n.0 == path);
+        snap.flat_map(|n| n.2).map(|(_, block)| block).collect()
+    }
+
+    /// A block goes back to the allocator only once the unlink that freed
+    /// it is durable: a crash before then brings the file back, and its
+    /// blocks still hold its bytes.
+    #[test]
+    fn an_unlinked_file_keeps_its_blocks_until_the_unlink_is_durable() {
+        let (h, dev) = Harness::new();
+        let mut ctx = Ctx::new();
+        let x = write_file(&h, &mut ctx, "/x", 0xA1, 4 * FS_BLOCK);
+        assert!(h.unlink(&mut ctx, "/x").is_ok());
+        let y = ino_of(h.create(&mut ctx, "/y"));
+        assert!(h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
+        // Power cut: neither the unlink nor anything of /y is on the log.
+        let fresh = Arc::new(LabFs::new(dev, 4));
+        assert!(fresh.replay_from_device().is_clean());
+        h.mm.insert_instance("fs", fresh);
+        assert_eq!(h.size(&mut ctx, "/y"), None);
+        assert_file(&h, &mut ctx, x, 0xA1, 4 * FS_BLOCK);
+    }
+
+    /// A write onto recycled blocks logs its mapping after its data
+    /// commands. A durability point that another worker reaches while the
+    /// data is on its way, then a crash, maps no page of the new file onto
+    /// a block that still holds the old file's bytes.
+    #[test]
+    fn a_recycled_block_is_mapped_on_media_only_after_its_bytes() {
+        let hook = Arc::new(Hook::default());
+        let (h, dev) = Harness::over(vec![("hook", hook.clone())]);
+        let mut ctx = Ctx::new();
+        write_file(&h, &mut ctx, "/x", 0xA1, 4 * FS_BLOCK);
+        let old = blocks_of(h.labfs().as_ref(), "/x");
+        assert!(h.unlink(&mut ctx, "/x").is_ok());
+        let y = ino_of(h.create(&mut ctx, "/y"));
+        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
+        // `(block, first byte)` of each page of /y that a crash image maps
+        // onto other bytes than its own.
+        let stale = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        hook.arm({
+            let (fs, dev, stale) = (h.labfs(), dev.clone(), stale.clone());
+            move |op| {
+                if matches!(op, BlockOp::Write { .. } | BlockOp::WriteBuf { .. }) {
+                    let fs = fs.as_any().downcast_ref::<LabFs>().unwrap();
+                    fs.store.sync(&mut Ctx::new()).unwrap();
+                    let crashed = LabFs::new(dev.clone(), 4);
+                    crashed.replay_from_device();
+                    for block in blocks_of(&crashed, "/y") {
+                        let mut page = vec![0u8; FS_BLOCK];
+                        let lba = block * BLOCK_SECTORS;
+                        dev.read(&mut Ctx::new(), lba, &mut page).unwrap();
+                        if page != [0xB2; FS_BLOCK] {
+                            stale.lock().push((block, page[0]));
+                        }
+                    }
+                }
+                true
+            }
+        });
+        assert!(h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
+        assert_eq!(*stale.lock(), vec![]);
+        assert_eq!(blocks_of(h.labfs().as_ref(), "/y"), old, "/x's blocks");
+        assert_file(&h, &mut ctx, y, 0xB2, 4 * FS_BLOCK);
+    }
+
+    /// A block cached dirty in a write-back LRU, then freed and reused,
+    /// reads back and flushes as its new owner's. A write that allocates
+    /// while the free's discard is still on its way to the cache does not
+    /// get the block: the discard would drop that write's bytes.
+    #[test]
+    fn a_block_cached_dirty_then_reused_holds_its_new_owners_bytes() {
+        let hook = Arc::new(Hook::default());
+        let lru = Arc::new(crate::lru::LruCacheMod::new(1 << 20, true));
+        let (h, dev) = Harness::over(vec![("hook", hook.clone()), ("lru", lru)]);
+        let h = Arc::new(h);
+        let mut ctx = Ctx::new();
+        // A name so long that the unlink's record kicks its own frame: the
+        // free is durable before its discard goes down.
+        let x = format!("/{}", "x".repeat(32 * 1024));
+        let ino = ino_of(h.create(&mut ctx, &x));
+        assert!(h.write(&mut ctx, ino, vec![0xA1; 2 * FS_BLOCK]).is_ok());
+        let old = blocks_of(h.labfs().as_ref(), &x);
+        let z = ino_of(h.create(&mut ctx, "/z"));
+        hook.arm({
+            let h = Arc::downgrade(&h);
+            move |op| {
+                if !matches!(op, BlockOp::Discard { .. }) {
+                    return true;
+                }
+                let h = h.upgrade().expect("the harness outlives its stack");
+                let data = vec![0xC3; 2 * FS_BLOCK];
+                assert!(h.write(&mut Ctx::new(), z, data).is_ok());
+                false
+            }
+        });
+        assert!(h.unlink(&mut ctx, &x).is_ok());
+        assert_file(&h, &mut ctx, z, 0xC3, 2 * FS_BLOCK);
+        let y = ino_of(h.create(&mut ctx, "/y"));
+        assert!(h.write(&mut ctx, y, vec![0xB2; 2 * FS_BLOCK]).is_ok());
+        assert_eq!(blocks_of(h.labfs().as_ref(), "/y"), old, "/x's blocks");
+        assert_file(&h, &mut ctx, y, 0xB2, 2 * FS_BLOCK);
+        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
+        for (path, fill) in [("/y", 0xB2), ("/z", 0xC3)] {
+            for block in blocks_of(h.labfs().as_ref(), path) {
+                let mut page = vec![0u8; FS_BLOCK];
+                dev.read(&mut ctx, block * BLOCK_SECTORS, &mut page)
+                    .unwrap();
+                assert!(
+                    page == [fill; FS_BLOCK],
+                    "{path}'s block {block} on the device"
+                );
+            }
+        }
+    }
+
+    /// Varmail's shape — create, two 8 KiB appends, fsync, unlink — takes
+    /// no fresh block after its first cycle: each reuses the blocks of the
+    /// file two cycles back, and every file stays one run on the device.
+    #[test]
+    fn a_varmail_loop_reuses_its_blocks() {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        let labfs = h.labfs();
+        let fs = labfs.as_any().downcast_ref::<LabFs>().unwrap();
+        let mut free = Vec::new();
+        for cycle in 0..16u8 {
+            let path = format!("/mail{cycle}");
+            let ino = ino_of(h.create(&mut ctx, &path));
+            for half in 0..2 {
+                let (offset, data) = (half * 2 * FS_BLOCK as u64, vec![cycle; 2 * FS_BLOCK]);
+                assert!(h.fs(&mut ctx, FsOp::Write { ino, offset, data }).is_ok());
+            }
+            assert!(h.fs(&mut ctx, FsOp::Fsync { ino }).is_ok());
+            let run = blocks_of(labfs.as_ref(), &path);
+            assert!(run.windows(2).all(|w| w[1] == w[0] + 1), "{cycle}: {run:?}");
+            assert_file(&h, &mut ctx, ino, cycle, 4 * FS_BLOCK);
+            assert!(h.unlink(&mut ctx, &path).is_ok());
+            free.push(fs.store.free_units());
+        }
+        assert!(free.iter().all(|&f| f == free[0]), "{free:?}");
     }
 
     /// `2 × FS_BLOCK` of 0xAA, `cut` (some way of truncating to 0),

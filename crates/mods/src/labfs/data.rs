@@ -58,9 +58,12 @@ impl Source {
 
 impl LabFs {
     /// Map `[offset, offset+len)` of `ino` to device blocks, allocating
-    /// and logging as needed (a write's metadata half). Returns the runs
-    /// behind the range and the records logged, whose `MapBlock`s name
-    /// the freshly mapped pages.
+    /// as needed (a write's metadata half). Returns the runs behind the
+    /// range, the records made, whose `MapBlock`s name the freshly mapped
+    /// pages, and whether any of those blocks is a recycled one. Those
+    /// records are logged here unless it is: a recycled block holds
+    /// another file's bytes until the write lands, so no frame may map
+    /// it before then, and the caller logs them after its data commands.
     ///
     /// A write that starts past an end of file lying inside a mapped page
     /// first zeroes that page from the old end on: what a crash left there
@@ -75,16 +78,23 @@ impl LabFs {
         ino: u64,
         offset: u64,
         len: usize,
-    ) -> Result<(Runs, Vec<LogRecord>), RespPayload> {
-        let alloc = || self.store.alloc_run(ctx, req.core, 1);
+    ) -> Result<(Runs, Vec<LogRecord>, bool), RespPayload> {
+        let mut reused = false;
+        let alloc = |goal| {
+            let (block, again) = self.store.alloc_run(ctx, req.core, 1, goal)?;
+            reused |= again;
+            Some(block)
+        };
         let (recs, runs, stale) =
             self.store
                 .state
                 .map_pages(ino, (offset, len), req.creds.uid, alloc)?;
         // Log only what changed: new mappings and growth. `map_pages`
         // applied them all under one inode lock.
-        for rec in &recs {
-            self.store.log_applied(ctx, req.core, rec);
+        if !reused {
+            for rec in &recs {
+                self.store.log_applied(ctx, req.core, rec);
+            }
         }
         if let Some((block, keep)) = stale {
             let r = self.patch_page(ctx, env, req, Some(block), block, |p| p[keep..].fill(0));
@@ -92,7 +102,7 @@ impl LabFs {
                 return Err(r);
             }
         }
-        Ok((runs, recs))
+        Ok((runs, recs, reused))
     }
 
     /// Write one page to block `dst`: zeroes, or what block `base` holds
@@ -154,7 +164,7 @@ impl LabFs {
         let copy = match tail.first().filter(|_| size < old && keep != 0) {
             None => None,
             Some(run) => {
-                let Some(fresh) = self.store.alloc_run(ctx, req.core, 1) else {
+                let Some((fresh, _)) = self.store.alloc_run(ctx, req.core, 1, None) else {
                     return RespPayload::Err("no space".into());
                 };
                 let r =
@@ -177,9 +187,11 @@ impl LabFs {
     /// Commit `rec`, then tell the stack below that the blocks it
     /// unmapped are dead: one `Discard` per run of them that is contiguous
     /// on the device, so a cache lets their pages, and the pool slots
-    /// behind them, go. A freed block is never reused, so no discard can
-    /// overtake its next owner's write. The discard is a hint: the record
-    /// stands whatever the stack answers. `false`: nothing applied.
+    /// behind them, go. Only once every stage has taken the discards do
+    /// the blocks go back to the store, which reuses them when `rec` is
+    /// durable: no discard can overtake their next owner's write. The
+    /// discard is a hint: the record stands whatever the stack answers.
+    /// `false`: nothing applied.
     pub(super) fn commit_and_discard(
         &self,
         ctx: &mut Ctx,
@@ -187,17 +199,14 @@ impl LabFs {
         req: &Request,
         rec: &LogRecord,
     ) -> bool {
-        let Some(mut freed) = self.store.commit(ctx, req.core, rec) else {
+        let Some(freed) = self.store.commit(ctx, req.core, rec) else {
             return false;
         };
-        freed.sort_unstable();
-        let mut rest = &freed[..];
-        while let Some(&first) = rest.first() {
-            let run = 1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count();
-            let (lba, len) = (first * BLOCK_SECTORS, run * FS_BLOCK);
+        for (first, n) in freed.runs() {
+            let (lba, len) = (first * BLOCK_SECTORS, n as usize * FS_BLOCK);
             fwd_block(ctx, env, req, BlockOp::Discard { lba, len });
-            rest = &rest[run..];
         }
+        self.store.recycle(freed);
         true
     }
 
@@ -211,7 +220,8 @@ impl LabFs {
     /// that is the whole `Vec` moves it, any other is assembled once and
     /// zero-padded. Every other page is patched (`patch_page`): from
     /// zeroes when it is fresh, else from its block, so neighbouring
-    /// bytes survive.
+    /// bytes survive. A write onto recycled blocks logs its records after
+    /// its data commands ([`LabFs::map_range`]).
     pub(super) fn op_write(
         &self,
         ctx: &mut Ctx,
@@ -219,7 +229,7 @@ impl LabFs {
         req: &Request,
         ino: u64,
         offset: u64,
-        mut src: Source,
+        src: Source,
     ) -> RespPayload {
         ctx.advance(META_CPU_NS); // inode + mapping lookup
         let len = src.as_slice().len();
@@ -227,10 +237,32 @@ impl LabFs {
             // No bytes change nothing, not even the size (POSIX).
             return RespPayload::Len(0);
         }
-        let (runs, recs) = match self.map_range(ctx, env, req, ino, offset, len) {
+        let (runs, recs, reused) = match self.map_range(ctx, env, req, ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };
+        let resp = self.write_runs(ctx, env, req, (offset, src), &runs, &recs);
+        // The live maps hold these records whatever the stack answered.
+        if reused {
+            for rec in &recs {
+                self.store.log_applied(ctx, req.core, rec);
+            }
+        }
+        resp
+    }
+
+    /// `op_write`'s data half: the block commands that put `src`, at
+    /// `offset`, on the `runs` behind it; `recs` map its fresh pages.
+    fn write_runs(
+        &self,
+        ctx: &mut Ctx,
+        env: &StackEnv<'_>,
+        req: &Request,
+        (offset, mut src): (u64, Source),
+        runs: &Runs,
+        recs: &[LogRecord],
+    ) -> RespPayload {
+        let len = src.as_slice().len();
         let fresh = |pg: u64| {
             recs.iter()
                 .any(|r| matches!(*r, LogRecord::MapBlock { page, .. } if page == pg))

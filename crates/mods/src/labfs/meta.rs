@@ -634,8 +634,9 @@ impl Meta {
 
     /// `map_range`'s metadata half: in one critical section on `ino`,
     /// back every page of `[offset, offset + len)` with a block — `alloc`
-    /// supplies the missing ones, all of them before anything changes —
-    /// and grow the size to cover the range. Every change is a record,
+    /// supplies the missing ones, all of them before anything changes,
+    /// each asked for at the block after the previous page's, so a file
+    /// that grows stays one run — and grow the size to cover the range. Every change is a record,
     /// made by `FsNode::apply` and returned for the caller to log. With
     /// them come the runs behind the range and, when the range starts
     /// past an end of file that lies inside a mapped page, that page's
@@ -646,7 +647,7 @@ impl Meta {
         ino: u64,
         (offset, len): (u64, usize),
         writer: u32,
-        mut alloc: impl FnMut() -> Option<u64>,
+        mut alloc: impl FnMut(Option<u64>) -> Option<u64>,
     ) -> Result<(Vec<LogRecord>, Runs, Option<(u64, usize)>), RespPayload> {
         let mut shard = self.node_shard(ino).write();
         let Some(node) = shard.get_mut(&ino) else {
@@ -674,11 +675,17 @@ impl Meta {
         let mut hole_start = first_pg;
         let bounds = mapped.iter().map(|r| (r.page, r.end()));
         for (hole_end, next) in bounds.chain([(last_pg, last_pg)]) {
+            let mut goal = None;
             for page in hole_start..hole_end {
-                let Some(block) = alloc() else {
+                if page == hole_start {
+                    let before = page.checked_sub(1).and_then(|p| node.blocks.get(p));
+                    goal = before.map(|b| b + 1);
+                }
+                let Some(block) = alloc(goal) else {
                     return Err(RespPayload::Err("no space".into()));
                 };
                 recs.push(LogRecord::MapBlock { ino, page, block });
+                goal = Some(block + 1);
             }
             hole_start = next;
         }

@@ -231,7 +231,8 @@ impl LabKvs {
         ctx.advance(KV_CPU_NS);
         let mut lba = 0;
         if len > 0 {
-            let Some(first) = self.store.alloc_run(ctx, req.core, sectors_for(len)) else {
+            let Some((first, _)) = self.store.alloc_run(ctx, req.core, sectors_for(len), None)
+            else {
                 return RespPayload::Err("no space".into());
             };
             lba = first;

@@ -10,9 +10,16 @@
 //! the mods — the records and the maps they describe — is a
 //! [`StateMachine`], which the engine is generic over (static dispatch:
 //! no `dyn`, no lock and no allocation of its own on the commit path).
+//!
+//! Units a record frees are reused, but only once that record is durable
+//! and its mod's stack has let them go ([`MetaStore::recycle`]): until
+//! then a crash could bring back the record's old owner, whose bytes
+//! must still be there.
 
 use std::ops::Range;
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use labstor_core::{LabMod, ModuleManager};
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
@@ -23,7 +30,7 @@ use crate::journal::{Journal, JournalError, RepairReport};
 
 /// CPU cost of appending one log record to the in-memory log buffer.
 pub(crate) const LOG_APPEND_NS: u64 = 80;
-/// CPU cost of one allocation (bump pointer).
+/// CPU cost of one allocation (a bump pointer or a first fit).
 const ALLOC_NS: u64 = 40;
 
 /// What a storage mod brings to the engine: a record type with its wire
@@ -47,8 +54,8 @@ pub(crate) trait StateMachine {
     /// Apply one record — the only way the state changes, live and on
     /// replay. `None` means it changed nothing (the name exists, the key
     /// does not): the live operation's existence check. `Some` carries
-    /// the units the record left unnamed, for a live caller to tell its
-    /// stack about (LabFS's freed blocks; LabKVS reports none).
+    /// the units the record left unnamed (LabFS's freed blocks; LabKVS
+    /// reports none).
     fn apply(&self, rec: &Self::Record) -> Option<Vec<u64>>;
 
     /// Forget everything a replay rebuilds.
@@ -56,6 +63,29 @@ pub(crate) trait StateMachine {
 
     /// Live upgrade: take over `prev`'s whole state.
     fn absorb(&self, prev: &Self);
+}
+
+/// The units a committed record left unnamed, sorted: for the live
+/// caller to tell its stack about, then to hand back with
+/// [`MetaStore::recycle`].
+pub(crate) struct Freed {
+    units: Vec<u64>,
+    /// The log the record went to and its frame's sequence number;
+    /// `None` when a full log dropped the record.
+    frame: (usize, Option<u64>),
+}
+
+impl Freed {
+    /// The units as `(first, n)` runs that are contiguous.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut rest = &self.units[..];
+        std::iter::from_fn(move || {
+            let &first = rest.first()?;
+            let n = 1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count();
+            rest = &rest[n..];
+            Some((first, n as u64))
+        })
+    }
 }
 
 /// One mod's metadata: the state, the log it is the fold of, and the
@@ -67,6 +97,10 @@ pub(crate) struct MetaStore<S: StateMachine> {
     /// The per-worker logs, written to a reserved device region through
     /// a direct handle.
     journal: Journal,
+    /// Per log, the runs recycled units form, each with the sequence
+    /// number of the frame whose durability it waits for: `(frame,
+    /// first, n)`.
+    pending: Vec<Mutex<Vec<(u64, u64, u64)>>>,
     /// (workers, log units per worker, sectors per unit, steal batch).
     geometry: (usize, u64, u64, u64),
 }
@@ -91,15 +125,24 @@ impl<S: StateMachine> MetaStore<S> {
             state: state(workers.next_power_of_two().max(16)),
             allocator: BlockAllocator::new(log_end, total_units, workers, steal_batch),
             journal: Journal::new(device, workers, log_units * unit_sectors),
+            pending: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             geometry: (workers, log_units, unit_sectors, steal_batch),
         }
     }
 
     /// `n` contiguous units from the allocator shard of the worker on
-    /// `core` (stealing when dry); `None` when no shard holds such a run.
-    pub(crate) fn alloc_run(&self, ctx: &mut Ctx, core: usize, n: u64) -> Option<u64> {
+    /// `core` (stealing when dry), from `goal` on when it has them free:
+    /// `(first, reused)`, where `reused` says the units were recycled
+    /// ([`BlockAllocator::take`]). `None` when no shard holds such a run.
+    pub(crate) fn alloc_run(
+        &self,
+        ctx: &mut Ctx,
+        core: usize,
+        n: u64,
+        goal: Option<u64>,
+    ) -> Option<(u64, bool)> {
         ctx.advance(ALLOC_NS);
-        self.allocator.alloc_run(core, n)
+        self.allocator.take(core, n, goal)
     }
 
     /// The one way a live operation changes metadata: apply `rec`, then
@@ -107,36 +150,78 @@ impl<S: StateMachine> MetaStore<S> {
     /// `core`, so replay folds the same `apply` over the same records.
     /// `None` (nothing changed, nothing logged) is the operation's
     /// "exists" / "not found"; `Some` carries the units `rec` freed.
-    pub(crate) fn commit(&self, ctx: &mut Ctx, core: usize, rec: &S::Record) -> Option<Vec<u64>> {
-        let freed = self.state.apply(rec)?;
-        self.log_applied(ctx, core, rec);
-        Some(freed)
+    pub(crate) fn commit(&self, ctx: &mut Ctx, core: usize, rec: &S::Record) -> Option<Freed> {
+        let mut units = self.state.apply(rec)?;
+        units.sort_unstable();
+        let frame = (core, self.log_applied(ctx, core, rec));
+        Some(Freed { units, frame })
     }
 
     /// Log a record the state has *already* applied, inside a critical
     /// section of its own that spans several records (LabFS maps every
     /// page of a write under one inode lock). Everything else commits.
-    pub(crate) fn log_applied(&self, ctx: &mut Ctx, core: usize, rec: &S::Record) {
+    /// Returns the sequence number of the frame the record went into.
+    pub(crate) fn log_applied(&self, ctx: &mut Ctx, core: usize, rec: &S::Record) -> Option<u64> {
         ctx.advance(LOG_APPEND_NS);
         let now = ctx.now();
-        self.journal.append(core, now, |buf| S::encode(rec, buf));
+        self.journal.append(core, now, |buf| S::encode(rec, buf))
+    }
+
+    /// Hand back units a [`MetaStore::commit`] freed, once nothing below
+    /// the mod holds them any more (LabFS: every stage has taken their
+    /// `Discard`). They go back to the allocator when the frame holding
+    /// the freeing record is durable — now, or at a later durability
+    /// point. Until then a crash can undo the record, and the units still
+    /// hold what its undone state reads.
+    pub(crate) fn recycle(&self, freed: Freed) {
+        let (log, Some(frame)) = freed.frame else {
+            return; // never durable: the units stay taken
+        };
+        let log = log % self.pending.len();
+        let mut pending = self.pending[log].lock();
+        pending.extend(freed.runs().map(|(first, n)| (frame, first, n)));
+        self.release(log, &mut pending);
+    }
+
+    /// Give log `log`'s recycled units whose frame is durable back to the
+    /// allocator, into the shard of the worker that freed them.
+    fn release(&self, log: usize, pending: &mut Vec<(u64, u64, u64)>) {
+        let durable = self.journal.durable(log);
+        pending.retain(|&(frame, first, n)| {
+            let wait = frame > durable;
+            if !wait {
+                self.allocator.free(log, first, n);
+            }
+            wait
+        });
     }
 
     /// Durability point: persist every log's pending records as one
-    /// frame each, then wait until they are on the device.
+    /// frame each, then wait until they are on the device. The units
+    /// whose freeing records it made durable go back to the allocator.
     pub(crate) fn sync(&self, ctx: &mut Ctx) -> Result<(), JournalError> {
-        self.journal.sync(ctx)
+        let synced = self.journal.sync(ctx);
+        for (log, pending) in self.pending.iter().enumerate() {
+            self.release(log, &mut pending.lock());
+        }
+        synced
     }
 
     /// Crash recovery: forget the state and rebuild it as the fold of
     /// `apply` over every committed frame on the device, region by
     /// region, discarding any torn or stale tail ([`Journal::replay`]).
     /// The units the records name leave the allocator here, not in
-    /// `apply`: live, `alloc_run` took them. Units a record frees stay
-    /// taken (none is reused) and nothing below is told of them: no
-    /// cache holds a block a replay could find.
+    /// `apply`: live, `alloc_run` took them. Units a replayed record
+    /// frees stay taken, and so do the recycled units still waiting for
+    /// a frame: the free list is not rebuilt, so this needs no scan
+    /// beyond the log's (units already on it stay: their frees are on
+    /// media). Nothing below is told of them: no cache holds a block a
+    /// replay could find.
     pub(crate) fn replay(&self) -> RepairReport {
         self.state.clear();
+        self.pending
+            .iter()
+            .for_each(|pending| pending.lock().clear());
         self.journal.replay(|buf, pos| {
             let rec = S::decode(buf, pos)?;
             let units = S::units(&rec);
@@ -148,6 +233,12 @@ impl<S: StateMachine> MetaStore<S> {
         })
     }
 
+    /// Units the allocator can still hand out.
+    #[cfg(test)]
+    pub(crate) fn free_units(&self) -> u64 {
+        self.allocator.free_blocks()
+    }
+
     /// What the most recent [`MetaStore::replay`] found, if one has run.
     #[cfg(test)]
     pub(crate) fn last_repair(&self) -> Option<RepairReport> {
@@ -156,7 +247,8 @@ impl<S: StateMachine> MetaStore<S> {
 
     /// Live upgrade: take over `prev`'s maps, its frame chain (every
     /// frame `prev` kicked is already written, so the cursors the journal
-    /// copies are final) and its allocator cursors.
+    /// copies are final), its allocator cursors and free lists, and the
+    /// recycled units still waiting for a frame.
     ///
     /// **Both sides must have the same geometry** — in practice the same
     /// worker count: map shards, log regions and allocator shards pair
@@ -172,6 +264,9 @@ impl<S: StateMachine> MetaStore<S> {
         self.state.absorb(&prev.state);
         self.journal.absorb(&prev.journal);
         self.allocator.absorb(&prev.allocator);
+        for (mine, theirs) in self.pending.iter().zip(&prev.pending) {
+            mine.lock().clone_from(&theirs.lock());
+        }
     }
 }
 
@@ -237,7 +332,8 @@ mod tests {
 
     use super::*;
 
-    /// A set of numbers. `Insert(n)` names allocator unit `n`.
+    /// A set of numbers. `Insert(n)` names allocator unit `n`, and
+    /// `Remove(n)` frees it.
     struct Set(Mutex<BTreeSet<u64>>);
 
     #[derive(Debug, Clone, Copy)]
@@ -276,11 +372,10 @@ mod tests {
         }
 
         fn apply(&self, rec: &Op) -> Option<Vec<u64>> {
-            let applied = match *rec {
-                Op::Insert(n) => self.0.lock().insert(n),
-                Op::Remove(n) => self.0.lock().remove(&n),
-            };
-            applied.then(Vec::new)
+            match *rec {
+                Op::Insert(n) => self.0.lock().insert(n).then(Vec::new),
+                Op::Remove(n) => self.0.lock().remove(&n).then(|| vec![n]),
+            }
         }
 
         fn clear(&self) {
@@ -307,7 +402,7 @@ mod tests {
 
     /// Allocate a unit on `core` and insert it.
     fn insert_fresh(store: &MetaStore<Set>, ctx: &mut Ctx, core: usize) -> u64 {
-        let unit = store.alloc_run(ctx, core, 1).expect("space");
+        let (unit, _) = store.alloc_run(ctx, core, 1, None).expect("space");
         assert!(store.commit(ctx, core, &Op::Insert(unit)).is_some());
         unit
     }
@@ -377,11 +472,39 @@ mod tests {
         // A fresh allocator starts where the old one did: without the
         // reserve, `a` is the first unit worker 0 hands out again.
         for core in [0, 1, 0, 1] {
-            let unit = fresh.alloc_run(&mut ctx, core, 1).unwrap();
+            let (unit, _) = fresh.alloc_run(&mut ctx, core, 1, None).unwrap();
             assert!(
                 ![a, b, c].contains(&unit),
                 "unit {unit} is named by the log"
             );
+        }
+    }
+
+    #[test]
+    fn a_freed_unit_is_reused_only_once_its_record_is_durable() {
+        let dev = SimDevice::preset(DeviceKind::Nvme);
+        let s = store(&dev);
+        let mut ctx = Ctx::new();
+        let a = insert_fresh(&s, &mut ctx, 0);
+        s.sync(&mut ctx).unwrap();
+        let freed = s.commit(&mut ctx, 0, &Op::Remove(a)).unwrap();
+        assert_eq!(freed.runs().collect::<Vec<_>>(), vec![(a, 1)]);
+        s.recycle(freed);
+        // The removal is still in memory: a crash would bring `a` back.
+        let (b, reused) = s.alloc_run(&mut ctx, 0, 1, None).unwrap();
+        assert!(b != a && !reused);
+        s.sync(&mut ctx).unwrap();
+        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some((a, true)));
+        // What still waits when a replay comes stays taken: the frame it
+        // waits for may be the one the crash lost.
+        assert!(s.commit(&mut ctx, 0, &Op::Insert(a)).is_some());
+        let freed = s.commit(&mut ctx, 0, &Op::Remove(a)).unwrap();
+        s.recycle(freed);
+        s.replay();
+        s.sync(&mut ctx).unwrap();
+        for core in [0, 1, 0, 1] {
+            let (unit, reused) = s.alloc_run(&mut ctx, core, 1, None).unwrap();
+            assert!(unit != a && !reused);
         }
     }
 

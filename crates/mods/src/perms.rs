@@ -1,9 +1,12 @@
 //! The permissions-checking LabMod (Fig. 4a's 3% stage; removing it is
 //! the difference between the paper's `Lab-All` and `Lab-Min` stacks).
 //!
-//! Sits in front of a filesystem or KVS stage. Namespace operations
-//! (create/open/unlink) are checked against per-path ownership recorded at
-//! creation; data operations are checked against the owning uid. Because
+//! Sits in front of a filesystem or KVS stage. Operations that name a
+//! path or key (create, open, unlink, stat, readdir; put, get, remove)
+//! are checked against the ownership recorded at creation. Everything
+//! else — data operations by inode (read, write, truncate, fsync) and a
+//! rename among them — is charged the check's cost and forwarded
+//! unchecked: a file's access was enforced when it was opened. Because
 //! LabStacks are composable, users who do not need this (single-tenant
 //! storage nodes) simply leave it out of the spec — the paper's tunable
 //! access control.
