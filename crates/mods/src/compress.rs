@@ -36,6 +36,11 @@ impl Extent {
     fn sectors(&self) -> u64 {
         self.orig_len.div_ceil(SECTOR_SIZE) as u64
     }
+
+    /// Sectors of the stored bytes.
+    fn stored_sectors(&self) -> u64 {
+        (self.stored_len / SECTOR_SIZE) as u64
+    }
 }
 
 /// The compression LabMod.
@@ -60,6 +65,51 @@ impl CompressMod {
         while let Some((&at, _)) = extents.range(lba..end).next() {
             extents.remove(&at);
         }
+    }
+
+    /// Before a discard of `[lba, end)`: an extent whose stored bytes lie
+    /// in that range is cut by what is written there next, though some of
+    /// its sectors may lie outside it and live on — the nearest extent
+    /// that starts before `lba` when its stored bytes reach `lba`, and one
+    /// that starts inside and ends past `end`. Decode each, newest first,
+    /// and store its live sectors again as extents of their own, each cut
+    /// short where another extent starts.
+    fn keep_live(
+        &self,
+        ctx: &mut Ctx,
+        env: &StackEnv<'_>,
+        req: &Request,
+        (lba, end): (u64, u64),
+    ) -> Result<(), RespPayload> {
+        let cut: Vec<(u64, Extent)> = {
+            let extents = self.extents.read();
+            let head = extents.range(..lba).next_back();
+            let head = head.filter(|(&at, e)| at + e.stored_sectors() > lba);
+            let inside = extents
+                .range(lba..end)
+                .filter(|(&at, e)| at + e.sectors() > end);
+            inside.chain(head).rev().map(|(&at, &e)| (at, e)).collect()
+        };
+        for (at, e) in cut {
+            let data = self.fetch_decoded(ctx, env, req, at, e)?;
+            self.extents.write().remove(&at);
+            for (from, to) in [(at, lba), (end, at + e.sectors())] {
+                if from >= to {
+                    continue;
+                }
+                let next = self.extents.read().range(from..to).next().map(|(&n, _)| n);
+                let to = next.unwrap_or(to);
+                let bytes = |lba: u64| ((lba.max(at) - at) as usize * SECTOR_SIZE).min(data.len());
+                let live = &data[bytes(from)..bytes(to)];
+                if !live.is_empty() {
+                    let r = self.do_write(ctx, env, req, from, live);
+                    if !r.is_ok() {
+                        return Err(r);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The extent that holds sector `lba`, with its first lba.
@@ -204,7 +254,12 @@ impl LabMod for CompressMod {
                 }
             }
             Payload::Block(BlockOp::Discard { lba, len }) => {
-                self.forget(*lba, *len);
+                let (lba, len) = (*lba, *len);
+                let end = lba + len.div_ceil(SECTOR_SIZE) as u64;
+                if let Err(resp) = self.keep_live(ctx, env, &req, (lba, end)) {
+                    return resp;
+                }
+                self.forget(lba, len);
                 env.forward(ctx, req)
             }
             _ => env.forward(ctx, req),
@@ -477,6 +532,89 @@ mod tests {
         .is_ok());
         let r = run(BlockOp::ReadBuf { lba: 12, len });
         assert_eq!(r.data_bytes(), Some(&[0x22; 8 * SECTOR_SIZE][..]));
+    }
+
+    /// `len` bytes of xorshift noise, which does not compress.
+    fn noise(len: usize, mut x: u32) -> Vec<u8> {
+        let mut step = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x as u8
+        };
+        (0..len).map(|_| step()).collect()
+    }
+
+    /// An extent whose stored bytes reach into a discarded range keeps
+    /// the sectors outside it: a write to the discarded ones does not cut
+    /// its stream, and its head and tail still read back.
+    #[test]
+    fn a_discard_inside_an_extents_stored_bytes_keeps_the_rest_of_it() {
+        use crate::cache_common::testing::{bytes, MemDev as FlatDev, Rig};
+        let rig = Rig::around(Arc::new(CompressMod::new()), FlatDev::new());
+        let mut ctx = Ctx::new();
+        let sectors = |n: usize| n * SECTOR_SIZE;
+        // Noise, zeroes, noise: it compresses, but its stored bytes still
+        // run past its eighth sector.
+        let old = [
+            noise(sectors(8), 1),
+            vec![0; sectors(8)],
+            noise(sectors(8), 3),
+        ]
+        .concat();
+        let data = old.clone();
+        assert!(rig
+            .exec(Payload::Block(BlockOp::Write { lba: 8, data }), &mut ctx)
+            .is_ok());
+        let cz = rig.cache();
+        let cz = cz.as_any().downcast_ref::<CompressMod>().unwrap();
+        let (_, e) = cz.covering(8).unwrap();
+        assert!(!e.raw && e.stored_sectors() > 8, "{e:?}");
+        let discard = BlockOp::Discard {
+            lba: 16,
+            len: sectors(8),
+        };
+        assert!(rig.exec(Payload::Block(discard), &mut ctx).is_ok());
+        let new = noise(sectors(8), 2);
+        let data = new.clone();
+        assert!(rig
+            .exec(Payload::Block(BlockOp::Write { lba: 16, data }), &mut ctx)
+            .is_ok());
+        for (lba, want) in [
+            (8, &old[..sectors(8)]),
+            (16, &new[..]),
+            (24, &old[sectors(16)..]),
+        ] {
+            let r = rig.exec(
+                Payload::Block(BlockOp::ReadBuf {
+                    lba,
+                    len: sectors(8),
+                }),
+                &mut ctx,
+            );
+            assert!(bytes(&r).as_deref() == Some(want), "sector {lba}");
+        }
+        // An extent that starts inside a discard and ends past it keeps
+        // its tail.
+        let data = old.clone();
+        assert!(rig
+            .exec(Payload::Block(BlockOp::Write { lba: 40, data }), &mut ctx)
+            .is_ok());
+        let discard = BlockOp::Discard {
+            lba: 36,
+            len: sectors(8),
+        };
+        assert!(rig.exec(Payload::Block(discard), &mut ctx).is_ok());
+        let data = noise(sectors(8), 4);
+        assert!(rig
+            .exec(Payload::Block(BlockOp::Write { lba: 36, data }), &mut ctx)
+            .is_ok());
+        let len = sectors(20);
+        let r = rig.exec(Payload::Block(BlockOp::ReadBuf { lba: 44, len }), &mut ctx);
+        assert!(
+            bytes(&r).as_deref() == Some(&old[sectors(4)..]),
+            "sector 44"
+        );
     }
 
     #[test]

@@ -287,6 +287,7 @@ mod tests {
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
     use labstor_ipc::Credentials;
     use labstor_sim::{BlockDevice, DeviceKind};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     struct Harness {
         mm: ModuleManager,
@@ -1347,9 +1348,10 @@ mod tests {
 
     /// A stage that runs its armed closure on each block command before
     /// passing it on. The closure is out while it runs, so what it sends
-    /// through the stack passes unhooked.
+    /// through the stack passes unhooked. While `refuse` is set, it
+    /// answers every write with an error instead.
     #[derive(Default)]
-    struct Hook(parking_lot::Mutex<Option<OnBlock>>);
+    struct Hook(parking_lot::Mutex<Option<OnBlock>>, AtomicBool);
 
     impl Hook {
         fn arm(&self, on: impl FnMut(&BlockOp) -> bool + Send + 'static) {
@@ -1371,6 +1373,10 @@ mod tests {
                     if on(op) {
                         self.0.lock().get_or_insert(on);
                     }
+                }
+                let write = matches!(op, BlockOp::Write { .. } | BlockOp::WriteBuf { .. });
+                if write && self.1.load(Ordering::SeqCst) {
+                    return RespPayload::Err("write refused".into());
                 }
             }
             env.forward(ctx, req)
@@ -1527,6 +1533,141 @@ mod tests {
             free.push(fs.store.free_units());
         }
         assert!(free.iter().all(|&f| f == free[0]), "{free:?}");
+    }
+
+    /// A command of /f's still on its way down when /f is unlinked and
+    /// the unlink made durable keeps /f's blocks from the next file until
+    /// it is done: the late write lands on no block of /g's, the late read
+    /// returns /f's bytes, and /g holds its own. Once the command is done,
+    /// the blocks are reused.
+    #[test]
+    fn a_command_in_flight_keeps_its_blocks_from_the_next_owner() {
+        for read in [false, true] {
+            let hook = Arc::new(Hook::default());
+            let (h, _) = Harness::over(vec![("hook", hook.clone())]);
+            let h = Arc::new(h);
+            let mut ctx = Ctx::new();
+            let f = write_file(&h, &mut ctx, "/f", 0xA1, 4 * FS_BLOCK);
+            let old = blocks_of(h.labfs().as_ref(), "/f");
+            let g = Arc::new(parking_lot::Mutex::new(0));
+            hook.arm({
+                let (h, g) = (Arc::downgrade(&h), g.clone());
+                move |_| {
+                    let h = h.upgrade().expect("the harness outlives its stack");
+                    let mut ctx = Ctx::new();
+                    assert!(h.unlink(&mut ctx, "/f").is_ok());
+                    let ino = ino_of(h.create(&mut ctx, "/g"));
+                    assert!(h.fs(&mut ctx, FsOp::Fsync { ino }).is_ok());
+                    assert!(h.write(&mut ctx, ino, vec![0xB2; 4 * FS_BLOCK]).is_ok());
+                    *g.lock() = ino;
+                    false
+                }
+            });
+            if read {
+                assert_file(&h, &mut ctx, f, 0xA1, 4 * FS_BLOCK);
+            } else {
+                assert!(h.write(&mut ctx, f, vec![0xC3; 4 * FS_BLOCK]).is_ok());
+            }
+            let g = *g.lock();
+            assert_file(&h, &mut ctx, g, 0xB2, 4 * FS_BLOCK);
+            assert!(h.fs(&mut ctx, FsOp::Fsync { ino: g }).is_ok());
+            let next = ino_of(h.create(&mut ctx, "/h"));
+            assert!(h.write(&mut ctx, next, vec![0xD4; 4 * FS_BLOCK]).is_ok());
+            assert_eq!(blocks_of(h.labfs().as_ref(), "/h"), old, "/f's blocks");
+        }
+    }
+
+    /// A write onto recycled blocks that the stack refuses maps none of
+    /// them, in memory or on the log: the file reads back as it was, and
+    /// the blocks go to the next write.
+    #[test]
+    fn a_refused_write_onto_recycled_blocks_maps_none_of_them() {
+        let hook = Arc::new(Hook::default());
+        let (h, dev) = Harness::over(vec![("hook", hook.clone())]);
+        let mut ctx = Ctx::new();
+        write_file(&h, &mut ctx, "/x", 0xA1, 4 * FS_BLOCK);
+        let old = blocks_of(h.labfs().as_ref(), "/x");
+        assert!(h.unlink(&mut ctx, "/x").is_ok());
+        let y = ino_of(h.create(&mut ctx, "/y"));
+        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
+        hook.1.store(true, Ordering::SeqCst);
+        assert!(!h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
+        hook.1.store(false, Ordering::SeqCst);
+        assert_eq!(h.size(&mut ctx, "/y"), Some(0));
+        assert_eq!(blocks_of(h.labfs().as_ref(), "/y"), Vec::<u64>::new());
+        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
+        let crashed = LabFs::new(dev, 4);
+        assert!(crashed.replay_from_device().is_clean());
+        assert_eq!(blocks_of(&crashed, "/y"), Vec::<u64>::new());
+        assert!(h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
+        assert_eq!(blocks_of(h.labfs().as_ref(), "/y"), old, "/x's blocks");
+        assert_file(&h, &mut ctx, y, 0xB2, 4 * FS_BLOCK);
+    }
+
+    /// A write onto recycled blocks logs its records after its data, and
+    /// a second writer's growth of the same file, fsynced meanwhile, is
+    /// logged after them: a crash image keeps the whole file, not the
+    /// first writer's shorter size replayed over the second's.
+    #[test]
+    fn a_recycled_writes_records_keep_their_place_on_the_log() {
+        use std::sync::mpsc;
+        let hook = Arc::new(Hook::default());
+        let (h, dev) = Harness::over(vec![("hook", hook.clone())]);
+        let h = Arc::new(h);
+        let mut ctx = Ctx::new();
+        write_file(&h, &mut ctx, "/x", 0xA1, 4 * FS_BLOCK);
+        assert!(h.unlink(&mut ctx, "/x").is_ok());
+        let f = ino_of(h.create(&mut ctx, "/f"));
+        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: f }).is_ok());
+        let (go, went) = mpsc::channel();
+        let (done, finished) = mpsc::channel();
+        let second = std::thread::spawn({
+            let h = h.clone();
+            move || {
+                went.recv().expect("the first write starts");
+                let mut ctx = Ctx::new();
+                let (offset, data) = (4 * FS_BLOCK as u64, vec![0xB2; 4 * FS_BLOCK]);
+                assert!(h
+                    .fs(
+                        &mut ctx,
+                        FsOp::Write {
+                            ino: f,
+                            offset,
+                            data
+                        }
+                    )
+                    .is_ok());
+                assert!(h.fs(&mut ctx, FsOp::Fsync { ino: f }).is_ok());
+                // The first writer stops waiting after a while.
+                let _ = done.send(());
+            }
+        });
+        hook.arm(move |op| {
+            if !matches!(op, BlockOp::Write { .. } | BlockOp::WriteBuf { .. }) {
+                return true;
+            }
+            go.send(()).expect("the second writer waits");
+            // Time for the second writer to overtake this one, if it can.
+            let _ = finished.recv_timeout(std::time::Duration::from_millis(200));
+            false
+        });
+        assert!(h.write(&mut ctx, f, vec![0xC3; 4 * FS_BLOCK]).is_ok());
+        second.join().expect("the second writer");
+        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: f }).is_ok());
+        let fresh = Arc::new(LabFs::new(dev, 4));
+        assert!(fresh.replay_from_device().is_clean());
+        h.mm.insert_instance("fs", fresh);
+        assert_eq!(h.size(&mut ctx, "/f"), Some(8 * FS_BLOCK as u64));
+        let r = h.fs(
+            &mut ctx,
+            FsOp::ReadBuf {
+                ino: f,
+                offset: 0,
+                len: 8 * FS_BLOCK,
+            },
+        );
+        let want = [vec![0xC3; 4 * FS_BLOCK], vec![0xB2; 4 * FS_BLOCK]].concat();
+        assert!(bytes_of(&r) == Some(want), "/f's bytes after the crash");
     }
 
     /// `2 × FS_BLOCK` of 0xAA, `cut` (some way of truncating to 0),

@@ -12,7 +12,7 @@ use labstor_core::{BlockOp, FsOp, Payload, Request, RespPayload, StackEnv};
 use labstor_ipc::BufHandle;
 use labstor_sim::Ctx;
 
-use super::meta::{LogRecord, Runs};
+use super::meta::{LogRecord, Mapping};
 use super::{LabFs, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
 use crate::generic::owned_bytes;
 
@@ -58,18 +58,18 @@ impl Source {
 
 impl LabFs {
     /// Map `[offset, offset+len)` of `ino` to device blocks, allocating
-    /// as needed (a write's metadata half). Returns the runs behind the
-    /// range, the records made, whose `MapBlock`s name the freshly mapped
-    /// pages, and whether any of those blocks is a recycled one. Those
-    /// records are logged here unless it is: a recycled block holds
-    /// another file's bytes until the write lands, so no frame may map
-    /// it before then, and the caller logs them after its data commands.
+    /// as needed (a write's metadata half), and log the records made,
+    /// whose `MapBlock`s name the freshly mapped pages. Unless a recycled
+    /// block backs one of them: such a block holds another file's bytes
+    /// until the write lands, so the [`Mapping`] stays locked, and the
+    /// caller logs the records, or takes them back, once its data
+    /// commands are done ([`LabFs::settle`]). Until then no other
+    /// operation on the inode reads the pages, and no frame maps them.
     ///
     /// A write that starts past an end of file lying inside a mapped page
     /// first zeroes that page from the old end on: what a crash left there
     /// (an append whose size record was lost) must not show through the
     /// gap. Nothing durable shows those bytes, so it is done in place.
-    #[allow(clippy::type_complexity)]
     fn map_range(
         &self,
         ctx: &mut Ctx,
@@ -78,31 +78,58 @@ impl LabFs {
         ino: u64,
         offset: u64,
         len: usize,
-    ) -> Result<(Runs, Vec<LogRecord>, bool), RespPayload> {
+    ) -> Result<Mapping<'_>, RespPayload> {
         let mut reused = false;
         let alloc = |goal| {
             let (block, again) = self.store.alloc_run(ctx, req.core, 1, goal)?;
             reused |= again;
             Some(block)
         };
-        let (recs, runs, stale) =
-            self.store
-                .state
-                .map_pages(ino, (offset, len), req.creds.uid, alloc)?;
-        // Log only what changed: new mappings and growth. `map_pages`
-        // applied them all under one inode lock.
+        let mut mapping = self
+            .store
+            .state
+            .map_pages(ino, (offset, len), req.creds.uid, alloc)?;
+        // Log only what changed: new mappings and growth, in the order
+        // `map_pages` applied them, before another apply on the inode.
         if !reused {
-            for rec in &recs {
+            for rec in &mapping.recs {
                 self.store.log_applied(ctx, req.core, rec);
             }
+            mapping.unlock();
         }
-        if let Some((block, keep)) = stale {
+        if let Some((block, keep)) = mapping.stale {
             let r = self.patch_page(ctx, env, req, Some(block), block, |p| p[keep..].fill(0));
             if !r.is_ok() {
-                return Err(r);
+                return Err(self.settle(ctx, req, mapping, r));
             }
         }
-        Ok((runs, recs, reused))
+        Ok(mapping)
+    }
+
+    /// End a write whose `mapping` may still be locked, with `resp` what
+    /// its data commands answered. A locked mapping's records are logged
+    /// now that its bytes are down; if they are not, it is taken back and
+    /// its blocks go back to the allocator, so no page maps a block that
+    /// still holds another file's bytes. Returns `resp`.
+    fn settle(
+        &self,
+        ctx: &mut Ctx,
+        req: &Request,
+        mut mapping: Mapping<'_>,
+        resp: RespPayload,
+    ) -> RespPayload {
+        if !mapping.locked() {
+            return resp;
+        }
+        if resp.is_ok() {
+            for rec in &mapping.recs {
+                self.store.log_applied(ctx, req.core, rec);
+            }
+        } else {
+            let blocks = mapping.undo();
+            self.store.unalloc(req.core, &blocks);
+        }
+        resp
     }
 
     /// Write one page to block `dst`: zeroes, or what block `base` holds
@@ -150,11 +177,12 @@ impl LabFs {
         size: u64,
     ) -> RespPayload {
         // The page the new end falls in, and what backs it.
-        let (old, tail) = match self.store.state.page_map(ino, size, 1) {
+        let (old, tail, pin) = match self.store.state.page_map(ino, size, 1) {
             Ok(v) => v,
             Err(e) => return e,
         };
         if size > old {
+            drop(pin);
             return match self.map_range(ctx, env, req, ino, size, 0) {
                 Ok(_) => RespPayload::Ok,
                 Err(e) => e,
@@ -175,6 +203,8 @@ impl LabFs {
                 Some(fresh)
             }
         };
+        // The tail page is read: what the records free may go.
+        drop(pin);
         // The size first: without the remap it is still the right file.
         self.commit_and_discard(ctx, env, req, &LogRecord::SetSize { ino, size });
         if let Some(block) = copy {
@@ -221,7 +251,7 @@ impl LabFs {
     /// zero-padded. Every other page is patched (`patch_page`): from
     /// zeroes when it is fresh, else from its block, so neighbouring
     /// bytes survive. A write onto recycled blocks logs its records after
-    /// its data commands ([`LabFs::map_range`]).
+    /// its data commands, or takes them back ([`LabFs::map_range`]).
     pub(super) fn op_write(
         &self,
         ctx: &mut Ctx,
@@ -237,31 +267,25 @@ impl LabFs {
             // No bytes change nothing, not even the size (POSIX).
             return RespPayload::Len(0);
         }
-        let (runs, recs, reused) = match self.map_range(ctx, env, req, ino, offset, len) {
+        let mapping = match self.map_range(ctx, env, req, ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };
-        let resp = self.write_runs(ctx, env, req, (offset, src), &runs, &recs);
-        // The live maps hold these records whatever the stack answered.
-        if reused {
-            for rec in &recs {
-                self.store.log_applied(ctx, req.core, rec);
-            }
-        }
-        resp
+        let resp = self.write_runs(ctx, env, req, (offset, src), &mapping);
+        self.settle(ctx, req, mapping, resp)
     }
 
     /// `op_write`'s data half: the block commands that put `src`, at
-    /// `offset`, on the `runs` behind it; `recs` map its fresh pages.
+    /// `offset`, on the runs `mapping` put behind it.
     fn write_runs(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
         req: &Request,
         (offset, mut src): (u64, Source),
-        runs: &Runs,
-        recs: &[LogRecord],
+        mapping: &Mapping<'_>,
     ) -> RespPayload {
+        let (runs, recs) = (&mapping.runs, &mapping.recs);
         let len = src.as_slice().len();
         let fresh = |pg: u64| {
             recs.iter()
@@ -361,7 +385,7 @@ impl LabFs {
     ) -> RespPayload {
         ctx.advance(META_CPU_NS); // inode + mapping lookup
         let first_pg = offset / FS_BLOCK as u64;
-        let (size, runs) = match self.store.state.page_map(ino, offset, len) {
+        let (size, runs, _pin) = match self.store.state.page_map(ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use parking_lot::{RwLock, RwLockWriteGuard};
 
@@ -379,6 +379,106 @@ impl FsNode {
     }
 }
 
+/// Device blocks per pin region.
+const PIN_REGION_BLOCKS: u64 = 64;
+/// Pin regions: region `b / PIN_REGION_BLOCKS` of block `b` counts in
+/// slot `% PIN_REGIONS`, one bit of a pin mask.
+const PIN_REGIONS: usize = 64;
+
+/// The pin mask of blocks `[first, first + n)`.
+fn pin_mask(first: u64, n: u64) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    let (lo, hi) = (
+        first / PIN_REGION_BLOCKS,
+        (first + n - 1) / PIN_REGION_BLOCKS,
+    );
+    match hi - lo {
+        k if k + 1 >= PIN_REGIONS as u64 => u64::MAX,
+        k => ((1u64 << (k + 1)) - 1).rotate_left((lo % PIN_REGIONS as u64) as u32),
+    }
+}
+
+/// The pin mask of the blocks behind `runs`.
+fn runs_mask(runs: &[Run]) -> u64 {
+    runs.iter().fold(0, |m, r| m | pin_mask(r.block, r.pages))
+}
+
+fn for_each_region(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
+/// An operation's hold on the blocks it looked up, from the lookup until
+/// its data commands are done. A block a record frees goes back to the
+/// allocator only while no pin covers its region ([`Meta::in_use`]), so
+/// a command still on its way to a block its file lost neither lands on
+/// nor reads the block's next owner's bytes. Regions are coarse: a pin
+/// holds back every freed block that shares one with what it looked up.
+pub(super) struct Pin<'a> {
+    meta: &'a Meta,
+    mask: u64,
+}
+
+impl Drop for Pin<'_> {
+    fn drop(&mut self) {
+        for_each_region(self.mask, |r| {
+            self.meta.pins[r].fetch_sub(1, Ordering::SeqCst);
+        });
+    }
+}
+
+/// A write's pages, backed and mapped by [`Meta::map_pages`] under the
+/// write lock of its inode's shard, which this holds until
+/// [`Mapping::unlock`]: while it does, no other operation on the inode
+/// sees the mapping or changes it, and [`Mapping::undo`] can take it back.
+pub(super) struct Mapping<'a> {
+    /// The records applied, in order: a `MapBlock` per page backed, then
+    /// a `SetSize` when the write grows the file.
+    pub(super) recs: Vec<LogRecord>,
+    /// The runs behind the range.
+    pub(super) runs: Runs,
+    /// When the range starts past an end of file that lies inside a
+    /// mapped page, that page's `(block, offset of the old end in it)`.
+    pub(super) stale: Option<(u64, usize)>,
+    ino: u64,
+    /// The size before the write.
+    old: u64,
+    shard: Option<RwLockWriteGuard<'a, HashMap<u64, FsNode>>>,
+    _pin: Pin<'a>,
+}
+
+impl Mapping<'_> {
+    /// Let other operations on the inode in.
+    pub(super) fn unlock(&mut self) {
+        self.shard = None;
+    }
+
+    /// Whether the mapping is still hidden from other operations.
+    pub(super) fn locked(&self) -> bool {
+        self.shard.is_some()
+    }
+
+    /// While still locked, take the mapping back: unmap the pages it
+    /// backed and restore the size. Returns the blocks that backed them.
+    pub(super) fn undo(&mut self) -> Vec<u64> {
+        let ino = self.ino;
+        let Some(node) = self.shard.as_mut().and_then(|s| s.get_mut(&ino)) else {
+            return Vec::new();
+        };
+        let pages = self.recs.iter().filter_map(|rec| match *rec {
+            LogRecord::MapBlock { page, .. } => Some(page),
+            _ => None,
+        });
+        let blocks = pages.filter_map(|page| node.blocks.unmap(page)).collect();
+        node.stat.size = self.old;
+        blocks
+    }
+}
+
 /// The flat, sharded name and inode maps ("a single hashmap" with
 /// minimal contention) and the inode-number allocator.
 pub(super) struct Meta {
@@ -387,6 +487,9 @@ pub(super) struct Meta {
     /// Sharded ino → node.
     nodes: Vec<RwLock<HashMap<u64, FsNode>>>,
     next_ino: AtomicU64,
+    /// Per pin region, the operations in flight that looked up a block
+    /// in it ([`Pin`]).
+    pins: [AtomicU32; PIN_REGIONS],
 }
 
 impl Meta {
@@ -395,7 +498,18 @@ impl Meta {
             names: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             nodes: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             next_ino: AtomicU64::new(1),
+            pins: std::array::from_fn(|_| AtomicU32::new(0)),
         }
+    }
+
+    /// Pin the regions of `mask` until the returned [`Pin`] drops. Taken
+    /// under the lock of the inode shard the lookup read, so a free that
+    /// applies after the lookup finds the pin.
+    fn pin(&self, mask: u64) -> Pin<'_> {
+        for_each_region(mask, |r| {
+            self.pins[r].fetch_add(1, Ordering::SeqCst);
+        });
+        Pin { meta: self, mask }
     }
 
     fn name_shard_idx(&self, path: &str) -> usize {
@@ -526,6 +640,10 @@ impl StateMachine for Meta {
         }
     }
 
+    fn in_use(&self, first: u64, n: u64) -> bool {
+        self.pinned(first, n)
+    }
+
     /// `next_ino` is not rewound: a number this instance handed out is
     /// not handed out again.
     fn clear(&self) {
@@ -632,23 +750,21 @@ impl Meta {
                 .any(|shard| shard.keys().any(|k| k.starts_with(&under)))
     }
 
-    /// `map_range`'s metadata half: in one critical section on `ino`,
-    /// back every page of `[offset, offset + len)` with a block — `alloc`
-    /// supplies the missing ones, all of them before anything changes,
-    /// each asked for at the block after the previous page's, so a file
-    /// that grows stays one run — and grow the size to cover the range. Every change is a record,
-    /// made by `FsNode::apply` and returned for the caller to log. With
-    /// them come the runs behind the range and, when the range starts
-    /// past an end of file that lies inside a mapped page, that page's
-    /// `(block, offset of the old end in it)`.
-    #[allow(clippy::type_complexity)]
+    /// `map_range`'s metadata half: under the write lock of `ino`'s
+    /// shard, back every page of `[offset, offset + len)` with a block —
+    /// `alloc` supplies the missing ones, all of them before anything
+    /// changes, each asked for at the block after the previous page's, so
+    /// a file that grows stays one run — and grow the size to cover the
+    /// range. Every change is a record, made by `FsNode::apply` and
+    /// returned for the caller to log, in the [`Mapping`] that still holds
+    /// the lock and pins the blocks behind the range.
     pub(super) fn map_pages(
         &self,
         ino: u64,
         (offset, len): (u64, usize),
         writer: u32,
         mut alloc: impl FnMut(Option<u64>) -> Option<u64>,
-    ) -> Result<(Vec<LogRecord>, Runs, Option<(u64, usize)>), RespPayload> {
+    ) -> Result<Mapping<'_>, RespPayload> {
         let mut shard = self.node_shard(ino).write();
         let Some(node) = shard.get_mut(&ino) else {
             return Err(RespPayload::Err(format!("no inode {ino}")));
@@ -703,7 +819,17 @@ impl Meta {
         };
         node.ops += 1;
         node.last_writer = writer;
-        Ok((recs, runs, stale))
+        let stale_mask = stale.map_or(0, |(block, _)| pin_mask(block, 1));
+        let _pin = self.pin(runs_mask(&runs) | stale_mask);
+        Ok(Mapping {
+            recs,
+            runs,
+            stale,
+            ino,
+            old,
+            shard: Some(shard),
+            _pin,
+        })
     }
 
     /// The inode number for a create's record; wasted if the create then
@@ -722,14 +848,14 @@ impl Meta {
     }
 
     /// The size of file `ino` and the runs behind the pages of
-    /// `[offset, offset + len)` that hold bytes below that size; holes
-    /// are left out.
+    /// `[offset, offset + len)` that hold bytes below that size, pinned
+    /// for as long as the caller keeps the [`Pin`]; holes are left out.
     pub(super) fn page_map(
         &self,
         ino: u64,
         offset: u64,
         len: usize,
-    ) -> Result<(u64, Runs), RespPayload> {
+    ) -> Result<(u64, Runs, Pin<'_>), RespPayload> {
         let shard = self.node_shard(ino).read();
         let Some(node) = shard.get(&ino) else {
             return Err(RespPayload::Err(format!("no inode {ino}")));
@@ -740,7 +866,18 @@ impl Meta {
         let first_pg = offset / FS_BLOCK as u64;
         let end = (offset + len as u64).min(node.stat.size);
         let last_pg = end.div_ceil(FS_BLOCK as u64);
-        Ok((node.stat.size, node.blocks.runs(first_pg..last_pg)))
+        let runs = node.blocks.runs(first_pg..last_pg);
+        let pin = self.pin(runs_mask(&runs));
+        Ok((node.stat.size, runs, pin))
+    }
+
+    /// Whether a [`Pin`] covers a region of blocks `[first, first + n)`.
+    fn pinned(&self, first: u64, n: u64) -> bool {
+        let mut pinned = false;
+        for_each_region(pin_mask(first, n), |r| {
+            pinned |= self.pins[r].load(Ordering::SeqCst) != 0;
+        });
+        pinned
     }
 
     /// Names directly under `prefix` (which ends in `/`), unsorted.
@@ -933,7 +1070,7 @@ mod tests {
         prop_assert_eq!(&snap[0].2, &want);
         prop_assert_eq!(snap[0].1.size, model.size);
         for (offset, len) in [(0, SPACE * PAGE), (5 * PAGE + 9, 3 * PAGE), (17 * PAGE, 1)] {
-            let (size, got) = meta.page_map(INO, offset, len as usize).unwrap();
+            let (size, got, _) = meta.page_map(INO, offset, len as usize).unwrap();
             prop_assert_eq!(size, model.size);
             let want = model.runs(offset, len);
             prop_assert!(

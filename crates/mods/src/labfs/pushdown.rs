@@ -42,7 +42,7 @@ impl LabFs {
             ));
         }
         ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (size, runs) = match self.store.state.page_map(ino, offset, len) {
+        let (size, runs, _pin) = match self.store.state.page_map(ino, offset, len) {
             Ok(v) => v,
             Err(e) => return e,
         };

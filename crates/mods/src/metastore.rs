@@ -58,6 +58,13 @@ pub(crate) trait StateMachine {
     /// reports none).
     fn apply(&self, rec: &Self::Record) -> Option<Vec<u64>>;
 
+    /// Whether an operation in flight may still use one of units
+    /// `[first, first + n)`, which a record freed: until it is done they
+    /// stay out of the allocator ([`MetaStore::recycle`]).
+    fn in_use(&self, _first: u64, _n: u64) -> bool {
+        false
+    }
+
     /// Forget everything a replay rebuilds.
     fn clear(&self);
 
@@ -170,9 +177,11 @@ impl<S: StateMachine> MetaStore<S> {
     /// Hand back units a [`MetaStore::commit`] freed, once nothing below
     /// the mod holds them any more (LabFS: every stage has taken their
     /// `Discard`). They go back to the allocator when the frame holding
-    /// the freeing record is durable — now, or at a later durability
-    /// point. Until then a crash can undo the record, and the units still
-    /// hold what its undone state reads.
+    /// the freeing record is durable and no operation that looked them up
+    /// before the record is still in flight ([`StateMachine::in_use`]) —
+    /// now, or at a later durability point. Until then a crash can undo
+    /// the record, and the units still hold what its undone state reads;
+    /// and a late data command still reads or writes them.
     pub(crate) fn recycle(&self, freed: Freed) {
         let (log, Some(frame)) = freed.frame else {
             return; // never durable: the units stay taken
@@ -183,17 +192,26 @@ impl<S: StateMachine> MetaStore<S> {
         self.release(log, &mut pending);
     }
 
-    /// Give log `log`'s recycled units whose frame is durable back to the
-    /// allocator, into the shard of the worker that freed them.
+    /// Give log `log`'s recycled units whose frame is durable, and that no
+    /// operation in flight uses, back to the allocator, into the shard of
+    /// the worker that freed them.
     fn release(&self, log: usize, pending: &mut Vec<(u64, u64, u64)>) {
         let durable = self.journal.durable(log);
         pending.retain(|&(frame, first, n)| {
-            let wait = frame > durable;
+            let wait = frame > durable || self.state.in_use(first, n);
             if !wait {
                 self.allocator.free(log, first, n);
             }
             wait
         });
+    }
+
+    /// Give back units `alloc_run` handed out on `core` that no record
+    /// names: a write that failed before anything saw its mapping.
+    pub(crate) fn unalloc(&self, core: usize, units: &[u64]) {
+        for &unit in units {
+            self.allocator.free(core, unit, 1);
+        }
     }
 
     /// Durability point: persist every log's pending records as one
