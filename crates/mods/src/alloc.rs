@@ -10,75 +10,323 @@
 
 use parking_lot::Mutex;
 
+/// No node.
+const NIL: u32 = u32::MAX;
+
+#[derive(Clone, Copy)]
+struct Node {
+    first: u64,
+    n: u64,
+    priority: u64,
+    left: u32,
+    right: u32,
+}
+
+/// A free run: `(first, n)`.
+type Run = (u64, u64);
+
+/// Where a node hangs: the root, or a child link of a node.
+#[derive(Clone, Copy)]
+enum Link {
+    Root,
+    Left(u32),
+    Right(u32),
+}
+
+/// Runs `first → n` ordered by `first`: a treap whose nodes live in one
+/// `Vec`, their slots reused, so it allocates nothing once it has held
+/// as many runs as it holds. A node's heap priority is drawn when it is
+/// made, not hashed from its key, so a run's first unit can move in place
+/// as long as it stays between its neighbours' (a carve off its head, a
+/// give that joins it from the left). Finding a run and adding or
+/// removing one are O(log n) expected.
+#[derive(Clone)]
+struct RunTree {
+    nodes: Vec<Node>,
+    /// Slots of `nodes` no run holds.
+    spare: Vec<u32>,
+    root: u32,
+    /// Units in all runs.
+    units: u64,
+    /// Draws the next node's priority.
+    draws: u64,
+}
+
+impl Default for RunTree {
+    fn default() -> Self {
+        RunTree {
+            nodes: Vec::new(),
+            spare: Vec::new(),
+            root: NIL,
+            units: 0,
+            draws: 0,
+        }
+    }
+}
+
+impl RunTree {
+    fn link(&self, at: Link) -> u32 {
+        match at {
+            Link::Root => self.root,
+            Link::Left(t) => self.nodes[t as usize].left,
+            Link::Right(t) => self.nodes[t as usize].right,
+        }
+    }
+
+    fn set_link(&mut self, at: Link, to: u32) {
+        match at {
+            Link::Root => self.root = to,
+            Link::Left(t) => self.nodes[t as usize].left = to,
+            Link::Right(t) => self.nodes[t as usize].right = to,
+        }
+    }
+
+    /// The link a search for `first` ends at: the run that starts there,
+    /// or where it would go, stopping above any node whose priority is
+    /// below `above`.
+    fn search(&self, first: u64, above: u64) -> Link {
+        let mut at = Link::Root;
+        loop {
+            let t = self.link(at);
+            if t == NIL {
+                return at;
+            }
+            let node = &self.nodes[t as usize];
+            if node.first == first || node.priority < above {
+                return at;
+            }
+            at = if first < node.first {
+                Link::Left(t)
+            } else {
+                Link::Right(t)
+            };
+        }
+    }
+
+    /// Cut tree `t` into the runs that start before `key` and the rest.
+    fn split(&mut self, t: u32, key: u64) -> (u32, u32) {
+        if t == NIL {
+            return (NIL, NIL);
+        }
+        let node = self.nodes[t as usize];
+        if node.first < key {
+            let (l, r) = self.split(node.right, key);
+            self.nodes[t as usize].right = l;
+            (t, r)
+        } else {
+            let (l, r) = self.split(node.left, key);
+            self.nodes[t as usize].left = r;
+            (l, t)
+        }
+    }
+
+    /// Join trees `a` and `b`, every run of `a` before every run of `b`.
+    fn merge(&mut self, a: u32, b: u32) -> u32 {
+        if a == NIL || b == NIL {
+            return if a == NIL { b } else { a };
+        }
+        if self.nodes[a as usize].priority > self.nodes[b as usize].priority {
+            let right = self.merge(self.nodes[a as usize].right, b);
+            self.nodes[a as usize].right = right;
+            a
+        } else {
+            let left = self.merge(a, self.nodes[b as usize].left);
+            self.nodes[b as usize].left = left;
+            b
+        }
+    }
+
+    /// Add run `first → n`; no run starts at `first`. Its priority is
+    /// splitmix64 over a counter, so the tree is shaped as by a random
+    /// insertion order whatever order the runs come in.
+    fn insert(&mut self, first: u64, n: u64) {
+        self.draws = self.draws.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.draws;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let priority = z ^ (z >> 31);
+        let at = self.search(first, priority);
+        let (left, right) = self.split(self.link(at), first);
+        let node = Node {
+            first,
+            n,
+            priority,
+            left,
+            right,
+        };
+        let t = match self.spare.pop() {
+            Some(t) => {
+                self.nodes[t as usize] = node;
+                t
+            }
+            None => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.set_link(at, t);
+        self.units += n;
+    }
+
+    /// Remove the run that starts at `first`.
+    fn remove(&mut self, first: u64) {
+        let at = self.search(first, 0);
+        let t = self.link(at);
+        let node = self.nodes[t as usize];
+        let joined = self.merge(node.left, node.right);
+        self.set_link(at, joined);
+        self.spare.push(t);
+        self.units -= node.n;
+    }
+
+    /// Make the run that starts at `first` start at `to` and hold `n`
+    /// units; no other run starts between the two.
+    fn replace(&mut self, first: u64, to: u64, n: u64) {
+        let t = self.link(self.search(first, 0));
+        let node = &mut self.nodes[t as usize];
+        self.units = self.units - node.n + n;
+        (node.first, node.n) = (to, n);
+    }
+
+    /// The runs just before and from `key`: the last that starts before
+    /// it and the first that starts at or after it, in one descent.
+    fn around(&self, key: u64) -> (Option<Run>, Option<Run>) {
+        let (mut t, mut before, mut from) = (self.root, None, None);
+        while t != NIL {
+            let node = &self.nodes[t as usize];
+            if node.first < key {
+                before = Some((node.first, node.n));
+                t = node.right;
+            } else {
+                from = Some((node.first, node.n));
+                t = node.left;
+            }
+        }
+        (before, from)
+    }
+
+    /// The lowest run, if it holds `n` units: take it out whole, or its
+    /// head, in one descent.
+    fn take_lowest(&mut self, n: u64) -> Option<u64> {
+        let mut at = Link::Root;
+        let mut t = self.root;
+        if t == NIL {
+            return None;
+        }
+        loop {
+            let left = self.nodes[t as usize].left;
+            if left == NIL {
+                break;
+            }
+            at = Link::Left(t);
+            t = left;
+        }
+        let node = &mut self.nodes[t as usize];
+        if node.n < n {
+            return None;
+        }
+        let first = node.first;
+        if node.n > n {
+            (node.first, node.n) = (first + n, node.n - n);
+        } else {
+            let right = node.right;
+            self.set_link(at, right);
+            self.spare.push(t);
+        }
+        self.units -= n;
+        Some(first)
+    }
+
+    /// Every run, in order.
+    fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut next = self.around(0).1;
+        std::iter::from_fn(move || {
+            let run = next?;
+            next = self.around(run.0 + 1).1;
+            Some(run)
+        })
+    }
+
+    /// Remove every run, keeping the slots.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.spare.clear();
+        self.root = NIL;
+        self.units = 0;
+    }
+}
+
 struct AllocShard {
     next: u64,
     end: u64,
-    /// Units given back, as `(first, n)` runs sorted by `first`, none
-    /// touching the next.
-    free: Vec<(u64, u64)>,
+    /// Units given back, as runs none touching the next.
+    free: RunTree,
 }
 
 impl AllocShard {
     /// `[goal, goal + n)` out of the free list or off the bump cursor,
-    /// when all of it is there; `(goal, reused)`.
+    /// when all of it is there; `(goal, reused)`. O(log n).
     fn take_at(&mut self, goal: u64, n: u64) -> Option<(u64, bool)> {
         if goal == self.next && self.end - self.next >= n {
             self.next += n;
             return Some((goal, false));
         }
-        let i = self.free.partition_point(|&(first, _)| first <= goal);
-        let (first, len) = *self.free.get(i.checked_sub(1)?)?;
+        let (first, len) = self.free.around(goal + 1).0?;
         if goal + n > first + len {
             return None;
         }
-        self.carve(i - 1, goal, n);
+        self.carve(first, len, goal, n);
         Some((goal, true))
     }
 
-    /// First fit: the head of the first free run that holds `n` units.
+    /// First fit: the head of the lowest free run that holds `n` units.
+    /// O(log n), one descent, when the lowest run holds them, as every
+    /// run does when requests are one size (LabFS's pages, a store of
+    /// equal values); each run too short costs one more O(log n) step.
     fn take_free(&mut self, n: u64) -> Option<u64> {
-        let i = self.free.iter().position(|&(_, len)| len >= n)?;
-        let first = self.free[i].0;
-        self.carve(i, first, n);
+        if let Some(first) = self.free.take_lowest(n) {
+            return Some(first);
+        }
+        let (first, len) = self.free.runs().find(|&(_, len)| len >= n)?;
+        self.carve(first, len, first, n);
         Some(first)
     }
 
-    /// Remove `[at, at + n)`, which lies inside free run `i`.
-    fn carve(&mut self, i: usize, at: u64, n: u64) {
-        let (first, len) = self.free[i];
-        let tail = (at + n, first + len - at - n);
-        match (at == first, tail.1 == 0) {
-            (true, true) => {
-                self.free.remove(i);
-            }
-            (true, false) => self.free[i] = tail,
-            (false, true) => self.free[i].1 = at - first,
-            (false, false) => {
-                self.free[i].1 = at - first;
-                self.free.insert(i + 1, tail);
+    /// Remove `[at, at + n)`, which lies inside free run `first → len`.
+    fn carve(&mut self, first: u64, len: u64, at: u64, n: u64) {
+        let tail = first + len - at - n;
+        match (at == first, tail > 0) {
+            (true, true) => self.free.replace(first, at + n, tail),
+            (true, false) => self.free.remove(first),
+            (false, _) => {
+                self.free.replace(first, first, at - first);
+                if tail > 0 {
+                    self.free.insert(at + n, tail);
+                }
             }
         }
     }
 
     /// Put `[first, first + n)` on the free list, joined to the runs it
-    /// touches.
+    /// touches: one descent finds both, and a run that joins them moves
+    /// in place. O(log n).
     fn give(&mut self, first: u64, n: u64) {
-        let i = self.free.partition_point(|&(f, _)| f < first);
-        let left = i > 0 && self.free[i - 1].0 + self.free[i - 1].1 == first;
-        let right = self.free.get(i).is_some_and(|&(f, _)| f == first + n);
+        let (left, right) = self.free.around(first);
+        let left = left.filter(|&(f, len)| f + len == first);
+        let right = right.filter(|&(f, _)| f == first + n).map(|(_, len)| len);
         match (left, right) {
-            (true, true) => {
-                let (_, len) = self.free.remove(i);
-                self.free[i - 1].1 += n + len;
+            (Some((f, len)), Some(more)) => {
+                self.free.remove(first + n);
+                self.free.replace(f, f, len + n + more);
             }
-            (true, false) => self.free[i - 1].1 += n,
-            (false, true) => self.free[i] = (first, self.free[i].1 + n),
-            (false, false) => self.free.insert(i, (first, n)),
+            (Some((f, len)), None) => self.free.replace(f, f, len + n),
+            (None, Some(more)) => self.free.replace(first + n, first, n + more),
+            (None, None) => self.free.insert(first, n),
         }
     }
 
     fn available(&self) -> u64 {
-        self.end - self.next + self.free.iter().map(|&(_, n)| n).sum::<u64>()
+        self.end - self.next + self.free.units
     }
 }
 
@@ -105,7 +353,7 @@ impl BlockAllocator {
                         } else {
                             start + (w + 1) * per
                         },
-                        free: Vec::new(),
+                        free: RunTree::default(),
                     })
                 })
                 .collect(),
@@ -252,7 +500,9 @@ impl BlockAllocator {
             let a = self.shards[w].lock();
             (a, b)
         };
-        for (first, n) in a.free.drain(..) {
+        let runs: Vec<(u64, u64)> = a.free.runs().collect();
+        a.free.clear();
+        for (first, n) in runs {
             b.give(first, n);
         }
         if a.next >= a.end {
@@ -276,6 +526,11 @@ impl BlockAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shard `w`'s free list as `(first, n)` runs in order.
+    fn free_runs(a: &BlockAllocator, w: usize) -> Vec<(u64, u64)> {
+        a.shards[w].lock().free.runs().collect()
+    }
 
     #[test]
     fn allocator_steals_when_shard_empty() {
@@ -408,7 +663,7 @@ mod tests {
         for (first, n) in [(6, 2), (2, 1), (1, 1), (8, 1), (3, 1)] {
             a.free(0, first, n);
         }
-        assert_eq!(a.shards[0].lock().free, vec![(1, 3), (6, 3)]);
+        assert_eq!(free_runs(&a, 0), vec![(1, 3), (6, 3)]);
         assert_eq!(a.free_blocks(), 40 + 6 + 50);
         // First fit: the first run that holds all of it.
         assert_eq!(a.take(0, 3, None), Some((1, true)));
@@ -417,7 +672,7 @@ mod tests {
         // passed over; the cursor serves a goal at the cursor only.
         a.free(0, 1, 3);
         assert_eq!(a.take(0, 1, Some(2)), Some((2, true)));
-        assert_eq!(a.shards[0].lock().free, vec![(1, 1), (3, 1), (7, 2)]);
+        assert_eq!(free_runs(&a, 0), vec![(1, 1), (3, 1), (7, 2)]);
         assert_eq!(a.take(0, 2, Some(3)), Some((7, true)), "3 holds one unit");
         assert_eq!(a.take(0, 1, Some(10)), Some((10, false)));
         assert_eq!(a.take(0, 1, Some(40)), Some((1, true)));
@@ -430,6 +685,65 @@ mod tests {
         b.free(1, 3, 1);
         assert_eq!(b.take(0, 1, None), Some((3, true)));
         assert_eq!(b.alloc_run(0, 1), None);
+    }
+
+    /// What a free list of `units` free units answers, run by run.
+    fn maximal_runs(units: &std::collections::BTreeSet<u64>) -> Vec<(u64, u64)> {
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for &u in units {
+            match runs.last_mut() {
+                Some((f, n)) if *f + *n == u => *n += 1,
+                _ => runs.push((u, 1)),
+            }
+        }
+        runs
+    }
+
+    proptest::proptest! {
+        /// The free list against a set of free units: it holds their
+        /// maximal runs, a goal is served exactly when all of its units
+        /// are free, and first fit takes the head of the lowest run long
+        /// enough. Slots are reused: the tree never holds more nodes than
+        /// it held runs at its fullest.
+        #[test]
+        fn the_free_list_matches_a_set_of_units(
+            ops in proptest::collection::vec((0u8..3, 0u64..256, 1u64..6), 1..400),
+        ) {
+            let mut shard = AllocShard { next: 0, end: 0, free: RunTree::default() };
+            let mut model = std::collections::BTreeSet::new();
+            let mut most = 0;
+            for (kind, at, n) in ops {
+                match kind {
+                    0 => {
+                        // Give back what is not free yet.
+                        let units: Vec<u64> = (at..at + n).filter(|u| !model.contains(u)).collect();
+                        for u in units {
+                            shard.give(u, 1);
+                            model.insert(u);
+                        }
+                    }
+                    1 => {
+                        let want = (at..at + n).all(|u| model.contains(&u)).then_some((at, true));
+                        proptest::prop_assert_eq!(shard.take_at(at, n), want);
+                        if want.is_some() {
+                            (at..at + n).for_each(|u| { model.remove(&u); });
+                        }
+                    }
+                    _ => {
+                        let want = maximal_runs(&model).into_iter().find(|r| r.1 >= n).map(|r| r.0);
+                        proptest::prop_assert_eq!(shard.take_free(n), want);
+                        if let Some(first) = want {
+                            (first..first + n).for_each(|u| { model.remove(&u); });
+                        }
+                    }
+                }
+                let runs: Vec<(u64, u64)> = shard.free.runs().collect();
+                proptest::prop_assert_eq!(&runs, &maximal_runs(&model));
+                proptest::prop_assert_eq!(shard.available(), model.len() as u64);
+                most = most.max(runs.len());
+                proptest::prop_assert!(shard.free.nodes.len() <= most + 1);
+            }
+        }
     }
 
     #[test]
@@ -447,7 +761,7 @@ mod tests {
         let before = a.free_blocks();
         a.decommission(0);
         assert_eq!(a.free_blocks(), before);
-        assert_eq!(a.shards[1].lock().free, vec![(1, 2), (4, 1)]);
+        assert_eq!(free_runs(&a, 1), vec![(1, 2), (4, 1)]);
         assert_eq!(a.alloc_run(1, 1), Some(1));
     }
 

@@ -130,10 +130,11 @@ struct Index<P> {
     /// Std's hasher stays: reads never hash it, and a write-through cache
     /// hashes it only while such absorbed blocks remain.
     dirty: HashSet<u64>,
-    /// Discards so far. A fetch enters what it read only if none came by
-    /// while it was below the cache: a discarded block may be reused, and
-    /// what the fetch read is then its dead owner's bytes.
-    discards: u64,
+    /// Writes and discards entered so far. A fetch enters what it read
+    /// only if none came by while it was below the cache: a block written
+    /// meanwhile holds newer bytes than the fetch read, and a discarded
+    /// one may be reused, so what the fetch read is its dead owner's.
+    changes: u64,
 }
 
 /// A block-granular cache LabMod over replacement policy `P`:
@@ -172,7 +173,7 @@ impl<P: Policy> BlockCache<P> {
             index: Mutex::new(Index {
                 policy: P::default(),
                 dirty: HashSet::new(),
-                discards: 0,
+                changes: 0,
             }),
             inflight: InflightSet::new(),
             capacity_blocks,
@@ -220,8 +221,8 @@ impl<P: Policy> BlockCache<P> {
     /// `len`-byte range at `lba` that are long enough to serve it. The
     /// first `touched` blocks have been through [`Policy::touch`] for this
     /// request already and are only peeked at, so a request records each
-    /// of its hits once. Returns the discard count, for a fetch to pass
-    /// to [`BlockCache::insert`].
+    /// of its hits once. Returns the change count, for a fetch to pass to
+    /// [`BlockCache::insert`].
     fn lookup(&self, lba: u64, len: usize, found: &mut [Option<BufHandle>], touched: usize) -> u64 {
         let mut index = self.index.lock();
         for (k, slot) in found.iter_mut().enumerate() {
@@ -236,13 +237,14 @@ impl<P: Policy> BlockCache<P> {
                 *slot = block.filter(|h| h.len() >= need).cloned();
             }
         }
-        index.discards
+        index.changes
     }
 
     /// Enter `blocks`, each `(k, view)` the `k`-th block of an extent
     /// starting at `lba`, and return the dirty blocks this pushed out. A
-    /// fetch passes the discard count its lookup saw (`fetched`), and
-    /// enters nothing if it has moved since.
+    /// fetch passes the change count its lookup saw (`fetched`), and
+    /// enters nothing if it has moved since; anything else is a write,
+    /// and moves it.
     fn insert(
         &self,
         lba: u64,
@@ -252,8 +254,10 @@ impl<P: Policy> BlockCache<P> {
     ) -> Vec<(u64, BufHandle)> {
         let mut victims = Vec::new();
         let mut index = self.index.lock();
-        if fetched.is_some_and(|seen| seen != index.discards) {
-            return victims;
+        match fetched {
+            Some(seen) if seen != index.changes => return victims,
+            Some(_) => {}
+            None => index.changes += 1,
         }
         let Index {
             policy, dirty: set, ..
@@ -408,7 +412,7 @@ impl<P: Policy> BlockCache<P> {
             let claim = self
                 .inflight
                 .claim(lba + first as u64 * BLOCK_SECTORS, last - first + 1);
-            let discards = self.lookup(lba, len, found, 0);
+            let changes = self.lookup(lba, len, found, 0);
             let Some((first, last)) = missing_run(found) else {
                 // The winner's fetch made every block resident, usually as
                 // views of the one slot it landed in: one run after all.
@@ -446,7 +450,7 @@ impl<P: Policy> BlockCache<P> {
                 run_lba,
                 blocks_of(fetched).filter(|&(k, _)| found[first + k].is_none()),
                 false,
-                Some(discards),
+                Some(changes),
             );
             drop(claim);
             if let Err(e) = self.write_back(ctx, env, &req, victims) {
@@ -468,16 +472,19 @@ impl<P: Policy> BlockCache<P> {
         views(found, len)
     }
 
-    /// Drop the resident blocks of the `len`-byte range at `lba`, dirty
-    /// ones unwritten: nothing will read them again, and a write-back
-    /// cache's unflushed bytes are lost in a crash anyway. Their pool
-    /// slots go back once no reader holds a view of them.
+    /// Drop the resident blocks that start in the `len`-byte range at
+    /// `lba`, dirty ones unwritten: nothing will read them again, and a
+    /// write-back cache's unflushed bytes are lost in a crash anyway.
+    /// Their pool slots go back once no reader holds a view of them. A
+    /// block may start at any sector of the range (LabKVS writes a
+    /// value's zero-padded tail sector on its own), so every sector is
+    /// looked up: a dirty block left behind would be written back over
+    /// the sectors' next owner.
     fn discard(&self, lba: u64, len: usize) {
         let mut index = self.index.lock();
-        index.discards += 1;
+        index.changes += 1;
         let Index { policy, dirty, .. } = &mut *index;
-        for k in 0..len.div_ceil(BLOCK) as u64 {
-            let key = lba + k * BLOCK_SECTORS;
+        for key in lba..lba + len.div_ceil(labstor_sim::SECTOR_SIZE) as u64 {
             if policy.remove(key).is_some() && !dirty.is_empty() {
                 dirty.remove(&key);
             }
@@ -731,8 +738,9 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Test doubles shared by the cache test suites: a byte-addressed
-/// terminal device and a two-vertex stack around a cache instance.
+/// Test doubles shared by the unit tests: a byte-addressed terminal
+/// device, a two-vertex stack around a cache instance, and a stage that
+/// runs a test's closure on the block commands that pass it.
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
@@ -795,6 +803,55 @@ pub(crate) mod testing {
         }
     }
 
+    /// What [`Hook`] runs on a block command; `false` disarms it.
+    pub(crate) type OnBlock = Box<dyn FnMut(&BlockOp) -> bool + Send>;
+
+    /// A stage that runs its armed closure on each block command before
+    /// passing it on. The closure is out while it runs, so what it sends
+    /// through the stack passes unhooked. While `refuse` is set, it
+    /// answers every write with an error instead.
+    #[derive(Default)]
+    pub(crate) struct Hook(
+        pub(crate) parking_lot::Mutex<Option<OnBlock>>,
+        pub(crate) std::sync::atomic::AtomicBool,
+    );
+
+    impl Hook {
+        pub(crate) fn arm(&self, on: impl FnMut(&BlockOp) -> bool + Send + 'static) {
+            *self.0.lock() = Some(Box::new(on));
+        }
+    }
+
+    impl LabMod for Hook {
+        fn type_name(&self) -> &'static str {
+            "hook"
+        }
+        fn mod_type(&self) -> ModType {
+            ModType::Filter
+        }
+        fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
+            if let Payload::Block(op) = &req.payload {
+                let on = self.0.lock().take();
+                if let Some(mut on) = on {
+                    if on(op) {
+                        self.0.lock().get_or_insert(on);
+                    }
+                }
+                let write = matches!(op, BlockOp::Write { .. } | BlockOp::WriteBuf { .. });
+                if write && self.1.load(Ordering::SeqCst) {
+                    return RespPayload::Err("write refused".into());
+                }
+            }
+            env.forward(ctx, req)
+        }
+        fn est_processing_time(&self, _req: &Request) -> u64 {
+            1
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
     /// Terminal "device": a flat byte array addressed by sector, so what
     /// a read returns depends on the bytes written, not on how requests
     /// were cut. Unwritten bytes read as zero.
@@ -814,6 +871,9 @@ pub(crate) mod testing {
         /// Runs once, inside the next read, before it reads: a command
         /// that overtakes that read.
         pub during_read: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        /// Runs once, inside the next read, after it has read: a command
+        /// that lands between the read and its answer reaching the cache.
+        pub after_read: Mutex<Option<Box<dyn FnOnce() + Send>>>,
         /// While set, every write is refused and stores nothing.
         pub fail_writes: std::sync::atomic::AtomicBool,
     }
@@ -828,6 +888,7 @@ pub(crate) mod testing {
                 dry: std::sync::atomic::AtomicBool::new(false),
                 read_stall: std::time::Duration::ZERO,
                 during_read: Mutex::new(None),
+                after_read: Mutex::new(None),
                 fail_writes: std::sync::atomic::AtomicBool::new(false),
             }
         }
@@ -890,6 +951,8 @@ pub(crate) mod testing {
                     let overtake = self.during_read.lock().take();
                     overtake.into_iter().for_each(|run| run());
                     let data = self.peek(lba, len);
+                    let overtake = self.after_read.lock().take();
+                    overtake.into_iter().for_each(|run| run());
                     let dry = self.dry.load(Ordering::SeqCst);
                     match (!dry).then(|| self.pool.alloc(len)).flatten() {
                         Some(mut h) => {
@@ -1481,6 +1544,44 @@ mod tests {
                 now,
                 Some(vec![0x0A; BLOCK]),
                 "{cache}: a dead block was cached"
+            );
+        }
+    }
+
+    /// A write that lands after a miss's fetch has read, but before the
+    /// fetch enters what it read, holds the newer bytes: the fetch answers
+    /// its read with what it read and enters nothing, so the next read
+    /// sees the write.
+    #[test]
+    fn a_fetch_overtaken_by_a_write_enters_nothing() {
+        for cache in ["lru_cache", "arc_cache"] {
+            let rig = Rig::mount(cache, serde_json::json!({}), MemDev::new());
+            let rig = Arc::new(rig);
+            rig.dev.poke(0, &[0xDE; BLOCK]);
+            let overtaker = Arc::downgrade(&rig);
+            *rig.dev.after_read.lock() = Some(Box::new(move || {
+                let rig = overtaker.upgrade().expect("the rig outlives its reads");
+                let written = rig.write(&mut Ctx::new(), 0, vec![0x0A; BLOCK]);
+                assert!(written.is_ok(), "{written:?}");
+            }));
+            let mut ctx = Ctx::new();
+            let old = bytes(&rig.read(&mut ctx, 0, BLOCK));
+            assert_eq!(
+                old,
+                Some(vec![0xDE; BLOCK]),
+                "{cache}: the read is answered"
+            );
+            let reads = rig.dev.reads.lock().len();
+            let now = bytes(&rig.read(&mut ctx, 0, BLOCK));
+            assert_eq!(
+                now,
+                Some(vec![0x0A; BLOCK]),
+                "{cache}: the fetch replaced the write's bytes"
+            );
+            assert_eq!(
+                rig.dev.reads.lock().len(),
+                reads,
+                "{cache}: the write is resident"
             );
         }
     }

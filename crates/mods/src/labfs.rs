@@ -117,6 +117,7 @@ impl LabFs {
     fn op_create(
         &self,
         ctx: &mut Ctx,
+        env: &StackEnv<'_>,
         req: &Request,
         path: &str,
         mode: u16,
@@ -135,7 +136,7 @@ impl LabFs {
             gid: req.creds.gid,
             is_dir,
         };
-        if self.store.commit(ctx, req.core, &rec).is_some() {
+        if self.store.commit(ctx, env, req, &rec) {
             RespPayload::Ino(ino)
         } else {
             // No directory to go in, or lost a race for the name between
@@ -160,9 +161,11 @@ impl LabMod for LabFs {
         }
         match &req.payload {
             Payload::Fs(FsOp::Create { path, mode }) => {
-                self.op_create(ctx, &req, path, *mode, false)
+                self.op_create(ctx, env, &req, path, *mode, false)
             }
-            Payload::Fs(FsOp::Mkdir { path, mode }) => self.op_create(ctx, &req, path, *mode, true),
+            Payload::Fs(FsOp::Mkdir { path, mode }) => {
+                self.op_create(ctx, env, &req, path, *mode, true)
+            }
             Payload::Fs(FsOp::Open {
                 path,
                 create,
@@ -175,7 +178,7 @@ impl LabMod for LabFs {
                         err => err,
                     },
                     Some(ino) => RespPayload::Ino(ino),
-                    None if *create => self.op_create(ctx, &req, path, 0o644, false),
+                    None if *create => self.op_create(ctx, env, &req, path, 0o644, false),
                     None => RespPayload::Err(format!("{path}: not found")),
                 }
             }
@@ -194,7 +197,7 @@ impl LabMod for LabFs {
                     from: from.clone(),
                     to: to.clone(),
                 };
-                if self.commit_and_discard(ctx, env, &req, &rec) {
+                if self.store.commit(ctx, env, &req, &rec) {
                     RespPayload::Ok
                 } else {
                     RespPayload::Err(format!("{from} → {to}: no such name, or no place to go"))
@@ -203,7 +206,7 @@ impl LabMod for LabFs {
             Payload::Fs(FsOp::Unlink { path }) => {
                 ctx.advance(META_CPU_NS);
                 let rec = LogRecord::Unlink { path: path.clone() };
-                if self.commit_and_discard(ctx, env, &req, &rec) {
+                if self.store.commit(ctx, env, &req, &rec) {
                     RespPayload::Ok
                 } else {
                     RespPayload::Err(format!(
@@ -284,10 +287,11 @@ pub fn install(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache_common::testing::Hook;
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
     use labstor_ipc::Credentials;
     use labstor_sim::{BlockDevice, DeviceKind};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::Ordering;
 
     struct Harness {
         mm: ModuleManager,
@@ -1341,52 +1345,6 @@ mod tests {
         let new = write_file(&h, &mut ctx, "/new", 0xB2, 3 * FS_BLOCK);
         assert_file(&h, &mut ctx, old, 0xA1, 3 * FS_BLOCK);
         assert_file(&h, &mut ctx, new, 0xB2, 3 * FS_BLOCK);
-    }
-
-    /// What [`Hook`] runs on a block command; `false` disarms it.
-    type OnBlock = Box<dyn FnMut(&BlockOp) -> bool + Send>;
-
-    /// A stage that runs its armed closure on each block command before
-    /// passing it on. The closure is out while it runs, so what it sends
-    /// through the stack passes unhooked. While `refuse` is set, it
-    /// answers every write with an error instead.
-    #[derive(Default)]
-    struct Hook(parking_lot::Mutex<Option<OnBlock>>, AtomicBool);
-
-    impl Hook {
-        fn arm(&self, on: impl FnMut(&BlockOp) -> bool + Send + 'static) {
-            *self.0.lock() = Some(Box::new(on));
-        }
-    }
-
-    impl LabMod for Hook {
-        fn type_name(&self) -> &'static str {
-            "hook"
-        }
-        fn mod_type(&self) -> ModType {
-            ModType::Filter
-        }
-        fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
-            if let Payload::Block(op) = &req.payload {
-                let on = self.0.lock().take();
-                if let Some(mut on) = on {
-                    if on(op) {
-                        self.0.lock().get_or_insert(on);
-                    }
-                }
-                let write = matches!(op, BlockOp::Write { .. } | BlockOp::WriteBuf { .. });
-                if write && self.1.load(Ordering::SeqCst) {
-                    return RespPayload::Err("write refused".into());
-                }
-            }
-            env.forward(ctx, req)
-        }
-        fn est_processing_time(&self, _req: &Request) -> u64 {
-            1
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
 
     /// The blocks behind `path`'s pages, in page order.

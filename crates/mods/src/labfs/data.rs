@@ -85,10 +85,13 @@ impl LabFs {
             reused |= again;
             Some(block)
         };
-        let mut mapping = self
-            .store
-            .state
-            .map_pages(ino, (offset, len), req.creds.uid, alloc)?;
+        let mut mapping = self.store.state.map_pages(
+            &self.store.pins,
+            ino,
+            (offset, len),
+            req.creds.uid,
+            alloc,
+        )?;
         // Log only what changed: new mappings and growth, in the order
         // `map_pages` applied them, before another apply on the inode.
         if !reused {
@@ -177,7 +180,7 @@ impl LabFs {
         size: u64,
     ) -> RespPayload {
         // The page the new end falls in, and what backs it.
-        let (old, tail, pin) = match self.store.state.page_map(ino, size, 1) {
+        let (old, tail, pin) = match self.store.state.page_map(&self.store.pins, ino, size, 1) {
             Ok(v) => v,
             Err(e) => return e,
         };
@@ -206,38 +209,14 @@ impl LabFs {
         // The tail page is read: what the records free may go.
         drop(pin);
         // The size first: without the remap it is still the right file.
-        self.commit_and_discard(ctx, env, req, &LogRecord::SetSize { ino, size });
+        self.store
+            .commit(ctx, env, req, &LogRecord::SetSize { ino, size });
         if let Some(block) = copy {
             let page = size / FS_BLOCK as u64;
-            self.commit_and_discard(ctx, env, req, &LogRecord::MapBlock { ino, page, block });
+            self.store
+                .commit(ctx, env, req, &LogRecord::MapBlock { ino, page, block });
         }
         RespPayload::Ok
-    }
-
-    /// Commit `rec`, then tell the stack below that the blocks it
-    /// unmapped are dead: one `Discard` per run of them that is contiguous
-    /// on the device, so a cache lets their pages, and the pool slots
-    /// behind them, go. Only once every stage has taken the discards do
-    /// the blocks go back to the store, which reuses them when `rec` is
-    /// durable: no discard can overtake their next owner's write. The
-    /// discard is a hint: the record stands whatever the stack answers.
-    /// `false`: nothing applied.
-    pub(super) fn commit_and_discard(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        rec: &LogRecord,
-    ) -> bool {
-        let Some(freed) = self.store.commit(ctx, req.core, rec) else {
-            return false;
-        };
-        for (first, n) in freed.runs() {
-            let (lba, len) = (first * BLOCK_SECTORS, n as usize * FS_BLOCK);
-            fwd_block(ctx, env, req, BlockOp::Discard { lba, len });
-        }
-        self.store.recycle(freed);
-        true
     }
 
     /// `Write` and `WriteBuf`: map every page `src` touches, then walk
@@ -385,7 +364,11 @@ impl LabFs {
     ) -> RespPayload {
         ctx.advance(META_CPU_NS); // inode + mapping lookup
         let first_pg = offset / FS_BLOCK as u64;
-        let (size, runs, _pin) = match self.store.state.page_map(ino, offset, len) {
+        let (size, runs, _pin) = match self
+            .store
+            .state
+            .page_map(&self.store.pins, ino, offset, len)
+        {
             Ok(v) => v,
             Err(e) => return e,
         };

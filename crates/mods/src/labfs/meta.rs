@@ -18,14 +18,14 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{RwLock, RwLockWriteGuard};
 
 use labstor_core::{FileStat, RespPayload};
 
 use super::FS_BLOCK;
-use crate::metastore::{put_str, shard_of, take, take_str, StateMachine};
+use crate::metastore::{put_str, shard_of, take, take_str, Pin, Pins, StateMachine, Unnamed};
 
 /// A metadata log record. The log is the *only* persistent metadata:
 /// replaying it reconstructs every inode (crash consistency).
@@ -379,58 +379,6 @@ impl FsNode {
     }
 }
 
-/// Device blocks per pin region.
-const PIN_REGION_BLOCKS: u64 = 64;
-/// Pin regions: region `b / PIN_REGION_BLOCKS` of block `b` counts in
-/// slot `% PIN_REGIONS`, one bit of a pin mask.
-const PIN_REGIONS: usize = 64;
-
-/// The pin mask of blocks `[first, first + n)`.
-fn pin_mask(first: u64, n: u64) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    let (lo, hi) = (
-        first / PIN_REGION_BLOCKS,
-        (first + n - 1) / PIN_REGION_BLOCKS,
-    );
-    match hi - lo {
-        k if k + 1 >= PIN_REGIONS as u64 => u64::MAX,
-        k => ((1u64 << (k + 1)) - 1).rotate_left((lo % PIN_REGIONS as u64) as u32),
-    }
-}
-
-/// The pin mask of the blocks behind `runs`.
-fn runs_mask(runs: &[Run]) -> u64 {
-    runs.iter().fold(0, |m, r| m | pin_mask(r.block, r.pages))
-}
-
-fn for_each_region(mut mask: u64, mut f: impl FnMut(usize)) {
-    while mask != 0 {
-        f(mask.trailing_zeros() as usize);
-        mask &= mask - 1;
-    }
-}
-
-/// An operation's hold on the blocks it looked up, from the lookup until
-/// its data commands are done. A block a record frees goes back to the
-/// allocator only while no pin covers its region ([`Meta::in_use`]), so
-/// a command still on its way to a block its file lost neither lands on
-/// nor reads the block's next owner's bytes. Regions are coarse: a pin
-/// holds back every freed block that shares one with what it looked up.
-pub(super) struct Pin<'a> {
-    meta: &'a Meta,
-    mask: u64,
-}
-
-impl Drop for Pin<'_> {
-    fn drop(&mut self) {
-        for_each_region(self.mask, |r| {
-            self.meta.pins[r].fetch_sub(1, Ordering::SeqCst);
-        });
-    }
-}
-
 /// A write's pages, backed and mapped by [`Meta::map_pages`] under the
 /// write lock of its inode's shard, which this holds until
 /// [`Mapping::unlock`]: while it does, no other operation on the inode
@@ -487,9 +435,6 @@ pub(super) struct Meta {
     /// Sharded ino → node.
     nodes: Vec<RwLock<HashMap<u64, FsNode>>>,
     next_ino: AtomicU64,
-    /// Per pin region, the operations in flight that looked up a block
-    /// in it ([`Pin`]).
-    pins: [AtomicU32; PIN_REGIONS],
 }
 
 impl Meta {
@@ -498,18 +443,7 @@ impl Meta {
             names: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             nodes: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             next_ino: AtomicU64::new(1),
-            pins: std::array::from_fn(|_| AtomicU32::new(0)),
         }
-    }
-
-    /// Pin the regions of `mask` until the returned [`Pin`] drops. Taken
-    /// under the lock of the inode shard the lookup read, so a free that
-    /// applies after the lookup finds the pin.
-    fn pin(&self, mask: u64) -> Pin<'_> {
-        for_each_region(mask, |r| {
-            self.pins[r].fetch_add(1, Ordering::SeqCst);
-        });
-        Pin { meta: self, mask }
     }
 
     fn name_shard_idx(&self, path: &str) -> usize {
@@ -583,7 +517,34 @@ impl StateMachine for Meta {
     /// no other apply changes its answer before the change. `Some` holds
     /// the device blocks no page maps any more: an unlinked or renamed-
     /// over inode's, a shrunk file's tail, a remapped page's old block.
-    fn apply(&self, rec: &LogRecord) -> Option<Vec<u64>> {
+    fn apply(&self, rec: &LogRecord) -> Option<Unnamed> {
+        self.apply_record(rec).map(Unnamed::Units)
+    }
+
+    /// `next_ino` is not rewound: a number this instance handed out is
+    /// not handed out again.
+    fn clear(&self) {
+        self.names.iter().for_each(|shard| shard.write().clear());
+        self.nodes.iter().for_each(|shard| shard.write().clear());
+    }
+
+    fn absorb(&self, prev: &Meta) {
+        for (mine, theirs) in self.names.iter().zip(&prev.names) {
+            *mine.write() = theirs.read().clone();
+        }
+        for (mine, theirs) in self.nodes.iter().zip(&prev.nodes) {
+            *mine.write() = theirs.read().clone();
+        }
+        // relaxed-ok: fresh-id allocation; atomicity alone suffices
+        self.next_ino
+            .store(prev.next_ino.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
+impl Meta {
+    /// [`StateMachine::apply`]'s change: the blocks no page maps any more
+    /// in `Some`.
+    fn apply_record(&self, rec: &LogRecord) -> Option<Vec<u64>> {
         match rec {
             LogRecord::Create {
                 path,
@@ -640,31 +601,6 @@ impl StateMachine for Meta {
         }
     }
 
-    fn in_use(&self, first: u64, n: u64) -> bool {
-        self.pinned(first, n)
-    }
-
-    /// `next_ino` is not rewound: a number this instance handed out is
-    /// not handed out again.
-    fn clear(&self) {
-        self.names.iter().for_each(|shard| shard.write().clear());
-        self.nodes.iter().for_each(|shard| shard.write().clear());
-    }
-
-    fn absorb(&self, prev: &Meta) {
-        for (mine, theirs) in self.names.iter().zip(&prev.names) {
-            *mine.write() = theirs.read().clone();
-        }
-        for (mine, theirs) in self.nodes.iter().zip(&prev.nodes) {
-            *mine.write() = theirs.read().clone();
-        }
-        // relaxed-ok: fresh-id allocation; atomicity alone suffices
-        self.next_ino
-            .store(prev.next_ino.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-}
-
-impl Meta {
     /// Move `from`, and when it is a directory every name under it, to
     /// `to`, replacing what `to` named (POSIX rename semantics), and
     /// return the replaced inode's blocks. Renaming a name onto itself
@@ -757,14 +693,15 @@ impl Meta {
     /// a file that grows stays one run — and grow the size to cover the
     /// range. Every change is a record, made by `FsNode::apply` and
     /// returned for the caller to log, in the [`Mapping`] that still holds
-    /// the lock and pins the blocks behind the range.
-    pub(super) fn map_pages(
-        &self,
+    /// the lock and, in `pins`, pins the blocks behind the range.
+    pub(super) fn map_pages<'a>(
+        &'a self,
+        pins: &'a Pins,
         ino: u64,
         (offset, len): (u64, usize),
         writer: u32,
         mut alloc: impl FnMut(Option<u64>) -> Option<u64>,
-    ) -> Result<Mapping<'_>, RespPayload> {
+    ) -> Result<Mapping<'a>, RespPayload> {
         let mut shard = self.node_shard(ino).write();
         let Some(node) = shard.get_mut(&ino) else {
             return Err(RespPayload::Err(format!("no inode {ino}")));
@@ -819,8 +756,8 @@ impl Meta {
         };
         node.ops += 1;
         node.last_writer = writer;
-        let stale_mask = stale.map_or(0, |(block, _)| pin_mask(block, 1));
-        let _pin = self.pin(runs_mask(&runs) | stale_mask);
+        let stale_block = stale.map(|(block, _)| block..block + 1);
+        let _pin = pins.pin(runs.iter().map(Run::blocks).chain(stale_block));
         Ok(Mapping {
             recs,
             runs,
@@ -849,13 +786,15 @@ impl Meta {
 
     /// The size of file `ino` and the runs behind the pages of
     /// `[offset, offset + len)` that hold bytes below that size, pinned
-    /// for as long as the caller keeps the [`Pin`]; holes are left out.
-    pub(super) fn page_map(
+    /// in `pins` for as long as the caller keeps the [`Pin`]; holes are
+    /// left out.
+    pub(super) fn page_map<'a>(
         &self,
+        pins: &'a Pins,
         ino: u64,
         offset: u64,
         len: usize,
-    ) -> Result<(u64, Runs, Pin<'_>), RespPayload> {
+    ) -> Result<(u64, Runs, Pin<'a>), RespPayload> {
         let shard = self.node_shard(ino).read();
         let Some(node) = shard.get(&ino) else {
             return Err(RespPayload::Err(format!("no inode {ino}")));
@@ -867,17 +806,8 @@ impl Meta {
         let end = (offset + len as u64).min(node.stat.size);
         let last_pg = end.div_ceil(FS_BLOCK as u64);
         let runs = node.blocks.runs(first_pg..last_pg);
-        let pin = self.pin(runs_mask(&runs));
+        let pin = pins.pin(runs.iter().map(Run::blocks));
         Ok((node.stat.size, runs, pin))
-    }
-
-    /// Whether a [`Pin`] covers a region of blocks `[first, first + n)`.
-    fn pinned(&self, first: u64, n: u64) -> bool {
-        let mut pinned = false;
-        for_each_region(pin_mask(first, n), |r| {
-            pinned |= self.pins[r].load(Ordering::SeqCst) != 0;
-        });
-        pinned
     }
 
     /// Names directly under `prefix` (which ends in `/`), unsorted.
@@ -1070,7 +1000,9 @@ mod tests {
         prop_assert_eq!(&snap[0].2, &want);
         prop_assert_eq!(snap[0].1.size, model.size);
         for (offset, len) in [(0, SPACE * PAGE), (5 * PAGE + 9, 3 * PAGE), (17 * PAGE, 1)] {
-            let (size, got, _) = meta.page_map(INO, offset, len as usize).unwrap();
+            let (size, got, _) = meta
+                .page_map(&Pins::default(), INO, offset, len as usize)
+                .unwrap();
             prop_assert_eq!(size, model.size);
             let want = model.runs(offset, len);
             prop_assert!(
@@ -1098,10 +1030,10 @@ mod tests {
             let meta = Meta::new(2);
             let mut model = Model::default();
             let mut next = 1000;
-            prop_assert!(meta.apply(&create()).is_some());
+            prop_assert!(meta.apply_record(&create()).is_some());
             for op in &ops {
                 for rec in records(op, &mut next) {
-                    let mut freed = meta.apply(&rec).expect("the file exists");
+                    let mut freed = meta.apply_record(&rec).expect("the file exists");
                     let mut want = model.apply(&rec);
                     freed.sort_unstable();
                     want.sort_unstable();
@@ -1115,23 +1047,25 @@ mod tests {
     #[test]
     fn a_remap_splits_one_run_into_three() {
         let meta = Meta::new(1);
-        assert!(meta.apply(&create()).is_some());
+        assert!(meta.apply_record(&create()).is_some());
         for page in 0..8 {
             let rec = LogRecord::MapBlock {
                 ino: INO,
                 page,
                 block: 100 + page,
             };
-            assert_eq!(meta.apply(&rec), Some(Vec::new()));
+            assert_eq!(meta.apply_record(&rec), Some(Vec::new()));
         }
         let set = LogRecord::SetSize {
             ino: INO,
             size: 8 * PAGE,
         };
-        assert_eq!(meta.apply(&set), Some(Vec::new()));
+        assert_eq!(meta.apply_record(&set), Some(Vec::new()));
         let run = |page, block, pages| Run { page, block, pages };
         assert_eq!(
-            meta.page_map(INO, 0, 8 * FS_BLOCK).unwrap().1[..],
+            meta.page_map(&Pins::default(), INO, 0, 8 * FS_BLOCK)
+                .unwrap()
+                .1[..],
             [run(0, 100, 8)]
         );
         let remap = LogRecord::MapBlock {
@@ -1139,18 +1073,25 @@ mod tests {
             page: 3,
             block: 500,
         };
-        assert_eq!(meta.apply(&remap), Some(vec![103]));
+        assert_eq!(meta.apply_record(&remap), Some(vec![103]));
         let three = [run(0, 100, 3), run(3, 500, 1), run(4, 104, 4)];
-        assert_eq!(meta.page_map(INO, 0, 8 * FS_BLOCK).unwrap().1[..], three);
+        assert_eq!(
+            meta.page_map(&Pins::default(), INO, 0, 8 * FS_BLOCK)
+                .unwrap()
+                .1[..],
+            three
+        );
         // Mapping the old block back joins the three again.
         let back = LogRecord::MapBlock {
             ino: INO,
             page: 3,
             block: 103,
         };
-        assert_eq!(meta.apply(&back), Some(vec![500]));
+        assert_eq!(meta.apply_record(&back), Some(vec![500]));
         assert_eq!(
-            meta.page_map(INO, 0, 8 * FS_BLOCK).unwrap().1[..],
+            meta.page_map(&Pins::default(), INO, 0, 8 * FS_BLOCK)
+                .unwrap()
+                .1[..],
             [run(0, 100, 8)]
         );
     }

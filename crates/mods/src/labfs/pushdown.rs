@@ -42,7 +42,11 @@ impl LabFs {
             ));
         }
         ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (size, runs, _pin) = match self.store.state.page_map(ino, offset, len) {
+        let (size, runs, _pin) = match self
+            .store
+            .state
+            .page_map(&self.store.pins, ino, offset, len)
+        {
             Ok(v) => v,
             Err(e) => return e,
         };

@@ -24,7 +24,9 @@ use labstor_sim::{Ctx, SimDevice};
 
 use crate::devices::DeviceRegistry;
 use crate::journal::{JournalError, RepairReport};
-use crate::metastore::{self, put_str, shard_of, take, take_str, MetaStore, StateMachine};
+use crate::metastore::{
+    self, put_str, shard_of, take, take_str, MetaStore, Pin, Pins, StateMachine, Unnamed,
+};
 
 const SECTOR: usize = labstor_sim::SECTOR_SIZE;
 /// Sectors reserved per worker log region (4 MiB).
@@ -47,6 +49,13 @@ struct ValueLoc {
 /// Sectors covering a `len`-byte value.
 fn sectors_for(len: usize) -> u64 {
     len.div_ceil(SECTOR) as u64
+}
+
+impl ValueLoc {
+    /// The sectors the value owns.
+    fn extent(&self) -> Range<u64> {
+        self.lba..self.lba + sectors_for(self.len)
+    }
 }
 
 /// KVS log record.
@@ -73,8 +82,13 @@ impl KeyMap {
         &self.shards[shard_of(key, self.shards.len())]
     }
 
-    fn get(&self, key: &str) -> Option<ValueLoc> {
-        self.shard(key).read().get(key).copied()
+    /// Where `key`'s value lives, its extent pinned in `pins` until the
+    /// returned [`Pin`] drops: a put that replaces the value meanwhile
+    /// frees the extent, but it is not reused before the read is done.
+    fn get<'a>(&self, pins: &'a Pins, key: &str) -> Option<(ValueLoc, Pin<'a>)> {
+        let shard = self.shard(key).read();
+        let loc = *shard.get(key)?;
+        Some((loc, pins.pin([loc.extent()])))
     }
 }
 
@@ -120,20 +134,19 @@ impl StateMachine for KeyMap {
         }
     }
 
-    /// `None` means there was no such key to remove. A replaced or
-    /// removed value's sectors are not reported: LabKVS sends no discard
-    /// yet (ROADMAP 7).
-    fn apply(&self, rec: &KvRecord) -> Option<Vec<u64>> {
-        let applied = match rec {
+    /// `None` means there was no such key to remove. `Some` carries the
+    /// extent of the value a put replaced or a remove removed: the
+    /// engine discards it and reuses it once this record is durable.
+    fn apply(&self, rec: &KvRecord) -> Option<Unnamed> {
+        let old = match rec {
             KvRecord::Put { key, len, lba } => {
                 let (len, lba) = (*len as usize, *lba);
                 let loc = ValueLoc { len, lba };
-                self.shard(key).write().insert(key.clone(), loc);
-                true
+                self.shard(key).write().insert(key.clone(), loc)
             }
-            KvRecord::Remove { key } => self.shard(key).write().remove(key).is_some(),
+            KvRecord::Remove { key } => Some(self.shard(key).write().remove(key)?),
         };
-        applied.then(Vec::new)
+        Some(old.map_or(Unnamed::NONE, |loc| Unnamed::Run(loc.extent())))
     }
 
     fn clear(&self) {
@@ -217,8 +230,9 @@ impl LabKvs {
 
     /// Store a `len`-byte value: carve its extent from the originating
     /// worker's allocator shard, forward the write(s) `writes` builds for
-    /// that extent, then record the put in the log and key map. A
-    /// zero-length value allocates nothing and touches no device.
+    /// that extent, then record the put in the log and key map, which
+    /// frees the extent of the value it replaces. A zero-length value
+    /// allocates nothing and touches no device.
     fn put_extent(
         &self,
         ctx: &mut Ctx,
@@ -248,7 +262,7 @@ impl LabKvs {
             len: len as u64,
             lba,
         };
-        self.store.commit(ctx, req.core, &rec);
+        self.store.commit(ctx, env, req, &rec);
         RespPayload::Len(len)
     }
 
@@ -309,7 +323,7 @@ impl LabKvs {
         for level in 0..self.resub_levels {
             ctx.advance(KV_CPU_NS); // one key-map probe per level walked
             let lkey = level_key(level, key);
-            let Some(loc) = self.store.state.get(&lkey) else {
+            let Some((loc, _pin)) = self.store.state.get(&self.store.pins, &lkey) else {
                 continue; // resubmission hook: try the next level in-stack
             };
             let resp = self.read_value(ctx, env, req, loc);
@@ -351,13 +365,16 @@ impl LabKvs {
         prog: &labstor_pushdown::VerifiedProgram,
     ) -> RespPayload {
         use labstor_pushdown::Action;
-        // Deterministic scan order across the sharded map.
+        // Deterministic scan order across the sharded map. Every extent
+        // the scan will read stays pinned until it is done.
         let mut entries: Vec<(String, ValueLoc)> = Vec::new();
+        let mut pin = self.store.pins.pin([]);
         for shard in &self.store.state.shards {
             let m = shard.read();
             for (k, loc) in m.iter() {
                 if k.starts_with(prefix) {
                     entries.push((k.clone(), *loc));
+                    pin.add(loc.extent());
                 }
             }
         }
@@ -471,8 +488,8 @@ impl LabMod for LabKvs {
             }
             Payload::Kvs(KvsOp::Get { key }) => {
                 ctx.advance(KV_CPU_NS);
-                match self.store.state.get(key) {
-                    Some(loc) => self.read_value(ctx, env, &req, loc),
+                match self.store.state.get(&self.store.pins, key) {
+                    Some((loc, _pin)) => self.read_value(ctx, env, &req, loc),
                     None => RespPayload::Err(format!("no key '{key}'")),
                 }
             }
@@ -485,9 +502,10 @@ impl LabMod for LabKvs {
             Payload::Kvs(KvsOp::Remove { key }) => {
                 ctx.advance(KV_CPU_NS);
                 let rec = KvRecord::Remove { key: key.clone() };
-                match self.store.commit(ctx, req.core, &rec) {
-                    Some(_) => RespPayload::Ok,
-                    None => RespPayload::Err(format!("no key '{key}'")),
+                if self.store.commit(ctx, env, &req, &rec) {
+                    RespPayload::Ok
+                } else {
+                    RespPayload::Err(format!("no key '{key}'"))
                 }
             }
             _ => env.forward(ctx, req),
@@ -525,6 +543,7 @@ pub fn install(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache_common::testing::Hook;
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
     use labstor_ipc::Credentials;
     use labstor_sim::{BlockDevice, DeviceKind};
@@ -535,6 +554,13 @@ mod tests {
     }
 
     fn setup_with_device() -> (ModuleManager, LabStack, Arc<SimDevice>) {
+        setup_over(vec![])
+    }
+
+    /// LabKVS (four workers), then `stages` in order, then the SPDK driver.
+    fn setup_over(
+        stages: Vec<(&str, Arc<dyn LabMod>)>,
+    ) -> (ModuleManager, LabStack, Arc<SimDevice>) {
         let devices = DeviceRegistry::new();
         let dev = devices.add_preset("nvme0", DeviceKind::Nvme);
         let mm = ModuleManager::new();
@@ -548,20 +574,22 @@ mod tests {
         .unwrap();
         mm.instantiate("drv", "spdk", &serde_json::json!({"device": "nvme0"}))
             .unwrap();
+        let mut uuids = vec!["kv"];
+        for (uuid, stage) in stages {
+            mm.insert_instance(uuid, stage);
+            uuids.push(uuid);
+        }
+        uuids.push("drv");
+        let last = uuids.len() - 1;
+        let vertices = uuids.into_iter().enumerate().map(|(i, uuid)| Vertex {
+            uuid: uuid.into(),
+            outputs: if i < last { vec![i + 1] } else { vec![] },
+        });
         let stack = LabStack {
             id: 1,
             mount: "kv::/".into(),
             exec: ExecMode::Sync,
-            vertices: vec![
-                Vertex {
-                    uuid: "kv".into(),
-                    outputs: vec![1],
-                },
-                Vertex {
-                    uuid: "drv".into(),
-                    outputs: vec![],
-                },
-            ],
+            vertices: vertices.collect(),
             authorized_uids: vec![],
         };
         (mm, stack, dev)
@@ -810,6 +838,125 @@ mod tests {
         assert!(r.data_bytes() == Some(want), "'{key}' no longer reads back");
     }
 
+    fn labkvs(mm: &ModuleManager) -> Arc<dyn LabMod> {
+        mm.get("kv").unwrap()
+    }
+
+    fn flush(mm: &ModuleManager, ctx: &mut Ctx) {
+        let kv = labkvs(mm);
+        let kv = kv.as_any().downcast_ref::<LabKvs>().unwrap();
+        kv.flush_logs(ctx).unwrap();
+    }
+
+    /// Where `key`'s value lives: `(length, first sector)`.
+    fn loc_of(mm: &ModuleManager, key: &str) -> Option<(usize, u64)> {
+        let kv = labkvs(mm);
+        let kv = kv.as_any().downcast_ref::<LabKvs>().unwrap();
+        kv.snapshot().get(key).copied()
+    }
+
+    /// A replaced value's extent goes back to the allocator only once the
+    /// record that replaced it is durable: a crash before then brings the
+    /// value back, and its sectors must still hold its bytes.
+    #[test]
+    fn a_freed_extent_is_not_reused_before_its_free_is_durable() {
+        let (mm, stack, dev) = setup_with_device();
+        let mut ctx = Ctx::new();
+        let (a1, a2, b) = (vec![0xA1u8; 1024], vec![0xA2u8; 1024], vec![0xB0u8; 1024]);
+        put(&mm, &stack, &mut ctx, "a", &a1);
+        flush(&mm, &mut ctx);
+        let first = loc_of(&mm, "a").unwrap().1;
+        put(&mm, &stack, &mut ctx, "a", &a2);
+        put(&mm, &stack, &mut ctx, "b", &b);
+        assert_ne!(
+            loc_of(&mm, "b").unwrap().1,
+            first,
+            "b took a's first extent"
+        );
+        // Crash: nothing since the flush is durable.
+        let crashed = LabKvs::new(dev, 4);
+        assert!(crashed.replay_from_device().is_clean());
+        mm.insert_instance("kv", Arc::new(crashed));
+        let r = exec(
+            &mm,
+            &stack,
+            Payload::Kvs(KvsOp::Get { key: "a".into() }),
+            &mut ctx,
+        );
+        let got = r.data_bytes().expect("a is durable");
+        assert!(
+            got == &a1[..] || got == &a2[..],
+            "a reads another key's bytes"
+        );
+    }
+
+    /// A get that looked a value up keeps its extent out of the allocator
+    /// until it is done: the value is replaced, the replace made durable
+    /// and another key put while the get's read is on its way, and the
+    /// get still reads the value it found.
+    #[test]
+    fn a_get_in_flight_keeps_its_extent() {
+        let hook = Arc::new(Hook::default());
+        let (mm, stack, _dev) = setup_over(vec![("hook", hook.clone())]);
+        let rig = Arc::new((mm, stack));
+        let mut ctx = Ctx::new();
+        let (a1, a2, b) = (vec![0xA1u8; 1024], vec![0xA2u8; 1024], vec![0xB0u8; 1024]);
+        put(&rig.0, &rig.1, &mut ctx, "a", &a1);
+        flush(&rig.0, &mut ctx);
+        hook.arm({
+            let rig = Arc::downgrade(&rig);
+            let (a2, b) = (a2.clone(), b.clone());
+            move |op| {
+                if !matches!(op, BlockOp::ReadBuf { .. }) {
+                    return true;
+                }
+                let rig = rig.upgrade().expect("the rig outlives its stack");
+                let mut ctx = Ctx::new();
+                put(&rig.0, &rig.1, &mut ctx, "a", &a2);
+                flush(&rig.0, &mut ctx);
+                put(&rig.0, &rig.1, &mut ctx, "b", &b);
+                false
+            }
+        });
+        assert_value(&rig.0, &rig.1, &mut ctx, "a", &a1);
+        assert_value(&rig.0, &rig.1, &mut ctx, "b", &b);
+        assert_value(&rig.0, &rig.1, &mut ctx, "a", &a2);
+    }
+
+    /// Replacing puts over a fixed key set, made durable now and then,
+    /// run on the extents they free: past the first durability point the
+    /// allocator's free units stay flat, the values stay within the
+    /// first sectors the store ever handed out, and each reads back.
+    #[test]
+    fn replacing_puts_keep_the_free_units_flat() {
+        const KEYS: usize = 16;
+        const PER_FLUSH: usize = 40;
+        let (mm, stack, _dev) = setup_with_device();
+        let kv = labkvs(&mm);
+        let kv = kv.as_any().downcast_ref::<LabKvs>().unwrap();
+        let mut ctx = Ctx::new();
+        let value = |i: usize| vec![(i % 251) as u8; 1024];
+        let (mut free, mut lowest, mut highest) = (Vec::new(), u64::MAX, 0);
+        for i in 0..40 * PER_FLUSH {
+            let key = format!("k{}", i % KEYS);
+            put(&mm, &stack, &mut ctx, &key, &value(i));
+            let (len, lba) = loc_of(&mm, &key).unwrap();
+            assert_eq!(len, 1024);
+            (lowest, highest) = (lowest.min(lba), highest.max(lba + 2));
+            if i % PER_FLUSH == PER_FLUSH - 1 {
+                kv.flush_logs(&mut ctx).unwrap();
+                free.push(kv.store.free_units());
+            }
+        }
+        assert!(free[1..].iter().all(|&f| f == free[1]), "{free:?}");
+        // Live values and the ones freed since the last durability point.
+        assert!(highest - lowest <= 2 * (KEYS + PER_FLUSH) as u64);
+        for k in 0..KEYS {
+            let last = 40 * PER_FLUSH - KEYS + k;
+            assert_value(&mm, &stack, &mut ctx, &format!("k{k}"), &value(last));
+        }
+    }
+
     /// Put `old`, swap in the instance `successor` builds from the live
     /// one, put `new`: both must read back (the successor must not carve
     /// `new` out of the sectors `old` lives in).
@@ -928,7 +1075,10 @@ mod tests {
             ("k700", (513, 1_001_147)),
         ];
         assert_eq!(snap, want.map(|(k, loc)| (k.to_string(), loc)));
-        assert_eq!(ctx.now(), 78_167);
+        // The overwrite's and the remove's `Discard` take a hop to the
+        // driver each.
+        let hop = labstor_ipc::cost::SAME_DOMAIN_HOP_NS;
+        assert_eq!(ctx.now(), 78_167 + 2 * hop);
     }
 
     #[test]

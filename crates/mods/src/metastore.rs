@@ -11,18 +11,22 @@
 //! [`StateMachine`], which the engine is generic over (static dispatch:
 //! no `dyn`, no lock and no allocation of its own on the commit path).
 //!
-//! Units a record frees are reused, but only once that record is durable
-//! and its mod's stack has let them go ([`MetaStore::recycle`]): until
-//! then a crash could bring back the record's old owner, whose bytes
-//! must still be there.
+//! Units a record frees — LabFS's unmapped blocks, LabKVS's replaced or
+//! removed extents — are reused, but only once the stack below has been
+//! told they are dead, the record is durable and no operation that
+//! looked them up is still in flight ([`MetaStore::commit`], [`Pins`]):
+//! until then a crash could bring back the record's old owner, whose
+//! bytes must still be there, and a late command could still reach them.
 
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use labstor_core::{LabMod, ModuleManager};
-use labstor_sim::{BlockDevice, Ctx, SimDevice};
+use labstor_core::{BlockOp, LabMod, ModuleManager, Payload, Request, StackEnv};
+use labstor_sim::{BlockDevice, Ctx, SimDevice, SECTOR_SIZE};
 
 use crate::alloc::BlockAllocator;
 use crate::devices::{device_param, DeviceRegistry};
@@ -54,16 +58,8 @@ pub(crate) trait StateMachine {
     /// Apply one record — the only way the state changes, live and on
     /// replay. `None` means it changed nothing (the name exists, the key
     /// does not): the live operation's existence check. `Some` carries
-    /// the units the record left unnamed (LabFS's freed blocks; LabKVS
-    /// reports none).
-    fn apply(&self, rec: &Self::Record) -> Option<Vec<u64>>;
-
-    /// Whether an operation in flight may still use one of units
-    /// `[first, first + n)`, which a record freed: until it is done they
-    /// stay out of the allocator ([`MetaStore::recycle`]).
-    fn in_use(&self, _first: u64, _n: u64) -> bool {
-        false
-    }
+    /// the units the record left unnamed.
+    fn apply(&self, rec: &Self::Record) -> Option<Unnamed>;
 
     /// Forget everything a replay rebuilds.
     fn clear(&self);
@@ -72,42 +68,151 @@ pub(crate) trait StateMachine {
     fn absorb(&self, prev: &Self);
 }
 
-/// The units a committed record left unnamed, sorted: for the live
-/// caller to tell its stack about, then to hand back with
-/// [`MetaStore::recycle`].
-pub(crate) struct Freed {
-    units: Vec<u64>,
-    /// The log the record went to and its frame's sequence number;
-    /// `None` when a full log dropped the record.
-    frame: (usize, Option<u64>),
+/// The units a record left unnamed.
+pub(crate) enum Unnamed {
+    /// One run, empty when the record freed nothing: a replaced or
+    /// removed LabKVS value's extent. Reported without a heap allocation.
+    Run(Range<u64>),
+    /// Units in any order: the blocks a LabFS record unmapped.
+    Units(Vec<u64>),
 }
 
-impl Freed {
-    /// The units as `(first, n)` runs that are contiguous.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let mut rest = &self.units[..];
-        std::iter::from_fn(move || {
+impl Unnamed {
+    /// Nothing left unnamed.
+    pub(crate) const NONE: Unnamed = Unnamed::Run(0..0);
+
+    /// Sort the units, so that [`Unnamed::runs`] finds the longest runs.
+    fn sort(&mut self) {
+        if let Unnamed::Units(units) = self {
+            units.sort_unstable();
+        }
+    }
+
+    /// The units as `(first, n)` runs that are contiguous, in order.
+    fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (run, mut rest) = match self {
+            Unnamed::Run(run) => (Some(run.clone()).filter(|r| !r.is_empty()), &[][..]),
+            Unnamed::Units(units) => (None, &units[..]),
+        };
+        let run = run.map(|r| (r.start, r.end - r.start));
+        run.into_iter().chain(std::iter::from_fn(move || {
             let &first = rest.first()?;
             let n = 1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count();
             rest = &rest[n..];
             Some((first, n as u64))
-        })
+        }))
     }
 }
+
+/// Allocator units per pin region.
+const PIN_REGION_UNITS: u64 = 64;
+/// Pin regions: region `u / PIN_REGION_UNITS` of unit `u` counts in slot
+/// `% PIN_REGIONS`, one bit of a pin mask.
+const PIN_REGIONS: usize = 64;
+
+/// The pin mask of units `[first, first + n)`.
+fn pin_mask(first: u64, n: u64) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    let (lo, hi) = (first / PIN_REGION_UNITS, (first + n - 1) / PIN_REGION_UNITS);
+    match hi - lo {
+        k if k + 1 >= PIN_REGIONS as u64 => u64::MAX,
+        k => ((1u64 << (k + 1)) - 1).rotate_left((lo % PIN_REGIONS as u64) as u32),
+    }
+}
+
+fn for_each_region(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
+/// Per pin region, the operations in flight that looked up a unit in it
+/// ([`Pin`]). Regions are coarse: a pin holds back every freed unit that
+/// shares one with what it looked up.
+pub(crate) struct Pins([AtomicU32; PIN_REGIONS]);
+
+impl Default for Pins {
+    fn default() -> Self {
+        Pins(std::array::from_fn(|_| AtomicU32::new(0)))
+    }
+}
+
+impl Pins {
+    /// Pin the regions of `runs` until the returned [`Pin`] drops. Taken
+    /// under the lock of the map shard the lookup read, so a free that
+    /// applies after the lookup finds the pin.
+    pub(crate) fn pin(&self, runs: impl IntoIterator<Item = Range<u64>>) -> Pin<'_> {
+        let mut pin = Pin {
+            pins: self,
+            mask: 0,
+        };
+        runs.into_iter().for_each(|run| pin.add(run));
+        pin
+    }
+
+    /// Whether a [`Pin`] covers a region of units `[first, first + n)`.
+    fn pinned(&self, first: u64, n: u64) -> bool {
+        let mut pinned = false;
+        for_each_region(pin_mask(first, n), |r| {
+            pinned |= self.0[r].load(Ordering::SeqCst) != 0;
+        });
+        pinned
+    }
+}
+
+/// An operation's hold on the units it looked up, from the lookup until
+/// its data commands are done. A unit a record frees goes back to the
+/// allocator only while no pin covers its region, so a command still on
+/// its way to a unit its owner lost neither lands on nor reads the
+/// unit's next owner's bytes.
+pub(crate) struct Pin<'a> {
+    pins: &'a Pins,
+    mask: u64,
+}
+
+impl Pin<'_> {
+    /// Pin units `run` as well, under the lock of the map shard that
+    /// named them.
+    pub(crate) fn add(&mut self, run: Range<u64>) {
+        let new = pin_mask(run.start, run.end - run.start) & !self.mask;
+        for_each_region(new, |r| {
+            self.pins.0[r].fetch_add(1, Ordering::SeqCst);
+        });
+        self.mask |= new;
+    }
+}
+
+impl Drop for Pin<'_> {
+    fn drop(&mut self) {
+        for_each_region(self.mask, |r| {
+            self.pins.0[r].fetch_sub(1, Ordering::SeqCst);
+        });
+    }
+}
+
+/// A run of freed units waiting for its freeing record's frame: `(frame,
+/// first, n)`.
+type Pending = (u64, u64, u64);
 
 /// One mod's metadata: the state, the log it is the fold of, and the
 /// allocator whose units the log's records name.
 pub(crate) struct MetaStore<S: StateMachine> {
     /// To read; it changes through [`MetaStore::commit`].
     pub(crate) state: S,
+    /// What the operations in flight looked up: a mod pins the units a
+    /// lookup of `state` finds, under the lock that lookup holds.
+    pub(crate) pins: Pins,
     allocator: BlockAllocator,
     /// The per-worker logs, written to a reserved device region through
     /// a direct handle.
     journal: Journal,
-    /// Per log, the runs recycled units form, each with the sequence
-    /// number of the frame whose durability it waits for: `(frame,
-    /// first, n)`.
-    pending: Vec<Mutex<Vec<(u64, u64, u64)>>>,
+    /// Per log, the freed runs waiting for a frame, in the order their
+    /// records were committed — so in frame order, and the runs a
+    /// durability point frees are a prefix.
+    pending: Vec<Mutex<VecDeque<Pending>>>,
     /// (workers, log units per worker, sectors per unit, steal batch).
     geometry: (usize, u64, u64, u64),
 }
@@ -130,9 +235,10 @@ impl<S: StateMachine> MetaStore<S> {
         let log_end = log_units * workers as u64;
         MetaStore {
             state: state(workers.next_power_of_two().max(16)),
+            pins: Pins::default(),
             allocator: BlockAllocator::new(log_end, total_units, workers, steal_batch),
             journal: Journal::new(device, workers, log_units * unit_sectors),
-            pending: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+            pending: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             geometry: (workers, log_units, unit_sectors, steal_batch),
         }
     }
@@ -154,14 +260,51 @@ impl<S: StateMachine> MetaStore<S> {
 
     /// The one way a live operation changes metadata: apply `rec`, then
     /// — only if it applied — append it to the log of the worker on
-    /// `core`, so replay folds the same `apply` over the same records.
-    /// `None` (nothing changed, nothing logged) is the operation's
-    /// "exists" / "not found"; `Some` carries the units `rec` freed.
-    pub(crate) fn commit(&self, ctx: &mut Ctx, core: usize, rec: &S::Record) -> Option<Freed> {
-        let mut units = self.state.apply(rec)?;
-        units.sort_unstable();
-        let frame = (core, self.log_applied(ctx, core, rec));
-        Some(Freed { units, frame })
+    /// `req.core`, so replay folds the same `apply` over the same
+    /// records. `false` (nothing changed, nothing logged) is the
+    /// operation's "exists" / "not found".
+    ///
+    /// The units `rec` left unnamed are then dead: one `Discard` per
+    /// contiguous run of them goes down `env`, so a cache lets their
+    /// blocks, and the pool slots behind them, go. The discard is a hint:
+    /// the record stands whatever the stack answers. Only once every
+    /// stage has taken the discards are the units recycled: they go back
+    /// to the allocator when the frame holding `rec` is durable and no
+    /// operation that looked them up before `rec` is still in flight —
+    /// now, or at a later durability point. Until then a crash can undo
+    /// `rec`, and the units still hold what its undone state reads; and a
+    /// late data command still reads or writes them. So no discard can
+    /// overtake the units' next owner's write either.
+    pub(crate) fn commit(
+        &self,
+        ctx: &mut Ctx,
+        env: &StackEnv<'_>,
+        req: &Request,
+        rec: &S::Record,
+    ) -> bool {
+        let Some(mut unnamed) = self.state.apply(rec) else {
+            return false;
+        };
+        let frame = self.log_applied(ctx, req.core, rec);
+        unnamed.sort();
+        let unit_sectors = self.geometry.2;
+        for (first, n) in unnamed.runs() {
+            let (lba, sectors) = (first * unit_sectors, n * unit_sectors);
+            let discard = BlockOp::Discard {
+                lba,
+                len: sectors as usize * SECTOR_SIZE,
+            };
+            env.forward(ctx, req.derive(Payload::Block(discard)));
+        }
+        // A full log dropped the record: it is never durable, and the
+        // units stay taken.
+        if let Some(frame) = frame {
+            let log = req.core % self.pending.len();
+            let mut pending = self.pending[log].lock();
+            pending.extend(unnamed.runs().map(|(first, n)| (frame, first, n)));
+            self.release(log, &mut pending);
+        }
+        true
     }
 
     /// Log a record the state has *already* applied, inside a critical
@@ -174,36 +317,20 @@ impl<S: StateMachine> MetaStore<S> {
         self.journal.append(core, now, |buf| S::encode(rec, buf))
     }
 
-    /// Hand back units a [`MetaStore::commit`] freed, once nothing below
-    /// the mod holds them any more (LabFS: every stage has taken their
-    /// `Discard`). They go back to the allocator when the frame holding
-    /// the freeing record is durable and no operation that looked them up
-    /// before the record is still in flight ([`StateMachine::in_use`]) —
-    /// now, or at a later durability point. Until then a crash can undo
-    /// the record, and the units still hold what its undone state reads;
-    /// and a late data command still reads or writes them.
-    pub(crate) fn recycle(&self, freed: Freed) {
-        let (log, Some(frame)) = freed.frame else {
-            return; // never durable: the units stay taken
-        };
-        let log = log % self.pending.len();
-        let mut pending = self.pending[log].lock();
-        pending.extend(freed.runs().map(|(first, n)| (frame, first, n)));
-        self.release(log, &mut pending);
-    }
-
-    /// Give log `log`'s recycled units whose frame is durable, and that no
-    /// operation in flight uses, back to the allocator, into the shard of
-    /// the worker that freed them.
-    fn release(&self, log: usize, pending: &mut Vec<(u64, u64, u64)>) {
+    /// Give log `log`'s freed runs whose frame is durable back to the
+    /// allocator, into the shard of the worker that freed them: pop the
+    /// durable prefix, and stop at a run an operation in flight has
+    /// pinned (it goes at a later durability point or free). The work is
+    /// the runs given back, whatever waits behind them.
+    fn release(&self, log: usize, pending: &mut VecDeque<Pending>) {
         let durable = self.journal.durable(log);
-        pending.retain(|&(frame, first, n)| {
-            let wait = frame > durable || self.state.in_use(first, n);
-            if !wait {
-                self.allocator.free(log, first, n);
+        while let Some(&(frame, first, n)) = pending.front() {
+            if frame > durable || self.pins.pinned(first, n) {
+                break;
             }
-            wait
-        });
+            pending.pop_front();
+            self.allocator.free(log, first, n);
+        }
     }
 
     /// Give back units `alloc_run` handed out on `core` that no record
@@ -230,11 +357,11 @@ impl<S: StateMachine> MetaStore<S> {
     /// region, discarding any torn or stale tail ([`Journal::replay`]).
     /// The units the records name leave the allocator here, not in
     /// `apply`: live, `alloc_run` took them. Units a replayed record
-    /// frees stay taken, and so do the recycled units still waiting for
-    /// a frame: the free list is not rebuilt, so this needs no scan
-    /// beyond the log's (units already on it stay: their frees are on
-    /// media). Nothing below is told of them: no cache holds a block a
-    /// replay could find.
+    /// frees stay taken, and so do the freed units still waiting for a
+    /// frame: the free list is not rebuilt, so this needs no scan beyond
+    /// the log's (units already on it stay: their frees are on media).
+    /// Nothing below is told of them: no cache holds a block a replay
+    /// could find.
     pub(crate) fn replay(&self) -> RepairReport {
         self.state.clear();
         self.pending
@@ -266,7 +393,7 @@ impl<S: StateMachine> MetaStore<S> {
     /// Live upgrade: take over `prev`'s maps, its frame chain (every
     /// frame `prev` kicked is already written, so the cursors the journal
     /// copies are final), its allocator cursors and free lists, and the
-    /// recycled units still waiting for a frame.
+    /// freed units still waiting for a frame.
     ///
     /// **Both sides must have the same geometry** — in practice the same
     /// worker count: map shards, log regions and allocator shards pair
@@ -345,7 +472,9 @@ mod tests {
 
     use std::collections::BTreeSet;
 
-    use labstor_sim::{DeviceKind, SECTOR_SIZE};
+    use labstor_core::stack::{ExecMode, LabStack, Vertex};
+    use labstor_ipc::Credentials;
+    use labstor_sim::DeviceKind;
     use parking_lot::Mutex;
 
     use super::*;
@@ -389,10 +518,10 @@ mod tests {
             }
         }
 
-        fn apply(&self, rec: &Op) -> Option<Vec<u64>> {
+        fn apply(&self, rec: &Op) -> Option<Unnamed> {
             match *rec {
-                Op::Insert(n) => self.0.lock().insert(n).then(Vec::new),
-                Op::Remove(n) => self.0.lock().remove(&n).then(|| vec![n]),
+                Op::Insert(n) => self.0.lock().insert(n).then_some(Unnamed::NONE),
+                Op::Remove(n) => self.0.lock().remove(&n).then(|| Unnamed::Run(n..n + 1)),
             }
         }
 
@@ -418,10 +547,35 @@ mod tests {
         store.state.0.lock().iter().copied().collect()
     }
 
+    /// Commit `op` from a worker on `core`, over a stack with nothing
+    /// below the store: its discards go nowhere.
+    fn commit(store: &MetaStore<Set>, ctx: &mut Ctx, core: usize, op: Op) -> bool {
+        let stack = LabStack {
+            id: 1,
+            mount: "t".into(),
+            exec: ExecMode::Sync,
+            vertices: vec![Vertex {
+                uuid: "store".into(),
+                outputs: vec![],
+            }],
+            authorized_uids: vec![],
+        };
+        let mm = ModuleManager::new();
+        let env = StackEnv::new(&stack, 0, &mm, 0);
+        let req = Request::on_core(
+            1,
+            1,
+            Payload::Block(BlockOp::Flush),
+            Credentials::ROOT,
+            core,
+        );
+        store.commit(ctx, &env, &req, &op)
+    }
+
     /// Allocate a unit on `core` and insert it.
     fn insert_fresh(store: &MetaStore<Set>, ctx: &mut Ctx, core: usize) -> u64 {
         let (unit, _) = store.alloc_run(ctx, core, 1, None).expect("space");
-        assert!(store.commit(ctx, core, &Op::Insert(unit)).is_some());
+        assert!(commit(store, ctx, core, Op::Insert(unit)));
         unit
     }
 
@@ -440,25 +594,19 @@ mod tests {
         let dev = SimDevice::preset(DeviceKind::Nvme);
         let s = store(&dev);
         let mut ctx = Ctx::new();
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(1)).is_some());
+        assert!(commit(&s, &mut ctx, 0, Op::Insert(1)));
         s.sync(&mut ctx).unwrap();
         let before = (log_bytes(&dev), ctx.now());
 
-        assert!(
-            s.commit(&mut ctx, 0, &Op::Insert(1)).is_none(),
-            "already a member"
-        );
-        assert!(
-            s.commit(&mut ctx, 1, &Op::Remove(9)).is_none(),
-            "not a member"
-        );
+        assert!(!commit(&s, &mut ctx, 0, Op::Insert(1)), "already a member");
+        assert!(!commit(&s, &mut ctx, 1, Op::Remove(9)), "not a member");
         assert_eq!(ctx.now(), before.1, "no append was charged");
         assert!(s.journal.seal_next(0).is_none(), "nothing is pending");
         assert!(s.journal.seal_next(1).is_none(), "nothing is pending");
         s.sync(&mut ctx).unwrap();
         assert_eq!(log_bytes(&dev), before.0);
         // The next frame of worker 0's log is still its second.
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(2)).is_some());
+        assert!(commit(&s, &mut ctx, 0, Op::Insert(2)));
         let (sector, frame) = s.journal.seal_next(0).unwrap();
         assert_eq!(sector, 1);
         assert_eq!(u64::from_le_bytes(frame[4..12].try_into().unwrap()), 2);
@@ -472,14 +620,14 @@ mod tests {
         let a = insert_fresh(&old, &mut ctx, 0);
         let b = insert_fresh(&old, &mut ctx, 1);
         let c = insert_fresh(&old, &mut ctx, 0);
-        assert!(old.commit(&mut ctx, 1, &Op::Remove(b)).is_some());
+        assert!(commit(&old, &mut ctx, 1, Op::Remove(b)));
         old.sync(&mut ctx).unwrap();
         insert_fresh(&old, &mut ctx, 0); // never synced: lost with the crash
 
         let fresh = store(&dev);
         assert!(fresh.last_repair().is_none(), "no repair has run yet");
         assert!(
-            fresh.commit(&mut ctx, 0, &Op::Insert(999)).is_some(),
+            commit(&fresh, &mut ctx, 0, Op::Insert(999)),
             "not in the log"
         );
         let rep = fresh.replay();
@@ -505,9 +653,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let a = insert_fresh(&s, &mut ctx, 0);
         s.sync(&mut ctx).unwrap();
-        let freed = s.commit(&mut ctx, 0, &Op::Remove(a)).unwrap();
-        assert_eq!(freed.runs().collect::<Vec<_>>(), vec![(a, 1)]);
-        s.recycle(freed);
+        assert!(commit(&s, &mut ctx, 0, Op::Remove(a)));
         // The removal is still in memory: a crash would bring `a` back.
         let (b, reused) = s.alloc_run(&mut ctx, 0, 1, None).unwrap();
         assert!(b != a && !reused);
@@ -515,15 +661,54 @@ mod tests {
         assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some((a, true)));
         // What still waits when a replay comes stays taken: the frame it
         // waits for may be the one the crash lost.
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(a)).is_some());
-        let freed = s.commit(&mut ctx, 0, &Op::Remove(a)).unwrap();
-        s.recycle(freed);
+        assert!(commit(&s, &mut ctx, 0, Op::Insert(a)));
+        assert!(commit(&s, &mut ctx, 0, Op::Remove(a)));
         s.replay();
         s.sync(&mut ctx).unwrap();
         for core in [0, 1, 0, 1] {
             let (unit, reused) = s.alloc_run(&mut ctx, core, 1, None).unwrap();
             assert!(unit != a && !reused);
         }
+    }
+
+    #[test]
+    fn a_pinned_unit_waits_for_its_pin_and_holds_back_the_frees_behind_it() {
+        let dev = SimDevice::preset(DeviceKind::Nvme);
+        let s = store(&dev);
+        let mut ctx = Ctx::new();
+        let a = insert_fresh(&s, &mut ctx, 0);
+        // `b` is in another pin region than `a`.
+        let (b, _) = s
+            .alloc_run(&mut ctx, 0, 1, Some(a + PIN_REGION_UNITS))
+            .unwrap();
+        assert!(commit(&s, &mut ctx, 0, Op::Insert(b)));
+        s.sync(&mut ctx).unwrap();
+        let pin = s.pins.pin(std::iter::once(a..a + 1));
+        assert!(commit(&s, &mut ctx, 0, Op::Remove(a)));
+        assert!(commit(&s, &mut ctx, 0, Op::Remove(b)));
+        s.sync(&mut ctx).unwrap();
+        // Durable, but a lookup still holds `a`, and `b` waits behind it.
+        let (c, reused) = s.alloc_run(&mut ctx, 0, 1, None).unwrap();
+        assert!(![a, b].contains(&c) && !reused);
+        drop(pin);
+        s.sync(&mut ctx).unwrap();
+        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some((a, true)));
+        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some((b, true)));
+    }
+
+    #[test]
+    fn unnamed_units_are_reported_as_sorted_runs() {
+        let mut units = Unnamed::Units(vec![9, 3, 4, 11, 10, 5]);
+        units.sort();
+        assert_eq!(units.runs().collect::<Vec<_>>(), [(3, 3), (9, 3)]);
+        let run = Unnamed::Run(7..9);
+        assert_eq!(run.runs().collect::<Vec<_>>(), [(7, 2)]);
+        assert_eq!(Unnamed::NONE.runs().count(), 0);
+        // Regions wrap around the mask: a pin covers a unit 64 regions on.
+        let pins = Pins::default();
+        let _pin = pins.pin(std::iter::once(0..1));
+        assert!(pins.pinned(PIN_REGION_UNITS * PIN_REGIONS as u64, 1));
+        assert!(!pins.pinned(PIN_REGION_UNITS, 1));
     }
 
     #[test]
@@ -556,12 +741,12 @@ mod tests {
         let dev = SimDevice::preset(DeviceKind::Nvme);
         let s = store(&dev);
         let mut ctx = Ctx::new();
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(1)).is_some());
+        assert!(commit(&s, &mut ctx, 0, Op::Insert(1)));
         s.sync(&mut ctx).unwrap();
         // A crash inside the one write of a second, two-sector frame: its
         // header sector landed, the rest of its payload did not.
         for n in 100..200 {
-            assert!(s.commit(&mut ctx, 0, &Op::Insert(n)).is_some());
+            assert!(commit(&s, &mut ctx, 0, Op::Insert(n)));
         }
         let (sector, frame) = s.journal.seal_next(0).unwrap();
         assert_eq!(frame.len(), 2 * SECTOR_SIZE);
@@ -579,7 +764,7 @@ mod tests {
         );
         // Appends resume after the committed prefix: the next sync
         // overwrites the torn tail.
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(2)).is_some());
+        assert!(commit(&s, &mut ctx, 0, Op::Insert(2)));
         s.sync(&mut ctx).unwrap();
         assert!(s.replay().is_clean());
         assert_eq!(members(&s), vec![1, 2]);
@@ -597,9 +782,9 @@ mod tests {
         let dev = SimDevice::preset(DeviceKind::Nvme);
         let s = store(&dev);
         let mut ctx = Ctx::new();
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(7)).is_some());
-        assert!(s.commit(&mut ctx, 1, &Op::Remove(7)).is_some());
-        assert!(s.commit(&mut ctx, 0, &Op::Insert(7)).is_some());
+        assert!(commit(&s, &mut ctx, 0, Op::Insert(7)));
+        assert!(commit(&s, &mut ctx, 1, Op::Remove(7)));
+        assert!(commit(&s, &mut ctx, 0, Op::Insert(7)));
         s.sync(&mut ctx).unwrap();
         assert_eq!(members(&s), vec![7]);
         let fresh = store(&dev);

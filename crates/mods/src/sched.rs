@@ -29,6 +29,13 @@ const LAB_SCHED_NS: u64 = 850;
 /// latency-sensitive.
 const LATENCY_SIZE_BYTES: usize = 16 * 1024;
 
+/// Whether `req` is a `Discard`: the driver answers it with no command,
+/// so there is no queue to pick and nothing to charge; both schedulers
+/// pass it straight on.
+fn is_discard(req: &Request) -> bool {
+    matches!(req.payload, Payload::Block(BlockOp::Discard { .. }))
+}
+
 /// Lab-NoOp: map to a hardware queue by originating core.
 pub(crate) struct NoopSchedMod {
     queues: usize,
@@ -54,6 +61,9 @@ impl LabMod for NoopSchedMod {
     }
 
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
+        if is_discard(&req) {
+            return env.forward(ctx, req);
+        }
         ctx.advance(LAB_SCHED_NS);
         req.qid_hint = Some(req.core % self.queues);
         env.forward(ctx, req)
@@ -97,10 +107,12 @@ impl LabMod for BlkSwitchSchedMod {
     }
 
     fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
+        if is_discard(&req) {
+            return env.forward(ctx, req);
+        }
         ctx.advance(LAB_SCHED_NS);
-        // A small block data op; a barrier or a discard carries no data
-        // to hurry.
-        let is_latency = matches!(&req.payload, Payload::Block(op) if !matches!(op, BlockOp::Flush | BlockOp::Discard { .. }))
+        // A small block data op; a barrier carries no data to hurry.
+        let is_latency = matches!(&req.payload, Payload::Block(op) if !matches!(op, BlockOp::Flush))
             && req.payload_bytes() <= LATENCY_SIZE_BYTES;
         let class = if is_latency {
             IoClass::Latency
@@ -215,6 +227,47 @@ mod tests {
         let mut ctx = Ctx::new();
         assert!(m.process(&mut ctx, req, &env).is_ok());
         probe.seen.load(Ordering::Relaxed)
+    }
+
+    /// The driver answers a `Discard` with no command and no charge, so
+    /// a scheduler neither picks a queue for it nor charges for one.
+    #[test]
+    fn a_discard_passes_both_schedulers_uncharged() {
+        let devices = DeviceRegistry::new();
+        devices.add_preset("nvme0", DeviceKind::Nvme);
+        let mm = ModuleManager::new();
+        install(&mm);
+        install_blk_switch(&mm, &devices);
+        mm.instantiate("n", "noop_sched", &serde_json::json!({}))
+            .unwrap();
+        let params = serde_json::json!({"device": "nvme0"});
+        mm.instantiate("b", "blk_switch_sched", &params).unwrap();
+        for sched in ["n", "b"] {
+            let probe = Arc::new(HintProbe {
+                seen: AtomicUsize::new(usize::MAX),
+            });
+            mm.insert_instance("probe", probe.clone());
+            let vertex = |uuid: &str, outputs: Vec<usize>| Vertex {
+                uuid: uuid.into(),
+                outputs,
+            };
+            let stack = LabStack {
+                id: 1,
+                mount: "x".into(),
+                exec: ExecMode::Sync,
+                vertices: vec![vertex(sched, vec![1]), vertex("probe", vec![])],
+                authorized_uids: vec![],
+            };
+            let env = StackEnv::new(&stack, 0, &mm, 0);
+            let discard = Payload::Block(BlockOp::Discard { lba: 8, len: 4096 });
+            let req = Request::new(1, 1, discard, Credentials::ROOT);
+            let mut ctx = Ctx::new();
+            assert!(mm.get(sched).unwrap().process(&mut ctx, req, &env).is_ok());
+            let hop = labstor_ipc::cost::SAME_DOMAIN_HOP_NS;
+            assert_eq!(ctx.now(), hop, "{sched}: only the hop is charged");
+            let seen = probe.seen.load(Ordering::Relaxed);
+            assert_eq!(seen, usize::MAX, "{sched}: no queue was picked");
+        }
     }
 
     #[test]

@@ -50,13 +50,30 @@
 //! capacity and allocates nothing per op. The same counts hold in debug
 //! and release builds.
 //!
+//! `kvs_mix_min_qd1`'s shapes on its own stack (labkvs → noop_sched →
+//! kernel_driver, sync, on a device of its own), warm. "Before" is before
+//! LabKVS reused the extents it frees:
+//!
+//! | operation              | before | after | what allocates                                  |
+//! |------------------------|-------:|------:|-------------------------------------------------|
+//! | replacing 1 KiB `Put`  |    2\* |     2 | the record's key, the key map's key             |
+//! | 1 KiB `Get`            |      0 |     0 |                                                 |
+//!
+//! \* every 128th put took one more: `SimDevice::store` created a
+//! 128 KiB backing chunk, because each put took 1 KiB of sectors never
+//! used before. Now a put takes an extent an earlier put freed, once that
+//! free is durable, and the device stops growing. The key and the value
+//! are the caller's, made before the count starts; the value goes down
+//! as the write. The extent's `Discard` allocates nothing, and neither
+//! do the pending frees and the free list, whose slots are reused.
+//!
 //! This file holds a single test: it reads which slots the default pool
 //! has free, and the integration tests of one file share one process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use labstor::core::{Client, FsOp, Payload, RespPayload, Runtime, RuntimeConfig};
+use labstor::core::{Client, FsOp, KvsOp, Payload, RespPayload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
 use labstor::mods::{DeviceRegistry, GenericFs};
 use labstor::sim::{BlockDevice, DeviceKind};
@@ -122,6 +139,19 @@ const SPEC: &str = r#"{
     ]
 }"#;
 
+/// `kvs_mix_min_qd1`'s stack, run inline in the client, on a device of
+/// its own.
+const KV_SPEC: &str = r#"{
+    "mount": "kv::/ap",
+    "exec": "sync",
+    "authorized_uids": [0],
+    "labmods": [
+        { "uuid": "ap_kv", "type": "labkvs", "params": {"device": "nvme1", "workers": 1}, "outputs": ["ap_ksched"] },
+        { "uuid": "ap_ksched", "type": "noop_sched", "outputs": ["ap_kdrv"] },
+        { "uuid": "ap_kdrv", "type": "kernel_driver", "params": {"device": "nvme1"} }
+    ]
+}"#;
+
 const PAGE: usize = 4096;
 /// Half of a varmail file: one append.
 const HALF: usize = 8192;
@@ -133,6 +163,11 @@ const CHUNK: usize = 16 * PAGE;
 const CACHE_PAGES: u64 = 4096;
 /// Operations measured per shape.
 const OPS: usize = 64;
+/// `kvs_mix_min_qd1`'s key count and value size.
+const KEYS: usize = 4096;
+const VALUE: usize = 1024;
+/// Replacing puts measured: 256 KiB of values.
+const KV_PUTS: usize = 256;
 
 /// Allocator calls `op` makes on this thread.
 fn calls(op: impl FnOnce()) -> u64 {
@@ -148,6 +183,7 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
     std::env::set_var("RUST_LIB_BACKTRACE", "0");
     let devices = DeviceRegistry::new();
     devices.add_preset("nvme0", DeviceKind::Nvme);
+    devices.add_preset("nvme1", DeviceKind::Nvme);
     let rt = Runtime::start(RuntimeConfig::default());
     labstor::mods::install_all(&rt.mm, &devices);
     let stack = rt.mount_stack_json(SPEC).unwrap();
@@ -285,5 +321,38 @@ fn steady_state_allocations_per_op_are_the_recorded_ones() {
     assert_eq!(shape(1), [2; OPS], "varmail 8 KiB append");
     assert_eq!(shape(2), [0; OPS], "varmail fsync");
     assert_eq!(shape(3), [3; OPS], "varmail 16 KiB read over two slots");
+
+    // kvs_mix's shapes: replacing 1 KiB puts over 4096 keys in a
+    // scattered order, and 1 KiB gets. Eight puts per key warm the key
+    // map, the journal and the free list: every durability point since
+    // the first has handed back the extents the puts before it freed.
+    // 256 puts would take two 128 KiB device chunks if they landed on
+    // sectors never used before.
+    let kv_stack = rt.mount_stack_json(KV_SPEC).unwrap();
+    let mut kv = rt.connect(Credentials::new(1, 0, 0), 1);
+    let mut run_kv = |payload: Payload| {
+        let resp = kv.execute(&kv_stack, payload).unwrap().0;
+        assert!(resp.is_ok(), "{resp:?}");
+    };
+    let key = |i: usize| format!("k{:04}", i * 1237 % KEYS);
+    let put = |i: usize| {
+        let (key, value) = (key(i), vec![i as u8; VALUE]);
+        Payload::Kvs(KvsOp::Put { key, value })
+    };
+    (0..9 * KEYS).for_each(|i| run_kv(put(i)));
+    let kv_put: Vec<u64> = (9 * KEYS..9 * KEYS + KV_PUTS)
+        .map(|i| {
+            let op = put(i);
+            calls(|| run_kv(op))
+        })
+        .collect();
+    let kv_get: Vec<u64> = (0..OPS)
+        .map(|i| {
+            let op = Payload::Kvs(KvsOp::Get { key: key(i) });
+            calls(|| run_kv(op))
+        })
+        .collect();
+    assert_eq!(kv_put, [2; KV_PUTS], "kvs_mix replacing 1 KiB put");
+    assert_eq!(kv_get, [0; OPS], "kvs_mix 1 KiB get");
     rt.shutdown();
 }

@@ -2,13 +2,13 @@
 # Alternate end-to-end benchmark runs of a parent tree and this tree, one
 # pair per seed, and compare them on every end-to-end metric.
 #
-#   tools/pairs.sh PARENT_TREE WORKLOAD SEED...
+#   tools/pairs.sh [--metric NAME] PARENT_TREE WORKLOAD SEED...
 #
 # For each seed, runs
 #   benchmark/run.sh --workload WORKLOAD --seed SEED --seconds 20 --trace 0
 # in PARENT_TREE and in this tree, alternating which side goes first, and
-# keeps each run's result line. Then prints, per pair, both host_ns_per_op
-# values and whether the five exact metrics and the failed-op count are
+# keeps each run's result line. Then prints, per pair, both values of the
+# end-to-end metric NAME (default host_ns_per_op) and whether the five exact metrics and the failed-op count are
 # identical, with each exact metric that differs on a line of its own as
 # parent -> this. Last comes one line per end-to-end metric of this
 # tree's BENCHMARK.json, which gives the names, the better directions and
@@ -24,6 +24,11 @@
 # followed by `git checkout benchmark/Cargo.lock` in its tree. Needs python3.
 set -euo pipefail
 
+metric=host_ns_per_op
+if [ "${1:-}" = --metric ]; then
+    metric=${2:?--metric needs a name}
+    shift 2
+fi
 if [ $# -lt 3 ]; then
     sed -n '4,6p' "$0" >&2
     exit 2
@@ -56,14 +61,17 @@ for seed in "$@"; do
     fi
 done
 
-python3 - "$out" "$this/BENCHMARK.json" "$workload" "$@" <<'EOF'
+python3 - "$out" "$this/BENCHMARK.json" "$workload" "$metric" "$@" <<'EOF'
 import json, statistics, sys
 
-out, spec, workload, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+out, spec, workload, shown = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4]
+seeds = sys.argv[5:]
 EXACT = ["virt_ops_per_s", "virt_lat_p50_vns", "virt_lat_p99_vns",
          "dev_bytes_per_user_byte", "copy_bytes_per_user_byte"]
 with open(spec) as f:
     metrics = json.load(f)["end_to_end"]
+if shown not in [m["name"] for m in metrics]:
+    sys.exit(f"--metric {shown}: not an end-to-end metric of {spec}")
 
 def load(side, seed):
     with open(f"{out}/{side}.{seed}.json") as f:
@@ -72,14 +80,15 @@ def load(side, seed):
     return m, r["failed"]
 
 pairs = []
-print(f"{workload}: pair  seed  parent_ns  this_ns  delta  exact+failed")
+print(f"{workload}: pair  seed  parent  this  delta  exact+failed  ({shown})")
 for i, seed in enumerate(seeds, 1):
     (pm, pf), (tm, tf) = load("parent", seed), load("this", seed)
     pairs.append((pm, tm))
-    p, t = pm["host_ns_per_op"], tm["host_ns_per_op"]
+    p, t = pm[shown], tm[shown]
     moved = [k for k in EXACT if pm[k] != tm[k]]
     ident = "identical" if not moved and pf == tf else "DIFFERENT"
-    print(f"{workload}: {i:4}  {seed:>4}  {p:9.0f}  {t:7.0f}  {(t - p) / p:+6.1%}"
+    delta = (t - p) / p if p else 0.0
+    print(f"{workload}: {i:4}  {seed:>4}  {p:.6g}  {t:.6g}  {delta:+6.1%}"
           f"  {ident} (failed {pf}/{tf})")
     for k in moved:
         print(f"{workload}:        {k} {pm[k]:.6g} -> {tm[k]:.6g}")
