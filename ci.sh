@@ -7,7 +7,9 @@
 # pass. The smoke benches write target/bench/BENCH_*.json and the
 # telemetry example writes its trace beside them; the committed
 # BENCH_*.json and results/ are full runs and samples and are not touched
-# here: the last step fails the run if it left the working tree any
+# here, but for the full crash campaign, which rewrites
+# BENCH_crash_fuzz.json and must leave it byte for byte as committed:
+# the last step fails the run if it left the working tree any
 # dirtier than it found it (benchmark/Cargo.lock excepted: the frozen
 # crate's lock file is stale and cargo rewrites it).
 set -euo pipefail
@@ -73,6 +75,10 @@ for bench in bench_ipc bench_datapath bench_tenants bench_reactor bench_pushdown
     test -s "target/bench/BENCH_${bench#bench_}.json"
 done
 test -s results/crash_fuzz_failures.json
+
+echo "== full crash campaign (750 power cuts; only its 8 flows reach the fio mix's random-size truncate, and it must reproduce BENCH_crash_fuzz.json)"
+cargo run -q --release -p labstor-bench --bin crash_fuzz
+git diff --exit-code BENCH_crash_fuzz.json
 
 echo "== labstor-benchmark smoke (every workload end to end; a wrong byte, a failed op or cross-trial drift fails)"
 benchmark/run.sh --smoke > /dev/null

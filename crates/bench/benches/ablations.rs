@@ -228,7 +228,7 @@ fn ablate_allocator_stealing(c: &mut Criterion) {
             |a| {
                 for w in 0..8 {
                     for _ in 0..200 {
-                        std::hint::black_box(a.alloc_run(w, 1));
+                        std::hint::black_box(a.alloc_run(w, 1, None));
                     }
                 }
             },
@@ -240,7 +240,7 @@ fn ablate_allocator_stealing(c: &mut Criterion) {
             || BlockAllocator::new(0, 1 << 20, 8, 4096),
             |a| {
                 for _ in 0..1600 {
-                    std::hint::black_box(a.alloc_run(0, 1));
+                    std::hint::black_box(a.alloc_run(0, 1, None));
                 }
             },
             criterion::BatchSize::SmallInput,

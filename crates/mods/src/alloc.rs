@@ -265,18 +265,18 @@ struct AllocShard {
 
 impl AllocShard {
     /// `[goal, goal + n)` out of the free list or off the bump cursor,
-    /// when all of it is there; `(goal, reused)`. O(log n).
-    fn take_at(&mut self, goal: u64, n: u64) -> Option<(u64, bool)> {
+    /// when all of it is there. O(log n).
+    fn take_at(&mut self, goal: u64, n: u64) -> Option<u64> {
         if goal == self.next && self.end - self.next >= n {
             self.next += n;
-            return Some((goal, false));
+            return Some(goal);
         }
         let (first, len) = self.free.around(goal + 1).0?;
         if goal + n > first + len {
             return None;
         }
         self.carve(first, len, goal, n);
-        Some((goal, true))
+        Some(goal)
     }
 
     /// First fit: the head of the lowest free run that holds `n` units.
@@ -362,42 +362,36 @@ impl BlockAllocator {
     }
 
     /// Allocate `n` contiguous units from `worker`'s shard and return the
-    /// first: first fit from the units given back, else off the bump
-    /// cursor. A shard that cannot fit the run replaces its range with a
-    /// batch stolen from the tail of the richest other shard; the fewer
-    /// than `n` units it still held are not handed out again (none when
-    /// `n` is 1). Last come the units given back to other shards. `None`
-    /// when no shard holds `n` contiguous units.
-    pub fn alloc_run(&self, worker: usize, n: u64) -> Option<u64> {
-        self.take(worker, n, None).map(|(first, _)| first)
-    }
-
-    /// [`BlockAllocator::alloc_run`], starting at `goal` when `worker`'s
-    /// shard holds `[goal, goal + n)` free (a file that grows stays one
-    /// run, as ext4's goal block keeps it), and saying whether the run
-    /// was given back before (`true`) or never handed out.
-    pub(crate) fn take(&self, worker: usize, n: u64, goal: Option<u64>) -> Option<(u64, bool)> {
+    /// first: `[goal, goal + n)` when the shard holds it free (a file that
+    /// grows stays one run, as ext4's goal block keeps it), else first fit
+    /// from the units given back, else off the bump cursor. A shard that
+    /// cannot fit the run replaces its range with a batch stolen from the
+    /// tail of the richest other shard; the fewer than `n` units it still
+    /// held are not handed out again (none when `n` is 1). Last come the
+    /// units given back to other shards. `None` when no shard holds `n`
+    /// contiguous units.
+    pub fn alloc_run(&self, worker: usize, n: u64, goal: Option<u64>) -> Option<u64> {
         let w = worker % self.shards.len();
         {
             let mut shard = self.shards[w].lock();
-            if let Some(got) = goal.and_then(|goal| shard.take_at(goal, n)) {
-                return Some(got);
+            if let Some(first) = goal.and_then(|goal| shard.take_at(goal, n)) {
+                return Some(first);
             }
             if let Some(first) = shard.take_free(n) {
-                return Some((first, true));
+                return Some(first);
             }
             if shard.end - shard.next >= n {
                 let first = shard.next;
                 shard.next += n;
-                return Some((first, false));
+                return Some(first);
             }
         }
         if let Some(first) = self.steal(w, n) {
-            return Some((first, false));
+            return Some(first);
         }
         (0..self.shards.len())
             .filter(|&v| v != w)
-            .find_map(|v| Some((self.shards[v].lock().take_free(n)?, true)))
+            .find_map(|v| self.shards[v].lock().take_free(n))
     }
 
     /// Replace shard `w`'s range with a batch from the tail of the richest
@@ -538,7 +532,7 @@ mod tests {
         // Drain shard 0 (25 blocks), then keep allocating: stealing kicks in.
         let mut got = std::collections::HashSet::new();
         for _ in 0..80 {
-            let b = a.alloc_run(0, 1).expect("steals from other shards");
+            let b = a.alloc_run(0, 1, None).expect("steals from other shards");
             assert!(got.insert(b), "no double allocation");
         }
         assert!(a.free_blocks() <= 20);
@@ -553,7 +547,7 @@ mod tests {
         // Worker 2's shard is empty; other workers can still allocate all
         // remaining blocks (via their shards or stealing).
         let mut seen = std::collections::HashSet::new();
-        while let Some(b) = a.alloc_run(0, 1) {
+        while let Some(b) = a.alloc_run(0, 1, None) {
             assert!(seen.insert(b));
         }
         assert_eq!(seen.len() as u64, before);
@@ -564,10 +558,10 @@ mod tests {
         let a = BlockAllocator::new(0, 16, 2, 4);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..16 {
-            assert!(seen.insert(a.alloc_run(0, 1).unwrap()));
+            assert!(seen.insert(a.alloc_run(0, 1, None).unwrap()));
         }
-        assert!(a.alloc_run(0, 1).is_none());
-        assert!(a.alloc_run(1, 1).is_none());
+        assert!(a.alloc_run(0, 1, None).is_none());
+        assert!(a.alloc_run(1, 1, None).is_none());
     }
 
     #[test]
@@ -580,7 +574,7 @@ mod tests {
             .into_iter()
             .chain([1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 2]);
         let got: Vec<u64> = workers
-            .map(|w| a.alloc_run(w, 1).expect("space left"))
+            .map(|w| a.alloc_run(w, 1, None).expect("space left"))
             .collect();
         assert_eq!(
             got,
@@ -598,21 +592,21 @@ mod tests {
     #[test]
     fn alloc_run_hands_out_contiguous_runs_and_exhausts_cleanly() {
         let a = BlockAllocator::new(0, 64, 2, 16);
-        assert_eq!(a.alloc_run(0, 20), Some(0));
+        assert_eq!(a.alloc_run(0, 20, None), Some(0));
         // 12 units left in shard 0: a run of 13 steals max(batch, n).
-        assert_eq!(a.alloc_run(0, 13), Some(48));
-        assert_eq!(a.alloc_run(0, 3), Some(61));
+        assert_eq!(a.alloc_run(0, 13, None), Some(48));
+        assert_eq!(a.alloc_run(0, 3, None), Some(61));
         // Shard 0 is dry and shard 1 holds [32, 48): 17 do not fit anywhere.
-        assert_eq!(a.alloc_run(0, 17), None);
-        assert_eq!(a.alloc_run(1, 17), None);
-        assert_eq!(a.alloc_run(1, 16), Some(32));
-        assert_eq!(a.alloc_run(1, 1), None);
-        assert_eq!(a.alloc_run(0, 1), None);
+        assert_eq!(a.alloc_run(0, 17, None), None);
+        assert_eq!(a.alloc_run(1, 17, None), None);
+        assert_eq!(a.alloc_run(1, 16, None), Some(32));
+        assert_eq!(a.alloc_run(1, 1, None), None);
+        assert_eq!(a.alloc_run(0, 1, None), None);
         // One shard, nobody to steal from.
         let solo = BlockAllocator::new(0, 4, 1, 8);
-        assert_eq!(solo.alloc_run(0, 5), None);
-        assert_eq!(solo.alloc_run(0, 4), Some(0));
-        assert_eq!(solo.alloc_run(0, 1), None);
+        assert_eq!(solo.alloc_run(0, 5, None), None);
+        assert_eq!(solo.alloc_run(0, 4, None), Some(0));
+        assert_eq!(solo.alloc_run(0, 1, None), None);
     }
 
     #[test]
@@ -632,7 +626,7 @@ mod tests {
                         let rounds = if w == 0 { 3_000 } else { 300 };
                         for i in 0..rounds {
                             let n = 1 + (i * 7 + w as u64) % 9;
-                            if let Some(first) = a.alloc_run(w, n) {
+                            if let Some(first) = a.alloc_run(w, n, None) {
                                 mine.push((first, first + n));
                             }
                         }
@@ -657,7 +651,7 @@ mod tests {
     #[test]
     fn units_given_back_go_out_first_fit_before_the_cursor_moves() {
         let a = BlockAllocator::new(0, 100, 2, 8);
-        let got: Vec<u64> = (0..10).map(|_| a.alloc_run(0, 1).unwrap()).collect();
+        let got: Vec<u64> = (0..10).map(|_| a.alloc_run(0, 1, None).unwrap()).collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         // Runs given back join the ones they touch.
         for (first, n) in [(6, 2), (2, 1), (1, 1), (8, 1), (3, 1)] {
@@ -666,25 +660,25 @@ mod tests {
         assert_eq!(free_runs(&a, 0), vec![(1, 3), (6, 3)]);
         assert_eq!(a.free_blocks(), 40 + 6 + 50);
         // First fit: the first run that holds all of it.
-        assert_eq!(a.take(0, 3, None), Some((1, true)));
-        assert_eq!(a.take(0, 1, None), Some((6, true)));
+        assert_eq!(a.alloc_run(0, 3, None), Some(1));
+        assert_eq!(a.alloc_run(0, 1, None), Some(6));
         // A goal inside a run splits it; a goal that is not free is
         // passed over; the cursor serves a goal at the cursor only.
         a.free(0, 1, 3);
-        assert_eq!(a.take(0, 1, Some(2)), Some((2, true)));
+        assert_eq!(a.alloc_run(0, 1, Some(2)), Some(2));
         assert_eq!(free_runs(&a, 0), vec![(1, 1), (3, 1), (7, 2)]);
-        assert_eq!(a.take(0, 2, Some(3)), Some((7, true)), "3 holds one unit");
-        assert_eq!(a.take(0, 1, Some(10)), Some((10, false)));
-        assert_eq!(a.take(0, 1, Some(40)), Some((1, true)));
-        assert_eq!(a.take(0, 1, None), Some((3, true)));
-        assert_eq!(a.take(0, 1, None), Some((11, false)), "the list is dry");
+        assert_eq!(a.alloc_run(0, 2, Some(3)), Some(7), "3 holds one unit");
+        assert_eq!(a.alloc_run(0, 1, Some(10)), Some(10));
+        assert_eq!(a.alloc_run(0, 1, Some(40)), Some(1));
+        assert_eq!(a.alloc_run(0, 1, None), Some(3));
+        assert_eq!(a.alloc_run(0, 1, None), Some(11), "the list is dry");
         // A dry shard reaches the runs another shard was given back.
         let b = BlockAllocator::new(0, 4, 2, 8);
-        assert_eq!(b.alloc_run(0, 2), Some(0));
-        assert_eq!(b.alloc_run(1, 2), Some(2));
+        assert_eq!(b.alloc_run(0, 2, None), Some(0));
+        assert_eq!(b.alloc_run(1, 2, None), Some(2));
         b.free(1, 3, 1);
-        assert_eq!(b.take(0, 1, None), Some((3, true)));
-        assert_eq!(b.alloc_run(0, 1), None);
+        assert_eq!(b.alloc_run(0, 1, None), Some(3));
+        assert_eq!(b.alloc_run(0, 1, None), None);
     }
 
     /// What a free list of `units` free units answers, run by run.
@@ -723,7 +717,7 @@ mod tests {
                         }
                     }
                     1 => {
-                        let want = (at..at + n).all(|u| model.contains(&u)).then_some((at, true));
+                        let want = (at..at + n).all(|u| model.contains(&u)).then_some(at);
                         proptest::prop_assert_eq!(shard.take_at(at, n), want);
                         if want.is_some() {
                             (at..at + n).for_each(|u| { model.remove(&u); });
@@ -750,19 +744,19 @@ mod tests {
     fn decommission_and_absorb_carry_the_free_lists() {
         let a = BlockAllocator::new(0, 64, 2, 8);
         for _ in 0..6 {
-            a.alloc_run(0, 1).unwrap();
+            a.alloc_run(0, 1, None).unwrap();
         }
         a.free(0, 1, 2);
         a.free(0, 4, 1);
         let upgraded = BlockAllocator::new(0, 64, 2, 8);
         upgraded.absorb(&a);
         assert_eq!(upgraded.free_blocks(), a.free_blocks());
-        assert_eq!(upgraded.alloc_run(0, 2), Some(1));
+        assert_eq!(upgraded.alloc_run(0, 2, None), Some(1));
         let before = a.free_blocks();
         a.decommission(0);
         assert_eq!(a.free_blocks(), before);
         assert_eq!(free_runs(&a, 1), vec![(1, 2), (4, 1)]);
-        assert_eq!(a.alloc_run(1, 1), Some(1));
+        assert_eq!(a.alloc_run(1, 1, None), Some(1));
     }
 
     #[test]
@@ -771,10 +765,10 @@ mod tests {
         let a = BlockAllocator::new(0, 200, 2, 16);
         let mut named: Vec<(u64, u64)> = Vec::new();
         for n in [60u64, 40, 5, 5] {
-            let first = a.alloc_run(0, n).expect("space left");
+            let first = a.alloc_run(0, n, None).expect("space left");
             named.push((first, first + n));
         }
-        let first = a.alloc_run(1, 10).expect("space left");
+        let first = a.alloc_run(1, 10, None).expect("space left");
         named.push((first, first + 10));
         assert_eq!(named[2], (184, 189), "the third run opened a stolen batch");
 
@@ -791,7 +785,7 @@ mod tests {
         assert_eq!(restarted.free_blocks(), a.free_blocks() - 6);
         for alloc in [&upgraded, &restarted] {
             for w in [0, 1, 0, 1] {
-                while let Some(b) = alloc.alloc_run(w, 1) {
+                while let Some(b) = alloc.alloc_run(w, 1, None) {
                     assert!(
                         named.iter().all(|&(from, to)| b < from || b >= to),
                         "unit {b} handed out twice"

@@ -1373,47 +1373,55 @@ mod tests {
         assert_file(&h, &mut ctx, x, 0xA1, 4 * FS_BLOCK);
     }
 
-    /// A write onto recycled blocks logs its mapping after its data
-    /// commands. A durability point that another worker reaches while the
-    /// data is on its way, then a crash, maps no page of the new file onto
-    /// a block that still holds the old file's bytes.
+    /// A write logs its mapping after its data commands, onto recycled
+    /// blocks (an unlinked /x's) and onto fresh ones alike. A durability
+    /// point that another worker reaches while the data is on its way,
+    /// then a crash, maps no page of the new file onto a block that does
+    /// not hold its bytes yet: neither /x's nor never-written zeroes.
     #[test]
-    fn a_recycled_block_is_mapped_on_media_only_after_its_bytes() {
-        let hook = Arc::new(Hook::default());
-        let (h, dev) = Harness::over(vec![("hook", hook.clone())]);
-        let mut ctx = Ctx::new();
-        write_file(&h, &mut ctx, "/x", 0xA1, 4 * FS_BLOCK);
-        let old = blocks_of(h.labfs().as_ref(), "/x");
-        assert!(h.unlink(&mut ctx, "/x").is_ok());
-        let y = ino_of(h.create(&mut ctx, "/y"));
-        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
-        // `(block, first byte)` of each page of /y that a crash image maps
-        // onto other bytes than its own.
-        let stale = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        hook.arm({
-            let (fs, dev, stale) = (h.labfs(), dev.clone(), stale.clone());
-            move |op| {
-                if matches!(op, BlockOp::Write { .. } | BlockOp::WriteBuf { .. }) {
-                    let fs = fs.as_any().downcast_ref::<LabFs>().unwrap();
-                    fs.store.sync(&mut Ctx::new()).unwrap();
-                    let crashed = LabFs::new(dev.clone(), 4);
-                    crashed.replay_from_device();
-                    for block in blocks_of(&crashed, "/y") {
-                        let mut page = vec![0u8; FS_BLOCK];
-                        let lba = block * BLOCK_SECTORS;
-                        dev.read(&mut Ctx::new(), lba, &mut page).unwrap();
-                        if page != [0xB2; FS_BLOCK] {
-                            stale.lock().push((block, page[0]));
+    fn a_block_is_mapped_on_media_only_after_its_bytes() {
+        for recycled in [true, false] {
+            let hook = Arc::new(Hook::default());
+            let (h, dev) = Harness::over(vec![("hook", hook.clone())]);
+            let mut ctx = Ctx::new();
+            let mut old = Vec::new();
+            if recycled {
+                write_file(&h, &mut ctx, "/x", 0xA1, 4 * FS_BLOCK);
+                old = blocks_of(h.labfs().as_ref(), "/x");
+                assert!(h.unlink(&mut ctx, "/x").is_ok());
+            }
+            let y = ino_of(h.create(&mut ctx, "/y"));
+            assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
+            // `(block, first byte)` of each page of /y that a crash image
+            // maps onto other bytes than its own.
+            let stale = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            hook.arm({
+                let (fs, dev, stale) = (h.labfs(), dev.clone(), stale.clone());
+                move |op| {
+                    if matches!(op, BlockOp::Write { .. } | BlockOp::WriteBuf { .. }) {
+                        let fs = fs.as_any().downcast_ref::<LabFs>().unwrap();
+                        fs.store.sync(&mut Ctx::new()).unwrap();
+                        let crashed = LabFs::new(dev.clone(), 4);
+                        crashed.replay_from_device();
+                        for block in blocks_of(&crashed, "/y") {
+                            let mut page = vec![0u8; FS_BLOCK];
+                            let lba = block * BLOCK_SECTORS;
+                            dev.read(&mut Ctx::new(), lba, &mut page).unwrap();
+                            if page != [0xB2; FS_BLOCK] {
+                                stale.lock().push((block, page[0]));
+                            }
                         }
                     }
+                    true
                 }
-                true
+            });
+            assert!(h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
+            assert_eq!(*stale.lock(), vec![], "recycled: {recycled}");
+            if recycled {
+                assert_eq!(blocks_of(h.labfs().as_ref(), "/y"), old, "/x's blocks");
             }
-        });
-        assert!(h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
-        assert_eq!(*stale.lock(), vec![]);
-        assert_eq!(blocks_of(h.labfs().as_ref(), "/y"), old, "/x's blocks");
-        assert_file(&h, &mut ctx, y, 0xB2, 4 * FS_BLOCK);
+            assert_file(&h, &mut ctx, y, 0xB2, 4 * FS_BLOCK);
+        }
     }
 
     /// A block cached dirty in a write-back LRU, then freed and reused,
@@ -1535,31 +1543,43 @@ mod tests {
         }
     }
 
-    /// A write onto recycled blocks that the stack refuses maps none of
-    /// them, in memory or on the log: the file reads back as it was, and
-    /// the blocks go to the next write.
+    /// A write that the stack refuses maps none of its blocks, recycled
+    /// (an unlinked /x's) or fresh, in memory or on the log: the file
+    /// reads back as it was, the blocks go back to the allocator, and from
+    /// there to the next write.
     #[test]
-    fn a_refused_write_onto_recycled_blocks_maps_none_of_them() {
-        let hook = Arc::new(Hook::default());
-        let (h, dev) = Harness::over(vec![("hook", hook.clone())]);
-        let mut ctx = Ctx::new();
-        write_file(&h, &mut ctx, "/x", 0xA1, 4 * FS_BLOCK);
-        let old = blocks_of(h.labfs().as_ref(), "/x");
-        assert!(h.unlink(&mut ctx, "/x").is_ok());
-        let y = ino_of(h.create(&mut ctx, "/y"));
-        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
-        hook.1.store(true, Ordering::SeqCst);
-        assert!(!h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
-        hook.1.store(false, Ordering::SeqCst);
-        assert_eq!(h.size(&mut ctx, "/y"), Some(0));
-        assert_eq!(blocks_of(h.labfs().as_ref(), "/y"), Vec::<u64>::new());
-        assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
-        let crashed = LabFs::new(dev, 4);
-        assert!(crashed.replay_from_device().is_clean());
-        assert_eq!(blocks_of(&crashed, "/y"), Vec::<u64>::new());
-        assert!(h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
-        assert_eq!(blocks_of(h.labfs().as_ref(), "/y"), old, "/x's blocks");
-        assert_file(&h, &mut ctx, y, 0xB2, 4 * FS_BLOCK);
+    fn a_refused_write_maps_none_of_its_blocks() {
+        for recycled in [true, false] {
+            let hook = Arc::new(Hook::default());
+            let (h, dev) = Harness::over(vec![("hook", hook.clone())]);
+            let labfs = h.labfs();
+            let fs = labfs.as_any().downcast_ref::<LabFs>().unwrap();
+            let mut ctx = Ctx::new();
+            let mut old = Vec::new();
+            if recycled {
+                write_file(&h, &mut ctx, "/x", 0xA1, 4 * FS_BLOCK);
+                old = blocks_of(labfs.as_ref(), "/x");
+                assert!(h.unlink(&mut ctx, "/x").is_ok());
+            }
+            let y = ino_of(h.create(&mut ctx, "/y"));
+            assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
+            let free = fs.store.free_units();
+            hook.1.store(true, Ordering::SeqCst);
+            assert!(!h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
+            hook.1.store(false, Ordering::SeqCst);
+            assert_eq!(h.size(&mut ctx, "/y"), Some(0), "recycled: {recycled}");
+            assert_eq!(blocks_of(labfs.as_ref(), "/y"), Vec::<u64>::new());
+            assert_eq!(fs.store.free_units(), free, "recycled: {recycled}");
+            assert!(h.fs(&mut ctx, FsOp::Fsync { ino: y }).is_ok());
+            let crashed = LabFs::new(dev, 4);
+            assert!(crashed.replay_from_device().is_clean());
+            assert_eq!(blocks_of(&crashed, "/y"), Vec::<u64>::new());
+            assert!(h.write(&mut ctx, y, vec![0xB2; 4 * FS_BLOCK]).is_ok());
+            if recycled {
+                assert_eq!(blocks_of(labfs.as_ref(), "/y"), old, "/x's blocks");
+            }
+            assert_file(&h, &mut ctx, y, 0xB2, 4 * FS_BLOCK);
+        }
     }
 
     /// A write onto recycled blocks logs its records after its data, and

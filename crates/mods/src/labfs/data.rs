@@ -58,13 +58,13 @@ impl Source {
 
 impl LabFs {
     /// Map `[offset, offset+len)` of `ino` to device blocks, allocating
-    /// as needed (a write's metadata half), and log the records made,
-    /// whose `MapBlock`s name the freshly mapped pages. Unless a recycled
-    /// block backs one of them: such a block holds another file's bytes
-    /// until the write lands, so the [`Mapping`] stays locked, and the
-    /// caller logs the records, or takes them back, once its data
-    /// commands are done ([`LabFs::settle`]). Until then no other
-    /// operation on the inode reads the pages, and no frame maps them.
+    /// as needed (a write's metadata half). The records made — a
+    /// `MapBlock` per page backed, a `SetSize` when it grows — are not
+    /// logged yet: a block, fresh or recycled, holds what it held before
+    /// until the write lands. The [`Mapping`] keeps them locked, and the
+    /// caller logs them, or takes them back, once its data commands are
+    /// done ([`LabFs::settle`]). Until then no other operation on the inode
+    /// sees them, and no frame maps the blocks.
     ///
     /// A write that starts past an end of file lying inside a mapped page
     /// first zeroes that page from the old end on: what a crash left there
@@ -79,27 +79,14 @@ impl LabFs {
         offset: u64,
         len: usize,
     ) -> Result<Mapping<'_>, RespPayload> {
-        let mut reused = false;
-        let alloc = |goal| {
-            let (block, again) = self.store.alloc_run(ctx, req.core, 1, goal)?;
-            reused |= again;
-            Some(block)
-        };
-        let mut mapping = self.store.state.map_pages(
+        let alloc = |goal| self.store.alloc_run(ctx, req.core, 1, goal);
+        let mapping = self.store.state.map_pages(
             &self.store.pins,
             ino,
             (offset, len),
             req.creds.uid,
             alloc,
         )?;
-        // Log only what changed: new mappings and growth, in the order
-        // `map_pages` applied them, before another apply on the inode.
-        if !reused {
-            for rec in &mapping.recs {
-                self.store.log_applied(ctx, req.core, rec);
-            }
-            mapping.unlock();
-        }
         if let Some((block, keep)) = mapping.stale {
             let r = self.patch_page(ctx, env, req, Some(block), block, |p| p[keep..].fill(0));
             if !r.is_ok() {
@@ -109,11 +96,12 @@ impl LabFs {
         Ok(mapping)
     }
 
-    /// End a write whose `mapping` may still be locked, with `resp` what
-    /// its data commands answered. A locked mapping's records are logged
-    /// now that its bytes are down; if they are not, it is taken back and
-    /// its blocks go back to the allocator, so no page maps a block that
-    /// still holds another file's bytes. Returns `resp`.
+    /// End the operation that made `mapping`, with `resp` what its data
+    /// commands answered. Its records are logged now that its bytes are
+    /// down, in the order `map_pages` applied them and before another
+    /// apply on the inode; if the bytes are not down, the records are
+    /// taken back and their blocks go back to the allocator, so no page
+    /// maps a block that does not hold its bytes. Returns `resp`.
     fn settle(
         &self,
         ctx: &mut Ctx,
@@ -121,16 +109,12 @@ impl LabFs {
         mut mapping: Mapping<'_>,
         resp: RespPayload,
     ) -> RespPayload {
-        if !mapping.locked() {
-            return resp;
-        }
         if resp.is_ok() {
             for rec in &mapping.recs {
                 self.store.log_applied(ctx, req.core, rec);
             }
         } else {
-            let blocks = mapping.undo();
-            self.store.unalloc(req.core, &blocks);
+            self.store.unalloc(req.core, mapping.undo());
         }
         resp
     }
@@ -187,7 +171,7 @@ impl LabFs {
         if size > old {
             drop(pin);
             return match self.map_range(ctx, env, req, ino, size, 0) {
-                Ok(_) => RespPayload::Ok,
+                Ok(mapping) => self.settle(ctx, req, mapping, RespPayload::Ok),
                 Err(e) => e,
             };
         }
@@ -195,7 +179,7 @@ impl LabFs {
         let copy = match tail.first().filter(|_| size < old && keep != 0) {
             None => None,
             Some(run) => {
-                let Some((fresh, _)) = self.store.alloc_run(ctx, req.core, 1, None) else {
+                let Some(fresh) = self.store.alloc_run(ctx, req.core, 1, None) else {
                     return RespPayload::Err("no space".into());
                 };
                 let r =
@@ -229,8 +213,8 @@ impl LabFs {
     /// that is the whole `Vec` moves it, any other is assembled once and
     /// zero-padded. Every other page is patched (`patch_page`): from
     /// zeroes when it is fresh, else from its block, so neighbouring
-    /// bytes survive. A write onto recycled blocks logs its records after
-    /// its data commands, or takes them back ([`LabFs::map_range`]).
+    /// bytes survive. The write logs its records after its data commands,
+    /// or takes them back ([`LabFs::settle`]).
     pub(super) fn op_write(
         &self,
         ctx: &mut Ctx,

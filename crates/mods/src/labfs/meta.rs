@@ -379,10 +379,11 @@ impl FsNode {
     }
 }
 
-/// A write's pages, backed and mapped by [`Meta::map_pages`] under the
-/// write lock of its inode's shard, which this holds until
-/// [`Mapping::unlock`]: while it does, no other operation on the inode
-/// sees the mapping or changes it, and [`Mapping::undo`] can take it back.
+/// A write's pages, backed and mapped by [`Meta::map_pages`]. When it
+/// applied a record it holds the write lock of its inode's shard until it
+/// drops: no other operation on the inode sees the records or changes
+/// the inode, and [`Mapping::undo`] can take them back. Without one it
+/// holds only the pin on the blocks behind the range.
 pub(super) struct Mapping<'a> {
     /// The records applied, in order: a `MapBlock` per page backed, then
     /// a `SetSize` when the write grows the file.
@@ -400,18 +401,8 @@ pub(super) struct Mapping<'a> {
 }
 
 impl Mapping<'_> {
-    /// Let other operations on the inode in.
-    pub(super) fn unlock(&mut self) {
-        self.shard = None;
-    }
-
-    /// Whether the mapping is still hidden from other operations.
-    pub(super) fn locked(&self) -> bool {
-        self.shard.is_some()
-    }
-
-    /// While still locked, take the mapping back: unmap the pages it
-    /// backed and restore the size. Returns the blocks that backed them.
+    /// Take the records back: unmap the pages they backed and restore the
+    /// size. Returns the blocks that backed them.
     pub(super) fn undo(&mut self) -> Vec<u64> {
         let ino = self.ino;
         let Some(node) = self.shard.as_mut().and_then(|s| s.get_mut(&ino)) else {
@@ -692,8 +683,9 @@ impl Meta {
     /// changes, each asked for at the block after the previous page's, so
     /// a file that grows stays one run — and grow the size to cover the
     /// range. Every change is a record, made by `FsNode::apply` and
-    /// returned for the caller to log, in the [`Mapping`] that still holds
-    /// the lock and, in `pins`, pins the blocks behind the range.
+    /// returned for the caller to log, in the [`Mapping`] that pins the
+    /// blocks behind the range in `pins` and, exactly when it applied a
+    /// record, keeps the lock until the caller has logged or undone it.
     pub(super) fn map_pages<'a>(
         &'a self,
         pins: &'a Pins,
@@ -758,13 +750,15 @@ impl Meta {
         node.last_writer = writer;
         let stale_block = stale.map(|(block, _)| block..block + 1);
         let _pin = pins.pin(runs.iter().map(Run::blocks).chain(stale_block));
+        // A pure overwrite lets go now: its pin keeps its blocks.
+        let shard = (!recs.is_empty()).then_some(shard);
         Ok(Mapping {
             recs,
             runs,
             stale,
             ino,
             old,
-            shard: Some(shard),
+            shard,
             _pin,
         })
     }

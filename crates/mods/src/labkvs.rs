@@ -231,8 +231,9 @@ impl LabKvs {
     /// Store a `len`-byte value: carve its extent from the originating
     /// worker's allocator shard, forward the write(s) `writes` builds for
     /// that extent, then record the put in the log and key map, which
-    /// frees the extent of the value it replaces. A zero-length value
-    /// allocates nothing and touches no device.
+    /// frees the extent of the value it replaces — no record names the
+    /// extent before its bytes are down, and a refused write gives it
+    /// back. A zero-length value allocates nothing and touches no device.
     fn put_extent(
         &self,
         ctx: &mut Ctx,
@@ -245,14 +246,16 @@ impl LabKvs {
         ctx.advance(KV_CPU_NS);
         let mut lba = 0;
         if len > 0 {
-            let Some((first, _)) = self.store.alloc_run(ctx, req.core, sectors_for(len), None)
-            else {
+            let sectors = sectors_for(len);
+            let Some(first) = self.store.alloc_run(ctx, req.core, sectors, None) else {
                 return RespPayload::Err("no space".into());
             };
             lba = first;
             for op in writes(lba).into_iter().flatten() {
                 let r = env.forward(ctx, req.derive(Payload::Block(op)));
                 if !r.is_ok() {
+                    // No record names the extent: it goes straight back.
+                    self.store.unalloc(req.core, lba..lba + sectors);
                     return r;
                 }
             }
@@ -921,6 +924,31 @@ mod tests {
         assert_value(&rig.0, &rig.1, &mut ctx, "a", &a1);
         assert_value(&rig.0, &rig.1, &mut ctx, "b", &b);
         assert_value(&rig.0, &rig.1, &mut ctx, "a", &a2);
+    }
+
+    /// A put whose write the stack refuses gives its extent back: the
+    /// allocator holds as many free units as before, the key is not
+    /// stored, and the next put of it succeeds.
+    #[test]
+    fn a_refused_put_gives_its_extent_back() {
+        let hook = Arc::new(Hook::default());
+        let (mm, stack, _dev) = setup_over(vec![("hook", hook.clone())]);
+        let kv = labkvs(&mm);
+        let kv = kv.as_any().downcast_ref::<LabKvs>().unwrap();
+        let mut ctx = Ctx::new();
+        let value = vec![0xA1u8; 1024];
+        let free = kv.store.free_units();
+        hook.1.store(true, std::sync::atomic::Ordering::SeqCst);
+        let put_a = KvsOp::Put {
+            key: "a".into(),
+            value: value.clone(),
+        };
+        assert!(!exec(&mm, &stack, Payload::Kvs(put_a), &mut ctx).is_ok());
+        hook.1.store(false, std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(kv.store.free_units(), free);
+        assert_eq!(loc_of(&mm, "a"), None);
+        put(&mm, &stack, &mut ctx, "a", &value);
+        assert_value(&mm, &stack, &mut ctx, "a", &value);
     }
 
     /// Replacing puts over a fixed key set, made durable now and then,

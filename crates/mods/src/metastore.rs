@@ -244,18 +244,19 @@ impl<S: StateMachine> MetaStore<S> {
     }
 
     /// `n` contiguous units from the allocator shard of the worker on
-    /// `core` (stealing when dry), from `goal` on when it has them free:
-    /// `(first, reused)`, where `reused` says the units were recycled
-    /// ([`BlockAllocator::take`]). `None` when no shard holds such a run.
+    /// `core` (stealing when dry), from `goal` on when it has them free
+    /// ([`BlockAllocator::alloc_run`]). Fresh or recycled, they read as
+    /// what they held before: no record may name them before the caller's
+    /// bytes are down. `None` when no shard holds such a run.
     pub(crate) fn alloc_run(
         &self,
         ctx: &mut Ctx,
         core: usize,
         n: u64,
         goal: Option<u64>,
-    ) -> Option<(u64, bool)> {
+    ) -> Option<u64> {
         ctx.advance(ALLOC_NS);
-        self.allocator.take(core, n, goal)
+        self.allocator.alloc_run(core, n, goal)
     }
 
     /// The one way a live operation changes metadata: apply `rec`, then
@@ -334,9 +335,9 @@ impl<S: StateMachine> MetaStore<S> {
     }
 
     /// Give back units `alloc_run` handed out on `core` that no record
-    /// names: a write that failed before anything saw its mapping.
-    pub(crate) fn unalloc(&self, core: usize, units: &[u64]) {
-        for &unit in units {
+    /// names: a LabFS write or LabKVS put whose data commands failed.
+    pub(crate) fn unalloc(&self, core: usize, units: impl IntoIterator<Item = u64>) {
+        for unit in units {
             self.allocator.free(core, unit, 1);
         }
     }
@@ -574,7 +575,7 @@ mod tests {
 
     /// Allocate a unit on `core` and insert it.
     fn insert_fresh(store: &MetaStore<Set>, ctx: &mut Ctx, core: usize) -> u64 {
-        let (unit, _) = store.alloc_run(ctx, core, 1, None).expect("space");
+        let unit = store.alloc_run(ctx, core, 1, None).expect("space");
         assert!(commit(store, ctx, core, Op::Insert(unit)));
         unit
     }
@@ -638,7 +639,7 @@ mod tests {
         // A fresh allocator starts where the old one did: without the
         // reserve, `a` is the first unit worker 0 hands out again.
         for core in [0, 1, 0, 1] {
-            let (unit, _) = fresh.alloc_run(&mut ctx, core, 1, None).unwrap();
+            let unit = fresh.alloc_run(&mut ctx, core, 1, None).unwrap();
             assert!(
                 ![a, b, c].contains(&unit),
                 "unit {unit} is named by the log"
@@ -655,10 +656,10 @@ mod tests {
         s.sync(&mut ctx).unwrap();
         assert!(commit(&s, &mut ctx, 0, Op::Remove(a)));
         // The removal is still in memory: a crash would bring `a` back.
-        let (b, reused) = s.alloc_run(&mut ctx, 0, 1, None).unwrap();
-        assert!(b != a && !reused);
+        let b = s.alloc_run(&mut ctx, 0, 1, None).unwrap();
+        assert_eq!(b, a + 1);
         s.sync(&mut ctx).unwrap();
-        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some((a, true)));
+        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some(a));
         // What still waits when a replay comes stays taken: the frame it
         // waits for may be the one the crash lost.
         assert!(commit(&s, &mut ctx, 0, Op::Insert(a)));
@@ -666,8 +667,8 @@ mod tests {
         s.replay();
         s.sync(&mut ctx).unwrap();
         for core in [0, 1, 0, 1] {
-            let (unit, reused) = s.alloc_run(&mut ctx, core, 1, None).unwrap();
-            assert!(unit != a && !reused);
+            let unit = s.alloc_run(&mut ctx, core, 1, None).unwrap();
+            assert_ne!(unit, a);
         }
     }
 
@@ -678,7 +679,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let a = insert_fresh(&s, &mut ctx, 0);
         // `b` is in another pin region than `a`.
-        let (b, _) = s
+        let b = s
             .alloc_run(&mut ctx, 0, 1, Some(a + PIN_REGION_UNITS))
             .unwrap();
         assert!(commit(&s, &mut ctx, 0, Op::Insert(b)));
@@ -688,12 +689,12 @@ mod tests {
         assert!(commit(&s, &mut ctx, 0, Op::Remove(b)));
         s.sync(&mut ctx).unwrap();
         // Durable, but a lookup still holds `a`, and `b` waits behind it.
-        let (c, reused) = s.alloc_run(&mut ctx, 0, 1, None).unwrap();
-        assert!(![a, b].contains(&c) && !reused);
+        let c = s.alloc_run(&mut ctx, 0, 1, None).unwrap();
+        assert_eq!(c, b + 1, "off the cursor");
         drop(pin);
         s.sync(&mut ctx).unwrap();
-        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some((a, true)));
-        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some((b, true)));
+        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some(a));
+        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some(b));
     }
 
     #[test]

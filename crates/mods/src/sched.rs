@@ -28,6 +28,11 @@ const LAB_SCHED_NS: u64 = 850;
 /// Request size at or below which blk-switch treats a request as
 /// latency-sensitive.
 const LATENCY_SIZE_BYTES: usize = 16 * 1024;
+/// Hardware queues Lab-NoOp keys requests over.
+const NOOP_QUEUES: usize = 32;
+/// Queue depth past which Lab-Blk steers a latency request away from its
+/// home queue.
+const CONGESTION_THRESHOLD: usize = 64;
 
 /// Whether `req` is a `Discard`: the driver answers it with no command,
 /// so there is no queue to pick and nothing to charge; both schedulers
@@ -36,19 +41,9 @@ fn is_discard(req: &Request) -> bool {
     matches!(req.payload, Payload::Block(BlockOp::Discard { .. }))
 }
 
-/// Lab-NoOp: map to a hardware queue by originating core.
-pub(crate) struct NoopSchedMod {
-    queues: usize,
-}
-
-impl NoopSchedMod {
-    /// Schedule across `queues` hardware queues.
-    pub(crate) fn new(queues: usize) -> Self {
-        NoopSchedMod {
-            queues: queues.max(1),
-        }
-    }
-}
+/// Lab-NoOp: map to one of [`NOOP_QUEUES`] hardware queues by
+/// originating core.
+pub(crate) struct NoopSchedMod;
 
 // labmod-default-ok: scheduling decisions are per-request and the queue-pressure history is advisory; a fresh instance re-learns it, so defaults are safe
 impl LabMod for NoopSchedMod {
@@ -65,7 +60,7 @@ impl LabMod for NoopSchedMod {
             return env.forward(ctx, req);
         }
         ctx.advance(LAB_SCHED_NS);
-        req.qid_hint = Some(req.core % self.queues);
+        req.qid_hint = Some(req.core % NOOP_QUEUES);
         env.forward(ctx, req)
     }
 
@@ -88,9 +83,9 @@ pub(crate) struct BlkSwitchSchedMod {
 
 impl BlkSwitchSchedMod {
     /// Steer over `dev`'s hardware queues.
-    pub(crate) fn new(dev: Arc<SimDevice>, congestion_threshold: usize) -> Self {
+    pub(crate) fn new(dev: Arc<SimDevice>) -> Self {
         BlkSwitchSchedMod {
-            sched: BlkSwitchSched::new(dev.num_queues(), congestion_threshold),
+            sched: BlkSwitchSched::new(dev.num_queues(), CONGESTION_THRESHOLD),
             dev,
         }
     }
@@ -135,23 +130,16 @@ impl LabMod for BlkSwitchSchedMod {
     }
 }
 
-/// Register scheduler factories.
-///
-/// * `noop_sched` params: `{"queues": <n>}` (default 32).
-/// * `blk_switch_sched` params: `{"device": "<name>",
-///   "congestion_threshold": <n>}` (default 64).
+/// Register the `noop_sched` factory (no params).
 pub(crate) fn install(mm: &ModuleManager) {
     mm.register_factory(
         "noop_sched",
-        Arc::new(|params| {
-            let queues = params.get("queues").and_then(|v| v.as_u64()).unwrap_or(32) as usize;
-            Arc::new(NoopSchedMod::new(queues)) as Arc<dyn LabMod>
-        }),
+        Arc::new(|_params| Arc::new(NoopSchedMod) as Arc<dyn LabMod>),
     );
 }
 
 /// Blk-switch needs device visibility; registered separately with the
-/// registry in scope.
+/// registry in scope. Params: `{"device": "<name>"}`.
 pub(crate) fn install_blk_switch(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
     let reg = devices.clone();
     mm.register_factory(
@@ -161,11 +149,7 @@ pub(crate) fn install_blk_switch(mm: &ModuleManager, devices: &Arc<DeviceRegistr
             let dev = reg
                 .block(&name)
                 .unwrap_or_else(|| panic!("no block device '{name}'"));
-            let threshold = params
-                .get("congestion_threshold")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(64) as usize;
-            Arc::new(BlkSwitchSchedMod::new(dev, threshold)) as Arc<dyn LabMod>
+            Arc::new(BlkSwitchSchedMod::new(dev)) as Arc<dyn LabMod>
         }),
     );
 }
@@ -274,7 +258,7 @@ mod tests {
     fn noop_maps_by_core() {
         let mm = ModuleManager::new();
         install(&mm);
-        mm.instantiate("n", "noop_sched", &serde_json::json!({"queues": 8}))
+        mm.instantiate("n", "noop_sched", &serde_json::json!({}))
             .unwrap();
         let mut req = Request::new(
             1,
@@ -285,8 +269,8 @@ mod tests {
             }),
             Credentials::ROOT,
         );
-        req.core = 11;
-        assert_eq!(run_sched(&mm, "n", req), 11 % 8);
+        req.core = 43;
+        assert_eq!(run_sched(&mm, "n", req), 43 % NOOP_QUEUES);
     }
 
     #[test]

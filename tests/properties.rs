@@ -141,7 +141,7 @@ proptest! {
                 prop_assert_eq!(a.free_blocks(), before);
                 continue;
             }
-            match a.alloc_run(w, 1) {
+            match a.alloc_run(w, 1, None) {
                 Some(b) => {
                     prop_assert!(b < total, "block {} out of range", b);
                     prop_assert!(seen.insert(b), "block {} allocated twice", b);
@@ -169,7 +169,7 @@ proptest! {
         for (w, n) in picks {
             // `None` means no shard holds `n` contiguous units any more;
             // a later, shorter run may still fit.
-            if let Some(first) = a.alloc_run(w, n) {
+            if let Some(first) = a.alloc_run(w, n, None) {
                 prop_assert!(first + n <= total, "run past the end");
                 runs.push((first, first + n));
             }
