@@ -3,10 +3,13 @@
 //! steal from one another if more space is needed." LabKVS carves its
 //! value extents from the same allocator, in sectors.
 //!
-//! Each shard hands out units from a bump range and from a free list of
-//! units given back (`BlockAllocator::free`), the free list first. The
-//! engine gives a unit back only once the record that freed it is
-//! durable and the stack below has let it go (DESIGN.md §12).
+//! Each shard keeps its free units in one tree of runs, seeded with its
+//! share of the range. Everything moves free space as runs: a unit given
+//! back (`BlockAllocator::free`) joins the runs it touches, a steal moves
+//! the tail of another shard's highest run, and a replay's `reserve`
+//! takes out exactly the units a record names. The engine gives a unit
+//! back only once the record that freed it is durable and the stack
+//! below has let it go (DESIGN.md §12).
 
 use parking_lot::Mutex;
 
@@ -246,31 +249,17 @@ impl RunTree {
             Some(run)
         })
     }
-
-    /// Remove every run, keeping the slots.
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.spare.clear();
-        self.root = NIL;
-        self.units = 0;
-    }
 }
 
+/// A worker's free units: its share of the range at first, then what it
+/// was given back or stole, as runs none touching the next.
 struct AllocShard {
-    next: u64,
-    end: u64,
-    /// Units given back, as runs none touching the next.
     free: RunTree,
 }
 
 impl AllocShard {
-    /// `[goal, goal + n)` out of the free list or off the bump cursor,
-    /// when all of it is there. O(log n).
+    /// `[goal, goal + n)`, when all of it is free. O(log n).
     fn take_at(&mut self, goal: u64, n: u64) -> Option<u64> {
-        if goal == self.next && self.end - self.next >= n {
-            self.next += n;
-            return Some(goal);
-        }
         let (first, len) = self.free.around(goal + 1).0?;
         if goal + n > first + len {
             return None;
@@ -290,6 +279,22 @@ impl AllocShard {
         let (first, len) = self.free.runs().find(|&(_, len)| len >= n)?;
         self.carve(first, len, first, n);
         Some(first)
+    }
+
+    /// Take every free unit of `[start, end)` out, whatever runs they lie
+    /// in. O(log n) per run it cuts.
+    fn take_out(&mut self, start: u64, end: u64) {
+        let mut at = start;
+        while at < end {
+            let (first, len) = match self.free.around(at + 1) {
+                (Some((first, len)), _) if first + len > at => (first, len),
+                (_, Some(run)) if run.0 < end => run,
+                _ => return,
+            };
+            let (from, to) = (first.max(at), (first + len).min(end));
+            self.carve(first, len, from, to - from);
+            at = to;
+        }
     }
 
     /// Remove `[at, at + n)`, which lies inside free run `first → len`.
@@ -324,10 +329,6 @@ impl AllocShard {
             (None, None) => self.free.insert(first, n),
         }
     }
-
-    fn available(&self) -> u64 {
-        self.end - self.next + self.free.units
-    }
 }
 
 /// The per-worker allocator with stealing. It hands out *units*: LabFS
@@ -341,148 +342,112 @@ pub struct BlockAllocator {
 impl BlockAllocator {
     /// Divide `[start, end)` units evenly across `workers` shards.
     pub fn new(start: u64, end: u64, workers: usize, steal_batch: u64) -> Self {
-        let workers = workers.max(1);
-        let per = (end - start) / workers as u64;
+        let workers = workers.max(1) as u64;
+        let per = (end - start) / workers;
+        let shard = |w: u64| {
+            let from = start + w * per;
+            let to = if w == workers - 1 { end } else { from + per };
+            let mut shard = AllocShard {
+                free: RunTree::default(),
+            };
+            if from < to {
+                shard.give(from, to - from);
+            }
+            Mutex::new(shard)
+        };
         BlockAllocator {
-            shards: (0..workers as u64)
-                .map(|w| {
-                    Mutex::new(AllocShard {
-                        next: start + w * per,
-                        end: if w == workers as u64 - 1 {
-                            end
-                        } else {
-                            start + (w + 1) * per
-                        },
-                        free: RunTree::default(),
-                    })
-                })
-                .collect(),
+            shards: (0..workers).map(shard).collect(),
             steal_batch: steal_batch.max(1),
         }
     }
 
     /// Allocate `n` contiguous units from `worker`'s shard and return the
     /// first: `[goal, goal + n)` when the shard holds it free (a file that
-    /// grows stays one run, as ext4's goal block keeps it), else first fit
-    /// from the units given back, else off the bump cursor. A shard that
-    /// cannot fit the run replaces its range with a batch stolen from the
-    /// tail of the richest other shard; the fewer than `n` units it still
-    /// held are not handed out again (none when `n` is 1). Last come the
-    /// units given back to other shards. `None` when no shard holds `n`
-    /// contiguous units.
+    /// grows stays one run, as ext4's goal block keeps it), else first
+    /// fit. A shard that cannot fit the run steals a batch from the tail
+    /// of the richest other shard's highest run; last come the other
+    /// shards' runs, first fit. `None` when no shard holds `n` contiguous
+    /// units.
     pub fn alloc_run(&self, worker: usize, n: u64, goal: Option<u64>) -> Option<u64> {
         let w = worker % self.shards.len();
-        {
+        let mine = {
             let mut shard = self.shards[w].lock();
-            if let Some(first) = goal.and_then(|goal| shard.take_at(goal, n)) {
-                return Some(first);
-            }
-            if let Some(first) = shard.take_free(n) {
-                return Some(first);
-            }
-            if shard.end - shard.next >= n {
-                let first = shard.next;
-                shard.next += n;
-                return Some(first);
-            }
-        }
-        if let Some(first) = self.steal(w, n) {
-            return Some(first);
-        }
-        (0..self.shards.len())
-            .filter(|&v| v != w)
-            .find_map(|v| self.shards[v].lock().take_free(n))
+            goal.and_then(|goal| shard.take_at(goal, n))
+                .or_else(|| shard.take_free(n))
+        };
+        mine.or_else(|| self.steal(w, n)).or_else(|| {
+            (0..self.shards.len())
+                .filter(|&v| v != w)
+                .find_map(|v| self.shards[v].lock().take_free(n))
+        })
     }
 
-    /// Replace shard `w`'s range with a batch from the tail of the richest
-    /// other shard's, and take `n` units off its head.
+    /// Carve `steal_batch.max(n)` units (the whole run, if it is shorter)
+    /// off the tail of the richest other shard's highest run, hand out
+    /// their first `n` and give the rest to shard `w`. `None` when that
+    /// run holds fewer than `n`.
     fn steal(&self, w: usize, n: u64) -> Option<u64> {
         let victim = (0..self.shards.len())
             .filter(|&v| v != w)
-            .max_by_key(|&v| {
-                let s = self.shards[v].lock();
-                s.end - s.next
-            })?;
-        let (steal_start, steal_end) = {
+            .max_by_key(|&v| self.shards[v].lock().free.units)?;
+        let (first, take) = {
             let mut s = self.shards[victim].lock();
-            let available = s.end - s.next;
-            if available < n {
+            let (first, len) = s.free.around(u64::MAX).0?;
+            if len < n {
                 return None;
             }
-            let take = self.steal_batch.max(n).min(available);
-            let start = s.end - take;
-            s.end = start;
-            (start, start + take)
+            let take = self.steal_batch.max(n).min(len);
+            s.carve(first, len, first + len - take, take);
+            (first + len - take, take)
         };
-        let mut shard = self.shards[w].lock();
-        shard.next = steal_start + n;
-        shard.end = steal_end;
-        Some(steal_start)
+        if take > n {
+            self.shards[w].lock().give(first + n, take - n);
+        }
+        Some(first)
     }
 
-    /// Give `[first, first + n)` back to `worker`'s shard: its next runs
-    /// come from these units first.
+    /// Give `[first, first + n)` back to `worker`'s shard: it joins the
+    /// runs it touches.
     pub(crate) fn free(&self, worker: usize, first: u64, n: u64) {
         self.shards[worker % self.shards.len()]
             .lock()
             .give(first, n);
     }
 
-    /// Live upgrade: continue from `prev`'s cursors and free lists, so
-    /// nothing `prev` handed out is handed out again. Shards pair up by
-    /// index: see the precondition on `MetaStore::absorb`, its one caller.
+    /// Live upgrade: continue from `prev`'s free runs, so nothing `prev`
+    /// handed out is handed out again. Shards pair up by index: see the
+    /// precondition on `MetaStore::absorb`, its one caller.
     pub(crate) fn absorb(&self, prev: &BlockAllocator) {
         for (mine, theirs) in self.shards.iter().zip(prev.shards.iter()) {
-            let theirs = theirs.lock();
-            let mut mine = mine.lock();
-            (mine.next, mine.end) = (theirs.next, theirs.end);
-            mine.free.clone_from(&theirs.free);
+            mine.lock().free.clone_from(&theirs.lock().free);
         }
     }
 
     /// Recovery: units `[start, end)` are named by a replayed log record;
-    /// make sure no shard's bump range hands any of them out again. A shard that still
-    /// holds part of the range gives up the shorter side of it — for
-    /// records replayed in allocation order that is nothing (the cursor
-    /// moves past the run), and for the first run of a batch that was
-    /// stolen from this shard's tail it is the unused rest of that batch,
-    /// so the leak is at most one steal batch per steal that happened.
+    /// take every one of them out of the shard that holds it free, so
+    /// none is handed out again. Exact, in any order: nothing else leaves.
     pub(crate) fn reserve(&self, start: u64, end: u64) {
         for shard in &self.shards {
-            let mut s = shard.lock();
-            let (from, to) = (start.max(s.next), end.min(s.end));
-            if from >= to {
-                continue;
-            }
-            if from - s.next <= s.end - to {
-                s.next = to;
-            } else {
-                s.end = from;
-            }
+            shard.lock().take_out(start, end);
         }
     }
 
     /// Total free units.
     // api-ok: tests/properties.rs checks no block is lost across decommissions
     pub fn free_blocks(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().available()).sum()
+        self.shards.iter().map(|s| s.lock().free.units).sum()
     }
 
-    /// Decommission worker `w`: its remaining blocks are reassigned to
-    /// running workers ("if the number of workers decreases, free blocks
-    /// of the decommissioned workers are assigned to running workers",
-    /// §III-E). Its free list joins the peer's. Its bump range is one
-    /// contiguous range, so it moves wholesale when a peer can absorb it
-    /// (empty or adjacent); otherwise it stays in place where the steal
-    /// path hands it out — either way every block remains allocatable
-    /// exactly once.
+    /// Decommission worker `w`: its free runs move to the running worker
+    /// that holds the fewest free units ("if the number of workers
+    /// decreases, free blocks of the decommissioned workers are assigned
+    /// to running workers", §III-E), each joined to the runs it touches.
     // api-ok: §III-E worker decommission (tests/properties.rs)
     pub fn decommission(&self, w: usize) {
         let w = w % self.shards.len();
-        let needy = (0..self.shards.len()).filter(|&v| v != w).min_by_key(|&v| {
-            let s = self.shards[v].lock();
-            s.end - s.next
-        });
+        let needy = (0..self.shards.len())
+            .filter(|&v| v != w)
+            .min_by_key(|&v| self.shards[v].lock().free.units);
         let Some(v) = needy else { return };
         // Lock in index order to avoid deadlock with concurrent callers.
         let (mut a, mut b) = if w < v {
@@ -494,31 +459,16 @@ impl BlockAllocator {
             let a = self.shards[w].lock();
             (a, b)
         };
-        let runs: Vec<(u64, u64)> = a.free.runs().collect();
-        a.free.clear();
-        for (first, n) in runs {
+        for (first, n) in std::mem::take(&mut a.free).runs() {
             b.give(first, n);
         }
-        if a.next >= a.end {
-            return; // no range to donate
-        }
-        if b.next >= b.end {
-            // Peer empty: adopt the range wholesale.
-            b.next = a.next;
-            b.end = a.end;
-            a.next = a.end;
-        } else if b.end == a.next {
-            // Adjacent: extend the peer.
-            b.end = a.end;
-            a.next = a.end;
-        }
-        // Non-adjacent, non-empty peer: leave the donor range in place —
-        // the steal path redistributes it on demand.
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     /// Shard `w`'s free list as `(first, n)` runs in order.
@@ -593,13 +543,26 @@ mod tests {
     fn alloc_run_hands_out_contiguous_runs_and_exhausts_cleanly() {
         let a = BlockAllocator::new(0, 64, 2, 16);
         assert_eq!(a.alloc_run(0, 20, None), Some(0));
-        // 12 units left in shard 0: a run of 13 steals max(batch, n).
+        // 12 units left in shard 0: a run of 13 steals max(batch, n), and
+        // the batch's rest, [61, 64), joins shard 0's runs.
         assert_eq!(a.alloc_run(0, 13, None), Some(48));
-        assert_eq!(a.alloc_run(0, 3, None), Some(61));
-        // Shard 0 is dry and shard 1 holds [32, 48): 17 do not fit anywhere.
+        assert_eq!(free_runs(&a, 0), vec![(20, 12), (61, 3)]);
+        // Nothing is stranded: first fit serves the run from before.
+        assert_eq!(a.alloc_run(0, 3, None), Some(20));
+        // Shard 0 holds [23, 32) and [61, 64), shard 1 [32, 48): 17 do
+        // not fit anywhere.
         assert_eq!(a.alloc_run(0, 17, None), None);
         assert_eq!(a.alloc_run(1, 17, None), None);
         assert_eq!(a.alloc_run(1, 16, None), Some(32));
+        // Shard 0's highest run is too short to steal from; its other
+        // run serves first fit.
+        assert_eq!(a.alloc_run(1, 10, None), None);
+        assert_eq!(a.alloc_run(1, 9, None), Some(23));
+        assert_eq!(a.alloc_run(1, 1, None), Some(61));
+        assert_eq!(free_runs(&a, 1), vec![(62, 2)]);
+        assert_eq!(a.alloc_run(0, 3, None), None);
+        assert_eq!(a.alloc_run(0, 2, None), Some(62));
+        assert_eq!(a.free_blocks(), 0, "every unit went out");
         assert_eq!(a.alloc_run(1, 1, None), None);
         assert_eq!(a.alloc_run(0, 1, None), None);
         // One shard, nobody to steal from.
@@ -649,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn units_given_back_go_out_first_fit_before_the_cursor_moves() {
+    fn units_given_back_join_the_free_runs_and_go_out_first_fit() {
         let a = BlockAllocator::new(0, 100, 2, 8);
         let got: Vec<u64> = (0..10).map(|_| a.alloc_run(0, 1, None).unwrap()).collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
@@ -657,21 +620,23 @@ mod tests {
         for (first, n) in [(6, 2), (2, 1), (1, 1), (8, 1), (3, 1)] {
             a.free(0, first, n);
         }
-        assert_eq!(free_runs(&a, 0), vec![(1, 3), (6, 3)]);
+        assert_eq!(free_runs(&a, 0), vec![(1, 3), (6, 3), (10, 40)]);
         assert_eq!(a.free_blocks(), 40 + 6 + 50);
         // First fit: the first run that holds all of it.
         assert_eq!(a.alloc_run(0, 3, None), Some(1));
         assert_eq!(a.alloc_run(0, 1, None), Some(6));
         // A goal inside a run splits it; a goal that is not free is
-        // passed over; the cursor serves a goal at the cursor only.
+        // passed over.
         a.free(0, 1, 3);
         assert_eq!(a.alloc_run(0, 1, Some(2)), Some(2));
-        assert_eq!(free_runs(&a, 0), vec![(1, 1), (3, 1), (7, 2)]);
+        assert_eq!(free_runs(&a, 0), vec![(1, 1), (3, 1), (7, 2), (10, 40)]);
         assert_eq!(a.alloc_run(0, 2, Some(3)), Some(7), "3 holds one unit");
         assert_eq!(a.alloc_run(0, 1, Some(10)), Some(10));
-        assert_eq!(a.alloc_run(0, 1, Some(40)), Some(1));
+        assert_eq!(a.alloc_run(0, 1, Some(40)), Some(40));
+        assert_eq!(free_runs(&a, 0), vec![(1, 1), (3, 1), (11, 29), (41, 9)]);
+        assert_eq!(a.alloc_run(0, 1, None), Some(1));
         assert_eq!(a.alloc_run(0, 1, None), Some(3));
-        assert_eq!(a.alloc_run(0, 1, None), Some(11), "the list is dry");
+        assert_eq!(a.alloc_run(0, 1, None), Some(11));
         // A dry shard reaches the runs another shard was given back.
         let b = BlockAllocator::new(0, 4, 2, 8);
         assert_eq!(b.alloc_run(0, 2, None), Some(0));
@@ -682,7 +647,7 @@ mod tests {
     }
 
     /// What a free list of `units` free units answers, run by run.
-    fn maximal_runs(units: &std::collections::BTreeSet<u64>) -> Vec<(u64, u64)> {
+    fn maximal_runs(units: &BTreeSet<u64>) -> Vec<(u64, u64)> {
         let mut runs: Vec<(u64, u64)> = Vec::new();
         for &u in units {
             match runs.last_mut() {
@@ -703,8 +668,8 @@ mod tests {
         fn the_free_list_matches_a_set_of_units(
             ops in proptest::collection::vec((0u8..3, 0u64..256, 1u64..6), 1..400),
         ) {
-            let mut shard = AllocShard { next: 0, end: 0, free: RunTree::default() };
-            let mut model = std::collections::BTreeSet::new();
+            let mut shard = AllocShard { free: RunTree::default() };
+            let mut model = BTreeSet::new();
             let mut most = 0;
             for (kind, at, n) in ops {
                 match kind {
@@ -733,9 +698,64 @@ mod tests {
                 }
                 let runs: Vec<(u64, u64)> = shard.free.runs().collect();
                 proptest::prop_assert_eq!(&runs, &maximal_runs(&model));
-                proptest::prop_assert_eq!(shard.available(), model.len() as u64);
+                proptest::prop_assert_eq!(shard.free.units, model.len() as u64);
                 most = most.max(runs.len());
                 proptest::prop_assert!(shard.free.nodes.len() <= most + 1);
+            }
+        }
+
+        /// The whole allocator against a set of units handed out: runs
+        /// with and without a goal on any worker, frees, decommissions, a
+        /// live upgrade (`absorb` into a fresh allocator) and a restart
+        /// (`reserve` of every run still out, into a fresh one). No unit
+        /// goes out twice or out of range, and the free count is the
+        /// model's, exactly: a steal strands nothing and a replay leaks
+        /// nothing.
+        #[test]
+        fn the_allocator_matches_a_set_of_units(
+            workers in 3usize..5,
+            batch in 1u64..8,
+            ops in proptest::collection::vec((0u8..6, 0usize..8, 1u64..6, 0u64..96), 1..300),
+        ) {
+            const START: u64 = 16;
+            const END: u64 = 96;
+            let fresh = || BlockAllocator::new(START, END, workers, batch);
+            let mut a = fresh();
+            let mut taken = BTreeSet::new();
+            let mut out: Vec<(u64, u64)> = Vec::new();
+            for (kind, w, n, at) in ops {
+                match kind {
+                    0 | 1 => match a.alloc_run(w, n, (kind == 1).then_some(at)) {
+                        Some(first) => {
+                            proptest::prop_assert!(START <= first && first + n <= END, "run {}+{} out of range", first, n);
+                            for u in first..first + n {
+                                proptest::prop_assert!(taken.insert(u), "unit {} handed out twice", u);
+                            }
+                            out.push((first, n));
+                        }
+                        None => proptest::prop_assert!(n > 1 || taken.len() as u64 == END - START, "one unit refused while some are free"),
+                    },
+                    2 if !out.is_empty() => {
+                        let (first, n) = out.swap_remove(at as usize % out.len());
+                        a.free(w, first, n);
+                        (first..first + n).for_each(|u| { taken.remove(&u); });
+                    }
+                    3 => a.decommission(w),
+                    4 => {
+                        let upgraded = fresh();
+                        upgraded.absorb(&a);
+                        a = upgraded;
+                    }
+                    5 => {
+                        let restarted = fresh();
+                        for &(first, n) in &out {
+                            restarted.reserve(first, first + n);
+                        }
+                        a = restarted;
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(a.free_blocks(), END - START - taken.len() as u64);
             }
         }
     }
@@ -755,7 +775,9 @@ mod tests {
         let before = a.free_blocks();
         a.decommission(0);
         assert_eq!(a.free_blocks(), before);
-        assert_eq!(free_runs(&a, 1), vec![(1, 2), (4, 1)]);
+        // Shard 0's runs join shard 1's: [6, 32) touches [32, 64).
+        assert_eq!(free_runs(&a, 0), vec![]);
+        assert_eq!(free_runs(&a, 1), vec![(1, 2), (4, 1), (6, 58)]);
         assert_eq!(a.alloc_run(1, 1, None), Some(1));
     }
 
@@ -772,17 +794,18 @@ mod tests {
         named.push((first, first + 10));
         assert_eq!(named[2], (184, 189), "the third run opened a stolen batch");
 
-        // Live upgrade: the new instance continues from the old cursors.
+        // Live upgrade: the new instance continues from the old free runs.
         let upgraded = BlockAllocator::new(0, 200, 2, 16);
         upgraded.absorb(&a);
         assert_eq!(upgraded.free_blocks(), a.free_blocks());
-        // Restart: a fresh instance is told what the replayed log names.
+        // Restart: a fresh instance is told what the replayed log names,
+        // in any order.
         let restarted = BlockAllocator::new(0, 200, 2, 16);
-        for &(from, to) in &named {
+        for &(from, to) in named.iter().rev() {
             restarted.reserve(from, to);
         }
-        // Nothing leaks but the unused rest of the stolen batch.
-        assert_eq!(restarted.free_blocks(), a.free_blocks() - 6);
+        // Nothing leaks: the stolen batch's unused rest is free too.
+        assert_eq!(restarted.free_blocks(), a.free_blocks());
         for alloc in [&upgraded, &restarted] {
             for w in [0, 1, 0, 1] {
                 while let Some(b) = alloc.alloc_run(w, 1, None) {

@@ -1543,6 +1543,50 @@ mod tests {
         }
     }
 
+    /// A write that runs out of space part way through its pages maps
+    /// none of them and gives back the blocks it took for those before.
+    #[test]
+    fn a_write_out_of_space_gives_back_the_blocks_it_took() {
+        let (h, _dev) = Harness::new();
+        let labfs = h.labfs();
+        let fs = labfs.as_any().downcast_ref::<LabFs>().unwrap();
+        let mut ctx = Ctx::new();
+        let f = ino_of(h.create(&mut ctx, "/f"));
+        // Take every unit but two.
+        while fs.store.free_units() > 2 {
+            let mut n = fs.store.free_units() - 2;
+            while fs.store.alloc_run(&mut ctx, 0, n, None).is_none() {
+                n = n.div_ceil(2);
+            }
+        }
+        assert!(!h.write(&mut ctx, f, vec![0xC3; 4 * FS_BLOCK]).is_ok());
+        assert_eq!(fs.store.free_units(), 2);
+        assert_eq!(h.size(&mut ctx, "/f"), Some(0));
+        assert!(h.write(&mut ctx, f, vec![0xC3; 2 * FS_BLOCK]).is_ok());
+        assert_eq!(fs.store.free_units(), 0);
+        assert_file(&h, &mut ctx, f, 0xC3, 2 * FS_BLOCK);
+    }
+
+    /// A shrinking truncate whose copy of the tail page the stack refuses
+    /// gives the copy's block back and leaves the file as it was.
+    #[test]
+    fn a_refused_truncate_gives_its_copy_back() {
+        let hook = Arc::new(Hook::default());
+        let (h, _dev) = Harness::over(vec![("hook", hook.clone())]);
+        let labfs = h.labfs();
+        let fs = labfs.as_any().downcast_ref::<LabFs>().unwrap();
+        let mut ctx = Ctx::new();
+        let f = write_file(&h, &mut ctx, "/f", 0xA1, 2 * FS_BLOCK);
+        let free = fs.store.free_units();
+        hook.1.store(true, Ordering::SeqCst);
+        let size = FS_BLOCK as u64 + 100;
+        assert!(!h.fs(&mut ctx, FsOp::Truncate { ino: f, size }).is_ok());
+        hook.1.store(false, Ordering::SeqCst);
+        assert_eq!(fs.store.free_units(), free);
+        assert_eq!(h.size(&mut ctx, "/f"), Some(2 * FS_BLOCK as u64));
+        assert_file(&h, &mut ctx, f, 0xA1, 2 * FS_BLOCK);
+    }
+
     /// A write that the stack refuses maps none of its blocks, recycled
     /// (an unlinked /x's) or fresh, in memory or on the log: the file
     /// reads back as it was, the blocks go back to the allocator, and from

@@ -80,12 +80,14 @@ impl LabFs {
         len: usize,
     ) -> Result<Mapping<'_>, RespPayload> {
         let alloc = |goal| self.store.alloc_run(ctx, req.core, 1, goal);
+        let unalloc = |run| self.store.unalloc(req.core, run);
         let mapping = self.store.state.map_pages(
             &self.store.pins,
             ino,
             (offset, len),
             req.creds.uid,
             alloc,
+            unalloc,
         )?;
         if let Some((block, keep)) = mapping.stale {
             let r = self.patch_page(ctx, env, req, Some(block), block, |p| p[keep..].fill(0));
@@ -114,7 +116,9 @@ impl LabFs {
                 self.store.log_applied(ctx, req.core, rec);
             }
         } else {
-            self.store.unalloc(req.core, mapping.undo());
+            for run in mapping.undo() {
+                self.store.unalloc(req.core, run);
+            }
         }
         resp
     }
@@ -154,7 +158,9 @@ impl LabFs {
     /// maps a range of no bytes at the new end. Shrinking to the middle of
     /// a mapped page remaps that page to a copy zeroed past the new end:
     /// later appends land in the copy, so a crash that loses this
-    /// truncate still finds in the old block what the old size shows.
+    /// truncate still finds in the old block what the old size shows. A
+    /// copy that no record comes to name — the stack refused it, or the
+    /// file was unlinked meanwhile — goes back to the allocator.
     pub(super) fn op_truncate(
         &self,
         ctx: &mut Ctx,
@@ -185,6 +191,7 @@ impl LabFs {
                 let r =
                     self.patch_page(ctx, env, req, Some(run.block), fresh, |p| p[keep..].fill(0));
                 if !r.is_ok() {
+                    self.store.unalloc(req.core, fresh..fresh + 1);
                     return r;
                 }
                 Some(fresh)
@@ -197,8 +204,10 @@ impl LabFs {
             .commit(ctx, env, req, &LogRecord::SetSize { ino, size });
         if let Some(block) = copy {
             let page = size / FS_BLOCK as u64;
-            self.store
-                .commit(ctx, env, req, &LogRecord::MapBlock { ino, page, block });
+            let map = LogRecord::MapBlock { ino, page, block };
+            if !self.store.commit(ctx, env, req, &map) {
+                self.store.unalloc(req.core, block..block + 1);
+            }
         }
         RespPayload::Ok
     }

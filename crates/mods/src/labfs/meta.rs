@@ -232,9 +232,10 @@ impl std::ops::Deref for Runs {
 
 /// A file's page map as runs: sorted by page, disjoint, and each as long
 /// as it can be (no run ends where the next begins, on the block just
-/// before the next one's). Its bump allocator lays a file out in a few
-/// runs, so a lookup is one binary search and a range's answer a few
-/// runs, however many pages it spans.
+/// before the next one's). Each page is allocated at the block after its
+/// predecessor's when that one is free, so a file lies in a few runs, a
+/// lookup is one binary search and a range's answer a few runs, however
+/// many pages it spans. What it unmaps it reports as runs of blocks.
 #[derive(Clone, Default)]
 struct RunMap(Vec<Run>);
 
@@ -272,9 +273,9 @@ impl RunMap {
     }
 
     /// Map `page` to `block`, joining the runs on either side that it
-    /// continues, and return the block it mapped before: a remap splits
-    /// its run around the page.
-    fn map(&mut self, page: u64, block: u64) -> Option<u64> {
+    /// continues, and return the block it mapped before, as a run: a
+    /// remap splits its run around the page.
+    fn map(&mut self, page: u64, block: u64) -> Option<Range<u64>> {
         let old = self.unmap(page);
         let i = self.find(page);
         let pages = 1;
@@ -296,17 +297,18 @@ impl RunMap {
         }
     }
 
-    /// Unmap `page`, splitting its run around it, and return its block.
-    fn unmap(&mut self, page: u64) -> Option<u64> {
+    /// Unmap `page`, splitting its run around it, and return its block,
+    /// as a run.
+    fn unmap(&mut self, page: u64) -> Option<Range<u64>> {
         let i = self.split(page);
         self.split(page + 1);
-        (self.0.get(i)?.page == page).then(|| self.0.remove(i).block)
+        (self.0.get(i)?.page == page).then(|| self.0.remove(i).blocks())
     }
 
-    /// Unmap every page from `keep` on and push their blocks onto `freed`.
-    fn cut(&mut self, keep: u64, freed: &mut Vec<u64>) {
+    /// Unmap every page from `keep` on and return their blocks.
+    fn cut(&mut self, keep: u64) -> Vec<Range<u64>> {
         let i = self.split(keep);
-        freed.extend(self.0.drain(i..).flat_map(|r| r.blocks()));
+        self.0.drain(i..).map(|r| r.blocks()).collect()
     }
 
     /// Cut the run that holds `page` past its first page in two, so that
@@ -324,11 +326,6 @@ impl RunMap {
             }
             _ => i,
         }
-    }
-
-    /// Every block the map holds, in page order.
-    fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0.iter().flat_map(Run::blocks)
     }
 
     /// Every `(page, block)`, in page order.
@@ -351,20 +348,21 @@ struct FsNode {
 }
 
 impl FsNode {
-    /// Apply a node-level record and return the blocks it unmapped. A
-    /// `SetSize` that shrinks the file cuts the runs past the new end, so
-    /// a later write there starts from a fresh block; one that grows it
-    /// touches no mapping. A `MapBlock` joins the run it continues (an
-    /// append's page extends the last run); over a mapped page (a
-    /// truncate's remap of its tail) it splits that page's run and
+    /// Apply a node-level record and return the runs of blocks it
+    /// unmapped. A `SetSize` that shrinks the file cuts the runs past the
+    /// new end, so a later write there starts from a fresh block; one that
+    /// grows it touches no mapping. A `MapBlock` joins the run it
+    /// continues (an append's page extends the last run); over a mapped
+    /// page (a truncate's remap of its tail) it splits that page's run and
     /// unmaps the old block.
-    fn apply(&mut self, rec: &LogRecord) -> Vec<u64> {
+    fn apply(&mut self, rec: &LogRecord) -> Vec<Range<u64>> {
         match *rec {
             LogRecord::SetSize { size, .. } => {
-                let mut freed = Vec::new();
-                if size < self.stat.size {
-                    self.blocks.cut(size.div_ceil(FS_BLOCK as u64), &mut freed);
-                }
+                let freed = if size < self.stat.size {
+                    self.blocks.cut(size.div_ceil(FS_BLOCK as u64))
+                } else {
+                    Vec::new()
+                };
                 self.stat.size = size;
                 freed
             }
@@ -402,8 +400,8 @@ pub(super) struct Mapping<'a> {
 
 impl Mapping<'_> {
     /// Take the records back: unmap the pages they backed and restore the
-    /// size. Returns the blocks that backed them.
-    pub(super) fn undo(&mut self) -> Vec<u64> {
+    /// size. Returns the runs of blocks that backed them.
+    pub(super) fn undo(&mut self) -> Vec<Range<u64>> {
         let ino = self.ino;
         let Some(node) = self.shard.as_mut().and_then(|s| s.get_mut(&ino)) else {
             return Vec::new();
@@ -509,7 +507,7 @@ impl StateMachine for Meta {
     /// the device blocks no page maps any more: an unlinked or renamed-
     /// over inode's, a shrunk file's tail, a remapped page's old block.
     fn apply(&self, rec: &LogRecord) -> Option<Unnamed> {
-        self.apply_record(rec).map(Unnamed::Units)
+        self.apply_record(rec).map(Unnamed::Runs)
     }
 
     /// `next_ino` is not rewound: a number this instance handed out is
@@ -533,9 +531,9 @@ impl StateMachine for Meta {
 }
 
 impl Meta {
-    /// [`StateMachine::apply`]'s change: the blocks no page maps any more
-    /// in `Some`.
-    fn apply_record(&self, rec: &LogRecord) -> Option<Vec<u64>> {
+    /// [`StateMachine::apply`]'s change: the runs of blocks no page maps
+    /// any more in `Some`.
+    fn apply_record(&self, rec: &LogRecord) -> Option<Vec<Range<u64>>> {
         match rec {
             LogRecord::Create {
                 path,
@@ -599,7 +597,7 @@ impl Meta {
     /// directory to go in or is a directory with names under it, or if
     /// `to` lies under `from` (EINVAL: the moved directory would hang
     /// under itself, cut off from the root).
-    fn rename_in_maps(&self, from: &str, to: &str) -> Option<Vec<u64>> {
+    fn rename_in_maps(&self, from: &str, to: &str) -> Option<Vec<Range<u64>>> {
         let mut names = self.lock_names(|_| true);
         let ino = names.get(from)?;
         if from == to {
@@ -637,10 +635,10 @@ impl Meta {
     }
 
     /// Remove inode `ino`, which no name maps any more, and return the
-    /// blocks its pages mapped.
-    fn drop_node(&self, ino: u64) -> Vec<u64> {
+    /// runs of blocks its pages mapped.
+    fn drop_node(&self, ino: u64) -> Vec<Range<u64>> {
         let node = self.node_shard(ino).write().remove(&ino);
-        node.map_or_else(Vec::new, |n| n.blocks.blocks().collect())
+        node.map_or_else(Vec::new, |mut n| n.blocks.cut(0))
     }
 
     /// Write-lock the name shards whose index `want` picks, in index
@@ -681,11 +679,12 @@ impl Meta {
     /// shard, back every page of `[offset, offset + len)` with a block —
     /// `alloc` supplies the missing ones, all of them before anything
     /// changes, each asked for at the block after the previous page's, so
-    /// a file that grows stays one run — and grow the size to cover the
-    /// range. Every change is a record, made by `FsNode::apply` and
-    /// returned for the caller to log, in the [`Mapping`] that pins the
-    /// blocks behind the range in `pins` and, exactly when it applied a
-    /// record, keeps the lock until the caller has logged or undone it.
+    /// a file that grows stays one run; if it runs dry, the blocks it gave
+    /// go to `unalloc` — and grow the size to cover the range. Every
+    /// change is a record, made by `FsNode::apply` and returned for the
+    /// caller to log, in the [`Mapping`] that pins the blocks behind the
+    /// range in `pins` and, exactly when it applied a record, keeps the
+    /// lock until the caller has logged or undone it.
     pub(super) fn map_pages<'a>(
         &'a self,
         pins: &'a Pins,
@@ -693,6 +692,7 @@ impl Meta {
         (offset, len): (u64, usize),
         writer: u32,
         mut alloc: impl FnMut(Option<u64>) -> Option<u64>,
+        mut unalloc: impl FnMut(Range<u64>),
     ) -> Result<Mapping<'a>, RespPayload> {
         let mut shard = self.node_shard(ino).write();
         let Some(node) = shard.get_mut(&ino) else {
@@ -727,6 +727,11 @@ impl Meta {
                     goal = before.map(|b| b + 1);
                 }
                 let Some(block) = alloc(goal) else {
+                    for rec in &recs {
+                        if let LogRecord::MapBlock { block, .. } = *rec {
+                            unalloc(block..block + 1);
+                        }
+                    }
                     return Err(RespPayload::Err("no space".into()));
                 };
                 recs.push(LogRecord::MapBlock { ino, page, block });
@@ -1027,7 +1032,8 @@ mod tests {
             prop_assert!(meta.apply_record(&create()).is_some());
             for op in &ops {
                 for rec in records(op, &mut next) {
-                    let mut freed = meta.apply_record(&rec).expect("the file exists");
+                    let freed = meta.apply_record(&rec).expect("the file exists");
+                    let mut freed: Vec<u64> = freed.into_iter().flatten().collect();
                     let mut want = model.apply(&rec);
                     freed.sort_unstable();
                     want.sort_unstable();
@@ -1041,6 +1047,10 @@ mod tests {
     #[test]
     fn a_remap_splits_one_run_into_three() {
         let meta = Meta::new(1);
+        let freed = |rec| {
+            let runs = meta.apply_record(rec)?;
+            Some(runs.into_iter().flatten().collect::<Vec<u64>>())
+        };
         assert!(meta.apply_record(&create()).is_some());
         for page in 0..8 {
             let rec = LogRecord::MapBlock {
@@ -1067,7 +1077,7 @@ mod tests {
             page: 3,
             block: 500,
         };
-        assert_eq!(meta.apply_record(&remap), Some(vec![103]));
+        assert_eq!(freed(&remap), Some(vec![103]));
         let three = [run(0, 100, 3), run(3, 500, 1), run(4, 104, 4)];
         assert_eq!(
             meta.page_map(&Pins::default(), INO, 0, 8 * FS_BLOCK)
@@ -1081,7 +1091,7 @@ mod tests {
             page: 3,
             block: 103,
         };
-        assert_eq!(meta.apply_record(&back), Some(vec![500]));
+        assert_eq!(freed(&back), Some(vec![500]));
         assert_eq!(
             meta.page_map(&Pins::default(), INO, 0, 8 * FS_BLOCK)
                 .unwrap()

@@ -34,7 +34,7 @@ use crate::journal::{Journal, JournalError, RepairReport};
 
 /// CPU cost of appending one log record to the in-memory log buffer.
 pub(crate) const LOG_APPEND_NS: u64 = 80;
-/// CPU cost of one allocation (a bump pointer or a first fit).
+/// CPU cost of one allocation (a goal's run or a first fit).
 const ALLOC_NS: u64 = 40;
 
 /// What a storage mod brings to the engine: a record type with its wire
@@ -73,34 +73,31 @@ pub(crate) enum Unnamed {
     /// One run, empty when the record freed nothing: a replaced or
     /// removed LabKVS value's extent. Reported without a heap allocation.
     Run(Range<u64>),
-    /// Units in any order: the blocks a LabFS record unmapped.
-    Units(Vec<u64>),
+    /// Disjoint runs in any order: the blocks a LabFS record unmapped.
+    Runs(Vec<Range<u64>>),
 }
 
 impl Unnamed {
     /// Nothing left unnamed.
     pub(crate) const NONE: Unnamed = Unnamed::Run(0..0);
 
-    /// Sort the units, so that [`Unnamed::runs`] finds the longest runs.
-    fn sort(&mut self) {
-        if let Unnamed::Units(units) = self {
-            units.sort_unstable();
-        }
-    }
-
-    /// The units as `(first, n)` runs that are contiguous, in order.
-    fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let (run, mut rest) = match self {
-            Unnamed::Run(run) => (Some(run.clone()).filter(|r| !r.is_empty()), &[][..]),
-            Unnamed::Units(units) => (None, &units[..]),
+    /// The units as `(first, n)` runs in order, each as long as it can
+    /// be: sorted, and touching runs joined.
+    fn runs(&mut self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let runs = match self {
+            Unnamed::Run(run) => std::slice::from_mut(run),
+            Unnamed::Runs(runs) => &mut runs[..],
         };
-        let run = run.map(|r| (r.start, r.end - r.start));
-        run.into_iter().chain(std::iter::from_fn(move || {
-            let &first = rest.first()?;
-            let n = 1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count();
-            rest = &rest[n..];
-            Some((first, n as u64))
-        }))
+        runs.sort_unstable_by_key(|r| r.start);
+        let mut rest = runs.iter().filter(|r| !r.is_empty()).peekable();
+        std::iter::from_fn(move || {
+            let run = rest.next()?;
+            let (first, mut end) = (run.start, run.end);
+            while let Some(run) = rest.next_if(|r| r.start == end) {
+                end = run.end;
+            }
+            Some((first, end - first))
+        })
     }
 }
 
@@ -287,7 +284,6 @@ impl<S: StateMachine> MetaStore<S> {
             return false;
         };
         let frame = self.log_applied(ctx, req.core, rec);
-        unnamed.sort();
         let unit_sectors = self.geometry.2;
         for (first, n) in unnamed.runs() {
             let (lba, sectors) = (first * unit_sectors, n * unit_sectors);
@@ -334,12 +330,11 @@ impl<S: StateMachine> MetaStore<S> {
         }
     }
 
-    /// Give back units `alloc_run` handed out on `core` that no record
-    /// names: a LabFS write or LabKVS put whose data commands failed.
-    pub(crate) fn unalloc(&self, core: usize, units: impl IntoIterator<Item = u64>) {
-        for unit in units {
-            self.allocator.free(core, unit, 1);
-        }
+    /// Give back a run `alloc_run` handed out on `core` that no record
+    /// names: a LabFS write, truncate or LabKVS put whose data commands
+    /// failed or whose record did not apply.
+    pub(crate) fn unalloc(&self, core: usize, run: Range<u64>) {
+        self.allocator.free(core, run.start, run.end - run.start);
     }
 
     /// Durability point: persist every log's pending records as one
@@ -357,12 +352,13 @@ impl<S: StateMachine> MetaStore<S> {
     /// `apply` over every committed frame on the device, region by
     /// region, discarding any torn or stale tail ([`Journal::replay`]).
     /// The units the records name leave the allocator here, not in
-    /// `apply`: live, `alloc_run` took them. Units a replayed record
-    /// frees stay taken, and so do the freed units still waiting for a
-    /// frame: the free list is not rebuilt, so this needs no scan beyond
-    /// the log's (units already on it stay: their frees are on media).
-    /// Nothing below is told of them: no cache holds a block a replay
-    /// could find.
+    /// `apply` (live, `alloc_run` took them): exactly those, whatever
+    /// order they come in and whichever shard holds them free. Units a
+    /// replayed record frees stay taken, and so do the freed units still
+    /// waiting for a frame: the free runs are not rebuilt, so this needs
+    /// no scan beyond the log's. Over a running instance (a repair) that
+    /// includes a freed unit an older record still names. Nothing below
+    /// is told of them: no cache holds a block a replay could find.
     pub(crate) fn replay(&self) -> RepairReport {
         self.state.clear();
         self.pending
@@ -393,7 +389,7 @@ impl<S: StateMachine> MetaStore<S> {
 
     /// Live upgrade: take over `prev`'s maps, its frame chain (every
     /// frame `prev` kicked is already written, so the cursors the journal
-    /// copies are final), its allocator cursors and free lists, and the
+    /// copies are final), its allocator's free runs, and the
     /// freed units still waiting for a frame.
     ///
     /// **Both sides must have the same geometry** — in practice the same
@@ -688,23 +684,24 @@ mod tests {
         assert!(commit(&s, &mut ctx, 0, Op::Remove(a)));
         assert!(commit(&s, &mut ctx, 0, Op::Remove(b)));
         s.sync(&mut ctx).unwrap();
+        assert_eq!(b, a + PIN_REGION_UNITS, "a goal in the shard's runs");
         // Durable, but a lookup still holds `a`, and `b` waits behind it.
-        let c = s.alloc_run(&mut ctx, 0, 1, None).unwrap();
-        assert_eq!(c, b + 1, "off the cursor");
+        let c = s.alloc_run(&mut ctx, 0, 1, Some(b)).unwrap();
+        assert_eq!(c, a + 1, "b is not free: first fit");
         drop(pin);
         s.sync(&mut ctx).unwrap();
         assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some(a));
-        assert_eq!(s.alloc_run(&mut ctx, 0, 1, None), Some(b));
+        assert_eq!(s.alloc_run(&mut ctx, 0, 1, Some(b)), Some(b));
     }
 
     #[test]
     fn unnamed_units_are_reported_as_sorted_runs() {
-        let mut units = Unnamed::Units(vec![9, 3, 4, 11, 10, 5]);
-        units.sort();
+        let mut units = Unnamed::Runs(vec![9..10, 3..5, 11..12, 10..11, 5..6]);
         assert_eq!(units.runs().collect::<Vec<_>>(), [(3, 3), (9, 3)]);
-        let run = Unnamed::Run(7..9);
+        let mut run = Unnamed::Run(7..9);
         assert_eq!(run.runs().collect::<Vec<_>>(), [(7, 2)]);
-        assert_eq!(Unnamed::NONE.runs().count(), 0);
+        let mut none = Unnamed::NONE;
+        assert_eq!(none.runs().count(), 0);
         // Regions wrap around the mask: a pin covers a unit 64 regions on.
         let pins = Pins::default();
         let _pin = pins.pin(std::iter::once(0..1));
@@ -713,7 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_continues_the_frame_chain_and_the_allocator_cursors() {
+    fn absorb_continues_the_frame_chain_and_the_free_runs() {
         let dev = SimDevice::preset(DeviceKind::Nvme);
         let old = store(&dev);
         let mut ctx = Ctx::new();
@@ -724,7 +721,7 @@ mod tests {
         new.absorb(&old);
         assert_eq!(members(&new), vec![a]);
         let b = insert_fresh(&new, &mut ctx, 0);
-        assert_eq!(b, a + 1, "the cursor carried over");
+        assert_eq!(b, a + 1, "the free runs carried over");
         // The upgraded store appends after the old one's frame, with its
         // sector cursor, sequence number and chain value: a crash after
         // the upgrade replays both eras as one log.
