@@ -40,7 +40,9 @@ pub use client::Client;
 pub use labmod::{LabMod, ModType, StackEnv};
 pub use orchestrator::{DynamicPolicy, OrchestratorPolicy, RoundRobinPolicy};
 pub use registry::{ModuleManager, UpgradeKind, UpgradeRequest};
-pub use request::{BlockOp, FileStat, FsOp, KvsOp, Message, Payload, Request, RespPayload};
+pub use request::{
+    BlockOp, FileStat, FsOp, KvsOp, Message, Payload, Request, RespPayload, POOL_DRY,
+};
 pub use runtime::{Runtime, RuntimeConfig};
 pub use spec::{StackSpec, VertexSpec};
 pub use stack::{ExecMode, LabStack, Namespace};

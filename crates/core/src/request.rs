@@ -61,9 +61,10 @@ pub enum FsOp {
     /// reads them all): a [`RespPayload::DataBuf`] view of a cache hit or
     /// of the pool buffer a miss landed in, a [`RespPayload::DataRuns`]
     /// list when the bytes lie in several pool slots, small results
-    /// [`RespPayload::Inline`], and a [`RespPayload::Data`] `Vec` where
-    /// the bytes have no handle (a dry pool, an assembled scattered
-    /// read).
+    /// [`RespPayload::Inline`]. A read that finds no pool slot for its
+    /// bytes is refused with [`POOL_DRY`], and so is one longer than the
+    /// pool holds at once: read long ranges in pieces (`GenericFs::read`
+    /// sends one per largest slot).
     ReadBuf {
         /// Source inode.
         ino: u64,
@@ -191,9 +192,10 @@ pub enum BlockOp {
         buf: BufHandle,
     },
     /// Read sectors, the one block read verb: respond with
-    /// [`RespPayload::DataBuf`], with [`RespPayload::DataRuns`] when the
-    /// bytes lie in several pool slots, or with [`RespPayload::Data`]
-    /// when they have no handle (a dry pool).
+    /// [`RespPayload::DataBuf`], or with [`RespPayload::DataRuns`] when
+    /// the bytes lie in several pool slots — a read longer than the
+    /// largest slot lands in slot-sized pieces at the driver. A read that
+    /// finds no pool slot is refused with [`POOL_DRY`].
     ReadBuf {
         /// Start LBA.
         lba: u64,
@@ -334,6 +336,10 @@ impl Request {
     }
 }
 
+/// The [`RespPayload::Err`] text of a read refused because the buffer
+/// pool had no slot for its bytes: every read answers in pool handles.
+pub const POOL_DRY: &str = "buffer pool dry";
+
 /// What a completed request returns.
 #[derive(Debug, Clone)]
 pub enum RespPayload {
@@ -341,8 +347,6 @@ pub enum RespPayload {
     Ok,
     /// An inode (create/open).
     Ino(u64),
-    /// Bytes read / value fetched.
-    Data(Vec<u8>),
     /// Zero-copy read result: a refcounted view of shared-memory bytes
     /// (a page-cache hit is a refcount bump, not a copy).
     DataBuf(BufHandle),
@@ -372,14 +376,13 @@ impl RespPayload {
         !matches!(self, RespPayload::Err(_))
     }
 
-    /// The returned bytes when they are one contiguous slice (legacy
-    /// `Vec`, inline envelope or one shared-memory handle); `None` for
+    /// The returned bytes when they are one contiguous slice (inline
+    /// envelope or one shared-memory handle); `None` for
     /// non-data payloads and for a [`RespPayload::DataRuns`] run list,
     /// whose bytes are not contiguous — read any data answer with
     /// [`RespPayload::data_parts`].
     pub fn data_bytes(&self) -> Option<&[u8]> {
         match self {
-            RespPayload::Data(v) => Some(v),
             RespPayload::DataBuf(b) => Some(b.as_slice()),
             RespPayload::Inline(d) => Some(d.as_slice()),
             _ => None,
@@ -387,8 +390,8 @@ impl RespPayload {
     }
 
     /// The bytes of a data answer, whatever its shape, as the slices
-    /// that hold them in byte order: one for `Data`, `DataBuf` and
-    /// `Inline`, one per run for `DataRuns`. `None` for non-data payloads.
+    /// that hold them in byte order: one for `DataBuf` and `Inline`, one
+    /// per run for `DataRuns`. `None` for non-data payloads.
     pub fn data_parts(&self) -> Option<impl Iterator<Item = &[u8]> + Clone + '_> {
         let (one, runs): (Option<&[u8]>, &[BufHandle]) = match self {
             RespPayload::DataRuns(runs) => (None, runs),
@@ -451,11 +454,7 @@ mod tests {
         assert_eq!(parts(&runs).as_deref(), Some(&b"headtail"[..]));
         assert_eq!(runs.data_bytes(), None, "a run list is not one slice");
         let inline = RespPayload::Inline(InlineData::from_slice(b"in").unwrap());
-        for (r, want) in [
-            (RespPayload::Data(b"vec".to_vec()), &b"vec"[..]),
-            (RespPayload::DataBuf(a), b"head"),
-            (inline, b"in"),
-        ] {
+        for (r, want) in [(RespPayload::DataBuf(a), &b"head"[..]), (inline, b"in")] {
             assert_eq!(parts(&r).as_deref(), Some(want));
             assert_eq!(r.data_bytes(), Some(want));
         }

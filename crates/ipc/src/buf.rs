@@ -89,8 +89,8 @@ pub fn payload_copy_bytes() -> u64 {
 /// plumbed. (Shared memory is process-wide in this reproduction — thread
 /// domains stand in for address spaces — so one default arena serves every
 /// domain; the grant discipline lives in [`crate::shmem`].) Exhaustion is
-/// graceful: `alloc` returns `None` and callers fall back to the legacy
-/// copying path.
+/// graceful: `alloc` returns `None`; a read that finds no slot is
+/// refused, a write falls back to the copying path.
 pub fn default_pool() -> &'static BufferPool {
     static POOL: std::sync::OnceLock<BufferPool> = std::sync::OnceLock::new();
     POOL.get_or_init(BufferPool::with_defaults)
@@ -511,6 +511,31 @@ impl BufferPool {
         Some(h)
     }
 
+    /// The largest allocation a slot can hold: the top class's size.
+    pub fn max_len(&self) -> usize {
+        self.inner.classes.last().map_or(0, |c| c.buf_size)
+    }
+
+    /// Slots for `len` bytes in byte order, as [`BufferPool::alloc`] hands
+    /// them out: one when `len` fits a slot, else [`BufferPool::max_len`]
+    /// pieces and one for the rest. `None`, holding nothing, when the pool
+    /// lacks any of them.
+    pub fn alloc_runs(&self, len: usize) -> Option<Vec<BufHandle>> {
+        let step = self.max_len().max(1);
+        (0..len.max(1))
+            .step_by(step)
+            .map(|at| self.alloc((len - at).min(step)))
+            .collect()
+    }
+
+    /// The longest [`BufferPool::alloc_runs`] an idle pool answers.
+    pub fn max_runs_len(&self) -> usize {
+        self.inner
+            .classes
+            .last()
+            .map_or(0, |c| c.buf_size * c.budget())
+    }
+
     /// Allocations currently live.
     pub fn live(&self) -> u64 {
         self.inner.live.get()
@@ -859,6 +884,24 @@ mod tests {
         // Both classes full now.
         assert!(pool.alloc(1).is_none());
         assert!(pool.alloc(300).is_none());
+    }
+
+    #[test]
+    fn alloc_runs_cuts_at_the_largest_slot() {
+        let pool = small_pool();
+        let lens = |runs: &[BufHandle]| runs.iter().map(BufHandle::len).collect::<Vec<_>>();
+        assert_eq!(lens(&pool.alloc_runs(0).unwrap()), [0]);
+        assert_eq!(lens(&pool.alloc_runs(200).unwrap()), [200]);
+        assert_eq!(pool.max_runs_len(), 512);
+        let runs = pool.alloc_runs(300).unwrap();
+        assert_eq!(lens(&runs), [256, 44]);
+        assert_eq!(pool.live(), 2);
+        // One 256-byte slot is left: a 600-byte run list takes it, finds
+        // none for its second piece, and gives it back.
+        assert!(pool.alloc_runs(600).is_none());
+        assert_eq!(pool.live(), 2);
+        drop(runs);
+        assert_eq!(pool.live(), 0);
     }
 
     #[test]

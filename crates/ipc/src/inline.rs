@@ -21,6 +21,12 @@ pub struct InlineData {
 }
 
 impl InlineData {
+    /// No bytes: the answer to a read that finds nothing to read.
+    pub const EMPTY: InlineData = InlineData {
+        len: 0,
+        bytes: [0; INLINE_MAX],
+    };
+
     /// Wrap `data` if it fits; `None` above `INLINE_MAX` bytes (the
     /// caller falls back to the BufferPool path).
     pub fn from_slice(data: &[u8]) -> Option<InlineData> {

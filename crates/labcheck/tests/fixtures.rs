@@ -303,8 +303,8 @@ mod tests {
 #[test]
 fn to_vec_in_copy_hot_path_is_flagged() {
     let src = "\
-fn hit(&self) -> RespPayload {
-    RespPayload::Data(self.block.to_vec())
+fn hit(&self) -> Vec<u8> {
+    self.block.to_vec()
 }
 ";
     let diags = lint_source(&cfg(), "crates/mods/src/lru.rs", src);

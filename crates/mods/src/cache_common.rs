@@ -15,8 +15,8 @@
 //! and fetches only the smallest run covering the missing ones in one
 //! downstream request, then answers with the blocks' views, one handle
 //! per run of adjacent views ([`RespPayload::DataRuns`] when there are
-//! several). No hit copies a byte. A dry pool's `Vec` answer to a fetch
-//! is passed up uncached, any resident block's bytes laid over it.
+//! several). No hit copies a byte. A fetch the stage below refuses (a
+//! dry pool's) is passed up, and nothing is cached.
 //!
 //! The two cache LabMods are this engine with a different [`Policy`]: the
 //! policy decides what stays resident, the engine does everything else
@@ -85,7 +85,8 @@ fn coalesce(mut victims: Vec<(u64, BufHandle)>) -> Vec<BlockOp> {
         if run[1..].iter().all(|(_, next)| buf.extend_with(next)) {
             return BlockOp::WriteBuf { lba, buf };
         }
-        let data = crate::generic::copy_out(run.iter().map(|(_, h)| h.as_slice()));
+        let mut data = Vec::new();
+        crate::generic::copy_into(&mut data, run.iter().map(|(_, h)| h.as_slice()));
         BlockOp::Write { lba, data }
     })
     .collect()
@@ -378,8 +379,8 @@ impl<P: Policy> BlockCache<P> {
     /// cut from the one run this request fetched — answer by refcount (no
     /// memcpy, no copy charge): a `DataBuf` when they are adjacent views
     /// of one slot, a `DataRuns` list of one view per run when they lie
-    /// in several. A fetch that a dry pool answered with a `Vec` is not
-    /// cached: the resident blocks are laid over it ([`lay_over`]).
+    /// in several. A fetch may come back as one handle or as a run list;
+    /// one the stage below refuses (a dry pool's) is passed up uncached.
     fn read(
         &self,
         ctx: &mut Ctx,
@@ -428,27 +429,29 @@ impl<P: Policy> BlockCache<P> {
                 len: run_len,
             };
             let resp = env.forward(ctx, req.derive(Payload::Block(fetch)));
-            let got = match &resp {
-                RespPayload::DataBuf(h) => h.len(),
-                RespPayload::Data(d) => d.len(),
+            // One handle, or a run list: a fetch longer than a pool slot
+            // lands in several, as does one a cache below holds in several.
+            let runs = match &resp {
+                RespPayload::DataBuf(h) => std::slice::from_ref(h),
+                RespPayload::DataRuns(runs) => &runs[..],
                 _ => return resp,
             };
-            if got < run_len {
+            if runs.iter().map(BufHandle::len).sum::<usize>() < run_len {
                 return RespPayload::Err("short block read".into());
             }
+            if runs.iter().rev().skip(1).any(|r| r.len() % BLOCK != 0) {
+                return RespPayload::Err("fetched runs split a block".into());
+            }
+            // The fetch's blocks, one view each, in order.
+            let fetched = || {
+                let blocks = runs.iter().flat_map(|r| blocks_of(r).map(|(_, b)| b));
+                blocks.take(last + 1 - first).enumerate()
+            };
             let missing = found.iter().filter(|b| b.is_none()).count();
             self.misses.add(missing as u64);
-            let RespPayload::DataBuf(fetched) = &resp else {
-                drop(claim);
-                self.hits.add((blocks - missing) as u64);
-                return match resp {
-                    RespPayload::Data(d) if missing < blocks => lay_over(ctx, found, first, d, len),
-                    resp => resp,
-                };
-            };
             let victims = self.insert(
                 run_lba,
-                blocks_of(fetched).filter(|&(k, _)| found[first + k].is_none()),
+                fetched().filter(|&(k, _)| found[first + k].is_none()),
                 false,
                 Some(changes),
             );
@@ -460,11 +463,8 @@ impl<P: Policy> BlockCache<P> {
                 // Nothing was resident: what came back is the answer.
                 return resp;
             }
-            for (k, slot) in found.iter_mut().enumerate().skip(first) {
-                if slot.is_none() {
-                    let off = (k - first) * BLOCK;
-                    *slot = fetched.slice(off, BLOCK.min(fetched.len() - off));
-                }
+            for (k, block) in fetched() {
+                found[first + k].get_or_insert(block);
             }
             missing
         };
@@ -563,35 +563,6 @@ fn views(found: &[Option<BufHandle>], len: usize) -> RespPayload {
     }
     runs.push(run);
     RespPayload::DataRuns(runs)
-}
-
-/// The answer to a `len`-byte read whose missing run, from block `first`
-/// on, came back as a dry pool's `Vec`: the fetched bytes at their place,
-/// every resident block's laid over them (one in the run may be dirty,
-/// newer than the device's). Each byte that moves is counted and charged.
-fn lay_over(
-    ctx: &mut Ctx,
-    found: &[Option<BufHandle>],
-    first: usize,
-    mut out: Vec<u8>,
-    len: usize,
-) -> RespPayload {
-    let head = first * BLOCK;
-    let mut moved = if head > 0 { out.len() } else { 0 };
-    out.splice(0..0, std::iter::repeat_n(0, head));
-    out.resize(len, 0);
-    for (k, block) in found.iter().enumerate() {
-        if let Some(h) = block {
-            let at = k * BLOCK;
-            let n = h.len().min(len - at);
-            // copy-ok: a resident block laid over a dry pool's answer; counted below
-            out[at..at + n].copy_from_slice(&h.as_slice()[..n]);
-            moved += n;
-        }
-    }
-    note_payload_copy(moved);
-    ctx.advance(copy_cost(moved));
-    RespPayload::Data(out)
 }
 
 // labmod-default-ok: a cache's contents re-warm from misses after a crash (a write-back cache's unflushed blocks are lost with it, as the mode implies); state_update migrates them across upgrades
@@ -745,7 +716,7 @@ impl Drop for InflightGuard<'_> {
 pub(crate) mod testing {
     use super::*;
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
-    use labstor_core::ModuleManager;
+    use labstor_core::{ModuleManager, POOL_DRY};
     use labstor_ipc::Credentials;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -860,10 +831,10 @@ pub(crate) mod testing {
         pub writes: Stat,
         /// Every read request seen, as `(lba, len)`.
         pub reads: Mutex<Vec<(u64, usize)>>,
-        /// Lands read completions in this pool; answers `Data` when it
+        /// Lands read completions in this pool; refuses a read when it
         /// has no slot.
         pub pool: BufferPool,
-        /// While set, a read answers `Data`, as a driver does when the
+        /// While set, a read is refused, as a driver refuses it when the
         /// pool is dry.
         pub dry: std::sync::atomic::AtomicBool,
         /// Real-time stall per read, to widen race windows in tests.
@@ -959,7 +930,7 @@ pub(crate) mod testing {
                             assert!(h.fill(&data));
                             RespPayload::DataBuf(h)
                         }
-                        None => RespPayload::Data(data),
+                        None => RespPayload::Err(POOL_DRY.into()),
                     }
                 }
                 _ => RespPayload::Ok,
@@ -1054,6 +1025,7 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::{bytes, MemDev, Rig};
     use super::*;
+    use labstor_core::POOL_DRY;
     use labstor_ipc::{default_pool, PoolConfig};
     use proptest::prelude::*;
     use std::sync::atomic::Ordering;
@@ -1122,8 +1094,8 @@ mod tests {
             blocks: usize,
             seed: u8,
         },
-        /// With `dry`, the device answers a miss with a `Vec`, as a
-        /// driver does when the pool is dry.
+        /// With `dry`, the device refuses a miss, as a driver does when
+        /// the pool is dry.
         Read {
             block: u64,
             blocks: usize,
@@ -1201,8 +1173,8 @@ mod tests {
         /// Replay a read of `blocks` through the list — every resident
         /// block touched once in ascending order, then the missing ones
         /// admitted in ascending order as views of what the fetch brought,
-        /// unless the device's pool was `dry` — and say what shape the
-        /// answer must have.
+        /// unless the device's pool was `dry` and refused the fetch — and
+        /// say what shape the answer must have.
         fn read(&mut self, blocks: std::ops::Range<u64>, dry: bool) -> Shape {
             let origins: Vec<_> = blocks.clone().map(|b| self.origin(b)).collect();
             for (block, _) in blocks.clone().zip(&origins).filter(|(_, o)| o.is_some()) {
@@ -1211,9 +1183,8 @@ mod tests {
             let full_miss = origins.iter().all(Option::is_none);
             let hit = origins.iter().all(Option::is_some);
             if !hit && dry {
-                // The device's `Vec` is passed up, resident blocks laid
-                // over it, and not admitted.
-                return Shape::Data;
+                // The device's refusal is passed up and nothing admitted.
+                return Shape::Refused;
             }
             let fetched = (!hit).then(|| self.allocation());
             for (block, _) in blocks.zip(&origins).filter(|(_, o)| o.is_none()) {
@@ -1239,8 +1210,8 @@ mod tests {
     /// The shape of a read's answer.
     #[derive(Debug, PartialEq)]
     enum Shape {
-        /// Owned bytes: `Data`.
-        Data,
+        /// The pool-dry refusal.
+        Refused,
         /// One handle: `DataBuf`.
         Buf,
         /// A run list of this many handles: `DataRuns`.
@@ -1249,7 +1220,7 @@ mod tests {
 
     fn shape(resp: &RespPayload) -> Option<Shape> {
         match resp {
-            RespPayload::Data(_) => Some(Shape::Data),
+            RespPayload::Err(e) if e == POOL_DRY => Some(Shape::Refused),
             RespPayload::DataBuf(_) => Some(Shape::Buf),
             RespPayload::DataRuns(runs) => Some(Shape::Runs(runs.len())),
             _ => None,
@@ -1319,8 +1290,10 @@ mod tests {
                     rig.dev.dry.store(dry, Ordering::SeqCst);
                     let resp = rig.read(&mut ctx, block, len);
                     let at = block as usize * BLOCK;
+                    let refused = matches!(&resp, RespPayload::Err(e) if e == POOL_DRY);
+                    prop_assert!(!refused || dry, "{:?}: only a dry fetch is refused", op);
                     prop_assert!(
-                        bytes(&resp).as_deref() == Some(&model[at..at + len]),
+                        refused || bytes(&resp).as_deref() == Some(&model[at..at + len]),
                         "{:?} returned wrong bytes",
                         op
                     );
@@ -1329,8 +1302,6 @@ mod tests {
                         let joined = runs.windows(2).any(|w| w[0].clone().extend_with(&w[1]));
                         prop_assert!(!joined, "{:?}: two runs join", op);
                     }
-                    let copied = matches!(resp, RespPayload::Data(_));
-                    prop_assert!(!copied || dry, "{:?}: only a dry fetch copies", op);
                     let want = lru.read(block..block + blocks as u64, dry);
                     if exact_lru {
                         prop_assert!(shape(&resp) == Some(want), "{:?} answered {:?}", op, resp);

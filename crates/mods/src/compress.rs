@@ -233,18 +233,22 @@ impl LabMod for CompressMod {
             Payload::Block(BlockOp::ReadBuf { lba, len }) => {
                 let (lba, len) = (*lba, *len);
                 match self.covering(lba) {
+                    // A raw extent is stored verbatim where it starts: a
+                    // read inside its bytes goes down unchanged, and what
+                    // comes up is the answer, no copy.
+                    Some((at, e))
+                        if e.raw && (lba - at) as usize * SECTOR_SIZE + len <= e.orig_len =>
+                    {
+                        env.forward(ctx, req)
+                    }
                     Some((at, e)) => match self.fetch_decoded(ctx, env, &req, at, e) {
-                        Ok(mut data) => {
-                            // The read's window of the decoded extent.
+                        Ok(data) => {
+                            // The read's window of the decoded extent lands
+                            // in pool slots so upstream stages share it by
+                            // refcount.
                             let skip = ((lba - at) as usize * SECTOR_SIZE).min(data.len());
-                            data.truncate((skip + len).min(data.len()));
-                            data.drain(..skip);
-                            // The decoded bytes land in a pool buffer so
-                            // upstream stages share it by refcount.
-                            match labstor_ipc::default_pool().alloc_from(&data) {
-                                Some(h) => RespPayload::DataBuf(h),
-                                None => RespPayload::Data(data), // the pool is dry
-                            }
+                            let end = (skip + len).min(data.len());
+                            crate::generic::pooled_answer(&data[skip..end])
                         }
                         Err(resp) => resp,
                     },
@@ -320,11 +324,14 @@ mod tests {
                     self.blocks.lock().insert(lba, data);
                     RespPayload::Len(n)
                 }
-                Payload::Block(BlockOp::ReadBuf { lba, len }) => match self.blocks.lock().get(&lba)
-                {
-                    Some(d) => RespPayload::Data(d[..len.min(d.len())].to_vec()),
-                    None => RespPayload::Data(vec![0u8; len]),
-                },
+                Payload::Block(BlockOp::ReadBuf { lba, len }) => {
+                    let data = match self.blocks.lock().get(&lba) {
+                        Some(d) => d[..len.min(d.len())].to_vec(),
+                        None => vec![0u8; len],
+                    };
+                    let pool = labstor_ipc::default_pool();
+                    RespPayload::DataBuf(pool.alloc_from(&data).expect("a pool slot"))
+                }
                 _ => RespPayload::Ok,
             }
         }

@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use labstor_core::{
-    BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
+    BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv, POOL_DRY,
 };
-use labstor_ipc::BufHandle;
 use labstor_kernel::block::CompletionMode::DriverPoll;
 use labstor_kernel::engines::{IoEngineKind, RawEngine};
 use labstor_kernel::sched::IoClass;
@@ -77,16 +76,70 @@ trait Backend: Send + Sync + 'static {
     ) -> Result<Completion, DeviceError>;
 }
 
-/// How a successful command is answered.
-enum Answer {
-    Len(usize),
-    Data,
-    Ok,
-}
-
 /// The Driver LabMod: one request path over a [`Backend`].
 struct DriverMod<B> {
     backend: B,
+}
+
+impl<B: Backend> DriverMod<B> {
+    /// Issue one command and stamp its Device span: the completion's
+    /// bytes (empty for a read that landed in its `dest`), or the error
+    /// answer.
+    fn submit(
+        &self,
+        ctx: &mut Ctx,
+        route: Route,
+        req: &Request,
+        env: &StackEnv<'_>,
+        io: IoRequest<'_>,
+    ) -> Result<Vec<u8>, RespPayload> {
+        let done = self.backend.issue(ctx, route, io).and_then(|c| {
+            // The completion's media service window is the Device span
+            // (the labtelem recorder no-ops while disabled).
+            env.stamp_device(req.id, c.done_at.saturating_sub(c.service_ns), c.done_at);
+            c.result
+        });
+        done.map_err(|e| RespPayload::Err(e.to_string()))
+    }
+
+    /// A `ReadBuf`: the bytes land in a pool slot, the modeled DMA
+    /// target, and the slot is the answer. A read longer than the largest
+    /// slot lands in slot-sized pieces, one command each, and answers a
+    /// run list. A read the pool has no slots for is refused before the
+    /// device sees it. A failed command answers `Err`, and the slots,
+    /// whatever they hold, go back to the pool unseen.
+    fn read(
+        &self,
+        ctx: &mut Ctx,
+        route: Route,
+        req: &Request,
+        env: &StackEnv<'_>,
+        (lba, len): (u64, usize),
+    ) -> RespPayload {
+        // One slot, in `one` (no list to allocate), or the pieces.
+        let pool = labstor_ipc::default_pool();
+        let (mut one, mut many) = (None, Vec::new());
+        if len <= pool.max_len() {
+            one = pool.alloc(len);
+        } else {
+            many = pool.alloc_runs(len).unwrap_or_default();
+        }
+        if one.is_none() && many.is_empty() {
+            return RespPayload::Err(POOL_DRY.into());
+        }
+        let mut at = lba;
+        for slot in one.iter_mut().chain(&mut many) {
+            // owner-ok: the driver's own DMA targets, allocated above (a plain `alloc`, so their owner tags are clear)
+            let dst = slot.as_mut_slice().expect("a fresh slot is unique");
+            let sectors = (dst.len() / SECTOR_SIZE) as u64;
+            let io = IoRequest::read_into(at, dst, 0);
+            if let Err(e) = self.submit(ctx, route, req, env, io) {
+                return e;
+            }
+            at += sectors;
+        }
+        one.map_or(RespPayload::DataRuns(many), RespPayload::DataBuf)
+    }
 }
 
 // labmod-default-ok: device drivers are stateless shims over the (simulated) device; device state outlives the module instance, so there is nothing to migrate or repair
@@ -105,59 +158,29 @@ impl<B: Backend> LabMod for DriverMod<B> {
             qid: req.qid_hint.unwrap_or(req.core) % self.backend.model().hw_queues.max(1),
             prekeyed: req.qid_hint.is_some(),
         };
-        // A `ReadBuf`'s pool buffer — the modeled DMA target — while it
-        // is lent to the command as its destination.
-        let mut slot = None;
-        let (io, answer) = match req.payload {
-            Payload::Block(BlockOp::Write { lba, data }) => {
-                let len = data.len();
-                (IoRequest::write(lba, data, 0), Answer::Len(len))
+        // A write answers the length it wrote, a flush `Ok`.
+        let (io, written) = match req.payload {
+            Payload::Block(BlockOp::Write { lba, ref data }) => {
+                (IoRequest::write(lba, data.as_slice(), 0), Some(data.len()))
             }
             // The device DMAs straight out of the shared buffer.
-            Payload::Block(BlockOp::WriteBuf { lba, ref buf }) => (
-                IoRequest::write(lba, buf.as_slice(), 0),
-                Answer::Len(buf.len()),
-            ),
-            Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-                slot = labstor_ipc::default_pool().alloc(len);
-                // owner-ok: the driver's own DMA target, allocated on the line above (a plain `alloc`, so its owner tag is clear)
-                let io = match slot.as_mut().and_then(BufHandle::as_mut_slice) {
-                    Some(dst) => IoRequest::read_into(lba, dst, 0),
-                    // Pool dry (`slot` stays `Some` only while lent): an
-                    // owned `Vec`; upstream stages read every data shape
-                    // alike.
-                    None => {
-                        slot = None;
-                        IoRequest::read(lba, len, 0)
-                    }
-                };
-                (io, Answer::Data)
+            Payload::Block(BlockOp::WriteBuf { lba, ref buf }) => {
+                (IoRequest::write(lba, buf.as_slice(), 0), Some(buf.len()))
             }
-            Payload::Block(BlockOp::Flush) => (IoRequest::flush(0), Answer::Ok),
+            Payload::Block(BlockOp::ReadBuf { lba, len }) => {
+                return self.read(ctx, route, &req, env, (lba, len))
+            }
+            Payload::Block(BlockOp::Flush) => (IoRequest::flush(0), None),
             // The simulated media have no TRIM: nothing to command, no
             // cost. The stages above have already let the sectors go.
             Payload::Block(BlockOp::Discard { .. }) => return RespPayload::Ok,
             _ => return RespPayload::Err(format!("{} handles block ops only", B::TYPE_NAME)),
         };
-        let done = self.backend.issue(ctx, route, io).and_then(|c| {
-            // The completion's media service window is the Device span
-            // (the labtelem recorder no-ops while disabled).
-            env.stamp_device(req.id, c.done_at.saturating_sub(c.service_ns), c.done_at);
-            c.result
-        });
-        match (done, answer) {
-            (Ok(_), Answer::Len(len)) => RespPayload::Len(len),
-            (Ok(data), Answer::Data) => match slot {
-                // The command overwrote all of the buffer it was lent. A
-                // failed one answers `Err` below and the buffer, whatever
-                // it holds, goes back to the pool unseen.
-                Some(buf) => RespPayload::DataBuf(buf),
-                None => RespPayload::Data(data),
-            },
-            (Ok(_), Answer::Ok) => RespPayload::Ok,
+        match self.submit(ctx, route, &req, env, io) {
+            Ok(_) => written.map_or(RespPayload::Ok, RespPayload::Len),
             // A failed barrier is as much an error as a failed write:
             // `Ok` would acknowledge durability that never happened.
-            (Err(e), _) => RespPayload::Err(e.to_string()),
+            Err(e) => e,
         }
     }
 

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use labstor_core::client::{Client, ClientError};
-use labstor_core::{FileStat, FsOp, KvsOp, LabStack, Payload, RespPayload};
+use labstor_core::{FileStat, FsOp, KvsOp, LabStack, Payload, RespPayload, POOL_DRY};
 use labstor_pushdown::{AggReply, VerifiedProgram};
 
 /// What a pushdown read ships back: orders of magnitude fewer bytes
@@ -85,25 +85,71 @@ fn call(
 }
 
 /// A data answer's bytes as one owned `Vec`, or the answer back when it
-/// carries none. A `Vec` is handed on as it is, inline bytes are copied
-/// out of the envelope uncounted, and a handle or a run list pays the one
-/// counted copy-out an owned-`Vec` API makes.
+/// carries none ([`append_bytes`] onto an empty `Vec`).
 pub(crate) fn owned_bytes(resp: RespPayload) -> Result<Vec<u8>, RespPayload> {
+    let mut out = Vec::new();
+    append_bytes(&mut out, resp).map(|()| out)
+}
+
+/// Append a data answer's bytes to `out`, or hand the answer back when it
+/// carries none. Inline bytes are copied out of the envelope uncounted,
+/// and a handle or a run list pays the one counted copy-out an owned-`Vec`
+/// API makes.
+pub(crate) fn append_bytes(out: &mut Vec<u8>, resp: RespPayload) -> Result<(), RespPayload> {
     match resp {
-        RespPayload::Data(d) => Ok(d),
-        RespPayload::Inline(d) => Ok(d.to_vec()), // copy-ok: inline envelope copy-out, uncounted by design
-        other => other.data_parts().map(copy_out).ok_or(other),
+        RespPayload::Inline(d) => {
+            out.extend_from_slice(d.as_slice()); // copy-ok: inline envelope copy-out, uncounted by design
+            Ok(())
+        }
+        other => other.data_parts().map(|p| copy_into(out, p)).ok_or(other),
     }
 }
 
-/// One counted copy of `parts` into a `Vec` sized once.
-pub(crate) fn copy_out<'a>(parts: impl Iterator<Item = &'a [u8]> + Clone) -> Vec<u8> {
+/// One counted copy of `parts` onto the end of `out`, grown once.
+pub(crate) fn copy_into<'a>(out: &mut Vec<u8>, parts: impl Iterator<Item = &'a [u8]> + Clone) {
     let len = parts.clone().map(<[u8]>::len).sum();
     labstor_ipc::note_payload_copy(len);
-    let mut out = Vec::with_capacity(len);
+    out.reserve(len);
     // copy-ok: the copy-out of a handle or of each run; counted above
     parts.for_each(|part| out.extend_from_slice(part));
-    out
+}
+
+/// `bytes` as a read's answer in pool slots, one counted copy: one
+/// handle, or slot-sized pieces when they are longer than the largest
+/// slot. Refused with [`POOL_DRY`] when the pool lacks the slots.
+pub(crate) fn pooled_answer(bytes: &[u8]) -> RespPayload {
+    let pool = labstor_ipc::default_pool();
+    let pieces = bytes.chunks(pool.max_len().max(1));
+    let slots: Option<Vec<_>> = pieces.map(|piece| pool.alloc_from(piece)).collect();
+    match slots {
+        None => RespPayload::Err(POOL_DRY.into()),
+        Some(mut one) if one.len() == 1 => RespPayload::DataBuf(one.swap_remove(0)),
+        Some(runs) => RespPayload::DataRuns(runs),
+    }
+}
+
+/// Cut `runs`, a run list in byte order, to the window `[src, src + n)`
+/// in place: the runs the window crosses, each narrowed to its share of
+/// it. `None` if the runs end before the window does.
+pub(crate) fn window(
+    mut runs: Vec<labstor_ipc::BufHandle>,
+    src: usize,
+    n: usize,
+) -> Option<Vec<labstor_ipc::BufHandle>> {
+    let (mut at, end) = (0, src + n);
+    runs.retain_mut(|run| {
+        let start = at;
+        at += run.len();
+        let (lo, hi) = (src.max(start), end.min(at));
+        match (lo < hi).then(|| run.slice(lo - start, hi - lo)).flatten() {
+            Some(view) => {
+                *run = view;
+                true
+            }
+            None => false,
+        }
+    });
+    (at >= end).then_some(runs)
 }
 
 struct OpenEntry {
@@ -231,25 +277,36 @@ impl GenericFs {
 
     /// `read(2)` at the fd's position.
     ///
-    /// Delegates to the zero-copy `ReadBuf` path plus one copy-out:
-    /// the stack assembles the result without the legacy path's counted
-    /// server-side copy, and small results ride inline in the envelope
-    /// (zero counted copies end to end). Large results pay exactly the
-    /// one client-side copy-out an owned-`Vec` API requires.
+    /// Delegates to the zero-copy `ReadBuf` path plus one copy-out: small
+    /// results ride inline in the envelope (zero counted copies end to
+    /// end), larger ones pay exactly the one client-side copy-out an
+    /// owned-`Vec` API requires.
+    ///
+    /// A read longer than the largest pool slot goes down in slot-sized
+    /// `ReadBuf`s, each copied out before the next is sent: a read answers
+    /// in pool slots, and one `ReadBuf` could ask for more than the pool
+    /// holds.
     pub fn read(&mut self, fd: i32, len: usize) -> Result<Vec<u8>, GenericFsError> {
-        let (sid, ino, pos) = self.entry(fd)?;
-        let stack = self.stack_of(sid)?;
-        let resp = self.call(
-            &stack,
-            FsOp::ReadBuf {
+        let step = labstor_ipc::default_pool().max_len().max(1);
+        let mut out = Vec::new();
+        loop {
+            let (sid, ino, pos) = self.entry(fd)?;
+            let stack = self.stack_of(sid)?;
+            let want = (len - out.len()).min(step);
+            let read = FsOp::ReadBuf {
                 ino,
                 offset: pos,
-                len,
-            },
-        )?;
-        let d = owned_bytes(resp).map_err(Self::unexpected)?;
-        self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
-        Ok(d)
+                len: want,
+            };
+            let resp = self.call(&stack, read)?;
+            let had = out.len();
+            append_bytes(&mut out, resp).map_err(Self::unexpected)?;
+            let got = out.len() - had;
+            self.fds.get_mut(&fd).expect("entry checked").pos = pos + got as u64;
+            if got < want || out.len() == len {
+                return Ok(out);
+            }
+        }
     }
 
     /// Zero-copy `write(2)`: the caller filled a pool buffer in place
@@ -286,9 +343,8 @@ impl GenericFs {
 
     /// Zero-copy `read(2)`: returns a refcounted view of shared memory —
     /// a page-cache hit costs a refcount bump, not a copy. Pools any other
-    /// data answer by one counted copy: a legacy `Vec` or inline bytes
-    /// when a stage downgraded, the runs of bytes that lie in several
-    /// slots.
+    /// data answer by one counted copy: inline bytes, or the runs of
+    /// bytes that lie in several slots.
     // api-ok: tests/zero_copy_path.rs pins its copy count
     pub fn read_buf(
         &mut self,
@@ -314,7 +370,7 @@ impl GenericFs {
                 let len = parts.clone().map(<[u8]>::len).sum();
                 let mut h = labstor_ipc::default_pool()
                     .alloc(len)
-                    .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?;
+                    .ok_or_else(|| GenericFsError::Fs(POOL_DRY.into()))?;
                 labstor_ipc::note_payload_copy(len);
                 // owner-ok: the client fills the buffer its own domain just allocated
                 let filled = h.write_with(|dst| {
@@ -361,7 +417,6 @@ impl GenericFs {
                 .map(FilteredRead::Agg)
                 .ok_or_else(|| GenericFsError::Fs("malformed pushdown aggregate".into())),
             RespPayload::DataBuf(h) => Ok(FilteredRead::Buf(h)),
-            RespPayload::Data(d) => Ok(FilteredRead::Inline(d)),
             other => Err(Self::unexpected(other)),
         }
     }

@@ -738,6 +738,76 @@ mod tests {
         assert_eq!(bytes_of(&r), Some(vec![0u8; FS_BLOCK]));
     }
 
+    /// A read of no bytes answers no bytes, wherever it starts: in a
+    /// hole, in a mapped page, at or past the end of the file.
+    #[test]
+    fn an_empty_read_answers_no_bytes() {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        let ino = ino_of(h.create(&mut ctx, "/e"));
+        let data = vec![7u8; FS_BLOCK];
+        let offset = 2 * FS_BLOCK as u64;
+        assert!(h.fs(&mut ctx, FsOp::Write { ino, offset, data }).is_ok());
+        for (offset, len) in [
+            (0, 0),
+            (100, 0),
+            (offset, 0),
+            (offset + 100, 0),
+            (4 * offset, 9),
+        ] {
+            let r = h.fs(&mut ctx, FsOp::ReadBuf { ino, offset, len });
+            assert_eq!(bytes_of(&r), Some(vec![]), "at {offset}: {r:?}");
+        }
+    }
+
+    /// A small read of nothing but hole answers zeroes by value: it takes
+    /// no pool slot.
+    #[test]
+    fn a_small_hole_read_rides_inline() {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        let ino = ino_of(h.create(&mut ctx, "/h"));
+        let size = 4 * FS_BLOCK as u64;
+        assert!(h.fs(&mut ctx, FsOp::Truncate { ino, size }).is_ok());
+        let r = h.fs(
+            &mut ctx,
+            FsOp::ReadBuf {
+                ino,
+                offset: 10,
+                len: 10,
+            },
+        );
+        assert!(
+            matches!(&r, RespPayload::Inline(d) if d.as_slice() == [0; 10]),
+            "{r:?}"
+        );
+    }
+
+    /// A read longer than the largest pool slot, of a run or of a hole,
+    /// comes back whole: the driver lands a run in slot-sized pieces, and
+    /// a hole takes as many zeroed slots.
+    #[test]
+    fn a_read_longer_than_a_slot_comes_back_whole() {
+        let (h, _) = Harness::new();
+        let mut ctx = Ctx::new();
+        let ino = ino_of(h.create(&mut ctx, "/big"));
+        let len = labstor_ipc::default_pool().max_len() * 2 + 3 * FS_BLOCK;
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let write = FsOp::Write {
+            ino,
+            offset: 0,
+            data: data.clone(),
+        };
+        assert!(h.fs(&mut ctx, write).is_ok());
+        let size = 3 * len as u64;
+        assert!(h.fs(&mut ctx, FsOp::Truncate { ino, size }).is_ok());
+        for (offset, want) in [(0, data), (len as u64, vec![0; len])] {
+            let r = h.fs(&mut ctx, FsOp::ReadBuf { ino, offset, len });
+            assert!(matches!(r, RespPayload::DataRuns(_)), "at {offset}: {r:?}");
+            assert!(bytes_of(&r) == Some(want), "at {offset}");
+        }
+    }
+
     #[test]
     fn unaligned_overwrite_roundtrips() {
         let (h, _) = Harness::new();

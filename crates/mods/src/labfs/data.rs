@@ -8,13 +8,16 @@
 //! ([`LabFs::patch_page`]); the metadata they change goes through
 //! `FsNode::apply` and the store's `commit`.
 
-use labstor_core::{BlockOp, FsOp, Payload, Request, RespPayload, StackEnv};
-use labstor_ipc::BufHandle;
+use labstor_core::{BlockOp, FsOp, Payload, Request, RespPayload, StackEnv, POOL_DRY};
+use labstor_ipc::{BufHandle, InlineData};
 use labstor_sim::Ctx;
 
 use super::meta::{LogRecord, Mapping};
 use super::{LabFs, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
-use crate::generic::owned_bytes;
+use crate::generic::{owned_bytes, window};
+
+/// A page of zeroes: what a hole reads as.
+pub(super) static ZERO_PAGE: [u8; FS_BLOCK] = [0; FS_BLOCK];
 
 /// Forward one block op downstream with the request's routing intact.
 pub(super) fn fwd_block(
@@ -140,8 +143,8 @@ impl LabFs {
             None => vec![0u8; FS_BLOCK],
             Some(block) => {
                 let (lba, len) = (block * BLOCK_SECTORS, FS_BLOCK);
-                // A patch needs owned bytes: a view is copied out once,
-                // counted; a dry pool's `Vec` moves.
+                // A patch needs owned bytes: the answer is copied out
+                // once, counted.
                 match owned_bytes(fwd_block(ctx, env, req, BlockOp::ReadBuf { lba, len })) {
                     Ok(d) => d,
                     Err(other) => return other,
@@ -337,15 +340,16 @@ impl LabFs {
 
     /// `ReadBuf`: read `[offset, offset + len)`, one block `ReadBuf` per
     /// run of pages that are contiguous on the device — the mirror image
-    /// of the write path's coalescing.
+    /// of the write path's coalescing. Every answer is pool handles, and
+    /// no byte is copied.
     ///
     /// A read that is a single run hands back a window of whatever came
-    /// up — `h.slice(..)` of a handle, the views of a run list that the
-    /// window crosses (one view is answered as a handle), a dry pool's
-    /// `Vec` itself when it starts at the window — with no assembly
-    /// buffer. Small results ride
-    /// inline. Holes and scattered files assemble into one `Vec`, each
-    /// mapped byte copied (and counted) once.
+    /// up: `h.slice(..)` of a handle, the views of a run list that the
+    /// window crosses (one view is answered as a handle). Holes and
+    /// scattered runs answer with the views in page order, each hole in
+    /// slots zeroed here, cut to the window. Small results ride inline,
+    /// and a small read of nothing but hole takes no slot. A read that
+    /// finds no pool slot is refused with [`POOL_DRY`].
     pub(super) fn op_read(
         &self,
         ctx: &mut Ctx,
@@ -366,7 +370,7 @@ impl LabFs {
             Err(e) => return e,
         };
         if offset >= size {
-            return RespPayload::Data(Vec::new());
+            return RespPayload::Inline(InlineData::EMPTY);
         }
         let n = len.min((size - offset) as usize);
         let src = (offset - first_pg * FS_BLOCK as u64) as usize;
@@ -377,91 +381,62 @@ impl LabFs {
         };
         // Small results skip the handle round trip and ride by value in
         // the envelope.
-        let inline = |win: &[u8]| labstor_ipc::InlineData::from_slice(win).map(RespPayload::Inline);
+        let inline = |win: &[u8]| InlineData::from_slice(win).map(RespPayload::Inline);
+        let short = || RespPayload::Err("short block read".into());
+        let one_view = |win: BufHandle| inline(win.as_slice()).unwrap_or(RespPayload::DataBuf(win));
+        let answer = |views: Option<Vec<BufHandle>>| match views {
+            None => short(),
+            Some(views) if views.len() > 1 => RespPayload::DataRuns(views),
+            Some(mut views) => views
+                .pop()
+                .map_or(RespPayload::Inline(InlineData::EMPTY), one_view),
+        };
         if runs.is_empty() {
-            // Hole: hand back zeroes without touching the stack.
-            let zeroes = vec![0u8; n];
-            return inline(&zeroes).unwrap_or(RespPayload::Data(zeroes));
+            // A small read of a hole: zeroes by value, no slot.
+            if let Some(small) = ZERO_PAGE.get(..n).and_then(inline) {
+                return small;
+            }
         }
         if let Some(run) = runs
             .first()
             .filter(|r| r.page == first_pg && r.pages == pages)
         {
-            // One run: no assembly, the answer is a window of the response.
-            let short = || RespPayload::Err("short block read".into());
-            let one_view =
-                |win: BufHandle| inline(win.as_slice()).unwrap_or(RespPayload::DataBuf(win));
+            // One run: the answer is a window of the response.
             return match fwd_block(ctx, env, req, read(run.block, pages)) {
                 RespPayload::DataBuf(h) => h.slice(src, n).map_or_else(short, one_view),
-                RespPayload::DataRuns(runs) => match window(runs, src, n) {
-                    None => short(),
-                    Some(views) if views.len() > 1 => RespPayload::DataRuns(views),
-                    Some(mut views) => views.pop().map_or(RespPayload::Data(Vec::new()), one_view),
-                },
-                RespPayload::Data(mut d) => {
-                    let Some(win) = d.get(src..src + n) else {
-                        return short();
-                    };
-                    if let Some(small) = inline(win) {
-                        small
-                    } else if src == 0 {
-                        d.truncate(n);
-                        RespPayload::Data(d)
-                    } else {
-                        labstor_ipc::note_payload_copy(n);
-                        RespPayload::Data(win.to_vec()) // copy-ok: the window starts inside the owned response; counted above
-                    }
-                }
+                RespPayload::DataRuns(runs) => answer(window(runs, src, n)),
                 other => other,
             };
         }
-        // Holes or scattered runs: assemble. Holes stay zero.
-        let mut out = vec![0u8; n];
-        for run in runs.iter() {
-            let resp = fwd_block(ctx, env, req, read(run.block, run.pages));
-            let Some(parts) = resp.data_parts() else {
-                return resp;
+        // Holes or scattered runs: the views of every page in page order.
+        // A hole's slots are zeroed here: a recycled slot holds its last
+        // owner's bytes.
+        let (mut views, mut at) = (Vec::new(), first_pg);
+        let end = [(first_pg + pages, None)];
+        for (page, run) in runs.iter().map(|r| (r.page, Some(r))).chain(end) {
+            if at < page {
+                let hole = (page - at) as usize * FS_BLOCK;
+                let Some(slots) = labstor_ipc::default_pool().alloc_runs(hole) else {
+                    return RespPayload::Err(POOL_DRY.into());
+                };
+                for mut h in slots {
+                    // owner-ok: LabFS zeroes the hole slots it allocated above
+                    h.as_mut_slice().expect("a fresh slot is unique").fill(0);
+                    views.push(h);
+                }
+            }
+            let Some(run) = run else { break };
+            let got = match fwd_block(ctx, env, req, read(run.block, run.pages)) {
+                RespPayload::DataBuf(h) => vec![h],
+                RespPayload::DataRuns(runs) => runs,
+                other => return other,
             };
-            // This run's bytes within the request and within the response.
-            let run_start = run.page * FS_BLOCK as u64;
-            let copy_from = run_start.max(offset);
-            let copy_to = (run.end() * FS_BLOCK as u64).min(offset + n as u64);
-            let cnt = (copy_to - copy_from) as usize;
-            let mut skip = (copy_from - run_start) as usize;
-            let (mut dst, end) = ((copy_from - offset) as usize, (copy_to - offset) as usize);
-            for part in parts {
-                let from = skip.min(part.len());
-                let take = (part.len() - from).min(end - dst);
-                // copy-ok: assembly of a scattered read; counted below
-                out[dst..dst + take].copy_from_slice(&part[from..from + take]);
-                skip -= from;
-                dst += take;
-            }
-            if dst < end {
-                return RespPayload::Err("short block read".into());
-            }
-            labstor_ipc::note_payload_copy(cnt);
+            let Some(got) = window(got, 0, run.pages as usize * FS_BLOCK) else {
+                return short();
+            };
+            views.extend(got);
+            at = run.end();
         }
-        RespPayload::Data(out)
+        answer(window(views, src, n))
     }
-}
-
-/// Cut `runs`, a run list in byte order, to the window `[src, src + n)`
-/// in place: the runs the window crosses, each narrowed to its share of
-/// it. `None` if the runs end before the window does.
-fn window(mut runs: Vec<BufHandle>, src: usize, n: usize) -> Option<Vec<BufHandle>> {
-    let (mut at, end) = (0, src + n);
-    runs.retain_mut(|run| {
-        let start = at;
-        at += run.len();
-        let (lo, hi) = (src.max(start), end.min(at));
-        match (lo < hi).then(|| run.slice(lo - start, hi - lo)).flatten() {
-            Some(view) => {
-                *run = view;
-                true
-            }
-            None => false,
-        }
-    });
-    (at >= end).then_some(runs)
 }

@@ -5,15 +5,14 @@
 use labstor_core::{BlockOp, Request, RespPayload, StackEnv};
 use labstor_sim::Ctx;
 
-use super::data::fwd_block;
+use super::data::{fwd_block, ZERO_PAGE};
 use super::{LabFs, BLOCK_SECTORS, FS_BLOCK, META_CPU_NS};
 
 impl LabFs {
     /// Pushdown read: run a verified program over the file range
     /// in-stack and ship back only the result. Every page is scanned in
-    /// place — cache hits stay refcounted handle slices, a dry pool's
-    /// `Data` answers are scanned where they sit — so the hit path counts
-    /// **zero** payload copies. Fuel is metered per instruction across
+    /// place — cache hits stay refcounted handle slices — so the hit path
+    /// counts **zero** payload copies. Fuel is metered per instruction across
     /// the whole range and billed to the requesting tenant afterwards.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn op_read_filtered(
@@ -56,7 +55,6 @@ impl LabFs {
         let mut out = ScanOut::default();
         let mut matched: Vec<u8> = Vec::new();
         let first_pg = offset / FS_BLOCK as u64;
-        static ZERO_PAGE: [u8; FS_BLOCK] = [0u8; FS_BLOCK];
         // The runs not yet passed: the first one holds `pg` or lies past it.
         let mut ahead = &runs[..];
         for pg in first_pg..(offset + n as u64).div_ceil(FS_BLOCK as u64) {
@@ -142,10 +140,7 @@ impl LabFs {
             }
             Action::Select => match labstor_ipc::InlineData::from_slice(&matched) {
                 Some(d) => RespPayload::Inline(d),
-                None => match labstor_ipc::default_pool().alloc_from(&matched) {
-                    Some(h) => RespPayload::DataBuf(h),
-                    None => RespPayload::Data(matched),
-                },
+                None => crate::generic::pooled_answer(&matched),
             },
         }
     }

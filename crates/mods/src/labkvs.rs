@@ -243,6 +243,13 @@ impl LabKvs {
         len: usize,
         writes: impl FnOnce(u64) -> [Option<BlockOp>; 2],
     ) -> RespPayload {
+        // A longer value could be stored but never read back.
+        let most = labstor_ipc::default_pool().max_runs_len();
+        if len > most {
+            return RespPayload::Err(format!(
+                "value of {len} bytes: a read answers at most {most}"
+            ));
+        }
         ctx.advance(KV_CPU_NS);
         let mut lba = 0;
         if len > 0 {
@@ -270,7 +277,8 @@ impl LabKvs {
     }
 
     /// Fetch a stored value: one device read of the covering sectors,
-    /// answered as a slice of the driver's DMA buffer (inline when small).
+    /// answered as a slice of the driver's DMA buffer (inline when small)
+    /// or as the views of a run list.
     fn read_value(
         &self,
         ctx: &mut Ctx,
@@ -279,7 +287,7 @@ impl LabKvs {
         loc: ValueLoc,
     ) -> RespPayload {
         if loc.len == 0 {
-            return RespPayload::Data(Vec::new());
+            return RespPayload::Inline(labstor_ipc::InlineData::EMPTY);
         }
         let read = BlockOp::ReadBuf {
             lba: loc.lba,
@@ -296,16 +304,15 @@ impl LabKvs {
                     None => RespPayload::DataBuf(h),
                 }
             }
-            // A pool-dry driver answers with an owned Vec. Sectors that a
-            // cache below holds in several slots are copied out once,
-            // counted: the pushdown scans read a value as one slice.
-            other => match crate::generic::owned_bytes(other) {
-                Ok(mut d) => {
-                    d.truncate(loc.len);
-                    RespPayload::Data(d)
-                }
-                Err(other) => other,
+            // A value longer than a pool slot, or sectors a cache below
+            // holds in several slots, come up as a run list: its views
+            // are the answer.
+            RespPayload::DataRuns(runs) => match crate::generic::window(runs, 0, loc.len) {
+                Some(mut one) if one.len() == 1 => RespPayload::DataBuf(one.swap_remove(0)),
+                Some(runs) => RespPayload::DataRuns(runs),
+                None => RespPayload::Err("short block read".into()),
             },
+            other => other,
         }
     }
 
@@ -332,7 +339,8 @@ impl LabKvs {
             let resp = self.read_value(ctx, env, req, loc);
             let mut fuel = prog.fuel_budget();
             let mut out = labstor_pushdown::ScanOut::default();
-            let scanned = match resp.data_bytes() {
+            let mut joined = Vec::new();
+            let scanned = match scan_bytes(&resp, &mut joined) {
                 Some(bytes) => labstor_pushdown::scan(prog, bytes, 0, &mut fuel, &mut out),
                 None => return resp, // downstream error; propagate as-is
             };
@@ -388,7 +396,8 @@ impl LabKvs {
         for (k, loc) in &entries {
             ctx.advance(KV_CPU_NS); // per-entry key-map touch
             let resp = self.read_value(ctx, env, req, *loc);
-            let Some(bytes) = resp.data_bytes() else {
+            let mut joined = Vec::new();
+            let Some(bytes) = scan_bytes(&resp, &mut joined) else {
                 return resp; // downstream error; propagate as-is
             };
             let before_matches = out.matches;
@@ -428,6 +437,16 @@ impl LabKvs {
             }
         }
     }
+}
+
+/// A value's bytes as one slice for a pushdown scan: the answer's own, or
+/// a run list's joined in `scratch`, one counted copy.
+fn scan_bytes<'a>(resp: &'a RespPayload, scratch: &'a mut Vec<u8>) -> Option<&'a [u8]> {
+    if let Some(bytes) = resp.data_bytes() {
+        return Some(bytes);
+    }
+    crate::generic::copy_into(scratch, resp.data_parts()?);
+    Some(scratch)
 }
 
 /// One write of `value` padded with zeroes to the sector: the caller's
@@ -778,7 +797,7 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d.is_empty()));
+        assert_eq!(r.data_bytes(), Some(&[][..]));
     }
 
     #[test]

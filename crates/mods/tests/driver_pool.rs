@@ -6,10 +6,10 @@
 use std::sync::Arc;
 
 use labstor_core::stack::{ExecMode, LabStack, Vertex};
-use labstor_core::{BlockOp, ModuleManager, Payload, Request, RespPayload, StackEnv};
+use labstor_core::{BlockOp, ModuleManager, Payload, Request, RespPayload, StackEnv, POOL_DRY};
 use labstor_ipc::{default_pool, Credentials};
 use labstor_mods::{drivers, DeviceRegistry};
-use labstor_sim::{Ctx, DeviceKind, PmemDevice, SECTOR_SIZE};
+use labstor_sim::{BlockDevice, Ctx, DeviceKind, PmemDevice, SECTOR_SIZE};
 
 const DRIVERS: [(&str, &str); 4] = [
     ("kernel_driver", "nvme0"),
@@ -71,12 +71,57 @@ fn read_buf_slots_come_from_the_pool_first_and_go_back_on_failure() {
         }
         assert_eq!(pool.live(), idle, "{ty}");
 
-        // Dry pool: the same bytes in an owned `Vec`.
+        // Dry pool: the read is refused before it reaches the device.
         let held: Vec<_> = std::iter::from_fn(|| pool.alloc(4096)).collect();
+        let reads = devices.block("nvme0").unwrap().stats().snapshot().reads;
         match run(&mm, BlockOp::ReadBuf { lba: 8, len: 4096 }) {
-            RespPayload::Data(d) => assert_eq!(d, data, "{ty}"),
-            other => panic!("{ty}: expected Data from a dry pool, got {other:?}"),
+            RespPayload::Err(e) => assert_eq!(e, POOL_DRY, "{ty}"),
+            other => panic!("{ty}: expected a refusal from a dry pool, got {other:?}"),
         }
+        let after = devices.block("nvme0").unwrap().stats().snapshot().reads;
+        assert_eq!(after, reads, "{ty}: a refused read reads nothing");
+        drop(held);
+        assert_eq!(pool.live(), idle, "{ty}");
+
+        // A read longer than the largest slot lands in slot-sized
+        // pieces, one command each, and answers them as a run list.
+        let max = pool.max_len();
+        let long: Vec<u8> = (0..max + 4096).map(|i| (i % 253) as u8).collect();
+        let w = run(
+            &mm,
+            BlockOp::Write {
+                lba: 8,
+                data: long.clone(),
+            },
+        );
+        assert!(w.is_ok(), "{ty}: {w:?}");
+        let len = long.len();
+        match run(&mm, BlockOp::ReadBuf { lba: 8, len }) {
+            RespPayload::DataRuns(runs) => {
+                let lens: Vec<_> = runs.iter().map(|h| h.len()).collect();
+                assert_eq!(lens, [max, 4096], "{ty}");
+                assert_eq!([runs[0].as_slice(), runs[1].as_slice()].concat(), long);
+            }
+            other => panic!("{ty}: expected DataRuns, got {other:?}"),
+        }
+        // With one top-class slot left, a read that needs two takes
+        // none and is refused before the device reads a sector.
+        let mut held: Vec<_> = std::iter::from_fn(|| pool.alloc(max)).collect();
+        held.pop();
+        let reads = devices.block("nvme0").unwrap().stats().snapshot().reads;
+        let resp = run(
+            &mm,
+            BlockOp::ReadBuf {
+                lba: 8,
+                len: 2 * max,
+            },
+        );
+        assert!(
+            matches!(&resp, RespPayload::Err(e) if e == POOL_DRY),
+            "{ty}: {resp:?}"
+        );
+        let after = devices.block("nvme0").unwrap().stats().snapshot().reads;
+        assert_eq!(after, reads, "{ty}: a refused read reads nothing");
         drop(held);
         assert_eq!(pool.live(), idle, "{ty}");
 

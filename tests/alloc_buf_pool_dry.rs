@@ -1,4 +1,5 @@
-//! A dry pool costs a request its zero-copy path, never its bytes.
+//! A dry pool costs a write its zero-copy path, never its bytes, and
+//! refuses a read, which answers in pool handles only.
 //!
 //! * `GenericFs::write` takes its pool buffer only from the size class
 //!   that fits the write (`Client::alloc_buf`). With the 4 KiB class
@@ -7,10 +8,11 @@
 //!   behind in the cache: a block cache keeps a write's buffer for as
 //!   long as the block stays resident.
 //! * A read has one verb, `ReadBuf`. A cache miss with every class
-//!   drained reaches the driver, which answers with an owned `Vec`
-//!   instead of a pool buffer; the cache and LabFS pass that on, and the
-//!   read must return the right bytes. Once the pool is refilled, a miss
-//!   lands in a pool slot again.
+//!   drained reaches the driver, which has no slot to land it in: it
+//!   refuses the read with `POOL_DRY` before the device reads a block,
+//!   and the cache and LabFS pass the refusal up. Once the pool is
+//!   refilled, the same read returns the right bytes, and a miss lands in
+//!   a pool slot again.
 //! * A block cache copies an owned write's bytes into 4 KiB slots only.
 //!   With that class drained, a write-back cache keeps none of the
 //!   write's blocks, no slot of a larger class either, and writes a dirty
@@ -20,8 +22,9 @@
 //! This file holds a single test: it drains the default pool, and the
 //! integration tests of one file share one process and pool.
 
-use labstor::core::{BlockOp, Payload, Runtime, RuntimeConfig};
+use labstor::core::{BlockOp, Payload, Runtime, RuntimeConfig, POOL_DRY};
 use labstor::ipc::{default_pool, Credentials};
+use labstor::mods::generic::GenericFsError;
 use labstor::mods::{DeviceRegistry, GenericFs};
 use labstor::sim::{BlockDevice, DeviceKind};
 
@@ -115,14 +118,21 @@ fn a_write_with_its_class_drained_falls_back_and_spills_nowhere() {
     fs.seek(fd, at).unwrap();
     assert_eq!(fs.read(fd, PAGE).unwrap(), page);
 
-    // Drain every class: the driver has no slot to land a miss in.
+    // Drain every class: the driver has no slot to land a miss in, and
+    // refuses the read before the device reads a block.
     held.extend(std::iter::from_fn(|| pool.alloc(1)));
     assert!(pool.alloc(PAGE).is_none(), "the pool is dry");
-    read_evicted(&mut fs, 0);
+    let reads = dev.stats().snapshot().reads;
+    fs.seek(fd, 0).unwrap();
+    let refused = Err(GenericFsError::Fs(POOL_DRY.into()));
+    assert_eq!(fs.read(fd, PAGE), refused);
+    assert_eq!(dev.stats().snapshot().reads, reads, "a refused read");
 
-    // With the pool refilled, the next write rides a 4 KiB slot, which
-    // the cache keeps, and a miss lands in a slot again.
+    // With the pool refilled, the same read returns its bytes, the next
+    // write rides a 4 KiB slot, which the cache keeps, and a miss lands
+    // in a slot again.
     drop(held);
+    read_evicted(&mut fs, 0);
     let live = pool.live();
     fs.seek(fd, at + PAGE as u64).unwrap();
     assert_eq!(fs.write(fd, &page), Ok(PAGE));

@@ -13,21 +13,26 @@
 //! What the cache holds stays bounded by the live keys, the extents are
 //! recycled, and after other keys push every block out and the cache is
 //! flushed, each live value reads back, through the stack and from the
-//! device.
+//! device. Last, an 8 KiB owned `Put`, whose blocks the cache copies into
+//! a 4 KiB slot each: a `Get` below LabKVS finds them in two slots, `Get`
+//! answers with their views and no copy, and `GetWhere` answers the same
+//! after joining them for its scan, one counted copy.
 //!
 //! This file holds a single test: it compares the default pool's live
 //! slots before and after, and the integration tests of one file share
 //! one process and pool.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use labstor::core::{
     BlockOp, Client, KvsOp, LabStack, Payload, RespPayload, Runtime, RuntimeConfig,
 };
-use labstor::ipc::{default_pool, Credentials};
+use labstor::ipc::{default_pool, payload_copy_bytes, Credentials};
 use labstor::mods::labkvs::LabKvs;
 use labstor::mods::lru::LruCacheMod;
 use labstor::mods::DeviceRegistry;
+use labstor::pushdown::Program;
 use labstor::sim::{BlockDevice, Ctx, DeviceKind, SECTOR_SIZE};
 
 const KEYS: usize = 8;
@@ -160,6 +165,32 @@ fn churn(write_back: bool) {
         assert!(
             media[len..].iter().all(|&b| b == 0),
             "{mode}: {key}'s padding"
+        );
+    }
+
+    // A value the cache holds in two slots comes up as a run list: the
+    // answer is its views, and only the pushdown scan joins them.
+    let split: Vec<u8> = (0..2 * 4096).map(|i| (i % 251) as u8).collect();
+    put(&mut client, &stack, "split", &split);
+    let first = u32::from_le_bytes(split[..4].try_into().unwrap());
+    let prog = Program::count_where_u32_eq(64, 0, first).verify().unwrap();
+    let key = || "split".to_string();
+    let get_where = KvsOp::GetWhere {
+        key: key(),
+        prog: Arc::new(prog),
+    };
+    for (op, copied) in [(KvsOp::Get { key: key() }, 0), (get_where, split.len())] {
+        let bytes = payload_copy_bytes();
+        let got = run(&mut client, &stack, op);
+        assert_eq!(payload_copy_bytes() - bytes, copied as u64, "{mode}");
+        let RespPayload::DataRuns(runs) = &got else {
+            panic!("{mode}: {got:?}");
+        };
+        assert_eq!(runs.len(), 2, "{mode}");
+        assert_eq!(
+            got.data_parts().unwrap().collect::<Vec<_>>().concat(),
+            split,
+            "{mode}"
         );
     }
     drop(client);

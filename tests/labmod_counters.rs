@@ -114,7 +114,13 @@ impl LabMod for Yielder {
         ctx.advance(1_000);
         match req.payload {
             Payload::Block(BlockOp::Write { data, .. }) => RespPayload::Len(data.len()),
-            Payload::Block(BlockOp::ReadBuf { len, .. }) => RespPayload::Data(vec![0; len]),
+            Payload::Block(BlockOp::ReadBuf { len, .. }) => {
+                let mut h = labstor::ipc::default_pool()
+                    .alloc(len)
+                    .expect("a pool slot");
+                assert!(h.write_with(|b| b.fill(0)));
+                RespPayload::DataBuf(h)
+            }
             _ => RespPayload::Ok,
         }
     }

@@ -6,8 +6,12 @@
 //! caller-owned bytes pays exactly one counted copy, and the page reads
 //! back the same way. A hand-built legacy `FsOp::Write` counts exactly
 //! the bytes LabFS patches and assembles and the base page a patch
-//! copies out, and none when its `Vec` moves. Last, `rw4k`'s preload
-//! through a 16 MiB LRU, where most 64 KiB writes find the pool class dry
+//! copies out, and none when its `Vec` moves. A sparse read on that
+//! stack is answered with the written pages' views and a zeroed slot for
+//! the hole, whatever the slot held before, and copies nothing. A read
+//! inside an incompressible extent through `compress` is answered with
+//! the driver's handle, no copy. Last, `rw4k`'s preload through a 16 MiB
+//! LRU, where most 64 KiB writes find the pool class dry
 //! and go as owned `Write`s: every later hit on a page of it copies
 //! nothing and costs the same virtual time.
 //!
@@ -15,7 +19,7 @@
 //! process-global, and rust integration-test files are separate
 //! processes, so the delta assertion cannot race with unrelated suites.
 
-use labstor::core::{FsOp, Payload, RespPayload, Runtime, RuntimeConfig};
+use labstor::core::{BlockOp, FsOp, Payload, RespPayload, Runtime, RuntimeConfig};
 use labstor::ipc::Credentials;
 use labstor::mods::{DeviceRegistry, GenericFs};
 use labstor::sim::{BlockDevice, DeviceKind};
@@ -58,7 +62,25 @@ const LAB_D: &str = r#"{
     ]
 }"#;
 
+/// `compress` straight on a driver.
+const COMPRESS: &str = r#"{
+    "mount": "blk::/zc_cz",
+    "exec": "sync",
+    "authorized_uids": [0],
+    "labmods": [
+        { "uuid": "zz_cz", "type": "compress", "outputs": ["zz_drv"] },
+        { "uuid": "zz_drv", "type": "kernel_driver", "params": {"device": "nvme3"} }
+    ]
+}"#;
+
 const PAGE: usize = 4096;
+
+/// The bytes of page `page` of a file: different in every page.
+fn page_bytes(page: usize) -> Vec<u8> {
+    (0..PAGE)
+        .map(|i| (i % 239) as u8 ^ (page as u8 + 1))
+        .collect()
+}
 
 #[test]
 fn labfs_readbuf_round_trip_is_byte_identical_and_copy_free() {
@@ -178,6 +200,78 @@ fn labfs_readbuf_round_trip_is_byte_identical_and_copy_free() {
     }
     assert_eq!(fs.read(fd, model.len()).unwrap(), model);
     fs.close(fd).unwrap();
+
+    // A sparse file on the same stack: pages 0 and 2 written, page 1 a
+    // hole. Every free 4 KiB slot holds non-zero bytes first, so a hole
+    // slot that was not zeroed would show them.
+    let fd = fs.open("fs::/zc_bare/sparse.bin", true, false).unwrap();
+    let ino = fs.stat("fs::/zc_bare/sparse.bin").unwrap().ino;
+    let written = [page_bytes(0), page_bytes(2)];
+    for (page, bytes) in [0, 2].into_iter().zip(&written) {
+        fs.seek(fd, (page * PAGE) as u64).unwrap();
+        assert_eq!(fs.write(fd, bytes), Ok(PAGE));
+    }
+    let pool = labstor::ipc::default_pool();
+    let mut poisoned: Vec<_> = std::iter::from_fn(|| pool.alloc(PAGE))
+        .take_while(|h| h.region() == 0)
+        .collect();
+    for h in &mut poisoned {
+        assert!(h.write_with(|b| b.fill(0x5a)));
+    }
+    drop(poisoned);
+    let read = FsOp::ReadBuf {
+        ino,
+        offset: 0,
+        len: 3 * PAGE,
+    };
+    let (copies, bytes) = (
+        labstor::ipc::payload_copies(),
+        labstor::ipc::payload_copy_bytes(),
+    );
+    let resp = fs.client_mut().execute(&bare, Payload::Fs(read)).unwrap().0;
+    assert_eq!(labstor::ipc::payload_copies() - copies, 0, "a sparse read");
+    assert_eq!(labstor::ipc::payload_copy_bytes() - bytes, 0);
+    assert!(matches!(resp, RespPayload::DataRuns(_)), "{resp:?}");
+    let got: Vec<u8> = resp.data_parts().unwrap().flatten().copied().collect();
+    let want = [&written[0][..], &[0; PAGE], &written[1]].concat();
+    assert!(got == want, "pages 0 and 2 as written, page 1 zero");
+    fs.close(fd).unwrap();
+
+    // An incompressible extent through `compress` is stored as it came:
+    // a read inside it is the driver's answer, no byte copied.
+    devices.add_preset("nvme3", DeviceKind::Nvme);
+    let cz = rt.mount_stack_json(COMPRESS).unwrap();
+    let mut x = 0x9e37_79b9u32;
+    let noise: Vec<u8> = (0..4 * PAGE)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x as u8
+        })
+        .collect();
+    let write = BlockOp::Write {
+        lba: 0,
+        data: noise.clone(),
+    };
+    let client = fs.client_mut();
+    assert!(client
+        .execute(&cz, Payload::Block(write))
+        .unwrap()
+        .0
+        .is_ok());
+    let bytes = labstor::ipc::payload_copy_bytes();
+    let read = BlockOp::ReadBuf {
+        lba: 0,
+        len: noise.len(),
+    };
+    let resp = client.execute(&cz, Payload::Block(read)).unwrap().0;
+    assert_eq!(
+        labstor::ipc::payload_copy_bytes() - bytes,
+        0,
+        "a raw extent's read copies nothing"
+    );
+    assert!(matches!(&resp, RespPayload::DataBuf(h) if h.as_slice() == noise));
 
     // `rw4k`'s preload: 1 024 × 64 KiB `write(2)`s through the 16 MiB
     // LRU. The cache pins the 64 KiB class's slots, so most writes find
